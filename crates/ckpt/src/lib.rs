@@ -12,7 +12,8 @@
 //! (`sched`, `mem`, `channels`, `tile.0`, …) — so readers can skip
 //! sections they do not understand (the forward-compatibility policy:
 //! unknown sections are ignored; incompatible changes to a known
-//! section's layout bump [`VERSION`]).
+//! section's layout bump [`VERSION`], and a reader accepts exactly its
+//! own version — an older file's sections would be mis-decoded).
 //!
 //! The contract the simulator builds on top (see `DESIGN.md` §4.6):
 //! restoring a checkpoint taken at cycle *N* and running to completion
@@ -34,8 +35,9 @@ use std::path::Path;
 /// Magic bytes identifying a MosaicSim checkpoint file.
 pub const MAGIC: &[u8; 4] = b"MCKP";
 
-/// Current checkpoint format version.
-pub const VERSION: u32 = 1;
+/// Current checkpoint format version. Version 2 changed the `tile.<slot>`
+/// section layout (dense in-flight ring, request ring).
+pub const VERSION: u32 = 2;
 
 /// Longest string the decoder will accept (tile names, section names).
 const MAX_STR: u64 = 4096;
@@ -52,11 +54,11 @@ pub enum CkptError {
         /// The first four bytes actually found.
         found: [u8; 4],
     },
-    /// The file's format version is newer than this reader supports.
+    /// The file's format version is not the one this reader decodes.
     BadVersion {
         /// File the bytes came from.
         path: String,
-        /// Highest version this reader understands.
+        /// The one version this reader understands.
         supported: u32,
         /// Version found in the file.
         found: u32,
@@ -106,7 +108,8 @@ impl fmt::Display for CkptError {
                 found,
             } => write!(
                 f,
-                "{path}: checkpoint version {found} is newer than supported version {supported}"
+                "{path}: checkpoint version {found} is not supported: this build reads and \
+                 writes version {supported} only"
             ),
             CkptError::Truncated { context } => {
                 write!(f, "checkpoint truncated while reading {context}")
@@ -468,7 +471,7 @@ impl Checkpoint {
             });
         }
         let version = d.u32("version")?;
-        if version > VERSION {
+        if version != VERSION {
             return Err(CkptError::BadVersion {
                 path: label.to_string(),
                 supported: VERSION,
@@ -610,6 +613,34 @@ mod tests {
                 assert_eq!(found, 99);
             }
             other => panic!("wrong error: {other}"),
+        }
+    }
+
+    /// A file of an older version has other section layouts: every entry
+    /// point must refuse it rather than decode its bytes as the current
+    /// layout.
+    #[test]
+    fn older_version_is_rejected_by_every_reader() {
+        let mut bytes = sample().to_bytes();
+        bytes[4..8].copy_from_slice(&(VERSION - 1).to_le_bytes());
+        let path = std::env::temp_dir().join("mosaic_ckpt_old_version.mckpt");
+        std::fs::write(&path, &bytes).unwrap();
+        let errors = [
+            Checkpoint::from_bytes(&bytes, "old").unwrap_err(),
+            Checkpoint::inspect_bytes(&bytes, "old").unwrap_err(),
+            Checkpoint::load(&path).unwrap_err(),
+        ];
+        std::fs::remove_file(&path).ok();
+        for err in errors {
+            match &err {
+                CkptError::BadVersion {
+                    supported, found, ..
+                } => assert_eq!((*supported, *found), (VERSION, VERSION - 1)),
+                other => panic!("wrong error: {other}"),
+            }
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("version {}", VERSION - 1)), "{msg}");
+            assert!(msg.contains(&format!("version {VERSION}")), "{msg}");
         }
     }
 

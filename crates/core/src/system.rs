@@ -579,7 +579,7 @@ impl SystemBuilder {
             .into_iter()
             .enumerate()
             .map(|(slot, spec)| {
-                let trace = Arc::new(self.trace.tile(spec.trace_tile).clone());
+                let trace = self.trace.tile_shared(spec.trace_tile);
                 Box::new(CoreTile::new(
                     spec.config,
                     self.module.clone(),

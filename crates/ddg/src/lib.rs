@@ -85,6 +85,16 @@ pub enum InstClass {
 }
 
 impl InstClass {
+    /// Number of classes; [`code`](Self::code) is always below it, so
+    /// per-class tables are `[T; InstClass::COUNT]`.
+    pub const COUNT: usize = InstClass::Accel as usize + 1;
+
+    /// The class's dense index (declaration order): the key of per-class
+    /// tables, also in checkpoints.
+    pub fn code(self) -> usize {
+        self as usize
+    }
+
     /// Whether the class accesses the memory hierarchy.
     pub fn is_mem(self) -> bool {
         matches!(self, InstClass::Load | InstClass::Store | InstClass::Atomic)
@@ -408,6 +418,158 @@ impl StaticDdg {
     }
 }
 
+/// Where a launching instruction finds the dynamic instance of one SSA
+/// parent (see [`LaunchPlan`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanEdge {
+    /// Defined earlier in the same block: the instruction at this offset
+    /// of the launching DBB itself.
+    Local(u32),
+    /// The most recent dynamic instance of a static instruction: a def in
+    /// another block, or later in this block (so from an earlier DBB).
+    Latest(InstId),
+    /// A phi's incoming def, a parent only when the previous DBB on the
+    /// path was an instance of `pred`.
+    Phi {
+        /// The CFG predecessor the value arrives from.
+        pred: BlockId,
+        /// The instruction defining it.
+        def: InstId,
+    },
+}
+
+/// One instruction of a [`LaunchPlan`]: what a tile needs to launch,
+/// issue and retire a dynamic instance without consulting the IR.
+#[derive(Debug, Clone, Copy)]
+pub struct PlanInst {
+    /// The static instruction.
+    pub inst: InstId,
+    /// Its resource class.
+    pub class: InstClass,
+    /// Whether it is its block's terminator.
+    pub is_terminator: bool,
+    /// Whether an instance completes the moment its parents have: true
+    /// for phis; a tile model sets it for whatever else it treats as a
+    /// bookkeeping node (fused macro-ops, sends absorbed by hardware).
+    pub zero_cost: bool,
+    /// Memory kind, if it accesses memory.
+    pub mem_kind: Option<MemKind>,
+    /// Queue id, if it is a `send`/`recv`.
+    pub queue: Option<u32>,
+    edges: (u32, u32),
+}
+
+/// The static DDG compiled for replay: each block's instructions as one
+/// contiguous slice in program order, with parent edges deduplicated and
+/// pre-resolved ([`PlanEdge`]) so launching a DBB walks flat arrays.
+/// Instructions no block schedules (left behind by DCE) are not in it.
+#[derive(Debug, Clone)]
+pub struct LaunchPlan {
+    insts: Vec<PlanInst>,
+    edges: Vec<PlanEdge>,
+    /// Per block: its slice of `insts` and its terminator's offset in it.
+    blocks: Vec<(std::ops::Range<usize>, u32)>,
+}
+
+impl LaunchPlan {
+    /// Compiles `ddg`; O(static instructions).
+    pub fn compile(ddg: &StaticDdg) -> LaunchPlan {
+        let mut offset = vec![u32::MAX; ddg.node_count()];
+        for b in ddg.blocks() {
+            for (pos, iid) in b.insts().iter().enumerate() {
+                offset[iid.index()] = pos as u32;
+            }
+        }
+        let mut plan = LaunchPlan {
+            insts: Vec::with_capacity(ddg.node_count()),
+            edges: Vec::new(),
+            blocks: Vec::with_capacity(ddg.block_count()),
+        };
+        for b in ddg.blocks() {
+            let start = plan.insts.len();
+            for (pos, &iid) in b.insts().iter().enumerate() {
+                let node = ddg.node(iid);
+                let first = plan.edges.len();
+                let incoming = node.phi_incoming();
+                for (i, &(pred, def)) in incoming.iter().enumerate() {
+                    // A launch selects the first entry for its predecessor.
+                    let shadowed = incoming[..i].iter().any(|(p, _)| *p == pred);
+                    if let (false, Some(def)) = (shadowed, def) {
+                        plan.edges.push(PlanEdge::Phi { pred, def });
+                    }
+                }
+                let intra = node.intra_parents().iter().map(|&def| {
+                    match offset[def.index()] {
+                        off if (off as usize) < pos => PlanEdge::Local(off),
+                        _ => PlanEdge::Latest(def),
+                    }
+                });
+                let cross = node.cross_parents().iter().map(|&d| PlanEdge::Latest(d));
+                for edge in intra.chain(cross) {
+                    // One edge per def: an operand used twice is one parent.
+                    if !plan.edges[first..].contains(&edge) {
+                        plan.edges.push(edge);
+                    }
+                }
+                plan.insts.push(PlanInst {
+                    inst: iid,
+                    class: node.class(),
+                    is_terminator: node.is_terminator(),
+                    zero_cost: node.class() == InstClass::Phi,
+                    mem_kind: node.mem_kind(),
+                    queue: node.queue(),
+                    edges: (first as u32, plan.edges.len() as u32),
+                });
+            }
+            let term = offset[b.terminator().index()];
+            plan.blocks.push((start..plan.insts.len(), term));
+        }
+        plan
+    }
+
+    /// The indices (for [`inst`](Self::inst)) of `block`'s instructions,
+    /// in program order.
+    pub fn block(&self, block: BlockId) -> std::ops::Range<usize> {
+        self.blocks[block.index()].0.clone()
+    }
+
+    /// Offset of `block`'s terminator within the block.
+    pub fn terminator_offset(&self, block: BlockId) -> u32 {
+        self.blocks[block.index()].1
+    }
+
+    /// Number of basic blocks.
+    pub fn block_count(&self) -> usize {
+        self.blocks.len()
+    }
+
+    /// The instruction at plan index `idx`.
+    pub fn inst(&self, idx: usize) -> &PlanInst {
+        &self.insts[idx]
+    }
+
+    /// Number of planned instructions.
+    pub fn len(&self) -> usize {
+        self.insts.len()
+    }
+
+    /// Whether the plan has no instructions.
+    pub fn is_empty(&self) -> bool {
+        self.insts.is_empty()
+    }
+
+    /// Every planned instruction, mutably — for a tile model to mark its
+    /// own [`zero_cost`](PlanInst::zero_cost) nodes.
+    pub fn insts_mut(&mut self) -> impl Iterator<Item = &mut PlanInst> {
+        self.insts.iter_mut()
+    }
+
+    /// The parent edges of `inst`.
+    pub fn edges(&self, inst: &PlanInst) -> &[PlanEdge] {
+        &self.edges[inst.edges.0 as usize..inst.edges.1 as usize]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,6 +679,62 @@ mod tests {
         assert_eq!(mix[&InstClass::Load], 1);
         assert_eq!(mix[&InstClass::Store], 1);
         assert_eq!(mix[&InstClass::Branch], 4);
+    }
+
+    #[test]
+    fn launch_plan_resolves_parents() {
+        let (m, f, i_phi, load) = loop_func();
+        let ddg = StaticDdg::build(m.function(f));
+        let plan = LaunchPlan::compile(&ddg);
+        assert_eq!(plan.len(), ddg.blocks().map(BlockDdg::len).sum::<usize>());
+        let find = |inst: InstId| {
+            let at = (0..plan.len()).find(|&i| plan.inst(i).inst == inst);
+            plan.inst(at.expect("planned"))
+        };
+        // Blocks are contiguous, in program order, terminator last.
+        for b in ddg.blocks() {
+            let range = plan.block(b.block());
+            let planned: Vec<InstId> = range.clone().map(|i| plan.inst(i).inst).collect();
+            assert_eq!(planned, b.insts());
+            let term = plan.inst(range.start + plan.terminator_offset(b.block()) as usize);
+            assert!(term.is_terminator && term.inst == b.terminator());
+        }
+        // The phi takes `i2` only when entered from the body; the constant
+        // incoming from the entry block is no edge at all.
+        let phi = find(i_phi);
+        assert!(phi.zero_cost);
+        let body = BlockId(2);
+        assert!(matches!(
+            plan.edges(phi),
+            [PlanEdge::Phi { pred, .. }] if *pred == body
+        ));
+        // load <- gep: same block, so a block-local offset; gep <- phi:
+        // another block, so the phi's latest instance.
+        let gep = ddg.node(load).intra_parents()[0];
+        assert_eq!(plan.edges(find(load)), [PlanEdge::Local(0)]);
+        assert_eq!(plan.edges(find(gep)), [PlanEdge::Latest(i_phi)]);
+        // `store a, v2` uses two defs; `add v, 1` one.
+        let store = ddg.block(body).mem_order()[1];
+        assert_eq!(plan.edges(find(store)).len(), 2);
+        assert_eq!(find(store).mem_kind, Some(MemKind::Store));
+    }
+
+    #[test]
+    fn launch_plan_counts_a_repeated_operand_once() {
+        let mut m = Module::new("t");
+        let f = m.add_function("k", vec![("p".into(), Type::Ptr)], Type::Void);
+        let mut b = FunctionBuilder::new(m.function_mut(f));
+        let e = b.create_block("entry");
+        b.switch_to(e);
+        let p = b.param(0);
+        let x = b.load(Type::I32, p);
+        let sq = b.bin(BinOp::Mul, x, x);
+        b.store(p, sq);
+        b.ret(None);
+        let plan = LaunchPlan::compile(&StaticDdg::build(m.function(f)));
+        let sq = plan.inst(plan.block(BlockId(0)).start + 1);
+        assert_eq!(sq.class, InstClass::IntMul);
+        assert_eq!(plan.edges(sq), [PlanEdge::Local(0)]);
     }
 
     #[test]

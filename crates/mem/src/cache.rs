@@ -91,13 +91,9 @@ impl CacheConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    last_use: u64,
-}
+/// Way state bits (see [`Cache::state`]).
+const VALID: u8 = 1;
+const DIRTY: u8 = 2;
 
 /// Result of a cache lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,7 +117,15 @@ pub struct FillOutcome {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Way>>,
+    /// The ways, set-major (`set * ways + way`), as parallel arrays of
+    /// plain integers: `vec![0; n]` asks the allocator for zeroed memory,
+    /// which for arrays this size comes untouched from the OS — building
+    /// a cache costs no time and no resident memory for the sets a run
+    /// never reaches.
+    tags: Vec<u64>,
+    last_use: Vec<u64>,
+    /// `VALID | DIRTY` per way.
+    state: Vec<u8>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -131,22 +135,12 @@ pub struct Cache {
 impl Cache {
     /// Creates a cache from its configuration.
     pub fn new(config: CacheConfig) -> Self {
-        let sets = config.sets() as usize;
-        let ways = config.ways() as usize;
+        let ways = config.sets() as usize * config.ways() as usize;
         Cache {
             config,
-            sets: vec![
-                vec![
-                    Way {
-                        tag: 0,
-                        valid: false,
-                        dirty: false,
-                        last_use: 0
-                    };
-                    ways
-                ];
-                sets
-            ],
+            tags: vec![0; ways],
+            last_use: vec![0; ways],
+            state: vec![0; ways],
             tick: 0,
             hits: 0,
             misses: 0,
@@ -164,11 +158,19 @@ impl Cache {
         addr & !(self.config.line_bytes as u64 - 1)
     }
 
-    fn set_and_tag(&self, addr: u64) -> (usize, u64) {
+    /// The set `addr` maps to, as its range of way indices, and its tag.
+    fn set_and_tag(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
         let line = addr / self.config.line_bytes as u64;
         let set = (line % self.config.sets()) as usize;
         let tag = line / self.config.sets();
-        (set, tag)
+        let ways = self.config.ways() as usize;
+        (set * ways..(set + 1) * ways, tag)
+    }
+
+    /// The way of `set` holding `tag`, if any.
+    fn find(&self, set: std::ops::Range<usize>, tag: u64) -> Option<usize> {
+        set.into_iter()
+            .find(|&w| self.state[w] & VALID != 0 && self.tags[w] == tag)
     }
 
     /// Looks up `addr`; on hit updates LRU and (for writes) the dirty bit.
@@ -176,15 +178,13 @@ impl Cache {
         self.tick += 1;
         self.accesses += 1;
         let (set, tag) = self.set_and_tag(addr);
-        for way in &mut self.sets[set] {
-            if way.valid && way.tag == tag {
-                way.last_use = self.tick;
-                if write {
-                    way.dirty = true;
-                }
-                self.hits += 1;
-                return LookupResult::Hit;
+        if let Some(w) = self.find(set, tag) {
+            self.last_use[w] = self.tick;
+            if write {
+                self.state[w] |= DIRTY;
             }
+            self.hits += 1;
+            return LookupResult::Hit;
         }
         self.misses += 1;
         LookupResult::Miss
@@ -193,7 +193,7 @@ impl Cache {
     /// Checks for presence without perturbing LRU or counters.
     pub fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.set_and_tag(addr);
-        self.sets[set].iter().any(|w| w.valid && w.tag == tag)
+        self.find(set, tag).is_some()
     }
 
     /// Installs the line containing `addr`, evicting the LRU way if
@@ -201,38 +201,30 @@ impl Cache {
     pub fn fill(&mut self, addr: u64, dirty: bool) -> FillOutcome {
         self.tick += 1;
         let (set, tag) = self.set_and_tag(addr);
+        let mut outcome = FillOutcome {
+            evicted: None,
+            evicted_dirty: false,
+        };
         // Already present (e.g. race between two fills): just update.
-        if let Some(way) = self.sets[set].iter_mut().find(|w| w.valid && w.tag == tag) {
-            way.dirty |= dirty;
-            way.last_use = self.tick;
-            return FillOutcome {
-                evicted: None,
-                evicted_dirty: false,
+        if let Some(w) = self.find(set.clone(), tag) {
+            self.state[w] |= if dirty { DIRTY } else { 0 };
+            self.last_use[w] = self.tick;
+            return outcome;
+        }
+        let first = set.start;
+        let age = |w: &usize| if self.state[*w] & VALID != 0 { self.last_use[*w] } else { 0 };
+        let victim = set.min_by_key(age).expect("cache has at least one way");
+        if self.state[victim] & VALID != 0 {
+            let set_index = (first / self.config.ways() as usize) as u64;
+            let line_index = self.tags[victim] * self.config.sets() + set_index;
+            outcome = FillOutcome {
+                evicted: Some(line_index * self.config.line_bytes as u64),
+                evicted_dirty: self.state[victim] & DIRTY != 0,
             };
         }
-        let victim = self
-            .sets[set]
-            .iter_mut()
-            .min_by_key(|w| if w.valid { w.last_use } else { 0 })
-            .expect("cache has at least one way");
-        let outcome = if victim.valid {
-            let line_index = victim.tag * self.config.sets() + set as u64;
-            FillOutcome {
-                evicted: Some(line_index * self.config.line_bytes as u64),
-                evicted_dirty: victim.dirty,
-            }
-        } else {
-            FillOutcome {
-                evicted: None,
-                evicted_dirty: false,
-            }
-        };
-        *victim = Way {
-            tag,
-            valid: true,
-            dirty,
-            last_use: self.tick,
-        };
+        self.tags[victim] = tag;
+        self.state[victim] = VALID | if dirty { DIRTY } else { 0 };
+        self.last_use[victim] = self.tick;
         outcome
     }
 
@@ -240,13 +232,13 @@ impl Cache {
     /// hierarchy inclusive). Returns whether the line was present & dirty.
     pub fn invalidate(&mut self, addr: u64) -> bool {
         let (set, tag) = self.set_and_tag(addr);
-        for way in &mut self.sets[set] {
-            if way.valid && way.tag == tag {
-                way.valid = false;
-                return way.dirty;
+        match self.find(set, tag) {
+            Some(w) => {
+                self.state[w] &= !VALID;
+                self.state[w] & DIRTY != 0
             }
+            None => false,
         }
-        false
     }
 
     /// Hit count.
@@ -292,15 +284,13 @@ impl Cache {
         e.u64(self.hits);
         e.u64(self.misses);
         e.u64(self.accesses);
-        e.u32(self.sets.len() as u32);
-        e.u32(self.sets.first().map_or(0, |s| s.len()) as u32);
-        for set in &self.sets {
-            for way in set {
-                e.u64(way.tag);
-                e.bool(way.valid);
-                e.bool(way.dirty);
-                e.u64(way.last_use);
-            }
+        e.u32(self.config.sets() as u32);
+        e.u32(self.config.ways());
+        for w in 0..self.tags.len() {
+            e.u64(self.tags[w]);
+            e.bool(self.state[w] & VALID != 0);
+            e.bool(self.state[w] & DIRTY != 0);
+            e.u64(self.last_use[w]);
         }
     }
 
@@ -312,23 +302,22 @@ impl Cache {
         self.hits = d.u64("cache hits")?;
         self.misses = d.u64("cache misses")?;
         self.accesses = d.u64("cache accesses")?;
-        let sets = d.u32("cache set count")? as usize;
-        let ways = d.u32("cache way count")? as usize;
-        if sets != self.sets.len() || ways != self.sets.first().map_or(0, |s| s.len()) {
+        let sets = u64::from(d.u32("cache set count")?);
+        let ways = d.u32("cache way count")?;
+        if sets != self.config.sets() || ways != self.config.ways() {
             return Err(mosaic_ckpt::CkptError::mismatch(format!(
                 "cache {}: checkpoint geometry {sets}x{ways} differs from configured {}x{}",
                 self.config.name(),
-                self.sets.len(),
-                self.sets.first().map_or(0, |s| s.len()),
+                self.config.sets(),
+                self.config.ways(),
             )));
         }
-        for set in &mut self.sets {
-            for way in set {
-                way.tag = d.u64("cache way tag")?;
-                way.valid = d.bool("cache way valid")?;
-                way.dirty = d.bool("cache way dirty")?;
-                way.last_use = d.u64("cache way last_use")?;
-            }
+        for w in 0..self.tags.len() {
+            self.tags[w] = d.u64("cache way tag")?;
+            let valid = d.bool("cache way valid")?;
+            let dirty = d.bool("cache way dirty")?;
+            self.state[w] = if valid { VALID } else { 0 } | if dirty { DIRTY } else { 0 };
+            self.last_use[w] = d.u64("cache way last_use")?;
         }
         Ok(())
     }

@@ -35,29 +35,32 @@ pub enum BranchMode {
 /// latency cost (cycles) and energy cost (Joules)").
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostTable {
-    costs: HashMap<InstClass, (u64, f64)>,
+    /// `(latency, energy_pj)` by [`InstClass::code`].
+    costs: [(u64, f64); InstClass::COUNT],
 }
 
 impl Default for CostTable {
     fn default() -> Self {
-        let mut costs = HashMap::new();
+        let mut t = CostTable {
+            costs: [(1, 0.5); InstClass::COUNT],
+        };
         // (latency cycles, energy pJ) — representative 22 nm-class values.
-        costs.insert(InstClass::IntAlu, (1, 0.5));
-        costs.insert(InstClass::IntMul, (3, 2.0));
-        costs.insert(InstClass::IntDiv, (18, 12.0));
-        costs.insert(InstClass::FpAdd, (3, 1.5));
-        costs.insert(InstClass::FpMul, (4, 2.5));
-        costs.insert(InstClass::FpDiv, (16, 14.0));
-        costs.insert(InstClass::FpSpecial, (8, 20.0));
-        costs.insert(InstClass::Load, (0, 3.0)); // latency is dynamic (memory)
-        costs.insert(InstClass::Store, (0, 3.5));
-        costs.insert(InstClass::Atomic, (0, 8.0));
-        costs.insert(InstClass::Branch, (1, 0.6));
-        costs.insert(InstClass::Phi, (0, 0.0));
-        costs.insert(InstClass::Send, (1, 1.0));
-        costs.insert(InstClass::Recv, (1, 1.0));
-        costs.insert(InstClass::Accel, (0, 0.0)); // cost comes from the model
-        CostTable { costs }
+        t.set(InstClass::IntAlu, 1, 0.5);
+        t.set(InstClass::IntMul, 3, 2.0);
+        t.set(InstClass::IntDiv, 18, 12.0);
+        t.set(InstClass::FpAdd, 3, 1.5);
+        t.set(InstClass::FpMul, 4, 2.5);
+        t.set(InstClass::FpDiv, 16, 14.0);
+        t.set(InstClass::FpSpecial, 8, 20.0);
+        t.set(InstClass::Load, 0, 3.0); // latency is dynamic (memory)
+        t.set(InstClass::Store, 0, 3.5);
+        t.set(InstClass::Atomic, 0, 8.0);
+        t.set(InstClass::Branch, 1, 0.6);
+        t.set(InstClass::Phi, 0, 0.0);
+        t.set(InstClass::Send, 1, 1.0);
+        t.set(InstClass::Recv, 1, 1.0);
+        t.set(InstClass::Accel, 0, 0.0); // cost comes from the model
+        t
     }
 }
 
@@ -65,17 +68,17 @@ impl CostTable {
     /// Fixed latency of `class` (memory classes return 0: their cost is
     /// dynamic, determined by the hierarchy — paper §III-B).
     pub fn latency(&self, class: InstClass) -> u64 {
-        self.costs.get(&class).map(|c| c.0).unwrap_or(1)
+        self.costs[class.code()].0
     }
 
     /// Energy in pJ charged when an instruction of `class` issues.
     pub fn energy_pj(&self, class: InstClass) -> f64 {
-        self.costs.get(&class).map(|c| c.1).unwrap_or(0.5)
+        self.costs[class.code()].1
     }
 
     /// Overrides one class's `(latency, energy_pj)` entry.
     pub fn set(&mut self, class: InstClass, latency: u64, energy_pj: f64) {
-        self.costs.insert(class, (latency, energy_pj));
+        self.costs[class.code()] = (latency, energy_pj);
     }
 }
 
@@ -83,21 +86,22 @@ impl CostTable {
 /// the number of available functional units for each instruction type").
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FuLimits {
-    limits: HashMap<InstClass, u32>,
+    /// Limit by [`InstClass::code`]; `u32::MAX` when unconstrained.
+    limits: [u32; InstClass::COUNT],
 }
 
 impl Default for FuLimits {
     fn default() -> Self {
-        let mut limits = HashMap::new();
-        limits.insert(InstClass::IntAlu, 4);
-        limits.insert(InstClass::IntMul, 2);
-        limits.insert(InstClass::IntDiv, 1);
-        limits.insert(InstClass::FpAdd, 2);
-        limits.insert(InstClass::FpMul, 2);
-        limits.insert(InstClass::FpDiv, 1);
-        limits.insert(InstClass::FpSpecial, 2);
-        limits.insert(InstClass::Branch, 1);
-        FuLimits { limits }
+        let mut fu = FuLimits::unlimited();
+        fu.set(InstClass::IntAlu, 4);
+        fu.set(InstClass::IntMul, 2);
+        fu.set(InstClass::IntDiv, 1);
+        fu.set(InstClass::FpAdd, 2);
+        fu.set(InstClass::FpMul, 2);
+        fu.set(InstClass::FpDiv, 1);
+        fu.set(InstClass::FpSpecial, 2);
+        fu.set(InstClass::Branch, 1);
+        fu
     }
 }
 
@@ -105,18 +109,18 @@ impl FuLimits {
     /// Unlimited units for every class (pre-RTL accelerator modeling).
     pub fn unlimited() -> Self {
         FuLimits {
-            limits: HashMap::new(),
+            limits: [u32::MAX; InstClass::COUNT],
         }
     }
 
     /// The limit for `class` (`u32::MAX` when unconstrained).
     pub fn limit(&self, class: InstClass) -> u32 {
-        self.limits.get(&class).copied().unwrap_or(u32::MAX)
+        self.limits[class.code()]
     }
 
     /// Overrides one class's limit.
     pub fn set(&mut self, class: InstClass, limit: u32) {
-        self.limits.insert(class, limit);
+        self.limits[class.code()] = limit;
     }
 }
 

@@ -21,14 +21,15 @@
 //!   [`AccelSim`](crate::AccelSim) model (paper §IV-A).
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
-use mosaic_ddg::{InstClass, MemKind, StaticDdg};
+use mosaic_ckpt::{CkptError, Dec, Enc};
+use mosaic_ddg::{InstClass, LaunchPlan, MemKind, PlanEdge, StaticDdg};
 use mosaic_ir::{BlockId, FuncId, InstId, Module, Opcode};
 use mosaic_mem::{AccessKind, MemError, MemReq, ReqId};
-use mosaic_obs::{IrProfile, ObsLevel, StallKind, Timeline};
-use mosaic_trace::TileTrace;
+use mosaic_obs::{IrProfile, ObsLevel, StallKind, Timeline, STALL_KINDS};
+use mosaic_trace::{CursorPos, TileTrace};
 
 use crate::config::{fused_insts, BranchMode, CoreConfig};
 use crate::mao::{Mao, MaoStall};
@@ -52,26 +53,191 @@ enum DescRole {
     DetachedStore,
 }
 
+impl DescRole {
+    /// Whether the op lives in a DeSC buffer instead of the instruction
+    /// window.
+    fn window_exempt(self) -> bool {
+        matches!(
+            self,
+            DescRole::TerminalLoad { .. } | DescRole::StoreRecv | DescRole::DetachedStore
+        )
+    }
+
+    /// Whether the op is a fire-and-forget memory access: it lives in the
+    /// terminal-load / store buffers, outside the MAO (the DeSC hardware
+    /// structures handle its ordering).
+    fn detached(self) -> bool {
+        matches!(
+            self,
+            DescRole::TerminalLoad { .. } | DescRole::DetachedStore
+        )
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DynState {
     Waiting,
     Ready,
     Issued,
+    /// Completed: the slot is dead and waits to leave the ring.
+    Done,
 }
 
-#[derive(Debug, Clone)]
+/// "No node": the end of a child list, or an empty free list.
+const NIL: u32 = u32::MAX;
+
+/// One in-flight dynamic instruction. What is static about it is read
+/// through `plan`, never copied.
+#[derive(Debug, Clone, Copy)]
 struct DynInst {
-    static_id: InstId,
-    dbb: u64,
-    class: InstClass,
+    /// Index into the tile's [`LaunchPlan`].
+    plan: u32,
     state: DynState,
+    /// Whether the DeSC role exempts it from the instruction window.
+    window_exempt: bool,
     remaining_parents: u32,
-    children: Vec<u64>,
+    dbb: u64,
+    /// Its children, in launch order: a list in [`InFlight::nodes`].
+    first_child: u32,
+    last_child: u32,
     mem: Option<(u64, u8, AccessKind)>,
-    accel_args: Option<Vec<i64>>,
-    is_terminator: bool,
-    fused: bool,
-    desc: Option<DescRole>,
+    /// For an accelerator call: its index in the trace's stream.
+    accel_at: u32,
+}
+
+/// The launched-but-incomplete instructions, as a ring indexed by
+/// `seq - base_seq`. Sequence ids are allocated densely and
+/// monotonically, a slot is live iff its instruction is in flight, and
+/// the window head only moves forward (DESIGN.md §4.2).
+#[derive(Debug)]
+struct InFlight {
+    /// Sequence id of `slots[0]`; the next id to allocate is
+    /// `base_seq + slots.len()`.
+    base_seq: u64,
+    slots: VecDeque<DynInst>,
+    /// Slots not yet `Done`.
+    live: usize,
+    /// The window head: the oldest instruction that is neither complete
+    /// nor window-exempt (`next_seq()` when there is none).
+    head: u64,
+    /// Child-list nodes `(child seq, next node)`, shared by all slots and
+    /// recycled through the free list `free`.
+    nodes: Vec<(u64, u32)>,
+    free: u32,
+}
+
+impl InFlight {
+    fn new() -> Self {
+        InFlight {
+            base_seq: 0,
+            slots: VecDeque::new(),
+            live: 0,
+            head: 0,
+            nodes: Vec::new(),
+            free: NIL,
+        }
+    }
+
+    fn next_seq(&self) -> u64 {
+        self.base_seq + self.slots.len() as u64
+    }
+
+    /// The in-flight instruction `seq`, if it has not completed.
+    fn get(&self, seq: u64) -> Option<&DynInst> {
+        let at = seq.checked_sub(self.base_seq)?;
+        self.slots
+            .get(at as usize)
+            .filter(|d| d.state != DynState::Done)
+    }
+
+    fn get_mut(&mut self, seq: u64) -> Option<&mut DynInst> {
+        let at = seq.checked_sub(self.base_seq)?;
+        self.slots
+            .get_mut(at as usize)
+            .filter(|d| d.state != DynState::Done)
+    }
+
+    /// Moves the window head past completed and window-exempt slots.
+    fn advance_head(&mut self) {
+        self.head = self.head.max(self.base_seq);
+        while let Some(d) = self.slots.get((self.head - self.base_seq) as usize) {
+            if d.state != DynState::Done && !d.window_exempt {
+                break;
+            }
+            self.head += 1;
+        }
+    }
+
+    /// Appends `di` as the youngest instruction.
+    fn push(&mut self, di: DynInst) {
+        self.slots.push_back(di);
+        self.live += 1;
+        self.advance_head();
+    }
+
+    /// Records `child` as waiting on `parent`; `false` (and nothing
+    /// recorded) when `parent` already completed.
+    fn add_child(&mut self, parent: u64, child: u64) -> bool {
+        if self.get(parent).is_none() {
+            return false;
+        }
+        let node = match self.free {
+            NIL => {
+                self.nodes.push((child, NIL));
+                (self.nodes.len() - 1) as u32
+            }
+            node => {
+                self.free = self.nodes[node as usize].1;
+                self.nodes[node as usize] = (child, NIL);
+                node
+            }
+        };
+        let p = self.get_mut(parent).expect("checked above");
+        let tail = std::mem::replace(&mut p.last_child, node);
+        if tail == NIL {
+            p.first_child = node;
+        } else {
+            self.nodes[tail as usize].1 = node;
+        }
+        true
+    }
+
+    /// Frees child-list node `node`, returning its child and successor.
+    fn take_child(&mut self, node: u32) -> (u64, u32) {
+        let (child, next) = self.nodes[node as usize];
+        self.nodes[node as usize].1 = self.free;
+        self.free = node;
+        (child, next)
+    }
+
+    /// The children of `di`, in launch order.
+    fn children<'a>(&'a self, di: &DynInst) -> impl Iterator<Item = u64> + 'a {
+        let mut node = di.first_child;
+        std::iter::from_fn(move || {
+            let (child, next) = *self.nodes.get(node as usize)?;
+            node = next;
+            Some(child)
+        })
+    }
+
+    /// Takes `seq` out of flight, returning it as it was (its child list
+    /// is the caller's to free); `None` if it is not in flight.
+    fn retire(&mut self, seq: u64) -> Option<DynInst> {
+        let slot = self.get_mut(seq)?;
+        let di = *slot;
+        slot.state = DynState::Done;
+        self.live -= 1;
+        while self
+            .slots
+            .front()
+            .is_some_and(|d| d.state == DynState::Done)
+        {
+            self.slots.pop_front();
+            self.base_seq += 1;
+        }
+        self.advance_head();
+        Some(di)
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,19 +251,37 @@ enum LaunchGate {
     WaitUntil(u64),
 }
 
+/// What the completion of an outstanding memory request does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ReqDone {
+    /// Completes the instruction `seq`.
+    Retire(u64),
+    /// A DeSC fire-and-forget access: frees its buffer slot and, for a
+    /// terminal load, has hardware push the data into this channel.
+    Detached(Option<u32>),
+}
+
+/// One outstanding memory request of this tile.
+#[derive(Debug, Clone, Copy)]
+struct PendingReq {
+    id: ReqId,
+    on_done: ReqDone,
+    /// The static instruction that issued it, and when (round-trip
+    /// latency attribution when observability is on).
+    inst: u32,
+    issued_at: u64,
+}
+
 /// Per-cycle stall profile of a fully blocked tile, as `issue()` would
 /// count it: one increment per blocked ready candidate, classified by the
 /// first check that rejected it.
 #[derive(Debug, Default)]
 struct SkipStalls {
-    window: u64,
-    fu: u64,
-    mem: u64,
-    send: u64,
-    recv: u64,
-    /// MAO-internal classification of each MAO-rejected candidate (these
-    /// also count once in `mem`).
-    mao: Vec<MaoStall>,
+    /// Blocked candidates by [`StallKind`].
+    by_kind: [u64; STALL_KINDS],
+    /// MAO-internal classification of the MAO-rejected candidates (these
+    /// also count once under `StallKind::Mem`), by `MaoStall as usize`.
+    mao: [u64; 3],
     /// Per-static-instruction attribution of the same stalls, populated
     /// only when observability is on. Mirrors `issue()`'s per-site
     /// attribution exactly so fast-forward crediting (this profile ×
@@ -113,8 +297,6 @@ struct TileObs {
     level: ObsLevel,
     profile: IrProfile,
     timeline: Timeline,
-    /// In-flight memory requests: (static instruction, issue cycle).
-    mem_meta: HashMap<ReqId, (u32, u64)>,
     /// Open compute/stall interval: (is_stall, start cycle).
     interval: Option<(bool, u64)>,
     /// First cycle the tile was stepped.
@@ -149,6 +331,40 @@ impl TileObs {
     }
 }
 
+/// Why `issue()` would pass over a ready candidate this cycle.
+struct Stall {
+    /// The first check that rejects it.
+    kind: StallKind,
+    /// The MAO's own classification, when the MAO rejected it.
+    mao: Option<MaoStall>,
+    /// The channel a `send`/`recv` waits on.
+    queue: u32,
+    /// When the head of that channel matures, if it has one.
+    wake: Option<u64>,
+}
+
+impl Stall {
+    fn of(kind: StallKind) -> Self {
+        Stall {
+            kind,
+            mao: None,
+            queue: 0,
+            wake: None,
+        }
+    }
+}
+
+/// What `issue()` would do with one ready candidate this cycle.
+enum Verdict {
+    /// It would issue.
+    Issue,
+    /// An accelerator call while the accelerator is busy: passed over
+    /// without a stall count.
+    AccelBusy,
+    /// Rejected, and counted as a stall.
+    Stall(Stall),
+}
+
 /// Result of the read-only one-cycle dry run backing
 /// [`Tile::next_event`] / [`Tile::on_cycles_skipped`].
 enum Survey {
@@ -156,7 +372,10 @@ enum Survey {
     Ready,
     /// Stepping would only accumulate `stalls`; nothing can change before
     /// `wake` (`None`: only an external event can unblock the tile).
-    Blocked { wake: Option<u64>, stalls: SkipStalls },
+    Blocked {
+        wake: Option<u64>,
+        stalls: SkipStalls,
+    },
 }
 
 /// A core tile replaying a traced kernel over the shared memory hierarchy.
@@ -164,36 +383,42 @@ pub struct CoreTile {
     config: CoreConfig,
     module: Arc<Module>,
     func: FuncId,
-    ddg: StaticDdg,
+    /// The static DDG compiled for replay, with this configuration's
+    /// zero-cost (fused, hardware-absorbed) instructions marked.
+    plan: LaunchPlan,
+    /// DeSC role by plan index (all `None` without the DeSC extensions).
+    desc: Vec<Option<DescRole>>,
+    /// Static prediction by block.
+    predictions: Vec<Option<BlockId>>,
     trace: Arc<TileTrace>,
     mem_slot: usize,
-    fused: HashSet<InstId>,
-
-    // Trace cursors (owning).
-    path_pos: usize,
-    mem_pos: HashMap<InstId, usize>,
-    accel_pos: HashMap<InstId, usize>,
 
     // Dynamic state.
-    next_seq: u64,
-    insts: HashMap<u64, DynInst>,
+    cursor: CursorPos,
+    inflight: InFlight,
+    /// Most recent dynamic instance by `InstId`.
     latest: Vec<Option<u64>>,
-    ready: BTreeSet<u64>,
-    incomplete: BTreeSet<u64>,
+    /// Instructions in state `Ready`, in sequence order.
+    ready: Vec<u64>,
+    /// The buffer `issue()` swaps with `ready` while it walks it.
+    ready_spare: Vec<u64>,
     completions: BinaryHeap<Reverse<(u64, u64)>>,
-    mem_inflight: HashMap<ReqId, u64>,
+    /// Outstanding memory requests, ascending by id (the hierarchy
+    /// allocates ids monotonically).
+    reqs: VecDeque<PendingReq>,
     mao: Mao,
-    fu_busy: HashMap<InstClass, u32>,
-    live_dbbs: HashMap<BlockId, u32>,
-    dbb_remaining: HashMap<u64, u32>,
-    dbb_block: HashMap<u64, BlockId>,
-    next_dbb: u64,
+    /// Busy functional units by [`InstClass::code`].
+    fu_busy: [u32; InstClass::COUNT],
+    /// Live DBBs by block.
+    live_dbbs: Vec<u32>,
+    /// Live DBBs from id `base_dbb` on: (instructions still in flight,
+    /// block). Completed DBBs leave from the front.
+    dbbs: VecDeque<(u32, BlockId)>,
+    base_dbb: u64,
     prev_launched_block: Option<BlockId>,
-    predictions: HashMap<BlockId, Option<BlockId>>,
-    bimodal: HashMap<BlockId, u8>,
-    desc_roles: HashMap<InstId, DescRole>,
-    mem_detached: HashMap<ReqId, Option<u32>>,
-    pending_pushes: std::collections::VecDeque<u32>,
+    /// 2-bit saturating counters by block (see `bimodal_predict`).
+    bimodal: Vec<u8>,
+    pending_pushes: VecDeque<u32>,
     detached_outstanding: u32,
     atomic_outstanding: u32,
     gate: LaunchGate,
@@ -216,10 +441,29 @@ impl std::fmt::Debug for CoreTile {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CoreTile")
             .field("name", &self.config.name)
-            .field("func", &self.ddg.func_name())
+            .field("func", &self.module.function(self.func).name())
             .field("done", &self.done)
             .field("retired", &self.stats.retired)
             .finish()
+    }
+}
+
+/// Inserts `seq` into the ascending `ready` list.
+fn insert_sorted(ready: &mut Vec<u64>, seq: u64) {
+    match ready.last() {
+        Some(&last) if last > seq => ready.insert(ready.partition_point(|&s| s < seq), seq),
+        _ => ready.push(seq),
+    }
+}
+
+/// The `TileStats` counter for stalls of `kind`.
+fn stall_counter(stats: &mut TileStats, kind: StallKind) -> &mut u64 {
+    match kind {
+        StallKind::Window => &mut stats.window_stalls,
+        StallKind::Fu => &mut stats.fu_stalls,
+        StallKind::Mem => &mut stats.mem_stalls,
+        StallKind::Send => &mut stats.send_stalls,
+        StallKind::Recv => &mut stats.recv_stalls,
     }
 }
 
@@ -236,53 +480,50 @@ impl CoreTile {
         let f = module.function(func);
         let ddg = StaticDdg::build(f);
         let fused = fused_insts(f, &ddg, config.fusion);
-        let latest = vec![None; f.inst_count()];
-        let stats = TileStats::new(&config.name);
-        let mao = Mao::new(config.lsq_size, config.alias_speculation);
-        let predictions = compute_static_predictions(f);
-        let desc_roles = if config.desc_extensions {
+        let roles = if config.desc_extensions {
             compute_desc_roles(f)
         } else {
-            HashMap::new()
+            Vec::new()
         };
+        let mut plan = LaunchPlan::compile(&ddg);
+        let mut desc = Vec::new();
+        for pi in plan.insts_mut() {
+            let role = roles.get(pi.inst.index()).copied().flatten();
+            pi.zero_cost |= fused.contains(&pi.inst) || role == Some(DescRole::SkipSend);
+            desc.push(role);
+        }
         CoreTile {
-            config,
-            module,
-            func,
-            ddg,
-            trace,
-            mem_slot,
-            fused,
-            path_pos: 0,
-            mem_pos: HashMap::new(),
-            accel_pos: HashMap::new(),
-            next_seq: 0,
-            insts: HashMap::new(),
-            latest,
-            ready: BTreeSet::new(),
-            incomplete: BTreeSet::new(),
+            plan,
+            desc,
+            predictions: compute_static_predictions(f),
+            cursor: CursorPos::new(&trace),
+            inflight: InFlight::new(),
+            latest: vec![None; f.inst_count()],
+            ready: Vec::new(),
+            ready_spare: Vec::new(),
             completions: BinaryHeap::new(),
-            mem_inflight: HashMap::new(),
-            mao,
-            fu_busy: HashMap::new(),
-            live_dbbs: HashMap::new(),
-            dbb_remaining: HashMap::new(),
-            dbb_block: HashMap::new(),
-            next_dbb: 0,
+            reqs: VecDeque::new(),
+            mao: Mao::new(config.lsq_size, config.alias_speculation),
+            fu_busy: [0; InstClass::COUNT],
+            live_dbbs: vec![0; f.block_count()],
+            dbbs: VecDeque::new(),
+            base_dbb: 0,
             prev_launched_block: None,
-            predictions,
-            bimodal: HashMap::new(),
-            desc_roles,
-            mem_detached: HashMap::new(),
-            pending_pushes: std::collections::VecDeque::new(),
+            bimodal: vec![2; f.block_count()],
+            pending_pushes: VecDeque::new(),
             detached_outstanding: 0,
             atomic_outstanding: 0,
             gate: LaunchGate::Free,
             accel_busy_until: None,
             done: false,
-            stats,
+            stats: TileStats::new(&config.name),
             skip_cache: std::cell::RefCell::new(None),
             obs: None,
+            config,
+            module,
+            func,
+            trace,
+            mem_slot,
         }
     }
 
@@ -291,35 +532,23 @@ impl CoreTile {
         &self.config
     }
 
-    /// The static DDG the tile executes.
-    pub fn ddg(&self) -> &StaticDdg {
-        &self.ddg
-    }
-
     fn peek_path(&self, k: usize) -> Option<BlockId> {
-        self.trace.path().get(self.path_pos + k).copied()
+        self.cursor.peek_block_at(&self.trace, k)
     }
 
-    fn next_mem_access(&mut self, inst: InstId) -> Option<mosaic_trace::MemAccess> {
-        let pos = self.mem_pos.entry(inst).or_insert(0);
-        let a = self.trace.mem_stream(inst).get(*pos).copied();
-        if a.is_some() {
-            *pos += 1;
-        }
-        a
+    /// The channel a `send`/`recv` at plan index `plan` uses.
+    fn queue_of(&self, plan: u32) -> u32 {
+        let queue = self.plan.inst(plan as usize).queue;
+        queue.expect("send/recv has a queue") + self.config.queue_offset
     }
 
-    fn next_accel_args(&mut self, inst: InstId) -> Option<Vec<i64>> {
-        let pos = self.accel_pos.entry(inst).or_insert(0);
-        let a = self.trace.accel_stream(inst).get(*pos).map(|i| i.args.clone());
-        if a.is_some() {
-            *pos += 1;
-        }
-        a
-    }
-
-    fn window_head(&self) -> u64 {
-        self.incomplete.first().copied().unwrap_or(self.next_seq)
+    /// Whether nothing is left to replay, in flight or outstanding.
+    fn drained(&self) -> bool {
+        self.cursor.path_pos >= self.trace.path().len()
+            && self.inflight.live == 0
+            && self.accel_busy_until.is_none()
+            && self.detached_outstanding == 0
+            && self.pending_pushes.is_empty()
     }
 
     /// The dynamic bimodal prediction for `block`'s terminator: a 2-bit
@@ -335,7 +564,7 @@ impl CoreTile {
             Opcode::CondBr {
                 on_true, on_false, ..
             } => {
-                let counter = self.bimodal.entry(block).or_insert(2);
+                let counter = &mut self.bimodal[block.index()];
                 let predicted = if *counter >= 2 { *on_true } else { *on_false };
                 if let Some(a) = actual {
                     if a == *on_true {
@@ -350,21 +579,23 @@ impl CoreTile {
         }
     }
 
-    /// The static prediction for `block`'s terminator (paper §III-C):
-    /// loop-continuation edges are predicted taken (the classic
-    /// backward-taken heuristic, computed via CFG reachability so it also
-    /// covers non-rotated loops), unconditional branches are always
-    /// correct.
-    fn static_predict(&self, block: BlockId) -> Option<BlockId> {
-        self.predictions.get(&block).copied().flatten()
-    }
-
     fn gate_open(&self, now: u64) -> bool {
         match self.gate {
             LaunchGate::Free => true,
             LaunchGate::WaitUntil(c) => c <= now,
             LaunchGate::WaitTerminator { .. } => false,
         }
+    }
+
+    /// Whether the structural limits (live-DBB limit, in-flight bound)
+    /// admit a launch of `block`.
+    fn has_room_for(&self, block: BlockId) -> bool {
+        let live_ok = self
+            .config
+            .live_dbb_limit
+            .is_none_or(|limit| self.live_dbbs[block.index()] < limit);
+        let block_len = self.plan.block(block).len() as u64;
+        live_ok && self.inflight.live as u64 + block_len <= self.config.max_inflight
     }
 
     /// [`TileError::TraceUnderrun`] for `inst`, naming this tile.
@@ -376,21 +607,11 @@ impl CoreTile {
     }
 
     fn launch_dbbs(&mut self, now: u64) -> Result<(), TileError> {
-        loop {
-            if self.accel_busy_until.is_some() {
+        while self.accel_busy_until.is_none() {
+            let Some(block) = self.peek_path(0) else {
                 break;
-            }
-            let Some(block) = self.peek_path(0) else { break };
-            if !self.gate_open(now) {
-                break;
-            }
-            if let Some(limit) = self.config.live_dbb_limit {
-                if self.live_dbbs.get(&block).copied().unwrap_or(0) >= limit {
-                    break;
-                }
-            }
-            let block_len = self.ddg.block(block).len() as u64;
-            if self.insts.len() as u64 + block_len > self.config.max_inflight {
+            };
+            if !self.gate_open(now) || !self.has_room_for(block) {
                 break;
             }
             self.launch_one(block, now)?;
@@ -399,147 +620,88 @@ impl CoreTile {
     }
 
     fn launch_one(&mut self, block: BlockId, now: u64) -> Result<(), TileError> {
-        self.path_pos += 1;
-        let dbb = self.next_dbb;
-        self.next_dbb += 1;
-        let prev_block = self.prev_launched_block;
-        self.prev_launched_block = Some(block);
-        *self.live_dbbs.entry(block).or_insert(0) += 1;
-        self.dbb_block.insert(dbb, block);
+        self.cursor.path_pos += 1;
+        let dbb = self.base_dbb + self.dbbs.len() as u64;
+        let prev_block = self.prev_launched_block.replace(block);
+        self.live_dbbs[block.index()] += 1;
+        let insts = self.plan.block(block);
+        self.dbbs.push_back((insts.len() as u32, block));
         self.stats.dbbs_launched += 1;
+        // Instruction `k` of this DBB gets sequence id `dbb_base_seq + k`.
+        let dbb_base_seq = self.inflight.next_seq();
 
-        let block_insts: Vec<InstId> = self.ddg.block(block).insts().to_vec();
-        self.dbb_remaining.insert(dbb, block_insts.len() as u32);
-
-        // Map static -> seq within this DBB for intra-block deps.
-        let mut local: HashMap<InstId, u64> = HashMap::with_capacity(block_insts.len());
-        let mut launched: Vec<u64> = Vec::with_capacity(block_insts.len());
-
-        for sid in block_insts {
-            let node = self.ddg.node(sid).clone();
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            local.insert(sid, seq);
-
-            let mut parents: Vec<u64> = Vec::new();
-            if node.class() == InstClass::Phi {
-                let Some(prev) = prev_block else {
-                    return Err(TileError::PhiWithoutPredecessor {
-                        tile: self.config.name.clone(),
-                        block: format!("bb{}", block.index()),
-                    });
-                };
-                if let Some((_, Some(def))) =
-                    node.phi_incoming().iter().find(|(b, _)| *b == prev)
-                {
-                    if let Some(pseq) = self.latest[def.index()] {
-                        if self.insts.contains_key(&pseq) {
-                            parents.push(pseq);
-                        }
-                    }
-                }
-            } else {
-                for &def in node.intra_parents() {
-                    if let Some(&pseq) = local.get(&def) {
-                        parents.push(pseq);
-                    } else if let Some(pseq) = self.latest[def.index()] {
-                        // Defined in the same static block but an earlier
-                        // DBB instance (possible after slicing transforms).
-                        parents.push(pseq);
-                    }
-                }
-                for &def in node.cross_parents() {
-                    if let Some(pseq) = self.latest[def.index()] {
-                        parents.push(pseq);
-                    }
-                }
+        for idx in insts {
+            let pi = *self.plan.inst(idx);
+            let seq = self.inflight.next_seq();
+            if pi.class == InstClass::Phi && prev_block.is_none() {
+                return Err(TileError::PhiWithoutPredecessor {
+                    tile: self.config.name.clone(),
+                    block: format!("bb{}", block.index()),
+                });
             }
-            parents.sort_unstable();
-            parents.dedup();
             // Parents that already completed (e.g. zero-cost phis retired
             // during this very launch) impose no dependency.
-            parents.retain(|p| self.insts.contains_key(p));
+            let mut remaining_parents = 0;
+            for &edge in self.plan.edges(&pi) {
+                let parent = match edge {
+                    PlanEdge::Local(offset) => Some(dbb_base_seq + u64::from(offset)),
+                    PlanEdge::Latest(def) => self.latest[def.index()],
+                    PlanEdge::Phi { pred, def } if Some(pred) == prev_block => {
+                        self.latest[def.index()]
+                    }
+                    PlanEdge::Phi { .. } => None,
+                };
+                if parent.is_some_and(|p| self.inflight.add_child(p, seq)) {
+                    remaining_parents += 1;
+                }
+            }
 
-            let mem = match node.mem_kind() {
+            let desc = self.desc[idx];
+            let mem = match pi.mem_kind {
                 Some(k) => {
                     let access = self
-                        .next_mem_access(sid)
-                        .ok_or_else(|| self.trace_underrun(sid))?;
+                        .cursor
+                        .next_mem(&self.trace, pi.inst)
+                        .ok_or_else(|| self.trace_underrun(pi.inst))?;
                     let kind = match k {
                         MemKind::Load => AccessKind::Read,
                         MemKind::Store => AccessKind::Write,
                         MemKind::Atomic(_) => AccessKind::Atomic,
                     };
+                    if !desc.is_some_and(DescRole::detached) {
+                        self.mao.insert(seq, access.addr, kind != AccessKind::Read);
+                    }
                     Some((access.addr, access.size, kind))
                 }
                 None => None,
             };
-            if let Some((addr, _, kind)) = mem {
-                // DeSC-detached memory ops live in the terminal-load /
-                // store buffers, outside the MAO (their ordering is
-                // handled by the DeSC hardware structures).
-                let detached = matches!(
-                    self.desc_roles.get(&sid),
-                    Some(DescRole::TerminalLoad { .. } | DescRole::DetachedStore)
-                );
-                if !detached {
-                    self.mao.insert(seq, addr, kind != AccessKind::Read);
-                }
-            }
-            let accel_args = if node.class() == InstClass::Accel {
-                Some(
-                    self.next_accel_args(sid)
-                        .ok_or_else(|| self.trace_underrun(sid))?,
-                )
+            let accel_at = if pi.class == InstClass::Accel {
+                self.cursor
+                    .next_accel(&self.trace, pi.inst)
+                    .ok_or_else(|| self.trace_underrun(pi.inst))? as u32
             } else {
-                None
+                0
             };
 
-            let remaining = parents.len() as u32;
-            let desc = self.desc_roles.get(&sid).copied();
-            let dyninst = DynInst {
-                static_id: sid,
-                dbb,
-                class: node.class(),
+            self.inflight.push(DynInst {
+                plan: idx as u32,
                 state: DynState::Waiting,
-                remaining_parents: remaining,
-                children: Vec::new(),
+                window_exempt: desc.is_some_and(DescRole::window_exempt),
+                remaining_parents,
+                dbb,
+                first_child: NIL,
+                last_child: NIL,
                 mem,
-                accel_args,
-                is_terminator: node.is_terminator(),
-                fused: self.fused.contains(&sid) || desc == Some(DescRole::SkipSend),
-                desc,
-            };
-            for &p in &parents {
-                self.insts
-                    .get_mut(&p)
-                    .expect("parent in flight")
-                    .children
-                    .push(seq);
-            }
-            let window_exempt = matches!(
-                dyninst.desc,
-                Some(
-                    DescRole::TerminalLoad { .. }
-                        | DescRole::StoreRecv
-                        | DescRole::DetachedStore
-                )
-            );
-            self.insts.insert(seq, dyninst);
-            if !window_exempt {
-                self.incomplete.insert(seq);
-            }
-            self.latest[sid.index()] = Some(seq);
-            launched.push(seq);
-
-            if remaining == 0 {
+                accel_at,
+            });
+            self.latest[pi.inst.index()] = Some(seq);
+            if remaining_parents == 0 {
                 self.make_ready(seq, now);
             }
         }
 
         // Configure the launch gate for the *next* DBB.
-        let term_node = self.ddg.block(block).terminator();
-        let term_seq = *local.get(&term_node).expect("terminator launched");
+        let term_seq = dbb_base_seq + u64::from(self.plan.terminator_offset(block));
         self.gate = match self.config.branch {
             BranchMode::Perfect => LaunchGate::Free,
             BranchMode::None => LaunchGate::WaitTerminator {
@@ -548,14 +710,18 @@ impl CoreTile {
             },
             BranchMode::Static | BranchMode::Bimodal => {
                 let actual = self.peek_path(0);
+                // The static prediction (paper §III-C): loop-continuation
+                // edges are predicted taken (the classic backward-taken
+                // heuristic, computed via CFG reachability so it also
+                // covers non-rotated loops), unconditional branches are
+                // always correct. A `ret` terminator ends the kernel:
+                // nothing to predict.
                 let predicted = if self.config.branch == BranchMode::Bimodal {
                     self.bimodal_predict(block, actual)
                 } else {
-                    self.static_predict(block)
+                    self.predictions[block.index()]
                 };
-                // A `ret` terminator ends the kernel: nothing to predict.
-                let correct = predicted == actual || (predicted.is_none() && actual.is_none());
-                if correct {
+                if predicted == actual {
                     LaunchGate::Free
                 } else {
                     self.stats.mispredicts += 1;
@@ -570,47 +736,44 @@ impl CoreTile {
     }
 
     fn make_ready(&mut self, seq: u64, now: u64) {
-        let (class, fused, is_mem) = {
-            let di = self.insts.get_mut(&seq).expect("in flight");
-            di.state = DynState::Ready;
-            (di.class, di.fused, di.mem.is_some())
-        };
+        let di = self.inflight.get_mut(seq).expect("in flight");
+        di.state = DynState::Ready;
+        let (plan, is_mem) = (di.plan, di.mem.is_some());
         if is_mem {
             self.mao.resolve(seq);
         }
-        if class == InstClass::Phi || fused {
+        if self.plan.inst(plan as usize).zero_cost {
             // Zero-cost bookkeeping nodes complete instantly.
             self.stats.issued += 1;
             self.complete_inst(seq, now);
         } else {
-            self.ready.insert(seq);
+            insert_sorted(&mut self.ready, seq);
         }
     }
 
     fn complete_inst(&mut self, seq: u64, now: u64) {
-        let Some(di) = self.insts.remove(&seq) else {
+        let Some(di) = self.inflight.retire(seq) else {
             return;
         };
-        self.incomplete.remove(&seq);
-        self.ready.remove(&seq);
+        let pi = *self.plan.inst(di.plan as usize);
         self.stats.retired += 1;
         if let Some(o) = self.obs.as_mut() {
-            o.profile.retire((self.func.0, di.static_id.0), 1);
+            o.profile.retire((self.func.0, pi.inst.0), 1);
         }
+        let issued = di.state == DynState::Issued;
         if di.mem.is_some() {
             self.mao.complete(seq);
-            if di.class == InstClass::Atomic && matches!(di.state, DynState::Issued) {
+            if pi.class == InstClass::Atomic && issued {
                 self.atomic_outstanding = self.atomic_outstanding.saturating_sub(1);
             }
         }
-        if matches!(di.state, DynState::Issued) {
-            if let Some(b) = self.fu_busy.get_mut(&di.class) {
-                *b = b.saturating_sub(1);
-            }
+        if issued {
+            let busy = &mut self.fu_busy[pi.class.code()];
+            *busy = busy.saturating_sub(1);
         }
         // Terminator completion may open the launch gate (paper §II-A
         // rule 3).
-        if di.is_terminator {
+        if pi.is_terminator {
             if let LaunchGate::WaitTerminator { seq: s, penalty } = self.gate {
                 if s == seq {
                     self.gate = if penalty == 0 {
@@ -622,20 +785,21 @@ impl CoreTile {
             }
         }
         // Retire DBB bookkeeping.
-        if let Some(rem) = self.dbb_remaining.get_mut(&di.dbb) {
-            *rem -= 1;
-            if *rem == 0 {
-                self.dbb_remaining.remove(&di.dbb);
-                if let Some(block) = self.dbb_block.remove(&di.dbb) {
-                    if let Some(l) = self.live_dbbs.get_mut(&block) {
-                        *l = l.saturating_sub(1);
-                    }
-                }
+        let (left, block) = &mut self.dbbs[(di.dbb - self.base_dbb) as usize];
+        *left -= 1;
+        if *left == 0 {
+            self.live_dbbs[block.index()] -= 1;
+            while self.dbbs.front().is_some_and(|d| d.0 == 0) {
+                self.dbbs.pop_front();
+                self.base_dbb += 1;
             }
         }
         // Wake children.
-        for child in di.children {
-            if let Some(ci) = self.insts.get_mut(&child) {
+        let mut node = di.first_child;
+        while node != NIL {
+            let (child, next) = self.inflight.take_child(node);
+            node = next;
+            if let Some(ci) = self.inflight.get_mut(child) {
                 ci.remaining_parents -= 1;
                 if ci.remaining_parents == 0 && ci.state == DynState::Waiting {
                     self.make_ready(child, now);
@@ -652,235 +816,231 @@ impl CoreTile {
         }
     }
 
-    /// Credits `cycles` stall cycles of `kind` to static instruction
-    /// `inst` in the IR profile, when observability is on.
-    #[inline]
-    fn obs_stall(&mut self, inst: u32, kind: StallKind, cycles: u64) {
-        if let Some(o) = self.obs.as_mut() {
-            o.profile.stall((self.func.0, inst), kind, cycles);
-        }
-    }
-
-    /// Remembers which static instruction issued memory request `id` and
-    /// when, so `on_mem_completion` can attribute the round-trip latency.
-    #[inline]
-    fn obs_mem_issue(&mut self, id: ReqId, inst: u32, now: u64) {
-        if let Some(o) = self.obs.as_mut() {
-            o.mem_meta.insert(id, (inst, now));
-        }
-    }
-
     fn issue(&mut self, ctx: &mut TileCtx<'_>) -> Result<(), TileError> {
-        let now = ctx.now;
         let mut width_left = self.config.issue_width;
-        let window_limit = self.window_head() + self.config.window_size;
-        let candidates: Vec<u64> = self.ready.iter().copied().collect();
-        for seq in candidates {
+        let window_limit = self.inflight.head + self.config.window_size;
+        // Walk the candidates of the start of the cycle, in place: what a
+        // fire-and-forget DeSC op wakes while it issues lands in the
+        // swapped-in list and waits for the next cycle.
+        let spare = std::mem::take(&mut self.ready_spare);
+        let mut cands = std::mem::replace(&mut self.ready, spare);
+        let mut kept = 0;
+        for at in 0..cands.len() {
             if width_left == 0 {
+                cands.copy_within(at.., kept);
+                kept += cands.len() - at;
                 break;
             }
-            let (class, mem, accel_args, desc, sid) = {
-                let di = self.insts.get(&seq).expect("ready implies in flight");
-                (
-                    di.class,
-                    di.mem,
-                    di.accel_args.clone(),
-                    di.desc,
-                    di.static_id.0,
-                )
-            };
-            let window_exempt = matches!(
-                desc,
-                Some(
-                    DescRole::TerminalLoad { .. }
-                        | DescRole::StoreRecv
-                        | DescRole::DetachedStore
-                )
-            );
-            if seq >= window_limit && !window_exempt {
-                self.stats.window_stalls += 1;
-                self.obs_stall(sid, StallKind::Window, 1);
-                continue; // DeSC-detached ops later in the set may still issue
-            }
-            // Functional unit availability.
-            let fu_limit = self.config.fu.limit(class);
-            if fu_limit != u32::MAX {
-                let busy = self.fu_busy.get(&class).copied().unwrap_or(0);
-                if busy >= fu_limit {
-                    self.stats.fu_stalls += 1;
-                    self.obs_stall(sid, StallKind::Fu, 1);
-                    continue;
-                }
-            }
-            // Class-specific issue conditions.
-            match class {
-                InstClass::Load | InstClass::Store | InstClass::Atomic => {
-                    // Atomic read-modify-writes serialize per tile, like
-                    // x86 locked operations draining the store buffer —
-                    // the paper's BFS mis-scaling stems from exactly this
-                    // cost (§VI-A).
-                    if class == InstClass::Atomic && self.atomic_outstanding > 0 {
-                        self.stats.mem_stalls += 1;
-                        self.obs_stall(sid, StallKind::Mem, 1);
-                        continue;
-                    }
-                    if matches!(
-                        desc,
-                        Some(DescRole::TerminalLoad { .. } | DescRole::DetachedStore)
-                    ) {
-                        if self.detached_outstanding >= self.config.desc_buffer {
-                            self.stats.mem_stalls += 1;
-                            self.obs_stall(sid, StallKind::Mem, 1);
-                            continue;
-                        }
-                    } else if !self.mao.can_issue(seq) {
-                        self.stats.mem_stalls += 1;
-                        self.obs_stall(sid, StallKind::Mem, 1);
-                        continue;
-                    }
-                }
-                InstClass::Send => {
-                    let node = self.ddg.node(self.insts[&seq].static_id);
-                    let q = node.queue().expect("send has queue") + self.config.queue_offset;
-                    if !ctx.channels.channel_mut(q).has_space() {
-                        self.stats.send_stalls += 1;
-                        self.obs_stall(sid, StallKind::Send, 1);
-                        continue;
-                    }
-                }
-                InstClass::Recv => {
-                    let node = self.ddg.node(self.insts[&seq].static_id);
-                    let q = node.queue().expect("recv has queue") + self.config.queue_offset;
-                    if !ctx.channels.channel_mut(q).can_recv(now) {
-                        self.stats.recv_stalls += 1;
-                        self.obs_stall(sid, StallKind::Recv, 1);
-                        continue;
-                    }
-                }
-                InstClass::Accel if self.accel_busy_until.is_some() => continue,
-                _ => {}
-            }
-
-            // Issue.
-            self.ready.remove(&seq);
-            let di = self.insts.get_mut(&seq).expect("in flight");
-            di.state = DynState::Issued;
-            self.stats.issued += 1;
-            self.stats.energy_pj += self.config.costs.energy_pj(class);
-            if fu_limit != u32::MAX {
-                *self.fu_busy.entry(class).or_insert(0) += 1;
-            }
-            width_left -= 1;
-
-            match class {
-                InstClass::Load | InstClass::Store | InstClass::Atomic => {
-                    let (addr, size, kind) = mem.expect("mem op has access");
-                    match desc {
-                        Some(DescRole::TerminalLoad { queue }) => {
-                            // Fire and forget: the pipeline retires the load
-                            // now; hardware pushes the data into the channel
-                            // when memory responds.
-                            let id = ctx
-                                .mem
-                                .request(
-                                    MemReq {
-                                        tile: self.mem_slot,
-                                        addr,
-                                        size,
-                                        kind,
-                                    },
-                                    now,
-                                )
-                                .map_err(|e| self.mem_err(e))?;
-                            self.mem_detached
-                                .insert(id, Some(queue + self.config.queue_offset));
-                            self.detached_outstanding += 1;
-                            self.obs_mem_issue(id, sid, now);
-                            self.complete_inst(seq, now);
-                        }
-                        Some(DescRole::DetachedStore) => {
-                            let id = ctx
-                                .mem
-                                .request(
-                                    MemReq {
-                                        tile: self.mem_slot,
-                                        addr,
-                                        size,
-                                        kind,
-                                    },
-                                    now,
-                                )
-                                .map_err(|e| self.mem_err(e))?;
-                            self.mem_detached.insert(id, None);
-                            self.detached_outstanding += 1;
-                            self.obs_mem_issue(id, sid, now);
-                            self.complete_inst(seq, now);
-                        }
-                        _ => {
-                            self.mao.mark_issued(seq);
-                            if class == InstClass::Atomic {
-                                self.atomic_outstanding += 1;
-                            }
-                            let id = ctx
-                                .mem
-                                .request(
-                                    MemReq {
-                                        tile: self.mem_slot,
-                                        addr,
-                                        size,
-                                        kind,
-                                    },
-                                    now,
-                                )
-                                .map_err(|e| self.mem_err(e))?;
-                            self.mem_inflight.insert(id, seq);
-                            self.obs_mem_issue(id, sid, now);
-                        }
-                    }
-                }
-                InstClass::Send => {
-                    let node = self.ddg.node(self.insts[&seq].static_id);
-                    let q = node.queue().expect("queue") + self.config.queue_offset;
-                    let ok = ctx.channels.channel_mut(q).try_send(now);
-                    debug_assert!(ok, "checked above");
-                    self.completions.push(Reverse((now + 1, seq)));
-                }
-                InstClass::Recv => {
-                    let node = self.ddg.node(self.insts[&seq].static_id);
-                    let q = node.queue().expect("queue") + self.config.queue_offset;
-                    let ok = ctx.channels.channel_mut(q).try_recv(now);
-                    debug_assert!(ok, "checked above");
-                    self.completions.push(Reverse((now + 1, seq)));
-                }
-                InstClass::Accel => {
-                    let args = accel_args.expect("accel op has args");
-                    let node = self.ddg.node(self.insts[&seq].static_id);
-                    let func = self.module.function(self.func);
-                    let accel_op = match func.inst(node.inst()).op() {
-                        Opcode::AccelCall { accel, .. } => *accel,
-                        _ => unreachable!("Accel class implies AccelCall"),
-                    };
-                    let result = ctx.accel.invoke(accel_op, &args)?;
-                    self.stats.accel_invocations += 1;
-                    self.stats.accel_cycles += result.cycles;
-                    self.stats.energy_pj += result.energy_pj;
-                    self.accel_busy_until = Some(now + result.cycles);
-                    self.completions.push(Reverse((now + result.cycles, seq)));
-                    if let Some(o) = self.obs.as_mut() {
-                        if o.level.trace_on() {
-                            let tid = self.mem_slot as u32;
-                            o.timeline
-                                .span(0, tid, "accel", "accel invoke", now, now + result.cycles);
-                        }
-                    }
-                }
-                _ => {
-                    let lat = self.config.costs.latency(class).max(1);
-                    self.completions.push(Reverse((now + lat, seq)));
-                }
+            let seq = cands[at];
+            if self.issue_one(seq, window_limit, ctx)? {
+                width_left -= 1;
+            } else {
+                cands[kept] = seq;
+                kept += 1;
             }
         }
+        cands.truncate(kept);
+        for seq in self.ready.drain(..) {
+            insert_sorted(&mut cands, seq);
+        }
+        self.ready_spare = std::mem::replace(&mut self.ready, cands);
         Ok(())
+    }
+
+    /// Issues ready candidate `seq` if nothing blocks it; otherwise counts
+    /// its stall and returns `false`.
+    fn issue_one(
+        &mut self,
+        seq: u64,
+        window_limit: u64,
+        ctx: &mut TileCtx<'_>,
+    ) -> Result<bool, TileError> {
+        let now = ctx.now;
+        let di = *self.inflight.get(seq).expect("ready implies in flight");
+        let pi = *self.plan.inst(di.plan as usize);
+        let (class, sid) = (pi.class, pi.inst.0);
+        let desc = self.desc[di.plan as usize];
+        let fu_limit = self.config.fu.limit(class);
+
+        // The first check that rejects the candidate names its stall.
+        let stall = if seq >= window_limit && !di.window_exempt {
+            // DeSC-detached ops later in the set may still issue.
+            Some(StallKind::Window)
+        } else if fu_limit != u32::MAX && self.fu_busy[class.code()] >= fu_limit {
+            Some(StallKind::Fu)
+        } else {
+            match class {
+                // Atomic read-modify-writes serialize per tile, like x86
+                // locked operations draining the store buffer — the
+                // paper's BFS mis-scaling stems from exactly this cost
+                // (§VI-A).
+                InstClass::Atomic if self.atomic_outstanding > 0 => Some(StallKind::Mem),
+                InstClass::Load | InstClass::Store | InstClass::Atomic => {
+                    let blocked = if desc.is_some_and(DescRole::detached) {
+                        self.detached_outstanding >= self.config.desc_buffer
+                    } else {
+                        !self.mao.can_issue(seq)
+                    };
+                    blocked.then_some(StallKind::Mem)
+                }
+                InstClass::Send => {
+                    let ch = ctx.channels.channel_mut(self.queue_of(di.plan));
+                    (!ch.has_space()).then_some(StallKind::Send)
+                }
+                InstClass::Recv => {
+                    let ch = ctx.channels.channel_mut(self.queue_of(di.plan));
+                    (!ch.can_recv(now)).then_some(StallKind::Recv)
+                }
+                InstClass::Accel if self.accel_busy_until.is_some() => return Ok(false),
+                _ => None,
+            }
+        };
+        if let Some(kind) = stall {
+            *stall_counter(&mut self.stats, kind) += 1;
+            if let Some(o) = self.obs.as_mut() {
+                o.profile.stall((self.func.0, sid), kind, 1);
+            }
+            return Ok(false);
+        }
+
+        self.inflight.get_mut(seq).expect("in flight").state = DynState::Issued;
+        self.stats.issued += 1;
+        self.stats.energy_pj += self.config.costs.energy_pj(class);
+        if fu_limit != u32::MAX {
+            self.fu_busy[class.code()] += 1;
+        }
+
+        match class {
+            InstClass::Load | InstClass::Store | InstClass::Atomic => {
+                let (addr, size, kind) = di.mem.expect("mem op has access");
+                let on_done = match desc {
+                    // Fire and forget: the pipeline retires the access
+                    // now; for a terminal load, hardware pushes the data
+                    // into the channel when memory responds.
+                    Some(DescRole::TerminalLoad { queue }) => {
+                        ReqDone::Detached(Some(queue + self.config.queue_offset))
+                    }
+                    Some(DescRole::DetachedStore) => ReqDone::Detached(None),
+                    _ => {
+                        self.mao.mark_issued(seq);
+                        if class == InstClass::Atomic {
+                            self.atomic_outstanding += 1;
+                        }
+                        ReqDone::Retire(seq)
+                    }
+                };
+                let req = MemReq {
+                    tile: self.mem_slot,
+                    addr,
+                    size,
+                    kind,
+                };
+                let id = ctx.mem.request(req, now).map_err(|e| self.mem_err(e))?;
+                let pending = PendingReq {
+                    id,
+                    on_done,
+                    inst: sid,
+                    issued_at: now,
+                };
+                let at = self.reqs.partition_point(|r| r.id < id);
+                self.reqs.insert(at, pending);
+                if let ReqDone::Detached(_) = on_done {
+                    self.detached_outstanding += 1;
+                    self.complete_inst(seq, now);
+                }
+            }
+            InstClass::Send => {
+                let ok = ctx
+                    .channels
+                    .channel_mut(self.queue_of(di.plan))
+                    .try_send(now);
+                debug_assert!(ok, "checked above");
+                self.completions.push(Reverse((now + 1, seq)));
+            }
+            InstClass::Recv => {
+                let ok = ctx
+                    .channels
+                    .channel_mut(self.queue_of(di.plan))
+                    .try_recv(now);
+                debug_assert!(ok, "checked above");
+                self.completions.push(Reverse((now + 1, seq)));
+            }
+            InstClass::Accel => {
+                let call = self.trace.accel_stream(pi.inst).get(di.accel_at as usize);
+                let call = call.ok_or_else(|| self.trace_underrun(pi.inst))?;
+                let result = ctx.accel.invoke(call.accel, &call.args)?;
+                self.stats.accel_invocations += 1;
+                self.stats.accel_cycles += result.cycles;
+                self.stats.energy_pj += result.energy_pj;
+                self.accel_busy_until = Some(now + result.cycles);
+                self.completions.push(Reverse((now + result.cycles, seq)));
+                if let Some(o) = self.obs.as_mut().filter(|o| o.level.trace_on()) {
+                    let tid = self.mem_slot as u32;
+                    o.timeline
+                        .span(0, tid, "accel", "accel invoke", now, now + result.cycles);
+                }
+            }
+            _ => {
+                let lat = self.config.costs.latency(class).max(1);
+                self.completions.push(Reverse((now + lat, seq)));
+            }
+        }
+        Ok(true)
+    }
+
+    /// What `issue()` would do with ready candidate `seq` at cycle `now`,
+    /// mirroring its checks in order but read-only: channels are probed,
+    /// not created, and the MAO's stall counters stay untouched.
+    fn verdict(&self, seq: u64, now: u64, window_limit: u64, channels: &ChannelSet) -> Verdict {
+        let di = self.inflight.get(seq).expect("ready implies in flight");
+        let class = self.plan.inst(di.plan as usize).class;
+        let stall = |kind| Verdict::Stall(Stall::of(kind));
+        if seq >= window_limit && !di.window_exempt {
+            return stall(StallKind::Window);
+        }
+        let fu_limit = self.config.fu.limit(class);
+        if fu_limit != u32::MAX && self.fu_busy[class.code()] >= fu_limit {
+            return stall(StallKind::Fu);
+        }
+        match class {
+            InstClass::Atomic if self.atomic_outstanding > 0 => stall(StallKind::Mem),
+            InstClass::Load | InstClass::Store | InstClass::Atomic => {
+                if self.desc[di.plan as usize].is_some_and(DescRole::detached) {
+                    if self.detached_outstanding >= self.config.desc_buffer {
+                        return stall(StallKind::Mem);
+                    }
+                } else if let Some(mao) = self.mao.probe(seq) {
+                    return Verdict::Stall(Stall {
+                        mao: Some(mao),
+                        ..Stall::of(StallKind::Mem)
+                    });
+                }
+                Verdict::Issue
+            }
+            InstClass::Send => {
+                let queue = self.queue_of(di.plan);
+                if channels.would_have_space(queue) {
+                    return Verdict::Issue;
+                }
+                Verdict::Stall(Stall {
+                    queue,
+                    ..Stall::of(StallKind::Send)
+                })
+            }
+            InstClass::Recv => {
+                let queue = self.queue_of(di.plan);
+                match channels.channel(queue).and_then(Channel::next_recv_ready) {
+                    Some(ready) if ready <= now => Verdict::Issue,
+                    wake => Verdict::Stall(Stall {
+                        queue,
+                        wake,
+                        ..Stall::of(StallKind::Recv)
+                    }),
+                }
+            }
+            InstClass::Accel if self.accel_busy_until.is_some() => Verdict::AccelBusy,
+            _ => Verdict::Issue,
+        }
     }
 
     /// Read-only dry run of what `step()` would do at cycle `now`,
@@ -905,13 +1065,7 @@ impl CoreTile {
         // The done conditions hold but `done` is not set yet (the last
         // blocker cleared via `on_mem_completion` between steps): the next
         // aligned step marks the tile finished, which is progress.
-        if self.path_pos >= self.trace.path().len()
-            && self.incomplete.is_empty()
-            && self.accel_busy_until.is_none()
-            && self.detached_outstanding == 0
-            && self.pending_pushes.is_empty()
-            && self.insts.is_empty()
-        {
+        if self.drained() {
             return Survey::Ready;
         }
         // Retire phase: the earliest queued completion.
@@ -951,14 +1105,7 @@ impl CoreTile {
                     // Opened by a completion, which is already noted.
                     LaunchGate::WaitTerminator { .. } => false,
                 };
-                let live_ok = self.config.live_dbb_limit.is_none_or(|limit| {
-                    self.live_dbbs.get(&block).copied().unwrap_or(0) < limit
-                });
-                let block_len = self.ddg.block(block).len() as u64;
-                if gate_ok
-                    && live_ok
-                    && self.insts.len() as u64 + block_len <= self.config.max_inflight
-                {
+                if gate_ok && self.has_room_for(block) {
                     return Survey::Ready;
                 }
             }
@@ -967,108 +1114,36 @@ impl CoreTile {
         // issuable candidate means work; otherwise each candidate counts
         // exactly one stall, classified by the first rejecting check.
         let mut stalls = SkipStalls::default();
-        // Mirror `issue()`'s per-site attribution only when observability
-        // is on, so fast-forward crediting reproduces it bit-identically.
-        let record = self.obs.is_some();
-        let window_limit = self.window_head() + self.config.window_size;
+        let window_limit = self.inflight.head + self.config.window_size;
         for &seq in &self.ready {
-            let di = self.insts.get(&seq).expect("ready implies in flight");
-            let (class, desc) = (di.class, di.desc);
-            let sid = di.static_id.0;
-            let window_exempt = matches!(
-                desc,
-                Some(
-                    DescRole::TerminalLoad { .. }
-                        | DescRole::StoreRecv
-                        | DescRole::DetachedStore
-                )
-            );
-            if seq >= window_limit && !window_exempt {
-                stalls.window += 1;
-                if record {
-                    stalls.per_inst.push((sid, StallKind::Window));
+            match self.verdict(seq, now, window_limit, channels) {
+                Verdict::Issue => return Survey::Ready,
+                // Skipped without a stall count; the accelerator-busy wake
+                // is already noted above.
+                Verdict::AccelBusy => {}
+                Verdict::Stall(Stall {
+                    kind,
+                    mao,
+                    wake: ready,
+                    ..
+                }) => {
+                    stalls.by_kind[kind as usize] += 1;
+                    if let Some(mao) = mao {
+                        stalls.mao[mao as usize] += 1;
+                    }
+                    if let Some(ready) = ready {
+                        note(&mut wake, ready);
+                    }
+                    // Mirror `issue()`'s per-site attribution only when
+                    // observability is on, so fast-forward crediting
+                    // reproduces it bit-identically.
+                    if self.obs.is_some() {
+                        let plan = self.inflight.get(seq).expect("in flight").plan;
+                        let sid = self.plan.inst(plan as usize).inst.0;
+                        stalls.per_inst.push((sid, kind));
+                    }
                 }
-                continue;
             }
-            let fu_limit = self.config.fu.limit(class);
-            if fu_limit != u32::MAX {
-                let busy = self.fu_busy.get(&class).copied().unwrap_or(0);
-                if busy >= fu_limit {
-                    stalls.fu += 1;
-                    if record {
-                        stalls.per_inst.push((sid, StallKind::Fu));
-                    }
-                    continue;
-                }
-            }
-            match class {
-                InstClass::Load | InstClass::Store | InstClass::Atomic => {
-                    if class == InstClass::Atomic && self.atomic_outstanding > 0 {
-                        stalls.mem += 1;
-                        if record {
-                            stalls.per_inst.push((sid, StallKind::Mem));
-                        }
-                        continue;
-                    }
-                    if matches!(
-                        desc,
-                        Some(DescRole::TerminalLoad { .. } | DescRole::DetachedStore)
-                    ) {
-                        if self.detached_outstanding >= self.config.desc_buffer {
-                            stalls.mem += 1;
-                            if record {
-                                stalls.per_inst.push((sid, StallKind::Mem));
-                            }
-                            continue;
-                        }
-                    } else if let Some(kind) = self.mao.probe(seq) {
-                        stalls.mem += 1;
-                        stalls.mao.push(kind);
-                        if record {
-                            stalls.per_inst.push((sid, StallKind::Mem));
-                        }
-                        continue;
-                    }
-                }
-                InstClass::Send => {
-                    let node = self.ddg.node(di.static_id);
-                    let q = node.queue().expect("send has queue") + self.config.queue_offset;
-                    if !channels.would_have_space(q) {
-                        stalls.send += 1;
-                        if record {
-                            stalls.per_inst.push((sid, StallKind::Send));
-                        }
-                        continue;
-                    }
-                }
-                InstClass::Recv => {
-                    let node = self.ddg.node(di.static_id);
-                    let q = node.queue().expect("recv has queue") + self.config.queue_offset;
-                    match channels.channel(q).and_then(Channel::next_recv_ready) {
-                        Some(ready) if ready <= now => {}
-                        Some(ready) => {
-                            note(&mut wake, ready);
-                            stalls.recv += 1;
-                            if record {
-                                stalls.per_inst.push((sid, StallKind::Recv));
-                            }
-                            continue;
-                        }
-                        None => {
-                            stalls.recv += 1;
-                            if record {
-                                stalls.per_inst.push((sid, StallKind::Recv));
-                            }
-                            continue;
-                        }
-                    }
-                }
-                // Mirrors `issue()`: skipped without a stall count; the
-                // accelerator-busy wake is already noted above.
-                InstClass::Accel if self.accel_busy_until.is_some() => continue,
-                _ => {}
-            }
-            return Survey::Ready;
         }
         Survey::Blocked { wake, stalls }
     }
@@ -1077,57 +1152,18 @@ impl CoreTile {
     /// reject it, mirroring `issue()`'s order. `None` means it would
     /// issue.
     fn classify_blocked(&self, seq: u64, now: u64, channels: &ChannelSet) -> Option<StallReason> {
-        let di = &self.insts[&seq];
-        let window_exempt = matches!(
-            di.desc,
-            Some(DescRole::TerminalLoad { .. } | DescRole::StoreRecv | DescRole::DetachedStore)
-        );
-        if seq >= self.window_head() + self.config.window_size && !window_exempt {
-            return Some(StallReason::Window);
+        let window_limit = self.inflight.head + self.config.window_size;
+        match self.verdict(seq, now, window_limit, channels) {
+            Verdict::Issue => None,
+            Verdict::AccelBusy => Some(StallReason::FuncUnit),
+            Verdict::Stall(Stall { kind, queue, .. }) => Some(match kind {
+                StallKind::Window => StallReason::Window,
+                StallKind::Fu => StallReason::FuncUnit,
+                StallKind::Mem => StallReason::Memory,
+                StallKind::Send => StallReason::SendFull { queue },
+                StallKind::Recv => StallReason::RecvEmpty { queue },
+            }),
         }
-        let fu_limit = self.config.fu.limit(di.class);
-        if fu_limit != u32::MAX && self.fu_busy.get(&di.class).copied().unwrap_or(0) >= fu_limit {
-            return Some(StallReason::FuncUnit);
-        }
-        match di.class {
-            InstClass::Load | InstClass::Store | InstClass::Atomic => {
-                if di.class == InstClass::Atomic && self.atomic_outstanding > 0 {
-                    return Some(StallReason::Memory);
-                }
-                if matches!(
-                    di.desc,
-                    Some(DescRole::TerminalLoad { .. } | DescRole::DetachedStore)
-                ) {
-                    if self.detached_outstanding >= self.config.desc_buffer {
-                        return Some(StallReason::Memory);
-                    }
-                } else if self.mao.probe(seq).is_some() {
-                    return Some(StallReason::Memory);
-                }
-            }
-            InstClass::Send => {
-                let q =
-                    self.ddg.node(di.static_id).queue().expect("send has queue")
-                        + self.config.queue_offset;
-                if !channels.would_have_space(q) {
-                    return Some(StallReason::SendFull { queue: q });
-                }
-            }
-            InstClass::Recv => {
-                let q =
-                    self.ddg.node(di.static_id).queue().expect("recv has queue")
-                        + self.config.queue_offset;
-                let mature = channels.channel(q).and_then(Channel::next_recv_ready);
-                if !matches!(mature, Some(r) if r <= now) {
-                    return Some(StallReason::RecvEmpty { queue: q });
-                }
-            }
-            InstClass::Accel if self.accel_busy_until.is_some() => {
-                return Some(StallReason::FuncUnit);
-            }
-            _ => {}
-        }
-        None
     }
 }
 
@@ -1141,21 +1177,20 @@ impl Tile for CoreTile {
     }
 
     fn on_mem_completion(&mut self, id: ReqId, now: u64) {
-        if let Some(o) = self.obs.as_mut() {
-            if let Some((inst, t0)) = o.mem_meta.remove(&id) {
-                o.profile
-                    .mem_latency((self.func.0, inst), now.saturating_sub(t0));
-            }
-        }
-        if let Some(push) = self.mem_detached.remove(&id) {
-            self.detached_outstanding -= 1;
-            if let Some(queue) = push {
-                self.pending_pushes.push_back(queue);
-            }
+        let Ok(at) = self.reqs.binary_search_by_key(&id, |r| r.id) else {
             return;
+        };
+        let req = self.reqs.remove(at).expect("found above");
+        if let Some(o) = self.obs.as_mut() {
+            let latency = now.saturating_sub(req.issued_at);
+            o.profile.mem_latency((self.func.0, req.inst), latency);
         }
-        if let Some(seq) = self.mem_inflight.remove(&id) {
-            self.completions.push(Reverse((now, seq)));
+        match req.on_done {
+            ReqDone::Detached(push) => {
+                self.detached_outstanding -= 1;
+                self.pending_pushes.extend(push);
+            }
+            ReqDone::Retire(seq) => self.completions.push(Reverse((now, seq))),
         }
     }
 
@@ -1205,13 +1240,7 @@ impl Tile for CoreTile {
         self.launch_dbbs(now)?;
         self.issue(ctx)?;
 
-        if self.path_pos >= self.trace.path().len()
-            && self.incomplete.is_empty()
-            && self.accel_busy_until.is_none()
-            && self.detached_outstanding == 0
-            && self.pending_pushes.is_empty()
-            && self.insts.is_empty()
-        {
+        if self.drained() {
             self.done = true;
             self.stats.done_at = Some(now);
         }
@@ -1238,14 +1267,11 @@ impl Tile for CoreTile {
         &self.stats
     }
 
-    fn save_state(&self, enc: &mut mosaic_ckpt::Enc) {
+    fn save_state(&self, enc: &mut Enc) {
         self.encode_state(enc);
     }
 
-    fn restore_state(
-        &mut self,
-        dec: &mut mosaic_ckpt::Dec<'_>,
-    ) -> Result<(), mosaic_ckpt::CkptError> {
+    fn restore_state(&mut self, dec: &mut Dec<'_>) -> Result<(), CkptError> {
         self.decode_state(dec)
     }
 
@@ -1281,8 +1307,14 @@ impl Tile for CoreTile {
             o.push_interval(tid, stalled, start, end);
         }
         let start = o.first_step.unwrap_or(0);
-        o.timeline
-            .span(0, tid, "tile", format!("{} active", self.config.name), start, end);
+        o.timeline.span(
+            0,
+            tid,
+            "tile",
+            format!("{} active", self.config.name),
+            start,
+            end,
+        );
         o.timeline.process_name(0, "tiles");
         o.timeline
             .thread_name(0, tid, format!("tile.{slot} {}", self.config.name));
@@ -1328,13 +1360,12 @@ impl Tile for CoreTile {
         // `stats.cycles` tracks the last cycle the tile was stepped while
         // active; the next real wake step restores it, so no credit is
         // needed here.
-        self.stats.window_stalls += stalls.window * aligned_cycles;
-        self.stats.fu_stalls += stalls.fu * aligned_cycles;
-        self.stats.mem_stalls += stalls.mem * aligned_cycles;
-        self.stats.send_stalls += stalls.send * aligned_cycles;
-        self.stats.recv_stalls += stalls.recv * aligned_cycles;
-        for kind in stalls.mao {
-            self.mao.credit_stalls(kind, aligned_cycles);
+        for (kind, n) in StallKind::all().into_iter().zip(stalls.by_kind) {
+            *stall_counter(&mut self.stats, kind) += n * aligned_cycles;
+        }
+        let mao_kinds = [MaoStall::Capacity, MaoStall::Load, MaoStall::Store];
+        for (kind, n) in mao_kinds.into_iter().zip(stalls.mao) {
+            self.mao.credit_stalls(kind, n * aligned_cycles);
         }
         if let Some(o) = self.obs.as_mut() {
             // Credit the one-cycle per-instruction survey once per skipped
@@ -1387,8 +1418,8 @@ impl Tile for CoreTile {
         };
         for &seq in &self.ready {
             if let Some(reason) = self.classify_blocked(seq, now, channels) {
-                let sid = self.insts[&seq].static_id;
-                consider(reason, Some(sid.index() as u32));
+                let plan = self.inflight.get(seq).expect("in flight").plan;
+                consider(reason, Some(self.plan.inst(plan as usize).inst.0));
             }
         }
         if let Some(&queue) = self.pending_pushes.front() {
@@ -1396,11 +1427,7 @@ impl Tile for CoreTile {
                 consider(StallReason::ChannelPush { queue }, None);
             }
         }
-        if !self.done
-            && (!self.mem_inflight.is_empty()
-                || !self.mem_detached.is_empty()
-                || self.atomic_outstanding > 0)
-        {
+        if !self.done && (!self.reqs.is_empty() || self.atomic_outstanding > 0) {
             consider(StallReason::Memory, None);
         }
         if !self.done
@@ -1417,18 +1444,19 @@ impl Tile for CoreTile {
             tile: self.config.name.clone(),
             reason,
             inst,
-            pc: self.path_pos,
+            pc: self.cursor.path_pos,
             retired: self.stats.retired,
-            mem_in_flight: self.mem_inflight.len() + self.mem_detached.len(),
+            mem_in_flight: self.reqs.len(),
         }
     }
 }
 
-/// Computes the DeSC roles of a function's instructions: terminal loads
-/// (load → send), their absorbed sends, store-value recvs (recv → store),
-/// and the detached stores they feed (paper §VII-A's DeSC structures).
+/// Computes the DeSC roles of a function's instructions, by `InstId`:
+/// terminal loads (load → send), their absorbed sends, store-value recvs
+/// (recv → store), and the detached stores they feed (paper §VII-A's DeSC
+/// structures).
 #[allow(clippy::collapsible_match)] // per-opcode arms stay scannable
-fn compute_desc_roles(func: &mosaic_ir::Function) -> HashMap<InstId, DescRole> {
+fn compute_desc_roles(func: &mosaic_ir::Function) -> Vec<Option<DescRole>> {
     use mosaic_ir::Operand;
     // Walk scheduled instructions only: dead-code elimination leaves
     // removed instructions orphaned in the arena, and orphans must not
@@ -1437,33 +1465,32 @@ fn compute_desc_roles(func: &mosaic_ir::Function) -> HashMap<InstId, DescRole> {
         .blocks()
         .flat_map(|b| b.insts().iter().copied())
         .collect();
-    let mut use_count: HashMap<InstId, u32> = HashMap::new();
+    let mut use_count = vec![0u32; func.inst_count()];
     for &iid in &scheduled {
         func.inst(iid).op().for_each_operand(|o| {
             if let Operand::Inst(d) = o {
-                *use_count.entry(d).or_insert(0) += 1;
+                use_count[d.index()] += 1;
             }
         });
     }
-    let mut roles = HashMap::new();
+    let mut roles = vec![None; func.inst_count()];
     for &iid in &scheduled {
-        let inst = func.inst(iid);
-        match inst.op() {
+        match func.inst(iid).op() {
             Opcode::Send { queue, value } => {
                 if let Operand::Inst(def) = value {
                     let is_load = matches!(func.inst(*def).op(), Opcode::Load { .. });
-                    if is_load && use_count.get(def).copied().unwrap_or(0) == 1 {
-                        roles.insert(*def, DescRole::TerminalLoad { queue: *queue });
-                        roles.insert(inst.id(), DescRole::SkipSend);
+                    if is_load && use_count[def.index()] == 1 {
+                        roles[def.index()] = Some(DescRole::TerminalLoad { queue: *queue });
+                        roles[iid.index()] = Some(DescRole::SkipSend);
                     }
                 }
             }
             Opcode::Store { value, .. } => {
                 if let Operand::Inst(def) = value {
                     let is_recv = matches!(func.inst(*def).op(), Opcode::Recv { .. });
-                    if is_recv && use_count.get(def).copied().unwrap_or(0) == 1 {
-                        roles.insert(*def, DescRole::StoreRecv);
-                        roles.insert(inst.id(), DescRole::DetachedStore);
+                    if is_recv && use_count[def.index()] == 1 {
+                        roles[def.index()] = Some(DescRole::StoreRecv);
+                        roles[iid.index()] = Some(DescRole::DetachedStore);
                     }
                 }
             }
@@ -1473,13 +1500,11 @@ fn compute_desc_roles(func: &mosaic_ir::Function) -> HashMap<InstId, DescRole> {
     roles
 }
 
-/// Computes per-block static branch predictions: for a conditional
+/// Computes static branch predictions, by block: for a conditional
 /// terminator, predict the successor through which control can return to
 /// the block (the loop-continuation edge); if neither or both loop,
 /// fall back to backward-taken / forward-not-taken.
-fn compute_static_predictions(
-    func: &mosaic_ir::Function,
-) -> HashMap<BlockId, Option<BlockId>> {
+fn compute_static_predictions(func: &mosaic_ir::Function) -> Vec<Option<BlockId>> {
     // reaches[s] = set of blocks reachable from s.
     let nblocks = func.block_count();
     let succs: Vec<Vec<BlockId>> = (0..nblocks)
@@ -1513,7 +1538,7 @@ fn compute_static_predictions(
         }
         dist[target.index()]
     };
-    let mut out = HashMap::new();
+    let mut out = vec![None; nblocks];
     for block in func.blocks() {
         let pred = match block.terminator().map(|t| func.inst(t).op().clone()) {
             Some(Opcode::Br { target }) => Some(target),
@@ -1542,7 +1567,7 @@ fn compute_static_predictions(
             }
             _ => None,
         };
-        out.insert(block.id(), pred);
+        out[block.id().index()] = pred;
     }
     out
 }
@@ -1571,55 +1596,14 @@ pub fn accelerator_tile(
 // Checkpoint encode/restore (see mosaic-ckpt and DESIGN.md §4.6).
 //
 // Only dynamic state is written. Everything derived from the configuration,
-// module, and trace — the DDG, fusion set, static predictions, DeSC roles —
-// is rebuilt by `CoreTile::new` on the resume path and must therefore be
-// byte-identical by construction, not by serialization. All hash maps are
-// written in sorted key order so the same state always produces the same
-// bytes.
+// module, and trace — the launch plan with its zero-cost marks, static
+// predictions, DeSC roles — is rebuilt by `CoreTile::new` on the resume path
+// and must therefore be byte-identical by construction, not by
+// serialization. What the dynamic state determines is not written either:
+// the ready list (the `Ready` slots in sequence order), the window head and
+// the live count. Every structure is indexed by a dense id, so writing it
+// in index order gives the same bytes for the same state.
 // ---------------------------------------------------------------------------
-
-use mosaic_ckpt::{CkptError, Dec, Enc};
-
-fn class_code(c: InstClass) -> u8 {
-    match c {
-        InstClass::IntAlu => 0,
-        InstClass::IntMul => 1,
-        InstClass::IntDiv => 2,
-        InstClass::FpAdd => 3,
-        InstClass::FpMul => 4,
-        InstClass::FpDiv => 5,
-        InstClass::FpSpecial => 6,
-        InstClass::Load => 7,
-        InstClass::Store => 8,
-        InstClass::Atomic => 9,
-        InstClass::Branch => 10,
-        InstClass::Phi => 11,
-        InstClass::Send => 12,
-        InstClass::Recv => 13,
-        InstClass::Accel => 14,
-    }
-}
-
-fn class_from_code(v: u8) -> Result<InstClass, CkptError> {
-    Ok(match v {
-        0 => InstClass::IntAlu,
-        1 => InstClass::IntMul,
-        2 => InstClass::IntDiv,
-        3 => InstClass::FpAdd,
-        4 => InstClass::FpMul,
-        5 => InstClass::FpDiv,
-        6 => InstClass::FpSpecial,
-        7 => InstClass::Load,
-        8 => InstClass::Store,
-        9 => InstClass::Atomic,
-        10 => InstClass::Branch,
-        11 => InstClass::Phi,
-        12 => InstClass::Send,
-        13 => InstClass::Recv,
-        14 => InstClass::Accel,
-        _ => return Err(CkptError::corrupt(format!("instruction class code {v}"))),
-    })
-}
 
 fn kind_code(k: AccessKind) -> u8 {
     match k {
@@ -1640,78 +1624,53 @@ fn kind_from_code(v: u8) -> Result<AccessKind, CkptError> {
     })
 }
 
-/// Writes a trace-cursor map (`static id -> stream position`) in id order.
-fn enc_cursors(e: &mut Enc, m: &HashMap<InstId, usize>) {
-    let mut keys: Vec<u32> = m.keys().map(|k| k.0).collect();
-    keys.sort_unstable();
-    e.u32(keys.len() as u32);
-    for k in keys {
-        e.u32(k);
-        e.usize(m[&InstId(k)]);
-    }
+fn enc_opt_u32(e: &mut Enc, v: Option<u32>) {
+    e.opt_u64(v.map(u64::from));
 }
 
-fn dec_cursors(d: &mut Dec<'_>, what: &str) -> Result<HashMap<InstId, usize>, CkptError> {
-    let n = d.u32(what)?;
-    let mut m = HashMap::with_capacity(n as usize);
-    for _ in 0..n {
-        let k = d.u32(what)?;
-        m.insert(InstId(k), d.usize(what)?);
-    }
-    Ok(m)
+fn dec_opt_u32(d: &mut Dec<'_>, what: &str) -> Result<Option<u32>, CkptError> {
+    let v = d.opt_u64(what)?;
+    v.map(|v| u32::try_from(v).map_err(|_| CkptError::corrupt(format!("{what}: {v}"))))
+        .transpose()
 }
 
-fn enc_desc(e: &mut Enc, desc: Option<DescRole>) {
-    match desc {
-        None => e.u8(0),
-        Some(DescRole::TerminalLoad { queue }) => {
-            e.u8(1);
-            e.u32(queue);
-        }
-        Some(DescRole::SkipSend) => e.u8(2),
-        Some(DescRole::StoreRecv) => e.u8(3),
-        Some(DescRole::DetachedStore) => e.u8(4),
+/// Reads a table length and checks it against the table this tile has.
+fn dec_len(d: &mut Dec<'_>, what: &str, want: usize) -> Result<(), CkptError> {
+    let found = d.usize(what)?;
+    if found != want {
+        return Err(CkptError::mismatch(format!(
+            "{what}: this tile has {want}, the checkpoint {found}"
+        )));
     }
-}
-
-fn dec_desc(d: &mut Dec<'_>) -> Result<Option<DescRole>, CkptError> {
-    Ok(match d.u8("desc role tag")? {
-        0 => None,
-        1 => Some(DescRole::TerminalLoad {
-            queue: d.u32("desc terminal-load queue")?,
-        }),
-        2 => Some(DescRole::SkipSend),
-        3 => Some(DescRole::StoreRecv),
-        4 => Some(DescRole::DetachedStore),
-        v => return Err(CkptError::corrupt(format!("desc role tag {v}"))),
-    })
+    Ok(())
 }
 
 impl CoreTile {
     fn encode_state(&self, e: &mut Enc) {
-        e.usize(self.path_pos);
-        enc_cursors(e, &self.mem_pos);
-        enc_cursors(e, &self.accel_pos);
-        e.u64(self.next_seq);
+        e.usize(self.cursor.path_pos);
+        e.usize(self.cursor.stream_pos.len());
+        for &pos in &self.cursor.stream_pos {
+            e.u32(pos);
+        }
 
-        let mut seqs: Vec<u64> = self.insts.keys().copied().collect();
-        seqs.sort_unstable();
-        e.u64(seqs.len() as u64);
-        for s in seqs {
-            let di = &self.insts[&s];
-            e.u64(s);
-            e.u32(di.static_id.0);
-            e.u64(di.dbb);
-            e.u8(class_code(di.class));
+        e.u64(self.inflight.base_seq);
+        e.usize(self.inflight.slots.len());
+        for di in &self.inflight.slots {
             e.u8(match di.state {
                 DynState::Waiting => 0,
                 DynState::Ready => 1,
                 DynState::Issued => 2,
+                DynState::Done => 3,
             });
+            if di.state == DynState::Done {
+                continue;
+            }
+            e.u32(di.plan);
             e.u32(di.remaining_parents);
-            e.u64(di.children.len() as u64);
-            for &c in &di.children {
-                e.u64(c);
+            e.u64(di.dbb);
+            e.usize(self.inflight.children(di).count());
+            for child in self.inflight.children(di) {
+                e.u64(child);
             }
             match di.mem {
                 Some((addr, size, kind)) => {
@@ -1722,136 +1681,66 @@ impl CoreTile {
                 }
                 None => e.u8(0),
             }
-            match &di.accel_args {
-                Some(args) => {
-                    e.u8(1);
-                    e.u32(args.len() as u32);
-                    for &a in args {
-                        e.i64(a);
-                    }
-                }
-                None => e.u8(0),
-            }
-            e.bool(di.is_terminator);
-            e.bool(di.fused);
-            enc_desc(e, di.desc);
+            e.u32(di.accel_at);
         }
 
-        e.u64(self.latest.len() as u64);
+        e.usize(self.latest.len());
         for &slot in &self.latest {
             e.opt_u64(slot);
-        }
-        e.u64(self.ready.len() as u64);
-        for &s in &self.ready {
-            e.u64(s);
-        }
-        e.u64(self.incomplete.len() as u64);
-        for &s in &self.incomplete {
-            e.u64(s);
         }
 
         let mut completions: Vec<(u64, u64)> =
             self.completions.iter().map(|Reverse(p)| *p).collect();
         completions.sort_unstable();
-        e.u64(completions.len() as u64);
+        e.usize(completions.len());
         for (cycle, seq) in completions {
             e.u64(cycle);
             e.u64(seq);
         }
 
-        let mut inflight: Vec<(u64, u64)> =
-            self.mem_inflight.iter().map(|(id, &s)| (id.0, s)).collect();
-        inflight.sort_unstable();
-        e.u64(inflight.len() as u64);
-        for (id, s) in inflight {
-            e.u64(id);
-            e.u64(s);
+        e.usize(self.reqs.len());
+        for r in &self.reqs {
+            e.u64(r.id.0);
+            match r.on_done {
+                ReqDone::Retire(seq) => {
+                    e.u8(0);
+                    e.u64(seq);
+                }
+                ReqDone::Detached(push) => {
+                    e.u8(1);
+                    enc_opt_u32(e, push);
+                }
+            }
+            e.u32(r.inst);
+            e.u64(r.issued_at);
         }
 
         self.mao.encode_into(e);
-
-        let mut fu: Vec<(u8, u32)> = self
-            .fu_busy
-            .iter()
-            .map(|(&c, &n)| (class_code(c), n))
-            .collect();
-        fu.sort_unstable();
-        e.u32(fu.len() as u32);
-        for (c, n) in fu {
-            e.u8(c);
+        for &n in &self.fu_busy {
             e.u32(n);
         }
-
-        let mut live: Vec<(u32, u32)> =
-            self.live_dbbs.iter().map(|(b, &n)| (b.0, n)).collect();
-        live.sort_unstable();
-        e.u32(live.len() as u32);
-        for (b, n) in live {
-            e.u32(b);
+        e.usize(self.live_dbbs.len());
+        for &n in &self.live_dbbs {
             e.u32(n);
         }
-
-        let mut remaining: Vec<(u64, u32)> =
-            self.dbb_remaining.iter().map(|(&d, &n)| (d, n)).collect();
-        remaining.sort_unstable();
-        e.u64(remaining.len() as u64);
-        for (dbb, n) in remaining {
-            e.u64(dbb);
-            e.u32(n);
+        e.u64(self.base_dbb);
+        e.usize(self.dbbs.len());
+        for &(left, block) in &self.dbbs {
+            e.u32(left);
+            e.u32(block.0);
         }
-
-        let mut blocks: Vec<(u64, u32)> =
-            self.dbb_block.iter().map(|(&d, b)| (d, b.0)).collect();
-        blocks.sort_unstable();
-        e.u64(blocks.len() as u64);
-        for (dbb, b) in blocks {
-            e.u64(dbb);
-            e.u32(b);
-        }
-
-        e.u64(self.next_dbb);
-        match self.prev_launched_block {
-            Some(b) => {
-                e.u8(1);
-                e.u32(b.0);
-            }
-            None => e.u8(0),
-        }
-
-        let mut bimodal: Vec<(u32, u8)> =
-            self.bimodal.iter().map(|(b, &c)| (b.0, c)).collect();
-        bimodal.sort_unstable();
-        e.u32(bimodal.len() as u32);
-        for (b, c) in bimodal {
-            e.u32(b);
+        enc_opt_u32(e, self.prev_launched_block.map(|b| b.0));
+        e.usize(self.bimodal.len());
+        for &c in &self.bimodal {
             e.u8(c);
         }
 
-        let mut detached: Vec<(u64, Option<u32>)> = self
-            .mem_detached
-            .iter()
-            .map(|(id, &q)| (id.0, q))
-            .collect();
-        detached.sort_unstable();
-        e.u64(detached.len() as u64);
-        for (id, q) in detached {
-            e.u64(id);
-            match q {
-                Some(queue) => {
-                    e.u8(1);
-                    e.u32(queue);
-                }
-                None => e.u8(0),
-            }
-        }
-
-        e.u32(self.pending_pushes.len() as u32);
+        e.usize(self.pending_pushes.len());
         for &q in &self.pending_pushes {
             e.u32(q);
         }
         e.u32(self.detached_outstanding);
         e.u32(self.atomic_outstanding);
-
         match self.gate {
             LaunchGate::Free => e.u8(0),
             LaunchGate::WaitTerminator { seq, penalty } => {
@@ -1873,18 +1762,6 @@ impl CoreTile {
                 e.u8(1);
                 o.profile.encode_into(e);
                 o.timeline.encode_into(e);
-                let mut meta: Vec<(u64, u32, u64)> = o
-                    .mem_meta
-                    .iter()
-                    .map(|(id, &(inst, t0))| (id.0, inst, t0))
-                    .collect();
-                meta.sort_unstable();
-                e.u64(meta.len() as u64);
-                for (id, inst, t0) in meta {
-                    e.u64(id);
-                    e.u32(inst);
-                    e.u64(t0);
-                }
                 match o.interval {
                     Some((stalled, start)) => {
                         e.u8(1);
@@ -1901,101 +1778,94 @@ impl CoreTile {
     }
 
     fn decode_state(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
-        self.path_pos = d.usize("tile path_pos")?;
-        if self.path_pos > self.trace.path().len() {
+        let name = self.config.name.clone();
+        let corrupt = |what: String| CkptError::corrupt(format!("tile {name}: {what}"));
+
+        let path_pos = d.usize("tile path position")?;
+        if path_pos > self.trace.path().len() {
             return Err(CkptError::mismatch(format!(
-                "tile {}: path position {} exceeds trace length {}",
-                self.config.name,
-                self.path_pos,
+                "tile {name}: path position {path_pos} exceeds trace length {}",
                 self.trace.path().len()
             )));
         }
-        self.mem_pos = dec_cursors(d, "tile mem cursor")?;
-        self.accel_pos = dec_cursors(d, "tile accel cursor")?;
-        self.next_seq = d.u64("tile next_seq")?;
+        self.cursor.path_pos = path_pos;
+        dec_len(d, "tile trace streams", self.cursor.stream_pos.len())?;
+        for pos in &mut self.cursor.stream_pos {
+            *pos = d.u32("tile stream position")?;
+        }
 
-        self.insts.clear();
-        let n = d.u64("tile in-flight count")?;
-        for _ in 0..n {
-            let seq = d.u64("inst seq")?;
-            let static_id = InstId(d.u32("inst static id")?);
-            let dbb = d.u64("inst dbb")?;
-            let class = class_from_code(d.u8("inst class")?)?;
+        let mut inflight = InFlight::new();
+        inflight.base_seq = d.u64("tile base_seq")?;
+        inflight.head = inflight.base_seq;
+        let nslots = d.u64("tile in-flight span")?;
+        let next_seq = inflight.base_seq.saturating_add(nslots);
+        self.ready.clear();
+        let mut children = Vec::new();
+        for seq in inflight.base_seq..next_seq {
             let state = match d.u8("inst state")? {
                 0 => DynState::Waiting,
                 1 => DynState::Ready,
                 2 => DynState::Issued,
-                v => return Err(CkptError::corrupt(format!("inst state tag {v}"))),
+                3 => DynState::Done,
+                v => return Err(corrupt(format!("inst state tag {v}"))),
             };
-            let remaining_parents = d.u32("inst remaining_parents")?;
-            let nchildren = d.u64("inst child count")?;
-            let mut children = Vec::with_capacity(nchildren as usize);
-            for _ in 0..nchildren {
-                children.push(d.u64("inst child")?);
-            }
-            let mem = match d.u8("inst mem flag")? {
-                0 => None,
-                1 => {
-                    let addr = d.u64("inst mem addr")?;
-                    let size = d.u8("inst mem size")?;
-                    let kind = kind_from_code(d.u8("inst mem kind")?)?;
-                    Some((addr, size, kind))
+            let mut di = DynInst {
+                plan: 0,
+                state,
+                window_exempt: false,
+                remaining_parents: 0,
+                dbb: 0,
+                first_child: NIL,
+                last_child: NIL,
+                mem: None,
+                accel_at: 0,
+            };
+            if state != DynState::Done {
+                di.plan = d.u32("inst plan index")?;
+                if di.plan as usize >= self.plan.len() {
+                    return Err(corrupt(format!("plan index {} out of range", di.plan)));
                 }
-                v => return Err(CkptError::corrupt(format!("inst mem flag {v}"))),
-            };
-            let accel_args = match d.u8("inst accel flag")? {
-                0 => None,
-                1 => {
-                    let nargs = d.u32("inst accel arg count")?;
-                    let mut args = Vec::with_capacity(nargs as usize);
-                    for _ in 0..nargs {
-                        args.push(d.i64("inst accel arg")?);
+                di.window_exempt = self.desc[di.plan as usize].is_some_and(DescRole::window_exempt);
+                di.remaining_parents = d.u32("inst remaining_parents")?;
+                di.dbb = d.u64("inst dbb")?;
+                for _ in 0..d.u64("inst child count")? {
+                    let child = d.u64("inst child")?;
+                    if child <= seq || child >= next_seq {
+                        return Err(corrupt(format!("inst {seq} has child {child}")));
                     }
-                    Some(args)
+                    children.push((seq, child));
                 }
-                v => return Err(CkptError::corrupt(format!("inst accel flag {v}"))),
-            };
-            let is_terminator = d.bool("inst is_terminator")?;
-            let fused = d.bool("inst fused")?;
-            let desc = dec_desc(d)?;
-            self.insts.insert(
-                seq,
-                DynInst {
-                    static_id,
-                    dbb,
-                    class,
-                    state,
-                    remaining_parents,
-                    children,
-                    mem,
-                    accel_args,
-                    is_terminator,
-                    fused,
-                    desc,
-                },
-            );
+                di.mem = match d.u8("inst mem flag")? {
+                    0 => None,
+                    1 => {
+                        let addr = d.u64("inst mem addr")?;
+                        let size = d.u8("inst mem size")?;
+                        Some((addr, size, kind_from_code(d.u8("inst mem kind")?)?))
+                    }
+                    v => return Err(corrupt(format!("inst mem flag {v}"))),
+                };
+                if di.mem.is_some() != self.plan.inst(di.plan as usize).mem_kind.is_some() {
+                    return Err(corrupt(format!("inst {seq}: memory access mismatch")));
+                }
+                di.accel_at = d.u32("inst accel index")?;
+                if state == DynState::Ready {
+                    self.ready.push(seq);
+                }
+                inflight.live += 1;
+            }
+            inflight.slots.push_back(di);
         }
+        inflight.advance_head();
+        for (parent, child) in children {
+            if !inflight.add_child(parent, child) || inflight.get(child).is_none() {
+                return Err(corrupt(format!("dependence {parent} -> {child} is dead")));
+            }
+        }
+        self.inflight = inflight;
 
-        let nlatest = d.u64("tile latest length")?;
-        if nlatest as usize != self.latest.len() {
-            return Err(CkptError::mismatch(format!(
-                "tile {}: latest-def table has {} slots, checkpoint has {}",
-                self.config.name,
-                self.latest.len(),
-                nlatest
-            )));
-        }
+        dec_len(d, "tile latest-def table", self.latest.len())?;
         for slot in &mut self.latest {
             *slot = d.opt_u64("tile latest slot")?;
-        }
-
-        self.ready.clear();
-        for _ in 0..d.u64("tile ready count")? {
-            self.ready.insert(d.u64("tile ready seq")?);
-        }
-        self.incomplete.clear();
-        for _ in 0..d.u64("tile incomplete count")? {
-            self.incomplete.insert(d.u64("tile incomplete seq")?);
         }
 
         self.completions.clear();
@@ -2005,70 +1875,63 @@ impl CoreTile {
             self.completions.push(Reverse((cycle, seq)));
         }
 
-        self.mem_inflight.clear();
-        for _ in 0..d.u64("tile mem-inflight count")? {
-            let id = d.u64("tile mem-inflight id")?;
-            let seq = d.u64("tile mem-inflight seq")?;
-            self.mem_inflight.insert(ReqId(id), seq);
+        self.reqs.clear();
+        for _ in 0..d.u64("tile request count")? {
+            let id = ReqId(d.u64("tile request id")?);
+            if self.reqs.back().is_some_and(|last| last.id >= id) {
+                return Err(corrupt(format!("request {} out of order", id.0)));
+            }
+            let on_done = match d.u8("tile request tag")? {
+                0 => ReqDone::Retire(d.u64("tile request seq")?),
+                1 => ReqDone::Detached(dec_opt_u32(d, "tile request queue")?),
+                v => return Err(corrupt(format!("request tag {v}"))),
+            };
+            self.reqs.push_back(PendingReq {
+                id,
+                on_done,
+                inst: d.u32("tile request inst")?,
+                issued_at: d.u64("tile request cycle")?,
+            });
         }
 
         self.mao.restore_from(d)?;
-
-        self.fu_busy.clear();
-        for _ in 0..d.u32("tile fu-busy count")? {
-            let class = class_from_code(d.u8("tile fu-busy class")?)?;
-            self.fu_busy.insert(class, d.u32("tile fu-busy n")?);
+        for n in &mut self.fu_busy {
+            *n = d.u32("tile fu-busy")?;
         }
-
-        self.live_dbbs.clear();
-        for _ in 0..d.u32("tile live-dbb count")? {
-            let b = BlockId(d.u32("tile live-dbb block")?);
-            self.live_dbbs.insert(b, d.u32("tile live-dbb n")?);
+        dec_len(d, "tile live-dbb table", self.live_dbbs.len())?;
+        for n in &mut self.live_dbbs {
+            *n = d.u32("tile live-dbb count")?;
         }
-
-        self.dbb_remaining.clear();
-        for _ in 0..d.u64("tile dbb-remaining count")? {
-            let dbb = d.u64("tile dbb-remaining dbb")?;
-            self.dbb_remaining.insert(dbb, d.u32("tile dbb-remaining n")?);
+        self.base_dbb = d.u64("tile base_dbb")?;
+        self.dbbs.clear();
+        for _ in 0..d.u64("tile dbb count")? {
+            let left = d.u32("tile dbb remaining")?;
+            let block = BlockId(d.u32("tile dbb block")?);
+            if block.index() >= self.live_dbbs.len() {
+                return Err(corrupt(format!("dbb of block {}", block.0)));
+            }
+            self.dbbs.push_back((left, block));
         }
-
-        self.dbb_block.clear();
-        for _ in 0..d.u64("tile dbb-block count")? {
-            let dbb = d.u64("tile dbb-block dbb")?;
-            self.dbb_block.insert(dbb, BlockId(d.u32("tile dbb-block block")?));
+        let dbbs = self.base_dbb..self.base_dbb.saturating_add(self.dbbs.len() as u64);
+        if let Some(di) = self.inflight.slots.iter().find(|di| {
+            di.state != DynState::Done
+                && !(dbbs.contains(&di.dbb) && self.dbbs[(di.dbb - dbbs.start) as usize].0 > 0)
+        }) {
+            return Err(corrupt(format!("in-flight inst of dead dbb {}", di.dbb)));
         }
-
-        self.next_dbb = d.u64("tile next_dbb")?;
-        self.prev_launched_block = match d.u8("tile prev-block flag")? {
-            0 => None,
-            1 => Some(BlockId(d.u32("tile prev-block id")?)),
-            v => return Err(CkptError::corrupt(format!("prev-block flag {v}"))),
-        };
-
-        self.bimodal.clear();
-        for _ in 0..d.u32("tile bimodal count")? {
-            let b = BlockId(d.u32("tile bimodal block")?);
-            self.bimodal.insert(b, d.u8("tile bimodal counter")?);
-        }
-
-        self.mem_detached.clear();
-        for _ in 0..d.u64("tile mem-detached count")? {
-            let id = ReqId(d.u64("tile mem-detached id")?);
-            let q = match d.u8("tile mem-detached flag")? {
-                0 => None,
-                1 => Some(d.u32("tile mem-detached queue")?),
-                v => return Err(CkptError::corrupt(format!("mem-detached flag {v}"))),
-            };
-            self.mem_detached.insert(id, q);
+        self.prev_launched_block = dec_opt_u32(d, "tile prev block")?.map(BlockId);
+        dec_len(d, "tile bimodal table", self.bimodal.len())?;
+        for c in &mut self.bimodal {
+            *c = d.u8("tile bimodal counter")?;
         }
 
         self.pending_pushes.clear();
-        for _ in 0..d.u32("tile pending-push count")? {
-            self.pending_pushes.push_back(d.u32("tile pending-push queue")?);
+        for _ in 0..d.u64("tile pending-push count")? {
+            self.pending_pushes
+                .push_back(d.u32("tile pending-push queue")?);
         }
         self.detached_outstanding = d.u32("tile detached_outstanding")?;
         self.atomic_outstanding = d.u32("tile atomic_outstanding")?;
-
         self.gate = match d.u8("tile gate tag")? {
             0 => LaunchGate::Free,
             1 => LaunchGate::WaitTerminator {
@@ -2076,7 +1939,7 @@ impl CoreTile {
                 penalty: d.u64("tile gate penalty")?,
             },
             2 => LaunchGate::WaitUntil(d.u64("tile gate cycle")?),
-            v => return Err(CkptError::corrupt(format!("launch gate tag {v}"))),
+            v => return Err(corrupt(format!("launch gate tag {v}"))),
         };
         self.accel_busy_until = d.opt_u64("tile accel_busy_until")?;
         self.done = d.bool("tile done")?;
@@ -2090,29 +1953,19 @@ impl CoreTile {
         if d.u8("tile obs flag")? == 1 {
             let profile = IrProfile::decode_from(d)?;
             let timeline = Timeline::decode_from(d)?;
-            let nmeta = d.u64("tile obs mem-meta count")?;
-            let mut mem_meta = HashMap::with_capacity(nmeta as usize);
-            for _ in 0..nmeta {
-                let id = ReqId(d.u64("tile obs mem-meta id")?);
-                let inst = d.u32("tile obs mem-meta inst")?;
-                let t0 = d.u64("tile obs mem-meta cycle")?;
-                mem_meta.insert(id, (inst, t0));
-            }
             let interval = match d.u8("tile obs interval flag")? {
                 0 => None,
                 1 => {
                     let stalled = d.bool("tile obs interval stalled")?;
-                    let start = d.u64("tile obs interval start")?;
-                    Some((stalled, start))
+                    Some((stalled, d.u64("tile obs interval start")?))
                 }
-                v => return Err(CkptError::corrupt(format!("obs interval flag {v}"))),
+                v => return Err(corrupt(format!("obs interval flag {v}"))),
             };
             let first_step = d.opt_u64("tile obs first_step")?;
             let last_seen = d.u64("tile obs last_seen")?;
             if let Some(o) = self.obs.as_mut() {
                 o.profile = profile;
                 o.timeline = timeline;
-                o.mem_meta = mem_meta;
                 o.interval = interval;
                 o.first_step = first_step;
                 o.last_seen = last_seen;

@@ -894,6 +894,101 @@ mod tests {
         assert!(st.energy_pj >= 2000.0);
     }
 
+    /// A DeSC store-value `recv` (window-exempt) that waits long for its
+    /// message pins the oldest slot of the in-flight ring while thousands
+    /// of younger instructions launch and retire behind it: the ring's
+    /// span outgrows `max_inflight` though the live count never does. The
+    /// tile must keep launching, checkpoint and restore mid-wait, and
+    /// finish identically on both sides of the checkpoint.
+    #[test]
+    fn long_lived_window_exempt_slot_outlives_the_ring_span() {
+        let mut m = Module::new("t");
+        let prod = m.add_function("prod", vec![], Type::Void);
+        let mut b = FunctionBuilder::new(m.function_mut(prod));
+        let e = b.create_block("entry");
+        b.switch_to(e);
+        b.send(0, Constant::i32(7).into());
+        b.ret(None);
+        let cons = m.add_function("cons", vec![("p".into(), Type::Ptr)], Type::Void);
+        let mut b = FunctionBuilder::new(m.function_mut(cons));
+        let p = b.param(0);
+        let e = b.create_block("entry");
+        b.switch_to(e);
+        let v = b.recv(0, Type::I32);
+        b.store(p, v);
+        b.emit_counted_loop("l", Constant::i64(0).into(), Constant::i64(400).into(), |b, i| {
+            let x = b.bin(BinOp::Mul, i, Constant::i64(3).into());
+            b.bin(BinOp::Add, x, i);
+        });
+        b.ret(None);
+        mosaic_ir::verify_module(&m).unwrap();
+        let mut img = MemImage::new();
+        let buf = img.alloc_i32(1);
+        let progs = vec![
+            TileProgram::single(prod, vec![]),
+            TileProgram::single(cons, vec![RtVal::Int(buf as i64)]),
+        ];
+        let mut rec = TraceRecorder::new(2);
+        run_tiles(&m, img, &progs, &mut rec).unwrap();
+        let trace = Arc::new(rec.finish().tile(1).clone());
+        let m = Arc::new(m);
+
+        let mut cfg = CoreConfig::out_of_order().with_desc_extensions(true);
+        cfg.max_inflight = 32;
+        let tile = || CoreTile::new(cfg.clone(), m.clone(), cons, trace.clone(), 0);
+        // One tile with its own memory and channels, stepped one cycle.
+        struct Rig(CoreTile, MemoryHierarchy, ChannelSet);
+        let step = |rig: &mut Rig, now: u64| {
+            let Rig(tile, mem, channels) = rig;
+            mem.step(now);
+            for c in mem.drain_completions() {
+                tile.on_mem_completion(c.id, now);
+            }
+            let mut ctx = TileCtx {
+                now,
+                mem,
+                channels,
+                accel: &mut NoAccel,
+            };
+            tile.step(&mut ctx).expect("step");
+        };
+        let channels = || ChannelSet::new(ChannelConfig::default());
+        let mut a = Rig(tile(), small_mem(1), channels());
+        let mut now = 0;
+        // The message is withheld: the `recv` (sequence id 0) stays in
+        // flight, so the ring spans at least every retired instruction.
+        while a.0.stats().retired < 8 * cfg.max_inflight {
+            step(&mut a, now);
+            now += 1;
+            assert!(now < 100_000 && !a.0.is_done(), "stalled behind the recv");
+        }
+        let info = a.0.stall_info(now, &a.2);
+        assert_eq!(info.reason, StallReason::RecvEmpty { queue: 0 });
+
+        // Fork: restore the snapshot into a fresh tile (memory and
+        // channels are still untouched, so fresh ones match).
+        let mut enc = mosaic_ckpt::Enc::new();
+        a.0.save_state(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut b = Rig(tile(), small_mem(1), channels());
+        b.0.restore_state(&mut mosaic_ckpt::Dec::new(&bytes)).expect("restore");
+        let mut again = mosaic_ckpt::Enc::new();
+        b.0.save_state(&mut again);
+        assert_eq!(again.into_bytes(), bytes, "restore then save is the identity");
+
+        for rig in [&mut a, &mut b] {
+            assert!(rig.2.channel_mut(0).try_send(now));
+        }
+        while !(a.0.is_done() && b.0.is_done()) {
+            step(&mut a, now);
+            step(&mut b, now);
+            now += 1;
+            assert!(now < 100_000, "did not drain after the message arrived");
+        }
+        assert_eq!(a.0.stats(), b.0.stats());
+        assert_eq!(a.0.stats().retired, trace.retired());
+    }
+
     #[test]
     fn stats_ipc_is_positive_for_finished_tiles() {
         let (m, f, trace) = traced_kernel(32);

@@ -19,14 +19,16 @@
 //! operations (paper §III-A: "instructions cannot issue if the MAO is
 //! full; memory operations free up space upon completion").
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// Word granularity used for address matching (8-byte words).
 const WORD_SHIFT: u32 = 3;
 
-/// One tracked memory operation, keyed by its program-order sequence id.
+/// One tracked memory operation.
 #[derive(Debug, Clone, Copy)]
 struct MaoEntry {
+    /// Program-order sequence id.
+    seq: u64,
     word: u64,
     is_store: bool,
     resolved: bool,
@@ -48,7 +50,10 @@ pub enum MaoStall {
 /// The MAO / LSQ model.
 #[derive(Debug, Clone)]
 pub struct Mao {
-    entries: BTreeMap<u64, MaoEntry>,
+    /// Tracked operations in program order. Sequence ids ascend but are
+    /// not contiguous (only memory operations enter), so an entry is
+    /// located by binary search.
+    entries: VecDeque<MaoEntry>,
     lsq_size: u32,
     issued_incomplete: u32,
     alias_speculation: bool,
@@ -63,7 +68,7 @@ impl Mao {
     pub fn new(lsq_size: u32, alias_speculation: bool) -> Self {
         assert!(lsq_size > 0, "LSQ size must be positive");
         Mao {
-            entries: BTreeMap::new(),
+            entries: VecDeque::new(),
             lsq_size,
             issued_incomplete: 0,
             alias_speculation,
@@ -73,26 +78,35 @@ impl Mao {
         }
     }
 
+    /// Position of `seq`'s entry, if it is tracked.
+    fn find(&self, seq: u64) -> Option<usize> {
+        let at = self.entries.partition_point(|e| e.seq < seq);
+        (self.entries.get(at)?.seq == seq).then_some(at)
+    }
+
     /// Inserts an operation in program order (at DBB launch). The address
     /// is known from the trace; `resolved` tracks whether the *program*
     /// has computed it yet (operands complete).
     pub fn insert(&mut self, seq: u64, addr: u64, is_store: bool) {
-        self.entries.insert(
+        let entry = MaoEntry {
             seq,
-            MaoEntry {
-                word: addr >> WORD_SHIFT,
-                is_store,
-                resolved: false,
-                issued: false,
-                complete: false,
-            },
+            word: addr >> WORD_SHIFT,
+            is_store,
+            resolved: false,
+            issued: false,
+            complete: false,
+        };
+        assert!(
+            self.entries.back().is_none_or(|last| last.seq < seq),
+            "memory operations enter the MAO in program order"
         );
+        self.entries.push_back(entry);
     }
 
     /// Marks `seq`'s address as resolved (its operands completed).
     pub fn resolve(&mut self, seq: u64) {
-        if let Some(e) = self.entries.get_mut(&seq) {
-            e.resolved = true;
+        if let Some(at) = self.find(seq) {
+            self.entries[at].resolved = true;
         }
     }
 
@@ -100,35 +114,26 @@ impl Mao {
     /// without touching the stall counters (read-only; used by the
     /// fast-forward scheduler's dry-run survey).
     pub fn probe(&self, seq: u64) -> Option<MaoStall> {
-        let me = self.entries.get(&seq).copied()?; // untracked: not a memory op
+        let at = self.find(seq)?; // untracked: not a memory op
+        let me = self.entries[at];
         if self.issued_incomplete >= self.lsq_size {
             return Some(MaoStall::Capacity);
         }
-        for (&s, e) in self.entries.range(..seq) {
-            debug_assert!(s < seq);
-            if e.complete {
-                continue;
-            }
-            // Only stores can violate a load; any access can violate a store.
-            if !me.is_store && !e.is_store {
-                continue;
-            }
-            let conflict = if self.alias_speculation {
-                // Perfect anticipation of aliasing: trace addresses are
-                // ground truth, so only true same-word conflicts stall.
-                e.word == me.word
-            } else {
-                !e.resolved || e.word == me.word
-            };
-            if conflict {
-                return Some(if me.is_store {
-                    MaoStall::Store
-                } else {
-                    MaoStall::Load
-                });
-            }
-        }
-        None
+        let spec = self.alias_speculation;
+        let conflict = self.entries.iter().take(at).any(|e| {
+            // Only stores can violate a load; any access can violate a
+            // store. With perfect anticipation of aliasing the trace
+            // addresses are ground truth, so only true same-word
+            // conflicts stall; without it an unresolved address may alias.
+            !e.complete
+                && (me.is_store || e.is_store)
+                && (e.word == me.word || !(spec || e.resolved))
+        });
+        conflict.then_some(if me.is_store {
+            MaoStall::Store
+        } else {
+            MaoStall::Load
+        })
     }
 
     /// Whether `seq` may issue under the ordering rules and LSQ capacity.
@@ -155,7 +160,8 @@ impl Mao {
 
     /// Marks `seq` issued (occupies LSQ capacity until completion).
     pub fn mark_issued(&mut self, seq: u64) {
-        if let Some(e) = self.entries.get_mut(&seq) {
+        if let Some(at) = self.find(seq) {
+            let e = &mut self.entries[at];
             if !e.issued {
                 e.issued = true;
                 self.issued_incomplete += 1;
@@ -166,21 +172,15 @@ impl Mao {
     /// Marks `seq` complete and releases its LSQ slot. Completed entries
     /// older than every incomplete entry are garbage-collected.
     pub fn complete(&mut self, seq: u64) {
-        if let Some(e) = self.entries.get_mut(&seq) {
+        if let Some(at) = self.find(seq) {
+            let e = &mut self.entries[at];
             if e.issued {
                 self.issued_incomplete -= 1;
             }
             e.complete = true;
         }
-        // GC the completed prefix.
-        let keys: Vec<u64> = self
-            .entries
-            .iter()
-            .take_while(|(_, e)| e.complete)
-            .map(|(&k, _)| k)
-            .collect();
-        for k in keys {
-            self.entries.remove(&k);
+        while self.entries.front().is_some_and(|e| e.complete) {
+            self.entries.pop_front();
         }
     }
 
@@ -215,8 +215,8 @@ impl Mao {
     /// the MAO was rebuilt with.
     pub fn encode_into(&self, e: &mut mosaic_ckpt::Enc) {
         e.u64(self.entries.len() as u64);
-        for (&seq, entry) in &self.entries {
-            e.u64(seq);
+        for entry in &self.entries {
+            e.u64(entry.seq);
             e.u64(entry.word);
             e.bool(entry.is_store);
             e.bool(entry.resolved);
@@ -234,19 +234,28 @@ impl Mao {
     /// # Errors
     ///
     /// Returns a [`mosaic_ckpt::CkptError`] on truncated data.
-    pub fn restore_from(&mut self, d: &mut mosaic_ckpt::Dec<'_>) -> Result<(), mosaic_ckpt::CkptError> {
+    pub fn restore_from(
+        &mut self,
+        d: &mut mosaic_ckpt::Dec<'_>,
+    ) -> Result<(), mosaic_ckpt::CkptError> {
         self.entries.clear();
         let n = d.u64("mao entry count")?;
         for _ in 0..n {
-            let seq = d.u64("mao seq")?;
             let entry = MaoEntry {
+                seq: d.u64("mao seq")?,
                 word: d.u64("mao word")?,
                 is_store: d.bool("mao is_store")?,
                 resolved: d.bool("mao resolved")?,
                 issued: d.bool("mao issued")?,
                 complete: d.bool("mao complete")?,
             };
-            self.entries.insert(seq, entry);
+            if self.entries.back().is_some_and(|last| last.seq >= entry.seq) {
+                return Err(mosaic_ckpt::CkptError::corrupt(format!(
+                    "mao entry {} out of program order",
+                    entry.seq
+                )));
+            }
+            self.entries.push_back(entry);
         }
         self.issued_incomplete = d.u32("mao issued_incomplete")?;
         self.load_stalls = d.u64("mao load_stalls")?;
@@ -470,6 +479,119 @@ mod schedule_tests {
                 if issued[i] && !complete[i] {
                     mao.complete(i as u64);
                     complete[i] = true;
+                }
+            }
+        }
+    }
+
+    /// The MAO as the paper states it, with no thought for speed: a plain
+    /// vector in program order, every lookup a linear search.
+    struct NaiveMao {
+        /// (seq, word, is_store, resolved, issued, complete)
+        ops: Vec<(u64, u64, bool, bool, bool, bool)>,
+        lsq_size: usize,
+        alias_speculation: bool,
+        /// Stalls counted by `can_issue`, by `MaoStall as usize`.
+        stalls: [u64; 3],
+    }
+
+    impl NaiveMao {
+        fn at(&mut self, seq: u64) -> Option<&mut (u64, u64, bool, bool, bool, bool)> {
+            self.ops.iter_mut().find(|op| op.0 == seq)
+        }
+        fn occupancy(&self) -> usize {
+            self.ops.iter().filter(|op| op.4 && !op.5).count()
+        }
+        fn probe(&self, seq: u64) -> Option<MaoStall> {
+            let me = *self.ops.iter().find(|op| op.0 == seq)?;
+            if self.occupancy() >= self.lsq_size {
+                return Some(MaoStall::Capacity);
+            }
+            let blocks = |op: &&(u64, u64, bool, bool, bool, bool)| {
+                let may_alias = op.1 == me.1 || !(self.alias_speculation || op.3);
+                op.0 < seq && !op.5 && (me.2 || op.2) && may_alias
+            };
+            let kind = if me.2 { MaoStall::Store } else { MaoStall::Load };
+            self.ops.iter().find(blocks).map(|_| kind)
+        }
+        fn complete(&mut self, seq: u64) {
+            if let Some(op) = self.at(seq) {
+                op.5 = true;
+            }
+            let done = self.ops.iter().take_while(|op| op.5).count();
+            self.ops.drain(..done);
+        }
+    }
+
+    /// The ring MAO and the naive model agree — on every probe verdict
+    /// (including which `MaoStall`), on what is tracked and issued, and on
+    /// the stall counters — after every operation of random interleavings
+    /// of insert/resolve/probe/mark_issued/complete, with gapped sequence
+    /// ids, out-of-order completion, and operations on ids the MAO never
+    /// saw or has already collected.
+    #[test]
+    fn ring_matches_naive_model() {
+        let mut r = TestRng(13);
+        for case in 0..96 {
+            let (lsq, spec) = (1 + case % 8, case % 16 < 8);
+            let mut mao = Mao::new(lsq as u32, spec);
+            let mut naive = NaiveMao {
+                ops: Vec::new(),
+                lsq_size: lsq,
+                alias_speculation: spec,
+                stalls: [0; 3],
+            };
+            let mut next_seq = r.below(5);
+            // Inserted and not yet completed by the test.
+            let mut open: Vec<u64> = Vec::new();
+            for _step in 0..300 {
+                // Any id up to the youngest, tracked or not.
+                let any = r.below(next_seq + 1);
+                let pick = r.below(open.len().max(1) as u64) as usize;
+                match r.below(6) {
+                    0 | 1 => {
+                        let (addr, is_store) = (r.below(6) * 8 + r.below(8), r.below(2) == 1);
+                        mao.insert(next_seq, addr, is_store);
+                        naive.ops.push((next_seq, addr >> 3, is_store, false, false, false));
+                        open.push(next_seq);
+                        next_seq += 1 + r.below(4);
+                    }
+                    2 => {
+                        mao.resolve(any);
+                        if let Some(op) = naive.at(any) {
+                            op.3 = true;
+                        }
+                    }
+                    3 => {
+                        let expect = naive.probe(any);
+                        if let Some(kind) = expect {
+                            naive.stalls[kind as usize] += 1;
+                        }
+                        assert_eq!(mao.can_issue(any), expect.is_none(), "case {case}");
+                    }
+                    4 if !open.is_empty() => {
+                        let seq = open[pick];
+                        mao.mark_issued(seq);
+                        naive.at(seq).expect("open").4 = true;
+                    }
+                    5 if !open.is_empty() => {
+                        let seq = open.remove(pick);
+                        mao.complete(seq);
+                        naive.complete(seq);
+                    }
+                    _ => {
+                        // An id the MAO does not track changes nothing.
+                        let gap = next_seq + 1;
+                        mao.mark_issued(gap);
+                        mao.complete(gap);
+                    }
+                }
+                assert_eq!(mao.tracked(), naive.ops.len(), "case {case}");
+                assert_eq!(mao.occupancy() as usize, naive.occupancy(), "case {case}");
+                let counted = [mao.capacity_stalls(), mao.load_stalls(), mao.store_stalls()];
+                assert_eq!(counted, naive.stalls, "case {case}");
+                for seq in 0..=next_seq {
+                    assert_eq!(mao.probe(seq), naive.probe(seq), "case {case} seq {seq}");
                 }
             }
         }

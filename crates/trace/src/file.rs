@@ -13,7 +13,7 @@ use std::path::Path;
 
 use mosaic_ir::{AccelOp, BlockId, FuncId, InstId};
 
-use crate::{AccelInvocation, KernelTrace, MemAccess, TileTrace};
+use crate::{stream_mut, AccelInvocation, KernelTrace, MemAccess, TileTrace};
 
 const MAGIC: &[u8; 4] = b"MSTR";
 const VERSION: u32 = 1;
@@ -36,6 +36,19 @@ fn r_u64<R: Read>(r: &mut R) -> io::Result<u64> {
     let mut b = [0u8; 8];
     r.read_exact(&mut b)?;
     Ok(u64::from_le_bytes(b))
+}
+
+/// Reads a static instruction id, refusing one no real function reaches:
+/// streams are stored in tables indexed by it.
+fn r_inst<R: Read>(r: &mut R) -> io::Result<InstId> {
+    let id = r_u32(r)?;
+    if id >= 1 << 20 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("instruction id {id} implausibly large"),
+        ));
+    }
+    Ok(InstId(id))
 }
 
 fn r_u8<R: Read>(r: &mut R) -> io::Result<u8> {
@@ -84,13 +97,8 @@ impl KernelTrace {
             for b in tile.path() {
                 w_u32(w, b.0)?;
             }
-            let mem_insts: Vec<InstId> = {
-                let mut v: Vec<InstId> = tile.mem_insts().collect();
-                v.sort();
-                v
-            };
-            w_u32(w, mem_insts.len() as u32)?;
-            for inst in mem_insts {
+            w_u32(w, tile.mem_insts().count() as u32)?;
+            for inst in tile.mem_insts() {
                 w_u32(w, inst.0)?;
                 let stream = tile.mem_stream(inst);
                 w_u64(w, stream.len() as u64)?;
@@ -161,7 +169,7 @@ impl KernelTrace {
             }
             let mem_insts = r_u32(r)? as usize;
             for _ in 0..mem_insts {
-                let inst = InstId(r_u32(r)?);
+                let inst = r_inst(r)?;
                 let len = r_u64(r)? as usize;
                 let mut stream = Vec::with_capacity(len);
                 for _ in 0..len {
@@ -170,11 +178,11 @@ impl KernelTrace {
                     let write = r_u8(r)? != 0;
                     stream.push(MemAccess { addr, size, write });
                 }
-                tile.mem.insert(inst, stream);
+                *stream_mut(&mut tile.mem, inst) = stream;
             }
             let accels = r_u32(r)? as usize;
             for _ in 0..accels {
-                let inst = InstId(r_u32(r)?);
+                let inst = r_inst(r)?;
                 let name = r_str(r)?;
                 let accel = AccelOp::from_name(&name).ok_or_else(|| {
                     io::Error::new(
@@ -188,11 +196,11 @@ impl KernelTrace {
                     args.push(r_u64(r)? as i64);
                 }
                 let inv = AccelInvocation { inst, accel, args };
-                tile.accel.entry(inst).or_default().push(inv.clone());
+                stream_mut(&mut tile.accel, inst).push(inv.clone());
                 tile.accel_order.push(inv);
             }
             tile.retired = r_u64(r)?;
-            out.push(tile);
+            out.push(std::sync::Arc::new(tile));
         }
         Ok(KernelTrace { tiles: out })
     }

@@ -46,7 +46,7 @@
 
 mod file;
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use mosaic_ir::{AccelOp, BlockId, FuncId, InstId, TraceSink};
 
@@ -77,10 +77,20 @@ pub struct AccelInvocation {
 pub struct TileTrace {
     func: Option<FuncId>,
     path: Vec<BlockId>,
-    mem: HashMap<InstId, Vec<MemAccess>>,
-    accel: HashMap<InstId, Vec<AccelInvocation>>,
+    /// Per-instruction streams, indexed by `InstId` (empty: never ran).
+    mem: Vec<Vec<MemAccess>>,
+    accel: Vec<Vec<AccelInvocation>>,
     accel_order: Vec<AccelInvocation>,
     retired: u64,
+}
+
+/// The stream of `inst` in a table indexed by `InstId`, growing the table
+/// to reach it.
+fn stream_mut<T>(streams: &mut Vec<Vec<T>>, inst: InstId) -> &mut Vec<T> {
+    if inst.index() >= streams.len() {
+        streams.resize_with(inst.index() + 1, Vec::new);
+    }
+    &mut streams[inst.index()]
 }
 
 impl TileTrace {
@@ -97,22 +107,24 @@ impl TileTrace {
     /// The address stream of one static memory instruction, in dynamic
     /// execution order.
     pub fn mem_stream(&self, inst: InstId) -> &[MemAccess] {
-        self.mem.get(&inst).map(Vec::as_slice).unwrap_or(&[])
+        self.mem.get(inst.index()).map_or(&[], Vec::as_slice)
     }
 
-    /// All static memory instructions that executed at least once.
+    /// All static memory instructions that executed at least once, in id
+    /// order.
     pub fn mem_insts(&self) -> impl Iterator<Item = InstId> + '_ {
-        self.mem.keys().copied()
+        let ran = self.mem.iter().enumerate().filter(|(_, s)| !s.is_empty());
+        ran.map(|(i, _)| InstId(i as u32))
     }
 
     /// Total dynamic memory accesses.
     pub fn mem_access_count(&self) -> u64 {
-        self.mem.values().map(|v| v.len() as u64).sum()
+        self.mem.iter().map(|v| v.len() as u64).sum()
     }
 
     /// The invocation stream of one static accelerator call site.
     pub fn accel_stream(&self, inst: InstId) -> &[AccelInvocation] {
-        self.accel.get(&inst).map(Vec::as_slice).unwrap_or(&[])
+        self.accel.get(inst.index()).map_or(&[], Vec::as_slice)
     }
 
     /// All accelerator invocations in dynamic order.
@@ -129,7 +141,9 @@ impl TileTrace {
 /// A complete kernel trace: one [`TileTrace`] per tile.
 #[derive(Debug, Clone, Default)]
 pub struct KernelTrace {
-    tiles: Vec<TileTrace>,
+    /// Shared, so every system built over the trace replays the same
+    /// copy ([`tile_shared`](Self::tile_shared)).
+    tiles: Vec<Arc<TileTrace>>,
 }
 
 impl KernelTrace {
@@ -147,9 +161,19 @@ impl KernelTrace {
         &self.tiles[tile]
     }
 
+    /// A shared handle to the trace of one tile, for a tile model to
+    /// keep.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tile` is out of range.
+    pub fn tile_shared(&self, tile: usize) -> Arc<TileTrace> {
+        Arc::clone(&self.tiles[tile])
+    }
+
     /// Iterates over all tile traces.
     pub fn tiles(&self) -> impl Iterator<Item = &TileTrace> {
-        self.tiles.iter()
+        self.tiles.iter().map(|t| &**t)
     }
 
     /// Total retired instructions across tiles.
@@ -162,11 +186,7 @@ impl KernelTrace {
         let mut r = TraceSizeReport::default();
         for t in &self.tiles {
             r.control_flow_bytes += 4 * t.path.len() as u64;
-            r.memory_bytes += t
-                .mem
-                .values()
-                .map(|v| 9 * v.len() as u64) // 8-byte address + 1-byte size/kind
-                .sum::<u64>();
+            r.memory_bytes += 9 * t.mem_access_count(); // 8-byte address + 1-byte size/kind
             r.accel_bytes += t
                 .accel_order
                 .iter()
@@ -202,29 +222,29 @@ impl TraceSizeReport {
 /// [`finish`](Self::finish) afterwards.
 #[derive(Debug, Clone, Default)]
 pub struct TraceRecorder {
-    trace: KernelTrace,
+    tiles: Vec<TileTrace>,
 }
 
 impl TraceRecorder {
     /// A recorder for `tiles` tiles.
     pub fn new(tiles: usize) -> Self {
         TraceRecorder {
-            trace: KernelTrace {
-                tiles: vec![TileTrace::default(); tiles],
-            },
+            tiles: vec![TileTrace::default(); tiles],
         }
     }
 
     /// Consumes the recorder, yielding the trace.
     pub fn finish(self) -> KernelTrace {
-        self.trace
+        KernelTrace {
+            tiles: self.tiles.into_iter().map(Arc::new).collect(),
+        }
     }
 
     fn tile_mut(&mut self, tile: usize) -> &mut TileTrace {
-        if tile >= self.trace.tiles.len() {
-            self.trace.tiles.resize(tile + 1, TileTrace::default());
+        if tile >= self.tiles.len() {
+            self.tiles.resize(tile + 1, TileTrace::default());
         }
-        &mut self.trace.tiles[tile]
+        &mut self.tiles[tile]
     }
 }
 
@@ -236,11 +256,7 @@ impl TraceSink for TraceRecorder {
     }
 
     fn on_mem(&mut self, tile: usize, inst: InstId, addr: u64, size: u8, write: bool) {
-        self.tile_mut(tile)
-            .mem
-            .entry(inst)
-            .or_default()
-            .push(MemAccess { addr, size, write });
+        stream_mut(&mut self.tile_mut(tile).mem, inst).push(MemAccess { addr, size, write });
     }
 
     fn on_accel(&mut self, tile: usize, inst: InstId, accel: AccelOp, args: &[i64]) {
@@ -250,12 +266,71 @@ impl TraceSink for TraceRecorder {
             args: args.to_vec(),
         };
         let t = self.tile_mut(tile);
-        t.accel.entry(inst).or_default().push(inv.clone());
+        stream_mut(&mut t.accel, inst).push(inv.clone());
         t.accel_order.push(inv);
     }
 
     fn on_retire(&mut self, tile: usize) {
         self.tile_mut(tile).retired += 1;
+    }
+}
+
+/// Replay position in one tile's trace, without a borrow of the trace:
+/// how far along the control-flow path the replay is, and how many
+/// entries of each static instruction's memory or accelerator stream it
+/// has consumed. [`TileTraceCursor`] pairs it with its trace; a tile model
+/// that owns its trace embeds it directly and checkpoints it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CursorPos {
+    /// Blocks consumed from the control-flow path.
+    pub path_pos: usize,
+    /// Entries consumed per stream, indexed by `InstId` (an instruction
+    /// has a memory stream or an accelerator stream, never both).
+    pub stream_pos: Vec<u32>,
+}
+
+impl CursorPos {
+    /// The position at the start of `trace`.
+    pub fn new(trace: &TileTrace) -> Self {
+        CursorPos {
+            path_pos: 0,
+            stream_pos: vec![0; trace.mem.len().max(trace.accel.len())],
+        }
+    }
+
+    /// The block `k` entries ahead on the path, without consuming it.
+    pub fn peek_block_at(&self, trace: &TileTrace, k: usize) -> Option<BlockId> {
+        trace.path.get(self.path_pos + k).copied()
+    }
+
+    /// Consumes and returns the next block on the path.
+    pub fn next_block(&mut self, trace: &TileTrace) -> Option<BlockId> {
+        let b = self.peek_block_at(trace, 0);
+        self.path_pos += usize::from(b.is_some());
+        b
+    }
+
+    /// Index of the next unconsumed entry of `inst`'s `len`-entry stream,
+    /// consuming it; `None` when the stream is exhausted.
+    fn advance(&mut self, inst: InstId, len: usize) -> Option<usize> {
+        let pos = self.stream_pos.get_mut(inst.index())?;
+        let at = *pos as usize;
+        (at < len).then(|| {
+            *pos += 1;
+            at
+        })
+    }
+
+    /// Consumes the next dynamic access of memory instruction `inst`.
+    pub fn next_mem(&mut self, trace: &TileTrace, inst: InstId) -> Option<MemAccess> {
+        let stream = trace.mem_stream(inst);
+        self.advance(inst, stream.len()).map(|at| stream[at])
+    }
+
+    /// Consumes the next dynamic invocation of accelerator call site
+    /// `inst`, returning its index in [`TileTrace::accel_stream`].
+    pub fn next_accel(&mut self, trace: &TileTrace, inst: InstId) -> Option<usize> {
+        self.advance(inst, trace.accel_stream(inst).len())
     }
 }
 
@@ -265,9 +340,7 @@ impl TraceSink for TraceRecorder {
 #[derive(Debug)]
 pub struct TileTraceCursor<'t> {
     trace: &'t TileTrace,
-    path_pos: usize,
-    mem_pos: HashMap<InstId, usize>,
-    accel_pos: HashMap<InstId, usize>,
+    pos: CursorPos,
 }
 
 impl<'t> TileTraceCursor<'t> {
@@ -275,40 +348,34 @@ impl<'t> TileTraceCursor<'t> {
     pub fn new(trace: &'t TileTrace) -> Self {
         TileTraceCursor {
             trace,
-            path_pos: 0,
-            mem_pos: HashMap::new(),
-            accel_pos: HashMap::new(),
+            pos: CursorPos::new(trace),
         }
     }
 
     /// The next basic block on the control-flow path without consuming it.
     pub fn peek_block(&self) -> Option<BlockId> {
-        self.trace.path.get(self.path_pos).copied()
+        self.pos.peek_block_at(self.trace, 0)
     }
 
     /// Looks `k` blocks ahead on the path (0 = same as
     /// [`peek_block`](Self::peek_block)).
     pub fn peek_block_at(&self, k: usize) -> Option<BlockId> {
-        self.trace.path.get(self.path_pos + k).copied()
+        self.pos.peek_block_at(self.trace, k)
     }
 
     /// Consumes and returns the next block on the path.
     pub fn next_block(&mut self) -> Option<BlockId> {
-        let b = self.peek_block();
-        if b.is_some() {
-            self.path_pos += 1;
-        }
-        b
+        self.pos.next_block(self.trace)
     }
 
     /// Number of blocks consumed so far.
     pub fn blocks_consumed(&self) -> usize {
-        self.path_pos
+        self.pos.path_pos
     }
 
     /// Whether the whole path has been consumed.
     pub fn is_done(&self) -> bool {
-        self.path_pos >= self.trace.path.len()
+        self.pos.path_pos >= self.trace.path.len()
     }
 
     /// Consumes the next dynamic access of static memory instruction
@@ -317,23 +384,14 @@ impl<'t> TileTraceCursor<'t> {
     /// Returns `None` if the instruction has no further recorded accesses
     /// (which indicates a replay/trace mismatch).
     pub fn next_mem(&mut self, inst: InstId) -> Option<MemAccess> {
-        let pos = self.mem_pos.entry(inst).or_insert(0);
-        let a = self.trace.mem_stream(inst).get(*pos).copied();
-        if a.is_some() {
-            *pos += 1;
-        }
-        a
+        self.pos.next_mem(self.trace, inst)
     }
 
     /// Consumes the next dynamic invocation of accelerator call site
     /// `inst`.
     pub fn next_accel(&mut self, inst: InstId) -> Option<&'t AccelInvocation> {
-        let pos = self.accel_pos.entry(inst).or_insert(0);
-        let a = self.trace.accel_stream(inst).get(*pos);
-        if a.is_some() {
-            *pos += 1;
-        }
-        a
+        let at = self.pos.next_accel(self.trace, inst)?;
+        Some(&self.trace.accel_stream(inst)[at])
     }
 }
 
