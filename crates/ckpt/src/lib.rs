@@ -29,18 +29,23 @@
 
 use std::fmt;
 use std::fs::File;
-use std::io::{Read, Write};
-use std::path::Path;
+use std::io::{BufWriter, Read, Write};
+use std::path::{Path, PathBuf};
 
 /// Magic bytes identifying a MosaicSim checkpoint file.
 pub const MAGIC: &[u8; 4] = b"MCKP";
 
 /// Current checkpoint format version. Version 2 changed the `tile.<slot>`
-/// section layout (dense in-flight ring, request ring).
-pub const VERSION: u32 = 2;
+/// section layout (dense in-flight ring, request ring); version 3 the
+/// cache records inside `mem` (valid ways only).
+pub const VERSION: u32 = 3;
 
 /// Longest string the decoder will accept (tile names, section names).
 const MAX_STR: u64 = 4096;
+
+/// Fewest bytes a section occupies: the `u64` length prefixes of its name
+/// and of its body.
+const SECTION_MIN: usize = 16;
 
 /// Errors from encoding, decoding, or file I/O of checkpoints.
 #[derive(Debug)]
@@ -234,6 +239,12 @@ impl Enc {
         self.u64(b.len() as u64);
         self.buf.extend_from_slice(b);
     }
+
+    /// Writes `b` as it is (a fixed-size field whose length the reader
+    /// already knows; [`Dec::raw`] reads it back).
+    pub fn raw(&mut self, b: &[u8]) {
+        self.buf.extend_from_slice(b);
+    }
 }
 
 /// Little-endian byte decoder over a borrowed buffer. Every read returns
@@ -260,7 +271,16 @@ impl<'a> Dec<'a> {
         self.pos == self.data.len()
     }
 
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], CkptError> {
+    /// How many of `count` records of at least `min_bytes` each to
+    /// reserve room for: a count read from the data is a claim, and the
+    /// bytes left bound how many records can really follow.
+    pub fn reserve_for(&self, count: usize, min_bytes: usize) -> usize {
+        count.min(self.remaining() / min_bytes.max(1))
+    }
+
+    /// Reads `n` raw bytes (a fixed-size field whose length the reader
+    /// already knows).
+    pub fn raw(&mut self, n: usize, what: &str) -> Result<&'a [u8], CkptError> {
         if self.data.len() - self.pos < n {
             return Err(CkptError::Truncated {
                 context: what.to_string(),
@@ -273,7 +293,7 @@ impl<'a> Dec<'a> {
 
     /// Reads one byte.
     pub fn u8(&mut self, what: &str) -> Result<u8, CkptError> {
-        Ok(self.take(1, what)?[0])
+        Ok(self.raw(1, what)?[0])
     }
 
     /// Reads a `bool` (rejecting anything but 0/1).
@@ -287,13 +307,13 @@ impl<'a> Dec<'a> {
 
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self, what: &str) -> Result<u32, CkptError> {
-        let b = self.take(4, what)?;
+        let b = self.raw(4, what)?;
         Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
     }
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self, what: &str) -> Result<u64, CkptError> {
-        let b = self.take(8, what)?;
+        let b = self.raw(8, what)?;
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
@@ -305,7 +325,7 @@ impl<'a> Dec<'a> {
 
     /// Reads a little-endian `i64`.
     pub fn i64(&mut self, what: &str) -> Result<i64, CkptError> {
-        let b = self.take(8, what)?;
+        let b = self.raw(8, what)?;
         Ok(i64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
@@ -331,7 +351,7 @@ impl<'a> Dec<'a> {
                 "{what}: string length {len} implausibly long"
             )));
         }
-        let b = self.take(len as usize, what)?;
+        let b = self.raw(len as usize, what)?;
         String::from_utf8(b.to_vec())
             .map_err(|_| CkptError::corrupt(format!("{what}: invalid UTF-8")))
     }
@@ -341,7 +361,7 @@ impl<'a> Dec<'a> {
         let len = self.u64(what)?;
         let len = usize::try_from(len)
             .map_err(|_| CkptError::corrupt(format!("{what}: blob length {len} overflows")))?;
-        self.take(len, what)
+        self.raw(len, what)
     }
 }
 
@@ -419,8 +439,16 @@ impl Checkpoint {
     /// Serializes the container: magic, version, cycle, fingerprint,
     /// section count, then each section as (name, `u64` length, bytes).
     pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.write_to(&mut out).expect("writing to a Vec cannot fail");
+        out
+    }
+
+    /// Writes the container to `w`, section bodies straight from where
+    /// they are held.
+    fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
         let mut e = Enc::new();
-        e.buf.extend_from_slice(MAGIC);
+        e.raw(MAGIC);
         e.u32(VERSION);
         e.u64(self.cycle);
         e.u32(self.fingerprint.len() as u32);
@@ -430,9 +458,12 @@ impl Checkpoint {
         e.u32(self.sections.len() as u32);
         for (name, bytes) in &self.sections {
             e.str(name);
-            e.bytes(bytes);
+            e.u64(bytes.len() as u64);
+            w.write_all(&e.buf)?;
+            w.write_all(bytes)?;
+            e.buf.clear();
         }
-        e.into_bytes()
+        w.write_all(&e.buf)
     }
 
     /// Parses a container from `data`; `label` names the source in errors
@@ -440,7 +471,7 @@ impl Checkpoint {
     pub fn from_bytes(data: &[u8], label: &str) -> Result<Self, CkptError> {
         let (cycle, fingerprint, mut d) = Self::read_header(data, label)?;
         let nsections = d.u32("section count")?;
-        let mut sections = Vec::with_capacity(nsections as usize);
+        let mut sections = Vec::with_capacity(d.reserve_for(nsections as usize, SECTION_MIN));
         for _ in 0..nsections {
             let name = d.str("section name")?;
             let bytes = d.bytes(&format!("section '{name}'"))?.to_vec();
@@ -460,7 +491,7 @@ impl Checkpoint {
         label: &str,
     ) -> Result<(u64, Vec<String>, Dec<'a>), CkptError> {
         let mut d = Dec::new(data);
-        let magic = d.take(4, "magic")?;
+        let magic = d.raw(4, "magic")?;
         if magic != MAGIC {
             let mut found = [0u8; 4];
             found.copy_from_slice(magic);
@@ -480,7 +511,8 @@ impl Checkpoint {
         }
         let cycle = d.u64("cycle")?;
         let ntiles = d.u32("tile count")?;
-        let mut fingerprint = Vec::with_capacity(ntiles as usize);
+        // A name is at least its `u64` length prefix.
+        let mut fingerprint = Vec::with_capacity(d.reserve_for(ntiles as usize, 8));
         for i in 0..ntiles {
             fingerprint.push(d.str(&format!("tile name {i}"))?);
         }
@@ -493,11 +525,11 @@ impl Checkpoint {
     pub fn inspect_bytes(data: &[u8], label: &str) -> Result<InspectSummary, CkptError> {
         let (cycle, fingerprint, mut d) = Self::read_header(data, label)?;
         let nsections = d.u32("section count")?;
-        let mut table = Vec::with_capacity(nsections as usize);
+        let mut table = Vec::with_capacity(d.reserve_for(nsections as usize, SECTION_MIN));
         for _ in 0..nsections {
             let name = d.str("section name")?;
             let len = d.u64(&format!("section '{name}' length"))?;
-            d.take(
+            d.raw(
                 usize::try_from(len).map_err(|_| {
                     CkptError::corrupt(format!("section '{name}': length {len} overflows"))
                 })?,
@@ -508,15 +540,38 @@ impl Checkpoint {
         Ok((cycle, fingerprint, table))
     }
 
-    /// Writes the checkpoint to `path`.
+    /// Writes the checkpoint to `path` without ever exposing a partial
+    /// file there: the bytes go to `<path>.tmp` in the same directory,
+    /// which is renamed over `path` only once it is complete and flushed.
+    /// A failed write, or the process dying mid-write, leaves the previous
+    /// file at `path` (the only snapshot, under periodic checkpointing) as
+    /// it was. The file is not `fsync`ed — a periodic snapshot must not
+    /// cost a disk barrier — so this does not cover power loss.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CkptError::Io`] naming the file the failed operation
+    /// was on.
     pub fn save(&self, path: &Path) -> Result<(), CkptError> {
-        let io = |source| CkptError::Io {
-            path: path.display().to_string(),
+        let io = |at: &Path, source| CkptError::Io {
+            path: at.display().to_string(),
             source,
         };
-        let mut f = File::create(path).map_err(io)?;
-        f.write_all(&self.to_bytes()).map_err(io)?;
-        Ok(())
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
+        let written = File::create(&tmp).and_then(|f| {
+            let mut w = BufWriter::new(f);
+            self.write_to(&mut w)?;
+            w.flush()
+        });
+        let saved = written
+            .map_err(|e| io(&tmp, e))
+            .and_then(|()| std::fs::rename(&tmp, path).map_err(|e| io(path, e)));
+        if saved.is_err() {
+            std::fs::remove_file(&tmp).ok();
+        }
+        saved
     }
 
     /// Reads a checkpoint from `path`.
@@ -654,6 +709,75 @@ mod tests {
                 "cut at {cut}: {err}"
             );
         }
+    }
+
+    /// Counts come from the file; the reader must find out that nothing
+    /// follows them, not reserve room for four billion entries first.
+    #[test]
+    fn oversized_counts_are_truncation_not_allocation() {
+        let mut header = Enc::new();
+        header.raw(MAGIC);
+        header.u32(VERSION);
+        header.u64(7);
+        let mut tiles = header.into_bytes();
+        let mut sections = tiles.clone();
+        tiles.extend(u32::MAX.to_le_bytes());
+        assert_eq!(tiles.len(), 20);
+        sections.extend(0u32.to_le_bytes());
+        sections.extend(u32::MAX.to_le_bytes());
+
+        let path = std::env::temp_dir().join("mosaic_ckpt_oversized_count.mckpt");
+        for bytes in [tiles, sections] {
+            std::fs::write(&path, &bytes).unwrap();
+            let errors = [
+                Checkpoint::from_bytes(&bytes, "crafted").unwrap_err(),
+                Checkpoint::inspect_bytes(&bytes, "crafted").unwrap_err(),
+                Checkpoint::load(&path).unwrap_err(),
+            ];
+            for err in errors {
+                assert!(matches!(err, CkptError::Truncated { .. }), "{err}");
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn reserve_for_is_bounded_by_the_bytes_left() {
+        let d = Dec::new(&[0; 40]);
+        assert_eq!(d.reserve_for(3, 8), 3);
+        assert_eq!(d.reserve_for(usize::MAX, 8), 5);
+        assert_eq!(d.reserve_for(usize::MAX, 0), 40);
+    }
+
+    /// `save` replaces the file at `path` in one step: the previous
+    /// snapshot is there until the new one is complete, and no `.tmp` is
+    /// left behind.
+    #[test]
+    fn save_over_an_existing_checkpoint_is_atomic() {
+        let path = std::env::temp_dir().join("mosaic_ckpt_atomic_save.mckpt");
+        let tmp = std::env::temp_dir().join("mosaic_ckpt_atomic_save.mckpt.tmp");
+        let first = sample();
+        first.save(&path).unwrap();
+        let mut second = sample();
+        second.add_section("extra", Enc::new());
+        second.save(&path).unwrap();
+        assert_eq!(Checkpoint::load(&path).unwrap(), second);
+        assert!(!tmp.exists(), "save left {} behind", tmp.display());
+
+        // A write that cannot happen (the temporary's name is taken by a
+        // directory) reports the file it failed on and leaves the
+        // previous snapshot as it was.
+        std::fs::create_dir(&tmp).unwrap();
+        let err = first.save(&path).unwrap_err();
+        std::fs::remove_dir(&tmp).unwrap();
+        match &err {
+            CkptError::Io { path: named, .. } => {
+                assert!(named.contains("mosaic_ckpt_atomic_save.mckpt"), "{named}")
+            }
+            other => panic!("wrong error: {other}"),
+        }
+        assert_eq!(Checkpoint::load(&path).unwrap(), second);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

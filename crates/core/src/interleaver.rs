@@ -626,14 +626,14 @@ impl Interleaver {
         while self.next_ckpt <= self.now {
             self.next_ckpt += every;
         }
-        if let Some(path) = self.ckpt_path.clone() {
-            self.save_checkpoint()
-                .save(&path)
-                .map_err(|e| SimError::Checkpoint {
-                    message: e.to_string(),
-                })?;
-        }
-        Ok(())
+        let Some(path) = &self.ckpt_path else {
+            return Ok(());
+        };
+        self.save_checkpoint()
+            .save(path)
+            .map_err(|e| SimError::Checkpoint {
+                message: e.to_string(),
+            })
     }
 
     /// Snapshots the complete simulator state — every tile's

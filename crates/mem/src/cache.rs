@@ -275,10 +275,60 @@ impl Cache {
     }
 }
 
+/// Packs `bits` eight to a byte, the first in the lowest bit.
+fn pack_bits(bits: impl Iterator<Item = bool>) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(bits.size_hint().0.div_ceil(8));
+    let (mut byte, mut n) = (0u8, 0usize);
+    for bit in bits {
+        byte |= u8::from(bit) << (n % 8);
+        n += 1;
+        if n % 8 == 0 {
+            bytes.push(std::mem::take(&mut byte));
+        }
+    }
+    if n % 8 != 0 {
+        bytes.push(byte);
+    }
+    bytes
+}
+
+/// Reads a bitmap of `nbits` bits packed by [`pack_bits`], refusing
+/// set bits past its end.
+fn decode_bits<'a>(
+    d: &mut mosaic_ckpt::Dec<'a>,
+    nbits: usize,
+    what: &str,
+) -> Result<&'a [u8], mosaic_ckpt::CkptError> {
+    let bytes = d.raw(nbits.div_ceil(8), what)?;
+    match bytes.last() {
+        Some(&last) if !nbits.is_multiple_of(8) && last >> (nbits % 8) != 0 => Err(
+            mosaic_ckpt::CkptError::corrupt(format!("{what}: bits set past bit {nbits}")),
+        ),
+        _ => Ok(bytes),
+    }
+}
+
+fn bit(bitmap: &[u8], i: usize) -> bool {
+    bitmap[i / 8] >> (i % 8) & 1 != 0
+}
+
+/// The indices of the set bits of `bitmap`, ascending. Bytes without a
+/// set bit cost one compare, so walking the valid ways of a mostly empty
+/// cache is cheap.
+fn set_bits(bitmap: &[u8]) -> impl Iterator<Item = usize> + '_ {
+    let bytes = bitmap.iter().enumerate().filter(|&(_, &byte)| byte != 0);
+    bytes.flat_map(|(i, &byte)| (0..8).filter(move |k| byte >> k & 1 != 0).map(move |k| i * 8 + k))
+}
+
 impl Cache {
-    /// Serializes tag-array contents and counters. The configuration is
-    /// not written — a restored cache keeps the geometry it was rebuilt
-    /// with, and [`Cache::restore_from`] verifies it matches.
+    /// Serializes the counters and the valid ways: geometry, the number
+    /// of valid ways, a validity bitmap over all ways, a dirty bitmap
+    /// over the valid ones, then `(tag, last_use)` per valid way in index
+    /// order. An untouched cache costs a bit per way and a full one two
+    /// bits and 16 bytes, so the record tracks what a run touched, not
+    /// what was configured. The configuration is not written — a restored
+    /// cache keeps the geometry it was rebuilt with, and
+    /// [`Cache::restore_from`] verifies it matches.
     pub(crate) fn encode_into(&self, e: &mut mosaic_ckpt::Enc) {
         e.u64(self.tick);
         e.u64(self.hits);
@@ -286,22 +336,27 @@ impl Cache {
         e.u64(self.accesses);
         e.u32(self.config.sets() as u32);
         e.u32(self.config.ways());
-        for w in 0..self.tags.len() {
+        let valid = pack_bits(self.state.iter().map(|st| st & VALID != 0));
+        e.u32(valid.iter().map(|byte| byte.count_ones()).sum());
+        e.raw(&valid);
+        e.raw(&pack_bits(set_bits(&valid).map(|w| self.state[w] & DIRTY != 0)));
+        for w in set_bits(&valid) {
             e.u64(self.tags[w]);
-            e.bool(self.state[w] & VALID != 0);
-            e.bool(self.state[w] & DIRTY != 0);
             e.u64(self.last_use[w]);
         }
     }
 
+    /// Replaces the cache's contents and counters with a record written
+    /// by [`Cache::encode_into`]; ways the record does not name become
+    /// invalid, whatever the cache held before.
     pub(crate) fn restore_from(
         &mut self,
         d: &mut mosaic_ckpt::Dec<'_>,
     ) -> Result<(), mosaic_ckpt::CkptError> {
-        self.tick = d.u64("cache tick")?;
-        self.hits = d.u64("cache hits")?;
-        self.misses = d.u64("cache misses")?;
-        self.accesses = d.u64("cache accesses")?;
+        let tick = d.u64("cache tick")?;
+        let hits = d.u64("cache hits")?;
+        let misses = d.u64("cache misses")?;
+        let accesses = d.u64("cache accesses")?;
         let sets = u64::from(d.u32("cache set count")?);
         let ways = d.u32("cache way count")?;
         if sets != self.config.sets() || ways != self.config.ways() {
@@ -312,17 +367,28 @@ impl Cache {
                 self.config.ways(),
             )));
         }
-        for w in 0..self.tags.len() {
-            self.tags[w] = d.u64("cache way tag")?;
-            let valid = d.bool("cache way valid")?;
-            let dirty = d.bool("cache way dirty")?;
-            self.state[w] = if valid { VALID } else { 0 } | if dirty { DIRTY } else { 0 };
-            self.last_use[w] = d.u64("cache way last_use")?;
+        let count = d.u32("cache valid-way count")? as usize;
+        let valid = decode_bits(d, self.state.len(), "cache validity bitmap")?;
+        let marked: usize = valid.iter().map(|b| b.count_ones() as usize).sum();
+        if marked != count {
+            return Err(mosaic_ckpt::CkptError::corrupt(format!(
+                "cache {}: validity bitmap marks {marked} ways, record holds {count}",
+                self.config.name()
+            )));
         }
+        let dirty = decode_bits(d, count, "cache dirty bitmap")?;
+        // Whatever the cache held becomes invalid; nothing reads the tag
+        // or age of an invalid way, so those arrays need no clearing.
+        self.state.fill(0);
+        for (k, w) in set_bits(valid).enumerate() {
+            self.tags[w] = d.u64("cache way tag")?;
+            self.last_use[w] = d.u64("cache way last_use")?;
+            self.state[w] = VALID | if bit(dirty, k) { DIRTY } else { 0 };
+        }
+        (self.tick, self.hits, self.misses, self.accesses) = (tick, hits, misses, accesses);
         Ok(())
     }
 }
-
 
 #[cfg(test)]
 mod tests {
@@ -395,6 +461,132 @@ mod tests {
         assert_eq!(c.misses(), 1);
         assert_eq!(c.hits(), 2);
         assert!((c.miss_ratio() - 1.0 / 3.0).abs() < 1e-12);
+    }
+
+    fn encoded(c: &Cache) -> Vec<u8> {
+        let mut e = mosaic_ckpt::Enc::new();
+        c.encode_into(&mut e);
+        e.into_bytes()
+    }
+
+    fn restore(c: &mut Cache, bytes: &[u8]) -> Result<(), mosaic_ckpt::CkptError> {
+        let mut d = mosaic_ckpt::Dec::new(bytes);
+        c.restore_from(&mut d)?;
+        assert!(d.is_exhausted(), "record has trailing bytes");
+        Ok(())
+    }
+
+    /// Bytes of the version-2 record: counters and geometry, then 18 per
+    /// way whether valid or not.
+    fn dense_record_bytes(c: &Cache) -> usize {
+        40 + 18 * c.state.len()
+    }
+
+    /// Fills every way of `c`, keeps evicting and dirtying, then
+    /// invalidates some lines, so validity, dirty bits and ages all vary by
+    /// way.
+    fn churn(c: &mut Cache) {
+        let lines = 3 * c.state.len() as u64;
+        for i in 0..lines {
+            let addr = (i * 7 % lines) * 64;
+            if c.access(addr, i % 3 == 0) == LookupResult::Miss {
+                c.fill(addr, i % 5 == 0);
+            }
+        }
+        for line in (0..lines).step_by(5) {
+            c.invalidate(line * 64);
+        }
+    }
+
+    #[test]
+    fn record_holds_valid_ways_only() {
+        // 512 sets x 8 ways.
+        let config = CacheConfig::new("c", 256 * 1024);
+        let untouched = Cache::new(config.clone());
+        assert!(encoded(&untouched).len() * 100 < dense_record_bytes(&untouched));
+
+        // Full, the sparse record is still the smaller, down to a cache of
+        // a few ways.
+        for mut full in [Cache::new(config), tiny()] {
+            for line in 0..full.state.len() as u64 {
+                full.fill(line * 64, line % 2 == 0);
+            }
+            assert!(full.state.iter().all(|st| st & VALID != 0));
+            assert!(encoded(&full).len() <= dense_record_bytes(&full));
+        }
+    }
+
+    #[test]
+    fn restore_reproduces_a_churned_cache_whatever_the_target_held() {
+        let mut c = Cache::new(CacheConfig::new("c", 4096).with_ways(4));
+        churn(&mut c);
+        assert!(c.state.contains(&(VALID | DIRTY)));
+        assert!(c.state.iter().any(|&st| st & VALID == 0));
+        let bytes = encoded(&c);
+
+        let mut fresh = Cache::new(c.config.clone());
+        restore(&mut fresh, &bytes).unwrap();
+        // A target that has run on holds valid ways the record does not
+        // name; they must not survive the restore.
+        let mut used = c.clone();
+        for line in 0..64 {
+            used.fill(0x10_0000 + line * 64, true);
+        }
+        restore(&mut used, &bytes).unwrap();
+
+        for back in [&mut fresh, &mut used] {
+            assert_eq!(encoded(back), bytes);
+            // From here on they behave as the original does.
+            let mut orig = c.clone();
+            for i in 0..200u64 {
+                let addr = (i * 13 % 97) * 64;
+                assert_eq!(back.access(addr, false), orig.access(addr, false));
+                assert_eq!(back.fill(addr, i % 2 == 0), orig.fill(addr, i % 2 == 0));
+            }
+            assert_eq!(encoded(back), encoded(&orig));
+        }
+    }
+
+    #[test]
+    fn corrupt_records_are_typed_errors() {
+        use mosaic_ckpt::CkptError;
+        let mut c = tiny();
+        c.fill(0x0000, true);
+        c.fill(0x0040, false);
+        let good = encoded(&c);
+        // Layout: 4 counters, sets, ways, count at 40, validity bitmap
+        // (8 ways: one byte) at 44, dirty bitmap at 45, records from 46.
+        assert_eq!(good.len(), 46 + 2 * 16);
+        let mut target = tiny();
+        restore(&mut target, &good).unwrap();
+
+        let with = |at: usize, byte: u8| {
+            let mut bytes = good.clone();
+            bytes[at] = byte;
+            bytes
+        };
+        // A valid bit without a record.
+        let err = restore(&mut target, &with(44, good[44] | 0x80)).unwrap_err();
+        assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
+        // A record count that is not the bitmap's population.
+        let err = restore(&mut target, &with(40, 3)).unwrap_err();
+        assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
+        // More valid ways than the cache has.
+        let err = restore(&mut target, &with(40, 9)).unwrap_err();
+        assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
+        // A dirty bit for a way past the last valid one.
+        let err = restore(&mut target, &with(45, 0x04)).unwrap_err();
+        assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
+        // Another cache's geometry.
+        let err = restore(&mut target, &with(36, 4)).unwrap_err();
+        assert!(matches!(err, CkptError::Mismatch { .. }), "{err}");
+        // Cut anywhere, the record is truncated, never a panic.
+        for cut in 0..good.len() {
+            let err = target
+                .restore_from(&mut mosaic_ckpt::Dec::new(&good[..cut]))
+                .unwrap_err();
+            assert!(matches!(err, CkptError::Truncated { .. }), "cut at {cut}: {err}");
+        }
     }
 
     #[test]

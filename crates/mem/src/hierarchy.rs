@@ -16,7 +16,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-use mosaic_obs::{Log2Histogram, ObsLevel, StatsRegistry, Timeline};
+use mosaic_obs::{Log2Histogram, ObsLevel, SpanName, StatsRegistry, Timeline};
 
 use crate::banked::{BankedDram, BankedDramConfig};
 use crate::cache::{Cache, CacheConfig};
@@ -138,6 +138,10 @@ struct ReqState {
     line: u64,
     kind: AccessKind,
     writeback: bool,
+    /// When the request was issued and when it entered DRAM service (0
+    /// until it does): the starts of its timeline spans.
+    issued_at: u64,
+    dram_at: u64,
 }
 
 /// Aggregate hierarchy statistics for reports and the energy model.
@@ -208,7 +212,6 @@ pub struct MemoryHierarchy {
     prefetchers: Vec<StreamPrefetcher>,
     dram_simple: Option<SimpleDram>,
     dram_banked: Option<BankedDram>,
-    dram_addr: HashMap<ReqId, u64>,
     events: BinaryHeap<Reverse<(u64, u64, Event)>>,
     seq: u64,
     next_id: u64,
@@ -218,11 +221,6 @@ pub struct MemoryHierarchy {
     atomic_free_at: u64,
     obs: ObsLevel,
     timeline: Timeline,
-    /// Issue cycle per in-flight demand request (populated only at
-    /// `ObsLevel::Trace`, for request-lifetime spans).
-    req_issue: HashMap<ReqId, u64>,
-    /// DRAM service entry cycle per in-flight request (Trace only).
-    dram_enter: HashMap<ReqId, u64>,
     /// MSHR occupancy distributions, sampled at every allocation
     /// attempt (populated only at `ObsLevel::Stats` and above).
     occ_l1: Log2Histogram,
@@ -262,7 +260,6 @@ impl MemoryHierarchy {
                 .collect(),
             dram_simple,
             dram_banked,
-            dram_addr: HashMap::new(),
             events: BinaryHeap::new(),
             seq: 0,
             next_id: 0,
@@ -272,8 +269,6 @@ impl MemoryHierarchy {
             atomic_free_at: 0,
             obs: ObsLevel::Off,
             timeline: Timeline::new(),
-            req_issue: HashMap::new(),
-            dram_enter: HashMap::new(),
             occ_l1: Log2Histogram::new(),
             occ_l2: Log2Histogram::new(),
             occ_llc: Log2Histogram::new(),
@@ -454,11 +449,10 @@ impl MemoryHierarchy {
                 line,
                 kind: req.kind,
                 writeback: false,
+                issued_at: now,
+                dram_at: 0,
             },
         );
-        if self.obs.trace_on() && req.kind.wants_completion() {
-            self.req_issue.insert(id, now);
-        }
         match req.kind {
             AccessKind::Atomic => {
                 self.stats.atomics += 1;
@@ -503,13 +497,16 @@ impl MemoryHierarchy {
     fn complete(&mut self, id: ReqId, now: u64) {
         if let Some(st) = self.states.remove(&id) {
             if st.kind.wants_completion() && !st.writeback {
-                if let Some(t0) = self.req_issue.remove(&id) {
+                if self.obs.trace_on() {
                     self.timeline.span(
                         1,
                         st.tile as u32,
                         "mem",
-                        format!("{} line 0x{:x}", kind_label(st.kind), st.line),
-                        t0,
+                        SpanName::MemLine {
+                            kind: kind_label(st.kind),
+                            line: st.line,
+                        },
+                        st.issued_at,
                         now,
                     );
                 }
@@ -580,6 +577,8 @@ impl MemoryHierarchy {
                 line,
                 kind: AccessKind::Write,
                 writeback: true,
+                issued_at: now,
+                dram_at: 0,
             },
         );
         self.schedule(now, Event::DramEnqueue { id });
@@ -712,54 +711,35 @@ impl MemoryHierarchy {
     }
 
     fn dram_enqueue(&mut self, id: ReqId, now: u64) {
-        let Some(st) = self.states.get(&id).copied() else {
+        let Some(st) = self.states.get_mut(&id) else {
             return;
         };
-        if st.writeback {
-            // Writebacks consume bandwidth but nobody waits on them.
-            if let Some(d) = self.dram_simple.as_mut() {
-                d.enqueue(id, now);
-            } else if let Some(d) = self.dram_banked.as_mut() {
-                if !d.try_enqueue(id, st.line, now) {
-                    self.schedule(now + 1, Event::DramEnqueue { id });
-                    return;
-                }
-            }
-            self.dram_addr.insert(id, st.line);
-            if self.obs.trace_on() {
-                self.dram_enter.insert(id, now);
-            }
-            return;
-        }
-        self.stats.dram_reads += 1;
+        // A refused enqueue comes back next cycle and overwrites this.
+        st.dram_at = now;
+        let (line, writeback) = (st.line, st.writeback);
         if let Some(d) = self.dram_simple.as_mut() {
             d.enqueue(id, now);
         } else if let Some(d) = self.dram_banked.as_mut() {
-            if !d.try_enqueue(id, st.line, now) {
-                self.stats.dram_reads -= 1;
+            if !d.try_enqueue(id, line, now) {
                 self.schedule(now + 1, Event::DramEnqueue { id });
                 return;
             }
         }
-        self.dram_addr.insert(id, st.line);
-        if self.obs.trace_on() {
-            self.dram_enter.insert(id, now);
+        // Writebacks consume bandwidth but nobody waits on them.
+        if !writeback {
+            self.stats.dram_reads += 1;
         }
     }
 
     fn dram_complete(&mut self, id: ReqId, now: u64) {
-        let line = self.dram_addr.remove(&id);
-        if let Some(t0) = self.dram_enter.remove(&id) {
-            let lane = self.l1.len() as u32;
-            let name = match line {
-                Some(l) => format!("line 0x{l:x}"),
-                None => "dram".to_string(),
-            };
-            self.timeline.span(1, lane, "dram", name, t0, now);
-        }
         let Some(st) = self.states.get(&id).copied() else {
             return;
         };
+        if self.obs.trace_on() {
+            let lane = self.l1.len() as u32;
+            self.timeline
+                .span(1, lane, "dram", SpanName::DramLine(st.line), st.dram_at, now);
+        }
         if st.writeback {
             self.states.remove(&id);
             return;
@@ -934,18 +914,6 @@ impl MemoryHierarchy {
             (None, None) => e.u8(2),
         }
 
-        let mut addrs: Vec<(u64, u64)> = self
-            .dram_addr
-            .iter()
-            .map(|(id, &line)| (id.0, line))
-            .collect();
-        addrs.sort_unstable();
-        e.u64(addrs.len() as u64);
-        for (id, line) in addrs {
-            e.u64(id);
-            e.u64(line);
-        }
-
         let mut events: Vec<(u64, u64, Event)> =
             self.events.iter().map(|Reverse(t)| *t).collect();
         events.sort_unstable();
@@ -987,6 +955,8 @@ impl MemoryHierarchy {
                 AccessKind::Prefetch => 3,
             });
             e.bool(st.writeback);
+            e.u64(st.issued_at);
+            e.u64(st.dram_at);
         }
 
         e.u64(self.completions.len() as u64);
@@ -1014,28 +984,6 @@ impl MemoryHierarchy {
         e.u64(self.atomic_free_at);
 
         self.timeline.encode_into(e);
-        let mut issue: Vec<(u64, u64)> = self
-            .req_issue
-            .iter()
-            .map(|(id, &t)| (id.0, t))
-            .collect();
-        issue.sort_unstable();
-        e.u64(issue.len() as u64);
-        for (id, t) in issue {
-            e.u64(id);
-            e.u64(t);
-        }
-        let mut enter: Vec<(u64, u64)> = self
-            .dram_enter
-            .iter()
-            .map(|(id, &t)| (id.0, t))
-            .collect();
-        enter.sort_unstable();
-        e.u64(enter.len() as u64);
-        for (id, t) in enter {
-            e.u64(id);
-            e.u64(t);
-        }
         self.occ_l1.encode_into(e);
         self.occ_l2.encode_into(e);
         self.occ_llc.encode_into(e);
@@ -1097,13 +1045,6 @@ impl MemoryHierarchy {
             }
         }
 
-        self.dram_addr.clear();
-        for _ in 0..d.u64("hierarchy dram-addr count")? {
-            let id = ReqId(d.u64("dram-addr id")?);
-            let line = d.u64("dram-addr line")?;
-            self.dram_addr.insert(id, line);
-        }
-
         self.events.clear();
         for _ in 0..d.u64("hierarchy event count")? {
             let cycle = d.u64("event cycle")?;
@@ -1149,16 +1090,15 @@ impl MemoryHierarchy {
                     )))
                 }
             };
-            let writeback = d.bool("state writeback")?;
-            self.states.insert(
-                id,
-                ReqState {
-                    tile,
-                    line,
-                    kind,
-                    writeback,
-                },
-            );
+            let state = ReqState {
+                tile,
+                line,
+                kind,
+                writeback: d.bool("state writeback")?,
+                issued_at: d.u64("state issue cycle")?,
+                dram_at: d.u64("state dram cycle")?,
+            };
+            self.states.insert(id, state);
         }
 
         self.completions.clear();
@@ -1184,18 +1124,6 @@ impl MemoryHierarchy {
         self.atomic_free_at = d.u64("hierarchy atomic_free_at")?;
 
         self.timeline = Timeline::decode_from(d)?;
-        self.req_issue.clear();
-        for _ in 0..d.u64("hierarchy req-issue count")? {
-            let id = ReqId(d.u64("req-issue id")?);
-            let t = d.u64("req-issue cycle")?;
-            self.req_issue.insert(id, t);
-        }
-        self.dram_enter.clear();
-        for _ in 0..d.u64("hierarchy dram-enter count")? {
-            let id = ReqId(d.u64("dram-enter id")?);
-            let t = d.u64("dram-enter cycle")?;
-            self.dram_enter.insert(id, t);
-        }
         self.occ_l1 = Log2Histogram::decode_from(d)?;
         self.occ_l2 = Log2Histogram::decode_from(d)?;
         self.occ_llc = Log2Histogram::decode_from(d)?;

@@ -127,7 +127,7 @@ impl Mshr {
         for _ in 0..d.u32("mshr entry count")? {
             let line = d.u64("mshr line")?;
             let n = d.u32("mshr waiter count")?;
-            let mut waiters = Vec::with_capacity(n as usize);
+            let mut waiters = Vec::with_capacity(d.reserve_for(n as usize, 8));
             for _ in 0..n {
                 waiters.push(ReqId(d.u64("mshr waiter")?));
             }
@@ -161,6 +161,23 @@ mod tests {
         assert_eq!(m.track(0x80, ReqId(2)), MshrOutcome::Full);
         assert_eq!(m.track(0x40, ReqId(3)), MshrOutcome::Coalesced);
         assert_eq!(m.full_stall_count(), 1);
+    }
+
+    /// A waiter count is a claim the remaining bytes must back: a record
+    /// announcing four billion waiters and holding one is truncated, and
+    /// finding that out must not reserve room for the four billion.
+    #[test]
+    fn oversized_waiter_count_is_truncation_not_allocation() {
+        let mut e = mosaic_ckpt::Enc::new();
+        e.u32(1);
+        e.u64(0x40);
+        e.u32(u32::MAX);
+        e.u64(7);
+        let bytes = e.into_bytes();
+        let err = Mshr::new(4)
+            .restore_from(&mut mosaic_ckpt::Dec::new(&bytes))
+            .unwrap_err();
+        assert!(matches!(err, mosaic_ckpt::CkptError::Truncated { .. }), "{err}");
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! those round-trips: objects, arrays, strings (with `\uXXXX`
 //! escapes), numbers, booleans, and null.
 
+use std::fmt::Write;
+
 /// A parsed JSON value.
 ///
 /// Numbers that lex as non-negative integers are kept exact in
@@ -86,20 +88,35 @@ impl JsonValue {
 /// Escapes a string for embedding inside JSON double quotes.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    let _ = Escaped(&mut out).write_str(s);
     out
+}
+
+/// A [`std::fmt::Write`] sink that JSON-escapes everything written
+/// through it, so a `Display` value can be rendered straight into a
+/// document without a temporary `String`.
+pub struct Escaped<'a>(pub &'a mut String);
+
+impl Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        let out = &mut *self.0;
+        if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+            out.push_str(s);
+            return Ok(());
+        }
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+                c => out.push(c),
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Parses a complete JSON document, rejecting trailing garbage.

@@ -18,7 +18,9 @@
 //! * [`IrProfile`] — per-static-instruction attribution of retired
 //!   instructions, stall cycles (by [`StallKind`]), and memory latency
 //!   histograms, keyed by raw `(function, instruction)` ids so this
-//!   crate needs no IR dependency.
+//!   crate needs no IR dependency. Tiles record into a [`ProfileTable`]
+//!   (arrays indexed by instruction id) and build the profile once, at
+//!   report time.
 //!
 //! Recording is gated by [`ObsLevel`]: at [`ObsLevel::Off`] no span or
 //! sample is ever recorded (the hot path pays at most one branch on an
@@ -40,9 +42,9 @@ mod profile;
 mod registry;
 mod timeline;
 
-pub use profile::{InstKey, InstProfile, IrProfile, StallKind, STALL_KINDS};
+pub use profile::{InstKey, InstProfile, IrProfile, ProfileTable, StallKind, STALL_KINDS};
 pub use registry::{Log2Histogram, StatValue, StatsRegistry};
-pub use timeline::{Span, Timeline};
+pub use timeline::{Span, SpanName, Timeline};
 
 /// How much the simulator records while running.
 ///

@@ -164,6 +164,112 @@ impl IrProfile {
     }
 }
 
+/// The recording side of an [`IrProfile`]: one tile's counters in
+/// arrays indexed by the function's dense instruction id, so the
+/// per-cycle path pays an indexed add. Names, keys and the ordered map
+/// are resolved once, by [`ProfileTable::to_profile`].
+///
+/// A row is reported when anything was recorded on it; untouched
+/// instructions are absent from the profile.
+#[derive(Debug, Clone, Default)]
+pub struct ProfileTable {
+    func: u32,
+    retired: Vec<u64>,
+    stalls: Vec<[u64; STALL_KINDS]>,
+    /// Allocated on an instruction's first latency sample, so the
+    /// arrays above stay a few KB (a histogram is ~550 bytes and only
+    /// memory instructions ever own one).
+    mem_lat: Vec<Option<Box<Log2Histogram>>>,
+}
+
+impl ProfileTable {
+    /// An empty table for function `func` with `insts` instructions.
+    pub fn new(func: u32, insts: usize) -> Self {
+        ProfileTable {
+            func,
+            retired: vec![0; insts],
+            stalls: vec![[0; STALL_KINDS]; insts],
+            mem_lat: vec![None; insts],
+        }
+    }
+
+    /// Credits one retirement to instruction `inst`.
+    ///
+    /// # Panics
+    ///
+    /// This and the other recorders panic if `inst` is not an
+    /// instruction of the function the table was sized for.
+    #[inline]
+    pub fn retire(&mut self, inst: u32) {
+        self.retired[inst as usize] += 1;
+    }
+
+    /// Charges `cycles` stall cycles of `kind` to instruction `inst`.
+    #[inline]
+    pub fn stall(&mut self, inst: u32, kind: StallKind, cycles: u64) {
+        self.stalls[inst as usize][kind as usize] += cycles;
+    }
+
+    /// Records one observed memory latency for instruction `inst`.
+    #[inline]
+    pub fn mem_latency(&mut self, inst: u32, latency: u64) {
+        self.mem_lat[inst as usize]
+            .get_or_insert_with(Default::default)
+            .record(latency);
+    }
+
+    /// Forgets everything recorded.
+    pub fn clear(&mut self) {
+        self.retired.fill(0);
+        self.stalls.fill([0; STALL_KINDS]);
+        self.mem_lat.fill(None);
+    }
+
+    /// The recorded rows as an ordered, mergeable report.
+    pub fn to_profile(&self) -> IrProfile {
+        let mut p = IrProfile::new();
+        for (i, (&retired, stalls)) in self.retired.iter().zip(&self.stalls).enumerate() {
+            let mem_lat = self.mem_lat[i].as_deref();
+            if retired != 0 || stalls.iter().any(|&n| n != 0) || mem_lat.is_some() {
+                let row = InstProfile {
+                    retired,
+                    stalls: *stalls,
+                    mem_lat: mem_lat.cloned().unwrap_or_default(),
+                };
+                p.map.insert((self.func, i as u32), row);
+            }
+        }
+        p
+    }
+
+    /// Replaces the table's contents with `profile` (a decoded
+    /// checkpoint), so recording continues where the snapshot left off.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`mosaic_ckpt::CkptError::Corrupt`] when `profile` names
+    /// another function or an instruction past the table's end.
+    pub fn load(&mut self, profile: &IrProfile) -> Result<(), mosaic_ckpt::CkptError> {
+        self.clear();
+        for ((func, inst), row) in profile.iter() {
+            let i = inst as usize;
+            if func != self.func || i >= self.retired.len() {
+                return Err(mosaic_ckpt::CkptError::corrupt(format!(
+                    "profile row ({func}, {inst}) is outside function {} with {} instructions",
+                    self.func,
+                    self.retired.len()
+                )));
+            }
+            self.retired[i] = row.retired;
+            self.stalls[i] = row.stalls;
+            if row.mem_lat.count() != 0 {
+                self.mem_lat[i] = Some(Box::new(row.mem_lat.clone()));
+            }
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,6 +379,111 @@ impl IrProfile {
             p.map.insert((func, inst), e);
         }
         Ok(p)
+    }
+}
+
+#[cfg(test)]
+mod table_tests {
+    use super::*;
+
+    /// SplitMix64.
+    struct Rng(u64);
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+        fn below(&mut self, bound: u64) -> u64 {
+            ((u128::from(self.next()) * u128::from(bound)) >> 64) as u64
+        }
+    }
+
+    const FUNC: u32 = 3;
+    const INSTS: usize = 200;
+
+    /// Applies `events` random recordings over a sparse subset of the
+    /// instruction ids to the table and to the map model alike.
+    fn record(rng: &mut Rng, events: usize, table: &mut ProfileTable, model: &mut IrProfile) {
+        // A seventh of the ids, so most rows stay untouched.
+        let hot: Vec<u32> = (0..INSTS as u32).filter(|i| i % 7 == 2).collect();
+        for _ in 0..events {
+            let inst = hot[rng.below(hot.len() as u64) as usize];
+            match rng.below(3) {
+                0 => {
+                    table.retire(inst);
+                    model.retire((FUNC, inst), 1);
+                }
+                1 => {
+                    let kind = StallKind::all()[rng.below(STALL_KINDS as u64) as usize];
+                    let cycles = 1 + rng.below(1000);
+                    table.stall(inst, kind, cycles);
+                    model.stall((FUNC, inst), kind, cycles);
+                }
+                _ => {
+                    let latency = rng.next() >> rng.below(64);
+                    table.mem_latency(inst, latency);
+                    model.mem_latency((FUNC, inst), latency);
+                }
+            }
+        }
+    }
+
+    /// The dense table is the map-backed profile by another layout: same
+    /// keys (untouched instructions absent), counters, histogram moments
+    /// and buckets — alone, merged across tiles, and through a checkpoint.
+    #[test]
+    fn dense_table_matches_the_map_model() {
+        for seed in 0..20 {
+            let mut rng = Rng(seed);
+            let mut table = ProfileTable::new(FUNC, INSTS);
+            let mut model = IrProfile::new();
+            record(&mut rng, 2000, &mut table, &mut model);
+            assert_eq!(table.to_profile(), model, "seed {seed}");
+            assert!(model.len() < INSTS / 6, "seed {seed}: the id subset is not sparse");
+
+            // Two tiles running the same function merge as their models do.
+            let mut other = ProfileTable::new(FUNC, INSTS);
+            let mut other_model = IrProfile::new();
+            record(&mut rng, 500, &mut other, &mut other_model);
+            let mut merged = table.to_profile();
+            merged.merge(&other.to_profile());
+            let mut merged_model = model.clone();
+            merged_model.merge(&other_model);
+            assert_eq!(merged, merged_model, "seed {seed}: merge");
+
+            // Encode, decode into a table that already holds other rows,
+            // and carry on: the same as never having stopped.
+            let mut e = mosaic_ckpt::Enc::new();
+            table.to_profile().encode_into(&mut e);
+            let bytes = e.into_bytes();
+            let decoded = IrProfile::decode_from(&mut mosaic_ckpt::Dec::new(&bytes)).unwrap();
+            other.load(&decoded).unwrap();
+            assert_eq!(other.to_profile(), model, "seed {seed}: reload");
+            let mut rng_a = Rng(seed ^ 0xabcd);
+            let mut rng_b = Rng(seed ^ 0xabcd);
+            let mut straight_model = model.clone();
+            record(&mut rng_a, 1000, &mut table, &mut straight_model);
+            record(&mut rng_b, 1000, &mut other, &mut model);
+            assert_eq!(other.to_profile(), table.to_profile(), "seed {seed}: resumed");
+            assert_eq!(other.to_profile(), model, "seed {seed}: resumed against the model");
+
+            table.clear();
+            assert!(table.to_profile().is_empty());
+        }
+    }
+
+    #[test]
+    fn load_refuses_rows_the_table_has_no_place_for() {
+        let mut table = ProfileTable::new(FUNC, 4);
+        for key in [(FUNC, 4), (FUNC + 1, 0)] {
+            let mut p = IrProfile::new();
+            p.retire(key, 1);
+            let err = table.load(&p).unwrap_err();
+            assert!(matches!(err, mosaic_ckpt::CkptError::Corrupt { .. }), "{err}");
+        }
     }
 }
 

@@ -490,15 +490,8 @@ impl Log2Histogram {
         e.u64(self.sum);
         e.u64(self.min);
         e.u64(self.max);
-        let nonzero: Vec<(usize, u64)> = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n != 0)
-            .map(|(i, &n)| (i, n))
-            .collect();
-        e.u32(nonzero.len() as u32);
-        for (i, n) in nonzero {
+        e.u32(self.nonzero_buckets().count() as u32);
+        for (i, n) in self.nonzero_buckets() {
             e.u8(i as u8);
             e.u64(n);
         }

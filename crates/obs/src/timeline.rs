@@ -1,8 +1,55 @@
 //! Cycle-timeline span recording and Chrome `trace_event` export.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
-use crate::json;
+use crate::json::Escaped;
+
+/// A span's name, kept in the form it was recorded in and rendered only
+/// when the timeline is exported or checkpointed — recording the
+/// commonest spans neither formats nor allocates.
+#[derive(Debug, Clone)]
+pub enum SpanName {
+    /// A fixed label (`"compute"`, `"stall"`, `"accel invoke"`).
+    Static(&'static str),
+    /// A memory request's lifetime: `"<kind> line 0x<line>"`.
+    MemLine {
+        /// The access kind's label (`"ld"`, `"st"`, …).
+        kind: &'static str,
+        /// The line address.
+        line: u64,
+    },
+    /// A DRAM service interval: `"line 0x<line>"`.
+    DramLine(u64),
+    /// Any other text (per-tile lifetime spans, decoded checkpoints).
+    Owned(String),
+}
+
+impl fmt::Display for SpanName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SpanName::Static(s) => f.write_str(s),
+            SpanName::MemLine { kind, line } => write!(f, "{kind} line 0x{line:x}"),
+            SpanName::DramLine(line) => write!(f, "line 0x{line:x}"),
+            SpanName::Owned(s) => f.write_str(s),
+        }
+    }
+}
+
+/// Names are equal when they render to the same text, whichever form
+/// they were recorded in (a decoded checkpoint holds only `Owned`).
+impl PartialEq for SpanName {
+    fn eq(&self, other: &Self) -> bool {
+        self.to_string() == other.to_string()
+    }
+}
+
+impl Eq for SpanName {}
+
+impl From<&'static str> for SpanName {
+    fn from(s: &'static str) -> Self {
+        SpanName::Static(s)
+    }
+}
 
 /// One half-open span `[start, end)` of simulated cycles on a
 /// (process, thread) track.
@@ -15,7 +62,7 @@ pub struct Span {
     /// Event category (`"tile"`, `"stall"`, `"mem"`, `"accel"`).
     pub cat: &'static str,
     /// Human-readable span name (instruction, stall reason, level).
-    pub name: String,
+    pub name: SpanName,
     /// First cycle covered by the span.
     pub start: u64,
     /// First cycle after the span.
@@ -47,7 +94,7 @@ impl Timeline {
         pid: u32,
         tid: u32,
         cat: &'static str,
-        name: impl Into<String>,
+        name: impl Into<SpanName>,
         start: u64,
         end: u64,
     ) {
@@ -107,42 +154,60 @@ impl Timeline {
     /// `traceEvents` array of complete (`"ph":"X"`) events plus
     /// `process_name`/`thread_name` metadata (`"ph":"M"`) records.
     pub fn to_chrome_json(&self) -> String {
-        let mut s = String::from("{\"traceEvents\":[\n");
-        let mut first = true;
-        for (pid, name) in &self.processes {
-            push_event(&mut s, &mut first, &format!(
-                "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":\"{}\"}}}}",
-                json::escape(name)
-            ));
-        }
-        for (pid, tid, name) in &self.threads {
-            push_event(&mut s, &mut first, &format!(
-                "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":\"{}\"}}}}",
-                json::escape(name)
-            ));
+        // An event is about 80 bytes; reserving up front saves the copies
+        // of growing a multi-megabyte string by doubling.
+        let mut s = String::with_capacity(96 * self.spans.len() + 256);
+        s.push_str("{\"traceEvents\":[\n");
+        let mut sep = "  ";
+        let processes = self.processes.iter().map(|(pid, name)| (pid, &0, "process_name", name));
+        let threads = self.threads.iter().map(|(pid, tid, name)| (pid, tid, "thread_name", name));
+        // `write!` into a `String` cannot fail.
+        for (pid, tid, kind, name) in processes.chain(threads) {
+            let _ = write!(
+                s,
+                "{sep}{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{kind}\",\"args\":{{\"name\":\""
+            );
+            let _ = Escaped(&mut s).write_str(name);
+            s.push_str("\"}}");
+            sep = ",\n  ";
         }
         for sp in &self.spans {
-            push_event(&mut s, &mut first, &format!(
-                "{{\"ph\":\"X\",\"pid\":{},\"tid\":{},\"cat\":\"{}\",\"name\":\"{}\",\"ts\":{},\"dur\":{}}}",
-                sp.pid,
-                sp.tid,
-                sp.cat,
-                json::escape(&sp.name),
-                sp.start,
-                sp.end - sp.start
-            ));
+            s.push_str(sep);
+            s.push_str("{\"ph\":\"X\",\"pid\":");
+            push_decimal(&mut s, sp.pid.into());
+            s.push_str(",\"tid\":");
+            push_decimal(&mut s, sp.tid.into());
+            s.push_str(",\"cat\":\"");
+            s.push_str(sp.cat);
+            s.push_str("\",\"name\":\"");
+            let _ = write!(Escaped(&mut s), "{}", sp.name);
+            s.push_str("\",\"ts\":");
+            push_decimal(&mut s, sp.start);
+            s.push_str(",\"dur\":");
+            push_decimal(&mut s, sp.end - sp.start);
+            s.push('}');
+            sep = ",\n  ";
         }
         s.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
         s
     }
 }
 
-fn push_event(s: &mut String, first: &mut bool, event: &str) {
-    if !*first {
-        s.push_str(",\n");
+/// Appends `v` in decimal. A span has four integers and an export
+/// hundreds of thousands; going through `fmt` for each is most of its
+/// time.
+fn push_decimal(s: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
     }
-    *first = false;
-    let _ = write!(s, "  {event}");
+    s.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 #[cfg(test)]
@@ -168,6 +233,15 @@ mod tests {
         assert_eq!(complete.len(), 2);
         assert_eq!(complete[0].get("dur").unwrap().as_u64(), Some(128));
         assert_eq!(complete[1].get("dur").unwrap().as_u64(), Some(1));
+    }
+
+    #[test]
+    fn decimals_render_as_display_does() {
+        for v in [0, 9, 10, 65_667, u64::from(u32::MAX), u64::MAX] {
+            let mut s = String::new();
+            push_decimal(&mut s, v);
+            assert_eq!(s, v.to_string());
+        }
     }
 
     #[test]
@@ -206,11 +280,14 @@ impl Timeline {
     /// Serializes spans and track metadata into a checkpoint section.
     pub fn encode_into(&self, e: &mut mosaic_ckpt::Enc) {
         e.u64(self.spans.len() as u64);
+        let mut name = String::new();
         for sp in &self.spans {
             e.u32(sp.pid);
             e.u32(sp.tid);
             e.str(sp.cat);
-            e.str(&sp.name);
+            name.clear();
+            let _ = write!(name, "{}", sp.name);
+            e.str(&name);
             e.u64(sp.start);
             e.u64(sp.end);
         }
@@ -242,7 +319,7 @@ impl Timeline {
             let pid = d.u32("span pid")?;
             let tid = d.u32("span tid")?;
             let cat = intern_cat(&d.str("span category")?);
-            let name = d.str("span name")?;
+            let name = SpanName::Owned(d.str("span name")?);
             let start = d.u64("span start")?;
             let end = d.u64("span end")?;
             t.spans.push(Span {

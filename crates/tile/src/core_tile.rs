@@ -28,7 +28,7 @@ use mosaic_ckpt::{CkptError, Dec, Enc};
 use mosaic_ddg::{InstClass, LaunchPlan, MemKind, PlanEdge, StaticDdg};
 use mosaic_ir::{BlockId, FuncId, InstId, Module, Opcode};
 use mosaic_mem::{AccessKind, MemError, MemReq, ReqId};
-use mosaic_obs::{IrProfile, ObsLevel, StallKind, Timeline, STALL_KINDS};
+use mosaic_obs::{IrProfile, ObsLevel, ProfileTable, SpanName, StallKind, Timeline, STALL_KINDS};
 use mosaic_trace::{CursorPos, TileTrace};
 
 use crate::config::{fused_insts, BranchMode, CoreConfig};
@@ -274,9 +274,13 @@ struct PendingReq {
 
 /// Per-cycle stall profile of a fully blocked tile, as `issue()` would
 /// count it: one increment per blocked ready candidate, classified by the
-/// first check that rejected it.
+/// first check that rejected it. The tile owns one, which every survey
+/// refills in place.
 #[derive(Debug, Default)]
 struct SkipStalls {
+    /// The cycle a completed blocked survey filled this at; `None` while
+    /// the contents are stale or partial.
+    at: Option<u64>,
     /// Blocked candidates by [`StallKind`].
     by_kind: [u64; STALL_KINDS],
     /// MAO-internal classification of the MAO-rejected candidates (these
@@ -295,7 +299,7 @@ struct SkipStalls {
 #[derive(Debug, Default)]
 struct TileObs {
     level: ObsLevel,
-    profile: IrProfile,
+    profile: ProfileTable,
     timeline: Timeline,
     /// Open compute/stall interval: (is_stall, start cycle).
     interval: Option<(bool, u64)>,
@@ -370,12 +374,10 @@ enum Verdict {
 enum Survey {
     /// Stepping at the surveyed cycle would change architectural state.
     Ready,
-    /// Stepping would only accumulate `stalls`; nothing can change before
-    /// `wake` (`None`: only an external event can unblock the tile).
-    Blocked {
-        wake: Option<u64>,
-        stalls: SkipStalls,
-    },
+    /// Stepping would only accumulate the stalls left in `skip_cache`;
+    /// nothing can change before `wake` (`None`: only an external event
+    /// can unblock the tile).
+    Blocked { wake: Option<u64> },
 }
 
 /// A core tile replaying a traced kernel over the shared memory hierarchy.
@@ -425,13 +427,13 @@ pub struct CoreTile {
     accel_busy_until: Option<u64>,
     done: bool,
     stats: TileStats,
-    /// Memoized blocked-survey result, keyed by the cycle it was taken
+    /// The last blocked survey's stalls, keyed by the cycle it was taken
     /// at. `next_event` fills it so that the `on_cycles_skipped` call the
     /// scheduler makes for the same cycle reuses the survey instead of
     /// re-walking the ready set (the two calls bracket a read-only
     /// horizon computation, so the state cannot have changed between
     /// them).
-    skip_cache: std::cell::RefCell<Option<(u64, SkipStalls)>>,
+    skip_cache: std::cell::RefCell<SkipStalls>,
     /// Observability state; `None` at `ObsLevel::Off` so the hot path
     /// pays only a pointer-null check.
     obs: Option<Box<TileObs>>,
@@ -517,7 +519,7 @@ impl CoreTile {
             accel_busy_until: None,
             done: false,
             stats: TileStats::new(&config.name),
-            skip_cache: std::cell::RefCell::new(None),
+            skip_cache: Default::default(),
             obs: None,
             config,
             module,
@@ -758,7 +760,7 @@ impl CoreTile {
         let pi = *self.plan.inst(di.plan as usize);
         self.stats.retired += 1;
         if let Some(o) = self.obs.as_mut() {
-            o.profile.retire((self.func.0, pi.inst.0), 1);
+            o.profile.retire(pi.inst.0);
         }
         let issued = di.state == DynState::Issued;
         if di.mem.is_some() {
@@ -898,7 +900,7 @@ impl CoreTile {
         if let Some(kind) = stall {
             *stall_counter(&mut self.stats, kind) += 1;
             if let Some(o) = self.obs.as_mut() {
-                o.profile.stall((self.func.0, sid), kind, 1);
+                o.profile.stall(sid, kind, 1);
             }
             return Ok(false);
         }
@@ -1057,6 +1059,8 @@ impl CoreTile {
     /// every predicate below is either cycle-independent or of the form
     /// `event_time <= x` with `event_time` reported through `wake`.
     fn survey(&self, now: u64, channels: &ChannelSet) -> Survey {
+        let mut stalls = self.skip_cache.borrow_mut();
+        stalls.at = None;
         let mut wake: Option<u64> = None;
         let note = |wake: &mut Option<u64>, t: u64| {
             *wake = Some(wake.map_or(t, |w: u64| w.min(t)));
@@ -1113,7 +1117,9 @@ impl CoreTile {
         // Issue walk, mirroring `issue()` candidate by candidate. Any
         // issuable candidate means work; otherwise each candidate counts
         // exactly one stall, classified by the first rejecting check.
-        let mut stalls = SkipStalls::default();
+        stalls.by_kind = [0; STALL_KINDS];
+        stalls.mao = [0; 3];
+        stalls.per_inst.clear();
         let window_limit = self.inflight.head + self.config.window_size;
         for &seq in &self.ready {
             match self.verdict(seq, now, window_limit, channels) {
@@ -1145,7 +1151,8 @@ impl CoreTile {
                 }
             }
         }
-        Survey::Blocked { wake, stalls }
+        stalls.at = Some(now);
+        Survey::Blocked { wake }
     }
 
     /// Classifies one ready candidate by the first check that would
@@ -1183,7 +1190,7 @@ impl Tile for CoreTile {
         let req = self.reqs.remove(at).expect("found above");
         if let Some(o) = self.obs.as_mut() {
             let latency = now.saturating_sub(req.issued_at);
-            o.profile.mem_latency((self.func.0, req.inst), latency);
+            o.profile.mem_latency(req.inst, latency);
         }
         match req.on_done {
             ReqDone::Detached(push) => {
@@ -1200,11 +1207,10 @@ impl Tile for CoreTile {
         }
         let now = ctx.now;
         self.stats.cycles = self.stats.cycles.max(now);
-        let progress_before = if self.obs.is_some() {
-            self.progress_mark()
-        } else {
-            0
-        };
+        // Only the timeline's compute/stall intervals ask whether this
+        // step made progress.
+        let tracing = self.obs.as_ref().is_some_and(|o| o.level.trace_on());
+        let progress_before = if tracing { self.progress_mark() } else { 0 };
 
         // Clear a finished accelerator invocation.
         if let Some(t) = self.accel_busy_until {
@@ -1244,7 +1250,7 @@ impl Tile for CoreTile {
             self.done = true;
             self.stats.done_at = Some(now);
         }
-        let progressed = self.progress_mark() != progress_before;
+        let stalled = tracing && self.progress_mark() == progress_before;
         let tid = self.mem_slot as u32;
         let finished = self.done;
         if let Some(o) = self.obs.as_mut() {
@@ -1252,8 +1258,8 @@ impl Tile for CoreTile {
                 o.first_step = Some(now);
             }
             o.last_seen = o.last_seen.max(now);
-            if o.level.trace_on() && !finished {
-                o.note_cycle(tid, now, !progressed);
+            if tracing && !finished {
+                o.note_cycle(tid, now, stalled);
             }
         }
         Ok(())
@@ -1279,18 +1285,22 @@ impl Tile for CoreTile {
         self.obs = if level == ObsLevel::Off {
             None
         } else {
+            let insts = self.module.function(self.func).inst_count();
             Some(Box::new(TileObs {
                 level,
+                profile: ProfileTable::new(self.func.0, insts),
                 ..TileObs::default()
             }))
         };
     }
 
     fn take_profile(&mut self) -> IrProfile {
-        match self.obs.as_mut() {
-            Some(o) => std::mem::take(&mut o.profile),
-            None => IrProfile::new(),
-        }
+        let Some(o) = self.obs.as_mut() else {
+            return IrProfile::new();
+        };
+        let profile = o.profile.to_profile();
+        o.profile.clear();
+        profile
     }
 
     fn take_timeline(&mut self, slot: usize) -> Timeline {
@@ -1311,7 +1321,7 @@ impl Tile for CoreTile {
             0,
             tid,
             "tile",
-            format!("{} active", self.config.name),
+            SpanName::Owned(format!("{} active", self.config.name)),
             start,
             end,
         );
@@ -1327,13 +1337,8 @@ impl Tile for CoreTile {
         }
         match self.survey(now, channels) {
             Survey::Ready => Horizon::Ready,
-            Survey::Blocked { wake, stalls } => {
-                *self.skip_cache.borrow_mut() = Some((now, stalls));
-                match wake {
-                    Some(c) => Horizon::At(c),
-                    None => Horizon::Blocked,
-                }
-            }
+            Survey::Blocked { wake: Some(c) } => Horizon::At(c),
+            Survey::Blocked { wake: None } => Horizon::Blocked,
         }
     }
 
@@ -1343,20 +1348,14 @@ impl Tile for CoreTile {
         }
         // Reuse the survey `next_event` just took for this cycle if it is
         // still there; nothing observable can have changed in between.
-        let cached = match self.skip_cache.get_mut().take() {
-            Some((cached_now, stalls)) if cached_now == now => Some(stalls),
-            _ => None,
-        };
-        let stalls = match cached {
-            Some(stalls) => stalls,
-            None => match self.survey(now, channels) {
-                Survey::Blocked { stalls, .. } => stalls,
-                Survey::Ready => {
-                    debug_assert!(false, "fast-forward skipped a tile with pending work");
-                    return;
-                }
-            },
-        };
+        if self.skip_cache.get_mut().at != Some(now)
+            && matches!(self.survey(now, channels), Survey::Ready)
+        {
+            debug_assert!(false, "fast-forward skipped a tile with pending work");
+            return;
+        }
+        let stalls = self.skip_cache.get_mut();
+        stalls.at = None;
         // `stats.cycles` tracks the last cycle the tile was stepped while
         // active; the next real wake step restores it, so no credit is
         // needed here.
@@ -1371,7 +1370,7 @@ impl Tile for CoreTile {
             // Credit the one-cycle per-instruction survey once per skipped
             // cycle — exactly what naive stepping would have recorded.
             for &(inst, kind) in &stalls.per_inst {
-                o.profile.stall((self.func.0, inst), kind, aligned_cycles);
+                o.profile.stall(inst, kind, aligned_cycles);
             }
             if o.level.trace_on() {
                 // The skipped region is all stall: close any open compute
@@ -1760,7 +1759,7 @@ impl CoreTile {
         match &self.obs {
             Some(o) => {
                 e.u8(1);
-                o.profile.encode_into(e);
+                o.profile.to_profile().encode_into(e);
                 o.timeline.encode_into(e);
                 match o.interval {
                     Some((stalled, start)) => {
@@ -1964,7 +1963,7 @@ impl CoreTile {
             let first_step = d.opt_u64("tile obs first_step")?;
             let last_seen = d.u64("tile obs last_seen")?;
             if let Some(o) = self.obs.as_mut() {
-                o.profile = profile;
+                o.profile.load(&profile)?;
                 o.timeline = timeline;
                 o.interval = interval;
                 o.first_step = first_step;
@@ -1974,7 +1973,7 @@ impl CoreTile {
 
         // The survey memo is keyed by cycle and refilled on demand;
         // dropping it cannot change behavior.
-        *self.skip_cache.borrow_mut() = None;
+        self.skip_cache.get_mut().at = None;
         Ok(())
     }
 }

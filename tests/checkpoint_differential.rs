@@ -189,3 +189,75 @@ fn resume_rejects_a_mismatched_system() {
         other => panic!("expected a checkpoint error, got {other}"),
     }
 }
+
+/// A hierarchy small enough that every cache is full, evicting and
+/// writing back long before the pause point, so a snapshot's cache
+/// records carry a validity bit, a dirty bit, a tag and an age for every
+/// way — nothing an untouched 20 MiB LLC would exercise.
+fn cramped_memory() -> HierarchyConfig {
+    HierarchyConfig {
+        l1: CacheConfig::new("L1-D", 1024).with_ways(2).with_latency(1),
+        l2: Some(CacheConfig::new("L2", 4096).with_ways(4).with_latency(6)),
+        llc: CacheConfig::new("LLC", 16 * 1024).with_ways(8).with_latency(26),
+        ..xeon_memory()
+    }
+}
+
+/// Resume is bit-identical with full, dirty caches as with mostly empty
+/// ones, and what the interleaver restored into held before does not
+/// matter: one that has already run past the snapshot (and so holds valid
+/// ways the snapshot does not name) ends in the same state as a fresh one.
+#[test]
+fn resume_is_bit_identical_whatever_the_caches_and_the_target_held() {
+    let cramped_ways = (1024 + 4096 + 16 * 1024) / 64;
+    for (name, cramped) in [("stencil", true), ("histo", true), ("histo", false)] {
+        let label = format!("{name}/{}", if cramped { "cramped" } else { "xeon" });
+        let p = build_parboil(name, 1);
+        let (trace, _) = p.trace(1).expect("trace");
+        let trace = Arc::new(trace);
+        let builder = || {
+            let b = builder_for(&p, &trace, &CoreConfig::out_of_order(), true);
+            if cramped {
+                b.memory(cramped_memory())
+            } else {
+                b
+            }
+        };
+        let straight = builder().run().expect("straight");
+
+        let mut il = builder().build().expect("build");
+        assert_eq!(il.run_until(straight.cycles / 2).expect("prefix"), None);
+        let ckpt = Arc::new(il.save_checkpoint());
+        if cramped {
+            assert!(straight.mem.dram_writebacks > 0, "{label}: nothing was written back");
+            let mem = ckpt.section("mem").expect("mem section");
+            assert!(mem.len() >= 16 * cramped_ways, "{label}: caches not full at the pause");
+        }
+
+        let resumed = builder()
+            .resume_from_checkpoint(ckpt.clone())
+            .run()
+            .expect("resume");
+        assert_identical(&straight, &resumed, &label);
+
+        // `il` has the snapshot's state; let it run on past the snapshot,
+        // then put it back and compare with a fresh restore, at once and
+        // at the end of the run.
+        assert_eq!(il.run_until(straight.cycles * 3 / 4).expect("overrun"), None);
+        il.restore_checkpoint(&ckpt).expect("restore into a used interleaver");
+        // (`assert!`, not `assert_eq!`: a failure should not print two
+        // snapshots byte by byte.)
+        assert!(
+            il.save_checkpoint().to_bytes() == ckpt.to_bytes(),
+            "{label}: the restored state is not the snapshot's"
+        );
+        let mut fresh = builder().build().expect("build");
+        fresh.restore_checkpoint(&ckpt).expect("restore into a fresh interleaver");
+        assert_eq!(il.run().expect("used"), straight.cycles, "{label}: used target");
+        assert_eq!(fresh.run().expect("fresh"), straight.cycles, "{label}: fresh target");
+        assert!(
+            il.save_checkpoint().to_bytes() == fresh.save_checkpoint().to_bytes(),
+            "{label}: the used and the fresh target ended in different states"
+        );
+    }
+}

@@ -18,6 +18,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
+use mosaicsim::core::Interleaver;
 use mosaicsim::kernels::build_parboil;
 use mosaicsim::mem::PrefetchConfig;
 use mosaicsim::prelude::*;
@@ -69,16 +70,21 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Builds `kernel` (scale 1) on one `core` tile at `ObsLevel::Off`, and
-/// returns the allocations made inside `Interleaver::run` per retired
-/// instruction.
-fn allocs_per_instr(kernel: &str, core: CoreConfig, memory: HierarchyConfig) -> f64 {
+/// Builds `kernel` (scale 1) on one `core` tile at `level`, and returns
+/// the allocations made inside `Interleaver::run`, the instructions it
+/// retired, and the interleaver for a look at what it recorded.
+fn count_allocs(
+    kernel: &str,
+    core: CoreConfig,
+    memory: HierarchyConfig,
+    level: ObsLevel,
+) -> (u64, u64, Interleaver) {
     let p = build_parboil(kernel, 1);
     let (trace, _) = p.trace(1).expect("trace");
     let retired = trace.total_retired();
     let mut sim = SystemBuilder::new(Arc::new(p.module), Arc::new(trace))
         .memory(memory)
-        .observe(ObsLevel::Off)
+        .observe(level)
         .core(core, p.func, 0)
         .build()
         .expect("build");
@@ -88,7 +94,18 @@ fn allocs_per_instr(kernel: &str, core: CoreConfig, memory: HierarchyConfig) -> 
     COUNTING.with(|on| on.set(false));
     result.expect("simulate");
     let allocs = ALLOCS.with(Cell::get);
-    println!("{kernel}: {allocs} allocations / {retired} retired instructions");
+    println!("{kernel} at {level:?}: {allocs} allocations / {retired} retired instructions");
+    (allocs, retired, sim)
+}
+
+/// Allocations per retired instruction of a run at `level`.
+fn allocs_per_instr(
+    kernel: &str,
+    core: CoreConfig,
+    memory: HierarchyConfig,
+    level: ObsLevel,
+) -> f64 {
+    let (allocs, retired, _) = count_allocs(kernel, core, memory, level);
     allocs as f64 / retired as f64
 }
 
@@ -104,7 +121,7 @@ fn run_loop_allocations_per_instruction_stay_under_their_ceilings() {
     // warm-up growth and the hierarchy's bookkeeping for the few requests
     // that miss. Measured 0.0023 (2 245 allocations / 984 367
     // instructions); the map-based tile of the parent commit measured 3.91.
-    let tile_only = allocs_per_instr("sgemm", ooo(), no_prefetch());
+    let tile_only = allocs_per_instr("sgemm", ooo(), no_prefetch(), ObsLevel::Off);
     assert!(tile_only < 0.01, "sgemm/ooo, no prefetcher: {tile_only:.4}");
 
     // The same run on the default hierarchy. Measured 0.128, parent
@@ -112,12 +129,41 @@ fn run_loop_allocations_per_instruction_stay_under_their_ceilings() {
     // returning a fresh `Vec` per confirmed access — the hierarchy's
     // per-request path is the ledger's follow-up (`mem.*`), not the
     // tile's.
-    let sgemm = allocs_per_instr("sgemm", ooo(), xeon_memory());
+    let sgemm = allocs_per_instr("sgemm", ooo(), xeon_memory(), ObsLevel::Off);
     assert!(sgemm < 0.2, "sgemm/ooo: {sgemm:.4}");
 
     // DRAM-stall-bound in-order tile: nearly every miss goes to DRAM, so
     // the MSHRs, the event queue and the DRAM model carry the count.
     // Measured 0.056 (10 838 / 193 607); parent 4.50.
-    let lbm = allocs_per_instr("lbm", CoreConfig::in_order(), no_prefetch());
+    let lbm = allocs_per_instr("lbm", CoreConfig::in_order(), no_prefetch(), ObsLevel::Off);
     assert!(lbm < 0.1, "lbm/ino, no prefetcher: {lbm:.4}");
+
+    // The observed path. `Stats` records into tables sized at
+    // `set_observe` (a retire, a stall or a latency sample is an indexed
+    // add) and surveys refill one buffer, so it allocates what `Off` does
+    // plus a histogram per memory instruction on its first sample.
+    // Measured 0.1393 at `Off` (22 342 / 160 355) and 0.1394 at `Stats`
+    // (22 352); the parent commit, which kept a `BTreeMap` of 600-byte
+    // rows and built a `Vec` per blocked survey, measured 0.1393 and
+    // 0.3609 (57 865).
+    let off = allocs_per_instr("bfs", ooo(), xeon_memory(), ObsLevel::Off);
+    let stats = allocs_per_instr("bfs", ooo(), xeon_memory(), ObsLevel::Stats);
+    assert!(stats < 0.5, "bfs/ooo at Stats: {stats:.4}");
+    assert!(
+        stats - off < 0.02,
+        "bfs/ooo: Stats {stats:.4} against Off {off:.4}"
+    );
+
+    // `Trace` adds spans, whose names are recorded as they are (a static
+    // label, or a kind and a line address) and formatted only on export:
+    // a span costs at most the amortised growth of the span `Vec`s, never
+    // a `String`. Measured 35 allocations over `Stats` for 47 324 spans
+    // (0.0007 each); the parent commit measured 80 949 (1.71 each).
+    let (traced, retired, sim) = count_allocs("bfs", ooo(), xeon_memory(), ObsLevel::Trace);
+    let (mut tiles, mut mem, _) = sim.into_parts();
+    let spans = tiles[0].take_timeline(0).len() + mem.take_timeline().len();
+    let per_span = (traced as f64 - stats * retired as f64) / spans as f64;
+    println!("bfs at Trace: {spans} spans, {per_span:.4} allocations each over Stats");
+    assert!(spans > 1000, "bfs/ooo at Trace recorded {spans} spans");
+    assert!(per_span <= 1.0, "bfs/ooo at Trace: {per_span:.4} per span");
 }
