@@ -42,7 +42,7 @@
 
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use mosaic_ir::{
     AtomicOp, BinOp, BlockId, FuncId, Function, Inst, InstId, Intrinsic, Opcode, Operand,
@@ -270,7 +270,7 @@ pub struct StaticDdg {
     func_name: String,
     nodes: Vec<StaticNode>,
     blocks: Vec<BlockDdg>,
-    predecessors: HashMap<BlockId, Vec<BlockId>>,
+    predecessors: BTreeMap<BlockId, Vec<BlockId>>,
 }
 
 impl StaticDdg {

@@ -1,6 +1,6 @@
 //! Basic blocks, functions, and modules.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::ids::{BlockId, FuncId, InstId};
@@ -146,9 +146,10 @@ impl Function {
     }
 
     /// Predecessor map of the CFG: for each block, the blocks that branch
-    /// to it.
-    pub fn predecessors(&self) -> HashMap<BlockId, Vec<BlockId>> {
-        let mut preds: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
+    /// to it. Ordered, so that building and dropping it touches the heap
+    /// in the same order on every run (see DESIGN.md §4.2.2).
+    pub fn predecessors(&self) -> BTreeMap<BlockId, Vec<BlockId>> {
+        let mut preds: BTreeMap<BlockId, Vec<BlockId>> = BTreeMap::new();
         for b in &self.blocks {
             if let Some(t) = b.terminator() {
                 for succ in self.inst(t).op().successors() {

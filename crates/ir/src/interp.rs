@@ -11,7 +11,7 @@
 //! Trace consumers implement [`TraceSink`]; `mosaic-trace` provides the
 //! standard recording sink.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use crate::function::{Function, Module};
@@ -162,7 +162,7 @@ pub struct Interpreter<'m, S: TraceSink> {
     module: &'m Module,
     mem: MemImage,
     tiles: Vec<TileState>,
-    queues: HashMap<u32, VecDeque<RtVal>>,
+    queues: BTreeMap<u32, VecDeque<RtVal>>,
     sink: &'m mut S,
     step_limit: u64,
     steps: u64,
@@ -220,7 +220,7 @@ impl<'m, S: TraceSink> Interpreter<'m, S> {
             module,
             mem,
             tiles,
-            queues: HashMap::new(),
+            queues: BTreeMap::new(),
             sink,
             step_limit: 2_000_000_000,
             steps: 0,

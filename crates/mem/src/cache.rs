@@ -113,19 +113,30 @@ pub struct FillOutcome {
     pub evicted_dirty: bool,
 }
 
+/// Ways per lazily allocated block of [`Cache::lines`] (64 KiB).
+const BLOCK_WAYS: usize = 4096;
+
+/// What a valid way holds.
+#[derive(Debug, Clone, Copy, Default)]
+struct Line {
+    tag: u64,
+    last_use: u64,
+}
+
 /// A tag-only set-associative cache with LRU replacement.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// The ways, set-major (`set * ways + way`), as parallel arrays of
-    /// plain integers: `vec![0; n]` asks the allocator for zeroed memory,
-    /// which for arrays this size comes untouched from the OS — building
-    /// a cache costs no time and no resident memory for the sets a run
-    /// never reaches.
-    tags: Vec<u64>,
-    last_use: Vec<u64>,
-    /// `VALID | DIRTY` per way.
+    /// `VALID | DIRTY` per way, set-major (`set * ways + way`).
     state: Vec<u8>,
+    /// Tag and age of the ways, in blocks of [`BLOCK_WAYS`] that exist
+    /// from the first fill that lands in them, so a cache holds memory
+    /// for the sets a run reaches and building one costs next to nothing.
+    /// (Flat zeroed arrays do the same only while the allocator maps them
+    /// fresh: once it recycles a heap chunk for one it clears all of it,
+    /// and a 20 MiB LLC is 5 MiB resident for a run that touches a few
+    /// KiB — or not, from one heap layout to the next.)
+    lines: Vec<Option<Box<[Line]>>>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -138,9 +149,8 @@ impl Cache {
         let ways = config.sets() as usize * config.ways() as usize;
         Cache {
             config,
-            tags: vec![0; ways],
-            last_use: vec![0; ways],
             state: vec![0; ways],
+            lines: vec![None; ways.div_ceil(BLOCK_WAYS)],
             tick: 0,
             hits: 0,
             misses: 0,
@@ -167,10 +177,26 @@ impl Cache {
         (set * ways..(set + 1) * ways, tag)
     }
 
+    /// Way `w`, which is or has been valid: `fill` and `restore_from`
+    /// go through [`Cache::line_mut`] before they mark a way valid.
+    fn line(&self, w: usize) -> &Line {
+        let block = self.lines[w / BLOCK_WAYS].as_ref();
+        &block.expect("a valid way's block exists")[w % BLOCK_WAYS]
+    }
+
+    /// Way `w`, allocating its block on first use.
+    fn line_mut(&mut self, w: usize) -> &mut Line {
+        let start = w - w % BLOCK_WAYS;
+        let len = BLOCK_WAYS.min(self.state.len() - start);
+        let block = self.lines[w / BLOCK_WAYS]
+            .get_or_insert_with(|| vec![Line::default(); len].into_boxed_slice());
+        &mut block[w % BLOCK_WAYS]
+    }
+
     /// The way of `set` holding `tag`, if any.
     fn find(&self, set: std::ops::Range<usize>, tag: u64) -> Option<usize> {
         set.into_iter()
-            .find(|&w| self.state[w] & VALID != 0 && self.tags[w] == tag)
+            .find(|&w| self.state[w] & VALID != 0 && self.line(w).tag == tag)
     }
 
     /// Looks up `addr`; on hit updates LRU and (for writes) the dirty bit.
@@ -179,7 +205,7 @@ impl Cache {
         self.accesses += 1;
         let (set, tag) = self.set_and_tag(addr);
         if let Some(w) = self.find(set, tag) {
-            self.last_use[w] = self.tick;
+            self.line_mut(w).last_use = self.tick;
             if write {
                 self.state[w] |= DIRTY;
             }
@@ -208,23 +234,22 @@ impl Cache {
         // Already present (e.g. race between two fills): just update.
         if let Some(w) = self.find(set.clone(), tag) {
             self.state[w] |= if dirty { DIRTY } else { 0 };
-            self.last_use[w] = self.tick;
+            self.line_mut(w).last_use = self.tick;
             return outcome;
         }
         let first = set.start;
-        let age = |w: &usize| if self.state[*w] & VALID != 0 { self.last_use[*w] } else { 0 };
+        let age = |w: &usize| if self.state[*w] & VALID != 0 { self.line(*w).last_use } else { 0 };
         let victim = set.min_by_key(age).expect("cache has at least one way");
         if self.state[victim] & VALID != 0 {
             let set_index = (first / self.config.ways() as usize) as u64;
-            let line_index = self.tags[victim] * self.config.sets() + set_index;
+            let line_index = self.line(victim).tag * self.config.sets() + set_index;
             outcome = FillOutcome {
                 evicted: Some(line_index * self.config.line_bytes as u64),
                 evicted_dirty: self.state[victim] & DIRTY != 0,
             };
         }
-        self.tags[victim] = tag;
+        *self.line_mut(victim) = Line { tag, last_use: self.tick };
         self.state[victim] = VALID | if dirty { DIRTY } else { 0 };
-        self.last_use[victim] = self.tick;
         outcome
     }
 
@@ -341,8 +366,8 @@ impl Cache {
         e.raw(&valid);
         e.raw(&pack_bits(set_bits(&valid).map(|w| self.state[w] & DIRTY != 0)));
         for w in set_bits(&valid) {
-            e.u64(self.tags[w]);
-            e.u64(self.last_use[w]);
+            e.u64(self.line(w).tag);
+            e.u64(self.line(w).last_use);
         }
     }
 
@@ -378,11 +403,12 @@ impl Cache {
         }
         let dirty = decode_bits(d, count, "cache dirty bitmap")?;
         // Whatever the cache held becomes invalid; nothing reads the tag
-        // or age of an invalid way, so those arrays need no clearing.
+        // or age of an invalid way, so the blocks need no clearing.
         self.state.fill(0);
         for (k, w) in set_bits(valid).enumerate() {
-            self.tags[w] = d.u64("cache way tag")?;
-            self.last_use[w] = d.u64("cache way last_use")?;
+            let tag = d.u64("cache way tag")?;
+            let last_use = d.u64("cache way last_use")?;
+            *self.line_mut(w) = Line { tag, last_use };
             self.state[w] = VALID | if bit(dirty, k) { DIRTY } else { 0 };
         }
         (self.tick, self.hits, self.misses, self.accesses) = (tick, hits, misses, accesses);
@@ -461,6 +487,28 @@ mod tests {
         assert_eq!(c.misses(), 1);
         assert_eq!(c.hits(), 2);
         assert!((c.miss_ratio() - 1.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn line_blocks_exist_only_where_fills_landed() {
+        // 20480 sets x 16 ways = 80 blocks of 4096 ways.
+        let mut llc = Cache::new(CacheConfig::new("llc", 20 << 20).with_ways(16));
+        assert_eq!(llc.lines.len(), 80);
+        // Looking allocates nothing.
+        assert_eq!(llc.access(0x1000, false), LookupResult::Miss);
+        assert!(!llc.probe(0x1000) && !llc.invalidate(0x1000));
+        assert!(llc.lines.iter().all(Option::is_none));
+        // 256 consecutive lines are 256 consecutive sets: one block.
+        for line in 0..256 {
+            llc.fill(line * 64, false);
+        }
+        assert_eq!(llc.lines.iter().flatten().count(), 1);
+        assert!(llc.probe(255 * 64));
+        // A cache smaller than a block has one block of its own size.
+        let mut small = tiny();
+        small.fill(0, false);
+        assert_eq!(small.lines.len(), 1);
+        assert_eq!(small.lines[0].as_ref().map(|block| block.len()), Some(8));
     }
 
     fn encoded(c: &Cache) -> Vec<u8> {

@@ -14,7 +14,7 @@
 //! model" (§VI-A); this policy reproduces their limited scaling.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use mosaic_obs::{Log2Histogram, ObsLevel, SpanName, StatsRegistry, Timeline};
 
@@ -24,6 +24,7 @@ use crate::mshr::{Mshr, MshrOutcome};
 use crate::prefetch::{PrefetchConfig, StreamPrefetcher};
 use crate::req::{AccessKind, Completion, MemReq, ReqId};
 use crate::simple_dram::{SimpleDram, SimpleDramConfig};
+use crate::FixedHashMap;
 
 /// Which DRAM model backs the LLC (paper §V-B offers both).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -215,7 +216,7 @@ pub struct MemoryHierarchy {
     events: BinaryHeap<Reverse<(u64, u64, Event)>>,
     seq: u64,
     next_id: u64,
-    states: HashMap<ReqId, ReqState>,
+    states: FixedHashMap<ReqId, ReqState>,
     completions: Vec<Completion>,
     stats: MemStats,
     atomic_free_at: u64,
@@ -263,7 +264,7 @@ impl MemoryHierarchy {
             events: BinaryHeap::new(),
             seq: 0,
             next_id: 0,
-            states: HashMap::new(),
+            states: FixedHashMap::default(),
             completions: Vec::new(),
             stats: MemStats::default(),
             atomic_free_at: 0,

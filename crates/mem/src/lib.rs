@@ -51,6 +51,17 @@ pub use prefetch::{PrefetchConfig, StreamPrefetcher};
 pub use req::{AccessKind, Completion, MemReq, ReqId};
 pub use simple_dram::{SimpleDram, SimpleDramConfig};
 
+/// The hash map of the request path: `std`'s SipHash under fixed keys.
+/// `RandomState` keys every map per process, and where a removed key
+/// leaves a tombstone — so when a table regrows, and with it every heap
+/// address after — follows the hashes; fixed keys make a run's host
+/// memory repeat like its cycles do.
+pub(crate) type FixedHashMap<K, V> = std::collections::HashMap<
+    K,
+    V,
+    std::hash::BuildHasherDefault<std::collections::hash_map::DefaultHasher>,
+>;
+
 #[cfg(test)]
 mod invariant_tests {
     //! Deterministic pseudo-random invariant checks (formerly proptest;

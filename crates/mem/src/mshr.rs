@@ -6,9 +6,8 @@
 //! saves the request on the MSHR. When the pending request is served, the
 //! MSHR notifies all requests waiting on that cacheline."
 
-use std::collections::HashMap;
-
 use crate::req::ReqId;
+use crate::FixedHashMap;
 
 /// Result of attempting to track a miss in the MSHR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,7 +26,7 @@ pub enum MshrOutcome {
 #[derive(Debug, Clone)]
 pub struct Mshr {
     capacity: usize,
-    entries: HashMap<u64, Vec<ReqId>>,
+    entries: FixedHashMap<u64, Vec<ReqId>>,
     coalesced: u64,
     full_stalls: u64,
 }
@@ -42,7 +41,7 @@ impl Mshr {
         assert!(capacity > 0, "MSHR capacity must be positive");
         Mshr {
             capacity,
-            entries: HashMap::new(),
+            entries: FixedHashMap::default(),
             coalesced: 0,
             full_stalls: 0,
         }

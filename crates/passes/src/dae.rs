@@ -256,15 +256,16 @@ pub fn slice_dae(module: &mut Module, func: FuncId, queues: DaeQueues) -> Result
 /// access core.
 fn execute_needed_loads(func: &mosaic_ir::Function) -> std::collections::HashSet<mosaic_ir::InstId> {
     use mosaic_ir::{InstId, Operand};
-    use std::collections::{HashMap, HashSet};
+    use std::collections::HashSet;
 
-    // users[d] = list of (user, used_as_pure_address) entries, over
-    // scheduled instructions only (arena orphans must not count).
+    // users[d.index()] = list of (user, used_as_pure_address) entries,
+    // over scheduled instructions only (arena orphans must not count).
     let scheduled: Vec<InstId> = func
         .blocks()
         .flat_map(|b| b.insts().iter().copied())
         .collect();
-    let mut users: HashMap<InstId, Vec<(InstId, bool)>> = HashMap::new();
+    let n = func.inst_count();
+    let mut users: Vec<Vec<(InstId, bool)>> = vec![Vec::new(); n];
     for &iid in &scheduled {
         let inst = func.inst(iid);
         let addr_operand: Option<Operand> = match inst.op() {
@@ -276,14 +277,13 @@ fn execute_needed_loads(func: &mosaic_ir::Function) -> std::collections::HashSet
         inst.op().for_each_operand(|o| {
             if let Operand::Inst(d) = o {
                 let as_addr = addr_operand == Some(o);
-                users.entry(d).or_default().push((inst.id(), as_addr));
+                users[d.index()].push((inst.id(), as_addr));
             }
         });
     }
 
     // Fixed point: address_only[i] = all uses are (a) pure address
     // operands, or (b) geps that are themselves address-only.
-    let n = func.inst_count();
     let mut address_only = vec![false; n];
     let mut changed = true;
     while changed {
@@ -293,7 +293,7 @@ fn execute_needed_loads(func: &mosaic_ir::Function) -> std::collections::HashSet
             if address_only[id.index()] {
                 continue;
             }
-            let Some(us) = users.get(&id) else { continue };
+            let us = &users[id.index()];
             if us.is_empty() {
                 continue;
             }
@@ -321,7 +321,7 @@ fn execute_needed_loads(func: &mosaic_ir::Function) -> std::collections::HashSet
     let mut sent = HashSet::new();
     for &iid in &scheduled {
         if matches!(func.inst(iid).op(), Opcode::Load { .. }) {
-            let has_uses = users.get(&iid).map(|u| !u.is_empty()).unwrap_or(false);
+            let has_uses = !users[iid.index()].is_empty();
             if has_uses && !address_only[iid.index()] {
                 sent.insert(iid);
             }

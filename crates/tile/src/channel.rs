@@ -9,7 +9,7 @@
 //! A [`Channel`] is a bounded FIFO with a delivery latency; the DAE case
 //! study (paper §VII-A, Table II) uses 512-entry, 1-cycle-latency buffers.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Configuration of one channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,7 +147,7 @@ impl Channel {
 /// `send`/`recv` instructions.
 #[derive(Debug, Clone, Default)]
 pub struct ChannelSet {
-    channels: HashMap<u32, Channel>,
+    channels: BTreeMap<u32, Channel>,
     default_config: ChannelConfig,
 }
 
@@ -155,7 +155,7 @@ impl ChannelSet {
     /// A channel set that lazily creates channels with `default_config`.
     pub fn new(default_config: ChannelConfig) -> Self {
         ChannelSet {
-            channels: HashMap::new(),
+            channels: BTreeMap::new(),
             default_config,
         }
     }
@@ -197,20 +197,17 @@ impl ChannelSet {
         self.channels.values().all(Channel::is_empty)
     }
 
-    /// Iterates `(queue, channel)` pairs.
+    /// Iterates `(queue, channel)` pairs in ascending queue order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &Channel)> {
         self.channels.iter().map(|(&q, c)| (q, c))
     }
 
     /// Serializes every channel — configuration, buffered message
-    /// maturity cycles, and counters — in ascending queue order so the
-    /// byte stream is deterministic.
+    /// maturity cycles, and counters — in ascending queue order (the
+    /// map's own), so the byte stream is deterministic.
     pub fn encode_into(&self, e: &mut mosaic_ckpt::Enc) {
-        let mut queues: Vec<u32> = self.channels.keys().copied().collect();
-        queues.sort_unstable();
-        e.u32(queues.len() as u32);
-        for q in queues {
-            let c = &self.channels[&q];
+        e.u32(self.channels.len() as u32);
+        for (&q, c) in &self.channels {
             e.u32(q);
             e.usize(c.config.capacity);
             e.u64(c.config.latency);

@@ -119,7 +119,7 @@ fn run_loop_allocations_per_instruction_stay_under_their_ceilings() {
 
     // Compute-bound, stream prefetcher off: what is left is the tile's
     // warm-up growth and the hierarchy's bookkeeping for the few requests
-    // that miss. Measured 0.0023 (2 245 allocations / 984 367
+    // that miss. Measured 0.0023 (2 246 allocations / 984 367
     // instructions); the map-based tile of the parent commit measured 3.91.
     let tile_only = allocs_per_instr("sgemm", ooo(), no_prefetch(), ObsLevel::Off);
     assert!(tile_only < 0.01, "sgemm/ooo, no prefetcher: {tile_only:.4}");
@@ -134,7 +134,7 @@ fn run_loop_allocations_per_instruction_stay_under_their_ceilings() {
 
     // DRAM-stall-bound in-order tile: nearly every miss goes to DRAM, so
     // the MSHRs, the event queue and the DRAM model carry the count.
-    // Measured 0.056 (10 838 / 193 607); parent 4.50.
+    // Measured 0.056 (10 852 / 193 607); parent 4.50.
     let lbm = allocs_per_instr("lbm", CoreConfig::in_order(), no_prefetch(), ObsLevel::Off);
     assert!(lbm < 0.1, "lbm/ino, no prefetcher: {lbm:.4}");
 
@@ -142,8 +142,8 @@ fn run_loop_allocations_per_instruction_stay_under_their_ceilings() {
     // `set_observe` (a retire, a stall or a latency sample is an indexed
     // add) and surveys refill one buffer, so it allocates what `Off` does
     // plus a histogram per memory instruction on its first sample.
-    // Measured 0.1393 at `Off` (22 342 / 160 355) and 0.1394 at `Stats`
-    // (22 352); the parent commit, which kept a `BTreeMap` of 600-byte
+    // Measured 0.1394 at `Off` (22 346 / 160 355) and 0.1394 at `Stats`
+    // (22 357); the parent commit, which kept a `BTreeMap` of 600-byte
     // rows and built a `Vec` per blocked survey, measured 0.1393 and
     // 0.3609 (57 865).
     let off = allocs_per_instr("bfs", ooo(), xeon_memory(), ObsLevel::Off);
@@ -154,11 +154,20 @@ fn run_loop_allocations_per_instruction_stay_under_their_ceilings() {
         "bfs/ooo: Stats {stats:.4} against Off {off:.4}"
     );
 
+    // A second run of the same system allocates exactly what the first
+    // did: the hierarchy's request and MSHR maps hash with fixed keys, so
+    // where a removed key leaves a tombstone — and so when a table
+    // regrows — repeats. (Keyed per map by `RandomState`, this pair
+    // differed by an allocation about one time in three, and the heap
+    // layout every time.)
+    let again = allocs_per_instr("bfs", ooo(), xeon_memory(), ObsLevel::Off);
+    assert_eq!(off, again, "bfs/ooo at Off, run twice");
+
     // `Trace` adds spans, whose names are recorded as they are (a static
     // label, or a kind and a line address) and formatted only on export:
     // a span costs at most the amortised growth of the span `Vec`s, never
-    // a `String`. Measured 35 allocations over `Stats` for 47 324 spans
-    // (0.0007 each); the parent commit measured 80 949 (1.71 each).
+    // a `String`. Measured 28 allocations over `Stats` for 47 324 spans
+    // (0.0006 each); the parent commit measured 80 949 (1.71 each).
     let (traced, retired, sim) = count_allocs("bfs", ooo(), xeon_memory(), ObsLevel::Trace);
     let (mut tiles, mut mem, _) = sim.into_parts();
     let spans = tiles[0].take_timeline(0).len() + mem.take_timeline().len();
