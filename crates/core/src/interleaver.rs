@@ -189,9 +189,14 @@ pub struct Interleaver {
     next_ckpt: u64,
 }
 
-/// Smallest multiple of `d` that is `>= x`.
+/// Smallest multiple of `d` that is `>= x`. A tile on the global clock
+/// (`d == 1`, nearly every tile) pays no division for it.
 fn align_up(x: u64, d: u64) -> u64 {
-    x.div_ceil(d) * d
+    if d == 1 {
+        x
+    } else {
+        x.div_ceil(d) * d
+    }
 }
 
 impl std::fmt::Debug for Interleaver {
@@ -332,7 +337,8 @@ impl Interleaver {
             if tile.is_done() {
                 continue;
             }
-            if !now.is_multiple_of(tile.clock_divisor()) {
+            let div = tile.clock_divisor();
+            if div != 1 && !now.is_multiple_of(div) {
                 continue;
             }
             let mark = tile.progress_mark();
@@ -379,8 +385,8 @@ impl Interleaver {
             .filter(|t| !t.is_done())
             .map(|t| t.stall_info(blocked_at, &self.channels))
             .collect();
-        // Channels live in a hash map; sort for a deterministic report.
-        let mut channels: Vec<ChannelSnapshot> = self
+        // In queue order, the channel set's own.
+        let channels = self
             .channels
             .iter()
             .map(|(queue, ch)| ChannelSnapshot {
@@ -391,7 +397,6 @@ impl Interleaver {
                 recvs: ch.recvs(),
             })
             .collect();
-        channels.sort_by_key(|c| c.queue);
         StallSnapshot {
             cycle: blocked_at,
             tiles,
@@ -484,7 +489,11 @@ impl Interleaver {
                 continue;
             }
             let div = tile.clock_divisor().max(1);
-            let skipped = target.div_ceil(div).saturating_sub(now.div_ceil(div));
+            let skipped = if div == 1 {
+                target - now
+            } else {
+                target.div_ceil(div).saturating_sub(now.div_ceil(div))
+            };
             if skipped > 0 {
                 tile.on_cycles_skipped(now, skipped, &self.channels);
             }

@@ -330,7 +330,8 @@ impl SystemBuilder {
     fn mem_geometry(&self) -> MemGeometry {
         match &self.memory.dram {
             DramKind::Banked(b) => {
-                MemGeometry::new((b.channels * b.banks_per_channel) as usize, 64)
+                let line = u64::from(self.memory.llc.line_bytes());
+                MemGeometry::new((b.channels * b.banks_per_channel) as usize, line)
             }
             DramKind::Simple(_) => MemGeometry::default(),
         }
@@ -520,6 +521,61 @@ impl SystemBuilder {
             check_cache("memory.l2", l2)?;
         }
         check_cache("memory.llc", &self.memory.llc)?;
+        // A request's line address is computed once, with the L1's line
+        // size, and used at every level and by the banked DRAM's
+        // interleaving: a level with another line size would be looked up
+        // with the wrong tags without a word.
+        let l1_line = self.memory.l1.line_bytes();
+        let lower = [
+            ("memory.l2", self.memory.l2.as_ref()),
+            ("memory.llc", Some(&self.memory.llc)),
+        ];
+        for (path, cache) in lower {
+            if let Some(c) = cache.filter(|c| c.line_bytes() != l1_line) {
+                return Err(MosaicError::invalid_config(
+                    &format!("{path}.line_bytes"),
+                    format!(
+                        "line size {} differs from the L1's {l1_line}; the hierarchy \
+                         tracks one line size at every level",
+                        c.line_bytes()
+                    ),
+                ));
+            }
+        }
+        if self.memory.mshr_entries == 0 {
+            return Err(MosaicError::invalid_config(
+                "memory.mshr_entries",
+                "a cache with no MSHR entry can never track a miss",
+            ));
+        }
+        if let DramKind::Banked(d) = &self.memory.dram {
+            let positive = [
+                (
+                    "channels",
+                    u64::from(d.channels),
+                    "the address map needs at least one channel",
+                ),
+                (
+                    "banks_per_channel",
+                    u64::from(d.banks_per_channel),
+                    "the address map needs at least one bank per channel",
+                ),
+                ("row_bytes", d.row_bytes, "rows hold at least one byte"),
+                (
+                    "queue_depth",
+                    d.queue_depth as u64,
+                    "a bank queue with no slot refuses every request forever",
+                ),
+            ];
+            for (field, value, why) in positive {
+                if value == 0 {
+                    return Err(MosaicError::invalid_config(
+                        &format!("memory.dram.{field}"),
+                        why,
+                    ));
+                }
+            }
+        }
         if let DramKind::Simple(d) = &self.memory.dram {
             if d.max_per_epoch == 0 {
                 return Err(MosaicError::invalid_config(
@@ -887,6 +943,89 @@ mod validation_tests {
         let (field, message) = rejects(b.memory(memory).core(CoreConfig::in_order(), f, 0));
         assert_eq!(field, "memory.dram.max_per_epoch");
         assert!(message.contains("no"), "{message}");
+    }
+
+    #[test]
+    fn zero_mshr_entries_are_rejected() {
+        let (b, f) = builder();
+        let mut memory = crate::small_memory();
+        memory.mshr_entries = 0;
+        let (field, _) = rejects(b.memory(memory).core(CoreConfig::in_order(), f, 0));
+        assert_eq!(field, "memory.mshr_entries");
+    }
+
+    /// One banked-DRAM field at a time set to zero.
+    fn rejects_banked(zeroed: fn(&mut mosaic_mem::BankedDramConfig)) -> String {
+        let (b, f) = builder();
+        let mut dram = mosaic_mem::BankedDramConfig::default();
+        zeroed(&mut dram);
+        let mut memory = crate::small_memory();
+        memory.dram = DramKind::Banked(dram);
+        rejects(b.memory(memory).core(CoreConfig::in_order(), f, 0)).0
+    }
+
+    #[test]
+    fn zero_dram_channels_are_rejected() {
+        assert_eq!(rejects_banked(|d| d.channels = 0), "memory.dram.channels");
+    }
+
+    #[test]
+    fn zero_dram_banks_are_rejected() {
+        assert_eq!(
+            rejects_banked(|d| d.banks_per_channel = 0),
+            "memory.dram.banks_per_channel"
+        );
+    }
+
+    #[test]
+    fn zero_dram_row_bytes_are_rejected() {
+        assert_eq!(rejects_banked(|d| d.row_bytes = 0), "memory.dram.row_bytes");
+    }
+
+    #[test]
+    fn zero_dram_queue_depth_is_rejected() {
+        assert_eq!(
+            rejects_banked(|d| d.queue_depth = 0),
+            "memory.dram.queue_depth"
+        );
+    }
+
+    #[test]
+    fn l2_line_size_unlike_the_l1s_is_rejected() {
+        let (b, f) = builder();
+        let mut memory = crate::small_memory();
+        memory.l2 = Some(CacheConfig::new("L2", 256 * 1024).with_line_bytes(128));
+        let (field, message) = rejects(b.memory(memory).core(CoreConfig::in_order(), f, 0));
+        assert_eq!(field, "memory.l2.line_bytes");
+        assert!(
+            message.contains("128") && message.contains("64"),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn llc_line_size_unlike_the_l1s_is_rejected() {
+        let (b, f) = builder();
+        let mut memory = crate::small_memory();
+        memory.llc = CacheConfig::new("LLC", 1024 * 1024).with_line_bytes(32);
+        let (field, _) = rejects(b.memory(memory).core(CoreConfig::in_order(), f, 0));
+        assert_eq!(field, "memory.llc.line_bytes");
+    }
+
+    /// One line size throughout, other than 64, builds — under the banked
+    /// model too, which interleaves at the configured size.
+    #[test]
+    fn a_uniform_128_byte_line_size_builds() {
+        let (b, f) = builder();
+        let mut memory = crate::small_memory();
+        memory.l1 = CacheConfig::new("L1", 32 * 1024).with_line_bytes(128);
+        memory.l2 = None;
+        memory.llc = CacheConfig::new("LLC", 1024 * 1024).with_line_bytes(128);
+        memory.dram = DramKind::Banked(mosaic_mem::BankedDramConfig::default());
+        b.memory(memory)
+            .core(CoreConfig::in_order(), f, 0)
+            .build()
+            .expect("builds");
     }
 
     #[test]

@@ -65,9 +65,15 @@ struct Bank {
 #[derive(Debug, Clone)]
 pub struct BankedDram {
     config: BankedDramConfig,
+    /// log2 of the line size requests are interleaved at.
+    line_shift: u32,
     banks: Vec<Bank>,
     channel_bus_free: Vec<u64>,
     in_flight: Vec<(u64, ReqId)>,
+    /// Earliest cycle a step can do anything — retire a transfer, or
+    /// schedule from a bank that holds requests — and `u64::MAX` when
+    /// idle. Steps before it return at once.
+    next_due: u64,
     row_hits: u64,
     row_misses: u64,
     row_conflicts: u64,
@@ -75,11 +81,18 @@ pub struct BankedDram {
 }
 
 impl BankedDram {
-    /// Creates the model.
-    pub fn new(config: BankedDramConfig) -> Self {
+    /// Creates the model for `line_bytes`-byte lines (a power of two):
+    /// consecutive lines go to consecutive channels, then banks.
+    pub fn new(config: BankedDramConfig, line_bytes: u32) -> Self {
+        assert!(
+            line_bytes.is_power_of_two(),
+            "line size must be a power of two"
+        );
         let nbanks = (config.channels * config.banks_per_channel) as usize;
         BankedDram {
             config,
+            line_shift: line_bytes.trailing_zeros(),
+            next_due: u64::MAX,
             banks: vec![
                 Bank {
                     open_row: None,
@@ -104,7 +117,7 @@ impl BankedDram {
 
     fn map(&self, addr: u64) -> (usize, usize, u64) {
         // Line-interleave across channels, then banks; row = higher bits.
-        let line = addr / 64;
+        let line = addr >> self.line_shift;
         let channel = (line % self.config.channels as u64) as usize;
         let bank_local =
             ((line / self.config.channels as u64) % self.config.banks_per_channel as u64) as usize;
@@ -126,14 +139,22 @@ impl BankedDram {
             row,
             arrival: now,
         });
+        self.next_due = self.next_due.min(b.busy_until);
         self.total_requests += 1;
         true
     }
 
-    /// Advances to cycle `now`, returning completed requests.
-    pub fn step(&mut self, now: u64) -> Vec<ReqId> {
+    /// Advances to cycle `now`, appending completed requests to `done`.
+    #[inline]
+    pub fn step(&mut self, now: u64, done: &mut Vec<ReqId>) {
+        if now >= self.next_due {
+            self.step_due(now, done);
+        }
+    }
+
+    /// A step at a cycle the model has work at.
+    fn step_due(&mut self, now: u64, done: &mut Vec<ReqId>) {
         // Retire finished transfers.
-        let mut done = Vec::new();
         self.in_flight.retain(|&(ready, id)| {
             if ready <= now {
                 done.push(id);
@@ -178,33 +199,31 @@ impl BankedDram {
             let _ = req.arrival;
             self.in_flight.push((ready, req.id));
         }
-        done
+        self.next_due = self.earliest_work();
+    }
+
+    /// When the state as it stands next lets a step do something: an
+    /// in-flight transfer retires, or a bank with queued requests becomes
+    /// free to schedule one.
+    fn earliest_work(&self) -> u64 {
+        let transfers = self.in_flight.iter().map(|&(ready, _)| ready);
+        let banks = self.banks.iter().filter(|b| !b.queue.is_empty());
+        transfers
+            .chain(banks.map(|b| b.busy_until))
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     /// Whether the model has no outstanding work.
     pub fn is_idle(&self) -> bool {
-        self.in_flight.is_empty() && self.banks.iter().all(|b| b.queue.is_empty())
+        self.next_due == u64::MAX
     }
 
-    /// Earliest cycle `>= now` at which a step could make progress: an
-    /// in-flight transfer retires, or a bank with queued requests becomes
-    /// free to schedule one (a bank that is already free schedules on the
-    /// very next step). `None` when fully idle.
+    /// Earliest cycle `>= now` at which a step could make progress (a
+    /// bank that is already free schedules on the very next step); steps
+    /// before it do nothing. `None` when fully idle.
     pub fn next_event_cycle(&self, now: u64) -> Option<u64> {
-        let mut best: Option<u64> = None;
-        let mut note = |t: u64| {
-            let t = t.max(now);
-            best = Some(best.map_or(t, |b| b.min(t)));
-        };
-        for &(ready, _) in &self.in_flight {
-            note(ready);
-        }
-        for bank in &self.banks {
-            if !bank.queue.is_empty() {
-                note(bank.busy_until);
-            }
-        }
-        best
+        (!self.is_idle()).then(|| self.next_due.max(now))
     }
 
     /// Row-buffer hit count.
@@ -322,6 +341,7 @@ impl BankedDram {
         self.row_misses = d.u64("dram row_misses")?;
         self.row_conflicts = d.u64("dram row_conflicts")?;
         self.total_requests = d.u64("dram total_requests")?;
+        self.next_due = self.earliest_work();
         Ok(())
     }
 }
@@ -334,10 +354,10 @@ mod tests {
     fn run_until_done(d: &mut BankedDram, start: u64) -> Vec<(u64, ReqId)> {
         let mut out = Vec::new();
         let mut t = start;
+        let mut done = Vec::new();
         while !d.is_idle() {
-            for id in d.step(t) {
-                out.push((t, id));
-            }
+            d.step(t, &mut done);
+            out.extend(done.drain(..).map(|id| (t, id)));
             t += 1;
             assert!(t < start + 1_000_000, "banked dram did not drain");
         }
@@ -346,11 +366,14 @@ mod tests {
 
     #[test]
     fn sequential_addresses_exploit_row_buffer() {
-        let mut d = BankedDram::new(BankedDramConfig {
-            channels: 1,
-            banks_per_channel: 1,
-            ..BankedDramConfig::default()
-        });
+        let mut d = BankedDram::new(
+            BankedDramConfig {
+                channels: 1,
+                banks_per_channel: 1,
+                ..BankedDramConfig::default()
+            },
+            64,
+        );
         for i in 0..8u64 {
             assert!(d.try_enqueue(ReqId(i), i * 64, 0));
         }
@@ -368,7 +391,7 @@ mod tests {
             row_bytes: 1024,
             ..BankedDramConfig::default()
         };
-        let mut d = BankedDram::new(cfg);
+        let mut d = BankedDram::new(cfg, 64);
         // Two different rows in the same bank, alternating. FR-FCFS will
         // reorder hits first but with strict alternation conflicts remain.
         assert!(d.try_enqueue(ReqId(0), 0, 0));
@@ -387,13 +410,13 @@ mod tests {
             ..BankedDramConfig::default()
         };
         // Hit timing.
-        let mut d1 = BankedDram::new(cfg);
+        let mut d1 = BankedDram::new(cfg, 64);
         d1.try_enqueue(ReqId(0), 0, 0);
         let t0 = run_until_done(&mut d1, 0)[0].0;
         d1.try_enqueue(ReqId(1), 64, t0);
         let hit_done = run_until_done(&mut d1, t0)[0].0 - t0;
         // Conflict timing.
-        let mut d2 = BankedDram::new(cfg);
+        let mut d2 = BankedDram::new(cfg, 64);
         d2.try_enqueue(ReqId(0), 0, 0);
         let t0 = run_until_done(&mut d2, 0)[0].0;
         d2.try_enqueue(ReqId(1), 1 << 20, t0);
@@ -409,7 +432,7 @@ mod tests {
             queue_depth: 2,
             ..BankedDramConfig::default()
         };
-        let mut d = BankedDram::new(cfg);
+        let mut d = BankedDram::new(cfg, 64);
         assert!(d.try_enqueue(ReqId(0), 0, 0));
         assert!(d.try_enqueue(ReqId(1), 64, 0));
         assert!(!d.try_enqueue(ReqId(2), 128, 0));
@@ -417,12 +440,55 @@ mod tests {
 
     #[test]
     fn channels_interleave_lines() {
-        let mut d = BankedDram::new(BankedDramConfig::default());
+        let mut d = BankedDram::new(BankedDramConfig::default(), 64);
         for i in 0..16u64 {
             assert!(d.try_enqueue(ReqId(i), i * 64, 0));
         }
         let done = run_until_done(&mut d, 0);
         assert_eq!(done.len(), 16);
         assert_eq!(d.total_requests(), 16);
+    }
+    /// Consecutive lines go to consecutive channels whatever the line
+    /// size (interleaving 128-byte lines at 64 bytes would leave the odd
+    /// channel idle).
+    #[test]
+    fn lines_interleave_at_the_configured_size() {
+        for line_bytes in [32u32, 64, 128] {
+            let d = BankedDram::new(BankedDramConfig::default(), line_bytes);
+            let channels: Vec<usize> = (0..4).map(|i| d.map(i * u64::from(line_bytes)).0).collect();
+            assert_eq!(channels, [0, 1, 0, 1], "{line_bytes}-byte lines");
+        }
+    }
+
+    /// A step before the cycle `next_event_cycle` names changes nothing,
+    /// and the cycle it names is one where a step does something.
+    #[test]
+    fn steps_before_the_next_event_are_no_ops() {
+        let mut d = BankedDram::new(BankedDramConfig::default(), 64);
+        let mut done = Vec::new();
+        assert!(d.is_idle() && d.next_event_cycle(0).is_none());
+        for i in 0..6u64 {
+            assert!(d.try_enqueue(ReqId(i), i * 4096, 5));
+        }
+        let mut t = 5;
+        let mut finished = 0;
+        while let Some(next) = d.next_event_cycle(t) {
+            let before = format!("{d:?}");
+            for idle in t..next {
+                d.step(idle, &mut done);
+            }
+            assert!(done.is_empty());
+            assert_eq!(
+                format!("{d:?}"),
+                before,
+                "a step before {next} changed the model"
+            );
+            d.step(next, &mut done);
+            assert_ne!(format!("{d:?}"), before, "the step at {next} did nothing");
+            finished += done.drain(..).count();
+            t = next + 1;
+        }
+        assert_eq!(finished, 6);
+        assert!(d.is_idle());
     }
 }

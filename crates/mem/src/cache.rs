@@ -113,30 +113,40 @@ pub struct FillOutcome {
     pub evicted_dirty: bool,
 }
 
-/// Ways per lazily allocated block of [`Cache::lines`] (64 KiB).
+/// Most ways a lazily allocated block of [`Cache::lines`] holds (64 KiB).
 const BLOCK_WAYS: usize = 4096;
-
-/// What a valid way holds.
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    last_use: u64,
-}
 
 /// A tag-only set-associative cache with LRU replacement.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
+    /// Geometry, resolved once: a lookup shifts and masks where the
+    /// configuration would have it divide.
+    ways: usize,
+    sets: u64,
+    line_shift: u32,
+    /// `log2(sets)` when the set count is a power of two (then the set is
+    /// a mask of the line number and the tag a shift); a 2 560 KiB LLC has
+    /// 2 048 × 20 / 16 sets and takes the dividing path.
+    sets_log2: Option<u32>,
+    /// `log2` of the sets per block of `lines`.
+    block_shift: u32,
     /// `VALID | DIRTY` per way, set-major (`set * ways + way`).
     state: Vec<u8>,
-    /// Tag and age of the ways, in blocks of [`BLOCK_WAYS`] that exist
-    /// from the first fill that lands in them, so a cache holds memory
-    /// for the sets a run reaches and building one costs next to nothing.
-    /// (Flat zeroed arrays do the same only while the allocator maps them
-    /// fresh: once it recycles a heap chunk for one it clears all of it,
-    /// and a 20 MiB LLC is 5 MiB resident for a run that touches a few
-    /// KiB — or not, from one heap layout to the next.)
-    lines: Vec<Option<Box<[Line]>>>,
+    /// Tag and age of the ways, in blocks of whole sets — a power of two
+    /// of them, at most [`BLOCK_WAYS`] ways — that exist from the first
+    /// fill that lands in them, so a cache holds memory for the sets a
+    /// run reaches and building one costs next to nothing. (Flat zeroed
+    /// arrays do the same only while the allocator maps them fresh: once
+    /// it recycles a heap chunk for one it clears all of it, and a 20 MiB
+    /// LLC is 5 MiB resident for a run that touches a few KiB — or not,
+    /// from one heap layout to the next.)
+    ///
+    /// A set is its ways' keys, then their ages. A key is the way's tag
+    /// plus one, zero while the way is invalid, so a lookup is one scan of
+    /// eight bytes a way; an age is the way's `last_use`, zero while it is
+    /// invalid, so the victim of a fill is the first least age.
+    lines: Vec<Option<Box<[u64]>>>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -146,15 +156,22 @@ pub struct Cache {
 impl Cache {
     /// Creates a cache from its configuration.
     pub fn new(config: CacheConfig) -> Self {
-        let ways = config.sets() as usize * config.ways() as usize;
+        let (sets, ways) = (config.sets(), config.ways() as usize);
+        // The largest power of two of sets that fits a block.
+        let block_shift = (BLOCK_WAYS / ways).max(1).ilog2();
         Cache {
-            config,
-            state: vec![0; ways],
-            lines: vec![None; ways.div_ceil(BLOCK_WAYS)],
+            ways,
+            sets,
+            line_shift: config.line_bytes().trailing_zeros(),
+            sets_log2: sets.is_power_of_two().then(|| sets.trailing_zeros()),
+            block_shift,
+            state: vec![0; sets as usize * ways],
+            lines: vec![None; (sets as usize).div_ceil(1 << block_shift)],
             tick: 0,
             hits: 0,
             misses: 0,
             accesses: 0,
+            config,
         }
     }
 
@@ -165,55 +182,92 @@ impl Cache {
 
     /// Line-aligns an address.
     pub fn line_of(&self, addr: u64) -> u64 {
-        addr & !(self.config.line_bytes as u64 - 1)
+        addr >> self.line_shift << self.line_shift
     }
 
-    /// The set `addr` maps to, as its range of way indices, and its tag.
-    fn set_and_tag(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
-        let line = addr / self.config.line_bytes as u64;
-        let set = (line % self.config.sets()) as usize;
-        let tag = line / self.config.sets();
-        let ways = self.config.ways() as usize;
-        (set * ways..(set + 1) * ways, tag)
+    /// The set `addr` maps to and its tag.
+    fn set_and_tag(&self, addr: u64) -> (usize, u64) {
+        let line = addr >> self.line_shift;
+        match self.sets_log2 {
+            Some(log2) => ((line & (self.sets - 1)) as usize, line >> log2),
+            None => ((line % self.sets) as usize, line / self.sets),
+        }
     }
 
-    /// Way `w`, which is or has been valid: `fill` and `restore_from`
-    /// go through [`Cache::line_mut`] before they mark a way valid.
-    fn line(&self, w: usize) -> &Line {
-        let block = self.lines[w / BLOCK_WAYS].as_ref();
-        &block.expect("a valid way's block exists")[w % BLOCK_WAYS]
+    /// The line address of `tag` in `set`.
+    fn line_addr(&self, set: usize, tag: u64) -> u64 {
+        (tag * self.sets + set as u64) << self.line_shift
     }
 
-    /// Way `w`, allocating its block on first use.
-    fn line_mut(&mut self, w: usize) -> &mut Line {
-        let start = w - w % BLOCK_WAYS;
-        let len = BLOCK_WAYS.min(self.state.len() - start);
-        let block = self.lines[w / BLOCK_WAYS]
-            .get_or_insert_with(|| vec![Line::default(); len].into_boxed_slice());
-        &mut block[w % BLOCK_WAYS]
+    /// The block holding `set`, and the set's words in it.
+    fn block_of(&self, set: usize) -> (usize, std::ops::Range<usize>) {
+        let block = set >> self.block_shift;
+        let at = (set - (block << self.block_shift)) * 2 * self.ways;
+        (block, at..at + 2 * self.ways)
+    }
+
+    /// The keys of `set`'s ways, `None` while no fill has reached the
+    /// set's block (none of its ways is valid then).
+    fn keys(&self, set: usize) -> Option<&[u64]> {
+        let (block, words) = self.block_of(set);
+        Some(&self.lines[block].as_deref()?[words][..self.ways])
+    }
+
+    /// The keys and ages of `set`'s ways, allocating their block on
+    /// first use.
+    fn ways_mut(&mut self, set: usize) -> (&mut [u64], &mut [u64]) {
+        let (block, words) = self.block_of(set);
+        let sets = (1 << self.block_shift).min(self.sets as usize - (block << self.block_shift));
+        let len = sets * 2 * self.ways;
+        let lines = self.lines[block].get_or_insert_with(|| vec![0; len].into_boxed_slice());
+        lines[words].split_at_mut(self.ways)
     }
 
     /// The way of `set` holding `tag`, if any.
-    fn find(&self, set: std::ops::Range<usize>, tag: u64) -> Option<usize> {
-        set.into_iter()
-            .find(|&w| self.state[w] & VALID != 0 && self.line(w).tag == tag)
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+        way_of(self.keys(set)?, tag + 1)
     }
 
     /// Looks up `addr`; on hit updates LRU and (for writes) the dirty bit.
     pub fn access(&mut self, addr: u64, write: bool) -> LookupResult {
-        self.tick += 1;
-        self.accesses += 1;
-        let (set, tag) = self.set_and_tag(addr);
-        if let Some(w) = self.find(set, tag) {
-            self.line_mut(w).last_use = self.tick;
-            if write {
-                self.state[w] |= DIRTY;
-            }
-            self.hits += 1;
+        if self.touch(addr, write) {
             return LookupResult::Hit;
         }
-        self.misses += 1;
+        self.count_miss();
         LookupResult::Miss
+    }
+
+    /// The hit half of [`Cache::access`]: when the line is present, counts
+    /// the access as a hit, updates LRU and (for writes) the dirty bit and
+    /// returns `true`; when it is absent changes nothing — the caller
+    /// decides whether the miss counts ([`Cache::count_miss`]) or the
+    /// access is retried. One lookup where `probe` then `access` made two.
+    pub fn touch(&mut self, addr: u64, write: bool) -> bool {
+        let (set, tag) = self.set_and_tag(addr);
+        let (block, words) = self.block_of(set);
+        let Some(lines) = self.lines[block].as_deref_mut() else {
+            return false;
+        };
+        let (keys, ages) = lines[words].split_at_mut(self.ways);
+        let Some(way) = way_of(keys, tag + 1) else {
+            return false;
+        };
+        self.tick += 1;
+        self.accesses += 1;
+        self.hits += 1;
+        ages[way] = self.tick;
+        if write {
+            self.state[set * self.ways + way] |= DIRTY;
+        }
+        true
+    }
+
+    /// The miss half of [`Cache::access`], for a caller that has already
+    /// found the line absent with [`Cache::touch`].
+    pub fn count_miss(&mut self) {
+        self.tick += 1;
+        self.accesses += 1;
+        self.misses += 1;
     }
 
     /// Checks for presence without perturbing LRU or counters.
@@ -226,30 +280,33 @@ impl Cache {
     /// needed. `dirty` marks the installed line (write-allocate stores).
     pub fn fill(&mut self, addr: u64, dirty: bool) -> FillOutcome {
         self.tick += 1;
+        let tick = self.tick;
         let (set, tag) = self.set_and_tag(addr);
+        let first = set * self.ways;
         let mut outcome = FillOutcome {
             evicted: None,
             evicted_dirty: false,
         };
         // Already present (e.g. race between two fills): just update.
-        if let Some(w) = self.find(set.clone(), tag) {
-            self.state[w] |= if dirty { DIRTY } else { 0 };
-            self.line_mut(w).last_use = self.tick;
+        if let Some(way) = self.find(set, tag) {
+            self.state[first + way] |= if dirty { DIRTY } else { 0 };
+            self.ways_mut(set).1[way] = tick;
             return outcome;
         }
-        let first = set.start;
-        let age = |w: &usize| if self.state[*w] & VALID != 0 { self.line(*w).last_use } else { 0 };
-        let victim = set.min_by_key(age).expect("cache has at least one way");
-        if self.state[victim] & VALID != 0 {
-            let set_index = (first / self.config.ways() as usize) as u64;
-            let line_index = self.line(victim).tag * self.config.sets() + set_index;
+        // The first invalid way (age zero), else the least recently used.
+        let (keys, ages) = self.ways_mut(set);
+        let victim = (0..ages.len())
+            .min_by_key(|&w| ages[w])
+            .expect("cache has at least one way");
+        let evicted = keys[victim].checked_sub(1);
+        (keys[victim], ages[victim]) = (tag + 1, tick);
+        if let Some(tag) = evicted {
             outcome = FillOutcome {
-                evicted: Some(line_index * self.config.line_bytes as u64),
-                evicted_dirty: self.state[victim] & DIRTY != 0,
+                evicted: Some(self.line_addr(set, tag)),
+                evicted_dirty: self.state[first + victim] & DIRTY != 0,
             };
         }
-        *self.line_mut(victim) = Line { tag, last_use: self.tick };
-        self.state[victim] = VALID | if dirty { DIRTY } else { 0 };
+        self.state[first + victim] = VALID | if dirty { DIRTY } else { 0 };
         outcome
     }
 
@@ -258,9 +315,12 @@ impl Cache {
     pub fn invalidate(&mut self, addr: u64) -> bool {
         let (set, tag) = self.set_and_tag(addr);
         match self.find(set, tag) {
-            Some(w) => {
-                self.state[w] &= !VALID;
-                self.state[w] & DIRTY != 0
+            Some(way) => {
+                let (keys, ages) = self.ways_mut(set);
+                (keys[way], ages[way]) = (0, 0);
+                let state = &mut self.state[set * self.ways + way];
+                *state &= !VALID;
+                *state & DIRTY != 0
             }
             None => false,
         }
@@ -298,6 +358,17 @@ impl Cache {
         self.misses = 0;
         self.accesses = 0;
     }
+}
+
+/// The way whose key is `key` (at most one is). Every way is compared and
+/// the match selected, not branched on: which way hits is what a branch
+/// predictor cannot know.
+fn way_of(keys: &[u64], key: u64) -> Option<usize> {
+    let mut way = usize::MAX;
+    for (w, &k) in keys.iter().enumerate() {
+        way = if k == key { w } else { way };
+    }
+    (way != usize::MAX).then_some(way)
 }
 
 /// Packs `bits` eight to a byte, the first in the lowest bit.
@@ -366,8 +437,13 @@ impl Cache {
         e.raw(&valid);
         e.raw(&pack_bits(set_bits(&valid).map(|w| self.state[w] & DIRTY != 0)));
         for w in set_bits(&valid) {
-            e.u64(self.line(w).tag);
-            e.u64(self.line(w).last_use);
+            let (set, way) = (w / self.ways, w % self.ways);
+            let (block, words) = self.block_of(set);
+            let words = &self.lines[block]
+                .as_deref()
+                .expect("a valid way's block exists")[words];
+            e.u64(words[way] - 1);
+            e.u64(words[self.ways + way]);
         }
     }
 
@@ -402,13 +478,24 @@ impl Cache {
             )));
         }
         let dirty = decode_bits(d, count, "cache dirty bitmap")?;
-        // Whatever the cache held becomes invalid; nothing reads the tag
-        // or age of an invalid way, so the blocks need no clearing.
+        // Whatever the cache held becomes invalid: no key, no age.
         self.state.fill(0);
+        self.lines
+            .iter_mut()
+            .flatten()
+            .for_each(|block| block.fill(0));
         for (k, w) in set_bits(valid).enumerate() {
             let tag = d.u64("cache way tag")?;
             let last_use = d.u64("cache way last_use")?;
-            *self.line_mut(w) = Line { tag, last_use };
+            if tag == u64::MAX {
+                return Err(mosaic_ckpt::CkptError::corrupt(format!(
+                    "cache {}: way {w} holds a tag no address has",
+                    self.config.name()
+                )));
+            }
+            let (set, way) = (w / self.ways, w % self.ways);
+            let (keys, ages) = self.ways_mut(set);
+            (keys[way], ages[way]) = (tag + 1, last_use);
             self.state[w] = VALID | if bit(dirty, k) { DIRTY } else { 0 };
         }
         (self.tick, self.hits, self.misses, self.accesses) = (tick, hits, misses, accesses);
@@ -508,7 +595,10 @@ mod tests {
         let mut small = tiny();
         small.fill(0, false);
         assert_eq!(small.lines.len(), 1);
-        assert_eq!(small.lines[0].as_ref().map(|block| block.len()), Some(8));
+        assert_eq!(
+            small.lines[0].as_ref().map(|block| block.len()),
+            Some(2 * 8)
+        );
     }
 
     fn encoded(c: &Cache) -> Vec<u8> {

@@ -12,9 +12,12 @@
 //! Atomic read-modify-writes bypass the private caches and serialize at
 //! the shared LLC — the paper notes atomics are "difficult to accurately
 //! model" (§VI-A); this policy reproduces their limited scaling.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//!
+//! The request path is indexed by the ids and cycles themselves
+//! (DESIGN.md §4.2.2): in-flight requests in a ring by `ReqId`, scheduled
+//! events in a timing wheel by cycle, MSHRs in small tables by line, and
+//! scratch buffers the hierarchy refills — so a request hashes nothing,
+//! sifts no heap and, once the buffers have grown, allocates nothing.
 
 use mosaic_obs::{Log2Histogram, ObsLevel, SpanName, StatsRegistry, Timeline};
 
@@ -23,8 +26,9 @@ use crate::cache::{Cache, CacheConfig};
 use crate::mshr::{Mshr, MshrOutcome};
 use crate::prefetch::{PrefetchConfig, StreamPrefetcher};
 use crate::req::{AccessKind, Completion, MemReq, ReqId};
+use crate::ring::IdRing;
 use crate::simple_dram::{SimpleDram, SimpleDramConfig};
-use crate::FixedHashMap;
+use crate::wheel::Wheel;
 
 /// Which DRAM model backs the LLC (paper §V-B offers both).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -133,9 +137,16 @@ enum Event {
     DramEnqueue { id: ReqId },
 }
 
+/// The DRAM model behind the LLC.
+#[derive(Debug)]
+enum Dram {
+    Simple(SimpleDram),
+    Banked(BankedDram),
+}
+
 #[derive(Debug, Clone, Copy)]
 struct ReqState {
-    tile: usize,
+    tile: u32,
     line: u64,
     kind: AccessKind,
     writeback: bool,
@@ -211,13 +222,20 @@ pub struct MemoryHierarchy {
     l2_mshr: Vec<Mshr>,
     llc_mshr: Mshr,
     prefetchers: Vec<StreamPrefetcher>,
-    dram_simple: Option<SimpleDram>,
-    dram_banked: Option<BankedDram>,
-    events: BinaryHeap<Reverse<(u64, u64, Event)>>,
-    seq: u64,
+    dram: Dram,
+    /// Scheduled lookups and DRAM enqueues, by cycle.
+    events: Wheel<Event>,
     next_id: u64,
-    states: FixedHashMap<ReqId, ReqState>,
+    /// In-flight requests, by id.
+    reqs: IdRing<ReqState>,
     completions: Vec<Completion>,
+    /// Scratch the request path refills instead of allocating: what the
+    /// prefetcher fired, what DRAM completed this step, the waiters of a
+    /// filled LLC line, and the requests a fill completes.
+    fired: Vec<u64>,
+    dram_done: Vec<ReqId>,
+    llc_waiters: Vec<ReqId>,
+    to_complete: Vec<ReqId>,
     stats: MemStats,
     atomic_free_at: u64,
     obs: ObsLevel,
@@ -237,10 +255,18 @@ impl MemoryHierarchy {
             .l2
             .clone()
             .unwrap_or_else(|| CacheConfig::new("L2-off", 64));
-        let (dram_simple, dram_banked) = match config.dram {
-            DramKind::Simple(c) => (Some(SimpleDram::new(c)), None),
-            DramKind::Banked(c) => (None, Some(BankedDram::new(c))),
+        let dram = match config.dram {
+            DramKind::Simple(c) => Dram::Simple(SimpleDram::new(c)),
+            DramKind::Banked(c) => Dram::Banked(BankedDram::new(c, config.llc.line_bytes())),
         };
+        // The longest delay `schedule` is asked for: a level's latency,
+        // the trip to the shared level, an uncontended atomic.
+        let noc = config
+            .noc
+            .map_or(0, |n| (0..tiles).map(|t| n.latency(t)).max().unwrap_or(0));
+        let l2_latency = config.l2.as_ref().map_or(0, CacheConfig::latency);
+        let shared = noc + config.atomic_penalty + config.llc.latency();
+        let max_delay = config.l1.latency().max(l2_latency).max(shared).max(1);
         MemoryHierarchy {
             l1: (0..tiles).map(|_| Cache::new(config.l1.clone())).collect(),
             l2: if has_l2 {
@@ -259,13 +285,15 @@ impl MemoryHierarchy {
             prefetchers: (0..tiles)
                 .map(|_| StreamPrefetcher::new(config.prefetch, config.l1.line_bytes()))
                 .collect(),
-            dram_simple,
-            dram_banked,
-            events: BinaryHeap::new(),
-            seq: 0,
+            dram,
+            events: Wheel::new(max_delay),
             next_id: 0,
-            states: FixedHashMap::default(),
+            reqs: IdRing::new(),
             completions: Vec::new(),
+            fired: Vec::new(),
+            dram_done: Vec::new(),
+            llc_waiters: Vec::new(),
+            to_complete: Vec::new(),
             stats: MemStats::default(),
             atomic_free_at: 0,
             obs: ObsLevel::Off,
@@ -314,11 +342,9 @@ impl MemoryHierarchy {
             m.reset_counters();
         }
         self.llc_mshr.reset_counters();
-        if let Some(d) = self.dram_simple.as_mut() {
-            d.reset_stats();
-        }
-        if let Some(d) = self.dram_banked.as_mut() {
-            d.reset_stats();
+        match &mut self.dram {
+            Dram::Simple(d) => d.reset_stats(),
+            Dram::Banked(d) => d.reset_stats(),
         }
         self.occ_l1.reset();
         self.occ_l2.reset();
@@ -384,15 +410,17 @@ impl MemoryHierarchy {
         if self.occ_llc.count() > 0 {
             reg.set_histogram("mem.llc.mshr.occupancy", self.occ_llc.clone());
         }
-        if let Some(d) = self.dram_simple.as_ref() {
-            reg.set_counter("mem.dram.requests", d.total_requests());
-            reg.set_counter("mem.dram.throttled_cycles", d.throttled_cycles());
-        }
-        if let Some(d) = self.dram_banked.as_ref() {
-            reg.set_counter("mem.dram.requests", d.total_requests());
-            reg.set_counter("mem.dram.row_hits", d.row_hits());
-            reg.set_counter("mem.dram.row_misses", d.row_misses());
-            reg.set_counter("mem.dram.row_conflicts", d.row_conflicts());
+        match &self.dram {
+            Dram::Simple(d) => {
+                reg.set_counter("mem.dram.requests", d.total_requests());
+                reg.set_counter("mem.dram.throttled_cycles", d.throttled_cycles());
+            }
+            Dram::Banked(d) => {
+                reg.set_counter("mem.dram.requests", d.total_requests());
+                reg.set_counter("mem.dram.row_hits", d.row_hits());
+                reg.set_counter("mem.dram.row_misses", d.row_misses());
+                reg.set_counter("mem.dram.row_conflicts", d.row_conflicts());
+            }
         }
     }
 
@@ -415,9 +443,12 @@ impl MemoryHierarchy {
         self.config.noc.map(|n| n.latency(tile)).unwrap_or(0)
     }
 
-    fn schedule(&mut self, cycle: u64, ev: Event) {
-        self.seq += 1;
-        self.events.push(Reverse((cycle, self.seq, ev)));
+    /// Adds a request under the next id.
+    fn admit(&mut self, st: ReqState) -> ReqId {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.reqs.insert(id, st);
+        ReqId(id)
     }
 
     /// Issues a request at `now`; the completion arrives via
@@ -440,20 +471,14 @@ impl MemoryHierarchy {
     /// [`request`](Self::request) after tile validation — also the
     /// prefetcher's re-entry point (prefetches inherit a known-good tile).
     fn request_valid(&mut self, req: MemReq, now: u64) -> ReqId {
-        let id = ReqId(self.next_id);
-        self.next_id += 1;
-        let line = self.l1[req.tile].line_of(req.addr);
-        self.states.insert(
-            id,
-            ReqState {
-                tile: req.tile,
-                line,
-                kind: req.kind,
-                writeback: false,
-                issued_at: now,
-                dram_at: 0,
-            },
-        );
+        let id = self.admit(ReqState {
+            tile: req.tile as u32,
+            line: self.l1[req.tile].line_of(req.addr),
+            kind: req.kind,
+            writeback: false,
+            issued_at: now,
+            dram_at: 0,
+        });
         match req.kind {
             AccessKind::Atomic => {
                 self.stats.atomics += 1;
@@ -465,43 +490,67 @@ impl MemoryHierarchy {
                 let start = start.max(self.atomic_free_at);
                 self.atomic_free_at = start + self.config.atomic_penalty;
                 let at = start + self.config.atomic_penalty + self.config.llc.latency();
-                self.schedule(at, Event::Lookup { id, level: Level::Llc });
+                self.events.schedule(
+                    now,
+                    at,
+                    Event::Lookup {
+                        id,
+                        level: Level::Llc,
+                    },
+                );
             }
             _ => {
                 if req.kind == AccessKind::Prefetch {
                     self.stats.prefetches += 1;
                 } else {
                     // The prefetcher watches the demand stream.
-                    let fired = self.prefetchers[req.tile].observe(req.addr);
-                    for pf_addr in fired {
-                        // Only issue if not already resident in L1.
-                        if !self.l1[req.tile].probe(pf_addr) {
-                            self.request_valid(
-                                MemReq {
-                                    tile: req.tile,
-                                    addr: pf_addr,
-                                    size: 0,
-                                    kind: AccessKind::Prefetch,
-                                },
-                                now,
-                            );
-                        }
+                    self.prefetchers[req.tile].observe(req.addr, &mut self.fired);
+                    if !self.fired.is_empty() {
+                        self.prefetch_fired(req.tile, now);
                     }
                 }
                 let at = now + self.config.l1.latency();
-                self.schedule(at, Event::Lookup { id, level: Level::L1 });
+                self.events.schedule(
+                    now,
+                    at,
+                    Event::Lookup {
+                        id,
+                        level: Level::L1,
+                    },
+                );
             }
         }
         id
     }
 
+    /// Issues the prefetches in `self.fired` for `tile`.
+    fn prefetch_fired(&mut self, tile: usize, now: u64) {
+        let fired = std::mem::take(&mut self.fired);
+        for &addr in &fired {
+            // Only issue if not already resident in L1.
+            if !self.l1[tile].probe(addr) {
+                let kind = AccessKind::Prefetch;
+                self.request_valid(
+                    MemReq {
+                        tile,
+                        addr,
+                        size: 0,
+                        kind,
+                    },
+                    now,
+                );
+            }
+        }
+        self.fired = fired;
+    }
+
     fn complete(&mut self, id: ReqId, now: u64) {
-        if let Some(st) = self.states.remove(&id) {
+        if let Some(st) = self.reqs.remove(id.0) {
             if st.kind.wants_completion() && !st.writeback {
                 if self.obs.trace_on() {
                     self.timeline.span(
                         1,
-                        st.tile as u32,
+                        st.tile,
                         "mem",
                         SpanName::MemLine {
                             kind: kind_label(st.kind),
@@ -513,7 +562,7 @@ impl MemoryHierarchy {
                 }
                 self.completions.push(Completion {
                     id,
-                    tile: st.tile,
+                    tile: st.tile as usize,
                     at_cycle: now,
                 });
             }
@@ -521,15 +570,13 @@ impl MemoryHierarchy {
     }
 
     /// Fills `line` into tile-private caches (write-allocate).
-    fn fill_private(&mut self, tile: usize, line: u64, dirty: bool, now: u64) {
+    fn fill_private(&mut self, tile: usize, line: u64, dirty: bool) {
         if self.has_l2() {
             let out = self.l2[tile].fill(line, dirty);
             if let Some(victim) = out.evicted {
                 if out.evicted_dirty {
                     // Write back into the LLC (mark dirty there).
-                    if self.llc.probe(victim) {
-                        self.llc.access(victim, true);
-                    }
+                    self.llc.touch(victim, true);
                 }
                 // Inclusion within the private pair.
                 self.l1[tile].invalidate(victim);
@@ -537,15 +584,10 @@ impl MemoryHierarchy {
         }
         let out = self.l1[tile].fill(line, dirty);
         if let Some(victim) = out.evicted {
-            if out.evicted_dirty {
-                if self.has_l2() && self.l2[tile].probe(victim) {
-                    self.l2[tile].access(victim, true);
-                } else if self.llc.probe(victim) {
-                    self.llc.access(victim, true);
-                }
+            if out.evicted_dirty && !(self.has_l2() && self.l2[tile].touch(victim, true)) {
+                self.llc.touch(victim, true);
             }
         }
-        let _ = now;
     }
 
     /// Fills `line` into the LLC, back-invalidating private copies of any
@@ -569,118 +611,108 @@ impl MemoryHierarchy {
 
     fn writeback_to_dram(&mut self, line: u64, now: u64) {
         self.stats.dram_writebacks += 1;
-        let id = ReqId(self.next_id);
-        self.next_id += 1;
-        self.states.insert(
-            id,
-            ReqState {
-                tile: 0,
-                line,
-                kind: AccessKind::Write,
-                writeback: true,
-                issued_at: now,
-                dram_at: 0,
-            },
-        );
-        self.schedule(now, Event::DramEnqueue { id });
+        let id = self.admit(ReqState {
+            tile: 0,
+            line,
+            kind: AccessKind::Write,
+            writeback: true,
+            issued_at: now,
+            dram_at: 0,
+        });
+        self.events.schedule(now, now, Event::DramEnqueue { id });
     }
 
     fn lookup(&mut self, id: ReqId, level: Level, now: u64) {
-        let Some(st) = self.states.get(&id).copied() else {
+        let Some(st) = self.reqs.get(id.0).copied() else {
             return;
         };
-        let write = st.kind.is_write();
+        let (tile, write) = (st.tile as usize, st.kind.is_write());
         if self.obs.stats_on() {
             // Sample MSHR occupancy at every lookup event. Lookup
             // cycles are identical under fast-forward and naive
             // stepping, so these histograms are bit-identical too.
             match level {
-                Level::L1 => self.occ_l1.record(self.l1_mshr[st.tile].occupancy() as u64),
-                Level::L2 => self.occ_l2.record(self.l2_mshr[st.tile].occupancy() as u64),
+                Level::L1 => self.occ_l1.record(self.l1_mshr[tile].occupancy() as u64),
+                Level::L2 => self.occ_l2.record(self.l2_mshr[tile].occupancy() as u64),
                 Level::Llc => self.occ_llc.record(self.llc_mshr.occupancy() as u64),
             }
         }
+        // At each level: a hit is one lookup that also touches the line;
+        // a miss joins the line's MSHR entry or takes a new one, and only
+        // the request that takes one counts the miss and goes on down.
         match level {
             Level::L1 => {
-                if self.l1[st.tile].probe(st.line) {
-                    self.l1[st.tile].access(st.line, write);
+                if self.l1[tile].touch(st.line, write) {
                     self.stats.l1_hits += 1;
                     self.complete(id, now);
                     return;
                 }
-                if self.l1_mshr[st.tile].is_pending(st.line) {
-                    self.l1_mshr[st.tile].track(st.line, id);
-                    return;
-                }
-                match self.l1_mshr[st.tile].track(st.line, id) {
+                match self.l1_mshr[tile].track(st.line, id) {
                     MshrOutcome::Allocated => {
-                        self.l1[st.tile].access(st.line, write); // count the miss
+                        self.l1[tile].count_miss();
                         self.stats.l1_misses += 1;
-                        let (next, lat) = if self.has_l2() {
-                            (Level::L2, self.config.l2.as_ref().expect("l2").latency())
-                        } else {
-                            (
-                                Level::Llc,
-                                self.config.llc.latency() + self.noc_delay(st.tile),
-                            )
+                        let (level, lat) = match &self.config.l2 {
+                            Some(l2) => (Level::L2, l2.latency()),
+                            None => (Level::Llc, self.config.llc.latency() + self.noc_delay(tile)),
                         };
-                        self.schedule(now + lat, Event::Lookup { id, level: next });
+                        self.events
+                            .schedule(now, now + lat, Event::Lookup { id, level });
                     }
                     MshrOutcome::Coalesced => {}
                     MshrOutcome::Full => {
-                        self.schedule(now + 1, Event::Lookup { id, level: Level::L1 });
+                        self.events
+                            .schedule(now, now + 1, Event::Lookup { id, level })
                     }
                 }
             }
             Level::L2 => {
-                if self.l2[st.tile].probe(st.line) {
-                    self.l2[st.tile].access(st.line, write);
+                if self.l2[tile].touch(st.line, write) {
                     self.stats.l2_hits += 1;
-                    self.fill_upward_and_complete(st.line, st.tile, write, Level::L2, now);
+                    self.fill_upward_and_complete(st.line, tile, write, Level::L2, now);
                     return;
                 }
-                if self.l2_mshr[st.tile].is_pending(st.line) {
-                    self.l2_mshr[st.tile].track(st.line, id);
-                    return;
-                }
-                match self.l2_mshr[st.tile].track(st.line, id) {
+                match self.l2_mshr[tile].track(st.line, id) {
                     MshrOutcome::Allocated => {
-                        self.l2[st.tile].access(st.line, write);
+                        self.l2[tile].count_miss();
                         self.stats.l2_misses += 1;
-                        let lat = self.config.llc.latency() + self.noc_delay(st.tile);
-                        self.schedule(now + lat, Event::Lookup { id, level: Level::Llc });
+                        let at = now + self.config.llc.latency() + self.noc_delay(tile);
+                        self.events.schedule(
+                            now,
+                            at,
+                            Event::Lookup {
+                                id,
+                                level: Level::Llc,
+                            },
+                        );
                     }
                     MshrOutcome::Coalesced => {}
                     MshrOutcome::Full => {
-                        self.schedule(now + 1, Event::Lookup { id, level: Level::L2 });
+                        self.events
+                            .schedule(now, now + 1, Event::Lookup { id, level })
                     }
                 }
             }
             Level::Llc => {
-                if self.llc.probe(st.line) {
-                    self.llc.access(st.line, write);
+                if self.llc.touch(st.line, write) {
                     self.stats.llc_hits += 1;
-                    let back = now + self.noc_delay(st.tile);
+                    let back = now + self.noc_delay(tile);
                     if st.kind == AccessKind::Atomic {
                         self.complete(id, back);
                     } else {
-                        self.fill_upward_and_complete(st.line, st.tile, write, Level::Llc, back);
+                        self.fill_upward_and_complete(st.line, tile, write, Level::Llc, back);
                     }
-                    return;
-                }
-                if self.llc_mshr.is_pending(st.line) {
-                    self.llc_mshr.track(st.line, id);
                     return;
                 }
                 match self.llc_mshr.track(st.line, id) {
                     MshrOutcome::Allocated => {
-                        self.llc.access(st.line, write);
+                        self.llc.count_miss();
                         self.stats.llc_misses += 1;
-                        self.schedule(now, Event::DramEnqueue { id });
+                        self.events.schedule(now, now, Event::DramEnqueue { id });
                     }
                     MshrOutcome::Coalesced => {}
                     MshrOutcome::Full => {
-                        self.schedule(now + 1, Event::Lookup { id, level: Level::Llc });
+                        self.events
+                            .schedule(now, now + 1, Event::Lookup { id, level })
                     }
                 }
             }
@@ -698,32 +730,36 @@ impl MemoryHierarchy {
         from: Level,
         now: u64,
     ) {
-        let mut to_complete: Vec<ReqId> = Vec::new();
+        let mut waiters = std::mem::take(&mut self.to_complete);
         if from == Level::Llc && self.has_l2() {
-            to_complete.extend(self.l2_mshr[tile].complete(line));
+            self.l2_mshr[tile].complete(line, &mut waiters);
         }
-        self.fill_private(tile, line, dirty, now);
-        to_complete.extend(self.l1_mshr[tile].complete(line));
-        to_complete.sort();
-        to_complete.dedup();
-        for w in to_complete {
+        self.fill_private(tile, line, dirty);
+        self.l1_mshr[tile].complete(line, &mut waiters);
+        waiters.sort_unstable();
+        waiters.dedup();
+        for &w in &waiters {
             self.complete(w, now);
         }
+        waiters.clear();
+        self.to_complete = waiters;
     }
 
     fn dram_enqueue(&mut self, id: ReqId, now: u64) {
-        let Some(st) = self.states.get_mut(&id) else {
+        let Some(st) = self.reqs.get_mut(id.0) else {
             return;
         };
         // A refused enqueue comes back next cycle and overwrites this.
         st.dram_at = now;
         let (line, writeback) = (st.line, st.writeback);
-        if let Some(d) = self.dram_simple.as_mut() {
-            d.enqueue(id, now);
-        } else if let Some(d) = self.dram_banked.as_mut() {
-            if !d.try_enqueue(id, line, now) {
-                self.schedule(now + 1, Event::DramEnqueue { id });
-                return;
+        match &mut self.dram {
+            Dram::Simple(d) => d.enqueue(id, now),
+            Dram::Banked(d) => {
+                if !d.try_enqueue(id, line, now) {
+                    self.events
+                        .schedule(now, now + 1, Event::DramEnqueue { id });
+                    return;
+                }
             }
         }
         // Writebacks consume bandwidth but nobody waits on them.
@@ -733,7 +769,7 @@ impl MemoryHierarchy {
     }
 
     fn dram_complete(&mut self, id: ReqId, now: u64) {
-        let Some(st) = self.states.get(&id).copied() else {
+        let Some(st) = self.reqs.get(id.0).copied() else {
             return;
         };
         if self.obs.trace_on() {
@@ -742,57 +778,65 @@ impl MemoryHierarchy {
                 .span(1, lane, "dram", SpanName::DramLine(st.line), st.dram_at, now);
         }
         if st.writeback {
-            self.states.remove(&id);
+            self.reqs.remove(id.0);
             return;
         }
         let dirty = st.kind.is_write();
         self.fill_llc(st.line, dirty, now);
-        let waiters = self.llc_mshr.complete(st.line);
-        let mut seen = std::collections::HashSet::new();
-        for w in waiters {
-            if !seen.insert(w) {
+        let mut waiters = std::mem::take(&mut self.llc_waiters);
+        self.llc_mshr.complete(st.line, &mut waiters);
+        for (k, &w) in waiters.iter().enumerate() {
+            // A request waits once; skip a repeated id.
+            if waiters[..k].contains(&w) {
                 continue;
             }
-            let Some(wst) = self.states.get(&w).copied() else {
+            let Some(wst) = self.reqs.get(w.0).copied() else {
                 continue;
             };
-            let back = now + self.noc_delay(wst.tile);
-            if wst.kind == AccessKind::Atomic {
-                self.complete(w, back);
-            } else {
-                self.fill_upward_and_complete(st.line, wst.tile, wst.kind.is_write(), Level::Llc, back);
-                // fill_upward_and_complete completes MSHR waiters; make sure
-                // the LLC-level waiter itself is completed too.
-                if self.states.contains_key(&w) {
-                    self.complete(w, back);
-                }
+            let tile = wst.tile as usize;
+            let back = now + self.noc_delay(tile);
+            if wst.kind != AccessKind::Atomic {
+                self.fill_upward_and_complete(st.line, tile, wst.kind.is_write(), Level::Llc, back);
             }
+            // `fill_upward_and_complete` completes the waiters of the
+            // private MSHRs; the LLC-level waiter itself may not be one.
+            self.complete(w, back);
+        }
+        waiters.clear();
+        self.llc_waiters = waiters;
+    }
+
+    /// Advances the hierarchy to cycle `now`. Call once per global cycle,
+    /// or only at the cycles [`Self::next_event_cycle`] names: with nothing
+    /// due — no event scheduled at or before `now`, no DRAM transfer ready
+    /// — a step is a handful of compares (and, for SimpleDRAM, the epoch
+    /// bookkeeping a snapshot records). `now` never decreases.
+    #[inline]
+    pub fn step(&mut self, now: u64) {
+        // DRAM first so fills scheduled this cycle are visible.
+        match &mut self.dram {
+            Dram::Simple(d) => d.step(now, &mut self.dram_done),
+            Dram::Banked(d) => d.step(now, &mut self.dram_done),
+        }
+        if !self.dram_done.is_empty() || self.events.due() <= now {
+            self.step_due(now);
         }
     }
 
-    /// Advances the hierarchy to cycle `now`. Call once per global cycle.
-    pub fn step(&mut self, now: u64) {
-        // DRAM first so fills scheduled this cycle are visible.
-        let done: Vec<ReqId> = if let Some(d) = self.dram_simple.as_mut() {
-            d.step(now)
-        } else if let Some(d) = self.dram_banked.as_mut() {
-            d.step(now)
-        } else {
-            Vec::new()
-        };
-        for id in done {
+    /// The rest of a step that has DRAM completions or events to handle.
+    fn step_due(&mut self, now: u64) {
+        let mut done = std::mem::take(&mut self.dram_done);
+        for id in done.drain(..) {
             self.dram_complete(id, now);
         }
-        while let Some(Reverse((cycle, _, _))) = self.events.peek() {
-            if *cycle > now {
-                break;
-            }
-            let Reverse((_, _, ev)) = self.events.pop().expect("peeked");
+        self.dram_done = done;
+        while let Some(ev) = self.events.pop_due(now) {
             match ev {
                 Event::Lookup { id, level } => self.lookup(id, level, now),
                 Event::DramEnqueue { id } => self.dram_enqueue(id, now),
             }
         }
+        self.events.advance(now);
     }
 
     /// Takes all completions produced so far.
@@ -803,9 +847,12 @@ impl MemoryHierarchy {
     /// Moves all completions produced so far into `buf` (cleared first).
     /// Allocation-free variant of [`Self::drain_completions`] for callers
     /// that poll every cycle with a reusable buffer.
+    #[inline]
     pub fn drain_completions_into(&mut self, buf: &mut Vec<Completion>) {
         buf.clear();
-        buf.append(&mut self.completions);
+        if !self.completions.is_empty() {
+            buf.append(&mut self.completions);
+        }
     }
 
     /// Earliest cycle `>= now` at which the hierarchy has internal work:
@@ -815,44 +862,30 @@ impl MemoryHierarchy {
     /// fast-forward scheduler; stepping the hierarchy at cycles strictly
     /// before the returned cycle is guaranteed to be a no-op.
     pub fn next_event_cycle(&self, now: u64) -> Option<u64> {
-        let mut best: Option<u64> = None;
-        let mut note = |t: u64| {
-            let t = t.max(now);
-            best = Some(best.map_or(t, |b| b.min(t)));
-        };
         if !self.completions.is_empty() {
-            note(now);
+            return Some(now);
         }
-        if let Some(Reverse((cycle, _, _))) = self.events.peek() {
-            note(*cycle);
-        }
-        if let Some(e) = self.dram_simple.as_ref().and_then(|d| d.next_event_cycle(now)) {
-            note(e);
-        }
-        if let Some(e) = self.dram_banked.as_ref().and_then(|d| d.next_event_cycle(now)) {
-            note(e);
-        }
-        best
+        let dram = match &self.dram {
+            Dram::Simple(d) => d.next_event_cycle(now),
+            Dram::Banked(d) => d.next_event_cycle(now),
+        };
+        let event = self.events.due();
+        let earliest = dram.unwrap_or(u64::MAX).min(event);
+        (earliest != u64::MAX).then(|| earliest.max(now))
     }
 
     /// Whether no requests are outstanding anywhere.
     pub fn is_idle(&self) -> bool {
-        let dram_idle = self
-            .dram_simple
-            .as_ref()
-            .map(|d| d.is_idle())
-            .unwrap_or(true)
-            && self
-                .dram_banked
-                .as_ref()
-                .map(|d| d.is_idle())
-                .unwrap_or(true);
-        self.events.is_empty() && dram_idle && self.completions.is_empty() && self.states.is_empty()
+        let dram_idle = match &self.dram {
+            Dram::Simple(d) => d.is_idle(),
+            Dram::Banked(d) => d.is_idle(),
+        };
+        self.events.len() == 0 && dram_idle && self.completions.is_empty() && self.reqs.is_empty()
     }
 
     /// Requests accepted but not yet delivered back to their tiles.
     pub fn in_flight(&self) -> usize {
-        self.states.len()
+        self.reqs.len()
     }
 
     /// Aggregate statistics.
@@ -863,10 +896,10 @@ impl MemoryHierarchy {
     /// Cycles the SimpleDRAM bandwidth cap throttled ready requests
     /// (0 for the banked model).
     pub fn dram_throttled_cycles(&self) -> u64 {
-        self.dram_simple
-            .as_ref()
-            .map(|d| d.throttled_cycles())
-            .unwrap_or(0)
+        match &self.dram {
+            Dram::Simple(d) => d.throttled_cycles(),
+            Dram::Banked(_) => 0,
+        }
     }
 
     /// Per-tile L1 miss ratio (for characterization reports).
@@ -903,26 +936,24 @@ impl MemoryHierarchy {
         for p in &self.prefetchers {
             p.encode_into(e);
         }
-        match (&self.dram_simple, &self.dram_banked) {
-            (Some(d), _) => {
+        match &self.dram {
+            Dram::Simple(d) => {
                 e.u8(0);
                 d.encode_into(e);
             }
-            (None, Some(d)) => {
+            Dram::Banked(d) => {
                 e.u8(1);
                 d.encode_into(e);
             }
-            (None, None) => e.u8(2),
         }
 
-        let mut events: Vec<(u64, u64, Event)> =
-            self.events.iter().map(|Reverse(t)| *t).collect();
-        events.sort_unstable();
-        e.u64(events.len() as u64);
-        for (cycle, seq, ev) in events {
+        // Events in firing order and requests in id order: the order the
+        // wheel and the ring hold them in.
+        e.u64(self.events.len() as u64);
+        self.events.for_each(|cycle, seq, ev| {
             e.u64(cycle);
             e.u64(seq);
-            match ev {
+            match *ev {
                 Event::Lookup { id, level } => {
                     e.u8(0);
                     e.u64(id.0);
@@ -937,17 +968,14 @@ impl MemoryHierarchy {
                     e.u64(id.0);
                 }
             }
-        }
-        e.u64(self.seq);
+        });
+        e.u64(self.events.seq);
         e.u64(self.next_id);
 
-        let mut states: Vec<(u64, ReqState)> =
-            self.states.iter().map(|(id, &st)| (id.0, st)).collect();
-        states.sort_unstable_by_key(|&(id, _)| id);
-        e.u64(states.len() as u64);
-        for (id, st) in states {
+        e.u64(self.reqs.len() as u64);
+        for (id, st) in self.reqs.iter() {
             e.u64(id);
-            e.usize(st.tile);
+            e.usize(st.tile as usize);
             e.u64(st.line);
             e.u8(match st.kind {
                 AccessKind::Read => 0,
@@ -1035,10 +1063,9 @@ impl MemoryHierarchy {
             p.restore_from(d)?;
         }
         let dram_tag = d.u8("hierarchy DRAM model tag")?;
-        match (dram_tag, self.dram_simple.as_mut(), self.dram_banked.as_mut()) {
-            (0, Some(dram), _) => dram.restore_from(d)?,
-            (1, _, Some(dram)) => dram.restore_from(d)?,
-            (2, None, None) => {}
+        match (dram_tag, &mut self.dram) {
+            (0, Dram::Simple(dram)) => dram.restore_from(d)?,
+            (1, Dram::Banked(dram)) => dram.restore_from(d)?,
             _ => {
                 return Err(mosaic_ckpt::CkptError::mismatch(format!(
                     "hierarchy: checkpoint DRAM model tag {dram_tag} does not match the configured model"
@@ -1070,15 +1097,33 @@ impl MemoryHierarchy {
                 },
                 v => return Err(mosaic_ckpt::CkptError::corrupt(format!("event tag {v}"))),
             };
-            self.events.push(Reverse((cycle, seq, ev)));
+            self.events.insert(cycle, seq, ev);
         }
-        self.seq = d.u64("hierarchy seq")?;
+        self.events.seq = d.u64("hierarchy seq")?;
         self.next_id = d.u64("hierarchy next_id")?;
 
-        self.states.clear();
+        self.reqs.clear();
+        let mut live_ids: Option<(u64, u64)> = None;
         for _ in 0..d.u64("hierarchy state count")? {
-            let id = ReqId(d.u64("state id")?);
+            let id = d.u64("state id")?;
+            // Live ids ascend below `next_id`, and sit within a ring's
+            // reach of the oldest: the slots between them are allocated.
+            let first = live_ids.map_or(id, |(first, _)| first);
+            let ascends = live_ids.is_none_or(|(_, last)| last < id);
+            live_ids = Some((first, id));
+            if !ascends || id >= self.next_id || id - first > MAX_LIVE_ID_SPAN {
+                return Err(mosaic_ckpt::CkptError::corrupt(format!(
+                    "in-flight request id {id} out of order or range (oldest {first}, next {})",
+                    self.next_id
+                )));
+            }
             let tile = d.usize("state tile")?;
+            if tile >= self.l1.len() {
+                return Err(mosaic_ckpt::CkptError::corrupt(format!(
+                    "in-flight request {id} names tile {tile} of {}",
+                    self.l1.len()
+                )));
+            }
             let line = d.u64("state line")?;
             let kind = match d.u8("state kind")? {
                 0 => AccessKind::Read,
@@ -1092,14 +1137,14 @@ impl MemoryHierarchy {
                 }
             };
             let state = ReqState {
-                tile,
+                tile: tile as u32,
                 line,
                 kind,
                 writeback: d.bool("state writeback")?,
                 issued_at: d.u64("state issue cycle")?,
                 dram_at: d.u64("state dram cycle")?,
             };
-            self.states.insert(id, state);
+            self.reqs.insert(id, state);
         }
 
         self.completions.clear();
@@ -1131,6 +1176,11 @@ impl MemoryHierarchy {
         Ok(())
     }
 }
+
+/// Furthest a snapshot's youngest in-flight request id may lie from its
+/// oldest. A run keeps them within a few hundred of each other; the bound
+/// only stops a corrupt record from sizing the ring.
+const MAX_LIVE_ID_SPAN: u64 = 1 << 20;
 
 /// Short stable label for timeline span names.
 fn kind_label(kind: AccessKind) -> &'static str {

@@ -41,7 +41,9 @@ mod hierarchy;
 mod mshr;
 mod prefetch;
 mod req;
+mod ring;
 mod simple_dram;
+mod wheel;
 
 pub use banked::{BankedDram, BankedDramConfig};
 pub use cache::{Cache, CacheConfig, FillOutcome, LookupResult};
@@ -51,38 +53,33 @@ pub use prefetch::{PrefetchConfig, StreamPrefetcher};
 pub use req::{AccessKind, Completion, MemReq, ReqId};
 pub use simple_dram::{SimpleDram, SimpleDramConfig};
 
-/// The hash map of the request path: `std`'s SipHash under fixed keys.
-/// `RandomState` keys every map per process, and where a removed key
-/// leaves a tombstone — so when a table regrows, and with it every heap
-/// address after — follows the hashes; fixed keys make a run's host
-/// memory repeat like its cycles do.
-pub(crate) type FixedHashMap<K, V> = std::collections::HashMap<
-    K,
-    V,
-    std::hash::BuildHasherDefault<std::collections::hash_map::DefaultHasher>,
->;
-
 #[cfg(test)]
-mod invariant_tests {
-    //! Deterministic pseudo-random invariant checks (formerly proptest;
-    //! rewritten against a fixed-seed generator so the crate has no
-    //! external dev-dependencies).
-    use super::*;
-
+mod test_rng {
     /// SplitMix64 — a tiny seeded generator for the invariant sweeps.
-    struct TestRng(u64);
+    pub(crate) struct TestRng(pub u64);
+
     impl TestRng {
-        fn next(&mut self) -> u64 {
+        pub fn next(&mut self) -> u64 {
             self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
             let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             z ^ (z >> 31)
         }
-        fn below(&mut self, bound: u64) -> u64 {
+
+        pub fn below(&mut self, bound: u64) -> u64 {
             ((u128::from(self.next()) * u128::from(bound)) >> 64) as u64
         }
     }
+}
+
+#[cfg(test)]
+mod invariant_tests {
+    //! Deterministic pseudo-random invariant checks (formerly proptest;
+    //! rewritten against a fixed-seed generator so the crate has no
+    //! external dev-dependencies).
+    use super::test_rng::TestRng;
+    use super::*;
 
     fn addr_vec(r: &mut TestRng, max_len: usize, bound: u64) -> Vec<u64> {
         let len = 1 + r.below(max_len as u64 - 1) as usize;
@@ -167,8 +164,10 @@ mod invariant_tests {
             let mut t = 0u64;
             let mut completed = 0usize;
             let mut per_epoch_count = std::collections::HashMap::new();
+            let mut done = Vec::new();
             while completed < n {
-                let done = d.step(t);
+                done.clear();
+                d.step(t, &mut done);
                 for _ in &done {
                     assert!(t >= lat);
                     *per_epoch_count.entry(t / epoch).or_insert(0u32) += 1;

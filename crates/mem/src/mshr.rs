@@ -7,7 +7,6 @@
 //! MSHR notifies all requests waiting on that cacheline."
 
 use crate::req::ReqId;
-use crate::FixedHashMap;
 
 /// Result of attempting to track a miss in the MSHR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,10 +22,20 @@ pub enum MshrOutcome {
 }
 
 /// A fixed-capacity MSHR file keyed by line address.
+///
+/// The file is a handful of entries (8–32), so it is a table searched
+/// linearly by line: pending lines packed at the front, each with its
+/// waiter list, and a completed entry's list kept (emptied) for the next
+/// line that takes the slot — tracking and completing allocate nothing
+/// once the lists have grown to what the run needs.
 #[derive(Debug, Clone)]
 pub struct Mshr {
     capacity: usize,
-    entries: FixedHashMap<u64, Vec<ReqId>>,
+    /// Pending lines, in no particular order.
+    lines: Vec<u64>,
+    /// `waiters[i]` waits on `lines[i]`; lists at and past `lines.len()`
+    /// are empty spares.
+    waiters: Vec<Vec<ReqId>>,
     coalesced: u64,
     full_stalls: u64,
 }
@@ -41,7 +50,8 @@ impl Mshr {
         assert!(capacity > 0, "MSHR capacity must be positive");
         Mshr {
             capacity,
-            entries: FixedHashMap::default(),
+            lines: Vec::new(),
+            waiters: Vec::new(),
             coalesced: 0,
             full_stalls: 0,
         }
@@ -54,32 +64,55 @@ impl Mshr {
 
     /// Outstanding distinct lines.
     pub fn occupancy(&self) -> usize {
-        self.entries.len()
+        self.lines.len()
+    }
+
+    fn slot_of(&self, line: u64) -> Option<usize> {
+        self.lines.iter().position(|&l| l == line)
     }
 
     /// Tracks a miss for `line` by request `id`.
     pub fn track(&mut self, line: u64, id: ReqId) -> MshrOutcome {
-        if let Some(waiters) = self.entries.get_mut(&line) {
-            waiters.push(id);
+        if let Some(slot) = self.slot_of(line) {
+            self.waiters[slot].push(id);
             self.coalesced += 1;
             return MshrOutcome::Coalesced;
         }
-        if self.entries.len() >= self.capacity {
+        if self.lines.len() >= self.capacity {
             self.full_stalls += 1;
             return MshrOutcome::Full;
         }
-        self.entries.insert(line, vec![id]);
+        self.allocate(line).push(id);
         MshrOutcome::Allocated
+    }
+
+    /// Takes the next free slot for `line` and returns its (empty) list.
+    fn allocate(&mut self, line: u64) -> &mut Vec<ReqId> {
+        let slot = self.lines.len();
+        self.lines.push(line);
+        if slot == self.waiters.len() {
+            self.waiters.push(Vec::new());
+        }
+        &mut self.waiters[slot]
     }
 
     /// Whether `line` has a pending entry.
     pub fn is_pending(&self, line: u64) -> bool {
-        self.entries.contains_key(&line)
+        self.slot_of(line).is_some()
     }
 
-    /// Completes `line`, returning every waiting request.
-    pub fn complete(&mut self, line: u64) -> Vec<ReqId> {
-        self.entries.remove(&line).unwrap_or_default()
+    /// Completes `line`, appending every waiting request to `out` in the
+    /// order they were tracked.
+    pub fn complete(&mut self, line: u64, out: &mut Vec<ReqId>) {
+        let Some(slot) = self.slot_of(line) else {
+            return;
+        };
+        out.append(&mut self.waiters[slot]);
+        // The last pending entry moves into the hole; the emptied list
+        // becomes the first spare.
+        let last = self.lines.len() - 1;
+        self.lines.swap_remove(slot);
+        self.waiters.swap(slot, last);
     }
 
     /// Requests that were coalesced onto existing entries.
@@ -103,14 +136,13 @@ impl Mshr {
     /// Serializes live entries (in line order) and counters; the capacity
     /// comes from the rebuilt configuration.
     pub(crate) fn encode_into(&self, e: &mut mosaic_ckpt::Enc) {
-        let mut lines: Vec<u64> = self.entries.keys().copied().collect();
-        lines.sort_unstable();
-        e.u32(lines.len() as u32);
-        for line in lines {
-            let waiters = &self.entries[&line];
-            e.u64(line);
-            e.u32(waiters.len() as u32);
-            for w in waiters {
+        let mut slots: Vec<usize> = (0..self.lines.len()).collect();
+        slots.sort_unstable_by_key(|&slot| self.lines[slot]);
+        e.u32(slots.len() as u32);
+        for slot in slots {
+            e.u64(self.lines[slot]);
+            e.u32(self.waiters[slot].len() as u32);
+            for w in &self.waiters[slot] {
                 e.u64(w.0);
             }
         }
@@ -122,15 +154,23 @@ impl Mshr {
         &mut self,
         d: &mut mosaic_ckpt::Dec<'_>,
     ) -> Result<(), mosaic_ckpt::CkptError> {
-        self.entries.clear();
+        self.lines.clear();
+        self.waiters.iter_mut().for_each(Vec::clear);
         for _ in 0..d.u32("mshr entry count")? {
             let line = d.u64("mshr line")?;
             let n = d.u32("mshr waiter count")?;
-            let mut waiters = Vec::with_capacity(d.reserve_for(n as usize, 8));
+            if self.lines.len() >= self.capacity || self.is_pending(line) {
+                return Err(mosaic_ckpt::CkptError::corrupt(format!(
+                    "mshr entry for line {line:#x} is a duplicate or exceeds the {} configured",
+                    self.capacity
+                )));
+            }
+            let reserve = d.reserve_for(n as usize, 8);
+            let waiters = self.allocate(line);
+            waiters.reserve(reserve);
             for _ in 0..n {
                 waiters.push(ReqId(d.u64("mshr waiter")?));
             }
-            self.entries.insert(line, waiters);
         }
         self.coalesced = d.u64("mshr coalesced")?;
         self.full_stalls = d.u64("mshr full_stalls")?;
@@ -185,9 +225,111 @@ mod tests {
         m.track(0x40, ReqId(1));
         m.track(0x40, ReqId(2));
         m.track(0x40, ReqId(3));
-        let w = m.complete(0x40);
+        let mut w = Vec::new();
+        m.complete(0x40, &mut w);
         assert_eq!(w, vec![ReqId(1), ReqId(2), ReqId(3)]);
         assert!(!m.is_pending(0x40));
-        assert!(m.complete(0x40).is_empty());
+        m.complete(0x40, &mut w);
+        assert_eq!(w.len(), 3, "completing an absent line wakes nobody");
+    }
+    /// The map-of-`Vec`s file the table replaced, kept as the model.
+    struct MapMshr {
+        capacity: usize,
+        entries: std::collections::HashMap<u64, Vec<ReqId>>,
+        coalesced: u64,
+        full_stalls: u64,
+    }
+
+    impl MapMshr {
+        fn track(&mut self, line: u64, id: ReqId) -> MshrOutcome {
+            if let Some(waiters) = self.entries.get_mut(&line) {
+                waiters.push(id);
+                self.coalesced += 1;
+                return MshrOutcome::Coalesced;
+            }
+            if self.entries.len() >= self.capacity {
+                self.full_stalls += 1;
+                return MshrOutcome::Full;
+            }
+            self.entries.insert(line, vec![id]);
+            MshrOutcome::Allocated
+        }
+
+        fn encoded(&self) -> Vec<u8> {
+            let mut e = mosaic_ckpt::Enc::new();
+            let mut lines: Vec<u64> = self.entries.keys().copied().collect();
+            lines.sort_unstable();
+            e.u32(lines.len() as u32);
+            for line in lines {
+                e.u64(line);
+                e.u32(self.entries[&line].len() as u32);
+                for w in &self.entries[&line] {
+                    e.u64(w.0);
+                }
+            }
+            e.u64(self.coalesced);
+            e.u64(self.full_stalls);
+            e.into_bytes()
+        }
+    }
+
+    fn encoded(m: &Mshr) -> Vec<u8> {
+        let mut e = mosaic_ckpt::Enc::new();
+        m.encode_into(&mut e);
+        e.into_bytes()
+    }
+
+    /// Random tracks and completions over a few more lines than the file
+    /// holds, at capacity 1 and 32: outcome, pending-ness, occupancy, the
+    /// waiters a completion wakes and their order, the counters and the
+    /// line-ordered snapshot all match the map; a snapshot restored into
+    /// a file that held something else snapshots the same again.
+    #[test]
+    fn table_matches_the_map_it_replaced() {
+        let mut r = crate::test_rng::TestRng(41);
+        for capacity in [1usize, 3, 32] {
+            let mut table = Mshr::new(capacity);
+            let mut map = MapMshr {
+                capacity,
+                entries: Default::default(),
+                coalesced: 0,
+                full_stalls: 0,
+            };
+            let lines = capacity as u64 + 4;
+            let mut woken = Vec::new();
+            for step in 0..4000u64 {
+                let line = r.below(lines) * 64;
+                if r.below(3) > 0 {
+                    let id = ReqId(step);
+                    assert_eq!(table.track(line, id), map.track(line, id));
+                } else {
+                    woken.clear();
+                    table.complete(line, &mut woken);
+                    assert_eq!(woken, map.entries.remove(&line).unwrap_or_default());
+                }
+                assert_eq!(table.occupancy(), map.entries.len());
+                for l in 0..lines {
+                    assert_eq!(
+                        table.is_pending(l * 64),
+                        map.entries.contains_key(&(l * 64))
+                    );
+                }
+                assert_eq!(
+                    encoded(&table),
+                    map.encoded(),
+                    "capacity {capacity} step {step}"
+                );
+                if step % 500 == 250 {
+                    let mut other = Mshr::new(capacity);
+                    other.track(0xdead_0000, ReqId(1));
+                    let bytes = encoded(&table);
+                    other
+                        .restore_from(&mut mosaic_ckpt::Dec::new(&bytes))
+                        .expect("restore");
+                    assert_eq!(encoded(&other), bytes);
+                    table = other;
+                }
+            }
+        }
     }
 }

@@ -10,8 +10,7 @@
 //! cannot return requests until the next epoch, but it can continue
 //! receiving new requests."
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 use crate::req::ReqId;
 
@@ -60,7 +59,10 @@ impl SimpleDramConfig {
 #[derive(Debug, Clone)]
 pub struct SimpleDram {
     config: SimpleDramConfig,
-    queue: BinaryHeap<Reverse<(u64, u64, ReqId)>>,
+    /// `(ready, seq, id)` in arrival order, which is completion order:
+    /// `ready = now + min_latency` and `now` never decreases, so the
+    /// paper's priority queue is a FIFO.
+    queue: VecDeque<(u64, u64, ReqId)>,
     seq: u64,
     epoch_start: u64,
     returned_this_epoch: u32,
@@ -76,7 +78,7 @@ impl SimpleDram {
     pub fn new(config: SimpleDramConfig) -> Self {
         SimpleDram {
             config,
-            queue: BinaryHeap::new(),
+            queue: VecDeque::new(),
             seq: 0,
             epoch_start: 0,
             returned_this_epoch: 0,
@@ -92,17 +94,20 @@ impl SimpleDram {
         &self.config
     }
 
-    /// Enqueues a line request at `now`; it can complete no earlier than
-    /// `now + min_latency`.
+    /// Enqueues a line request at `now` (no earlier than any `now` before
+    /// it); it can complete no earlier than `now + min_latency`.
     pub fn enqueue(&mut self, id: ReqId, now: u64) {
         self.seq += 1;
         self.total_requests += 1;
-        self.queue
-            .push(Reverse((now + self.config.min_latency, self.seq, id)));
+        let ready = now + self.config.min_latency;
+        debug_assert!(self.queue.back().is_none_or(|&(last, _, _)| last <= ready));
+        self.queue.push_back((ready, self.seq, id));
     }
 
-    /// Advances to cycle `now`, returning the requests that complete.
-    pub fn step(&mut self, now: u64) -> Vec<ReqId> {
+    /// Advances to cycle `now`, appending the requests that complete to
+    /// `done`.
+    #[inline]
+    pub fn step(&mut self, now: u64, done: &mut Vec<ReqId>) {
         // Credit the cycles in `(last_step, now)` during which the cap
         // provably kept blocking a ready head: the queue cannot change
         // between steps (enqueues happen at stepped cycles), so the head
@@ -113,7 +118,7 @@ impl SimpleDram {
         // `throttled_cycles` identical whether the caller steps densely or
         // fast-forwards between events.
         if self.returned_this_epoch >= self.config.max_per_epoch {
-            if let Some(Reverse((ready, _, _))) = self.queue.peek().copied() {
+            if let Some(&(ready, _, _)) = self.queue.front() {
                 let boundary = self.epoch_start + self.config.epoch_cycles;
                 let start = (self.last_step + 1).max(ready);
                 self.throttled_cycles += now.min(boundary).saturating_sub(start);
@@ -126,8 +131,7 @@ impl SimpleDram {
             self.epoch_start += epochs * self.config.epoch_cycles;
             self.returned_this_epoch = 0;
         }
-        let mut out = Vec::new();
-        while let Some(Reverse((ready, _, id))) = self.queue.peek().copied() {
+        while let Some(&(ready, _, id)) = self.queue.front() {
             if ready > now {
                 break;
             }
@@ -135,19 +139,18 @@ impl SimpleDram {
                 self.throttled_cycles += 1;
                 break;
             }
-            self.queue.pop();
+            self.queue.pop_front();
             self.returned_this_epoch += 1;
             self.total_returned += 1;
-            out.push(id);
+            done.push(id);
         }
-        out
     }
 
     /// Earliest cycle `>= now` at which a step could return a request:
     /// the head's ready time, pushed past the epoch boundary while the
     /// bandwidth cap is exhausted. `None` when the queue is empty.
     pub fn next_event_cycle(&self, now: u64) -> Option<u64> {
-        let Reverse((ready, _, _)) = self.queue.peek().copied()?;
+        let &(ready, _, _) = self.queue.front()?;
         // Epoch state as a step at a cycle `> now` would see it.
         let (epoch_start, returned) = if now >= self.epoch_start + self.config.epoch_cycles {
             (u64::MAX, 0) // a roll happens first; the exact start is moot
@@ -186,21 +189,14 @@ impl SimpleDram {
 }
 
 impl SimpleDram {
-    /// Serializes the pending queue (sorted, which matches pop order since
-    /// each entry carries a unique sequence number) and epoch/counter
-    /// state.
+    /// Serializes the pending queue (in queue order, which is `(ready,
+    /// seq)` order) and epoch/counter state.
     pub(crate) fn encode_into(&self, e: &mut mosaic_ckpt::Enc) {
-        let mut pending: Vec<(u64, u64, u64)> = self
-            .queue
-            .iter()
-            .map(|Reverse((ready, seq, id))| (*ready, *seq, id.0))
-            .collect();
-        pending.sort_unstable();
-        e.u32(pending.len() as u32);
-        for (ready, seq, id) in pending {
+        e.u32(self.queue.len() as u32);
+        for &(ready, seq, id) in &self.queue {
             e.u64(ready);
             e.u64(seq);
-            e.u64(id);
+            e.u64(id.0);
         }
         e.u64(self.seq);
         e.u64(self.epoch_start);
@@ -220,7 +216,16 @@ impl SimpleDram {
             let ready = d.u64("dram entry ready")?;
             let seq = d.u64("dram entry seq")?;
             let id = ReqId(d.u64("dram entry id")?);
-            self.queue.push(Reverse((ready, seq, id)));
+            if self
+                .queue
+                .back()
+                .is_some_and(|&(r, s, _)| (r, s) >= (ready, seq))
+            {
+                return Err(mosaic_ckpt::CkptError::corrupt(format!(
+                    "dram queue entry {seq} out of completion order"
+                )));
+            }
+            self.queue.push_back((ready, seq, id));
         }
         self.seq = d.u64("dram seq")?;
         self.epoch_start = d.u64("dram epoch_start")?;
@@ -238,6 +243,13 @@ impl SimpleDram {
 mod tests {
     use super::*;
 
+    /// What a step at `now` completes.
+    fn step(d: &mut SimpleDram, now: u64) -> Vec<ReqId> {
+        let mut done = Vec::new();
+        d.step(now, &mut done);
+        done
+    }
+
     fn dram(lat: u64, epoch: u64, per_epoch: u32) -> SimpleDram {
         SimpleDram::new(SimpleDramConfig {
             min_latency: lat,
@@ -250,8 +262,8 @@ mod tests {
     fn respects_min_latency() {
         let mut d = dram(100, 64, 8);
         d.enqueue(ReqId(1), 0);
-        assert!(d.step(99).is_empty());
-        assert_eq!(d.step(100), vec![ReqId(1)]);
+        assert!(step(&mut d, 99).is_empty());
+        assert_eq!(step(&mut d, 100), vec![ReqId(1)]);
         assert!(d.is_idle());
     }
 
@@ -261,7 +273,7 @@ mod tests {
         d.enqueue(ReqId(1), 0);
         d.enqueue(ReqId(2), 0);
         d.enqueue(ReqId(3), 0);
-        assert_eq!(d.step(10), vec![ReqId(1), ReqId(2), ReqId(3)]);
+        assert_eq!(step(&mut d, 10), vec![ReqId(1), ReqId(2), ReqId(3)]);
     }
 
     #[test]
@@ -271,13 +283,13 @@ mod tests {
             d.enqueue(ReqId(i), 0);
         }
         // All ready at cycle 10, but only 2 may return in epoch [0, 100).
-        let first = d.step(10);
+        let first = step(&mut d, 10);
         assert_eq!(first.len(), 2);
-        assert!(d.step(50).is_empty());
+        assert!(step(&mut d, 50).is_empty());
         // Next epoch allows two more.
-        let second = d.step(100);
+        let second = step(&mut d, 100);
         assert_eq!(second.len(), 2);
-        let third = d.step(200);
+        let third = step(&mut d, 200);
         assert_eq!(third.len(), 2);
         assert!(d.is_idle());
         assert!(d.throttled_cycles() > 0);
@@ -287,11 +299,11 @@ mod tests {
     fn keeps_accepting_while_throttled() {
         let mut d = dram(10, 100, 1);
         d.enqueue(ReqId(1), 0);
-        assert_eq!(d.step(10).len(), 1);
+        assert_eq!(step(&mut d, 10).len(), 1);
         d.enqueue(ReqId(2), 11);
         // Throttled until cycle 100 even though ready at 21.
-        assert!(d.step(50).is_empty());
-        assert_eq!(d.step(100), vec![ReqId(2)]);
+        assert!(step(&mut d, 50).is_empty());
+        assert_eq!(step(&mut d, 100), vec![ReqId(2)]);
     }
 
     #[test]

@@ -16,6 +16,13 @@
 
 use mosaic_mem::{SimpleDram, SimpleDramConfig};
 
+/// How many requests a step at `t` completes.
+fn step(d: &mut SimpleDram, t: u64) -> usize {
+    let mut done = Vec::new();
+    d.step(t, &mut done);
+    done.len()
+}
+
 fn config() -> SimpleDramConfig {
     SimpleDramConfig {
         min_latency: 10,
@@ -42,7 +49,7 @@ fn sparse_vs_dense_throttle_accounting() {
         if t == 20 {
             dense.enqueue(id_b, 20);
         }
-        dense_done += dense.step(t).len();
+        dense_done += step(&mut dense, t);
     }
 
     // Sparse: step only at cycles the scheduler would execute:
@@ -52,15 +59,15 @@ fn sparse_vs_dense_throttle_accounting() {
         if t == 20 {
             sparse.enqueue(id_b, 20);
         }
-        sparse_done += sparse.step(t).len();
+        sparse_done += step(&mut sparse, t);
     }
     let next = sparse.next_event_cycle(21).expect("queue non-empty");
-    sparse_done += sparse.step(next).len();
+    sparse_done += step(&mut sparse, next);
     // drain remaining cycles up to 120 the same sparse way
     let mut t = next;
     while let Some(n) = sparse.next_event_cycle(t + 1) {
         t = n;
-        sparse_done += sparse.step(t).len();
+        sparse_done += step(&mut sparse, t);
         if t > 120 {
             break;
         }

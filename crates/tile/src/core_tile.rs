@@ -944,8 +944,14 @@ impl CoreTile {
                     inst: sid,
                     issued_at: now,
                 };
-                let at = self.reqs.partition_point(|r| r.id < id);
-                self.reqs.insert(at, pending);
+                // Request ids ascend: the new one is the youngest.
+                match self.reqs.back() {
+                    Some(last) if last.id > id => {
+                        let at = self.reqs.partition_point(|r| r.id < id);
+                        self.reqs.insert(at, pending);
+                    }
+                    _ => self.reqs.push_back(pending),
+                }
                 if let ReqDone::Detached(_) = on_done {
                     self.detached_outstanding += 1;
                     self.complete_inst(seq, now);
@@ -1184,8 +1190,13 @@ impl Tile for CoreTile {
     }
 
     fn on_mem_completion(&mut self, id: ReqId, now: u64) {
-        let Ok(at) = self.reqs.binary_search_by_key(&id, |r| r.id) else {
-            return;
+        // The oldest request is the likeliest to complete.
+        let at = match self.reqs.front() {
+            Some(oldest) if oldest.id == id => 0,
+            _ => match self.reqs.binary_search_by_key(&id, |r| r.id) {
+                Ok(at) => at,
+                Err(_) => return,
+            },
         };
         let req = self.reqs.remove(at).expect("found above");
         if let Some(o) = self.obs.as_mut() {

@@ -24,6 +24,11 @@ use std::collections::VecDeque;
 /// Word granularity used for address matching (8-byte words).
 const WORD_SHIFT: u32 = 3;
 
+/// Furthest a snapshot's youngest tracked operation may lie from its
+/// oldest: far beyond any instruction window, and what stops a corrupt
+/// record from sizing the index.
+const MAX_TRACKED_SPAN: u64 = 1 << 20;
+
 /// One tracked memory operation.
 #[derive(Debug, Clone, Copy)]
 struct MaoEntry {
@@ -51,9 +56,25 @@ pub enum MaoStall {
 #[derive(Debug, Clone)]
 pub struct Mao {
     /// Tracked operations in program order. Sequence ids ascend but are
-    /// not contiguous (only memory operations enter), so an entry is
-    /// located by binary search.
+    /// not contiguous (only memory operations enter); `slot_of` says where
+    /// an id's entry is.
     entries: VecDeque<MaoEntry>,
+    /// Entries collected from the front so far: entry number `n` (counted
+    /// from the first ever inserted) sits at `entries[n - popped]`.
+    popped: u64,
+    /// `slot_of[seq & mask]` is the entry number of `seq`, for every
+    /// tracked `seq` — a power-of-two ring wider than the tracked span
+    /// (bounded by the instruction window), so tracked ids never collide.
+    /// Slots of ids no longer or never tracked hold stale numbers;
+    /// [`Mao::find`] checks the entry it lands on.
+    slot_of: Vec<u64>,
+    /// Incomplete tracked entries: a store alone among them has nothing
+    /// to wait for.
+    incomplete: u32,
+    /// Entry numbers of the incomplete stores, in program order — all
+    /// that can hold a load back, so a load's `probe` walks these (often
+    /// none) instead of every older entry.
+    stores: VecDeque<u64>,
     lsq_size: u32,
     issued_incomplete: u32,
     alias_speculation: bool,
@@ -69,6 +90,10 @@ impl Mao {
         assert!(lsq_size > 0, "LSQ size must be positive");
         Mao {
             entries: VecDeque::new(),
+            popped: 0,
+            slot_of: vec![0; 64],
+            incomplete: 0,
+            stores: VecDeque::new(),
             lsq_size,
             issued_incomplete: 0,
             alias_speculation,
@@ -80,8 +105,40 @@ impl Mao {
 
     /// Position of `seq`'s entry, if it is tracked.
     fn find(&self, seq: u64) -> Option<usize> {
-        let at = self.entries.partition_point(|e| e.seq < seq);
+        // The oldest entry is the one an in-order core asks about.
+        if self.entries.front()?.seq == seq {
+            return Some(0);
+        }
+        let number = self.slot_of[seq as usize & (self.slot_of.len() - 1)];
+        let at = number.wrapping_sub(self.popped) as usize;
         (self.entries.get(at)?.seq == seq).then_some(at)
+    }
+
+    /// Appends `entry` (younger than every tracked one) and indexes it,
+    /// widening the index first if the tracked span has outgrown it. An
+    /// entry that arrives alone stays the oldest until it leaves, and
+    /// [`Mao::find`] looks there first: it needs no index.
+    fn push(&mut self, entry: MaoEntry) {
+        let number = self.popped + self.entries.len() as u64;
+        if let Some(oldest) = self.entries.front() {
+            let span = (entry.seq - oldest.seq) as usize + 1;
+            if span > self.slot_of.len() {
+                self.slot_of = vec![0; span.next_power_of_two()];
+                let mask = self.slot_of.len() - 1;
+                for (number, e) in (self.popped..).zip(&self.entries) {
+                    self.slot_of[e.seq as usize & mask] = number;
+                }
+            }
+            let mask = self.slot_of.len() - 1;
+            self.slot_of[entry.seq as usize & mask] = number;
+        }
+        if !entry.complete {
+            self.incomplete += 1;
+            if entry.is_store {
+                self.stores.push_back(number);
+            }
+        }
+        self.entries.push_back(entry);
     }
 
     /// Inserts an operation in program order (at DBB launch). The address
@@ -100,7 +157,7 @@ impl Mao {
             self.entries.back().is_none_or(|last| last.seq < seq),
             "memory operations enter the MAO in program order"
         );
-        self.entries.push_back(entry);
+        self.push(entry);
     }
 
     /// Marks `seq`'s address as resolved (its operands completed).
@@ -115,20 +172,29 @@ impl Mao {
     /// fast-forward scheduler's dry-run survey).
     pub fn probe(&self, seq: u64) -> Option<MaoStall> {
         let at = self.find(seq)?; // untracked: not a memory op
-        let me = self.entries[at];
+        let me = &self.entries[at];
         if self.issued_incomplete >= self.lsq_size {
             return Some(MaoStall::Capacity);
         }
+        // Only stores can violate a load; any access can violate a
+        // store. With perfect anticipation of aliasing the trace
+        // addresses are ground truth, so only true same-word
+        // conflicts stall; without it an unresolved address may alias.
         let spec = self.alias_speculation;
-        let conflict = self.entries.iter().take(at).any(|e| {
-            // Only stores can violate a load; any access can violate a
-            // store. With perfect anticipation of aliasing the trace
-            // addresses are ground truth, so only true same-word
-            // conflicts stall; without it an unresolved address may alias.
-            !e.complete
-                && (me.is_store || e.is_store)
-                && (e.word == me.word || !(spec || e.resolved))
-        });
+        let may_alias = |e: &MaoEntry| e.word == me.word || !(spec || e.resolved);
+        let conflict = if me.is_store {
+            // Alone among the incomplete, a store has nothing to wait for.
+            self.incomplete > u32::from(!me.complete)
+                && (self.entries.iter().take(at)).any(|e| !e.complete && may_alias(e))
+        } else {
+            let older = self
+                .stores
+                .iter()
+                .take_while(|&&n| n < self.popped + at as u64);
+            older
+                .into_iter()
+                .any(|&n| may_alias(&self.entries[(n - self.popped) as usize]))
+        };
         conflict.then_some(if me.is_store {
             MaoStall::Store
         } else {
@@ -172,15 +238,29 @@ impl Mao {
     /// Marks `seq` complete and releases its LSQ slot. Completed entries
     /// older than every incomplete entry are garbage-collected.
     pub fn complete(&mut self, seq: u64) {
-        if let Some(at) = self.find(seq) {
-            let e = &mut self.entries[at];
-            if e.issued {
-                self.issued_incomplete -= 1;
-            }
-            e.complete = true;
+        let Some(at) = self.find(seq) else {
+            return;
+        };
+        let e = &mut self.entries[at];
+        if e.issued {
+            self.issued_incomplete -= 1;
         }
+        if !e.complete {
+            self.incomplete -= 1;
+            if e.is_store {
+                // Stores mostly complete oldest first.
+                let number = self.popped + at as u64;
+                if self.stores.front() == Some(&number) {
+                    self.stores.pop_front();
+                } else if let Ok(k) = self.stores.binary_search(&number) {
+                    self.stores.remove(k);
+                }
+            }
+        }
+        e.complete = true;
         while self.entries.front().is_some_and(|e| e.complete) {
             self.entries.pop_front();
+            self.popped += 1;
         }
     }
 
@@ -239,6 +319,8 @@ impl Mao {
         d: &mut mosaic_ckpt::Dec<'_>,
     ) -> Result<(), mosaic_ckpt::CkptError> {
         self.entries.clear();
+        self.incomplete = 0;
+        self.stores.clear();
         let n = d.u64("mao entry count")?;
         for _ in 0..n {
             let entry = MaoEntry {
@@ -249,13 +331,19 @@ impl Mao {
                 issued: d.bool("mao issued")?,
                 complete: d.bool("mao complete")?,
             };
-            if self.entries.back().is_some_and(|last| last.seq >= entry.seq) {
+            let oldest = self.entries.front().map_or(entry.seq, |e| e.seq);
+            if self
+                .entries
+                .back()
+                .is_some_and(|last| last.seq >= entry.seq)
+                || entry.seq - oldest >= MAX_TRACKED_SPAN
+            {
                 return Err(mosaic_ckpt::CkptError::corrupt(format!(
-                    "mao entry {} out of program order",
+                    "mao entry {} out of program order or beyond any instruction window",
                     entry.seq
                 )));
             }
-            self.entries.push_back(entry);
+            self.push(entry);
         }
         self.issued_incomplete = d.u32("mao issued_incomplete")?;
         self.load_stalls = d.u64("mao load_stalls")?;

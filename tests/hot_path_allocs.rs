@@ -3,9 +3,10 @@
 //! The core tile's hot path (`launch_one`, `make_ready`, `issue`,
 //! `complete_inst`) works on rings and tables indexed by the ids
 //! themselves and recycles their storage (DESIGN.md §4.2, "Hot-path data
-//! layout"), so in steady state it allocates nothing: what a run
-//! allocates is the warm-up growth of those buffers plus whatever the
-//! memory hierarchy allocates per request. The count is deterministic — same
+//! layout"), and so does the memory hierarchy's request path (a request
+//! ring, a timing wheel, MSHR tables and scratch buffers it refills), so
+//! in steady state neither allocates: what a run allocates is the warm-up
+//! growth of those buffers. The count is deterministic — same
 //! kernel, same configuration, same allocations — so the ceilings below
 //! cannot flake; they fail when a `clone()`, `collect()` or map insert
 //! creeps back onto the per-instruction path.
@@ -117,36 +118,38 @@ fn run_loop_allocations_per_instruction_stay_under_their_ceilings() {
     };
     let ooo = CoreConfig::out_of_order;
 
-    // Compute-bound, stream prefetcher off: what is left is the tile's
-    // warm-up growth and the hierarchy's bookkeeping for the few requests
-    // that miss. Measured 0.0023 (2 246 allocations / 984 367
-    // instructions); the map-based tile of the parent commit measured 3.91.
+    // Compute-bound, stream prefetcher off: what is left is the warm-up
+    // growth of the tile's and the hierarchy's buffers. Measured 0.0002
+    // (184 allocations / 984 367 instructions); 0.0023 (2 246) while the
+    // hierarchy kept its requests and MSHRs in maps, 3.91 with the
+    // map-based tile before that.
     let tile_only = allocs_per_instr("sgemm", ooo(), no_prefetch(), ObsLevel::Off);
     assert!(tile_only < 0.01, "sgemm/ooo, no prefetcher: {tile_only:.4}");
 
-    // The same run on the default hierarchy. Measured 0.128, parent
-    // 4.03: all but the 0.0023 above is `StreamPrefetcher::observe`
-    // returning a fresh `Vec` per confirmed access — the hierarchy's
-    // per-request path is the ledger's follow-up (`mem.*`), not the
-    // tile's.
+    // The same run on the default hierarchy: the prefetcher writes what
+    // it fires into the hierarchy's buffer. Measured 0.0004 (353); 0.128
+    // (126 k) while `StreamPrefetcher::observe` returned a fresh `Vec`
+    // per confirmed access and an MSHR entry was a `vec![id]`.
     let sgemm = allocs_per_instr("sgemm", ooo(), xeon_memory(), ObsLevel::Off);
-    assert!(sgemm < 0.2, "sgemm/ooo: {sgemm:.4}");
+    assert!(sgemm < 0.01, "sgemm/ooo: {sgemm:.4}");
 
     // DRAM-stall-bound in-order tile: nearly every miss goes to DRAM, so
-    // the MSHRs, the event queue and the DRAM model carry the count.
-    // Measured 0.056 (10 852 / 193 607); parent 4.50.
+    // the MSHRs, the event queue and the DRAM model carry the run — and
+    // allocate while their tables and queues grow to size, not after.
+    // Measured 0.0005 (99 / 193 607); 0.056 (10 852) on maps and a heap.
     let lbm = allocs_per_instr("lbm", CoreConfig::in_order(), no_prefetch(), ObsLevel::Off);
-    assert!(lbm < 0.1, "lbm/ino, no prefetcher: {lbm:.4}");
+    assert!(lbm < 0.01, "lbm/ino, no prefetcher: {lbm:.4}");
 
     // The observed path. `Stats` records into tables sized at
     // `set_observe` (a retire, a stall or a latency sample is an indexed
     // add) and surveys refill one buffer, so it allocates what `Off` does
     // plus a histogram per memory instruction on its first sample.
-    // Measured 0.1394 at `Off` (22 346 / 160 355) and 0.1394 at `Stats`
-    // (22 357); the parent commit, which kept a `BTreeMap` of 600-byte
-    // rows and built a `Vec` per blocked survey, measured 0.1393 and
-    // 0.3609 (57 865).
+    // Measured 0.0014 at `Off` (231 / 160 355) and 0.0015 at `Stats`
+    // (242); with the hierarchy on maps both were 0.139 (22 346 and
+    // 22 357), and a tile that kept a `BTreeMap` of 600-byte rows and
+    // built a `Vec` per blocked survey measured 0.3609 at `Stats`.
     let off = allocs_per_instr("bfs", ooo(), xeon_memory(), ObsLevel::Off);
+    assert!(off < 0.02, "bfs/ooo at Off: {off:.4}");
     let stats = allocs_per_instr("bfs", ooo(), xeon_memory(), ObsLevel::Stats);
     assert!(stats < 0.5, "bfs/ooo at Stats: {stats:.4}");
     assert!(
@@ -155,11 +158,11 @@ fn run_loop_allocations_per_instruction_stay_under_their_ceilings() {
     );
 
     // A second run of the same system allocates exactly what the first
-    // did: the hierarchy's request and MSHR maps hash with fixed keys, so
-    // where a removed key leaves a tombstone — and so when a table
-    // regrows — repeats. (Keyed per map by `RandomState`, this pair
-    // differed by an allocation about one time in three, and the heap
-    // layout every time.)
+    // did: nothing on the path is keyed per process. (While the
+    // hierarchy's maps were keyed by `RandomState`, where a removed key
+    // left a tombstone — and so when a table regrew — followed the keys:
+    // this pair differed by an allocation about one time in three, and
+    // the heap layout every time.)
     let again = allocs_per_instr("bfs", ooo(), xeon_memory(), ObsLevel::Off);
     assert_eq!(off, again, "bfs/ooo at Off, run twice");
 
