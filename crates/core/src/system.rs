@@ -484,6 +484,42 @@ impl SystemBuilder {
                     ),
                 ));
             }
+            // A core that can hold no memory op, issue nothing or cover
+            // no instruction never finishes; `Mao::new` panics on the
+            // first, the other two run to the cycle limit or come back as
+            // a deadlock that names no field.
+            let positive = [
+                ("lsq_size", u64::from(spec.config.lsq_size)),
+                ("issue_width", u64::from(spec.config.issue_width)),
+                ("window_size", spec.config.window_size),
+            ];
+            if let Some((field, _)) = positive.into_iter().find(|&(_, value)| value == 0) {
+                return Err(MosaicError::invalid_config(
+                    &format!("core.{field}"),
+                    format!(
+                        "tile {} has {field} 0; it must be positive",
+                        spec.config.name
+                    ),
+                ));
+            }
+            // A DBB launches whole: one longer than the in-flight bound
+            // never launches.
+            let func = self.module.function(spec.func);
+            let longest = func.blocks().max_by_key(|b| b.insts().len());
+            if let Some(b) = longest.filter(|b| b.insts().len() as u64 > spec.config.max_inflight) {
+                return Err(MosaicError::invalid_config(
+                    "core.max_inflight",
+                    format!(
+                        "tile {} bounds in-flight instructions at {} but block {} of {} \
+                         has {}; a block launches whole",
+                        spec.config.name,
+                        spec.config.max_inflight,
+                        b.name(),
+                        func.name(),
+                        b.insts().len()
+                    ),
+                ));
+            }
             if spec.trace_tile >= self.trace.tile_count() {
                 return Err(MosaicError::invalid_config(
                     "core.trace_tile",
@@ -918,6 +954,40 @@ mod validation_tests {
         let (field, message) = rejects(b.core(config, f, 0));
         assert_eq!(field, "core.clock_divisor");
         assert!(message.contains("stuck"), "{message}");
+    }
+
+    #[test]
+    fn zero_lsq_issue_width_and_window_are_rejected() {
+        type Zero = fn(&mut CoreConfig);
+        let fields: [(&str, Zero); 3] = [
+            ("lsq_size", |c| c.lsq_size = 0),
+            ("issue_width", |c| c.issue_width = 0),
+            ("window_size", |c| c.window_size = 0),
+        ];
+        for (name, zero) in fields {
+            let (b, f) = builder();
+            let mut config = CoreConfig::out_of_order().with_name("stuck");
+            zero(&mut config);
+            let (field, message) = rejects(b.core(config, f, 0));
+            assert_eq!(field, format!("core.{name}"));
+            assert!(message.contains("stuck"), "{message}");
+        }
+    }
+
+    #[test]
+    fn max_inflight_below_the_longest_block_is_rejected() {
+        // The kernel is one block of one instruction.
+        let (b, f) = builder();
+        let mut config = CoreConfig::in_order().with_name("cramped");
+        config.max_inflight = 0;
+        let (field, message) = rejects(b.core(config, f, 0));
+        assert_eq!(field, "core.max_inflight");
+        assert!(message.contains("block entry of k has 1"), "{message}");
+        // Below the window is legal: it caps the window.
+        let (b, f) = builder();
+        let mut config = CoreConfig::out_of_order();
+        config.max_inflight = 1;
+        b.core(config, f, 0).build().expect("builds");
     }
 
     #[test]

@@ -182,7 +182,9 @@ pub struct CoreConfig {
     /// at different clock speeds").
     pub clock_divisor: u64,
     /// Upper bound on launched-but-incomplete dynamic instructions
-    /// (bounds simulator memory; must exceed `window_size`).
+    /// (bounds simulator memory). A DBB launches whole, so it must be at
+    /// least the longest basic block of the kernel; below `window_size` it
+    /// caps the window.
     pub max_inflight: u64,
     /// Offset added to every queue id this tile touches, so several
     /// instances of the same kernel pair (e.g. SPMD DAE pairs) use

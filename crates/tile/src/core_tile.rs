@@ -238,6 +238,180 @@ impl InFlight {
         self.advance_head();
         Some(di)
     }
+
+    /// The `Ready` slots with sequence ids in `[from, to)` that are subject
+    /// to the window check, ascending.
+    fn parked_in(&self, from: u64, to: u64) -> impl Iterator<Item = (u64, &DynInst)> {
+        // The ranges asked about are short: the ids a window edge passed.
+        let hi = to.clamp(self.base_seq, self.next_seq());
+        let lo = from.clamp(self.base_seq, hi);
+        (lo..hi)
+            .map(|seq| (seq, &self.slots[(seq - self.base_seq) as usize]))
+            .filter(|(_, d)| d.state == DynState::Ready && !d.window_exempt)
+    }
+}
+
+/// The `Ready` instructions as the issue stage meets them: the candidates
+/// the window check can pass, in issue order, and the backlog parked behind
+/// the window — a count to the issue stage, which charges it a window stall
+/// each without a visit. A parked instruction stays `DynState::Ready` in
+/// its slot and becomes a candidate when a walk finds that the window has
+/// come to cover it (DESIGN.md §4.2.2).
+#[derive(Debug, Default)]
+struct ReadySet {
+    /// `Ready` instructions below `unparked_to`, and window-exempt ones
+    /// wherever they are, ascending.
+    cands: Vec<u64>,
+    /// `Ready` instructions at or beyond `unparked_to` that are not
+    /// window-exempt, in the order they woke — and, until the next sweep,
+    /// `stale` entries the window has passed. Only per-instruction
+    /// attribution reads it.
+    parked: Vec<u64>,
+    stale: usize,
+    /// The window limit of the last walk: parking starts here. While a
+    /// walk runs it is `u64::MAX` and what the walk wakes waits in `woken`
+    /// (ascending) to be filed when it ends: the walk offers, and the
+    /// backlog it charges is, what was ready at the start of the cycle.
+    unparked_to: u64,
+    woken: Vec<u64>,
+    /// The running walk: the next candidate to offer (those before it that
+    /// did not issue are compacted into `cands[..kept]`), the issue width
+    /// left, and the candidate that took the last issue slot.
+    at: usize,
+    kept: usize,
+    width_left: u32,
+    last_issued: u64,
+}
+
+impl ReadySet {
+    /// Files `seq`, which just became `Ready`.
+    fn wake(&mut self, seq: u64, window_exempt: bool) {
+        if self.unparked_to == u64::MAX {
+            insert_sorted(&mut self.woken, seq);
+        } else if window_exempt || seq < self.unparked_to {
+            insert_sorted(&mut self.cands, seq);
+        } else {
+            self.parked.push(seq);
+        }
+    }
+
+    /// The set the slot states determine, for a window ending at
+    /// `window_limit`.
+    fn rebuild(inflight: &InFlight, window_limit: u64) -> Self {
+        let mut set = ReadySet {
+            unparked_to: window_limit,
+            ..ReadySet::default()
+        };
+        for (seq, di) in (inflight.base_seq..).zip(&inflight.slots) {
+            if di.state == DynState::Ready {
+                set.wake(seq, di.window_exempt);
+            }
+        }
+        set
+    }
+
+    /// The instructions parked behind a window ending at `window_limit`,
+    /// which is not below `unparked_to`.
+    fn parked_beyond(&self, window_limit: u64) -> impl Iterator<Item = u64> + '_ {
+        let parked = self.parked.iter().copied();
+        parked.filter(move |&seq| seq >= window_limit)
+    }
+
+    /// Starts the walk of a cycle whose window ends at `window_limit`: the
+    /// parked instructions the window has come to cover become candidates.
+    fn begin_walk(&mut self, inflight: &InFlight, window_limit: u64, width: u32) {
+        if self.unparked_to < window_limit {
+            for (seq, _) in inflight.parked_in(self.unparked_to, window_limit) {
+                insert_sorted(&mut self.cands, seq);
+                self.stale += 1;
+            }
+            // Sweeping when half the entries are stale costs each a constant.
+            if self.stale > self.parked.len() / 2 {
+                self.parked.retain(|&seq| seq >= window_limit);
+                self.stale = 0;
+            }
+        }
+        self.unparked_to = u64::MAX;
+        (self.at, self.kept, self.width_left, self.last_issued) = (0, 0, width, 0);
+    }
+
+    /// The next candidate of the running walk, while issue width is left.
+    fn peek(&self) -> Option<u64> {
+        let seq = self.cands.get(self.at)?;
+        (self.width_left > 0).then_some(*seq)
+    }
+
+    /// Records whether the candidate `peek` offered issued.
+    fn settle(&mut self, issued: bool) {
+        let seq = self.cands[self.at];
+        self.at += 1;
+        if issued {
+            self.width_left -= 1;
+            self.last_issued = seq;
+        } else {
+            self.cands[self.kept] = seq;
+            self.kept += 1;
+        }
+    }
+
+    /// The parked instructions the walk begun at `window_limit` charges a
+    /// window stall, as if it had visited them: all of them if issue width
+    /// is left, else those older than the issue that took the last slot (a
+    /// window-exempt op beyond the window).
+    fn charged(&self, window_limit: u64) -> impl Iterator<Item = u64> + '_ {
+        let cutoff = match self.width_left {
+            0 => self.last_issued,
+            _ => u64::MAX,
+        };
+        // An issue inside the window stopped the walk short of the backlog.
+        let reached = if cutoff > window_limit {
+            self.parked.len()
+        } else {
+            0
+        };
+        let parked = self.parked[..reached].iter().copied();
+        parked.filter(move |seq| (window_limit..cutoff).contains(seq))
+    }
+
+    /// Ends the walk begun at `window_limit` — fixed for the whole walk,
+    /// whatever completed inside it — filing what it woke, and returns how
+    /// many instructions it `charged`, without a visit when that is all.
+    fn end_walk(&mut self, inflight: &InFlight, window_limit: u64) -> u64 {
+        let charged = match self.width_left {
+            0 => self.charged(window_limit).count(),
+            _ => self.parked.len() - self.stale,
+        };
+        if self.kept < self.at {
+            self.cands.copy_within(self.at.., self.kept);
+            self.cands.truncate(self.kept + self.cands.len() - self.at);
+        }
+        self.unparked_to = window_limit;
+        while let Some(seq) = self.woken.pop() {
+            let di = inflight.get(seq).expect("woken this cycle");
+            self.wake(seq, di.window_exempt);
+        }
+        charged as u64
+    }
+
+    /// What a walk with the window ending at `window_limit` would be
+    /// offered, read-only and in no particular order: the candidates, and
+    /// the parked instructions the window has come to cover since the
+    /// last walk.
+    fn candidates<'a>(
+        &'a self,
+        inflight: &'a InFlight,
+        window_limit: u64,
+    ) -> impl Iterator<Item = u64> + 'a {
+        let entered = inflight.parked_in(self.unparked_to, window_limit);
+        let cands = self.cands.iter().copied();
+        cands.chain(entered.map(|(seq, _)| seq))
+    }
+
+    /// How many instructions would stay parked in such a walk.
+    fn backlog(&self, inflight: &InFlight, window_limit: u64) -> u64 {
+        let entered = inflight.parked_in(self.unparked_to, window_limit).count();
+        (self.parked.len() - self.stale - entered) as u64
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -341,8 +515,10 @@ struct Stall {
     kind: StallKind,
     /// The MAO's own classification, when the MAO rejected it.
     mao: Option<MaoStall>,
-    /// The channel a `send`/`recv` waits on.
+    /// The channel a `send`/`recv` waits on, and whether it is yet to be
+    /// created.
     queue: u32,
+    untouched: bool,
     /// When the head of that channel matures, if it has one.
     wake: Option<u64>,
 }
@@ -353,6 +529,7 @@ impl Stall {
             kind,
             mao: None,
             queue: 0,
+            untouched: false,
             wake: None,
         }
     }
@@ -400,10 +577,8 @@ pub struct CoreTile {
     inflight: InFlight,
     /// Most recent dynamic instance by `InstId`.
     latest: Vec<Option<u64>>,
-    /// Instructions in state `Ready`, in sequence order.
-    ready: Vec<u64>,
-    /// The buffer `issue()` swaps with `ready` while it walks it.
-    ready_spare: Vec<u64>,
+    /// The instructions in state `Ready`.
+    ready: ReadySet,
     completions: BinaryHeap<Reverse<(u64, u64)>>,
     /// Outstanding memory requests, ascending by id (the hierarchy
     /// allocates ids monotonically).
@@ -501,8 +676,7 @@ impl CoreTile {
             cursor: CursorPos::new(&trace),
             inflight: InFlight::new(),
             latest: vec![None; f.inst_count()],
-            ready: Vec::new(),
-            ready_spare: Vec::new(),
+            ready: ReadySet::default(),
             completions: BinaryHeap::new(),
             reqs: VecDeque::new(),
             mao: Mao::new(config.lsq_size, config.alias_speculation),
@@ -740,7 +914,7 @@ impl CoreTile {
     fn make_ready(&mut self, seq: u64, now: u64) {
         let di = self.inflight.get_mut(seq).expect("in flight");
         di.state = DynState::Ready;
-        let (plan, is_mem) = (di.plan, di.mem.is_some());
+        let (plan, is_mem, window_exempt) = (di.plan, di.mem.is_some(), di.window_exempt);
         if is_mem {
             self.mao.resolve(seq);
         }
@@ -749,7 +923,7 @@ impl CoreTile {
             self.stats.issued += 1;
             self.complete_inst(seq, now);
         } else {
-            insert_sorted(&mut self.ready, seq);
+            self.ready.wake(seq, window_exempt);
         }
     }
 
@@ -818,92 +992,68 @@ impl CoreTile {
         }
     }
 
+    /// One past the youngest sequence id the instruction window covers.
+    fn window_limit(&self) -> u64 {
+        self.inflight.head.saturating_add(self.config.window_size)
+    }
+
     fn issue(&mut self, ctx: &mut TileCtx<'_>) -> Result<(), TileError> {
-        let mut width_left = self.config.issue_width;
-        let window_limit = self.inflight.head + self.config.window_size;
-        // Walk the candidates of the start of the cycle, in place: what a
-        // fire-and-forget DeSC op wakes while it issues lands in the
-        // swapped-in list and waits for the next cycle.
-        let spare = std::mem::take(&mut self.ready_spare);
-        let mut cands = std::mem::replace(&mut self.ready, spare);
-        let mut kept = 0;
-        for at in 0..cands.len() {
-            if width_left == 0 {
-                cands.copy_within(at.., kept);
-                kept += cands.len() - at;
-                break;
-            }
-            let seq = cands[at];
-            if self.issue_one(seq, window_limit, ctx)? {
-                width_left -= 1;
-            } else {
-                cands[kept] = seq;
-                kept += 1;
+        // Walk the candidates of the start of the cycle: what a
+        // fire-and-forget DeSC op wakes while it issues waits for the next
+        // cycle, and the window does not move under the walk.
+        let (limit, width) = (self.window_limit(), self.config.issue_width);
+        self.ready.begin_walk(&self.inflight, limit, width);
+        while let Some(seq) = self.ready.peek() {
+            let issued = self.issue_one(seq, ctx)?;
+            self.ready.settle(issued);
+        }
+        if let Some(o) = self.obs.as_mut() {
+            for seq in self.ready.charged(limit) {
+                let di = self.inflight.get(seq).expect("parked implies in flight");
+                let sid = self.plan.inst(di.plan as usize).inst.0;
+                o.profile.stall(sid, StallKind::Window, 1);
             }
         }
-        cands.truncate(kept);
-        for seq in self.ready.drain(..) {
-            insert_sorted(&mut cands, seq);
-        }
-        self.ready_spare = std::mem::replace(&mut self.ready, cands);
+        self.stats.window_stalls += self.ready.end_walk(&self.inflight, limit);
         Ok(())
     }
 
-    /// Issues ready candidate `seq` if nothing blocks it; otherwise counts
-    /// its stall and returns `false`.
-    fn issue_one(
-        &mut self,
-        seq: u64,
-        window_limit: u64,
-        ctx: &mut TileCtx<'_>,
-    ) -> Result<bool, TileError> {
+    /// Issues candidate `seq` if `verdict` lets it; otherwise counts its
+    /// stall and returns `false`.
+    fn issue_one(&mut self, seq: u64, ctx: &mut TileCtx<'_>) -> Result<bool, TileError> {
         let now = ctx.now;
-        let di = *self.inflight.get(seq).expect("ready implies in flight");
+        let di = self.inflight.get(seq).expect("ready implies in flight");
+        match self.verdict(seq, di, now, ctx.channels) {
+            Verdict::Issue => {}
+            Verdict::AccelBusy => return Ok(false),
+            Verdict::Stall(Stall {
+                kind,
+                mao,
+                queue,
+                untouched,
+                ..
+            }) => {
+                *stall_counter(&mut self.stats, kind) += 1;
+                if let Some(mao) = mao {
+                    self.mao.credit_stalls(mao, 1);
+                }
+                // A deadlock snapshot lists every channel a tile touched,
+                // the ones it only ever waited on included.
+                if untouched {
+                    ctx.channels.channel_mut(queue);
+                }
+                if let Some(o) = self.obs.as_mut() {
+                    let sid = self.plan.inst(di.plan as usize).inst.0;
+                    o.profile.stall(sid, kind, 1);
+                }
+                return Ok(false);
+            }
+        }
+        let di = *di;
         let pi = *self.plan.inst(di.plan as usize);
         let (class, sid) = (pi.class, pi.inst.0);
         let desc = self.desc[di.plan as usize];
         let fu_limit = self.config.fu.limit(class);
-
-        // The first check that rejects the candidate names its stall.
-        let stall = if seq >= window_limit && !di.window_exempt {
-            // DeSC-detached ops later in the set may still issue.
-            Some(StallKind::Window)
-        } else if fu_limit != u32::MAX && self.fu_busy[class.code()] >= fu_limit {
-            Some(StallKind::Fu)
-        } else {
-            match class {
-                // Atomic read-modify-writes serialize per tile, like x86
-                // locked operations draining the store buffer — the
-                // paper's BFS mis-scaling stems from exactly this cost
-                // (§VI-A).
-                InstClass::Atomic if self.atomic_outstanding > 0 => Some(StallKind::Mem),
-                InstClass::Load | InstClass::Store | InstClass::Atomic => {
-                    let blocked = if desc.is_some_and(DescRole::detached) {
-                        self.detached_outstanding >= self.config.desc_buffer
-                    } else {
-                        !self.mao.can_issue(seq)
-                    };
-                    blocked.then_some(StallKind::Mem)
-                }
-                InstClass::Send => {
-                    let ch = ctx.channels.channel_mut(self.queue_of(di.plan));
-                    (!ch.has_space()).then_some(StallKind::Send)
-                }
-                InstClass::Recv => {
-                    let ch = ctx.channels.channel_mut(self.queue_of(di.plan));
-                    (!ch.can_recv(now)).then_some(StallKind::Recv)
-                }
-                InstClass::Accel if self.accel_busy_until.is_some() => return Ok(false),
-                _ => None,
-            }
-        };
-        if let Some(kind) = stall {
-            *stall_counter(&mut self.stats, kind) += 1;
-            if let Some(o) = self.obs.as_mut() {
-                o.profile.stall(sid, kind, 1);
-            }
-            return Ok(false);
-        }
 
         self.inflight.get_mut(seq).expect("in flight").state = DynState::Issued;
         self.stats.issued += 1;
@@ -996,21 +1146,21 @@ impl CoreTile {
         Ok(true)
     }
 
-    /// What `issue()` would do with ready candidate `seq` at cycle `now`,
-    /// mirroring its checks in order but read-only: channels are probed,
-    /// not created, and the MAO's stall counters stay untouched.
-    fn verdict(&self, seq: u64, now: u64, window_limit: u64, channels: &ChannelSet) -> Verdict {
-        let di = self.inflight.get(seq).expect("ready implies in flight");
+    /// What the issue stage does with candidate `seq` — in the window, or
+    /// exempt from it — at cycle `now`: the first check that rejects it
+    /// names its stall. Read-only: channels are probed, not created, and
+    /// the MAO's stall counters stay untouched.
+    fn verdict(&self, seq: u64, di: &DynInst, now: u64, channels: &ChannelSet) -> Verdict {
         let class = self.plan.inst(di.plan as usize).class;
         let stall = |kind| Verdict::Stall(Stall::of(kind));
-        if seq >= window_limit && !di.window_exempt {
-            return stall(StallKind::Window);
-        }
         let fu_limit = self.config.fu.limit(class);
         if fu_limit != u32::MAX && self.fu_busy[class.code()] >= fu_limit {
             return stall(StallKind::Fu);
         }
         match class {
+            // Atomic read-modify-writes serialize per tile, like x86
+            // locked operations draining the store buffer — the paper's
+            // BFS mis-scaling stems from exactly this cost (§VI-A).
             InstClass::Atomic if self.atomic_outstanding > 0 => stall(StallKind::Mem),
             InstClass::Load | InstClass::Store | InstClass::Atomic => {
                 if self.desc[di.plan as usize].is_some_and(DescRole::detached) {
@@ -1032,15 +1182,18 @@ impl CoreTile {
                 }
                 Verdict::Stall(Stall {
                     queue,
+                    untouched: channels.channel(queue).is_none(),
                     ..Stall::of(StallKind::Send)
                 })
             }
             InstClass::Recv => {
                 let queue = self.queue_of(di.plan);
-                match channels.channel(queue).and_then(Channel::next_recv_ready) {
+                let channel = channels.channel(queue);
+                match channel.and_then(Channel::next_recv_ready) {
                     Some(ready) if ready <= now => Verdict::Issue,
                     wake => Verdict::Stall(Stall {
                         queue,
+                        untouched: channel.is_none(),
                         wake,
                         ..Stall::of(StallKind::Recv)
                     }),
@@ -1120,15 +1273,18 @@ impl CoreTile {
                 }
             }
         }
-        // Issue walk, mirroring `issue()` candidate by candidate. Any
-        // issuable candidate means work; otherwise each candidate counts
-        // exactly one stall, classified by the first rejecting check.
+        // Issue walk, mirroring `issue()`. Any issuable candidate means
+        // work; otherwise each candidate counts exactly one stall,
+        // classified by the first rejecting check, and each instruction
+        // parked behind the window one window stall.
         stalls.by_kind = [0; STALL_KINDS];
         stalls.mao = [0; 3];
         stalls.per_inst.clear();
-        let window_limit = self.inflight.head + self.config.window_size;
-        for &seq in &self.ready {
-            match self.verdict(seq, now, window_limit, channels) {
+        let window_limit = self.window_limit();
+        let sid = |di: &DynInst| self.plan.inst(di.plan as usize).inst.0;
+        for seq in self.ready.candidates(&self.inflight, window_limit) {
+            let di = self.inflight.get(seq).expect("ready implies in flight");
+            match self.verdict(seq, di, now, channels) {
                 Verdict::Issue => return Survey::Ready,
                 // Skipped without a stall count; the accelerator-busy wake
                 // is already noted above.
@@ -1150,33 +1306,22 @@ impl CoreTile {
                     // observability is on, so fast-forward crediting
                     // reproduces it bit-identically.
                     if self.obs.is_some() {
-                        let plan = self.inflight.get(seq).expect("in flight").plan;
-                        let sid = self.plan.inst(plan as usize).inst.0;
-                        stalls.per_inst.push((sid, kind));
+                        stalls.per_inst.push((sid(di), kind));
                     }
                 }
             }
         }
+        let backlog = self.ready.backlog(&self.inflight, window_limit);
+        stalls.by_kind[StallKind::Window as usize] += backlog;
+        if self.obs.is_some() {
+            let slot = |seq| self.inflight.get(seq).expect("parked implies in flight");
+            let parked = self.ready.parked_beyond(window_limit);
+            stalls
+                .per_inst
+                .extend(parked.map(|seq| (sid(slot(seq)), StallKind::Window)));
+        }
         stalls.at = Some(now);
         Survey::Blocked { wake }
-    }
-
-    /// Classifies one ready candidate by the first check that would
-    /// reject it, mirroring `issue()`'s order. `None` means it would
-    /// issue.
-    fn classify_blocked(&self, seq: u64, now: u64, channels: &ChannelSet) -> Option<StallReason> {
-        let window_limit = self.inflight.head + self.config.window_size;
-        match self.verdict(seq, now, window_limit, channels) {
-            Verdict::Issue => None,
-            Verdict::AccelBusy => Some(StallReason::FuncUnit),
-            Verdict::Stall(Stall { kind, queue, .. }) => Some(match kind {
-                StallKind::Window => StallReason::Window,
-                StallKind::Fu => StallReason::FuncUnit,
-                StallKind::Mem => StallReason::Memory,
-                StallKind::Send => StallReason::SendFull { queue },
-                StallKind::Recv => StallReason::RecvEmpty { queue },
-            }),
-        }
     }
 }
 
@@ -1426,11 +1571,29 @@ impl Tile for CoreTile {
                 best = Some((reason, inst));
             }
         };
-        for &seq in &self.ready {
-            if let Some(reason) = self.classify_blocked(seq, now, channels) {
-                let plan = self.inflight.get(seq).expect("in flight").plan;
-                consider(reason, Some(self.plan.inst(plan as usize).inst.0));
+        // The `Ready` slots, in issue order: a diagnosis can afford the
+        // scan the issue stage no longer makes.
+        let window_limit = self.window_limit();
+        for (seq, di) in (self.inflight.base_seq..).zip(&self.inflight.slots) {
+            if di.state != DynState::Ready {
+                continue;
             }
+            let reason = if seq >= window_limit && !di.window_exempt {
+                StallReason::Window
+            } else {
+                match self.verdict(seq, di, now, channels) {
+                    Verdict::Issue => continue,
+                    Verdict::AccelBusy => StallReason::FuncUnit,
+                    Verdict::Stall(Stall { kind, queue, .. }) => match kind {
+                        StallKind::Window => StallReason::Window,
+                        StallKind::Fu => StallReason::FuncUnit,
+                        StallKind::Mem => StallReason::Memory,
+                        StallKind::Send => StallReason::SendFull { queue },
+                        StallKind::Recv => StallReason::RecvEmpty { queue },
+                    },
+                }
+            };
+            consider(reason, Some(self.plan.inst(di.plan as usize).inst.0));
         }
         if let Some(&queue) = self.pending_pushes.front() {
             if !channels.would_have_space(queue) {
@@ -1610,9 +1773,9 @@ pub fn accelerator_tile(
 // predictions, DeSC roles — is rebuilt by `CoreTile::new` on the resume path
 // and must therefore be byte-identical by construction, not by
 // serialization. What the dynamic state determines is not written either:
-// the ready list (the `Ready` slots in sequence order), the window head and
-// the live count. Every structure is indexed by a dense id, so writing it
-// in index order gives the same bytes for the same state.
+// the ready set (the `Ready` slots, candidates or parked by the window), the
+// window head and the live count. Every structure is indexed by a dense id,
+// so writing it in index order gives the same bytes for the same state.
 // ---------------------------------------------------------------------------
 
 fn kind_code(k: AccessKind) -> u8 {
@@ -1809,7 +1972,6 @@ impl CoreTile {
         inflight.head = inflight.base_seq;
         let nslots = d.u64("tile in-flight span")?;
         let next_seq = inflight.base_seq.saturating_add(nslots);
-        self.ready.clear();
         let mut children = Vec::new();
         for seq in inflight.base_seq..next_seq {
             let state = match d.u8("inst state")? {
@@ -1858,9 +2020,6 @@ impl CoreTile {
                     return Err(corrupt(format!("inst {seq}: memory access mismatch")));
                 }
                 di.accel_at = d.u32("inst accel index")?;
-                if state == DynState::Ready {
-                    self.ready.push(seq);
-                }
                 inflight.live += 1;
             }
             inflight.slots.push_back(di);
@@ -1872,6 +2031,7 @@ impl CoreTile {
             }
         }
         self.inflight = inflight;
+        self.ready = ReadySet::rebuild(&self.inflight, self.window_limit());
 
         dec_len(d, "tile latest-def table", self.latest.len())?;
         for slot in &mut self.latest {
@@ -1986,5 +2146,384 @@ impl CoreTile {
         // dropping it cannot change behavior.
         self.skip_cache.get_mut().at = None;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeMap;
+
+    /// A stateless SplitMix64 roll: both sides of the comparison ask the
+    /// same questions in a different order, so answers are keyed, not
+    /// drawn from a stream.
+    fn roll(seed: u64, cycle: u64, seq: u64, salt: u64) -> u64 {
+        let key = seed ^ cycle.wrapping_mul(0xd6e8_feb8_6659_fd93) ^ seq.rotate_left(32) ^ salt;
+        let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// What the checks behind the window check say about a candidate.
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Answer {
+        /// It issues; `detached`: and completes on the spot, waking
+        /// children and maybe moving the window head, inside the walk.
+        Issue {
+            detached: bool,
+        },
+        /// Passed over without a count (a busy accelerator).
+        Skip,
+        Stall(StallKind),
+    }
+
+    /// The schedule of one case: answers keyed by `(cycle, seq)`.
+    #[derive(Clone, Copy)]
+    struct Oracle {
+        seed: u64,
+        /// Whether `cycle` is one where nothing issues (a blocked tile).
+        blocked: fn(u64, u64) -> bool,
+    }
+
+    impl Oracle {
+        fn answer(&self, cycle: u64, seq: u64) -> Answer {
+            let r = roll(self.seed, cycle, seq, 1);
+            let kinds = [
+                StallKind::Fu,
+                StallKind::Mem,
+                StallKind::Send,
+                StallKind::Recv,
+            ];
+            match r % 16 {
+                0..=7 if !(self.blocked)(self.seed, cycle) => Answer::Issue {
+                    detached: r >> 8 & 3 == 0,
+                },
+                8 => Answer::Skip,
+                _ => Answer::Stall(kinds[(r >> 16) as usize % 4]),
+            }
+        }
+    }
+
+    /// What one cycle's walk did.
+    #[derive(Default, PartialEq, Debug)]
+    struct Outcome {
+        issued: Vec<u64>,
+        by_kind: [u64; STALL_KINDS],
+        /// Stalls by `(static id, kind)`; `None` when the walk was asked
+        /// for totals only.
+        per_inst: Option<BTreeMap<(u32, usize), u64>>,
+    }
+
+    impl Outcome {
+        fn stall(&mut self, sid: u32, kind: StallKind) {
+            self.by_kind[kind as usize] += 1;
+            if let Some(m) = self.per_inst.as_mut() {
+                *m.entry((sid, kind as usize)).or_default() += 1;
+            }
+        }
+    }
+
+    /// One side of the comparison: the in-flight ring, and the ready
+    /// instructions either as the windowed set or — the model — as the one
+    /// sorted list of every `Ready` id that `issue()` used to walk in full.
+    struct Side {
+        inflight: InFlight,
+        set: Option<ReadySet>,
+        list: Vec<u64>,
+        window: u64,
+        /// Candidates the last walk asked the oracle about.
+        visits: u64,
+    }
+
+    impl Side {
+        fn new(windowed: bool, window: u64) -> Self {
+            Side {
+                inflight: InFlight::new(),
+                set: windowed.then(ReadySet::default),
+                list: Vec::new(),
+                window,
+                visits: 0,
+            }
+        }
+
+        fn limit(&self) -> u64 {
+            self.inflight.head + self.window
+        }
+
+        fn launch(&mut self, sid: u32, window_exempt: bool) {
+            self.inflight.push(DynInst {
+                plan: sid,
+                state: DynState::Waiting,
+                window_exempt,
+                remaining_parents: 1,
+                dbb: 0,
+                first_child: NIL,
+                last_child: NIL,
+                mem: None,
+                accel_at: 0,
+            });
+        }
+
+        fn wake(&mut self, seq: u64) {
+            let di = self.inflight.get_mut(seq).expect("in flight");
+            assert_eq!(di.state, DynState::Waiting);
+            di.state = DynState::Ready;
+            let exempt = di.window_exempt;
+            match self.set.as_mut() {
+                Some(set) => set.wake(seq, exempt),
+                None => insert_sorted(&mut self.list, seq),
+            }
+        }
+
+        fn seqs_in(&self, state: DynState) -> Vec<u64> {
+            let slots = (self.inflight.base_seq..).zip(&self.inflight.slots);
+            slots
+                .filter(|(_, d)| d.state == state)
+                .map(|(s, _)| s)
+                .collect()
+        }
+
+        /// Issues `seq`; a detached issue retires it at once and wakes up
+        /// to three of the waiting instructions behind it.
+        fn issue(&mut self, oracle: &Oracle, cycle: u64, seq: u64, detached: bool) {
+            self.inflight.get_mut(seq).expect("in flight").state = DynState::Issued;
+            if detached {
+                self.inflight.retire(seq);
+                let waiting = self.seqs_in(DynState::Waiting);
+                let younger: Vec<u64> = waiting.into_iter().filter(|&w| w > seq).collect();
+                for k in 0..roll(oracle.seed, cycle, seq, 2) % 4 {
+                    let pick = roll(oracle.seed, cycle, seq, 3 + k) as usize;
+                    if let Some(&child) = younger.get(pick % younger.len().max(1)) {
+                        if self
+                            .inflight
+                            .get(child)
+                            .is_some_and(|d| d.state == DynState::Waiting)
+                        {
+                            self.wake(child);
+                        }
+                    }
+                }
+            }
+        }
+
+        fn walk(&mut self, oracle: &Oracle, cycle: u64, width: u32, per_slot: bool) -> Outcome {
+            let mut out = Outcome {
+                per_inst: per_slot.then(BTreeMap::new),
+                ..Outcome::default()
+            };
+            self.visits = 0;
+            let limit = self.limit();
+            let sid = |inflight: &InFlight, seq| inflight.get(seq).expect("in flight").plan;
+            if let Some(set) = self.set.as_mut() {
+                set.begin_walk(&self.inflight, limit, width);
+                while let Some(seq) = self.set.as_ref().and_then(ReadySet::peek) {
+                    self.visits += 1;
+                    let di = *self.inflight.get(seq).expect("in flight");
+                    assert!(
+                        seq < limit || di.window_exempt,
+                        "{seq} is behind the window"
+                    );
+                    let answer = oracle.answer(cycle, seq);
+                    match answer {
+                        Answer::Issue { detached } => {
+                            self.issue(oracle, cycle, seq, detached);
+                            out.issued.push(seq);
+                        }
+                        Answer::Skip => {}
+                        Answer::Stall(kind) => out.stall(di.plan, kind),
+                    }
+                    let set = self.set.as_mut().expect("checked above");
+                    set.settle(matches!(answer, Answer::Issue { .. }));
+                }
+                let set = self.set.as_mut().expect("checked above");
+                let charged: Vec<u64> = set.charged(limit).collect();
+                let n = set.end_walk(&self.inflight, limit);
+                assert_eq!(n, charged.len() as u64);
+                if per_slot {
+                    for seq in charged {
+                        out.stall(sid(&self.inflight, seq), StallKind::Window);
+                    }
+                } else {
+                    out.by_kind[StallKind::Window as usize] += n;
+                }
+            } else {
+                // The old rule: every `Ready` id in one sorted list, visited
+                // until the width runs out; what the walk wakes waits in
+                // the swapped-in list for the next cycle.
+                let cands = std::mem::take(&mut self.list);
+                let mut width_left = width;
+                let mut kept = Vec::new();
+                for (at, &seq) in cands.iter().enumerate() {
+                    if width_left == 0 {
+                        kept.extend_from_slice(&cands[at..]);
+                        break;
+                    }
+                    let di = *self.inflight.get(seq).expect("in flight");
+                    let answer = if seq >= limit && !di.window_exempt {
+                        Answer::Stall(StallKind::Window)
+                    } else {
+                        self.visits += 1;
+                        oracle.answer(cycle, seq)
+                    };
+                    match answer {
+                        Answer::Issue { detached } => {
+                            self.issue(oracle, cycle, seq, detached);
+                            out.issued.push(seq);
+                            width_left -= 1;
+                            continue;
+                        }
+                        Answer::Skip => {}
+                        Answer::Stall(kind) => out.stall(sid(&self.inflight, seq), kind),
+                    }
+                    kept.push(seq);
+                }
+                for seq in std::mem::replace(&mut self.list, kept) {
+                    insert_sorted(&mut self.list, seq);
+                }
+            }
+            out
+        }
+
+        /// The survey's issue walk between steps: `None` if a candidate
+        /// would issue, else the stalls one blocked cycle counts.
+        fn survey(&self, oracle: &Oracle, cycle: u64) -> Option<Outcome> {
+            let mut out = Outcome {
+                per_inst: Some(BTreeMap::new()),
+                ..Outcome::default()
+            };
+            let limit = self.limit();
+            let slot = |seq| self.inflight.get(seq).expect("in flight");
+            let visit = |out: &mut Outcome, seq: u64| match oracle.answer(cycle, seq) {
+                Answer::Issue { .. } => false,
+                Answer::Skip => true,
+                Answer::Stall(kind) => {
+                    out.stall(slot(seq).plan, kind);
+                    true
+                }
+            };
+            match &self.set {
+                Some(set) => {
+                    for seq in set.candidates(&self.inflight, limit) {
+                        if !visit(&mut out, seq) {
+                            return None;
+                        }
+                    }
+                    let parked: Vec<u64> = set.parked_beyond(limit).collect();
+                    assert_eq!(parked.len() as u64, set.backlog(&self.inflight, limit));
+                    for seq in parked {
+                        out.stall(slot(seq).plan, StallKind::Window);
+                    }
+                }
+                None => {
+                    for &seq in &self.list {
+                        if seq >= limit && !slot(seq).window_exempt {
+                            out.stall(slot(seq).plan, StallKind::Window);
+                        } else if !visit(&mut out, seq) {
+                            return None;
+                        }
+                    }
+                }
+            }
+            Some(out)
+        }
+    }
+
+    /// The windowed ready set against the full walk it replaced, over
+    /// random schedules: launches, out-of-order readiness, completions that
+    /// move the head by nothing or by dozens, detached issues that wake
+    /// instructions and move the head inside a walk, window-exempt
+    /// instructions on both sides of the limit, and a restore now and then.
+    /// Same issue order, same stall totals and attribution, same survey —
+    /// and the set's walk never asks about an instruction the window check
+    /// would have turned away.
+    #[test]
+    fn windowed_set_matches_the_full_walk() {
+        let (mut walks, mut cutoffs_beyond, mut mid_walk_parks, mut blocked_surveys) = (0, 0, 0, 0);
+        for case in 0..300u64 {
+            let seed = roll(0x5eed, case, 0, 0);
+            let window = [1, 2, 3, 8, 32, 128][(seed % 6) as usize];
+            let width = 1 + (seed >> 8) as u32 % 8;
+            let per_slot = case % 2 == 0;
+            let oracle = Oracle {
+                seed,
+                blocked: |seed, cycle| roll(seed, cycle, 0, 9).is_multiple_of(3),
+            };
+            let mut sides = [Side::new(true, window), Side::new(false, window)];
+            for cycle in 0..120u64 {
+                let r = |salt| roll(seed, cycle, u64::MAX, salt);
+                for side in &mut sides {
+                    // Launch, keeping at most 200 in flight.
+                    for k in 0..r(10) % 12 {
+                        if side.inflight.live < 200 {
+                            let pick = roll(seed, cycle, k, 11);
+                            side.launch((pick % 16) as u32, pick >> 8 & 7 == 0);
+                        }
+                    }
+                    // Complete issued instructions: none, a few, or all.
+                    let odds = [0, 8, 2, 1][r(12) as usize % 4];
+                    for seq in side.seqs_in(DynState::Issued) {
+                        if odds != 0 && roll(seed, cycle, seq, 13).is_multiple_of(odds) {
+                            side.inflight.retire(seq);
+                        }
+                    }
+                    // Wake waiting instructions, in no particular order.
+                    let odds = [2, 3, 6][r(14) as usize % 3];
+                    for seq in side.seqs_in(DynState::Waiting) {
+                        if roll(seed, cycle, seq, 15).is_multiple_of(odds) {
+                            side.wake(seq);
+                        }
+                    }
+                    // A restore rebuilds the set from the slots.
+                    if r(16) % 16 == 0 {
+                        let limit = side.limit();
+                        if side.set.is_some() {
+                            side.set = Some(ReadySet::rebuild(&side.inflight, limit));
+                        }
+                    }
+                }
+                let label = format!("case {case} (window {window}, width {width}), cycle {cycle}");
+                let ready = sides[0].seqs_in(DynState::Ready);
+                let exempt = |s: &u64| sides[0].inflight.get(*s).is_some_and(|d| d.window_exempt);
+                let budget = window + ready.iter().filter(|s| exempt(s)).count() as u64;
+                let limit = sides[0].limit();
+                let parked_before = sides[0].set.as_ref().map_or(0, |s| s.parked.len());
+
+                let [set, model] = &mut sides;
+                let got = set.walk(&oracle, cycle, width, per_slot);
+                let want = model.walk(&oracle, cycle, width, per_slot);
+                assert_eq!(got, want, "{label}: walk");
+                assert!(set.visits <= budget, "{label}: {} visits", set.visits);
+                assert_eq!(set.visits, model.visits, "{label}: visits");
+                walks += 1;
+                cutoffs_beyond += u64::from(
+                    got.issued.len() == width as usize && got.issued.last() >= Some(&limit),
+                );
+                let parked_after = set.set.as_ref().map_or(0, |s| s.parked.len());
+                mid_walk_parks += u64::from(parked_after > parked_before);
+
+                // Between steps: the head may have moved inside the walk.
+                let got = set.survey(&oracle, cycle + 1_000);
+                assert_eq!(got, model.survey(&oracle, cycle + 1_000), "{label}: survey");
+                blocked_surveys += u64::from(got.is_some());
+                for state in [DynState::Waiting, DynState::Ready, DynState::Issued] {
+                    assert_eq!(
+                        set.seqs_in(state),
+                        model.seqs_in(state),
+                        "{label}: {state:?}"
+                    );
+                }
+            }
+        }
+        // The schedules reach the corners the contract names.
+        assert!(
+            walks == 36_000 && cutoffs_beyond > 50,
+            "{cutoffs_beyond} cutoffs beyond"
+        );
+        assert!(
+            mid_walk_parks > 50,
+            "{mid_walk_parks} walks parked what they woke"
+        );
+        assert!(blocked_surveys > 1_000, "{blocked_surveys} blocked surveys");
     }
 }

@@ -136,9 +136,25 @@ fn run_loop_allocations_per_instruction_stay_under_their_ceilings() {
     // DRAM-stall-bound in-order tile: nearly every miss goes to DRAM, so
     // the MSHRs, the event queue and the DRAM model carry the run — and
     // allocate while their tables and queues grow to size, not after.
-    // Measured 0.0005 (99 / 193 607); 0.056 (10 852) on maps and a heap.
+    // Measured 0.0005 (105 / 193 607); 0.056 (10 852) on maps and a heap.
     let lbm = allocs_per_instr("lbm", CoreConfig::in_order(), no_prefetch(), ObsLevel::Off);
     assert!(lbm < 0.01, "lbm/ino, no prefetcher: {lbm:.4}");
+
+    // The same run observed: some 25 ready instructions wait behind the
+    // one-entry window on every stepped cycle, and each is charged a
+    // window stall in the profile — read off the tile's parked list where
+    // it lies, into tables sized at `set_observe`. Measured 128 allocations
+    // against 105 at `Off` (a latency histogram per memory instruction).
+    let lbm_stats = allocs_per_instr(
+        "lbm",
+        CoreConfig::in_order(),
+        no_prefetch(),
+        ObsLevel::Stats,
+    );
+    assert!(
+        lbm_stats - lbm < 0.001,
+        "lbm/ino, no prefetcher: Stats {lbm_stats:.4} against Off {lbm:.4}"
+    );
 
     // The observed path. `Stats` records into tables sized at
     // `set_observe` (a retire, a stall or a latency sample is an indexed
