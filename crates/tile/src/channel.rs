@@ -9,7 +9,7 @@
 //! A [`Channel`] is a bounded FIFO with a delivery latency; the DAE case
 //! study (paper §VII-A, Table II) uses 512-entry, 1-cycle-latency buffers.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Configuration of one channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,7 +147,9 @@ impl Channel {
 /// `send`/`recv` instructions.
 #[derive(Debug, Clone, Default)]
 pub struct ChannelSet {
-    channels: BTreeMap<u32, Channel>,
+    /// Ascending by queue id, a handful of them: searched, not indexed,
+    /// because the ids are sparse (DAE pair `k` uses `1000·k + …`).
+    channels: Vec<(u32, Channel)>,
     default_config: ChannelConfig,
 }
 
@@ -155,25 +157,39 @@ impl ChannelSet {
     /// A channel set that lazily creates channels with `default_config`.
     pub fn new(default_config: ChannelConfig) -> Self {
         ChannelSet {
-            channels: BTreeMap::new(),
+            channels: Vec::new(),
             default_config,
         }
     }
 
+    fn find(&self, queue: u32) -> Result<usize, usize> {
+        self.channels.binary_search_by_key(&queue, |&(q, _)| q)
+    }
+
     /// Pre-creates a channel with a specific configuration.
     pub fn configure(&mut self, queue: u32, config: ChannelConfig) {
-        self.channels.insert(queue, Channel::new(config));
+        *self.channel_mut(queue) = Channel::new(config);
     }
 
     /// The channel for `queue`, created on demand.
     pub fn channel_mut(&mut self, queue: u32) -> &mut Channel {
-        let cfg = self.default_config;
-        self.channels.entry(queue).or_insert_with(|| Channel::new(cfg))
+        let at = self.find(queue).unwrap_or_else(|at| {
+            self.channels.insert(at, (queue, Channel::new(self.default_config)));
+            at
+        });
+        &mut self.channels[at].1
     }
 
     /// Read-only channel lookup.
     pub fn channel(&self, queue: u32) -> Option<&Channel> {
-        self.channels.get(&queue)
+        self.find(queue).ok().map(|at| &self.channels[at].1)
+    }
+
+    /// A stamp that moves whenever what a tile waiting on `queue` can see
+    /// does — space and head message change only by a successful send or
+    /// receive — and is 0 only while the channel is yet to be created.
+    pub(crate) fn version(&self, queue: u32) -> u64 {
+        self.channel(queue).map_or(0, |c| 1 + c.sends + c.recvs)
     }
 
     /// The configuration lazily-created channels will receive.
@@ -186,7 +202,7 @@ impl ChannelSet {
     /// default capacity is nonzero). Read-only mirror of
     /// `channel_mut(queue).has_space()`.
     pub fn would_have_space(&self, queue: u32) -> bool {
-        match self.channels.get(&queue) {
+        match self.channel(queue) {
             Some(c) => c.has_space(),
             None => self.default_config.capacity > 0,
         }
@@ -194,21 +210,21 @@ impl ChannelSet {
 
     /// Whether every channel is drained.
     pub fn all_empty(&self) -> bool {
-        self.channels.values().all(Channel::is_empty)
+        self.channels.iter().all(|(_, c)| c.is_empty())
     }
 
     /// Iterates `(queue, channel)` pairs in ascending queue order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &Channel)> {
-        self.channels.iter().map(|(&q, c)| (q, c))
+        self.channels.iter().map(|(q, c)| (*q, c))
     }
 
     /// Serializes every channel — configuration, buffered message
     /// maturity cycles, and counters — in ascending queue order (the
-    /// map's own), so the byte stream is deterministic.
+    /// set's own), so the byte stream is deterministic.
     pub fn encode_into(&self, e: &mut mosaic_ckpt::Enc) {
         e.u32(self.channels.len() as u32);
-        for (&q, c) in &self.channels {
-            e.u32(q);
+        for (q, c) in &self.channels {
+            e.u32(*q);
             e.usize(c.config.capacity);
             e.u64(c.config.latency);
             e.usize(c.queue.len());
@@ -249,7 +265,7 @@ impl ChannelSet {
             c.full_stalls = d.u64("channel full_stalls")?;
             c.empty_stalls = d.u64("channel empty_stalls")?;
             c.max_occupancy = d.usize("channel max_occupancy")?;
-            self.channels.insert(q, c);
+            *self.channel_mut(q) = c;
         }
         Ok(())
     }

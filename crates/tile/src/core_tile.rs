@@ -446,25 +446,43 @@ struct PendingReq {
     issued_at: u64,
 }
 
-/// Per-cycle stall profile of a fully blocked tile, as `issue()` would
-/// count it: one increment per blocked ready candidate, classified by the
-/// first check that rejected it. The tile owns one, which every survey
-/// refills in place.
+/// The stall memo (DESIGN.md §4.2.1): the per-cycle stall profile of a fully
+/// blocked tile, as `issue()` would count it — one increment per blocked ready
+/// candidate, classified by the first check that rejected it — and how long it
+/// stays that. The tile owns one, which every survey refills in place.
 #[derive(Debug, Default)]
-struct SkipStalls {
-    /// The cycle a completed blocked survey filled this at; `None` while
-    /// the contents are stale or partial.
-    at: Option<u64>,
+struct StallMemo {
+    /// From the cycle of the blocked survey that filled it to the earliest
+    /// time-triggered wake-up that survey found (`u64::MAX`: only an external
+    /// event can unblock the tile). Empty while the contents are stale.
+    span: std::ops::Range<u64>,
+    /// The channels the blocked `send`/`recv` candidates and the front
+    /// pending push wait on, with their [`ChannelSet::version`] then.
+    watch: Vec<(u32, u64)>,
     /// Blocked candidates by [`StallKind`].
     by_kind: [u64; STALL_KINDS],
     /// MAO-internal classification of the MAO-rejected candidates (these
     /// also count once under `StallKind::Mem`), by `MaoStall as usize`.
     mao: [u64; 3],
     /// Per-static-instruction attribution of the same stalls, populated
-    /// only when observability is on. Mirrors `issue()`'s per-site
-    /// attribution exactly so fast-forward crediting (this profile ×
-    /// skipped cycles) stays bit-identical to naive stepping.
+    /// only when observability is on: `issue()`'s per-site attribution
+    /// exactly, so that crediting it × cycles is what stepping records.
     per_inst: Vec<(u32, StallKind)>,
+}
+
+impl StallMemo {
+    /// Whether a step at `now` would count these stalls and nothing else,
+    /// given a tile unchanged since the survey (what changes it drops this).
+    fn holds(&self, now: u64, channels: &ChannelSet) -> bool {
+        let unmoved = |&(queue, version)| channels.version(queue) == version;
+        self.span.contains(&now) && self.watch.iter().all(unmoved)
+    }
+
+    fn watch_channel(&mut self, queue: u32, channels: &ChannelSet) {
+        if self.watch.iter().all(|&(q, _)| q != queue) {
+            self.watch.push((queue, channels.version(queue)));
+        }
+    }
 }
 
 /// Hot-path observability state, allocated only when
@@ -546,17 +564,6 @@ enum Verdict {
     Stall(Stall),
 }
 
-/// Result of the read-only one-cycle dry run backing
-/// [`Tile::next_event`] / [`Tile::on_cycles_skipped`].
-enum Survey {
-    /// Stepping at the surveyed cycle would change architectural state.
-    Ready,
-    /// Stepping would only accumulate the stalls left in `skip_cache`;
-    /// nothing can change before `wake` (`None`: only an external event
-    /// can unblock the tile).
-    Blocked { wake: Option<u64> },
-}
-
 /// A core tile replaying a traced kernel over the shared memory hierarchy.
 pub struct CoreTile {
     config: CoreConfig,
@@ -602,13 +609,15 @@ pub struct CoreTile {
     accel_busy_until: Option<u64>,
     done: bool,
     stats: TileStats,
-    /// The last blocked survey's stalls, keyed by the cycle it was taken
-    /// at. `next_event` fills it so that the `on_cycles_skipped` call the
-    /// scheduler makes for the same cycle reuses the survey instead of
-    /// re-walking the ready set (the two calls bracket a read-only
-    /// horizon computation, so the state cannot have changed between
-    /// them).
-    skip_cache: std::cell::RefCell<SkipStalls>,
+    /// The last blocked survey's stalls: while it holds, `step`, `next_event`
+    /// and `on_cycles_skipped` answer from it; what changes the tile drops it.
+    memo: std::cell::RefCell<StallMemo>,
+    /// Whether the last full step changed nothing: the next one surveys
+    /// before it walks (a heuristic — the survey decides).
+    idle: bool,
+    /// `verdict` calls made so far.
+    #[cfg(test)]
+    verdicts: std::cell::Cell<u64>,
     /// Observability state; `None` at `ObsLevel::Off` so the hot path
     /// pays only a pointer-null check.
     obs: Option<Box<TileObs>>,
@@ -693,7 +702,10 @@ impl CoreTile {
             accel_busy_until: None,
             done: false,
             stats: TileStats::new(&config.name),
-            skip_cache: Default::default(),
+            memo: Default::default(),
+            idle: false,
+            #[cfg(test)]
+            verdicts: Default::default(),
             obs: None,
             config,
             module,
@@ -1151,6 +1163,8 @@ impl CoreTile {
     /// names its stall. Read-only: channels are probed, not created, and
     /// the MAO's stall counters stay untouched.
     fn verdict(&self, seq: u64, di: &DynInst, now: u64, channels: &ChannelSet) -> Verdict {
+        #[cfg(test)]
+        self.verdicts.set(self.verdicts.get() + 1);
         let class = self.plan.inst(di.plan as usize).class;
         let stall = |kind| Verdict::Stall(Stall::of(kind));
         let fu_limit = self.config.fu.limit(class);
@@ -1206,20 +1220,21 @@ impl CoreTile {
 
     /// Read-only dry run of what `step()` would do at cycle `now`,
     /// mirroring its phases in order (accelerator clear, pending pushes,
-    /// completion retire, DBB launch, issue walk). Returns `Ready` the
-    /// moment any phase would change state; otherwise collects the exact
-    /// stall counts `issue()` would record plus the earliest
-    /// time-triggered wake-up.
+    /// completion retire, DBB launch, issue walk). Returns `false` the
+    /// moment any phase would change state; otherwise `true`, the memo
+    /// filled with the exact stall counts `issue()` would record, the
+    /// earliest time-triggered wake-up and the channels looked at.
     ///
     /// The fast-forward correctness argument hinges on one property: if
-    /// this returns `Blocked { wake, .. }`, then for every cycle `x` with
-    /// `now <= x < wake` (or unboundedly, when `wake` is `None`) stepping
-    /// the tile at `x` mutates nothing except adding `stalls` once —
-    /// every predicate below is either cycle-independent or of the form
-    /// `event_time <= x` with `event_time` reported through `wake`.
-    fn survey(&self, now: u64, channels: &ChannelSet) -> Survey {
-        let mut stalls = self.skip_cache.borrow_mut();
-        stalls.at = None;
+    /// the memo is filled over `now..wake`, then stepping the tile at any
+    /// cycle `x` in that span mutates nothing except adding `stalls` once
+    /// — every predicate below is cycle-independent, of the form
+    /// `event_time <= x` with `event_time` reported through `wake`, or
+    /// reads a watched channel.
+    fn survey(&self, now: u64, channels: &ChannelSet) -> bool {
+        let mut stalls = self.memo.borrow_mut();
+        stalls.span = 0..0;
+        stalls.watch.clear();
         let mut wake: Option<u64> = None;
         let note = |wake: &mut Option<u64>, t: u64| {
             *wake = Some(wake.map_or(t, |w: u64| w.min(t)));
@@ -1229,12 +1244,12 @@ impl CoreTile {
         // blocker cleared via `on_mem_completion` between steps): the next
         // aligned step marks the tile finished, which is progress.
         if self.drained() {
-            return Survey::Ready;
+            return false;
         }
         // Retire phase: the earliest queued completion.
         if let Some(&Reverse((cycle, _))) = self.completions.peek() {
             if cycle <= now {
-                return Survey::Ready;
+                return false;
             }
             note(&mut wake, cycle);
         }
@@ -1243,7 +1258,7 @@ impl CoreTile {
         // blocker below always has a wake).
         if let Some(t) = self.accel_busy_until {
             if t <= now {
-                return Survey::Ready;
+                return false;
             }
             note(&mut wake, t);
         }
@@ -1251,8 +1266,9 @@ impl CoreTile {
         // space; space is freed only by another tile receiving.
         if let Some(&queue) = self.pending_pushes.front() {
             if channels.would_have_space(queue) {
-                return Survey::Ready;
+                return false;
             }
+            stalls.watch_channel(queue, channels);
         }
         // Launch phase, mirroring `launch_dbbs`'s first iteration.
         if self.accel_busy_until.is_none() {
@@ -1269,7 +1285,7 @@ impl CoreTile {
                     LaunchGate::WaitTerminator { .. } => false,
                 };
                 if gate_ok && self.has_room_for(block) {
-                    return Survey::Ready;
+                    return false;
                 }
             }
         }
@@ -1285,17 +1301,21 @@ impl CoreTile {
         for seq in self.ready.candidates(&self.inflight, window_limit) {
             let di = self.inflight.get(seq).expect("ready implies in flight");
             match self.verdict(seq, di, now, channels) {
-                Verdict::Issue => return Survey::Ready,
+                Verdict::Issue => return false,
                 // Skipped without a stall count; the accelerator-busy wake
                 // is already noted above.
                 Verdict::AccelBusy => {}
                 Verdict::Stall(Stall {
                     kind,
                     mao,
+                    queue,
                     wake: ready,
                     ..
                 }) => {
                     stalls.by_kind[kind as usize] += 1;
+                    if matches!(kind, StallKind::Send | StallKind::Recv) {
+                        stalls.watch_channel(queue, channels);
+                    }
                     if let Some(mao) = mao {
                         stalls.mao[mao as usize] += 1;
                     }
@@ -1320,8 +1340,55 @@ impl CoreTile {
                 .per_inst
                 .extend(parked.map(|seq| (sid(slot(seq)), StallKind::Window)));
         }
-        stalls.at = Some(now);
-        Survey::Blocked { wake }
+        stalls.span = now..wake.unwrap_or(u64::MAX);
+        true
+    }
+
+    /// Counts `cycles` blocked cycles from `now` on: the memo's stalls,
+    /// that many times — exactly what stepping through them would record.
+    fn credit(&mut self, now: u64, cycles: u64) {
+        let memo = self.memo.get_mut();
+        for (kind, n) in StallKind::all().into_iter().zip(memo.by_kind) {
+            *stall_counter(&mut self.stats, kind) += n * cycles;
+        }
+        let mao_kinds = [MaoStall::Capacity, MaoStall::Load, MaoStall::Store];
+        for (kind, n) in mao_kinds.into_iter().zip(memo.mao) {
+            self.mao.credit_stalls(kind, n * cycles);
+        }
+        if let Some(o) = self.obs.as_mut() {
+            for &(inst, kind) in &memo.per_inst {
+                o.profile.stall(inst, kind, cycles);
+            }
+            if o.level.trace_on() {
+                // All stall: close any open compute interval at `now`.
+                o.note_cycle(self.mem_slot as u32, now, true);
+                o.last_seen = o.last_seen.max(now + cycles - 1);
+            }
+        }
+    }
+
+    /// The step of a blocked tile, without the walk: done, and `true`, if the
+    /// memo holds — as it is, or refilled because the last step was idle.
+    fn step_blocked(&mut self, ctx: &mut TileCtx<'_>) -> bool {
+        let now = ctx.now;
+        let holds = self.memo.get_mut().holds(now, ctx.channels);
+        if !(holds || self.idle && self.survey(now, ctx.channels)) {
+            // The walk may change what the memo was taken from.
+            self.memo.get_mut().span = 0..0;
+            return false;
+        }
+        // A deadlock snapshot lists every channel a tile touched, the ones
+        // it only ever waited on included.
+        for w in self.memo.get_mut().watch.iter_mut().filter(|w| w.1 == 0) {
+            ctx.channels.channel_mut(w.0);
+            w.1 = 1;
+        }
+        self.credit(now, 1);
+        if let Some(o) = self.obs.as_mut() {
+            o.first_step.get_or_insert(now);
+            o.last_seen = o.last_seen.max(now);
+        }
+        true
     }
 }
 
@@ -1344,6 +1411,7 @@ impl Tile for CoreTile {
             },
         };
         let req = self.reqs.remove(at).expect("found above");
+        self.memo.get_mut().span = 0..0;
         if let Some(o) = self.obs.as_mut() {
             let latency = now.saturating_sub(req.issued_at);
             o.profile.mem_latency(req.inst, latency);
@@ -1363,10 +1431,10 @@ impl Tile for CoreTile {
         }
         let now = ctx.now;
         self.stats.cycles = self.stats.cycles.max(now);
-        // Only the timeline's compute/stall intervals ask whether this
-        // step made progress.
-        let tracing = self.obs.as_ref().is_some_and(|o| o.level.trace_on());
-        let progress_before = if tracing { self.progress_mark() } else { 0 };
+        if (self.idle || !self.memo.get_mut().span.is_empty()) && self.step_blocked(ctx) {
+            return Ok(());
+        }
+        let progress_before = self.progress_mark();
 
         // Clear a finished accelerator invocation.
         if let Some(t) = self.accel_busy_until {
@@ -1380,14 +1448,12 @@ impl Tile for CoreTile {
         // not a rejected send) so a blocked cycle mutates nothing — the
         // fast-forward scheduler relies on this when skipping it.
         while let Some(&queue) = self.pending_pushes.front() {
-            let ch = ctx.channels.channel_mut(queue);
-            if ch.has_space() {
-                let ok = ch.try_send(now);
-                debug_assert!(ok, "checked above");
-                self.pending_pushes.pop_front();
-            } else {
+            if !ctx.channels.would_have_space(queue) {
                 break;
             }
+            let ok = ctx.channels.channel_mut(queue).try_send(now);
+            debug_assert!(ok, "checked above");
+            self.pending_pushes.pop_front();
         }
 
         // Retire instructions whose completion time has arrived.
@@ -1406,15 +1472,12 @@ impl Tile for CoreTile {
             self.done = true;
             self.stats.done_at = Some(now);
         }
-        let stalled = tracing && self.progress_mark() == progress_before;
-        let tid = self.mem_slot as u32;
-        let finished = self.done;
+        self.idle = self.progress_mark() == progress_before;
+        let (tid, finished, stalled) = (self.mem_slot as u32, self.done, self.idle);
         if let Some(o) = self.obs.as_mut() {
-            if o.first_step.is_none() {
-                o.first_step = Some(now);
-            }
+            o.first_step.get_or_insert(now);
             o.last_seen = o.last_seen.max(now);
-            if tracing && !finished {
+            if o.level.trace_on() && !finished {
                 o.note_cycle(tid, now, stalled);
             }
         }
@@ -1438,6 +1501,8 @@ impl Tile for CoreTile {
     }
 
     fn set_observe(&mut self, level: ObsLevel) {
+        // The memo attributes stalls per instruction only when observed.
+        self.memo.get_mut().span = 0..0;
         self.obs = if level == ObsLevel::Off {
             None
         } else {
@@ -1491,10 +1556,13 @@ impl Tile for CoreTile {
         if self.done {
             return Horizon::Blocked;
         }
-        match self.survey(now, channels) {
-            Survey::Ready => Horizon::Ready,
-            Survey::Blocked { wake: Some(c) } => Horizon::At(c),
-            Survey::Blocked { wake: None } => Horizon::Blocked,
+        let holds = self.memo.borrow().holds(now, channels);
+        if !holds && !self.survey(now, channels) {
+            return Horizon::Ready;
+        }
+        match self.memo.borrow().span.end {
+            u64::MAX => Horizon::Blocked,
+            wake => Horizon::At(wake),
         }
     }
 
@@ -1502,40 +1570,13 @@ impl Tile for CoreTile {
         if self.done || aligned_cycles == 0 {
             return;
         }
-        // Reuse the survey `next_event` just took for this cycle if it is
-        // still there; nothing observable can have changed in between.
-        if self.skip_cache.get_mut().at != Some(now)
-            && matches!(self.survey(now, channels), Survey::Ready)
-        {
+        // The memo `next_event` just answered from, or filled, holds still.
+        if !self.memo.get_mut().holds(now, channels) && !self.survey(now, channels) {
             debug_assert!(false, "fast-forward skipped a tile with pending work");
             return;
         }
-        let stalls = self.skip_cache.get_mut();
-        stalls.at = None;
-        // `stats.cycles` tracks the last cycle the tile was stepped while
-        // active; the next real wake step restores it, so no credit is
-        // needed here.
-        for (kind, n) in StallKind::all().into_iter().zip(stalls.by_kind) {
-            *stall_counter(&mut self.stats, kind) += n * aligned_cycles;
-        }
-        let mao_kinds = [MaoStall::Capacity, MaoStall::Load, MaoStall::Store];
-        for (kind, n) in mao_kinds.into_iter().zip(stalls.mao) {
-            self.mao.credit_stalls(kind, n * aligned_cycles);
-        }
-        if let Some(o) = self.obs.as_mut() {
-            // Credit the one-cycle per-instruction survey once per skipped
-            // cycle — exactly what naive stepping would have recorded.
-            for &(inst, kind) in &stalls.per_inst {
-                o.profile.stall(inst, kind, aligned_cycles);
-            }
-            if o.level.trace_on() {
-                // The skipped region is all stall: close any open compute
-                // interval at `now` so it does not absorb the skip.
-                let tid = self.mem_slot as u32;
-                o.note_cycle(tid, now, true);
-                o.last_seen = o.last_seen.max(now + aligned_cycles - 1);
-            }
-        }
+        // (`stats.cycles` is the last cycle stepped: the wake step sets it.)
+        self.credit(now, aligned_cycles);
     }
 
     fn progress_mark(&self) -> u64 {
@@ -2142,9 +2183,8 @@ impl CoreTile {
             }
         }
 
-        // The survey memo is keyed by cycle and refilled on demand;
-        // dropping it cannot change behavior.
-        self.skip_cache.get_mut().at = None;
+        // The stall memo is derived state, refilled on demand.
+        self.memo.get_mut().span = 0..0;
         Ok(())
     }
 }
@@ -2525,5 +2565,371 @@ mod tests {
             "{mid_walk_parks} walks parked what they woke"
         );
         assert!(blocked_surveys > 1_000, "{blocked_surveys} blocked surveys");
+    }
+
+    // -----------------------------------------------------------------
+    // The stall memo against the walk.
+    // -----------------------------------------------------------------
+
+    use crate::tests::small_mem;
+    use crate::{ChannelConfig, NoAccel};
+    use mosaic_ir::{BinOp, Constant, FunctionBuilder, MemImage, RtVal, TileProgram, Type};
+    use mosaic_mem::MemoryHierarchy;
+
+    /// Iterations of every loop below, and so messages per queue.
+    const N: i64 = 40;
+    /// The queues the schedule plays the far end of: it feeds `FEED` and
+    /// drains `DRAIN`, whose other ends are in the third tile.
+    const FEED: u32 = 7;
+    const DRAIN: u32 = 8;
+
+    /// A DeSC pair and a lone tile, with their traces: `access` loads and
+    /// supplies (terminal loads, queue 0) and stores what comes back
+    /// (store-value recvs and detached stores, queue 1), `execute` computes
+    /// in between, and `lone` loads, receives from `FEED`, stores and sends
+    /// to `DRAIN`.
+    fn memo_kernels() -> (Arc<Module>, [FuncId; 3], Vec<Arc<TileTrace>>) {
+        let mut m = Module::new("memo");
+        let ptrs = |n: usize| -> Vec<(String, Type)> {
+            let names = ["p", "q"];
+            names[..n]
+                .iter()
+                .map(|s| (s.to_string(), Type::Ptr))
+                .collect()
+        };
+        let looped =
+            |m: &mut Module,
+             name: &str,
+             nptrs: usize,
+             body: &dyn Fn(&mut FunctionBuilder<'_>, mosaic_ir::Operand)| {
+                let f = m.add_function(name, ptrs(nptrs), Type::Void);
+                let mut b = FunctionBuilder::new(m.function_mut(f));
+                let entry = b.create_block("entry");
+                b.switch_to(entry);
+                b.emit_counted_loop(
+                    "l",
+                    Constant::i64(0).into(),
+                    Constant::i64(N).into(),
+                    |b, i| body(b, i),
+                );
+                b.ret(None);
+                f
+            };
+        let access = looped(&mut m, "access", 2, &|b, i| {
+            let (p, q) = (b.param(0), b.param(1));
+            let a = b.gep(p, i, 64);
+            let v = b.load(Type::I32, a);
+            b.send(0, v);
+            let w = b.recv(1, Type::I32);
+            let d = b.gep(q, i, 4);
+            b.store(d, w);
+        });
+        let execute = looped(&mut m, "execute", 0, &|b, _| {
+            let x = b.recv(0, Type::I32);
+            let y = b.bin(BinOp::Mul, x, Constant::i32(3).into());
+            let z = b.bin(BinOp::Add, y, x);
+            b.send(1, z);
+        });
+        let lone = looped(&mut m, "lone", 1, &|b, i| {
+            let p = b.param(0);
+            let a = b.gep(p, i, 64);
+            let v = b.load(Type::I32, a);
+            b.send(DRAIN, v);
+            let w = b.recv(FEED, Type::I32);
+            let s = b.bin(BinOp::Add, w, Constant::i32(1).into());
+            let d = b.gep(p, i, 4);
+            b.store(d, s);
+        });
+        // The schedule's two roles, for the interpreter only.
+        let feeder = looped(&mut m, "feeder", 0, &|b, _| {
+            b.send(FEED, Constant::i32(1).into())
+        });
+        let drain = looped(&mut m, "drain", 0, &|b, _| {
+            b.recv(DRAIN, Type::I32);
+        });
+        mosaic_ir::verify_module(&m).expect("well-formed");
+
+        let mut img = MemImage::new();
+        let bufs: Vec<i64> = (0..3)
+            .map(|_| img.alloc_i32(16 * N as u64) as i64)
+            .collect();
+        let args = |bufs: &[i64]| bufs.iter().map(|&b| RtVal::Int(b)).collect();
+        let progs = vec![
+            TileProgram::single(access, args(&bufs[..2])),
+            TileProgram::single(execute, vec![]),
+            TileProgram::single(lone, args(&bufs[2..])),
+            TileProgram::single(feeder, vec![]),
+            TileProgram::single(drain, vec![]),
+        ];
+        let mut rec = mosaic_trace::TraceRecorder::new(progs.len());
+        mosaic_ir::run_tiles(&m, img, &progs, &mut rec).expect("runs");
+        let trace = rec.finish();
+        let traces = (0..3).map(|t| Arc::new(trace.tile(t).clone())).collect();
+        (Arc::new(m), [access, execute, lone], traces)
+    }
+
+    /// Three tiles over one memory and one channel set, and what the
+    /// schedule holds back or has done so far.
+    struct Rig {
+        tiles: Vec<CoreTile>,
+        mem: MemoryHierarchy,
+        channels: ChannelSet,
+        /// Completions the memory produced and the schedule has yet to
+        /// deliver.
+        late: Vec<mosaic_mem::Completion>,
+        fed: i64,
+        /// The model the memo is held to: every step is the walk.
+        walk_only: bool,
+    }
+
+    impl Rig {
+        fn state(&self, tile: usize) -> Vec<u8> {
+            let mut enc = Enc::new();
+            self.tiles[tile].save_state(&mut enc);
+            enc.into_bytes()
+        }
+
+        /// The memory, the completions the schedule lets through, and its
+        /// sends and receives at `now`; the tiles' steps are the caller's.
+        /// Returns which tiles got a completion.
+        fn before_steps(&mut self, seed: u64, now: u64) -> [bool; 3] {
+            self.mem.step(now);
+            self.late.extend(self.mem.drain_completions());
+            let mut delivered = [false; 3];
+            let tiles = &mut self.tiles;
+            self.late.retain(|c| {
+                let hold = roll(seed, now, c.id.0, 20).is_multiple_of(4);
+                if !hold {
+                    tiles[c.tile].on_mem_completion(c.id, now);
+                    delivered[c.tile] = true;
+                }
+                hold
+            });
+            // Bursts: the far ends go quiet for spans of cycles.
+            let live = |salt| {
+                !roll(seed, now / 32, 0, salt).is_multiple_of(3)
+                    && roll(seed, now, 0, salt).is_multiple_of(2)
+            };
+            let started = now > 40 + roll(seed, 0, 0, 23) % 400;
+            if started && self.fed < N && live(21) && self.channels.would_have_space(FEED) {
+                assert!(self.channels.channel_mut(FEED).try_send(now));
+                self.fed += 1;
+            }
+            if live(22)
+                && self
+                    .channels
+                    .channel(DRAIN)
+                    .is_some_and(|c| c.can_recv(now))
+            {
+                assert!(self.channels.channel_mut(DRAIN).try_recv(now));
+            }
+            delivered
+        }
+
+        fn step_tile(&mut self, tile: usize, now: u64) {
+            if self.walk_only {
+                // Neither a memo to answer from nor a reason to take one.
+                self.tiles[tile].idle = false;
+                self.tiles[tile].memo.get_mut().span = 0..0;
+            }
+            let mut ctx = TileCtx {
+                now,
+                mem: &mut self.mem,
+                channels: &mut self.channels,
+                accel: &mut NoAccel,
+            };
+            self.tiles[tile].step(&mut ctx).expect("step");
+        }
+
+        fn epoch(&self) -> u64 {
+            self.channels
+                .iter()
+                .map(|(q, _)| self.channels.version(q))
+                .sum()
+        }
+    }
+
+    /// The memo against the model it replaces — the same tile stepping by
+    /// the walk alone, every cycle — over keyed schedules: the far ends of
+    /// two queues sending and receiving in bursts, memory completions held
+    /// back, tiles left unstepped for spans, the clock jumping to (or short
+    /// of) the horizon the tiles report, a state round trip and an observe
+    /// reset now and then; DeSC and plain cores, small channels, at every
+    /// level. Same `TileStats` every cycle, same `save_state` bytes (MAO
+    /// stall kinds, profile and timeline included) — and within a span in
+    /// which nothing a tile is sensitive to happens, however long, `verdict`
+    /// runs in at most two of its steps.
+    #[test]
+    fn memo_matches_the_walk() {
+        let (module, funcs, traces) = memo_kernels();
+        let (mut long_streaks, mut served, mut jumps) = (0u64, 0u64, 0u64);
+        for case in 0..36u64 {
+            let seed = roll(0x3e30, case, 0, 0);
+            let level = [ObsLevel::Off, ObsLevel::Stats, ObsLevel::Trace][(case % 3) as usize];
+            let mut wide = CoreConfig::out_of_order().with_desc_extensions(true);
+            (wide.window_size, wide.issue_width, wide.desc_buffer) = (8, 2, 2);
+            let configs = match seed >> 8 & 1 {
+                0 => [
+                    CoreConfig::dae_access(),
+                    CoreConfig::in_order(),
+                    CoreConfig::out_of_order(),
+                ],
+                _ => [wide.clone(), CoreConfig::out_of_order(), wide],
+            };
+            let channel = ChannelConfig {
+                capacity: [1, 2, 4][(seed >> 16) as usize % 3],
+                latency: [1, 3][(seed >> 24) as usize % 2],
+            };
+            let rig = |walk_only: bool| {
+                let tiles = (0..3).map(|t| {
+                    let config = configs[t].clone().with_name(&format!("t{t}"));
+                    let (module, trace) = (module.clone(), traces[t].clone());
+                    let mut tile = CoreTile::new(config, module, funcs[t], trace, t);
+                    tile.set_observe(level);
+                    tile
+                });
+                Rig {
+                    tiles: tiles.collect(),
+                    mem: small_mem(3),
+                    channels: ChannelSet::new(channel),
+                    late: Vec::new(),
+                    fed: 0,
+                    walk_only,
+                }
+            };
+            let (mut memo, mut model) = (rig(false), rig(true));
+            // Per tile: steps and steps with a `verdict` call of the
+            // running span, and the channel epoch its last step left.
+            let mut spans = [(0u64, 0u64, 0u64); 3];
+            let mut now = 0u64;
+            while memo.tiles.iter().any(|t| !t.is_done()) {
+                let label = format!("case {case} ({level:?}, {channel:?}), cycle {now}");
+                assert!(now < 200_000, "{label}: did not finish");
+
+                // A jump: the memo side skips to the horizon its tiles
+                // report, or short of it; the model steps through.
+                let cap = now + 1 + roll(seed, now, 0, 30) % 48;
+                if roll(seed, now, 0, 31).is_multiple_of(4) && memo.late.is_empty() {
+                    let mut target = memo.mem.next_event_cycle(now).map_or(cap, |e| e.min(cap));
+                    for tile in memo.tiles.iter().filter(|t| !t.is_done()) {
+                        target = match tile.next_event(now, &memo.channels) {
+                            Horizon::Ready => now,
+                            Horizon::At(wake) => target.min(wake),
+                            Horizon::Blocked => target,
+                        };
+                        if target <= now {
+                            break;
+                        }
+                    }
+                    if target > now {
+                        jumps += 1;
+                        for tile in memo.tiles.iter_mut().filter(|t| !t.is_done()) {
+                            tile.on_cycles_skipped(now, target - now, &memo.channels);
+                        }
+                        for x in now..target {
+                            model.mem.step(x);
+                            assert!(
+                                model.mem.drain_completions().is_empty(),
+                                "{label}: jumped an event"
+                            );
+                            for t in 0..3 {
+                                if !model.tiles[t].is_done() {
+                                    model.step_tile(t, x);
+                                }
+                            }
+                        }
+                        now = target;
+                    }
+                }
+
+                let delivered = memo.before_steps(seed, now);
+                assert_eq!(
+                    model.before_steps(seed, now),
+                    delivered,
+                    "{label}: completions"
+                );
+                for t in 0..3 {
+                    // A tile goes unstepped for a span now and then.
+                    if memo.tiles[t].is_done()
+                        || roll(seed, now / 16, t as u64, 32).is_multiple_of(5)
+                    {
+                        continue;
+                    }
+                    // Dropping the memo — a state round trip, an observe
+                    // reset before anything is recorded — changes nothing.
+                    let drop_memo = roll(seed, now, t as u64, 33).is_multiple_of(64);
+                    if drop_memo {
+                        let bytes = memo.state(t);
+                        memo.tiles[t]
+                            .restore_state(&mut Dec::new(&bytes))
+                            .expect("round trip");
+                    }
+                    let tile = &memo.tiles[t];
+                    let span_end = tile.memo.borrow().span.end;
+                    let held = tile.memo.borrow().holds(now, &memo.channels);
+                    let (mark, verdicts) = (tile.progress_mark(), tile.verdicts.get());
+                    if delivered[t]
+                        || drop_memo
+                        || now >= span_end && span_end > 0
+                        || memo.epoch() != spans[t].2
+                    {
+                        spans[t] = (0, 0, memo.epoch());
+                    }
+                    memo.step_tile(t, now);
+                    model.step_tile(t, now);
+                    let tile = &memo.tiles[t];
+                    let ran_verdict = tile.verdicts.get() != verdicts;
+                    assert!(
+                        !(held && ran_verdict),
+                        "{label}: tile {t} walked though its memo held"
+                    );
+                    // (A hardware push moves a channel, not the mark.)
+                    if tile.progress_mark() != mark || memo.epoch() != spans[t].2 {
+                        spans[t] = (0, 0, 0);
+                    } else {
+                        spans[t].0 += 1;
+                        spans[t].1 += u64::from(ran_verdict);
+                        assert!(
+                            spans[t].1 <= 2,
+                            "{label}: tile {t} walked {} times in one span",
+                            spans[t].1
+                        );
+                        long_streaks += u64::from(spans[t].0 == 16);
+                        served += u64::from(!ran_verdict);
+                    }
+                    spans[t].2 = memo.epoch();
+                    // (Only a step brings a skipped tile's `stats.cycles` up
+                    // to date, so the sides are compared after one.)
+                    assert_eq!(tile.stats(), model.tiles[t].stats(), "{label}: tile {t}");
+                    if now.is_multiple_of(16) || tile.is_done() {
+                        assert!(memo.state(t) == model.state(t), "{label}: tile {t} state");
+                    }
+                }
+                now += 1;
+            }
+            for (t, trace) in traces.iter().enumerate() {
+                assert!(model.tiles[t].is_done(), "case {case}: model tile {t}");
+                assert_eq!(memo.tiles[t].stats().retired, trace.retired());
+                let profiles = [&mut memo, &mut model].map(|rig| {
+                    let mut enc = Enc::new();
+                    rig.tiles[t].take_profile().encode_into(&mut enc);
+                    enc.into_bytes()
+                });
+                assert!(profiles[0] == profiles[1], "case {case}: tile {t} profile");
+            }
+            let channels = [&memo, &model].map(|rig| {
+                let mut enc = Enc::new();
+                rig.channels.encode_into(&mut enc);
+                enc.into_bytes()
+            });
+            assert!(
+                channels[0] == channels[1] && memo.fed == N,
+                "case {case}: channels"
+            );
+        }
+        // The schedules reach what the contract names.
+        assert!(long_streaks > 200, "{long_streaks} spans of 16 idle steps");
+        assert!(served > 20_000, "{served} steps served by the memo");
+        assert!(jumps > 500, "{jumps} jumps");
     }
 }

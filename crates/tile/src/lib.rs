@@ -564,7 +564,7 @@ mod tests {
         (Arc::new(m), f, Arc::new(trace.tile(0).clone()))
     }
 
-    fn small_mem(tiles: usize) -> MemoryHierarchy {
+    pub(crate) fn small_mem(tiles: usize) -> MemoryHierarchy {
         MemoryHierarchy::new(
             HierarchyConfig {
                 l1: CacheConfig::new("L1", 4 * 1024).with_ways(4).with_latency(1),

@@ -241,6 +241,38 @@ fn mismatched_produce_counts_deadlock_at_blocking_cycle() {
     assert_eq!(run(false).expect_err("must deadlock"), err);
 }
 
+/// A consumer wired to a channel nobody ever sends on only *waits* on it,
+/// for hundreds of cycles in which the producer works and the consumer's
+/// steps are answered from its stall memo (DESIGN.md §4.2.1), not walked.
+/// Waiting is touching: when the producer finishes and the system
+/// deadlocks, the snapshot lists the consumer's channel, created and never
+/// used, the same under both schedulers.
+#[test]
+fn channel_a_tile_only_ever_waited_on_is_in_the_snapshot() {
+    let (m, produce, consume) = chatter_module();
+    let trace = chatter_trace(&m, produce, consume, 300, 300);
+    // The producer's 300 sends fit its channel; the consumer listens on 7.
+    let build = || chatter_builder(&m, &trace, produce, consume, 512, 7);
+
+    let err = expect_deadlock(build().run());
+    let SimError::Deadlock { snapshot } = &err else {
+        unreachable!()
+    };
+    assert_eq!(snapshot.tiles.len(), 1, "producer finished: {snapshot}");
+    assert_eq!(snapshot.tiles[0].reason, StallReason::RecvEmpty { queue: 7 });
+    assert!(snapshot.cycle > 300, "blocked at {}: the producer ran on", snapshot.cycle);
+    let queues: Vec<u32> = snapshot.channels.iter().map(|c| c.queue).collect();
+    assert_eq!(queues, [0, 7], "{snapshot}");
+    let waited = &snapshot.channels[1];
+    assert_eq!((waited.sends, waited.recvs, waited.occupancy), (0, 0, 0));
+    assert_eq!(snapshot.channels[0].occupancy, 300);
+
+    for window in [7, 1000] {
+        let naive = expect_deadlock(build().fast_forward(false).watchdog_window(window).run());
+        assert_eq!(naive, err, "naive verdict diverged (window {window})");
+    }
+}
+
 /// A live-but-slow system still reports `CycleLimit`, not `Deadlock`:
 /// the watchdog only fires on provable no-progress.
 #[test]

@@ -15,7 +15,9 @@
 //! `stall.*` counters, the MAO's three stall kinds (read back from the
 //! tile's final `save_state`, the only place they surface) and an FNV-1a
 //! hash of its `Stats` profile. Every system runs twice, fast-forwarded
-//! and stepped cycle by cycle; the two must agree on every row.
+//! and stepped cycle by cycle; the two must agree on every row. Systems of
+//! more than one tile — where a tile sits blocked while others work — run
+//! both ways again at `ObsLevel::Off` and must count what `Stats` counted.
 //!
 //! `TILE_GOLDEN_WRITE=1 cargo test --test tile_golden` rewrites the table —
 //! only ever from a commit whose tile is the reference.
@@ -66,10 +68,15 @@ fn mao_stalls(tile: &dyn Tile) -> [u64; 3] {
     walk().expect("the tile state up to the MAO's counters")
 }
 
-/// Runs `builder` to completion at `Stats` and returns one row per tile.
-fn run_rows(label: &str, builder: SystemBuilder, fast_forward: bool) -> Vec<String> {
+/// Runs `builder` to completion at `level` and returns one row per tile.
+fn run_rows(
+    label: &str,
+    builder: SystemBuilder,
+    fast_forward: bool,
+    level: ObsLevel,
+) -> Vec<String> {
     let mut sim = builder
-        .observe(ObsLevel::Stats)
+        .observe(level)
         .fast_forward(fast_forward)
         .build()
         .unwrap_or_else(|e| panic!("{label}: build: {e}"));
@@ -102,11 +109,27 @@ fn run_rows(label: &str, builder: SystemBuilder, fast_forward: bool) -> Vec<Stri
 }
 
 /// Runs the system `make` builds under both schedulers, asserts they
-/// agree, and appends its rows.
+/// agree — and, for more than one tile, that `Off` counts the same — and
+/// appends its rows.
 fn both(rows: &mut Vec<String>, label: &str, make: impl Fn() -> SystemBuilder) {
-    let fast = run_rows(label, make(), true);
-    let naive = run_rows(label, make(), false);
+    let fast = run_rows(label, make(), true, ObsLevel::Stats);
+    let naive = run_rows(label, make(), false, ObsLevel::Stats);
     assert_eq!(fast, naive, "{label}: fast-forward against naive");
+    if fast.len() > 1 {
+        // Everything but the profile, which `Off` does not record.
+        let counters = |rows: &[String]| -> Vec<String> {
+            let cut = |r: &String| r.split(" profile=").next().expect("a row").to_string();
+            rows.iter().map(cut).collect()
+        };
+        for fast_forward in [true, false] {
+            let off = run_rows(label, make(), fast_forward, ObsLevel::Off);
+            assert_eq!(
+                counters(&off),
+                counters(&fast),
+                "{label}: Off against Stats (fast-forward {fast_forward})"
+            );
+        }
+    }
     rows.extend(fast);
 }
 
@@ -153,19 +176,24 @@ fn spmd(
     b
 }
 
-/// Two DAE pairs of the projection kernel: `access` replays the access
-/// slice, `execute` the execute slice, each pair on its own queues.
-fn dae_pairs(rows: &mut Vec<String>, label: &str, access: CoreConfig, execute: CoreConfig) {
-    const PAIRS: usize = 2;
-    let mut p = projection::build_with(40, 64);
+/// `pairs` DAE pairs of the projection kernel `p`: `access` replays the
+/// access slice, `execute` the execute slice, each pair on its own queues.
+fn dae_pairs(
+    rows: &mut Vec<String>,
+    label: &str,
+    mut p: Prepared,
+    pairs: usize,
+    access: CoreConfig,
+    execute: CoreConfig,
+) {
     let slices = slice_dae(&mut p.module, p.func, DaeQueues::default()).expect("sliceable");
     let mut programs = Vec::new();
-    for pair in 0..PAIRS {
+    for pair in 0..pairs {
         for func in [slices.access, slices.execute] {
             let mut prog =
                 TileProgram::single(func, p.args.clone()).with_queue_offset(1000 * pair as u32);
             prog.tile_id = pair as i64;
-            prog.num_tiles = PAIRS as i64;
+            prog.num_tiles = pairs as i64;
             programs.push(prog);
         }
     }
@@ -175,7 +203,7 @@ fn dae_pairs(rows: &mut Vec<String>, label: &str, access: CoreConfig, execute: C
         let mut b = SystemBuilder::new(module.clone(), trace.clone())
             .memory(dae_memory())
             .channels(dae_channel());
-        for pair in 0..PAIRS {
+        for pair in 0..pairs {
             let offset = 1000 * pair as u32;
             let named = |c: &CoreConfig, role: &str| {
                 c.clone()
@@ -240,15 +268,44 @@ fn rows() -> Vec<String> {
     // exempt from the window, so they issue from beyond it. The paper's
     // pair (window 1 on both sides), and a pair of wider DeSC cores whose
     // narrow windows leave exempt ops on both sides of the limit.
+    let small = || projection::build_with(40, 64);
+    let (access, execute) = (CoreConfig::dae_access(), CoreConfig::in_order());
     dae_pairs(
         &mut rows,
         "projection/dae/ino",
-        CoreConfig::dae_access(),
-        CoreConfig::in_order(),
+        small(),
+        2,
+        access.clone(),
+        execute.clone(),
     );
     let mut wide = core("ooo", 8, 2).with_desc_extensions(true);
     wide.desc_buffer = 2;
-    dae_pairs(&mut rows, "projection/dae/ooo-w8-i2", wide.clone(), wide);
+    dae_pairs(
+        &mut rows,
+        "projection/dae/ooo-w8-i2",
+        small(),
+        2,
+        wide.clone(),
+        wide,
+    );
+    // The shapes of the ledger's `manytile_chan` workload at scale 1: eight
+    // tiles, most of them blocked on a channel or on DRAM at any cycle.
+    dae_pairs(
+        &mut rows,
+        "projection/dae/ino/x8",
+        projection::build(1),
+        4,
+        access,
+        execute,
+    );
+    let p = parboil::spmv::build(1);
+    let (module, trace) = (
+        Arc::new(p.module.clone()),
+        Arc::new(p.trace(8).expect("trace").0),
+    );
+    both(&mut rows, "spmv/ooo/8t", || {
+        spmd(&module, &trace, p.func, &CoreConfig::out_of_order(), 8)
+    });
     rows
 }
 
