@@ -27,6 +27,7 @@
 
 #![warn(missing_docs)]
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
@@ -42,10 +43,6 @@ pub const VERSION: u32 = 3;
 
 /// Longest string the decoder will accept (tile names, section names).
 const MAX_STR: u64 = 4096;
-
-/// Fewest bytes a section occupies: the `u64` length prefixes of its name
-/// and of its body.
-const SECTION_MIN: usize = 16;
 
 /// Errors from encoding, decoding, or file I/O of checkpoints.
 #[derive(Debug)]
@@ -219,13 +216,7 @@ impl Enc {
 
     /// Writes an `Option<u64>` as a presence byte plus the value.
     pub fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.u8(1);
-                self.u64(x);
-            }
-            None => self.u8(0),
-        }
+        v.put(self);
     }
 
     /// Writes a `u64`-length-prefixed UTF-8 string.
@@ -245,11 +236,36 @@ impl Enc {
     pub fn raw(&mut self, b: &[u8]) {
         self.buf.extend_from_slice(b);
     }
+
+    /// Writes the rendering of `v` as [`Enc::str`] would, without building the string.
+    pub fn display(&mut self, v: impl fmt::Display) {
+        let at = self.buf.len();
+        write!(self.buf, "{v}").expect("writing to a Vec cannot fail");
+        self.u64((self.buf.len() - at) as u64);
+        self.buf[at..].rotate_right(8);
+    }
+
+    /// Writes `items` behind their count, a `W` ([`Dec::seq`] reads them
+    /// back). The count goes in once they are written: any iterator will do.
+    pub fn seq<W: Prefix, T: Snap>(&mut self, items: impl IntoIterator<Item = impl Borrow<T>>) {
+        let at = self.buf.len();
+        self.buf.resize(at + std::mem::size_of::<W>(), 0);
+        let mut count = 0;
+        for item in items {
+            item.borrow().put(self);
+            count += 1;
+        }
+        let end = self.buf.len();
+        let count = W::try_from(count).ok();
+        count.expect("a sequence's count fits its prefix").put(self);
+        self.buf.copy_within(end.., at);
+        self.buf.truncate(end);
+    }
 }
 
 /// Little-endian byte decoder over a borrowed buffer. Every read returns
 /// [`CkptError::Truncated`] naming the field when the data runs out.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Dec<'a> {
     data: &'a [u8],
     pos: usize,
@@ -336,11 +352,7 @@ impl<'a> Dec<'a> {
 
     /// Reads an `Option<u64>` (presence byte plus value).
     pub fn opt_u64(&mut self, what: &str) -> Result<Option<u64>, CkptError> {
-        match self.u8(what)? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64(what)?)),
-            v => Err(CkptError::corrupt(format!("{what}: presence byte {v}"))),
-        }
+        Snap::get(self, what)
     }
 
     /// Reads a `u64`-length-prefixed UTF-8 string.
@@ -363,6 +375,207 @@ impl<'a> Dec<'a> {
             .map_err(|_| CkptError::corrupt(format!("{what}: blob length {len} overflows")))?;
         self.raw(len, what)
     }
+
+    /// Reads a sequence written by [`Enc::seq`], handing each item to
+    /// `each` as it is decoded: nothing is sized from the count, so a
+    /// crafted one costs nothing before the data runs out, and `each` can
+    /// check an item against those before it while it can still name it.
+    pub fn seq<W: Prefix, T: Snap>(
+        &mut self,
+        what: &str,
+        mut each: impl FnMut(T) -> Result<(), CkptError>,
+    ) -> Result<(), CkptError> {
+        for _ in 0..W::get(self, what)?.into() {
+            each(T::get(self, what)?)?;
+        }
+        Ok(())
+    }
+
+    /// Reads a sequence written by [`Enc::seq`] onto the end of `into`.
+    pub fn seq_into<W: Prefix, T: Snap>(
+        &mut self,
+        what: &str,
+        into: &mut impl Extend<T>,
+    ) -> Result<(), CkptError> {
+        self.seq::<W, T>(what, |item| {
+            into.extend([item]);
+            Ok(())
+        })
+    }
+
+    /// Reads a `W` count and checks it against `want`, the length of a
+    /// table the restored component sized from its own configuration.
+    pub fn expect_len<W: Prefix>(&mut self, what: &str, want: usize) -> Result<(), CkptError> {
+        let found: u64 = W::get(self, what)?.into();
+        let mismatch = || CkptError::mismatch(format!("{what}: {found}, the system has {want}"));
+        (found == want as u64).then_some(()).ok_or_else(mismatch)
+    }
+
+    /// Reads a sequence into `slots`, whose length it must have.
+    pub fn table<W: Prefix, T: Snap>(
+        &mut self,
+        what: &str,
+        slots: &mut [T],
+    ) -> Result<(), CkptError> {
+        self.expect_len::<W>(what, slots.len())?;
+        for slot in slots {
+            *slot = T::get(self, what)?;
+        }
+        Ok(())
+    }
+}
+
+/// A value with one checkpoint encoding: [`Snap::get`] reads back what
+/// [`Snap::put`] wrote. Scalars, `String`, `Option` and small tuples have
+/// theirs here; [`snap_record!`] and [`snap_enum!`] declare a component's
+/// own, so that neither direction can be written without the other.
+pub trait Snap: Sized {
+    /// Appends the value to `e`.
+    fn put(&self, e: &mut Enc);
+
+    /// Reads one value; `what` names it in the error when the data is
+    /// short or wrong, and is only formatted then.
+    fn get(d: &mut Dec<'_>, what: &str) -> Result<Self, CkptError>;
+}
+
+/// The width of a sequence's count: the v3 format has `u32` counts where a
+/// component counted a table of its own and `u64` where a `usize` was written.
+pub trait Prefix: Snap + TryFrom<usize> + Into<u64> {}
+impl Prefix for u32 {}
+impl Prefix for u64 {}
+
+macro_rules! snap_scalar {
+    ($($t:ident),*) => {$(
+        impl Snap for $t {
+            fn put(&self, e: &mut Enc) {
+                e.$t(*self);
+            }
+            fn get(d: &mut Dec<'_>, what: &str) -> Result<Self, CkptError> {
+                d.$t(what)
+            }
+        }
+    )*};
+}
+snap_scalar!(u8, u32, u64, usize, i64, f64, bool);
+
+impl Snap for String {
+    fn put(&self, e: &mut Enc) {
+        e.str(self);
+    }
+    fn get(d: &mut Dec<'_>, what: &str) -> Result<Self, CkptError> {
+        d.str(what)
+    }
+}
+
+/// A presence byte, then the value if there is one.
+impl<T: Snap> Snap for Option<T> {
+    fn put(&self, e: &mut Enc) {
+        e.bool(self.is_some());
+        if let Some(v) = self {
+            v.put(e);
+        }
+    }
+    fn get(d: &mut Dec<'_>, what: &str) -> Result<Self, CkptError> {
+        d.bool(what)?.then(|| T::get(d, what)).transpose()
+    }
+}
+
+macro_rules! snap_tuple {
+    ($($t:ident $i:tt),*) => {
+        impl<$($t: Snap),*> Snap for ($($t,)*) {
+            fn put(&self, e: &mut Enc) {
+                $(self.$i.put(e);)*
+            }
+            fn get(d: &mut Dec<'_>, what: &str) -> Result<Self, CkptError> {
+                Ok(($($t::get(d, what)?,)*))
+            }
+        }
+    };
+}
+snap_tuple!(A 0, B 1);
+snap_tuple!(A 0, B 1, C 2);
+
+/// A `u32` the v3 format holds in eight bytes (a tile slot; a queue or
+/// block id behind an `Option`): a wider value read back is corrupt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Wide(pub u32);
+
+impl Snap for Wide {
+    fn put(&self, e: &mut Enc) {
+        e.u64(self.0.into());
+    }
+    fn get(d: &mut Dec<'_>, what: &str) -> Result<Self, CkptError> {
+        let v = d.u64(what)?;
+        let narrow = u32::try_from(v).map(Wide);
+        narrow.map_err(|_| CkptError::corrupt(format!("{what}: {v}")))
+    }
+}
+
+/// Declares a record — a struct whose every field is a [`Snap`] — and its
+/// codec from one field list: fields are written in the order listed, and
+/// one added to the list is in both directions or in neither.
+#[macro_export]
+macro_rules! snap_record {
+    ($(#[$meta:meta])* $vis:vis struct $name:ident {
+        $($(#[$fmeta:meta])* $fvis:vis $field:ident: $ty:ty),* $(,)?
+    }) => {
+        $(#[$meta])* $vis struct $name {
+            $($(#[$fmeta])* $fvis $field: $ty),*
+        }
+        impl $crate::Snap for $name {
+            fn put(&self, e: &mut $crate::Enc) {
+                $($crate::Snap::put(&self.$field, e);)*
+            }
+            fn get(d: &mut $crate::Dec<'_>, _: &str) -> Result<Self, $crate::CkptError> {
+                $(let $field = $crate::Snap::get(d, stringify!($name.$field))?;)*
+                Ok($name { $($field),* })
+            }
+        }
+    };
+}
+
+/// Declares a field-less enum and its one-byte codes; a byte that is no
+/// variant's code reads back as [`CkptError::Corrupt`].
+#[macro_export]
+macro_rules! snap_enum {
+    ($(#[$meta:meta])* $vis:vis enum $name:ident {
+        $($(#[$vmeta:meta])* $variant:ident = $code:literal),* $(,)?
+    }) => {
+        $(#[$meta])* $vis enum $name {
+            $($(#[$vmeta])* $variant = $code),*
+        }
+        impl $crate::Snap for $name {
+            fn put(&self, e: &mut $crate::Enc) {
+                e.u8(*self as u8);
+            }
+            fn get(d: &mut $crate::Dec<'_>, what: &str) -> Result<Self, $crate::CkptError> {
+                match d.u8(what)? {
+                    $($code => Ok($name::$variant),)*
+                    v => Err($crate::CkptError::corrupt(format!(
+                        "{what}: {} code {v}", stringify!($name)
+                    ))),
+                }
+            }
+        }
+    };
+}
+
+/// Gives `$ty` a `put_fields`/`get_fields` pair over the listed `self.`
+/// fields, in that order: the scalar part of a component that restores in
+/// place, beside the sequences it reads with checks.
+#[macro_export]
+macro_rules! snap_fields {
+    ($ty:ident: $($field:ident),* $(,)?) => {
+        impl $ty {
+            fn put_fields(&self, e: &mut $crate::Enc) {
+                $($crate::Snap::put(&self.$field, e);)*
+            }
+            fn get_fields(&mut self, d: &mut $crate::Dec<'_>) -> Result<(), $crate::CkptError> {
+                $(self.$field = $crate::Snap::get(d, stringify!($ty.$field))?;)*
+                Ok(())
+            }
+        }
+    };
 }
 
 /// A complete simulator snapshot: the global cycle it was taken at, a
@@ -451,10 +664,7 @@ impl Checkpoint {
         e.raw(MAGIC);
         e.u32(VERSION);
         e.u64(self.cycle);
-        e.u32(self.fingerprint.len() as u32);
-        for name in &self.fingerprint {
-            e.str(name);
-        }
+        e.seq::<u32, String>(&self.fingerprint);
         e.u32(self.sections.len() as u32);
         for (name, bytes) in &self.sections {
             e.str(name);
@@ -470,9 +680,8 @@ impl Checkpoint {
     /// (a file path, or e.g. `"<memory>"`).
     pub fn from_bytes(data: &[u8], label: &str) -> Result<Self, CkptError> {
         let (cycle, fingerprint, mut d) = Self::read_header(data, label)?;
-        let nsections = d.u32("section count")?;
-        let mut sections = Vec::with_capacity(d.reserve_for(nsections as usize, SECTION_MIN));
-        for _ in 0..nsections {
+        let mut sections = Vec::new();
+        for _ in 0..d.u32("section count")? {
             let name = d.str("section name")?;
             let bytes = d.bytes(&format!("section '{name}'"))?.to_vec();
             sections.push((name, bytes));
@@ -510,12 +719,8 @@ impl Checkpoint {
             });
         }
         let cycle = d.u64("cycle")?;
-        let ntiles = d.u32("tile count")?;
-        // A name is at least its `u64` length prefix.
-        let mut fingerprint = Vec::with_capacity(d.reserve_for(ntiles as usize, 8));
-        for i in 0..ntiles {
-            fingerprint.push(d.str(&format!("tile name {i}"))?);
-        }
+        let mut fingerprint = Vec::new();
+        d.seq_into::<u32, String>("tile name", &mut fingerprint)?;
         Ok((cycle, fingerprint, d))
     }
 
@@ -524,17 +729,10 @@ impl Checkpoint {
     /// bodies. Backs `mosaic-ckpt inspect`.
     pub fn inspect_bytes(data: &[u8], label: &str) -> Result<InspectSummary, CkptError> {
         let (cycle, fingerprint, mut d) = Self::read_header(data, label)?;
-        let nsections = d.u32("section count")?;
-        let mut table = Vec::with_capacity(d.reserve_for(nsections as usize, SECTION_MIN));
-        for _ in 0..nsections {
+        let mut table = Vec::new();
+        for _ in 0..d.u32("section count")? {
             let name = d.str("section name")?;
-            let len = d.u64(&format!("section '{name}' length"))?;
-            d.raw(
-                usize::try_from(len).map_err(|_| {
-                    CkptError::corrupt(format!("section '{name}': length {len} overflows"))
-                })?,
-                &format!("section '{name}' body"),
-            )?;
+            let len = d.bytes(&format!("section '{name}'"))?.len() as u64;
             table.push((name, len));
         }
         Ok((cycle, fingerprint, table))
@@ -819,6 +1017,165 @@ mod tests {
         assert_eq!(c.section_table().count(), 1);
     }
 
+    snap_record! {
+        #[derive(Debug, Clone, PartialEq)]
+        struct Entry {
+            id: u64,
+            kind: Kind,
+            slot: Option<(u64, u8, Kind)>,
+            name: String,
+        }
+    }
+
+    snap_enum! {
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Kind {
+            Read = 0,
+            Write = 1,
+        }
+    }
+
+    #[derive(Debug, Default, PartialEq)]
+    struct Counters {
+        label: &'static str,
+        hits: u64,
+        ratio: f64,
+        last: Option<u64>,
+        depth: usize,
+    }
+    snap_fields!(Counters: hits, ratio, last, depth);
+
+    fn entries() -> Vec<Entry> {
+        let entry = |id, kind, slot: Option<u8>| Entry {
+            id,
+            kind,
+            slot: slot.map(|size| (id << 8, size, Kind::Write)),
+            name: format!("e{id}"),
+        };
+        vec![entry(1, Kind::Read, None), entry(7, Kind::Write, Some(4))]
+    }
+
+    /// A declared record, enum and field list read back what they wrote,
+    /// in the layout the hand-written codecs had: fields in order, a
+    /// presence byte before an `Option`, one byte per enum.
+    #[test]
+    fn declared_codecs_round_trip_in_the_v3_layout() {
+        let mut e = Enc::new();
+        entries()[1].put(&mut e);
+        let mut by_hand = Enc::new();
+        by_hand.u64(7);
+        by_hand.u8(1);
+        by_hand.u8(1);
+        by_hand.u64(7 << 8);
+        by_hand.u8(4);
+        by_hand.u8(1);
+        by_hand.str("e7");
+        assert_eq!(e.buf, by_hand.buf);
+        let back = Entry::get(&mut Dec::new(&e.buf), "entry").unwrap();
+        assert_eq!(back, entries()[1]);
+
+        let counters = Counters {
+            label: "kept",
+            hits: 3,
+            ratio: 0.25,
+            last: Some(9),
+            depth: 12,
+        };
+        let mut e = Enc::new();
+        counters.put_fields(&mut e);
+        assert_eq!(e.len(), 8 + 8 + 9 + 8);
+        let mut back = Counters {
+            label: "kept",
+            ..Counters::default()
+        };
+        back.get_fields(&mut Dec::new(&e.buf)).unwrap();
+        assert_eq!(back, counters);
+    }
+
+    /// Errors name the declared field, and a byte that is no variant's
+    /// code, a presence byte that is no bool and a `Wide` past `u32` are
+    /// corrupt, not a panic.
+    #[test]
+    fn declared_codecs_reject_damage_by_name() {
+        let mut e = Enc::new();
+        entries()[0].put(&mut e);
+        let err = Entry::get(&mut Dec::new(&e.buf[..8]), "entry").unwrap_err();
+        assert!(
+            matches!(&err, CkptError::Truncated { context } if context == "Entry.kind"),
+            "{err}"
+        );
+        let mut bad = e.buf.clone();
+        bad[8] = 2;
+        let err = Entry::get(&mut Dec::new(&bad), "entry").unwrap_err();
+        assert!(err.to_string().contains("Entry.kind: Kind code 2"), "{err}");
+        bad[8..10].copy_from_slice(&[0, 5]);
+        let err = Entry::get(&mut Dec::new(&bad), "entry").unwrap_err();
+        assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
+
+        let mut e = Enc::new();
+        e.u64(u64::from(u32::MAX));
+        e.u64(u64::from(u32::MAX) + 1);
+        let mut d = Dec::new(&e.buf);
+        assert_eq!(Wide::get(&mut d, "w").unwrap(), Wide(u32::MAX));
+        assert!(matches!(
+            Wide::get(&mut d, "w"),
+            Err(CkptError::Corrupt { .. })
+        ));
+    }
+
+    /// Sequences carry a `u32` or a `u64` count, whatever iterator wrote
+    /// them; a reader hands items over one by one, stops at the first its
+    /// closure refuses, and finds a crafted count truncated.
+    #[test]
+    fn sequences_in_both_widths() {
+        let mut e = Enc::new();
+        e.seq::<u32, Entry>(&entries());
+        e.seq::<u64, u64>((0..5u64).filter(|v| v % 2 == 0));
+        assert_eq!(e.buf[..4], 2u32.to_le_bytes());
+        let mut d = Dec::new(&e.buf);
+        let mut back = Vec::new();
+        d.seq_into::<u32, Entry>("entries", &mut back).unwrap();
+        assert_eq!(back, entries());
+        let mut evens = [0u64; 3];
+        d.clone().table::<u64, u64>("evens", &mut evens).unwrap();
+        assert_eq!(evens, [0, 2, 4]);
+        let err = d
+            .clone()
+            .table::<u64, u64>("evens", &mut [0; 4])
+            .unwrap_err();
+        assert!(matches!(err, CkptError::Mismatch { .. }), "{err}");
+        let mut seen = 0;
+        let err = d.seq::<u64, u64>("evens", |v| {
+            seen += 1;
+            if v == 2 {
+                return Err(CkptError::corrupt("no twos"));
+            }
+            Ok(())
+        });
+        assert!(matches!(err, Err(CkptError::Corrupt { .. })));
+        assert_eq!(seen, 2);
+
+        let mut crafted = Enc::new();
+        crafted.u64(u64::MAX);
+        crafted.u64(1);
+        let mut items = Vec::new();
+        let err = Dec::new(&crafted.buf)
+            .seq_into::<u64, u64>("crafted", &mut items)
+            .unwrap_err();
+        assert!(matches!(err, CkptError::Truncated { .. }), "{err}");
+        assert_eq!(items, [1]);
+    }
+
+    #[test]
+    fn display_writes_what_str_writes() {
+        let (mut a, mut b) = (Enc::new(), Enc::new());
+        for e in [&mut a, &mut b] {
+            e.u32(9);
+        }
+        a.display(format_args!("line 0x{:x}", 0xbeef));
+        b.str("line 0xbeef");
+        assert_eq!(a.buf, b.buf);
+    }
     #[test]
     fn bool_and_presence_bytes_reject_garbage() {
         let mut d = Dec::new(&[7]);

@@ -658,14 +658,7 @@ impl Interleaver {
             self.tiles.iter().map(|t| t.name().to_string()).collect();
         let mut ckpt = mosaic_ckpt::Checkpoint::new(self.now, fingerprint);
         let mut e = mosaic_ckpt::Enc::new();
-        e.u64(self.now);
-        e.bool(self.quiet);
-        e.bool(self.just_skipped);
-        e.u64(self.steps_executed);
-        e.u64(self.cycles_skipped);
-        e.u64(self.skips_taken);
-        e.opt_u64(self.last_progress_at);
-        e.u64(self.quiet_streak);
+        self.put_fields(&mut e);
         ckpt.add_section("interleaver", e);
         let mut e = mosaic_ckpt::Enc::new();
         self.channels.encode_into(&mut e);
@@ -705,7 +698,7 @@ impl Interleaver {
             )));
         }
         let mut d = mosaic_ckpt::Dec::new(ckpt.require_section("interleaver")?);
-        self.now = d.u64("interleaver now")?;
+        self.get_fields(&mut d)?;
         if self.now != ckpt.cycle() {
             return Err(mosaic_ckpt::CkptError::corrupt(format!(
                 "interleaver section cycle {} disagrees with header cycle {}",
@@ -713,13 +706,6 @@ impl Interleaver {
                 ckpt.cycle()
             )));
         }
-        self.quiet = d.bool("interleaver quiet")?;
-        self.just_skipped = d.bool("interleaver just_skipped")?;
-        self.steps_executed = d.u64("interleaver steps_executed")?;
-        self.cycles_skipped = d.u64("interleaver cycles_skipped")?;
-        self.skips_taken = d.u64("interleaver skips_taken")?;
-        self.last_progress_at = d.opt_u64("interleaver last_progress_at")?;
-        self.quiet_streak = d.u64("interleaver quiet_streak")?;
         let mut d = mosaic_ckpt::Dec::new(ckpt.require_section("channels")?);
         self.channels.restore_from(&mut d)?;
         let mut d = mosaic_ckpt::Dec::new(ckpt.require_section("mem")?);
@@ -749,3 +735,7 @@ impl Interleaver {
         (self.tiles, self.mem, self.channels)
     }
 }
+
+// The `interleaver` section: the scheduler's own loop-carried state.
+mosaic_ckpt::snap_fields!(Interleaver: now, quiet, just_skipped, steps_executed, cycles_skipped,
+    skips_taken, last_progress_at, quiet_streak);

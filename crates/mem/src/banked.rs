@@ -9,6 +9,8 @@
 
 use std::collections::VecDeque;
 
+use mosaic_ckpt::{snap_fields, snap_record, CkptError, Dec, Enc, Snap};
+
 use crate::req::ReqId;
 
 /// Timing and geometry of the banked DRAM model.
@@ -47,11 +49,13 @@ impl Default for BankedDramConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct BankReq {
-    id: ReqId,
-    row: u64,
-    arrival: u64,
+snap_record! {
+    #[derive(Debug, Clone, Copy)]
+    struct BankReq {
+        id: ReqId,
+        row: u64,
+        arrival: u64,
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -255,97 +259,39 @@ impl BankedDram {
     }
 }
 
+snap_fields!(BankedDram: row_hits, row_misses, row_conflicts, total_requests);
+
 impl BankedDram {
     /// Serializes bank queues in bank order and in-flight transfers in
     /// insertion order (retire order depends on it), plus counters.
-    pub(crate) fn encode_into(&self, e: &mut mosaic_ckpt::Enc) {
+    pub(crate) fn encode_into(&self, e: &mut Enc) {
         e.u32(self.banks.len() as u32);
         for bank in &self.banks {
-            match bank.open_row {
-                Some(r) => {
-                    e.u8(1);
-                    e.u64(r);
-                }
-                None => e.u8(0),
-            }
+            bank.open_row.put(e);
             e.u64(bank.busy_until);
-            e.u32(bank.queue.len() as u32);
-            for req in &bank.queue {
-                e.u64(req.id.0);
-                e.u64(req.row);
-                e.u64(req.arrival);
-            }
+            e.seq::<u32, BankReq>(&bank.queue);
         }
-        e.u32(self.channel_bus_free.len() as u32);
-        for &t in &self.channel_bus_free {
-            e.u64(t);
-        }
-        e.u32(self.in_flight.len() as u32);
-        for &(ready, id) in &self.in_flight {
-            e.u64(ready);
-            e.u64(id.0);
-        }
-        e.u64(self.row_hits);
-        e.u64(self.row_misses);
-        e.u64(self.row_conflicts);
-        e.u64(self.total_requests);
+        e.seq::<u32, u64>(&self.channel_bus_free);
+        e.seq::<u32, (u64, ReqId)>(&self.in_flight);
+        self.put_fields(e);
     }
 
-    pub(crate) fn restore_from(
-        &mut self,
-        d: &mut mosaic_ckpt::Dec<'_>,
-    ) -> Result<(), mosaic_ckpt::CkptError> {
-        let nbanks = d.u32("banked dram bank count")? as usize;
-        if nbanks != self.banks.len() {
-            return Err(mosaic_ckpt::CkptError::mismatch(format!(
-                "banked DRAM: checkpoint has {nbanks} banks, configuration has {}",
-                self.banks.len()
-            )));
-        }
+    pub(crate) fn restore_from(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
+        d.expect_len::<u32>("banked DRAM banks", self.banks.len())?;
         for bank in &mut self.banks {
-            bank.open_row = match d.u8("bank open-row flag")? {
-                0 => None,
-                1 => Some(d.u64("bank open row")?),
-                v => {
-                    return Err(mosaic_ckpt::CkptError::corrupt(format!(
-                        "bank open-row flag {v}"
-                    )))
-                }
-            };
+            bank.open_row = Snap::get(d, "bank open row")?;
             bank.busy_until = d.u64("bank busy_until")?;
             bank.queue.clear();
-            for _ in 0..d.u32("bank queue length")? {
-                let id = ReqId(d.u64("bank req id")?);
-                let row = d.u64("bank req row")?;
-                let arrival = d.u64("bank req arrival")?;
-                bank.queue.push_back(BankReq { id, row, arrival });
-            }
+            d.seq_into::<u32, BankReq>("bank queue", &mut bank.queue)?;
         }
-        let nchan = d.u32("banked dram channel count")? as usize;
-        if nchan != self.channel_bus_free.len() {
-            return Err(mosaic_ckpt::CkptError::mismatch(format!(
-                "banked DRAM: checkpoint has {nchan} channels, configuration has {}",
-                self.channel_bus_free.len()
-            )));
-        }
-        for t in &mut self.channel_bus_free {
-            *t = d.u64("channel bus free")?;
-        }
+        d.table::<u32, u64>("banked DRAM channels", &mut self.channel_bus_free)?;
         self.in_flight.clear();
-        for _ in 0..d.u32("banked dram in-flight count")? {
-            let ready = d.u64("in-flight ready")?;
-            let id = ReqId(d.u64("in-flight id")?);
-            self.in_flight.push((ready, id));
-        }
-        self.row_hits = d.u64("dram row_hits")?;
-        self.row_misses = d.u64("dram row_misses")?;
-        self.row_conflicts = d.u64("dram row_conflicts")?;
-        self.total_requests = d.u64("dram total_requests")?;
+        d.seq_into::<u32, (u64, ReqId)>("banked DRAM transfers", &mut self.in_flight)?;
+        self.get_fields(d)?;
         self.next_due = self.earliest_work();
         Ok(())
     }
 }
-
 
 #[cfg(test)]
 mod tests {

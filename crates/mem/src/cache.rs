@@ -416,6 +416,8 @@ fn set_bits(bitmap: &[u8]) -> impl Iterator<Item = usize> + '_ {
     bytes.flat_map(|(i, &byte)| (0..8).filter(move |k| byte >> k & 1 != 0).map(move |k| i * 8 + k))
 }
 
+mosaic_ckpt::snap_fields!(Cache: tick, hits, misses, accesses);
+
 impl Cache {
     /// Serializes the counters and the valid ways: geometry, the number
     /// of valid ways, a validity bitmap over all ways, a dirty bitmap
@@ -426,10 +428,7 @@ impl Cache {
     /// cache keeps the geometry it was rebuilt with, and
     /// [`Cache::restore_from`] verifies it matches.
     pub(crate) fn encode_into(&self, e: &mut mosaic_ckpt::Enc) {
-        e.u64(self.tick);
-        e.u64(self.hits);
-        e.u64(self.misses);
-        e.u64(self.accesses);
+        self.put_fields(e);
         e.u32(self.config.sets() as u32);
         e.u32(self.config.ways());
         let valid = pack_bits(self.state.iter().map(|st| st & VALID != 0));
@@ -454,10 +453,7 @@ impl Cache {
         &mut self,
         d: &mut mosaic_ckpt::Dec<'_>,
     ) -> Result<(), mosaic_ckpt::CkptError> {
-        let tick = d.u64("cache tick")?;
-        let hits = d.u64("cache hits")?;
-        let misses = d.u64("cache misses")?;
-        let accesses = d.u64("cache accesses")?;
+        self.get_fields(d)?;
         let sets = u64::from(d.u32("cache set count")?);
         let ways = d.u32("cache way count")?;
         if sets != self.config.sets() || ways != self.config.ways() {
@@ -498,7 +494,6 @@ impl Cache {
             (keys[way], ages[way]) = (tag + 1, last_use);
             self.state[w] = VALID | if bit(dirty, k) { DIRTY } else { 0 };
         }
-        (self.tick, self.hits, self.misses, self.accesses) = (tick, hits, misses, accesses);
         Ok(())
     }
 }

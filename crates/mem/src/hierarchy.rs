@@ -19,6 +19,7 @@
 //! scratch buffers the hierarchy refills — so a request hashes nothing,
 //! sifts no heap and, once the buffers have grown, allocates nothing.
 
+use mosaic_ckpt::{snap_enum, snap_record, CkptError, Dec, Enc, Snap, Wide};
 use mosaic_obs::{Log2Histogram, ObsLevel, SpanName, StatsRegistry, Timeline};
 
 use crate::banked::{BankedDram, BankedDramConfig};
@@ -124,17 +125,35 @@ impl Default for HierarchyConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Level {
-    L1,
-    L2,
-    Llc,
+snap_enum! {
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    enum Level {
+        L1 = 0,
+        L2 = 1,
+        Llc = 2,
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Event {
     Lookup { id: ReqId, level: Level },
     DramEnqueue { id: ReqId },
+}
+
+impl Snap for Event {
+    fn put(&self, e: &mut Enc) {
+        match *self {
+            Event::Lookup { id, level } => (0u8, id, level).put(e),
+            Event::DramEnqueue { id } => (1u8, id).put(e),
+        }
+    }
+    fn get(d: &mut Dec<'_>, what: &str) -> Result<Self, CkptError> {
+        match d.u8(what)? {
+            0 => Snap::get(d, what).map(|(id, level)| Event::Lookup { id, level }),
+            1 => Snap::get(d, what).map(|id| Event::DramEnqueue { id }),
+            v => Err(CkptError::corrupt(format!("{what}: event tag {v}"))),
+        }
+    }
 }
 
 /// The DRAM model behind the LLC.
@@ -144,41 +163,46 @@ enum Dram {
     Banked(BankedDram),
 }
 
-#[derive(Debug, Clone, Copy)]
-struct ReqState {
-    tile: u32,
-    line: u64,
-    kind: AccessKind,
-    writeback: bool,
-    /// When the request was issued and when it entered DRAM service (0
-    /// until it does): the starts of its timeline spans.
-    issued_at: u64,
-    dram_at: u64,
+snap_record! {
+    #[derive(Debug, Clone, Copy)]
+    struct ReqState {
+        /// The issuing tile: four bytes here, eight in the file.
+        tile: Wide,
+        line: u64,
+        kind: AccessKind,
+        writeback: bool,
+        /// When the request was issued and when it entered DRAM service (0
+        /// until it does): the starts of its timeline spans.
+        issued_at: u64,
+        dram_at: u64,
+    }
 }
 
-/// Aggregate hierarchy statistics for reports and the energy model.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemStats {
-    /// L1 hits (all tiles).
-    pub l1_hits: u64,
-    /// L1 misses (unique lines).
-    pub l1_misses: u64,
-    /// L2 hits.
-    pub l2_hits: u64,
-    /// L2 misses.
-    pub l2_misses: u64,
-    /// LLC hits.
-    pub llc_hits: u64,
-    /// LLC misses.
-    pub llc_misses: u64,
-    /// Lines read from DRAM.
-    pub dram_reads: u64,
-    /// Lines written back to DRAM.
-    pub dram_writebacks: u64,
-    /// Atomic operations processed.
-    pub atomics: u64,
-    /// Prefetch requests issued into the hierarchy.
-    pub prefetches: u64,
+snap_record! {
+    /// Aggregate hierarchy statistics for reports and the energy model.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct MemStats {
+        /// L1 hits (all tiles).
+        pub l1_hits: u64,
+        /// L1 misses (unique lines).
+        pub l1_misses: u64,
+        /// L2 hits.
+        pub l2_hits: u64,
+        /// L2 misses.
+        pub l2_misses: u64,
+        /// LLC hits.
+        pub llc_hits: u64,
+        /// LLC misses.
+        pub llc_misses: u64,
+        /// Lines read from DRAM.
+        pub dram_reads: u64,
+        /// Lines written back to DRAM.
+        pub dram_writebacks: u64,
+        /// Atomic operations processed.
+        pub atomics: u64,
+        /// Prefetch requests issued into the hierarchy.
+        pub prefetches: u64,
+    }
 }
 
 /// Errors produced by the memory hierarchy for malformed requests.
@@ -472,7 +496,7 @@ impl MemoryHierarchy {
     /// prefetcher's re-entry point (prefetches inherit a known-good tile).
     fn request_valid(&mut self, req: MemReq, now: u64) -> ReqId {
         let id = self.admit(ReqState {
-            tile: req.tile as u32,
+            tile: Wide(req.tile as u32),
             line: self.l1[req.tile].line_of(req.addr),
             kind: req.kind,
             writeback: false,
@@ -550,7 +574,7 @@ impl MemoryHierarchy {
                 if self.obs.trace_on() {
                     self.timeline.span(
                         1,
-                        st.tile,
+                        st.tile.0,
                         "mem",
                         SpanName::MemLine {
                             kind: kind_label(st.kind),
@@ -562,7 +586,7 @@ impl MemoryHierarchy {
                 }
                 self.completions.push(Completion {
                     id,
-                    tile: st.tile as usize,
+                    tile: st.tile.0 as usize,
                     at_cycle: now,
                 });
             }
@@ -612,7 +636,7 @@ impl MemoryHierarchy {
     fn writeback_to_dram(&mut self, line: u64, now: u64) {
         self.stats.dram_writebacks += 1;
         let id = self.admit(ReqState {
-            tile: 0,
+            tile: Wide(0),
             line,
             kind: AccessKind::Write,
             writeback: true,
@@ -626,7 +650,7 @@ impl MemoryHierarchy {
         let Some(st) = self.reqs.get(id.0).copied() else {
             return;
         };
-        let (tile, write) = (st.tile as usize, st.kind.is_write());
+        let (tile, write) = (st.tile.0 as usize, st.kind.is_write());
         if self.obs.stats_on() {
             // Sample MSHR occupancy at every lookup event. Lookup
             // cycles are identical under fast-forward and naive
@@ -793,7 +817,7 @@ impl MemoryHierarchy {
             let Some(wst) = self.reqs.get(w.0).copied() else {
                 continue;
             };
-            let tile = wst.tile as usize;
+            let tile = wst.tile.0 as usize;
             let back = now + self.noc_delay(tile);
             if wst.kind != AccessKind::Atomic {
                 self.fill_upward_and_complete(st.line, tile, wst.kind.is_write(), Level::Llc, back);
@@ -916,7 +940,7 @@ impl MemoryHierarchy {
     /// observability artifacts. The configuration and observability
     /// level are not written; a restored hierarchy keeps whatever it was
     /// rebuilt with (mismatched geometry is detected on restore).
-    pub fn save_state(&self, e: &mut mosaic_ckpt::Enc) {
+    pub fn save_state(&self, e: &mut Enc) {
         e.u32(self.l1.len() as u32);
         for c in &self.l1 {
             c.encode_into(e);
@@ -950,66 +974,13 @@ impl MemoryHierarchy {
         // Events in firing order and requests in id order: the order the
         // wheel and the ring hold them in.
         e.u64(self.events.len() as u64);
-        self.events.for_each(|cycle, seq, ev| {
-            e.u64(cycle);
-            e.u64(seq);
-            match *ev {
-                Event::Lookup { id, level } => {
-                    e.u8(0);
-                    e.u64(id.0);
-                    e.u8(match level {
-                        Level::L1 => 0,
-                        Level::L2 => 1,
-                        Level::Llc => 2,
-                    });
-                }
-                Event::DramEnqueue { id } => {
-                    e.u8(1);
-                    e.u64(id.0);
-                }
-            }
-        });
+        self.events
+            .for_each(|cycle, seq, ev| (cycle, seq, *ev).put(e));
         e.u64(self.events.seq);
         e.u64(self.next_id);
-
-        e.u64(self.reqs.len() as u64);
-        for (id, st) in self.reqs.iter() {
-            e.u64(id);
-            e.usize(st.tile as usize);
-            e.u64(st.line);
-            e.u8(match st.kind {
-                AccessKind::Read => 0,
-                AccessKind::Write => 1,
-                AccessKind::Atomic => 2,
-                AccessKind::Prefetch => 3,
-            });
-            e.bool(st.writeback);
-            e.u64(st.issued_at);
-            e.u64(st.dram_at);
-        }
-
-        e.u64(self.completions.len() as u64);
-        for c in &self.completions {
-            e.u64(c.id.0);
-            e.usize(c.tile);
-            e.u64(c.at_cycle);
-        }
-
-        let s = &self.stats;
-        for v in [
-            s.l1_hits,
-            s.l1_misses,
-            s.l2_hits,
-            s.l2_misses,
-            s.llc_hits,
-            s.llc_misses,
-            s.dram_reads,
-            s.dram_writebacks,
-            s.atomics,
-            s.prefetches,
-        ] {
-            e.u64(v);
-        }
+        e.seq::<u64, (u64, ReqState)>(self.reqs.iter().map(|(id, st)| (id, *st)));
+        e.seq::<u64, Completion>(&self.completions);
+        self.stats.put(e);
         e.u64(self.atomic_free_at);
 
         self.timeline.encode_into(e);
@@ -1027,27 +998,12 @@ impl MemoryHierarchy {
     /// corrupt, or when the rebuilt configuration (tile count, cache
     /// geometry, DRAM model) disagrees with what the checkpoint was taken
     /// from.
-    pub fn restore_state(
-        &mut self,
-        d: &mut mosaic_ckpt::Dec<'_>,
-    ) -> Result<(), mosaic_ckpt::CkptError> {
-        let nl1 = d.u32("hierarchy L1 count")? as usize;
-        if nl1 != self.l1.len() {
-            return Err(mosaic_ckpt::CkptError::mismatch(format!(
-                "hierarchy: checkpoint has {nl1} L1 caches, configuration has {}",
-                self.l1.len()
-            )));
-        }
+    pub fn restore_state(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
+        d.expect_len::<u32>("hierarchy L1 caches", self.l1.len())?;
         for c in &mut self.l1 {
             c.restore_from(d)?;
         }
-        let nl2 = d.u32("hierarchy L2 count")? as usize;
-        if nl2 != self.l2.len() {
-            return Err(mosaic_ckpt::CkptError::mismatch(format!(
-                "hierarchy: checkpoint has {nl2} L2 caches, configuration has {}",
-                self.l2.len()
-            )));
-        }
+        d.expect_len::<u32>("hierarchy L2 caches", self.l2.len())?;
         for c in &mut self.l2 {
             c.restore_from(d)?;
         }
@@ -1067,106 +1023,48 @@ impl MemoryHierarchy {
             (0, Dram::Simple(dram)) => dram.restore_from(d)?,
             (1, Dram::Banked(dram)) => dram.restore_from(d)?,
             _ => {
-                return Err(mosaic_ckpt::CkptError::mismatch(format!(
+                return Err(CkptError::mismatch(format!(
                     "hierarchy: checkpoint DRAM model tag {dram_tag} does not match the configured model"
                 )))
             }
         }
 
         self.events.clear();
-        for _ in 0..d.u64("hierarchy event count")? {
-            let cycle = d.u64("event cycle")?;
-            let seq = d.u64("event seq")?;
-            let ev = match d.u8("event tag")? {
-                0 => {
-                    let id = ReqId(d.u64("event req id")?);
-                    let level = match d.u8("event level")? {
-                        0 => Level::L1,
-                        1 => Level::L2,
-                        2 => Level::Llc,
-                        v => {
-                            return Err(mosaic_ckpt::CkptError::corrupt(format!(
-                                "event level tag {v}"
-                            )))
-                        }
-                    };
-                    Event::Lookup { id, level }
-                }
-                1 => Event::DramEnqueue {
-                    id: ReqId(d.u64("event req id")?),
-                },
-                v => return Err(mosaic_ckpt::CkptError::corrupt(format!("event tag {v}"))),
-            };
+        d.seq::<u64, (u64, u64, Event)>("hierarchy events", |(cycle, seq, ev)| {
             self.events.insert(cycle, seq, ev);
-        }
+            Ok(())
+        })?;
         self.events.seq = d.u64("hierarchy seq")?;
         self.next_id = d.u64("hierarchy next_id")?;
 
         self.reqs.clear();
         let mut live_ids: Option<(u64, u64)> = None;
-        for _ in 0..d.u64("hierarchy state count")? {
-            let id = d.u64("state id")?;
+        d.seq::<u64, (u64, ReqState)>("in-flight requests", |(id, state)| {
             // Live ids ascend below `next_id`, and sit within a ring's
             // reach of the oldest: the slots between them are allocated.
             let first = live_ids.map_or(id, |(first, _)| first);
             let ascends = live_ids.is_none_or(|(_, last)| last < id);
             live_ids = Some((first, id));
             if !ascends || id >= self.next_id || id - first > MAX_LIVE_ID_SPAN {
-                return Err(mosaic_ckpt::CkptError::corrupt(format!(
+                return Err(CkptError::corrupt(format!(
                     "in-flight request id {id} out of order or range (oldest {first}, next {})",
                     self.next_id
                 )));
             }
-            let tile = d.usize("state tile")?;
-            if tile >= self.l1.len() {
-                return Err(mosaic_ckpt::CkptError::corrupt(format!(
-                    "in-flight request {id} names tile {tile} of {}",
+            if state.tile.0 as usize >= self.l1.len() {
+                return Err(CkptError::corrupt(format!(
+                    "in-flight request {id} names tile {} of {}",
+                    state.tile.0,
                     self.l1.len()
                 )));
             }
-            let line = d.u64("state line")?;
-            let kind = match d.u8("state kind")? {
-                0 => AccessKind::Read,
-                1 => AccessKind::Write,
-                2 => AccessKind::Atomic,
-                3 => AccessKind::Prefetch,
-                v => {
-                    return Err(mosaic_ckpt::CkptError::corrupt(format!(
-                        "state access kind {v}"
-                    )))
-                }
-            };
-            let state = ReqState {
-                tile: tile as u32,
-                line,
-                kind,
-                writeback: d.bool("state writeback")?,
-                issued_at: d.u64("state issue cycle")?,
-                dram_at: d.u64("state dram cycle")?,
-            };
             self.reqs.insert(id, state);
-        }
+            Ok(())
+        })?;
 
         self.completions.clear();
-        for _ in 0..d.u64("hierarchy completion count")? {
-            let id = ReqId(d.u64("completion id")?);
-            let tile = d.usize("completion tile")?;
-            let at_cycle = d.u64("completion cycle")?;
-            self.completions.push(Completion { id, tile, at_cycle });
-        }
-
-        self.stats = MemStats {
-            l1_hits: d.u64("stats l1_hits")?,
-            l1_misses: d.u64("stats l1_misses")?,
-            l2_hits: d.u64("stats l2_hits")?,
-            l2_misses: d.u64("stats l2_misses")?,
-            llc_hits: d.u64("stats llc_hits")?,
-            llc_misses: d.u64("stats llc_misses")?,
-            dram_reads: d.u64("stats dram_reads")?,
-            dram_writebacks: d.u64("stats dram_writebacks")?,
-            atomics: d.u64("stats atomics")?,
-            prefetches: d.u64("stats prefetches")?,
-        };
+        d.seq_into::<u64, Completion>("undelivered completions", &mut self.completions)?;
+        self.stats = Snap::get(d, "hierarchy stats")?;
         self.atomic_free_at = d.u64("hierarchy atomic_free_at")?;
 
         self.timeline = Timeline::decode_from(d)?;

@@ -6,6 +6,8 @@
 //! saves the request on the MSHR. When the pending request is served, the
 //! MSHR notifies all requests waiting on that cacheline."
 
+use mosaic_ckpt::{snap_fields, CkptError, Dec, Enc};
+
 use crate::req::ReqId;
 
 /// Result of attempting to track a miss in the MSHR.
@@ -132,52 +134,38 @@ impl Mshr {
     }
 }
 
+snap_fields!(Mshr: coalesced, full_stalls);
+
 impl Mshr {
     /// Serializes live entries (in line order) and counters; the capacity
     /// comes from the rebuilt configuration.
-    pub(crate) fn encode_into(&self, e: &mut mosaic_ckpt::Enc) {
+    pub(crate) fn encode_into(&self, e: &mut Enc) {
         let mut slots: Vec<usize> = (0..self.lines.len()).collect();
         slots.sort_unstable_by_key(|&slot| self.lines[slot]);
         e.u32(slots.len() as u32);
         for slot in slots {
             e.u64(self.lines[slot]);
-            e.u32(self.waiters[slot].len() as u32);
-            for w in &self.waiters[slot] {
-                e.u64(w.0);
-            }
+            e.seq::<u32, ReqId>(&self.waiters[slot]);
         }
-        e.u64(self.coalesced);
-        e.u64(self.full_stalls);
+        self.put_fields(e);
     }
 
-    pub(crate) fn restore_from(
-        &mut self,
-        d: &mut mosaic_ckpt::Dec<'_>,
-    ) -> Result<(), mosaic_ckpt::CkptError> {
+    pub(crate) fn restore_from(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
         self.lines.clear();
         self.waiters.iter_mut().for_each(Vec::clear);
         for _ in 0..d.u32("mshr entry count")? {
             let line = d.u64("mshr line")?;
-            let n = d.u32("mshr waiter count")?;
             if self.lines.len() >= self.capacity || self.is_pending(line) {
-                return Err(mosaic_ckpt::CkptError::corrupt(format!(
+                return Err(CkptError::corrupt(format!(
                     "mshr entry for line {line:#x} is a duplicate or exceeds the {} configured",
                     self.capacity
                 )));
             }
-            let reserve = d.reserve_for(n as usize, 8);
-            let waiters = self.allocate(line);
-            waiters.reserve(reserve);
-            for _ in 0..n {
-                waiters.push(ReqId(d.u64("mshr waiter")?));
-            }
+            d.seq_into::<u32, ReqId>("mshr waiters", self.allocate(line))?;
         }
-        self.coalesced = d.u64("mshr coalesced")?;
-        self.full_stalls = d.u64("mshr full_stalls")?;
-        Ok(())
+        self.get_fields(d)
     }
 }
-
 
 #[cfg(test)]
 mod tests {

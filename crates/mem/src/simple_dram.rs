@@ -12,6 +12,8 @@
 
 use std::collections::VecDeque;
 
+use mosaic_ckpt::{snap_fields, CkptError, Dec, Enc};
+
 use crate::req::ReqId;
 
 /// Configuration of the SimpleDRAM model.
@@ -188,56 +190,32 @@ impl SimpleDram {
     }
 }
 
+snap_fields!(SimpleDram: seq, epoch_start, returned_this_epoch, total_requests,
+    total_returned, throttled_cycles, last_step);
+
 impl SimpleDram {
     /// Serializes the pending queue (in queue order, which is `(ready,
     /// seq)` order) and epoch/counter state.
-    pub(crate) fn encode_into(&self, e: &mut mosaic_ckpt::Enc) {
-        e.u32(self.queue.len() as u32);
-        for &(ready, seq, id) in &self.queue {
-            e.u64(ready);
-            e.u64(seq);
-            e.u64(id.0);
-        }
-        e.u64(self.seq);
-        e.u64(self.epoch_start);
-        e.u32(self.returned_this_epoch);
-        e.u64(self.total_requests);
-        e.u64(self.total_returned);
-        e.u64(self.throttled_cycles);
-        e.u64(self.last_step);
+    pub(crate) fn encode_into(&self, e: &mut Enc) {
+        e.seq::<u32, (u64, u64, ReqId)>(&self.queue);
+        self.put_fields(e);
     }
 
-    pub(crate) fn restore_from(
-        &mut self,
-        d: &mut mosaic_ckpt::Dec<'_>,
-    ) -> Result<(), mosaic_ckpt::CkptError> {
+    pub(crate) fn restore_from(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
         self.queue.clear();
-        for _ in 0..d.u32("dram queue length")? {
-            let ready = d.u64("dram entry ready")?;
-            let seq = d.u64("dram entry seq")?;
-            let id = ReqId(d.u64("dram entry id")?);
-            if self
-                .queue
-                .back()
-                .is_some_and(|&(r, s, _)| (r, s) >= (ready, seq))
-            {
-                return Err(mosaic_ckpt::CkptError::corrupt(format!(
+        d.seq::<u32, (u64, u64, ReqId)>("dram queue", |(ready, seq, id)| {
+            let last = self.queue.back();
+            if last.is_some_and(|&(r, s, _)| (r, s) >= (ready, seq)) {
+                return Err(CkptError::corrupt(format!(
                     "dram queue entry {seq} out of completion order"
                 )));
             }
             self.queue.push_back((ready, seq, id));
-        }
-        self.seq = d.u64("dram seq")?;
-        self.epoch_start = d.u64("dram epoch_start")?;
-        self.returned_this_epoch = d.u32("dram returned_this_epoch")?;
-        self.total_requests = d.u64("dram total_requests")?;
-        self.total_returned = d.u64("dram total_returned")?;
-        self.throttled_cycles = d.u64("dram throttled_cycles")?;
-        self.last_step = d.u64("dram last_step")?;
-        Ok(())
+            Ok(())
+        })?;
+        self.get_fields(d)
     }
 }
-
 
 #[cfg(test)]
 mod tests {

@@ -320,23 +320,6 @@ mod tests {
     }
 }
 
-impl StallKind {
-    /// Decodes a kind from its stable index (the `as usize` value).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`mosaic_ckpt::CkptError`] for an index outside
-    /// `0..STALL_KINDS`.
-    pub fn from_index(i: u8) -> Result<Self, mosaic_ckpt::CkptError> {
-        StallKind::all()
-            .into_iter()
-            .find(|k| *k as u8 == i)
-            .ok_or_else(|| {
-                mosaic_ckpt::CkptError::corrupt(format!("stall kind index {i} out of range"))
-            })
-    }
-}
-
 impl IrProfile {
     /// Serializes the profile into a checkpoint section, entries in key
     /// order (the map is a `BTreeMap`, so the byte stream is

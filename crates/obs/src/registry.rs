@@ -480,21 +480,16 @@ impl StatsRegistry {
     }
 }
 
+mosaic_ckpt::snap_fields!(Log2Histogram: count, sum, min, max);
+
 impl Log2Histogram {
     /// Serializes the histogram into a checkpoint section: exact
     /// `count`/`sum` and the raw `min`/`max` fields (so an empty
     /// histogram round-trips its `u64::MAX` min sentinel), then the
     /// nonzero buckets as sparse `(index, count)` pairs.
     pub fn encode_into(&self, e: &mut mosaic_ckpt::Enc) {
-        e.u64(self.count);
-        e.u64(self.sum);
-        e.u64(self.min);
-        e.u64(self.max);
-        e.u32(self.nonzero_buckets().count() as u32);
-        for (i, n) in self.nonzero_buckets() {
-            e.u8(i as u8);
-            e.u64(n);
-        }
+        self.put_fields(e);
+        e.seq::<u32, (u8, u64)>(self.nonzero_buckets().map(|(i, n)| (i as u8, n)));
     }
 
     /// Decodes a histogram written by [`Log2Histogram::encode_into`].
@@ -507,24 +502,17 @@ impl Log2Histogram {
         d: &mut mosaic_ckpt::Dec<'_>,
     ) -> Result<Self, mosaic_ckpt::CkptError> {
         let mut h = Log2Histogram::new();
-        h.count = d.u64("histogram count")?;
-        h.sum = d.u64("histogram sum")?;
-        h.min = d.u64("histogram min")?;
-        h.max = d.u64("histogram max")?;
-        let nonzero = d.u32("histogram bucket count")?;
-        for _ in 0..nonzero {
-            let i = d.u8("histogram bucket index")? as usize;
-            if i >= h.buckets.len() {
-                return Err(mosaic_ckpt::CkptError::corrupt(format!(
-                    "histogram bucket index {i} out of range"
-                )));
-            }
-            h.buckets[i] = d.u64("histogram bucket value")?;
-        }
+        h.get_fields(d)?;
+        d.seq::<u32, (u8, u64)>("histogram buckets", |(i, n)| {
+            let bucket = h.buckets.get_mut(usize::from(i)).ok_or_else(|| {
+                mosaic_ckpt::CkptError::corrupt(format!("histogram bucket index {i} out of range"))
+            })?;
+            *bucket = n;
+            Ok(())
+        })?;
         Ok(h)
     }
 }
-
 
 #[cfg(test)]
 mod tests {

@@ -2,6 +2,8 @@
 
 use std::fmt::{self, Write as _};
 
+use mosaic_ckpt::{CkptError, Dec, Enc, Snap};
+
 use crate::json::Escaped;
 
 /// A span's name, kept in the form it was recorded in and rendered only
@@ -260,48 +262,46 @@ mod tests {
     }
 }
 
-/// Interns a span category decoded from a checkpoint back into the
-/// `&'static str` the [`Span`] type carries. All categories the
-/// simulator emits are known at compile time; anything else (a newer
-/// writer) is leaked once, which is bounded by the number of distinct
-/// categories in the file.
-fn intern_cat(cat: &str) -> &'static str {
-    match cat {
-        "tile" => "tile",
-        "stall" => "stall",
-        "mem" => "mem",
-        "dram" => "dram",
-        "accel" => "accel",
-        other => Box::leak(other.to_string().into_boxed_str()),
+/// The span categories the simulator emits: a [`Span`] carries one as a
+/// `&'static str`, so a checkpoint naming any other is corrupt.
+const CATEGORIES: [&str; 5] = ["tile", "stall", "mem", "dram", "accel"];
+
+/// A span as a checkpoint holds it: the name rendered, whichever form it
+/// was recorded in, and read back as [`SpanName::Owned`].
+impl Snap for Span {
+    fn put(&self, e: &mut Enc) {
+        (self.pid, self.tid).put(e);
+        e.str(self.cat);
+        e.display(&self.name);
+        (self.start, self.end).put(e);
+    }
+    fn get(d: &mut Dec<'_>, what: &str) -> Result<Self, CkptError> {
+        let (pid, tid) = Snap::get(d, what)?;
+        let cat = d.bytes(what)?;
+        let Some(&cat) = CATEGORIES.iter().find(|c| c.as_bytes() == cat) else {
+            let cat = String::from_utf8_lossy(cat);
+            let context = format!("{what}: unknown category '{cat}'");
+            return Err(CkptError::Corrupt { context });
+        };
+        let name = SpanName::Owned(d.str(what)?);
+        let (start, end) = Snap::get(d, what)?;
+        Ok(Span {
+            pid,
+            tid,
+            cat,
+            name,
+            start,
+            end,
+        })
     }
 }
 
 impl Timeline {
     /// Serializes spans and track metadata into a checkpoint section.
-    pub fn encode_into(&self, e: &mut mosaic_ckpt::Enc) {
-        e.u64(self.spans.len() as u64);
-        let mut name = String::new();
-        for sp in &self.spans {
-            e.u32(sp.pid);
-            e.u32(sp.tid);
-            e.str(sp.cat);
-            name.clear();
-            let _ = write!(name, "{}", sp.name);
-            e.str(&name);
-            e.u64(sp.start);
-            e.u64(sp.end);
-        }
-        e.u32(self.processes.len() as u32);
-        for (pid, name) in &self.processes {
-            e.u32(*pid);
-            e.str(name);
-        }
-        e.u32(self.threads.len() as u32);
-        for (pid, tid, name) in &self.threads {
-            e.u32(*pid);
-            e.u32(*tid);
-            e.str(name);
-        }
+    pub fn encode_into(&self, e: &mut Enc) {
+        e.seq::<u64, Span>(&self.spans);
+        e.seq::<u32, (u32, String)>(&self.processes);
+        e.seq::<u32, (u32, u32, String)>(&self.threads);
     }
 
     /// Decodes a timeline written by [`Timeline::encode_into`].
@@ -310,40 +310,11 @@ impl Timeline {
     ///
     /// Returns a [`mosaic_ckpt::CkptError`] on truncated or malformed
     /// data.
-    pub fn decode_from(
-        d: &mut mosaic_ckpt::Dec<'_>,
-    ) -> Result<Self, mosaic_ckpt::CkptError> {
+    pub fn decode_from(d: &mut Dec<'_>) -> Result<Self, CkptError> {
         let mut t = Timeline::new();
-        let nspans = d.u64("timeline span count")?;
-        for _ in 0..nspans {
-            let pid = d.u32("span pid")?;
-            let tid = d.u32("span tid")?;
-            let cat = intern_cat(&d.str("span category")?);
-            let name = SpanName::Owned(d.str("span name")?);
-            let start = d.u64("span start")?;
-            let end = d.u64("span end")?;
-            t.spans.push(Span {
-                pid,
-                tid,
-                cat,
-                name,
-                start,
-                end,
-            });
-        }
-        let nproc = d.u32("timeline process count")?;
-        for _ in 0..nproc {
-            let pid = d.u32("process pid")?;
-            let name = d.str("process name")?;
-            t.processes.push((pid, name));
-        }
-        let nthread = d.u32("timeline thread count")?;
-        for _ in 0..nthread {
-            let pid = d.u32("thread pid")?;
-            let tid = d.u32("thread tid")?;
-            let name = d.str("thread name")?;
-            t.threads.push((pid, tid, name));
-        }
+        d.seq_into::<u64, Span>("timeline span", &mut t.spans)?;
+        d.seq_into::<u32, (u32, String)>("timeline process", &mut t.processes)?;
+        d.seq_into::<u32, (u32, u32, String)>("timeline thread", &mut t.threads)?;
         Ok(t)
     }
 }
@@ -366,5 +337,25 @@ mod snapshot_tests {
         let back = Timeline::decode_from(&mut d).unwrap();
         assert!(d.is_exhausted());
         assert_eq!(t, back);
+    }
+
+    /// A span's category is one of the five the simulator emits; any
+    /// other is a corrupt record (and nothing is leaked to hold it).
+    #[test]
+    fn unknown_span_category_is_corrupt() {
+        let encoded = |cat: &'static str| {
+            let mut t = Timeline::new();
+            t.span(0, 0, cat, "x", 1, 2);
+            let mut e = Enc::new();
+            t.encode_into(&mut e);
+            e.into_bytes()
+        };
+        for cat in CATEGORIES {
+            let back = Timeline::decode_from(&mut Dec::new(&encoded(cat))).unwrap();
+            assert_eq!(back.spans()[0].cat, cat);
+        }
+        let err = Timeline::decode_from(&mut Dec::new(&encoded("gpu"))).unwrap_err();
+        assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
+        assert!(err.to_string().contains("gpu"), "{err}");
     }
 }

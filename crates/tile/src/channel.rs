@@ -11,13 +11,17 @@
 
 use std::collections::VecDeque;
 
-/// Configuration of one channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChannelConfig {
-    /// Buffer capacity in messages (Table II: 512).
-    pub capacity: usize,
-    /// Cycles between a send issuing and the message becoming receivable.
-    pub latency: u64,
+use mosaic_ckpt::{snap_fields, snap_record, CkptError, Dec, Enc, Snap};
+
+snap_record! {
+    /// Configuration of one channel.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct ChannelConfig {
+        /// Buffer capacity in messages (Table II: 512).
+        pub capacity: usize,
+        /// Cycles between a send issuing and the message becoming receivable.
+        pub latency: u64,
+    }
 }
 
 impl Default for ChannelConfig {
@@ -221,21 +225,13 @@ impl ChannelSet {
     /// Serializes every channel — configuration, buffered message
     /// maturity cycles, and counters — in ascending queue order (the
     /// set's own), so the byte stream is deterministic.
-    pub fn encode_into(&self, e: &mut mosaic_ckpt::Enc) {
+    pub fn encode_into(&self, e: &mut Enc) {
         e.u32(self.channels.len() as u32);
         for (q, c) in &self.channels {
             e.u32(*q);
-            e.usize(c.config.capacity);
-            e.u64(c.config.latency);
-            e.usize(c.queue.len());
-            for &maturity in &c.queue {
-                e.u64(maturity);
-            }
-            e.u64(c.sends);
-            e.u64(c.recvs);
-            e.u64(c.full_stalls);
-            e.u64(c.empty_stalls);
-            e.usize(c.max_occupancy);
+            c.config.put(e);
+            e.seq::<u64, u64>(&c.queue);
+            c.put_fields(e);
         }
     }
 
@@ -245,31 +241,30 @@ impl ChannelSet {
     ///
     /// # Errors
     ///
-    /// Returns a [`mosaic_ckpt::CkptError`] on truncated data.
-    pub fn restore_from(&mut self, d: &mut mosaic_ckpt::Dec<'_>) -> Result<(), mosaic_ckpt::CkptError> {
+    /// Returns a [`mosaic_ckpt::CkptError`] on truncated data, queue ids
+    /// that do not ascend, or a channel holding more than its capacity.
+    pub fn restore_from(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
         self.channels.clear();
-        let n = d.u32("channel count")?;
-        for _ in 0..n {
+        for _ in 0..d.u32("channel count")? {
             let q = d.u32("channel queue id")?;
-            let config = ChannelConfig {
-                capacity: d.usize("channel capacity")?,
-                latency: d.u64("channel latency")?,
-            };
-            let mut c = Channel::new(config);
-            let len = d.usize("channel occupancy")?;
-            for _ in 0..len {
-                c.queue.push_back(d.u64("channel message maturity")?);
+            let mut c = Channel::new(Snap::get(d, "channel config")?);
+            d.seq_into::<u64, u64>("channel messages", &mut c.queue)?;
+            c.get_fields(d)?;
+            let ascends = self.channels.last().is_none_or(|&(last, _)| last < q);
+            if !ascends || c.queue.len() > c.config.capacity {
+                return Err(CkptError::corrupt(format!(
+                    "channel {q} out of order, or holding {} messages of {}",
+                    c.queue.len(),
+                    c.config.capacity
+                )));
             }
-            c.sends = d.u64("channel sends")?;
-            c.recvs = d.u64("channel recvs")?;
-            c.full_stalls = d.u64("channel full_stalls")?;
-            c.empty_stalls = d.u64("channel empty_stalls")?;
-            c.max_occupancy = d.usize("channel max_occupancy")?;
-            *self.channel_mut(q) = c;
+            self.channels.push((q, c));
         }
         Ok(())
     }
 }
+
+snap_fields!(Channel: sends, recvs, full_stalls, empty_stalls, max_occupancy);
 
 #[cfg(test)]
 mod tests {
@@ -325,5 +320,49 @@ mod tests {
         assert!(!s.all_empty());
         assert!(s.channel_mut(3).try_recv(100));
         assert!(s.all_empty());
+    }
+
+    /// A restored set is the saved one; a record whose queue ids do not
+    /// ascend, or whose channel holds more than its capacity, is corrupt.
+    #[test]
+    fn restore_checks_order_and_occupancy() {
+        use mosaic_ckpt::{CkptError, Dec, Enc};
+        let config = ChannelConfig {
+            capacity: 2,
+            latency: 1,
+        };
+        let encoded = |queues: &[(u32, u64)]| {
+            let mut e = Enc::new();
+            e.u32(queues.len() as u32);
+            for &(q, messages) in queues {
+                e.u32(q);
+                config.put(&mut e);
+                e.seq::<u64, u64>(0..messages);
+                e.raw(&[0; 40]);
+            }
+            e.into_bytes()
+        };
+        let mut set = ChannelSet::new(config);
+        assert!(set.channel_mut(3).try_send(0) && set.channel_mut(1007).try_send(5));
+        let mut e = Enc::new();
+        set.encode_into(&mut e);
+        let mut back = ChannelSet::new(config);
+        back.restore_from(&mut Dec::new(&e.into_bytes())).unwrap();
+        assert_eq!(back.channel(1007).unwrap().next_recv_ready(), Some(6));
+        assert_eq!(
+            back.iter().map(|(q, c)| (q, c.sends())).collect::<Vec<_>>(),
+            [(3, 1), (1007, 1)]
+        );
+
+        back.restore_from(&mut Dec::new(&encoded(&[(3, 2), (9, 0)])))
+            .unwrap();
+        for damaged in [
+            encoded(&[(9, 0), (3, 0)]),
+            encoded(&[(3, 0), (3, 0)]),
+            encoded(&[(3, 3)]),
+        ] {
+            let err = back.restore_from(&mut Dec::new(&damaged)).unwrap_err();
+            assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
+        }
     }
 }

@@ -33,9 +33,7 @@ use mosaic_trace::{CursorPos, TileTrace};
 
 use crate::config::{fused_insts, BranchMode, CoreConfig};
 use crate::mao::{Mao, MaoStall};
-use crate::{
-    Channel, ChannelSet, Horizon, Tile, TileCtx, TileError, TileStallInfo, TileStats,
-};
+use crate::{Channel, ChannelSet, Horizon, Tile, TileCtx, TileError, TileStallInfo, TileStats};
 
 mod inflight;
 mod obs_glue;
@@ -72,15 +70,17 @@ enum ReqDone {
     Detached(Option<u32>),
 }
 
-/// One outstanding memory request of this tile.
-#[derive(Debug, Clone, Copy)]
-struct PendingReq {
-    id: ReqId,
-    on_done: ReqDone,
-    /// The static instruction that issued it, and when (round-trip
-    /// latency attribution when observability is on).
-    inst: u32,
-    issued_at: u64,
+mosaic_ckpt::snap_record! {
+    /// One outstanding memory request of this tile.
+    #[derive(Debug, Clone, Copy)]
+    struct PendingReq {
+        id: ReqId,
+        on_done: ReqDone,
+        /// The static instruction that issued it, and when (round-trip
+        /// latency attribution when observability is on).
+        inst: u32,
+        issued_at: u64,
+    }
 }
 
 /// Why `issue()` would pass over a ready candidate this cycle.

@@ -4,13 +4,15 @@ use std::collections::VecDeque;
 
 use mosaic_mem::AccessKind;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum DynState {
-    Waiting,
-    Ready,
-    Issued,
-    /// Completed: the slot is dead and waits to leave the ring.
-    Done,
+mosaic_ckpt::snap_enum! {
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) enum DynState {
+        Waiting = 0,
+        Ready = 1,
+        Issued = 2,
+        /// Completed: the slot is dead and waits to leave the ring.
+        Done = 3,
+    }
 }
 
 /// "No node": the end of a child list, or an empty free list.

@@ -1,10 +1,19 @@
-//! Checkpoint encode/restore of a core tile's dynamic state.
+//! Checkpoint encode/restore of a core tile's dynamic state (see
+//! mosaic-ckpt and DESIGN.md §4.6).
+//!
+//! Only dynamic state is written. Everything derived from the configuration,
+//! module, and trace — the launch plan with its zero-cost marks, static
+//! predictions, DeSC roles — is rebuilt by `CoreTile::new` on the resume path
+//! and must therefore be byte-identical by construction, not by
+//! serialization. What the dynamic state determines is not written either:
+//! the ready set (the `Ready` slots, candidates or parked by the window), the
+//! window head and the live count. Every structure is indexed by a dense id,
+//! so writing it in index order gives the same bytes for the same state.
 
 use std::cmp::Reverse;
 
-use mosaic_ckpt::{CkptError, Dec, Enc};
+use mosaic_ckpt::{snap_fields, CkptError, Dec, Enc, Snap, Wide};
 use mosaic_ir::BlockId;
-use mosaic_mem::{AccessKind, ReqId};
 use mosaic_obs::{IrProfile, Timeline};
 
 use super::inflight::{DynInst, DynState, InFlight, NIL};
@@ -12,188 +21,88 @@ use super::ready_set::ReadySet;
 use super::roles::DescRole;
 use super::{CoreTile, LaunchGate, PendingReq, ReqDone};
 
-// ---------------------------------------------------------------------------
-// Checkpoint encode/restore (see mosaic-ckpt and DESIGN.md §4.6).
-//
-// Only dynamic state is written. Everything derived from the configuration,
-// module, and trace — the launch plan with its zero-cost marks, static
-// predictions, DeSC roles — is rebuilt by `CoreTile::new` on the resume path
-// and must therefore be byte-identical by construction, not by
-// serialization. What the dynamic state determines is not written either:
-// the ready set (the `Ready` slots, candidates or parked by the window), the
-// window head and the live count. Every structure is indexed by a dense id,
-// so writing it in index order gives the same bytes for the same state.
-// ---------------------------------------------------------------------------
-
-fn kind_code(k: AccessKind) -> u8 {
-    match k {
-        AccessKind::Read => 0,
-        AccessKind::Write => 1,
-        AccessKind::Atomic => 2,
-        AccessKind::Prefetch => 3,
+impl Snap for LaunchGate {
+    fn put(&self, e: &mut Enc) {
+        match *self {
+            LaunchGate::Free => e.u8(0),
+            LaunchGate::WaitTerminator { seq, penalty } => (1u8, seq, penalty).put(e),
+            LaunchGate::WaitUntil(cycle) => (2u8, cycle).put(e),
+        }
+    }
+    fn get(d: &mut Dec<'_>, what: &str) -> Result<Self, CkptError> {
+        match d.u8(what)? {
+            0 => Ok(LaunchGate::Free),
+            1 => {
+                Snap::get(d, what).map(|(seq, penalty)| LaunchGate::WaitTerminator { seq, penalty })
+            }
+            2 => Snap::get(d, what).map(LaunchGate::WaitUntil),
+            v => Err(CkptError::corrupt(format!("{what}: launch gate tag {v}"))),
+        }
     }
 }
 
-fn kind_from_code(v: u8) -> Result<AccessKind, CkptError> {
-    Ok(match v {
-        0 => AccessKind::Read,
-        1 => AccessKind::Write,
-        2 => AccessKind::Atomic,
-        3 => AccessKind::Prefetch,
-        _ => return Err(CkptError::corrupt(format!("access kind code {v}"))),
-    })
-}
-
-fn enc_opt_u32(e: &mut Enc, v: Option<u32>) {
-    e.opt_u64(v.map(u64::from));
-}
-
-fn dec_opt_u32(d: &mut Dec<'_>, what: &str) -> Result<Option<u32>, CkptError> {
-    let v = d.opt_u64(what)?;
-    v.map(|v| u32::try_from(v).map_err(|_| CkptError::corrupt(format!("{what}: {v}"))))
-        .transpose()
-}
-
-/// Reads a table length and checks it against the table this tile has.
-fn dec_len(d: &mut Dec<'_>, what: &str, want: usize) -> Result<(), CkptError> {
-    let found = d.usize(what)?;
-    if found != want {
-        return Err(CkptError::mismatch(format!(
-            "{what}: this tile has {want}, the checkpoint {found}"
-        )));
+/// The queue of a detached load's push is eight bytes wide in the file.
+impl Snap for ReqDone {
+    fn put(&self, e: &mut Enc) {
+        match *self {
+            ReqDone::Retire(seq) => (0u8, seq).put(e),
+            ReqDone::Detached(push) => (1u8, push.map(Wide)).put(e),
+        }
     }
-    Ok(())
+    fn get(d: &mut Dec<'_>, what: &str) -> Result<Self, CkptError> {
+        match d.u8(what)? {
+            0 => Snap::get(d, what).map(ReqDone::Retire),
+            1 => Snap::get(d, what).map(|push: Option<Wide>| ReqDone::Detached(push.map(|q| q.0))),
+            v => Err(CkptError::corrupt(format!("{what}: request tag {v}"))),
+        }
+    }
 }
+
+snap_fields!(CoreTile: detached_outstanding, atomic_outstanding, gate, accel_busy_until, done);
 
 impl CoreTile {
     pub(super) fn encode_state(&self, e: &mut Enc) {
         e.usize(self.cursor.path_pos);
-        e.usize(self.cursor.stream_pos.len());
-        for &pos in &self.cursor.stream_pos {
-            e.u32(pos);
-        }
+        e.seq::<u64, u32>(&self.cursor.stream_pos);
 
         e.u64(self.inflight.base_seq);
         e.usize(self.inflight.slots.len());
         for di in &self.inflight.slots {
-            e.u8(match di.state {
-                DynState::Waiting => 0,
-                DynState::Ready => 1,
-                DynState::Issued => 2,
-                DynState::Done => 3,
-            });
+            di.state.put(e);
             if di.state == DynState::Done {
                 continue;
             }
-            e.u32(di.plan);
-            e.u32(di.remaining_parents);
-            e.u64(di.dbb);
-            e.usize(self.inflight.children(di).count());
-            for child in self.inflight.children(di) {
-                e.u64(child);
-            }
-            match di.mem {
-                Some((addr, size, kind)) => {
-                    e.u8(1);
-                    e.u64(addr);
-                    e.u8(size);
-                    e.u8(kind_code(kind));
-                }
-                None => e.u8(0),
-            }
-            e.u32(di.accel_at);
+            (di.plan, di.remaining_parents, di.dbb).put(e);
+            e.seq::<u64, u64>(self.inflight.children(di));
+            (di.mem, di.accel_at).put(e);
         }
-
-        e.usize(self.latest.len());
-        for &slot in &self.latest {
-            e.opt_u64(slot);
-        }
+        e.seq::<u64, Option<u64>>(&self.latest);
 
         let mut completions: Vec<(u64, u64)> =
             self.completions.iter().map(|Reverse(p)| *p).collect();
         completions.sort_unstable();
-        e.usize(completions.len());
-        for (cycle, seq) in completions {
-            e.u64(cycle);
-            e.u64(seq);
-        }
-
-        e.usize(self.reqs.len());
-        for r in &self.reqs {
-            e.u64(r.id.0);
-            match r.on_done {
-                ReqDone::Retire(seq) => {
-                    e.u8(0);
-                    e.u64(seq);
-                }
-                ReqDone::Detached(push) => {
-                    e.u8(1);
-                    enc_opt_u32(e, push);
-                }
-            }
-            e.u32(r.inst);
-            e.u64(r.issued_at);
-        }
+        e.seq::<u64, (u64, u64)>(&completions);
+        e.seq::<u64, PendingReq>(&self.reqs);
 
         self.mao.encode_into(e);
         for &n in &self.fu_busy {
             e.u32(n);
         }
-        e.usize(self.live_dbbs.len());
-        for &n in &self.live_dbbs {
-            e.u32(n);
-        }
+        e.seq::<u64, u32>(&self.live_dbbs);
         e.u64(self.base_dbb);
-        e.usize(self.dbbs.len());
-        for &(left, block) in &self.dbbs {
-            e.u32(left);
-            e.u32(block.0);
-        }
-        enc_opt_u32(e, self.prev_launched_block.map(|b| b.0));
-        e.usize(self.bimodal.len());
-        for &c in &self.bimodal {
-            e.u8(c);
-        }
+        e.seq::<u64, (u32, u32)>(self.dbbs.iter().map(|&(left, block)| (left, block.0)));
+        self.prev_launched_block.map(|b| Wide(b.0)).put(e);
+        e.seq::<u64, u8>(&self.bimodal);
 
-        e.usize(self.pending_pushes.len());
-        for &q in &self.pending_pushes {
-            e.u32(q);
-        }
-        e.u32(self.detached_outstanding);
-        e.u32(self.atomic_outstanding);
-        match self.gate {
-            LaunchGate::Free => e.u8(0),
-            LaunchGate::WaitTerminator { seq, penalty } => {
-                e.u8(1);
-                e.u64(seq);
-                e.u64(penalty);
-            }
-            LaunchGate::WaitUntil(c) => {
-                e.u8(2);
-                e.u64(c);
-            }
-        }
-        e.opt_u64(self.accel_busy_until);
-        e.bool(self.done);
+        e.seq::<u64, u32>(&self.pending_pushes);
+        self.put_fields(e);
         self.stats.encode_into(e);
 
-        match &self.obs {
-            Some(o) => {
-                e.u8(1);
-                o.profile.to_profile().encode_into(e);
-                o.timeline.encode_into(e);
-                match o.interval {
-                    Some((stalled, start)) => {
-                        e.u8(1);
-                        e.bool(stalled);
-                        e.u64(start);
-                    }
-                    None => e.u8(0),
-                }
-                e.opt_u64(o.first_step);
-                e.u64(o.last_seen);
-            }
-            None => e.u8(0),
+        e.bool(self.obs.is_some());
+        if let Some(o) = &self.obs {
+            o.profile.to_profile().encode_into(e);
+            o.timeline.encode_into(e);
+            (o.interval, o.first_step, o.last_seen).put(e);
         }
     }
 
@@ -209,10 +118,7 @@ impl CoreTile {
             )));
         }
         self.cursor.path_pos = path_pos;
-        dec_len(d, "tile trace streams", self.cursor.stream_pos.len())?;
-        for pos in &mut self.cursor.stream_pos {
-            *pos = d.u32("tile stream position")?;
-        }
+        d.table::<u64, u32>("tile trace streams", &mut self.cursor.stream_pos)?;
 
         let mut inflight = InFlight::new();
         inflight.base_seq = d.u64("tile base_seq")?;
@@ -221,13 +127,7 @@ impl CoreTile {
         let next_seq = inflight.base_seq.saturating_add(nslots);
         let mut children = Vec::new();
         for seq in inflight.base_seq..next_seq {
-            let state = match d.u8("inst state")? {
-                0 => DynState::Waiting,
-                1 => DynState::Ready,
-                2 => DynState::Issued,
-                3 => DynState::Done,
-                v => return Err(corrupt(format!("inst state tag {v}"))),
-            };
+            let state = Snap::get(d, "inst state")?;
             let mut di = DynInst {
                 plan: 0,
                 state,
@@ -240,33 +140,22 @@ impl CoreTile {
                 accel_at: 0,
             };
             if state != DynState::Done {
-                di.plan = d.u32("inst plan index")?;
+                (di.plan, di.remaining_parents, di.dbb) = Snap::get(d, "inst plan, parents, dbb")?;
                 if di.plan as usize >= self.plan.len() {
                     return Err(corrupt(format!("plan index {} out of range", di.plan)));
                 }
                 di.window_exempt = self.desc[di.plan as usize].is_some_and(DescRole::window_exempt);
-                di.remaining_parents = d.u32("inst remaining_parents")?;
-                di.dbb = d.u64("inst dbb")?;
-                for _ in 0..d.u64("inst child count")? {
-                    let child = d.u64("inst child")?;
+                d.seq::<u64, u64>("inst children", |child| {
                     if child <= seq || child >= next_seq {
                         return Err(corrupt(format!("inst {seq} has child {child}")));
                     }
                     children.push((seq, child));
-                }
-                di.mem = match d.u8("inst mem flag")? {
-                    0 => None,
-                    1 => {
-                        let addr = d.u64("inst mem addr")?;
-                        let size = d.u8("inst mem size")?;
-                        Some((addr, size, kind_from_code(d.u8("inst mem kind")?)?))
-                    }
-                    v => return Err(corrupt(format!("inst mem flag {v}"))),
-                };
+                    Ok(())
+                })?;
+                (di.mem, di.accel_at) = Snap::get(d, "inst access, accel index")?;
                 if di.mem.is_some() != self.plan.inst(di.plan as usize).mem_kind.is_some() {
                     return Err(corrupt(format!("inst {seq}: memory access mismatch")));
                 }
-                di.accel_at = d.u32("inst accel index")?;
                 inflight.live += 1;
             }
             inflight.slots.push_back(di);
@@ -279,56 +168,36 @@ impl CoreTile {
         }
         self.inflight = inflight;
         self.ready = ReadySet::rebuild(&self.inflight, self.window_limit());
-
-        dec_len(d, "tile latest-def table", self.latest.len())?;
-        for slot in &mut self.latest {
-            *slot = d.opt_u64("tile latest slot")?;
-        }
+        d.table::<u64, Option<u64>>("tile latest-def table", &mut self.latest)?;
 
         self.completions.clear();
-        for _ in 0..d.u64("tile completion count")? {
-            let cycle = d.u64("tile completion cycle")?;
-            let seq = d.u64("tile completion seq")?;
-            self.completions.push(Reverse((cycle, seq)));
-        }
-
+        d.seq::<u64, (u64, u64)>("tile completions", |completion| {
+            self.completions.push(Reverse(completion));
+            Ok(())
+        })?;
         self.reqs.clear();
-        for _ in 0..d.u64("tile request count")? {
-            let id = ReqId(d.u64("tile request id")?);
-            if self.reqs.back().is_some_and(|last| last.id >= id) {
-                return Err(corrupt(format!("request {} out of order", id.0)));
+        d.seq::<u64, PendingReq>("tile requests", |req| {
+            if self.reqs.back().is_some_and(|last| last.id >= req.id) {
+                return Err(corrupt(format!("request {} out of order", req.id.0)));
             }
-            let on_done = match d.u8("tile request tag")? {
-                0 => ReqDone::Retire(d.u64("tile request seq")?),
-                1 => ReqDone::Detached(dec_opt_u32(d, "tile request queue")?),
-                v => return Err(corrupt(format!("request tag {v}"))),
-            };
-            self.reqs.push_back(PendingReq {
-                id,
-                on_done,
-                inst: d.u32("tile request inst")?,
-                issued_at: d.u64("tile request cycle")?,
-            });
-        }
+            self.reqs.push_back(req);
+            Ok(())
+        })?;
 
         self.mao.restore_from(d)?;
         for n in &mut self.fu_busy {
             *n = d.u32("tile fu-busy")?;
         }
-        dec_len(d, "tile live-dbb table", self.live_dbbs.len())?;
-        for n in &mut self.live_dbbs {
-            *n = d.u32("tile live-dbb count")?;
-        }
+        d.table::<u64, u32>("tile live-dbb table", &mut self.live_dbbs)?;
         self.base_dbb = d.u64("tile base_dbb")?;
         self.dbbs.clear();
-        for _ in 0..d.u64("tile dbb count")? {
-            let left = d.u32("tile dbb remaining")?;
-            let block = BlockId(d.u32("tile dbb block")?);
-            if block.index() >= self.live_dbbs.len() {
-                return Err(corrupt(format!("dbb of block {}", block.0)));
+        d.seq::<u64, (u32, u32)>("tile dbbs", |(left, block)| {
+            if block as usize >= self.live_dbbs.len() {
+                return Err(corrupt(format!("dbb of block {block}")));
             }
-            self.dbbs.push_back((left, block));
-        }
+            self.dbbs.push_back((left, BlockId(block)));
+            Ok(())
+        })?;
         let dbbs = self.base_dbb..self.base_dbb.saturating_add(self.dbbs.len() as u64);
         if let Some(di) = self.inflight.slots.iter().find(|di| {
             di.state != DynState::Done
@@ -336,30 +205,13 @@ impl CoreTile {
         }) {
             return Err(corrupt(format!("in-flight inst of dead dbb {}", di.dbb)));
         }
-        self.prev_launched_block = dec_opt_u32(d, "tile prev block")?.map(BlockId);
-        dec_len(d, "tile bimodal table", self.bimodal.len())?;
-        for c in &mut self.bimodal {
-            *c = d.u8("tile bimodal counter")?;
-        }
+        let prev_block: Option<Wide> = Snap::get(d, "tile prev block")?;
+        self.prev_launched_block = prev_block.map(|b| BlockId(b.0));
+        d.table::<u64, u8>("tile bimodal table", &mut self.bimodal)?;
 
         self.pending_pushes.clear();
-        for _ in 0..d.u64("tile pending-push count")? {
-            self.pending_pushes
-                .push_back(d.u32("tile pending-push queue")?);
-        }
-        self.detached_outstanding = d.u32("tile detached_outstanding")?;
-        self.atomic_outstanding = d.u32("tile atomic_outstanding")?;
-        self.gate = match d.u8("tile gate tag")? {
-            0 => LaunchGate::Free,
-            1 => LaunchGate::WaitTerminator {
-                seq: d.u64("tile gate seq")?,
-                penalty: d.u64("tile gate penalty")?,
-            },
-            2 => LaunchGate::WaitUntil(d.u64("tile gate cycle")?),
-            v => return Err(corrupt(format!("launch gate tag {v}"))),
-        };
-        self.accel_busy_until = d.opt_u64("tile accel_busy_until")?;
-        self.done = d.bool("tile done")?;
+        d.seq_into::<u64, u32>("tile pending pushes", &mut self.pending_pushes)?;
+        self.get_fields(d)?;
         self.stats.restore_from(d)?;
 
         // The obs payload is always present in the byte stream when the
@@ -367,19 +219,10 @@ impl CoreTile {
         // apply it only if this run has observability on too (resuming
         // at a different level is allowed — it just changes what is
         // recorded from here on, like sampled simulation).
-        if d.u8("tile obs flag")? == 1 {
+        if d.bool("tile obs flag")? {
             let profile = IrProfile::decode_from(d)?;
             let timeline = Timeline::decode_from(d)?;
-            let interval = match d.u8("tile obs interval flag")? {
-                0 => None,
-                1 => {
-                    let stalled = d.bool("tile obs interval stalled")?;
-                    Some((stalled, d.u64("tile obs interval start")?))
-                }
-                v => return Err(corrupt(format!("obs interval flag {v}"))),
-            };
-            let first_step = d.opt_u64("tile obs first_step")?;
-            let last_seen = d.u64("tile obs last_seen")?;
+            let (interval, first_step, last_seen) = Snap::get(d, "tile obs interval, steps")?;
             if let Some(o) = self.obs.as_mut() {
                 o.profile.load(&profile)?;
                 o.timeline = timeline;

@@ -347,9 +347,8 @@ fn windowed_set_matches_the_full_walk() {
             assert!(set.visits <= budget, "{label}: {} visits", set.visits);
             assert_eq!(set.visits, model.visits, "{label}: visits");
             walks += 1;
-            cutoffs_beyond += u64::from(
-                got.issued.len() == width as usize && got.issued.last() >= Some(&limit),
-            );
+            cutoffs_beyond +=
+                u64::from(got.issued.len() == width as usize && got.issued.last() >= Some(&limit));
             let parked_after = set.set.as_ref().map_or(0, |s| s.parked.len());
             mid_walk_parks += u64::from(parked_after > parked_before);
 
@@ -408,24 +407,23 @@ fn memo_kernels() -> (Arc<Module>, [FuncId; 3], Vec<Arc<TileTrace>>) {
             .map(|s| (s.to_string(), Type::Ptr))
             .collect()
     };
-    let looped =
-        |m: &mut Module,
-         name: &str,
-         nptrs: usize,
-         body: &dyn Fn(&mut FunctionBuilder<'_>, mosaic_ir::Operand)| {
-            let f = m.add_function(name, ptrs(nptrs), Type::Void);
-            let mut b = FunctionBuilder::new(m.function_mut(f));
-            let entry = b.create_block("entry");
-            b.switch_to(entry);
-            b.emit_counted_loop(
-                "l",
-                Constant::i64(0).into(),
-                Constant::i64(N).into(),
-                |b, i| body(b, i),
-            );
-            b.ret(None);
-            f
-        };
+    let looped = |m: &mut Module,
+                  name: &str,
+                  nptrs: usize,
+                  body: &dyn Fn(&mut FunctionBuilder<'_>, mosaic_ir::Operand)| {
+        let f = m.add_function(name, ptrs(nptrs), Type::Void);
+        let mut b = FunctionBuilder::new(m.function_mut(f));
+        let entry = b.create_block("entry");
+        b.switch_to(entry);
+        b.emit_counted_loop(
+            "l",
+            Constant::i64(0).into(),
+            Constant::i64(N).into(),
+            |b, i| body(b, i),
+        );
+        b.ret(None);
+        f
+    };
     let access = looped(&mut m, "access", 2, &|b, i| {
         let (p, q) = (b.param(0), b.param(1));
         let a = b.gep(p, i, 64);
@@ -661,9 +659,7 @@ fn memo_matches_the_walk() {
             );
             for t in 0..3 {
                 // A tile goes unstepped for a span now and then.
-                if memo.tiles[t].is_done()
-                    || roll(seed, now / 16, t as u64, 32).is_multiple_of(5)
-                {
+                if memo.tiles[t].is_done() || roll(seed, now / 16, t as u64, 32).is_multiple_of(5) {
                     continue;
                 }
                 // Dropping the memo — a state round trip, an observe

@@ -330,20 +330,7 @@ impl TileStats {
     /// Serializes every counter into a checkpoint section. The `name` is
     /// not written — it comes from the configuration on restore.
     pub fn encode_into(&self, e: &mut mosaic_ckpt::Enc) {
-        e.u64(self.retired);
-        e.u64(self.issued);
-        e.u64(self.cycles);
-        e.opt_u64(self.done_at);
-        e.f64(self.energy_pj);
-        e.u64(self.dbbs_launched);
-        e.u64(self.mispredicts);
-        e.u64(self.window_stalls);
-        e.u64(self.fu_stalls);
-        e.u64(self.mem_stalls);
-        e.u64(self.send_stalls);
-        e.u64(self.recv_stalls);
-        e.u64(self.accel_invocations);
-        e.u64(self.accel_cycles);
+        self.put_fields(e);
     }
 
     /// Restores the counters written by [`TileStats::encode_into`],
@@ -353,23 +340,13 @@ impl TileStats {
     ///
     /// Returns a [`mosaic_ckpt::CkptError`] on truncated data.
     pub fn restore_from(&mut self, d: &mut mosaic_ckpt::Dec<'_>) -> Result<(), mosaic_ckpt::CkptError> {
-        self.retired = d.u64("stats retired")?;
-        self.issued = d.u64("stats issued")?;
-        self.cycles = d.u64("stats cycles")?;
-        self.done_at = d.opt_u64("stats done_at")?;
-        self.energy_pj = d.f64("stats energy_pj")?;
-        self.dbbs_launched = d.u64("stats dbbs_launched")?;
-        self.mispredicts = d.u64("stats mispredicts")?;
-        self.window_stalls = d.u64("stats window_stalls")?;
-        self.fu_stalls = d.u64("stats fu_stalls")?;
-        self.mem_stalls = d.u64("stats mem_stalls")?;
-        self.send_stalls = d.u64("stats send_stalls")?;
-        self.recv_stalls = d.u64("stats recv_stalls")?;
-        self.accel_invocations = d.u64("stats accel_invocations")?;
-        self.accel_cycles = d.u64("stats accel_cycles")?;
-        Ok(())
+        self.get_fields(d)
     }
 }
+
+mosaic_ckpt::snap_fields!(TileStats: retired, issued, cycles, done_at, energy_pj, dbbs_launched,
+    mispredicts, window_stalls, fu_stalls, mem_stalls, send_stalls, recv_stalls,
+    accel_invocations, accel_cycles);
 
 /// A tile's report of when it can next make architectural progress,
 /// used by the Interleaver's event-horizon fast-forward scheduler.

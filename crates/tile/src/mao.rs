@@ -21,6 +21,8 @@
 
 use std::collections::VecDeque;
 
+use mosaic_ckpt::{snap_fields, snap_record, CkptError, Dec, Enc};
+
 /// Word granularity used for address matching (8-byte words).
 const WORD_SHIFT: u32 = 3;
 
@@ -29,16 +31,18 @@ const WORD_SHIFT: u32 = 3;
 /// record from sizing the index.
 const MAX_TRACKED_SPAN: u64 = 1 << 20;
 
-/// One tracked memory operation.
-#[derive(Debug, Clone, Copy)]
-struct MaoEntry {
-    /// Program-order sequence id.
-    seq: u64,
-    word: u64,
-    is_store: bool,
-    resolved: bool,
-    issued: bool,
-    complete: bool,
+snap_record! {
+    /// One tracked memory operation.
+    #[derive(Debug, Clone, Copy)]
+    struct MaoEntry {
+        /// Program-order sequence id.
+        seq: u64,
+        word: u64,
+        is_store: bool,
+        resolved: bool,
+        issued: bool,
+        complete: bool,
+    }
 }
 
 /// Why the MAO refuses an issue (see [`Mao::probe`]).
@@ -293,65 +297,40 @@ impl Mao {
     /// checkpoint section. The configuration (`lsq_size`,
     /// `alias_speculation`) is not written — a restore keeps the values
     /// the MAO was rebuilt with.
-    pub fn encode_into(&self, e: &mut mosaic_ckpt::Enc) {
-        e.u64(self.entries.len() as u64);
-        for entry in &self.entries {
-            e.u64(entry.seq);
-            e.u64(entry.word);
-            e.bool(entry.is_store);
-            e.bool(entry.resolved);
-            e.bool(entry.issued);
-            e.bool(entry.complete);
-        }
-        e.u32(self.issued_incomplete);
-        e.u64(self.load_stalls);
-        e.u64(self.store_stalls);
-        e.u64(self.capacity_stalls);
+    pub fn encode_into(&self, e: &mut Enc) {
+        e.seq::<u64, MaoEntry>(&self.entries);
+        self.put_fields(e);
     }
 
     /// Restores the state written by [`Mao::encode_into`].
     ///
     /// # Errors
     ///
-    /// Returns a [`mosaic_ckpt::CkptError`] on truncated data.
-    pub fn restore_from(
-        &mut self,
-        d: &mut mosaic_ckpt::Dec<'_>,
-    ) -> Result<(), mosaic_ckpt::CkptError> {
+    /// Returns a [`mosaic_ckpt::CkptError`] on truncated data, or entries
+    /// out of program order.
+    pub fn restore_from(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
         self.entries.clear();
         self.incomplete = 0;
         self.stores.clear();
-        let n = d.u64("mao entry count")?;
-        for _ in 0..n {
-            let entry = MaoEntry {
-                seq: d.u64("mao seq")?,
-                word: d.u64("mao word")?,
-                is_store: d.bool("mao is_store")?,
-                resolved: d.bool("mao resolved")?,
-                issued: d.bool("mao issued")?,
-                complete: d.bool("mao complete")?,
-            };
+        d.seq::<u64, MaoEntry>("mao entries", |entry| {
             let oldest = self.entries.front().map_or(entry.seq, |e| e.seq);
-            if self
-                .entries
-                .back()
-                .is_some_and(|last| last.seq >= entry.seq)
+            let last = self.entries.back();
+            if last.is_some_and(|last| last.seq >= entry.seq)
                 || entry.seq - oldest >= MAX_TRACKED_SPAN
             {
-                return Err(mosaic_ckpt::CkptError::corrupt(format!(
+                return Err(CkptError::corrupt(format!(
                     "mao entry {} out of program order or beyond any instruction window",
                     entry.seq
                 )));
             }
             self.push(entry);
-        }
-        self.issued_incomplete = d.u32("mao issued_incomplete")?;
-        self.load_stalls = d.u64("mao load_stalls")?;
-        self.store_stalls = d.u64("mao store_stalls")?;
-        self.capacity_stalls = d.u64("mao capacity_stalls")?;
-        Ok(())
+            Ok(())
+        })?;
+        self.get_fields(d)
     }
 }
+
+snap_fields!(Mao: issued_incomplete, load_stalls, store_stalls, capacity_stalls);
 
 #[cfg(test)]
 mod tests {

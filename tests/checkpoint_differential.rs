@@ -261,3 +261,111 @@ fn resume_is_bit_identical_whatever_the_caches_and_the_target_held() {
         );
     }
 }
+
+/// One DAE pair of the projection kernel on DeSC cores, the execute side
+/// slow behind a one-message channel, so a pause finds detached requests
+/// outstanding, messages in flight and hardware pushes waiting.
+fn desc_pair() -> impl Fn() -> SystemBuilder {
+    let mut p = mosaicsim::kernels::projection::build_with(40, 64);
+    let slices = slice_dae(&mut p.module, p.func, DaeQueues::default()).expect("sliceable");
+    let programs: Vec<TileProgram> = [slices.access, slices.execute]
+        .into_iter()
+        .map(|func| TileProgram::single(func, p.args.clone()))
+        .collect();
+    let (trace, _) = record_trace(&p.module, p.mem.clone(), &programs).expect("trace");
+    let (module, trace) = (Arc::new(p.module), Arc::new(trace));
+    move || {
+        let mut execute = CoreConfig::in_order().with_name("execute");
+        execute.clock_divisor = 3;
+        let channel = ChannelConfig {
+            capacity: 1,
+            latency: 2,
+        };
+        SystemBuilder::new(module.clone(), trace.clone())
+            .memory(dae_memory())
+            .channels(channel)
+            .observe(ObsLevel::Stats)
+            .core(CoreConfig::dae_access().with_name("access"), slices.access, 0)
+            .core(execute, slices.execute, 1)
+    }
+}
+
+/// Whole-checkpoint damage: every section of two mid-run snapshots — two
+/// bfs tiles at `Trace`, and a DeSC pair — is cut short at every offset
+/// (512 seeded ones where a section is over 4 KiB) and has seeded bytes
+/// flipped, 2000 in all. Restoring into a fresh system must refuse every
+/// cut with a typed error and survive every flip: a flipped byte may still
+/// be a state some run could reach, so `Ok` is allowed — a panic, an
+/// arithmetic overflow (CI runs this with overflow checks on) or an
+/// allocation sized from a flipped count is not.
+#[test]
+fn damaged_checkpoints_are_typed_errors() {
+    use mosaicsim::ckpt::{Checkpoint, CkptError, Enc};
+
+    let bfs = build_parboil("bfs", 1);
+    let (trace, _) = bfs.trace(2).expect("trace");
+    let trace = Arc::new(trace);
+    let two_tiles = || {
+        builder_for(&bfs, &trace, &CoreConfig::out_of_order(), true)
+            .observe(ObsLevel::Trace)
+            .core(CoreConfig::out_of_order().with_name("second"), bfs.func, 1)
+    };
+    let desc_pair = desc_pair();
+    let systems: [(&str, &dyn Fn() -> SystemBuilder, u64); 2] = [
+        ("bfs/2t/trace", &two_tiles, 9_000),
+        ("projection/desc", &desc_pair, 12_476),
+    ];
+    let mut rng = TestRng(0x6461_6d61_6765_6421); // "damage!"
+    for (label, make, pause) in systems {
+        let mut il = make().build().expect("build");
+        assert_eq!(il.run_until(pause).expect("prefix"), None, "{label}");
+        let good = il.save_checkpoint();
+        let sections: Vec<(String, Vec<u8>)> = good
+            .section_table()
+            .map(|(name, _)| (name.to_string(), good.section(name).expect("listed").to_vec()))
+            .collect();
+        // The snapshot with `bytes` in place of section `name`, restored
+        // into a system that has not run.
+        let restore = |name: &str, bytes: &[u8]| -> Result<(), CkptError> {
+            let mut damaged: Checkpoint = good.clone();
+            let mut e = Enc::new();
+            e.raw(bytes);
+            damaged.add_section(name, e);
+            make().build().expect("build").restore_checkpoint(&damaged)
+        };
+        restore("mem", good.section("mem").expect("mem")).expect("the undamaged snapshot");
+
+        for (name, bytes) in &sections {
+            let cuts: Vec<usize> = if bytes.len() > 4096 {
+                (0..512).map(|_| rng.below(bytes.len() as u64) as usize).collect()
+            } else {
+                (0..bytes.len()).collect()
+            };
+            for cut in cuts {
+                match restore(name, &bytes[..cut]) {
+                    Err(CkptError::Truncated { .. })
+                    | Err(CkptError::Corrupt { .. })
+                    | Err(CkptError::Mismatch { .. }) => {}
+                    other => panic!("{label}: {name} cut at {cut} of {}: {other:?}", bytes.len()),
+                }
+            }
+        }
+        let mut refused = 0;
+        for _ in 0..1000 {
+            let (name, bytes) = &sections[rng.below(sections.len() as u64) as usize];
+            let mut bytes = bytes.clone();
+            let at = rng.below(bytes.len() as u64) as usize;
+            bytes[at] ^= 1 + rng.below(255) as u8;
+            match restore(name, &bytes) {
+                Ok(()) => {}
+                Err(CkptError::Truncated { .. })
+                | Err(CkptError::Corrupt { .. })
+                | Err(CkptError::Mismatch { .. }) => refused += 1,
+                Err(other) => panic!("{label}: {name} flipped at {at}: {other}"),
+            }
+        }
+        // Most bytes are counters and cycles any value of which is a state;
+        // the lengths, tags and ids among them are what a flip breaks.
+        assert!(refused > 50, "{label}: only {refused} of 1000 flips were refused");
+    }
+}

@@ -175,7 +175,11 @@ fn desc_pair() -> impl Fn() -> SystemBuilder {
             .memory(dae_memory())
             .channels(channel)
             .observe(ObsLevel::Stats)
-            .core(CoreConfig::dae_access().with_name("access"), slices.access, 0)
+            .core(
+                CoreConfig::dae_access().with_name("access"),
+                slices.access,
+                0,
+            )
             .core(execute, slices.execute, 1)
     }
 }
