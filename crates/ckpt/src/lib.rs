@@ -22,8 +22,9 @@
 //! schedulers.
 //!
 //! This crate is dependency-free; `mosaic-obs`, `mosaic-tile`,
-//! `mosaic-mem`, and `mosaic-core` depend on it and implement
-//! encode/restore for their own (private-field) types.
+//! `mosaic-mem`, and `mosaic-core` depend on it and declare the codecs of
+//! their own (private-field) types through [`Snap`]: one field list per
+//! record, from which both directions follow.
 
 #![warn(missing_docs)]
 

@@ -1,4 +1,8 @@
 //! The in-flight ring: launched-but-incomplete dynamic instructions.
+//!
+//! `#[inline]`: `step` in `core_tile.rs` calls these per instruction from
+//! another codegen unit, where without the hint they stay calls
+//! (`compute_ooo` ran 10 % slower).
 
 use std::collections::VecDeque;
 
@@ -90,6 +94,7 @@ impl InFlight {
     }
 
     /// Moves the window head past completed and window-exempt slots.
+    #[inline]
     pub(super) fn advance_head(&mut self) {
         self.head = self.head.max(self.base_seq);
         while let Some(d) = self.slots.get((self.head - self.base_seq) as usize) {
@@ -109,6 +114,7 @@ impl InFlight {
 
     /// Records `child` as waiting on `parent`; `false` (and nothing
     /// recorded) when `parent` already completed.
+    #[inline]
     pub(super) fn add_child(&mut self, parent: u64, child: u64) -> bool {
         if self.get(parent).is_none() {
             return false;
@@ -154,6 +160,7 @@ impl InFlight {
 
     /// Takes `seq` out of flight, returning it as it was (its child list
     /// is the caller's to free); `None` if it is not in flight.
+    #[inline]
     pub(super) fn retire(&mut self, seq: u64) -> Option<DynInst> {
         let slot = self.get_mut(seq)?;
         let di = *slot;

@@ -1,4 +1,6 @@
 //! The windowed ready set the issue stage walks.
+//!
+//! `#[inline]` as in `inflight.rs`: the walk is in another codegen unit.
 
 use super::inflight::{DynState, InFlight};
 
@@ -36,6 +38,7 @@ pub(super) struct ReadySet {
 
 impl ReadySet {
     /// Files `seq`, which just became `Ready`.
+    #[inline]
     pub(super) fn wake(&mut self, seq: u64, window_exempt: bool) {
         if self.unparked_to == u64::MAX {
             insert_sorted(&mut self.woken, seq);
@@ -70,6 +73,7 @@ impl ReadySet {
 
     /// Starts the walk of a cycle whose window ends at `window_limit`: the
     /// parked instructions the window has come to cover become candidates.
+    #[inline]
     pub(super) fn begin_walk(&mut self, inflight: &InFlight, window_limit: u64, width: u32) {
         if self.unparked_to < window_limit {
             for (seq, _) in inflight.parked_in(self.unparked_to, window_limit) {
@@ -127,6 +131,7 @@ impl ReadySet {
     /// Ends the walk begun at `window_limit` — fixed for the whole walk,
     /// whatever completed inside it — filing what it woke, and returns how
     /// many instructions it `charged`, without a visit when that is all.
+    #[inline]
     pub(super) fn end_walk(&mut self, inflight: &InFlight, window_limit: u64) -> u64 {
         let charged = match self.width_left {
             0 => self.charged(window_limit).count(),
@@ -159,6 +164,7 @@ impl ReadySet {
     }
 
     /// How many instructions would stay parked in such a walk.
+    #[inline]
     pub(super) fn backlog(&self, inflight: &InFlight, window_limit: u64) -> u64 {
         let entered = inflight.parked_in(self.unparked_to, window_limit).count();
         (self.parked.len() - self.stale - entered) as u64
