@@ -266,7 +266,7 @@ impl Enc {
 
 /// Little-endian byte decoder over a borrowed buffer. Every read returns
 /// [`CkptError::Truncated`] naming the field when the data runs out.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Dec<'a> {
     data: &'a [u8],
     pos: usize,
@@ -1137,14 +1137,14 @@ mod tests {
         let mut back = Vec::new();
         d.seq_into::<u32, Entry>("entries", &mut back).unwrap();
         assert_eq!(back, entries());
+        let rest = &e.buf[e.buf.len() - d.remaining()..];
         let mut evens = [0u64; 3];
-        d.clone().table::<u64, u64>("evens", &mut evens).unwrap();
+        Dec::new(rest)
+            .table::<u64, u64>("evens", &mut evens)
+            .unwrap();
         assert_eq!(evens, [0, 2, 4]);
-        let err = d
-            .clone()
-            .table::<u64, u64>("evens", &mut [0; 4])
-            .unwrap_err();
-        assert!(matches!(err, CkptError::Mismatch { .. }), "{err}");
+        let err = Dec::new(rest).table::<u64, u64>("evens", &mut [0; 4]);
+        assert!(matches!(err, Err(CkptError::Mismatch { .. })), "{err:?}");
         let mut seen = 0;
         let err = d.seq::<u64, u64>("evens", |v| {
             seen += 1;

@@ -326,7 +326,6 @@ mod tests {
     /// ascend, or whose channel holds more than its capacity, is corrupt.
     #[test]
     fn restore_checks_order_and_occupancy() {
-        use mosaic_ckpt::{CkptError, Dec, Enc};
         let config = ChannelConfig {
             capacity: 2,
             latency: 1,

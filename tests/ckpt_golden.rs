@@ -137,13 +137,22 @@ fn pauses(
     }
 }
 
-fn spmd(p: &Prepared, config: &CoreConfig, tiles: usize, memory: HierarchyConfig) -> SystemBuilder {
-    let (trace, _) = p.trace(tiles).expect("trace");
-    let mut b = SystemBuilder::new(Arc::new(p.module.clone()), Arc::new(trace)).memory(memory);
-    for t in 0..tiles {
-        b = b.core(config.clone().with_name(&format!("c{t}")), p.func, t);
+/// `tiles` cores of `config` on `p`, traced once for every system built.
+fn spmd(
+    p: &Prepared,
+    config: &CoreConfig,
+    tiles: usize,
+    memory: HierarchyConfig,
+) -> impl Fn() -> SystemBuilder {
+    let (module, func, config) = (Arc::new(p.module.clone()), p.func, config.clone());
+    let trace = Arc::new(p.trace(tiles).expect("trace").0);
+    move || {
+        let mut b = SystemBuilder::new(module.clone(), trace.clone()).memory(memory.clone());
+        for t in 0..tiles {
+            b = b.core(config.clone().with_name(&format!("c{t}")), func, t);
+        }
+        b
     }
-    b
 }
 
 fn banked(mut memory: HierarchyConfig) -> HierarchyConfig {
@@ -224,9 +233,8 @@ fn rows() -> Vec<String> {
                             "simple" => xeon_memory(),
                             _ => banked(xeon_memory()),
                         };
-                        pauses(&mut rows, &mut rng, &label, || {
-                            spmd(p, config, tiles, memory.clone()).observe(level)
-                        });
+                        let make = spmd(p, config, tiles, memory);
+                        pauses(&mut rows, &mut rng, &label, || make().observe(level));
                     }
                 }
             }
@@ -234,18 +242,16 @@ fn rows() -> Vec<String> {
     }
     pauses(&mut rows, &mut rng, "projection/desc", desc_pair());
     let accel = keras::graphsage().lower_accelerated();
+    let make = spmd(&accel, &CoreConfig::out_of_order(), 1, dae_memory());
     pauses(&mut rows, &mut rng, "graphsage/accel", || {
-        spmd(&accel, &CoreConfig::out_of_order(), 1, dae_memory())
-            .accelerators(Box::new(AccelBank::with_defaults()))
+        make().accelerators(Box::new(AccelBank::with_defaults()))
     });
     let mut bimodal = CoreConfig::in_order();
     bimodal.branch = BranchMode::Bimodal;
-    pauses(&mut rows, &mut rng, "bfs/bimodal", || {
-        spmd(&kernels[0].1, &bimodal, 1, xeon_memory())
-    });
-    pauses(&mut rows, &mut rng, "lbm/cramped", || {
-        spmd(&kernels[2].1, &cores[1].1, 1, cramped_memory())
-    });
+    let make = spmd(&kernels[0].1, &bimodal, 1, xeon_memory());
+    pauses(&mut rows, &mut rng, "bfs/bimodal", make);
+    let make = spmd(&kernels[2].1, &cores[1].1, 1, cramped_memory());
+    pauses(&mut rows, &mut rng, "lbm/cramped", make);
     rows
 }
 
