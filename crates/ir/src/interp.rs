@@ -8,17 +8,28 @@
 //! blocking FIFO queues so Decoupled Access/Execute slices (paper §VII-A)
 //! execute functionally before being timed.
 //!
+//! Each distinct kernel function is compiled once into a flat plan (the
+//! `plan` module) and a tile's whole turn runs in one loop over it. The
+//! trace is a function of the *schedule*, not only of the program —
+//! cross-tile atomics and queues see whatever the interleaving gives them
+//! — so the schedule is part of the contract: tiles take turns in index
+//! order, 4096 steps a turn, a step being one instruction or the
+//! whole phi group of a block entry (DESIGN.md §4.1).
+//!
 //! Trace consumers implement [`TraceSink`]; `mosaic-trace` provides the
 //! standard recording sink.
+
+mod plan;
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
-use crate::function::{Function, Module};
+use crate::function::Module;
 use crate::ids::{BlockId, FuncId, InstId};
-use crate::inst::{AccelOp, AtomicOp, BinOp, CastKind, FloatPredicate, IntPredicate, Intrinsic, Opcode, Operand};
+use crate::inst::{AccelOp, AtomicOp, BinOp, CastKind, FloatPredicate, IntPredicate, Intrinsic};
 use crate::mem_image::{MemImage, RtVal};
-use crate::types::{Constant, Type};
+use crate::types::Type;
+use plan::{Code, Plan, NO_SLOT};
 
 /// Receives dynamic events during functional execution.
 ///
@@ -133,39 +144,44 @@ pub struct ExecOutcome {
     pub steps: u64,
 }
 
-enum StepOutcome {
-    Progress,
-    Blocked,
-    Finished,
-}
+/// Steps a tile runs before the next tile's turn.
+const SLICE: u32 = 4096;
 
 struct TileState {
+    /// Index of the kernel's plan in `Interpreter::plans`.
+    plan: usize,
     func: FuncId,
-    args: Vec<RtVal>,
     tile_id: i64,
     num_tiles: i64,
     queue_offset: u32,
-    regs: Vec<Option<RtVal>>,
-    block: BlockId,
-    prev_block: Option<BlockId>,
-    inst_idx: usize,
+    /// `[results | params | constants]`, see the `plan` module.
+    slots: Vec<Option<RtVal>>,
+    pc: usize,
+    /// The edge taken but not yet arrived over: `on_block` and the phi
+    /// moves happen in the step *after* the branch's.
+    entering: Option<u32>,
     finished: bool,
     ret: Option<RtVal>,
     retired: u64,
-    entered_block: bool,
 }
 
 /// The functional executor.
 ///
 /// Use [`run_tiles`] / [`run_single`] unless you need stepwise control.
 pub struct Interpreter<'m, S: TraceSink> {
-    module: &'m Module,
+    /// One plan per distinct kernel function among the programs.
+    plans: Vec<Plan>,
     mem: MemImage,
     tiles: Vec<TileState>,
     queues: BTreeMap<u32, VecDeque<RtVal>>,
     sink: &'m mut S,
     step_limit: u64,
     steps: u64,
+    /// A phi group's sources, read before any phi is written; refilled in
+    /// place.
+    phi_vals: Vec<RtVal>,
+    /// An accelerator call's evaluated arguments; refilled in place.
+    accel_args: Vec<i64>,
 }
 
 impl<'m, S: TraceSink> fmt::Debug for Interpreter<'m, S> {
@@ -174,6 +190,165 @@ impl<'m, S: TraceSink> fmt::Debug for Interpreter<'m, S> {
             .field("tiles", &self.tiles.len())
             .field("steps", &self.steps)
             .finish()
+    }
+}
+
+/// The value in `slot`; an instruction that has not retired yet, or an
+/// operand that names nothing ([`NO_SLOT`]), has none.
+#[inline(always)]
+fn val(slots: &[Option<RtVal>], slot: u32, tile: usize) -> RtVal {
+    match slots.get(slot as usize) {
+        Some(Some(v)) => *v,
+        _ => undefined(slot, tile),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn undefined(slot: u32, tile: usize) -> ! {
+    assert!(
+        slot != NO_SLOT,
+        "use of an operand that names no value (tile {tile})"
+    );
+    panic!("use of undefined value {} (tile {tile})", InstId(slot))
+}
+
+#[cold]
+#[inline(never)]
+fn missing_edge(phi: u32, from: Option<BlockId>) -> ! {
+    let prev = from.expect("phi executed without predecessor");
+    panic!("phi {} missing edge from {prev}", InstId(phi))
+}
+
+#[inline(always)]
+fn binop(op: BinOp, a: RtVal, b: RtVal) -> Result<RtVal, ExecError> {
+    let (int, float) = (RtVal::Int, RtVal::Float);
+    // The divisor is looked at before the dividend, and traps on zero.
+    let divide = |what: &str, by: fn(i64, i64) -> i64| match b.as_int() {
+        0 => Err(ExecError::Trap(format!("integer {what} by zero"))),
+        d => Ok(int(by(a.as_int(), d))),
+    };
+    Ok(match op {
+        BinOp::Add => int(a.as_int().wrapping_add(b.as_int())),
+        BinOp::Sub => int(a.as_int().wrapping_sub(b.as_int())),
+        BinOp::Mul => int(a.as_int().wrapping_mul(b.as_int())),
+        BinOp::SDiv => divide("division", i64::wrapping_div)?,
+        BinOp::SRem => divide("remainder", i64::wrapping_rem)?,
+        BinOp::UDiv => divide("division", |n, d| (n as u64 / d as u64) as i64)?,
+        BinOp::URem => divide("remainder", |n, d| (n as u64 % d as u64) as i64)?,
+        BinOp::And => int(a.as_int() & b.as_int()),
+        BinOp::Or => int(a.as_int() | b.as_int()),
+        BinOp::Xor => int(a.as_int() ^ b.as_int()),
+        BinOp::Shl => int(a.as_int().wrapping_shl(b.as_int() as u32)),
+        BinOp::AShr => int(a.as_int().wrapping_shr(b.as_int() as u32)),
+        BinOp::LShr => int(((a.as_int() as u64).wrapping_shr(b.as_int() as u32)) as i64),
+        BinOp::FAdd => float(a.as_float() + b.as_float()),
+        BinOp::FSub => float(a.as_float() - b.as_float()),
+        BinOp::FMul => float(a.as_float() * b.as_float()),
+        BinOp::FDiv => float(a.as_float() / b.as_float()),
+    })
+}
+
+#[inline(always)]
+fn icmp(pred: IntPredicate, a: i64, b: i64) -> bool {
+    match pred {
+        IntPredicate::Eq => a == b,
+        IntPredicate::Ne => a != b,
+        IntPredicate::Slt => a < b,
+        IntPredicate::Sle => a <= b,
+        IntPredicate::Sgt => a > b,
+        IntPredicate::Sge => a >= b,
+        IntPredicate::Ult => (a as u64) < (b as u64),
+        IntPredicate::Uge => (a as u64) >= (b as u64),
+    }
+}
+
+#[inline(always)]
+fn fcmp(pred: FloatPredicate, a: f64, b: f64) -> bool {
+    match pred {
+        FloatPredicate::Oeq => a == b,
+        FloatPredicate::One => a != b,
+        FloatPredicate::Olt => a < b,
+        FloatPredicate::Ole => a <= b,
+        FloatPredicate::Ogt => a > b,
+        FloatPredicate::Oge => a >= b,
+    }
+}
+
+#[inline(always)]
+fn cast(kind: CastKind, to: Type, v: RtVal) -> RtVal {
+    match kind {
+        CastKind::IntResize | CastKind::IntToPtr | CastKind::PtrToInt => {
+            let raw = v.as_int();
+            RtVal::Int(match to {
+                Type::I1 => (raw != 0) as i64,
+                Type::I8 => raw as i8 as i64,
+                Type::I16 => raw as i16 as i64,
+                Type::I32 => raw as i32 as i64,
+                _ => raw,
+            })
+        }
+        CastKind::IntToFloat => RtVal::Float(v.as_int() as f64),
+        CastKind::FloatToInt => RtVal::Int(v.as_float() as i64),
+        CastKind::FloatResize if to == Type::F32 => RtVal::Float(v.as_float() as f32 as f64),
+        CastKind::FloatResize => RtVal::Float(v.as_float()),
+    }
+}
+
+/// Functional semantics of the accelerator library calls that produce
+/// data later read by the program. Accelerators used purely for
+/// performance modeling (the Keras layer set) do not mutate memory.
+fn accel_functional(mem: &mut MemImage, accel: AccelOp, args: &[i64]) {
+    match accel {
+        AccelOp::Sgemm => {
+            let (a, b, c, m, n, k) = (
+                args[0] as u64,
+                args[1] as u64,
+                args[2] as u64,
+                args[3] as usize,
+                args[4] as usize,
+                args[5] as usize,
+            );
+            for i in 0..m {
+                for j in 0..n {
+                    let mut acc = 0.0f32;
+                    for p in 0..k {
+                        let av = mem.read_f32(a + 4 * (i * k + p) as u64);
+                        let bv = mem.read_f32(b + 4 * (p * n + j) as u64);
+                        acc += av * bv;
+                    }
+                    mem.write_f32(c + 4 * (i * n + j) as u64, acc);
+                }
+            }
+        }
+        AccelOp::Histogram => {
+            let (inp, out, n, bins) =
+                (args[0] as u64, args[1] as u64, args[2] as usize, args[3] as i32);
+            for i in 0..n {
+                let v = mem.read_i32(inp + 4 * i as u64).clamp(0, bins - 1);
+                let addr = out + 4 * v as u64;
+                let old = mem.read_i32(addr);
+                // Saturating histogram (paper §VI-A): counts cap at u8 max
+                // scaled to i32 range of 255 like Parboil's sat histogram.
+                let new = (old + 1).min(255);
+                mem.write_i32(addr, new);
+            }
+        }
+        AccelOp::ElementWise => {
+            let (a, b, c, n) = (args[0] as u64, args[1] as u64, args[2] as u64, args[3] as usize);
+            for i in 0..n {
+                let av = mem.read_f32(a + 4 * i as u64);
+                let bv = mem.read_f32(b + 4 * i as u64);
+                mem.write_f32(c + 4 * i as u64, av * bv);
+            }
+        }
+        // Performance-model-only accelerators (Keras layer set).
+        AccelOp::Conv2d
+        | AccelOp::Dense
+        | AccelOp::Relu
+        | AccelOp::Pool2d
+        | AccelOp::BatchNorm
+        | AccelOp::Embedding => {}
     }
 }
 
@@ -189,6 +364,8 @@ impl<'m, S: TraceSink> Interpreter<'m, S> {
         programs: &[TileProgram],
         sink: &'m mut S,
     ) -> Self {
+        let mut compiled: Vec<FuncId> = Vec::new();
+        let mut plans = Vec::new();
         let tiles = programs
             .iter()
             .map(|p| {
@@ -199,31 +376,39 @@ impl<'m, S: TraceSink> Interpreter<'m, S> {
                     "argument count mismatch for {}",
                     func.name()
                 );
+                let known = compiled.iter().position(|&f| f == p.func);
+                let plan = known.unwrap_or_else(|| {
+                    compiled.push(p.func);
+                    plans.push(Plan::compile(func));
+                    plans.len() - 1
+                });
+                let mut slots = vec![None; plans[plan].insts];
+                slots.extend(p.args.iter().chain(&plans[plan].consts).map(|v| Some(*v)));
                 TileState {
+                    plan,
                     func: p.func,
-                    args: p.args.clone(),
                     tile_id: p.tile_id,
                     num_tiles: p.num_tiles,
                     queue_offset: p.queue_offset,
-                    regs: vec![None; func.inst_count()],
-                    block: func.entry(),
-                    prev_block: None,
-                    inst_idx: 0,
+                    slots,
+                    pc: 0,
+                    entering: Some(0),
                     finished: false,
                     ret: None,
                     retired: 0,
-                    entered_block: false,
                 }
             })
             .collect();
         Interpreter {
-            module,
+            plans,
             mem,
             tiles,
             queues: BTreeMap::new(),
             sink,
             step_limit: 2_000_000_000,
             steps: 0,
+            phi_vals: Vec::new(),
+            accel_args: Vec::new(),
         }
     }
 
@@ -232,397 +417,142 @@ impl<'m, S: TraceSink> Interpreter<'m, S> {
         self.step_limit = limit;
     }
 
-    fn eval(&self, tile: usize, op: Operand) -> RtVal {
-        let st = &self.tiles[tile];
-        match op {
-            Operand::Const(Constant::Int(v, _)) => RtVal::Int(v),
-            Operand::Const(Constant::Float(v, _)) => RtVal::Float(v),
-            Operand::Param(n) => st.args[n as usize],
-            Operand::Inst(id) => st.regs[id.index()]
-                .unwrap_or_else(|| panic!("use of undefined value {id} (tile {tile})")),
-        }
-    }
-
-    fn operand_ty(&self, func: &Function, op: Operand) -> Type {
-        match op {
-            Operand::Const(c) => c.ty(),
-            Operand::Param(n) => func.params()[n as usize].1,
-            Operand::Inst(id) => func.inst(id).ty(),
-        }
-    }
-
-    fn binop(op: BinOp, a: RtVal, b: RtVal) -> Result<RtVal, ExecError> {
-        Ok(match op {
-            BinOp::Add => RtVal::Int(a.as_int().wrapping_add(b.as_int())),
-            BinOp::Sub => RtVal::Int(a.as_int().wrapping_sub(b.as_int())),
-            BinOp::Mul => RtVal::Int(a.as_int().wrapping_mul(b.as_int())),
-            BinOp::SDiv => {
-                let d = b.as_int();
-                if d == 0 {
-                    return Err(ExecError::Trap("integer division by zero".into()));
-                }
-                RtVal::Int(a.as_int().wrapping_div(d))
-            }
-            BinOp::SRem => {
-                let d = b.as_int();
-                if d == 0 {
-                    return Err(ExecError::Trap("integer remainder by zero".into()));
-                }
-                RtVal::Int(a.as_int().wrapping_rem(d))
-            }
-            BinOp::UDiv => {
-                let d = b.as_int() as u64;
-                if d == 0 {
-                    return Err(ExecError::Trap("integer division by zero".into()));
-                }
-                RtVal::Int(((a.as_int() as u64) / d) as i64)
-            }
-            BinOp::URem => {
-                let d = b.as_int() as u64;
-                if d == 0 {
-                    return Err(ExecError::Trap("integer remainder by zero".into()));
-                }
-                RtVal::Int(((a.as_int() as u64) % d) as i64)
-            }
-            BinOp::And => RtVal::Int(a.as_int() & b.as_int()),
-            BinOp::Or => RtVal::Int(a.as_int() | b.as_int()),
-            BinOp::Xor => RtVal::Int(a.as_int() ^ b.as_int()),
-            BinOp::Shl => RtVal::Int(a.as_int().wrapping_shl(b.as_int() as u32)),
-            BinOp::AShr => RtVal::Int(a.as_int().wrapping_shr(b.as_int() as u32)),
-            BinOp::LShr => RtVal::Int(((a.as_int() as u64).wrapping_shr(b.as_int() as u32)) as i64),
-            BinOp::FAdd => RtVal::Float(a.as_float() + b.as_float()),
-            BinOp::FSub => RtVal::Float(a.as_float() - b.as_float()),
-            BinOp::FMul => RtVal::Float(a.as_float() * b.as_float()),
-            BinOp::FDiv => RtVal::Float(a.as_float() / b.as_float()),
-        })
-    }
-
-    fn icmp(pred: IntPredicate, a: i64, b: i64) -> bool {
-        match pred {
-            IntPredicate::Eq => a == b,
-            IntPredicate::Ne => a != b,
-            IntPredicate::Slt => a < b,
-            IntPredicate::Sle => a <= b,
-            IntPredicate::Sgt => a > b,
-            IntPredicate::Sge => a >= b,
-            IntPredicate::Ult => (a as u64) < (b as u64),
-            IntPredicate::Uge => (a as u64) >= (b as u64),
-        }
-    }
-
-    fn fcmp(pred: FloatPredicate, a: f64, b: f64) -> bool {
-        match pred {
-            FloatPredicate::Oeq => a == b,
-            FloatPredicate::One => a != b,
-            FloatPredicate::Olt => a < b,
-            FloatPredicate::Ole => a <= b,
-            FloatPredicate::Ogt => a > b,
-            FloatPredicate::Oge => a >= b,
-        }
-    }
-
-    fn intrinsic(&self, tile: usize, intr: Intrinsic, args: &[RtVal]) -> RtVal {
-        let st = &self.tiles[tile];
-        match intr {
-            Intrinsic::TileId => RtVal::Int(st.tile_id),
-            Intrinsic::NumTiles => RtVal::Int(st.num_tiles),
-            Intrinsic::Sqrt => RtVal::Float(args[0].as_float().sqrt()),
-            Intrinsic::Rsqrt => RtVal::Float(1.0 / args[0].as_float().sqrt()),
-            Intrinsic::Exp => RtVal::Float(args[0].as_float().exp()),
-            Intrinsic::Log => RtVal::Float(args[0].as_float().ln()),
-            Intrinsic::Sin => RtVal::Float(args[0].as_float().sin()),
-            Intrinsic::Cos => RtVal::Float(args[0].as_float().cos()),
-            Intrinsic::FAbs => RtVal::Float(args[0].as_float().abs()),
-            Intrinsic::Floor => RtVal::Float(args[0].as_float().floor()),
-            Intrinsic::FMin => RtVal::Float(args[0].as_float().min(args[1].as_float())),
-            Intrinsic::FMax => RtVal::Float(args[0].as_float().max(args[1].as_float())),
-            Intrinsic::SMin => RtVal::Int(args[0].as_int().min(args[1].as_int())),
-            Intrinsic::SMax => RtVal::Int(args[0].as_int().max(args[1].as_int())),
-        }
-    }
-
-    /// Functional semantics of the accelerator library calls that produce
-    /// data later read by the program. Accelerators used purely for
-    /// performance modeling (the Keras layer set) do not mutate memory.
-    fn accel_functional(&mut self, accel: AccelOp, args: &[i64]) {
-        match accel {
-            AccelOp::Sgemm => {
-                let (a, b, c, m, n, k) = (
-                    args[0] as u64,
-                    args[1] as u64,
-                    args[2] as u64,
-                    args[3] as usize,
-                    args[4] as usize,
-                    args[5] as usize,
-                );
-                for i in 0..m {
-                    for j in 0..n {
-                        let mut acc = 0.0f32;
-                        for p in 0..k {
-                            let av = self.mem.read_f32(a + 4 * (i * k + p) as u64);
-                            let bv = self.mem.read_f32(b + 4 * (p * n + j) as u64);
-                            acc += av * bv;
-                        }
-                        self.mem.write_f32(c + 4 * (i * n + j) as u64, acc);
-                    }
-                }
-            }
-            AccelOp::Histogram => {
-                let (inp, out, n, bins) =
-                    (args[0] as u64, args[1] as u64, args[2] as usize, args[3] as i32);
-                for i in 0..n {
-                    let v = self.mem.read_i32(inp + 4 * i as u64).clamp(0, bins - 1);
-                    let addr = out + 4 * v as u64;
-                    let old = self.mem.read_i32(addr);
-                    // Saturating histogram (paper §VI-A): counts cap at u8 max
-                    // scaled to i32 range of 255 like Parboil's sat histogram.
-                    let new = (old + 1).min(255);
-                    self.mem.write_i32(addr, new);
-                }
-            }
-            AccelOp::ElementWise => {
-                let (a, b, c, n) = (args[0] as u64, args[1] as u64, args[2] as u64, args[3] as usize);
-                for i in 0..n {
-                    let av = self.mem.read_f32(a + 4 * i as u64);
-                    let bv = self.mem.read_f32(b + 4 * i as u64);
-                    self.mem.write_f32(c + 4 * i as u64, av * bv);
-                }
-            }
-            // Performance-model-only accelerators (Keras layer set).
-            AccelOp::Conv2d
-            | AccelOp::Dense
-            | AccelOp::Relu
-            | AccelOp::Pool2d
-            | AccelOp::BatchNorm
-            | AccelOp::Embedding => {}
-        }
-    }
-
-    fn step(&mut self, tile: usize) -> Result<StepOutcome, ExecError> {
-        if self.tiles[tile].finished {
-            return Ok(StepOutcome::Finished);
-        }
-        let func_id = self.tiles[tile].func;
-        let func = self.module.function(func_id);
-
-        if !self.tiles[tile].entered_block {
-            self.tiles[tile].entered_block = true;
-            let block = self.tiles[tile].block;
-            self.sink.on_block(tile, func_id, block);
-        }
-
-        let block = self.tiles[tile].block;
-        let idx = self.tiles[tile].inst_idx;
-        let iid = func.block(block).insts()[idx];
-        let inst = func.inst(iid);
-
-        // Phis at block top are evaluated as a parallel assignment on entry.
-        if idx == 0 {
-            if let Opcode::Phi { .. } = inst.op() {
-                let insts = func.block(block).insts().to_vec();
-                let mut updates = Vec::new();
-                let mut count = 0usize;
-                for &pid in &insts {
-                    let pinst = func.inst(pid);
-                    if let Opcode::Phi { incoming } = pinst.op() {
-                        let prev = self.tiles[tile]
-                            .prev_block
-                            .expect("phi executed without predecessor");
-                        let (_, val) = incoming
-                            .iter()
-                            .find(|(b, _)| *b == prev)
-                            .unwrap_or_else(|| panic!("phi {pid} missing edge from {prev}"));
-                        updates.push((pid, self.eval(tile, *val)));
-                        count += 1;
-                    } else {
-                        break;
-                    }
-                }
-                for (pid, v) in updates {
-                    self.tiles[tile].regs[pid.index()] = Some(v);
-                    self.tiles[tile].retired += 1;
-                    self.sink.on_retire(tile);
-                    self.steps += 1;
-                }
-                self.tiles[tile].inst_idx += count;
-                return Ok(StepOutcome::Progress);
-            }
-        }
-
-        let mut advance = true;
-        let mut result: Option<RtVal> = None;
-
-        match inst.op() {
-            Opcode::Phi { .. } => {
-                unreachable!("phi not at block top was rejected by the verifier")
-            }
-            Opcode::Bin { op, lhs, rhs } => {
-                result = Some(Self::binop(*op, self.eval(tile, *lhs), self.eval(tile, *rhs))?);
-            }
-            Opcode::ICmp { pred, lhs, rhs } => {
-                let v = Self::icmp(
-                    *pred,
-                    self.eval(tile, *lhs).as_int(),
-                    self.eval(tile, *rhs).as_int(),
-                );
-                result = Some(RtVal::Int(v as i64));
-            }
-            Opcode::FCmp { pred, lhs, rhs } => {
-                let v = Self::fcmp(
-                    *pred,
-                    self.eval(tile, *lhs).as_float(),
-                    self.eval(tile, *rhs).as_float(),
-                );
-                result = Some(RtVal::Int(v as i64));
-            }
-            Opcode::Select {
-                cond,
-                on_true,
-                on_false,
-            } => {
-                let c = self.eval(tile, *cond).as_bool();
-                result = Some(if c {
-                    self.eval(tile, *on_true)
-                } else {
-                    self.eval(tile, *on_false)
-                });
-            }
-            Opcode::Cast { kind, value } => {
-                let v = self.eval(tile, *value);
-                result = Some(match kind {
-                    CastKind::IntResize | CastKind::IntToPtr | CastKind::PtrToInt => {
-                        let raw = v.as_int();
-                        RtVal::Int(match inst.ty() {
-                            Type::I1 => (raw != 0) as i64,
-                            Type::I8 => raw as i8 as i64,
-                            Type::I16 => raw as i16 as i64,
-                            Type::I32 => raw as i32 as i64,
-                            _ => raw,
-                        })
-                    }
-                    CastKind::IntToFloat => RtVal::Float(v.as_int() as f64),
-                    CastKind::FloatToInt => RtVal::Int(v.as_float() as i64),
-                    CastKind::FloatResize => RtVal::Float(match inst.ty() {
-                        Type::F32 => v.as_float() as f32 as f64,
-                        _ => v.as_float(),
-                    }),
-                });
-            }
-            Opcode::Gep {
-                base,
-                index,
-                elem_size,
-            } => {
-                let b = self.eval(tile, *base).as_int();
-                let i = self.eval(tile, *index).as_int();
-                result = Some(RtVal::Int(b.wrapping_add(i.wrapping_mul(*elem_size as i64))));
-            }
-            Opcode::Load { addr } => {
-                let a = self.eval(tile, *addr).as_int() as u64;
-                let ty = inst.ty();
-                self.sink.on_mem(tile, iid, a, ty.size_bytes() as u8, false);
-                result = Some(self.mem.read_typed(a, ty));
-            }
-            Opcode::Store { addr, value } => {
-                let a = self.eval(tile, *addr).as_int() as u64;
-                let v = self.eval(tile, *value);
-                let ty = self.operand_ty(func, *value);
-                self.sink.on_mem(tile, iid, a, ty.size_bytes() as u8, true);
-                self.mem.write_typed(a, ty, v);
-            }
-            Opcode::AtomicRmw {
-                op,
-                addr,
-                value,
-                expected,
-            } => {
-                let a = self.eval(tile, *addr).as_int() as u64;
-                let ty = inst.ty();
-                self.sink.on_mem(tile, iid, a, ty.size_bytes() as u8, true);
-                let old = self.mem.read_typed(a, ty);
-                let v = self.eval(tile, *value);
-                let new = match op {
-                    AtomicOp::Add => RtVal::Int(old.as_int().wrapping_add(v.as_int())),
-                    AtomicOp::Min => RtVal::Int(old.as_int().min(v.as_int())),
-                    AtomicOp::Max => RtVal::Int(old.as_int().max(v.as_int())),
-                    AtomicOp::Xchg => v,
-                    AtomicOp::Cas => {
-                        let e = self.eval(tile, expected.expect("cas has expected operand"));
-                        if old.as_int() == e.as_int() {
-                            v
-                        } else {
-                            old
-                        }
-                    }
-                };
-                self.mem.write_typed(a, ty, new);
-                result = Some(old);
-            }
-            Opcode::Call { intr, args } => {
-                let vals: Vec<RtVal> = args.iter().map(|a| self.eval(tile, *a)).collect();
-                result = Some(self.intrinsic(tile, *intr, &vals));
-            }
-            Opcode::Send { queue, value } => {
-                let v = self.eval(tile, *value);
-                let q = queue + self.tiles[tile].queue_offset;
-                self.queues.entry(q).or_default().push_back(v);
-            }
-            Opcode::Recv { queue } => {
-                let q = queue + self.tiles[tile].queue_offset;
-                match self.queues.entry(q).or_default().pop_front() {
-                    Some(v) => result = Some(v),
-                    None => return Ok(StepOutcome::Blocked),
-                }
-            }
-            Opcode::AccelCall { accel, args } => {
-                let vals: Vec<i64> = args.iter().map(|a| self.eval(tile, *a).as_int()).collect();
-                self.sink.on_accel(tile, iid, *accel, &vals);
-                self.accel_functional(*accel, &vals);
-            }
-            Opcode::Br { target } => {
-                let st = &mut self.tiles[tile];
-                st.prev_block = Some(st.block);
-                st.block = *target;
-                st.inst_idx = 0;
-                st.entered_block = false;
-                advance = false;
-            }
-            Opcode::CondBr {
-                cond,
-                on_true,
-                on_false,
-            } => {
-                let c = self.eval(tile, *cond).as_bool();
-                let st = &mut self.tiles[tile];
-                st.prev_block = Some(st.block);
-                st.block = if c { *on_true } else { *on_false };
-                st.inst_idx = 0;
-                st.entered_block = false;
-                advance = false;
-            }
-            Opcode::Ret { value } => {
-                let v = value.map(|v| self.eval(tile, v));
-                let st = &mut self.tiles[tile];
-                st.finished = true;
-                st.ret = v;
-                advance = false;
-            }
-        }
-
+    /// One turn of `tile`: up to [`SLICE`] steps, fewer if it blocks on an
+    /// empty queue or returns. Whether it made any.
+    fn turn(&mut self, tile: usize) -> Result<bool, ExecError> {
         let st = &mut self.tiles[tile];
-        if let Some(v) = result {
-            st.regs[iid.index()] = Some(v);
+        let plan = &self.plans[st.plan];
+        let (sink, mem, slots) = (&mut *self.sink, &mut self.mem, &mut st.slots[..]);
+        // `steps` counts retires; the tile's own count moves with it.
+        let (mut pc, mut steps, before) = (st.pc, self.steps, self.steps);
+        let mut left = SLICE;
+        while left > 0 && !st.finished {
+            if let Some(edge) = st.entering.take() {
+                let edge = plan.edges[edge as usize];
+                sink.on_block(tile, st.func, edge.block);
+                pc = edge.pc as usize;
+                let moves = &plan.moves[edge.moves.0 as usize..edge.moves.1 as usize];
+                if !moves.is_empty() {
+                    // A parallel assignment, and one step whatever its size.
+                    self.phi_vals.clear();
+                    for &(phi, source) in moves {
+                        let source = source.unwrap_or_else(|| missing_edge(phi, edge.from));
+                        self.phi_vals.push(val(slots, source, tile));
+                    }
+                    for (&(phi, _), &v) in moves.iter().zip(&self.phi_vals) {
+                        slots[phi as usize] = Some(v);
+                        sink.on_retire(tile);
+                        steps += 1;
+                    }
+                    left -= 1;
+                    continue;
+                }
+            }
+            let op = plan.ops[pc];
+            let ([a, b, c], dst) = (op.args, op.inst as usize);
+            let get = |slot| val(slots, slot, tile);
+            match op.code {
+                Code::Bin(bin) => slots[dst] = Some(binop(bin, get(a), get(b))?),
+                Code::ICmp(pred) => {
+                    let holds = icmp(pred, get(a).as_int(), get(b).as_int());
+                    slots[dst] = Some(RtVal::Int(holds as i64));
+                }
+                Code::FCmp(pred) => {
+                    let holds = fcmp(pred, get(a).as_float(), get(b).as_float());
+                    slots[dst] = Some(RtVal::Int(holds as i64));
+                }
+                Code::Select => slots[dst] = Some(get(if get(a).as_bool() { b } else { c })),
+                Code::Cast(kind, to) => slots[dst] = Some(cast(kind, to, get(a))),
+                Code::Gep => {
+                    let (base, index) = (get(a).as_int(), get(b).as_int());
+                    let at = base.wrapping_add(index.wrapping_mul(c as i64));
+                    slots[dst] = Some(RtVal::Int(at));
+                }
+                Code::Load(ty) => {
+                    let addr = get(a).as_int() as u64;
+                    sink.on_mem(tile, InstId(op.inst), addr, ty.size_bytes() as u8, false);
+                    slots[dst] = Some(mem.read_typed(addr, ty));
+                }
+                Code::Store(ty) => {
+                    let (addr, v) = (get(a).as_int() as u64, get(b));
+                    sink.on_mem(tile, InstId(op.inst), addr, ty.size_bytes() as u8, true);
+                    mem.write_typed(addr, ty, v);
+                }
+                Code::Atomic(rmw, ty) => {
+                    let addr = get(a).as_int() as u64;
+                    sink.on_mem(tile, InstId(op.inst), addr, ty.size_bytes() as u8, true);
+                    let old = mem.read_typed(addr, ty);
+                    let v = get(b);
+                    let new = match rmw {
+                        AtomicOp::Add => RtVal::Int(old.as_int().wrapping_add(v.as_int())),
+                        AtomicOp::Min => RtVal::Int(old.as_int().min(v.as_int())),
+                        AtomicOp::Max => RtVal::Int(old.as_int().max(v.as_int())),
+                        AtomicOp::Xchg => v,
+                        AtomicOp::Cas if old.as_int() == get(c).as_int() => v,
+                        AtomicOp::Cas => old,
+                    };
+                    mem.write_typed(addr, ty, new);
+                    slots[dst] = Some(old);
+                }
+                Code::Call(intr) => {
+                    let (x, y) = (|| get(a).as_float(), || get(b).as_float());
+                    let (i, j) = (|| get(a).as_int(), || get(b).as_int());
+                    let v = match intr {
+                        Intrinsic::TileId => RtVal::Int(st.tile_id),
+                        Intrinsic::NumTiles => RtVal::Int(st.num_tiles),
+                        Intrinsic::Sqrt => RtVal::Float(x().sqrt()),
+                        Intrinsic::Rsqrt => RtVal::Float(1.0 / x().sqrt()),
+                        Intrinsic::Exp => RtVal::Float(x().exp()),
+                        Intrinsic::Log => RtVal::Float(x().ln()),
+                        Intrinsic::Sin => RtVal::Float(x().sin()),
+                        Intrinsic::Cos => RtVal::Float(x().cos()),
+                        Intrinsic::FAbs => RtVal::Float(x().abs()),
+                        Intrinsic::Floor => RtVal::Float(x().floor()),
+                        Intrinsic::FMin => RtVal::Float(x().min(y())),
+                        Intrinsic::FMax => RtVal::Float(x().max(y())),
+                        Intrinsic::SMin => RtVal::Int(i().min(j())),
+                        Intrinsic::SMax => RtVal::Int(i().max(j())),
+                    };
+                    slots[dst] = Some(v);
+                }
+                Code::Send => {
+                    let queue = self.queues.entry(a + st.queue_offset).or_default();
+                    queue.push_back(get(b));
+                }
+                Code::Recv => {
+                    let queue = self.queues.entry(a + st.queue_offset).or_default();
+                    // Blocked is not a step: the turn ends with the tile
+                    // still at the `recv`, inside its block.
+                    let Some(v) = queue.pop_front() else { break };
+                    slots[dst] = Some(v);
+                }
+                Code::Accel(accel) => {
+                    let args = plan.accel_args[a as usize..b as usize].iter();
+                    self.accel_args.clear();
+                    self.accel_args.extend(args.map(|&arg| get(arg).as_int()));
+                    sink.on_accel(tile, InstId(op.inst), accel, &self.accel_args);
+                    accel_functional(mem, accel, &self.accel_args);
+                }
+                Code::Br => st.entering = Some(a),
+                Code::CondBr => st.entering = Some(if get(a).as_bool() { b } else { c }),
+                Code::Ret | Code::RetVoid => {
+                    st.ret = matches!(op.code, Code::Ret).then(|| get(a));
+                    st.finished = true;
+                }
+                Code::Invalid(why) => panic!("{why}"),
+            }
+            pc += 1;
+            sink.on_retire(tile);
+            steps += 1;
+            if steps > self.step_limit {
+                return Err(ExecError::StepLimit(self.step_limit));
+            }
+            left -= 1;
         }
-        if advance {
-            st.inst_idx += 1;
-        }
-        st.retired += 1;
-        self.sink.on_retire(tile);
-        self.steps += 1;
-        if self.steps > self.step_limit {
-            return Err(ExecError::StepLimit(self.step_limit));
-        }
-        Ok(StepOutcome::Progress)
+        st.pc = pc;
+        st.retired += steps - before;
+        self.steps = steps;
+        Ok(left < SLICE)
     }
 
     /// Runs all tiles to completion.
@@ -633,7 +563,6 @@ impl<'m, S: TraceSink> Interpreter<'m, S> {
     /// empty queues, [`ExecError::StepLimit`] past the instruction budget,
     /// or [`ExecError::Trap`] on a runtime fault.
     pub fn run(mut self) -> Result<ExecOutcome, ExecError> {
-        const SLICE: usize = 4096;
         loop {
             let mut any_progress = false;
             let mut all_done = true;
@@ -642,13 +571,7 @@ impl<'m, S: TraceSink> Interpreter<'m, S> {
                     continue;
                 }
                 all_done = false;
-                for _ in 0..SLICE {
-                    match self.step(t)? {
-                        StepOutcome::Progress => any_progress = true,
-                        StepOutcome::Blocked => break,
-                        StepOutcome::Finished => break,
-                    }
-                }
+                any_progress |= self.turn(t)?;
             }
             if all_done {
                 break;

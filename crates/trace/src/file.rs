@@ -18,6 +18,11 @@ use crate::{stream_mut, AccelInvocation, KernelTrace, MemAccess, TileTrace};
 const MAGIC: &[u8; 4] = b"MSTR";
 const VERSION: u32 = 1;
 
+/// The most items reserved on the word of a count read from the file; a
+/// longer sequence grows as its items actually arrive, so a damaged count
+/// ends in `UnexpectedEof`, not in a reservation no machine has.
+const RESERVE_CAP: usize = 1 << 16;
+
 fn w_u32<W: Write>(w: &mut W, v: u32) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
 }
@@ -163,7 +168,7 @@ impl KernelTrace {
                 tile.func = Some(FuncId(func));
             }
             let path_len = r_u64(r)? as usize;
-            tile.path.reserve(path_len);
+            tile.path.reserve(path_len.min(RESERVE_CAP));
             for _ in 0..path_len {
                 tile.path.push(BlockId(r_u32(r)?));
             }
@@ -171,7 +176,7 @@ impl KernelTrace {
             for _ in 0..mem_insts {
                 let inst = r_inst(r)?;
                 let len = r_u64(r)? as usize;
-                let mut stream = Vec::with_capacity(len);
+                let mut stream = Vec::with_capacity(len.min(RESERVE_CAP));
                 for _ in 0..len {
                     let addr = r_u64(r)?;
                     let size = r_u8(r)?;
@@ -191,7 +196,7 @@ impl KernelTrace {
                     )
                 })?;
                 let nargs = r_u32(r)? as usize;
-                let mut args = Vec::with_capacity(nargs);
+                let mut args = Vec::with_capacity(nargs.min(RESERVE_CAP));
                 for _ in 0..nargs {
                     args.push(r_u64(r)? as i64);
                 }
@@ -242,9 +247,14 @@ impl KernelTrace {
 mod tests {
     use super::*;
     use crate::TraceRecorder;
-    use mosaic_ir::{run_single, BinOp, Constant, FunctionBuilder, MemImage, Module, RtVal, Type};
+    use mosaic_ir::{run_tiles, BinOp, Constant, FunctionBuilder, MemImage, Module, RtVal, Type};
 
     fn sample_trace() -> KernelTrace {
+        sample_on(1)
+    }
+
+    /// A loop of loads and stores, then one accelerator call, per tile.
+    fn sample_on(tiles: usize) -> KernelTrace {
         let mut m = Module::new("t");
         let f = m.add_function(
             "k",
@@ -268,15 +278,10 @@ mod tests {
         b.ret(None);
         let mut mem = MemImage::new();
         let buf = mem.alloc_i32(32);
-        let mut rec = TraceRecorder::new(1);
-        run_single(
-            &m,
-            mem,
-            f,
-            vec![RtVal::Int(buf as i64), RtVal::Int(32)],
-            &mut rec,
-        )
-        .unwrap();
+        let mut rec = TraceRecorder::new(tiles);
+        let args = vec![RtVal::Int(buf as i64), RtVal::Int(32)];
+        let programs = mosaic_ir::TileProgram::spmd(f, args, tiles);
+        run_tiles(&m, mem, &programs, &mut rec).unwrap();
         rec.finish()
     }
 
@@ -391,6 +396,59 @@ mod tests {
                 KernelTrace::read_from(&mut &buf[..cut]).is_err(),
                 "cut at {cut} must error"
             );
+        }
+    }
+
+    /// Whatever is cut off or flipped, `read_from` answers with an error
+    /// or with some other trace: it neither panics nor sizes an
+    /// allocation by a count the file merely claims.
+    #[test]
+    fn damaged_files_are_errors_or_traces_never_panics() {
+        let mut buf = Vec::new();
+        sample_on(2).write_to(&mut buf).unwrap();
+        for cut in 0..buf.len() {
+            let short = KernelTrace::read_from(&mut &buf[..cut]);
+            assert!(short.is_err(), "cut at {cut} of {}", buf.len());
+        }
+        // SplitMix64.
+        let mut state = 0x4d53_5452_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for _ in 0..2000 {
+            let mut bad = buf.clone();
+            let at = (next() % buf.len() as u64) as usize;
+            bad[at] ^= 1 << (next() % 8);
+            let _ = KernelTrace::read_from(&mut bad.as_slice());
+        }
+    }
+
+    /// A count of `u64::MAX` / `u32::MAX` items with nothing behind it is a
+    /// short file, not a `capacity overflow` or an allocation abort.
+    #[test]
+    fn absurd_counts_end_in_unexpected_eof() {
+        // One tile with a function, up to its path length.
+        let mut head = Vec::new();
+        head.extend_from_slice(MAGIC);
+        for word in [VERSION, 1] {
+            head.extend_from_slice(&word.to_le_bytes());
+        }
+        head.extend_from_slice(&[1, 0, 0, 0, 0]);
+        let le64 = u64::to_le_bytes;
+        let path_len = [&head[..], &le64(u64::MAX)].concat();
+        // No path, one memory stream of instruction 0.
+        let stream = [&head[..], &le64(0), &[1, 0, 0, 0, 0, 0, 0, 0][..]].concat();
+        let stream_len = [&stream[..], &le64(u64::MAX)].concat();
+        // No path, no stream, one call of instruction 0.
+        let mut nargs = [&head[..], &le64(0), &[0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0]].concat();
+        w_str(&mut nargs, "accel.relu").unwrap();
+        nargs.extend_from_slice(&u32::MAX.to_le_bytes());
+        for (what, bytes) in [("path", path_len), ("stream", stream_len), ("args", nargs)] {
+            let err = KernelTrace::read_from(&mut bytes.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{what}");
         }
     }
 }

@@ -86,6 +86,7 @@ pub struct TileTrace {
 
 /// The stream of `inst` in a table indexed by `InstId`, growing the table
 /// to reach it.
+#[inline]
 fn stream_mut<T>(streams: &mut Vec<Vec<T>>, inst: InstId) -> &mut Vec<T> {
     if inst.index() >= streams.len() {
         streams.resize_with(inst.index() + 1, Vec::new);
@@ -240,6 +241,7 @@ impl TraceRecorder {
         }
     }
 
+    #[inline]
     fn tile_mut(&mut self, tile: usize) -> &mut TileTrace {
         if tile >= self.tiles.len() {
             self.tiles.resize(tile + 1, TileTrace::default());
@@ -249,12 +251,14 @@ impl TraceRecorder {
 }
 
 impl TraceSink for TraceRecorder {
+    #[inline]
     fn on_block(&mut self, tile: usize, func: FuncId, block: BlockId) {
         let t = self.tile_mut(tile);
         t.func.get_or_insert(func);
         t.path.push(block);
     }
 
+    #[inline]
     fn on_mem(&mut self, tile: usize, inst: InstId, addr: u64, size: u8, write: bool) {
         stream_mut(&mut self.tile_mut(tile).mem, inst).push(MemAccess { addr, size, write });
     }
@@ -270,6 +274,7 @@ impl TraceSink for TraceRecorder {
         t.accel_order.push(inv);
     }
 
+    #[inline]
     fn on_retire(&mut self, tile: usize) {
         self.tile_mut(tile).retired += 1;
     }
