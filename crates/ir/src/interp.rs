@@ -150,7 +150,6 @@ const SLICE: u32 = 4096;
 struct TileState {
     /// Index of the kernel's plan in `Interpreter::plans`.
     plan: usize,
-    func: FuncId,
     tile_id: i64,
     num_tiles: i64,
     queue_offset: u32,
@@ -364,8 +363,7 @@ impl<'m, S: TraceSink> Interpreter<'m, S> {
         programs: &[TileProgram],
         sink: &'m mut S,
     ) -> Self {
-        let mut compiled: Vec<FuncId> = Vec::new();
-        let mut plans = Vec::new();
+        let mut plans: Vec<Plan> = Vec::new();
         let tiles = programs
             .iter()
             .map(|p| {
@@ -376,9 +374,8 @@ impl<'m, S: TraceSink> Interpreter<'m, S> {
                     "argument count mismatch for {}",
                     func.name()
                 );
-                let known = compiled.iter().position(|&f| f == p.func);
+                let known = plans.iter().position(|plan| plan.func == p.func);
                 let plan = known.unwrap_or_else(|| {
-                    compiled.push(p.func);
                     plans.push(Plan::compile(func));
                     plans.len() - 1
                 });
@@ -386,7 +383,6 @@ impl<'m, S: TraceSink> Interpreter<'m, S> {
                 slots.extend(p.args.iter().chain(&plans[plan].consts).map(|v| Some(*v)));
                 TileState {
                     plan,
-                    func: p.func,
                     tile_id: p.tile_id,
                     num_tiles: p.num_tiles,
                     queue_offset: p.queue_offset,
@@ -429,7 +425,7 @@ impl<'m, S: TraceSink> Interpreter<'m, S> {
         while left > 0 && !st.finished {
             if let Some(edge) = st.entering.take() {
                 let edge = plan.edges[edge as usize];
-                sink.on_block(tile, st.func, edge.block);
+                sink.on_block(tile, plan.func, edge.block);
                 pc = edge.pc as usize;
                 let moves = &plan.moves[edge.moves.0 as usize..edge.moves.1 as usize];
                 if !moves.is_empty() {
@@ -535,10 +531,11 @@ impl<'m, S: TraceSink> Interpreter<'m, S> {
                 }
                 Code::Br => st.entering = Some(a),
                 Code::CondBr => st.entering = Some(if get(a).as_bool() { b } else { c }),
-                Code::Ret | Code::RetVoid => {
-                    st.ret = matches!(op.code, Code::Ret).then(|| get(a));
+                Code::Ret => {
+                    st.ret = Some(get(a));
                     st.finished = true;
                 }
+                Code::RetVoid => st.finished = true,
                 Code::Invalid(why) => panic!("{why}"),
             }
             pc += 1;

@@ -23,7 +23,7 @@
 //! is reported when the edge is taken, as the tree-walker reported it.
 
 use crate::function::Function;
-use crate::ids::{BlockId, InstId};
+use crate::ids::{BlockId, FuncId, InstId};
 use crate::inst::{
     AccelOp, AtomicOp, BinOp, CastKind, FloatPredicate, IntPredicate, Intrinsic, Opcode, Operand,
 };
@@ -101,6 +101,7 @@ pub(super) struct Edge {
 /// A compiled function. Edge 0 enters the kernel.
 #[derive(Debug)]
 pub(super) struct Plan {
+    pub func: FuncId,
     pub ops: Vec<Op>,
     pub edges: Vec<Edge>,
     /// `(phi, source slot)`; no source: the phi has no value for the edge.
@@ -115,6 +116,7 @@ pub(super) struct Plan {
 impl Plan {
     pub(super) fn compile(func: &Function) -> Plan {
         let mut plan = Plan {
+            func: func.id(),
             ops: Vec::new(),
             edges: Vec::new(),
             moves: Vec::new(),
@@ -124,10 +126,8 @@ impl Plan {
             params: func.params().len(),
         };
         let is_phi = |id: &&InstId| matches!(func.inst(**id).op(), Opcode::Phi { .. });
-        let open = |insts: &[InstId]| {
-            let last = insts.last().map(|&t| func.inst(t).op().is_terminator());
-            last != Some(true)
-        };
+        let ends = |id: &InstId| func.inst(*id).op().is_terminator();
+        let open = |insts: &[InstId]| !insts.last().is_some_and(ends);
         // Where each block's ops start; one more entry, past the last op
         // of the last block, for a branch to a block that does not exist.
         let mut starts = Vec::with_capacity(func.block_count() + 1);

@@ -124,22 +124,18 @@ impl MemImage {
     }
 
     /// Reads `N` bytes at `addr`: one indexed copy when they lie in one
-    /// chunk, byte by byte across a boundary.
+    /// chunk, byte by byte (each of which does) across a boundary.
     #[inline]
     fn load<const N: usize>(&self, addr: u64) -> [u8; N] {
         let off = self.off(addr, N);
         let at = off & (CHUNK - 1);
         let mut out = [0; N];
-        if at + N <= CHUNK {
-            if let Some(chunk) = &self.chunks[off >> CHUNK_SHIFT] {
-                out.copy_from_slice(&chunk[at..at + N]);
-            }
-        } else {
+        if at + N > CHUNK {
             for (i, byte) in out.iter_mut().enumerate() {
-                if let Some(chunk) = &self.chunks[(off + i) >> CHUNK_SHIFT] {
-                    *byte = chunk[(off + i) & (CHUNK - 1)];
-                }
+                [*byte] = self.load(addr + i as u64);
             }
+        } else if let Some(chunk) = &self.chunks[off >> CHUNK_SHIFT] {
+            out.copy_from_slice(&chunk[at..at + N]);
         }
         out
     }
@@ -149,12 +145,12 @@ impl MemImage {
     fn store<const N: usize>(&mut self, addr: u64, data: [u8; N]) {
         let off = self.off(addr, N);
         let at = off & (CHUNK - 1);
-        if at + N <= CHUNK {
-            self.chunk_mut(off)[at..at + N].copy_from_slice(&data);
-        } else {
+        if at + N > CHUNK {
             for (i, byte) in data.into_iter().enumerate() {
-                self.chunk_mut(off + i)[(off + i) & (CHUNK - 1)] = byte;
+                self.store(addr + i as u64, [byte]);
             }
+        } else {
+            self.chunk_mut(off)[at..at + N].copy_from_slice(&data);
         }
     }
 
