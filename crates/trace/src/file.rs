@@ -18,10 +18,12 @@ use crate::{stream_mut, AccelInvocation, KernelTrace, MemAccess, TileTrace};
 const MAGIC: &[u8; 4] = b"MSTR";
 const VERSION: u32 = 1;
 
-/// The most items reserved on the word of a count read from the file; a
-/// longer sequence grows as its items actually arrive, so a damaged count
-/// ends in `UnexpectedEof`, not in a reservation no machine has.
-const RESERVE_CAP: usize = 1 << 16;
+/// The most items reserved on the word of a count read from the file —
+/// above every stream of the bundled kernels, so a sound file is read into
+/// exact reservations. A longer sequence grows as its items actually
+/// arrive, so a damaged count ends in `UnexpectedEof` after at most 16 MiB
+/// of untouched reservation, not in one no machine has.
+const RESERVE_CAP: usize = 1 << 20;
 
 fn w_u32<W: Write>(w: &mut W, v: u32) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
