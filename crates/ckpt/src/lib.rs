@@ -288,13 +288,6 @@ impl<'a> Dec<'a> {
         self.pos == self.data.len()
     }
 
-    /// How many of `count` records of at least `min_bytes` each to
-    /// reserve room for: a count read from the data is a claim, and the
-    /// bytes left bound how many records can really follow.
-    pub fn reserve_for(&self, count: usize, min_bytes: usize) -> usize {
-        count.min(self.remaining() / min_bytes.max(1))
-    }
-
     /// Reads `n` raw bytes (a fixed-size field whose length the reader
     /// already knows).
     pub fn raw(&mut self, n: usize, what: &str) -> Result<&'a [u8], CkptError> {
@@ -938,14 +931,6 @@ mod tests {
             }
         }
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn reserve_for_is_bounded_by_the_bytes_left() {
-        let d = Dec::new(&[0; 40]);
-        assert_eq!(d.reserve_for(3, 8), 3);
-        assert_eq!(d.reserve_for(usize::MAX, 8), 5);
-        assert_eq!(d.reserve_for(usize::MAX, 0), 40);
     }
 
     /// `save` replaces the file at `path` in one step: the previous

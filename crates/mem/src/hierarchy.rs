@@ -1061,6 +1061,13 @@ impl MemoryHierarchy {
             self.reqs.insert(id, state);
             Ok(())
         })?;
+        // The next request joins the ring too (an empty one re-bases).
+        if let Some((first, _)) = live_ids.filter(|l| self.next_id - l.0 > MAX_LIVE_ID_SPAN) {
+            return Err(CkptError::corrupt(format!(
+                "next request id {} out of range of the oldest in flight, {first}",
+                self.next_id
+            )));
+        }
 
         self.completions.clear();
         d.seq_into::<u64, Completion>("undelivered completions", &mut self.completions)?;
@@ -1075,9 +1082,10 @@ impl MemoryHierarchy {
     }
 }
 
-/// Furthest a snapshot's youngest in-flight request id may lie from its
-/// oldest. A run keeps them within a few hundred of each other; the bound
-/// only stops a corrupt record from sizing the ring.
+/// Furthest a snapshot's youngest in-flight request id, and the id its next
+/// request gets, may lie from its oldest. A run keeps them within a few
+/// hundred of each other; the bound only stops a corrupt record from sizing
+/// the ring.
 const MAX_LIVE_ID_SPAN: u64 = 1 << 20;
 
 /// Short stable label for timeline span names.
@@ -1613,6 +1621,38 @@ mod snapshot_tests {
         let mut eb = mosaic_ckpt::Enc::new();
         resumed.save_state(&mut eb);
         assert_eq!(ea.into_bytes(), eb.into_bytes());
+    }
+
+    /// With a request in flight, the ring spans from it to the next id
+    /// handed out: a `next_id` far ahead would size it at the first request
+    /// after the resume.
+    #[test]
+    fn restore_rejects_a_next_id_out_of_the_rings_reach() {
+        let mut h = MemoryHierarchy::new(cfg(), 2);
+        drive(&mut h, 0, 130, &mut Vec::new());
+        let oldest = (0..h.next_id).find(|&id| h.reqs.get(id).is_some());
+        h.next_id = oldest.expect("cut point should be mid-flight") + (1 << 40);
+        let mut e = mosaic_ckpt::Enc::new();
+        h.save_state(&mut e);
+        let bytes = e.into_bytes();
+        let err = MemoryHierarchy::new(cfg(), 2)
+            .restore_state(&mut mosaic_ckpt::Dec::new(&bytes))
+            .expect_err("next_id is 2^40 past a live request");
+        assert!(matches!(err, mosaic_ckpt::CkptError::Corrupt { .. }), "{err}");
+
+        // Nothing in flight: the ring re-bases on the next insert, wherever.
+        let mut idle = MemoryHierarchy::new(cfg(), 2);
+        idle.next_id = 1 << 40;
+        let mut e = mosaic_ckpt::Enc::new();
+        idle.save_state(&mut e);
+        let bytes = e.into_bytes();
+        let mut resumed = MemoryHierarchy::new(cfg(), 2);
+        resumed
+            .restore_state(&mut mosaic_ckpt::Dec::new(&bytes))
+            .expect("an empty ring takes any next_id");
+        let mut log = Vec::new();
+        drive(&mut resumed, 0, 400, &mut log);
+        assert!(!log.is_empty() && log.iter().all(|c| c.id.0 >= 1 << 40));
     }
 
     #[test]

@@ -176,6 +176,13 @@ pub struct ProfileTable {
     func: u32,
     retired: Vec<u64>,
     stalls: Vec<[u64; STALL_KINDS]>,
+    /// Instances parked behind their tile's window now, by instruction, and
+    /// the cycles so far that charged every parked instance a window stall:
+    /// one parked at clock `p` and reached by the window at `u` owes `u - p`,
+    /// so `park` takes the clock off its row's window counter, `unpark` puts
+    /// it back on (wrapping), and a read adds `parked_now * window_clock`.
+    parked_now: Vec<u32>,
+    window_clock: u64,
     /// Allocated on an instruction's first latency sample, so the
     /// arrays above stay a few KB (a histogram is ~550 bytes and only
     /// memory instructions ever own one).
@@ -189,6 +196,8 @@ impl ProfileTable {
             func,
             retired: vec![0; insts],
             stalls: vec![[0; STALL_KINDS]; insts],
+            parked_now: vec![0; insts],
+            window_clock: 0,
             mem_lat: vec![None; insts],
         }
     }
@@ -207,7 +216,9 @@ impl ProfileTable {
     /// Charges `cycles` stall cycles of `kind` to instruction `inst`.
     #[inline]
     pub fn stall(&mut self, inst: u32, kind: StallKind, cycles: u64) {
-        self.stalls[inst as usize][kind as usize] += cycles;
+        // (The window counter is short of the clock while instances park.)
+        let n = &mut self.stalls[inst as usize][kind as usize];
+        *n = n.wrapping_add(cycles);
     }
 
     /// Records one observed memory latency for instruction `inst`.
@@ -218,10 +229,54 @@ impl ProfileTable {
             .record(latency);
     }
 
-    /// Forgets everything recorded.
+    /// Parks an instance of `inst` behind the window: until
+    /// [`unpark`](Self::unpark), [`charge_parked`](Self::charge_parked)
+    /// counts its window stalls.
+    #[inline]
+    pub fn park(&mut self, inst: u32) {
+        self.stall(inst, StallKind::Window, self.window_clock.wrapping_neg());
+        self.parked_now[inst as usize] += 1;
+    }
+
+    /// The window has reached a parked instance of `inst`.
+    #[inline]
+    pub fn unpark(&mut self, inst: u32) {
+        self.stall(inst, StallKind::Window, self.window_clock);
+        self.parked_now[inst as usize] -= 1;
+    }
+
+    /// Charges every parked instance `cycles` window stalls — less one of
+    /// `inst` per entry of `entered`: one the window covers already, which
+    /// its tile charges as a candidate.
+    #[inline]
+    pub fn charge_parked(&mut self, cycles: u64, entered: &[u32]) {
+        self.window_clock = self.window_clock.wrapping_add(cycles);
+        for &inst in entered {
+            self.stall(inst, StallKind::Window, cycles.wrapping_neg());
+        }
+    }
+
+    /// Takes the census anew — `parked` names the instruction of every
+    /// instance parked now — having settled what the old one was owed.
+    pub fn repark(&mut self, parked: impl IntoIterator<Item = u32>) {
+        for i in 0..self.stalls.len() {
+            self.stalls[i][StallKind::Window as usize] = self.settled_window(i);
+        }
+        self.parked_now.fill(0);
+        parked.into_iter().for_each(|inst| self.park(inst));
+    }
+
+    /// Instruction `i`'s window stalls, its parked instances' included.
+    fn settled_window(&self, i: usize) -> u64 {
+        let owed = u64::from(self.parked_now[i]).wrapping_mul(self.window_clock);
+        self.stalls[i][StallKind::Window as usize].wrapping_add(owed)
+    }
+
+    /// Forgets everything recorded; what is parked now stays parked.
     pub fn clear(&mut self) {
         self.retired.fill(0);
         self.stalls.fill([0; STALL_KINDS]);
+        self.window_clock = 0;
         self.mem_lat.fill(None);
     }
 
@@ -230,10 +285,12 @@ impl ProfileTable {
         let mut p = IrProfile::new();
         for (i, (&retired, stalls)) in self.retired.iter().zip(&self.stalls).enumerate() {
             let mem_lat = self.mem_lat[i].as_deref();
+            let mut stalls = *stalls;
+            stalls[StallKind::Window as usize] = self.settled_window(i);
             if retired != 0 || stalls.iter().any(|&n| n != 0) || mem_lat.is_some() {
                 let row = InstProfile {
                     retired,
-                    stalls: *stalls,
+                    stalls,
                     mem_lat: mem_lat.cloned().unwrap_or_default(),
                 };
                 p.map.insert((self.func, i as u32), row);
@@ -243,7 +300,8 @@ impl ProfileTable {
     }
 
     /// Replaces the table's contents with `profile` (a decoded
-    /// checkpoint), so recording continues where the snapshot left off.
+    /// checkpoint), so recording continues where the snapshot left off
+    /// (once [`repark`](Self::repark) has taken the restored tile's census).
     ///
     /// # Errors
     ///
@@ -251,6 +309,7 @@ impl ProfileTable {
     /// another function or an instruction past the table's end.
     pub fn load(&mut self, profile: &IrProfile) -> Result<(), mosaic_ckpt::CkptError> {
         self.clear();
+        self.parked_now.fill(0);
         for ((func, inst), row) in profile.iter() {
             let i = inst as usize;
             if func != self.func || i >= self.retired.len() {
@@ -455,6 +514,61 @@ mod table_tests {
 
             table.clear();
             assert!(table.to_profile().is_empty());
+        }
+    }
+
+    /// The clock and the census against the rule they stand for — a charge
+    /// adds to the row of every parked instance, one at a time — over random
+    /// parks, unparks and charges (some instances entered, so left out),
+    /// other stalls on the same rows, and now and then a taken profile, a
+    /// census taken anew, or a reload: equal after every event, in wrapping
+    /// arithmetic all along.
+    #[test]
+    fn parked_instances_are_charged_by_the_clock() {
+        for seed in 0..20 {
+            let mut rng = Rng(seed);
+            let mut table = ProfileTable::new(FUNC, INSTS);
+            let mut model = IrProfile::new();
+            let mut parked: Vec<u32> = Vec::new();
+            for event in 0..2000 {
+                let inst = rng.below(24) as u32;
+                let cycles = 1 + rng.below(1000);
+                match rng.below(16) {
+                    0..=5 => {
+                        table.park(inst);
+                        parked.push(inst);
+                    }
+                    6..=9 if !parked.is_empty() => {
+                        let at = rng.below(parked.len() as u64) as usize;
+                        table.unpark(parked.swap_remove(at));
+                    }
+                    10..=12 => {
+                        let entered = parked.len().min(rng.below(3) as usize);
+                        table.charge_parked(cycles, &parked[..entered]);
+                        for &inst in &parked[entered..] {
+                            model.stall((FUNC, inst), StallKind::Window, cycles);
+                        }
+                    }
+                    13 => {
+                        table.clear();
+                        model = IrProfile::new();
+                    }
+                    14 => {
+                        if rng.below(2) == 0 {
+                            let saved = table.to_profile();
+                            table.load(&saved).unwrap();
+                        }
+                        table.repark(parked.iter().copied());
+                    }
+                    _ => {
+                        let kind = StallKind::all()[rng.below(2) as usize];
+                        table.stall(inst, kind, cycles);
+                        model.stall((FUNC, inst), kind, cycles);
+                    }
+                }
+                assert_eq!(table.to_profile(), model, "seed {seed}, event {event}");
+            }
+            assert!(parked.len() > 10, "seed {seed}: {} parked", parked.len());
         }
     }
 

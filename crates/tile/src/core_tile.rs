@@ -190,6 +190,11 @@ impl std::fmt::Debug for CoreTile {
     }
 }
 
+/// How a slot names its static instruction, a row of the profile.
+fn sid_of(plan: &LaunchPlan) -> impl Fn(&DynInst) -> u32 + '_ {
+    |di| plan.inst(di.plan as usize).inst.0
+}
+
 /// The `TileStats` counter for stalls of `kind`.
 fn stall_counter(stats: &mut TileStats, kind: StallKind) -> &mut u64 {
     match kind {
@@ -482,8 +487,10 @@ impl CoreTile {
             // Zero-cost bookkeeping nodes complete instantly.
             self.stats.issued += 1;
             self.complete_inst(seq, now);
-        } else {
-            self.ready.wake(seq, window_exempt);
+        } else if self.ready.wake(seq, window_exempt) {
+            if let Some(o) = self.obs.as_mut() {
+                o.row().park(self.plan.inst(plan as usize).inst.0);
+            }
         }
     }
 
@@ -494,7 +501,7 @@ impl CoreTile {
         let pi = *self.plan.inst(di.plan as usize);
         self.stats.retired += 1;
         if let Some(o) = self.obs.as_mut() {
-            o.profile.retire(pi.inst.0);
+            o.row().retire(pi.inst.0);
         }
         let issued = di.state == DynState::Issued;
         if di.mem.is_some() {
@@ -562,20 +569,24 @@ impl CoreTile {
         // fire-and-forget DeSC op wakes while it issues waits for the next
         // cycle, and the window does not move under the walk.
         let (limit, width) = (self.window_limit(), self.config.issue_width);
-        self.ready.begin_walk(&self.inflight, limit, width);
+        let obs = self.obs.as_deref_mut().map(|o| (o, sid_of(&self.plan)));
+        self.ready.begin_walk(&self.inflight, limit, width, obs);
         while let Some(seq) = self.ready.peek() {
             let issued = self.issue_one(seq, ctx)?;
             self.ready.settle(issued);
         }
-        if let Some(o) = self.obs.as_mut() {
-            for seq in self.ready.charged(limit) {
-                let di = self.inflight.get(seq).expect("parked implies in flight");
-                let sid = self.plan.inst(di.plan as usize).inst.0;
-                o.profile.stall(sid, StallKind::Window, 1);
-            }
-        }
-        self.stats.window_stalls += self.ready.end_walk(&self.inflight, limit);
+        let obs = self.obs.as_deref_mut().map(|o| (o, sid_of(&self.plan)));
+        self.stats.window_stalls += self.ready.end_walk(&self.inflight, limit, obs);
         Ok(())
+    }
+
+    /// Takes the profile's census of what the ready set holds parked.
+    fn repark(&mut self) {
+        let parked = self.inflight.parked_in(self.ready.unparked_to, u64::MAX);
+        if let Some(o) = self.obs.as_mut() {
+            o.profile
+                .repark(parked.map(|(_, di)| sid_of(&self.plan)(di)));
+        }
     }
 
     /// Issues candidate `seq` if `verdict` lets it; otherwise counts its
@@ -603,8 +614,7 @@ impl CoreTile {
                     ctx.channels.channel_mut(queue);
                 }
                 if let Some(o) = self.obs.as_mut() {
-                    let sid = self.plan.inst(di.plan as usize).inst.0;
-                    o.profile.stall(sid, kind, 1);
+                    o.row().stall(sid_of(&self.plan)(di), kind, 1);
                 }
                 return Ok(false);
             }
@@ -789,7 +799,7 @@ impl Tile for CoreTile {
         self.memo.get_mut().span = 0..0;
         if let Some(o) = self.obs.as_mut() {
             let latency = now.saturating_sub(req.issued_at);
-            o.profile.mem_latency(req.inst, latency);
+            o.row().mem_latency(req.inst, latency);
         }
         match req.on_done {
             ReqDone::Detached(push) => {
@@ -888,6 +898,7 @@ impl Tile for CoreTile {
                 ..TileObs::default()
             }))
         };
+        self.repark();
     }
 
     fn take_profile(&mut self) -> IrProfile {

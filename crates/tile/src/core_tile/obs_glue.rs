@@ -21,9 +21,20 @@ pub(super) struct TileObs {
     pub(super) first_step: Option<u64>,
     /// Last cycle the tile was stepped while active.
     pub(super) last_seen: u64,
+    /// `row` calls made so far.
+    #[cfg(test)]
+    pub(super) row_writes: std::cell::Cell<u64>,
 }
 
 impl TileObs {
+    /// The profile, to write one row of.
+    #[inline]
+    pub(super) fn row(&mut self) -> &mut ProfileTable {
+        #[cfg(test)]
+        self.row_writes.set(self.row_writes.get() + 1);
+        &mut self.profile
+    }
+
     pub(super) fn push_interval(&mut self, tid: u32, stalled: bool, start: u64, end: u64) {
         if end <= start {
             return;

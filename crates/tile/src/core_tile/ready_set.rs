@@ -2,30 +2,32 @@
 //!
 //! `#[inline]` as in `inflight.rs`: the walk is in another codegen unit.
 
-use super::inflight::{DynState, InFlight};
+use mosaic_obs::StallKind;
+
+use super::inflight::{DynInst, DynState, InFlight};
+use super::obs_glue::TileObs;
 
 /// The `Ready` instructions as the issue stage meets them: the candidates
 /// the window check can pass, in issue order, and the backlog parked behind
-/// the window — a count to the issue stage, which charges it a window stall
-/// each without a visit. A parked instruction stays `DynState::Ready` in
-/// its slot and becomes a candidate when a walk finds that the window has
-/// come to cover it (DESIGN.md §4.2.2).
+/// the window — a count, which a walk charges a window stall each without a
+/// visit. A parked instruction stays `DynState::Ready` in its slot and
+/// becomes a candidate when a walk finds that the window has come to cover
+/// it (DESIGN.md §4.2.2). An observed tile's walk takes its `TileObs` and
+/// how a slot names its static instruction, so that the profile's census of
+/// parked instances follows every instruction that changes sides.
 #[derive(Debug, Default)]
 pub(super) struct ReadySet {
     /// `Ready` instructions below `unparked_to`, and window-exempt ones
     /// wherever they are, ascending.
     cands: Vec<u64>,
-    /// `Ready` instructions at or beyond `unparked_to` that are not
-    /// window-exempt, in the order they woke — and, until the next sweep,
-    /// `stale` entries the window has passed. Only per-instruction
-    /// attribution reads it.
-    pub(super) parked: Vec<u64>,
-    stale: usize,
+    /// How many `Ready` instructions at or beyond `unparked_to` are not
+    /// window-exempt (those `candidates` marks included).
+    pub(super) parked: u64,
     /// The window limit of the last walk: parking starts here. While a
     /// walk runs it is `u64::MAX` and what the walk wakes waits in `woken`
     /// (ascending) to be filed when it ends: the walk offers, and the
     /// backlog it charges is, what was ready at the start of the cycle.
-    unparked_to: u64,
+    pub(super) unparked_to: u64,
     woken: Vec<u64>,
     /// The running walk: the next candidate to offer (those before it that
     /// did not issue are compacted into `cands[..kept]`), the issue width
@@ -37,16 +39,18 @@ pub(super) struct ReadySet {
 }
 
 impl ReadySet {
-    /// Files `seq`, which just became `Ready`.
+    /// Files `seq`, which just became `Ready`; `true` if that parked it.
     #[inline]
-    pub(super) fn wake(&mut self, seq: u64, window_exempt: bool) {
+    pub(super) fn wake(&mut self, seq: u64, window_exempt: bool) -> bool {
         if self.unparked_to == u64::MAX {
             insert_sorted(&mut self.woken, seq);
         } else if window_exempt || seq < self.unparked_to {
             insert_sorted(&mut self.cands, seq);
         } else {
-            self.parked.push(seq);
+            self.parked += 1;
+            return true;
         }
+        false
     }
 
     /// The set the slot states determine, for a window ending at
@@ -64,26 +68,21 @@ impl ReadySet {
         set
     }
 
-    /// The instructions parked behind a window ending at `window_limit`,
-    /// which is not below `unparked_to`.
-    pub(super) fn parked_beyond(&self, window_limit: u64) -> impl Iterator<Item = u64> + '_ {
-        let parked = self.parked.iter().copied();
-        parked.filter(move |&seq| seq >= window_limit)
-    }
-
     /// Starts the walk of a cycle whose window ends at `window_limit`: the
     /// parked instructions the window has come to cover become candidates.
     #[inline]
-    pub(super) fn begin_walk(&mut self, inflight: &InFlight, window_limit: u64, width: u32) {
-        if self.unparked_to < window_limit {
-            for (seq, _) in inflight.parked_in(self.unparked_to, window_limit) {
-                insert_sorted(&mut self.cands, seq);
-                self.stale += 1;
-            }
-            // Sweeping when half the entries are stale costs each a constant.
-            if self.stale > self.parked.len() / 2 {
-                self.parked.retain(|&seq| seq >= window_limit);
-                self.stale = 0;
+    pub(super) fn begin_walk(
+        &mut self,
+        inflight: &InFlight,
+        window_limit: u64,
+        width: u32,
+        mut obs: Option<(&mut TileObs, impl Fn(&DynInst) -> u32)>,
+    ) {
+        for (seq, di) in inflight.parked_in(self.unparked_to, window_limit) {
+            insert_sorted(&mut self.cands, seq);
+            self.parked -= 1;
+            if let Some((o, sid)) = obs.as_mut() {
+                o.row().unpark(sid(di));
             }
         }
         self.unparked_to = u64::MAX;
@@ -109,34 +108,36 @@ impl ReadySet {
         }
     }
 
-    /// The parked instructions the walk begun at `window_limit` charges a
-    /// window stall, as if it had visited them: all of them if issue width
-    /// is left, else those older than the issue that took the last slot (a
-    /// window-exempt op beyond the window).
-    pub(super) fn charged(&self, window_limit: u64) -> impl Iterator<Item = u64> + '_ {
-        let cutoff = match self.width_left {
-            0 => self.last_issued,
-            _ => u64::MAX,
-        };
-        // An issue inside the window stopped the walk short of the backlog.
-        let reached = if cutoff > window_limit {
-            self.parked.len()
-        } else {
-            0
-        };
-        let parked = self.parked[..reached].iter().copied();
-        parked.filter(move |seq| (window_limit..cutoff).contains(seq))
-    }
-
     /// Ends the walk begun at `window_limit` — fixed for the whole walk,
-    /// whatever completed inside it — filing what it woke, and returns how
-    /// many instructions it `charged`, without a visit when that is all.
+    /// whatever completed inside it — and returns how many parked
+    /// instructions it charges a window stall, as if it had visited them:
+    /// all of them, by a tick of the profile's clock, if issue width is
+    /// left, else those older than the issue that took the last slot (a
+    /// window-exempt op beyond the window). What the walk woke is filed after
+    /// that: it owes nothing for this cycle.
     #[inline]
-    pub(super) fn end_walk(&mut self, inflight: &InFlight, window_limit: u64) -> u64 {
-        let charged = match self.width_left {
-            0 => self.charged(window_limit).count(),
-            _ => self.parked.len() - self.stale,
-        };
+    pub(super) fn end_walk(
+        &mut self,
+        inflight: &InFlight,
+        window_limit: u64,
+        mut obs: Option<(&mut TileObs, impl Fn(&DynInst) -> u32)>,
+    ) -> u64 {
+        let mut charged = 0;
+        if self.width_left > 0 {
+            charged = self.parked;
+            if let Some((o, _)) = obs.as_mut() {
+                o.profile.charge_parked(1, &[]);
+            }
+        } else {
+            for (seq, di) in inflight.parked_in(window_limit, self.last_issued) {
+                if self.woken.binary_search(&seq).is_err() {
+                    charged += 1;
+                    if let Some((o, sid)) = obs.as_mut() {
+                        o.row().stall(sid(di), StallKind::Window, 1);
+                    }
+                }
+            }
+        }
         if self.kept < self.at {
             self.cands.copy_within(self.at.., self.kept);
             self.cands.truncate(self.kept + self.cands.len() - self.at);
@@ -144,30 +145,27 @@ impl ReadySet {
         self.unparked_to = window_limit;
         while let Some(seq) = self.woken.pop() {
             let di = inflight.get(seq).expect("woken this cycle");
-            self.wake(seq, di.window_exempt);
+            if self.wake(seq, di.window_exempt) {
+                if let Some((o, sid)) = obs.as_mut() {
+                    o.row().park(sid(di));
+                }
+            }
         }
-        charged as u64
+        charged
     }
 
     /// What a walk with the window ending at `window_limit` would be
     /// offered, read-only and in no particular order: the candidates, and
-    /// the parked instructions the window has come to cover since the
-    /// last walk.
+    /// — marked `true` — the parked instructions the window has come to
+    /// cover since the last walk.
     pub(super) fn candidates<'a>(
         &'a self,
         inflight: &'a InFlight,
         window_limit: u64,
-    ) -> impl Iterator<Item = u64> + 'a {
+    ) -> impl Iterator<Item = (u64, bool)> + 'a {
         let entered = inflight.parked_in(self.unparked_to, window_limit);
-        let cands = self.cands.iter().copied();
-        cands.chain(entered.map(|(seq, _)| seq))
-    }
-
-    /// How many instructions would stay parked in such a walk.
-    #[inline]
-    pub(super) fn backlog(&self, inflight: &InFlight, window_limit: u64) -> u64 {
-        let entered = inflight.parked_in(self.unparked_to, window_limit).count();
-        (self.parked.len() - self.stale - entered) as u64
+        let cands = self.cands.iter().map(|&seq| (seq, false));
+        cands.chain(entered.map(|(seq, _)| (seq, true)))
     }
 }
 

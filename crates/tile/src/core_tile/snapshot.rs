@@ -232,8 +232,10 @@ impl CoreTile {
             }
         }
 
-        // The stall memo is derived state, refilled on demand.
+        // The stall memo is derived state, refilled on demand; so is the
+        // profile's census of the instructions the rebuilt set parked.
         self.memo.get_mut().span = 0..0;
+        self.repark();
         Ok(())
     }
 }

@@ -4,8 +4,7 @@ use std::cmp::Reverse;
 
 use mosaic_obs::{StallKind, STALL_KINDS};
 
-use super::inflight::DynInst;
-use super::{stall_counter, CoreTile, LaunchGate, Stall, Verdict};
+use super::{sid_of, stall_counter, CoreTile, LaunchGate, Stall, Verdict};
 use crate::mao::MaoStall;
 use crate::{ChannelSet, TileCtx};
 
@@ -27,10 +26,13 @@ pub(super) struct StallMemo {
     /// MAO-internal classification of the MAO-rejected candidates (these
     /// also count once under `StallKind::Mem`), by `MaoStall as usize`.
     mao: [u64; 3],
-    /// Per-static-instruction attribution of the same stalls, populated
+    /// Per-static-instruction attribution of the candidates' stalls, populated
     /// only when observability is on: `issue()`'s per-site attribution
-    /// exactly, so that crediting it × cycles is what stepping records.
+    /// exactly, so that crediting it × cycles is what stepping records. (The
+    /// backlog's is the profile's clock, less the candidates still `entered`
+    /// in its census as parked.)
     per_inst: Vec<(u32, StallKind)>,
+    entered: Vec<u32>,
 }
 
 impl StallMemo {
@@ -127,10 +129,18 @@ impl CoreTile {
         stalls.by_kind = [0; STALL_KINDS];
         stalls.mao = [0; 3];
         stalls.per_inst.clear();
+        stalls.entered.clear();
         let window_limit = self.window_limit();
-        let sid = |di: &DynInst| self.plan.inst(di.plan as usize).inst.0;
-        for seq in self.ready.candidates(&self.inflight, window_limit) {
+        let sid = sid_of(&self.plan);
+        let mut backlog = self.ready.parked;
+        for (seq, entered) in self.ready.candidates(&self.inflight, window_limit) {
             let di = self.inflight.get(seq).expect("ready implies in flight");
+            if entered {
+                backlog -= 1;
+                if self.obs.is_some() {
+                    stalls.entered.push(sid(di));
+                }
+            }
             match self.verdict(seq, di, now, channels) {
                 Verdict::Issue => return false,
                 // Skipped without a stall count; the accelerator-busy wake
@@ -162,15 +172,7 @@ impl CoreTile {
                 }
             }
         }
-        let backlog = self.ready.backlog(&self.inflight, window_limit);
         stalls.by_kind[StallKind::Window as usize] += backlog;
-        if self.obs.is_some() {
-            let slot = |seq| self.inflight.get(seq).expect("parked implies in flight");
-            let parked = self.ready.parked_beyond(window_limit);
-            stalls
-                .per_inst
-                .extend(parked.map(|seq| (sid(slot(seq)), StallKind::Window)));
-        }
         stalls.span = now..wake.unwrap_or(u64::MAX);
         true
     }
@@ -188,8 +190,9 @@ impl CoreTile {
         }
         if let Some(o) = self.obs.as_mut() {
             for &(inst, kind) in &memo.per_inst {
-                o.profile.stall(inst, kind, cycles);
+                o.row().stall(inst, kind, cycles);
             }
+            o.profile.charge_parked(cycles, &memo.entered);
             if o.level.trace_on() {
                 // All stall: close any open compute interval at `now`.
                 o.note_cycle(self.mem_slot as u32, now, true);

@@ -56,43 +56,48 @@ impl Oracle {
     }
 }
 
-/// What one cycle's walk did.
+/// What one cycle's walk, or the survey of one blocked cycle, counted.
 #[derive(Default, PartialEq, Debug)]
 struct Outcome {
     issued: Vec<u64>,
     by_kind: [u64; STALL_KINDS],
-    /// Stalls by `(static id, kind)`; `None` when the walk was asked
-    /// for totals only.
-    per_inst: Option<BTreeMap<(u32, usize), u64>>,
 }
 
-impl Outcome {
-    fn stall(&mut self, sid: u32, kind: StallKind) {
-        self.by_kind[kind as usize] += 1;
-        if let Some(m) = self.per_inst.as_mut() {
-            *m.entry((sid, kind as usize)).or_default() += 1;
-        }
-    }
-}
+/// Stall cycles so far by `(static id, kind)`, without the zeroes.
+type Charged = BTreeMap<(u32, usize), u64>;
 
 /// One side of the comparison: the in-flight ring, and the ready
-/// instructions either as the windowed set or — the model — as the one
-/// sorted list of every `Ready` id that `issue()` used to walk in full.
+/// instructions either as the windowed set — with, when the case attributes
+/// per instruction, the `TileObs` whose profile it keeps the census of — or,
+/// the model, as the one sorted list of every `Ready` id that `issue()` used
+/// to walk in full, charging each parked instruction as it passed it.
 struct Side {
     inflight: InFlight,
     set: Option<ReadySet>,
+    obs: Option<TileObs>,
     list: Vec<u64>,
+    charged: Charged,
     window: u64,
     /// Candidates the last walk asked the oracle about.
     visits: u64,
 }
 
+/// The profile of the 16 static instructions `launch` picks from.
+fn observed() -> Option<TileObs> {
+    Some(TileObs {
+        profile: ProfileTable::new(0, 16),
+        ..TileObs::default()
+    })
+}
+
 impl Side {
-    fn new(windowed: bool, window: u64) -> Self {
+    fn new(windowed: bool, per_slot: bool, window: u64) -> Self {
         Side {
             inflight: InFlight::new(),
             set: windowed.then(ReadySet::default),
+            obs: (windowed && per_slot).then(observed).flatten(),
             list: Vec::new(),
+            charged: Charged::new(),
             window,
             visits: 0,
         }
@@ -100,6 +105,12 @@ impl Side {
 
     fn limit(&self) -> u64 {
         self.inflight.head + self.window
+    }
+
+    /// The observer as the set's walks take it: a slot's `plan` is its
+    /// static id here.
+    fn census(obs: &mut Option<TileObs>) -> Option<(&mut TileObs, impl Fn(&DynInst) -> u32)> {
+        obs.as_mut().map(|o| (o, |di: &DynInst| di.plan))
     }
 
     fn launch(&mut self, sid: u32, window_exempt: bool) {
@@ -120,11 +131,70 @@ impl Side {
         let di = self.inflight.get_mut(seq).expect("in flight");
         assert_eq!(di.state, DynState::Waiting);
         di.state = DynState::Ready;
-        let exempt = di.window_exempt;
+        let (sid, exempt) = (di.plan, di.window_exempt);
         match self.set.as_mut() {
-            Some(set) => set.wake(seq, exempt),
+            Some(set) => {
+                if set.wake(seq, exempt) {
+                    if let Some(o) = self.obs.as_mut() {
+                        o.row().park(sid);
+                    }
+                }
+            }
             None => insert_sorted(&mut self.list, seq),
         }
+    }
+
+    /// Counts `cycles` stalls of `kind` against `sid`: in the set's profile,
+    /// or in the model's map.
+    fn stall(&mut self, sid: u32, kind: StallKind, cycles: u64) {
+        match self.obs.as_mut() {
+            Some(o) => o.row().stall(sid, kind, cycles),
+            None => *self.charged.entry((sid, kind as usize)).or_default() += cycles,
+        }
+    }
+
+    /// What the set's profile reports, in the model's terms.
+    fn settled(&self) -> Charged {
+        let profile = self.obs.as_ref().expect("observed").profile.to_profile();
+        let rows = profile.iter().flat_map(|((_, sid), row)| {
+            let stalls = row.stalls.into_iter().enumerate();
+            stalls.map(move |(kind, n)| ((sid, kind), n))
+        });
+        rows.filter(|&(_, n)| n != 0).collect()
+    }
+
+    /// Rebuilds what a restore or `set_observe` rebuilds, `how` choosing
+    /// between them; the model forgets what a fresh profile does not hold.
+    fn reset(&mut self, how: u64) {
+        let limit = self.limit();
+        let Some(set) = self.set.as_mut() else {
+            if how >= 2 {
+                self.charged.clear();
+            }
+            return;
+        };
+        if how < 2 {
+            *set = ReadySet::rebuild(&self.inflight, limit);
+        }
+        let Some(o) = self.obs.as_mut() else {
+            return;
+        };
+        match how {
+            // A restore from a file without a profile: the table runs on.
+            0 => {}
+            // A restore from a file with one.
+            1 => {
+                let saved = o.profile.to_profile();
+                o.profile.load(&saved).expect("its own rows");
+            }
+            // `set_observe`, between walks.
+            2 => self.obs = observed(),
+            // `take_profile`: nothing is rebuilt, the census stays.
+            _ => return o.profile.clear(),
+        }
+        let o = self.obs.as_mut().expect("observed");
+        let parked = self.inflight.parked_in(set.unparked_to, u64::MAX);
+        o.profile.repark(parked.map(|(_, di)| di.plan));
     }
 
     fn seqs_in(&self, state: DynState) -> Vec<u64> {
@@ -158,16 +228,13 @@ impl Side {
         }
     }
 
-    fn walk(&mut self, oracle: &Oracle, cycle: u64, width: u32, per_slot: bool) -> Outcome {
-        let mut out = Outcome {
-            per_inst: per_slot.then(BTreeMap::new),
-            ..Outcome::default()
-        };
+    fn walk(&mut self, oracle: &Oracle, cycle: u64, width: u32) -> Outcome {
+        let mut out = Outcome::default();
         self.visits = 0;
         let limit = self.limit();
         let sid = |inflight: &InFlight, seq| inflight.get(seq).expect("in flight").plan;
         if let Some(set) = self.set.as_mut() {
-            set.begin_walk(&self.inflight, limit, width);
+            set.begin_walk(&self.inflight, limit, width, Self::census(&mut self.obs));
             while let Some(seq) = self.set.as_ref().and_then(ReadySet::peek) {
                 self.visits += 1;
                 let di = *self.inflight.get(seq).expect("in flight");
@@ -182,22 +249,17 @@ impl Side {
                         out.issued.push(seq);
                     }
                     Answer::Skip => {}
-                    Answer::Stall(kind) => out.stall(di.plan, kind),
+                    Answer::Stall(kind) => {
+                        out.by_kind[kind as usize] += 1;
+                        self.stall(di.plan, kind, 1);
+                    }
                 }
                 let set = self.set.as_mut().expect("checked above");
                 set.settle(matches!(answer, Answer::Issue { .. }));
             }
             let set = self.set.as_mut().expect("checked above");
-            let charged: Vec<u64> = set.charged(limit).collect();
-            let n = set.end_walk(&self.inflight, limit);
-            assert_eq!(n, charged.len() as u64);
-            if per_slot {
-                for seq in charged {
-                    out.stall(sid(&self.inflight, seq), StallKind::Window);
-                }
-            } else {
-                out.by_kind[StallKind::Window as usize] += n;
-            }
+            out.by_kind[StallKind::Window as usize] +=
+                set.end_walk(&self.inflight, limit, Self::census(&mut self.obs));
         } else {
             // The old rule: every `Ready` id in one sorted list, visited
             // until the width runs out; what the walk wakes waits in
@@ -225,7 +287,10 @@ impl Side {
                         continue;
                     }
                     Answer::Skip => {}
-                    Answer::Stall(kind) => out.stall(sid(&self.inflight, seq), kind),
+                    Answer::Stall(kind) => {
+                        out.by_kind[kind as usize] += 1;
+                        self.stall(sid(&self.inflight, seq), kind, 1);
+                    }
                 }
                 kept.push(seq);
             }
@@ -237,44 +302,51 @@ impl Side {
     }
 
     /// The survey's issue walk between steps: `None` if a candidate
-    /// would issue, else the stalls one blocked cycle counts.
-    fn survey(&self, oracle: &Oracle, cycle: u64) -> Option<Outcome> {
-        let mut out = Outcome {
-            per_inst: Some(BTreeMap::new()),
-            ..Outcome::default()
-        };
+    /// would issue, else the stalls one blocked cycle counts — and then
+    /// `cycles` such cycles are credited the way the stall memo does it:
+    /// the candidates' stalls by instruction and kind, the backlog's by the
+    /// clock, less the candidates the census still counts parked.
+    fn survey(&mut self, oracle: &Oracle, cycle: u64, cycles: u64) -> Option<Outcome> {
+        let mut out = Outcome::default();
         let limit = self.limit();
         let slot = |seq| self.inflight.get(seq).expect("in flight");
-        let visit = |out: &mut Outcome, seq: u64| match oracle.answer(cycle, seq) {
-            Answer::Issue { .. } => false,
-            Answer::Skip => true,
-            Answer::Stall(kind) => {
-                out.stall(slot(seq).plan, kind);
-                true
-            }
+        let mut per_inst = Vec::new();
+        let mut visit = |out: &mut Outcome, seq: u64, window: bool| {
+            let kind = match oracle.answer(cycle, seq) {
+                _ if window => StallKind::Window,
+                Answer::Issue { .. } => return false,
+                Answer::Skip => return true,
+                Answer::Stall(kind) => kind,
+            };
+            out.by_kind[kind as usize] += 1;
+            per_inst.push((slot(seq).plan, kind));
+            true
         };
+        let mut entered = Vec::new();
         match &self.set {
             Some(set) => {
-                for seq in set.candidates(&self.inflight, limit) {
-                    if !visit(&mut out, seq) {
+                for (seq, parked) in set.candidates(&self.inflight, limit) {
+                    if !visit(&mut out, seq, false) {
                         return None;
                     }
+                    entered.extend(parked.then(|| slot(seq).plan));
                 }
-                let parked: Vec<u64> = set.parked_beyond(limit).collect();
-                assert_eq!(parked.len() as u64, set.backlog(&self.inflight, limit));
-                for seq in parked {
-                    out.stall(slot(seq).plan, StallKind::Window);
-                }
+                out.by_kind[StallKind::Window as usize] += set.parked - entered.len() as u64;
             }
             None => {
                 for &seq in &self.list {
-                    if seq >= limit && !slot(seq).window_exempt {
-                        out.stall(slot(seq).plan, StallKind::Window);
-                    } else if !visit(&mut out, seq) {
+                    let window = seq >= limit && !slot(seq).window_exempt;
+                    if !visit(&mut out, seq, window) {
                         return None;
                     }
                 }
             }
+        }
+        for (sid, kind) in per_inst {
+            self.stall(sid, kind, cycles);
+        }
+        if let Some(o) = self.obs.as_mut() {
+            o.profile.charge_parked(cycles, &entered);
         }
         Some(out)
     }
@@ -284,13 +356,16 @@ impl Side {
 /// random schedules: launches, out-of-order readiness, completions that
 /// move the head by nothing or by dozens, detached issues that wake
 /// instructions and move the head inside a walk, window-exempt
-/// instructions on both sides of the limit, and a restore now and then.
-/// Same issue order, same stall totals and attribution, same survey —
-/// and the set's walk never asks about an instruction the window check
-/// would have turned away.
+/// instructions on both sides of the limit, and now and then a restore, a
+/// new observer, a taken profile, or a blocked span credited at once, before
+/// the walk or after it. Same issue order, same stall totals, same survey,
+/// after every walk the same stalls by instruction — the set's, charged by
+/// the profile's clock and census, settled — and the set's walk never asks
+/// about an instruction the window check would have turned away.
 #[test]
 fn windowed_set_matches_the_full_walk() {
     let (mut walks, mut cutoffs_beyond, mut mid_walk_parks, mut blocked_surveys) = (0, 0, 0, 0);
+    let mut entered_credits = 0;
     for case in 0..300u64 {
         let seed = roll(0x5eed, case, 0, 0);
         let window = [1, 2, 3, 8, 32, 128][(seed % 6) as usize];
@@ -300,7 +375,7 @@ fn windowed_set_matches_the_full_walk() {
             seed,
             blocked: |seed, cycle| roll(seed, cycle, 0, 9).is_multiple_of(3),
         };
-        let mut sides = [Side::new(true, window), Side::new(false, window)];
+        let mut sides = [true, false].map(|windowed| Side::new(windowed, per_slot, window));
         for cycle in 0..120u64 {
             let r = |salt| roll(seed, cycle, u64::MAX, salt);
             for side in &mut sides {
@@ -325,37 +400,53 @@ fn windowed_set_matches_the_full_walk() {
                         side.wake(seq);
                     }
                 }
-                // A restore rebuilds the set from the slots.
-                if r(16) % 16 == 0 {
-                    let limit = side.limit();
-                    if side.set.is_some() {
-                        side.set = Some(ReadySet::rebuild(&side.inflight, limit));
-                    }
+                if r(16) % 8 == 0 {
+                    side.reset(r(17) % 4);
                 }
             }
             let label = format!("case {case} (window {window}, width {width}), cycle {cycle}");
-            let ready = sides[0].seqs_in(DynState::Ready);
-            let exempt = |s: &u64| sides[0].inflight.get(*s).is_some_and(|d| d.window_exempt);
-            let budget = window + ready.iter().filter(|s| exempt(s)).count() as u64;
-            let limit = sides[0].limit();
-            let parked_before = sides[0].set.as_ref().map_or(0, |s| s.parked.len());
-
             let [set, model] = &mut sides;
-            let got = set.walk(&oracle, cycle, width, per_slot);
-            let want = model.walk(&oracle, cycle, width, per_slot);
+            // Completions moved the head: a blocked span before the walk
+            // has candidates that are still parked.
+            if r(18) % 4 == 0 {
+                let cycles = 1 + r(19) % 40;
+                let got = set.survey(&oracle, cycle + 2_000, cycles);
+                let want = model.survey(&oracle, cycle + 2_000, cycles);
+                assert_eq!(got, want, "{label}: survey before the walk");
+            }
+            let ready = set.seqs_in(DynState::Ready);
+            let exempt = |s: &u64| set.inflight.get(*s).is_some_and(|d| d.window_exempt);
+            let budget = window + ready.iter().filter(|s| exempt(s)).count() as u64;
+            let limit = set.limit();
+            let parked_before = set.set.as_ref().map_or(0, |s| s.parked);
+
+            let got = set.walk(&oracle, cycle, width);
+            let want = model.walk(&oracle, cycle, width);
             assert_eq!(got, want, "{label}: walk");
             assert!(set.visits <= budget, "{label}: {} visits", set.visits);
             assert_eq!(set.visits, model.visits, "{label}: visits");
             walks += 1;
             cutoffs_beyond +=
                 u64::from(got.issued.len() == width as usize && got.issued.last() >= Some(&limit));
-            let parked_after = set.set.as_ref().map_or(0, |s| s.parked.len());
+            let parked_after = set.set.as_ref().map_or(0, |s| s.parked);
             mid_walk_parks += u64::from(parked_after > parked_before);
 
             // Between steps: the head may have moved inside the walk.
-            let got = set.survey(&oracle, cycle + 1_000);
-            assert_eq!(got, model.survey(&oracle, cycle + 1_000), "{label}: survey");
+            let entered = set.set.as_ref().expect("windowed");
+            let entered = entered.candidates(&set.inflight, set.limit());
+            let entered = entered.filter(|c| c.1).count();
+            let got = set.survey(&oracle, cycle + 1_000, 1 + r(20) % 40);
+            let want = model.survey(&oracle, cycle + 1_000, 1 + r(20) % 40);
+            assert_eq!(got, want, "{label}: survey");
             blocked_surveys += u64::from(got.is_some());
+            entered_credits += u64::from(got.is_some() && entered > 0);
+            if per_slot {
+                assert_eq!(
+                    set.settled(),
+                    model.charged,
+                    "{label}: stalls by instruction"
+                );
+            }
             for state in [DynState::Waiting, DynState::Ready, DynState::Issued] {
                 assert_eq!(
                     set.seqs_in(state),
@@ -375,6 +466,10 @@ fn windowed_set_matches_the_full_walk() {
         "{mid_walk_parks} walks parked what they woke"
     );
     assert!(blocked_surveys > 1_000, "{blocked_surveys} blocked surveys");
+    assert!(
+        entered_credits > 100,
+        "{entered_credits} credits over candidates still parked"
+    );
 }
 
 // -----------------------------------------------------------------
@@ -576,7 +671,10 @@ fn memo_matches_the_walk() {
         let seed = roll(0x3e30, case, 0, 0);
         let level = [ObsLevel::Off, ObsLevel::Stats, ObsLevel::Trace][(case % 3) as usize];
         let mut wide = CoreConfig::out_of_order().with_desc_extensions(true);
-        (wide.window_size, wide.issue_width, wide.desc_buffer) = (8, 2, 2);
+        // (A narrow window lets a terminal load's absorbed send move the
+        // head inside a walk, onto a parked `recv` that then blocks.)
+        let window = [8, 1, 2][(seed >> 32) as usize % 3];
+        (wide.window_size, wide.issue_width, wide.desc_buffer) = (window, 2, 2);
         let configs = match seed >> 8 & 1 {
             0 => [
                 CoreConfig::dae_access(),
@@ -671,6 +769,11 @@ fn memo_matches_the_walk() {
                         .restore_state(&mut Dec::new(&bytes))
                         .expect("round trip");
                 }
+                // The scheduler may ask for the horizon before any step: a
+                // survey right after a walk that moved the head.
+                if roll(seed, now, t as u64, 34).is_multiple_of(3) {
+                    memo.tiles[t].next_event(now, &memo.channels);
+                }
                 let tile = &memo.tiles[t];
                 let span_end = tile.memo.borrow().span.end;
                 let held = tile.memo.borrow().holds(now, &memo.channels);
@@ -738,4 +841,82 @@ fn memo_matches_the_walk() {
     assert!(long_streaks > 200, "{long_streaks} spans of 16 idle steps");
     assert!(served > 20_000, "{served} steps served by the memo");
     assert!(jumps > 500, "{jumps} jumps");
+}
+
+/// Profile rows written over 1000 blocked cycles by a tile at `Stats` whose
+/// window of one holds a `recv` on an empty queue, `backlog` ready
+/// instructions parked behind it — stepped by the walk alone, or served by
+/// the memo.
+fn blocked_row_writes(backlog: usize, walk_only: bool) -> u64 {
+    let mut m = Module::new("backlog");
+    let kernel = m.add_function("kernel", vec![("x".to_string(), Type::I64)], Type::Void);
+    let mut b = FunctionBuilder::new(m.function_mut(kernel));
+    let entry = b.create_block("entry");
+    b.switch_to(entry);
+    b.recv(FEED, Type::I32);
+    for k in 0..backlog {
+        let x = b.param(0);
+        b.bin(BinOp::Add, x, Constant::i64(k as i64).into());
+    }
+    b.ret(None);
+    let feeder = m.add_function("feeder", vec![], Type::Void);
+    let mut b = FunctionBuilder::new(m.function_mut(feeder));
+    let entry = b.create_block("entry");
+    b.switch_to(entry);
+    b.send(FEED, Constant::i32(1).into());
+    b.ret(None);
+    mosaic_ir::verify_module(&m).expect("well-formed");
+    let progs = [
+        TileProgram::single(kernel, vec![RtVal::Int(5)]),
+        TileProgram::single(feeder, vec![]),
+    ];
+    let mut rec = mosaic_trace::TraceRecorder::new(progs.len());
+    mosaic_ir::run_tiles(&m, MemImage::new(), &progs, &mut rec).expect("runs");
+    let trace = Arc::new(rec.finish().tile(0).clone());
+
+    let mut config = CoreConfig::in_order();
+    (config.window_size, config.max_inflight) = (1, 4096);
+    let mut tile = CoreTile::new(config, Arc::new(m), kernel, trace, 0);
+    tile.set_observe(ObsLevel::Stats);
+    let mut rig = Rig {
+        tiles: vec![tile],
+        mem: small_mem(1),
+        channels: ChannelSet::new(ChannelConfig::default()),
+        late: Vec::new(),
+        fed: 0,
+        walk_only,
+    };
+    rig.step_tile(0, 0);
+    let rows = |rig: &Rig| {
+        rig.tiles[0]
+            .obs
+            .as_ref()
+            .expect("observed")
+            .row_writes
+            .get()
+    };
+    let (before, verdicts) = (rows(&rig), rig.tiles[0].verdicts.get());
+    for now in 1..=1000 {
+        rig.step_tile(0, now);
+    }
+    let tile = &rig.tiles[0];
+    assert!(tile.ready.parked >= backlog as u64 && tile.stats.issued == 0);
+    assert_eq!(tile.stats.window_stalls, 1001 * tile.ready.parked);
+    assert_eq!(tile.stats.recv_stalls, 1001);
+    // The walk visits its one candidate every cycle; the memo takes a walk
+    // that changes nothing and one survey, which stands for the rest.
+    let visits = tile.verdicts.get() - verdicts;
+    assert_eq!(visits, if walk_only { 1000 } else { 2 });
+    rows(&rig) - before
+}
+
+/// A blocked cycle costs the profile a row per candidate, whatever is
+/// parked: the backlog's window stalls are a tick of its clock.
+#[test]
+fn a_blocked_cycle_writes_no_row_for_the_backlog() {
+    for walk_only in [true, false] {
+        let rows = blocked_row_writes(300, walk_only);
+        assert_eq!(rows, 1000, "walk only: {walk_only}");
+        assert_eq!(blocked_row_writes(900, walk_only), rows);
+    }
 }

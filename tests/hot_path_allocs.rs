@@ -201,15 +201,16 @@ fn run_loop_allocations_per_instruction_stay_under_their_ceilings() {
     // DRAM-stall-bound in-order tile: nearly every miss goes to DRAM, so
     // the MSHRs, the event queue and the DRAM model carry the run — and
     // allocate while their tables and queues grow to size, not after.
-    // Measured 0.0005 (105 / 193 607); 0.056 (10 852) on maps and a heap.
+    // Measured 0.0005 (99 / 193 607); 0.056 (10 852) on maps and a heap.
     let lbm = allocs_per_instr("lbm", CoreConfig::in_order(), no_prefetch(), ObsLevel::Off);
     assert!(lbm < 0.01, "lbm/ino, no prefetcher: {lbm:.4}");
 
     // The same run observed: some 25 ready instructions wait behind the
     // one-entry window on every stepped cycle, and each is charged a
-    // window stall in the profile — read off the tile's parked list where
-    // it lies, into tables sized at `set_observe`. Measured 128 allocations
-    // against 105 at `Off` (a latency histogram per memory instruction).
+    // window stall in the profile — by a tick of the profile's clock
+    // against its census of parked instances, both sized at `set_observe`.
+    // Measured 117 allocations against 99 at `Off` (a latency histogram
+    // per memory instruction).
     let lbm_stats = allocs_per_instr(
         "lbm",
         CoreConfig::in_order(),
@@ -235,16 +236,18 @@ fn run_loop_allocations_per_instruction_stay_under_their_ceilings() {
     // `set_observe` (a retire, a stall or a latency sample is an indexed
     // add) and surveys refill one buffer, so it allocates what `Off` does
     // plus a histogram per memory instruction on its first sample.
-    // Measured 0.0014 at `Off` (231 / 160 355) and 0.0015 at `Stats`
-    // (242); with the hierarchy on maps both were 0.139 (22 346 and
+    // Measured 0.0015 at `Off` (233 / 160 355) and 0.0015 at `Stats`
+    // (241); with the hierarchy on maps both were 0.139 (22 346 and
     // 22 357), and a tile that kept a `BTreeMap` of 600-byte rows and
     // built a `Vec` per blocked survey measured 0.3609 at `Stats`.
     let off = allocs_per_instr("bfs", ooo(), xeon_memory(), ObsLevel::Off);
     assert!(off < 0.02, "bfs/ooo at Off: {off:.4}");
     let stats = allocs_per_instr("bfs", ooo(), xeon_memory(), ObsLevel::Stats);
     assert!(stats < 0.5, "bfs/ooo at Stats: {stats:.4}");
+    // (The deep-backlog shape: some 20 parked instructions a walk, which
+    // the set keeps as a count and the profile as a census.)
     assert!(
-        stats - off < 0.02,
+        stats - off < 0.001,
         "bfs/ooo: Stats {stats:.4} against Off {off:.4}"
     );
 
