@@ -29,6 +29,7 @@
 
 use std::fmt;
 use std::path::Path;
+use std::str::FromStr;
 
 use mosaic_mem::{
     BankedDramConfig, CacheConfig, DramKind, HierarchyConfig, NocConfig, PrefetchConfig,
@@ -82,13 +83,14 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-struct Raw {
+/// One `key = value` line.
+struct Raw<'a> {
     line: usize,
-    key: String,
-    value: String,
+    key: &'a str,
+    value: &'a str,
 }
 
-fn tokenize(text: &str) -> Result<Vec<Raw>, ConfigError> {
+fn tokenize(text: &str) -> Result<Vec<Raw<'_>>, ConfigError> {
     let mut out = Vec::new();
     for (i, raw) in text.lines().enumerate() {
         let line = i + 1;
@@ -104,36 +106,114 @@ fn tokenize(text: &str) -> Result<Vec<Raw>, ConfigError> {
         };
         out.push(Raw {
             line,
-            key: k.trim().to_string(),
-            value: v.trim().to_string(),
+            key: k.trim(),
+            value: v.trim(),
         });
     }
     Ok(out)
 }
 
-fn parse<T: std::str::FromStr>(r: &Raw) -> Result<T, ConfigError> {
-    r.value.parse().map_err(|_| ConfigError::BadValue {
-        line: r.line,
-        key: r.key.clone(),
-        value: r.value.clone(),
-    })
-}
+impl Raw<'_> {
+    fn bad_value(&self) -> ConfigError {
+        ConfigError::BadValue {
+            line: self.line,
+            key: self.key.to_string(),
+            value: self.value.to_string(),
+        }
+    }
 
-fn parse_bool(r: &Raw) -> Result<bool, ConfigError> {
-    match r.value.as_str() {
-        "true" | "on" | "yes" | "1" => Ok(true),
-        "false" | "off" | "no" | "0" => Ok(false),
-        _ => Err(ConfigError::BadValue {
-            line: r.line,
-            key: r.key.clone(),
-            value: r.value.clone(),
-        }),
+    /// The value as a `T` within the key's bounds.
+    fn parse_if<T: FromStr>(&self, in_bounds: impl Fn(&T) -> bool) -> Result<T, ConfigError> {
+        let parsed = self.value.parse().ok().filter(in_bounds);
+        parsed.ok_or_else(|| self.bad_value())
+    }
+
+    fn parse<T: FromStr>(&self) -> Result<T, ConfigError> {
+        self.parse_if(|_| true)
+    }
+
+    /// The value looked up among the key's spellings.
+    fn one_of<T: Copy>(&self, spellings: &[(&str, T)]) -> Result<T, ConfigError> {
+        let found = spellings.iter().find(|(spelling, _)| *spelling == self.value);
+        found.map(|&(_, v)| v).ok_or_else(|| self.bad_value())
+    }
+
+    fn parse_bool(&self) -> Result<bool, ConfigError> {
+        match self.value {
+            "true" | "on" | "yes" | "1" => Ok(true),
+            "false" | "off" | "no" | "0" => Ok(false),
+            _ => Err(self.bad_value()),
+        }
+    }
+
+    /// `cache`, renamed `name`, with the field this `mem.<level>.<field>`
+    /// line sets. A size is positive and, in bytes, fits a `u64`; a cache
+    /// has at least one way.
+    fn cache_field(
+        &self,
+        name: &str,
+        cache: &CacheConfig,
+        field: &str,
+    ) -> Result<CacheConfig, ConfigError> {
+        let (mut size, mut ways) = (cache.size_bytes(), cache.ways());
+        let mut latency = cache.latency();
+        match field {
+            "size_kb" => {
+                let fits = |kb: &u64| kb.checked_mul(1024).is_some_and(|bytes| bytes > 0);
+                size = self.parse_if(fits)? * 1024;
+            }
+            "ways" => ways = self.parse_if(|&ways| ways > 0)?,
+            "latency" => latency = self.parse()?,
+            _ => return Err(self.unknown_key()),
+        }
+        Ok(CacheConfig::new(name, size).with_ways(ways).with_latency(latency))
+    }
+
+    fn unknown_key(&self) -> ConfigError {
+        ConfigError::UnknownKey {
+            line: self.line,
+            key: self.key.to_string(),
+        }
     }
 }
 
+const BRANCH_MODES: [(&str, BranchMode); 4] = [
+    ("none", BranchMode::None),
+    ("static", BranchMode::Static),
+    ("perfect", BranchMode::Perfect),
+    ("bimodal", BranchMode::Bimodal),
+];
+
+/// `mem.dram` spellings: whether the banked model is chosen.
+const DRAM_MODELS: [(&str, bool); 2] = [("simple", false), ("banked", true)];
+
 /// Parses both a core and a memory configuration from one file. Keys not
 /// present keep [`CoreConfig::out_of_order`] / [`crate::xeon_memory`]
-/// defaults.
+/// defaults. It never panics: a value outside its key's bounds is a
+/// [`ConfigError::BadValue`], and what only makes sense across fields
+/// (cache geometry, latencies against the cycle limit) is left to
+/// `SystemBuilder::build`.
+///
+/// | key | value |
+/// |---|---|
+/// | `core.name` | text |
+/// | `core.issue_width`, `core.lsq_size`, `core.desc_buffer` | `u32` |
+/// | `core.window_size`, `core.mispredict_penalty`, `core.clock_divisor` | `u64` |
+/// | `core.live_dbb_limit` | `u32`, 0 = no limit |
+/// | `core.branch` | `none`, `static`, `perfect`, `bimodal` |
+/// | `core.alias_speculation`, `core.desc_extensions`, `mem.prefetch` | `true`/`on`/`yes`/`1` or `false`/`off`/`no`/`0` |
+/// | `core.area_mm2` | finite `f64` ≥ 0 |
+/// | `mem.{l1,l2,llc}.size_kb` | `u64` ≥ 1 whose bytes fit a `u64`; `mem.l2.size_kb = 0` = no private L2 |
+/// | `mem.{l1,l2,llc}.ways` | `u32` ≥ 1 |
+/// | `mem.{l1,l2,llc}.latency`, `mem.atomic_penalty` | `u64` |
+/// | `mem.mshr_entries` | `usize` |
+/// | `mem.dram` | `simple` or `banked` |
+/// | `mem.dram.latency` | `u64` (simple model) |
+/// | `mem.dram.bandwidth_bytes_per_cycle` | finite `f64` > 0 (simple model) |
+/// | `mem.noc.mesh_width` | `u32`, 0 = no NoC |
+/// | `mem.noc.hop_latency` | `u64` |
+///
+/// DESIGN.md §4.1.1 gives each key's default.
 ///
 /// # Errors
 ///
@@ -142,132 +222,62 @@ fn parse_bool(r: &Raw) -> Result<bool, ConfigError> {
 pub fn parse_system_config(text: &str) -> Result<(CoreConfig, HierarchyConfig), ConfigError> {
     let mut core = CoreConfig::out_of_order();
     let mut mem = crate::xeon_memory();
-    let mut l2 = mem.l2.clone();
-    let mut dram_kind = "simple".to_string();
+    let mut dram_banked = false;
     let mut dram_latency: u64 = 180;
     let mut dram_bw: f64 = 21.25;
     let mut noc_width: u32 = 0;
     let mut noc_hop: u64 = 2;
 
     for r in tokenize(text)? {
-        match r.key.as_str() {
-            "core.name" => core.name = r.value.clone(),
-            "core.issue_width" => core.issue_width = parse(&r)?,
-            "core.window_size" => core.window_size = parse(&r)?,
-            "core.lsq_size" => core.lsq_size = parse(&r)?,
-            "core.branch" => {
-                core.branch = match r.value.as_str() {
-                    "none" => BranchMode::None,
-                    "static" => BranchMode::Static,
-                    "perfect" => BranchMode::Perfect,
-                    "bimodal" => BranchMode::Bimodal,
-                    _ => {
-                        return Err(ConfigError::BadValue {
-                            line: r.line,
-                            key: r.key.clone(),
-                            value: r.value.clone(),
-                        })
-                    }
-                }
-            }
-            "core.mispredict_penalty" => core.mispredict_penalty = parse(&r)?,
-            "core.alias_speculation" => core.alias_speculation = parse_bool(&r)?,
+        match r.key {
+            "core.name" => core.name = r.value.to_string(),
+            "core.issue_width" => core.issue_width = r.parse()?,
+            "core.window_size" => core.window_size = r.parse()?,
+            "core.lsq_size" => core.lsq_size = r.parse()?,
+            "core.branch" => core.branch = r.one_of(&BRANCH_MODES)?,
+            "core.mispredict_penalty" => core.mispredict_penalty = r.parse()?,
+            "core.alias_speculation" => core.alias_speculation = r.parse_bool()?,
             "core.live_dbb_limit" => {
-                let v: u32 = parse(&r)?;
+                let v: u32 = r.parse()?;
                 core.live_dbb_limit = (v > 0).then_some(v);
             }
-            "core.clock_divisor" => core.clock_divisor = parse(&r)?,
-            "core.area_mm2" => core.area_mm2 = parse(&r)?,
-            "core.desc_extensions" => core.desc_extensions = parse_bool(&r)?,
-            "core.desc_buffer" => core.desc_buffer = parse(&r)?,
+            "core.clock_divisor" => core.clock_divisor = r.parse()?,
+            "core.area_mm2" => core.area_mm2 = r.parse_if(|a: &f64| a.is_finite() && *a >= 0.0)?,
+            "core.desc_extensions" => core.desc_extensions = r.parse_bool()?,
+            "core.desc_buffer" => core.desc_buffer = r.parse()?,
 
-            "mem.l1.size_kb" => {
-                mem.l1 = CacheConfig::new("L1", parse::<u64>(&r)? * 1024)
-                    .with_ways(mem.l1.ways())
-                    .with_latency(mem.l1.latency());
-            }
-            "mem.l1.ways" => {
-                mem.l1 = CacheConfig::new("L1", mem.l1.size_bytes())
-                    .with_ways(parse(&r)?)
-                    .with_latency(mem.l1.latency());
-            }
-            "mem.l1.latency" => {
-                mem.l1 = CacheConfig::new("L1", mem.l1.size_bytes())
-                    .with_ways(mem.l1.ways())
-                    .with_latency(parse(&r)?);
-            }
-            "mem.l2.size_kb" => {
-                let kb: u64 = parse(&r)?;
-                l2 = (kb > 0).then(|| {
-                    let prev = l2.clone().unwrap_or_else(|| CacheConfig::new("L2", 1024));
-                    CacheConfig::new("L2", kb * 1024)
-                        .with_ways(prev.ways())
-                        .with_latency(prev.latency())
-                });
-            }
-            "mem.l2.ways" | "mem.l2.latency" => {
-                let prev = l2
-                    .clone()
-                    .unwrap_or_else(|| CacheConfig::new("L2", 2 * 1024 * 1024));
-                l2 = Some(if r.key.ends_with("ways") {
-                    CacheConfig::new("L2", prev.size_bytes())
-                        .with_ways(parse(&r)?)
-                        .with_latency(prev.latency())
-                } else {
-                    CacheConfig::new("L2", prev.size_bytes())
-                        .with_ways(prev.ways())
-                        .with_latency(parse(&r)?)
-                });
-            }
-            "mem.llc.size_kb" => {
-                mem.llc = CacheConfig::new("LLC", parse::<u64>(&r)? * 1024)
-                    .with_ways(mem.llc.ways())
-                    .with_latency(mem.llc.latency());
-            }
-            "mem.llc.ways" => {
-                mem.llc = CacheConfig::new("LLC", mem.llc.size_bytes())
-                    .with_ways(parse(&r)?)
-                    .with_latency(mem.llc.latency());
-            }
-            "mem.llc.latency" => {
-                mem.llc = CacheConfig::new("LLC", mem.llc.size_bytes())
-                    .with_ways(mem.llc.ways())
-                    .with_latency(parse(&r)?);
-            }
-            "mem.mshr_entries" => mem.mshr_entries = parse(&r)?,
+            "mem.mshr_entries" => mem.mshr_entries = r.parse()?,
             "mem.prefetch" => {
-                mem.prefetch = if parse_bool(&r)? {
+                mem.prefetch = if r.parse_bool()? {
                     PrefetchConfig::default()
                 } else {
                     PrefetchConfig::disabled()
                 };
             }
-            "mem.atomic_penalty" => mem.atomic_penalty = parse(&r)?,
-            "mem.dram" => {
-                dram_kind = r.value.clone();
-                if dram_kind != "simple" && dram_kind != "banked" {
-                    return Err(ConfigError::BadValue {
-                        line: r.line,
-                        key: r.key.clone(),
-                        value: r.value.clone(),
-                    });
+            "mem.atomic_penalty" => mem.atomic_penalty = r.parse()?,
+            "mem.dram" => dram_banked = r.one_of(&DRAM_MODELS)?,
+            "mem.dram.latency" => dram_latency = r.parse()?,
+            "mem.dram.bandwidth_bytes_per_cycle" => {
+                dram_bw = r.parse_if(|bw: &f64| bw.is_finite() && *bw > 0.0)?;
+            }
+            "mem.noc.mesh_width" => noc_width = r.parse()?,
+            "mem.noc.hop_latency" => noc_hop = r.parse()?,
+            key => match key.strip_prefix("mem.").and_then(|rest| rest.split_once('.')) {
+                Some(("l1", field)) => mem.l1 = r.cache_field("L1", &mem.l1, field)?,
+                Some(("llc", field)) => mem.llc = r.cache_field("LLC", &mem.llc, field)?,
+                // `mem.l2.size_kb = 0`: no private L2.
+                Some(("l2", "size_kb")) if r.parse::<u64>() == Ok(0) => mem.l2 = None,
+                Some(("l2", field)) => {
+                    let l2 = mem.l2.take();
+                    let l2 = l2.unwrap_or_else(|| CacheConfig::new("L2", 2 * 1024 * 1024));
+                    mem.l2 = Some(r.cache_field("L2", &l2, field)?);
                 }
-            }
-            "mem.dram.latency" => dram_latency = parse(&r)?,
-            "mem.dram.bandwidth_bytes_per_cycle" => dram_bw = parse(&r)?,
-            "mem.noc.mesh_width" => noc_width = parse(&r)?,
-            "mem.noc.hop_latency" => noc_hop = parse(&r)?,
-            _ => {
-                return Err(ConfigError::UnknownKey {
-                    line: r.line,
-                    key: r.key.clone(),
-                })
-            }
+                _ => return Err(r.unknown_key()),
+            },
         }
     }
 
-    mem.l2 = l2;
-    mem.dram = if dram_kind == "banked" {
+    mem.dram = if dram_banked {
         DramKind::Banked(BankedDramConfig::default())
     } else {
         DramKind::Simple(SimpleDramConfig::from_bandwidth(dram_latency, dram_bw, 64))

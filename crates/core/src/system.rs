@@ -627,6 +627,41 @@ impl SystemBuilder {
                 ));
             }
         }
+        // No modelled delay is anywhere near 2^32 cycles, and with each
+        // one bounded the `now + latency` sums of the memory models, the
+        // channels and the tiles stay far below 2^64. (Not bounded by
+        // `cycle_limit`: capping a run below its DRAM latency is a
+        // legitimate smoke run that ends in `SimError::CycleLimit`.)
+        const MAX_DELAY: u64 = 1 << 32;
+        let mispredict = self.tiles.iter().map(|spec| spec.config.mispredict_penalty);
+        let noc = self.memory.noc.map_or(0, |noc| {
+            let hops = (0..self.tiles.len()).map(|tile| noc.hops(tile)).max();
+            hops.unwrap_or(1).saturating_mul(noc.hop_latency)
+        });
+        let mut delays = vec![
+            ("channel.latency", self.channel.latency),
+            ("core.mispredict_penalty", mispredict.max().unwrap_or(0)),
+            ("memory.l1.latency", self.memory.l1.latency()),
+            ("memory.l2.latency", self.memory.l2.as_ref().map_or(0, CacheConfig::latency)),
+            ("memory.llc.latency", self.memory.llc.latency()),
+            ("memory.atomic_penalty", self.memory.atomic_penalty),
+            ("memory.noc.hop_latency", noc),
+        ];
+        match &self.memory.dram {
+            DramKind::Simple(d) => delays.push(("memory.dram.min_latency", d.min_latency)),
+            DramKind::Banked(d) => delays.extend([
+                ("memory.dram.t_cas", d.t_cas),
+                ("memory.dram.t_rcd", d.t_rcd),
+                ("memory.dram.t_rp", d.t_rp),
+                ("memory.dram.burst_cycles", d.burst_cycles),
+            ]),
+        }
+        if let Some((field, cycles)) = delays.into_iter().find(|&(_, cycles)| cycles > MAX_DELAY) {
+            return Err(MosaicError::invalid_config(
+                field,
+                format!("a delay of {cycles} cycles is beyond the {MAX_DELAY} the cycle arithmetic allows"),
+            ));
+        }
         Ok(())
     }
 

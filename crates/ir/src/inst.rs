@@ -8,7 +8,7 @@
 //! the control-flow terminators `br`/`condbr`/`ret`.
 
 use crate::ids::{BlockId, InstId};
-use crate::types::{Constant, Type};
+use crate::types::{named_enum, Constant, Type};
 
 /// An SSA operand: either the result of an instruction, a compile-time
 /// constant, or a function parameter.
@@ -52,43 +52,49 @@ impl From<Constant> for Operand {
     }
 }
 
-/// Two-operand arithmetic and bitwise operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BinOp {
-    /// Integer addition.
-    Add,
-    /// Integer subtraction.
-    Sub,
-    /// Integer multiplication.
-    Mul,
-    /// Signed integer division.
-    SDiv,
-    /// Signed integer remainder.
-    SRem,
-    /// Unsigned integer division.
-    UDiv,
-    /// Unsigned integer remainder.
-    URem,
-    /// Bitwise and.
-    And,
-    /// Bitwise or.
-    Or,
-    /// Bitwise xor.
-    Xor,
-    /// Shift left.
-    Shl,
-    /// Arithmetic (sign-preserving) shift right.
-    AShr,
-    /// Logical shift right.
-    LShr,
-    /// Floating-point addition.
-    FAdd,
-    /// Floating-point subtraction.
-    FSub,
-    /// Floating-point multiplication.
-    FMul,
-    /// Floating-point division.
-    FDiv,
+named_enum! {
+    /// Two-operand arithmetic and bitwise operations.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum BinOp {
+        /// Integer addition.
+        Add = "add",
+        /// Integer subtraction.
+        Sub = "sub",
+        /// Integer multiplication.
+        Mul = "mul",
+        /// Signed integer division.
+        SDiv = "sdiv",
+        /// Signed integer remainder.
+        SRem = "srem",
+        /// Unsigned integer division.
+        UDiv = "udiv",
+        /// Unsigned integer remainder.
+        URem = "urem",
+        /// Bitwise and.
+        And = "and",
+        /// Bitwise or.
+        Or = "or",
+        /// Bitwise xor.
+        Xor = "xor",
+        /// Shift left.
+        Shl = "shl",
+        /// Arithmetic (sign-preserving) shift right.
+        AShr = "ashr",
+        /// Logical shift right.
+        LShr = "lshr",
+        /// Floating-point addition.
+        FAdd = "fadd",
+        /// Floating-point subtraction.
+        FSub = "fsub",
+        /// Floating-point multiplication.
+        FMul = "fmul",
+        /// Floating-point division.
+        FDiv = "fdiv",
+    }
+    /// Textual mnemonic used by the printer/parser.
+    fn mnemonic;
+    /// Parses a mnemonic produced by [`BinOp::mnemonic`].
+    fn from_mnemonic;
 }
 
 impl BinOp {
@@ -96,280 +102,144 @@ impl BinOp {
     pub fn is_float(self) -> bool {
         matches!(self, BinOp::FAdd | BinOp::FSub | BinOp::FMul | BinOp::FDiv)
     }
-
-    /// Whether this is an integer or floating point division/remainder
-    /// (which typically occupies a long-latency functional unit).
-    pub fn is_division(self) -> bool {
-        matches!(
-            self,
-            BinOp::SDiv | BinOp::SRem | BinOp::UDiv | BinOp::URem | BinOp::FDiv
-        )
-    }
-
-    /// Textual mnemonic used by the printer/parser.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            BinOp::Add => "add",
-            BinOp::Sub => "sub",
-            BinOp::Mul => "mul",
-            BinOp::SDiv => "sdiv",
-            BinOp::SRem => "srem",
-            BinOp::UDiv => "udiv",
-            BinOp::URem => "urem",
-            BinOp::And => "and",
-            BinOp::Or => "or",
-            BinOp::Xor => "xor",
-            BinOp::Shl => "shl",
-            BinOp::AShr => "ashr",
-            BinOp::LShr => "lshr",
-            BinOp::FAdd => "fadd",
-            BinOp::FSub => "fsub",
-            BinOp::FMul => "fmul",
-            BinOp::FDiv => "fdiv",
-        }
-    }
-
-    /// Parses a mnemonic produced by [`BinOp::mnemonic`].
-    pub fn from_mnemonic(s: &str) -> Option<BinOp> {
-        Some(match s {
-            "add" => BinOp::Add,
-            "sub" => BinOp::Sub,
-            "mul" => BinOp::Mul,
-            "sdiv" => BinOp::SDiv,
-            "srem" => BinOp::SRem,
-            "udiv" => BinOp::UDiv,
-            "urem" => BinOp::URem,
-            "and" => BinOp::And,
-            "or" => BinOp::Or,
-            "xor" => BinOp::Xor,
-            "shl" => BinOp::Shl,
-            "ashr" => BinOp::AShr,
-            "lshr" => BinOp::LShr,
-            "fadd" => BinOp::FAdd,
-            "fsub" => BinOp::FSub,
-            "fmul" => BinOp::FMul,
-            "fdiv" => BinOp::FDiv,
-            _ => return None,
-        })
-    }
 }
 
-/// Integer comparison predicates (signed unless noted).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IntPredicate {
-    /// Equal.
-    Eq,
-    /// Not equal.
-    Ne,
-    /// Signed less than.
-    Slt,
-    /// Signed less than or equal.
-    Sle,
-    /// Signed greater than.
-    Sgt,
-    /// Signed greater than or equal.
-    Sge,
-    /// Unsigned less than.
-    Ult,
-    /// Unsigned greater than or equal.
-    Uge,
-}
-
-impl IntPredicate {
+named_enum! {
+    /// Integer comparison predicates (signed unless noted).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum IntPredicate {
+        /// Equal.
+        Eq = "eq",
+        /// Not equal.
+        Ne = "ne",
+        /// Signed less than.
+        Slt = "slt",
+        /// Signed less than or equal.
+        Sle = "sle",
+        /// Signed greater than.
+        Sgt = "sgt",
+        /// Signed greater than or equal.
+        Sge = "sge",
+        /// Unsigned less than.
+        Ult = "ult",
+        /// Unsigned greater than or equal.
+        Uge = "uge",
+    }
     /// Textual mnemonic.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            IntPredicate::Eq => "eq",
-            IntPredicate::Ne => "ne",
-            IntPredicate::Slt => "slt",
-            IntPredicate::Sle => "sle",
-            IntPredicate::Sgt => "sgt",
-            IntPredicate::Sge => "sge",
-            IntPredicate::Ult => "ult",
-            IntPredicate::Uge => "uge",
-        }
-    }
-
+    fn mnemonic;
     /// Parses a mnemonic produced by [`IntPredicate::mnemonic`].
-    pub fn from_mnemonic(s: &str) -> Option<IntPredicate> {
-        Some(match s {
-            "eq" => IntPredicate::Eq,
-            "ne" => IntPredicate::Ne,
-            "slt" => IntPredicate::Slt,
-            "sle" => IntPredicate::Sle,
-            "sgt" => IntPredicate::Sgt,
-            "sge" => IntPredicate::Sge,
-            "ult" => IntPredicate::Ult,
-            "uge" => IntPredicate::Uge,
-            _ => return None,
-        })
+    fn from_mnemonic;
+}
+
+named_enum! {
+    /// Floating-point comparison predicates (ordered semantics).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum FloatPredicate {
+        /// Equal.
+        Oeq = "oeq",
+        /// Not equal.
+        One = "one",
+        /// Less than.
+        Olt = "olt",
+        /// Less than or equal.
+        Ole = "ole",
+        /// Greater than.
+        Ogt = "ogt",
+        /// Greater than or equal.
+        Oge = "oge",
     }
-}
-
-/// Floating-point comparison predicates (ordered semantics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FloatPredicate {
-    /// Equal.
-    Oeq,
-    /// Not equal.
-    One,
-    /// Less than.
-    Olt,
-    /// Less than or equal.
-    Ole,
-    /// Greater than.
-    Ogt,
-    /// Greater than or equal.
-    Oge,
-}
-
-impl FloatPredicate {
     /// Textual mnemonic.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            FloatPredicate::Oeq => "oeq",
-            FloatPredicate::One => "one",
-            FloatPredicate::Olt => "olt",
-            FloatPredicate::Ole => "ole",
-            FloatPredicate::Ogt => "ogt",
-            FloatPredicate::Oge => "oge",
-        }
-    }
-
+    fn mnemonic;
     /// Parses a mnemonic produced by [`FloatPredicate::mnemonic`].
-    pub fn from_mnemonic(s: &str) -> Option<FloatPredicate> {
-        Some(match s {
-            "oeq" => FloatPredicate::Oeq,
-            "one" => FloatPredicate::One,
-            "olt" => FloatPredicate::Olt,
-            "ole" => FloatPredicate::Ole,
-            "ogt" => FloatPredicate::Ogt,
-            "oge" => FloatPredicate::Oge,
-            _ => return None,
-        })
+    fn from_mnemonic;
+}
+
+named_enum! {
+    /// Value cast kinds.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum CastKind {
+        /// Integer truncation or extension (sign-extending) to the result type.
+        IntResize = "iresize",
+        /// Integer to floating point.
+        IntToFloat = "sitofp",
+        /// Floating point to integer (truncating toward zero).
+        FloatToInt = "fptosi",
+        /// Float precision change (f32 <-> f64).
+        FloatResize = "fresize",
+        /// Integer to pointer (bit pattern preserved).
+        IntToPtr = "inttoptr",
+        /// Pointer to integer (bit pattern preserved).
+        PtrToInt = "ptrtoint",
     }
-}
-
-/// Value cast kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CastKind {
-    /// Integer truncation or extension (sign-extending) to the result type.
-    IntResize,
-    /// Integer to floating point.
-    IntToFloat,
-    /// Floating point to integer (truncating toward zero).
-    FloatToInt,
-    /// Float precision change (f32 <-> f64).
-    FloatResize,
-    /// Integer to pointer (bit pattern preserved).
-    IntToPtr,
-    /// Pointer to integer (bit pattern preserved).
-    PtrToInt,
-}
-
-impl CastKind {
     /// Textual mnemonic.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            CastKind::IntResize => "iresize",
-            CastKind::IntToFloat => "sitofp",
-            CastKind::FloatToInt => "fptosi",
-            CastKind::FloatResize => "fresize",
-            CastKind::IntToPtr => "inttoptr",
-            CastKind::PtrToInt => "ptrtoint",
-        }
-    }
-
+    fn mnemonic;
     /// Parses a mnemonic produced by [`CastKind::mnemonic`].
-    pub fn from_mnemonic(s: &str) -> Option<CastKind> {
-        Some(match s {
-            "iresize" => CastKind::IntResize,
-            "sitofp" => CastKind::IntToFloat,
-            "fptosi" => CastKind::FloatToInt,
-            "fresize" => CastKind::FloatResize,
-            "inttoptr" => CastKind::IntToPtr,
-            "ptrtoint" => CastKind::PtrToInt,
-            _ => return None,
-        })
+    fn from_mnemonic;
+}
+
+named_enum! {
+    /// Atomic read-modify-write operations (used e.g. by the BFS kernel).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum AtomicOp {
+        /// Atomic add; returns the old value.
+        Add = "atomic_add",
+        /// Atomic minimum (signed); returns the old value.
+        Min = "atomic_min",
+        /// Atomic maximum (signed); returns the old value.
+        Max = "atomic_max",
+        /// Atomic exchange; returns the old value.
+        Xchg = "atomic_xchg",
+        /// Compare-and-swap: the second value operand is the expected value;
+        /// returns the old value.
+        Cas = "atomic_cas",
     }
-}
-
-/// Atomic read-modify-write operations (used e.g. by the BFS kernel).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AtomicOp {
-    /// Atomic add; returns the old value.
-    Add,
-    /// Atomic minimum (signed); returns the old value.
-    Min,
-    /// Atomic maximum (signed); returns the old value.
-    Max,
-    /// Atomic exchange; returns the old value.
-    Xchg,
-    /// Compare-and-swap: the second value operand is the expected value;
-    /// returns the old value.
-    Cas,
-}
-
-impl AtomicOp {
     /// Textual mnemonic.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            AtomicOp::Add => "atomic_add",
-            AtomicOp::Min => "atomic_min",
-            AtomicOp::Max => "atomic_max",
-            AtomicOp::Xchg => "atomic_xchg",
-            AtomicOp::Cas => "atomic_cas",
-        }
-    }
-
+    fn mnemonic;
     /// Parses a mnemonic produced by [`AtomicOp::mnemonic`].
-    pub fn from_mnemonic(s: &str) -> Option<AtomicOp> {
-        Some(match s {
-            "atomic_add" => AtomicOp::Add,
-            "atomic_min" => AtomicOp::Min,
-            "atomic_max" => AtomicOp::Max,
-            "atomic_xchg" => AtomicOp::Xchg,
-            "atomic_cas" => AtomicOp::Cas,
-            _ => return None,
-        })
-    }
+    fn from_mnemonic;
 }
 
-/// Built-in functions callable from kernels.
-///
-/// These correspond to the intrinsic calls MosaicSim recognizes through its
-/// LLVM passes: SPMD environment queries (`tile_id`, `num_tiles`, paper
-/// §II-B) and the math routines the Parboil kernels need.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Intrinsic {
-    /// The executing tile's id (SPMD model, paper §II-B).
-    TileId,
-    /// Total number of tiles running the kernel.
-    NumTiles,
-    /// Square root.
-    Sqrt,
-    /// Reciprocal square root.
-    Rsqrt,
-    /// e^x.
-    Exp,
-    /// Natural logarithm.
-    Log,
-    /// Sine.
-    Sin,
-    /// Cosine.
-    Cos,
-    /// Floating absolute value.
-    FAbs,
-    /// Floating minimum of two values.
-    FMin,
-    /// Floating maximum of two values.
-    FMax,
-    /// Signed integer minimum of two values.
-    SMin,
-    /// Signed integer maximum of two values.
-    SMax,
-    /// Largest integer value not greater than the argument.
-    Floor,
+named_enum! {
+    /// Built-in functions callable from kernels.
+    ///
+    /// These correspond to the intrinsic calls MosaicSim recognizes through its
+    /// LLVM passes: SPMD environment queries (`tile_id`, `num_tiles`, paper
+    /// §II-B) and the math routines the Parboil kernels need.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum Intrinsic {
+        /// The executing tile's id (SPMD model, paper §II-B).
+        TileId = "tile_id",
+        /// Total number of tiles running the kernel.
+        NumTiles = "num_tiles",
+        /// Square root.
+        Sqrt = "sqrt",
+        /// Reciprocal square root.
+        Rsqrt = "rsqrt",
+        /// e^x.
+        Exp = "exp",
+        /// Natural logarithm.
+        Log = "log",
+        /// Sine.
+        Sin = "sin",
+        /// Cosine.
+        Cos = "cos",
+        /// Floating absolute value.
+        FAbs = "fabs",
+        /// Floating minimum of two values.
+        FMin = "fmin",
+        /// Floating maximum of two values.
+        FMax = "fmax",
+        /// Signed integer minimum of two values.
+        SMin = "smin",
+        /// Signed integer maximum of two values.
+        SMax = "smax",
+        /// Largest integer value not greater than the argument.
+        Floor = "floor",
+    }
+    /// Textual name.
+    fn name;
+    /// Parses a name produced by [`Intrinsic::name`].
+    fn from_name;
 }
 
 impl Intrinsic {
@@ -388,75 +258,40 @@ impl Intrinsic {
             Intrinsic::FMin | Intrinsic::FMax | Intrinsic::SMin | Intrinsic::SMax => 2,
         }
     }
-
-    /// Textual name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Intrinsic::TileId => "tile_id",
-            Intrinsic::NumTiles => "num_tiles",
-            Intrinsic::Sqrt => "sqrt",
-            Intrinsic::Rsqrt => "rsqrt",
-            Intrinsic::Exp => "exp",
-            Intrinsic::Log => "log",
-            Intrinsic::Sin => "sin",
-            Intrinsic::Cos => "cos",
-            Intrinsic::FAbs => "fabs",
-            Intrinsic::FMin => "fmin",
-            Intrinsic::FMax => "fmax",
-            Intrinsic::SMin => "smin",
-            Intrinsic::SMax => "smax",
-            Intrinsic::Floor => "floor",
-        }
-    }
-
-    /// Parses a name produced by [`Intrinsic::name`].
-    pub fn from_name(s: &str) -> Option<Intrinsic> {
-        Some(match s {
-            "tile_id" => Intrinsic::TileId,
-            "num_tiles" => Intrinsic::NumTiles,
-            "sqrt" => Intrinsic::Sqrt,
-            "rsqrt" => Intrinsic::Rsqrt,
-            "exp" => Intrinsic::Exp,
-            "log" => Intrinsic::Log,
-            "sin" => Intrinsic::Sin,
-            "cos" => Intrinsic::Cos,
-            "fabs" => Intrinsic::FAbs,
-            "fmin" => Intrinsic::FMin,
-            "fmax" => Intrinsic::FMax,
-            "smin" => Intrinsic::SMin,
-            "smax" => Intrinsic::SMax,
-            "floor" => Intrinsic::Floor,
-            _ => return None,
-        })
-    }
 }
 
-/// The accelerator API of common accelerated functions (paper §II-B, §IV-A).
-///
-/// Kernels invoke accelerators through these calls; the compiler preserves
-/// them as special instructions, the dynamic trace records the evaluated
-/// parameters, and the simulator dispatches to an accelerator tile model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AccelOp {
-    /// Dense matrix multiply `C[m×n] = A[m×k] × B[k×n]`:
-    /// args `(a_ptr, b_ptr, c_ptr, m, n, k)`.
-    Sgemm,
-    /// Saturating histogram: args `(in_ptr, out_ptr, n, bins)`.
-    Histogram,
-    /// Element-wise arithmetic over two arrays: args `(a_ptr, b_ptr, c_ptr, n)`.
-    ElementWise,
-    /// 2-D convolution forward pass: args `(in_c, out_c, h, w, k)`.
-    Conv2d,
-    /// Fully connected (dense) layer: args `(batch, in_dim, out_dim)`.
-    Dense,
-    /// ReLU activation: args `(n)`.
-    Relu,
-    /// 2-D max pooling: args `(c, h, w, k)`.
-    Pool2d,
-    /// Batch normalization: args `(n)`.
-    BatchNorm,
-    /// Embedding lookup/update: args `(rows, dim)`.
-    Embedding,
+named_enum! {
+    /// The accelerator API of common accelerated functions (paper §II-B, §IV-A).
+    ///
+    /// Kernels invoke accelerators through these calls; the compiler preserves
+    /// them as special instructions, the dynamic trace records the evaluated
+    /// parameters, and the simulator dispatches to an accelerator tile model.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum AccelOp {
+        /// Dense matrix multiply `C[m×n] = A[m×k] × B[k×n]`:
+        /// args `(a_ptr, b_ptr, c_ptr, m, n, k)`.
+        Sgemm = "accel.sgemm",
+        /// Saturating histogram: args `(in_ptr, out_ptr, n, bins)`.
+        Histogram = "accel.histogram",
+        /// Element-wise arithmetic over two arrays: args `(a_ptr, b_ptr, c_ptr, n)`.
+        ElementWise = "accel.elementwise",
+        /// 2-D convolution forward pass: args `(in_c, out_c, h, w, k)`.
+        Conv2d = "accel.conv2d",
+        /// Fully connected (dense) layer: args `(batch, in_dim, out_dim)`.
+        Dense = "accel.dense",
+        /// ReLU activation: args `(n)`.
+        Relu = "accel.relu",
+        /// 2-D max pooling: args `(c, h, w, k)`.
+        Pool2d = "accel.pool2d",
+        /// Batch normalization: args `(n)`.
+        BatchNorm = "accel.batchnorm",
+        /// Embedding lookup/update: args `(rows, dim)`.
+        Embedding = "accel.embedding",
+    }
+    /// Textual name.
+    fn name;
+    /// Parses a name produced by [`AccelOp::name`].
+    fn from_name;
 }
 
 impl AccelOp {
@@ -473,37 +308,6 @@ impl AccelOp {
             AccelOp::BatchNorm => 1,
             AccelOp::Embedding => 2,
         }
-    }
-
-    /// Textual name.
-    pub fn name(self) -> &'static str {
-        match self {
-            AccelOp::Sgemm => "accel.sgemm",
-            AccelOp::Histogram => "accel.histogram",
-            AccelOp::ElementWise => "accel.elementwise",
-            AccelOp::Conv2d => "accel.conv2d",
-            AccelOp::Dense => "accel.dense",
-            AccelOp::Relu => "accel.relu",
-            AccelOp::Pool2d => "accel.pool2d",
-            AccelOp::BatchNorm => "accel.batchnorm",
-            AccelOp::Embedding => "accel.embedding",
-        }
-    }
-
-    /// Parses a name produced by [`AccelOp::name`].
-    pub fn from_name(s: &str) -> Option<AccelOp> {
-        Some(match s {
-            "accel.sgemm" => AccelOp::Sgemm,
-            "accel.histogram" => AccelOp::Histogram,
-            "accel.elementwise" => AccelOp::ElementWise,
-            "accel.conv2d" => AccelOp::Conv2d,
-            "accel.dense" => AccelOp::Dense,
-            "accel.relu" => AccelOp::Relu,
-            "accel.pool2d" => AccelOp::Pool2d,
-            "accel.batchnorm" => AccelOp::BatchNorm,
-            "accel.embedding" => AccelOp::Embedding,
-            _ => return None,
-        })
     }
 }
 
@@ -731,68 +535,6 @@ impl Opcode {
             Opcode::Ret { value } => {
                 if let Some(v) = value {
                     f(*v);
-                }
-            }
-        }
-    }
-
-    /// Visits every operand mutably (used by pass rewriting).
-    pub fn for_each_operand_mut(&mut self, mut f: impl FnMut(&mut Operand)) {
-        match self {
-            Opcode::Bin { lhs, rhs, .. }
-            | Opcode::ICmp { lhs, rhs, .. }
-            | Opcode::FCmp { lhs, rhs, .. } => {
-                f(lhs);
-                f(rhs);
-            }
-            Opcode::Select {
-                cond,
-                on_true,
-                on_false,
-            } => {
-                f(cond);
-                f(on_true);
-                f(on_false);
-            }
-            Opcode::Cast { value, .. } => f(value),
-            Opcode::Gep { base, index, .. } => {
-                f(base);
-                f(index);
-            }
-            Opcode::Load { addr } => f(addr),
-            Opcode::Store { addr, value } => {
-                f(addr);
-                f(value);
-            }
-            Opcode::AtomicRmw {
-                addr,
-                value,
-                expected,
-                ..
-            } => {
-                f(addr);
-                f(value);
-                if let Some(e) = expected {
-                    f(e);
-                }
-            }
-            Opcode::Phi { incoming } => {
-                for (_, v) in incoming {
-                    f(v);
-                }
-            }
-            Opcode::Call { args, .. } | Opcode::AccelCall { args, .. } => {
-                for a in args {
-                    f(a);
-                }
-            }
-            Opcode::Send { value, .. } => f(value),
-            Opcode::Recv { .. } => {}
-            Opcode::Br { .. } => {}
-            Opcode::CondBr { cond, .. } => f(cond),
-            Opcode::Ret { value } => {
-                if let Some(v) = value {
-                    f(v);
                 }
             }
         }

@@ -2,7 +2,8 @@
 //!
 //! The format round-trips: `parse_module(print_module(m))` reproduces `m`
 //! up to block names. This gives the toolchain a durable on-disk kernel
-//! format and makes tests/examples self-describing.
+//! format and makes tests/examples self-describing. DESIGN.md §4.1.1
+//! tabulates the line forms.
 
 use crate::function::{Function, IrError, Module};
 use crate::ids::{BlockId, FuncId, InstId};
@@ -25,10 +26,8 @@ fn split_top_level(s: &str) -> Vec<&str> {
     let mut parts = Vec::new();
     let mut depth = 0usize;
     let mut start = 0usize;
-    let bytes = s.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
+    for (i, b) in s.bytes().enumerate() {
+        match b {
             b'[' | b'(' => depth += 1,
             b']' | b')' => depth = depth.saturating_sub(1),
             b',' if depth == 0 => {
@@ -37,7 +36,6 @@ fn split_top_level(s: &str) -> Vec<&str> {
             }
             _ => {}
         }
-        i += 1;
     }
     let last = s[start..].trim();
     if !last.is_empty() {
@@ -46,378 +44,374 @@ fn split_top_level(s: &str) -> Vec<&str> {
     parts
 }
 
-fn parse_operand(s: &str, line: usize) -> Result<Operand, IrError> {
-    let s = s.trim();
-    if let Some(rest) = s.strip_prefix("$%") {
-        let n: u32 = rest
-            .parse()
-            .map_err(|_| perr(line, format!("bad parameter operand `{s}`")))?;
-        return Ok(Operand::Param(n));
-    }
-    if let Some(rest) = s.strip_prefix('%') {
-        let n: u32 = rest
-            .parse()
-            .map_err(|_| perr(line, format!("bad value operand `{s}`")))?;
-        return Ok(Operand::Inst(InstId(n)));
-    }
-    // `<ty> <literal>` constant.
-    let (ty_s, lit) = s
-        .split_once(' ')
-        .ok_or_else(|| perr(line, format!("bad operand `{s}`")))?;
-    let ty = Type::from_keyword(ty_s).ok_or_else(|| perr(line, format!("bad type `{ty_s}`")))?;
-    if ty.is_float() {
-        let v: f64 = lit
-            .trim()
-            .parse()
-            .map_err(|_| perr(line, format!("bad float literal `{lit}`")))?;
-        Ok(Operand::Const(Constant::Float(v, ty)))
-    } else {
-        let v: i64 = lit
-            .trim()
-            .parse()
-            .map_err(|_| perr(line, format!("bad int literal `{lit}`")))?;
-        Ok(Operand::Const(Constant::Int(v, ty)))
-    }
-}
-
-fn parse_block_ref(s: &str, line: usize) -> Result<BlockId, IrError> {
-    let rest = s
-        .trim()
-        .strip_prefix("bb")
-        .ok_or_else(|| perr(line, format!("expected block ref, got `{s}`")))?;
-    let n: u32 = rest
-        .parse()
-        .map_err(|_| perr(line, format!("bad block ref `{s}`")))?;
-    Ok(BlockId(n))
-}
-
-struct PendingInst {
-    printed_id: Option<u32>,
-    block: BlockId,
-    text: String,
+/// The unread rest of one source line and that line's number: every
+/// reader below fails with an [`IrError::Parse`] that carries it.
+#[derive(Clone, Copy)]
+struct Cursor<'a> {
+    rest: &'a str,
     line: usize,
 }
 
-fn parse_inst_body(text: &str, line: usize) -> Result<(Opcode, Type), IrError> {
-    let text = text.trim();
-    let (head, rest) = text.split_once(' ').unwrap_or((text, ""));
-    let rest = rest.trim();
-
-    if let Some(op) = BinOp::from_mnemonic(head) {
-        let (ty_s, operands) = rest
-            .split_once(' ')
-            .ok_or_else(|| perr(line, "binop needs type and operands"))?;
-        let ty =
-            Type::from_keyword(ty_s).ok_or_else(|| perr(line, format!("bad type `{ty_s}`")))?;
-        let parts = split_top_level(operands);
-        if parts.len() != 2 {
-            return Err(perr(line, "binop needs two operands"));
-        }
-        return Ok((
-            Opcode::Bin {
-                op,
-                lhs: parse_operand(parts[0], line)?,
-                rhs: parse_operand(parts[1], line)?,
-            },
-            ty,
-        ));
+impl<'a> Cursor<'a> {
+    fn err(&self, message: impl Into<String>) -> IrError {
+        perr(self.line, message)
     }
 
-    if let Some(op) = AtomicOp::from_mnemonic(head) {
-        let (ty_s, operands) = rest
+    /// Consumes the next space-delimited word; something must follow it.
+    fn word(&mut self) -> Result<&'a str, IrError> {
+        let (word, rest) = self
+            .rest
             .split_once(' ')
-            .ok_or_else(|| perr(line, "atomic needs type and operands"))?;
-        let ty =
-            Type::from_keyword(ty_s).ok_or_else(|| perr(line, format!("bad type `{ty_s}`")))?;
-        let parts = split_top_level(operands);
-        if parts.len() < 2 || parts.len() > 3 {
-            return Err(perr(line, "atomic needs two or three operands"));
+            .ok_or_else(|| self.err(format!("expected more after `{}`", self.rest)))?;
+        self.rest = rest;
+        Ok(word)
+    }
+
+    /// `s` looked up in one of the IR's name tables.
+    fn named<T>(&self, s: &str, table: fn(&str) -> Option<T>, what: &str) -> Result<T, IrError> {
+        table(s).ok_or_else(|| self.err(format!("bad {what} `{s}`")))
+    }
+
+    fn ty_of(&self, s: &str) -> Result<Type, IrError> {
+        self.named(s, Type::from_keyword, "type")
+    }
+
+    /// Consumes the next word as a type.
+    fn ty(&mut self) -> Result<Type, IrError> {
+        let word = self.word()?;
+        self.ty_of(word)
+    }
+
+    fn num<T: std::str::FromStr>(&self, s: &str, what: &str) -> Result<T, IrError> {
+        s.parse().map_err(|_| self.err(format!("bad {what} `{s}`")))
+    }
+
+    /// The number of a `%7`, `$%0`, `bb3` or `q1`.
+    fn id(&self, s: &str, prefix: &str, what: &str) -> Result<u32, IrError> {
+        let digits = s.strip_prefix(prefix).and_then(|digits| digits.parse().ok());
+        digits.ok_or_else(|| self.err(format!("bad {what} `{s}`")))
+    }
+
+    fn block(&self, s: &str) -> Result<BlockId, IrError> {
+        self.id(s.trim(), "bb", "block ref").map(BlockId)
+    }
+
+    fn queue(&self, s: &str) -> Result<u32, IrError> {
+        self.id(s, "q", "queue")
+    }
+
+    fn operand(&self, s: &str) -> Result<Operand, IrError> {
+        let s = s.trim();
+        if s.starts_with("$%") {
+            return self.id(s, "$%", "parameter operand").map(Operand::Param);
         }
-        let expected = if parts.len() == 3 {
-            Some(parse_operand(parts[2], line)?)
+        if s.starts_with('%') {
+            return Ok(Operand::Inst(InstId(self.id(s, "%", "value operand")?)));
+        }
+        // `<ty> <literal>` constant.
+        let (ty, lit) = s
+            .split_once(' ')
+            .ok_or_else(|| self.err(format!("bad operand `{s}`")))?;
+        let ty = self.ty_of(ty)?;
+        Ok(Operand::Const(if ty.is_float() {
+            Constant::Float(self.num(lit.trim(), "float literal")?, ty)
         } else {
-            None
-        };
-        return Ok((
-            Opcode::AtomicRmw {
-                op,
-                addr: parse_operand(parts[0], line)?,
-                value: parse_operand(parts[1], line)?,
-                expected,
-            },
-            ty,
-        ));
+            Constant::Int(self.num(lit.trim(), "int literal")?, ty)
+        }))
     }
 
-    if let Some(kind) = CastKind::from_mnemonic(head) {
-        let (val_s, ty_s) = rest
-            .split_once(" to ")
-            .ok_or_else(|| perr(line, "cast needs `<value> to <type>`"))?;
-        let ty = Type::from_keyword(ty_s.trim())
-            .ok_or_else(|| perr(line, format!("bad type `{ty_s}`")))?;
-        return Ok((
-            Opcode::Cast {
-                kind,
-                value: parse_operand(val_s, line)?,
-            },
-            ty,
-        ));
+    /// `parts` as exactly `N` fields: the one place a field count is
+    /// checked.
+    fn exactly<const N: usize>(&self, parts: Vec<&'a str>) -> Result<[&'a str; N], IrError> {
+        parts.try_into().map_err(|parts: Vec<&str>| {
+            let (got, fields) = (parts.len(), parts.join(", "));
+            self.err(format!("expected {N} comma-separated fields, got {got}: `{fields}`"))
+        })
     }
 
-    match head {
-        "icmp" => {
-            let (pred_s, operands) = rest
-                .split_once(' ')
-                .ok_or_else(|| perr(line, "icmp needs predicate"))?;
-            let pred = IntPredicate::from_mnemonic(pred_s)
-                .ok_or_else(|| perr(line, format!("bad predicate `{pred_s}`")))?;
-            let parts = split_top_level(operands);
-            if parts.len() != 2 {
-                return Err(perr(line, "icmp needs two operands"));
-            }
-            Ok((
-                Opcode::ICmp {
-                    pred,
-                    lhs: parse_operand(parts[0], line)?,
-                    rhs: parse_operand(parts[1], line)?,
-                },
-                Type::I1,
-            ))
+    /// The rest as exactly `N` top-level comma-separated fields.
+    fn fields<const N: usize>(&self) -> Result<[&'a str; N], IrError> {
+        self.exactly(split_top_level(self.rest))
+    }
+
+    /// The rest as exactly `N` comma-separated operands.
+    fn operands<const N: usize>(&self) -> Result<[Operand; N], IrError> {
+        let mut out = [Operand::Param(0); N];
+        for (slot, field) in out.iter_mut().zip(self.fields::<N>()?) {
+            *slot = self.operand(field)?;
         }
-        "fcmp" => {
-            let (pred_s, operands) = rest
-                .split_once(' ')
-                .ok_or_else(|| perr(line, "fcmp needs predicate"))?;
-            let pred = FloatPredicate::from_mnemonic(pred_s)
-                .ok_or_else(|| perr(line, format!("bad predicate `{pred_s}`")))?;
-            let parts = split_top_level(operands);
-            if parts.len() != 2 {
-                return Err(perr(line, "fcmp needs two operands"));
-            }
-            Ok((
-                Opcode::FCmp {
-                    pred,
-                    lhs: parse_operand(parts[0], line)?,
-                    rhs: parse_operand(parts[1], line)?,
-                },
-                Type::I1,
-            ))
-        }
-        "select" => {
-            let (ty_s, operands) = rest
-                .split_once(' ')
-                .ok_or_else(|| perr(line, "select needs type"))?;
-            let ty =
-                Type::from_keyword(ty_s).ok_or_else(|| perr(line, format!("bad type `{ty_s}`")))?;
-            let parts = split_top_level(operands);
-            if parts.len() != 3 {
-                return Err(perr(line, "select needs three operands"));
-            }
-            Ok((
-                Opcode::Select {
-                    cond: parse_operand(parts[0], line)?,
-                    on_true: parse_operand(parts[1], line)?,
-                    on_false: parse_operand(parts[2], line)?,
-                },
-                ty,
-            ))
-        }
-        "gep" => {
-            let parts = split_top_level(rest);
-            if parts.len() != 3 {
-                return Err(perr(line, "gep needs base, index, elem_size"));
-            }
-            let elem_size: u32 = parts[2]
-                .parse()
-                .map_err(|_| perr(line, format!("bad elem size `{}`", parts[2])))?;
-            Ok((
-                Opcode::Gep {
-                    base: parse_operand(parts[0], line)?,
-                    index: parse_operand(parts[1], line)?,
-                    elem_size,
-                },
-                Type::Ptr,
-            ))
-        }
-        "load" => {
-            let parts = split_top_level(rest);
-            if parts.len() != 2 {
-                return Err(perr(line, "load needs type, address"));
-            }
-            let ty = Type::from_keyword(parts[0])
-                .ok_or_else(|| perr(line, format!("bad type `{}`", parts[0])))?;
-            Ok((
-                Opcode::Load {
-                    addr: parse_operand(parts[1], line)?,
-                },
-                ty,
-            ))
-        }
-        "store" => {
-            let parts = split_top_level(rest);
-            if parts.len() != 2 {
-                return Err(perr(line, "store needs address, value"));
-            }
-            Ok((
-                Opcode::Store {
-                    addr: parse_operand(parts[0], line)?,
-                    value: parse_operand(parts[1], line)?,
-                },
-                Type::Void,
-            ))
-        }
-        "phi" => {
-            let (ty_s, edges) = rest
-                .split_once(' ')
-                .ok_or_else(|| perr(line, "phi needs type"))?;
-            let ty =
-                Type::from_keyword(ty_s).ok_or_else(|| perr(line, format!("bad type `{ty_s}`")))?;
-            let mut incoming = Vec::new();
-            for part in split_top_level(edges) {
-                let inner = part
-                    .trim()
-                    .strip_prefix('[')
-                    .and_then(|p| p.strip_suffix(']'))
-                    .ok_or_else(|| perr(line, format!("bad phi edge `{part}`")))?;
-                let (bb_s, val_s) = inner
-                    .split_once(':')
-                    .ok_or_else(|| perr(line, format!("bad phi edge `{part}`")))?;
-                incoming.push((parse_block_ref(bb_s, line)?, parse_operand(val_s, line)?));
-            }
-            Ok((Opcode::Phi { incoming }, ty))
-        }
-        "call" => {
-            let (ty_s, callee) = rest
-                .split_once(' ')
-                .ok_or_else(|| perr(line, "call needs type and callee"))?;
-            let ty =
-                Type::from_keyword(ty_s).ok_or_else(|| perr(line, format!("bad type `{ty_s}`")))?;
-            let open = callee
-                .find('(')
-                .ok_or_else(|| perr(line, "call needs argument list"))?;
-            let name = callee[..open].trim();
-            let args_s = callee[open + 1..]
-                .strip_suffix(')')
-                .ok_or_else(|| perr(line, "unterminated call argument list"))?;
-            let args = if args_s.trim().is_empty() {
-                Vec::new()
-            } else {
-                split_top_level(args_s)
-                    .into_iter()
-                    .map(|a| parse_operand(a, line))
-                    .collect::<Result<Vec<_>, _>>()?
-            };
-            if let Some(accel) = AccelOp::from_name(name) {
-                return Ok((Opcode::AccelCall { accel, args }, Type::Void));
-            }
-            let intr = Intrinsic::from_name(name)
-                .ok_or_else(|| perr(line, format!("unknown callee `{name}`")))?;
-            Ok((Opcode::Call { intr, args }, ty))
-        }
-        "send" => {
-            let parts = split_top_level(rest);
-            if parts.len() != 2 {
-                return Err(perr(line, "send needs queue, value"));
-            }
-            let queue: u32 = parts[0]
-                .strip_prefix('q')
-                .and_then(|q| q.parse().ok())
-                .ok_or_else(|| perr(line, format!("bad queue `{}`", parts[0])))?;
-            Ok((
-                Opcode::Send {
-                    queue,
-                    value: parse_operand(parts[1], line)?,
-                },
-                Type::Void,
-            ))
-        }
-        "recv" => {
-            // The printer writes `recv i64 q0`; accept a comma too.
-            let mut parts = split_top_level(rest);
-            if parts.len() == 1 {
-                parts = parts[0].split_whitespace().collect();
-            }
-            if parts.len() != 2 {
-                return Err(perr(line, "recv needs type, queue"));
-            }
-            let ty = Type::from_keyword(parts[0])
-                .ok_or_else(|| perr(line, format!("bad type `{}`", parts[0])))?;
-            let queue: u32 = parts[1]
-                .strip_prefix('q')
-                .and_then(|q| q.parse().ok())
-                .ok_or_else(|| perr(line, format!("bad queue `{}`", parts[1])))?;
-            Ok((Opcode::Recv { queue }, ty))
-        }
-        "br" => Ok((
-            Opcode::Br {
-                target: parse_block_ref(rest, line)?,
-            },
-            Type::Void,
-        )),
-        "condbr" => {
-            let parts = split_top_level(rest);
-            if parts.len() != 3 {
-                return Err(perr(line, "condbr needs cond, then, else"));
-            }
-            Ok((
-                Opcode::CondBr {
-                    cond: parse_operand(parts[0], line)?,
-                    on_true: parse_block_ref(parts[1], line)?,
-                    on_false: parse_block_ref(parts[2], line)?,
-                },
-                Type::Void,
-            ))
-        }
-        "ret" => {
-            if rest == "void" {
-                Ok((Opcode::Ret { value: None }, Type::Void))
-            } else {
-                Ok((
-                    Opcode::Ret {
-                        value: Some(parse_operand(rest, line)?),
-                    },
-                    Type::Void,
-                ))
-            }
-        }
-        other => Err(perr(line, format!("unknown instruction `{other}`"))),
+        Ok(out)
     }
 }
 
-type Header = (String, Vec<(String, Type)>, Type);
+/// Parses an instruction's text after any `%N = `: the opcode and the
+/// result type it names.
+fn parse_inst_body(mut c: Cursor) -> Result<(Opcode, Type), IrError> {
+    let text = c.rest.trim();
+    let (head, rest) = text.split_once(' ').unwrap_or((text, ""));
+    c.rest = rest.trim();
 
-fn parse_header(line_text: &str, line: usize) -> Result<Header, IrError> {
-    // func @name(ty %p, ...) -> retty {
-    let rest = line_text
-        .trim()
+    if let Some(op) = BinOp::from_mnemonic(head) {
+        let ty = c.ty()?;
+        let [lhs, rhs] = c.operands()?;
+        return Ok((Opcode::Bin { op, lhs, rhs }, ty));
+    }
+    if let Some(op) = AtomicOp::from_mnemonic(head) {
+        let ty = c.ty()?;
+        let (addr, value, expected) = if split_top_level(c.rest).len() == 3 {
+            let [addr, value, expected] = c.operands()?;
+            (addr, value, Some(expected))
+        } else {
+            let [addr, value] = c.operands()?;
+            (addr, value, None)
+        };
+        return Ok((Opcode::AtomicRmw { op, addr, value, expected }, ty));
+    }
+    if let Some(kind) = CastKind::from_mnemonic(head) {
+        let (value, ty) = c
+            .rest
+            .split_once(" to ")
+            .ok_or_else(|| c.err("cast needs `<value> to <type>`"))?;
+        let ty = c.ty_of(ty.trim())?;
+        return Ok((Opcode::Cast { kind, value: c.operand(value)? }, ty));
+    }
+
+    Ok(match head {
+        "icmp" => {
+            let pred = c.word()?;
+            let pred = c.named(pred, IntPredicate::from_mnemonic, "predicate")?;
+            let [lhs, rhs] = c.operands()?;
+            (Opcode::ICmp { pred, lhs, rhs }, Type::I1)
+        }
+        "fcmp" => {
+            let pred = c.word()?;
+            let pred = c.named(pred, FloatPredicate::from_mnemonic, "predicate")?;
+            let [lhs, rhs] = c.operands()?;
+            (Opcode::FCmp { pred, lhs, rhs }, Type::I1)
+        }
+        "select" => {
+            let ty = c.ty()?;
+            let [cond, on_true, on_false] = c.operands()?;
+            (Opcode::Select { cond, on_true, on_false }, ty)
+        }
+        "gep" => {
+            let [base, index, elem_size] = c.fields()?;
+            let (base, index) = (c.operand(base)?, c.operand(index)?);
+            let elem_size = c.num(elem_size, "elem size")?;
+            (Opcode::Gep { base, index, elem_size }, Type::Ptr)
+        }
+        "load" => {
+            let [ty, addr] = c.fields()?;
+            (Opcode::Load { addr: c.operand(addr)? }, c.ty_of(ty)?)
+        }
+        "store" => {
+            let [addr, value] = c.operands()?;
+            (Opcode::Store { addr, value }, Type::Void)
+        }
+        "phi" => {
+            let ty = c.ty()?;
+            let mut incoming = Vec::new();
+            for edge in split_top_level(c.rest) {
+                let (block, value) = edge
+                    .strip_prefix('[')
+                    .and_then(|e| e.strip_suffix(']'))
+                    .and_then(|e| e.split_once(':'))
+                    .ok_or_else(|| c.err(format!("bad phi edge `{edge}`")))?;
+                incoming.push((c.block(block)?, c.operand(value)?));
+            }
+            (Opcode::Phi { incoming }, ty)
+        }
+        "call" => {
+            let ty = c.ty()?;
+            let (name, args) = c
+                .rest
+                .split_once('(')
+                .ok_or_else(|| c.err("call needs argument list"))?;
+            let args = args
+                .strip_suffix(')')
+                .ok_or_else(|| c.err("unterminated call argument list"))?;
+            let args = split_top_level(args)
+                .into_iter()
+                .map(|arg| c.operand(arg))
+                .collect::<Result<Vec<_>, _>>()?;
+            let name = name.trim();
+            match AccelOp::from_name(name) {
+                Some(accel) => (Opcode::AccelCall { accel, args }, Type::Void),
+                None => {
+                    let intr = Intrinsic::from_name(name)
+                        .ok_or_else(|| c.err(format!("unknown callee `{name}`")))?;
+                    (Opcode::Call { intr, args }, ty)
+                }
+            }
+        }
+        "send" => {
+            let [queue, value] = c.fields()?;
+            (Opcode::Send { queue: c.queue(queue)?, value: c.operand(value)? }, Type::Void)
+        }
+        "recv" => {
+            // The printer writes `recv i64 q0`; accept a comma too.
+            let mut parts = split_top_level(c.rest);
+            if let [one] = parts[..] {
+                parts = one.split_whitespace().collect();
+            }
+            let [ty, queue] = c.exactly(parts)?;
+            (Opcode::Recv { queue: c.queue(queue)? }, c.ty_of(ty)?)
+        }
+        "br" => (Opcode::Br { target: c.block(c.rest)? }, Type::Void),
+        "condbr" => {
+            let [cond, on_true, on_false] = c.fields()?;
+            let (on_true, on_false) = (c.block(on_true)?, c.block(on_false)?);
+            (Opcode::CondBr { cond: c.operand(cond)?, on_true, on_false }, Type::Void)
+        }
+        "ret" if c.rest == "void" => (Opcode::Ret { value: None }, Type::Void),
+        "ret" => (Opcode::Ret { value: Some(c.operand(c.rest)?) }, Type::Void),
+        other => return Err(c.err(format!("unknown instruction `{other}`"))),
+    })
+}
+
+/// `func @name(ty %p, ...) -> retty {` as a function with no blocks yet.
+fn parse_header(c: Cursor) -> Result<Function, IrError> {
+    let rest = c
+        .rest
         .strip_prefix("func @")
-        .ok_or_else(|| perr(line, "expected `func @name(...)`"))?;
-    let open = rest.find('(').ok_or_else(|| perr(line, "missing `(`"))?;
-    let name = rest[..open].to_string();
-    let close = rest.rfind(')').ok_or_else(|| perr(line, "missing `)`"))?;
-    let params_s = &rest[open + 1..close];
-    let tail = rest[close + 1..].trim();
+        .ok_or_else(|| c.err("expected `func @name(...)`"))?;
+    let (name, rest) = rest.split_once('(').ok_or_else(|| c.err("missing `(`"))?;
+    let (params_s, tail) = rest.rsplit_once(')').ok_or_else(|| c.err("missing `)`"))?;
     let ret_s = tail
+        .trim()
         .strip_prefix("->")
         .and_then(|t| t.trim().strip_suffix('{'))
-        .ok_or_else(|| perr(line, "expected `-> ty {`"))?
-        .trim();
-    let ret_ty =
-        Type::from_keyword(ret_s).ok_or_else(|| perr(line, format!("bad return type `{ret_s}`")))?;
+        .ok_or_else(|| c.err("expected `-> ty {`"))?;
+    let ret_ty = c.ty_of(ret_s.trim())?;
     let mut params = Vec::new();
     if !params_s.trim().is_empty() {
         for p in params_s.split(',') {
             let p = p.trim();
             let (ty_s, name_s) = p
                 .split_once(' ')
-                .ok_or_else(|| perr(line, format!("bad parameter `{p}`")))?;
-            let ty = Type::from_keyword(ty_s)
-                .ok_or_else(|| perr(line, format!("bad type `{ty_s}`")))?;
+                .ok_or_else(|| c.err(format!("bad parameter `{p}`")))?;
             let pname = name_s.trim().strip_prefix('%').unwrap_or(name_s).to_string();
-            params.push((pname, ty));
+            params.push((pname, c.ty_of(ty_s)?));
         }
     }
-    Ok((name, params, ret_ty))
+    Ok(Function::new(FuncId(0), name, params, ret_ty))
+}
+
+/// An instruction line waiting for its arena slot: `body` is the text
+/// after `%N = `.
+struct PendingInst<'a> {
+    printed_id: Option<u32>,
+    block: BlockId,
+    body: Cursor<'a>,
+}
+
+/// Parses the function that opens at `header`, taking its body — up to the
+/// closing `}` — from `lines`. Returns it with every instruction's line.
+fn parse_function<'a>(
+    header: Cursor<'a>,
+    lines: &mut impl Iterator<Item = Cursor<'a>>,
+) -> Result<(Function, Vec<(InstId, usize)>), IrError> {
+    let mut func = parse_header(header)?;
+    let mut pending: Vec<PendingInst> = Vec::new();
+    let mut closed = false;
+    for mut c in lines {
+        if c.rest == "}" {
+            closed = true;
+            break;
+        }
+        let label = c.rest.strip_prefix("bb").and_then(|head| head.split_once(':'));
+        if let Some((id, name)) = label.filter(|(id, _)| id.bytes().all(|b| b.is_ascii_digit())) {
+            let id: u32 = id.parse().map_err(|_| c.err("bad block id"))?;
+            if id as usize != func.blocks.len() {
+                return Err(c.err("blocks must appear in id order"));
+            }
+            let name = name.trim().trim_start_matches(';').trim();
+            func.push_block(&if name.is_empty() { format!("bb{id}") } else { name.to_string() });
+            continue;
+        }
+        // Trailing `; ...` comments on instruction lines (block labels
+        // were handled above — their `;` names the block).
+        if let Some((code, _)) = c.rest.split_once(" ;") {
+            c.rest = code.trim_end();
+        }
+        let block = func.blocks.last().map(|b| b.id);
+        let block = block.ok_or_else(|| c.err("instruction before first block label"))?;
+        let printed_id = match c.rest.split_once(" = ") {
+            Some((lhs, body)) => {
+                c.rest = body;
+                Some(c.id(lhs.trim(), "%", "result name")?)
+            }
+            None => None,
+        };
+        pending.push(PendingInst { printed_id, block, body: c });
+    }
+    if !closed {
+        return Err(header.err(format!("function `{}` missing closing `}}`", func.name)));
+    }
+
+    // Assign arena slots: named results keep their printed id; void
+    // instructions fill remaining slots in appearance order.
+    let named: std::collections::HashSet<u32> =
+        pending.iter().filter_map(|p| p.printed_id).collect();
+    let total = pending.len() as u32;
+    let mut next_free = 0u32;
+    let mut alloc_void = || {
+        while named.contains(&next_free) {
+            next_free += 1;
+        }
+        let id = next_free;
+        next_free += 1;
+        id
+    };
+    let (nblocks, nparams) = (func.blocks.len(), func.params.len());
+    let mut arena: Vec<Option<Inst>> = vec![None; pending.len()];
+    let mut inst_lines: Vec<(InstId, usize)> = Vec::new();
+    for p in &pending {
+        let c = p.body;
+        let id = p.printed_id.unwrap_or_else(&mut alloc_void);
+        if id >= total {
+            return Err(c.err(format!("result id %{id} out of range")));
+        }
+        let (op, ty) = parse_inst_body(c)?;
+        // References that escape this function's blocks, instructions or
+        // parameters would only surface as line-less verifier errors (or
+        // worse, as an index panic downstream); reject them here with the
+        // line.
+        if let Some(succ) = op.successors().iter().find(|b| b.index() >= nblocks) {
+            return Err(c.err(format!("branch target bb{} does not exist", succ.0)));
+        }
+        if let Opcode::Phi { incoming } = &op {
+            if let Some((b, _)) = incoming.iter().find(|(b, _)| b.index() >= nblocks) {
+                return Err(c.err(format!("phi references unknown block bb{}", b.0)));
+            }
+        }
+        let mut dangling = None;
+        op.for_each_operand(|o| {
+            let what = match o {
+                Operand::Inst(i) if i.0 >= total => {
+                    format!("%{} references a nonexistent instruction", i.0)
+                }
+                Operand::Param(n) if n as usize >= nparams => {
+                    format!("$%{n} references a nonexistent parameter")
+                }
+                _ => return,
+            };
+            dangling.get_or_insert(what);
+        });
+        if let Some(what) = dangling {
+            return Err(c.err(format!("operand {what}")));
+        }
+        let ty = if p.printed_id.is_none() { Type::Void } else { ty };
+        if arena[id as usize].is_some() {
+            return Err(c.err(format!("duplicate result id %{id}")));
+        }
+        arena[id as usize] = Some(Inst { id: InstId(id), block: p.block, op, ty });
+        func.blocks[p.block.index()].insts.push(InstId(id));
+        inst_lines.push((InstId(id), c.line));
+    }
+    // `total` distinct ids, each below `total`: no slot is left empty.
+    func.insts = arena.into_iter().flatten().collect();
+    Ok((func, inst_lines))
 }
 
 /// Source-line information for a parsed module: the 1-based line each
@@ -465,183 +459,24 @@ pub fn parse_module(text: &str) -> Result<Module, IrError> {
 /// including channel endpoints with no peer anywhere in the module.
 pub fn parse_module_with_spans(text: &str) -> Result<(Module, SpanTable), IrError> {
     let mut spans = SpanTable::default();
-    let mut lines = text.lines().enumerate().peekable();
-    let mut module_name = "module".to_string();
-    let mut module = Module::new(&module_name);
-
-    while let Some((lno, raw)) = lines.next() {
-        let line = lno + 1;
-        let t = raw.trim();
-        if t.is_empty() || t.starts_with(';') {
-            continue;
-        }
-        if let Some(name) = t.strip_prefix("module ") {
-            module_name = name.trim().to_string();
-            module = Module {
-                name: module_name.clone(),
-                functions: module.functions,
-            };
-            continue;
-        }
-        if t.starts_with("func @") {
-            let (name, params, ret_ty) = parse_header(t, line)?;
-            let mut blocks: Vec<(u32, String)> = Vec::new();
-            let mut pending: Vec<PendingInst> = Vec::new();
-            let mut current_block: Option<BlockId> = None;
-            let mut closed = false;
-            for (lno2, raw2) in lines.by_ref() {
-                let line2 = lno2 + 1;
-                let t2 = raw2.trim();
-                if t2.is_empty() || t2.starts_with(';') {
-                    continue;
-                }
-                if t2 == "}" {
-                    closed = true;
-                    break;
-                }
-                if let Some(head) = t2.strip_prefix("bb") {
-                    if let Some(colon) = head.find(':') {
-                        if head[..colon].chars().all(|c| c.is_ascii_digit()) {
-                            let id: u32 = head[..colon]
-                                .parse()
-                                .map_err(|_| perr(line2, "bad block id"))?;
-                            let bname = head[colon + 1..]
-                                .trim()
-                                .trim_start_matches(';')
-                                .trim()
-                                .to_string();
-                            if id as usize != blocks.len() {
-                                return Err(perr(line2, "blocks must appear in id order"));
-                            }
-                            blocks.push((id, if bname.is_empty() { format!("bb{id}") } else { bname }));
-                            current_block = Some(BlockId(id));
-                            continue;
-                        }
-                    }
-                }
-                // Trailing `; ...` comments on instruction lines (block
-                // labels were handled above — their `;` names the block).
-                let t2 = match t2.split_once(" ;") {
-                    Some((code, _)) => code.trim_end(),
-                    None => t2,
-                };
-                let block = current_block
-                    .ok_or_else(|| perr(line2, "instruction before first block label"))?;
-                let (printed_id, body) = if let Some(eq) = t2.find(" = ") {
-                    let lhs = t2[..eq].trim();
-                    let n: u32 = lhs
-                        .strip_prefix('%')
-                        .and_then(|x| x.parse().ok())
-                        .ok_or_else(|| perr(line2, format!("bad result name `{lhs}`")))?;
-                    (Some(n), t2[eq + 3..].to_string())
-                } else {
-                    (None, t2.to_string())
-                };
-                pending.push(PendingInst {
-                    printed_id,
-                    block,
-                    text: body,
-                    line: line2,
-                });
-            }
-            if !closed {
-                return Err(perr(line, format!("function `{name}` missing closing `}}`")));
-            }
-
-            // Assign arena slots: named results keep their printed id; void
-            // instructions fill remaining slots in appearance order.
-            let named: std::collections::HashSet<u32> =
-                pending.iter().filter_map(|p| p.printed_id).collect();
-            let total = pending.len() as u32;
-            let mut next_free = 0u32;
-            let mut alloc_void = || {
-                while named.contains(&next_free) {
-                    next_free += 1;
-                }
-                let id = next_free;
-                next_free += 1;
-                id
-            };
-            let mut func = Function::new(FuncId(0), &name, params, ret_ty);
-            for (id, bname) in &blocks {
-                let b = func.push_block(bname);
-                debug_assert_eq!(b.0, *id);
-            }
-            let mut arena: Vec<Option<Inst>> = (0..total).map(|_| None).collect();
-            let mut inst_lines: Vec<(InstId, usize)> = Vec::new();
-            for p in &pending {
-                let id = match p.printed_id {
-                    Some(n) => n,
-                    None => alloc_void(),
-                };
-                if id >= total {
-                    return Err(perr(p.line, format!("result id %{id} out of range")));
-                }
-                let (op, ty) = parse_inst_body(&p.text, p.line)?;
-                // References that escape this function's blocks/insts would
-                // only surface as line-less verifier errors (or worse, as an
-                // index panic downstream); reject them here with the line.
-                for succ in op.successors() {
-                    if succ.index() >= blocks.len() {
-                        return Err(perr(
-                            p.line,
-                            format!("branch target bb{} does not exist", succ.0),
-                        ));
-                    }
-                }
-                if let Opcode::Phi { incoming } = &op {
-                    for (b, _) in incoming {
-                        if b.index() >= blocks.len() {
-                            return Err(perr(
-                                p.line,
-                                format!("phi references unknown block bb{}", b.0),
-                            ));
-                        }
-                    }
-                }
-                let mut bad_ref = None;
-                op.for_each_operand(|o| {
-                    if bad_ref.is_none() {
-                        if let Operand::Inst(id) = o {
-                            if id.0 >= total {
-                                bad_ref = Some(id.0);
-                            }
-                        }
-                    }
-                });
-                if let Some(id) = bad_ref {
-                    return Err(perr(
-                        p.line,
-                        format!("operand %{id} references a nonexistent instruction"),
-                    ));
-                }
-                let ty = if p.printed_id.is_none() { Type::Void } else { ty };
-                if arena[id as usize].is_some() {
-                    return Err(perr(p.line, format!("duplicate result id %{id}")));
-                }
-                arena[id as usize] = Some(Inst {
-                    id: InstId(id),
-                    block: p.block,
-                    op,
-                    ty,
-                });
-                func.blocks[p.block.index()].insts.push(InstId(id));
-                inst_lines.push((InstId(id), p.line));
-            }
-            func.insts = arena
-                .into_iter()
-                .enumerate()
-                .map(|(i, inst)| inst.ok_or_else(|| perr(line, format!("missing inst id %{i}"))))
-                .collect::<Result<Vec<_>, _>>()?;
+    let mut module = Module::new("module");
+    // Blank lines and full-line `;` comments are skipped everywhere.
+    let mut lines = text
+        .lines()
+        .enumerate()
+        .map(|(i, raw)| Cursor { rest: raw.trim(), line: i + 1 })
+        .filter(|c| !c.rest.is_empty() && !c.rest.starts_with(';'));
+    while let Some(c) = lines.next() {
+        if let Some(name) = c.rest.strip_prefix("module ") {
+            module.name = name.trim().to_string();
+        } else if c.rest.starts_with("func @") {
+            let (func, inst_lines) = parse_function(c, &mut lines)?;
             let fid = module.add_built_function(func);
-            for (iid, iline) in inst_lines {
-                spans.lines.insert((fid, iid), iline);
-            }
-            continue;
+            spans.lines.extend(inst_lines.into_iter().map(|(iid, line)| ((fid, iid), line)));
+        } else {
+            return Err(c.err(format!("unexpected line `{}`", c.rest)));
         }
-        return Err(perr(line, format!("unexpected line `{t}`")));
     }
-
     spanned_channel_check(&module, &spans)?;
     crate::verify::verify_module(&module)?;
     Ok((module, spans))
@@ -651,35 +486,28 @@ pub fn parse_module_with_spans(text: &str) -> Result<(Module, SpanTable), IrErro
 /// ([`crate::verify::verify_channels`]), reported as a spanned parse
 /// error pointing at the offending `send`/`recv` line.
 fn spanned_channel_check(module: &Module, spans: &SpanTable) -> Result<(), IrError> {
-    let mut sends: Vec<(u32, FuncId, InstId)> = Vec::new();
-    let mut recvs: Vec<(u32, FuncId, InstId)> = Vec::new();
+    // `(is a send, queue, line)` of every endpoint, in program order.
+    let mut ends: Vec<(bool, u32, usize)> = Vec::new();
     for f in module.functions() {
         for block in f.blocks() {
             for &iid in block.insts() {
+                let line = spans.line(f.id(), iid).unwrap_or(0);
                 match f.inst(iid).op() {
-                    Opcode::Send { queue, .. } => sends.push((*queue, f.id(), iid)),
-                    Opcode::Recv { queue } => recvs.push((*queue, f.id(), iid)),
+                    Opcode::Send { queue, .. } => ends.push((true, *queue, line)),
+                    Opcode::Recv { queue } => ends.push((false, *queue, line)),
                     _ => {}
                 }
             }
         }
     }
-    for &(q, fid, iid) in &sends {
-        if !recvs.iter().any(|&(rq, _, _)| rq == q) {
-            let line = spans.line(fid, iid).unwrap_or(0);
-            return Err(perr(
-                line,
-                format!("send on channel q{q} has no matching recv anywhere in the module"),
-            ));
-        }
-    }
-    for &(q, fid, iid) in &recvs {
-        if !sends.iter().any(|&(sq, _, _)| sq == q) {
-            let line = spans.line(fid, iid).unwrap_or(0);
-            return Err(perr(
-                line,
-                format!("recv on channel q{q} has no matching send anywhere in the module"),
-            ));
+    for (sends, this, peer) in [(true, "send", "recv"), (false, "recv", "send")] {
+        for &(_, q, line) in ends.iter().filter(|end| end.0 == sends) {
+            if !ends.iter().any(|&(is_send, pq, _)| is_send != sends && pq == q) {
+                return Err(perr(
+                    line,
+                    format!("{this} on channel q{q} has no matching {peer} anywhere in the module"),
+                ));
+            }
         }
     }
     Ok(())

@@ -7,37 +7,83 @@
 
 use std::fmt;
 
-/// A scalar IR type.
-///
-/// # Examples
-///
-/// ```
-/// use mosaic_ir::Type;
-/// assert_eq!(Type::I32.size_bytes(), 4);
-/// assert!(Type::F64.is_float());
-/// assert!(Type::Ptr.is_pointer());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Type {
-    /// 1-bit boolean (stored as one byte in memory).
-    I1,
-    /// 8-bit integer.
-    I8,
-    /// 16-bit integer.
-    I16,
-    /// 32-bit integer.
-    #[default]
-    I32,
-    /// 64-bit integer.
-    I64,
-    /// 32-bit IEEE-754 float.
-    F32,
-    /// 64-bit IEEE-754 float.
-    F64,
-    /// Byte-addressed pointer (64-bit).
-    Ptr,
-    /// No value (terminators, stores).
-    Void,
+/// Declares an enum whose variants each have one textual name: the enum,
+/// `ALL` (its variants in declaration order), the method that prints a
+/// variant and the one that reads it back. A variant and its name are
+/// written once, so none can print and fail to parse.
+macro_rules! named_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $($(#[$vmeta:meta])* $variant:ident = $text:literal,)+
+        }
+        $(#[$to_meta:meta])*
+        fn $to:ident;
+        $(#[$from_meta:meta])*
+        fn $from:ident;
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $($(#[$vmeta])* $variant,)+
+        }
+
+        impl $name {
+            /// Every variant, in declaration order.
+            pub const ALL: &[$name] = &[$($name::$variant),+];
+
+            $(#[$to_meta])*
+            pub fn $to(self) -> &'static str {
+                match self {
+                    $($name::$variant => $text,)+
+                }
+            }
+
+            $(#[$from_meta])*
+            pub fn $from(s: &str) -> Option<$name> {
+                Self::ALL.iter().copied().find(|v| v.$to() == s)
+            }
+        }
+    };
+}
+pub(crate) use named_enum;
+
+named_enum! {
+    /// A scalar IR type.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use mosaic_ir::Type;
+    /// assert_eq!(Type::I32.size_bytes(), 4);
+    /// assert!(Type::F64.is_float());
+    /// assert!(Type::Ptr.is_pointer());
+    /// ```
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+    pub enum Type {
+        /// 1-bit boolean (stored as one byte in memory).
+        I1 = "i1",
+        /// 8-bit integer.
+        I8 = "i8",
+        /// 16-bit integer.
+        I16 = "i16",
+        /// 32-bit integer.
+        #[default]
+        I32 = "i32",
+        /// 64-bit integer.
+        I64 = "i64",
+        /// 32-bit IEEE-754 float.
+        F32 = "f32",
+        /// 64-bit IEEE-754 float.
+        F64 = "f64",
+        /// Byte-addressed pointer (64-bit).
+        Ptr = "ptr",
+        /// No value (terminators, stores).
+        Void = "void",
+    }
+    /// The textual keyword used by the printer/parser.
+    fn keyword;
+    /// Parses a type keyword as produced by [`Type::keyword`].
+    fn from_keyword;
 }
 
 impl Type {
@@ -72,37 +118,6 @@ impl Type {
     /// Whether a value of this type exists at all.
     pub fn is_value(self) -> bool {
         self != Type::Void
-    }
-
-    /// The textual keyword used by the printer/parser.
-    pub fn keyword(self) -> &'static str {
-        match self {
-            Type::I1 => "i1",
-            Type::I8 => "i8",
-            Type::I16 => "i16",
-            Type::I32 => "i32",
-            Type::I64 => "i64",
-            Type::F32 => "f32",
-            Type::F64 => "f64",
-            Type::Ptr => "ptr",
-            Type::Void => "void",
-        }
-    }
-
-    /// Parses a type keyword as produced by [`Type::keyword`].
-    pub fn from_keyword(s: &str) -> Option<Type> {
-        Some(match s {
-            "i1" => Type::I1,
-            "i8" => Type::I8,
-            "i16" => Type::I16,
-            "i32" => Type::I32,
-            "i64" => Type::I64,
-            "f32" => Type::F32,
-            "f64" => Type::F64,
-            "ptr" => Type::Ptr,
-            "void" => Type::Void,
-            _ => return None,
-        })
     }
 }
 

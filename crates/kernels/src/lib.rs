@@ -31,8 +31,8 @@ pub mod projection;
 pub mod sinkhorn;
 
 use mosaic_ir::{
-    BinOp, BlockId, Constant, ExecOutcome, FuncId, FunctionBuilder, IntPredicate, MemImage,
-    Module, Operand, RtVal, TileProgram, Type,
+    BinOp, Constant, ExecOutcome, FuncId, FunctionBuilder, IntPredicate, MemImage, Module,
+    Operand, RtVal, TileProgram, Type,
 };
 use mosaic_trace::{KernelTrace, TraceRecorder};
 
@@ -165,12 +165,6 @@ pub fn build_parboil(name: &str, scale: u32) -> Prepared {
         "tpacf" => parboil::tpacf::build(scale),
         other => panic!("unknown Parboil kernel `{other}`"),
     }
-}
-
-/// Used by kernels that need a named block id without the builder in
-/// scope (re-exported for harness code).
-pub fn entry_block() -> BlockId {
-    BlockId(0)
 }
 
 #[cfg(test)]

@@ -151,16 +151,6 @@ impl FuncDepths {
         }
     }
 
-    /// Completion bound of an operand: instruction issue bound plus its
-    /// minimum latency; constants and parameters are free.
-    pub fn operand_ready(&self, func: &Function, op: &Operand, model: &LatencyModel) -> u64 {
-        match op {
-            Operand::Inst(d) => {
-                self.inst_issue[d.index()] + min_latency(func.inst(*d).op(), model)
-            }
-            _ => 0,
-        }
-    }
 }
 
 /// Minimum issue→completion latency of one opcode. Anything that any

@@ -373,11 +373,6 @@ impl<'t> TileTraceCursor<'t> {
         self.pos.next_block(self.trace)
     }
 
-    /// Number of blocks consumed so far.
-    pub fn blocks_consumed(&self) -> usize {
-        self.pos.path_pos
-    }
-
     /// Whether the whole path has been consumed.
     pub fn is_done(&self) -> bool {
         self.pos.path_pos >= self.trace.path.len()
