@@ -172,7 +172,6 @@ pub struct SystemBuilder {
     checkpoint_every: Option<u64>,
     checkpoint_path: Option<std::path::PathBuf>,
     resume: Option<ResumeSource>,
-    partition: Option<PartitionPlan>,
 }
 
 impl fmt::Debug for SystemBuilder {
@@ -202,7 +201,6 @@ impl SystemBuilder {
             checkpoint_every: None,
             checkpoint_path: None,
             resume: None,
-            partition: None,
         }
     }
 
@@ -395,14 +393,14 @@ impl SystemBuilder {
 
     /// Builds the system interference graph for the current
     /// configuration and greedily partitions it into `shards` shards.
-    /// The returned plan is already validated against the configured
-    /// tile count and memory geometry, so it can be fed straight back
-    /// through [`Self::partition_plan`].
+    /// Nothing in the simulator consumes the plan (DESIGN.md §4.7); the
+    /// method is kept for `benchmark/src/layers.rs`, which times it as
+    /// `part.plan_ms`, until ROADMAP item 1(a) removes that call.
     ///
     /// # Errors
     ///
     /// Returns [`MosaicError::InvalidConfig`] when no tiles are
-    /// configured or the plan fails validation.
+    /// configured.
     pub fn compute_partition_plan(&self, shards: usize) -> Result<PartitionPlan, MosaicError> {
         if self.tiles.is_empty() {
             return Err(MosaicError::invalid_config(
@@ -410,30 +408,13 @@ impl SystemBuilder {
                 "cannot partition a system with no tiles",
             ));
         }
-        let geometry = self.mem_geometry();
-        let graph =
-            InterferenceGraph::build(&self.module, &self.bindings(), geometry, &self.latency_model());
-        let plan = partition(&graph, shards);
-        plan.validate(self.tiles.len(), geometry.num_banks)
-            .map_err(|e| MosaicError::invalid_config("partition.plan", e))?;
-        Ok(plan)
-    }
-
-    /// Attaches a BSP partition plan to the system. The plan is
-    /// validated against the configured tile count and memory geometry
-    /// (and re-checked at `build`, in case the memory configuration
-    /// changes afterwards); an attached plan exports its shard layout
-    /// and graph statistics into the report's registry under `part.*`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MosaicError::InvalidConfig`] when the plan does not
-    /// cover exactly this system's tiles and banks.
-    pub fn partition_plan(mut self, plan: PartitionPlan) -> Result<Self, MosaicError> {
-        plan.validate(self.tiles.len(), self.mem_geometry().num_banks)
-            .map_err(|e| MosaicError::invalid_config("partition.plan", e))?;
-        self.partition = Some(plan);
-        Ok(self)
+        let graph = InterferenceGraph::build(
+            &self.module,
+            &self.bindings(),
+            self.mem_geometry(),
+            &self.latency_model(),
+        );
+        Ok(partition(&graph, shards))
     }
 
     /// Rejects configurations the simulator cannot honor, naming the
@@ -547,10 +528,6 @@ impl SystemBuilder {
                      checkpoint_to(path)",
                 ));
             }
-        }
-        if let Some(plan) = &self.partition {
-            plan.validate(self.tiles.len(), self.mem_geometry().num_banks)
-                .map_err(|e| MosaicError::invalid_config("partition.plan", e))?;
         }
         check_cache("memory.l1", &self.memory.l1)?;
         if let Some(l2) = &self.memory.l2 {
@@ -754,23 +731,6 @@ impl SystemBuilder {
         let energy = self.energy;
         let observe = self.observe;
         let areas: Vec<f64> = self.tiles.iter().map(|t| t.config.area_mm2).collect();
-        // Summarize the attached partition plan (and the interference
-        // graph it was cut from) before `build` consumes the builder;
-        // the numbers land in the registry below.
-        let part_stats = self.partition.as_ref().map(|plan| {
-            let graph = InterferenceGraph::build(
-                &self.module,
-                &self.bindings(),
-                self.mem_geometry(),
-                &self.latency_model(),
-            );
-            (
-                plan.clone(),
-                graph.channel_edges.len() as u64,
-                graph.bank_edges.len() as u64,
-                graph.unbounded_tiles.len() as u64,
-            )
-        });
         let mut il = self.build()?;
         let cycles = il.run().map_err(MosaicError::Sim)?;
         let (steps_executed, cycles_skipped, skips_taken) = (
@@ -804,20 +764,6 @@ impl SystemBuilder {
         registry.set_counter("sim.ff.steps_executed", steps_executed);
         registry.set_counter("sim.ff.cycles_skipped", cycles_skipped);
         registry.set_counter("sim.ff.skips_taken", skips_taken);
-        // Static partitioning summary (only when a plan is attached):
-        // shard layout quality plus interference-graph size, so sweep
-        // reports can correlate BSP epoch length with dynamic behavior.
-        if let Some((plan, ch_edges, bank_edges, unbounded)) = part_stats {
-            registry.set_counter("part.shards", plan.shards.len() as u64);
-            registry.set_counter("part.cut_weight", plan.cut_weight);
-            registry.set_counter("part.internal_weight", plan.internal_weight);
-            if plan.epoch_horizon != u64::MAX {
-                registry.set_counter("part.epoch_horizon", plan.epoch_horizon);
-            }
-            registry.set_counter("part.graph.channel_edges", ch_edges);
-            registry.set_counter("part.graph.bank_edges", bank_edges);
-            registry.set_counter("part.graph.unbounded_tiles", unbounded);
-        }
 
         let mut timeline = Timeline::new();
         if observe.trace_on() {
@@ -1155,8 +1101,10 @@ mod validation_tests {
 
 #[cfg(test)]
 mod partition_tests {
-    //! Builder-side partition planning: plan computation, validation
-    //! against the configured geometry, and registry export.
+    //! Builder-side partition planning: the one call the performance
+    //! ledger times. The ledger's own two shapes (8-tile spmv, four DAE
+    //! projection pairs) need `mosaic-kernels`, which this crate does not
+    //! depend on: `tests/partition_differential.rs` holds them.
 
     use std::sync::Arc;
 
@@ -1195,38 +1143,13 @@ mod partition_tests {
     }
 
     #[test]
-    fn computed_plan_validates_and_round_trips() {
-        let b = chatter();
-        let plan = b.compute_partition_plan(2).expect("plan");
+    fn computed_plan_cuts_the_pair_at_the_channel() {
+        let plan = chatter().compute_partition_plan(2).expect("plan");
         assert_eq!(plan.tiles, 2);
         assert_eq!(plan.shards.len(), 2);
         // No memory traffic: the only cross-shard path is the channel,
         // whose delivery bound includes the channel latency.
         assert!(plan.epoch_horizon >= 1, "horizon {}", plan.epoch_horizon);
-        let back =
-            mosaic_part::PartitionPlan::from_json(&plan.to_json()).expect("parses");
-        assert_eq!(back, plan);
-        // Attach and run: the registry carries the part.* summary.
-        let report = b.partition_plan(plan).expect("attach").run().expect("run");
-        assert_eq!(report.registry.counter("part.shards"), 2);
-        assert_eq!(report.registry.counter("part.graph.channel_edges"), 1);
-        assert_eq!(
-            report.registry.counter("part.epoch_horizon"),
-            report.registry.counter("part.epoch_horizon").max(1)
-        );
-    }
-
-    #[test]
-    fn mismatched_plan_is_rejected() {
-        let b = chatter();
-        let mut plan = b.compute_partition_plan(2).expect("plan");
-        plan.shards[0].tiles.clear();
-        match b.partition_plan(plan) {
-            Err(MosaicError::InvalidConfig { field, .. }) => {
-                assert_eq!(field, "partition.plan");
-            }
-            other => panic!("expected InvalidConfig, got {other:?}"),
-        }
     }
 
     #[test]
@@ -1234,6 +1157,9 @@ mod partition_tests {
         let b = chatter();
         // A fresh builder with no cores.
         let empty = SystemBuilder::new(b.module.clone(), b.trace.clone());
-        assert!(empty.compute_partition_plan(2).is_err());
+        match empty.compute_partition_plan(2) {
+            Err(MosaicError::InvalidConfig { field, .. }) => assert_eq!(field, "partition.tiles"),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
     }
 }

@@ -42,7 +42,7 @@
 
 #![warn(missing_docs)]
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use mosaic_ir::{
     AtomicOp, BinOp, BlockId, FuncId, Function, Inst, InstId, Intrinsic, Opcode, Operand,
@@ -407,15 +407,6 @@ impl StaticDdg {
             .map(Vec::as_slice)
             .unwrap_or(&[])
     }
-
-    /// Simple static statistics: instruction mix per class.
-    pub fn class_mix(&self) -> HashMap<InstClass, usize> {
-        let mut mix = HashMap::new();
-        for n in &self.nodes {
-            *mix.entry(n.class).or_insert(0) += 1;
-        }
-        mix
-    }
 }
 
 /// Where a launching instruction finds the dynamic instance of one SSA
@@ -667,18 +658,6 @@ mod tests {
                 assert!(!ddg.node(i).is_terminator());
             }
         }
-    }
-
-    #[test]
-    fn class_mix_counts_everything() {
-        let (m, f, _, _) = loop_func();
-        let ddg = StaticDdg::build(m.function(f));
-        let mix = ddg.class_mix();
-        let total: usize = mix.values().sum();
-        assert_eq!(total, ddg.node_count());
-        assert_eq!(mix[&InstClass::Load], 1);
-        assert_eq!(mix[&InstClass::Store], 1);
-        assert_eq!(mix[&InstClass::Branch], 4);
     }
 
     #[test]

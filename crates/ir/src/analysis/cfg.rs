@@ -111,65 +111,29 @@ impl Cfg {
     }
 
     /// Computes the dominator tree (over reachable blocks).
-    pub fn dominators(&self) -> DomTree {
-        self.compute_dom(false)
-    }
-
-    /// Computes the post-dominator tree (over reachable blocks, with a
-    /// virtual exit joining all `ret` blocks).
-    pub fn post_dominators(&self) -> DomTree {
-        self.compute_dom(true)
-    }
-
+    ///
     /// Cooper–Harvey–Kennedy: iterate `idom[b] = intersect(processed
-    /// preds)` over (reverse) RPO until fixpoint.
-    fn compute_dom(&self, post: bool) -> DomTree {
-        let n = self.block_count();
-        // Order of processing: RPO for dominators, reverse RPO for
-        // post-dominators. `roots` are the boundary nodes whose idom is
-        // themselves.
-        let order: Vec<BlockId> = if post {
-            self.rpo.iter().rev().copied().collect()
-        } else {
-            self.rpo.clone()
+    /// preds)` over RPO until fixpoint.
+    pub fn dominators(&self) -> DomTree {
+        // The intersect walk numbers blocks by their position in RPO.
+        let pos = &self.rpo_pos;
+        let mut idom: Vec<Option<BlockId>> = vec![None; self.block_count()];
+        let Some((&entry, rest)) = self.rpo.split_first() else {
+            return DomTree { idom, pos: pos.clone() };
         };
-        let roots: Vec<BlockId> = if post {
-            self.exits.iter().filter(|b| self.is_reachable(**b)).copied().collect()
-        } else if n > 0 {
-            vec![BlockId(0)]
-        } else {
-            Vec::new()
-        };
-        // Numbering used by the intersect walk: position in `order`.
-        let mut pos = vec![usize::MAX; n];
-        for (i, b) in order.iter().enumerate() {
-            pos[b.index()] = i;
-        }
-        let mut idom: Vec<Option<BlockId>> = vec![None; n];
-        for r in &roots {
-            idom[r.index()] = Some(*r);
-        }
-        let is_root = |b: BlockId| roots.contains(&b);
+        idom[entry.index()] = Some(entry);
         let mut changed = true;
         while changed {
             changed = false;
-            for &b in &order {
-                if is_root(b) {
-                    continue;
-                }
-                let inputs: &[BlockId] = if post {
-                    self.succs(b)
-                } else {
-                    self.preds(b)
-                };
+            for &b in rest {
                 let mut new_idom: Option<BlockId> = None;
-                for &p in inputs {
+                for &p in self.preds(b) {
                     if pos[p.index()] == usize::MAX || idom[p.index()].is_none() {
                         continue; // unreachable or not yet processed
                     }
                     new_idom = Some(match new_idom {
                         None => p,
-                        Some(cur) => intersect(&idom, &pos, cur, p),
+                        Some(cur) => intersect(&idom, pos, cur, p),
                     });
                 }
                 if new_idom != idom[b.index()] && new_idom.is_some() {
@@ -178,17 +142,10 @@ impl Cfg {
                 }
             }
         }
-        // Roots report no parent (their self-idom is an implementation
+        // The entry reports no parent (its self-idom is an implementation
         // artifact of the intersect walk).
-        let mut parents = idom;
-        for r in &roots {
-            parents[r.index()] = None;
-        }
-        DomTree {
-            idom: parents,
-            pos,
-            roots,
-        }
+        idom[entry.index()] = None;
+        DomTree { idom, pos: pos.clone() }
     }
 }
 
@@ -209,17 +166,15 @@ fn intersect(
     a
 }
 
-/// An (immediate-)dominator tree, usable for both dominators and
-/// post-dominators depending on how it was built.
+/// An (immediate-)dominator tree.
 #[derive(Debug, Clone)]
 pub struct DomTree {
     idom: Vec<Option<BlockId>>,
     pos: Vec<usize>,
-    roots: Vec<BlockId>,
 }
 
 impl DomTree {
-    /// The immediate dominator of `b` (`None` for the root(s) and for
+    /// The immediate dominator of `b` (`None` for the entry and for
     /// unreachable blocks).
     pub fn idom(&self, b: BlockId) -> Option<BlockId> {
         self.idom[b.index()]
@@ -238,7 +193,7 @@ impl DomTree {
             }
             match self.idom[cur.index()] {
                 Some(p) => cur = p,
-                None => return self.roots.contains(&cur) && cur == a,
+                None => return false,
             }
         }
     }
@@ -294,18 +249,6 @@ mod tests {
         assert!(dom.dominates(j, j));
         assert!(!dom.dominates(t, j));
         assert!(!dom.dominates(dead, j) && !dom.dominates(j, dead));
-    }
-
-    #[test]
-    fn diamond_post_dominators() {
-        let (m, f, [e, t, el, j, _]) = diamond();
-        let cfg = Cfg::new(m.function(f));
-        let pdom = cfg.post_dominators();
-        assert_eq!(pdom.idom(t), Some(j));
-        assert_eq!(pdom.idom(el), Some(j));
-        assert_eq!(pdom.idom(e), Some(j));
-        assert!(pdom.dominates(j, e), "join post-dominates entry");
-        assert!(!pdom.dominates(t, e));
     }
 
     #[test]

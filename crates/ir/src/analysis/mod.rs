@@ -2,7 +2,7 @@
 //!
 //! This module is the substrate `mosaic-lint`, `mosaic-part`, and the
 //! compiler passes build on: a control-flow graph with
-//! dominator/post-dominator trees ([`mod@cfg`]), a generic
+//! dominator trees ([`mod@cfg`]), a generic
 //! forward/backward worklist fixpoint solver over a lattice trait
 //! ([`dataflow`]), natural-loop detection with static trip-count bounds
 //! ([`loops`]), SSA-value liveness / demand analyses ([`liveness`]), and

@@ -457,11 +457,6 @@ impl Opcode {
         )
     }
 
-    /// Whether this opcode writes memory.
-    pub fn writes_mem(&self) -> bool {
-        matches!(self, Opcode::Store { .. } | Opcode::AtomicRmw { .. })
-    }
-
     /// Whether this opcode has a side effect beyond producing a value
     /// (used by dead-code elimination).
     pub fn has_side_effect(&self) -> bool {
@@ -606,12 +601,11 @@ mod tests {
             addr: Operand::Param(0),
         };
         assert!(load.is_mem());
-        assert!(!load.writes_mem());
         let store = Opcode::Store {
             addr: Operand::Param(0),
             value: Operand::Const(Constant::i32(1)),
         };
-        assert!(store.writes_mem());
+        assert!(store.is_mem());
         assert!(store.has_side_effect());
         assert!(!load.has_side_effect());
     }

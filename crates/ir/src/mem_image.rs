@@ -98,11 +98,6 @@ impl MemImage {
         self.alloc(n * 4, 64)
     }
 
-    /// Allocates an array of `n` 64-bit floats.
-    pub fn alloc_f64(&mut self, n: u64) -> u64 {
-        self.alloc(n * 8, 64)
-    }
-
     /// The offset of `addr` from the base, checked against the allocated
     /// extent.
     #[inline]
@@ -275,13 +270,6 @@ impl MemImage {
         }
     }
 
-    /// Fills an `f64` array from a slice.
-    pub fn fill_f64(&mut self, addr: u64, data: &[f64]) {
-        for (i, v) in data.iter().enumerate() {
-            self.write_f64(addr + 8 * i as u64, *v);
-        }
-    }
-
     /// Reads an `f32` array into a `Vec`.
     pub fn read_f32_slice(&self, addr: u64, n: usize) -> Vec<f32> {
         (0..n).map(|i| self.read_f32(addr + 4 * i as u64)).collect()
@@ -295,11 +283,6 @@ impl MemImage {
     /// Reads an `i64` array into a `Vec`.
     pub fn read_i64_slice(&self, addr: u64, n: usize) -> Vec<i64> {
         (0..n).map(|i| self.read_i64(addr + 8 * i as u64)).collect()
-    }
-
-    /// Reads an `f64` array into a `Vec`.
-    pub fn read_f64_slice(&self, addr: u64, n: usize) -> Vec<f64> {
-        (0..n).map(|i| self.read_f64(addr + 8 * i as u64)).collect()
     }
 }
 
@@ -547,15 +530,15 @@ mod tests {
         let mut m = MemImage::new();
         let n = 3 * CHUNK / 4 + 5;
         let words = m.alloc_i32(n as u64) + 4;
-        let longs = m.alloc_f64(n as u64);
+        let longs = m.alloc_i64(n as u64);
         assert_eq!(m.read_i32_slice(words, n - 1), vec![0; n - 1]);
-        assert_eq!(m.read_f64_slice(longs, n), vec![0.0; n]);
+        assert_eq!(m.read_i64_slice(longs, n), vec![0; n]);
         let data: Vec<i32> = (0..n as i32 - 1).map(|i| i * 7 - 3).collect();
         m.fill_i32(words, &data);
         assert_eq!(m.read_i32_slice(words, n - 1), data);
-        let floats: Vec<f64> = data.iter().map(|&i| f64::from(i) / 3.0).collect();
-        m.fill_f64(longs, &floats[..n - 1]);
-        assert_eq!(m.read_f64_slice(longs, n), [&floats[..], &[0.0]].concat());
+        let wide: Vec<i64> = data.iter().map(|&i| i64::from(i) << 33).collect();
+        m.fill_i64(longs, &wide[..n - 1]);
+        assert_eq!(m.read_i64_slice(longs, n), [&wide[..], &[0]].concat());
         assert_eq!(m.read_i32_slice(words, n - 1), data);
     }
 

@@ -65,19 +65,6 @@ impl Log2Histogram {
         self.buckets[Self::bucket_of(value)] += 1;
     }
 
-    /// Records `n` samples of the same value (used by fast-forward
-    /// stall crediting, which multiplies a one-cycle survey).
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.count += n;
-        self.sum = self.sum.saturating_add(value.saturating_mul(n));
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-        self.buckets[Self::bucket_of(value)] += n;
-    }
-
     /// Total samples recorded.
     pub fn count(&self) -> u64 {
         self.count
@@ -534,19 +521,6 @@ mod tests {
         assert_eq!(Log2Histogram::bucket_of(u64::MAX), 64);
         assert_eq!(h.percentile(100), Log2Histogram::bucket_low(7));
         assert!(h.percentile(50) <= h.percentile(99));
-    }
-
-    #[test]
-    fn record_n_matches_repeated_record() {
-        let mut a = Log2Histogram::new();
-        let mut b = Log2Histogram::new();
-        for _ in 0..17 {
-            a.record(42);
-        }
-        b.record_n(42, 17);
-        assert_eq!(a, b);
-        b.record_n(9, 0);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -266,65 +266,6 @@ impl InterferenceGraph {
         }
         w
     }
-
-    /// Serializes the graph (edges plus the horizon matrix) as compact
-    /// deterministic JSON. `MAX` horizons render as `null`.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        s.push_str(&format!("\"tiles\":{}", self.tiles));
-        s.push_str(&format!(
-            ",\"geometry\":{{\"num_banks\":{},\"stride\":{}}}",
-            self.geometry.num_banks, self.geometry.stride
-        ));
-        s.push_str(",\"channel_edges\":[");
-        for (i, e) in self.channel_edges.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"from\":{},\"to\":{},\"queue\":{},\"min_delivery\":{},\"weight\":{}}}",
-                e.from, e.to, e.queue, e.min_delivery, e.weight
-            ));
-        }
-        s.push_str("],\"bank_edges\":[");
-        for (i, e) in self.bank_edges.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"tile\":{},\"bank\":{},\"weight\":{},\"first_touch\":{}}}",
-                e.tile, e.bank, e.weight, e.first_touch
-            ));
-        }
-        s.push_str("],\"unbounded_tiles\":[");
-        for (i, t) in self.unbounded_tiles.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&t.to_string());
-        }
-        s.push_str("],\"horizons\":[");
-        for a in 0..self.tiles {
-            if a > 0 {
-                s.push(',');
-            }
-            s.push('[');
-            for b in 0..self.tiles {
-                if b > 0 {
-                    s.push(',');
-                }
-                let h = self.horizon(a, b);
-                if h == u64::MAX {
-                    s.push_str("null");
-                } else {
-                    s.push_str(&h.to_string());
-                }
-            }
-            s.push(']');
-        }
-        s.push_str("]}");
-        s
-    }
 }
 
 #[cfg(test)]
@@ -444,20 +385,5 @@ mod tests {
         assert_eq!(g.bank_edges.iter().filter(|e| e.tile == 0).count(), 4);
         // Both touch everything from cycle 0: zero horizon both ways.
         assert_eq!(g.pair_horizon(0, 1), 0);
-    }
-
-    #[test]
-    fn json_shape_is_stable() {
-        let (m, tiles) = pair_system();
-        let g = InterferenceGraph::build(
-            &m,
-            &tiles,
-            MemGeometry::default(),
-            &LatencyModel::default(),
-        );
-        let j = g.to_json();
-        let v = mosaic_obs::json::parse(&j).expect("graph json parses");
-        assert_eq!(v.get("tiles").and_then(|t| t.as_u64()), Some(2));
-        assert!(v.get("horizons").and_then(|h| h.as_array()).is_some());
     }
 }

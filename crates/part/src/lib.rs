@@ -1,8 +1,12 @@
 //! # mosaic-part
 //!
-//! Static tile-interference and epoch-horizon analysis: the planning
-//! half of BSP tile sharding (ROADMAP item 2, after Manticore's static
+//! Static tile-interference and epoch-horizon analysis, built as the
+//! planning half of BSP tile sharding (after Manticore's static
 //! latency-bound partitioning and MGSim's distributed multi-core work).
+//! The measurement it made possible ruled the executor out — no bundled
+//! multi-tile system has an epoch worth running (DESIGN.md §4.7) — so
+//! what is kept is the analysis: the graph, the horizons and the cut
+//! that reports them.
 //!
 //! From a kernel's IR, its [`TileBinding`]s, and the memory geometry,
 //! the crate builds a **system interference graph**
@@ -20,7 +24,7 @@
 //! horizons** — a lower bound on the cycle at which one tile's effect
 //! can first land on another — and a greedy min-cut [`PartitionPlan`]
 //! assigning tiles and banks to shards. A bulk-synchronous parallel
-//! interleaver may simulate the shards of a plan independently for
+//! interleaver could simulate the shards of a plan independently for
 //! `epoch_horizon` cycles between synchronizations without reordering
 //! any cross-shard event.
 //!
@@ -57,19 +61,17 @@
 //! assert_eq!(graph.channel_edges.len(), 1);
 //! let plan = partition(&graph, 2);
 //! assert_eq!(plan.shards.len(), 2);
-//! assert!(plan.to_json().contains("\"shards\""));
+//! assert!(plan.epoch_horizon >= 1, "the only cross-shard path is the channel");
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod graph;
 pub mod horizon;
-pub mod lints;
 pub mod plan;
 
 pub use graph::{BankEdge, ChannelEdge, InterferenceGraph};
 pub use horizon::{FuncDepths, LatencyModel};
-pub use lints::run as lint_partition;
 pub use plan::{partition, PartitionPlan, Shard};
 
 // Re-exported so downstream users need not name mosaic-lint directly.
@@ -106,12 +108,6 @@ impl MemGeometry {
         }
     }
 
-    /// The bank owning byte address `addr` (negative addresses clamp to
-    /// zero; the IR's flat address space is non-negative in practice).
-    pub fn bank_of(&self, addr: i64) -> usize {
-        ((addr.max(0) as u64 / self.stride) % self.num_banks as u64) as usize
-    }
-
     /// All banks touched by the byte range `[lo, hi)`, ascending.
     pub fn banks_of_range(&self, lo: i64, hi: i64) -> Vec<usize> {
         if hi <= lo {
@@ -135,16 +131,6 @@ impl MemGeometry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bank_mapping_is_line_interleaved() {
-        let g = MemGeometry::new(4, 64);
-        assert_eq!(g.bank_of(0), 0);
-        assert_eq!(g.bank_of(63), 0);
-        assert_eq!(g.bank_of(64), 1);
-        assert_eq!(g.bank_of(256), 0);
-        assert_eq!(g.bank_of(-8), 0, "negative addresses clamp");
-    }
 
     #[test]
     fn range_banks_cover_and_saturate() {

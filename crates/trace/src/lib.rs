@@ -357,13 +357,8 @@ impl<'t> TileTraceCursor<'t> {
         }
     }
 
-    /// The next basic block on the control-flow path without consuming it.
-    pub fn peek_block(&self) -> Option<BlockId> {
-        self.pos.peek_block_at(self.trace, 0)
-    }
-
-    /// Looks `k` blocks ahead on the path (0 = same as
-    /// [`peek_block`](Self::peek_block)).
+    /// Looks `k` blocks ahead on the control-flow path without consuming
+    /// anything (0 = the block [`next_block`](Self::next_block) returns).
     pub fn peek_block_at(&self, k: usize) -> Option<BlockId> {
         self.pos.peek_block_at(self.trace, k)
     }
@@ -458,7 +453,7 @@ mod tests {
     fn cursor_consumes_in_order() {
         let (trace, load_id) = traced_loop(3);
         let mut cur = TileTraceCursor::new(trace.tile(0));
-        assert_eq!(cur.peek_block(), Some(BlockId(0)));
+        assert_eq!(cur.peek_block_at(0), Some(BlockId(0)));
         let mut blocks = 0;
         while cur.next_block().is_some() {
             blocks += 1;

@@ -44,6 +44,20 @@ const USAGE: &str = "usage:
   mosaic-report --diff a.json b.json
   mosaic-report --check-trace trace.json [--expect-tiles N]";
 
+/// Parses the value of a flag that counts from 1: a kernel built at
+/// scale 0 has no data to index and a system of 0 tiles simulates nothing.
+fn positive<T>(flag: &str, text: &str) -> Result<T, String>
+where
+    T: std::str::FromStr + Default + PartialEq,
+    T::Err: std::fmt::Display,
+{
+    match text.parse::<T>() {
+        Ok(n) if n != T::default() => Ok(n),
+        Ok(_) => Err(format!("{flag}: must be at least 1")),
+        Err(e) => Err(format!("{flag}: {e}")),
+    }
+}
+
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         kernel: None,
@@ -68,16 +82,8 @@ fn parse_args() -> Result<Options, String> {
     while i < args.len() {
         match args[i].as_str() {
             "--kernel" => opts.kernel = Some(value(&mut i, "--kernel")?),
-            "--scale" => {
-                opts.scale = value(&mut i, "--scale")?
-                    .parse()
-                    .map_err(|e| format!("--scale: {e}"))?
-            }
-            "--tiles" => {
-                opts.tiles = value(&mut i, "--tiles")?
-                    .parse()
-                    .map_err(|e| format!("--tiles: {e}"))?
-            }
+            "--scale" => opts.scale = positive("--scale", &value(&mut i, "--scale")?)?,
+            "--tiles" => opts.tiles = positive("--tiles", &value(&mut i, "--tiles")?)?,
             "--core" => {
                 opts.ooo = match value(&mut i, "--core")?.as_str() {
                     "ino" => false,

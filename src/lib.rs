@@ -21,7 +21,7 @@
 //! | [`ckpt`] | `mosaic-ckpt` | Deterministic checkpoint/restore snapshot format |
 //! | [`passes`] | `mosaic-passes` | DAE slicing (DeSC), DCE — §VII-A |
 //! | [`lint`] | `mosaic-lint` | Static channel-protocol, race, and liveness analysis over the IR |
-//! | [`part`] | `mosaic-part` | Static tile-interference graphs, safe-epoch horizons, BSP partition plans |
+//! | [`part`] | `mosaic-part` | Static tile-interference graph and static horizons |
 //! | [`kernels`] | `mosaic-kernels` | Parboil-style suite + case-study workloads — §VI/§VII |
 //!
 //! # Quickstart
@@ -84,7 +84,7 @@ pub mod prelude {
     pub use mosaic_kernels::Prepared;
     pub use mosaic_mem::{CacheConfig, DramKind, HierarchyConfig, PrefetchConfig};
     pub use mosaic_obs::{IrProfile, ObsLevel, StatsRegistry, Timeline};
-    pub use mosaic_part::{InterferenceGraph, MemGeometry, PartitionPlan};
+    pub use mosaic_part::{InterferenceGraph, MemGeometry};
     pub use mosaic_passes::{slice_dae, DaeQueues};
     pub use mosaic_tile::{BranchMode, ChannelConfig, CoreConfig};
     pub use mosaic_trace::{KernelTrace, TraceRecorder};

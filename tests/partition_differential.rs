@@ -12,8 +12,11 @@
 //!   fixpoint's own unit tests;
 //! * the real DAE-sliced projection pipeline respects its statically
 //!   computed delivery bounds on every queue;
-//! * every bundled kernel yields a structurally valid plan whose JSON
-//!   round-trips bit-identically.
+//! * the 2-shard epoch horizon of every bundled system at 8 tiles is the
+//!   one in DESIGN.md §4.7's table — the measurement that ruled a BSP
+//!   executor out, kept reproducible;
+//! * `SystemBuilder::compute_partition_plan` succeeds on the two shapes
+//!   the performance ledger calls it on.
 //!
 //! The static model used throughout is [`LatencyModel::default`]
 //! (`alu = branch = channel = 1`, gate bounds on), which lower-bounds
@@ -27,7 +30,7 @@ use mosaicsim::ir::{Constant, FuncId, MemImage, Module, RtVal, TileProgram, Type
 use mosaicsim::kernels::{build_parboil, projection, sinkhorn, Prepared, PARBOIL_NAMES};
 use mosaicsim::lint::TileBinding;
 use mosaicsim::mem::MemoryHierarchy;
-use mosaicsim::part::{partition, InterferenceGraph, LatencyModel, MemGeometry, PartitionPlan};
+use mosaicsim::part::{partition, InterferenceGraph, LatencyModel, MemGeometry};
 use mosaicsim::prelude::*;
 use mosaicsim::tile::{ChannelSet, CoreTile, NoAccel, Tile};
 
@@ -273,8 +276,8 @@ fn dae_projection_delivery_bounds_are_conservative() {
     assert_edges_conservative(&graph, &model, il, "dae-projection");
 }
 
-/// Every kernel the repository bundles, at a small scale (mirrors the
-/// `mosaic-part` CLI's `--kernels` list).
+/// Every system the repository bundles, at a small scale (the graph
+/// shape is scale-independent; only trip-count weights change).
 fn bundled_kernels() -> Vec<Prepared> {
     let mut out: Vec<Prepared> = PARBOIL_NAMES.iter().map(|n| build_parboil(n, 1)).collect();
     out.push(projection::build(1));
@@ -294,41 +297,92 @@ fn bundled_kernels() -> Vec<Prepared> {
     out
 }
 
+/// DESIGN.md §4.7's table: the epoch horizon of the 2-shard cut of each
+/// bundled system at 8 tiles, in `bundled_kernels` order. Thirteen rows
+/// of 0 and four of 2-4 are why no BSP executor was built; `u64::MAX`
+/// (the tiles never interact) is the accelerator-only systems. A kernel
+/// or footprint change that moves a row fails here.
+const EPOCH_HORIZONS: [(&str, u64); 21] = [
+    ("bfs", 0),
+    ("cutcp", 0),
+    ("histo", 0),
+    ("lbm", 2),
+    ("mri-gridding", 0),
+    ("mri-q", 0),
+    ("sad", 0),
+    ("sgemm", 2),
+    ("spmv", 0),
+    ("stencil", 4),
+    ("tpacf", 0),
+    ("projection", 0),
+    ("ewsd", 0),
+    ("sgemm", 2),
+    ("sgemm+accel", u64::MAX),
+    ("sinkhorn-dense-heavy+accel", 0),
+    ("sinkhorn-equal-sparse-dense+accel", 0),
+    ("sinkhorn-sparse-heavy+accel", 0),
+    ("ConvNet", u64::MAX),
+    ("GraphSage", u64::MAX),
+    ("RecSys", u64::MAX),
+];
+
 #[test]
-fn bundled_kernel_plans_validate_and_round_trip_bit_identically() {
+fn bundled_systems_have_the_epoch_horizons_that_ruled_bsp_out() {
     let model = LatencyModel::default();
-    let mut nontrivial = 0usize;
-    for p in bundled_kernels() {
-        for tiles in [2usize, 4] {
-            let bindings: Vec<TileBinding> = p
-                .programs(tiles)
-                .iter()
-                .map(TileBinding::from_program)
-                .collect();
-            let graph =
-                InterferenceGraph::build(&p.module, &bindings, MemGeometry::default(), &model);
-            for shards in [2usize, 4] {
-                let plan = partition(&graph, shards);
-                plan.validate(bindings.len(), graph.geometry.num_banks)
-                    .unwrap_or_else(|e| panic!("{}/{tiles}t/{shards}s: {e}", p.name));
-                let json = plan.to_json();
-                let back = PartitionPlan::from_json(&json)
-                    .unwrap_or_else(|e| panic!("{}/{tiles}t/{shards}s: {e}", p.name));
-                assert_eq!(
-                    back.to_json(),
-                    json,
-                    "{}/{tiles}t/{shards}s: JSON round trip must be bit-identical",
-                    p.name
-                );
-                if plan.is_nontrivial() {
-                    nontrivial += 1;
-                }
-            }
+    let systems = bundled_kernels();
+    assert_eq!(systems.len(), EPOCH_HORIZONS.len());
+    for (p, (name, horizon)) in systems.iter().zip(EPOCH_HORIZONS) {
+        assert_eq!(p.name, name, "bundled systems in table order");
+        let bindings: Vec<TileBinding> = p
+            .programs(8)
+            .iter()
+            .map(TileBinding::from_program)
+            .collect();
+        let graph = InterferenceGraph::build(&p.module, &bindings, MemGeometry::default(), &model);
+        let plan = partition(&graph, 2);
+        let sizes: Vec<usize> = plan.shards.iter().map(|s| s.tiles.len()).collect();
+        assert_eq!(sizes, [4, 4], "{name}: an even 2-way cut of 8 tiles");
+        assert_eq!(plan.epoch_horizon, horizon, "{name}");
+    }
+}
+
+/// The two `manytile_chan` shapes of the performance ledger, the one
+/// caller `compute_partition_plan` has left: eight SPMD spmv tiles, and
+/// projection as four DAE pairs in their own queue namespaces.
+#[test]
+fn builder_plans_the_two_shapes_the_ledger_times() {
+    let spmv = build_parboil("spmv", 1);
+    let (trace, _) = record_trace(&spmv.module, spmv.mem.clone(), &spmv.programs(8)).expect("trace");
+    let mut builder = SystemBuilder::new(Arc::new(spmv.module), Arc::new(trace));
+    for slot in 0..8 {
+        builder = builder.core(CoreConfig::in_order(), spmv.func, slot);
+    }
+    let plan = builder.compute_partition_plan(2).expect("spmv plan");
+    assert_eq!((plan.tiles, plan.shards.len()), (8, 2));
+
+    let mut p = projection::build_with(40, 64);
+    let slices = slice_dae(&mut p.module, p.func, DaeQueues::default()).expect("sliceable");
+    let mut programs = Vec::new();
+    let mut cores = Vec::new();
+    for pair in 0..4u32 {
+        for (func, config) in [
+            (slices.access, CoreConfig::dae_access()),
+            (slices.execute, CoreConfig::in_order()),
+        ] {
+            let mut program =
+                TileProgram::single(func, p.args.clone()).with_queue_offset(1000 * pair);
+            program.tile_id = i64::from(pair);
+            program.num_tiles = 4;
+            programs.push(program);
+            cores.push((config.with_queue_offset(1000 * pair), func));
         }
     }
-    assert!(
-        nontrivial >= 4,
-        "the statically partitionable kernels (lbm, sgemm, stencil) must \
-         yield non-trivial plans, got {nontrivial}"
-    );
+    let (trace, _) = record_trace(&p.module, p.mem.clone(), &programs).expect("trace");
+    let mut builder =
+        SystemBuilder::new(Arc::new(p.module), Arc::new(trace)).channels(dae_channel());
+    for (slot, (config, func)) in cores.into_iter().enumerate() {
+        builder = builder.core(config, func, slot);
+    }
+    let plan = builder.compute_partition_plan(2).expect("projection plan");
+    assert_eq!((plan.tiles, plan.shards.len()), (8, 2));
 }
