@@ -11,8 +11,10 @@
 //! A row holds an FNV-1a hash of the completion stream `(id, tile,
 //! at_cycle)` in delivery order, the cycle the hierarchy went idle,
 //! `MemStats`, `dram_throttled_cycles`, the MSHR and DRAM counters of the
-//! registry dump, and the length and hash of the `save_state` bytes taken
-//! mid-run. Every configuration runs twice: stepped on every cycle, and
+//! registry dump, the length and hash of the `save_state` bytes taken
+//! mid-run, and a hash of the whole registry dump — every `mem.*` path
+//! `register_into` writes and its value, the occupancy histograms (sampled
+//! from the snapshot on) included. Every configuration runs twice: stepped on every cycle, and
 //! stepped only at request cycles and the cycles `next_event_cycle`
 //! names, as the fast-forwarding Interleaver does; the two must agree on
 //! everything but the snapshot (which records the last stepped cycle).
@@ -27,7 +29,7 @@ use mosaicsim::mem::{
     AccessKind, BankedDramConfig, CacheConfig, Completion, DramKind, HierarchyConfig, MemReq,
     MemoryHierarchy, NocConfig, PrefetchConfig, SimpleDramConfig,
 };
-use mosaicsim::obs::StatsRegistry;
+use mosaicsim::obs::{ObsLevel, StatsRegistry};
 
 const TABLE: &str = include_str!("mem_golden.txt");
 
@@ -213,6 +215,7 @@ struct Outcome {
     throttled: u64,
     counters: String,
     snapshot: String,
+    registry: u64,
 }
 
 fn run(config: HierarchyConfig, tiles: usize, reqs: &[TimedReq], dense: bool) -> Outcome {
@@ -241,6 +244,9 @@ fn run(config: HierarchyConfig, tiles: usize, reqs: &[TimedReq], dense: bool) ->
                 let mut f = Fnv::new();
                 f.bytes(&bytes);
                 snapshot = format!("{}:{:016x}", bytes.len(), f.0);
+                // Observed from here on, so the snapshot column is what it
+                // was at `Off` and the dump still holds the histograms.
+                h.set_observe(ObsLevel::Stats);
             }
         }
         if next == reqs.len() && h.is_idle() {
@@ -278,6 +284,8 @@ fn run(config: HierarchyConfig, tiles: usize, reqs: &[TimedReq], dense: bool) ->
     ] {
         write!(counters, "{},", reg.counter(path)).expect("write to a String");
     }
+    let mut registry = Fnv::new();
+    registry.bytes(reg.to_json().as_bytes());
     Outcome {
         completions: stream.0,
         delivered,
@@ -298,13 +306,21 @@ fn run(config: HierarchyConfig, tiles: usize, reqs: &[TimedReq], dense: bool) ->
         throttled: h.dram_throttled_cycles(),
         counters,
         snapshot,
+        registry: registry.0,
     }
 }
 
 fn row(key: &str, o: &Outcome) -> String {
     format!(
-        "{key} completions={:016x}/{} idle_at={} stats={} throttled={} counters={} snapshot={}",
-        o.completions, o.delivered, o.idle_at, o.stats, o.throttled, o.counters, o.snapshot
+        "{key} completions={:016x}/{} idle_at={} stats={} throttled={} counters={} snapshot={} registry={:016x}",
+        o.completions,
+        o.delivered,
+        o.idle_at,
+        o.stats,
+        o.throttled,
+        o.counters,
+        o.snapshot,
+        o.registry
     )
 }
 
