@@ -3,9 +3,9 @@
 //! Accelerator performance models (paper §IV): the three fidelity levels
 //! MosaicSim offers for accelerator simulation —
 //!
-//! 1. **Pre-RTL graph-based tiles** live in `mosaic-tile`
-//!    ([`mosaic_tile::accelerator_tile`]): the CPU dependence-graph engine
-//!    with accelerator-style resource provisioning.
+//! 1. **Pre-RTL graph-based tiles** live in `mosaic-tile` (a `CoreTile`
+//!    built from [`mosaic_tile::CoreConfig::accelerator`]): the CPU
+//!    dependence-graph engine with accelerator-style resource provisioning.
 //! 2. **Cycle-level pipeline reference** ([`rtl_cycles`]): the exact
 //!    event schedule of the HLS-style load/compute/store pipeline with a
 //!    double-buffered PLM — our stand-in for SystemC/RTL simulation.

@@ -49,11 +49,11 @@ pub fn run_spmd(
     let (trace, _) = prepared.trace(tiles).expect("trace");
     let module = Arc::new(prepared.module.clone());
     let trace = Arc::new(trace);
-    let mut builder = SystemBuilder::new(module, trace).memory(memory);
-    for t in 0..tiles {
-        builder = builder.core(core.clone().with_name(&format!("{}#{t}", core.name)), prepared.func, t);
-    }
-    builder.run().expect("simulate")
+    SystemBuilder::new(module, trace)
+        .memory(memory)
+        .spmd(core, prepared.func, tiles)
+        .run()
+        .expect("simulate")
 }
 
 /// Runs `prepared` on one core with an accelerator bank attached.

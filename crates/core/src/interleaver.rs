@@ -171,9 +171,6 @@ pub struct Interleaver {
     /// identical under fast-forward and naive stepping because both
     /// execute every progress cycle.
     last_progress_at: Option<u64>,
-    /// Consecutive quiet steps before the naive-path watchdog surveys the
-    /// system for a deadlock (see [`Self::set_watchdog_window`]).
-    watchdog_window: u64,
     /// Quiet steps seen since the last progress or watchdog survey.
     quiet_streak: u64,
     /// Whether the previous loop iteration took a fast-forward jump.
@@ -188,6 +185,12 @@ pub struct Interleaver {
     /// Next checkpoint boundary.
     next_ckpt: u64,
 }
+
+/// Consecutive quiet steps before the naive stepper surveys the system for
+/// a deadlock. Only the detection *latency*: the verdict and its snapshot
+/// come from the last progress cycle, not from when the watchdog fired.
+/// Under fast-forwarding the survey happens at every skip attempt instead.
+const WATCHDOG_WINDOW: u64 = 10_000;
 
 /// Smallest multiple of `d` that is `>= x`. A tile on the global clock
 /// (`d == 1`, nearly every tile) pays no division for it.
@@ -233,7 +236,6 @@ impl Interleaver {
             cycles_skipped: 0,
             skips_taken: 0,
             last_progress_at: None,
-            watchdog_window: 10_000,
             quiet_streak: 0,
             just_skipped: false,
             ckpt_every: None,
@@ -260,17 +262,6 @@ impl Interleaver {
     /// Sets the runaway-protection cycle cap.
     pub fn set_cycle_limit(&mut self, limit: u64) {
         self.cycle_limit = limit;
-    }
-
-    /// Sets how many consecutive quiet cycles the naive stepper tolerates
-    /// before surveying the system for a deadlock (default 10 000). Only a
-    /// detection *latency* knob: the verdict and its snapshot are the same
-    /// for any window, because the blocked cycle is derived from the last
-    /// progress cycle, not from when the watchdog fired. Under
-    /// fast-forwarding the survey happens at every skip attempt instead,
-    /// so the window is unused.
-    pub fn set_watchdog_window(&mut self, window: u64) {
-        self.watchdog_window = window.max(1);
     }
 
     /// Sets the observability level on every tile and the memory
@@ -405,54 +396,23 @@ impl Interleaver {
         }
     }
 
-    /// Surveys the system for a deadlock: every unfinished tile reports
-    /// [`Horizon::Blocked`] (waiting on another party, not on time) and
-    /// the memory hierarchy has no pending event, so no step at any future
-    /// cycle can change anything. Returns the verdict with its snapshot,
-    /// or `None` when some event can still occur.
-    fn check_deadlock(&self) -> Option<SimError> {
-        if self.finished == self.tiles.len() {
-            return None;
-        }
-        let now = self.now;
-        for tile in &self.tiles {
-            if tile.is_done() {
-                continue;
-            }
-            if !matches!(tile.next_event(now, &self.channels), Horizon::Blocked) {
-                return None;
-            }
-        }
-        if self.mem.next_event_cycle(now).is_some() {
-            return None;
-        }
-        Some(SimError::Deadlock {
-            snapshot: self.stall_snapshot(),
-        })
-    }
-
-    /// Jumps `now` forward to the next cycle at which any tile or the
-    /// memory hierarchy can make progress (the *event horizon*), crediting
-    /// each skipped tile with the stall counters it would have accumulated.
-    /// A no-op when some tile is ready on the very next cycle.
+    /// Surveys the system for its *event horizon*: the minimum over (a)
+    /// each unfinished tile's next event, aligned up to its clock divisor —
+    /// exactly the next cycle the naive stepper would have stepped it with
+    /// that event visible; (b) the memory hierarchy's next internal event;
+    /// and (c) the cycle cap. Stops at the first tile that can act at
+    /// `now`, before asking the rest or the memory.
     ///
-    /// The jump target is the minimum over (a) each unfinished tile's next
-    /// event, aligned up to its clock divisor — exactly the next cycle the
-    /// naive stepper would have stepped it with that event visible; (b)
-    /// the memory hierarchy's next internal event; and (c) the cycle cap.
-    /// Because no event of any kind lies in `[now, target)`, the naive
-    /// stepper would have executed those cycles as pure no-ops except for
-    /// per-cycle stall counters, which [`Tile::on_cycles_skipped`]
-    /// restores — keeping cycle counts, per-tile stats, and energy
-    /// bit-identical between both modes.
+    /// `None` when there is *no* event anywhere — every unfinished tile
+    /// reports [`Horizon::Blocked`] (waiting on another party, not on
+    /// time) and the memory hierarchy is drained: the system can never
+    /// move again, and the caller returns [`Self::deadlock`].
     ///
-    /// # Errors
-    ///
-    /// When the survey finds *no* event anywhere — every unfinished tile
-    /// blocked on another party and the memory hierarchy drained — the
-    /// system can never move again: returns [`SimError::Deadlock`] with a
-    /// [`StallSnapshot`] instead of spinning to the cycle cap.
-    fn skip_to_horizon(&mut self) -> Result<(), SimError> {
+    /// Forced into the run loop: a stall-bound run surveys after almost
+    /// every step, and left as a call (a plain `#[inline]` is) it costs
+    /// the ledger's `memstall_ino` 2 % of `sim_mips`.
+    #[inline(always)]
+    fn survey(&self) -> Option<u64> {
         let now = self.now;
         let mut target = self.cycle_limit;
         let mut any_event = false;
@@ -469,18 +429,40 @@ impl Interleaver {
             any_event = true;
             target = target.min(wake);
             if target <= now {
-                return Ok(());
+                return Some(target);
             }
         }
         if let Some(e) = self.mem.next_event_cycle(now) {
             any_event = true;
             target = target.min(e.max(now));
         }
-        if !any_event && self.finished < self.tiles.len() {
-            return Err(SimError::Deadlock {
-                snapshot: self.stall_snapshot(),
-            });
+        (any_event || self.finished == self.tiles.len()).then_some(target)
+    }
+
+    /// The verdict of a survey that found no event, with its evidence.
+    fn deadlock(&self) -> SimError {
+        SimError::Deadlock {
+            snapshot: self.stall_snapshot(),
         }
+    }
+
+    /// Jumps `now` forward to the [surveyed](Self::survey) horizon,
+    /// crediting each skipped tile with the stall counters it would have
+    /// accumulated. A no-op when some tile is ready on the very next cycle.
+    ///
+    /// Because no event of any kind lies in `[now, target)`, the naive
+    /// stepper would have executed those cycles as pure no-ops except for
+    /// per-cycle stall counters, which [`Tile::on_cycles_skipped`]
+    /// restores — keeping cycle counts, per-tile stats, and energy
+    /// bit-identical between both modes.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Deadlock`] when the survey finds no event, instead of
+    /// spinning to the cycle cap.
+    fn skip_to_horizon(&mut self) -> Result<(), SimError> {
+        let now = self.now;
+        let target = self.survey().ok_or_else(|| self.deadlock())?;
         if target <= now {
             return Ok(());
         }
@@ -588,14 +570,13 @@ impl Interleaver {
             } else {
                 self.just_skipped = false;
                 // Naive-path watchdog: after a window of steps with no
-                // observable work, survey for a deadlock. The verdict is
-                // window-independent (see `set_watchdog_window`).
+                // observable work, survey for a deadlock.
                 if self.quiet {
                     self.quiet_streak += 1;
-                    if self.quiet_streak >= self.watchdog_window {
+                    if self.quiet_streak >= WATCHDOG_WINDOW {
                         self.quiet_streak = 0;
-                        if let Some(err) = self.check_deadlock() {
-                            return Err(err);
+                        if self.survey().is_none() {
+                            return Err(self.deadlock());
                         }
                     }
                 } else {

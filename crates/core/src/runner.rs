@@ -98,12 +98,10 @@ pub fn simulate_spmd(
     let (trace, _out) = record_trace(&module, mem_image, &programs)?;
     let module = Arc::new(module);
     let trace = Arc::new(trace);
-    let mut builder = SystemBuilder::new(module, trace).memory(memory);
-    for t in 0..n {
-        let config = core.clone().with_name(&format!("{}#{t}", core.name));
-        builder = builder.core(config, func, t);
-    }
-    builder.run()
+    SystemBuilder::new(module, trace)
+        .memory(memory)
+        .spmd(core, func, n)
+        .run()
 }
 
 /// Traces and simulates a kernel on a single core.

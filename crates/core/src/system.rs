@@ -166,7 +166,6 @@ pub struct SystemBuilder {
     energy: EnergyModel,
     cycle_limit: u64,
     fast_forward: bool,
-    watchdog_window: Option<u64>,
     lint: LintLevel,
     observe: ObsLevel,
     checkpoint_every: Option<u64>,
@@ -195,7 +194,6 @@ impl SystemBuilder {
             energy: EnergyModel::default(),
             cycle_limit: 2_000_000_000,
             fast_forward: true,
-            watchdog_window: None,
             lint: LintLevel::default(),
             observe: ObsLevel::Off,
             checkpoint_every: None,
@@ -300,13 +298,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Overrides the naive-path deadlock watchdog's quiet window (see
-    /// [`Interleaver::set_watchdog_window`]).
-    pub fn watchdog_window(mut self, window: u64) -> Self {
-        self.watchdog_window = Some(window);
-        self
-    }
-
     /// Adds a core tile running `func` and replaying trace tile
     /// `trace_tile`.
     pub fn core(mut self, config: CoreConfig, func: FuncId, trace_tile: usize) -> Self {
@@ -315,6 +306,16 @@ impl SystemBuilder {
             func,
             trace_tile,
         });
+        self
+    }
+
+    /// Adds `n` tiles of `core` running `func`, tile `t` replaying trace
+    /// tile `t` under the name `<core.name>#<t>`.
+    pub fn spmd(mut self, core: CoreConfig, func: FuncId, n: usize) -> Self {
+        for t in 0..n {
+            let config = core.clone().with_name(&format!("{}#{t}", core.name));
+            self = self.core(config, func, t);
+        }
         self
     }
 
@@ -697,9 +698,6 @@ impl SystemBuilder {
         il.set_cycle_limit(self.cycle_limit);
         il.set_fast_forward(self.fast_forward);
         il.set_observe(self.observe);
-        if let Some(w) = self.watchdog_window {
-            il.set_watchdog_window(w);
-        }
         // Restore after set_observe so recorded profiles/timelines carry
         // over, and before the checkpoint policy so the next boundary is
         // anchored to the resumed clock.

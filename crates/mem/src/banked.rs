@@ -10,6 +10,7 @@
 use std::collections::VecDeque;
 
 use mosaic_ckpt::{snap_fields, snap_record, CkptError, Dec, Enc, Snap};
+use mosaic_obs::StatsRegistry;
 
 use crate::req::ReqId;
 
@@ -78,6 +79,8 @@ pub struct BankedDram {
     /// schedule from a bank that holds requests — and `u64::MAX` when
     /// idle. Steps before it return at once.
     next_due: u64,
+    /// Requests served from an open row, after opening one in an idle
+    /// bank, and after closing another row first.
     row_hits: u64,
     row_misses: u64,
     row_conflicts: u64,
@@ -230,26 +233,6 @@ impl BankedDram {
         (!self.is_idle()).then(|| self.next_due.max(now))
     }
 
-    /// Row-buffer hit count.
-    pub fn row_hits(&self) -> u64 {
-        self.row_hits
-    }
-
-    /// Row misses (bank was idle/precharged).
-    pub fn row_misses(&self) -> u64 {
-        self.row_misses
-    }
-
-    /// Row conflicts (different row was open).
-    pub fn row_conflicts(&self) -> u64 {
-        self.row_conflicts
-    }
-
-    /// Requests accepted.
-    pub fn total_requests(&self) -> u64 {
-        self.total_requests
-    }
-
     /// Zeroes the row-buffer/request counters, keeping queued requests.
     pub fn reset_stats(&mut self) {
         self.row_hits = 0;
@@ -257,11 +240,27 @@ impl BankedDram {
         self.row_conflicts = 0;
         self.total_requests = 0;
     }
+
+    /// The model's `mem.dram.*` counters.
+    pub(crate) fn register_into(&self, reg: &mut StatsRegistry) {
+        reg.set_counter("mem.dram.requests", self.total_requests);
+        reg.set_counter("mem.dram.row_hits", self.row_hits);
+        reg.set_counter("mem.dram.row_misses", self.row_misses);
+        reg.set_counter("mem.dram.row_conflicts", self.row_conflicts);
+    }
+
+    /// The banked model has no bandwidth cap to throttle on.
+    pub(crate) fn throttled_cycles(&self) -> u64 {
+        0
+    }
 }
 
 snap_fields!(BankedDram: row_hits, row_misses, row_conflicts, total_requests);
 
 impl BankedDram {
+    /// The model's tag in a hierarchy snapshot.
+    pub(crate) const TAG: u8 = 1;
+
     /// Serializes bank queues in bank order and in-flight transfers in
     /// insertion order (retire order depends on it), plus counters.
     pub(crate) fn encode_into(&self, e: &mut Enc) {
@@ -324,9 +323,9 @@ mod tests {
             assert!(d.try_enqueue(ReqId(i), i * 64, 0));
         }
         run_until_done(&mut d, 0);
-        assert_eq!(d.row_misses(), 1); // first access opens the row
-        assert_eq!(d.row_hits(), 7);
-        assert_eq!(d.row_conflicts(), 0);
+        assert_eq!(d.row_misses, 1); // first access opens the row
+        assert_eq!(d.row_hits, 7);
+        assert_eq!(d.row_conflicts, 0);
     }
 
     #[test]
@@ -345,7 +344,7 @@ mod tests {
         assert!(d.try_enqueue(ReqId(1), 4096, done0[0].0));
         let done1 = run_until_done(&mut d, done0[0].0);
         assert!(done1[0].0 > done0[0].0);
-        assert_eq!(d.row_conflicts(), 1);
+        assert_eq!(d.row_conflicts, 1);
     }
 
     #[test]
@@ -392,7 +391,7 @@ mod tests {
         }
         let done = run_until_done(&mut d, 0);
         assert_eq!(done.len(), 16);
-        assert_eq!(d.total_requests(), 16);
+        assert_eq!(d.total_requests, 16);
     }
     /// Consecutive lines go to consecutive channels whatever the line
     /// size (interleaving 128-byte lines at 64 bytes would leave the odd

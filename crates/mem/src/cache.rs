@@ -95,15 +95,6 @@ impl CacheConfig {
 const VALID: u8 = 1;
 const DIRTY: u8 = 2;
 
-/// Result of a cache lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LookupResult {
-    /// Line present.
-    Hit,
-    /// Line absent.
-    Miss,
-}
-
 /// Result of installing a line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FillOutcome {
@@ -228,20 +219,10 @@ impl Cache {
         way_of(self.keys(set)?, tag + 1)
     }
 
-    /// Looks up `addr`; on hit updates LRU and (for writes) the dirty bit.
-    pub fn access(&mut self, addr: u64, write: bool) -> LookupResult {
-        if self.touch(addr, write) {
-            return LookupResult::Hit;
-        }
-        self.count_miss();
-        LookupResult::Miss
-    }
-
-    /// The hit half of [`Cache::access`]: when the line is present, counts
-    /// the access as a hit, updates LRU and (for writes) the dirty bit and
-    /// returns `true`; when it is absent changes nothing — the caller
-    /// decides whether the miss counts ([`Cache::count_miss`]) or the
-    /// access is retried. One lookup where `probe` then `access` made two.
+    /// Looks up `addr`: when the line is present, counts the access as a
+    /// hit, updates LRU and (for writes) the dirty bit and returns `true`;
+    /// when it is absent changes nothing — the caller decides whether the
+    /// miss counts ([`Cache::count_miss`]) or the access is retried.
     pub fn touch(&mut self, addr: u64, write: bool) -> bool {
         let (set, tag) = self.set_and_tag(addr);
         let (block, words) = self.block_of(set);
@@ -262,8 +243,8 @@ impl Cache {
         true
     }
 
-    /// The miss half of [`Cache::access`], for a caller that has already
-    /// found the line absent with [`Cache::touch`].
+    /// Counts an access as a miss, for a caller that has found the line
+    /// absent with [`Cache::touch`].
     pub fn count_miss(&mut self) {
         self.tick += 1;
         self.accesses += 1;
@@ -502,6 +483,15 @@ impl Cache {
 mod tests {
     use super::*;
 
+    /// An access as the hierarchy makes one: a hit, or a counted miss.
+    fn access(c: &mut Cache, addr: u64, write: bool) -> bool {
+        let hit = c.touch(addr, write);
+        if !hit {
+            c.count_miss();
+        }
+        hit
+    }
+
     fn tiny() -> Cache {
         // 4 sets x 2 ways x 64B = 512B
         Cache::new(CacheConfig::new("t", 512).with_ways(2))
@@ -510,11 +500,11 @@ mod tests {
     #[test]
     fn hit_after_fill() {
         let mut c = tiny();
-        assert_eq!(c.access(0x1000, false), LookupResult::Miss);
+        assert!(!access(&mut c, 0x1000, false));
         c.fill(0x1000, false);
-        assert_eq!(c.access(0x1000, false), LookupResult::Hit);
-        assert_eq!(c.access(0x1038, false), LookupResult::Hit); // same line
-        assert_eq!(c.access(0x1040, false), LookupResult::Miss); // next line
+        assert!(access(&mut c, 0x1000, false));
+        assert!(access(&mut c, 0x1038, false)); // same line
+        assert!(!access(&mut c, 0x1040, false)); // next line
     }
 
     #[test]
@@ -524,7 +514,7 @@ mod tests {
         c.fill(0x0000, false);
         c.fill(0x0100, false);
         // Touch 0x0000 so 0x0100 is LRU.
-        c.access(0x0000, false);
+        access(&mut c, 0x0000, false);
         let out = c.fill(0x0200, false);
         assert_eq!(out.evicted, Some(0x0100));
         assert!(c.probe(0x0000));
@@ -536,7 +526,7 @@ mod tests {
         let mut c = tiny();
         c.fill(0x0000, true);
         c.fill(0x0100, false);
-        c.access(0x0100, false);
+        access(&mut c, 0x0100, false);
         let out = c.fill(0x0200, false);
         assert_eq!(out.evicted, Some(0x0000));
         assert!(out.evicted_dirty);
@@ -546,7 +536,7 @@ mod tests {
     fn write_hit_sets_dirty() {
         let mut c = tiny();
         c.fill(0x0000, false);
-        c.access(0x0000, true);
+        access(&mut c, 0x0000, true);
         assert!(c.invalidate(0x0000)); // returns dirtiness
     }
 
@@ -562,10 +552,10 @@ mod tests {
     #[test]
     fn stats_track_hits_and_misses() {
         let mut c = tiny();
-        c.access(0x0, false);
+        access(&mut c, 0x0, false);
         c.fill(0x0, false);
-        c.access(0x0, false);
-        c.access(0x0, false);
+        access(&mut c, 0x0, false);
+        access(&mut c, 0x0, false);
         assert_eq!(c.misses(), 1);
         assert_eq!(c.hits(), 2);
         assert!((c.miss_ratio() - 1.0 / 3.0).abs() < 1e-12);
@@ -577,7 +567,7 @@ mod tests {
         let mut llc = Cache::new(CacheConfig::new("llc", 20 << 20).with_ways(16));
         assert_eq!(llc.lines.len(), 80);
         // Looking allocates nothing.
-        assert_eq!(llc.access(0x1000, false), LookupResult::Miss);
+        assert!(!access(&mut llc, 0x1000, false));
         assert!(!llc.probe(0x1000) && !llc.invalidate(0x1000));
         assert!(llc.lines.iter().all(Option::is_none));
         // 256 consecutive lines are 256 consecutive sets: one block.
@@ -622,7 +612,7 @@ mod tests {
         let lines = 3 * c.state.len() as u64;
         for i in 0..lines {
             let addr = (i * 7 % lines) * 64;
-            if c.access(addr, i % 3 == 0) == LookupResult::Miss {
+            if !access(c, addr, i % 3 == 0) {
                 c.fill(addr, i % 5 == 0);
             }
         }
@@ -673,7 +663,7 @@ mod tests {
             let mut orig = c.clone();
             for i in 0..200u64 {
                 let addr = (i * 13 % 97) * 64;
-                assert_eq!(back.access(addr, false), orig.access(addr, false));
+                assert_eq!(access(back, addr, false), access(&mut orig, addr, false));
                 assert_eq!(back.fill(addr, i % 2 == 0), orig.fill(addr, i % 2 == 0));
             }
             assert_eq!(encoded(back), encoded(&orig));

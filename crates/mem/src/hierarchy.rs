@@ -134,6 +134,43 @@ snap_enum! {
     }
 }
 
+impl Level {
+    /// The levels top down: the order of [`MemoryHierarchy::levels`].
+    const ALL: [Level; 3] = [Level::L1, Level::L2, Level::Llc];
+
+    /// The level's segment of a `mem.*` registry path.
+    fn name(self) -> &'static str {
+        ["l1", "l2", "llc"][self as usize]
+    }
+
+    /// Whether one instance serves every tile (instance 0), not one each.
+    fn shared(self) -> bool {
+        self == Level::Llc
+    }
+}
+
+/// One level of the hierarchy: a cache and an MSHR file per tile at a
+/// private level (none at an L2 that is not configured), one of each at
+/// the shared level.
+#[derive(Debug, Default)]
+struct CacheLevel {
+    caches: Vec<Cache>,
+    mshrs: Vec<Mshr>,
+    /// MSHR occupancy at every lookup (sampled at `ObsLevel::Stats` and
+    /// above).
+    occupancy: Log2Histogram,
+}
+
+impl CacheLevel {
+    fn new(config: &CacheConfig, instances: usize, mshr_entries: usize) -> Self {
+        CacheLevel {
+            caches: (0..instances).map(|_| Cache::new(config.clone())).collect(),
+            mshrs: (0..instances).map(|_| Mshr::new(mshr_entries)).collect(),
+            occupancy: Log2Histogram::new(),
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Event {
     Lookup { id: ReqId, level: Level },
@@ -156,11 +193,80 @@ impl Snap for Event {
     }
 }
 
-/// The DRAM model behind the LLC.
+/// The DRAM model behind the LLC. Both models have the methods below; the
+/// hierarchy calls them here and the model is matched once per call, so
+/// the per-cycle `step` is a direct call into the configured one.
 #[derive(Debug)]
 enum Dram {
     Simple(SimpleDram),
     Banked(BankedDram),
+}
+
+/// `$call` on whichever model `$dram` holds, bound to `$d`.
+macro_rules! on_model {
+    ($dram:expr, $d:ident => $call:expr) => {
+        match $dram {
+            Dram::Simple($d) => $call,
+            Dram::Banked($d) => $call,
+        }
+    };
+}
+
+impl Dram {
+    /// Hands a line request to the model; `false` when it has no room and
+    /// the caller retries next cycle.
+    fn try_enqueue(&mut self, id: ReqId, line: u64, now: u64) -> bool {
+        on_model!(self, d => d.try_enqueue(id, line, now))
+    }
+
+    #[inline]
+    fn step(&mut self, now: u64, done: &mut Vec<ReqId>) {
+        on_model!(self, d => d.step(now, done))
+    }
+
+    fn next_event_cycle(&self, now: u64) -> Option<u64> {
+        on_model!(self, d => d.next_event_cycle(now))
+    }
+
+    fn is_idle(&self) -> bool {
+        on_model!(self, d => d.is_idle())
+    }
+
+    fn reset_stats(&mut self) {
+        on_model!(self, d => d.reset_stats())
+    }
+
+    /// The model's `mem.dram.*` counters.
+    fn register_into(&self, reg: &mut StatsRegistry) {
+        on_model!(self, d => d.register_into(reg))
+    }
+
+    fn throttled_cycles(&self) -> u64 {
+        on_model!(self, d => d.throttled_cycles())
+    }
+
+    /// The model's tag in a snapshot.
+    fn tag(&self) -> u8 {
+        match self {
+            Dram::Simple(_) => SimpleDram::TAG,
+            Dram::Banked(_) => BankedDram::TAG,
+        }
+    }
+
+    fn encode_into(&self, e: &mut Enc) {
+        e.u8(self.tag());
+        on_model!(self, d => d.encode_into(e))
+    }
+
+    fn restore_from(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
+        let tag = d.u8("hierarchy DRAM model tag")?;
+        if tag != self.tag() {
+            return Err(CkptError::mismatch(format!(
+                "hierarchy: checkpoint DRAM model tag {tag} does not match the configured model"
+            )));
+        }
+        on_model!(self, m => m.restore_from(d))
+    }
 }
 
 snap_record! {
@@ -205,6 +311,17 @@ snap_record! {
     }
 }
 
+impl MemStats {
+    /// The hit and miss counters of `level`.
+    fn at_level(&mut self, level: Level) -> (&mut u64, &mut u64) {
+        match level {
+            Level::L1 => (&mut self.l1_hits, &mut self.l1_misses),
+            Level::L2 => (&mut self.l2_hits, &mut self.l2_misses),
+            Level::Llc => (&mut self.llc_hits, &mut self.llc_misses),
+        }
+    }
+}
+
 /// Errors produced by the memory hierarchy for malformed requests.
 ///
 /// Internal invariants (event bookkeeping, MSHR state) still assert; this
@@ -239,12 +356,8 @@ impl std::error::Error for MemError {}
 #[derive(Debug)]
 pub struct MemoryHierarchy {
     config: HierarchyConfig,
-    l1: Vec<Cache>,
-    l2: Vec<Cache>,
-    llc: Cache,
-    l1_mshr: Vec<Mshr>,
-    l2_mshr: Vec<Mshr>,
-    llc_mshr: Mshr,
+    /// L1, L2 and the LLC, indexed by [`Level`].
+    levels: [CacheLevel; 3],
     prefetchers: Vec<StreamPrefetcher>,
     dram: Dram,
     /// Scheduled lookups and DRAM enqueues, by cycle.
@@ -264,21 +377,11 @@ pub struct MemoryHierarchy {
     atomic_free_at: u64,
     obs: ObsLevel,
     timeline: Timeline,
-    /// MSHR occupancy distributions, sampled at every allocation
-    /// attempt (populated only at `ObsLevel::Stats` and above).
-    occ_l1: Log2Histogram,
-    occ_l2: Log2Histogram,
-    occ_llc: Log2Histogram,
 }
 
 impl MemoryHierarchy {
     /// Builds the hierarchy for `tiles` tiles.
     pub fn new(config: HierarchyConfig, tiles: usize) -> Self {
-        let has_l2 = config.l2.is_some();
-        let l2cfg = config
-            .l2
-            .clone()
-            .unwrap_or_else(|| CacheConfig::new("L2-off", 64));
         let dram = match config.dram {
             DramKind::Simple(c) => Dram::Simple(SimpleDram::new(c)),
             DramKind::Banked(c) => Dram::Banked(BankedDram::new(c, config.llc.line_bytes())),
@@ -291,21 +394,13 @@ impl MemoryHierarchy {
         let l2_latency = config.l2.as_ref().map_or(0, CacheConfig::latency);
         let shared = noc + config.atomic_penalty + config.llc.latency();
         let max_delay = config.l1.latency().max(l2_latency).max(shared).max(1);
+        let private = |c: &CacheConfig| CacheLevel::new(c, tiles, config.mshr_entries);
         MemoryHierarchy {
-            l1: (0..tiles).map(|_| Cache::new(config.l1.clone())).collect(),
-            l2: if has_l2 {
-                (0..tiles).map(|_| Cache::new(l2cfg.clone())).collect()
-            } else {
-                Vec::new()
-            },
-            llc: Cache::new(config.llc.clone()),
-            l1_mshr: (0..tiles).map(|_| Mshr::new(config.mshr_entries)).collect(),
-            l2_mshr: if has_l2 {
-                (0..tiles).map(|_| Mshr::new(config.mshr_entries)).collect()
-            } else {
-                Vec::new()
-            },
-            llc_mshr: Mshr::new(config.mshr_entries.max(tiles * 4)),
+            levels: [
+                private(&config.l1),
+                config.l2.as_ref().map(private).unwrap_or_default(),
+                CacheLevel::new(&config.llc, 1, config.mshr_entries.max(tiles * 4)),
+            ],
             prefetchers: (0..tiles)
                 .map(|_| StreamPrefetcher::new(config.prefetch, config.l1.line_bytes()))
                 .collect(),
@@ -322,9 +417,6 @@ impl MemoryHierarchy {
             atomic_free_at: 0,
             obs: ObsLevel::Off,
             timeline: Timeline::new(),
-            occ_l1: Log2Histogram::new(),
-            occ_l2: Log2Histogram::new(),
-            occ_llc: Log2Histogram::new(),
             config,
         }
     }
@@ -343,10 +435,10 @@ impl MemoryHierarchy {
         let mut t = std::mem::take(&mut self.timeline);
         if !t.is_empty() {
             t.process_name(1, "memory");
-            for tile in 0..self.l1.len() {
+            for tile in 0..self.tile_count() {
                 t.thread_name(1, tile as u32, format!("mem reqs tile {tile}"));
             }
-            t.thread_name(1, self.l1.len() as u32, "dram");
+            t.thread_name(1, self.tile_count() as u32, "dram");
         }
         t
     }
@@ -358,21 +450,12 @@ impl MemoryHierarchy {
     /// one row's hit/miss counts never leak into the next.
     pub fn reset_stats(&mut self) {
         self.stats = MemStats::default();
-        for c in self.l1.iter_mut().chain(self.l2.iter_mut()) {
-            c.reset_stats();
+        for lv in &mut self.levels {
+            lv.caches.iter_mut().for_each(Cache::reset_stats);
+            lv.mshrs.iter_mut().for_each(Mshr::reset_counters);
+            lv.occupancy.reset();
         }
-        self.llc.reset_stats();
-        for m in self.l1_mshr.iter_mut().chain(self.l2_mshr.iter_mut()) {
-            m.reset_counters();
-        }
-        self.llc_mshr.reset_counters();
-        match &mut self.dram {
-            Dram::Simple(d) => d.reset_stats(),
-            Dram::Banked(d) => d.reset_stats(),
-        }
-        self.occ_l1.reset();
-        self.occ_l2.reset();
-        self.occ_llc.reset();
+        self.dram.reset_stats();
         self.timeline = Timeline::new();
     }
 
@@ -393,59 +476,28 @@ impl MemoryHierarchy {
         reg.set_counter("mem.dram.writebacks", s.dram_writebacks);
         reg.set_counter("mem.atomics", s.atomics);
         reg.set_counter("mem.prefetches", s.prefetches);
-        for (i, c) in self.l1.iter().enumerate() {
-            reg.set_counter(&format!("mem.l1.{i}.hits"), c.hits());
-            reg.set_counter(&format!("mem.l1.{i}.misses"), c.misses());
-            reg.set_counter(&format!("mem.l1.{i}.accesses"), c.accesses());
-        }
-        for (i, c) in self.l2.iter().enumerate() {
-            reg.set_counter(&format!("mem.l2.{i}.hits"), c.hits());
-            reg.set_counter(&format!("mem.l2.{i}.misses"), c.misses());
-            reg.set_counter(&format!("mem.l2.{i}.accesses"), c.accesses());
-        }
-        reg.set_counter("mem.llc.accesses", self.llc.accesses());
-        let sum = |ms: &[Mshr], f: fn(&Mshr) -> u64| ms.iter().map(f).sum::<u64>();
-        reg.set_counter(
-            "mem.l1.mshr.coalesced",
-            sum(&self.l1_mshr, Mshr::coalesced_count),
-        );
-        reg.set_counter(
-            "mem.l1.mshr.full_stalls",
-            sum(&self.l1_mshr, Mshr::full_stall_count),
-        );
-        if !self.l2_mshr.is_empty() {
-            reg.set_counter(
-                "mem.l2.mshr.coalesced",
-                sum(&self.l2_mshr, Mshr::coalesced_count),
-            );
-            reg.set_counter(
-                "mem.l2.mshr.full_stalls",
-                sum(&self.l2_mshr, Mshr::full_stall_count),
-            );
-        }
-        reg.set_counter("mem.llc.mshr.coalesced", self.llc_mshr.coalesced_count());
-        reg.set_counter("mem.llc.mshr.full_stalls", self.llc_mshr.full_stall_count());
-        if self.occ_l1.count() > 0 {
-            reg.set_histogram("mem.l1.mshr.occupancy", self.occ_l1.clone());
-        }
-        if self.occ_l2.count() > 0 {
-            reg.set_histogram("mem.l2.mshr.occupancy", self.occ_l2.clone());
-        }
-        if self.occ_llc.count() > 0 {
-            reg.set_histogram("mem.llc.mshr.occupancy", self.occ_llc.clone());
-        }
-        match &self.dram {
-            Dram::Simple(d) => {
-                reg.set_counter("mem.dram.requests", d.total_requests());
-                reg.set_counter("mem.dram.throttled_cycles", d.throttled_cycles());
+        for (level, lv) in Level::ALL.into_iter().zip(&self.levels) {
+            let at = format!("mem.{}", level.name());
+            if level.shared() {
+                reg.set_counter(&format!("{at}.accesses"), lv.caches[0].accesses());
+            } else {
+                for (i, c) in lv.caches.iter().enumerate() {
+                    reg.set_counter(&format!("{at}.{i}.hits"), c.hits());
+                    reg.set_counter(&format!("{at}.{i}.misses"), c.misses());
+                    reg.set_counter(&format!("{at}.{i}.accesses"), c.accesses());
+                }
             }
-            Dram::Banked(d) => {
-                reg.set_counter("mem.dram.requests", d.total_requests());
-                reg.set_counter("mem.dram.row_hits", d.row_hits());
-                reg.set_counter("mem.dram.row_misses", d.row_misses());
-                reg.set_counter("mem.dram.row_conflicts", d.row_conflicts());
+            // An L2 that is not configured has no MSHR rows.
+            if !lv.mshrs.is_empty() {
+                let sum = |f: fn(&Mshr) -> u64| lv.mshrs.iter().map(f).sum::<u64>();
+                reg.set_counter(&format!("{at}.mshr.coalesced"), sum(Mshr::coalesced_count));
+                reg.set_counter(&format!("{at}.mshr.full_stalls"), sum(Mshr::full_stall_count));
+            }
+            if lv.occupancy.count() > 0 {
+                reg.set_histogram(&format!("{at}.mshr.occupancy"), lv.occupancy.clone());
             }
         }
+        self.dram.register_into(reg);
     }
 
     /// The configuration.
@@ -455,11 +507,7 @@ impl MemoryHierarchy {
 
     /// Number of tiles served.
     pub fn tile_count(&self) -> usize {
-        self.l1.len()
-    }
-
-    fn has_l2(&self) -> bool {
-        !self.l2.is_empty()
+        self.levels[Level::L1 as usize].caches.len()
     }
 
     /// One-way NoC latency between `tile` and the shared level.
@@ -476,17 +524,17 @@ impl MemoryHierarchy {
     }
 
     /// Issues a request at `now`; the completion arrives via
-    /// [`drain_completions`](Self::drain_completions) some cycles later.
+    /// [`drain_completions_into`](Self::drain_completions_into) some cycles later.
     ///
     /// # Errors
     ///
     /// Returns [`MemError::UnknownTile`] if `req.tile` has no
     /// private-cache slot (the hierarchy was built for fewer tiles).
     pub fn request(&mut self, req: MemReq, now: u64) -> Result<ReqId, MemError> {
-        if req.tile >= self.l1.len() {
+        if req.tile >= self.tile_count() {
             return Err(MemError::UnknownTile {
                 tile: req.tile,
-                tiles: self.l1.len(),
+                tiles: self.tile_count(),
             });
         }
         Ok(self.request_valid(req, now))
@@ -497,13 +545,13 @@ impl MemoryHierarchy {
     fn request_valid(&mut self, req: MemReq, now: u64) -> ReqId {
         let id = self.admit(ReqState {
             tile: Wide(req.tile as u32),
-            line: self.l1[req.tile].line_of(req.addr),
+            line: self.levels[Level::L1 as usize].caches[req.tile].line_of(req.addr),
             kind: req.kind,
             writeback: false,
             issued_at: now,
             dram_at: 0,
         });
-        match req.kind {
+        let (at, level) = match req.kind {
             AccessKind::Atomic => {
                 self.stats.atomics += 1;
                 // Bypass private caches; atomics serialize at the shared
@@ -513,15 +561,7 @@ impl MemoryHierarchy {
                 let start = now + self.noc_delay(req.tile);
                 let start = start.max(self.atomic_free_at);
                 self.atomic_free_at = start + self.config.atomic_penalty;
-                let at = start + self.config.atomic_penalty + self.config.llc.latency();
-                self.events.schedule(
-                    now,
-                    at,
-                    Event::Lookup {
-                        id,
-                        level: Level::Llc,
-                    },
-                );
+                (self.atomic_free_at + self.config.llc.latency(), Level::Llc)
             }
             _ => {
                 if req.kind == AccessKind::Prefetch {
@@ -533,17 +573,10 @@ impl MemoryHierarchy {
                         self.prefetch_fired(req.tile, now);
                     }
                 }
-                let at = now + self.config.l1.latency();
-                self.events.schedule(
-                    now,
-                    at,
-                    Event::Lookup {
-                        id,
-                        level: Level::L1,
-                    },
-                );
+                (now + self.config.l1.latency(), Level::L1)
             }
-        }
+        };
+        self.events.schedule(now, at, Event::Lookup { id, level });
         id
     }
 
@@ -552,17 +585,9 @@ impl MemoryHierarchy {
         let fired = std::mem::take(&mut self.fired);
         for &addr in &fired {
             // Only issue if not already resident in L1.
-            if !self.l1[tile].probe(addr) {
+            if !self.levels[Level::L1 as usize].caches[tile].probe(addr) {
                 let kind = AccessKind::Prefetch;
-                self.request_valid(
-                    MemReq {
-                        tile,
-                        addr,
-                        size: 0,
-                        kind,
-                    },
-                    now,
-                );
+                self.request_valid(MemReq { tile, addr, size: 0, kind }, now);
             }
         }
         self.fired = fired;
@@ -595,21 +620,24 @@ impl MemoryHierarchy {
 
     /// Fills `line` into tile-private caches (write-allocate).
     fn fill_private(&mut self, tile: usize, line: u64, dirty: bool) {
-        if self.has_l2() {
-            let out = self.l2[tile].fill(line, dirty);
+        let [l1, l2, llc] = &mut self.levels;
+        let (l1, llc) = (&mut l1.caches[tile], &mut llc.caches[0]);
+        let mut l2 = l2.caches.get_mut(tile);
+        if let Some(l2) = &mut l2 {
+            let out = l2.fill(line, dirty);
             if let Some(victim) = out.evicted {
                 if out.evicted_dirty {
                     // Write back into the LLC (mark dirty there).
-                    self.llc.touch(victim, true);
+                    llc.touch(victim, true);
                 }
                 // Inclusion within the private pair.
-                self.l1[tile].invalidate(victim);
+                l1.invalidate(victim);
             }
         }
-        let out = self.l1[tile].fill(line, dirty);
+        let out = l1.fill(line, dirty);
         if let Some(victim) = out.evicted {
-            if out.evicted_dirty && !(self.has_l2() && self.l2[tile].touch(victim, true)) {
-                self.llc.touch(victim, true);
+            if out.evicted_dirty && !l2.is_some_and(|l2| l2.touch(victim, true)) {
+                llc.touch(victim, true);
             }
         }
     }
@@ -618,14 +646,12 @@ impl MemoryHierarchy {
     /// evicted victim (inclusive hierarchy) and writing dirty victims to
     /// DRAM.
     fn fill_llc(&mut self, line: u64, dirty: bool, now: u64) {
-        let out = self.llc.fill(line, dirty);
+        let [l1, l2, llc] = &mut self.levels;
+        let out = llc.caches[0].fill(line, dirty);
         if let Some(victim) = out.evicted {
             let mut victim_dirty = out.evicted_dirty;
-            for t in 0..self.l1.len() {
-                victim_dirty |= self.l1[t].invalidate(victim);
-                if self.has_l2() {
-                    victim_dirty |= self.l2[t].invalidate(victim);
-                }
+            for c in l1.caches.iter_mut().chain(&mut l2.caches) {
+                victim_dirty |= c.invalidate(victim);
             }
             if victim_dirty {
                 self.writeback_to_dram(victim, now);
@@ -646,101 +672,59 @@ impl MemoryHierarchy {
         self.events.schedule(now, now, Event::DramEnqueue { id });
     }
 
+    /// A request arrives at `level`. A hit is one lookup that also touches
+    /// the line, and what it does is the level's own: L1 completes the
+    /// request, L2 and the LLC fill the levels above and complete what
+    /// waits there, an atomic returns from the LLC. A miss joins the line's
+    /// MSHR entry or takes a new one, and only the request that takes one
+    /// counts the miss and goes on to what lies [`below`](Self::below).
     fn lookup(&mut self, id: ReqId, level: Level, now: u64) {
         let Some(st) = self.reqs.get(id.0).copied() else {
             return;
         };
         let (tile, write) = (st.tile.0 as usize, st.kind.is_write());
+        let lv = &mut self.levels[level as usize];
+        let at = if level.shared() { 0 } else { tile };
         if self.obs.stats_on() {
-            // Sample MSHR occupancy at every lookup event. Lookup
-            // cycles are identical under fast-forward and naive
+            // Lookup cycles are identical under fast-forward and naive
             // stepping, so these histograms are bit-identical too.
-            match level {
-                Level::L1 => self.occ_l1.record(self.l1_mshr[tile].occupancy() as u64),
-                Level::L2 => self.occ_l2.record(self.l2_mshr[tile].occupancy() as u64),
-                Level::Llc => self.occ_llc.record(self.llc_mshr.occupancy() as u64),
-            }
+            lv.occupancy.record(lv.mshrs[at].occupancy() as u64);
         }
-        // At each level: a hit is one lookup that also touches the line;
-        // a miss joins the line's MSHR entry or takes a new one, and only
-        // the request that takes one counts the miss and goes on down.
-        match level {
-            Level::L1 => {
-                if self.l1[tile].touch(st.line, write) {
-                    self.stats.l1_hits += 1;
-                    self.complete(id, now);
-                    return;
-                }
-                match self.l1_mshr[tile].track(st.line, id) {
-                    MshrOutcome::Allocated => {
-                        self.l1[tile].count_miss();
-                        self.stats.l1_misses += 1;
-                        let (level, lat) = match &self.config.l2 {
-                            Some(l2) => (Level::L2, l2.latency()),
-                            None => (Level::Llc, self.config.llc.latency() + self.noc_delay(tile)),
-                        };
-                        self.events
-                            .schedule(now, now + lat, Event::Lookup { id, level });
-                    }
-                    MshrOutcome::Coalesced => {}
-                    MshrOutcome::Full => {
-                        self.events
-                            .schedule(now, now + 1, Event::Lookup { id, level })
-                    }
-                }
+        let (hits, misses) = self.stats.at_level(level);
+        if lv.caches[at].touch(st.line, write) {
+            *hits += 1;
+            let back = now + if level.shared() { self.noc_delay(tile) } else { 0 };
+            // Nothing lies above L1, and an atomic came past the private
+            // levels on its way down.
+            if level == Level::L1 || st.kind == AccessKind::Atomic {
+                self.complete(id, back);
+            } else {
+                self.fill_upward_and_complete(st.line, tile, write, level, back);
             }
-            Level::L2 => {
-                if self.l2[tile].touch(st.line, write) {
-                    self.stats.l2_hits += 1;
-                    self.fill_upward_and_complete(st.line, tile, write, Level::L2, now);
-                    return;
-                }
-                match self.l2_mshr[tile].track(st.line, id) {
-                    MshrOutcome::Allocated => {
-                        self.l2[tile].count_miss();
-                        self.stats.l2_misses += 1;
-                        let at = now + self.config.llc.latency() + self.noc_delay(tile);
-                        self.events.schedule(
-                            now,
-                            at,
-                            Event::Lookup {
-                                id,
-                                level: Level::Llc,
-                            },
-                        );
-                    }
-                    MshrOutcome::Coalesced => {}
-                    MshrOutcome::Full => {
-                        self.events
-                            .schedule(now, now + 1, Event::Lookup { id, level })
-                    }
-                }
-            }
-            Level::Llc => {
-                if self.llc.touch(st.line, write) {
-                    self.stats.llc_hits += 1;
-                    let back = now + self.noc_delay(tile);
-                    if st.kind == AccessKind::Atomic {
-                        self.complete(id, back);
-                    } else {
-                        self.fill_upward_and_complete(st.line, tile, write, Level::Llc, back);
-                    }
-                    return;
-                }
-                match self.llc_mshr.track(st.line, id) {
-                    MshrOutcome::Allocated => {
-                        self.llc.count_miss();
-                        self.stats.llc_misses += 1;
-                        self.events.schedule(now, now, Event::DramEnqueue { id });
-                    }
-                    MshrOutcome::Coalesced => {}
-                    MshrOutcome::Full => {
-                        self.events
-                            .schedule(now, now + 1, Event::Lookup { id, level })
-                    }
-                }
-            }
+            return;
         }
+        let (when, event) = match lv.mshrs[at].track(st.line, id) {
+            MshrOutcome::Allocated => {
+                lv.caches[at].count_miss();
+                *misses += 1;
+                self.below(level, tile, id, now)
+            }
+            MshrOutcome::Coalesced => return,
+            MshrOutcome::Full => (now + 1, Event::Lookup { id, level }),
+        };
+        self.events.schedule(now, when, event);
+    }
+
+    /// What a miss at `level` schedules, and when: the lookup a level down
+    /// after that level's latency (and the trip to it, if it is the shared
+    /// one), or the DRAM enqueue at once.
+    fn below(&self, level: Level, tile: usize, id: ReqId, now: u64) -> (u64, Event) {
+        let (delay, level) = match (level, &self.config.l2) {
+            (Level::Llc, _) => return (now, Event::DramEnqueue { id }),
+            (Level::L1, Some(l2)) => (l2.latency(), Level::L2),
+            _ => (self.config.llc.latency() + self.noc_delay(tile), Level::Llc),
+        };
+        (now + delay, Event::Lookup { id, level })
     }
 
     /// After a hit at `from` (or a DRAM fill), installs the line in the
@@ -755,11 +739,13 @@ impl MemoryHierarchy {
         now: u64,
     ) {
         let mut waiters = std::mem::take(&mut self.to_complete);
-        if from == Level::Llc && self.has_l2() {
-            self.l2_mshr[tile].complete(line, &mut waiters);
+        if from == Level::Llc {
+            if let Some(l2) = self.levels[Level::L2 as usize].mshrs.get_mut(tile) {
+                l2.complete(line, &mut waiters);
+            }
         }
         self.fill_private(tile, line, dirty);
-        self.l1_mshr[tile].complete(line, &mut waiters);
+        self.levels[Level::L1 as usize].mshrs[tile].complete(line, &mut waiters);
         waiters.sort_unstable();
         waiters.dedup();
         for &w in &waiters {
@@ -776,15 +762,10 @@ impl MemoryHierarchy {
         // A refused enqueue comes back next cycle and overwrites this.
         st.dram_at = now;
         let (line, writeback) = (st.line, st.writeback);
-        match &mut self.dram {
-            Dram::Simple(d) => d.enqueue(id, now),
-            Dram::Banked(d) => {
-                if !d.try_enqueue(id, line, now) {
-                    self.events
-                        .schedule(now, now + 1, Event::DramEnqueue { id });
-                    return;
-                }
-            }
+        if !self.dram.try_enqueue(id, line, now) {
+            self.events
+                .schedule(now, now + 1, Event::DramEnqueue { id });
+            return;
         }
         // Writebacks consume bandwidth but nobody waits on them.
         if !writeback {
@@ -797,7 +778,7 @@ impl MemoryHierarchy {
             return;
         };
         if self.obs.trace_on() {
-            let lane = self.l1.len() as u32;
+            let lane = self.tile_count() as u32;
             self.timeline
                 .span(1, lane, "dram", SpanName::DramLine(st.line), st.dram_at, now);
         }
@@ -808,7 +789,7 @@ impl MemoryHierarchy {
         let dirty = st.kind.is_write();
         self.fill_llc(st.line, dirty, now);
         let mut waiters = std::mem::take(&mut self.llc_waiters);
-        self.llc_mshr.complete(st.line, &mut waiters);
+        self.levels[Level::Llc as usize].mshrs[0].complete(st.line, &mut waiters);
         for (k, &w) in waiters.iter().enumerate() {
             // A request waits once; skip a repeated id.
             if waiters[..k].contains(&w) {
@@ -838,10 +819,7 @@ impl MemoryHierarchy {
     #[inline]
     pub fn step(&mut self, now: u64) {
         // DRAM first so fills scheduled this cycle are visible.
-        match &mut self.dram {
-            Dram::Simple(d) => d.step(now, &mut self.dram_done),
-            Dram::Banked(d) => d.step(now, &mut self.dram_done),
-        }
+        self.dram.step(now, &mut self.dram_done);
         if !self.dram_done.is_empty() || self.events.due() <= now {
             self.step_due(now);
         }
@@ -863,14 +841,8 @@ impl MemoryHierarchy {
         self.events.advance(now);
     }
 
-    /// Takes all completions produced so far.
-    pub fn drain_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.completions)
-    }
-
-    /// Moves all completions produced so far into `buf` (cleared first).
-    /// Allocation-free variant of [`Self::drain_completions`] for callers
-    /// that poll every cycle with a reusable buffer.
+    /// Moves all completions produced so far into `buf` (cleared first);
+    /// a caller that polls every cycle reuses one buffer.
     #[inline]
     pub fn drain_completions_into(&mut self, buf: &mut Vec<Completion>) {
         buf.clear();
@@ -889,22 +861,17 @@ impl MemoryHierarchy {
         if !self.completions.is_empty() {
             return Some(now);
         }
-        let dram = match &self.dram {
-            Dram::Simple(d) => d.next_event_cycle(now),
-            Dram::Banked(d) => d.next_event_cycle(now),
-        };
-        let event = self.events.due();
-        let earliest = dram.unwrap_or(u64::MAX).min(event);
+        let dram = self.dram.next_event_cycle(now).unwrap_or(u64::MAX);
+        let earliest = dram.min(self.events.due());
         (earliest != u64::MAX).then(|| earliest.max(now))
     }
 
     /// Whether no requests are outstanding anywhere.
     pub fn is_idle(&self) -> bool {
-        let dram_idle = match &self.dram {
-            Dram::Simple(d) => d.is_idle(),
-            Dram::Banked(d) => d.is_idle(),
-        };
-        self.events.len() == 0 && dram_idle && self.completions.is_empty() && self.reqs.is_empty()
+        self.events.len() == 0
+            && self.dram.is_idle()
+            && self.completions.is_empty()
+            && self.reqs.is_empty()
     }
 
     /// Requests accepted but not yet delivered back to their tiles.
@@ -920,18 +887,14 @@ impl MemoryHierarchy {
     /// Cycles the SimpleDRAM bandwidth cap throttled ready requests
     /// (0 for the banked model).
     pub fn dram_throttled_cycles(&self) -> u64 {
-        match &self.dram {
-            Dram::Simple(d) => d.throttled_cycles(),
-            Dram::Banked(_) => 0,
-        }
+        self.dram.throttled_cycles()
     }
 
     /// Per-tile L1 miss ratio (for characterization reports).
     pub fn l1_miss_ratio(&self, tile: usize) -> f64 {
-        self.l1[tile].miss_ratio()
+        self.levels[Level::L1 as usize].caches[tile].miss_ratio()
     }
 }
-
 
 impl MemoryHierarchy {
     /// Serializes every piece of dynamic state — cache arrays, MSHRs,
@@ -941,35 +904,20 @@ impl MemoryHierarchy {
     /// level are not written; a restored hierarchy keeps whatever it was
     /// rebuilt with (mismatched geometry is detected on restore).
     pub fn save_state(&self, e: &mut Enc) {
-        e.u32(self.l1.len() as u32);
-        for c in &self.l1 {
-            c.encode_into(e);
+        // Caches level by level, the private ones counted; then MSHRs.
+        for (level, lv) in Level::ALL.into_iter().zip(&self.levels) {
+            if !level.shared() {
+                e.u32(lv.caches.len() as u32);
+            }
+            lv.caches.iter().for_each(|c| c.encode_into(e));
         }
-        e.u32(self.l2.len() as u32);
-        for c in &self.l2 {
-            c.encode_into(e);
-        }
-        self.llc.encode_into(e);
-        for m in &self.l1_mshr {
+        for m in self.levels.iter().flat_map(|lv| &lv.mshrs) {
             m.encode_into(e);
         }
-        for m in &self.l2_mshr {
-            m.encode_into(e);
-        }
-        self.llc_mshr.encode_into(e);
         for p in &self.prefetchers {
             p.encode_into(e);
         }
-        match &self.dram {
-            Dram::Simple(d) => {
-                e.u8(0);
-                d.encode_into(e);
-            }
-            Dram::Banked(d) => {
-                e.u8(1);
-                d.encode_into(e);
-            }
-        }
+        self.dram.encode_into(e);
 
         // Events in firing order and requests in id order: the order the
         // wheel and the ring hold them in.
@@ -984,9 +932,9 @@ impl MemoryHierarchy {
         e.u64(self.atomic_free_at);
 
         self.timeline.encode_into(e);
-        self.occ_l1.encode_into(e);
-        self.occ_l2.encode_into(e);
-        self.occ_llc.encode_into(e);
+        for lv in &self.levels {
+            lv.occupancy.encode_into(e);
+        }
     }
 
     /// Restores the state written by [`MemoryHierarchy::save_state`] into
@@ -999,35 +947,23 @@ impl MemoryHierarchy {
     /// geometry, DRAM model) disagrees with what the checkpoint was taken
     /// from.
     pub fn restore_state(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
-        d.expect_len::<u32>("hierarchy L1 caches", self.l1.len())?;
-        for c in &mut self.l1 {
-            c.restore_from(d)?;
+        let tiles = self.tile_count();
+        for (level, lv) in Level::ALL.into_iter().zip(&mut self.levels) {
+            if !level.shared() {
+                let what = format!("hierarchy {} caches", level.name());
+                d.expect_len::<u32>(&what, lv.caches.len())?;
+            }
+            for c in &mut lv.caches {
+                c.restore_from(d)?;
+            }
         }
-        d.expect_len::<u32>("hierarchy L2 caches", self.l2.len())?;
-        for c in &mut self.l2 {
-            c.restore_from(d)?;
-        }
-        self.llc.restore_from(d)?;
-        for m in &mut self.l1_mshr {
+        for m in self.levels.iter_mut().flat_map(|lv| &mut lv.mshrs) {
             m.restore_from(d)?;
         }
-        for m in &mut self.l2_mshr {
-            m.restore_from(d)?;
-        }
-        self.llc_mshr.restore_from(d)?;
         for p in &mut self.prefetchers {
             p.restore_from(d)?;
         }
-        let dram_tag = d.u8("hierarchy DRAM model tag")?;
-        match (dram_tag, &mut self.dram) {
-            (0, Dram::Simple(dram)) => dram.restore_from(d)?,
-            (1, Dram::Banked(dram)) => dram.restore_from(d)?,
-            _ => {
-                return Err(CkptError::mismatch(format!(
-                    "hierarchy: checkpoint DRAM model tag {dram_tag} does not match the configured model"
-                )))
-            }
-        }
+        self.dram.restore_from(d)?;
 
         self.events.clear();
         d.seq::<u64, (u64, u64, Event)>("hierarchy events", |(cycle, seq, ev)| {
@@ -1051,11 +987,10 @@ impl MemoryHierarchy {
                     self.next_id
                 )));
             }
-            if state.tile.0 as usize >= self.l1.len() {
+            if state.tile.0 as usize >= tiles {
                 return Err(CkptError::corrupt(format!(
-                    "in-flight request {id} names tile {} of {}",
-                    state.tile.0,
-                    self.l1.len()
+                    "in-flight request {id} names tile {} of {tiles}",
+                    state.tile.0
                 )));
             }
             self.reqs.insert(id, state);
@@ -1075,9 +1010,9 @@ impl MemoryHierarchy {
         self.atomic_free_at = d.u64("hierarchy atomic_free_at")?;
 
         self.timeline = Timeline::decode_from(d)?;
-        self.occ_l1 = Log2Histogram::decode_from(d)?;
-        self.occ_l2 = Log2Histogram::decode_from(d)?;
-        self.occ_llc = Log2Histogram::decode_from(d)?;
+        for lv in &mut self.levels {
+            lv.occupancy = Log2Histogram::decode_from(d)?;
+        }
         Ok(())
     }
 }
@@ -1120,12 +1055,19 @@ mod tests {
         MemoryHierarchy::new(config, tiles)
     }
 
+    /// What the hierarchy has completed since the last call.
+    pub(super) fn drain(h: &mut MemoryHierarchy) -> Vec<Completion> {
+        let mut done = Vec::new();
+        h.drain_completions_into(&mut done);
+        done
+    }
+
     fn run_one(h: &mut MemoryHierarchy, req: MemReq, start: u64) -> u64 {
         let id = h.request(req, start).expect("valid tile");
         let mut t = start;
         loop {
             h.step(t);
-            let done = h.drain_completions();
+            let done = drain(h);
             if let Some(c) = done.iter().find(|c| c.id == id) {
                 return c.at_cycle;
             }
@@ -1169,7 +1111,7 @@ mod tests {
         let mut done = Vec::new();
         while done.len() < 3 {
             h.step(t);
-            done.extend(h.drain_completions());
+            done.extend(drain(&mut h));
             t += 1;
             assert!(t < 10_000);
         }
@@ -1273,7 +1215,7 @@ mod tests {
         for _ in 0..2000 {
             t += 1;
             h.step(t);
-            h.drain_completions();
+            drain(&mut h);
         }
         assert!(h.stats().dram_writebacks > 0, "dirty evictions must write back");
         assert!(h.is_idle());
@@ -1314,7 +1256,7 @@ mod tests {
             for _ in 0..5000 {
                 t += 1;
                 h.step(t);
-                h.drain_completions();
+                drain(&mut h);
             }
             (t, h.stats())
         };
@@ -1373,7 +1315,7 @@ mod tests {
         let mut t = 0;
         while !h.is_idle() {
             h.step(t);
-            h.drain_completions();
+            drain(&mut h);
             t += 1;
             assert!(t < 100_000);
         }
@@ -1458,6 +1400,7 @@ mod tests {
 
 #[cfg(test)]
 mod noc_tests {
+    use super::tests::drain;
     use super::*;
 
     fn noc_hier(noc: Option<NocConfig>, tiles: usize) -> MemoryHierarchy {
@@ -1494,7 +1437,7 @@ mod noc_tests {
         let mut t = start;
         loop {
             h.step(t);
-            if let Some(c) = h.drain_completions().into_iter().find(|c| c.id == id) {
+            if let Some(c) = drain(h).into_iter().find(|c| c.id == id) {
                 return c.at_cycle - start;
             }
             t += 1;
@@ -1549,6 +1492,7 @@ mod noc_tests {
 
 #[cfg(test)]
 mod snapshot_tests {
+    use super::tests::drain;
     use super::*;
 
     fn cfg() -> HierarchyConfig {
@@ -1586,7 +1530,7 @@ mod snapshot_tests {
                 );
             }
             h.step(t);
-            log.extend(h.drain_completions());
+            log.extend(drain(h));
         }
     }
 

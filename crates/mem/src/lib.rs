@@ -22,11 +22,12 @@
 //!     MemReq { tile: 0, addr: 0x8000, size: 8, kind: AccessKind::Read },
 //!     0,
 //! ).expect("tile 0 exists");
-//! let mut cycle = 0;
+//! let (mut cycle, mut completed) = (0, Vec::new());
 //! let done = loop {
 //!     hier.step(cycle);
-//!     if let Some(c) = hier.drain_completions().into_iter().find(|c| c.id == id) {
-//!         break c;
+//!     hier.drain_completions_into(&mut completed);
+//!     if let Some(c) = completed.iter().find(|c| c.id == id) {
+//!         break *c;
 //!     }
 //!     cycle += 1;
 //! };
@@ -46,7 +47,7 @@ mod simple_dram;
 mod wheel;
 
 pub use banked::{BankedDram, BankedDramConfig};
-pub use cache::{Cache, CacheConfig, FillOutcome, LookupResult};
+pub use cache::{Cache, CacheConfig, FillOutcome};
 pub use hierarchy::{DramKind, HierarchyConfig, MemError, MemStats, MemoryHierarchy, NocConfig};
 pub use mshr::{Mshr, MshrOutcome};
 pub use prefetch::{PrefetchConfig, StreamPrefetcher};
@@ -95,11 +96,9 @@ mod invariant_tests {
             let addrs = addr_vec(&mut r, 200, 1_000_000);
             let mut c = Cache::new(CacheConfig::new("p", 4096).with_ways(4));
             for a in &addrs {
-                match c.access(*a, a % 3 == 0) {
-                    LookupResult::Miss => {
-                        c.fill(*a, a % 3 == 0);
-                    }
-                    LookupResult::Hit => {}
+                if !c.touch(*a, a % 3 == 0) {
+                    c.count_miss();
+                    c.fill(*a, a % 3 == 0);
                 }
             }
             assert_eq!(c.hits() + c.misses(), c.accesses());
@@ -159,7 +158,7 @@ mod invariant_tests {
                 max_per_epoch: per_epoch,
             });
             for i in 0..n {
-                d.enqueue(ReqId(i as u64), 0);
+                d.try_enqueue(ReqId(i as u64), 0, 0);
             }
             let mut t = 0u64;
             let mut completed = 0usize;
@@ -217,9 +216,11 @@ mod invariant_tests {
                 assert!(pending.insert(id));
             }
             let mut t = addrs.len() as u64;
+            let mut done = Vec::new();
             while !pending.is_empty() {
                 h.step(t);
-                for c in h.drain_completions() {
+                h.drain_completions_into(&mut done);
+                for c in &done {
                     assert!(pending.remove(&c.id), "double completion of {:?}", c.id);
                 }
                 t += 1;

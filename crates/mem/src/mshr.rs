@@ -99,7 +99,7 @@ impl Mshr {
     }
 
     /// Whether `line` has a pending entry.
-    pub fn is_pending(&self, line: u64) -> bool {
+    fn is_pending(&self, line: u64) -> bool {
         self.slot_of(line).is_some()
     }
 

@@ -13,6 +13,7 @@
 use std::collections::VecDeque;
 
 use mosaic_ckpt::{snap_fields, CkptError, Dec, Enc};
+use mosaic_obs::StatsRegistry;
 
 use crate::req::ReqId;
 
@@ -97,13 +98,16 @@ impl SimpleDram {
     }
 
     /// Enqueues a line request at `now` (no earlier than any `now` before
-    /// it); it can complete no earlier than `now + min_latency`.
-    pub fn enqueue(&mut self, id: ReqId, now: u64) {
+    /// it); it can complete no earlier than `now + min_latency`. The queue
+    /// is unbounded and no line is slower than another, so this always
+    /// returns `true`.
+    pub fn try_enqueue(&mut self, id: ReqId, _line: u64, now: u64) -> bool {
         self.seq += 1;
         self.total_requests += 1;
         let ready = now + self.config.min_latency;
         debug_assert!(self.queue.back().is_none_or(|&(last, _, _)| last <= ready));
         self.queue.push_back((ready, self.seq, id));
+        true
     }
 
     /// Advances to cycle `now`, appending the requests that complete to
@@ -172,11 +176,6 @@ impl SimpleDram {
         self.queue.is_empty()
     }
 
-    /// Requests accepted so far.
-    pub fn total_requests(&self) -> u64 {
-        self.total_requests
-    }
-
     /// Cycles in which the bandwidth cap throttled ready requests — the
     /// signature of bandwidth-bound kernels like SPMV (paper §VI-A).
     pub fn throttled_cycles(&self) -> u64 {
@@ -188,12 +187,21 @@ impl SimpleDram {
         self.total_requests = 0;
         self.throttled_cycles = 0;
     }
+
+    /// The model's `mem.dram.*` counters.
+    pub(crate) fn register_into(&self, reg: &mut StatsRegistry) {
+        reg.set_counter("mem.dram.requests", self.total_requests);
+        reg.set_counter("mem.dram.throttled_cycles", self.throttled_cycles);
+    }
 }
 
 snap_fields!(SimpleDram: seq, epoch_start, returned_this_epoch, total_requests,
     total_returned, throttled_cycles, last_step);
 
 impl SimpleDram {
+    /// The model's tag in a hierarchy snapshot.
+    pub(crate) const TAG: u8 = 0;
+
     /// Serializes the pending queue (in queue order, which is `(ready,
     /// seq)` order) and epoch/counter state.
     pub(crate) fn encode_into(&self, e: &mut Enc) {
@@ -239,7 +247,7 @@ mod tests {
     #[test]
     fn respects_min_latency() {
         let mut d = dram(100, 64, 8);
-        d.enqueue(ReqId(1), 0);
+        d.try_enqueue(ReqId(1), 0, 0);
         assert!(step(&mut d, 99).is_empty());
         assert_eq!(step(&mut d, 100), vec![ReqId(1)]);
         assert!(d.is_idle());
@@ -248,9 +256,9 @@ mod tests {
     #[test]
     fn fifo_among_equal_ready_times() {
         let mut d = dram(10, 64, 8);
-        d.enqueue(ReqId(1), 0);
-        d.enqueue(ReqId(2), 0);
-        d.enqueue(ReqId(3), 0);
+        d.try_enqueue(ReqId(1), 0, 0);
+        d.try_enqueue(ReqId(2), 0, 0);
+        d.try_enqueue(ReqId(3), 0, 0);
         assert_eq!(step(&mut d, 10), vec![ReqId(1), ReqId(2), ReqId(3)]);
     }
 
@@ -258,7 +266,7 @@ mod tests {
     fn bandwidth_cap_throttles_within_epoch() {
         let mut d = dram(10, 100, 2);
         for i in 0..6 {
-            d.enqueue(ReqId(i), 0);
+            d.try_enqueue(ReqId(i), 0, 0);
         }
         // All ready at cycle 10, but only 2 may return in epoch [0, 100).
         let first = step(&mut d, 10);
@@ -276,9 +284,9 @@ mod tests {
     #[test]
     fn keeps_accepting_while_throttled() {
         let mut d = dram(10, 100, 1);
-        d.enqueue(ReqId(1), 0);
+        d.try_enqueue(ReqId(1), 0, 0);
         assert_eq!(step(&mut d, 10).len(), 1);
-        d.enqueue(ReqId(2), 11);
+        d.try_enqueue(ReqId(2), 0, 11);
         // Throttled until cycle 100 even though ready at 21.
         assert!(step(&mut d, 50).is_empty());
         assert_eq!(step(&mut d, 100), vec![ReqId(2)]);

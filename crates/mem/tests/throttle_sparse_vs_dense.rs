@@ -43,11 +43,11 @@ fn sparse_vs_dense_throttle_accounting() {
     let id_a = mosaic_mem::ReqId(1);
     let id_b = mosaic_mem::ReqId(2);
 
-    dense.enqueue(id_a, 0);
-    sparse.enqueue(id_a, 0);
+    dense.try_enqueue(id_a, 0, 0);
+    sparse.try_enqueue(id_a, 0, 0);
     for t in 0..=120u64 {
         if t == 20 {
-            dense.enqueue(id_b, 20);
+            dense.try_enqueue(id_b, 0, 20);
         }
         dense_done += step(&mut dense, t);
     }
@@ -57,7 +57,7 @@ fn sparse_vs_dense_throttle_accounting() {
     // to next_event_cycle.
     for t in [0u64, 10, 20] {
         if t == 20 {
-            sparse.enqueue(id_b, 20);
+            sparse.try_enqueue(id_b, 0, 20);
         }
         sparse_done += step(&mut sparse, t);
     }

@@ -978,23 +978,3 @@ impl Tile for CoreTile {
         self.diagnose(now, channels)
     }
 }
-
-/// A pre-RTL accelerator tile (paper §IV): the same dependence-graph
-/// engine with accelerator-style resource provisioning — a live-DBB limit
-/// standing in for replicated loop circuits, a large window, and
-/// unconstrained functional units.
-pub fn accelerator_tile(
-    unroll: u32,
-    module: Arc<Module>,
-    func: FuncId,
-    trace: Arc<TileTrace>,
-    mem_slot: usize,
-) -> CoreTile {
-    CoreTile::new(
-        crate::CoreConfig::accelerator(unroll),
-        module,
-        func,
-        trace,
-        mem_slot,
-    )
-}

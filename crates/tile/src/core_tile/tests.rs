@@ -476,7 +476,7 @@ fn windowed_set_matches_the_full_walk() {
 // The stall memo against the walk.
 // -----------------------------------------------------------------
 
-use crate::tests::small_mem;
+use crate::tests::{drain, small_mem};
 use crate::{ChannelConfig, NoAccel};
 use mosaic_ir::{BinOp, Constant, FunctionBuilder, MemImage, RtVal, TileProgram, Type};
 use mosaic_mem::MemoryHierarchy;
@@ -598,7 +598,7 @@ impl Rig {
     /// Returns which tiles got a completion.
     fn before_steps(&mut self, seed: u64, now: u64) -> [bool; 3] {
         self.mem.step(now);
-        self.late.extend(self.mem.drain_completions());
+        self.late.extend(drain(&mut self.mem));
         let mut delivered = [false; 3];
         let tiles = &mut self.tiles;
         self.late.retain(|c| {
@@ -736,7 +736,7 @@ fn memo_matches_the_walk() {
                     for x in now..target {
                         model.mem.step(x);
                         assert!(
-                            model.mem.drain_completions().is_empty(),
+                            drain(&mut model.mem).is_empty(),
                             "{label}: jumped an event"
                         );
                         for t in 0..3 {

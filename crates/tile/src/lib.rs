@@ -27,7 +27,7 @@ mod mao;
 
 pub use channel::{Channel, ChannelConfig, ChannelSet};
 pub use config::{fused_insts, BranchMode, CoreConfig, CostTable, FuLimits, FusionConfig};
-pub use core_tile::{accelerator_tile, CoreTile};
+pub use core_tile::CoreTile;
 pub use mao::{Mao, MaoStall};
 
 use mosaic_ir::AccelOp;
@@ -403,13 +403,8 @@ pub trait Tile {
 
     /// Earliest cycle `>= now` at which stepping this tile could change
     /// architectural state (see [`Horizon`] for the contract). `now` is
-    /// the next cycle the Interleaver would execute. The default is
-    /// conservative: always [`Horizon::Ready`], which disables skipping
-    /// past this tile.
-    fn next_event(&self, now: u64, channels: &ChannelSet) -> Horizon {
-        let _ = (now, channels);
-        Horizon::Ready
-    }
+    /// the next cycle the Interleaver would execute.
+    fn next_event(&self, now: u64, channels: &ChannelSet) -> Horizon;
 
     /// Credits the stall counters this tile would have accumulated over
     /// `aligned_cycles` skipped tile-clock cycles in which it was blocked.
@@ -417,21 +412,14 @@ pub trait Tile {
     /// the per-cycle stall profile) is constant over the whole skipped
     /// span, so the tile may evaluate it once at `now` and multiply.
     /// Called by the fast-forward scheduler with the channel state frozen
-    /// as it was when [`Tile::next_event`] reported the block. Default:
-    /// no-op (consistent with the default `next_event`, which never
-    /// allows a skip).
-    fn on_cycles_skipped(&mut self, now: u64, aligned_cycles: u64, channels: &ChannelSet) {
-        let _ = (now, aligned_cycles, channels);
-    }
+    /// as it was when [`Tile::next_event`] reported the block.
+    fn on_cycles_skipped(&mut self, now: u64, aligned_cycles: u64, channels: &ChannelSet);
 
     /// A counter that changes whenever a step does observable work
     /// (issue, retire, launch, …). The fast-forward scheduler compares it
     /// across a step as a *heuristic* to decide whether attempting a skip
-    /// is worthwhile — correctness never depends on it, so the default
-    /// (always 0, i.e. every cycle looks quiet) is safe for any tile.
-    fn progress_mark(&self) -> u64 {
-        0
-    }
+    /// is worthwhile — correctness never depends on it.
+    fn progress_mark(&self) -> u64;
 
     /// A frozen description of why this tile cannot advance, taken when
     /// the Interleaver diagnoses a deadlock or watchdog timeout.
@@ -439,48 +427,25 @@ pub trait Tile {
     /// Implementations must derive it from architectural state only —
     /// never from cumulative stall counters — so the snapshot is
     /// bit-identical whether the deadlock was found by the fast-forward
-    /// scheduler or by the naive watchdog. The default reports
-    /// [`StallReason::Idle`].
-    fn stall_info(&self, now: u64, channels: &ChannelSet) -> TileStallInfo {
-        let _ = (now, channels);
-        TileStallInfo {
-            tile: self.name().to_string(),
-            reason: StallReason::Idle,
-            inst: None,
-            pc: 0,
-            retired: self.stats().retired,
-            mem_in_flight: 0,
-        }
-    }
+    /// scheduler or by the naive watchdog.
+    fn stall_info(&self, now: u64, channels: &ChannelSet) -> TileStallInfo;
 
-    /// Sets the observability level before the run starts. Tiles that
-    /// do not record anything may ignore it (the default).
-    fn set_observe(&mut self, level: ObsLevel) {
-        let _ = level;
-    }
+    /// Sets the observability level before the run starts.
+    fn set_observe(&mut self, level: ObsLevel);
 
     /// Takes the tile's recorded timeline spans, keyed to tile slot
-    /// `slot` (pid 0 tracks). Default: empty (nothing recorded).
-    fn take_timeline(&mut self, slot: usize) -> Timeline {
-        let _ = slot;
-        Timeline::new()
-    }
+    /// `slot` (pid 0 tracks).
+    fn take_timeline(&mut self, slot: usize) -> Timeline;
 
     /// Takes the tile's IR-level profile (per-static-instruction
-    /// retire/stall/latency attribution). Default: empty.
-    fn take_profile(&mut self) -> IrProfile {
-        IrProfile::new()
-    }
+    /// retire/stall/latency attribution).
+    fn take_profile(&mut self) -> IrProfile;
 
     /// Serializes this tile's dynamic state into a checkpoint section
     /// (see `mosaic-ckpt`). Static state — the module, trace, DDG, and
     /// configuration — is *not* written; a restore rebuilds it from the
-    /// same configuration and only overwrites dynamic state. The default
-    /// writes nothing, which pairs with the default `restore_state` for
-    /// stateless tiles.
-    fn save_state(&self, enc: &mut mosaic_ckpt::Enc) {
-        let _ = enc;
-    }
+    /// same configuration and only overwrites dynamic state.
+    fn save_state(&self, enc: &mut mosaic_ckpt::Enc);
 
     /// Restores the dynamic state written by [`Tile::save_state`] into a
     /// freshly built tile of the same configuration.
@@ -489,10 +454,10 @@ pub trait Tile {
     ///
     /// Returns a [`mosaic_ckpt::CkptError`] when the section is
     /// truncated, corrupt, or was written by a differently shaped tile.
-    fn restore_state(&mut self, dec: &mut mosaic_ckpt::Dec<'_>) -> Result<(), mosaic_ckpt::CkptError> {
-        let _ = dec;
-        Ok(())
-    }
+    fn restore_state(
+        &mut self,
+        dec: &mut mosaic_ckpt::Dec<'_>,
+    ) -> Result<(), mosaic_ckpt::CkptError>;
 }
 
 #[cfg(test)]
@@ -561,6 +526,13 @@ mod tests {
         )
     }
 
+    /// What `mem` has completed since the last call.
+    pub(crate) fn drain(mem: &mut MemoryHierarchy) -> Vec<mosaic_mem::Completion> {
+        let mut done = Vec::new();
+        mem.drain_completions_into(&mut done);
+        done
+    }
+
     /// Runs one tile to completion, returning its completion cycle.
     fn run_tile(tile: &mut CoreTile, mem: &mut MemoryHierarchy) -> u64 {
         let mut channels = ChannelSet::new(ChannelConfig::default());
@@ -568,7 +540,7 @@ mod tests {
         let mut now = 0u64;
         while !tile.is_done() {
             mem.step(now);
-            for c in mem.drain_completions() {
+            for c in drain(mem) {
                 tile.on_mem_completion(c.id, now);
             }
             let mut ctx = TileCtx {
@@ -746,7 +718,7 @@ mod tests {
         let mut now = 0u64;
         while !(t0.is_done() && t1.is_done()) {
             mem.step(now);
-            for c in mem.drain_completions() {
+            for c in drain(&mut mem) {
                 if c.tile == 0 {
                     t0.on_mem_completion(c.id, now);
                 } else {
@@ -850,7 +822,7 @@ mod tests {
         let mut now = 0;
         while !tile.is_done() {
             mem.step(now);
-            for c in mem.drain_completions() {
+            for c in drain(&mut mem) {
                 tile.on_mem_completion(c.id, now);
             }
             let mut ctx = TileCtx {
@@ -918,7 +890,7 @@ mod tests {
         let step = |rig: &mut Rig, now: u64| {
             let Rig(tile, mem, channels) = rig;
             mem.step(now);
-            for c in mem.drain_completions() {
+            for c in drain(mem) {
                 tile.on_mem_completion(c.id, now);
             }
             let mut ctx = TileCtx {
@@ -1041,7 +1013,7 @@ mod bimodal_tests {
         let mut now = 0;
         while !tile.is_done() {
             mem.step(now);
-            for c in mem.drain_completions() {
+            for c in crate::tests::drain(&mut mem) {
                 tile.on_mem_completion(c.id, now);
             }
             let mut ctx = TileCtx {

@@ -20,19 +20,18 @@
 //!     section table without decoding section bodies.
 //! ```
 
+mod kernel_flags;
+
 use std::path::Path;
 use std::process::ExitCode;
-use std::sync::Arc;
 
+use kernel_flags::{number, value, KernelFlags};
 use mosaicsim::ckpt::Checkpoint;
 use mosaicsim::prelude::*;
 
 struct Options {
     mode: String,
-    kernel: Option<String>,
-    scale: u32,
-    tiles: usize,
-    ooo: bool,
+    flags: KernelFlags,
     naive: bool,
     at: Option<u64>,
     out: Option<String>,
@@ -47,69 +46,32 @@ const USAGE: &str = "usage:
                       [--scale N] [--tiles N] [--core ino|ooo] [--naive]
   mosaic-ckpt inspect <file>";
 
-/// Parses the value of a flag that counts from 1: a kernel built at
-/// scale 0 has no data to index and a system of 0 tiles simulates nothing.
-fn positive<T>(flag: &str, text: &str) -> Result<T, String>
-where
-    T: std::str::FromStr + Default + PartialEq,
-    T::Err: std::fmt::Display,
-{
-    match text.parse::<T>() {
-        Ok(n) if n != T::default() => Ok(n),
-        Ok(_) => Err(format!("{flag}: must be at least 1")),
-        Err(e) => Err(format!("{flag}: {e}")),
-    }
-}
-
 fn parse_args() -> Result<Options, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mode = args.first().cloned().ok_or(USAGE.to_string())?;
     let mut opts = Options {
         mode,
-        kernel: None,
-        scale: 1,
-        tiles: 1,
-        ooo: true,
+        flags: KernelFlags::new(),
         naive: false,
         at: None,
         out: None,
         from: None,
         file: None,
     };
-    let value = |i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
     let mut i = 1;
     while i < args.len() {
-        match args[i].as_str() {
-            "--kernel" => opts.kernel = Some(value(&mut i, "--kernel")?),
-            "--scale" => opts.scale = positive("--scale", &value(&mut i, "--scale")?)?,
-            "--tiles" => opts.tiles = positive("--tiles", &value(&mut i, "--tiles")?)?,
-            "--core" => {
-                opts.ooo = match value(&mut i, "--core")?.as_str() {
-                    "ino" => false,
-                    "ooo" => true,
-                    other => return Err(format!("--core: unknown model {other:?}")),
+        if !opts.flags.take(&args, &mut i)? {
+            match args[i].as_str() {
+                "--naive" => opts.naive = true,
+                "--at" => opts.at = Some(number(&args, &mut i, "--at")?),
+                "--out" => opts.out = Some(value(&args, &mut i, "--out")?),
+                "--from" => opts.from = Some(value(&args, &mut i, "--from")?),
+                "--help" | "-h" => return Err(USAGE.to_string()),
+                other if !other.starts_with("--") && opts.file.is_none() => {
+                    opts.file = Some(other.to_string())
                 }
+                other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
             }
-            "--naive" => opts.naive = true,
-            "--at" => {
-                opts.at = Some(
-                    value(&mut i, "--at")?
-                        .parse()
-                        .map_err(|e| format!("--at: {e}"))?,
-                )
-            }
-            "--out" => opts.out = Some(value(&mut i, "--out")?),
-            "--from" => opts.from = Some(value(&mut i, "--from")?),
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other if !other.starts_with("--") && opts.file.is_none() => {
-                opts.file = Some(other.to_string())
-            }
-            other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
         }
         i += 1;
     }
@@ -144,30 +106,12 @@ fn main() -> ExitCode {
 /// through this one function.
 fn builder_for(opts: &Options) -> Result<SystemBuilder, String> {
     let name = opts
+        .flags
         .kernel
         .as_deref()
         .ok_or_else(|| format!("--kernel is required\n{USAGE}"))?;
-    if !mosaicsim::kernels::PARBOIL_NAMES.contains(&name) {
-        return Err(format!(
-            "unknown kernel {name:?}; available: {}",
-            mosaicsim::kernels::PARBOIL_NAMES.join(", ")
-        ));
-    }
-    let prepared = mosaicsim::kernels::build_parboil(name, opts.scale);
-    let (trace, _) = prepared.trace(opts.tiles).map_err(|e| e.to_string())?;
-    let core = if opts.ooo {
-        CoreConfig::out_of_order()
-    } else {
-        CoreConfig::in_order()
-    };
-    let mut builder = SystemBuilder::new(Arc::new(prepared.module.clone()), Arc::new(trace))
-        .memory(xeon_memory())
-        .fast_forward(!opts.naive);
-    for t in 0..opts.tiles {
-        let config = core.clone().with_name(&format!("{name}#{t}"));
-        builder = builder.core(config, prepared.func, t);
-    }
-    Ok(builder)
+    let (builder, _) = opts.flags.system(name)?;
+    Ok(builder.fast_forward(!opts.naive))
 }
 
 fn save(opts: &Options) -> Result<(), String> {

@@ -18,18 +18,17 @@
 //!     least one complete ("X") span per tile track (used by CI).
 //! ```
 
-use std::process::ExitCode;
-use std::sync::Arc;
+mod kernel_flags;
 
+use std::process::ExitCode;
+
+use kernel_flags::{number, value, KernelFlags};
 use mosaicsim::ir::{print_inst, FuncId, InstId};
 use mosaicsim::obs::{json, ObsLevel, StatsRegistry};
 use mosaicsim::prelude::*;
 
 struct Options {
-    kernel: Option<String>,
-    scale: u32,
-    tiles: usize,
-    ooo: bool,
+    flags: KernelFlags,
     top: usize,
     stats_out: Option<String>,
     timeline_out: Option<String>,
@@ -44,26 +43,9 @@ const USAGE: &str = "usage:
   mosaic-report --diff a.json b.json
   mosaic-report --check-trace trace.json [--expect-tiles N]";
 
-/// Parses the value of a flag that counts from 1: a kernel built at
-/// scale 0 has no data to index and a system of 0 tiles simulates nothing.
-fn positive<T>(flag: &str, text: &str) -> Result<T, String>
-where
-    T: std::str::FromStr + Default + PartialEq,
-    T::Err: std::fmt::Display,
-{
-    match text.parse::<T>() {
-        Ok(n) if n != T::default() => Ok(n),
-        Ok(_) => Err(format!("{flag}: must be at least 1")),
-        Err(e) => Err(format!("{flag}: {e}")),
-    }
-}
-
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
-        kernel: None,
-        scale: 1,
-        tiles: 1,
-        ooo: true,
+        flags: KernelFlags::new(),
         top: 10,
         stats_out: None,
         timeline_out: None,
@@ -73,44 +55,22 @@ fn parse_args() -> Result<Options, String> {
     };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
     while i < args.len() {
-        match args[i].as_str() {
-            "--kernel" => opts.kernel = Some(value(&mut i, "--kernel")?),
-            "--scale" => opts.scale = positive("--scale", &value(&mut i, "--scale")?)?,
-            "--tiles" => opts.tiles = positive("--tiles", &value(&mut i, "--tiles")?)?,
-            "--core" => {
-                opts.ooo = match value(&mut i, "--core")?.as_str() {
-                    "ino" => false,
-                    "ooo" => true,
-                    other => return Err(format!("--core: unknown model {other:?}")),
+        if !opts.flags.take(&args, &mut i)? {
+            match args[i].as_str() {
+                "--top" => opts.top = number(&args, &mut i, "--top")?,
+                "--stats" => opts.stats_out = Some(value(&args, &mut i, "--stats")?),
+                "--timeline" => opts.timeline_out = Some(value(&args, &mut i, "--timeline")?),
+                "--diff" => {
+                    let a = value(&args, &mut i, "--diff")?;
+                    let b = value(&args, &mut i, "--diff")?;
+                    opts.diff = Some((a, b));
                 }
+                "--check-trace" => opts.check_trace = Some(value(&args, &mut i, "--check-trace")?),
+                "--expect-tiles" => opts.expect_tiles = number(&args, &mut i, "--expect-tiles")?,
+                "--help" | "-h" => return Err(USAGE.to_string()),
+                other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
             }
-            "--top" => {
-                opts.top = value(&mut i, "--top")?
-                    .parse()
-                    .map_err(|e| format!("--top: {e}"))?
-            }
-            "--stats" => opts.stats_out = Some(value(&mut i, "--stats")?),
-            "--timeline" => opts.timeline_out = Some(value(&mut i, "--timeline")?),
-            "--diff" => {
-                let a = value(&mut i, "--diff")?;
-                let b = value(&mut i, "--diff")?;
-                opts.diff = Some((a, b));
-            }
-            "--check-trace" => opts.check_trace = Some(value(&mut i, "--check-trace")?),
-            "--expect-tiles" => {
-                opts.expect_tiles = value(&mut i, "--expect-tiles")?
-                    .parse()
-                    .map_err(|e| format!("--expect-tiles: {e}"))?
-            }
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
         }
         i += 1;
     }
@@ -129,8 +89,8 @@ fn main() -> ExitCode {
         diff_registries(a, b)
     } else if let Some(path) = &opts.check_trace {
         check_trace(path, opts.expect_tiles)
-    } else if opts.kernel.is_some() {
-        run_kernel(&opts)
+    } else if let Some(name) = &opts.flags.kernel {
+        run_kernel(name, &opts)
     } else {
         Err(USAGE.to_string())
     };
@@ -144,41 +104,20 @@ fn main() -> ExitCode {
 }
 
 /// Runs a bundled kernel under observability and reports hotspots.
-fn run_kernel(opts: &Options) -> Result<(), String> {
-    let name = opts.kernel.as_deref().expect("checked by caller");
-    if !mosaicsim::kernels::PARBOIL_NAMES.contains(&name) {
-        return Err(format!(
-            "unknown kernel {name:?}; available: {}",
-            mosaicsim::kernels::PARBOIL_NAMES.join(", ")
-        ));
-    }
+fn run_kernel(name: &str, opts: &Options) -> Result<(), String> {
     let level = if opts.timeline_out.is_some() {
         ObsLevel::Trace
     } else {
         ObsLevel::Stats
     };
-    let prepared = mosaicsim::kernels::build_parboil(name, opts.scale);
-    let (trace, _) = prepared.trace(opts.tiles).map_err(|e| e.to_string())?;
-    let core = if opts.ooo {
-        CoreConfig::out_of_order()
-    } else {
-        CoreConfig::in_order()
-    };
-    let module = Arc::new(prepared.module.clone());
-    let mut builder = SystemBuilder::new(module.clone(), Arc::new(trace))
-        .memory(xeon_memory())
-        .observe(level);
-    for t in 0..opts.tiles {
-        let config = core.clone().with_name(&format!("{name}#{t}"));
-        builder = builder.core(config, prepared.func, t);
-    }
-    let report = builder.run().map_err(|e| e.to_string())?;
+    let (builder, module) = opts.flags.system(name)?;
+    let report = builder.observe(level).run().map_err(|e| e.to_string())?;
 
     println!(
         "{name} scale {} on {} {} tile(s): {} cycles, IPC {:.3}",
-        opts.scale,
-        opts.tiles,
-        if opts.ooo { "OoO" } else { "InO" },
+        opts.flags.scale,
+        opts.flags.tiles,
+        if opts.flags.ooo { "OoO" } else { "InO" },
         report.cycles,
         report.ipc()
     );

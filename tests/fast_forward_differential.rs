@@ -133,7 +133,6 @@ fn deadlock_verdict_is_bit_identical_to_naive() {
             .core(CoreConfig::in_order().with_name("p"), produce, 0)
             .core(CoreConfig::in_order().with_name("c"), consume, 1)
             .fast_forward(fast_forward)
-            .watchdog_window(16)
             .run()
             .expect_err("must deadlock")
     };
