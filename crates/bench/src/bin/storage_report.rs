@@ -6,9 +6,12 @@
 //! default datasets in Parboil, BFS takes 1.3 GB, HISTO takes 1.4 GB, and
 //! SGEMM takes 99 MB."
 //!
-//! Our datasets are reduced-scale; the table reports measured footprints
-//! plus a linear extrapolation to Parboil's default dataset sizes to show
-//! the same memory-trace-dominated profile.
+//! Our datasets are reduced-scale; the table reports the footprints `MSTR`
+//! version 2 encodes (per component, and per traced instruction) plus a
+//! linear extrapolation to Parboil's default dataset sizes, which leaves
+//! out the byte a larger dataset would widen some streams by. A block costs
+//! a byte and an access one to three, so the memory trace leads by less
+//! than the paper's 8-byte addresses do.
 
 use mosaic_kernels::{build_parboil, PARBOIL_NAMES};
 
@@ -37,8 +40,8 @@ fn human(bytes: f64) -> String {
 fn main() {
     println!("§VI-B — trace storage requirements");
     println!(
-        "{:<14} {:>12} {:>12} {:>10} {:>14}",
-        "kernel", "ctrl-flow", "memory", "mem %", "extrapolated"
+        "{:<14} {:>12} {:>12} {:>10} {:>8} {:>14}",
+        "kernel", "ctrl-flow", "memory", "mem %", "B/instr", "extrapolated"
     );
     for name in PARBOIL_NAMES {
         let p = build_parboil(name, 1);
@@ -47,14 +50,16 @@ fn main() {
         let total = r.total_bytes() as f64;
         let extrapolated = total * extrapolation_factor(name);
         println!(
-            "{:<14} {:>12} {:>12} {:>9.0}% {:>14}",
+            "{:<14} {:>12} {:>12} {:>9.0}% {:>8.3} {:>14}",
             name,
             human(r.control_flow_bytes as f64),
             human(r.memory_bytes as f64),
             100.0 * r.memory_bytes as f64 / total,
+            total / trace.total_retired() as f64,
             human(extrapolated)
         );
     }
-    println!("\n(paper, full Parboil datasets: BFS 1.3 GB, HISTO 1.4 GB, SGEMM 99 MB;");
-    println!(" memory traces dominate — control-flow traces stay negligible)");
+    println!("\n(paper, full Parboil datasets: BFS 1.3 GB, HISTO 1.4 GB, SGEMM 99 MB,");
+    println!(" control-flow traces negligible; packed, the memory trace is still the");
+    println!(" larger part of most kernels, by a factor of 1-20 and not by orders)");
 }

@@ -136,8 +136,7 @@ mod tests {
         let writes = trace
             .tile(0)
             .mem_insts()
-            .map(|i| trace.tile(0).mem_stream(i))
-            .flat_map(|s| s.iter())
+            .flat_map(|i| trace.tile(0).mem_stream(i))
             .filter(|a| a.write)
             .count();
         assert!(writes > 50, "bfs must generate atomic updates: {writes}");

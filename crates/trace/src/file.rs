@@ -5,25 +5,34 @@
 //! [`KernelTrace`] a compact little-endian binary format
 //! (`write_to`/`read_from` plus `save`/`load` path helpers) so traces can
 //! be generated once and replayed across many system configurations —
-//! the workflow behind every multi-config figure harness.
+//! the workflow behind every multi-config figure harness. `MSTR` version 2
+//! holds the columns a [`TileTrace`] holds, laid out in DESIGN.md §4.1:
+//! writing one is a copy, reading one a check of its headers.
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::ops::RangeInclusive;
 use std::path::Path;
 
-use mosaic_ir::{AccelOp, BlockId, FuncId, InstId};
+use mosaic_ir::{AccelOp, FuncId, InstId};
 
-use crate::{stream_mut, AccelInvocation, KernelTrace, MemAccess, TileTrace};
+use crate::{max_of_width, slot_mut, AccelInvocation, Column, KernelTrace, MemStream};
+use crate::{TileTrace, TraceSizeReport};
 
 const MAGIC: &[u8; 4] = b"MSTR";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
-/// The most items reserved on the word of a count read from the file —
-/// above every stream of the bundled kernels, so a sound file is read into
-/// exact reservations. A longer sequence grows as its items actually
-/// arrive, so a damaged count ends in `UnexpectedEof` after at most 16 MiB
-/// of untouched reservation, not in one no machine has.
-const RESERVE_CAP: usize = 1 << 20;
+/// The most bytes reserved ahead of the bytes that fill them, on the word
+/// of a count read from the file — above every column of the bundled
+/// kernels, so a sound file is read into exact reservations. A longer
+/// column grows as its bytes actually arrive, so a damaged count ends in
+/// `UnexpectedEof` after at most 16 MiB of untouched reservation, not in
+/// one no machine has.
+const RESERVE_CAP: u64 = 16 << 20;
+
+fn bad(what: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what)
+}
 
 fn w_u32<W: Write>(w: &mut W, v: u32) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
@@ -33,16 +42,18 @@ fn w_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
 }
 
-fn r_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    let mut b = [0u8; 4];
+fn r_array<const N: usize, R: Read>(r: &mut R) -> io::Result<[u8; N]> {
+    let mut b = [0u8; N];
     r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
+    Ok(b)
+}
+
+fn r_u32<R: Read>(r: &mut R) -> io::Result<u32> {
+    r_array(r).map(u32::from_le_bytes)
 }
 
 fn r_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
+    r_array(r).map(u64::from_le_bytes)
 }
 
 /// Reads a static instruction id, refusing one no real function reaches:
@@ -50,18 +61,19 @@ fn r_u64<R: Read>(r: &mut R) -> io::Result<u64> {
 fn r_inst<R: Read>(r: &mut R) -> io::Result<InstId> {
     let id = r_u32(r)?;
     if id >= 1 << 20 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("instruction id {id} implausibly large"),
-        ));
+        return Err(bad(format!("instruction id {id} implausibly large")));
     }
     Ok(InstId(id))
 }
 
-fn r_u8<R: Read>(r: &mut R) -> io::Result<u8> {
-    let mut b = [0u8; 1];
-    r.read_exact(&mut b)?;
-    Ok(b[0])
+/// The next `len` bytes of `r`, read as they arrive: nothing is reserved
+/// beyond [`RESERVE_CAP`] on the word of `len` alone.
+fn r_bytes<R: Read>(r: &mut R, len: u64) -> io::Result<Vec<u8>> {
+    let mut bytes = Vec::with_capacity(len.min(RESERVE_CAP) as usize);
+    if (r.by_ref().take(len).read_to_end(&mut bytes)? as u64) < len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok(bytes)
 }
 
 fn w_str<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
@@ -70,19 +82,47 @@ fn w_str<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
 }
 
 fn r_str<R: Read>(r: &mut R) -> io::Result<String> {
-    let len = r_u32(r)? as usize;
+    let len = r_u32(r)?;
     if len > 4096 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "trace string implausibly long",
-        ));
+        return Err(bad("trace string implausibly long".into()));
     }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    String::from_utf8(buf).map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad utf-8"))
+    let buf = r_bytes(r, len.into())?;
+    String::from_utf8(buf).map_err(|_| bad("bad utf-8".into()))
+}
+
+fn w_column<W: Write>(w: &mut W, column: &Column) -> io::Result<()> {
+    w_u64(w, column.len as u64)?;
+    w.write_all(&[column.width])?;
+    w.write_all(&column.bytes)
+}
+
+/// Reads a column of at most `max_len` values, each of a width in `widths`.
+fn r_column<R: Read>(r: &mut R, max_len: u64, widths: RangeInclusive<u8>) -> io::Result<Column> {
+    let (len, [width]) = (r_u64(r)?, r_array(r)?);
+    let size = len.checked_mul(width.into());
+    let size = size.filter(|_| len <= max_len && widths.contains(&width));
+    let size = size.ok_or_else(|| bad(format!("a column of {len} {width}-byte values")))?;
+    let (len, bytes) = (len as usize, r_bytes(r, size)?);
+    Ok(Column { width, len, bytes })
 }
 
 impl KernelTrace {
+    /// Storage accounting, mirroring the paper's §VI-B discussion: the bytes
+    /// [`write_to`](Self::write_to) spends on each component, headers
+    /// included. The file is these, 12 bytes and 13 more per tile of framing.
+    pub fn size_report(&self) -> TraceSizeReport {
+        let mut r = TraceSizeReport::default();
+        for t in self.tiles() {
+            // A column's header is 9 bytes, a stream's 14 and its column's.
+            let stream = |i: InstId| 23 + t.mem[i.index()].offsets.bytes.len();
+            let call = |a: &AccelInvocation| 12 + a.accel.name().len() + 8 * a.args.len();
+            r.control_flow_bytes += (9 + t.path.bytes.len()) as u64;
+            r.memory_bytes += (4 + t.mem_insts().map(stream).sum::<usize>()) as u64;
+            r.accel_bytes += (4 + t.accel_order.iter().map(call).sum::<usize>()) as u64;
+        }
+        r
+    }
+
     /// Writes the trace in the binary format.
     ///
     /// # Errors
@@ -93,26 +133,16 @@ impl KernelTrace {
         w_u32(w, VERSION)?;
         w_u32(w, self.tile_count() as u32)?;
         for tile in self.tiles() {
-            match tile.func() {
-                Some(f) => {
-                    w.write_all(&[1])?;
-                    w_u32(w, f.0)?;
-                }
-                None => w.write_all(&[0, 0, 0, 0, 0])?,
-            }
-            w_u64(w, tile.path().len() as u64)?;
-            for b in tile.path() {
-                w_u32(w, b.0)?;
-            }
+            w.write_all(&[tile.func.is_some() as u8])?;
+            w_u32(w, tile.func.map_or(0, |f| f.0))?;
+            w_column(w, &tile.path)?;
             w_u32(w, tile.mem_insts().count() as u32)?;
             for inst in tile.mem_insts() {
+                let stream = &tile.mem[inst.index()];
                 w_u32(w, inst.0)?;
-                let stream = tile.mem_stream(inst);
-                w_u64(w, stream.len() as u64)?;
-                for a in stream {
-                    w_u64(w, a.addr)?;
-                    w.write_all(&[a.size, a.write as u8])?;
-                }
+                w.write_all(&[stream.size, stream.write as u8])?;
+                w_u64(w, stream.base)?;
+                w_column(w, &stream.offsets)?;
             }
             w_u32(w, tile.accel_invocations().len() as u32)?;
             for inv in tile.accel_invocations() {
@@ -135,75 +165,61 @@ impl KernelTrace {
     /// Returns `InvalidData` on a bad magic/version or malformed content,
     /// plus any I/O error from the reader.
     pub fn read_from<R: Read>(r: &mut R) -> io::Result<KernelTrace> {
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
+        let magic: [u8; 4] = r_array(r)?;
         if &magic != MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "not a MosaicSim trace file: expected magic {:?}, found {:?}",
-                    String::from_utf8_lossy(MAGIC),
-                    String::from_utf8_lossy(&magic),
-                ),
-            ));
+            return Err(bad(format!(
+                "not a MosaicSim trace file: expected magic {:?}, found {:?}",
+                String::from_utf8_lossy(MAGIC),
+                String::from_utf8_lossy(&magic),
+            )));
         }
         let version = r_u32(r)?;
         if version != VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "unsupported trace version {version}: this build reads version {VERSION} \
-                     (was the file written by a newer MosaicSim?)"
-                ),
-            ));
+            return Err(bad(format!(
+                "unsupported trace version {version}: this build reads version {VERSION} \
+                 only (a trace is regenerated, not converted)"
+            )));
         }
         let tiles = r_u32(r)? as usize;
         if tiles > 1 << 16 {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "too many tiles"));
+            return Err(bad("too many tiles".into()));
         }
         let mut out = Vec::with_capacity(tiles);
         for _ in 0..tiles {
             let mut tile = TileTrace::default();
-            let has_func = r_u8(r)? == 1;
-            let func = r_u32(r)?;
-            if has_func {
-                tile.func = Some(FuncId(func));
-            }
-            let path_len = r_u64(r)? as usize;
-            tile.path.reserve(path_len.min(RESERVE_CAP));
-            for _ in 0..path_len {
-                tile.path.push(BlockId(r_u32(r)?));
-            }
-            let mem_insts = r_u32(r)? as usize;
+            let ([has_func], func) = (r_array(r)?, r_u32(r)?);
+            tile.func = (has_func == 1).then_some(FuncId(func));
+            tile.path = r_column(r, u64::MAX, 1..=4)?;
+            let mem_insts = r_u32(r)?;
             for _ in 0..mem_insts {
                 let inst = r_inst(r)?;
-                let len = r_u64(r)? as usize;
-                let mut stream = Vec::with_capacity(len.min(RESERVE_CAP));
-                for _ in 0..len {
-                    let addr = r_u64(r)?;
-                    let size = r_u8(r)?;
-                    let write = r_u8(r)? != 0;
-                    stream.push(MemAccess { addr, size, write });
+                let [size, write] = r_array(r)?;
+                let base = r_u64(r)?;
+                // A `CursorPos` counts the entries it consumed in a `u32`.
+                let offsets = r_column(r, u32::MAX.into(), 0..=8)?;
+                if write > 1 || base.checked_add(max_of_width(offsets.width)).is_none() {
+                    return Err(bad(format!("{inst:?}: direction {write}, base {base:#x}")));
                 }
-                *stream_mut(&mut tile.mem, inst) = stream;
+                *slot_mut(&mut tile.mem, inst) = MemStream {
+                    size,
+                    write: write == 1,
+                    base,
+                    offsets,
+                };
             }
             let accels = r_u32(r)? as usize;
             for _ in 0..accels {
                 let inst = r_inst(r)?;
                 let name = r_str(r)?;
-                let accel = AccelOp::from_name(&name).ok_or_else(|| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("unknown accelerator `{name}`"),
-                    )
-                })?;
+                let accel = AccelOp::from_name(&name)
+                    .ok_or_else(|| bad(format!("unknown accelerator `{name}`")))?;
                 let nargs = r_u32(r)? as usize;
-                let mut args = Vec::with_capacity(nargs.min(RESERVE_CAP));
+                let mut args = Vec::with_capacity(nargs.min(RESERVE_CAP as usize / 8));
                 for _ in 0..nargs {
                     args.push(r_u64(r)? as i64);
                 }
                 let inv = AccelInvocation { inst, accel, args };
-                stream_mut(&mut tile.accel, inst).push(inv.clone());
+                slot_mut(&mut tile.accel, inst).push(inv.clone());
                 tile.accel_order.push(inv);
             }
             tile.retired = r_u64(r)?;
@@ -248,14 +264,15 @@ impl KernelTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TraceRecorder;
+    use crate::{MemAccess, TraceRecorder};
     use mosaic_ir::{run_tiles, BinOp, Constant, FunctionBuilder, MemImage, Module, RtVal, Type};
 
     fn sample_trace() -> KernelTrace {
         sample_on(1)
     }
 
-    /// A loop of loads and stores, then one accelerator call, per tile.
+    /// A loop of loads and stores (one of them at the same address every
+    /// iteration), then one accelerator call, per tile.
     fn sample_on(tiles: usize) -> KernelTrace {
         let mut m = Module::new("t");
         let f = m.add_function(
@@ -270,13 +287,11 @@ mod tests {
         b.emit_counted_loop("l", Constant::i64(0).into(), n, |b, i| {
             let a = b.gep(p, i, 4);
             let v = b.load(Type::I32, a);
-            let v2 = b.bin(BinOp::Add, v, Constant::i32(3).into());
+            let first = b.load(Type::I32, p);
+            let v2 = b.bin(BinOp::Add, v, first);
             b.store(a, v2);
         });
-        b.accel_call(
-            mosaic_ir::AccelOp::Relu,
-            vec![Constant::i64(128).into()],
-        );
+        b.accel_call(mosaic_ir::AccelOp::Relu, vec![Constant::i64(128).into()]);
         b.ret(None);
         let mut mem = MemImage::new();
         let buf = mem.alloc_i32(32);
@@ -287,24 +302,39 @@ mod tests {
         rec.finish()
     }
 
+    /// Everything the accessors of every tile answer, in one value: what a
+    /// round trip must keep, and what a damaged file that still reads must
+    /// be able to answer without a panic. (Up to 4096 accesses a stream: a
+    /// flipped count of accesses to one address has no bytes to run out of.)
+    fn contents(trace: &KernelTrace) -> Vec<String> {
+        let tile = |t: &TileTrace| {
+            let path: Vec<_> = t.path().collect();
+            let stream = |i| (i, t.mem_stream(i).take(4096).collect::<Vec<_>>());
+            let streams: Vec<_> = t.mem_insts().map(stream).collect();
+            let calls = t.accel_invocations();
+            let counts = (t.func(), t.retired(), t.mem_access_count());
+            format!("{path:?} {streams:?} {calls:?} {counts:?}")
+        };
+        trace.tiles().map(tile).collect()
+    }
+
     #[test]
     fn round_trip_preserves_everything() {
-        let trace = sample_trace();
+        let trace = sample_on(2);
         let mut buf = Vec::new();
         trace.write_to(&mut buf).unwrap();
         let loaded = KernelTrace::read_from(&mut buf.as_slice()).unwrap();
-        assert_eq!(loaded.tile_count(), trace.tile_count());
-        let (a, b) = (trace.tile(0), loaded.tile(0));
-        assert_eq!(a.path(), b.path());
-        assert_eq!(a.retired(), b.retired());
-        assert_eq!(a.func(), b.func());
-        let mut insts: Vec<_> = a.mem_insts().collect();
-        insts.sort();
-        for i in insts {
-            assert_eq!(a.mem_stream(i), b.mem_stream(i));
-        }
-        assert_eq!(a.accel_invocations(), b.accel_invocations());
+        assert_eq!(contents(&loaded), contents(&trace));
         assert_eq!(trace.size_report(), loaded.size_report());
+        // 32 iterations: a byte a block, a byte an access of the two
+        // streams that walk the buffer, none for the one that stays put.
+        let t = trace.tile(0);
+        let widths = t.mem_insts().map(|i| t.mem[i.index()].offsets.width);
+        assert_eq!(widths.collect::<Vec<_>>(), [1, 0, 1]);
+        let r = trace.size_report();
+        assert_eq!(r.control_flow_bytes, 2 * (9 + 67));
+        assert_eq!(r.memory_bytes, 2 * (4 + 3 * 23 + 2 * 32));
+        assert_eq!(r.total_bytes() + 12 + 2 * 13, buf.len() as u64);
     }
 
     #[test]
@@ -313,7 +343,7 @@ mod tests {
         let path = std::env::temp_dir().join("mosaic_trace_test.mstr");
         trace.save(&path).unwrap();
         let loaded = KernelTrace::load(&path).unwrap();
-        assert_eq!(loaded.tile(0).path(), trace.tile(0).path());
+        assert_eq!(contents(&loaded), contents(&trace));
         std::fs::remove_file(&path).ok();
     }
 
@@ -327,6 +357,19 @@ mod tests {
         bad.extend_from_slice(&99u32.to_le_bytes());
         bad.extend_from_slice(&0u32.to_le_bytes());
         assert!(KernelTrace::read_from(&mut bad.as_slice()).is_err());
+    }
+
+    /// Version 1 (an address, a size and a direction per access) is not
+    /// read: the error says which version this build reads.
+    #[test]
+    fn a_version_1_file_is_an_unsupported_version() {
+        let v1 = [&MAGIC[..], &1u32.to_le_bytes(), &0u32.to_le_bytes()].concat();
+        let err = KernelTrace::read_from(&mut v1.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("unsupported trace version 1"),
+            "{err}"
+        );
     }
 
     /// A wrong-magic error must say what it expected and what it found,
@@ -402,8 +445,8 @@ mod tests {
     }
 
     /// Whatever is cut off or flipped, `read_from` answers with an error
-    /// or with some other trace: it neither panics nor sizes an
-    /// allocation by a count the file merely claims.
+    /// or with some other trace, whose every accessor answers: it neither
+    /// panics nor sizes an allocation by a count the file merely claims.
     #[test]
     fn damaged_files_are_errors_or_traces_never_panics() {
         let mut buf = Vec::new();
@@ -420,37 +463,112 @@ mod tests {
             let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             z ^ (z >> 31)
         };
+        let mut read = 0;
         for _ in 0..2000 {
             let mut bad = buf.clone();
             let at = (next() % buf.len() as u64) as usize;
             bad[at] ^= 1 << (next() % 8);
-            let _ = KernelTrace::read_from(&mut bad.as_slice());
+            if let Ok(trace) = KernelTrace::read_from(&mut bad.as_slice()) {
+                read += contents(&trace).len();
+            }
         }
+        assert!(read > 0, "no flipped file read at all");
     }
 
-    /// A count of `u64::MAX` / `u32::MAX` items with nothing behind it is a
-    /// short file, not a `capacity overflow` or an allocation abort.
+    /// One tile of function 0 with an empty path, up to its stream count.
+    fn one_tile(streams: u32) -> Vec<u8> {
+        let words = [VERSION, 1].map(u32::to_le_bytes).concat();
+        let path = [&[1, 0, 0, 0, 0][..], &[0; 8], &[1]].concat();
+        [&MAGIC[..], &words, &path, &streams.to_le_bytes()].concat()
+    }
+
+    /// That tile up to the bytes of its only stream.
+    fn one_stream(inst: u32, write: u8, base: u64, len: u64, width: u8) -> Vec<u8> {
+        let inst = inst.to_le_bytes();
+        let (base, len) = (base.to_le_bytes(), len.to_le_bytes());
+        [&one_tile(1)[..], &inst, &[4, write], &base, &len, &[width]].concat()
+    }
+
+    /// The headers the layout invites a damaged file to carry: each is a
+    /// typed error, a count with nothing behind it a short file — not a
+    /// `capacity overflow`, an allocation abort or an address that wraps.
     #[test]
-    fn absurd_counts_end_in_unexpected_eof() {
-        // One tile with a function, up to its path length.
-        let mut head = Vec::new();
-        head.extend_from_slice(MAGIC);
-        for word in [VERSION, 1] {
-            head.extend_from_slice(&word.to_le_bytes());
-        }
-        head.extend_from_slice(&[1, 0, 0, 0, 0]);
-        let le64 = u64::to_le_bytes;
-        let path_len = [&head[..], &le64(u64::MAX)].concat();
-        // No path, one memory stream of instruction 0.
-        let stream = [&head[..], &le64(0), &[1, 0, 0, 0, 0, 0, 0, 0][..]].concat();
-        let stream_len = [&stream[..], &le64(u64::MAX)].concat();
-        // No path, no stream, one call of instruction 0.
-        let mut nargs = [&head[..], &le64(0), &[0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0]].concat();
+    fn absurd_headers_are_typed_errors() {
+        use io::ErrorKind::{InvalidData, UnexpectedEof};
+        let path = |len: u64, width: u8| {
+            let head = &one_tile(0)[..17];
+            [head, &len.to_le_bytes(), &[width]].concat()
+        };
+        let tiles = [
+            &MAGIC[..],
+            &VERSION.to_le_bytes(),
+            &(1u32 << 16 | 1).to_le_bytes(),
+        ]
+        .concat();
+        let mut nargs = [&one_tile(0)[..], &[1, 0, 0, 0, 0, 0, 0, 0]].concat();
         w_str(&mut nargs, "accel.relu").unwrap();
         nargs.extend_from_slice(&u32::MAX.to_le_bytes());
-        for (what, bytes) in [("path", path_len), ("stream", stream_len), ("args", nargs)] {
+        let cases = [
+            ("tile count", tiles, InvalidData),
+            ("path of no width", path(3, 0), InvalidData),
+            ("path wider than a block id", path(3, 5), InvalidData),
+            ("path count past its bytes", path(1000, 2), UnexpectedEof),
+            ("path count", path(u64::MAX, 1), UnexpectedEof),
+            ("path count x width", path(1 << 62, 4), InvalidData),
+            ("stream width", one_stream(0, 0, 64, 3, 9), InvalidData),
+            (
+                "stream count past its bytes",
+                one_stream(0, 0, 64, 1000, 3),
+                UnexpectedEof,
+            ),
+            (
+                "stream count",
+                one_stream(0, 0, 64, u32::MAX.into(), 8),
+                UnexpectedEof,
+            ),
+            (
+                "stream count no cursor reaches",
+                one_stream(0, 0, 64, 1 << 32, 0),
+                InvalidData,
+            ),
+            (
+                "stream count x width",
+                one_stream(0, 0, 64, 1 << 61, 8),
+                InvalidData,
+            ),
+            (
+                "base + offset past u64",
+                one_stream(0, 0, u64::MAX - 254, 0, 1),
+                InvalidData,
+            ),
+            ("direction", one_stream(0, 2, 64, 0, 1), InvalidData),
+            (
+                "instruction id",
+                one_stream(1 << 20, 0, 64, 0, 1),
+                InvalidData,
+            ),
+            ("accelerator arguments", nargs, UnexpectedEof),
+        ];
+        for (what, bytes, kind) in cases {
             let err = KernelTrace::read_from(&mut bytes.as_slice()).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{what}");
+            assert_eq!(err.kind(), kind, "{what}: {err}");
         }
+        // What is not absurd: a stream of no width is one address, however
+        // often, and a base may sit as high as its offsets leave room for.
+        let rest = [0; 12];
+        let same = [&one_stream(7, 1, u64::MAX, 5, 0)[..], &rest].concat();
+        let same = KernelTrace::read_from(&mut same.as_slice()).unwrap();
+        let access = MemAccess {
+            addr: u64::MAX,
+            size: 4,
+            write: true,
+        };
+        assert!(same.tile(0).mem_stream(InstId(7)).eq([access; 5]));
+        let high = [&one_stream(0, 0, u64::MAX - 255, 1, 1)[..], &[255], &rest].concat();
+        let high = KernelTrace::read_from(&mut high.as_slice()).unwrap();
+        assert_eq!(
+            high.tile(0).mem_access(InstId(0), 0).unwrap().addr,
+            u64::MAX
+        );
     }
 }

@@ -39,8 +39,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! The paper notes (§VI-B) that memory traces dominate trace storage;
-//! [`TraceSizeReport`] reproduces that accounting.
+//! A finished trace is held packed — the path and every address stream a
+//! column of fixed-width integers, the very bytes of the `MSTR` file — so
+//! trace storage, paper §VI-B's cost, is what [`TraceSizeReport`] counts.
 
 #![warn(missing_docs)]
 
@@ -72,26 +73,78 @@ pub struct AccelInvocation {
     pub args: Vec<i64>,
 }
 
+/// A column of unsigned integers, each `width` little-endian bytes: the
+/// form a finished trace holds its path and its address offsets in, in
+/// memory and in the `MSTR` file alike. `bytes.len() == len * width`.
+#[derive(Debug, Clone, Default)]
+struct Column {
+    width: u8,
+    len: usize,
+    bytes: Vec<u8>,
+}
+
+/// The fewest bytes that hold `max`.
+fn width_for(max: u64) -> u8 {
+    (64 - max.leading_zeros()).div_ceil(8) as u8
+}
+
+/// The largest value `width` (at most 8) bytes hold.
+fn max_of_width(width: u8) -> u64 {
+    u64::MAX.checked_shr(64 - 8 * u32::from(width)).unwrap_or(0)
+}
+
+impl Column {
+    /// Packs `values`, each of which `width` bytes hold.
+    fn pack(values: impl ExactSizeIterator<Item = u64>, width: u8) -> Column {
+        let len = values.len();
+        let mut bytes = Vec::with_capacity(len * usize::from(width));
+        for v in values {
+            bytes.extend_from_slice(&v.to_le_bytes()[..usize::from(width)]);
+        }
+        Column { width, len, bytes }
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> Option<u64> {
+        let w = usize::from(self.width);
+        let cell = (i < self.len).then(|| &self.bytes[i * w..][..w])?;
+        Some(cell.iter().rev().fold(0, |v, &b| v << 8 | u64::from(b)))
+    }
+}
+
+/// The dynamic accesses of one static memory instruction, in execution
+/// order. The size and direction are the instruction's own, so the stream
+/// holds them once; access `i` touches `base + offsets[i]`, `base` being
+/// the lowest address of the stream (or below it, [`TraceRecorder::finish`]).
+#[derive(Debug, Clone, Default)]
+struct MemStream {
+    size: u8,
+    write: bool,
+    base: u64,
+    offsets: Column,
+}
+
 /// The dynamic trace of one tile's kernel execution.
 #[derive(Debug, Clone, Default)]
 pub struct TileTrace {
     func: Option<FuncId>,
-    path: Vec<BlockId>,
+    /// Block ids, 1–4 bytes each.
+    path: Column,
     /// Per-instruction streams, indexed by `InstId` (empty: never ran).
-    mem: Vec<Vec<MemAccess>>,
+    mem: Vec<MemStream>,
     accel: Vec<Vec<AccelInvocation>>,
     accel_order: Vec<AccelInvocation>,
     retired: u64,
 }
 
-/// The stream of `inst` in a table indexed by `InstId`, growing the table
+/// The entry of `inst` in a table indexed by `InstId`, growing the table
 /// to reach it.
 #[inline]
-fn stream_mut<T>(streams: &mut Vec<Vec<T>>, inst: InstId) -> &mut Vec<T> {
-    if inst.index() >= streams.len() {
-        streams.resize_with(inst.index() + 1, Vec::new);
+fn slot_mut<T: Default>(table: &mut Vec<T>, inst: InstId) -> &mut T {
+    if inst.index() >= table.len() {
+        table.resize_with(inst.index() + 1, T::default);
     }
-    &mut streams[inst.index()]
+    &mut table[inst.index()]
 }
 
 impl TileTrace {
@@ -101,26 +154,39 @@ impl TileTrace {
     }
 
     /// The taken control-flow path: basic-block ids in execution order.
-    pub fn path(&self) -> &[BlockId] {
-        &self.path
+    #[inline]
+    pub fn path(&self) -> impl ExactSizeIterator<Item = BlockId> + '_ {
+        (0..self.path.len).map(|i| BlockId(self.path.get(i).expect("below len") as u32))
     }
 
-    /// The address stream of one static memory instruction, in dynamic
-    /// execution order.
-    pub fn mem_stream(&self, inst: InstId) -> &[MemAccess] {
-        self.mem.get(inst.index()).map_or(&[], Vec::as_slice)
+    /// The `i`-th dynamic access of one static memory instruction.
+    #[inline]
+    pub fn mem_access(&self, inst: InstId, i: usize) -> Option<MemAccess> {
+        let stream = self.mem.get(inst.index())?;
+        stream.offsets.get(i).map(|offset| MemAccess {
+            addr: stream.base + offset,
+            size: stream.size,
+            write: stream.write,
+        })
+    }
+
+    /// The accesses of one static memory instruction, in dynamic execution
+    /// order.
+    pub fn mem_stream(&self, inst: InstId) -> impl ExactSizeIterator<Item = MemAccess> + '_ {
+        let len = self.mem.get(inst.index()).map_or(0, |s| s.offsets.len);
+        (0..len).map(move |i| self.mem_access(inst, i).expect("below len"))
     }
 
     /// All static memory instructions that executed at least once, in id
     /// order.
     pub fn mem_insts(&self) -> impl Iterator<Item = InstId> + '_ {
-        let ran = self.mem.iter().enumerate().filter(|(_, s)| !s.is_empty());
-        ran.map(|(i, _)| InstId(i as u32))
+        let ran = |(i, s): (usize, &MemStream)| (s.offsets.len > 0).then_some(InstId(i as u32));
+        self.mem.iter().enumerate().filter_map(ran)
     }
 
     /// Total dynamic memory accesses.
     pub fn mem_access_count(&self) -> u64 {
-        self.mem.iter().map(|v| v.len() as u64).sum()
+        self.mem.iter().map(|s| s.offsets.len as u64).sum()
     }
 
     /// The invocation stream of one static accelerator call site.
@@ -181,25 +247,11 @@ impl KernelTrace {
     pub fn total_retired(&self) -> u64 {
         self.tiles.iter().map(|t| t.retired).sum()
     }
-
-    /// Storage accounting, mirroring the paper's §VI-B discussion.
-    pub fn size_report(&self) -> TraceSizeReport {
-        let mut r = TraceSizeReport::default();
-        for t in &self.tiles {
-            r.control_flow_bytes += 4 * t.path.len() as u64;
-            r.memory_bytes += 9 * t.mem_access_count(); // 8-byte address + 1-byte size/kind
-            r.accel_bytes += t
-                .accel_order
-                .iter()
-                .map(|a| 8 * a.args.len() as u64 + 4)
-                .sum::<u64>();
-        }
-        r
-    }
 }
 
-/// Byte sizes of the three trace components (paper §VI-B: control-flow and
-/// DDG traces are typically small; memory traces dominate).
+/// Encoded sizes of the three trace components — headers and columns as
+/// `MSTR` holds them (paper §VI-B: control-flow and DDG traces are
+/// typically small; memory traces dominate).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceSizeReport {
     /// Bytes for the control-flow path.
@@ -217,34 +269,67 @@ impl TraceSizeReport {
     }
 }
 
+/// One tile as it is recorded: block ids and addresses at full width,
+/// the rest already in the [`TileTrace`] they are packed into.
+#[derive(Debug, Clone, Default)]
+struct Recording {
+    path: Vec<u32>,
+    /// Per instruction: its addresses, and the size and direction they share.
+    mem: Vec<(Vec<u64>, u8, bool)>,
+    rest: TileTrace,
+}
+
 /// Records a [`KernelTrace`] during functional execution.
 ///
 /// Implements [`mosaic_ir::TraceSink`]; pass it to the interpreter and call
-/// [`finish`](Self::finish) afterwards.
+/// [`finish`](Self::finish) afterwards, which packs what was recorded.
 #[derive(Debug, Clone, Default)]
 pub struct TraceRecorder {
-    tiles: Vec<TileTrace>,
+    tiles: Vec<Recording>,
 }
 
 impl TraceRecorder {
     /// A recorder for `tiles` tiles.
     pub fn new(tiles: usize) -> Self {
         TraceRecorder {
-            tiles: vec![TileTrace::default(); tiles],
+            tiles: vec![Recording::default(); tiles],
         }
     }
 
     /// Consumes the recorder, yielding the trace.
     pub fn finish(self) -> KernelTrace {
+        let pack_stream = |(addrs, size, write): (Vec<u64>, u8, bool)| {
+            let lo = addrs.iter().copied().min().unwrap_or(0);
+            let width = width_for(addrs.iter().copied().max().unwrap_or(0) - lo);
+            // Lowered where `lo` is so close to the top of the address space
+            // that a reader could not tell that no offset carries past it.
+            let base = lo.min(u64::MAX - max_of_width(width));
+            let offsets = Column::pack(addrs.iter().map(|a| a - base), width);
+            MemStream {
+                size,
+                write,
+                base,
+                offsets,
+            }
+        };
+        let pack = |tile: Recording| {
+            let widest = tile.path.iter().copied().max().unwrap_or(0);
+            let blocks = tile.path.iter().map(|&b| u64::from(b));
+            Arc::new(TileTrace {
+                path: Column::pack(blocks, width_for(widest.into()).max(1)),
+                mem: tile.mem.into_iter().map(pack_stream).collect(),
+                ..tile.rest
+            })
+        };
         KernelTrace {
-            tiles: self.tiles.into_iter().map(Arc::new).collect(),
+            tiles: self.tiles.into_iter().map(pack).collect(),
         }
     }
 
     #[inline]
-    fn tile_mut(&mut self, tile: usize) -> &mut TileTrace {
+    fn tile_mut(&mut self, tile: usize) -> &mut Recording {
         if tile >= self.tiles.len() {
-            self.tiles.resize(tile + 1, TileTrace::default());
+            self.tiles.resize(tile + 1, Recording::default());
         }
         &mut self.tiles[tile]
     }
@@ -254,13 +339,19 @@ impl TraceSink for TraceRecorder {
     #[inline]
     fn on_block(&mut self, tile: usize, func: FuncId, block: BlockId) {
         let t = self.tile_mut(tile);
-        t.func.get_or_insert(func);
-        t.path.push(block);
+        t.rest.func.get_or_insert(func);
+        t.path.push(block.0);
     }
 
     #[inline]
     fn on_mem(&mut self, tile: usize, inst: InstId, addr: u64, size: u8, write: bool) {
-        stream_mut(&mut self.tile_mut(tile).mem, inst).push(MemAccess { addr, size, write });
+        let (addrs, of_size, of_write) = slot_mut(&mut self.tile_mut(tile).mem, inst);
+        assert!(
+            addrs.is_empty() || (*of_size, *of_write) == (size, write),
+            "{inst:?} changed its access size or direction"
+        );
+        (*of_size, *of_write) = (size, write);
+        addrs.push(addr);
     }
 
     fn on_accel(&mut self, tile: usize, inst: InstId, accel: AccelOp, args: &[i64]) {
@@ -269,14 +360,14 @@ impl TraceSink for TraceRecorder {
             accel,
             args: args.to_vec(),
         };
-        let t = self.tile_mut(tile);
-        stream_mut(&mut t.accel, inst).push(inv.clone());
+        let t = &mut self.tile_mut(tile).rest;
+        slot_mut(&mut t.accel, inst).push(inv.clone());
         t.accel_order.push(inv);
     }
 
     #[inline]
     fn on_retire(&mut self, tile: usize) {
-        self.tile_mut(tile).retired += 1;
+        self.tile_mut(tile).rest.retired += 1;
     }
 }
 
@@ -304,38 +395,36 @@ impl CursorPos {
     }
 
     /// The block `k` entries ahead on the path, without consuming it.
+    #[inline]
     pub fn peek_block_at(&self, trace: &TileTrace, k: usize) -> Option<BlockId> {
-        trace.path.get(self.path_pos + k).copied()
+        trace.path.get(self.path_pos + k).map(|b| BlockId(b as u32))
     }
 
     /// Consumes and returns the next block on the path.
+    #[inline]
     pub fn next_block(&mut self, trace: &TileTrace) -> Option<BlockId> {
         let b = self.peek_block_at(trace, 0);
         self.path_pos += usize::from(b.is_some());
         b
     }
 
-    /// Index of the next unconsumed entry of `inst`'s `len`-entry stream,
-    /// consuming it; `None` when the stream is exhausted.
-    fn advance(&mut self, inst: InstId, len: usize) -> Option<usize> {
-        let pos = self.stream_pos.get_mut(inst.index())?;
-        let at = *pos as usize;
-        (at < len).then(|| {
-            *pos += 1;
-            at
-        })
-    }
-
     /// Consumes the next dynamic access of memory instruction `inst`.
+    #[inline]
     pub fn next_mem(&mut self, trace: &TileTrace, inst: InstId) -> Option<MemAccess> {
-        let stream = trace.mem_stream(inst);
-        self.advance(inst, stream.len()).map(|at| stream[at])
+        let pos = self.stream_pos.get_mut(inst.index())?;
+        let access = trace.mem_access(inst, *pos as usize)?;
+        *pos += 1;
+        Some(access)
     }
 
     /// Consumes the next dynamic invocation of accelerator call site
     /// `inst`, returning its index in [`TileTrace::accel_stream`].
     pub fn next_accel(&mut self, trace: &TileTrace, inst: InstId) -> Option<usize> {
-        self.advance(inst, trace.accel_stream(inst).len())
+        let pos = self.stream_pos.get_mut(inst.index())?;
+        let at = *pos as usize;
+        trace.accel_stream(inst).get(at)?;
+        *pos += 1;
+        Some(at)
     }
 }
 
@@ -357,20 +446,10 @@ impl<'t> TileTraceCursor<'t> {
         }
     }
 
-    /// Looks `k` blocks ahead on the control-flow path without consuming
-    /// anything (0 = the block [`next_block`](Self::next_block) returns).
-    pub fn peek_block_at(&self, k: usize) -> Option<BlockId> {
-        self.pos.peek_block_at(self.trace, k)
-    }
-
     /// Consumes and returns the next block on the path.
+    #[inline]
     pub fn next_block(&mut self) -> Option<BlockId> {
         self.pos.next_block(self.trace)
-    }
-
-    /// Whether the whole path has been consumed.
-    pub fn is_done(&self) -> bool {
-        self.pos.path_pos >= self.trace.path.len()
     }
 
     /// Consumes the next dynamic access of static memory instruction
@@ -378,15 +457,9 @@ impl<'t> TileTraceCursor<'t> {
     ///
     /// Returns `None` if the instruction has no further recorded accesses
     /// (which indicates a replay/trace mismatch).
+    #[inline]
     pub fn next_mem(&mut self, inst: InstId) -> Option<MemAccess> {
         self.pos.next_mem(self.trace, inst)
-    }
-
-    /// Consumes the next dynamic invocation of accelerator call site
-    /// `inst`.
-    pub fn next_accel(&mut self, inst: InstId) -> Option<&'t AccelInvocation> {
-        let at = self.pos.next_accel(self.trace, inst)?;
-        Some(&self.trace.accel_stream(inst)[at])
     }
 }
 
@@ -435,13 +508,13 @@ mod tests {
         // entry, (header, body) x 4, final header, cont
         let t = trace.tile(0);
         assert_eq!(t.path().len(), 1 + 2 * 4 + 1 + 1);
-        assert_eq!(t.path()[0], BlockId(0));
+        assert_eq!(t.path().next(), Some(BlockId(0)));
     }
 
     #[test]
     fn mem_stream_is_sequential() {
         let (trace, load_id) = traced_loop(4);
-        let stream = trace.tile(0).mem_stream(load_id);
+        let stream: Vec<MemAccess> = trace.tile(0).mem_stream(load_id).collect();
         assert_eq!(stream.len(), 4);
         for w in stream.windows(2) {
             assert_eq!(w[1].addr - w[0].addr, 4);
@@ -453,13 +526,11 @@ mod tests {
     fn cursor_consumes_in_order() {
         let (trace, load_id) = traced_loop(3);
         let mut cur = TileTraceCursor::new(trace.tile(0));
-        assert_eq!(cur.peek_block_at(0), Some(BlockId(0)));
-        let mut blocks = 0;
-        while cur.next_block().is_some() {
-            blocks += 1;
+        let mut blocks = Vec::new();
+        while let Some(block) = cur.next_block() {
+            blocks.push(block);
         }
-        assert_eq!(blocks, trace.tile(0).path().len());
-        assert!(cur.is_done());
+        assert!(trace.tile(0).path().eq(blocks));
         let a0 = cur.next_mem(load_id).unwrap();
         let a1 = cur.next_mem(load_id).unwrap();
         let a2 = cur.next_mem(load_id).unwrap();
@@ -467,13 +538,63 @@ mod tests {
         assert!(a0.addr < a1.addr && a1.addr < a2.addr);
     }
 
+    /// A stream is packed at the width of its own address range, wherever
+    /// in the address space it lies, and block ids at the width of the
+    /// largest.
     #[test]
-    fn size_report_counts_components() {
-        let (trace, _) = traced_loop(8);
-        let r = trace.size_report();
-        assert_eq!(r.control_flow_bytes, 4 * trace.tile(0).path().len() as u64);
-        assert_eq!(r.memory_bytes, 9 * trace.tile(0).mem_access_count());
-        assert_eq!(r.total_bytes(), r.control_flow_bytes + r.memory_bytes);
+    fn packing_keeps_every_address_and_block() {
+        let spans: [&[u64]; 5] = [
+            &[7, 7, 7],
+            &[0x1000, 0x10ff, 0x1001],
+            &[0x2_0000_0300, 0x2_0000_0000, 0x2_0001_0000],
+            &[u64::MAX, u64::MAX - 300, 0],
+            &[u64::MAX, u64::MAX - 1],
+        ];
+        let mut rec = TraceRecorder::new(1);
+        for (inst, addrs) in spans.iter().enumerate() {
+            for &addr in *addrs {
+                rec.on_mem(0, InstId(inst as u32 * 3), addr, 4, inst % 2 == 1);
+            }
+        }
+        let blocks = [0, 255, 256, 70_000, 1 << 24, u32::MAX];
+        for b in blocks {
+            rec.on_block(0, FuncId(0), BlockId(b));
+        }
+        let trace = rec.finish();
+        let t = trace.tile(0);
+        assert!(t.path().map(|b| b.0).eq(blocks));
+        assert_eq!(t.path.width, 4);
+        for (inst, addrs) in spans.iter().enumerate() {
+            let id = InstId(inst as u32 * 3);
+            assert!(t.mem_stream(id).map(|a| a.addr).eq(addrs.iter().copied()));
+            assert!(t
+                .mem_stream(id)
+                .all(|a| a.size == 4 && a.write == (inst % 2 == 1)));
+            assert_eq!(t.mem[id.index()].offsets.width, [0, 1, 3, 8, 1][inst]);
+            assert_eq!(t.mem_access(id, addrs.len()), None);
+        }
+        assert_eq!(
+            t.mem_stream(InstId(1)).len() + t.mem_stream(InstId(99)).len(),
+            0
+        );
+        assert_eq!(CursorPos::new(t).stream_pos.len(), 13);
+        // The reader takes all of it back, the streams at the top of the
+        // address space included.
+        let mut file = Vec::new();
+        trace.write_to(&mut file).unwrap();
+        let back = KernelTrace::read_from(&mut file.as_slice()).unwrap();
+        assert!(back.tile(0).path().eq(t.path()));
+        for id in t.mem_insts() {
+            assert!(back.tile(0).mem_stream(id).eq(t.mem_stream(id)), "{id:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "changed its access size or direction")]
+    fn an_instruction_has_one_width_and_direction() {
+        let mut rec = TraceRecorder::new(1);
+        rec.on_mem(0, InstId(0), 64, 4, false);
+        rec.on_mem(0, InstId(0), 68, 8, false);
     }
 
     #[test]

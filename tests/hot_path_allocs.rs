@@ -15,7 +15,8 @@
 //! plan over a slot file and scratch buffers it refills (DESIGN.md §4.1),
 //! so an interpreted instruction allocates nothing, and a memory image
 //! shares its chunks with its clones, so cloning one costs its chunk
-//! table and reading one costs nothing.
+//! table and reading one costs nothing. A trace is its `MSTR` columns:
+//! reading one back allocates a buffer per column, of the column's length.
 //!
 //! This file is its own test binary because a `#[global_allocator]` is
 //! process-wide, and it has a single `#[test]` so no other test thread
@@ -283,6 +284,43 @@ fn run_loop_allocations_per_instruction_stay_under_their_ceilings() {
         let dtg = dtg_allocs_per_instr(kernel, tiles);
         assert!(dtg < 0.001, "dtg {kernel} x{tiles}: {dtg:.5}");
     }
+
+    // The trace itself: a finished `KernelTrace` is its `MSTR` columns, so
+    // reading one allocates a buffer per column — the path, and one per
+    // memory instruction that ran — of the column's own length, and the
+    // stream table; and recording one (full-width addresses per stream,
+    // packed once by `finish`) stays under the DTG's ceiling.
+    for kernel in ["sgemm", "bfs"] {
+        let p = build_parboil(kernel, 1);
+        let ((trace, out), allocs, _) = counted(|| p.trace(1).expect("trace"));
+        let recorded = allocs as f64 / out.steps as f64;
+        let mut file = Vec::new();
+        trace.write_to(&mut file).expect("write to memory");
+        let (back, allocs, bytes) = counted(|| KernelTrace::read_from(&mut file.as_slice()));
+        let streams = back.expect("read back").tile(0).mem_insts().count() as u64;
+        let len = file.len() as u64;
+        println!(
+            "trace {kernel}: {recorded:.5} allocations per instruction recorded; {len} bytes \
+             read in {allocs} allocations of {bytes} bytes, {streams} streams"
+        );
+        assert!(recorded < 0.001, "recording {kernel}: {recorded:.5}");
+        assert!(
+            bytes <= len + len / 10 + 4096,
+            "{kernel}: {bytes} for {len}"
+        );
+        assert!(
+            allocs <= 2 * streams + 16,
+            "{kernel}: {allocs} for {streams} streams"
+        );
+    }
+    // A count with nothing behind it is taken at its word for 16 MiB, the
+    // reader's `RESERVE_CAP`, and no further: here a path of 2^64 - 1 blocks.
+    let head = [&b"MSTR"[..], &[2, 0, 0, 0, 1, 0, 0, 0], &[1, 0, 0, 0, 0]].concat();
+    let absurd = [&head[..], &[0xff; 8], &[1]].concat();
+    let (short, _, bytes) = counted(|| KernelTrace::read_from(&mut absurd.as_slice()));
+    let kind = short.expect_err("a short file").kind();
+    assert_eq!(kind, std::io::ErrorKind::UnexpectedEof);
+    assert!(bytes <= (16 << 20) + 4096, "reserved {bytes} bytes");
 
     // The memory image: a clone shares every chunk, so it costs the chunk
     // table — 8 bytes per 512-byte chunk, a 64th of the extent — and a
