@@ -301,8 +301,9 @@ where
     let slots: Vec<Mutex<Option<SweepPoint>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let start = Instant::now();
     std::thread::scope(|s| {
+        let mut workers = Vec::with_capacity(threads);
         for _ in 0..threads {
-            s.spawn(|| loop {
+            workers.push(s.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
                     break;
@@ -334,7 +335,13 @@ where
                     wall_secs: t0.elapsed().as_secs_f64(),
                 };
                 *slots[i].lock().expect("sweep slot") = Some(point);
-            });
+            }));
+        }
+        // Joined, not only waited for: glibc frees a thread's malloc arena
+        // for reuse when the thread exits, after the scope could return, and
+        // a sweep started in between gives a worker a new ~1.5 MiB arena.
+        for worker in workers {
+            worker.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
         }
     });
     Sweep {

@@ -238,14 +238,6 @@ impl Enc {
         self.buf.extend_from_slice(b);
     }
 
-    /// Writes the rendering of `v` as [`Enc::str`] would, without building the string.
-    pub fn display(&mut self, v: impl fmt::Display) {
-        let at = self.buf.len();
-        write!(self.buf, "{v}").expect("writing to a Vec cannot fail");
-        self.u64((self.buf.len() - at) as u64);
-        self.buf[at..].rotate_right(8);
-    }
-
     /// Writes `items` behind their count, a `W` ([`Dec::seq`] reads them
     /// back). The count goes in once they are written: any iterator will do.
     pub fn seq<W: Prefix, T: Snap>(&mut self, items: impl IntoIterator<Item = impl Borrow<T>>) {
@@ -1152,16 +1144,6 @@ mod tests {
         assert_eq!(items, [1]);
     }
 
-    #[test]
-    fn display_writes_what_str_writes() {
-        let (mut a, mut b) = (Enc::new(), Enc::new());
-        for e in [&mut a, &mut b] {
-            e.u32(9);
-        }
-        a.display(format_args!("line 0x{:x}", 0xbeef));
-        b.str("line 0xbeef");
-        assert_eq!(a.buf, b.buf);
-    }
     #[test]
     fn bool_and_presence_bytes_reject_garbage() {
         let mut d = Dec::new(&[7]);

@@ -20,7 +20,7 @@
 //! sifts no heap and, once the buffers have grown, allocates nothing.
 
 use mosaic_ckpt::{snap_enum, snap_record, CkptError, Dec, Enc, Snap, Wide};
-use mosaic_obs::{Log2Histogram, ObsLevel, SpanName, StatsRegistry, Timeline};
+use mosaic_obs::{Category, Log2Histogram, ObsLevel, SpanName, StatsRegistry, Timeline};
 
 use crate::banked::{BankedDram, BankedDramConfig};
 use crate::cache::{Cache, CacheConfig};
@@ -600,7 +600,7 @@ impl MemoryHierarchy {
                     self.timeline.span(
                         1,
                         st.tile.0,
-                        "mem",
+                        Category::Mem,
                         SpanName::MemLine {
                             kind: kind_label(st.kind),
                             line: st.line,
@@ -780,7 +780,7 @@ impl MemoryHierarchy {
         if self.obs.trace_on() {
             let lane = self.tile_count() as u32;
             self.timeline
-                .span(1, lane, "dram", SpanName::DramLine(st.line), st.dram_at, now);
+                .span(1, lane, Category::Dram, SpanName::DramLine(st.line), st.dram_at, now);
         }
         if st.writeback {
             self.reqs.remove(id.0);
@@ -1378,11 +1378,11 @@ mod tests {
         let done = run_one(&mut h, req, 0);
         let tl = h.take_timeline();
         assert!(
-            tl.spans().iter().any(|s| s.cat == "mem" && s.end == done),
+            tl.spans().any(|s| s.cat == Category::Mem && s.end == done),
             "expected a request-lifetime span ending at completion"
         );
         assert!(
-            tl.spans().iter().any(|s| s.cat == "dram"),
+            tl.spans().any(|s| s.cat == Category::Dram),
             "expected a DRAM service span for the cold miss"
         );
         // Off records nothing.

@@ -6,8 +6,6 @@
 //! those round-trips: objects, arrays, strings (with `\uXXXX`
 //! escapes), numbers, booleans, and null.
 
-use std::fmt::Write;
-
 /// A parsed JSON value.
 ///
 /// Numbers that lex as non-negative integers are kept exact in
@@ -87,35 +85,27 @@ impl JsonValue {
 
 /// Escapes a string for embedding inside JSON double quotes.
 pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let _ = Escaped(&mut out).write_str(s);
-    out
+    let mut out = Vec::with_capacity(s.len());
+    escape_into(&mut out, s);
+    String::from_utf8(out).expect("escaping keeps UTF-8")
 }
 
-/// A [`std::fmt::Write`] sink that JSON-escapes everything written
-/// through it, so a `Display` value can be rendered straight into a
-/// document without a temporary `String`.
-pub struct Escaped<'a>(pub &'a mut String);
-
-impl Write for Escaped<'_> {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        let out = &mut *self.0;
-        if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
-            out.push_str(s);
-            return Ok(());
+/// Appends `s` JSON-escaped to a byte document. Only ASCII bytes are
+/// escaped, so the bytes of a multi-byte character pass through whole.
+pub(crate) fn escape_into(out: &mut Vec<u8>, s: &str) {
+    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.extend_from_slice(s.as_bytes());
+        return;
+    }
+    for b in s.bytes() {
+        match b {
+            b'"' | b'\\' => out.extend_from_slice(&[b'\\', b]),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            0..=0x1f => out.extend_from_slice(format!("\\u{b:04x}").as_bytes()),
+            b => out.push(b),
         }
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
-                c => out.push(c),
-            }
-        }
-        Ok(())
     }
 }
 

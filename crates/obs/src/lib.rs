@@ -44,7 +44,7 @@ mod timeline;
 
 pub use profile::{InstKey, InstProfile, IrProfile, ProfileTable, StallKind, STALL_KINDS};
 pub use registry::{Log2Histogram, StatValue, StatsRegistry};
-pub use timeline::{Span, SpanName, Timeline};
+pub use timeline::{Category, Span, SpanName, Timeline};
 
 /// How much the simulator records while running.
 ///

@@ -1,14 +1,51 @@
 //! Cycle-timeline span recording and Chrome `trace_event` export.
+//!
+//! A span is a 32-byte [`Span`] record whose name is a tag and a payload:
+//! a line address, or an index into its timeline's tables of interned
+//! static labels and owned names. Names are rendered only when the
+//! timeline is exported, checkpointed or compared. Records sit in chunks
+//! of `CHUNK` that are never reallocated, and [`Timeline::merge`] moves
+//! the other timeline's chunks instead of copying them (DESIGN.md §4.5).
 
-use std::fmt::{self, Write as _};
+use std::io::{self, Write};
 
 use mosaic_ckpt::{CkptError, Dec, Enc, Snap};
 
-use crate::json::Escaped;
+use crate::json::{escape, escape_into};
 
-/// A span's name, kept in the form it was recorded in and rendered only
-/// when the timeline is exported or checkpointed — recording the
-/// commonest spans neither formats nor allocates.
+/// Records per chunk: 64 KiB.
+const CHUNK: usize = 2048;
+
+/// Digits by value, lower case.
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// What a span shows: the five kinds of interval the simulator records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Category {
+    /// A tile's compute interval, or its whole active lifetime.
+    Tile,
+    /// A tile's stall interval.
+    Stall,
+    /// A memory request's lifetime.
+    Mem,
+    /// A DRAM service interval.
+    Dram,
+    /// An accelerator invocation.
+    Accel,
+}
+
+impl Category {
+    const ALL: [Category; 5] = [Self::Tile, Self::Stall, Self::Mem, Self::Dram, Self::Accel];
+
+    /// The category as Chrome's `cat` field and a checkpoint spell it.
+    pub fn as_str(self) -> &'static str {
+        ["tile", "stall", "mem", "dram", "accel"][self as usize]
+    }
+}
+
+/// A span's name as a recording site hands it over. The timeline keeps it
+/// in this form — a label by its address, a line as a number — so
+/// recording the commonest spans neither formats nor allocates.
 #[derive(Debug, Clone)]
 pub enum SpanName {
     /// A fixed label (`"compute"`, `"stall"`, `"accel invoke"`).
@@ -26,49 +63,38 @@ pub enum SpanName {
     Owned(String),
 }
 
-impl fmt::Display for SpanName {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SpanName::Static(s) => f.write_str(s),
-            SpanName::MemLine { kind, line } => write!(f, "{kind} line 0x{line:x}"),
-            SpanName::DramLine(line) => write!(f, "line 0x{line:x}"),
-            SpanName::Owned(s) => f.write_str(s),
-        }
-    }
-}
-
-/// Names are equal when they render to the same text, whichever form
-/// they were recorded in (a decoded checkpoint holds only `Owned`).
-impl PartialEq for SpanName {
-    fn eq(&self, other: &Self) -> bool {
-        self.to_string() == other.to_string()
-    }
-}
-
-impl Eq for SpanName {}
-
 impl From<&'static str> for SpanName {
     fn from(s: &'static str) -> Self {
         SpanName::Static(s)
     }
 }
 
+// What a span's payload is, by its tag: an index into the timeline's
+// labels or owned names, or a line address — of a DRAM service, or of a
+// request whose kind is label `k` (tag `MEM + k`).
+const LABEL: u8 = 0;
+const OWNED: u8 = 1;
+const DRAM: u8 = 2;
+const MEM: u8 = 3;
+
 /// One half-open span `[start, end)` of simulated cycles on a
-/// (process, thread) track.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// (process, thread) track: 32 bytes, its name held by the [`Timeline`]
+/// that recorded it.
+#[derive(Debug, Clone, Copy)]
 pub struct Span {
-    /// Track process id (0 = tiles, 1 = memory by convention).
-    pub pid: u32,
-    /// Track thread id within the process (tile slot, memory lane).
-    pub tid: u32,
-    /// Event category (`"tile"`, `"stall"`, `"mem"`, `"accel"`).
-    pub cat: &'static str,
-    /// Human-readable span name (instruction, stall reason, level).
-    pub name: SpanName,
     /// First cycle covered by the span.
     pub start: u64,
     /// First cycle after the span.
     pub end: u64,
+    /// A line address or a name-table index, as `tag` says.
+    payload: u64,
+    /// Track thread id within the process (tile slot, memory lane).
+    pub tid: u32,
+    /// Track process id (0 = tiles, 1 = memory by convention).
+    pub pid: u16,
+    /// Event category.
+    pub cat: Category,
+    tag: u8,
 }
 
 /// A sink of [`Span`]s plus track-naming metadata, exportable as
@@ -77,9 +103,15 @@ pub struct Span {
 ///
 /// Simulated cycles are written as microseconds (`ts`/`dur`), so one
 /// viewer microsecond is one global cycle.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Timeline {
-    spans: Vec<Span>,
+    /// The records in recording order, each chunk allocated with room for
+    /// `CHUNK` and never grown past its capacity.
+    chunks: Vec<Vec<Span>>,
+    /// Static labels, interned by address.
+    labels: Vec<&'static str>,
+    /// Names that own their text, one per span that has one.
+    owned: Vec<String>,
     processes: Vec<(u32, String)>,
     threads: Vec<(u32, u32, String)>,
 }
@@ -93,21 +125,69 @@ impl Timeline {
     /// Records a span; `end <= start` records a 1-cycle span.
     pub fn span(
         &mut self,
-        pid: u32,
+        pid: u16,
         tid: u32,
-        cat: &'static str,
+        cat: Category,
         name: impl Into<SpanName>,
         start: u64,
         end: u64,
     ) {
-        self.spans.push(Span {
-            pid,
-            tid,
-            cat,
-            name: name.into(),
+        let end = end.max(start.saturating_add(1));
+        let (tag, payload) = self.intern(name.into());
+        if self.chunks.last().is_none_or(|c| c.len() == c.capacity()) {
+            self.chunks.push(Vec::with_capacity(CHUNK));
+        }
+        let chunk = self.chunks.last_mut().expect("a chunk with room");
+        chunk.push(Span {
             start,
-            end: end.max(start + 1),
+            end,
+            payload,
+            tid,
+            pid,
+            cat,
+            tag,
         });
+    }
+
+    /// The tag and payload of `name`. A label is found by its address,
+    /// never by comparing text; a request kind past the tag's reach is
+    /// rendered into an owned name.
+    fn intern(&mut self, name: SpanName) -> (u8, u64) {
+        let mut label = |s: &'static str| {
+            let at = self.labels.iter().position(|&l| std::ptr::eq(l, s));
+            at.unwrap_or_else(|| {
+                self.labels.push(s);
+                self.labels.len() - 1
+            })
+        };
+        match name {
+            SpanName::Static(s) => (LABEL, label(s) as u64),
+            SpanName::DramLine(line) => (DRAM, line),
+            SpanName::MemLine { kind, line } => match u8::try_from(label(kind)) {
+                Ok(k) if k <= u8::MAX - MEM => (MEM + k, line),
+                _ => self.intern(SpanName::Owned(format!("{kind} line 0x{line:x}"))),
+            },
+            SpanName::Owned(s) => {
+                self.owned.push(s);
+                (OWNED, self.owned.len() as u64 - 1)
+            }
+        }
+    }
+
+    /// Appends `span`'s name to `out`, its text through `text` (as it is,
+    /// or JSON-escaped).
+    fn push_name(&self, span: &Span, out: &mut Vec<u8>, text: impl Fn(&mut Vec<u8>, &str)) {
+        let at = span.payload as usize;
+        match span.tag {
+            LABEL => return text(out, self.labels[at]),
+            OWNED => return text(out, &self.owned[at]),
+            DRAM => {}
+            k => {
+                text(out, self.labels[usize::from(k - MEM)]);
+                out.push(b' ');
+            }
+        }
+        push_num::<16>(out, b"line 0x", span.payload);
     }
 
     /// Names a process track (emitted as `process_name` metadata).
@@ -126,9 +206,24 @@ impl Timeline {
         }
     }
 
-    /// Appends all spans and track names from `other`.
-    pub fn merge(&mut self, other: Timeline) {
-        self.spans.extend(other.spans);
+    /// Appends all spans and track names from `other`. Its chunks are
+    /// moved, not copied: only their names are re-pointed at this
+    /// timeline's tables.
+    pub fn merge(&mut self, mut other: Timeline) {
+        for span in other.chunks.iter_mut().flatten() {
+            let at = span.payload as usize;
+            let name = match span.tag {
+                LABEL => SpanName::Static(other.labels[at]),
+                OWNED => SpanName::Owned(std::mem::take(&mut other.owned[at])),
+                DRAM => continue,
+                k => SpanName::MemLine {
+                    kind: other.labels[usize::from(k - MEM)],
+                    line: span.payload,
+                },
+            };
+            (span.tag, span.payload) = self.intern(name);
+        }
+        self.chunks.append(&mut other.chunks);
         for (pid, name) in other.processes {
             self.process_name(pid, name);
         }
@@ -139,17 +234,17 @@ impl Timeline {
 
     /// Number of recorded spans.
     pub fn len(&self) -> usize {
-        self.spans.len()
+        self.chunks.iter().map(Vec::len).sum()
     }
 
     /// Whether no span has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
+        self.chunks.is_empty()
     }
 
     /// The recorded spans, in recording order.
-    pub fn spans(&self) -> &[Span] {
-        &self.spans
+    pub fn spans(&self) -> impl Iterator<Item = &Span> + '_ {
+        self.chunks.iter().flatten()
     }
 
     /// Serializes as Chrome `trace_event` JSON: an object with a
@@ -157,59 +252,145 @@ impl Timeline {
     /// `process_name`/`thread_name` metadata (`"ph":"M"`) records.
     pub fn to_chrome_json(&self) -> String {
         // An event is about 80 bytes; reserving up front saves the copies
-        // of growing a multi-megabyte string by doubling.
-        let mut s = String::with_capacity(96 * self.spans.len() + 256);
-        s.push_str("{\"traceEvents\":[\n");
+        // of growing a multi-megabyte buffer by doubling.
+        let mut out = Vec::with_capacity(96 * self.len() + 256);
+        self.write_chrome_json(&mut out)
+            .expect("writing to a Vec cannot fail");
+        String::from_utf8(out).expect("names are UTF-8 and escaping keeps them so")
+    }
+
+    /// Writes [`Timeline::to_chrome_json`]'s document to `w` 64 KiB at a
+    /// time, never holding it whole.
+    ///
+    /// # Errors
+    ///
+    /// The first error `w` returns.
+    pub fn write_chrome_json(&self, w: &mut impl Write) -> io::Result<()> {
+        const FLUSH: usize = 64 << 10;
+        let mut out = Vec::with_capacity(FLUSH + 4096);
+        out.extend_from_slice(b"{\"traceEvents\":[\n");
         let mut sep = "  ";
-        let processes = self.processes.iter().map(|(pid, name)| (pid, &0, "process_name", name));
-        let threads = self.threads.iter().map(|(pid, tid, name)| (pid, tid, "thread_name", name));
-        // `write!` into a `String` cannot fail.
+        let processes = self
+            .processes
+            .iter()
+            .map(|(pid, name)| (pid, &0, "process_name", name));
+        let threads = self
+            .threads
+            .iter()
+            .map(|(pid, tid, name)| (pid, tid, "thread_name", name));
         for (pid, tid, kind, name) in processes.chain(threads) {
-            let _ = write!(
-                s,
-                "{sep}{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{kind}\",\"args\":{{\"name\":\""
-            );
-            let _ = Escaped(&mut s).write_str(name);
-            s.push_str("\"}}");
+            let name = escape(name);
+            write!(
+                out,
+                "{sep}{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{kind}\",\"args\":{{\"name\":\"{name}\"}}}}"
+            )?;
             sep = ",\n  ";
         }
-        for sp in &self.spans {
-            s.push_str(sep);
-            s.push_str("{\"ph\":\"X\",\"pid\":");
-            push_decimal(&mut s, sp.pid.into());
-            s.push_str(",\"tid\":");
-            push_decimal(&mut s, sp.tid.into());
-            s.push_str(",\"cat\":\"");
-            s.push_str(sp.cat);
-            s.push_str("\",\"name\":\"");
-            let _ = write!(Escaped(&mut s), "{}", sp.name);
-            s.push_str("\",\"ts\":");
-            push_decimal(&mut s, sp.start);
-            s.push_str(",\"dur\":");
-            push_decimal(&mut s, sp.end - sp.start);
-            s.push('}');
+        for span in self.spans() {
+            out.extend_from_slice(sep.as_bytes());
+            push_num::<10>(&mut out, b"{\"ph\":\"X\",\"pid\":", span.pid.into());
+            push_num::<10>(&mut out, b",\"tid\":", span.tid.into());
+            out.extend_from_slice(b",\"cat\":\"");
+            out.extend_from_slice(span.cat.as_str().as_bytes());
+            out.extend_from_slice(b"\",\"name\":\"");
+            self.push_name(span, &mut out, escape_into);
+            push_num::<10>(&mut out, b"\",\"ts\":", span.start);
+            push_num::<10>(&mut out, b",\"dur\":", span.end - span.start);
+            out.push(b'}');
             sep = ",\n  ";
+            if out.len() >= FLUSH {
+                w.write_all(&out)?;
+                out.clear();
+            }
         }
-        s.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-        s
+        out.extend_from_slice(b"\n],\"displayTimeUnit\":\"ms\"}\n");
+        w.write_all(&out)
+    }
+
+    /// Serializes spans and track metadata into a checkpoint section: per
+    /// span its track, its category and its name as text.
+    pub fn encode_into(&self, e: &mut Enc) {
+        let mut name = Vec::new();
+        e.u64(self.len() as u64);
+        for span in self.spans() {
+            (u32::from(span.pid), span.tid).put(e);
+            e.str(span.cat.as_str());
+            name.clear();
+            self.push_name(span, &mut name, |out, s| {
+                out.extend_from_slice(s.as_bytes())
+            });
+            e.bytes(&name);
+            (span.start, span.end).put(e);
+        }
+        e.seq::<u32, (u32, String)>(&self.processes);
+        e.seq::<u32, (u32, u32, String)>(&self.threads);
+    }
+
+    /// Decodes a timeline written by [`Timeline::encode_into`], each name
+    /// as owned text. A category other than the five, or a process id past
+    /// `u16`, is corrupt.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`mosaic_ckpt::CkptError`] on truncated or malformed
+    /// data.
+    pub fn decode_from(d: &mut Dec<'_>) -> Result<Self, CkptError> {
+        let what = "timeline span";
+        let corrupt = |detail: String| CkptError::corrupt(format!("{what}: {detail}"));
+        let mut t = Timeline::new();
+        for _ in 0..d.u64(what)? {
+            let (pid, tid): (u32, u32) = Snap::get(d, what)?;
+            let pid = u16::try_from(pid).map_err(|_| corrupt(format!("process id {pid}")))?;
+            let cat = d.bytes(what)?;
+            let Some(cat) = Category::ALL
+                .into_iter()
+                .find(|c| c.as_str().as_bytes() == cat)
+            else {
+                let cat = String::from_utf8_lossy(cat);
+                return Err(corrupt(format!("unknown category '{cat}'")));
+            };
+            let name = SpanName::Owned(d.str(what)?);
+            let (start, end) = Snap::get(d, what)?;
+            t.span(pid, tid, cat, name, start, end);
+        }
+        d.seq_into::<u32, (u32, String)>("timeline process", &mut t.processes)?;
+        d.seq_into::<u32, (u32, u32, String)>("timeline thread", &mut t.threads)?;
+        Ok(t)
     }
 }
 
-/// Appends `v` in decimal. A span has four integers and an export
-/// hundreds of thousands; going through `fmt` for each is most of its
-/// time.
-fn push_decimal(s: &mut String, mut v: u64) {
+/// Timelines are equal when they encode alike: the same spans — track,
+/// category, cycles and rendered name, in order — and the same track
+/// names, however either interned its names or chunked its records.
+impl PartialEq for Timeline {
+    fn eq(&self, other: &Self) -> bool {
+        let encoded = |t: &Timeline| {
+            let mut e = Enc::new();
+            t.encode_into(&mut e);
+            e.into_bytes()
+        };
+        encoded(self) == encoded(other)
+    }
+}
+
+impl Eq for Timeline {}
+
+/// Appends `prefix`, then `v` in base `RADIX` (10, or 16 in lower case):
+/// a span has four numbers and an export hundreds of thousands, and going
+/// through `fmt` for each is most of its time.
+fn push_num<const RADIX: u64>(out: &mut Vec<u8>, prefix: &[u8], mut v: u64) {
+    out.extend_from_slice(prefix);
     let mut digits = [0u8; 20];
     let mut at = digits.len();
     loop {
         at -= 1;
-        digits[at] = b'0' + (v % 10) as u8;
-        v /= 10;
+        digits[at] = HEX[(v % RADIX) as usize];
+        v /= RADIX;
         if v == 0 {
             break;
         }
     }
-    s.extend(digits[at..].iter().map(|&d| char::from(d)));
+    out.extend_from_slice(&digits[at..]);
 }
 
 #[cfg(test)]
@@ -217,145 +398,157 @@ mod tests {
     use super::*;
     use crate::json::{parse, JsonValue};
 
+    fn encoded(t: &Timeline) -> Vec<u8> {
+        let mut e = Enc::new();
+        t.encode_into(&mut e);
+        e.into_bytes()
+    }
+
+    fn mem_line(kind: &'static str, line: u64) -> SpanName {
+        SpanName::MemLine { kind, line }
+    }
+
     #[test]
     fn chrome_json_parses_and_has_complete_events() {
         let mut t = Timeline::new();
         t.process_name(0, "tiles");
-        t.thread_name(0, 3, "tile.3 core");
-        t.span(0, 3, "tile", "active", 0, 128);
-        t.span(1, 0, "mem", "ld @0x40", 10, 10); // zero-length clamps to 1
+        t.thread_name(0, 3, "tile.3 \"core\"");
+        t.span(0, 3, Category::Tile, "active", 0, 128);
+        t.span(1, 0, Category::Mem, mem_line("ld", 0x40), 10, 10); // zero-length clamps to 1
+        t.span(1, 1, Category::Dram, SpanName::DramLine(0), 10, 12);
         let doc = t.to_chrome_json();
         let v = parse(&doc).expect("trace must be valid JSON");
         let events = v.get("traceEvents").unwrap().as_array().unwrap();
-        assert_eq!(events.len(), 4);
+        assert_eq!(events.len(), 5);
+        let meta = events[1].get("args").unwrap().get("name").unwrap();
+        assert_eq!(meta.as_str(), Some("tile.3 \"core\""));
         let complete: Vec<&JsonValue> = events
             .iter()
             .filter(|e| e.get("ph").and_then(JsonValue::as_str) == Some("X"))
             .collect();
-        assert_eq!(complete.len(), 2);
+        assert_eq!(complete.len(), 3);
         assert_eq!(complete[0].get("dur").unwrap().as_u64(), Some(128));
         assert_eq!(complete[1].get("dur").unwrap().as_u64(), Some(1));
+        let name = |e: &JsonValue| e.get("name").unwrap().as_str().unwrap().to_string();
+        let names: Vec<String> = complete.into_iter().map(name).collect();
+        assert_eq!(names, ["active", "ld line 0x40", "line 0x0"]);
+        let mut streamed = Vec::new();
+        t.write_chrome_json(&mut streamed).unwrap();
+        assert_eq!(streamed, doc.as_bytes());
     }
 
     #[test]
-    fn decimals_render_as_display_does() {
-        for v in [0, 9, 10, 65_667, u64::from(u32::MAX), u64::MAX] {
-            let mut s = String::new();
-            push_decimal(&mut s, v);
-            assert_eq!(s, v.to_string());
+    fn numbers_render_as_display_does() {
+        for v in [0, 9, 10, 15, 16, 65_667, u64::from(u32::MAX), u64::MAX] {
+            let (mut dec, mut hex) = (Vec::new(), Vec::new());
+            push_num::<10>(&mut dec, b"", v);
+            push_num::<16>(&mut hex, b"0x", v);
+            assert_eq!(dec, v.to_string().into_bytes());
+            assert_eq!(hex, format!("{v:#x}").into_bytes());
         }
     }
 
+    /// Spans recorded straight into one timeline, and the same spans split
+    /// over three timelines (labels interned in another order, an owned
+    /// name, chunks part-filled) and merged: equal, and exported alike.
     #[test]
-    fn merge_combines_spans_and_tracks() {
-        let mut a = Timeline::new();
-        a.span(0, 0, "tile", "x", 0, 5);
-        a.thread_name(0, 0, "tile.0");
-        let mut b = Timeline::new();
-        b.span(1, 0, "mem", "y", 2, 9);
-        b.thread_name(0, 0, "dup ignored");
-        b.thread_name(1, 0, "mem");
-        a.merge(b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.threads.len(), 2);
-        assert_eq!(a.threads[0].2, "tile.0");
-    }
-}
-
-/// The span categories the simulator emits: a [`Span`] carries one as a
-/// `&'static str`, so a checkpoint naming any other is corrupt.
-const CATEGORIES: [&str; 5] = ["tile", "stall", "mem", "dram", "accel"];
-
-/// A span as a checkpoint holds it: the name rendered, whichever form it
-/// was recorded in, and read back as [`SpanName::Owned`].
-impl Snap for Span {
-    fn put(&self, e: &mut Enc) {
-        (self.pid, self.tid).put(e);
-        e.str(self.cat);
-        e.display(&self.name);
-        (self.start, self.end).put(e);
-    }
-    fn get(d: &mut Dec<'_>, what: &str) -> Result<Self, CkptError> {
-        let (pid, tid) = Snap::get(d, what)?;
-        let cat = d.bytes(what)?;
-        let Some(&cat) = CATEGORIES.iter().find(|c| c.as_bytes() == cat) else {
-            let cat = String::from_utf8_lossy(cat);
-            let context = format!("{what}: unknown category '{cat}'");
-            return Err(CkptError::Corrupt { context });
+    fn merge_moves_spans_and_keeps_their_names() {
+        let record = |t: &mut Timeline, i: u64| match i % 4 {
+            0 => t.span(0, 0, Category::Tile, "compute", i, i + 2),
+            1 => t.span(0, 0, Category::Stall, "stall", i, i + 1),
+            2 => t.span(1, 1, Category::Mem, mem_line("st", i << 6), i, i + 9),
+            _ => t.span(1, 2, Category::Dram, SpanName::DramLine(i << 6), i, i + 7),
         };
-        let name = SpanName::Owned(d.str(what)?);
-        let (start, end) = Snap::get(d, what)?;
-        Ok(Span {
-            pid,
-            tid,
-            cat,
-            name,
-            start,
-            end,
-        })
+        let mut direct = Timeline::new();
+        let mut parts = [Timeline::new(), Timeline::new(), Timeline::new()];
+        let n = CHUNK as u64;
+        for i in 0..3 * n {
+            record(&mut direct, i);
+            record(
+                &mut parts[usize::from(i >= n / 2) + usize::from(i >= 2 * n + 7)],
+                i,
+            );
+        }
+        let active = || SpanName::Owned("c0 active".into());
+        direct.span(0, 5, Category::Tile, active(), 0, 9);
+        parts[2].span(0, 5, Category::Tile, active(), 0, 9);
+        direct.thread_name(0, 0, "tile.0");
+        parts[0].thread_name(0, 0, "tile.0");
+        parts[1].thread_name(0, 0, "dup ignored");
+        let (mut merged, mut want) = (Timeline::new(), Timeline::new());
+        merged.span(1, 1, Category::Mem, mem_line("ld", 1), 0, 1);
+        want.span(1, 1, Category::Mem, mem_line("ld", 1), 0, 1);
+        want.merge(direct);
+        for part in parts {
+            merged.merge(part);
+        }
+        assert_eq!(merged.len(), 3 * CHUNK + 2);
+        assert_eq!(merged.threads, [(0, 0, "tile.0".to_string())]);
+        assert_eq!(merged, want);
+        assert_eq!(merged.to_chrome_json(), want.to_chrome_json());
     }
-}
 
-impl Timeline {
-    /// Serializes spans and track metadata into a checkpoint section.
-    pub fn encode_into(&self, e: &mut Enc) {
-        e.seq::<u64, Span>(&self.spans);
-        e.seq::<u32, (u32, String)>(&self.processes);
-        e.seq::<u32, (u32, u32, String)>(&self.threads);
-    }
-
-    /// Decodes a timeline written by [`Timeline::encode_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`mosaic_ckpt::CkptError`] on truncated or malformed
-    /// data.
-    pub fn decode_from(d: &mut Dec<'_>) -> Result<Self, CkptError> {
+    /// A request kind the tag cannot reach is rendered once, into an owned
+    /// name, and reads as any other.
+    #[test]
+    fn kinds_past_the_tag_fall_back_to_owned_names() {
         let mut t = Timeline::new();
-        d.seq_into::<u64, Span>("timeline span", &mut t.spans)?;
-        d.seq_into::<u32, (u32, String)>("timeline process", &mut t.processes)?;
-        d.seq_into::<u32, (u32, u32, String)>("timeline thread", &mut t.threads)?;
-        Ok(t)
+        for k in 0..300 {
+            let kind: &'static str = Box::leak(format!("k{k}").into_boxed_str());
+            t.span(1, 0, Category::Mem, mem_line(kind, 0xab), 0, 1);
+        }
+        assert_eq!(t.labels.len(), 300);
+        assert_eq!(t.owned.len(), 300 - 253);
+        let doc = t.to_chrome_json();
+        assert!(doc.contains("\"name\":\"k0 line 0xab\""), "{doc}");
+        assert!(doc.contains("\"name\":\"k299 line 0xab\""), "{doc}");
     }
-}
 
-#[cfg(test)]
-mod snapshot_tests {
-    use super::*;
-
+    /// A decoded timeline holds every name as owned text, and still
+    /// compares equal to, and re-encodes as, the one it was written from.
     #[test]
     fn timeline_round_trips_spans_and_tracks() {
         let mut t = Timeline::new();
         t.process_name(0, "tiles");
         t.thread_name(0, 2, "tile.2");
-        t.span(0, 2, "stall", "stall", 5, 9);
-        t.span(1, 0, "dram", "rd", 1, 2);
-        let mut e = mosaic_ckpt::Enc::new();
-        t.encode_into(&mut e);
-        let bytes = e.into_bytes();
-        let mut d = mosaic_ckpt::Dec::new(&bytes);
+        t.span(0, 2, Category::Stall, "stall", 5, 9);
+        t.span(1, 0, Category::Dram, SpanName::DramLine(0x1c0), 1, 2);
+        t.span(1, 0, Category::Mem, mem_line("atomic", 0x80), 1, 7);
+        let bytes = encoded(&t);
+        let mut d = Dec::new(&bytes);
         let back = Timeline::decode_from(&mut d).unwrap();
         assert!(d.is_exhausted());
+        assert_eq!(back.owned, ["stall", "line 0x1c0", "atomic line 0x80"]);
         assert_eq!(t, back);
+        assert_eq!(encoded(&back), bytes);
+        let mut other = back.clone();
+        other.span(0, 2, Category::Stall, "stall", 9, 10);
+        assert_ne!(t, other);
     }
 
-    /// A span's category is one of the five the simulator emits; any
-    /// other is a corrupt record (and nothing is leaked to hold it).
+    /// A span's category is one of the five the simulator emits and its
+    /// process id fits a `u16`; anything else is a corrupt record, found
+    /// by the decoder.
     #[test]
-    fn unknown_span_category_is_corrupt() {
-        let encoded = |cat: &'static str| {
+    fn unknown_category_or_wide_pid_is_corrupt() {
+        for cat in Category::ALL {
             let mut t = Timeline::new();
             t.span(0, 0, cat, "x", 1, 2);
-            let mut e = Enc::new();
-            t.encode_into(&mut e);
-            e.into_bytes()
-        };
-        for cat in CATEGORIES {
-            let back = Timeline::decode_from(&mut Dec::new(&encoded(cat))).unwrap();
-            assert_eq!(back.spans()[0].cat, cat);
+            let back = Timeline::decode_from(&mut Dec::new(&encoded(&t))).unwrap();
+            assert_eq!(back.spans().next().unwrap().cat, cat);
         }
-        let err = Timeline::decode_from(&mut Dec::new(&encoded("gpu"))).unwrap_err();
+        let mut t = Timeline::new();
+        t.span(7, 0, Category::Mem, "x", 1, 2);
+        let good = encoded(&t);
+        let at = good.windows(3).position(|w| w == b"mem").unwrap();
+        let mut gpu = good.clone();
+        gpu[at..at + 3].copy_from_slice(b"gpu");
+        let err = Timeline::decode_from(&mut Dec::new(&gpu)).unwrap_err();
         assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
         assert!(err.to_string().contains("gpu"), "{err}");
+        let mut wide = good;
+        wide[8..12].copy_from_slice(&0x1_0007u32.to_le_bytes());
+        let err = Timeline::decode_from(&mut Dec::new(&wide)).unwrap_err();
+        assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
     }
 }

@@ -28,7 +28,7 @@ use mosaic_ckpt::{CkptError, Dec, Enc};
 use mosaic_ddg::{InstClass, LaunchPlan, MemKind, PlanEdge, StaticDdg};
 use mosaic_ir::{BlockId, FuncId, InstId, Module, Opcode};
 use mosaic_mem::{AccessKind, MemError, MemReq, ReqId};
-use mosaic_obs::{IrProfile, ObsLevel, ProfileTable, SpanName, StallKind, Timeline};
+use mosaic_obs::{Category, IrProfile, ObsLevel, ProfileTable, SpanName, StallKind, Timeline};
 use mosaic_trace::{CursorPos, TileTrace};
 
 use crate::config::{fused_insts, BranchMode, CoreConfig};
@@ -705,7 +705,7 @@ impl CoreTile {
                 if let Some(o) = self.obs.as_mut().filter(|o| o.level.trace_on()) {
                     let tid = self.mem_slot as u32;
                     o.timeline
-                        .span(0, tid, "accel", "accel invoke", now, now + result.cycles);
+                        .span(0, tid, Category::Accel, "accel invoke", now, now + result.cycles);
                 }
             }
             _ => {
@@ -927,7 +927,7 @@ impl Tile for CoreTile {
         o.timeline.span(
             0,
             tid,
-            "tile",
+            Category::Tile,
             SpanName::Owned(format!("{} active", self.config.name)),
             start,
             end,

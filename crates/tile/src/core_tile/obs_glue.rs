@@ -1,7 +1,7 @@
 //! What the tile tells its observers: timeline intervals while it runs,
 //! and the diagnosis of a tile that does not.
 
-use mosaic_obs::{ObsLevel, ProfileTable, StallKind, Timeline};
+use mosaic_obs::{Category, ObsLevel, ProfileTable, StallKind, Timeline};
 
 use super::inflight::DynState;
 use super::{CoreTile, LaunchGate, Stall, Verdict};
@@ -40,9 +40,9 @@ impl TileObs {
             return;
         }
         let (cat, name) = if stalled {
-            ("stall", "stall")
+            (Category::Stall, "stall")
         } else {
-            ("tile", "compute")
+            (Category::Tile, "compute")
         };
         self.timeline.span(0, tid, cat, name, start, end);
     }

@@ -20,6 +20,7 @@
 
 mod kernel_flags;
 
+use std::io::{BufWriter, Write as _};
 use std::process::ExitCode;
 
 use kernel_flags::{number, value, KernelFlags};
@@ -132,7 +133,13 @@ fn run_kernel(name: &str, opts: &Options) -> Result<(), String> {
         println!("{}", report.registry.to_table());
     }
     if let Some(path) = &opts.timeline_out {
-        std::fs::write(path, report.timeline.to_chrome_json())
+        // Streamed: the span store is the only large block a long run holds.
+        std::fs::File::create(path)
+            .map(BufWriter::new)
+            .and_then(|mut w| {
+                report.timeline.write_chrome_json(&mut w)?;
+                w.flush()
+            })
             .map_err(|e| format!("writing {path}: {e}"))?;
         println!(
             "timeline with {} span(s) written to {path} (load in chrome://tracing or https://ui.perfetto.dev)",

@@ -24,6 +24,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::mem::size_of;
 use std::sync::Arc;
 
 use mosaicsim::core::Interleaver;
@@ -31,6 +32,7 @@ use mosaicsim::ir::interp::NullSink;
 use mosaicsim::ir::run_tiles;
 use mosaicsim::kernels::{build_parboil, projection};
 use mosaicsim::mem::PrefetchConfig;
+use mosaicsim::obs::Span;
 use mosaicsim::prelude::*;
 
 thread_local! {
@@ -261,18 +263,35 @@ fn run_loop_allocations_per_instruction_stay_under_their_ceilings() {
     let again = allocs_per_instr("bfs", ooo(), xeon_memory(), ObsLevel::Off);
     assert_eq!(off, again, "bfs/ooo at Off, run twice");
 
-    // `Trace` adds spans, whose names are recorded as they are (a static
-    // label, or a kind and a line address) and formatted only on export:
-    // a span costs at most the amortised growth of the span `Vec`s, never
-    // a `String`. Measured 28 allocations over `Stats` for 47 324 spans
-    // (0.0006 each); the parent commit measured 80 949 (1.71 each).
+    // `Trace` adds spans: 32-byte records whose names are kept as they
+    // are (a static label by address, or a kind and a line address) and
+    // formatted only on export, in 64 KiB chunks that are never
+    // reallocated — so a span costs a chunk's share of one allocation,
+    // never a `String`. Measured 32 allocations over `Stats` for 47 324
+    // spans (0.0007 each, most of them chunks); 28 while spans were
+    // 72 bytes in a `Vec` grown by doubling, 80 949 (1.71 each) while
+    // every name was formatted on record.
+    assert!(size_of::<Span>() <= 32, "a span is {} bytes", size_of::<Span>());
     let (traced, retired, sim) = count_allocs("bfs", ooo(), xeon_memory(), ObsLevel::Trace);
     let (mut tiles, mut mem, _) = sim.into_parts();
-    let spans = tiles[0].take_timeline(0).len() + mem.take_timeline().len();
+    let (tile, mem) = (tiles[0].take_timeline(0), mem.take_timeline());
+    let spans = tile.len() + mem.len();
     let per_span = (traced as f64 - stats * retired as f64) / spans as f64;
     println!("bfs at Trace: {spans} spans, {per_span:.4} allocations each over Stats");
     assert!(spans > 1000, "bfs/ooo at Trace recorded {spans} spans");
-    assert!(per_span <= 1.0, "bfs/ooo at Trace: {per_span:.4} per span");
+    assert!(per_span <= 0.001, "bfs/ooo at Trace: {per_span:.4} per span");
+    // Merging them into the report moves their chunks: what it allocates
+    // is the merged chunk list and the track and name tables, no span
+    // storage. Measured 6 allocations, 1 256 bytes.
+    let (merged, allocs, bytes) = counted(|| {
+        let mut report = Timeline::new();
+        report.merge(tile);
+        report.merge(mem);
+        report
+    });
+    println!("merge of {spans} spans: {allocs} allocations, {bytes} bytes");
+    assert_eq!(merged.len(), spans);
+    assert!(bytes <= 4096, "merging {spans} spans allocated {bytes} bytes");
 
     // The DTG: a phi group's sources and an accelerator call's arguments
     // go through buffers the interpreter refills, so what a run allocates

@@ -139,7 +139,6 @@ fn trace_level_emits_complete_spans_per_tile() {
             report
                 .timeline
                 .spans()
-                .iter()
                 .any(|s| s.pid == 0 && s.tid == tile),
             "tile {tile} has no span"
         );
