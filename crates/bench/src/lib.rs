@@ -93,46 +93,16 @@ pub fn run_dae_pairs(
     memory: HierarchyConfig,
     channel: ChannelConfig,
 ) -> Result<SimReport, MosaicError> {
-    let mut programs = Vec::new();
-    for pair in 0..pairs {
-        let offset = 1000 * pair as u32;
-        let mut acc =
-            TileProgram::single(slices.access, prepared.args.clone()).with_queue_offset(offset);
-        acc.tile_id = pair as i64;
-        acc.num_tiles = pairs as i64;
-        let mut exe =
-            TileProgram::single(slices.execute, prepared.args.clone()).with_queue_offset(offset);
-        exe.tile_id = pair as i64;
-        exe.num_tiles = pairs as i64;
-        programs.push(acc);
-        programs.push(exe);
-    }
+    let funcs = (slices.access, slices.execute);
+    let programs = TileProgram::dae_pairs(funcs.0, funcs.1, prepared.args.clone(), pairs);
     let (trace, _) = record_trace(&prepared.module, prepared.mem.clone(), &programs)
         .expect("DAE trace generation");
-    let module = Arc::new(prepared.module.clone());
-    let trace = Arc::new(trace);
-    let mut builder = SystemBuilder::new(module, trace)
+    let (access, execute) = (CoreConfig::dae_access(), CoreConfig::in_order());
+    SystemBuilder::new(Arc::new(prepared.module.clone()), Arc::new(trace))
         .memory(memory)
-        .channels(channel);
-    for pair in 0..pairs {
-        let offset = 1000 * pair as u32;
-        builder = builder
-            .core(
-                CoreConfig::dae_access()
-                    .with_name(&format!("access#{pair}"))
-                    .with_queue_offset(offset),
-                slices.access,
-                2 * pair,
-            )
-            .core(
-                CoreConfig::in_order()
-                    .with_name(&format!("execute#{pair}"))
-                    .with_queue_offset(offset),
-                slices.execute,
-                2 * pair + 1,
-            );
-    }
-    builder.run()
+        .channels(channel)
+        .dae_pairs(access, execute, funcs, pairs)
+        .run()
 }
 
 /// One completed point of a [`run_sweep`] call.

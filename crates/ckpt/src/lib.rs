@@ -215,11 +215,6 @@ impl Enc {
         self.u64(v.to_bits());
     }
 
-    /// Writes an `Option<u64>` as a presence byte plus the value.
-    pub fn opt_u64(&mut self, v: Option<u64>) {
-        v.put(self);
-    }
-
     /// Writes a `u64`-length-prefixed UTF-8 string.
     pub fn str(&mut self, s: &str) {
         self.u64(s.len() as u64);
@@ -334,11 +329,6 @@ impl<'a> Dec<'a> {
     /// Reads an `f64` from its IEEE-754 bit pattern.
     pub fn f64(&mut self, what: &str) -> Result<f64, CkptError> {
         Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    /// Reads an `Option<u64>` (presence byte plus value).
-    pub fn opt_u64(&mut self, what: &str) -> Result<Option<u64>, CkptError> {
-        Snap::get(self, what)
     }
 
     /// Reads a `u64`-length-prefixed UTF-8 string.
@@ -782,8 +772,8 @@ mod tests {
         e.str("hello");
         e.f64(2.5);
         e.i64(-7);
-        e.opt_u64(Some(9));
-        e.opt_u64(None);
+        Some(9u64).put(&mut e);
+        None::<u64>.put(&mut e);
         c.add_section("sched", e);
         let mut e2 = Enc::new();
         e2.bytes(&[1, 2, 3]);
@@ -804,8 +794,8 @@ mod tests {
         assert_eq!(d.str("b").unwrap(), "hello");
         assert_eq!(d.f64("c").unwrap(), 2.5);
         assert_eq!(d.i64("d").unwrap(), -7);
-        assert_eq!(d.opt_u64("e").unwrap(), Some(9));
-        assert_eq!(d.opt_u64("f").unwrap(), None);
+        assert_eq!(Option::<u64>::get(&mut d, "e").unwrap(), Some(9));
+        assert_eq!(Option::<u64>::get(&mut d, "f").unwrap(), None);
         assert!(d.is_exhausted());
     }
 
@@ -1148,7 +1138,7 @@ mod tests {
     fn bool_and_presence_bytes_reject_garbage() {
         let mut d = Dec::new(&[7]);
         assert!(matches!(d.bool("b"), Err(CkptError::Corrupt { .. })));
-        let mut d = Dec::new(&[9]);
-        assert!(matches!(d.opt_u64("o"), Err(CkptError::Corrupt { .. })));
+        let presence = Option::<u64>::get(&mut Dec::new(&[9]), "o");
+        assert!(matches!(presence, Err(CkptError::Corrupt { .. })));
     }
 }

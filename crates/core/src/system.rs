@@ -9,7 +9,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use mosaic_ir::{FuncId, Module};
+use mosaic_ir::{FuncId, Module, TileProgram};
 use mosaic_lint::{lint_system, LintLevel, TileBinding};
 use mosaic_mem::{CacheConfig, DramKind, HierarchyConfig, MemStats, MemoryHierarchy};
 use mosaic_obs::{IrProfile, ObsLevel, StatsRegistry, Timeline};
@@ -315,6 +315,30 @@ impl SystemBuilder {
         for t in 0..n {
             let config = core.clone().with_name(&format!("{}#{t}", core.name));
             self = self.core(config, func, t);
+        }
+        self
+    }
+
+    /// Adds `pairs` DAE pairs laid out as [`TileProgram::dae_pairs`] lays
+    /// out their programs: pair `k` is `access_core` running `access` on
+    /// tile `2k` and `execute_core` running `execute` on tile `2k + 1`,
+    /// named `access#k`/`execute#k`, in pair `k`'s queue namespace.
+    pub fn dae_pairs(
+        mut self,
+        access_core: CoreConfig,
+        execute_core: CoreConfig,
+        (access, execute): (FuncId, FuncId),
+        pairs: usize,
+    ) -> Self {
+        for k in 0..pairs {
+            let offset = TileProgram::DAE_QUEUE_STRIDE * k as u32;
+            let named = |c: &CoreConfig, role: &str| {
+                let c = c.clone().with_queue_offset(offset);
+                c.with_name(&format!("{role}#{k}"))
+            };
+            self = self
+                .core(named(&access_core, "access"), access, 2 * k)
+                .core(named(&execute_core, "execute"), execute, 2 * k + 1);
         }
         self
     }

@@ -70,6 +70,26 @@ pub struct TileProgram {
 }
 
 impl TileProgram {
+    /// The queue-id distance between consecutive DAE pairs: pair `k` owns
+    /// the queues `k * DAE_QUEUE_STRIDE` onward.
+    pub const DAE_QUEUE_STRIDE: u32 = 1000;
+
+    /// `pairs` Decoupled Access/Execute pairs of a sliced kernel (paper
+    /// §VII-A): pair `k` runs `access` on tile `2k` and `execute` on tile
+    /// `2k + 1`, both observing `tile_id = k` of `pairs`, in the queue
+    /// namespace at `k * DAE_QUEUE_STRIDE`.
+    pub fn dae_pairs(access: FuncId, execute: FuncId, args: Vec<RtVal>, pairs: usize) -> Vec<Self> {
+        let pair = |k: usize, func| TileProgram {
+            func,
+            args: args.clone(),
+            tile_id: k as i64,
+            num_tiles: pairs as i64,
+            queue_offset: Self::DAE_QUEUE_STRIDE * k as u32,
+        };
+        let tiles = (0..pairs).map(|k| [pair(k, access), pair(k, execute)]);
+        tiles.flatten().collect()
+    }
+
     /// A single-tile program (`tile_id = 0`, `num_tiles = 1`).
     pub fn single(func: FuncId, args: Vec<RtVal>) -> Self {
         TileProgram {

@@ -7,12 +7,13 @@
 use std::fmt::Write as _;
 
 use crate::function::{Function, Module};
+use crate::ids::InstId;
 use crate::inst::{Opcode, Operand};
 use crate::types::Constant;
 
-fn fmt_operand(op: Operand) -> String {
+fn fmt_operand(op: Operand, num: &dyn Fn(InstId) -> u32) -> String {
     match op {
-        Operand::Inst(id) => format!("%{}", id.0),
+        Operand::Inst(id) => format!("%{}", num(id)),
         Operand::Param(n) => format!("$%{n}"),
         Operand::Const(Constant::Int(v, t)) => format!("{t} {v}"),
         Operand::Const(Constant::Float(v, t)) => {
@@ -23,165 +24,91 @@ fn fmt_operand(op: Operand) -> String {
     }
 }
 
-/// Renders one instruction (without trailing newline).
-pub fn print_inst(func: &Function, id: crate::ids::InstId) -> String {
+/// Renders one instruction (without trailing newline), `%N` its arena id.
+pub fn print_inst(func: &Function, id: InstId) -> String {
+    render_inst(func, id, &|i| i.0)
+}
+
+/// Renders one instruction with every instruction `i` it names as `%num(i)`.
+fn render_inst(func: &Function, id: InstId, num: &dyn Fn(InstId) -> u32) -> String {
+    let o = |op: &Operand| fmt_operand(*op, num);
+    let list = |ops: &[Operand]| ops.iter().map(o).collect::<Vec<_>>().join(", ");
     let inst = func.inst(id);
-    let mut s = String::new();
-    if inst.produces_value() {
-        let _ = write!(s, "%{} = ", id.0);
-    }
-    match inst.op() {
-        Opcode::Bin { op, lhs, rhs } => {
-            let _ = write!(
-                s,
-                "{} {} {}, {}",
-                op.mnemonic(),
-                inst.ty(),
-                fmt_operand(*lhs),
-                fmt_operand(*rhs)
-            );
-        }
+    let ty = inst.ty();
+    let body = match inst.op() {
+        Opcode::Bin { op, lhs, rhs } => format!("{} {ty} {}, {}", op.mnemonic(), o(lhs), o(rhs)),
         Opcode::ICmp { pred, lhs, rhs } => {
-            let _ = write!(
-                s,
-                "icmp {} {}, {}",
-                pred.mnemonic(),
-                fmt_operand(*lhs),
-                fmt_operand(*rhs)
-            );
+            format!("icmp {} {}, {}", pred.mnemonic(), o(lhs), o(rhs))
         }
         Opcode::FCmp { pred, lhs, rhs } => {
-            let _ = write!(
-                s,
-                "fcmp {} {}, {}",
-                pred.mnemonic(),
-                fmt_operand(*lhs),
-                fmt_operand(*rhs)
-            );
+            format!("fcmp {} {}, {}", pred.mnemonic(), o(lhs), o(rhs))
         }
         Opcode::Select {
             cond,
             on_true,
             on_false,
-        } => {
-            let _ = write!(
-                s,
-                "select {} {}, {}, {}",
-                inst.ty(),
-                fmt_operand(*cond),
-                fmt_operand(*on_true),
-                fmt_operand(*on_false)
-            );
-        }
-        Opcode::Cast { kind, value } => {
-            let _ = write!(
-                s,
-                "{} {} to {}",
-                kind.mnemonic(),
-                fmt_operand(*value),
-                inst.ty()
-            );
-        }
+        } => format!("select {ty} {}, {}, {}", o(cond), o(on_true), o(on_false)),
+        Opcode::Cast { kind, value } => format!("{} {} to {ty}", kind.mnemonic(), o(value)),
         Opcode::Gep {
             base,
             index,
             elem_size,
-        } => {
-            let _ = write!(
-                s,
-                "gep {}, {}, {}",
-                fmt_operand(*base),
-                fmt_operand(*index),
-                elem_size
-            );
-        }
-        Opcode::Load { addr } => {
-            let _ = write!(s, "load {}, {}", inst.ty(), fmt_operand(*addr));
-        }
-        Opcode::Store { addr, value } => {
-            let _ = write!(s, "store {}, {}", fmt_operand(*addr), fmt_operand(*value));
-        }
+        } => format!("gep {}, {}, {elem_size}", o(base), o(index)),
+        Opcode::Load { addr } => format!("load {ty}, {}", o(addr)),
+        Opcode::Store { addr, value } => format!("store {}, {}", o(addr), o(value)),
         Opcode::AtomicRmw {
             op,
             addr,
             value,
             expected,
         } => {
-            let _ = write!(
-                s,
-                "{} {} {}, {}",
-                op.mnemonic(),
-                inst.ty(),
-                fmt_operand(*addr),
-                fmt_operand(*value)
-            );
-            if let Some(e) = expected {
-                let _ = write!(s, ", {}", fmt_operand(*e));
-            }
+            let expected = expected
+                .iter()
+                .map(|e| format!(", {}", o(e)))
+                .collect::<String>();
+            format!("{} {ty} {}, {}{expected}", op.mnemonic(), o(addr), o(value))
         }
         Opcode::Phi { incoming } => {
-            let _ = write!(s, "phi {} ", inst.ty());
-            for (i, (b, v)) in incoming.iter().enumerate() {
-                if i > 0 {
-                    s.push_str(", ");
-                }
-                let _ = write!(s, "[bb{}: {}]", b.0, fmt_operand(*v));
-            }
+            let edges: Vec<String> = incoming
+                .iter()
+                .map(|(b, v)| format!("[bb{}: {}]", b.0, o(v)))
+                .collect();
+            format!("phi {ty} {}", edges.join(", "))
         }
-        Opcode::Call { intr, args } => {
-            let _ = write!(s, "call {} {}(", inst.ty(), intr.name());
-            for (i, a) in args.iter().enumerate() {
-                if i > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&fmt_operand(*a));
-            }
-            s.push(')');
-        }
-        Opcode::Send { queue, value } => {
-            let _ = write!(s, "send q{queue}, {}", fmt_operand(*value));
-        }
-        Opcode::Recv { queue } => {
-            let _ = write!(s, "recv {} q{queue}", inst.ty());
-        }
-        Opcode::AccelCall { accel, args } => {
-            let _ = write!(s, "call void {}(", accel.name());
-            for (i, a) in args.iter().enumerate() {
-                if i > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&fmt_operand(*a));
-            }
-            s.push(')');
-        }
-        Opcode::Br { target } => {
-            let _ = write!(s, "br bb{}", target.0);
-        }
+        Opcode::Call { intr, args } => format!("call {ty} {}({})", intr.name(), list(args)),
+        Opcode::Send { queue, value } => format!("send q{queue}, {}", o(value)),
+        Opcode::Recv { queue } => format!("recv {ty} q{queue}"),
+        Opcode::AccelCall { accel, args } => format!("call void {}({})", accel.name(), list(args)),
+        Opcode::Br { target } => format!("br bb{}", target.0),
         Opcode::CondBr {
             cond,
             on_true,
             on_false,
-        } => {
-            let _ = write!(
-                s,
-                "condbr {}, bb{}, bb{}",
-                fmt_operand(*cond),
-                on_true.0,
-                on_false.0
-            );
-        }
-        Opcode::Ret { value } => match value {
-            Some(v) => {
-                let _ = write!(s, "ret {}", fmt_operand(*v));
-            }
-            None => s.push_str("ret void"),
-        },
+        } => format!("condbr {}, bb{}, bb{}", o(cond), on_true.0, on_false.0),
+        Opcode::Ret { value: Some(v) } => format!("ret {}", o(v)),
+        Opcode::Ret { value: None } => "ret void".to_string(),
+    };
+    match inst.produces_value() {
+        true => format!("%{} = {body}", num(id)),
+        false => body,
     }
-    s
 }
 
-/// Renders a function in the textual format.
+/// Renders a function in the textual format. Instructions are numbered
+/// densely in arena order, skipping any no block holds (what a pass that
+/// drops instructions, such as `slice_dae`, leaves in the arena), so the
+/// parser reads back every id it is given; a function with no such gaps
+/// prints its arena ids.
 pub fn print_function(func: &Function) -> String {
+    let mut held = vec![false; func.inst_count()];
+    for block in func.blocks() {
+        block.insts().iter().for_each(|i| held[i.index()] = true);
+    }
+    // An instruction's number: how many held instructions precede it.
+    let mut dense = vec![0u32; held.len()];
+    for i in 1..held.len() {
+        dense[i] = dense[i - 1] + u32::from(held[i - 1]);
+    }
     let mut s = String::new();
     let _ = write!(s, "func @{}(", func.name());
     for (i, (name, ty)) in func.params().iter().enumerate() {
@@ -194,7 +121,7 @@ pub fn print_function(func: &Function) -> String {
     for block in func.blocks() {
         let _ = writeln!(s, "bb{}: ; {}", block.id().0, block.name());
         for &iid in block.insts() {
-            let _ = writeln!(s, "  {}", print_inst(func, iid));
+            let _ = writeln!(s, "  {}", render_inst(func, iid, &|i| dense[i.index()]));
         }
     }
     s.push_str("}\n");

@@ -1,6 +1,6 @@
 //! Integration tests for accelerator-offloaded systems (paper §IV, §VII-B).
 
-use std::sync::Arc;
+mod support;
 
 use mosaicsim::accel::{analytic_estimate, fpga_cycles, rtl_cycles};
 use mosaicsim::ir::AccelOp;
@@ -8,13 +8,9 @@ use mosaicsim::kernels::sinkhorn::{combined, Mix};
 use mosaicsim::prelude::*;
 
 fn simulate(p: &mosaicsim::kernels::Prepared, bank: AccelBank) -> SimReport {
-    let (trace, _) = p.trace(1).expect("trace");
-    SystemBuilder::new(Arc::new(p.module.clone()), Arc::new(trace))
-        .memory(dae_memory())
-        .accelerators(Box::new(bank))
-        .core(CoreConfig::out_of_order(), p.func, 0)
-        .run()
-        .expect("simulate")
+    let builder = support::spmd(p, &CoreConfig::out_of_order(), 1, dae_memory());
+    let builder = builder.accelerators(Box::new(bank));
+    builder.run().expect("simulate")
 }
 
 #[test]

@@ -12,25 +12,14 @@
 //! The matrix: 5 bundled kernels × {in-order, out-of-order} ×
 //! {fast-forward, naive} stepping.
 
+mod support;
+
 use std::sync::Arc;
 
 use mosaicsim::kernels::build_parboil;
+use mosaicsim::kernels::data::Rng;
 use mosaicsim::prelude::*;
-
-/// SplitMix64 — a tiny seeded generator for the snapshot cycles.
-struct TestRng(u64);
-impl TestRng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-    fn below(&mut self, bound: u64) -> u64 {
-        ((u128::from(self.next()) * u128::from(bound)) >> 64) as u64
-    }
-}
+use support::cramped_memory;
 
 /// The builder for one configuration of the matrix. Straight run, prefix
 /// run, and resumed run must all construct the identical system, so all
@@ -83,7 +72,7 @@ fn resume_is_bit_identical_to_straight_run() {
         ("in_order", CoreConfig::in_order()),
         ("out_of_order", CoreConfig::out_of_order()),
     ];
-    let mut rng = TestRng(0x6d6f_7361_6963_736d); // "mosaicsm"
+    let mut rng = Rng::seed_from_u64(0x6d6f_7361_6963_736d); // "mosaicsm"
     for name in kernels {
         let p = build_parboil(name, 1);
         let (trace, _) = p.trace(1).expect("trace");
@@ -190,26 +179,13 @@ fn resume_rejects_a_mismatched_system() {
     }
 }
 
-/// A hierarchy small enough that every cache is full, evicting and
-/// writing back long before the pause point, so a snapshot's cache
-/// records carry a validity bit, a dirty bit, a tag and an age for every
-/// way — nothing an untouched 20 MiB LLC would exercise.
-fn cramped_memory() -> HierarchyConfig {
-    HierarchyConfig {
-        l1: CacheConfig::new("L1-D", 1024).with_ways(2).with_latency(1),
-        l2: Some(CacheConfig::new("L2", 4096).with_ways(4).with_latency(6)),
-        llc: CacheConfig::new("LLC", 16 * 1024).with_ways(8).with_latency(26),
-        ..xeon_memory()
-    }
-}
-
 /// Resume is bit-identical with full, dirty caches as with mostly empty
 /// ones, and what the interleaver restored into held before does not
 /// matter: one that has already run past the snapshot (and so holds valid
 /// ways the snapshot does not name) ends in the same state as a fresh one.
 #[test]
 fn resume_is_bit_identical_whatever_the_caches_and_the_target_held() {
-    let cramped_ways = (1024 + 4096 + 16 * 1024) / 64;
+    let cramped_ways = (512 + 1024 + 2048) / 64;
     for (name, cramped) in [("stencil", true), ("histo", true), ("histo", false)] {
         let label = format!("{name}/{}", if cramped { "cramped" } else { "xeon" });
         let p = build_parboil(name, 1);
@@ -262,34 +238,6 @@ fn resume_is_bit_identical_whatever_the_caches_and_the_target_held() {
     }
 }
 
-/// One DAE pair of the projection kernel on DeSC cores, the execute side
-/// slow behind a one-message channel, so a pause finds detached requests
-/// outstanding, messages in flight and hardware pushes waiting.
-fn desc_pair() -> impl Fn() -> SystemBuilder {
-    let mut p = mosaicsim::kernels::projection::build_with(40, 64);
-    let slices = slice_dae(&mut p.module, p.func, DaeQueues::default()).expect("sliceable");
-    let programs: Vec<TileProgram> = [slices.access, slices.execute]
-        .into_iter()
-        .map(|func| TileProgram::single(func, p.args.clone()))
-        .collect();
-    let (trace, _) = record_trace(&p.module, p.mem.clone(), &programs).expect("trace");
-    let (module, trace) = (Arc::new(p.module), Arc::new(trace));
-    move || {
-        let mut execute = CoreConfig::in_order().with_name("execute");
-        execute.clock_divisor = 3;
-        let channel = ChannelConfig {
-            capacity: 1,
-            latency: 2,
-        };
-        SystemBuilder::new(module.clone(), trace.clone())
-            .memory(dae_memory())
-            .channels(channel)
-            .observe(ObsLevel::Stats)
-            .core(CoreConfig::dae_access().with_name("access"), slices.access, 0)
-            .core(execute, slices.execute, 1)
-    }
-}
-
 /// Whole-checkpoint damage: every section of two mid-run snapshots — two
 /// bfs tiles at `Trace`, and a DeSC pair — is cut short at every offset
 /// (512 seeded ones where a section is over 4 KiB) and has seeded bytes
@@ -310,12 +258,13 @@ fn damaged_checkpoints_are_typed_errors() {
             .observe(ObsLevel::Trace)
             .core(CoreConfig::out_of_order().with_name("second"), bfs.func, 1)
     };
-    let desc_pair = desc_pair();
+    let desc = support::system("projection/desc");
+    let desc_pair = || desc.builder();
     let systems: [(&str, &dyn Fn() -> SystemBuilder, u64); 2] = [
         ("bfs/2t/trace", &two_tiles, 9_000),
         ("projection/desc", &desc_pair, 12_476),
     ];
-    let mut rng = TestRng(0x6461_6d61_6765_6421); // "damage!"
+    let mut rng = Rng::seed_from_u64(0x6461_6d61_6765_6421); // "damage!"
     for (label, make, pause) in systems {
         let mut il = make().build().expect("build");
         assert_eq!(il.run_until(pause).expect("prefix"), None, "{label}");

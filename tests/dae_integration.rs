@@ -2,68 +2,39 @@
 //! (paper §VII-A): compiler pass → functional pair execution → timing
 //! simulation with DeSC-extended cores.
 
+mod support;
+
 use std::sync::Arc;
 
 use mosaicsim::kernels::projection;
 use mosaicsim::prelude::*;
 
 fn simulate_plain(p: &mosaicsim::kernels::Prepared, config: CoreConfig) -> SimReport {
-    let (trace, _) = p.trace(1).expect("trace");
-    SystemBuilder::new(Arc::new(p.module.clone()), Arc::new(trace))
-        .memory(dae_memory())
-        .core(config, p.func, 0)
-        .run()
-        .expect("simulate")
+    let builder = support::spmd(p, &config, 1, dae_memory());
+    builder.run().expect("simulate")
 }
 
-fn simulate_dae_pairs(pairs: usize) -> SimReport {
+/// `pairs` DAE pairs of projection at scale 1, `access` on the access side.
+fn simulate_dae_pairs(pairs: usize, access: CoreConfig) -> SimReport {
     let mut p = projection::build(1);
     let slices = slice_dae(&mut p.module, p.func, DaeQueues::default()).expect("sliceable");
     // SPMD across pairs: each pair owns a disjoint queue namespace.
-    let mut programs = Vec::new();
-    for pair in 0..pairs {
-        let offset = 1000 * pair as u32;
-        let mut acc = TileProgram::single(slices.access, p.args.clone()).with_queue_offset(offset);
-        acc.tile_id = pair as i64;
-        acc.num_tiles = pairs as i64;
-        let mut exe = TileProgram::single(slices.execute, p.args.clone()).with_queue_offset(offset);
-        exe.tile_id = pair as i64;
-        exe.num_tiles = pairs as i64;
-        programs.push(acc);
-        programs.push(exe);
-    }
+    let funcs = (slices.access, slices.execute);
+    let programs = TileProgram::dae_pairs(funcs.0, funcs.1, p.args.clone(), pairs);
     let (trace, _) = record_trace(&p.module, p.mem.clone(), &programs).expect("trace");
-    let module = Arc::new(p.module);
-    let trace = Arc::new(trace);
-    let mut builder = SystemBuilder::new(module, trace)
+    SystemBuilder::new(Arc::new(p.module), Arc::new(trace))
         .memory(dae_memory())
-        .channels(dae_channel());
-    for pair in 0..pairs {
-        let offset = 1000 * pair as u32;
-        builder = builder
-            .core(
-                CoreConfig::dae_access()
-                    .with_name(&format!("access#{pair}"))
-                    .with_queue_offset(offset),
-                slices.access,
-                2 * pair,
-            )
-            .core(
-                CoreConfig::in_order()
-                    .with_name(&format!("execute#{pair}"))
-                    .with_queue_offset(offset),
-                slices.execute,
-                2 * pair + 1,
-            );
-    }
-    builder.run().expect("simulate")
+        .channels(dae_channel())
+        .dae_pairs(access, CoreConfig::in_order(), funcs, pairs)
+        .run()
+        .expect("simulate")
 }
 
 #[test]
 fn dae_pair_beats_single_in_order_core() {
     let p = projection::build(1);
     let ino = simulate_plain(&p, CoreConfig::in_order());
-    let dae = simulate_dae_pairs(1);
+    let dae = simulate_dae_pairs(1, CoreConfig::dae_access());
     let speedup = ino.cycles as f64 / dae.cycles as f64;
     assert!(
         speedup > 1.5,
@@ -73,8 +44,8 @@ fn dae_pair_beats_single_in_order_core() {
 
 #[test]
 fn more_dae_pairs_scale() {
-    let one = simulate_dae_pairs(1);
-    let four = simulate_dae_pairs(4);
+    let one = simulate_dae_pairs(1, CoreConfig::dae_access());
+    let four = simulate_dae_pairs(4, CoreConfig::dae_access());
     let speedup = one.cycles as f64 / four.cycles as f64;
     assert!(
         speedup > 1.5,
@@ -89,10 +60,7 @@ fn dae_channels_drain_completely() {
     // retire the traced instruction counts.
     let mut p = projection::build_with(40, 64);
     let slices = slice_dae(&mut p.module, p.func, DaeQueues::default()).unwrap();
-    let programs = vec![
-        TileProgram::single(slices.access, p.args.clone()),
-        TileProgram::single(slices.execute, p.args.clone()),
-    ];
+    let programs = TileProgram::dae_pairs(slices.access, slices.execute, p.args.clone(), 1);
     let (trace, _) = record_trace(&p.module, p.mem.clone(), &programs).unwrap();
     let expect0 = trace.tile(0).retired();
     let expect1 = trace.tile(1).retired();
@@ -111,29 +79,8 @@ fn dae_channels_drain_completely() {
 fn desc_extensions_matter() {
     // Without the DeSC structures the InO access core serializes on its
     // loads and the pair loses most of its advantage.
-    let mut p = projection::build(1);
-    let slices = slice_dae(&mut p.module, p.func, DaeQueues::default()).unwrap();
-    let programs = vec![
-        TileProgram::single(slices.access, p.args.clone()),
-        TileProgram::single(slices.execute, p.args.clone()),
-    ];
-    let (trace, _) = record_trace(&p.module, p.mem.clone(), &programs).unwrap();
-    let module = Arc::new(p.module);
-    let trace = Arc::new(trace);
-    let with = SystemBuilder::new(module.clone(), trace.clone())
-        .memory(dae_memory())
-        .channels(dae_channel())
-        .core(CoreConfig::dae_access(), slices.access, 0)
-        .core(CoreConfig::in_order(), slices.execute, 1)
-        .run()
-        .unwrap();
-    let without = SystemBuilder::new(module, trace)
-        .memory(dae_memory())
-        .channels(dae_channel())
-        .core(CoreConfig::in_order(), slices.access, 0)
-        .core(CoreConfig::in_order(), slices.execute, 1)
-        .run()
-        .unwrap();
+    let with = simulate_dae_pairs(1, CoreConfig::dae_access());
+    let without = simulate_dae_pairs(1, CoreConfig::in_order());
     assert!(
         with.cycles * 2 < without.cycles,
         "DeSC structures should at least halve the runtime: {} vs {}",

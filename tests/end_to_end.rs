@@ -1,7 +1,7 @@
 //! End-to-end integration tests: build → trace → simulate across crates,
 //! exercising the public facade exactly as a downstream user would.
 
-use std::sync::Arc;
+mod support;
 
 use mosaicsim::kernels::{build_parboil, PARBOIL_NAMES};
 use mosaicsim::prelude::*;
@@ -9,13 +9,7 @@ use mosaicsim::prelude::*;
 /// Traces a kernel once and simulates it under `config`.
 fn simulate(name: &str, tiles: usize, config: CoreConfig) -> SimReport {
     let p = build_parboil(name, 1);
-    let (trace, _) = p.trace(tiles).expect("trace");
-    let module = Arc::new(p.module);
-    let trace = Arc::new(trace);
-    let mut builder = SystemBuilder::new(module, trace).memory(xeon_memory());
-    for t in 0..tiles {
-        builder = builder.core(config.clone(), p.func, t);
-    }
+    let builder = support::spmd(&p, &config, tiles, xeon_memory());
     builder.run().expect("simulate")
 }
 

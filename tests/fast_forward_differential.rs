@@ -7,6 +7,8 @@
 //! statistics, DRAM throttle accounting, and all energy totals must be
 //! bit-identical to the naive cycle-by-cycle stepper.
 
+mod support;
+
 use std::sync::Arc;
 
 use mosaicsim::kernels::build_parboil;
@@ -15,17 +17,8 @@ use mosaicsim::prelude::*;
 /// Simulates `name` on `tiles` copies of `config`, with or without
 /// fast-forwarding, and returns the full report.
 fn simulate(name: &str, tiles: usize, config: &CoreConfig, fast_forward: bool) -> SimReport {
-    let p = build_parboil(name, 1);
-    let (trace, _) = p.trace(tiles).expect("trace");
-    let module = Arc::new(p.module);
-    let trace = Arc::new(trace);
-    let mut builder = SystemBuilder::new(module, trace)
-        .memory(xeon_memory())
-        .fast_forward(fast_forward);
-    for t in 0..tiles {
-        builder = builder.core(config.clone().with_name(&format!("c{t}")), p.func, t);
-    }
-    builder.run().expect("simulate")
+    let builder = support::spmd(&build_parboil(name, 1), config, tiles, xeon_memory());
+    builder.fast_forward(fast_forward).run().expect("simulate")
 }
 
 /// Asserts every observable field of two reports is identical.
@@ -152,20 +145,9 @@ fn deadlock_verdict_is_bit_identical_to_naive() {
 fn fast_forward_identical_with_banked_dram() {
     let p = build_parboil("bfs", 1);
     let run = |fast_forward: bool| {
-        let (trace, _) = p.trace(2).expect("trace");
-        let mut memory = xeon_memory();
-        memory.dram = DramKind::Banked(Default::default());
-        let mut builder = SystemBuilder::new(Arc::new(p.module.clone()), Arc::new(trace))
-            .memory(memory)
-            .fast_forward(fast_forward);
-        for t in 0..2 {
-            builder = builder.core(
-                CoreConfig::out_of_order().with_name(&format!("c{t}")),
-                p.func,
-                t,
-            );
-        }
-        builder.run().expect("simulate")
+        let memory = support::banked(xeon_memory());
+        let builder = support::spmd(&p, &CoreConfig::out_of_order(), 2, memory);
+        builder.fast_forward(fast_forward).run().expect("simulate")
     };
     let naive = run(false);
     let fast = run(true);

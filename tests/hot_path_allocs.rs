@@ -22,15 +22,16 @@
 //! process-wide, and it has a single `#[test]` so no other test thread
 //! allocates while a run is being counted.
 
+mod support;
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::mem::size_of;
-use std::sync::Arc;
 
 use mosaicsim::core::Interleaver;
 use mosaicsim::ir::interp::NullSink;
 use mosaicsim::ir::run_tiles;
-use mosaicsim::kernels::{build_parboil, projection};
+use mosaicsim::kernels::build_parboil;
 use mosaicsim::mem::PrefetchConfig;
 use mosaicsim::obs::Span;
 use mosaicsim::prelude::*;
@@ -94,46 +95,8 @@ fn count_allocs(
     memory: HierarchyConfig,
     level: ObsLevel,
 ) -> (u64, u64, Interleaver) {
-    let p = build_parboil(kernel, 1);
-    let (trace, _) = p.trace(1).expect("trace");
-    let retired = trace.total_retired();
-    let builder = SystemBuilder::new(Arc::new(p.module), Arc::new(trace))
-        .memory(memory)
-        .observe(level)
-        .core(core, p.func, 0);
-    count_run(&format!("{kernel} at {level:?}"), builder, retired)
-}
-
-/// The ledger's `projection.dae_x8` at scale 1: four DeSC access/execute
-/// pairs, each on its own queues.
-fn dae_x8() -> (SystemBuilder, u64) {
-    const PAIRS: usize = 4;
-    let mut p = projection::build(1);
-    let slices = slice_dae(&mut p.module, p.func, DaeQueues::default()).expect("sliceable");
-    let (mut tiles, mut programs) = (Vec::new(), Vec::new());
-    for pair in 0..PAIRS {
-        let offset = 1000 * pair as u32;
-        let cores = [
-            (CoreConfig::dae_access(), "access", slices.access),
-            (CoreConfig::in_order(), "execute", slices.execute),
-        ];
-        for (core, role, func) in cores {
-            let mut prog = TileProgram::single(func, p.args.clone()).with_queue_offset(offset);
-            (prog.tile_id, prog.num_tiles) = (pair as i64, PAIRS as i64);
-            programs.push(prog);
-            let core = core.with_name(&format!("{role}#{pair}"));
-            tiles.push((core.with_queue_offset(offset), func));
-        }
-    }
-    let (trace, _) = record_trace(&p.module, p.mem.clone(), &programs).expect("trace");
-    let retired = trace.total_retired();
-    let mut b = SystemBuilder::new(Arc::new(p.module), Arc::new(trace))
-        .memory(dae_memory())
-        .channels(dae_channel());
-    for (slot, (core, func)) in tiles.into_iter().enumerate() {
-        b = b.core(core, func, slot);
-    }
-    (b, retired)
+    let builder = support::spmd(&build_parboil(kernel, 1), &core, 1, memory);
+    count_run(&format!("{kernel} at {level:?}"), builder.observe(level))
 }
 
 /// Runs `f` and returns what it returned, the allocations this thread
@@ -147,11 +110,13 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     (out, ALLOCS.with(Cell::get), BYTES.with(Cell::get))
 }
 
-/// Builds `builder`'s system and counts the allocations of its run.
-fn count_run(label: &str, builder: SystemBuilder, retired: u64) -> (u64, u64, Interleaver) {
+/// Builds `builder`'s system, and returns the allocations of its run and
+/// the instructions it retired.
+fn count_run(label: &str, builder: SystemBuilder) -> (u64, u64, Interleaver) {
     let mut sim = builder.build().expect("build");
     let (result, allocs, _) = counted(|| sim.run());
     result.expect("simulate");
+    let retired = sim.tiles().iter().map(|t| t.stats().retired).sum();
     println!("{label}: {allocs} allocations / {retired} retired instructions");
     (allocs, retired, sim)
 }
@@ -230,8 +195,9 @@ fn run_loop_allocations_per_instruction_stay_under_their_ceilings() {
     // buffer and its watch list in place, and the channel set is a sorted
     // `Vec` that grows to the system's channels once. Measured 0.0022
     // (435 / 198 556; 426 before the memo, on a `BTreeMap` of channels).
-    let (builder, retired) = dae_x8();
-    let (allocs, _, _) = count_run("projection dae x8 at Off", builder, retired);
+    // (The ledger's `projection.dae_x8` at scale 1: four DeSC pairs.)
+    let dae_x8 = support::system("projection/dae/ino/x8").builder();
+    let (allocs, retired, _) = count_run("projection dae x8 at Off", dae_x8);
     let dae = allocs as f64 / retired as f64;
     assert!(dae < 0.01, "projection/dae x8: {dae:.4}");
 

@@ -13,6 +13,8 @@
 //!   functional execution (and a representative subset completes the
 //!   full timing simulation).
 
+mod support;
+
 use std::sync::Arc;
 
 use mosaicsim::core::{record_trace, Interleaver, MosaicError, SimError, SystemBuilder};
@@ -238,15 +240,9 @@ fn lint_clean_kernels_terminate_under_interleaver() {
     for name in ["sgemm", "spmv", "bfs"] {
         let p = build_parboil(name, 1);
         assert!(lint_system(&p.module, &kernel_bindings(&p, 2)).is_clean());
-        let (trace, _) = p.trace(2).expect("trace");
-        let module = Arc::new(p.module);
-        let trace = Arc::new(trace);
-        let mut builder = SystemBuilder::new(module, trace)
-            .memory(mosaicsim::core::small_memory())
-            .lint(mosaicsim::core::LintLevel::Deny);
-        for t in 0..2 {
-            builder = builder.core(CoreConfig::in_order(), p.func, t);
-        }
+        let memory = mosaicsim::core::small_memory();
+        let builder = support::spmd(&p, &CoreConfig::in_order(), 2, memory);
+        let builder = builder.lint(mosaicsim::core::LintLevel::Deny);
         let report = builder.run().expect("lint-clean kernel must simulate");
         assert!(report.cycles > 0, "{name}");
     }

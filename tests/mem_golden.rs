@@ -18,54 +18,17 @@
 //! stepped only at request cycles and the cycles `next_event_cycle`
 //! names, as the fast-forwarding Interleaver does; the two must agree on
 //! everything but the snapshot (which records the last stepped cycle).
-//!
-//! `MEM_GOLDEN_WRITE=1 cargo test --test mem_golden` rewrites the table —
-//! only ever from a commit whose hierarchy is the reference.
 
-use std::fmt::Write as _;
+mod support;
 
 use mosaicsim::ckpt::Enc;
+use mosaicsim::kernels::data::Rng;
 use mosaicsim::mem::{
     AccessKind, BankedDramConfig, CacheConfig, Completion, DramKind, HierarchyConfig, MemReq,
     MemoryHierarchy, NocConfig, PrefetchConfig, SimpleDramConfig,
 };
 use mosaicsim::obs::{ObsLevel, StatsRegistry};
-
-const TABLE: &str = include_str!("mem_golden.txt");
-
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        ((u128::from(self.next()) * u128::from(bound)) >> 64) as u64
-    }
-}
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-}
+use support::{fnv, Golden, Hashed};
 
 const MIXES: [&str; 4] = ["mixed", "stream", "hot", "evict"];
 const TOPOLOGIES: [&str; 4] = ["l2", "noc", "l2noc", "l1zero"];
@@ -82,7 +45,7 @@ struct TimedReq {
 /// The request schedule of `mix` over `tiles` tiles: what is asked and
 /// when, fixed by the seed alone — never by what the hierarchy does.
 fn schedule(mix: &str, tiles: usize, seed: u64) -> Vec<TimedReq> {
-    let mut r = SplitMix64(seed);
+    let mut r = Rng::seed_from_u64(seed);
     let mut cycle = 0u64;
     let mut stream_at = vec![0u64; tiles];
     let strides: Vec<i64> = (0..tiles).map(|t| [8, 64, -64, 24][t % 4]).collect();
@@ -205,22 +168,10 @@ fn config(topology: &str, banked: bool, mshr_entries: usize) -> HierarchyConfig 
     }
 }
 
-/// Everything a row records about one run.
-#[derive(PartialEq, Eq)]
-struct Outcome {
-    completions: u64,
-    delivered: u64,
-    idle_at: u64,
-    stats: String,
-    throttled: u64,
-    counters: String,
-    snapshot: String,
-    registry: u64,
-}
-
-fn run(config: HierarchyConfig, tiles: usize, reqs: &[TimedReq], dense: bool) -> Outcome {
+/// The columns of one run's row.
+fn run(config: HierarchyConfig, tiles: usize, reqs: &[TimedReq], dense: bool) -> String {
     let mut h = MemoryHierarchy::new(config, tiles);
-    let mut stream = Fnv::new();
+    let mut stream = Hashed::EMPTY;
     let mut delivered = 0u64;
     let mut snapshot = String::new();
     let mut buf: Vec<Completion> = Vec::new();
@@ -229,9 +180,9 @@ fn run(config: HierarchyConfig, tiles: usize, reqs: &[TimedReq], dense: bool) ->
         h.step(now);
         h.drain_completions_into(&mut buf);
         for c in &buf {
-            stream.u64(c.id.0);
-            stream.u64(c.tile as u64);
-            stream.u64(c.at_cycle);
+            for v in [c.id.0, c.tile as u64, c.at_cycle] {
+                stream.put(&v.to_le_bytes());
+            }
             delivered += 1;
         }
         while next < reqs.len() && reqs[next].cycle == now {
@@ -240,10 +191,7 @@ fn run(config: HierarchyConfig, tiles: usize, reqs: &[TimedReq], dense: bool) ->
             if next == reqs.len() / 2 {
                 let mut e = Enc::new();
                 h.save_state(&mut e);
-                let bytes = e.into_bytes();
-                let mut f = Fnv::new();
-                f.bytes(&bytes);
-                snapshot = format!("{}:{:016x}", bytes.len(), f.0);
+                snapshot = Hashed::of(&e.into_bytes()).to_string();
                 // Observed from here on, so the snapshot column is what it
                 // was at `Off` and the dump still holds the histograms.
                 h.set_observe(ObsLevel::Stats);
@@ -268,8 +216,7 @@ fn run(config: HierarchyConfig, tiles: usize, reqs: &[TimedReq], dense: bool) ->
     let s = h.stats();
     let mut reg = StatsRegistry::new();
     h.register_into(&mut reg);
-    let mut counters = String::new();
-    for path in [
+    let counters: String = [
         "mem.l1.mshr.coalesced",
         "mem.l1.mshr.full_stalls",
         "mem.l2.mshr.coalesced",
@@ -281,46 +228,29 @@ fn run(config: HierarchyConfig, tiles: usize, reqs: &[TimedReq], dense: bool) ->
         "mem.dram.row_hits",
         "mem.dram.row_misses",
         "mem.dram.row_conflicts",
-    ] {
-        write!(counters, "{},", reg.counter(path)).expect("write to a String");
-    }
-    let mut registry = Fnv::new();
-    registry.bytes(reg.to_json().as_bytes());
-    Outcome {
-        completions: stream.0,
-        delivered,
-        idle_at: now,
-        stats: format!(
-            "{},{},{},{},{},{},{},{},{},{}",
-            s.l1_hits,
-            s.l1_misses,
-            s.l2_hits,
-            s.l2_misses,
-            s.llc_hits,
-            s.llc_misses,
-            s.dram_reads,
-            s.dram_writebacks,
-            s.atomics,
-            s.prefetches
-        ),
-        throttled: h.dram_throttled_cycles(),
-        counters,
-        snapshot,
-        registry: registry.0,
-    }
-}
-
-fn row(key: &str, o: &Outcome) -> String {
+    ]
+    .map(|path| format!("{},", reg.counter(path)))
+    .concat();
+    let stats = [
+        s.l1_hits,
+        s.l1_misses,
+        s.l2_hits,
+        s.l2_misses,
+        s.llc_hits,
+        s.llc_misses,
+        s.dram_reads,
+        s.dram_writebacks,
+        s.atomics,
+        s.prefetches,
+    ]
+    .map(|v| v.to_string())
+    .join(",");
     format!(
-        "{key} completions={:016x}/{} idle_at={} stats={} throttled={} counters={} snapshot={} registry={:016x}",
-        o.completions,
-        o.delivered,
-        o.idle_at,
-        o.stats,
-        o.throttled,
-        o.counters,
-        o.snapshot,
-        o.registry
+        "completions={:016x}/{delivered} idle_at={now} stats={stats} throttled={} \
+         counters={counters} snapshot={snapshot} registry={:016x}",
+        stream.hash,
+        h.dram_throttled_cycles(),
+        fnv(reg.to_json().as_bytes())
     )
 }
 
@@ -346,20 +276,16 @@ fn rows() -> Vec<String> {
                         // What fast-forward relies on: stepping only where
                         // the hierarchy says it has work changes nothing
                         // a run reports.
-                        let reported = |o: &Outcome| Outcome {
-                            snapshot: String::new(),
-                            stats: o.stats.clone(),
-                            counters: o.counters.clone(),
-                            ..*o
+                        let reported = |row: &str| -> Vec<String> {
+                            let cols = row.split(' ').filter(|c| !c.starts_with("snapshot="));
+                            cols.map(str::to_owned).collect()
                         };
                         assert!(
                             reported(&dense) == reported(&event),
-                            "{key}: dense and event-stepped runs differ:\n{}\n{}",
-                            row("dense", &dense),
-                            row("event", &event)
+                            "{key}: dense and event-stepped runs differ:\n{dense}\n{event}"
                         );
-                        rows.push(row(&format!("{key}/dense"), &dense));
-                        rows.push(row(&format!("{key}/event"), &event));
+                        rows.push(format!("{key}/dense {dense}"));
+                        rows.push(format!("{key}/event {event}"));
                     }
                 }
             }
@@ -370,29 +296,5 @@ fn rows() -> Vec<String> {
 
 #[test]
 fn hierarchy_reproduces_every_recorded_row() {
-    let rows = rows();
-    if std::env::var_os("MEM_GOLDEN_WRITE").is_some() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/mem_golden.txt");
-        std::fs::write(path, rows.join("\n") + "\n").expect("write the table");
-        return;
-    }
-    let recorded: Vec<&str> = TABLE.lines().collect();
-    assert_eq!(
-        recorded.len(),
-        rows.len(),
-        "the grid and the table differ in size"
-    );
-    let drifted: Vec<String> = recorded
-        .iter()
-        .zip(&rows)
-        .filter(|(want, got)| want != got)
-        .map(|(want, got)| format!("recorded {want}\n     got {got}"))
-        .collect();
-    assert!(
-        drifted.is_empty(),
-        "{} of {} rows drifted:\n{}",
-        drifted.len(),
-        rows.len(),
-        drifted.join("\n")
-    );
+    Golden::new("mem").assert(&rows());
 }

@@ -12,7 +12,7 @@
 //! 2. `ObsLevel::Off` must be free: an empty timeline, an empty profile,
 //!    and cycle counts unchanged relative to a fully traced run.
 
-use std::sync::Arc;
+mod support;
 
 use mosaicsim::kernels::build_parboil;
 use mosaicsim::obs::{StatValue, StatsRegistry};
@@ -26,15 +26,8 @@ fn simulate(
     fast_forward: bool,
     level: ObsLevel,
 ) -> SimReport {
-    let p = build_parboil(name, 1);
-    let (trace, _) = p.trace(tiles).expect("trace");
-    let mut builder = SystemBuilder::new(Arc::new(p.module), Arc::new(trace))
-        .memory(xeon_memory())
-        .fast_forward(fast_forward)
-        .observe(level);
-    for t in 0..tiles {
-        builder = builder.core(config.clone().with_name(&format!("c{t}")), p.func, t);
-    }
+    let builder = support::spmd(&build_parboil(name, 1), config, tiles, xeon_memory());
+    let builder = builder.fast_forward(fast_forward).observe(level);
     builder.run().expect("simulate")
 }
 

@@ -29,10 +29,8 @@ use mosaicsim::core::{record_trace, Interleaver, SimError};
 use mosaicsim::ir::{Constant, FuncId, MemImage, Module, RtVal, TileProgram, Type};
 use mosaicsim::kernels::{build_parboil, projection, sinkhorn, Prepared, PARBOIL_NAMES};
 use mosaicsim::lint::TileBinding;
-use mosaicsim::mem::MemoryHierarchy;
 use mosaicsim::part::{partition, InterferenceGraph, LatencyModel, MemGeometry};
 use mosaicsim::prelude::*;
-use mosaicsim::tile::{ChannelSet, CoreTile, NoAccel, Tile};
 
 /// Steps `il` to completion (capped) and returns, for each watched
 /// queue, the first cycle a send completed and the first cycle a recv
@@ -75,21 +73,13 @@ fn interleaver(
     parts: &[(CoreConfig, FuncId)],
     channel: ChannelConfig,
 ) -> Interleaver {
-    let tiles: Vec<Box<dyn Tile>> = parts
-        .iter()
-        .enumerate()
-        .map(|(i, (cfg, f))| {
-            Box::new(CoreTile::new(
-                cfg.clone(),
-                module.clone(),
-                *f,
-                Arc::new(trace.tile(i).clone()),
-                i,
-            )) as Box<dyn Tile>
-        })
-        .collect();
-    let mem = MemoryHierarchy::new(mosaicsim::core::small_memory(), parts.len());
-    Interleaver::new(tiles, mem, ChannelSet::new(channel), Box::new(NoAccel))
+    let mut b = SystemBuilder::new(module, Arc::new(trace.clone()))
+        .memory(mosaicsim::core::small_memory())
+        .channels(channel);
+    for (i, (cfg, f)) in parts.iter().enumerate() {
+        b = b.core(cfg.clone(), *f, i);
+    }
+    b.build().expect("build")
 }
 
 /// Asserts every channel edge's static bounds against the dynamics:
@@ -254,10 +244,7 @@ fn counted_loop_gate_bound_is_conservative_dynamically() {
 fn dae_projection_delivery_bounds_are_conservative() {
     let mut p = projection::build_with(40, 64);
     let slices = slice_dae(&mut p.module, p.func, DaeQueues::default()).expect("sliceable");
-    let programs = vec![
-        TileProgram::single(slices.access, p.args.clone()),
-        TileProgram::single(slices.execute, p.args.clone()),
-    ];
+    let programs = TileProgram::dae_pairs(slices.access, slices.execute, p.args.clone(), 1);
     let bindings: Vec<TileBinding> = programs.iter().map(TileBinding::from_program).collect();
     let model = LatencyModel::default();
     let graph = InterferenceGraph::build(&p.module, &bindings, MemGeometry::default(), &model);
@@ -362,27 +349,12 @@ fn builder_plans_the_two_shapes_the_ledger_times() {
 
     let mut p = projection::build_with(40, 64);
     let slices = slice_dae(&mut p.module, p.func, DaeQueues::default()).expect("sliceable");
-    let mut programs = Vec::new();
-    let mut cores = Vec::new();
-    for pair in 0..4u32 {
-        for (func, config) in [
-            (slices.access, CoreConfig::dae_access()),
-            (slices.execute, CoreConfig::in_order()),
-        ] {
-            let mut program =
-                TileProgram::single(func, p.args.clone()).with_queue_offset(1000 * pair);
-            program.tile_id = i64::from(pair);
-            program.num_tiles = 4;
-            programs.push(program);
-            cores.push((config.with_queue_offset(1000 * pair), func));
-        }
-    }
+    let funcs = (slices.access, slices.execute);
+    let programs = TileProgram::dae_pairs(funcs.0, funcs.1, p.args.clone(), 4);
     let (trace, _) = record_trace(&p.module, p.mem.clone(), &programs).expect("trace");
-    let mut builder =
-        SystemBuilder::new(Arc::new(p.module), Arc::new(trace)).channels(dae_channel());
-    for (slot, (config, func)) in cores.into_iter().enumerate() {
-        builder = builder.core(config, func, slot);
-    }
+    let builder = SystemBuilder::new(Arc::new(p.module), Arc::new(trace))
+        .channels(dae_channel())
+        .dae_pairs(CoreConfig::dae_access(), CoreConfig::in_order(), funcs, 4);
     let plan = builder.compute_partition_plan(2).expect("projection plan");
     assert_eq!((plan.tiles, plan.shards.len()), (8, 2));
 }

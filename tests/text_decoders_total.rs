@@ -18,6 +18,7 @@ use mosaicsim::ir::{
     IrError, RtVal,
 };
 use mosaicsim::kernels as k;
+use mosaicsim::kernels::data::Rng;
 use mosaicsim::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -376,10 +377,9 @@ fn design_md_tables_list_the_forms_and_keys_tested_here() {
 // ---------------------------------------------------------------------
 
 /// Every module the repository bundles — what `mosaic-lint --kernels`
-/// walks — printed, plus the `examples/mir` sources. (Not `slice_dae`'s
-/// output: a sliced function keeps the instructions it dropped in its
-/// arena, so its printed ids run past its printed lines and the parser
-/// refuses them, as it did before this suite existed.)
+/// walks — printed, projection as `slice_dae` splits it (its slices keep
+/// the instructions they dropped in their arenas), plus the `examples/mir`
+/// sources.
 fn corpus() -> Vec<(String, String)> {
     let mut kernels: Vec<k::Prepared> = k::PARBOIL_NAMES.iter().map(|name| k::build_parboil(name, 1)).collect();
     kernels.push(k::projection::build(1));
@@ -390,6 +390,10 @@ fn corpus() -> Vec<(String, String)> {
         kernels.push(k::sinkhorn::combined(mix, 1, true));
     }
     kernels.extend(k::keras::all_apps().iter().map(|app| app.lower_accelerated()));
+    let mut sliced = k::projection::build(1);
+    slice_dae(&mut sliced.module, sliced.func, DaeQueues::default()).unwrap();
+    sliced.name += "/dae";
+    kernels.push(sliced);
     let mut texts: Vec<(String, String)> =
         kernels.iter().map(|p| (p.name.clone(), print_module(&p.module))).collect();
     for entry in std::fs::read_dir(repo_file("examples/mir")).unwrap() {
@@ -411,21 +415,9 @@ fn printing_a_parsed_module_is_a_fixed_point_on_every_bundled_module() {
     }
 }
 
-/// SplitMix64.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: usize) -> usize {
-        ((u128::from(self.next()) * bound as u128) >> 64) as usize
-    }
+/// A uniform index below `bound`.
+fn below(rng: &mut Rng, bound: usize) -> usize {
+    rng.below(bound as u64) as usize
 }
 
 /// The characters both formats give a meaning to.
@@ -435,21 +427,21 @@ const ALPHABET: &[u8] = b"()[]{},:;%$=@ \n-.0123456789qbiftovpxe>#";
 /// a line or drop a token.
 fn mutate(text: &str, rng: &mut Rng) -> String {
     let mut bytes = text.as_bytes().to_vec();
-    for _ in 0..1 + rng.below(4) {
+    for _ in 0..1 + below(rng, 4) {
         if bytes.is_empty() {
             break;
         }
-        let at = rng.below(bytes.len());
+        let at = below(rng, bytes.len());
         let span = |bytes: &[u8], stops: &[u8]| {
             let start = bytes[..at].iter().rposition(|b| stops.contains(b)).map_or(0, |p| p + 1);
             let end = bytes[at..].iter().position(|b| stops.contains(b)).map_or(bytes.len(), |p| at + p);
             start..end
         };
-        match rng.below(6) {
-            0 => bytes[at] = ALPHABET[rng.below(ALPHABET.len())],
+        match below(rng, 6) {
+            0 => bytes[at] = ALPHABET[below(rng, ALPHABET.len())],
             1 => drop(bytes.remove(at)),
-            2 => bytes.insert(at, ALPHABET[rng.below(ALPHABET.len())]),
-            3 => drop(bytes.drain(at..(at + 1 + rng.below(24)).min(bytes.len()))),
+            2 => bytes.insert(at, ALPHABET[below(rng, ALPHABET.len())]),
+            3 => drop(bytes.drain(at..(at + 1 + below(rng, 24)).min(bytes.len()))),
             4 => drop(bytes.drain(span(&bytes, b"\n"))),
             _ => drop(bytes.drain(span(&bytes, b" \n"))),
         }
@@ -459,7 +451,7 @@ fn mutate(text: &str, rng: &mut Rng) -> String {
 
 #[test]
 fn seeded_mutations_of_every_bundled_text_never_panic() {
-    let mut rng = Rng(0x4d49_5221);
+    let mut rng = Rng::seed_from_u64(0x4d49_5221);
     let (mut parsed, mut refused) = (0u32, 0u32);
     for (_, text) in corpus() {
         for _ in 0..1000 {
