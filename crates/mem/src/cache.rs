@@ -91,12 +91,8 @@ impl CacheConfig {
     }
 }
 
-/// Way state bits (see [`Cache::state`]).
-const VALID: u8 = 1;
-const DIRTY: u8 = 2;
-
 /// Result of installing a line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FillOutcome {
     /// Evicted line address (line-aligned), if a valid line was displaced.
     pub evicted: Option<u64>,
@@ -104,8 +100,68 @@ pub struct FillOutcome {
     pub evicted_dirty: bool,
 }
 
-/// Most ways a lazily allocated block of [`Cache::lines`] holds (64 KiB).
+/// Most ways a block of [`Cache::lines`] covers (64 KiB once it stores
+/// them all).
 const BLOCK_WAYS: usize = 4096;
+
+/// Consecutive sets, storing their first `cap` ways each: per set, the
+/// ways' keys, then their ages; after the last set, a dirty bit per
+/// stored way (bit `set * cap + way`). A key is the way's tag plus one and an age
+/// its `last_use`, both zero while the way is invalid, so a lookup is one
+/// scan of eight bytes a stored way and the victim of a fill the first
+/// least age. Every way from `cap` on is invalid, and no invalid way is
+/// dirty.
+#[derive(Debug, Clone)]
+struct Block {
+    sets: usize,
+    cap: usize,
+    words: Box<[u64]>,
+}
+
+impl Block {
+    fn new(sets: usize, cap: usize) -> Self {
+        let words = vec![0; sets * 2 * cap + (sets * cap).div_ceil(64)].into_boxed_slice();
+        Block { sets, cap, words }
+    }
+
+    /// The keys and ages of set `s`'s stored ways.
+    fn ways(&self, s: usize) -> (&[u64], &[u64]) {
+        self.words[2 * self.cap * s..2 * self.cap * (s + 1)].split_at(self.cap)
+    }
+
+    fn ways_mut(&mut self, s: usize) -> (&mut [u64], &mut [u64]) {
+        self.words[2 * self.cap * s..2 * self.cap * (s + 1)].split_at_mut(self.cap)
+    }
+
+    fn is_dirty(&self, s: usize, w: usize) -> bool {
+        let i = s * self.cap + w;
+        self.words[2 * self.cap * self.sets + i / 64] >> (i % 64) & 1 != 0
+    }
+
+    /// Sets the dirty bit of way `w` of set `s` to `dirty`, returning
+    /// what it was.
+    fn swap_dirty(&mut self, s: usize, w: usize, dirty: bool) -> bool {
+        let i = s * self.cap + w;
+        let word = &mut self.words[2 * self.cap * self.sets + i / 64];
+        let was = *word >> (i % 64) & 1 != 0;
+        *word ^= u64::from(was != dirty) << (i % 64);
+        was
+    }
+
+    /// Doubles the ways stored per set, to at most `ways`.
+    fn widen(&mut self, ways: usize) {
+        let mut wider = Block::new(self.sets, (2 * self.cap).min(ways));
+        for s in 0..self.sets {
+            let ((keys, ages), (to_keys, to_ages)) = (self.ways(s), wider.ways_mut(s));
+            to_keys[..self.cap].copy_from_slice(keys);
+            to_ages[..self.cap].copy_from_slice(ages);
+            for w in 0..self.cap {
+                wider.swap_dirty(s, w, self.is_dirty(s, w));
+            }
+        }
+        *self = wider;
+    }
+}
 
 /// A tag-only set-associative cache with LRU replacement.
 #[derive(Debug, Clone)]
@@ -122,22 +178,15 @@ pub struct Cache {
     sets_log2: Option<u32>,
     /// `log2` of the sets per block of `lines`.
     block_shift: u32,
-    /// `VALID | DIRTY` per way, set-major (`set * ways + way`).
-    state: Vec<u8>,
-    /// Tag and age of the ways, in blocks of whole sets — a power of two
-    /// of them, at most [`BLOCK_WAYS`] ways — that exist from the first
-    /// fill that lands in them, so a cache holds memory for the sets a
-    /// run reaches and building one costs next to nothing. (Flat zeroed
-    /// arrays do the same only while the allocator maps them fresh: once
-    /// it recycles a heap chunk for one it clears all of it, and a 20 MiB
-    /// LLC is 5 MiB resident for a run that touches a few KiB — or not,
-    /// from one heap layout to the next.)
-    ///
-    /// A set is its ways' keys, then their ages. A key is the way's tag
-    /// plus one, zero while the way is invalid, so a lookup is one scan of
-    /// eight bytes a way; an age is the way's `last_use`, zero while it is
-    /// invalid, so the victim of a fill is the first least age.
-    lines: Vec<Option<Box<[u64]>>>,
+    /// The tag store, in blocks of whole sets — a power of two of them,
+    /// covering at most [`BLOCK_WAYS`] ways — that exist from the first
+    /// fill that lands in them. A block stores 2 ways a set at first and
+    /// doubles that (up to `ways`) when a fill finds all of a set's stored
+    /// ways valid, as that fill's victim is the first invalid way: a cache
+    /// costs memory for the ways a run fills, not for its capacity. (Flat
+    /// zeroed arrays are free only while the allocator maps them fresh; a
+    /// recycled heap chunk is cleared in full, from one layout to the next.)
+    lines: Vec<Option<Block>>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -156,7 +205,6 @@ impl Cache {
             line_shift: config.line_bytes().trailing_zeros(),
             sets_log2: sets.is_power_of_two().then(|| sets.trailing_zeros()),
             block_shift,
-            state: vec![0; sets as usize * ways],
             lines: vec![None; (sets as usize).div_ceil(1 << block_shift)],
             tick: 0,
             hits: 0,
@@ -190,33 +238,17 @@ impl Cache {
         (tag * self.sets + set as u64) << self.line_shift
     }
 
-    /// The block holding `set`, and the set's words in it.
-    fn block_of(&self, set: usize) -> (usize, std::ops::Range<usize>) {
-        let block = set >> self.block_shift;
-        let at = (set - (block << self.block_shift)) * 2 * self.ways;
-        (block, at..at + 2 * self.ways)
+    /// The block `set` falls in, and the set's index in it.
+    fn block_of(&self, set: usize) -> (usize, usize) {
+        (set >> self.block_shift, set & ((1 << self.block_shift) - 1))
     }
 
-    /// The keys of `set`'s ways, `None` while no fill has reached the
-    /// set's block (none of its ways is valid then).
-    fn keys(&self, set: usize) -> Option<&[u64]> {
-        let (block, words) = self.block_of(set);
-        Some(&self.lines[block].as_deref()?[words][..self.ways])
-    }
-
-    /// The keys and ages of `set`'s ways, allocating their block on
-    /// first use.
-    fn ways_mut(&mut self, set: usize) -> (&mut [u64], &mut [u64]) {
-        let (block, words) = self.block_of(set);
+    /// The block holding `set`, created on first use, and the set's index.
+    fn block_mut(&mut self, set: usize) -> (&mut Block, usize) {
+        let (block, s) = self.block_of(set);
         let sets = (1 << self.block_shift).min(self.sets as usize - (block << self.block_shift));
-        let len = sets * 2 * self.ways;
-        let lines = self.lines[block].get_or_insert_with(|| vec![0; len].into_boxed_slice());
-        lines[words].split_at_mut(self.ways)
-    }
-
-    /// The way of `set` holding `tag`, if any.
-    fn find(&self, set: usize, tag: u64) -> Option<usize> {
-        way_of(self.keys(set)?, tag + 1)
+        let cap = self.ways.min(2);
+        (self.lines[block].get_or_insert_with(|| Block::new(sets, cap)), s)
     }
 
     /// Looks up `addr`: when the line is present, counts the access as a
@@ -225,11 +257,11 @@ impl Cache {
     /// miss counts ([`Cache::count_miss`]) or the access is retried.
     pub fn touch(&mut self, addr: u64, write: bool) -> bool {
         let (set, tag) = self.set_and_tag(addr);
-        let (block, words) = self.block_of(set);
-        let Some(lines) = self.lines[block].as_deref_mut() else {
+        let (block, s) = self.block_of(set);
+        let Some(block) = self.lines[block].as_mut() else {
             return false;
         };
-        let (keys, ages) = lines[words].split_at_mut(self.ways);
+        let (keys, ages) = block.ways_mut(s);
         let Some(way) = way_of(keys, tag + 1) else {
             return false;
         };
@@ -238,7 +270,7 @@ impl Cache {
         self.hits += 1;
         ages[way] = self.tick;
         if write {
-            self.state[set * self.ways + way] |= DIRTY;
+            block.swap_dirty(s, way, true);
         }
         true
     }
@@ -254,57 +286,58 @@ impl Cache {
     /// Checks for presence without perturbing LRU or counters.
     pub fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.set_and_tag(addr);
-        self.find(set, tag).is_some()
+        let (block, s) = self.block_of(set);
+        let block = self.lines[block].as_ref();
+        block.is_some_and(|block| way_of(block.ways(s).0, tag + 1).is_some())
     }
 
     /// Installs the line containing `addr`, evicting the LRU way if
     /// needed. `dirty` marks the installed line (write-allocate stores).
     pub fn fill(&mut self, addr: u64, dirty: bool) -> FillOutcome {
         self.tick += 1;
-        let tick = self.tick;
+        let (tick, ways) = (self.tick, self.ways);
         let (set, tag) = self.set_and_tag(addr);
-        let first = set * self.ways;
-        let mut outcome = FillOutcome {
-            evicted: None,
-            evicted_dirty: false,
-        };
+        let (block, s) = self.block_mut(set);
+        let (keys, ages) = block.ways_mut(s);
         // Already present (e.g. race between two fills): just update.
-        if let Some(way) = self.find(set, tag) {
-            self.state[first + way] |= if dirty { DIRTY } else { 0 };
-            self.ways_mut(set).1[way] = tick;
-            return outcome;
+        if let Some(way) = way_of(keys, tag + 1) {
+            ages[way] = tick;
+            if dirty {
+                block.swap_dirty(s, way, true);
+            }
+            return FillOutcome::default();
         }
-        // The first invalid way (age zero), else the least recently used.
-        let (keys, ages) = self.ways_mut(set);
-        let victim = (0..ages.len())
-            .min_by_key(|&w| ages[w])
-            .expect("cache has at least one way");
+        // The first invalid way (age zero), else the least recently used;
+        // while the set has ways past the stored ones, the first of them.
+        let mut victim = (0..ages.len()).min_by_key(|&w| ages[w]).unwrap_or_default();
+        if ages[victim] != 0 && block.cap < ways {
+            victim = block.cap;
+            block.widen(ways);
+        }
+        let (keys, ages) = block.ways_mut(s);
         let evicted = keys[victim].checked_sub(1);
         (keys[victim], ages[victim]) = (tag + 1, tick);
-        if let Some(tag) = evicted {
-            outcome = FillOutcome {
-                evicted: Some(self.line_addr(set, tag)),
-                evicted_dirty: self.state[first + victim] & DIRTY != 0,
-            };
+        let evicted_dirty = block.swap_dirty(s, victim, dirty);
+        FillOutcome {
+            evicted: evicted.map(|tag| self.line_addr(set, tag)),
+            evicted_dirty,
         }
-        self.state[first + victim] = VALID | if dirty { DIRTY } else { 0 };
-        outcome
     }
 
     /// Invalidates the line containing `addr` (back-invalidation keeps the
     /// hierarchy inclusive). Returns whether the line was present & dirty.
     pub fn invalidate(&mut self, addr: u64) -> bool {
         let (set, tag) = self.set_and_tag(addr);
-        match self.find(set, tag) {
-            Some(way) => {
-                let (keys, ages) = self.ways_mut(set);
-                (keys[way], ages[way]) = (0, 0);
-                let state = &mut self.state[set * self.ways + way];
-                *state &= !VALID;
-                *state & DIRTY != 0
-            }
-            None => false,
-        }
+        let (block, s) = self.block_of(set);
+        let Some(block) = self.lines[block].as_mut() else {
+            return false;
+        };
+        let (keys, ages) = block.ways_mut(s);
+        let Some(way) = way_of(keys, tag + 1) else {
+            return false;
+        };
+        (keys[way], ages[way]) = (0, 0);
+        block.swap_dirty(s, way, false)
     }
 
     /// Hit count.
@@ -339,6 +372,21 @@ impl Cache {
         self.misses = 0;
         self.accesses = 0;
     }
+
+    /// The valid ways in index order (`set * ways + way`), each with its
+    /// key, age and dirty bit.
+    fn valid_ways(&self) -> impl Iterator<Item = (usize, u64, u64, bool)> + '_ {
+        let blocks = self.lines.iter().enumerate();
+        let blocks = blocks.filter_map(|(b, block)| Some((b << self.block_shift, block.as_ref()?)));
+        blocks.flat_map(move |(first, block)| {
+            (0..block.sets).flat_map(move |s| {
+                let (keys, ages) = block.ways(s);
+                let at = (first + s) * self.ways;
+                let valid = (0..block.cap).filter(move |&w| keys[w] != 0);
+                valid.map(move |w| (at + w, keys[w], ages[w], block.is_dirty(s, w)))
+            })
+        })
+    }
 }
 
 /// The way whose key is `key` (at most one is). Every way is compared and
@@ -352,25 +400,8 @@ fn way_of(keys: &[u64], key: u64) -> Option<usize> {
     (way != usize::MAX).then_some(way)
 }
 
-/// Packs `bits` eight to a byte, the first in the lowest bit.
-fn pack_bits(bits: impl Iterator<Item = bool>) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(bits.size_hint().0.div_ceil(8));
-    let (mut byte, mut n) = (0u8, 0usize);
-    for bit in bits {
-        byte |= u8::from(bit) << (n % 8);
-        n += 1;
-        if n % 8 == 0 {
-            bytes.push(std::mem::take(&mut byte));
-        }
-    }
-    if n % 8 != 0 {
-        bytes.push(byte);
-    }
-    bytes
-}
-
-/// Reads a bitmap of `nbits` bits packed by [`pack_bits`], refusing
-/// set bits past its end.
+/// Reads a bitmap of `nbits` bits, eight to a byte and the first in the
+/// lowest bit, refusing set bits past its end.
 fn decode_bits<'a>(
     d: &mut mosaic_ckpt::Dec<'a>,
     nbits: usize,
@@ -383,10 +414,6 @@ fn decode_bits<'a>(
         ),
         _ => Ok(bytes),
     }
-}
-
-fn bit(bitmap: &[u8], i: usize) -> bool {
-    bitmap[i / 8] >> (i % 8) & 1 != 0
 }
 
 /// The indices of the set bits of `bitmap`, ascending. Bytes without a
@@ -412,18 +439,19 @@ impl Cache {
         self.put_fields(e);
         e.u32(self.config.sets() as u32);
         e.u32(self.config.ways());
-        let valid = pack_bits(self.state.iter().map(|st| st & VALID != 0));
+        let mut valid = vec![0u8; (self.sets as usize * self.ways).div_ceil(8)];
+        let mut dirty = Vec::new();
+        for (k, (w, .., is_dirty)) in self.valid_ways().enumerate() {
+            valid[w / 8] |= 1 << (w % 8);
+            dirty.resize(k / 8 + 1, 0);
+            dirty[k / 8] |= u8::from(is_dirty) << (k % 8);
+        }
         e.u32(valid.iter().map(|byte| byte.count_ones()).sum());
         e.raw(&valid);
-        e.raw(&pack_bits(set_bits(&valid).map(|w| self.state[w] & DIRTY != 0)));
-        for w in set_bits(&valid) {
-            let (set, way) = (w / self.ways, w % self.ways);
-            let (block, words) = self.block_of(set);
-            let words = &self.lines[block]
-                .as_deref()
-                .expect("a valid way's block exists")[words];
-            e.u64(words[way] - 1);
-            e.u64(words[self.ways + way]);
+        e.raw(&dirty);
+        for (_, key, age, _) in self.valid_ways() {
+            e.u64(key - 1);
+            e.u64(age);
         }
     }
 
@@ -446,7 +474,7 @@ impl Cache {
             )));
         }
         let count = d.u32("cache valid-way count")? as usize;
-        let valid = decode_bits(d, self.state.len(), "cache validity bitmap")?;
+        let valid = decode_bits(d, self.sets as usize * self.ways, "cache validity bitmap")?;
         let marked: usize = valid.iter().map(|b| b.count_ones() as usize).sum();
         if marked != count {
             return Err(mosaic_ckpt::CkptError::corrupt(format!(
@@ -455,12 +483,9 @@ impl Cache {
             )));
         }
         let dirty = decode_bits(d, count, "cache dirty bitmap")?;
-        // Whatever the cache held becomes invalid: no key, no age.
-        self.state.fill(0);
-        self.lines
-            .iter_mut()
-            .flatten()
-            .for_each(|block| block.fill(0));
+        // Whatever the cache held becomes invalid: no key, no age, clean.
+        self.lines.iter_mut().flatten().for_each(|block| block.words.fill(0));
+        let ways = self.ways;
         for (k, w) in set_bits(valid).enumerate() {
             let tag = d.u64("cache way tag")?;
             let last_use = d.u64("cache way last_use")?;
@@ -470,10 +495,13 @@ impl Cache {
                     self.config.name()
                 )));
             }
-            let (set, way) = (w / self.ways, w % self.ways);
-            let (keys, ages) = self.ways_mut(set);
+            let ((block, s), way) = (self.block_mut(w / ways), w % ways);
+            while block.cap <= way {
+                block.widen(ways);
+            }
+            let (keys, ages) = block.ways_mut(s);
             (keys[way], ages[way]) = (tag + 1, last_use);
-            self.state[w] = VALID | if bit(dirty, k) { DIRTY } else { 0 };
+            block.swap_dirty(s, way, dirty[k / 8] >> (k % 8) & 1 != 0);
         }
         Ok(())
     }
@@ -482,6 +510,7 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_rng::TestRng;
 
     /// An access as the hierarchy makes one: a hit, or a counted miss.
     fn access(c: &mut Cache, addr: u64, write: bool) -> bool {
@@ -495,6 +524,11 @@ mod tests {
     fn tiny() -> Cache {
         // 4 sets x 2 ways x 64B = 512B
         Cache::new(CacheConfig::new("t", 512).with_ways(2))
+    }
+
+    /// Every way the cache has, stored or not.
+    fn all_ways(c: &Cache) -> usize {
+        c.sets as usize * c.ways
     }
 
     #[test]
@@ -580,10 +614,37 @@ mod tests {
         let mut small = tiny();
         small.fill(0, false);
         assert_eq!(small.lines.len(), 1);
-        assert_eq!(
-            small.lines[0].as_ref().map(|block| block.len()),
-            Some(2 * 8)
-        );
+        let block = small.lines[0].as_ref().expect("filled");
+        assert_eq!((block.sets, block.cap, block.words.len()), (4, 2, 4 * 2 * 2 + 1));
+    }
+
+    #[test]
+    fn blocks_store_the_ways_their_fullest_set_needs() {
+        // The Table I LLC: 16 384 sets x 20 ways, 128 blocks of 128 sets.
+        let mut llc = Cache::new(CacheConfig::new("llc", 20 << 20).with_ways(20));
+        assert_eq!(llc.lines.len(), 128);
+        // A line in every set: every block exists, storing 2 ways a set —
+        // 32 bytes and 2 bits, where all 20 would be 320 bytes.
+        for line in 0..16_384 {
+            llc.fill(line * 64, line % 2 == 0);
+        }
+        let caps = |c: &Cache| -> Vec<usize> {
+            c.lines.iter().map(|b| b.as_ref().map_or(0, |b| b.cap)).collect()
+        };
+        assert_eq!(caps(&llc), vec![2; 128]);
+        assert_eq!(llc.lines[0].as_ref().map(|b| b.words.len()), Some(128 * 4 + 4));
+        // Filling set 0's 20 ways widens its block alone, 2 to 4, 8, 16
+        // and 20; the 21st line evicts the least recently used, the first.
+        for tag in 1..20 {
+            assert_eq!(llc.fill(tag * 16_384 * 64, false).evicted, None);
+        }
+        assert_eq!(caps(&llc)[0], 20);
+        assert!(caps(&llc)[1..].iter().all(|&cap| cap == 2));
+        let out = llc.fill(20 * 16_384 * 64, false);
+        assert_eq!((out.evicted, out.evicted_dirty), (Some(0), true));
+        // The rest of the block kept what it held.
+        assert!((1..128).all(|line| llc.probe(line * 64)));
+        assert_eq!(llc.valid_ways().filter(|&(.., dirty)| dirty).count(), 8192 - 1);
     }
 
     fn encoded(c: &Cache) -> Vec<u8> {
@@ -602,14 +663,14 @@ mod tests {
     /// Bytes of the version-2 record: counters and geometry, then 18 per
     /// way whether valid or not.
     fn dense_record_bytes(c: &Cache) -> usize {
-        40 + 18 * c.state.len()
+        40 + 18 * all_ways(c)
     }
 
     /// Fills every way of `c`, keeps evicting and dirtying, then
     /// invalidates some lines, so validity, dirty bits and ages all vary by
     /// way.
     fn churn(c: &mut Cache) {
-        let lines = 3 * c.state.len() as u64;
+        let lines = 3 * all_ways(c) as u64;
         for i in 0..lines {
             let addr = (i * 7 % lines) * 64;
             if !access(c, addr, i % 3 == 0) {
@@ -631,10 +692,10 @@ mod tests {
         // Full, the sparse record is still the smaller, down to a cache of
         // a few ways.
         for mut full in [Cache::new(config), tiny()] {
-            for line in 0..full.state.len() as u64 {
+            for line in 0..all_ways(&full) as u64 {
                 full.fill(line * 64, line % 2 == 0);
             }
-            assert!(full.state.iter().all(|st| st & VALID != 0));
+            assert_eq!(full.valid_ways().count(), all_ways(&full));
             assert!(encoded(&full).len() <= dense_record_bytes(&full));
         }
     }
@@ -643,8 +704,8 @@ mod tests {
     fn restore_reproduces_a_churned_cache_whatever_the_target_held() {
         let mut c = Cache::new(CacheConfig::new("c", 4096).with_ways(4));
         churn(&mut c);
-        assert!(c.state.contains(&(VALID | DIRTY)));
-        assert!(c.state.iter().any(|&st| st & VALID == 0));
+        assert!(c.valid_ways().any(|(.., dirty)| dirty));
+        assert!(c.valid_ways().count() < all_ways(&c));
         let bytes = encoded(&c);
 
         let mut fresh = Cache::new(c.config.clone());
@@ -720,5 +781,209 @@ mod tests {
             .with_latency(6);
         assert_eq!(cfg.sets(), 4096);
         assert_eq!(cfg.latency(), 6);
+    }
+
+    const VALID: u8 = 1;
+    const DIRTY: u8 = 2;
+
+    /// Packs `bits` eight to a byte, the first in the lowest bit.
+    fn pack_bits(bits: impl Iterator<Item = bool>) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for (n, bit) in bits.enumerate() {
+            if n % 8 == 0 {
+                bytes.push(0);
+            }
+            bytes[n / 8] |= u8::from(bit) << (n % 8);
+        }
+        bytes
+    }
+
+    /// A dense cache, the definition the blocks are held to: every way of
+    /// every set stored, `VALID | DIRTY` per way, the set and tag of a
+    /// (64-byte) line by division, the victim the first invalid way or
+    /// else the least recently used, and the record written from the
+    /// state bytes.
+    #[derive(Clone)]
+    struct DenseModel {
+        sets: u64,
+        ways: usize,
+        tags: Vec<u64>,
+        ages: Vec<u64>,
+        state: Vec<u8>,
+        counters: [u64; 4],
+    }
+
+    impl DenseModel {
+        fn new(config: &CacheConfig) -> Self {
+            let all = config.sets() as usize * config.ways() as usize;
+            DenseModel {
+                sets: config.sets(),
+                ways: config.ways() as usize,
+                tags: vec![0; all],
+                ages: vec![0; all],
+                state: vec![0; all],
+                counters: [0; 4],
+            }
+        }
+
+        /// Counts an access: a tick, and a hit or a miss.
+        fn count(&mut self, hit: bool) -> u64 {
+            self.counters[0] += 1;
+            self.counters[if hit { 1 } else { 2 }] += 1;
+            self.counters[3] += 1;
+            self.counters[0]
+        }
+
+        /// The way indices of `addr`'s set, and its tag.
+        fn set_of(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
+            let line = addr / 64;
+            let first = (line % self.sets) as usize * self.ways;
+            (first..first + self.ways, line / self.sets)
+        }
+
+        fn find(&self, addr: u64) -> Option<usize> {
+            let (mut ways, tag) = self.set_of(addr);
+            ways.find(|&w| self.state[w] & VALID != 0 && self.tags[w] == tag)
+        }
+
+        fn touch(&mut self, addr: u64, write: bool) -> bool {
+            let Some(w) = self.find(addr) else {
+                return false;
+            };
+            self.ages[w] = self.count(true);
+            self.state[w] |= if write { DIRTY } else { 0 };
+            true
+        }
+
+        fn fill(&mut self, addr: u64, dirty: bool) -> FillOutcome {
+            self.counters[0] += 1;
+            let tick = self.counters[0];
+            let mut out = FillOutcome {
+                evicted: None,
+                evicted_dirty: false,
+            };
+            if let Some(w) = self.find(addr) {
+                self.ages[w] = tick;
+                self.state[w] |= if dirty { DIRTY } else { 0 };
+                return out;
+            }
+            let (ways, tag) = self.set_of(addr);
+            let invalid = ways.clone().find(|&w| self.state[w] & VALID == 0);
+            let victim = invalid.unwrap_or_else(|| ways.min_by_key(|&w| self.ages[w]).unwrap());
+            if self.state[victim] & VALID != 0 {
+                let set = (victim / self.ways) as u64;
+                out.evicted = Some((self.tags[victim] * self.sets + set) * 64);
+                out.evicted_dirty = self.state[victim] & DIRTY != 0;
+            }
+            (self.tags[victim], self.ages[victim]) = (tag, tick);
+            self.state[victim] = VALID | if dirty { DIRTY } else { 0 };
+            out
+        }
+
+        fn invalidate(&mut self, addr: u64) -> bool {
+            let Some(w) = self.find(addr) else {
+                return false;
+            };
+            self.state[w] &= !VALID;
+            self.state[w] & DIRTY != 0
+        }
+
+        fn encoded(&self) -> Vec<u8> {
+            let mut e = mosaic_ckpt::Enc::new();
+            self.counters.iter().for_each(|&counter| e.u64(counter));
+            e.u32(self.sets as u32);
+            e.u32(self.ways as u32);
+            let valid = pack_bits(self.state.iter().map(|st| st & VALID != 0));
+            e.u32(valid.iter().map(|byte| byte.count_ones()).sum());
+            e.raw(&valid);
+            e.raw(&pack_bits(set_bits(&valid).map(|w| self.state[w] & DIRTY != 0)));
+            for w in set_bits(&valid) {
+                e.u64(self.tags[w]);
+                e.u64(self.ages[w]);
+            }
+            e.into_bytes()
+        }
+    }
+
+    /// One random operation on `c` and on `model`, their results compared:
+    /// `hot` percent of them on a few sets' `2 × ways + 2` lines (so sets
+    /// fill, evict and widen their blocks), the rest scattered over three
+    /// times the lines the cache holds.
+    fn random_op(r: &mut TestRng, c: &mut Cache, model: &mut DenseModel, hot: u64) {
+        let (sets, ways) = (model.sets, model.ways as u64);
+        let line = if r.below(100) < hot {
+            r.below(2 * ways + 2) * sets + r.below(sets.min(4))
+        } else {
+            r.below(3 * sets * ways)
+        };
+        let (addr, write, dirty) = (line * 64 + r.below(64), r.below(3) == 0, r.below(2) == 0);
+        match r.below(10) {
+            0..=5 => {
+                let hit = c.touch(addr, write);
+                assert_eq!(hit, model.touch(addr, write), "touch {addr:#x}");
+                // A miss the caller counts and fills, or (a fourth of the
+                // time) retries later.
+                if !hit && r.below(4) != 0 {
+                    c.count_miss();
+                    model.count(false);
+                    assert_eq!(c.fill(addr, dirty), model.fill(addr, dirty), "fill {addr:#x}");
+                }
+            }
+            6 => assert_eq!(c.fill(addr, dirty), model.fill(addr, dirty), "fill {addr:#x}"),
+            7 => assert_eq!(c.invalidate(addr), model.invalidate(addr), "invalidate {addr:#x}"),
+            _ => assert_eq!(c.probe(addr), model.find(addr).is_some(), "probe {addr:#x}"),
+        }
+    }
+
+    /// Random geometries — 1 to 32 ways, 20 among them; power-of-two set
+    /// counts and others, which take the dividing path, among them a
+    /// 2 560 KiB 16-way LLC — driven by random streams of every operation
+    /// over hot and scattered lines: the blocks return what the dense
+    /// model returns, every `FillOutcome` included, and write its record
+    /// after every batch. A record restored into a fresh cache, and into
+    /// one whose blocks store other numbers of ways, carries on as the
+    /// model does.
+    #[test]
+    fn blocks_behave_as_the_dense_model() {
+        let mut r = TestRng(51);
+        for case in 0..40u64 {
+            let ways = if case % 3 == 0 { 20 } else { 1 + r.below(32) };
+            let mut sets = match case % 4 {
+                0 => 3 << r.below(8),
+                1 => 5 << r.below(6),
+                _ => 1 << r.below(14),
+            };
+            while sets * ways > 1 << 15 {
+                sets = (sets / 2).max(1);
+            }
+            let config = match case {
+                0 => CacheConfig::new("llc", 2560 << 10).with_ways(16),
+                _ => CacheConfig::new("c", sets * ways * 64).with_ways(ways as u32),
+            };
+            let (mut c, mut model) = (Cache::new(config.clone()), DenseModel::new(&config));
+            for batch in 0..8 {
+                let hot = r.below(101);
+                for _ in 0..300 {
+                    random_op(&mut r, &mut c, &mut model, hot);
+                }
+                assert_eq!(encoded(&c), model.encoded(), "case {case} batch {batch}");
+            }
+            let bytes = encoded(&c);
+            let mut other = Cache::new(config.clone());
+            let mut other_model = DenseModel::new(&config);
+            let hot = r.below(101);
+            for _ in 0..600 {
+                random_op(&mut r, &mut other, &mut other_model, hot);
+            }
+            for mut back in [Cache::new(config.clone()), other] {
+                restore(&mut back, &bytes).unwrap();
+                assert_eq!(encoded(&back), bytes, "case {case} restored");
+                let (mut model, hot) = (model.clone(), r.below(101));
+                for _ in 0..300 {
+                    random_op(&mut r, &mut back, &mut model, hot);
+                }
+                assert_eq!(encoded(&back), model.encoded(), "case {case} after restore");
+            }
+        }
     }
 }

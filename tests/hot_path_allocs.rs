@@ -32,7 +32,7 @@ use mosaicsim::core::Interleaver;
 use mosaicsim::ir::interp::NullSink;
 use mosaicsim::ir::run_tiles;
 use mosaicsim::kernels::build_parboil;
-use mosaicsim::mem::PrefetchConfig;
+use mosaicsim::mem::{MemoryHierarchy, PrefetchConfig};
 use mosaicsim::obs::Span;
 use mosaicsim::prelude::*;
 
@@ -322,4 +322,44 @@ fn run_loop_allocations_per_instruction_stay_under_their_ceilings() {
         words.fold(0, |sum, w| sum + copy.read_i64(base + 8 * w)) + copy.read_i64(base + EXTENT / 2)
     });
     assert_eq!((sum, allocs), (-1, 0), "reads of the clone");
+
+    // The caches' tag stores: the 8-tile Table I hierarchy (a 20 MiB
+    // 20-way LLC, a 2 MiB 8-way L2 per tile) built, then 64 Ki distinct
+    // lines read through it, 8 Ki consecutive ones per tile, so every L2
+    // set ends up holding 2 lines and every LLC set 4. A block of sets
+    // stores the ways its fullest set has needed, 2 at first, doubling:
+    // measured 2 829 364 bytes; 10 165 708 while every block stored all
+    // the configured ways and a state byte per way was allocated up front.
+    let (_, _, bytes) = counted(|| tag_store_footprint(8, 64 << 10));
+    println!("8-tile xeon_memory(), 64 Ki lines over every set: {bytes} bytes asked for");
+    assert!(bytes <= 10_165_708 / 2, "the caches asked for {bytes} bytes");
+}
+
+/// Builds the Table I hierarchy (no prefetcher, so exactly the lines named
+/// are filled) for `tiles` tiles and reads `lines` consecutive lines
+/// through it, split into one consecutive run per tile, a few requests per
+/// tile in flight at a time.
+fn tag_store_footprint(tiles: usize, lines: u64) -> MemoryHierarchy {
+    use mosaicsim::mem::{AccessKind, MemReq};
+    let memory = HierarchyConfig {
+        prefetch: PrefetchConfig::disabled(),
+        ..xeon_memory()
+    };
+    let mut hier = MemoryHierarchy::new(memory, tiles);
+    let (per_tile, mut now, mut done) = (lines / tiles as u64, 0, Vec::new());
+    for batch in (0..per_tile).step_by(4) {
+        for tile in 0..tiles {
+            for line in batch..(batch + 4).min(per_tile) {
+                let addr = (tile as u64 * per_tile + line) * 64;
+                let req = MemReq { tile, addr, size: 8, kind: AccessKind::Read };
+                hier.request(req, now).expect("tile in range");
+            }
+        }
+        while !hier.is_idle() {
+            hier.step(now);
+            hier.drain_completions_into(&mut done);
+            now = hier.next_event_cycle(now + 1).unwrap_or(now + 1);
+        }
+    }
+    hier
 }
