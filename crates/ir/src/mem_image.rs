@@ -7,11 +7,10 @@
 //! recorded memory traces look exactly like the paper's instrumented-binary
 //! traces.
 //!
-//! The image costs what is written, not what is allocated: it is a table
-//! of fixed-size chunks, a chunk nobody wrote reads as zero and takes no
-//! memory, and `clone()` shares every chunk until one side writes it. A
-//! 64 MiB buffer of which a kernel touches 16 384 elements — and which
-//! every trace run clones — stays a few MiB (DESIGN.md §4.1).
+//! The image costs what is written, not what is allocated: a table of
+//! 4 KiB pages holding only the 64-byte lines written, shared with clones
+//! until one side writes them. A 64 MiB buffer of which a kernel touches
+//! 16 384 elements, cloned by every trace run, stays a few MiB (DESIGN.md §4.1).
 
 use std::sync::Arc;
 
@@ -21,12 +20,20 @@ use crate::types::Type;
 /// null-pointer bugs in kernels fail fast.
 const BASE_ADDR: u64 = 0x1000;
 
-/// Chunk size: 512 bytes. Chosen by measurement, not a setting: the
-/// interpreter runs at the same speed at 512 B, 1 KiB and 4 KiB, while the
-/// sparse 64 MiB ledger point's resident set grows with every step up
-/// (the table in DESIGN.md §4.1).
-const CHUNK_SHIFT: u32 = 9;
-const CHUNK: usize = 1 << CHUNK_SHIFT;
+/// A line, 64 bytes: what a page stores once any byte of it is written.
+const LINE_SHIFT: u32 = 6;
+const LINE: usize = 1 << LINE_SHIFT;
+/// A page, 4 KiB: what the table maps and a clone shares.
+const PAGE_SHIFT: u32 = 12;
+const LINES: usize = 1 << (PAGE_SHIFT - LINE_SHIFT);
+
+/// The lines of one page that were written, in first-write order.
+#[derive(Debug, Clone)]
+struct Page {
+    /// Per line: 0 if it was never written, else 1 + its index in `lines`.
+    slot: [u8; LINES],
+    lines: Vec<[u8; LINE]>,
+}
 
 /// A byte-addressed memory image with a bump allocator.
 ///
@@ -41,9 +48,9 @@ const CHUNK: usize = 1 << CHUNK_SHIFT;
 /// ```
 #[derive(Debug, Clone)]
 pub struct MemImage {
-    /// Chunk `k` holds offsets `k * CHUNK..` from `BASE_ADDR`; `None`
-    /// reads as zero. Shared with clones until written.
-    chunks: Vec<Option<Arc<[u8; CHUNK]>>>,
+    /// Page `k` holds offsets `k << PAGE_SHIFT..` from `BASE_ADDR`, shared
+    /// with clones until written; `None`, or past the end, reads as zero.
+    pages: Vec<Option<Arc<Page>>>,
     next: u64,
 }
 
@@ -57,7 +64,7 @@ impl MemImage {
     /// Creates an empty image.
     pub fn new() -> Self {
         MemImage {
-            chunks: Vec::new(),
+            pages: Vec::new(),
             next: BASE_ADDR,
         }
     }
@@ -71,15 +78,12 @@ impl MemImage {
     ///
     /// # Panics
     ///
-    /// Panics if `align` is not a power of two.
+    /// Panics if `align` is not a power of two or the allocation overflows.
     pub fn alloc(&mut self, size: u64, align: u64) -> u64 {
         assert!(align.is_power_of_two(), "alignment must be a power of two");
-        let addr = (self.next + align - 1) & !(align - 1);
-        self.next = addr + size;
-        let need = (self.allocated_bytes() as usize).div_ceil(CHUNK);
-        if self.chunks.len() < need {
-            self.chunks.resize(need, None);
-        }
+        let overflow = "allocation overflows the address space";
+        let addr = self.next.checked_add(align - 1).expect(overflow) & !(align - 1);
+        self.next = addr.checked_add(size).expect(overflow);
         addr
     }
 
@@ -110,27 +114,51 @@ impl MemImage {
         (addr - BASE_ADDR) as usize
     }
 
-    /// The chunk holding offset `off`, made this image's own: allocated if
-    /// nobody wrote it yet, copied if a clone still shares it.
+    /// The line holding offset `off`, if it was ever written.
     #[inline]
-    fn chunk_mut(&mut self, off: usize) -> &mut [u8; CHUNK] {
-        let slot = &mut self.chunks[off >> CHUNK_SHIFT];
-        Arc::make_mut(slot.get_or_insert_with(|| Arc::new([0; CHUNK])))
+    fn line(&self, off: usize) -> Option<&[u8; LINE]> {
+        let page = self.pages.get(off >> PAGE_SHIFT)?.as_deref()?;
+        let slot = page.slot[(off >> LINE_SHIFT) & (LINES - 1)];
+        // Slot 0 wraps to an index no page reaches.
+        page.lines.get((slot as usize).wrapping_sub(1))
+    }
+
+    /// The line holding offset `off`, made this image's own: its page added
+    /// or copied from a clone that shares it, and the line pushed if new.
+    #[inline]
+    fn line_mut(&mut self, off: usize) -> &mut [u8; LINE] {
+        let at = off >> PAGE_SHIFT;
+        if at >= self.pages.len() {
+            self.pages.resize(at + 1, None);
+        }
+        let fresh = || {
+            Arc::new(Page {
+                slot: [0; LINES],
+                lines: Vec::new(),
+            })
+        };
+        let page = Arc::make_mut(self.pages[at].get_or_insert_with(fresh));
+        let slot = &mut page.slot[(off >> LINE_SHIFT) & (LINES - 1)];
+        if *slot == 0 {
+            page.lines.push([0; LINE]);
+            *slot = page.lines.len() as u8;
+        }
+        &mut page.lines[*slot as usize - 1]
     }
 
     /// Reads `N` bytes at `addr`: one indexed copy when they lie in one
-    /// chunk, byte by byte (each of which does) across a boundary.
+    /// line, byte by byte (each of which does) across a boundary.
     #[inline]
     fn load<const N: usize>(&self, addr: u64) -> [u8; N] {
         let off = self.off(addr, N);
-        let at = off & (CHUNK - 1);
+        let at = off & (LINE - 1);
         let mut out = [0; N];
-        if at + N > CHUNK {
+        if at + N > LINE {
             for (i, byte) in out.iter_mut().enumerate() {
                 [*byte] = self.load(addr + i as u64);
             }
-        } else if let Some(chunk) = &self.chunks[off >> CHUNK_SHIFT] {
-            out.copy_from_slice(&chunk[at..at + N]);
+        } else if let Some(line) = self.line(off) {
+            out.copy_from_slice(&line[at..at + N]);
         }
         out
     }
@@ -139,13 +167,13 @@ impl MemImage {
     #[inline]
     fn store<const N: usize>(&mut self, addr: u64, data: [u8; N]) {
         let off = self.off(addr, N);
-        let at = off & (CHUNK - 1);
-        if at + N > CHUNK {
+        let at = off & (LINE - 1);
+        if at + N > LINE {
             for (i, byte) in data.into_iter().enumerate() {
                 self.store(addr + i as u64, [byte]);
             }
         } else {
-            self.chunk_mut(off)[at..at + N].copy_from_slice(&data);
+            self.line_mut(off)[at..at + N].copy_from_slice(&data);
         }
     }
 
@@ -249,25 +277,37 @@ impl MemImage {
         }
     }
 
+    /// Writes `data` from `addr` on, `N` bytes an element: a line looked up
+    /// once for the elements in it, `store` for one that straddles two.
+    fn fill<T: Copy, const N: usize>(&mut self, addr: u64, data: &[T], le: fn(T) -> [u8; N]) {
+        let (base, mut i) = (self.off(addr, N * data.len()), 0);
+        while let Some(&v) = data.get(i) {
+            let at = (base + N * i) % LINE;
+            let fit = ((LINE - at) / N).clamp(1, data.len() - i);
+            if at + N > LINE {
+                self.store(addr + (N * i) as u64, le(v));
+            } else {
+                let line = self.line_mut(base + N * i)[at..].chunks_exact_mut(N);
+                line.zip(&data[i..i + fit])
+                    .for_each(|(to, &v)| to.copy_from_slice(&le(v)));
+            }
+            i += fit;
+        }
+    }
+
     /// Fills an `f32` array from a slice.
     pub fn fill_f32(&mut self, addr: u64, data: &[f32]) {
-        for (i, v) in data.iter().enumerate() {
-            self.write_f32(addr + 4 * i as u64, *v);
-        }
+        self.fill(addr, data, f32::to_le_bytes);
     }
 
     /// Fills an `i32` array from a slice.
     pub fn fill_i32(&mut self, addr: u64, data: &[i32]) {
-        for (i, v) in data.iter().enumerate() {
-            self.write_i32(addr + 4 * i as u64, *v);
-        }
+        self.fill(addr, data, i32::to_le_bytes);
     }
 
     /// Fills an `i64` array from a slice.
     pub fn fill_i64(&mut self, addr: u64, data: &[i64]) {
-        for (i, v) in data.iter().enumerate() {
-            self.write_i64(addr + 8 * i as u64, *v);
-        }
+        self.fill(addr, data, i64::to_le_bytes);
     }
 
     /// Reads an `f32` array into a `Vec`.
@@ -391,6 +431,35 @@ mod tests {
         assert_eq!(m.allocated_bytes(), 4);
     }
 
+    #[test]
+    #[should_panic(expected = "allocation overflows the address space")]
+    fn alloc_panics_when_the_alignment_padding_overflows() {
+        let mut m = MemImage::new();
+        m.alloc(u64::MAX - 2 * BASE_ADDR, 1);
+        m.alloc(1, 2 * BASE_ADDR);
+    }
+
+    #[test]
+    #[should_panic(expected = "allocation overflows the address space")]
+    fn alloc_panics_when_the_size_overflows() {
+        let mut m = MemImage::new();
+        let addr = m.alloc(8, 8);
+        m.alloc(u64::MAX - addr - 7, 1);
+    }
+
+    #[test]
+    fn a_huge_allocation_costs_the_pages_written() {
+        let mut m = MemImage::new();
+        let base = m.alloc(1 << 40, 64);
+        m.write_i64(base + 3 * PAGE as u64 - 4, -1);
+        assert_eq!(m.read_i64((1 << 40) + base - 8), 0);
+        assert_eq!(m.read_i32(base + 3 * PAGE as u64), -1);
+        assert_eq!(m.pages.len(), 4, "the table ends at the last page written");
+        assert_eq!(m.allocated_bytes(), 1 << 40);
+    }
+
+    const PAGE: usize = 1 << PAGE_SHIFT;
+
     struct SplitMix64(u64);
 
     impl SplitMix64 {
@@ -406,10 +475,24 @@ mod tests {
         }
     }
 
+    /// The bytes at offsets `at` from the base, read one at a time.
+    fn bytes_in(m: &MemImage, at: std::ops::Range<usize>) -> Vec<u8> {
+        at.map(|o| m.read_i8(BASE_ADDR + o as u64) as u8).collect()
+    }
+
     /// Every allocated byte, read one at a time.
     fn bytes_of(m: &MemImage) -> Vec<u8> {
-        let all = 0..m.allocated_bytes();
-        all.map(|o| m.read_i8(BASE_ADDR + o) as u8).collect()
+        bytes_in(m, 0..m.allocated_bytes() as usize)
+    }
+
+    /// Every allocated byte, read a word at a time and the tail byte by
+    /// byte: the whole-image comparison of a multi-MiB run.
+    fn words_of(m: &MemImage) -> Vec<u8> {
+        let len = m.allocated_bytes() as usize;
+        let words = m.read_i64_slice(BASE_ADDR, len / 8);
+        let mut out: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        out.extend(bytes_in(m, len / 8 * 8..len));
+        out
     }
 
     /// Writes `raw`'s low `width` bytes at `addr` through the typed
@@ -435,6 +518,37 @@ mod tests {
         model[at..at + width].copy_from_slice(&raw.to_le_bytes()[..width]);
     }
 
+    /// Writes `n` elements drawn from `rng` from `addr` on through the
+    /// `fill_*` of `width` (4 or 8 bytes; `float` picks `f32` over `i32`),
+    /// into the image and into the model. Returns the bytes written.
+    fn fill_both(
+        m: &mut MemImage,
+        model: &mut [u8],
+        addr: u64,
+        (width, float, n): (usize, bool, usize),
+        rng: &mut SplitMix64,
+    ) -> usize {
+        // NaN payloads do not survive a round trip through a float.
+        let raw: Vec<u64> = (0..n).map(|_| rng.next() & 0x7fef_ffff_7f7f_ffff).collect();
+        match (width, float) {
+            (8, _) => m.fill_i64(addr, &raw.iter().map(|&r| r as i64).collect::<Vec<_>>()),
+            (_, false) => m.fill_i32(addr, &raw.iter().map(|&r| r as i32).collect::<Vec<_>>()),
+            _ => m.fill_f32(
+                addr,
+                &raw.iter()
+                    .map(|&r| f32::from_bits(r as u32))
+                    .collect::<Vec<_>>(),
+            ),
+        }
+        let at = (addr - BASE_ADDR) as usize;
+        let bytes = raw.iter().flat_map(|r| r.to_le_bytes()[..width].to_vec());
+        model[at..at + width * n]
+            .iter_mut()
+            .zip(bytes)
+            .for_each(|(to, b)| *to = b);
+        width * n
+    }
+
     /// Reads `width` bytes at `addr` through the typed accessor.
     fn read_raw(m: &MemImage, addr: u64, width: usize, float: bool) -> u64 {
         match (width, float) {
@@ -447,88 +561,146 @@ mod tests {
         }
     }
 
-    /// The chunk table against a flat `Vec<u8>`: interleaved allocations,
-    /// typed accesses of every width at unaligned addresses, and clones
-    /// written on either side, equal byte for byte after every operation.
+    /// The page table against a flat `Vec<u8>` over a multi-MiB extent:
+    /// interleaved allocations of a few bytes to half a MiB, dense runs
+    /// (`fill_*` of up to some 10 KiB at unaligned addresses) mixed with
+    /// scattered single words of every width, and up to two live clones,
+    /// each written — like the original — after its pages were shared.
+    /// Around every write, every image is compared with its model (a write
+    /// reaches no other image); every image whole every 200 steps.
     #[test]
     fn matches_a_flat_model_after_every_operation() {
         let mut rng = SplitMix64(0x6d65_6d69_6d67);
-        let (mut m, mut model) = (MemImage::new(), Vec::new());
-        for step in 0..600 {
+        // Image 0 is the original; the others are clones of it, each with
+        // the model it had when it was taken.
+        let mut images = vec![(MemImage::new(), Vec::new())];
+        for step in 0..1500 {
+            if step % 200 == 0 {
+                for (k, (m, model)) in images.iter().enumerate() {
+                    assert!(words_of(m) == *model, "image {k} whole before step {step}");
+                }
+            }
             let width = 1usize << rng.below(4);
             let float = rng.below(2) == 1;
-            // NaN payloads do not survive a round trip through a float.
             let raw = rng.next() & 0x7fef_ffff_7f7f_ffff;
-            match rng.below(if model.len() < 64 { 1 } else { 8 }) {
-                0 if step < 400 => {
-                    let (size, align) = (rng.below(700), 1 << rng.below(13));
+            let pick = rng.below(images.len() as u64) as usize;
+            let len = images[pick].1.len();
+            let anywhere = |rng: &mut SplitMix64, room: usize| rng.below((len - room) as u64);
+            let touched = match rng.below(if images[0].1.len() < 64 << 10 { 1 } else { 10 }) {
+                0 if step < 1000 && images[0].1.len() < 6 << 20 => {
+                    let (m, model) = &mut images[0];
+                    let most = if rng.below(4) == 0 { 512 << 10 } else { 700 };
+                    let size = rng.below(most);
+                    let align = 1 << rng.below(13);
                     let addr = m.alloc(size, align);
                     assert_eq!(addr % align, 0);
                     assert_eq!(addr + size, BASE_ADDR + m.allocated_bytes());
                     assert!(addr - BASE_ADDR >= model.len() as u64);
                     model.resize(m.allocated_bytes() as usize, 0);
+                    continue;
                 }
                 1 => {
                     // A clone is written, the original is not; then the
-                    // other way round.
-                    let (mut copy, mut copy_model) = (m.clone(), model.clone());
-                    let addr = BASE_ADDR + rng.below((model.len() - 8) as u64);
-                    write_both(&mut copy, &mut copy_model, addr, width, float, raw);
-                    assert_eq!(bytes_of(&copy), copy_model);
-                    assert_eq!(bytes_of(&m), model);
-                    write_both(&mut m, &mut model, addr + 1, width, float, raw >> 1);
-                    assert_eq!(bytes_of(&copy), copy_model);
+                    // other way round, at the next byte.
+                    if images.len() == 3 {
+                        images.remove(1);
+                    }
+                    images.push(images[0].clone());
+                    let at = rng.below(images[0].1.len() as u64 - 16);
+                    let (copy, copy_model) = images.last_mut().expect("pushed");
+                    write_both(copy, copy_model, BASE_ADDR + at, width, float, raw);
+                    let (m, model) = &mut images[0];
+                    write_both(m, model, BASE_ADDR + at + 1, width, float, raw >> 1);
+                    at as usize..at as usize + 9
                 }
-                2..=4 => {
-                    let addr = BASE_ADDR + rng.below((model.len() - 8) as u64);
-                    write_both(&mut m, &mut model, addr, width, float, raw);
+                2 | 3 => {
+                    let (width, n) = (4 << rng.below(2), 1 + rng.below(1200) as usize);
+                    let n = n.min((len - 16) / width);
+                    let at = anywhere(&mut rng, width * n);
+                    let (m, model) = &mut images[pick];
+                    let wrote = fill_both(m, model, BASE_ADDR + at, (width, float, n), &mut rng);
+                    at as usize..at as usize + wrote
+                }
+                4..=6 => {
+                    let at = anywhere(&mut rng, 8);
+                    let (m, model) = &mut images[pick];
+                    write_both(m, model, BASE_ADDR + at, width, float, raw);
+                    at as usize..at as usize + width
                 }
                 _ => {
-                    let at = rng.below((model.len() - 8) as u64) as usize;
+                    let at = anywhere(&mut rng, 8) as usize;
+                    let (m, model) = &images[pick];
                     let mut want = [0; 8];
                     want[..width].copy_from_slice(&model[at..at + width]);
-                    let got = read_raw(&m, BASE_ADDR + at as u64, width, float);
+                    let got = read_raw(m, BASE_ADDR + at as u64, width, float);
                     assert_eq!(got, u64::from_le_bytes(want), "width {width} at {at}");
+                    continue;
+                }
+            };
+            for (k, (m, model)) in images.iter().enumerate() {
+                let end = (touched.end + 2 * LINE).min(model.len());
+                let around = touched.start.saturating_sub(2 * LINE).min(end)..end;
+                let want = &model[around.clone()];
+                assert!(bytes_in(m, around) == want, "image {k} after step {step}");
+            }
+        }
+        for (m, model) in &images {
+            assert!(words_of(m) == *model);
+        }
+        let lines: Vec<usize> = images[0]
+            .0
+            .pages
+            .iter()
+            .flatten()
+            .map(|p| p.lines.len())
+            .collect();
+        assert!(images[0].1.len() > 2 << 20, "the run spans megabytes");
+        assert!(lines.len() > 64, "the run wrote {} pages", lines.len());
+        assert!(lines.contains(&LINES), "some page has every line written");
+        assert!(
+            lines.iter().any(|&n| n < 4),
+            "some page has a few lines written"
+        );
+    }
+
+    #[test]
+    fn every_offset_across_a_line_and_a_page_boundary_round_trips() {
+        let mut m = MemImage::new();
+        let base = m.alloc(3 * PAGE as u64, 1);
+        let mut model = vec![0; 3 * PAGE];
+        // A line boundary inside a page, then the boundary between pages.
+        for boundary in [PAGE + LINE, 2 * PAGE] {
+            for (width, float) in [
+                (1, false),
+                (2, false),
+                (4, false),
+                (4, true),
+                (8, false),
+                (8, true),
+            ] {
+                for back in 0..=width as u64 + 1 {
+                    // From wholly before the boundary to wholly after it.
+                    let addr = base + boundary as u64 + 1 - back;
+                    let raw = 0x0102_0304_0506_0708 * (back + 1);
+                    write_both(&mut m, &mut model, addr, width, float, raw);
+                    let mask = u64::MAX >> (64 - 8 * width);
+                    assert_eq!(
+                        read_raw(&m, addr, width, float),
+                        raw & mask,
+                        "{width} at {boundary} - {back}"
+                    );
+                    assert_eq!(bytes_of(&m), model);
                 }
             }
-            assert_eq!(bytes_of(&m), model, "after step {step}");
         }
-        assert!(model.len() > 4 * CHUNK, "the run crossed chunk boundaries");
+        let written = |p: usize| m.pages[p].as_ref().map_or(0, |p| p.lines.len());
+        assert_eq!((written(0), written(1), written(2)), (0, 3, 1));
     }
 
     #[test]
-    fn every_offset_across_a_chunk_boundary_round_trips() {
+    fn slice_helpers_span_pages_and_unwritten_ranges_read_zero() {
         let mut m = MemImage::new();
-        let base = m.alloc(3 * CHUNK as u64, 1);
-        let mut model = vec![0; 3 * CHUNK];
-        for (width, float) in [
-            (1, false),
-            (2, false),
-            (4, false),
-            (4, true),
-            (8, false),
-            (8, true),
-        ] {
-            for back in 0..=width as u64 + 1 {
-                // From wholly before the boundary to wholly after it.
-                let addr = base + 2 * CHUNK as u64 + 1 - back;
-                let raw = 0x0102_0304_0506_0708 * (back + 1);
-                write_both(&mut m, &mut model, addr, width, float, raw);
-                let mask = u64::MAX >> (64 - 8 * width);
-                assert_eq!(
-                    read_raw(&m, addr, width, float),
-                    raw & mask,
-                    "{width} at -{back}"
-                );
-                assert_eq!(bytes_of(&m), model);
-            }
-        }
-    }
-
-    #[test]
-    fn slice_helpers_span_chunks_and_unwritten_ranges_read_zero() {
-        let mut m = MemImage::new();
-        let n = 3 * CHUNK / 4 + 5;
+        let n = 3 * PAGE / 4 + 5;
         let words = m.alloc_i32(n as u64) + 4;
         let longs = m.alloc_i64(n as u64);
         assert_eq!(m.read_i32_slice(words, n - 1), vec![0; n - 1]);
@@ -540,13 +712,19 @@ mod tests {
         m.fill_i64(longs, &wide[..n - 1]);
         assert_eq!(m.read_i64_slice(longs, n), [&wide[..], &[0]].concat());
         assert_eq!(m.read_i32_slice(words, n - 1), data);
+        // Every element straddles a line now and then: 3 bytes off.
+        m.fill_i64(longs + 3, &wide[..n - 1]);
+        let shifted: Vec<i64> = (0..n - 1)
+            .map(|i| m.read_i64(longs + 3 + 8 * i as u64))
+            .collect();
+        assert_eq!(shifted, wide[..n - 1]);
     }
 
     #[test]
     fn out_of_bounds_starts_exactly_at_the_allocated_extent() {
         let mut m = MemImage::new();
         m.alloc(3, 1);
-        let end = m.alloc(CHUNK as u64 + 1, 2) + CHUNK as u64 + 1;
+        let end = m.alloc(PAGE as u64 + 1, 2) + PAGE as u64 + 1;
         assert_eq!(end, BASE_ADDR + m.allocated_bytes());
         assert_eq!(m.read_i8(end - 1), 0);
         assert_eq!(m.read_i32(end - 4), 0);

@@ -14,8 +14,8 @@
 //! The front end is held to the same standard: the DTG runs a compiled
 //! plan over a slot file and scratch buffers it refills (DESIGN.md §4.1),
 //! so an interpreted instruction allocates nothing, and a memory image
-//! shares its chunks with its clones, so cloning one costs its chunk
-//! table and reading one costs nothing. A trace is its `MSTR` columns:
+//! shares its pages with its clones, so cloning one costs its page table
+//! and reading one costs nothing. A trace is its `MSTR` columns:
 //! reading one back allocates a buffer per column, of the column's length.
 //!
 //! This file is its own test binary because a `#[global_allocator]` is
@@ -122,7 +122,7 @@ fn count_run(label: &str, builder: SystemBuilder) -> (u64, u64, Interleaver) {
 }
 
 /// Allocations per interpreted instruction inside `run_tiles`, nothing
-/// recorded: the plans, the slot files and the image's copied chunks.
+/// recorded: the plans, the slot files and the image's copied pages.
 fn dtg_allocs_per_instr(kernel: &str, tiles: usize) -> f64 {
     let p = build_parboil(kernel, 1);
     let (programs, mem) = (p.programs(tiles), p.mem.clone());
@@ -261,7 +261,7 @@ fn run_loop_allocations_per_instruction_stay_under_their_ceilings() {
 
     // The DTG: a phi group's sources and an accelerator call's arguments
     // go through buffers the interpreter refills, so what a run allocates
-    // is its plans, its slot files and the image chunks it writes first.
+    // is its plans, its slot files and the image pages it writes first.
     // Measured 0.00003 (sgemm), 0.0002 (bfs, one tile and four); the
     // tree-walking interpreter's `Vec` per phi group and per call measured
     // 0.137 and 0.205.
@@ -307,21 +307,47 @@ fn run_loop_allocations_per_instruction_stay_under_their_ceilings() {
     assert_eq!(kind, std::io::ErrorKind::UnexpectedEof);
     assert!(bytes <= (16 << 20) + 4096, "reserved {bytes} bytes");
 
-    // The memory image: a clone shares every chunk, so it costs the chunk
-    // table — 8 bytes per 512-byte chunk, a 64th of the extent — and a
-    // read, of a written chunk or of one nobody wrote, costs nothing.
+    // The memory image: a clone shares every page, so it costs the page
+    // table — 8 bytes per 4 KiB page up to the last one written, a 512th
+    // of the extent — and a read, of a written line or of one nobody
+    // wrote, costs nothing.
     const EXTENT: u64 = 64 << 20;
     let mut image = MemImage::new();
     let base = image.alloc(EXTENT, 64);
-    image.write_i64(base + EXTENT / 2, -1);
+    let last = base + EXTENT - 8;
+    image.write_i64(last, -1);
     let (copy, allocs, bytes) = counted(|| image.clone());
-    println!("clone of a 64 MiB image, one chunk written: {allocs} allocations, {bytes} bytes");
-    assert!(bytes <= EXTENT / 64, "clone allocated {bytes} bytes");
+    println!("clone of a 64 MiB image, its last word written: {allocs} allocations, {bytes} bytes");
+    assert!(bytes <= EXTENT / 512, "clone allocated {bytes} bytes");
     let (sum, allocs, _) = counted(|| {
         let words = (0..EXTENT / 8).step_by(509);
-        words.fold(0, |sum, w| sum + copy.read_i64(base + 8 * w)) + copy.read_i64(base + EXTENT / 2)
+        words.fold(0, |sum, w| sum + copy.read_i64(base + 8 * w)) + copy.read_i64(last)
     });
     assert_eq!((sum, allocs), (-1, 0), "reads of the clone");
+
+    // A page holds only the lines written in it. The ledger's `gather64m`
+    // shape: 16 384 distinct `f32`s written into `x` of two 32 MiB arrays,
+    // the clone a trace run makes, then a read-modify-write of `y` at the
+    // same indices. Measured 5 358 360 bytes asked for; 17 049 568 while
+    // the image was a table of 512-byte chunks, each written one whole.
+    const ELEMS: u64 = 8 << 20;
+    let (_, _, bytes) = counted(|| {
+        let mut image = MemImage::new();
+        let (x, y) = (image.alloc_f32(ELEMS), image.alloc_f32(ELEMS));
+        // An odd multiplier permutes the indices below a power of two.
+        let at = |i: u64| 4 * (i.wrapping_mul(0x9e37_79b1) % ELEMS);
+        for i in 0..16_384 {
+            image.write_f32(x + at(i), i as f32);
+        }
+        let mut copy = image.clone();
+        for i in 0..16_384 {
+            let sum = copy.read_f32(y + at(i)) + 0.5 * copy.read_f32(x + at(i));
+            copy.write_f32(y + at(i), sum);
+        }
+        assert_eq!(copy.read_f32(y + at(9)), 4.5);
+    });
+    println!("gather64m's image and its rewritten clone: {bytes} bytes asked for");
+    assert!(bytes <= 17_049_568 / 2, "the gather image asked for {bytes} bytes");
 
     // The caches' tag stores: the 8-tile Table I hierarchy (a 20 MiB
     // 20-way LLC, a 2 MiB 8-way L2 per tile) built, then 64 Ki distinct
