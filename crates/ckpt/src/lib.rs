@@ -5,9 +5,10 @@
 //! ([`Enc`]/[`Dec`]) the simulation crates use to serialize their state
 //! into it.
 //!
-//! The container follows the `MSTR` conventions of `mosaic-trace`'s
-//! on-disk format: a 4-byte magic (`MCKP`), a `u32` version, and
-//! little-endian fixed-width integers throughout. The body is a sequence
+//! The container is a 4-byte magic (`MCKP`), a `u32` version, and
+//! little-endian fixed-width integers throughout — the conventions
+//! `mosaic-trace`'s on-disk format (`MSTR`) follows, since this codec
+//! writes and reads it. The body is a sequence
 //! of *named, length-prefixed sections* — one per simulator component
 //! (`sched`, `mem`, `channels`, `tile.0`, …) — so readers can skip
 //! sections they do not understand (the forward-compatibility policy:
@@ -24,7 +25,8 @@
 //! This crate is dependency-free; `mosaic-obs`, `mosaic-tile`,
 //! `mosaic-mem`, and `mosaic-core` depend on it and declare the codecs of
 //! their own (private-field) types through [`Snap`]: one field list per
-//! record, from which both directions follow.
+//! record, from which both directions follow. `mosaic-trace` depends on
+//! it too, and writes and reads its `MSTR` files with [`Enc`]/[`Dec`].
 
 #![warn(missing_docs)]
 
@@ -229,6 +231,7 @@ impl Enc {
 
     /// Writes `b` as it is (a fixed-size field whose length the reader
     /// already knows; [`Dec::raw`] reads it back).
+    #[inline]
     pub fn raw(&mut self, b: &[u8]) {
         self.buf.extend_from_slice(b);
     }

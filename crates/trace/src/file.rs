@@ -1,263 +1,187 @@
-//! On-disk trace format.
-//!
-//! The paper's toolchain materializes traces as files between the native
-//! instrumented run and simulation (§II-A, §VI-B). This module gives
-//! [`KernelTrace`] a compact little-endian binary format
-//! (`write_to`/`read_from` plus `save`/`load` path helpers) so traces can
-//! be generated once and replayed across many system configurations —
-//! the workflow behind every multi-config figure harness. `MSTR` version 2
-//! holds the columns a [`TileTrace`] holds, laid out in DESIGN.md §4.1:
-//! writing one is a copy, reading one a check of its headers.
+//! On-disk trace format: traces are generated once and replayed across
+//! many system configurations (paper §II-A, §VI-B). `MSTR` version 2, laid
+//! out in DESIGN.md §4.1, is written and read through `mosaic-ckpt`'s
+//! [`Enc`]/[`Dec`], and a [`KernelTrace`] holds its file's bytes: writing
+//! one is a copy, reading one a check of its headers.
 
-use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::ops::RangeInclusive;
-use std::path::Path;
+use std::io::{self, ErrorKind::InvalidData, ErrorKind::UnexpectedEof, Read, Write};
+use std::{ops::RangeInclusive, path::Path};
 
-use mosaic_ir::{AccelOp, FuncId, InstId};
+use mosaic_ckpt::{CkptError, CkptError::Corrupt, CkptError::Truncated, Dec, Enc, Snap};
 
-use crate::{max_of_width, slot_mut, AccelInvocation, Column, KernelTrace, MemStream};
-use crate::{TileTrace, TraceSizeReport};
+use super::*;
 
 const MAGIC: &[u8; 4] = b"MSTR";
 const VERSION: u32 = 2;
 
-/// The most bytes reserved ahead of the bytes that fill them, on the word
-/// of a count read from the file — above every column of the bundled
-/// kernels, so a sound file is read into exact reservations. A longer
-/// column grows as its bytes actually arrive, so a damaged count ends in
-/// `UnexpectedEof` after at most 16 MiB of untouched reservation, not in
-/// one no machine has.
-const RESERVE_CAP: u64 = 16 << 20;
-
-fn bad(what: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, what)
+/// Encodes what `tiles` recorded as an `MSTR` file, letting each chunk of a
+/// column go once it is written, in a buffer shrunk to the file's size.
+pub(crate) fn encode(tiles: Vec<Recording>) -> Vec<u8> {
+    let mut e = Enc::new();
+    e.raw(MAGIC);
+    (VERSION, tiles.len() as u32).put(&mut e);
+    for t in tiles {
+        (t.func.is_some(), t.func.map_or(0, |f| f.0)).put(&mut e);
+        let widest = t.path.iter().flatten().copied().max().unwrap_or(0);
+        put_column(&mut e, t.path, 0, width_for(widest.into()).max(1));
+        e.u32(t.mem.iter().filter(|s| !s.0.is_empty()).count() as u32);
+        for (inst, (addrs, size, write)) in t.mem.into_iter().enumerate() {
+            let Some(lo) = addrs.iter().flatten().copied().min() else {
+                continue;
+            };
+            let width = width_for(addrs.iter().flatten().max().map_or(0, |hi| hi - lo));
+            // Lowered where `lo` is so close to the top of the address space
+            // that a reader could not tell that no offset carries past it.
+            let base = lo.min(u64::MAX - max_of_width(width));
+            (inst as u32, (size, write, base)).put(&mut e);
+            put_column(&mut e, addrs, base, width);
+        }
+        e.u32(t.calls.len() as u32);
+        for call in &t.calls {
+            let name = call.accel.name();
+            (call.inst.0, name.len() as u32).put(&mut e);
+            e.raw(name.as_bytes());
+            e.seq::<u32, i64>(&call.args);
+        }
+        e.u64(t.retired);
+    }
+    let mut bytes = e.into_bytes();
+    bytes.shrink_to_fit();
+    bytes
 }
 
-fn w_u32<W: Write>(w: &mut W, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
+/// Writes `chunks` as a column of `width`-byte values less `base`.
+fn put_column<T: Into<u64>>(e: &mut Enc, chunks: Chunks<T>, base: u64, width: u8) {
+    (chunks.iter().map(Vec::len).sum::<usize>() as u64, width).put(e);
+    for v in chunks.into_iter().flatten() {
+        e.raw(&(v.into() - base).to_le_bytes()[..usize::from(width)]);
+    }
 }
 
-fn w_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
+/// `Ok` if `ok`, else `InvalidData` saying `what`.
+fn ensure(ok: bool, what: impl FnOnce() -> String) -> Result<(), CkptError> {
+    ok.then_some(()).ok_or_else(|| CkptError::corrupt(what()))
 }
 
-fn r_array<const N: usize, R: Read>(r: &mut R) -> io::Result<[u8; N]> {
-    let mut b = [0u8; N];
-    r.read_exact(&mut b)?;
-    Ok(b)
-}
-
-fn r_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    r_array(r).map(u32::from_le_bytes)
-}
-
-fn r_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    r_array(r).map(u64::from_le_bytes)
+/// Reads a column of at most `max` values, each of a width in `w`, from
+/// a file `end` bytes long.
+fn column(d: &mut Dec, end: usize, max: u64, w: RangeInclusive<u8>) -> Result<Column, CkptError> {
+    let (len, width) = <(u64, u8)>::get(d, "column header")?;
+    let size = len.checked_mul(width.into());
+    let size = size.filter(|_| len <= max && w.contains(&width));
+    let absurd = || CkptError::corrupt(format!("a column of {len} {width}-byte values"));
+    let (size, start) = (size.ok_or_else(absurd)?, end - d.remaining());
+    d.raw(size.try_into().unwrap_or(usize::MAX), "column")?;
+    let len = len as usize;
+    Ok(Column { width, len, start })
 }
 
 /// Reads a static instruction id, refusing one no real function reaches:
 /// streams are stored in tables indexed by it.
-fn r_inst<R: Read>(r: &mut R) -> io::Result<InstId> {
-    let id = r_u32(r)?;
-    if id >= 1 << 20 {
-        return Err(bad(format!("instruction id {id} implausibly large")));
-    }
-    Ok(InstId(id))
-}
-
-/// The next `len` bytes of `r`, read as they arrive: nothing is reserved
-/// beyond [`RESERVE_CAP`] on the word of `len` alone.
-fn r_bytes<R: Read>(r: &mut R, len: u64) -> io::Result<Vec<u8>> {
-    let mut bytes = Vec::with_capacity(len.min(RESERVE_CAP) as usize);
-    if (r.by_ref().take(len).read_to_end(&mut bytes)? as u64) < len {
-        return Err(io::ErrorKind::UnexpectedEof.into());
-    }
-    Ok(bytes)
-}
-
-fn w_str<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
-    w_u32(w, s.len() as u32)?;
-    w.write_all(s.as_bytes())
-}
-
-fn r_str<R: Read>(r: &mut R) -> io::Result<String> {
-    let len = r_u32(r)?;
-    if len > 4096 {
-        return Err(bad("trace string implausibly long".into()));
-    }
-    let buf = r_bytes(r, len.into())?;
-    String::from_utf8(buf).map_err(|_| bad("bad utf-8".into()))
-}
-
-fn w_column<W: Write>(w: &mut W, column: &Column) -> io::Result<()> {
-    w_u64(w, column.len as u64)?;
-    w.write_all(&[column.width])?;
-    w.write_all(&column.bytes)
-}
-
-/// Reads a column of at most `max_len` values, each of a width in `widths`.
-fn r_column<R: Read>(r: &mut R, max_len: u64, widths: RangeInclusive<u8>) -> io::Result<Column> {
-    let (len, [width]) = (r_u64(r)?, r_array(r)?);
-    let size = len.checked_mul(width.into());
-    let size = size.filter(|_| len <= max_len && widths.contains(&width));
-    let size = size.ok_or_else(|| bad(format!("a column of {len} {width}-byte values")))?;
-    let (len, bytes) = (len as usize, r_bytes(r, size)?);
-    Ok(Column { width, len, bytes })
+fn inst(d: &mut Dec) -> Result<InstId, CkptError> {
+    let id = d.u32("instruction id")?;
+    ensure(id < 1 << 20, || format!("instruction id {id} too large")).map(|()| InstId(id))
 }
 
 impl KernelTrace {
-    /// Storage accounting, mirroring the paper's §VI-B discussion: the bytes
-    /// [`write_to`](Self::write_to) spends on each component, headers
-    /// included. The file is these, 12 bytes and 13 more per tile of framing.
-    pub fn size_report(&self) -> TraceSizeReport {
-        let mut r = TraceSizeReport::default();
-        for t in self.tiles() {
-            // A column's header is 9 bytes, a stream's 14 and its column's.
-            let stream = |i: InstId| 23 + t.mem[i.index()].offsets.bytes.len();
-            let call = |a: &AccelInvocation| 12 + a.accel.name().len() + 8 * a.args.len();
-            r.control_flow_bytes += (9 + t.path.bytes.len()) as u64;
-            r.memory_bytes += (4 + t.mem_insts().map(stream).sum::<usize>()) as u64;
-            r.accel_bytes += (4 + t.accel_order.iter().map(call).sum::<usize>()) as u64;
-        }
-        r
-    }
-
-    /// Writes the trace in the binary format.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        w.write_all(MAGIC)?;
-        w_u32(w, VERSION)?;
-        w_u32(w, self.tile_count() as u32)?;
-        for tile in self.tiles() {
-            w.write_all(&[tile.func.is_some() as u8])?;
-            w_u32(w, tile.func.map_or(0, |f| f.0))?;
-            w_column(w, &tile.path)?;
-            w_u32(w, tile.mem_insts().count() as u32)?;
-            for inst in tile.mem_insts() {
-                let stream = &tile.mem[inst.index()];
-                w_u32(w, inst.0)?;
-                w.write_all(&[stream.size, stream.write as u8])?;
-                w_u64(w, stream.base)?;
-                w_column(w, &stream.offsets)?;
-            }
-            w_u32(w, tile.accel_invocations().len() as u32)?;
-            for inv in tile.accel_invocations() {
-                w_u32(w, inv.inst.0)?;
-                w_str(w, inv.accel.name())?;
-                w_u32(w, inv.args.len() as u32)?;
-                for &a in &inv.args {
-                    w_u64(w, a as u64)?;
-                }
-            }
-            w_u64(w, tile.retired())?;
-        }
-        Ok(())
-    }
-
-    /// Reads a trace in the binary format.
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` on a bad magic/version or malformed content,
-    /// plus any I/O error from the reader.
-    pub fn read_from<R: Read>(r: &mut R) -> io::Result<KernelTrace> {
-        let magic: [u8; 4] = r_array(r)?;
-        if &magic != MAGIC {
-            return Err(bad(format!(
-                "not a MosaicSim trace file: expected magic {:?}, found {:?}",
-                String::from_utf8_lossy(MAGIC),
-                String::from_utf8_lossy(&magic),
-            )));
-        }
-        let version = r_u32(r)?;
-        if version != VERSION {
-            return Err(bad(format!(
-                "unsupported trace version {version}: this build reads version {VERSION} \
-                 only (a trace is regenerated, not converted)"
-            )));
-        }
-        let tiles = r_u32(r)? as usize;
-        if tiles > 1 << 16 {
-            return Err(bad("too many tiles".into()));
-        }
-        let mut out = Vec::with_capacity(tiles);
-        for _ in 0..tiles {
-            let mut tile = TileTrace::default();
-            let ([has_func], func) = (r_array(r)?, r_u32(r)?);
-            tile.func = (has_func == 1).then_some(FuncId(func));
-            tile.path = r_column(r, u64::MAX, 1..=4)?;
-            let mem_insts = r_u32(r)?;
-            for _ in 0..mem_insts {
-                let inst = r_inst(r)?;
-                let [size, write] = r_array(r)?;
-                let base = r_u64(r)?;
+    /// Reads `bytes` as an `MSTR` file, checking every header and sizing
+    /// nothing from a count: the trace holds `bytes`, its columns ranges.
+    pub(crate) fn index(bytes: Vec<u8>) -> Result<KernelTrace, CkptError> {
+        let bytes = Arc::new(bytes);
+        let (mut d, end) = (Dec::new(&bytes), bytes.len());
+        let magic = d.raw(4, "magic")?;
+        ensure(magic == MAGIC, || {
+            let found = magic.escape_ascii();
+            format!("not a MosaicSim trace file: expected magic \"MSTR\", found \"{found}\"")
+        })?;
+        let version = d.u32("version")?;
+        ensure(version == VERSION, || {
+            format!("unsupported trace version {version}: this build reads version {VERSION} only")
+        })?;
+        let count = d.u32("tile count")?;
+        ensure(count <= 1 << 16, || format!("{count} tiles: too many"))?;
+        let (mut tiles, mut size) = (Vec::new(), TraceSizeReport::default());
+        for _ in 0..count {
+            let mut t = TileTrace::default();
+            let (has_func, func) = <(bool, u32)>::get(&mut d, "tile function")?;
+            t.func = has_func.then_some(FuncId(func));
+            let mut at = d.remaining();
+            let mut read_since_last =
+                |d: &Dec| (std::mem::replace(&mut at, d.remaining()) - d.remaining()) as u64;
+            t.path = column(&mut d, end, u64::MAX, 1..=4)?;
+            size.control_flow_bytes += read_since_last(&d);
+            for _ in 0..d.u32("stream count")? {
+                let s = slot_mut(&mut t.mem, inst(&mut d)?.index());
+                (s.size, s.write, s.base) = Snap::get(&mut d, "stream")?;
                 // A `CursorPos` counts the entries it consumed in a `u32`.
-                let offsets = r_column(r, u32::MAX.into(), 0..=8)?;
-                if write > 1 || base.checked_add(max_of_width(offsets.width)).is_none() {
-                    return Err(bad(format!("{inst:?}: direction {write}, base {base:#x}")));
-                }
-                *slot_mut(&mut tile.mem, inst) = MemStream {
-                    size,
-                    write: write == 1,
-                    base,
-                    offsets,
-                };
+                s.offsets = column(&mut d, end, u32::MAX.into(), 0..=8)?;
+                let wraps = s.base.checked_add(max_of_width(s.offsets.width)).is_none();
+                ensure(!wraps, || format!("stream base {:#x} overflows", s.base))?;
             }
-            let accels = r_u32(r)? as usize;
-            for _ in 0..accels {
-                let inst = r_inst(r)?;
-                let name = r_str(r)?;
-                let accel = AccelOp::from_name(&name)
-                    .ok_or_else(|| bad(format!("unknown accelerator `{name}`")))?;
-                let nargs = r_u32(r)? as usize;
-                let mut args = Vec::with_capacity(nargs.min(RESERVE_CAP as usize / 8));
-                for _ in 0..nargs {
-                    args.push(r_u64(r)? as i64);
-                }
-                let inv = AccelInvocation { inst, accel, args };
-                slot_mut(&mut tile.accel, inst).push(inv.clone());
-                tile.accel_order.push(inv);
+            size.memory_bytes += read_since_last(&d);
+            for _ in 0..d.u32("call count")? {
+                let inst = inst(&mut d)?;
+                let name = d.u32("accelerator name")?;
+                let name = d.raw(name as usize, "accelerator name")?;
+                let accel = std::str::from_utf8(name).ok().and_then(AccelOp::from_name);
+                let unknown = || format!("unknown accelerator `{}`", name.escape_ascii());
+                let accel = accel.ok_or_else(|| CkptError::corrupt(unknown()))?;
+                let mut args = Vec::new();
+                d.seq_into::<u32, i64>("accelerator arguments", &mut args)?;
+                let call = AccelInvocation { inst, accel, args };
+                slot_mut(&mut t.accel, inst.index()).push(call.clone());
+                t.accel_order.push(call);
             }
-            tile.retired = r_u64(r)?;
-            out.push(std::sync::Arc::new(tile));
+            size.accel_bytes += read_since_last(&d);
+            (t.bytes, t.retired) = (Arc::clone(&bytes), d.u64("retired")?);
+            tiles.push(Arc::new(t));
         }
-        Ok(KernelTrace { tiles: out })
+        ensure(d.is_exhausted(), || "bytes past the last tile".into())?;
+        Ok(KernelTrace { bytes, tiles, size })
     }
 
-    /// Saves the trace to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
+    /// Storage accounting, mirroring the paper's §VI-B discussion: the bytes
+    /// of the file each component takes, headers included, as read. The
+    /// file is these, 12 bytes and 13 more per tile of framing.
+    pub fn size_report(&self) -> TraceSizeReport {
+        self.size
+    }
+
+    /// Writes the trace's `MSTR` file to `w`, propagating its errors.
+    pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        w.write_all(&self.bytes)
+    }
+
+    /// Reads `r` to its end as an `MSTR` file: `InvalidData` if it is not
+    /// one, `UnexpectedEof` if it is short, or the reader's own error.
+    pub fn read_from<R: Read>(r: &mut R) -> io::Result<KernelTrace> {
+        let mut bytes = Vec::new();
+        r.read_to_end(&mut bytes)?;
+        KernelTrace::index(bytes).map_err(|e| match e {
+            Truncated { context } => io::Error::new(UnexpectedEof, context + " cut short"),
+            Corrupt { context } => io::Error::new(InvalidData, context),
+            e => io::Error::new(InvalidData, e.to_string()),
+        })
+    }
+
+    /// Saves the trace to `path`, propagating filesystem errors.
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let mut w = BufWriter::new(File::create(path)?);
-        self.write_to(&mut w)?;
-        w.flush()
+        std::fs::write(path, self.bytes.as_slice())
     }
 
-    /// Loads a trace from `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors and format violations; every error
-    /// names the offending path, and a short read is reported as a
-    /// truncated file rather than a bare `UnexpectedEof`.
+    /// Loads a trace from `path`; an error names the path, and calls a
+    /// short file truncated.
     pub fn load(path: impl AsRef<Path>) -> io::Result<KernelTrace> {
         let path = path.as_ref();
-        let with_path = |e: io::Error| {
-            let detail = if e.kind() == io::ErrorKind::UnexpectedEof {
-                "truncated trace file (unexpected end of file)".to_string()
-            } else {
-                e.to_string()
+        let read = std::fs::File::open(path).and_then(|mut f| KernelTrace::read_from(&mut f));
+        read.map_err(|e| {
+            let truncated = "truncated trace file (unexpected end of file)";
+            let detail = match e.kind() {
+                UnexpectedEof => truncated.into(),
+                _ => e.to_string(),
             };
             io::Error::new(e.kind(), format!("{}: {detail}", path.display()))
-        };
-        let mut r = BufReader::new(File::open(path).map_err(&with_path)?);
-        KernelTrace::read_from(&mut r).map_err(&with_path)
+        })
     }
 }
 
@@ -506,10 +430,13 @@ mod tests {
         ]
         .concat();
         let mut nargs = [&one_tile(0)[..], &[1, 0, 0, 0, 0, 0, 0, 0]].concat();
-        w_str(&mut nargs, "accel.relu").unwrap();
+        nargs.extend_from_slice(b"\x0a\0\0\0accel.relu");
         nargs.extend_from_slice(&u32::MAX.to_le_bytes());
+        let mut func = one_tile(0);
+        func[12] = 2;
         let cases = [
             ("tile count", tiles, InvalidData),
+            ("has_func", func, InvalidData),
             ("path of no width", path(3, 0), InvalidData),
             ("path wider than a block id", path(3, 5), InvalidData),
             ("path count past its bytes", path(1000, 2), UnexpectedEof),

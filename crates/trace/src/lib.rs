@@ -40,7 +40,7 @@
 //! ```
 //!
 //! A finished trace is held packed — the path and every address stream a
-//! column of fixed-width integers, the very bytes of the `MSTR` file — so
+//! column of fixed-width integers, the very bytes of its `MSTR` file — so
 //! trace storage, paper §VI-B's cost, is what [`TraceSizeReport`] counts.
 
 #![warn(missing_docs)]
@@ -73,14 +73,14 @@ pub struct AccelInvocation {
     pub args: Vec<i64>,
 }
 
-/// A column of unsigned integers, each `width` little-endian bytes: the
-/// form a finished trace holds its path and its address offsets in, in
-/// memory and in the `MSTR` file alike. `bytes.len() == len * width`.
-#[derive(Debug, Clone, Default)]
+/// A column of `len` unsigned integers, each `width` little-endian bytes,
+/// from byte `start` of its trace's `MSTR` file: the form a finished trace
+/// holds its path and its address offsets in.
+#[derive(Debug, Clone, Copy, Default)]
 struct Column {
     width: u8,
     len: usize,
-    bytes: Vec<u8>,
+    start: usize,
 }
 
 /// The fewest bytes that hold `max`.
@@ -94,20 +94,11 @@ fn max_of_width(width: u8) -> u64 {
 }
 
 impl Column {
-    /// Packs `values`, each of which `width` bytes hold.
-    fn pack(values: impl ExactSizeIterator<Item = u64>, width: u8) -> Column {
-        let len = values.len();
-        let mut bytes = Vec::with_capacity(len * usize::from(width));
-        for v in values {
-            bytes.extend_from_slice(&v.to_le_bytes()[..usize::from(width)]);
-        }
-        Column { width, len, bytes }
-    }
-
+    /// Value `i`, `bytes` being the file the column lies in.
     #[inline]
-    fn get(&self, i: usize) -> Option<u64> {
+    fn get(&self, bytes: &[u8], i: usize) -> Option<u64> {
         let w = usize::from(self.width);
-        let cell = (i < self.len).then(|| &self.bytes[i * w..][..w])?;
+        let cell = (i < self.len).then(|| &bytes[self.start + i * w..][..w])?;
         Some(cell.iter().rev().fold(0, |v, &b| v << 8 | u64::from(b)))
     }
 }
@@ -115,8 +106,8 @@ impl Column {
 /// The dynamic accesses of one static memory instruction, in execution
 /// order. The size and direction are the instruction's own, so the stream
 /// holds them once; access `i` touches `base + offsets[i]`, `base` being
-/// the lowest address of the stream (or below it, [`TraceRecorder::finish`]).
-#[derive(Debug, Clone, Default)]
+/// the lowest address of the stream (or below it, where the encoder puts it).
+#[derive(Debug, Clone, Copy, Default)]
 struct MemStream {
     size: u8,
     write: bool,
@@ -127,6 +118,8 @@ struct MemStream {
 /// The dynamic trace of one tile's kernel execution.
 #[derive(Debug, Clone, Default)]
 pub struct TileTrace {
+    /// The trace's `MSTR` file, which the columns index.
+    bytes: Arc<Vec<u8>>,
     func: Option<FuncId>,
     /// Block ids, 1–4 bytes each.
     path: Column,
@@ -137,14 +130,13 @@ pub struct TileTrace {
     retired: u64,
 }
 
-/// The entry of `inst` in a table indexed by `InstId`, growing the table
-/// to reach it.
+/// Entry `i` of `table`, growing the table to reach it.
 #[inline]
-fn slot_mut<T: Default>(table: &mut Vec<T>, inst: InstId) -> &mut T {
-    if inst.index() >= table.len() {
-        table.resize_with(inst.index() + 1, T::default);
+fn slot_mut<T: Default>(table: &mut Vec<T>, i: usize) -> &mut T {
+    if i >= table.len() {
+        table.resize_with(i + 1, T::default);
     }
-    &mut table[inst.index()]
+    &mut table[i]
 }
 
 impl TileTrace {
@@ -156,14 +148,15 @@ impl TileTrace {
     /// The taken control-flow path: basic-block ids in execution order.
     #[inline]
     pub fn path(&self) -> impl ExactSizeIterator<Item = BlockId> + '_ {
-        (0..self.path.len).map(|i| BlockId(self.path.get(i).expect("below len") as u32))
+        let block = |i| self.path.get(&self.bytes, i).expect("below len") as u32;
+        (0..self.path.len).map(move |i| BlockId(block(i)))
     }
 
     /// The `i`-th dynamic access of one static memory instruction.
     #[inline]
     pub fn mem_access(&self, inst: InstId, i: usize) -> Option<MemAccess> {
         let stream = self.mem.get(inst.index())?;
-        stream.offsets.get(i).map(|offset| MemAccess {
+        stream.offsets.get(&self.bytes, i).map(|offset| MemAccess {
             addr: stream.base + offset,
             size: stream.size,
             write: stream.write,
@@ -206,11 +199,15 @@ impl TileTrace {
 }
 
 /// A complete kernel trace: one [`TileTrace`] per tile.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct KernelTrace {
+    /// Its `MSTR` file, which every tile's columns index.
+    bytes: Arc<Vec<u8>>,
     /// Shared, so every system built over the trace replays the same
     /// copy ([`tile_shared`](Self::tile_shared)).
     tiles: Vec<Arc<TileTrace>>,
+    /// What each component takes of the file.
+    size: TraceSizeReport,
 }
 
 impl KernelTrace {
@@ -269,14 +266,29 @@ impl TraceSizeReport {
     }
 }
 
-/// One tile as it is recorded: block ids and addresses at full width,
-/// the rest already in the [`TileTrace`] they are packed into.
+/// Values as recorded, in chunks of 16, 32, … up to 8192 values: a column
+/// grows without moving what it holds, into whatever room the heap has.
+type Chunks<T> = Vec<Vec<T>>;
+
+/// Appends `v` to `chunks`.
+#[inline]
+fn push<T>(chunks: &mut Chunks<T>, v: T) {
+    if chunks.last().is_none_or(|c| c.len() == c.capacity()) {
+        let cap = chunks.last().map_or(16, |c| (2 * c.len()).min(8192));
+        chunks.push(Vec::with_capacity(cap));
+    }
+    chunks.last_mut().expect("a chunk with room").push(v);
+}
+
+/// One tile as it is recorded: block ids and addresses at full width.
 #[derive(Debug, Clone, Default)]
 struct Recording {
-    path: Vec<u32>,
+    func: Option<FuncId>,
+    path: Chunks<u32>,
     /// Per instruction: its addresses, and the size and direction they share.
-    mem: Vec<(Vec<u64>, u8, bool)>,
-    rest: TileTrace,
+    mem: Vec<(Chunks<u64>, u8, bool)>,
+    calls: Vec<AccelInvocation>,
+    retired: u64,
 }
 
 /// Records a [`KernelTrace`] during functional execution.
@@ -296,78 +308,41 @@ impl TraceRecorder {
         }
     }
 
-    /// Consumes the recorder, yielding the trace.
+    /// Consumes the recorder, yielding the trace: what it recorded, encoded
+    /// as an `MSTR` file and read back as any file is.
     pub fn finish(self) -> KernelTrace {
-        let pack_stream = |(addrs, size, write): (Vec<u64>, u8, bool)| {
-            let lo = addrs.iter().copied().min().unwrap_or(0);
-            let width = width_for(addrs.iter().copied().max().unwrap_or(0) - lo);
-            // Lowered where `lo` is so close to the top of the address space
-            // that a reader could not tell that no offset carries past it.
-            let base = lo.min(u64::MAX - max_of_width(width));
-            let offsets = Column::pack(addrs.iter().map(|a| a - base), width);
-            MemStream {
-                size,
-                write,
-                base,
-                offsets,
-            }
-        };
-        let pack = |tile: Recording| {
-            let widest = tile.path.iter().copied().max().unwrap_or(0);
-            let blocks = tile.path.iter().map(|&b| u64::from(b));
-            Arc::new(TileTrace {
-                path: Column::pack(blocks, width_for(widest.into()).max(1)),
-                mem: tile.mem.into_iter().map(pack_stream).collect(),
-                ..tile.rest
-            })
-        };
-        KernelTrace {
-            tiles: self.tiles.into_iter().map(pack).collect(),
-        }
-    }
-
-    #[inline]
-    fn tile_mut(&mut self, tile: usize) -> &mut Recording {
-        if tile >= self.tiles.len() {
-            self.tiles.resize(tile + 1, Recording::default());
-        }
-        &mut self.tiles[tile]
+        KernelTrace::index(file::encode(self.tiles)).expect("a recorded trace reads back")
     }
 }
 
 impl TraceSink for TraceRecorder {
     #[inline]
     fn on_block(&mut self, tile: usize, func: FuncId, block: BlockId) {
-        let t = self.tile_mut(tile);
-        t.rest.func.get_or_insert(func);
-        t.path.push(block.0);
+        let t = slot_mut(&mut self.tiles, tile);
+        t.func.get_or_insert(func);
+        push(&mut t.path, block.0);
     }
 
     #[inline]
     fn on_mem(&mut self, tile: usize, inst: InstId, addr: u64, size: u8, write: bool) {
-        let (addrs, of_size, of_write) = slot_mut(&mut self.tile_mut(tile).mem, inst);
+        let mem = &mut slot_mut(&mut self.tiles, tile).mem;
+        let (addrs, of_size, of_write) = slot_mut(mem, inst.index());
         assert!(
             addrs.is_empty() || (*of_size, *of_write) == (size, write),
             "{inst:?} changed its access size or direction"
         );
         (*of_size, *of_write) = (size, write);
-        addrs.push(addr);
+        push(addrs, addr);
     }
 
     fn on_accel(&mut self, tile: usize, inst: InstId, accel: AccelOp, args: &[i64]) {
-        let inv = AccelInvocation {
-            inst,
-            accel,
-            args: args.to_vec(),
-        };
-        let t = &mut self.tile_mut(tile).rest;
-        slot_mut(&mut t.accel, inst).push(inv.clone());
-        t.accel_order.push(inv);
+        let (calls, args) = (&mut slot_mut(&mut self.tiles, tile).calls, args.to_vec());
+        calls.push(AccelInvocation { inst, accel, args });
     }
 
     #[inline]
     fn on_retire(&mut self, tile: usize) {
-        self.tile_mut(tile).rest.retired += 1;
+        slot_mut(&mut self.tiles, tile).retired += 1;
     }
 }
 
@@ -397,7 +372,8 @@ impl CursorPos {
     /// The block `k` entries ahead on the path, without consuming it.
     #[inline]
     pub fn peek_block_at(&self, trace: &TileTrace, k: usize) -> Option<BlockId> {
-        trace.path.get(self.path_pos + k).map(|b| BlockId(b as u32))
+        let block = trace.path.get(&trace.bytes, self.path_pos + k);
+        block.map(|b| BlockId(b as u32))
     }
 
     /// Consumes and returns the next block on the path.

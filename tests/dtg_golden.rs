@@ -34,6 +34,7 @@
 
 mod support;
 
+use mosaicsim::kernels::data::Rng;
 use mosaicsim::prelude::*;
 use support::{Golden, Hashed, Traced, DTG};
 
@@ -121,4 +122,75 @@ fn interpreter_reproduces_every_recorded_row() {
         .fold((0, 0), |(v1, v2), (a, b)| (v1 + a, v2 + b));
     println!("MSTR over the table: {v1} bytes as version 1, {v2} as version 2");
     assert!(7 * v2 <= 2 * v1, "version 2 is {v2} bytes against {v1}");
+}
+
+/// What the accessors of every tile answer — the whole path, the first 64
+/// and the last access of every stream, every call — folded into one
+/// word: a damaged file that still reads must answer all of it without a
+/// panic. (A flipped count of accesses to one address may claim billions.)
+fn walk(trace: &KernelTrace) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    let mut put = |v: u64| h = (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+    for t in trace.tiles() {
+        t.path().for_each(|b| put(b.0.into()));
+        for inst in t.mem_insts() {
+            let stream = t.mem_stream(inst);
+            let last = stream
+                .len()
+                .checked_sub(1)
+                .and_then(|i| t.mem_access(inst, i));
+            for a in stream.take(64).chain(last) {
+                put(a.addr ^ (u64::from(a.size) << 56) ^ (u64::from(a.write) << 63));
+            }
+        }
+        for call in t.accel_invocations() {
+            put(t.accel_stream(call.inst).len() as u64);
+            call.args.iter().for_each(|&a| put(a as u64));
+        }
+        put(t.func().map_or(u64::MAX, |f| f.0.into()) ^ t.retired() ^ t.mem_access_count());
+    }
+    h
+}
+
+/// Real traces, cut short and bit-flipped at seeded offsets: four SPMD
+/// tiles over shared buffers, a DeSC pair's two slices, and accelerator
+/// calls — what the hand-built sample in `crates/trace` does not have.
+/// Every cut is `UnexpectedEof` and a byte past the end `InvalidData`;
+/// every flip is a typed error or a trace whose every accessor answers.
+#[test]
+fn damaged_real_traces_are_typed_errors_or_traces() {
+    use std::io::ErrorKind::{InvalidData, UnexpectedEof};
+    let mut rng = Rng::seed_from_u64(0x4d53_5452_2076_3200); // "MSTR v2"
+    let read = |bytes: &[u8]| KernelTrace::read_from(&mut &bytes[..]);
+    let rows = [
+        ("mri-q@1/x4", 4, false),
+        ("projection@1/dae/x1", 2, false),
+        ("keras.ConvNet/x1", 1, true),
+    ];
+    for (name, tiles, calls) in rows {
+        let trace = support::system(name).traced().trace.clone();
+        let called = trace.tiles().any(|t| !t.accel_invocations().is_empty());
+        assert_eq!((trace.tile_count(), called), (tiles, calls), "{name}");
+        let mut file = Vec::new();
+        trace.write_to(&mut file).expect("write to memory");
+        assert_eq!(walk(&read(&file).expect(name)), walk(&trace), "{name}");
+        let longer = [&file[..], &[0]].concat();
+        let kind = read(&longer).map(|_| ()).expect_err(name).kind();
+        assert_eq!(kind, InvalidData, "{name} with a byte past its end");
+        for _ in 0..64 {
+            let cut = rng.below(file.len() as u64) as usize;
+            let kind = read(&file[..cut]).map(|_| ()).expect_err(name).kind();
+            assert_eq!(kind, UnexpectedEof, "{name} cut at {cut} of {}", file.len());
+        }
+        let mut walked = Vec::new();
+        for _ in 0..256 {
+            let (mut bad, at) = (file.clone(), rng.below(file.len() as u64) as usize);
+            bad[at] ^= 1 << rng.below(8);
+            match read(&bad) {
+                Ok(trace) => walked.push(walk(&trace)),
+                Err(e) => assert!(matches!(e.kind(), InvalidData | UnexpectedEof), "{e}"),
+            }
+        }
+        assert!(!walked.is_empty(), "{name}: no flipped file read back");
+    }
 }

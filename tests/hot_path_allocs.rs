@@ -15,8 +15,9 @@
 //! plan over a slot file and scratch buffers it refills (DESIGN.md §4.1),
 //! so an interpreted instruction allocates nothing, and a memory image
 //! shares its pages with its clones, so cloning one costs its page table
-//! and reading one costs nothing. A trace is its `MSTR` columns:
-//! reading one back allocates a buffer per column, of the column's length.
+//! and reading one costs nothing. A trace is its `MSTR` file's bytes:
+//! reading one back allocates one buffer, of the file's length, and
+//! indexes its columns where they lie.
 //!
 //! This file is its own test binary because a `#[global_allocator]` is
 //! process-wide, and it has a single `#[test]` so no other test thread
@@ -270,11 +271,13 @@ fn run_loop_allocations_per_instruction_stay_under_their_ceilings() {
         assert!(dtg < 0.001, "dtg {kernel} x{tiles}: {dtg:.5}");
     }
 
-    // The trace itself: a finished `KernelTrace` is its `MSTR` columns, so
-    // reading one allocates a buffer per column — the path, and one per
-    // memory instruction that ran — of the column's own length, and the
-    // stream table; and recording one (full-width addresses per stream,
-    // packed once by `finish`) stays under the DTG's ceiling.
+    // The trace itself: a finished `KernelTrace` holds its `MSTR` file, so
+    // reading one allocates the file's buffer, read once, and the tables
+    // that index it — the stream table, the tiles; measured 396 402 bytes
+    // in 7 allocations for sgemm's 393 874 (397 107 in 8 while each column
+    // was a buffer of its own) — and recording one (full-width addresses
+    // per stream, in chunks of up to 8192, encoded once by `finish`) stays
+    // under the DTG's ceiling.
     for kernel in ["sgemm", "bfs"] {
         let p = build_parboil(kernel, 1);
         let ((trace, out), allocs, _) = counted(|| p.trace(1).expect("trace"));
@@ -298,8 +301,8 @@ fn run_loop_allocations_per_instruction_stay_under_their_ceilings() {
             "{kernel}: {allocs} for {streams} streams"
         );
     }
-    // A count with nothing behind it is taken at its word for 16 MiB, the
-    // reader's `RESERVE_CAP`, and no further: here a path of 2^64 - 1 blocks.
+    // A count with nothing behind it sizes nothing — the file is read
+    // before any count in it is: here a path of 2^64 - 1 blocks.
     let head = [&b"MSTR"[..], &[2, 0, 0, 0, 1, 0, 0, 0], &[1, 0, 0, 0, 0]].concat();
     let absurd = [&head[..], &[0xff; 8], &[1]].concat();
     let (short, _, bytes) = counted(|| KernelTrace::read_from(&mut absurd.as_slice()));
