@@ -41,8 +41,9 @@ pub const MAGIC: &[u8; 4] = b"MCKP";
 
 /// Current checkpoint format version. Version 2 changed the `tile.<slot>`
 /// section layout (dense in-flight ring, request ring); version 3 the
-/// cache records inside `mem` (valid ways only).
-pub const VERSION: u32 = 3;
+/// cache records inside `mem` (valid ways only); version 4 dropped the
+/// counters nothing read from `tile.<slot>`, `mem` and `channels`.
+pub const VERSION: u32 = 4;
 
 /// Longest string the decoder will accept (tile names, section names).
 const MAX_STR: u64 = 4096;
@@ -417,7 +418,7 @@ pub trait Snap: Sized {
     fn get(d: &mut Dec<'_>, what: &str) -> Result<Self, CkptError>;
 }
 
-/// The width of a sequence's count: the v3 format has `u32` counts where a
+/// The width of a sequence's count: the format has `u32` counts where a
 /// component counted a table of its own and `u64` where a `usize` was written.
 pub trait Prefix: Snap + TryFrom<usize> + Into<u64> {}
 impl Prefix for u32 {}
@@ -474,7 +475,7 @@ macro_rules! snap_tuple {
 snap_tuple!(A 0, B 1);
 snap_tuple!(A 0, B 1, C 2);
 
-/// A `u32` the v3 format holds in eight bytes (a tile slot; a queue or
+/// A `u32` the format holds in eight bytes (a tile slot; a queue or
 /// block id behind an `Option`): a wider value read back is corrupt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Wide(pub u32);

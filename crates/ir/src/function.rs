@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::ids::{BlockId, FuncId, InstId};
-use crate::inst::{Inst, Opcode};
+use crate::inst::{Inst, Opcode, Operand};
 use crate::types::Type;
 
 /// A basic block: a single-entry, single-exit sequence of instructions
@@ -158,6 +158,21 @@ impl Function {
             }
         }
         preds
+    }
+
+    /// How many operands name each instruction's result, by `InstId`
+    /// index. Only instructions some block schedules count as users:
+    /// dead-code elimination leaves removed ones orphaned in the arena.
+    pub fn use_counts(&self) -> Vec<u32> {
+        let mut uses = vec![0; self.insts.len()];
+        for &iid in self.blocks.iter().flat_map(|b| &b.insts) {
+            self.inst(iid).op().for_each_operand(|o| {
+                if let Operand::Inst(d) = o {
+                    uses[d.index()] += 1;
+                }
+            });
+        }
+        uses
     }
 
     pub(crate) fn push_block(&mut self, name: &str) -> BlockId {

@@ -80,7 +80,7 @@ fn main() -> ExitCode {
         };
         let report = lint_module(&module);
         if json {
-            json_units.push(unit_json(path, &report));
+            json_units.push(report.to_json(path));
         } else {
             for d in &report.diagnostics {
                 println!("{}", d.render(Some(&spans), Some(path)));
@@ -100,7 +100,7 @@ fn main() -> ExitCode {
                 .collect();
             let report = lint_system(&prepared.module, &bindings);
             if json {
-                json_units.push(unit_json(&prepared.name, &report));
+                json_units.push(report.to_json(&prepared.name));
             } else {
                 report_kernel(&prepared.name, &report);
             }
@@ -136,17 +136,6 @@ fn report_kernel(name: &str, report: &LintReport) {
             println!("  {d}");
         }
     }
-}
-
-/// One `{"unit":…,"findings":[…],"errors":N}` object for `--json`.
-fn unit_json(name: &str, report: &LintReport) -> String {
-    let findings: Vec<String> = report.diagnostics.iter().map(|d| d.to_json()).collect();
-    format!(
-        "{{\"unit\":\"{}\",\"findings\":[{}],\"errors\":{}}}",
-        name.replace('\\', "\\\\").replace('"', "\\\""),
-        findings.join(","),
-        report.error_count()
-    )
 }
 
 /// Every kernel the repository bundles, at a small scale (the IR shape —

@@ -61,6 +61,7 @@ pub mod race;
 use std::fmt;
 
 use mosaic_ir::{FuncId, InstId, Module, SpanTable};
+use mosaic_obs::json::escape;
 
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -126,31 +127,17 @@ impl Diagnostic {
     /// CLI's `--json` mode and downstream tooling). Optional fields
     /// render as `null`.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
-        }
         let opt = |v: Option<u64>| v.map(|n| n.to_string()).unwrap_or_else(|| "null".into());
         format!(
             "{{\"severity\":\"{}\",\"pass\":\"{}\",\"func\":\"{}\",\"func_id\":{},\
              \"inst\":{},\"queue\":{},\"message\":\"{}\"}}",
             self.severity,
-            esc(self.pass),
-            esc(&self.func),
+            escape(self.pass),
+            escape(&self.func),
             self.func_id.index(),
             opt(self.inst.map(|i| i.index() as u64)),
             opt(self.queue.map(u64::from)),
-            esc(&self.message)
+            escape(&self.message)
         )
     }
 }
@@ -208,6 +195,19 @@ impl LintReport {
     /// on *any* finding, `Warn` and `Off` never fail.
     pub fn fails(&self, level: LintLevel) -> bool {
         level == LintLevel::Deny && !self.is_clean()
+    }
+
+    /// The report for `unit` (a `.mir` path or a kernel name) as one
+    /// `{"unit":…,"findings":[…],"errors":N}` object, the form
+    /// `mosaic-lint --json` prints.
+    pub fn to_json(&self, unit: &str) -> String {
+        let findings: Vec<String> = self.diagnostics.iter().map(Diagnostic::to_json).collect();
+        format!(
+            "{{\"unit\":\"{}\",\"findings\":[{}],\"errors\":{}}}",
+            escape(unit),
+            findings.join(","),
+            self.error_count()
+        )
     }
 }
 
@@ -413,5 +413,23 @@ mod tests {
         );
         let d = diag("race", Severity::Warning, None);
         assert!(d.to_json().contains("\"inst\":null,\"queue\":null"));
+    }
+
+    /// Any unit name and message make a document that parses back to
+    /// them; escaping only `\` and `"` leaves the newline raw.
+    #[test]
+    fn report_json_parses_with_control_characters() {
+        use mosaic_obs::json::{parse, JsonValue};
+        let unit = "a\"b\\c\nd\u{1}.mir";
+        let mut d = diag("race", Severity::Error, Some(2));
+        d.message = "tab\there".into();
+        let report = LintReport { diagnostics: vec![d] };
+        let doc = parse(&report.to_json(unit)).expect("valid JSON");
+        assert_eq!(doc.get("unit").and_then(JsonValue::as_str), Some(unit));
+        let finding = &doc.get("findings").and_then(JsonValue::as_array).unwrap()[0];
+        assert_eq!(finding.get("message").and_then(JsonValue::as_str), Some("tab\there"));
+        assert_eq!(doc.get("errors").and_then(JsonValue::as_u64), Some(1));
+        let quotes_only = unit.replace('\\', "\\\\").replace('"', "\\\"");
+        assert!(parse(&format!("{{\"unit\":\"{quotes_only}\"}}")).is_err());
     }
 }

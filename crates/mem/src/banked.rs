@@ -55,7 +55,6 @@ snap_record! {
     struct BankReq {
         id: ReqId,
         row: u64,
-        arrival: u64,
     }
 }
 
@@ -134,18 +133,15 @@ impl BankedDram {
     }
 
     /// Attempts to enqueue a line request; returns `false` when the target
-    /// bank queue is full (caller retries next cycle).
-    pub fn try_enqueue(&mut self, id: ReqId, addr: u64, now: u64) -> bool {
+    /// bank queue is full (caller retries next cycle). The arrival cycle
+    /// plays no part: a bank schedules by open row and queue order.
+    pub fn try_enqueue(&mut self, id: ReqId, addr: u64, _now: u64) -> bool {
         let (_, bank, row) = self.map(addr);
         let b = &mut self.banks[bank];
         if b.queue.len() >= self.config.queue_depth {
             return false;
         }
-        b.queue.push_back(BankReq {
-            id,
-            row,
-            arrival: now,
-        });
+        b.queue.push_back(BankReq { id, row });
         self.next_due = self.next_due.min(b.busy_until);
         self.total_requests += 1;
         true
@@ -203,7 +199,6 @@ impl BankedDram {
             let ready = data_start + self.config.burst_cycles;
             self.channel_bus_free[channel] = ready;
             bank.busy_until = now + access_lat;
-            let _ = req.arrival;
             self.in_flight.push((ready, req.id));
         }
         self.next_due = self.earliest_work();

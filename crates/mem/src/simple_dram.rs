@@ -62,15 +62,13 @@ impl SimpleDramConfig {
 #[derive(Debug, Clone)]
 pub struct SimpleDram {
     config: SimpleDramConfig,
-    /// `(ready, seq, id)` in arrival order, which is completion order:
+    /// `(ready, id)` in arrival order, which is completion order:
     /// `ready = now + min_latency` and `now` never decreases, so the
     /// paper's priority queue is a FIFO.
-    queue: VecDeque<(u64, u64, ReqId)>,
-    seq: u64,
+    queue: VecDeque<(u64, ReqId)>,
     epoch_start: u64,
     returned_this_epoch: u32,
     total_requests: u64,
-    total_returned: u64,
     throttled_cycles: u64,
     /// Last cycle `step` was called with (for analytic throttle credit).
     last_step: u64,
@@ -82,11 +80,9 @@ impl SimpleDram {
         SimpleDram {
             config,
             queue: VecDeque::new(),
-            seq: 0,
             epoch_start: 0,
             returned_this_epoch: 0,
             total_requests: 0,
-            total_returned: 0,
             throttled_cycles: 0,
             last_step: 0,
         }
@@ -102,11 +98,10 @@ impl SimpleDram {
     /// is unbounded and no line is slower than another, so this always
     /// returns `true`.
     pub fn try_enqueue(&mut self, id: ReqId, _line: u64, now: u64) -> bool {
-        self.seq += 1;
         self.total_requests += 1;
         let ready = now + self.config.min_latency;
-        debug_assert!(self.queue.back().is_none_or(|&(last, _, _)| last <= ready));
-        self.queue.push_back((ready, self.seq, id));
+        debug_assert!(self.queue.back().is_none_or(|&(last, _)| last <= ready));
+        self.queue.push_back((ready, id));
         true
     }
 
@@ -124,7 +119,7 @@ impl SimpleDram {
         // `throttled_cycles` identical whether the caller steps densely or
         // fast-forwards between events.
         if self.returned_this_epoch >= self.config.max_per_epoch {
-            if let Some(&(ready, _, _)) = self.queue.front() {
+            if let Some(&(ready, _)) = self.queue.front() {
                 let boundary = self.epoch_start + self.config.epoch_cycles;
                 let start = (self.last_step + 1).max(ready);
                 self.throttled_cycles += now.min(boundary).saturating_sub(start);
@@ -137,7 +132,7 @@ impl SimpleDram {
             self.epoch_start += epochs * self.config.epoch_cycles;
             self.returned_this_epoch = 0;
         }
-        while let Some(&(ready, _, id)) = self.queue.front() {
+        while let Some(&(ready, id)) = self.queue.front() {
             if ready > now {
                 break;
             }
@@ -147,7 +142,6 @@ impl SimpleDram {
             }
             self.queue.pop_front();
             self.returned_this_epoch += 1;
-            self.total_returned += 1;
             done.push(id);
         }
     }
@@ -156,7 +150,7 @@ impl SimpleDram {
     /// the head's ready time, pushed past the epoch boundary while the
     /// bandwidth cap is exhausted. `None` when the queue is empty.
     pub fn next_event_cycle(&self, now: u64) -> Option<u64> {
-        let &(ready, _, _) = self.queue.front()?;
+        let &(ready, _) = self.queue.front()?;
         // Epoch state as a step at a cycle `> now` would see it.
         let (epoch_start, returned) = if now >= self.epoch_start + self.config.epoch_cycles {
             (u64::MAX, 0) // a roll happens first; the exact start is moot
@@ -195,30 +189,32 @@ impl SimpleDram {
     }
 }
 
-snap_fields!(SimpleDram: seq, epoch_start, returned_this_epoch, total_requests,
-    total_returned, throttled_cycles, last_step);
+snap_fields!(SimpleDram: epoch_start, returned_this_epoch, total_requests, throttled_cycles,
+    last_step);
 
 impl SimpleDram {
     /// The model's tag in a hierarchy snapshot.
     pub(crate) const TAG: u8 = 0;
 
-    /// Serializes the pending queue (in queue order, which is `(ready,
-    /// seq)` order) and epoch/counter state.
+    /// Serializes the pending queue (in queue order: ready cycles ascend,
+    /// equal ones in arrival order) and epoch/counter state.
     pub(crate) fn encode_into(&self, e: &mut Enc) {
-        e.seq::<u32, (u64, u64, ReqId)>(&self.queue);
+        e.seq::<u32, (u64, ReqId)>(&self.queue);
         self.put_fields(e);
     }
 
+    /// Restores the state written by [`SimpleDram::encode_into`]; the
+    /// queue keeps the record's order.
     pub(crate) fn restore_from(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
         self.queue.clear();
-        d.seq::<u32, (u64, u64, ReqId)>("dram queue", |(ready, seq, id)| {
-            let last = self.queue.back();
-            if last.is_some_and(|&(r, s, _)| (r, s) >= (ready, seq)) {
+        d.seq::<u32, (u64, ReqId)>("dram queue", |(ready, id)| {
+            let last = self.queue.back().map_or(0, |&(last, _)| last);
+            if last > ready {
                 return Err(CkptError::corrupt(format!(
-                    "dram queue entry {seq} out of completion order"
+                    "dram queue entry ready at {ready} behind one ready at {last}"
                 )));
             }
-            self.queue.push_back((ready, seq, id));
+            self.queue.push_back((ready, id));
             Ok(())
         })?;
         self.get_fields(d)
@@ -290,6 +286,34 @@ mod tests {
         // Throttled until cycle 100 even though ready at 21.
         assert!(step(&mut d, 50).is_empty());
         assert_eq!(step(&mut d, 100), vec![ReqId(2)]);
+    }
+
+    /// A record with `(ready, id)` entries and a fresh model's fields.
+    fn record(queue: &[(u64, ReqId)]) -> Vec<u8> {
+        let mut e = Enc::new();
+        e.seq::<u32, (u64, ReqId)>(queue);
+        dram(10, 64, 8).put_fields(&mut e);
+        e.into_bytes()
+    }
+
+    /// Equal ready cycles restore in the record's order and step out in
+    /// it; ready cycles that descend are corrupt.
+    #[test]
+    fn restore_keeps_record_order_and_rejects_descending_ready() {
+        let mut d = dram(10, 64, 8);
+        let equal = record(&[
+            (10, ReqId(3)),
+            (10, ReqId(1)),
+            (12, ReqId(0)),
+            (12, ReqId(2)),
+        ]);
+        d.restore_from(&mut Dec::new(&equal)).unwrap();
+        assert_eq!(step(&mut d, 10), vec![ReqId(3), ReqId(1)]);
+        assert_eq!(step(&mut d, 12), vec![ReqId(0), ReqId(2)]);
+
+        let descending = record(&[(10, ReqId(1)), (12, ReqId(2)), (11, ReqId(3))]);
+        let err = d.restore_from(&mut Dec::new(&descending)).unwrap_err();
+        assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
     }
 
     #[test]

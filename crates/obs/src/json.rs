@@ -245,6 +245,9 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
+            Some(&c) if c < 0x20 => {
+                return Err(format!("unescaped control character at byte {}", *pos))
+            }
             Some(_) => {
                 // Consume one UTF-8 code point.
                 let start = *pos;
@@ -314,6 +317,7 @@ mod tests {
         assert!(parse("12 34").is_err());
         assert!(parse("").is_err());
         assert!(parse(r#"{"a" 1}"#).is_err());
+        assert!(parse("\"a\nb\"").is_err(), "control characters must be escaped");
     }
 
     #[test]

@@ -226,14 +226,6 @@ pub enum StatValue {
 }
 
 impl StatValue {
-    fn reset(&mut self) {
-        match self {
-            StatValue::Counter(c) => *c = 0,
-            StatValue::Gauge(g) => *g = 0.0,
-            StatValue::Histogram(h) => h.reset(),
-        }
-    }
-
     fn to_json(&self) -> String {
         match self {
             StatValue::Counter(c) => c.to_string(),
@@ -286,37 +278,9 @@ impl StatsRegistry {
             .insert(path.to_string(), StatValue::Counter(value));
     }
 
-    /// Adds to a counter, creating it at 0 first if absent.
-    pub fn add_counter(&mut self, path: &str, value: u64) {
-        match self
-            .stats
-            .entry(path.to_string())
-            .or_insert(StatValue::Counter(0))
-        {
-            StatValue::Counter(c) => *c += value,
-            other => *other = StatValue::Counter(value),
-        }
-    }
-
     /// Sets (inserting or overwriting) a gauge.
     pub fn set_gauge(&mut self, path: &str, value: f64) {
         self.stats.insert(path.to_string(), StatValue::Gauge(value));
-    }
-
-    /// Records a sample into a histogram, creating it if absent.
-    pub fn record(&mut self, path: &str, value: u64) {
-        match self
-            .stats
-            .entry(path.to_string())
-            .or_insert_with(|| StatValue::Histogram(Box::default()))
-        {
-            StatValue::Histogram(h) => h.record(value),
-            other => {
-                let mut h = Log2Histogram::new();
-                h.record(value);
-                *other = StatValue::Histogram(Box::new(h));
-            }
-        }
     }
 
     /// Inserts an already-built histogram.
@@ -361,32 +325,10 @@ impl StatsRegistry {
         self.stats.is_empty()
     }
 
-    /// Zeroes every value in place, keeping the paths registered.
-    ///
-    /// Called between sweep rows that reuse simulation components so
-    /// no hit/miss counts leak from one row into the next.
-    pub fn reset(&mut self) {
-        for v in self.stats.values_mut() {
-            v.reset();
-        }
-    }
-
     /// Keeps only the entries whose path satisfies `keep` (e.g. to strip
     /// a diagnostic namespace before a bit-identity comparison).
     pub fn retain<F: FnMut(&str) -> bool>(&mut self, mut keep: F) {
         self.stats.retain(|k, _| keep(k));
-    }
-
-    /// Merges another registry into this one: counters add, gauges
-    /// overwrite, histogram entries replace.
-    pub fn merge(&mut self, other: &StatsRegistry) {
-        for (k, v) in other.iter() {
-            match v {
-                StatValue::Counter(c) => self.add_counter(k, *c),
-                StatValue::Gauge(g) => self.set_gauge(k, *g),
-                StatValue::Histogram(h) => self.set_histogram(k, (**h).clone()),
-            }
-        }
     }
 
     /// Serializes the registry as one flat JSON object keyed by path.
@@ -529,27 +471,14 @@ mod tests {
         r.set_counter("tile.0.retired", 1234);
         r.set_gauge("tile.0.energy_pj", 56.25);
         r.set_gauge("tile.0.ipc", 2.0);
+        let mut h = Log2Histogram::new();
         for v in [1, 5, 9, 130] {
-            r.record("mem.l1.0.mshr.occupancy", v);
+            h.record(v);
         }
+        r.set_histogram("mem.l1.0.mshr.occupancy", h);
         let text = r.to_json();
         let back = StatsRegistry::from_json(&text).unwrap();
         assert_eq!(r, back);
-    }
-
-    #[test]
-    fn reset_zeroes_in_place() {
-        let mut r = StatsRegistry::new();
-        r.add_counter("mem.l1.hits", 10);
-        r.record("lat", 7);
-        r.set_gauge("g", 1.5);
-        r.reset();
-        assert_eq!(r.counter("mem.l1.hits"), 0);
-        assert_eq!(r.len(), 3, "paths stay registered");
-        match r.get("lat") {
-            Some(StatValue::Histogram(h)) => assert_eq!(h.count(), 0),
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]

@@ -40,9 +40,6 @@ pub struct Channel {
     queue: VecDeque<u64>,
     sends: u64,
     recvs: u64,
-    full_stalls: u64,
-    empty_stalls: u64,
-    max_occupancy: usize,
 }
 
 impl Channel {
@@ -53,9 +50,6 @@ impl Channel {
             queue: VecDeque::new(),
             sends: 0,
             recvs: 0,
-            full_stalls: 0,
-            empty_stalls: 0,
-            max_occupancy: 0,
         }
     }
 
@@ -78,30 +72,23 @@ impl Channel {
     /// Attempts to enqueue a message at `now`; `false` when full
     /// (the sender stalls).
     pub fn try_send(&mut self, now: u64) -> bool {
-        if self.queue.len() >= self.config.capacity {
-            self.full_stalls += 1;
+        if !self.has_space() {
             return false;
         }
         self.queue.push_back(now + self.config.latency);
         self.sends += 1;
-        self.max_occupancy = self.max_occupancy.max(self.queue.len());
         true
     }
 
     /// Attempts to dequeue a message at `now`; `false` when empty or the
     /// head has not yet matured (the receiver stalls).
     pub fn try_recv(&mut self, now: u64) -> bool {
-        match self.queue.front() {
-            Some(&ready) if ready <= now => {
-                self.queue.pop_front();
-                self.recvs += 1;
-                true
-            }
-            _ => {
-                self.empty_stalls += 1;
-                false
-            }
+        if !self.can_recv(now) {
+            return false;
         }
+        self.queue.pop_front();
+        self.recvs += 1;
+        true
     }
 
     /// Maturity cycle of the head message, if any (the earliest cycle at
@@ -131,20 +118,6 @@ impl Channel {
         self.recvs
     }
 
-    /// Send attempts rejected because the buffer was full.
-    pub fn full_stalls(&self) -> u64 {
-        self.full_stalls
-    }
-
-    /// Receive attempts rejected because no mature message was available.
-    pub fn empty_stalls(&self) -> u64 {
-        self.empty_stalls
-    }
-
-    /// High-water mark of buffered messages.
-    pub fn max_occupancy(&self) -> usize {
-        self.max_occupancy
-    }
 }
 
 /// All channels of a system, keyed by the queue ids appearing in
@@ -264,7 +237,7 @@ impl ChannelSet {
     }
 }
 
-snap_fields!(Channel: sends, recvs, full_stalls, empty_stalls, max_occupancy);
+snap_fields!(Channel: sends, recvs);
 
 #[cfg(test)]
 mod tests {
@@ -291,10 +264,8 @@ mod tests {
         assert!(c.try_send(0));
         assert!(c.try_send(0));
         assert!(!c.try_send(0));
-        assert_eq!(c.full_stalls(), 1);
         assert!(c.try_recv(5));
         assert!(c.try_send(5));
-        assert_eq!(c.max_occupancy(), 2);
     }
 
     #[test]
@@ -337,7 +308,7 @@ mod tests {
                 e.u32(q);
                 config.put(&mut e);
                 e.seq::<u64, u64>(0..messages);
-                e.raw(&[0; 40]);
+                e.raw(&[0; 16]);
             }
             e.into_bytes()
         };

@@ -1,9 +1,9 @@
 //! Core tile configuration: microarchitectural resource limits
 //! (paper §III-A), instruction costs (§III-B), and speculation (§III-C).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
-use mosaic_ddg::{InstClass, StaticDdg};
+use mosaic_ddg::InstClass;
 use mosaic_ir::{Function, Opcode, Operand};
 
 /// Branch handling mode (paper §III-C).
@@ -350,29 +350,20 @@ impl CoreConfig {
 /// `fusion` (see [`FusionConfig`]): fused instructions execute with zero
 /// latency and consume no issue slot, modeling x86 macro-ops.
 #[allow(clippy::collapsible_match)] // per-opcode arms stay scannable
-pub fn fused_insts(func: &Function, ddg: &StaticDdg, fusion: FusionConfig) -> HashSet<mosaic_ir::InstId> {
+pub fn fused_insts(func: &Function, fusion: FusionConfig) -> HashSet<mosaic_ir::InstId> {
     let mut fused = HashSet::new();
     if !fusion.gep_into_mem && !fusion.cmp_into_branch {
         return fused;
     }
-    // Count uses of every instruction result. Walk scheduled instructions
-    // only: DCE leaves removed instructions orphaned in the arena and
-    // orphans must not count as uses.
     let scheduled: Vec<mosaic_ir::InstId> = func
         .blocks()
         .flat_map(|b| b.insts().iter().copied())
         .collect();
-    let mut use_count: HashMap<mosaic_ir::InstId, u32> = HashMap::new();
+    let use_count = func.use_counts();
     let mut used_by_mem_addr: HashSet<mosaic_ir::InstId> = HashSet::new();
     let mut used_by_branch: HashSet<mosaic_ir::InstId> = HashSet::new();
     for &iid in &scheduled {
-        let inst = func.inst(iid);
-        inst.op().for_each_operand(|o| {
-            if let Operand::Inst(d) = o {
-                *use_count.entry(d).or_insert(0) += 1;
-            }
-        });
-        match inst.op() {
+        match func.inst(iid).op() {
             Opcode::Load { addr } | Opcode::Store { addr, .. } => {
                 if let Operand::Inst(d) = addr {
                     used_by_mem_addr.insert(*d);
@@ -389,7 +380,7 @@ pub fn fused_insts(func: &Function, ddg: &StaticDdg, fusion: FusionConfig) -> Ha
     for &iid in &scheduled {
         let inst = func.inst(iid);
         let id = inst.id();
-        let single_use = use_count.get(&id).copied().unwrap_or(0) == 1;
+        let single_use = use_count[id.index()] == 1;
         match inst.op() {
             Opcode::Gep { .. }
                 if fusion.gep_into_mem && single_use && used_by_mem_addr.contains(&id) =>
@@ -404,7 +395,6 @@ pub fn fused_insts(func: &Function, ddg: &StaticDdg, fusion: FusionConfig) -> Ha
             _ => {}
         }
     }
-    let _ = ddg;
     fused
 }
 
@@ -465,12 +455,11 @@ mod tests {
         b.switch_to(t);
         b.ret(None);
         mosaic_ir::verify_module(&m).unwrap();
-        let ddg = StaticDdg::build(m.function(f));
-        let fused = fused_insts(m.function(f), &ddg, FusionConfig::x86_like());
+        let fused = fused_insts(m.function(f), FusionConfig::x86_like());
         assert!(fused.contains(&g1.as_inst().unwrap()));
         assert!(!fused.contains(&g2.as_inst().unwrap()));
         assert!(fused.contains(&c.as_inst().unwrap()));
         // With fusion disabled nothing is fused.
-        assert!(fused_insts(m.function(f), &ddg, FusionConfig::default()).is_empty());
+        assert!(fused_insts(m.function(f), FusionConfig::default()).is_empty());
     }
 }

@@ -32,7 +32,7 @@ use mosaic_obs::{Category, IrProfile, ObsLevel, ProfileTable, SpanName, StallKin
 use mosaic_trace::{CursorPos, TileTrace};
 
 use crate::config::{fused_insts, BranchMode, CoreConfig};
-use crate::mao::{Mao, MaoStall};
+use crate::mao::Mao;
 use crate::{Channel, ChannelSet, Horizon, Tile, TileCtx, TileError, TileStallInfo, TileStats};
 
 mod inflight;
@@ -87,8 +87,6 @@ mosaic_ckpt::snap_record! {
 struct Stall {
     /// The first check that rejects it.
     kind: StallKind,
-    /// The MAO's own classification, when the MAO rejected it.
-    mao: Option<MaoStall>,
     /// The channel a `send`/`recv` waits on, and whether it is yet to be
     /// created.
     queue: u32,
@@ -101,7 +99,6 @@ impl Stall {
     fn of(kind: StallKind) -> Self {
         Stall {
             kind,
-            mao: None,
             queue: 0,
             untouched: false,
             wake: None,
@@ -218,7 +215,7 @@ impl CoreTile {
     ) -> Self {
         let f = module.function(func);
         let ddg = StaticDdg::build(f);
-        let fused = fused_insts(f, &ddg, config.fusion);
+        let fused = fused_insts(f, config.fusion);
         let roles = if config.desc_extensions {
             compute_desc_roles(f)
         } else {
@@ -599,15 +596,11 @@ impl CoreTile {
             Verdict::AccelBusy => return Ok(false),
             Verdict::Stall(Stall {
                 kind,
-                mao,
                 queue,
                 untouched,
                 ..
             }) => {
                 *stall_counter(&mut self.stats, kind) += 1;
-                if let Some(mao) = mao {
-                    self.mao.credit_stalls(mao, 1);
-                }
                 // A deadlock snapshot lists every channel a tile touched,
                 // the ones it only ever waited on included.
                 if untouched {
@@ -718,8 +711,7 @@ impl CoreTile {
 
     /// What the issue stage does with candidate `seq` — in the window, or
     /// exempt from it — at cycle `now`: the first check that rejects it
-    /// names its stall. Read-only: channels are probed, not created, and
-    /// the MAO's stall counters stay untouched.
+    /// names its stall. Read-only: channels are probed, not created.
     fn verdict(&self, seq: u64, di: &DynInst, now: u64, channels: &ChannelSet) -> Verdict {
         #[cfg(test)]
         self.verdicts.set(self.verdicts.get() + 1);
@@ -739,11 +731,8 @@ impl CoreTile {
                     if self.detached_outstanding >= self.config.desc_buffer {
                         return stall(StallKind::Mem);
                     }
-                } else if let Some(mao) = self.mao.probe(seq) {
-                    return Verdict::Stall(Stall {
-                        mao: Some(mao),
-                        ..Stall::of(StallKind::Mem)
-                    });
+                } else if !self.mao.can_issue(seq) {
+                    return stall(StallKind::Mem);
                 }
                 Verdict::Issue
             }

@@ -47,21 +47,11 @@ impl DescRole {
 #[allow(clippy::collapsible_match)] // per-opcode arms stay scannable
 pub(super) fn compute_desc_roles(func: &mosaic_ir::Function) -> Vec<Option<DescRole>> {
     use mosaic_ir::Operand;
-    // Walk scheduled instructions only: dead-code elimination leaves
-    // removed instructions orphaned in the arena, and orphans must not
-    // count as uses.
     let scheduled: Vec<InstId> = func
         .blocks()
         .flat_map(|b| b.insts().iter().copied())
         .collect();
-    let mut use_count = vec![0u32; func.inst_count()];
-    for &iid in &scheduled {
-        func.inst(iid).op().for_each_operand(|o| {
-            if let Operand::Inst(d) = o {
-                use_count[d.index()] += 1;
-            }
-        });
-    }
+    let use_count = func.use_counts();
     let mut roles = vec![None; func.inst_count()];
     for &iid in &scheduled {
         match func.inst(iid).op() {

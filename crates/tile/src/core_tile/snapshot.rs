@@ -96,7 +96,7 @@ impl CoreTile {
 
         e.seq::<u64, u32>(&self.pending_pushes);
         self.put_fields(e);
-        self.stats.encode_into(e);
+        self.stats.put_fields(e);
 
         e.bool(self.obs.is_some());
         if let Some(o) = &self.obs {
@@ -212,7 +212,7 @@ impl CoreTile {
         self.pending_pushes.clear();
         d.seq_into::<u64, u32>("tile pending pushes", &mut self.pending_pushes)?;
         self.get_fields(d)?;
-        self.stats.restore_from(d)?;
+        self.stats.get_fields(d)?;
 
         // The obs payload is always present in the byte stream when the
         // writer had observability on; decode it unconditionally and

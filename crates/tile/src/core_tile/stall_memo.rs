@@ -5,7 +5,6 @@ use std::cmp::Reverse;
 use mosaic_obs::{StallKind, STALL_KINDS};
 
 use super::{sid_of, stall_counter, CoreTile, LaunchGate, Stall, Verdict};
-use crate::mao::MaoStall;
 use crate::{ChannelSet, TileCtx};
 
 /// The stall memo (DESIGN.md §4.2.1): the per-cycle stall profile of a fully
@@ -23,9 +22,6 @@ pub(super) struct StallMemo {
     watch: Vec<(u32, u64)>,
     /// Blocked candidates by [`StallKind`].
     by_kind: [u64; STALL_KINDS],
-    /// MAO-internal classification of the MAO-rejected candidates (these
-    /// also count once under `StallKind::Mem`), by `MaoStall as usize`.
-    mao: [u64; 3],
     /// Per-static-instruction attribution of the candidates' stalls, populated
     /// only when observability is on: `issue()`'s per-site attribution
     /// exactly, so that crediting it × cycles is what stepping records. (The
@@ -127,7 +123,6 @@ impl CoreTile {
         // classified by the first rejecting check, and each instruction
         // parked behind the window one window stall.
         stalls.by_kind = [0; STALL_KINDS];
-        stalls.mao = [0; 3];
         stalls.per_inst.clear();
         stalls.entered.clear();
         let window_limit = self.window_limit();
@@ -148,7 +143,6 @@ impl CoreTile {
                 Verdict::AccelBusy => {}
                 Verdict::Stall(Stall {
                     kind,
-                    mao,
                     queue,
                     wake: ready,
                     ..
@@ -156,9 +150,6 @@ impl CoreTile {
                     stalls.by_kind[kind as usize] += 1;
                     if matches!(kind, StallKind::Send | StallKind::Recv) {
                         stalls.watch_channel(queue, channels);
-                    }
-                    if let Some(mao) = mao {
-                        stalls.mao[mao as usize] += 1;
                     }
                     if let Some(ready) = ready {
                         note(&mut wake, ready);
@@ -183,10 +174,6 @@ impl CoreTile {
         let memo = self.memo.get_mut();
         for (kind, n) in StallKind::all().into_iter().zip(memo.by_kind) {
             *stall_counter(&mut self.stats, kind) += n * cycles;
-        }
-        let mao_kinds = [MaoStall::Capacity, MaoStall::Load, MaoStall::Store];
-        for (kind, n) in mao_kinds.into_iter().zip(memo.mao) {
-            self.mao.credit_stalls(kind, n * cycles);
         }
         if let Some(o) = self.obs.as_mut() {
             for &(inst, kind) in &memo.per_inst {

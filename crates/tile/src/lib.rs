@@ -28,7 +28,7 @@ mod mao;
 pub use channel::{Channel, ChannelConfig, ChannelSet};
 pub use config::{fused_insts, BranchMode, CoreConfig, CostTable, FuLimits, FusionConfig};
 pub use core_tile::CoreTile;
-pub use mao::{Mao, MaoStall};
+pub use mao::Mao;
 
 use mosaic_ir::AccelOp;
 use mosaic_mem::{MemError, MemoryHierarchy, ReqId};
@@ -326,24 +326,9 @@ impl TileStats {
         reg.set_gauge(&p("energy_pj"), self.energy_pj);
         reg.set_gauge(&p("ipc"), self.ipc());
     }
-
-    /// Serializes every counter into a checkpoint section. The `name` is
-    /// not written — it comes from the configuration on restore.
-    pub fn encode_into(&self, e: &mut mosaic_ckpt::Enc) {
-        self.put_fields(e);
-    }
-
-    /// Restores the counters written by [`TileStats::encode_into`],
-    /// keeping the current `name`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`mosaic_ckpt::CkptError`] on truncated data.
-    pub fn restore_from(&mut self, d: &mut mosaic_ckpt::Dec<'_>) -> Result<(), mosaic_ckpt::CkptError> {
-        self.get_fields(d)
-    }
 }
 
+// Every counter, checkpointed; the `name` comes from the configuration.
 mosaic_ckpt::snap_fields!(TileStats: retired, issued, cycles, done_at, energy_pj, dbbs_launched,
     mispredicts, window_stalls, fu_stalls, mem_stalls, send_stalls, recv_stalls,
     accel_invocations, accel_cycles);

@@ -45,17 +45,6 @@ snap_record! {
     }
 }
 
-/// Why the MAO refuses an issue (see [`Mao::probe`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MaoStall {
-    /// The LSQ has no free slot.
-    Capacity,
-    /// A load is blocked by an older conflicting store.
-    Load,
-    /// A store is blocked by an older conflicting access.
-    Store,
-}
-
 /// The MAO / LSQ model.
 #[derive(Debug, Clone)]
 pub struct Mao {
@@ -76,15 +65,12 @@ pub struct Mao {
     /// to wait for.
     incomplete: u32,
     /// Entry numbers of the incomplete stores, in program order — all
-    /// that can hold a load back, so a load's `probe` walks these (often
+    /// that can hold a load back, so a load's `can_issue` walks these (often
     /// none) instead of every older entry.
     stores: VecDeque<u64>,
     lsq_size: u32,
     issued_incomplete: u32,
     alias_speculation: bool,
-    load_stalls: u64,
-    store_stalls: u64,
-    capacity_stalls: u64,
 }
 
 impl Mao {
@@ -101,9 +87,6 @@ impl Mao {
             lsq_size,
             issued_incomplete: 0,
             alias_speculation,
-            load_stalls: 0,
-            store_stalls: 0,
-            capacity_stalls: 0,
         }
     }
 
@@ -171,14 +154,15 @@ impl Mao {
         }
     }
 
-    /// Whether `seq` may issue under the ordering rules and LSQ capacity,
-    /// without touching the stall counters (read-only; used by the
-    /// fast-forward scheduler's dry-run survey).
-    pub fn probe(&self, seq: u64) -> Option<MaoStall> {
-        let at = self.find(seq)?; // untracked: not a memory op
+    /// Whether `seq` may issue under the ordering rules and LSQ capacity
+    /// (an untracked `seq` is no memory operation: it may).
+    pub fn can_issue(&self, seq: u64) -> bool {
+        let Some(at) = self.find(seq) else {
+            return true;
+        };
         let me = &self.entries[at];
         if self.issued_incomplete >= self.lsq_size {
-            return Some(MaoStall::Capacity);
+            return false;
         }
         // Only stores can violate a load; any access can violate a
         // store. With perfect anticipation of aliasing the trace
@@ -199,33 +183,7 @@ impl Mao {
                 .into_iter()
                 .any(|&n| may_alias(&self.entries[(n - self.popped) as usize]))
         };
-        conflict.then_some(if me.is_store {
-            MaoStall::Store
-        } else {
-            MaoStall::Load
-        })
-    }
-
-    /// Whether `seq` may issue under the ordering rules and LSQ capacity.
-    pub fn can_issue(&mut self, seq: u64) -> bool {
-        match self.probe(seq) {
-            None => true,
-            Some(kind) => {
-                self.credit_stalls(kind, 1);
-                false
-            }
-        }
-    }
-
-    /// Adds `n` to the stall counter for `kind`. The fast-forward
-    /// scheduler uses this to account for skipped blocked cycles so the
-    /// counters match a naive cycle-by-cycle run exactly.
-    pub fn credit_stalls(&mut self, kind: MaoStall, n: u64) {
-        match kind {
-            MaoStall::Capacity => self.capacity_stalls += n,
-            MaoStall::Load => self.load_stalls += n,
-            MaoStall::Store => self.store_stalls += n,
-        }
+        !conflict
     }
 
     /// Marks `seq` issued (occupies LSQ capacity until completion).
@@ -278,22 +236,7 @@ impl Mao {
         self.entries.len()
     }
 
-    /// Times a load stalled on the ordering rules.
-    pub fn load_stalls(&self) -> u64 {
-        self.load_stalls
-    }
-
-    /// Times a store stalled on the ordering rules.
-    pub fn store_stalls(&self) -> u64 {
-        self.store_stalls
-    }
-
-    /// Times the LSQ capacity rejected an issue.
-    pub fn capacity_stalls(&self) -> u64 {
-        self.capacity_stalls
-    }
-
-    /// Serializes the tracked entries and stall counters into a
+    /// Serializes the tracked entries and LSQ occupancy into a
     /// checkpoint section. The configuration (`lsq_size`,
     /// `alias_speculation`) is not written — a restore keeps the values
     /// the MAO was rebuilt with.
@@ -330,7 +273,7 @@ impl Mao {
     }
 }
 
-snap_fields!(Mao: issued_incomplete, load_stalls, store_stalls, capacity_stalls);
+snap_fields!(Mao: issued_incomplete);
 
 #[cfg(test)]
 mod tests {
@@ -407,7 +350,6 @@ mod tests {
         assert_eq!(mao.occupancy(), 2);
         mao.complete(0);
         assert!(mao.can_issue(2));
-        assert!(mao.capacity_stalls() > 0);
     }
 
     #[test]
@@ -558,8 +500,6 @@ mod schedule_tests {
         ops: Vec<(u64, u64, bool, bool, bool, bool)>,
         lsq_size: usize,
         alias_speculation: bool,
-        /// Stalls counted by `can_issue`, by `MaoStall as usize`.
-        stalls: [u64; 3],
     }
 
     impl NaiveMao {
@@ -569,17 +509,15 @@ mod schedule_tests {
         fn occupancy(&self) -> usize {
             self.ops.iter().filter(|op| op.4 && !op.5).count()
         }
-        fn probe(&self, seq: u64) -> Option<MaoStall> {
-            let me = *self.ops.iter().find(|op| op.0 == seq)?;
-            if self.occupancy() >= self.lsq_size {
-                return Some(MaoStall::Capacity);
-            }
-            let blocks = |op: &&(u64, u64, bool, bool, bool, bool)| {
+        fn can_issue(&self, seq: u64) -> bool {
+            let Some(&me) = self.ops.iter().find(|op| op.0 == seq) else {
+                return true;
+            };
+            let blocks = |op: &(u64, u64, bool, bool, bool, bool)| {
                 let may_alias = op.1 == me.1 || !(self.alias_speculation || op.3);
                 op.0 < seq && !op.5 && (me.2 || op.2) && may_alias
             };
-            let kind = if me.2 { MaoStall::Store } else { MaoStall::Load };
-            self.ops.iter().find(blocks).map(|_| kind)
+            self.occupancy() < self.lsq_size && !self.ops.iter().any(blocks)
         }
         fn complete(&mut self, seq: u64) {
             if let Some(op) = self.at(seq) {
@@ -590,12 +528,11 @@ mod schedule_tests {
         }
     }
 
-    /// The ring MAO and the naive model agree — on every probe verdict
-    /// (including which `MaoStall`), on what is tracked and issued, and on
-    /// the stall counters — after every operation of random interleavings
-    /// of insert/resolve/probe/mark_issued/complete, with gapped sequence
-    /// ids, out-of-order completion, and operations on ids the MAO never
-    /// saw or has already collected.
+    /// The ring MAO and the naive model agree — on every `can_issue`
+    /// verdict and on what is tracked and issued — after every operation
+    /// of random interleavings of insert/resolve/can_issue/mark_issued/
+    /// complete, with gapped sequence ids, out-of-order completion, and
+    /// operations on ids the MAO never saw or has already collected.
     #[test]
     fn ring_matches_naive_model() {
         let mut r = TestRng(13);
@@ -606,7 +543,6 @@ mod schedule_tests {
                 ops: Vec::new(),
                 lsq_size: lsq,
                 alias_speculation: spec,
-                stalls: [0; 3],
             };
             let mut next_seq = r.below(5);
             // Inserted and not yet completed by the test.
@@ -629,13 +565,7 @@ mod schedule_tests {
                             op.3 = true;
                         }
                     }
-                    3 => {
-                        let expect = naive.probe(any);
-                        if let Some(kind) = expect {
-                            naive.stalls[kind as usize] += 1;
-                        }
-                        assert_eq!(mao.can_issue(any), expect.is_none(), "case {case}");
-                    }
+                    3 => assert_eq!(mao.can_issue(any), naive.can_issue(any), "case {case}"),
                     4 if !open.is_empty() => {
                         let seq = open[pick];
                         mao.mark_issued(seq);
@@ -655,10 +585,9 @@ mod schedule_tests {
                 }
                 assert_eq!(mao.tracked(), naive.ops.len(), "case {case}");
                 assert_eq!(mao.occupancy() as usize, naive.occupancy(), "case {case}");
-                let counted = [mao.capacity_stalls(), mao.load_stalls(), mao.store_stalls()];
-                assert_eq!(counted, naive.stalls, "case {case}");
                 for seq in 0..=next_seq {
-                    assert_eq!(mao.probe(seq), naive.probe(seq), "case {case} seq {seq}");
+                    let verdict = naive.can_issue(seq);
+                    assert_eq!(mao.can_issue(seq), verdict, "case {case} seq {seq}");
                 }
             }
         }

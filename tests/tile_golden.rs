@@ -12,9 +12,7 @@
 //! tiles — that caused it, and in the column it moved.
 //!
 //! A row holds, for one tile, `cycles`, `issued`, `retired`, the five
-//! `stall.*` counters, the MAO's three stall kinds (read back from the
-//! tile's final `save_state`, the only place they surface) and an FNV-1a
-//! hash of its `Stats` profile. Every system runs twice, fast-forwarded
+//! `stall.*` counters and an FNV-1a hash of its `Stats` profile. Every system runs twice, fast-forwarded
 //! and stepped cycle by cycle; the two must agree on every row. Systems of
 //! more than one tile — where a tile sits blocked while others work — run
 //! both ways again at `ObsLevel::Off` and must count what `Stats` counted.
@@ -23,39 +21,9 @@
 
 mod support;
 
-use mosaicsim::ckpt::{Dec, Enc, Snap};
+use mosaicsim::ckpt::Enc;
 use mosaicsim::prelude::*;
-use mosaicsim::tile::Tile;
 use support::{fnv, Golden, TILE};
-
-/// The MAO's `(capacity, load, store)` stall counters of a finished tile,
-/// read from its `save_state` bytes: a drained tile's rings and queues
-/// are empty, so the sections before the MAO's are a few lengths.
-fn mao_stalls(tile: &dyn Tile) -> [u64; 3] {
-    let mut enc = Enc::new();
-    tile.save_state(&mut enc);
-    let bytes = enc.into_bytes();
-    let mut d = Dec::new(&bytes);
-    let mut walk = || -> Result<[u64; 3], mosaicsim::ckpt::CkptError> {
-        d.usize("path position")?;
-        for _ in 0..d.usize("streams")? {
-            d.u32("stream position")?;
-        }
-        d.u64("base_seq")?;
-        assert_eq!(d.usize("in-flight span")?, 0, "a finished tile is drained");
-        for _ in 0..d.usize("latest-def table")? {
-            Option::<u64>::get(&mut d, "latest slot")?;
-        }
-        assert_eq!(d.usize("completions")?, 0, "a finished tile is drained");
-        assert_eq!(d.usize("requests")?, 0, "a finished tile is drained");
-        assert_eq!(d.u64("mao entries")?, 0, "a finished tile is drained");
-        d.u32("mao occupancy")?;
-        let load = d.u64("mao load stalls")?;
-        let store = d.u64("mao store stalls")?;
-        Ok([d.u64("mao capacity stalls")?, load, store])
-    };
-    walk().expect("the tile state up to the MAO's counters")
-}
 
 /// Runs `builder` to completion at `level` and returns one row per tile.
 fn run_rows(
@@ -70,20 +38,18 @@ fn run_rows(
         .build()
         .unwrap_or_else(|e| panic!("{label}: build: {e}"));
     sim.run().unwrap_or_else(|e| panic!("{label}: run: {e}"));
-    let mao: Vec<[u64; 3]> = sim.tiles().iter().map(|t| mao_stalls(t.as_ref())).collect();
     let (mut tiles, _, _) = sim.into_parts();
     tiles
         .iter_mut()
-        .zip(mao)
         .enumerate()
-        .map(|(slot, (tile, [cap, load, store]))| {
+        .map(|(slot, tile)| {
             let mut enc = Enc::new();
             tile.take_profile().encode_into(&mut enc);
             let profile = fnv(&enc.into_bytes());
             let s = tile.stats();
             format!(
                 "{label} tile{slot} cycles={} issued={} retired={} window={} fu={} mem={} \
-                 send={} recv={} mao={cap}/{load}/{store} profile={profile:016x}",
+                 send={} recv={} profile={profile:016x}",
                 s.cycles,
                 s.issued,
                 s.retired,
