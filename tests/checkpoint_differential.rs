@@ -1,146 +1,75 @@
-//! Differential test for checkpoint/restore (DESIGN.md §4.6).
-//!
-//! The contract: resuming from a snapshot taken at cycle N is
-//! *bit-identical* to a straight-through run — the final report (cycles,
-//! per-tile stats, memory stats, energy bit patterns), the full stats
-//! registry, and the IR profile may not differ in any way. The snapshot
-//! cycle is drawn from a seeded SplitMix64 generator per configuration,
-//! so each run of the suite probes the same pause points but those
-//! points land mid-flight in the pipeline, the MAO, the MSHRs, and the
-//! DRAM queues rather than at hand-picked quiet cycles.
-//!
-//! The matrix: 5 bundled kernels × {in-order, out-of-order} ×
-//! {fast-forward, naive} stepping.
+//! Checkpoint/restore (DESIGN.md §4.6): a run resumed at a seeded pause,
+//! in either scheduler or at any level, is the straight run — the resume
+//! lines of the relation table (`support::relations`) — and so is one
+//! resumed through the file format, into full caches or into a used
+//! target; a resume into the wrong system and damaged snapshots are typed
+//! errors.
 
 mod support;
 
 use std::sync::Arc;
 
-use mosaicsim::kernels::build_parboil;
 use mosaicsim::kernels::data::Rng;
 use mosaicsim::prelude::*;
-use support::cramped_memory;
+use support::relations::{hold, resumes, EVERY, FF, FF_STATS, FF_TRACE, LAST, NAIVE_STATS};
+use support::{counters, cramped_memory, drift, everything, Observed, System};
 
-/// The builder for one configuration of the matrix. Straight run, prefix
-/// run, and resumed run must all construct the identical system, so all
-/// three go through this.
-fn builder_for(p: &Prepared, trace: &Arc<KernelTrace>, config: &CoreConfig, ff: bool) -> SystemBuilder {
-    SystemBuilder::new(Arc::new(p.module.clone()), trace.clone())
-        .memory(xeon_memory())
-        .fast_forward(ff)
-        .observe(ObsLevel::Stats)
-        .core(config.clone().with_name("diff"), p.func, 0)
+/// The zoo's `name` at `Stats`.
+fn at_stats(name: &str) -> System {
+    let mut system = support::system(name);
+    system.obs = ObsLevel::Stats;
+    system
 }
 
-/// Asserts every observable of the two runs is identical: the report
-/// fields, energy bit patterns, the full registry dump, and the profile.
-fn assert_identical(straight: &SimReport, resumed: &SimReport, label: &str) {
-    assert_eq!(straight.cycles, resumed.cycles, "{label}: cycle count diverged");
-    assert_eq!(
-        straight.total_retired, resumed.total_retired,
-        "{label}: retired count diverged"
-    );
-    assert_eq!(straight.mem, resumed.mem, "{label}: memory stats diverged");
-    assert_eq!(
-        straight.dram_throttled, resumed.dram_throttled,
-        "{label}: DRAM throttle accounting diverged"
-    );
-    for (s, r) in straight.tiles.iter().zip(&resumed.tiles) {
-        assert_eq!(s, r, "{label}: tile {} stats diverged", s.name);
-    }
-    for (field, s, r) in [
-        ("core", straight.core_energy_pj, resumed.core_energy_pj),
-        ("mem", straight.mem_energy_pj, resumed.mem_energy_pj),
-        ("static", straight.static_energy_pj, resumed.static_energy_pj),
-    ] {
-        assert_eq!(s.to_bits(), r.to_bits(), "{label}: {field} energy diverged");
-    }
-    assert_eq!(
-        straight.registry, resumed.registry,
-        "{label}: registry dump diverged"
-    );
-    assert_eq!(straight.profile, resumed.profile, "{label}: IR profile diverged");
+/// Panics naming each field where `resumed` drifted from `straight`.
+fn assert_resumes(label: &str, straight: &SimReport, resumed: Result<SimReport, MosaicError>) {
+    let (straight, resumed) = (Observed::of(Ok(straight.clone())), Observed::of(resumed));
+    let label = format!("{label}: resumed ≡ straight");
+    let moved = drift(&label, (&straight, everything), (&resumed, everything));
+    moved.unwrap_or_else(|moved| panic!("{moved}"));
 }
 
-/// Snapshot at a seeded-random cycle, resume, and demand bit-identity
-/// with the straight-through run, across the full kernel × core ×
-/// stepping matrix.
+/// Resumed ≡ straight at four seeded pauses a run, on one tile under
+/// either scheduler, and across schedulers and observability levels.
 #[test]
 fn resume_is_bit_identical_to_straight_run() {
-    let kernels = ["bfs", "sgemm", "spmv", "histo", "stencil"];
-    let cores = [
-        ("in_order", CoreConfig::in_order()),
-        ("out_of_order", CoreConfig::out_of_order()),
-    ];
-    let mut rng = Rng::seed_from_u64(0x6d6f_7361_6963_736d); // "mosaicsm"
-    for name in kernels {
-        let p = build_parboil(name, 1);
-        let (trace, _) = p.trace(1).expect("trace");
-        let trace = Arc::new(trace);
-        for (core_label, config) in &cores {
-            for ff in [true, false] {
-                let label = format!("{name}/{core_label}/{}", if ff { "ff" } else { "naive" });
-
-                let straight = builder_for(&p, &trace, config, ff)
-                    .run()
-                    .unwrap_or_else(|e| panic!("{label}: straight run failed: {e}"));
-
-                // Snapshot somewhere strictly inside the run, away from
-                // the trivially-correct cycle-0 edge.
-                let snap = 1 + rng.below(straight.cycles - 1);
-
-                let mut il = builder_for(&p, &trace, config, ff)
-                    .build()
-                    .unwrap_or_else(|e| panic!("{label}: build failed: {e}"));
-                let paused = il.run_until(snap).expect("prefix run");
-                assert_eq!(paused, None, "{label}: prefix finished before cycle {snap}");
-                // Fast-forwarding may overshoot the requested cycle (the
-                // pause lands on the first *stepped* cycle at or past
-                // it); the snapshot cycle just has to be inside the run.
-                let ckpt = Arc::new(il.save_checkpoint());
-                assert!(
-                    ckpt.cycle() >= snap && ckpt.cycle() < straight.cycles,
-                    "{label}: snapshot at cycle {} for request {snap}",
-                    ckpt.cycle()
-                );
-
-                let resumed = builder_for(&p, &trace, config, ff)
-                    .resume_from_checkpoint(ckpt)
-                    .run()
-                    .unwrap_or_else(|e| panic!("{label}: resume failed: {e}"));
-
-                assert_identical(&straight, &resumed, &format!("{label}@{snap}"));
-            }
-        }
-    }
+    let scheds = [FF_STATS, NAIVE_STATS];
+    let levels = resumes(&[FF, FF_STATS, FF_TRACE], |s, r| s != r, LAST);
+    // Every level counts as `Stats` does (`obs_differential`).
+    let levels = levels.into_iter().map(|(resumed, _)| (resumed, FF_STATS)).collect();
+    let one = |s: &str| s.ends_with("/1t");
+    let ooo_one = |s: &str| s.ends_with("/ooo/1t");
+    hold(&[
+        ("resumed ≡ straight", one, [everything; 2], resumes(&scheds, |s, r| s == r, EVERY)),
+        ("resumed across schedulers", one, [everything; 2], resumes(&scheds, |s, r| s != r, LAST)),
+        ("resumed across levels", ooo_one, [counters; 2], levels),
+    ]);
 }
 
-/// The same contract through the file format: save the snapshot to disk,
-/// resume with [`SystemBuilder::resume_from`], and demand bit-identity.
-/// Also checks that a resumed run can itself checkpoint periodically.
+/// Resumed ≡ straight through the file format: save the snapshot to disk
+/// and resume with [`SystemBuilder::resume_from`]. Also checks that a
+/// resumed run can itself checkpoint periodically.
 #[test]
 fn resume_through_a_file_is_bit_identical() {
-    let p = build_parboil("sgemm", 1);
-    let (trace, _) = p.trace(1).expect("trace");
-    let trace = Arc::new(trace);
-    let config = CoreConfig::out_of_order();
+    let sgemm = at_stats("sgemm@1/ooo/1t");
+    let straight = sgemm.builder().run().expect("straight");
 
-    let straight = builder_for(&p, &trace, &config, true).run().expect("straight");
-
-    let mut il = builder_for(&p, &trace, &config, true).build().expect("build");
+    let mut il = sgemm.builder().build().expect("build");
     assert_eq!(il.run_until(straight.cycles / 2).expect("prefix"), None);
-    let dir = std::env::temp_dir();
-    let path = dir.join("mosaic_ckpt_differential.mckpt");
+    // Named by process, so that concurrent runs of the suite do not share
+    // a snapshot.
+    let (dir, pid) = (std::env::temp_dir(), std::process::id());
+    let path = dir.join(format!("mosaic_ckpt_differential_{pid}.mckpt"));
     il.save_checkpoint().save(&path).expect("save checkpoint");
 
-    let repath = dir.join("mosaic_ckpt_differential_re.mckpt");
-    let resumed = builder_for(&p, &trace, &config, true)
+    let repath = dir.join(format!("mosaic_ckpt_differential_re_{pid}.mckpt"));
+    let resumed = sgemm
+        .builder()
         .resume_from(&path)
         .checkpoint_every(straight.cycles / 4)
         .checkpoint_to(&repath)
-        .run()
-        .expect("resume");
-    assert_identical(&straight, &resumed, "sgemm/file");
+        .run();
+    assert_resumes("sgemm@1/ooo/1t from a file", &straight, resumed);
 
     // The periodic snapshot the resumed run wrote must itself be loadable
     // and land at a cycle the policy says it should.
@@ -154,20 +83,17 @@ fn resume_through_a_file_is_bit_identical() {
 /// undefined behavior: the tile fingerprint is verified.
 #[test]
 fn resume_rejects_a_mismatched_system() {
-    let p = build_parboil("histo", 1);
-    let (trace, _) = p.trace(1).expect("trace");
-    let trace = Arc::new(trace);
-    let config = CoreConfig::in_order();
-
-    let mut il = builder_for(&p, &trace, &config, true).build().expect("build");
+    let histo = at_stats("histo@1/ino/1t");
+    let mut il = histo.builder().build().expect("build");
     assert_eq!(il.run_until(500).expect("prefix"), None);
     let ckpt = Arc::new(il.save_checkpoint());
 
     // Same kernel, different tile name: the fingerprint no longer
     // matches.
-    let err = SystemBuilder::new(Arc::new(p.module.clone()), trace.clone())
-        .memory(xeon_memory())
-        .core(config.clone().with_name("other"), p.func, 0)
+    let mut other = histo.clone();
+    other.cores = support::Cores::Tiles(vec![CoreConfig::in_order().with_name("other")]);
+    let err = other
+        .builder()
         .resume_from_checkpoint(ckpt)
         .run()
         .expect_err("mismatched resume must fail");
@@ -188,17 +114,11 @@ fn resume_is_bit_identical_whatever_the_caches_and_the_target_held() {
     let cramped_ways = (512 + 1024 + 2048) / 64;
     for (name, cramped) in [("stencil", true), ("histo", true), ("histo", false)] {
         let label = format!("{name}/{}", if cramped { "cramped" } else { "xeon" });
-        let p = build_parboil(name, 1);
-        let (trace, _) = p.trace(1).expect("trace");
-        let trace = Arc::new(trace);
-        let builder = || {
-            let b = builder_for(&p, &trace, &CoreConfig::out_of_order(), true);
-            if cramped {
-                b.memory(cramped_memory())
-            } else {
-                b
-            }
-        };
+        let mut system = at_stats(&format!("{name}@1/ooo/1t"));
+        if cramped {
+            system.memory = cramped_memory();
+        }
+        let builder = || system.builder();
         let straight = builder().run().expect("straight");
 
         let mut il = builder().build().expect("build");
@@ -210,11 +130,8 @@ fn resume_is_bit_identical_whatever_the_caches_and_the_target_held() {
             assert!(mem.len() >= 16 * cramped_ways, "{label}: caches not full at the pause");
         }
 
-        let resumed = builder()
-            .resume_from_checkpoint(ckpt.clone())
-            .run()
-            .expect("resume");
-        assert_identical(&straight, &resumed, &label);
+        let resumed = builder().resume_from_checkpoint(ckpt.clone()).run();
+        assert_resumes(&label, &straight, resumed);
 
         // `il` has the snapshot's state; let it run on past the snapshot,
         // then put it back and compare with a fresh restore, at once and
@@ -250,22 +167,11 @@ fn resume_is_bit_identical_whatever_the_caches_and_the_target_held() {
 fn damaged_checkpoints_are_typed_errors() {
     use mosaicsim::ckpt::{Checkpoint, CkptError, Enc};
 
-    let bfs = build_parboil("bfs", 1);
-    let (trace, _) = bfs.trace(2).expect("trace");
-    let trace = Arc::new(trace);
-    let two_tiles = || {
-        builder_for(&bfs, &trace, &CoreConfig::out_of_order(), true)
-            .observe(ObsLevel::Trace)
-            .core(CoreConfig::out_of_order().with_name("second"), bfs.func, 1)
-    };
-    let desc = support::system("projection/desc");
-    let desc_pair = || desc.builder();
-    let systems: [(&str, &dyn Fn() -> SystemBuilder, u64); 2] = [
-        ("bfs/2t/trace", &two_tiles, 9_000),
-        ("projection/desc", &desc_pair, 12_476),
-    ];
+    let mut bfs = support::system("bfs@1/ooo/2t");
+    bfs.obs = ObsLevel::Trace;
     let mut rng = Rng::seed_from_u64(0x6461_6d61_6765_6421); // "damage!"
-    for (label, make, pause) in systems {
+    for (system, pause) in [(bfs, 9_000), (support::system("projection/desc"), 12_476)] {
+        let (label, make) = (&system.name, || system.builder());
         let mut il = make().build().expect("build");
         assert_eq!(il.run_until(pause).expect("prefix"), None, "{label}");
         let good = il.save_checkpoint();

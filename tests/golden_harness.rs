@@ -36,3 +36,34 @@ fn a_drift_names_its_row_and_columns_and_a_rewrite_fails() {
     assert!(err.contains("another order"), "{err}");
     std::fs::remove_file(&path).ok();
 }
+
+/// The comparison the mode relations go through, checked once on a run
+/// and a copy of it with one field moved, and on runs that stopped.
+#[test]
+fn a_relation_names_each_drifted_field_and_compares_verdicts() {
+    use mosaicsim::prelude::{MosaicError, ObsLevel};
+    use support::{drift, everything, Observed};
+
+    let moved = |a: &Observed, b: &Observed| drift("s: r", (a, everything), (b, everything));
+    let mut system = support::system("bfs/bimodal");
+    system.obs = ObsLevel::Stats;
+    let run = system.builder().run().expect("a run");
+    let mut longer = run.clone();
+    longer.cycles += 1;
+    let cycles = format!("s: r: cycles: {} -> {}", run.cycles, longer.cycles);
+    let (run, longer) = (Observed::of(Ok(run)), Observed::of(Ok(longer)));
+    assert_eq!(moved(&run, &run), Ok(()));
+    assert_eq!(moved(&run, &longer), Err(cycles));
+
+    // Once either run stopped, the verdicts are all that is compared.
+    let stopped = |message: &str| {
+        let message = message.to_string();
+        Observed(Err(MosaicError::Ckpt { message }))
+    };
+    let (full, empty) = (stopped("full"), stopped("empty"));
+    assert_eq!(moved(&full, &stopped("full")), Ok(()));
+    let two = r#"s: r: verdict: Err(Ckpt { message: "full" }) -> Err(Ckpt { message: "empty" })"#;
+    assert_eq!(moved(&full, &empty), Err(two.into()));
+    let one = r#"s: r: verdict: Ok("finished") -> Err(Ckpt { message: "full" })"#;
+    assert_eq!(moved(&run, &full), Err(one.into()));
+}

@@ -1,4 +1,5 @@
-//! What the golden tables and the differential suites share.
+//! What the golden tables, the mode relations and the differential suites
+//! share.
 //!
 //! [`zoo`] lists the systems the tables run — kernel × core × tiles × DRAM
 //! × hierarchy × obs level — each under its row key and marked with its
@@ -18,8 +19,14 @@
 //! add it on the parent commit and record there first, so the change
 //! under test is held to rows the reference wrote.
 //!
+//! [`Observed`] and [`drift`] are the one comparison of two runs: the mode
+//! relations ([`relations`]) and the checkpoint suite go through them, and
+//! a drift names the system, the relation and each field.
+//!
 //! Each test crate that says `mod support;` uses part of this.
 #![allow(dead_code)]
+
+pub mod relations;
 
 use std::cell::{LazyCell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
@@ -34,6 +41,7 @@ use mosaicsim::kernels::parboil::{self, mri_gridding, sgemm};
 use mosaicsim::kernels::sinkhorn::{self, Mix};
 use mosaicsim::kernels::{build_parboil, keras, projection, PARBOIL_NAMES};
 use mosaicsim::mem::BankedDramConfig;
+use mosaicsim::obs::StatValue;
 use mosaicsim::prelude::*;
 use mosaicsim::tile::FuLimits;
 
@@ -42,7 +50,9 @@ pub const DTG: u8 = 1;
 pub const TILE: u8 = 2;
 pub const CKPT: u8 = 4;
 pub const TIMELINE: u8 = 8;
-pub const ALL: u8 = DTG | TILE | CKPT | TIMELINE;
+/// The systems the mode relations ([`relations`]) run on.
+pub const MODES: u8 = 16;
+pub const ALL: u8 = DTG | TILE | CKPT | TIMELINE | MODES;
 
 /// How a kernel's programs sit on the tiles: `n` SPMD tiles, or `n` DAE
 /// pairs of its `slice_dae` slices ([`TileProgram::dae_pairs`]).
@@ -387,6 +397,20 @@ pub fn zoo() -> Vec<System> {
         let name = format!("keras.{}", app.name);
         z.dtg(&name, &kernel(move || app.lower_accelerated()), 1);
     }
+
+    // Five Parboil kernels at scale 1 on 1, 2 and 4 tiles of each core,
+    // the slowest first (the relations' threads take them in turn), and
+    // one on banked DRAM, whose horizon comes from bank state.
+    z.1 = MODES;
+    for name in ["sgemm", "spmv", "bfs", "histo", "stencil"] {
+        for (core, config) in [("ino", ino), ("ooo", ooo)] {
+            for tiles in [1, 2, 4] {
+                let row = format!("{name}@1/{core}/{tiles}t");
+                z.spmd(&row, &scale1[name], tiles, config);
+            }
+        }
+    }
+    z.spmd("bfs@1/ooo/2t/banked", &scale1["bfs"], 2, ooo).memory = banked(xeon_memory());
     z.0
 }
 
@@ -508,20 +532,90 @@ fn moved(recorded: &str, rows: &[&str]) -> String {
 }
 
 /// The columns `was` and `now` hold differently, each with both values.
-fn columns<'a>(was: &[&'a str], now: &[&'a str]) -> String {
-    let map = |cols: &[&'a str]| -> BTreeMap<&'a str, &'a str> {
-        cols.iter().filter_map(|col| col.split_once('=')).collect()
+fn columns(was: &[&str], now: &[&str]) -> String {
+    let fields = |cols: &[&str]| -> Fields {
+        let split = cols.iter().filter_map(|col| col.split_once('='));
+        split.map(|(n, v)| (n.into(), v.into())).collect()
     };
-    let (was, now) = (map(was), map(now));
-    let names: BTreeSet<&str> = was.keys().chain(now.keys()).copied().collect();
-    let value = |cols: &BTreeMap<&str, &'a str>, name| cols.get(name).copied().unwrap_or("(none)");
-    let moved: Vec<String> = names
-        .into_iter()
-        .filter(|name| was.get(name) != now.get(name))
-        .map(|name| format!("{name}: {} -> {}", value(&was, name), value(&now, name)))
-        .collect();
-    match moved.is_empty() {
-        true => "columns in another order".into(),
-        false => moved.join(", "),
+    match differences(&fields(was), &fields(now)) {
+        moved if moved.is_empty() => "columns in another order".into(),
+        moved => moved.join(", "),
     }
+}
+
+/// Each name `was` and `now` give different values, `name: was -> now`.
+fn differences(was: &Fields, now: &Fields) -> Vec<String> {
+    let names: BTreeSet<&String> = was.keys().chain(now.keys()).collect();
+    let value = |fields: &Fields, name| fields.get(name).cloned().unwrap_or("(none)".into());
+    let moved = names.into_iter().filter(|&n| was.get(n) != now.get(n));
+    let both = |name| format!("{name}: {} -> {}", value(was, name), value(now, name));
+    moved.map(both).collect()
+}
+
+/// One run as the mode relations see it: its report, with the registry
+/// outside `sim.ff.*` (the scheduler's own diagnostics, which differ by
+/// mode on purpose), or the error it stopped with.
+pub struct Observed(pub Result<SimReport, MosaicError>);
+
+impl Observed {
+    pub fn of(mut run: Result<SimReport, MosaicError>) -> Self {
+        if let Ok(report) = &mut run {
+            report.registry.retain(|path| !path.starts_with("sim.ff."));
+        }
+        Observed(run)
+    }
+}
+
+/// Named fields of a run, each with its value: what a relation compares.
+pub type Fields = BTreeMap<String, String>;
+pub type View = fn(&SimReport) -> Fields;
+
+pub fn field(name: impl fmt::Display, value: impl fmt::Debug) -> (String, String) {
+    (name.to_string(), format!("{value:?}"))
+}
+
+/// The report and the registry's counters (histograms are sampled: a run
+/// keeps them from `Stats` up).
+pub fn counters(r: &SimReport) -> Fields {
+    fields(r, false)
+}
+
+/// The report, the whole registry and every profile row.
+pub fn everything(r: &SimReport) -> Fields {
+    fields(r, true)
+}
+
+/// The report's fields (energies as bit patterns) and the registry's
+/// counters; with `all`, its histograms and the profile rows as well.
+fn fields(r: &SimReport, all: bool) -> Fields {
+    let energy = [r.core_energy_pj, r.mem_energy_pj, r.static_energy_pj].map(f64::to_bits);
+    let throttled = field("dram_throttled", r.dram_throttled);
+    let mut fields = Fields::from([field("cycles", r.cycles), field("mem", r.mem), throttled]);
+    fields.extend([field("retired", r.total_retired), field("energy", energy)]);
+    fields.extend(r.tiles.iter().map(|t| field(format!("tile {}", t.name), t)));
+    for (path, value) in r.registry.iter() {
+        if all || matches!(value, StatValue::Counter(_)) {
+            fields.extend([field(path, value)]);
+        }
+    }
+    for ((f, i), row) in r.profile.iter().filter(|_| all) {
+        fields.extend([field(format!("profile {f}.{i}"), row)]);
+    }
+    fields
+}
+
+/// `Err` of `label` and each field whose value the two runs, each seen
+/// through its view, differ in, with both values. Runs that stopped are
+/// compared by their verdicts alone.
+pub fn drift(label: &str, a: (&Observed, View), b: (&Observed, View)) -> Result<(), String> {
+    let verdict = |(Observed(run), _): (&Observed, View)| {
+        Fields::from([field("verdict", run.as_ref().map(|_| "finished"))])
+    };
+    let seen = |(Observed(run), view): (&Observed, View)| run.as_ref().map_or(Fields::new(), view);
+    let mut moved = differences(&verdict(a), &verdict(b));
+    if moved.is_empty() {
+        moved = differences(&seen(a), &seen(b));
+    }
+    let label = || format!("{label}: {}", moved.join(", "));
+    moved.is_empty().then_some(()).ok_or_else(label)
 }

@@ -1,6 +1,6 @@
 //! Golden rows at the core tile's own counters.
 //!
-//! The system-level differential suites see `CoreTile` through five
+//! The mode relations (`tests/support/relations.rs`) see `CoreTile` through five
 //! kernels at the two default configurations, and compare a run with
 //! itself (fast-forward against naive, observed against not). This test
 //! pins what the tile counts, per tile, against a table recorded before
