@@ -1,26 +1,30 @@
 //! # mosaic-bench
 //!
 //! Reproduction harnesses for every table and figure in the MosaicSim
-//! paper's evaluation (§VI, §VII). Each binary under `src/bin/` prints the
-//! rows/series of one table or figure:
+//! paper's evaluation (§VI, §VII). Each is a function that returns its
+//! data as [`Table`]s; [`FIGURES`] names them, and the crate's binary
+//! prints the named ones (all of them with no arguments) as Markdown:
+//! `cargo run --release -p mosaic-bench -- fig11_dae table1_system`.
 //!
-//! | Target | Reproduces |
+//! | Name | Reproduces |
 //! |---|---|
 //! | `fig01_trends` | Fig. 1 microprocessor trend data |
 //! | `table1_system` | Table I evaluation system |
-//! | `table2_dae_params` | Table II DAE case-study parameters |
 //! | `fig05_accuracy` | Fig. 5 per-benchmark runtime accuracy factors |
 //! | `fig06_ipc` | Fig. 6 IPC characterization |
+//! | `characterize` | per-kernel registry summary of the Fig. 5/6 runs |
 //! | `fig07_09_scaling` | Figs. 7–9 BFS/SGEMM/SPMV scaling |
 //! | `fig10_accel_dse` | Fig. 10 accelerator DSE + model accuracy |
+//! | `storage_report` | §VI-B trace storage requirements |
+//! | `table2_dae_params` | Table II DAE case-study parameters |
 //! | `fig11_dae` | Fig. 11 graph-projection DAE speedups |
 //! | `fig12_microbench` | Fig. 12 EWSD / SGEMM microbenchmarks |
 //! | `fig13_combined` | Fig. 13 combined sparse+dense workloads |
 //! | `fig14_keras_edp` | Fig. 14 Keras EDP improvements |
-//! | `storage_report` | §VI-B trace storage requirements |
 //! | `ablations` | Design-choice ablations (DESIGN.md §4.10) |
 //!
-//! This library crate holds the shared harness utilities.
+//! The rest of the crate is the shared harness: SPMD, accelerator and DAE
+//! runs, and the parallel (and warm-started) sweep.
 
 #![warn(missing_docs)]
 
@@ -34,6 +38,34 @@ use mosaic_kernels::Prepared;
 use mosaic_mem::HierarchyConfig;
 use mosaic_passes::DaeSlices;
 use mosaic_tile::{ChannelConfig, CoreConfig};
+
+mod ablations;
+mod case_study;
+mod figures;
+mod table;
+
+pub use {ablations::*, case_study::*, figures::*, table::*};
+
+/// A figure or table: the function that simulates it and returns its data.
+pub type Figure = fn() -> Vec<Table>;
+
+/// Every figure and table the binary prints, by name, in paper order.
+pub const FIGURES: [(&str, Figure); 14] = [
+    ("fig01_trends", fig01_trends),
+    ("table1_system", table1_system),
+    ("fig05_accuracy", fig05_accuracy),
+    ("fig06_ipc", fig06_ipc),
+    ("characterize", characterize),
+    ("fig07_09_scaling", fig07_09_scaling),
+    ("fig10_accel_dse", fig10_accel_dse),
+    ("storage_report", storage_report),
+    ("table2_dae_params", table2_dae_params),
+    ("fig11_dae", fig11_dae),
+    ("fig12_microbench", fig12_microbench),
+    ("fig13_combined", fig13_combined),
+    ("fig14_keras_edp", fig14_keras_edp),
+    ("ablations", ablations),
+];
 
 /// Runs `prepared` on `tiles` SPMD copies of `core` over `memory`.
 ///
@@ -123,34 +155,13 @@ impl SweepPoint {
     /// # Panics
     ///
     /// Panics with the rendered failure (snapshot included for
-    /// deadlocks) when the point failed — for figure binaries whose
+    /// deadlocks) when the point failed — for figures whose
     /// configurations are known-good.
     pub fn report(&self) -> &SimReport {
         match &self.result {
             Ok(r) => r,
             Err(e) => panic!("sweep point {} failed: {e}", self.label),
         }
-    }
-
-    /// Whether this point produced a report.
-    pub fn is_ok(&self) -> bool {
-        self.result.is_ok()
-    }
-
-    /// Simulated cycles per wall-clock second for this point (0 for a
-    /// failed point).
-    pub fn sim_cycles_per_sec(&self) -> f64 {
-        self.result
-            .as_ref()
-            .map_or(0.0, |r| r.cycles as f64 / self.wall_secs)
-    }
-
-    /// Retired instructions per wall-clock second for this point (0 for a
-    /// failed point).
-    pub fn instrs_per_sec(&self) -> f64 {
-        self.result
-            .as_ref()
-            .map_or(0.0, |r| r.total_retired as f64 / self.wall_secs)
     }
 }
 
@@ -194,8 +205,8 @@ impl Sweep {
         self.points.iter().filter(|p| p.result.is_err())
     }
 
-    /// One-line throughput summary for figure binaries; names the number
-    /// of failed points when there are any.
+    /// One-line throughput summary, which the figures print to stderr;
+    /// names the number of failed points when there are any.
     pub fn summary(&self) -> String {
         let failures = self.failed().count();
         let failure_note = if failures > 0 {
@@ -245,7 +256,7 @@ impl IntoSweepResult for Result<SimReport, SimError> {
 /// Runs one simulation per point of `points` across all available cores
 /// and returns the reports in input order.
 ///
-/// This is the parallel sweep harness the figure binaries use: sweeps are
+/// This is the parallel sweep harness the figures use: sweeps are
 /// embarrassingly parallel (every [`SystemBuilder`] run is independent),
 /// so points are distributed over `std::thread::available_parallelism()`
 /// workers via an atomic work index. `job` maps a point to a
@@ -406,12 +417,6 @@ pub fn edp(report: &SimReport) -> f64 {
     report.edp_js(&EnergyModel::default())
 }
 
-/// Formats a speedup bar for terminal output.
-pub fn bar(value: f64, per_char: f64) -> String {
-    let n = ((value / per_char).round() as usize).min(72);
-    "#".repeat(n.max(1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,13 +426,6 @@ mod tests {
         assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert!((geomean(&[2.0, 2.0, 2.0]) - 2.0).abs() < 1e-12);
         assert_eq!(geomean(&[]), 0.0);
-    }
-
-    #[test]
-    fn bar_is_bounded() {
-        assert_eq!(bar(3.0, 1.0), "###");
-        assert!(bar(1000.0, 1.0).len() <= 72);
-        assert_eq!(bar(0.01, 1.0), "#");
     }
 
     #[test]
@@ -454,8 +452,6 @@ mod tests {
             let serial = job(expect).1;
             assert_eq!(point.report().cycles, serial.cycles, "{}", point.label);
             assert_eq!(point.report().total_retired, serial.total_retired);
-            assert!(point.sim_cycles_per_sec() > 0.0);
-            assert!(point.instrs_per_sec() > 0.0);
         }
         assert!(sweep.sim_cycles_per_sec() > 0.0);
         assert!(!sweep.summary().is_empty());
@@ -509,8 +505,8 @@ mod tests {
             (format!("{sends}/{recvs}"), chatter(sends, recvs))
         });
         assert_eq!(sweep.points.len(), 3);
-        assert!(sweep.points[0].is_ok(), "{:?}", sweep.points[0].result);
-        assert!(sweep.points[2].is_ok(), "{:?}", sweep.points[2].result);
+        assert!(sweep.points[0].result.is_ok(), "{:?}", sweep.points[0].result);
+        assert!(sweep.points[2].result.is_ok(), "{:?}", sweep.points[2].result);
         match &sweep.points[1].result {
             Err(MosaicError::Sim(mosaic_core::SimError::Deadlock { snapshot })) => {
                 // The failure row carries the full wait-for evidence.
@@ -573,8 +569,8 @@ mod tests {
                 run_spmd(&p, 1, CoreConfig::in_order(), mosaic_core::small_memory()),
             )
         });
-        assert!(sweep.points[0].is_ok());
-        assert!(sweep.points[2].is_ok());
+        assert!(sweep.points[0].result.is_ok());
+        assert!(sweep.points[2].result.is_ok());
         match &sweep.points[1].result {
             Err(MosaicError::Panic { context }) => {
                 assert!(context.contains("point 2 exploded"), "{context}");

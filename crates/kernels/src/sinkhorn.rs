@@ -141,9 +141,9 @@ fn alloc_sparse(mem: &mut MemImage, nnz: usize, n: usize) -> SparseBuffers {
     }
 }
 
-/// Builds the EWSD microbenchmark at `scale`.
-pub fn ewsd(scale: u32) -> Prepared {
-    let nnz = BASE_NNZ * scale as usize;
+/// Builds the EWSD microbenchmark over `nnz` nonzeros ([`BASE_NNZ`] is
+/// Fig. 12's size; Fig. 13 runs each [`Mix::sizes`]).
+pub fn ewsd(nnz: usize) -> Prepared {
     let n = 256usize;
     let mut module = Module::new("ewsd");
     let f = module.add_function(
@@ -283,11 +283,11 @@ pub fn combined(mix: Mix, scale: u32, use_accel: bool) -> Prepared {
     }
 }
 
-/// The accelerator-offloaded SGEMM microbenchmark of Fig. 12: one
-/// invocation of the SGEMM accelerator at the same dimensions as
-/// [`sgemm_micro`].
-pub fn accel_sgemm_micro(scale: u32) -> Prepared {
-    let dim = (BASE_DIM * scale as usize) as i64;
+/// The accelerator-offloaded SGEMM microbenchmark: one invocation of the
+/// SGEMM accelerator on `dim`×`dim` matrices ([`BASE_DIM`] is Fig. 12's
+/// [`sgemm_micro`] size; Fig. 13 runs each [`Mix::sizes`]).
+pub fn accel_sgemm_micro(dim: usize) -> Prepared {
+    let dim = dim as i64;
     let mut module = Module::new("sgemm_accel");
     let f = module.add_function(
         "sgemm_accel",
@@ -344,8 +344,8 @@ mod tests {
 
     #[test]
     fn ewsd_matches_reference() {
-        let p = ewsd(1);
         let nnz = BASE_NNZ;
+        let p = ewsd(nnz);
         let n = 256;
         let rows = data::i32_vec(nnz, n as i32, 120);
         let cols = data::i32_vec(nnz, n as i32, 121);

@@ -148,9 +148,9 @@ fn bundled_kernels() -> Vec<mosaic_kernels::Prepared> {
         out.push(k::build_parboil(name, 1));
     }
     out.push(k::projection::build(1));
-    out.push(k::sinkhorn::ewsd(1));
+    out.push(k::sinkhorn::ewsd(k::sinkhorn::BASE_NNZ));
     out.push(k::sinkhorn::sgemm_micro(1));
-    out.push(k::sinkhorn::accel_sgemm_micro(1));
+    out.push(k::sinkhorn::accel_sgemm_micro(k::sinkhorn::BASE_DIM));
     for mix in [
         k::sinkhorn::Mix::DenseHeavy,
         k::sinkhorn::Mix::Equal,

@@ -220,7 +220,7 @@ fn bundled_kernels_lint_clean_and_terminate_functionally() {
         .map(|n| build_parboil(n, 1))
         .collect();
     kernels.push(mosaicsim::kernels::projection::build(1));
-    kernels.push(mosaicsim::kernels::sinkhorn::ewsd(1));
+    kernels.push(mosaicsim::kernels::sinkhorn::ewsd(mosaicsim::kernels::sinkhorn::BASE_NNZ));
     kernels.push(mosaicsim::kernels::sinkhorn::sgemm_micro(1));
     for app in mosaicsim::kernels::keras::all_apps() {
         kernels.push(app.lower_accelerated());

@@ -268,9 +268,9 @@ fn dae_projection_delivery_bounds_are_conservative() {
 fn bundled_kernels() -> Vec<Prepared> {
     let mut out: Vec<Prepared> = PARBOIL_NAMES.iter().map(|n| build_parboil(n, 1)).collect();
     out.push(projection::build(1));
-    out.push(sinkhorn::ewsd(1));
+    out.push(sinkhorn::ewsd(sinkhorn::BASE_NNZ));
     out.push(sinkhorn::sgemm_micro(1));
-    out.push(sinkhorn::accel_sgemm_micro(1));
+    out.push(sinkhorn::accel_sgemm_micro(sinkhorn::BASE_DIM));
     for mix in [
         sinkhorn::Mix::DenseHeavy,
         sinkhorn::Mix::Equal,

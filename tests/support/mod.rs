@@ -375,7 +375,7 @@ pub fn zoo() -> Vec<System> {
     z.dae("projection@1/dae/x1", &projection1, 1, [access, ino]);
     let projection4 = kernel(|| projection::build(4));
     z.dae("projection@4/dae/x4", &projection4, 4, [access, ino]);
-    let ewsd = kernel(|| sinkhorn::ewsd(1));
+    let ewsd = kernel(|| sinkhorn::ewsd(sinkhorn::BASE_NNZ));
     z.dtg("ewsd@1", &ewsd, 1);
     z.dtg("ewsd@1", &ewsd, 4);
     for (mix, name) in [(Mix::DenseHeavy, "dense-heavy"), (Mix::Equal, "equal")]
@@ -391,7 +391,7 @@ pub fn zoo() -> Vec<System> {
     let equal = kernel(|| sinkhorn::combined(Mix::Equal, 1, true));
     z.dtg("sinkhorn.equal.accel", &equal, 4);
     z.dtg("sgemm-micro.cpu", &kernel(|| sinkhorn::sgemm_micro(1)), 1);
-    let micro = kernel(|| sinkhorn::accel_sgemm_micro(1));
+    let micro = kernel(|| sinkhorn::accel_sgemm_micro(sinkhorn::BASE_DIM));
     z.dtg("sgemm-micro.accel", &micro, 1);
     for app in keras::all_apps() {
         let name = format!("keras.{}", app.name);

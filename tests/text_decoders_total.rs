@@ -383,9 +383,9 @@ fn design_md_tables_list_the_forms_and_keys_tested_here() {
 fn corpus() -> Vec<(String, String)> {
     let mut kernels: Vec<k::Prepared> = k::PARBOIL_NAMES.iter().map(|name| k::build_parboil(name, 1)).collect();
     kernels.push(k::projection::build(1));
-    kernels.push(k::sinkhorn::ewsd(1));
+    kernels.push(k::sinkhorn::ewsd(k::sinkhorn::BASE_NNZ));
     kernels.push(k::sinkhorn::sgemm_micro(1));
-    kernels.push(k::sinkhorn::accel_sgemm_micro(1));
+    kernels.push(k::sinkhorn::accel_sgemm_micro(k::sinkhorn::BASE_DIM));
     for mix in [k::sinkhorn::Mix::DenseHeavy, k::sinkhorn::Mix::Equal, k::sinkhorn::Mix::SparseHeavy] {
         kernels.push(k::sinkhorn::combined(mix, 1, true));
     }
