@@ -269,8 +269,9 @@ fn binop(op: BinOp, a: RtVal, b: RtVal) -> Result<RtVal, ExecError> {
 }
 
 #[inline(always)]
-fn icmp(pred: IntPredicate, a: i64, b: i64) -> bool {
-    match pred {
+fn icmp(pred: IntPredicate, a: RtVal, b: RtVal) -> RtVal {
+    let (a, b) = (a.as_int(), b.as_int());
+    RtVal::Int(match pred {
         IntPredicate::Eq => a == b,
         IntPredicate::Ne => a != b,
         IntPredicate::Slt => a < b,
@@ -279,7 +280,7 @@ fn icmp(pred: IntPredicate, a: i64, b: i64) -> bool {
         IntPredicate::Sge => a >= b,
         IntPredicate::Ult => (a as u64) < (b as u64),
         IntPredicate::Uge => (a as u64) >= (b as u64),
-    }
+    } as i64)
 }
 
 #[inline(always)]
@@ -441,9 +442,9 @@ impl<'m, S: TraceSink> Interpreter<'m, S> {
         let (sink, mem, slots) = (&mut *self.sink, &mut self.mem, &mut st.slots[..]);
         // `steps` counts retires; the tile's own count moves with it.
         let (mut pc, mut steps, before) = (st.pc, self.steps, self.steps);
-        let mut left = SLICE;
+        let (mut left, mut entering) = (SLICE, st.entering.take());
         while left > 0 && !st.finished {
-            if let Some(edge) = st.entering.take() {
+            if let Some(edge) = entering.take() {
                 let edge = plan.edges[edge as usize];
                 sink.on_block(tile, plan.func, edge.block);
                 pc = edge.pc as usize;
@@ -469,10 +470,27 @@ impl<'m, S: TraceSink> Interpreter<'m, S> {
             let get = |slot| val(slots, slot, tile);
             match op.code {
                 Code::Bin(bin) => slots[dst] = Some(binop(bin, get(a), get(b))?),
-                Code::ICmp(pred) => {
-                    let holds = icmp(pred, get(a).as_int(), get(b).as_int());
-                    slots[dst] = Some(RtVal::Int(holds as i64));
-                }
+                Code::Add => slots[dst] = Some(binop(BinOp::Add, get(a), get(b))?),
+                Code::Sub => slots[dst] = Some(binop(BinOp::Sub, get(a), get(b))?),
+                Code::Mul => slots[dst] = Some(binop(BinOp::Mul, get(a), get(b))?),
+                Code::And => slots[dst] = Some(binop(BinOp::And, get(a), get(b))?),
+                Code::Or => slots[dst] = Some(binop(BinOp::Or, get(a), get(b))?),
+                Code::Xor => slots[dst] = Some(binop(BinOp::Xor, get(a), get(b))?),
+                Code::Shl => slots[dst] = Some(binop(BinOp::Shl, get(a), get(b))?),
+                Code::AShr => slots[dst] = Some(binop(BinOp::AShr, get(a), get(b))?),
+                Code::LShr => slots[dst] = Some(binop(BinOp::LShr, get(a), get(b))?),
+                Code::FAdd => slots[dst] = Some(binop(BinOp::FAdd, get(a), get(b))?),
+                Code::FSub => slots[dst] = Some(binop(BinOp::FSub, get(a), get(b))?),
+                Code::FMul => slots[dst] = Some(binop(BinOp::FMul, get(a), get(b))?),
+                Code::FDiv => slots[dst] = Some(binop(BinOp::FDiv, get(a), get(b))?),
+                Code::Eq => slots[dst] = Some(icmp(IntPredicate::Eq, get(a), get(b))),
+                Code::Ne => slots[dst] = Some(icmp(IntPredicate::Ne, get(a), get(b))),
+                Code::Slt => slots[dst] = Some(icmp(IntPredicate::Slt, get(a), get(b))),
+                Code::Sle => slots[dst] = Some(icmp(IntPredicate::Sle, get(a), get(b))),
+                Code::Sgt => slots[dst] = Some(icmp(IntPredicate::Sgt, get(a), get(b))),
+                Code::Sge => slots[dst] = Some(icmp(IntPredicate::Sge, get(a), get(b))),
+                Code::Ult => slots[dst] = Some(icmp(IntPredicate::Ult, get(a), get(b))),
+                Code::Uge => slots[dst] = Some(icmp(IntPredicate::Uge, get(a), get(b))),
                 Code::FCmp(pred) => {
                     let holds = fcmp(pred, get(a).as_float(), get(b).as_float());
                     slots[dst] = Some(RtVal::Int(holds as i64));
@@ -549,8 +567,8 @@ impl<'m, S: TraceSink> Interpreter<'m, S> {
                     sink.on_accel(tile, InstId(op.inst), accel, &self.accel_args);
                     accel_functional(mem, accel, &self.accel_args);
                 }
-                Code::Br => st.entering = Some(a),
-                Code::CondBr => st.entering = Some(if get(a).as_bool() { b } else { c }),
+                Code::Br => entering = Some(a),
+                Code::CondBr => entering = Some(if get(a).as_bool() { b } else { c }),
                 Code::Ret => {
                     st.ret = Some(get(a));
                     st.finished = true;
@@ -566,7 +584,7 @@ impl<'m, S: TraceSink> Interpreter<'m, S> {
             }
             left -= 1;
         }
-        st.pc = pc;
+        (st.pc, st.entering) = (pc, entering);
         st.retired += steps - before;
         self.steps = steps;
         Ok(left < SLICE)
@@ -660,4 +678,145 @@ pub fn run_single<S: TraceSink>(
     sink: &mut S,
 ) -> Result<ExecOutcome, ExecError> {
     run_tiles(module, mem, &[TileProgram::single(func, args)], sink)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::builder::FunctionBuilder;
+    use crate::inst::{Opcode, Operand};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// An operand of the op under test: a parameter holding the value, or
+    /// (`None`) an instruction below it that has not run yet.
+    type Arg = Option<RtVal>;
+
+    /// What `f` returns, or the message it panics with.
+    fn outcome<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+        catch_unwind(AssertUnwindSafe(f)).map_err(|e| {
+            let text = e.downcast_ref::<String>().cloned();
+            text.or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
+                .expect("a panic message")
+        })
+    }
+
+    /// Runs `%0 = emit(lhs, rhs); %1 = 0 + 0; %2 = 0 + 0; ret %0`, an
+    /// undefined `lhs` reading `%1` and an undefined `rhs` `%2`.
+    fn run_op(
+        emit: impl FnOnce(&mut FunctionBuilder<'_>, Operand, Operand) -> Operand,
+        lhs: Arg,
+        rhs: Arg,
+    ) -> Result<RtVal, ExecError> {
+        let ty = |v: &RtVal| match v {
+            RtVal::Int(_) => Type::I64,
+            RtVal::Float(_) => Type::F64,
+        };
+        let args: Vec<RtVal> = [lhs, rhs].into_iter().flatten().collect();
+        let params = args.iter().enumerate();
+        let params = params.map(|(i, v)| (format!("p{i}"), ty(v))).collect();
+        let mut m = Module::new("t");
+        let f = m.add_function("k", params, Type::I64);
+        let mut b = FunctionBuilder::new(m.function_mut(f));
+        let e = b.create_block("entry");
+        b.switch_to(e);
+        let zero = crate::types::Constant::i64(0).into();
+        let mut next = 0;
+        let mut operand = |arg: Arg, undefined: u32| match arg {
+            Some(_) => (b.param(next), next += 1).0,
+            None => Operand::Inst(InstId(undefined)),
+        };
+        let (l, r) = (operand(lhs, 1), operand(rhs, 2));
+        // The builder reads an operand's type, which `%1` has not yet:
+        // emitted over zeros, the op gets its operands below.
+        let v = emit(&mut b, zero, zero);
+        b.bin(BinOp::Add, zero, zero);
+        b.bin(BinOp::Add, zero, zero);
+        b.ret(Some(v));
+        match m.function_mut(f).inst_mut(InstId(0)).op_mut() {
+            Opcode::Bin { lhs, rhs, .. } | Opcode::ICmp { lhs, rhs, .. } => (*lhs, *rhs) = (l, r),
+            op => unreachable!("{op:?}"),
+        }
+        let out = run_single(&m, MemImage::new(), f, args, &mut NullSink)?;
+        Ok(out.returns[0].expect("a value"))
+    }
+
+    /// A value by its bits, so that NaN equals itself and -0.0 differs
+    /// from 0.0.
+    fn bits(v: Result<RtVal, ExecError>) -> Result<(bool, u64), ExecError> {
+        v.map(|v| match v {
+            RtVal::Int(i) => (false, i as u64),
+            RtVal::Float(f) => (true, f.to_bits()),
+        })
+    }
+
+    /// Every `BinOp` and `IntPredicate`, each compiled to a code of its own
+    /// or to `Bin`, does in the interpreter what `binop` and `icmp` do with
+    /// the same operands — edge values, shift counts past 63, NaN and -0.0,
+    /// division by zero (the same `Trap`) — and faults in their order: an
+    /// undefined operand before a type mismatch, `lhs` before `rhs`, both
+    /// with `binop`'s own message.
+    #[test]
+    fn every_flat_code_is_binop_and_icmp() {
+        let ints = [0, -1, 1, 7, 63, 64, 65, 200, i64::MIN, i64::MAX].map(RtVal::Int);
+        let floats = [0.0, -0.0, 1.5, -2.25, f64::NAN, f64::INFINITY].map(RtVal::Float);
+        let pairs = |vals: &[RtVal]| {
+            let vals = vals.to_vec();
+            let all = vals.iter().flat_map(|&a| vals.iter().map(move |&b| (a, b)));
+            all.collect::<Vec<_>>()
+        };
+        for &op in BinOp::ALL {
+            let (vals, wrong) = match op.is_float() {
+                true => (&floats[..], ints[1]),
+                false => (&ints[..], floats[2]),
+            };
+            let emit = |b: &mut FunctionBuilder<'_>, l, r| b.bin(op, l, r);
+            let direct = |a, b| outcome(|| binop(op, a, b));
+            for (a, b) in pairs(vals) {
+                let run = outcome(|| bits(run_op(emit, Some(a), Some(b))));
+                let want = direct(a, b).map(bits);
+                assert_eq!(run, want, "{op:?} {a:?} {b:?}");
+            }
+            faults(emit, direct, vals[1], wrong, &format!("{op:?}"));
+        }
+        for &pred in IntPredicate::ALL {
+            let emit = |b: &mut FunctionBuilder<'_>, l, r| b.icmp(pred, l, r);
+            let direct = |a, b| outcome(|| Ok(icmp(pred, a, b)));
+            for (a, b) in pairs(&ints) {
+                let run = outcome(|| bits(run_op(emit, Some(a), Some(b))));
+                assert_eq!(run, direct(a, b).map(bits), "{pred:?} {a:?} {b:?}");
+            }
+            faults(emit, direct, ints[1], floats[2], &format!("{pred:?}"));
+        }
+    }
+
+    /// The fault order of one op, `ok` a value of the type it takes and
+    /// `wrong` one of the other type.
+    fn faults(
+        emit: impl Fn(&mut FunctionBuilder<'_>, Operand, Operand) -> Operand,
+        direct: impl Fn(RtVal, RtVal) -> Result<Result<RtVal, ExecError>, String>,
+        ok: RtVal,
+        wrong: RtVal,
+        what: &str,
+    ) {
+        let run = |lhs, rhs| outcome(|| run_op(&emit, lhs, rhs)).map(bits);
+        let undefined = |n| Err(format!("use of undefined value %{n} (tile 0)"));
+        assert_eq!(run(None, None), undefined(1), "{what}: lhs first");
+        for (lhs, rhs, n) in [(Some(wrong), None, 2), (None, Some(wrong), 1)] {
+            assert_eq!(run(lhs, rhs), undefined(n), "{what}: undefined first");
+        }
+        for (a, b) in [(wrong, ok), (ok, wrong), (wrong, wrong)] {
+            let want = direct(a, b).map(bits);
+            assert!(want.is_err(), "{what}: {a:?} {b:?} is a type mismatch");
+            assert_eq!(run(Some(a), Some(b)), want, "{what}: {a:?} {b:?}");
+        }
+        if !matches!(wrong, RtVal::Float(_)) {
+            return;
+        }
+        // An int op reads `lhs` first, but a divisor before its dividend.
+        let divides = ["SDiv", "SRem", "UDiv", "URem"].contains(&what);
+        let (l, r) = (RtVal::Float(1.5), RtVal::Float(2.5));
+        let first = [l, r][usize::from(divides)].as_float();
+        let found = format!("expected int, found float {first}");
+        assert_eq!(run(Some(l), Some(r)), Err(found), "{what}");
+    }
 }

@@ -37,10 +37,31 @@ pub(super) const NO_SLOT: u32 = u32::MAX;
 /// slots unless said otherwise.
 #[derive(Debug, Clone, Copy)]
 pub(super) enum Code {
-    /// `a op b`.
+    /// `a op b` for the ops that trap: division and remainder.
     Bin(BinOp),
-    /// `a pred b`.
-    ICmp(IntPredicate),
+    /// `a op b`, the rest of [`BinOp`] and every [`IntPredicate`], one
+    /// code each so that the interpreter dispatches an op in one jump.
+    Add,
+    Sub,
+    Mul,
+    And,
+    Or,
+    Xor,
+    Shl,
+    AShr,
+    LShr,
+    FAdd,
+    FSub,
+    FMul,
+    FDiv,
+    Eq,
+    Ne,
+    Slt,
+    Sle,
+    Sgt,
+    Sge,
+    Ult,
+    Uge,
     /// `a pred b`.
     FCmp(FloatPredicate),
     /// `a ? b : c`.
@@ -74,6 +95,17 @@ pub(super) enum Code {
     /// What only an unverified function reaches: executing it panics with
     /// the message.
     Invalid(&'static str),
+}
+
+/// The code named as the variant of `$ty` that `$of` is, for the names
+/// listed; `$code` for the rest.
+macro_rules! flat {
+    ($of:expr, $ty:ident: $($name:ident)+ $(; $rest:pat => $code:expr)?) => {
+        match $of {
+            $($ty::$name => Code::$name,)+
+            $($rest => $code,)?
+        }
+    };
 }
 
 /// One instruction of the flat stream.
@@ -150,8 +182,16 @@ impl Plan {
                         let why = "phi not at block top was rejected by the verifier";
                         (Code::Invalid(why), [0, 0, 0])
                     }
-                    Opcode::Bin { op, lhs, rhs } => (Code::Bin(op), [s(lhs), s(rhs), 0]),
-                    Opcode::ICmp { pred, lhs, rhs } => (Code::ICmp(pred), [s(lhs), s(rhs), 0]),
+                    Opcode::Bin { op, lhs, rhs } => {
+                        use BinOp::{SDiv, SRem, UDiv, URem};
+                        let code = flat!(op, BinOp: Add Sub Mul And Or Xor Shl AShr LShr FAdd
+                            FSub FMul FDiv; SDiv | SRem | UDiv | URem => Code::Bin(op));
+                        (code, [s(lhs), s(rhs), 0])
+                    }
+                    Opcode::ICmp { pred, lhs, rhs } => {
+                        let code = flat!(pred, IntPredicate: Eq Ne Slt Sle Sgt Sge Ult Uge);
+                        (code, [s(lhs), s(rhs), 0])
+                    }
                     Opcode::FCmp { pred, lhs, rhs } => (Code::FCmp(pred), [s(lhs), s(rhs), 0]),
                     Opcode::Select {
                         cond,

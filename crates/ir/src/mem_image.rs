@@ -147,20 +147,26 @@ impl MemImage {
     }
 
     /// Reads `N` bytes at `addr`: one indexed copy when they lie in one
-    /// line, byte by byte (each of which does) across a boundary.
-    #[inline]
+    /// line, inlined into the caller; byte by byte (each of which does),
+    /// out of line, across a boundary.
+    #[inline(always)]
     fn load<const N: usize>(&self, addr: u64) -> [u8; N] {
         let off = self.off(addr, N);
         let at = off & (LINE - 1);
-        let mut out = [0; N];
         if at + N > LINE {
-            for (i, byte) in out.iter_mut().enumerate() {
-                [*byte] = self.load(addr + i as u64);
-            }
-        } else if let Some(line) = self.line(off) {
+            return self.load_straddling(addr);
+        }
+        let mut out = [0; N];
+        if let Some(line) = self.line(off) {
             out.copy_from_slice(&line[at..at + N]);
         }
         out
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn load_straddling<const N: usize>(&self, addr: u64) -> [u8; N] {
+        std::array::from_fn(|i| self.load::<1>(addr + i as u64)[0])
     }
 
     /// Writes `N` bytes at `addr`, the same two ways.
@@ -250,7 +256,7 @@ impl MemImage {
     }
 
     /// Reads a typed scalar as a runtime value.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn read_typed(&self, addr: u64, ty: Type) -> RtVal {
         match ty {
             Type::I1 | Type::I8 => RtVal::Int(self.read_i8(addr) as i64),

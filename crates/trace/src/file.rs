@@ -50,11 +50,20 @@ pub(crate) fn encode(tiles: Vec<Recording>) -> Vec<u8> {
     bytes
 }
 
-/// Writes `chunks` as a column of `width`-byte values less `base`.
-fn put_column<T: Into<u64>>(e: &mut Enc, chunks: Chunks<T>, base: u64, width: u8) {
+/// Writes `chunks` as a column of `width`-byte values less `base`, through
+/// a buffer on the stack: each value is stored as 8 bytes, `width` past the
+/// last one, whose bytes beyond `width` are zero and the next value's to
+/// overwrite. Each chunk goes once it is written.
+fn put_column<T: Into<u64> + Copy>(e: &mut Enc, chunks: Chunks<T>, base: u64, width: u8) {
     (chunks.iter().map(Vec::len).sum::<usize>() as u64, width).put(e);
-    for v in chunks.into_iter().flatten() {
-        e.raw(&(v.into() - base).to_le_bytes()[..usize::from(width)]);
+    let (w, mut packed) = (usize::from(width), [0; 4096 + 8]);
+    for chunk in chunks {
+        for values in chunk.chunks(4096 / w.max(1)) {
+            for (i, &v) in values.iter().enumerate() {
+                packed[w * i..][..8].copy_from_slice(&(v.into() - base).to_le_bytes());
+            }
+            e.raw(&packed[..w * values.len()]);
+        }
     }
 }
 
@@ -259,6 +268,57 @@ mod tests {
         assert_eq!(r.control_flow_bytes, 2 * (9 + 67));
         assert_eq!(r.memory_bytes, 2 * (4 + 3 * 23 + 2 * 32));
         assert_eq!(r.total_bytes() + 12 + 2 * 13, buf.len() as u64);
+    }
+
+    /// A column at every width, 0 (a stream that stays at one address) to
+    /// 8, low in the address space and so near its top that the base is
+    /// lowered below the stream: the bytes are what writing
+    /// `to_le_bytes()[..width]` of each offset writes, and read back.
+    #[test]
+    fn columns_of_every_width_are_written_value_by_value() {
+        let mut rec = TraceRecorder::new(1);
+        let mut want = Vec::new();
+        for width in 0..=8u8 {
+            let top = max_of_width(width);
+            // Low: offsets up to `top` from 0x40. High: up to half of it,
+            // ending at `u64::MAX`, which leaves the base at `MAX - top`.
+            let low = (
+                0x40u64.min(u64::MAX - top),
+                top,
+                0x40u64.min(u64::MAX - top),
+            );
+            let high = (u64::MAX - top / 2, top / 2, u64::MAX - top);
+            for (k, (lo, span, base)) in [low, high].into_iter().enumerate() {
+                let offset = |i: u64| match i {
+                    0 => 0,
+                    1 => span,
+                    _ => i.wrapping_mul(0x9e37_79b9_7f4a_7c15) & span,
+                };
+                let addrs: Vec<u64> = (0..300).map(|i| lo + offset(i)).collect();
+                let inst = InstId(2 * u32::from(width) + k as u32);
+                for &addr in &addrs {
+                    rec.on_mem(0, inst, addr, 8, false);
+                }
+                want.push((inst, width, base, addrs));
+            }
+        }
+        let trace = rec.finish();
+        let mut file = Vec::new();
+        trace.write_to(&mut file).unwrap();
+        let back = KernelTrace::read_from(&mut file.as_slice()).unwrap();
+        for (inst, width, base, addrs) in want {
+            let s = trace.tile(0).mem[inst.index()];
+            assert_eq!((s.offsets.width, s.base), (width, base), "{inst:?}");
+            let mut column = (addrs.len() as u64).to_le_bytes().to_vec();
+            column.push(width);
+            for a in &addrs {
+                column.extend_from_slice(&(a - base).to_le_bytes()[..usize::from(width)]);
+            }
+            let at = s.offsets.start - 9;
+            assert_eq!(file[at..at + column.len()], column, "{inst:?}");
+            let read: Vec<u64> = back.tile(0).mem_stream(inst).map(|a| a.addr).collect();
+            assert_eq!(read, addrs, "{inst:?}");
+        }
     }
 
     #[test]

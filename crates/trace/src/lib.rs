@@ -130,8 +130,9 @@ pub struct TileTrace {
     retired: u64,
 }
 
-/// Entry `i` of `table`, growing the table to reach it.
-#[inline]
+/// Entry `i` of `table`, growing the table to reach it: off every hot path.
+#[cold]
+#[inline(never)]
 fn slot_mut<T: Default>(table: &mut Vec<T>, i: usize) -> &mut T {
     if i >= table.len() {
         table.resize_with(i + 1, T::default);
@@ -270,14 +271,19 @@ impl TraceSizeReport {
 /// grows without moving what it holds, into whatever room the heap has.
 type Chunks<T> = Vec<Vec<T>>;
 
-/// Appends `v` to `chunks`.
-#[inline]
+/// Appends `v` to `chunks`, starting a chunk if the last is full.
 fn push<T>(chunks: &mut Chunks<T>, v: T) {
     if chunks.last().is_none_or(|c| c.len() == c.capacity()) {
         let cap = chunks.last().map_or(16, |c| (2 * c.len()).min(8192));
         chunks.push(Vec::with_capacity(cap));
     }
     chunks.last_mut().expect("a chunk with room").push(v);
+}
+
+/// The last chunk of `chunks`, if it has room for a value.
+#[inline(always)]
+fn room<T>(chunks: &mut Chunks<T>) -> Option<&mut Vec<T>> {
+    chunks.last_mut().filter(|c| c.len() < c.capacity())
 }
 
 /// One tile as it is recorded: block ids and addresses at full width.
@@ -313,18 +319,23 @@ impl TraceRecorder {
     pub fn finish(self) -> KernelTrace {
         KernelTrace::index(file::encode(self.tiles)).expect("a recorded trace reads back")
     }
-}
 
-impl TraceSink for TraceRecorder {
-    #[inline]
-    fn on_block(&mut self, tile: usize, func: FuncId, block: BlockId) {
+    /// `on_block` past its fast path: a tile's first block, a full chunk,
+    /// or a tile past the table.
+    #[cold]
+    #[inline(never)]
+    fn on_block_slow(&mut self, tile: usize, func: FuncId, block: BlockId) {
         let t = slot_mut(&mut self.tiles, tile);
         t.func.get_or_insert(func);
         push(&mut t.path, block.0);
     }
 
-    #[inline]
-    fn on_mem(&mut self, tile: usize, inst: InstId, addr: u64, size: u8, write: bool) {
+    /// `on_mem` past its fast path: a stream's first access, a full chunk,
+    /// a tile or an instruction past its table, or an access of another
+    /// size or direction, which panics.
+    #[cold]
+    #[inline(never)]
+    fn on_mem_slow(&mut self, tile: usize, inst: InstId, addr: u64, size: u8, write: bool) {
         let mem = &mut slot_mut(&mut self.tiles, tile).mem;
         let (addrs, of_size, of_write) = slot_mut(mem, inst.index());
         assert!(
@@ -334,6 +345,30 @@ impl TraceSink for TraceRecorder {
         (*of_size, *of_write) = (size, write);
         push(addrs, addr);
     }
+}
+
+/// Each event's fast path, inlined into the interpreter: a value into the
+/// room its stream's last chunk has. Anything else takes the cold path.
+impl TraceSink for TraceRecorder {
+    #[inline]
+    fn on_block(&mut self, tile: usize, func: FuncId, block: BlockId) {
+        let t = self.tiles.get_mut(tile).filter(|t| t.func.is_some());
+        match t.and_then(|t| room(&mut t.path)) {
+            Some(chunk) => chunk.push(block.0),
+            None => self.on_block_slow(tile, func, block),
+        }
+    }
+
+    #[inline]
+    fn on_mem(&mut self, tile: usize, inst: InstId, addr: u64, size: u8, write: bool) {
+        let stream = self.tiles.get_mut(tile).map(|t| &mut t.mem);
+        let stream = stream.and_then(|mem| mem.get_mut(inst.index()));
+        let same = stream.filter(|s| (s.1, s.2) == (size, write));
+        match same.and_then(|s| room(&mut s.0)) {
+            Some(chunk) => chunk.push(addr),
+            None => self.on_mem_slow(tile, inst, addr, size, write),
+        }
+    }
 
     fn on_accel(&mut self, tile: usize, inst: InstId, accel: AccelOp, args: &[i64]) {
         let (calls, args) = (&mut slot_mut(&mut self.tiles, tile).calls, args.to_vec());
@@ -342,7 +377,10 @@ impl TraceSink for TraceRecorder {
 
     #[inline]
     fn on_retire(&mut self, tile: usize) {
-        slot_mut(&mut self.tiles, tile).retired += 1;
+        match self.tiles.get_mut(tile) {
+            Some(t) => t.retired += 1,
+            None => slot_mut(&mut self.tiles, tile).retired += 1,
+        }
     }
 }
 
@@ -571,6 +609,63 @@ mod tests {
         let mut rec = TraceRecorder::new(1);
         rec.on_mem(0, InstId(0), 64, 4, false);
         rec.on_mem(0, InstId(0), 68, 8, false);
+    }
+
+    /// The recorder's cold paths: a stream's first access, every chunk
+    /// boundary (16, 32, … up to 8192 values, then 8192 again), and a tile
+    /// past the count it was made for. What was recorded reads back whole.
+    #[test]
+    fn the_recorder_s_cold_paths_keep_every_event() {
+        let (n, mut rec) = (3 * 8192 + 100, TraceRecorder::new(1));
+        let addr = |i: usize| 0x40 + 8 * i as u64;
+        for i in 0..n {
+            rec.on_block(0, FuncId(1), BlockId(i as u32 % 300));
+            rec.on_mem(0, InstId(2), addr(i), 8, i == usize::MAX);
+            rec.on_retire(0);
+        }
+        // Tile 3 of a recorder made for one: its events, not a panic.
+        rec.on_retire(3);
+        rec.on_mem(3, InstId(0), 0x80, 4, true);
+        rec.on_block(3, FuncId(2), BlockId(7));
+        let sizes = |chunks: &Chunks<u64>| chunks.iter().map(Vec::len).collect::<Vec<_>>();
+        let doubling = (4..=13).map(|k| 1 << k);
+        let want: Vec<usize> = doubling.chain([8192, n - (2 * 8192 + 8176)]).collect();
+        assert_eq!(sizes(&rec.tiles[0].mem[2].0), want);
+        let trace = rec.finish();
+        let t = trace.tile(0);
+        assert!(t.path().eq((0..n).map(|i| BlockId(i as u32 % 300))));
+        let access = |i| MemAccess {
+            addr: addr(i),
+            size: 8,
+            write: false,
+        };
+        assert!(t.mem_stream(InstId(2)).eq((0..n).map(access)));
+        assert_eq!((t.func(), t.retired()), (Some(FuncId(1)), n as u64));
+        let late = trace.tile(3);
+        assert_eq!(
+            (trace.tile_count(), late.func(), late.retired()),
+            (4, Some(FuncId(2)), 1)
+        );
+        assert_eq!(late.mem_access(InstId(0), 0).map(|a| a.addr), Some(0x80));
+    }
+
+    /// An access of another size or direction panics, in the middle of a
+    /// chunk and where a chunk is full alike.
+    #[test]
+    fn a_changed_size_or_direction_panics_wherever_it_falls() {
+        for (before, size, write) in [(5, 8, false), (5, 4, true), (16, 2, false), (48, 4, true)] {
+            let mut rec = TraceRecorder::new(1);
+            for i in 0..before {
+                rec.on_mem(0, InstId(4), 64 + 4 * i, 4, false);
+            }
+            let change = std::panic::catch_unwind(move || rec.on_mem(0, InstId(4), 0, size, write));
+            let err = change.expect_err("a changed access panics");
+            let msg = err.downcast_ref::<String>().expect("a formatted message");
+            assert_eq!(
+                msg, "InstId(4) changed its access size or direction",
+                "after {before}"
+            );
+        }
     }
 
     #[test]
