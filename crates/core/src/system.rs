@@ -696,11 +696,7 @@ impl SystemBuilder {
         self.validate()?;
         self.lint_gate()?;
         let ntiles = self.tiles.len();
-        let mut mem = MemoryHierarchy::new(self.memory, ntiles.max(1));
-        // A warmed or reused hierarchy must never leak hit/miss counts
-        // into this run's report (sweep rows would otherwise accumulate):
-        // every build starts from zeroed stats.
-        mem.reset_stats();
+        let mem = MemoryHierarchy::new(self.memory, ntiles.max(1));
         let channels = ChannelSet::new(self.channel);
         let accel: Box<dyn AccelSim> = self.accel.unwrap_or_else(|| Box::new(NoAccel));
         let tiles: Vec<Box<dyn Tile>> = self

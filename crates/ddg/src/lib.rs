@@ -42,8 +42,6 @@
 
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
-
 use mosaic_ir::{
     AtomicOp, BinOp, BlockId, FuncId, Function, Inst, InstId, Intrinsic, Opcode, Operand,
 };
@@ -270,7 +268,6 @@ pub struct StaticDdg {
     func_name: String,
     nodes: Vec<StaticNode>,
     blocks: Vec<BlockDdg>,
-    predecessors: BTreeMap<BlockId, Vec<BlockId>>,
 }
 
 impl StaticDdg {
@@ -348,7 +345,6 @@ impl StaticDdg {
             func_name: func.name().to_string(),
             nodes,
             blocks,
-            predecessors: func.predecessors(),
         }
     }
 
@@ -398,14 +394,6 @@ impl StaticDdg {
     /// Number of basic blocks.
     pub fn block_count(&self) -> usize {
         self.blocks.len()
-    }
-
-    /// CFG predecessors of `block`.
-    pub fn predecessors(&self, block: BlockId) -> &[BlockId] {
-        self.predecessors
-            .get(&block)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
     }
 }
 
@@ -714,149 +702,5 @@ mod tests {
         let sq = plan.inst(plan.block(BlockId(0)).start + 1);
         assert_eq!(sq.class, InstClass::IntMul);
         assert_eq!(plan.edges(sq), [PlanEdge::Local(0)]);
-    }
-
-    #[test]
-    fn predecessor_queries() {
-        let (m, f, _, _) = loop_func();
-        let ddg = StaticDdg::build(m.function(f));
-        let preds = ddg.predecessors(BlockId(1));
-        assert_eq!(preds.len(), 2);
-        assert!(ddg.predecessors(BlockId(0)).is_empty());
-    }
-}
-
-/// Renders the DDG as Graphviz DOT — the visualization of paper Fig. 3:
-/// one cluster per basic block, data-flow edges between instruction
-/// nodes, dashed control-flow edges between terminators and successor
-/// blocks, with terminator nodes highlighted.
-///
-/// # Examples
-///
-/// ```
-/// use mosaic_ir::{Module, FunctionBuilder, Type, Constant, BinOp};
-/// use mosaic_ddg::{StaticDdg, to_dot};
-///
-/// let mut m = Module::new("demo");
-/// let f = m.add_function("k", vec![("p".into(), Type::Ptr)], Type::Void);
-/// let mut b = FunctionBuilder::new(m.function_mut(f));
-/// let e = b.create_block("entry");
-/// b.switch_to(e);
-/// let p = b.param(0);
-/// let v = b.load(Type::I32, p);
-/// let v2 = b.bin(BinOp::Add, v, Constant::i32(1).into());
-/// b.store(p, v2);
-/// b.ret(None);
-/// let ddg = StaticDdg::build(m.function(f));
-/// let dot = to_dot(m.function(f), &ddg);
-/// assert!(dot.starts_with("digraph"));
-/// assert!(dot.contains("cluster_bb0"));
-/// ```
-pub fn to_dot(func: &Function, ddg: &StaticDdg) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = writeln!(s, "digraph \"{}\" {{", ddg.func_name());
-    let _ = writeln!(s, "  rankdir=TB; node [shape=box, fontsize=10];");
-    for block in ddg.blocks() {
-        let bid = block.block();
-        let _ = writeln!(s, "  subgraph cluster_bb{} {{", bid.0);
-        let _ = writeln!(
-            s,
-            "    label=\"bb{} ({})\"; style=rounded;",
-            bid.0,
-            func.block(bid).name()
-        );
-        for &iid in block.insts() {
-            let node = ddg.node(iid);
-            let label = mosaic_ir::printer::print_inst(func, iid).replace('"', "\\\"");
-            let style = if node.is_terminator() {
-                ", style=filled, fillcolor=lightgoldenrod"
-            } else if node.mem_kind().is_some() {
-                ", style=filled, fillcolor=lightblue"
-            } else {
-                ""
-            };
-            let _ = writeln!(s, "    n{} [label=\"{}\"{}];", iid.0, label, style);
-        }
-        let _ = writeln!(s, "  }}");
-    }
-    // Data-flow edges.
-    for node in ddg.nodes() {
-        for &p in node.intra_parents() {
-            let _ = writeln!(s, "  n{} -> n{};", p.0, node.inst().0);
-        }
-        for &p in node.cross_parents() {
-            let _ = writeln!(s, "  n{} -> n{} [color=gray50];", p.0, node.inst().0);
-        }
-        for (pred, def) in node.phi_incoming() {
-            if let Some(d) = def {
-                let _ = writeln!(
-                    s,
-                    "  n{} -> n{} [color=gray50, label=\"bb{}\"];",
-                    d.0,
-                    node.inst().0,
-                    pred.0
-                );
-            }
-        }
-    }
-    // Control-flow edges: terminator -> first instruction of successor.
-    for block in ddg.blocks() {
-        let term = block.terminator();
-        for succ in func.inst(term).op().successors() {
-            if let Some(&first) = ddg.block(succ).insts().first() {
-                let _ = writeln!(
-                    s,
-                    "  n{} -> n{} [style=dashed, color=red, constraint=false];",
-                    term.0, first.0
-                );
-            }
-        }
-    }
-    s.push_str("}\n");
-    s
-}
-
-#[cfg(test)]
-mod dot_tests {
-    use super::*;
-    use mosaic_ir::{Constant, FunctionBuilder, Module, Type};
-
-    #[test]
-    fn dot_contains_all_nodes_and_cfg_edges() {
-        let mut m = Module::new("t");
-        let f = m.add_function("k", vec![("p".into(), Type::Ptr)], Type::Void);
-        let mut b = FunctionBuilder::new(m.function_mut(f));
-        let e = b.create_block("entry");
-        b.switch_to(e);
-        let p = b.param(0);
-        b.emit_counted_loop(
-            "l",
-            Constant::i64(0).into(),
-            Constant::i64(4).into(),
-            |b, i| {
-                let a = b.gep(p, i, 4);
-                let v = b.load(Type::I32, a);
-                b.store(a, v);
-            },
-        );
-        b.ret(None);
-        mosaic_ir::verify_module(&m).unwrap();
-        let ddg = StaticDdg::build(m.function(f));
-        let dot = to_dot(m.function(f), &ddg);
-        // One node line per instruction.
-        for block in ddg.blocks() {
-            for &iid in block.insts() {
-                assert!(dot.contains(&format!("n{} [", iid.0)), "missing node {iid}");
-            }
-        }
-        // Dashed control edges exist (loop has a back edge).
-        assert!(dot.contains("style=dashed"));
-        // Memory nodes are highlighted.
-        assert!(dot.contains("lightblue"));
-        // Terminators highlighted.
-        assert!(dot.contains("lightgoldenrod"));
-        // Braces balance.
-        assert_eq!(dot.matches('{').count(), dot.matches('}').count());
     }
 }

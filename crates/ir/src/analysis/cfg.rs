@@ -1,4 +1,4 @@
-//! Control-flow graph, reachability, and (post-)dominator trees.
+//! Control-flow graph, reachability, and dominator trees.
 //!
 //! The CFG is derived once from a function's terminators and then shared
 //! by every analysis. Dominators are computed with the Cooper–Harvey–

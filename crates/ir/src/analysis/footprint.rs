@@ -3,9 +3,8 @@
 //! Resolves the region of memory an address operand can touch, walking
 //! GEP chains down to pointer parameters or constants, with
 //! counted-loop induction variables summarized by their `[lo, hi]`
-//! value range. The machinery originated in `mosaic-lint`'s race pass
-//! and is shared here so system-level analyses (cross-tile race
-//! detection, tile↔bank interference graphs in `mosaic-part`) agree on
+//! value range. `mosaic-lint`'s race pass and `mosaic-part`'s tile↔bank
+//! interference graph both read [`Footprint::compute`], so they agree on
 //! exactly what is provable.
 //!
 //! Everything degrades to "unknown" rather than guessing: a returned
@@ -23,7 +22,7 @@ use super::loops::{find_loops, ExecCounts, Trip};
 
 /// Evaluates an operand to a known integer under the bound arguments
 /// (`args[i]` is the statically known value of parameter `i`, if any).
-pub fn known_int(op: &Operand, args: &[Option<i64>]) -> Option<i64> {
+fn known_int(op: &Operand, args: &[Option<i64>]) -> Option<i64> {
     match op {
         Operand::Const(Constant::Int(v, _)) => Some(*v),
         Operand::Param(p) => args.get(*p as usize).copied().flatten(),
@@ -35,7 +34,7 @@ pub fn known_int(op: &Operand, args: &[Option<i64>]) -> Option<i64> {
 /// can take, for phis matching the canonical `emit_counted_loop` shape
 /// (`for i in start..end` with step 1) with statically known bounds.
 /// Loops whose bounds are unknown under `args` are omitted.
-pub fn iv_ranges(
+fn iv_ranges(
     func: &Function,
     cfg: &Cfg,
     dom: &DomTree,
@@ -86,7 +85,7 @@ pub fn iv_ranges(
 /// Resolves the inclusive range of start addresses an address operand can
 /// evaluate to, walking GEP chains down to pointer parameters/constants.
 /// `ivs` supplies induction-variable value ranges from [`iv_ranges`].
-pub fn addr_range(
+fn addr_range(
     func: &Function,
     op: &Operand,
     args: &[Option<i64>],
@@ -113,7 +112,7 @@ pub fn addr_range(
 }
 
 /// Width in bytes of the value moved by a load, store, or atomic.
-pub fn access_size(func: &Function, op: &Opcode, ty: Type) -> i64 {
+fn access_size(func: &Function, op: &Opcode, ty: Type) -> i64 {
     let t = match op {
         Opcode::Store { value, .. } => match value {
             Operand::Inst(id) => func.inst(*id).ty(),
@@ -174,11 +173,11 @@ pub struct Footprint {
 }
 
 impl Footprint {
-    /// Computes the footprint of `func` under `args`. Unlike the race
-    /// pass — which only keeps accesses that provably execute — this
-    /// summary includes conditionally executed accesses (they *may*
-    /// touch their region), recording provable execution counts where
-    /// available.
+    /// Computes the footprint of `func` under `args`. The summary
+    /// includes conditionally executed accesses (they *may* touch their
+    /// region), recording provable execution counts where available; the
+    /// race pass keeps the accesses that provably execute (`count ≥ 1`)
+    /// and are not atomics.
     pub fn compute(func: &Function, args: &[Option<i64>]) -> Footprint {
         let cfg = Cfg::new(func);
         let dom = cfg.dominators();

@@ -1,12 +1,11 @@
-//! Static analysis framework over the MosaicSim IR.
+//! Static analyses over the MosaicSim IR.
 //!
-//! This module is the substrate `mosaic-lint`, `mosaic-part`, and the
-//! compiler passes build on: a control-flow graph with
-//! dominator trees ([`mod@cfg`]), a generic
-//! forward/backward worklist fixpoint solver over a lattice trait
-//! ([`dataflow`]), natural-loop detection with static trip-count bounds
-//! ([`loops`]), SSA-value liveness / demand analyses ([`liveness`]), and
-//! loop-summarized memory-access byte-range footprints ([`footprint`]).
+//! This module is what `mosaic-lint`, `mosaic-part`, and the compiler
+//! passes build on: a control-flow graph with dominator trees
+//! ([`mod@cfg`]), natural-loop detection with static trip-count bounds
+//! ([`loops`]), the side-effect demand behind DCE and the dead-value lint
+//! ([`demanded_values`]), and loop-summarized memory-access byte-range
+//! footprints ([`footprint`]).
 //!
 //! All analyses are purely structural: they inspect a verified
 //! [`crate::Function`] and never mutate it. The results are conservative —
@@ -45,13 +44,11 @@
 //! ```
 
 pub mod cfg;
-pub mod dataflow;
+mod demand;
 pub mod footprint;
-pub mod liveness;
 pub mod loops;
 
 pub use cfg::{Cfg, DomTree};
+pub use demand::demanded_values;
 pub use footprint::{AccessRange, Footprint};
-pub use dataflow::{solve, Analysis, BitSet, BlockStates, Direction, Lattice, MustSet};
-pub use liveness::{demanded_values, DefinedValues, Liveness};
 pub use loops::{find_loops, trip_count, ExecCounts, NaturalLoop, Trip};

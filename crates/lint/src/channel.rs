@@ -19,10 +19,11 @@
 //! count-mismatch check (conservative: no false positives), which is why
 //! dynamically data-dependent kernels never trigger it.
 
+use mosaic_ir::analysis::footprint::eval_trip_product;
 use mosaic_ir::analysis::{Cfg, ExecCounts};
 use mosaic_ir::{BlockId, FuncId, InstId, Module, Opcode};
 
-use crate::{eval_count, Diagnostic, LintReport, Severity, TileBinding};
+use crate::{Diagnostic, LintReport, Severity, TileBinding};
 
 const PASS: &str = "channel-protocol";
 
@@ -75,7 +76,7 @@ pub fn run(module: &Module, tiles: &[TileBinding], report: &mut LintReport) {
                     block: block.id(),
                     idx,
                     queue: queue + binding.queue_offset,
-                    count: eval_count(exec.count(block.id()), &binding.args),
+                    count: eval_trip_product(exec.count(block.id()), &binding.args),
                 };
                 if is_send {
                     tile_sends.push(sends.len());

@@ -1,10 +1,10 @@
-//! Per-function lints built directly on the `mosaic_ir::analysis`
-//! dataflow framework: use-before-initialize (via must-defined values),
-//! dead stores, dead values (via side-effect demand), unreachable
-//! blocks, and phi inputs from unreachable predecessors.
+//! Per-function lints over `mosaic_ir::analysis`: use-before-initialize
+//! (on the dominator tree), dead stores, dead values (via side-effect
+//! demand), unreachable blocks, and phi inputs from unreachable
+//! predecessors.
 
-use mosaic_ir::analysis::{demanded_values, Cfg, DefinedValues};
-use mosaic_ir::{Function, Module, Opcode, Operand};
+use mosaic_ir::analysis::{demanded_values, Cfg};
+use mosaic_ir::{Function, InstId, Module, Opcode, Operand};
 
 use crate::{Diagnostic, LintReport, Severity};
 
@@ -28,7 +28,7 @@ pub fn run(module: &Module, report: &mut LintReport) {
 fn diag(
     func: &Function,
     severity: Severity,
-    inst: Option<mosaic_ir::InstId>,
+    inst: Option<InstId>,
     message: String,
 ) -> Diagnostic {
     Diagnostic {
@@ -84,17 +84,30 @@ fn dead_phi_inputs(func: &Function, cfg: &Cfg, report: &mut LintReport) {
     }
 }
 
-/// A value used on some path along which it was never defined. On
-/// verified SSA this cannot fire (defs dominate uses); it catches
-/// hand-built or transformed IR that skipped verification.
+/// A value used where its definition does not dominate the use — the
+/// SSA rule, checked as LLVM's verifier checks it (`mosaic_ir`'s does
+/// not). A use is defined iff its definition sits earlier in the same
+/// block or in a block that dominates the use's block; a phi operand's
+/// definition must dominate the predecessor it arrives from. Only
+/// value-producing instructions scheduled in a block define anything, so
+/// an operand DCE removed from its block is undefined.
 fn use_before_init(func: &Function, cfg: &Cfg, report: &mut LintReport) {
-    let states = DefinedValues::compute(func, cfg);
+    let dom = cfg.dominators();
+    // The (block, position) of each scheduled value-producing instruction.
+    let mut def_at = vec![None; func.inst_count()];
+    for block in func.blocks() {
+        for (pos, &iid) in block.insts().iter().enumerate() {
+            if func.inst(iid).produces_value() {
+                def_at[iid.index()] = Some((block.id(), pos));
+            }
+        }
+    }
+    let def_of = |used: InstId| def_at[used.index()];
     for block in func.blocks() {
         if !cfg.is_reachable(block.id()) {
             continue;
         }
-        let mut defined = states.input[block.id().index()].0.clone();
-        for &iid in block.insts() {
+        for (pos, &iid) in block.insts().iter().enumerate() {
             let inst = func.inst(iid);
             if let Opcode::Phi { incoming } = inst.op() {
                 // A phi's operands are demanded at the end of each
@@ -102,7 +115,7 @@ fn use_before_init(func: &Function, cfg: &Cfg, report: &mut LintReport) {
                 for (pred, val) in incoming {
                     let Operand::Inst(used) = val else { continue };
                     if cfg.is_reachable(*pred)
-                        && !states.output[pred.index()].0.contains(used.index())
+                        && !def_of(*used).is_some_and(|(b, _)| dom.dominates(b, *pred))
                     {
                         report.diagnostics.push(diag(
                             func,
@@ -119,20 +132,23 @@ fn use_before_init(func: &Function, cfg: &Cfg, report: &mut LintReport) {
                 }
             } else {
                 inst.op().for_each_operand(|op| {
-                    if let Operand::Inst(used) = op {
-                        if !defined.contains(used.index()) {
-                            report.diagnostics.push(diag(
-                                func,
-                                Severity::Error,
-                                Some(iid),
-                                format!("{iid} uses {used} before it is initialized"),
-                            ));
+                    let Operand::Inst(used) = op else { return };
+                    let defined = def_of(used).is_some_and(|(b, p)| {
+                        if b == block.id() {
+                            p < pos
+                        } else {
+                            dom.dominates(b, block.id())
                         }
+                    });
+                    if !defined {
+                        report.diagnostics.push(diag(
+                            func,
+                            Severity::Error,
+                            Some(iid),
+                            format!("{iid} uses {used} before it is initialized"),
+                        ));
                     }
                 });
-            }
-            if inst.produces_value() {
-                defined.insert(iid.index());
             }
         }
     }
@@ -147,7 +163,7 @@ fn dead_stores(func: &Function, cfg: &Cfg, report: &mut LintReport) {
         if !cfg.is_reachable(block.id()) {
             continue;
         }
-        let mut pending: Vec<(Operand, mosaic_ir::InstId)> = Vec::new();
+        let mut pending: Vec<(Operand, InstId)> = Vec::new();
         for &iid in block.insts() {
             match func.inst(iid).op() {
                 Opcode::Store { addr, .. } => {
@@ -187,10 +203,7 @@ fn dead_values(func: &Function, cfg: &Cfg, report: &mut LintReport) {
         }
         for &iid in block.insts() {
             let inst = func.inst(iid);
-            if inst.produces_value()
-                && !inst.op().has_side_effect()
-                && !demanded.contains(iid.index())
-            {
+            if inst.produces_value() && !inst.op().has_side_effect() && !demanded[iid.index()] {
                 report.diagnostics.push(diag(
                     func,
                     Severity::Warning,
@@ -227,6 +240,144 @@ mod tests {
         let mut report = LintReport::default();
         run(&m, &mut report);
         assert!(report.is_clean(), "findings: {report}");
+    }
+
+    /// The messages of `m`'s use-before-init findings (the pass's only
+    /// errors).
+    fn use_before_init_messages(m: &Module) -> Vec<String> {
+        let mut report = LintReport::default();
+        run(m, &mut report);
+        let errors = report.diagnostics.iter().filter(|d| d.severity == Severity::Error);
+        errors.map(|d| d.message.clone()).collect()
+    }
+
+    /// `f(ptr %p, i64 %x)` with the given blocks, parsed (and verified:
+    /// the verifier does not check dominance).
+    fn parse_f(blocks: &str) -> Module {
+        let text = format!("module t\nfunc @f(ptr %p, i64 %x) -> void {{\n{blocks}\n}}\n");
+        mosaic_ir::parse_module(&text).expect("parses")
+    }
+
+    /// `entry: %0 = add %x, 1; br next; next: store %p, %0` with the add
+    /// then removed from its block, as DCE removes an instruction.
+    fn descheduled_def() -> Module {
+        let mut m = Module::new("t");
+        let params = vec![("p".into(), Type::Ptr), ("x".into(), Type::I64)];
+        let f = m.add_function("f", params, Type::Void);
+        let mut b = FunctionBuilder::new(m.function_mut(f));
+        let (e, next) = (b.create_block("entry"), b.create_block("next"));
+        b.switch_to(e);
+        let v = b.bin(mosaic_ir::BinOp::Add, b.param(1), Constant::i64(1).into());
+        b.br(next);
+        b.switch_to(next);
+        b.store(b.param(0), v);
+        b.ret(None);
+        m.function_mut(f).remove_from_block(v.as_inst().unwrap());
+        m
+    }
+
+    #[test]
+    fn use_before_init_is_the_ssa_dominance_rule() {
+        // entry branches on %x > 0 to `then`, which defines %3, or to
+        // `else`; both fall through to `join`.
+        let diamond = "bb0: ; entry
+            %2 = icmp sgt $%1, i64 0
+            condbr %2, bb1, bb2
+            bb1: ; then
+            %3 = add i64 $%1, i64 1
+            br bb3
+            bb2: ; else
+            br bb3
+            bb3: ; join";
+        let cases: [(&str, Module, &[&str]); 8] = [
+            (
+                "a use of a value defined later in the same block",
+                parse_f(
+                    "bb0: ; entry
+                    %2 = add i64 %3, i64 1
+                    %3 = add i64 $%1, i64 1
+                    store $%0, %2
+                    ret void",
+                ),
+                &["%2 uses %3 before it is initialized"],
+            ),
+            (
+                "an instruction that uses its own result",
+                parse_f(
+                    "bb0: ; entry
+                    %2 = add i64 %2, i64 1
+                    store $%0, %2
+                    ret void",
+                ),
+                &["%2 uses %2 before it is initialized"],
+            ),
+            (
+                "a value defined on one arm of a diamond, used at the join",
+                parse_f(&format!("{diamond}\nstore $%0, %3\nret void")),
+                &["%5 uses %3 before it is initialized"],
+            ),
+            (
+                "a phi reading a value from a predecessor its definition does not dominate",
+                parse_f(&format!(
+                    "{diamond}\n%4 = phi i64 [bb1: %3], [bb2: %3]\nstore $%0, %4\nret void"
+                )),
+                &["phi %4 reads %3 from predecessor bb2 (else) where it is not defined"],
+            ),
+            (
+                "a loop-carried phi reading the latch's value",
+                parse_f(
+                    "bb0: ; entry
+                    br bb1
+                    bb1: ; header
+                    %2 = phi i64 [bb0: i64 0], [bb2: %4]
+                    %3 = icmp slt %2, $%1
+                    condbr %3, bb2, bb3
+                    bb2: ; latch
+                    %4 = add i64 %2, i64 1
+                    store $%0, %4
+                    br bb1
+                    bb3: ; exit
+                    ret void",
+                ),
+                &[],
+            ),
+            (
+                "a use of an instruction DCE removed from its block",
+                descheduled_def(),
+                &["%2 uses %0 before it is initialized"],
+            ),
+            (
+                "a use of a value defined only in an unreachable block",
+                parse_f(
+                    "bb0: ; entry
+                    br bb2
+                    bb1: ; island
+                    %2 = load i64, $%0
+                    br bb2
+                    bb2: ; exit
+                    store $%0, %2
+                    ret void",
+                ),
+                &["%3 uses %2 before it is initialized"],
+            ),
+            (
+                "an entry block that is its own loop predecessor",
+                parse_f(
+                    "bb0: ; entry
+                    %2 = phi i64 [bb0: %3]
+                    %3 = add i64 %2, i64 1
+                    store $%0, %3
+                    %4 = icmp slt %3, $%1
+                    condbr %4, bb0, bb1
+                    bb1: ; exit
+                    ret void",
+                ),
+                &[],
+            ),
+        ];
+        for (case, m, want) in &cases {
+            assert_eq!(use_before_init_messages(m), *want, "{case}");
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! # mosaic-lint
 //!
-//! Static lint passes over `mosaic-ir`, built on the
-//! [`mosaic_ir::analysis`] dataflow framework. The linter is the static
-//! complement of the simulator's dynamic deadlock detector: it proves
+//! Static lint passes over `mosaic-ir`, built on the CFG, dominator,
+//! loop and footprint analyses of [`mosaic_ir::analysis`]. The linter is
+//! the static complement of the simulator's dynamic deadlock detector: it proves
 //! protocol violations, races, and liveness problems from the IR before
 //! the Interleaver ever runs a cycle.
 //!
@@ -11,11 +11,12 @@
 //! * **channel-protocol** ([`channel`]) — per-channel send/recv effect
 //!   counting with loop-trip-count bounds, unmatched-endpoint detection
 //!   under per-tile queue offsets, and provable self-wait cycles.
-//! * **race** ([`race`]) — GEP-chain address-region analysis flagging
-//!   conflicting load/store regions on tiles with no channel-ordered
-//!   happens-before edge.
-//! * **liveness lints** ([`dataflow_lints`]) — use-before-initialize,
-//!   dead stores, dead values, unreachable blocks, dead phi inputs.
+//! * **race** ([`race`]) — each tile's statically bounded
+//!   [`mosaic_ir::analysis::Footprint`], flagging conflicting load/store
+//!   regions on tiles with no channel-ordered happens-before edge.
+//! * **dataflow lints** ([`dataflow_lints`]) — use-before-initialize
+//!   (SSA dominance), dead stores, dead values, unreachable blocks, dead
+//!   phi inputs.
 //!
 //! Every diagnostic is *conservative*: the linter only reports what it
 //! can prove, so "no findings" does not mean "no bugs" (the properties
@@ -280,17 +281,6 @@ impl TileBinding {
                 .collect(),
         }
     }
-}
-
-/// Evaluates a block's execution-count factors (from
-/// [`mosaic_ir::analysis::ExecCounts`]) under the bound arguments:
-/// `None` if any factor is unknown, otherwise the saturating product
-/// with negative trip counts clamped to zero.
-pub(crate) fn eval_count(
-    factors: Option<&[mosaic_ir::analysis::Trip]>,
-    args: &[Option<i64>],
-) -> Option<i64> {
-    mosaic_ir::analysis::footprint::eval_trip_product(factors, args)
 }
 
 /// Lints a module in isolation (no tile mapping): all per-function

@@ -1,9 +1,9 @@
 //! Cross-tile race detection.
 //!
-//! Resolves the byte region touched by every load and store whose
-//! address can be bounded statically — a GEP chain rooted at a pointer
-//! parameter with a concretely bound argument value, indexed by a
-//! constant or by a counted-loop induction variable with constant
+//! Reads each tile's [`Footprint`] — the byte region of every load and
+//! store whose address can be bounded statically: a GEP chain rooted at
+//! a pointer parameter with a concretely bound argument value, indexed
+//! by a constant or by a counted-loop induction variable with constant
 //! bounds — and flags pairs of overlapping regions on *different* tiles
 //! where at least one side is a plain store and the two tiles share no
 //! channel (directly or transitively).
@@ -17,22 +17,12 @@
 //! dependent indices) are skipped entirely, so SPMD kernels that
 //! partition an array by tile id produce no findings.
 
-use mosaic_ir::analysis::footprint::{access_size, addr_range, iv_ranges};
-use mosaic_ir::analysis::{Cfg, ExecCounts};
-use mosaic_ir::{InstId, Module, Opcode};
+use mosaic_ir::analysis::{AccessRange, Footprint};
+use mosaic_ir::{Module, Opcode};
 
-use crate::{eval_count, Diagnostic, LintReport, Severity, TileBinding};
+use crate::{Diagnostic, LintReport, Severity, TileBinding};
 
 const PASS: &str = "race";
-
-/// A memory access with a statically bounded byte region `[lo, hi)`.
-struct Access {
-    tile: usize,
-    inst: InstId,
-    is_store: bool,
-    lo: i64,
-    hi: i64,
-}
 
 /// Tiles are channel-connected when they share a system queue, directly
 /// or through a chain of other tiles.
@@ -81,65 +71,45 @@ fn connected_components(module: &Module, tiles: &[TileBinding]) -> Vec<usize> {
 /// Runs the race pass over one configured system.
 pub fn run(module: &Module, tiles: &[TileBinding], report: &mut LintReport) {
     let comp = connected_components(module, tiles);
-    let mut accesses: Vec<Access> = Vec::new();
+    // Each tile's bounded accesses that provably execute (conditionally
+    // run blocks, e.g. guarded by a tile-id branch, cannot prove a race),
+    // as `(tile, access)`. `AtomicRmw` is the synchronization primitive.
+    let mut accesses: Vec<(usize, AccessRange)> = Vec::new();
     for (tile, binding) in tiles.iter().enumerate() {
         let func = module.function(binding.func);
-        let cfg = Cfg::new(func);
-        let dom = cfg.dominators();
-        let exec = ExecCounts::compute(func, &cfg, &dom);
-        let ivs = iv_ranges(func, &cfg, &dom, &binding.args);
-        for block in func.blocks() {
-            // A provable race needs both accesses to provably execute:
-            // skip blocks that are unreachable or only conditionally run
-            // (e.g. guarded by a tile-id branch).
-            if !cfg.is_reachable(block.id())
-                || eval_count(exec.count(block.id()), &binding.args).is_none_or(|c| c < 1)
-            {
-                continue;
-            }
-            for &iid in block.insts() {
-                let inst = func.inst(iid);
-                let (addr, is_store) = match inst.op() {
-                    Opcode::Load { addr } => (addr, false),
-                    Opcode::Store { addr, .. } => (addr, true),
-                    // AtomicRmw is the synchronization primitive: skip.
-                    _ => continue,
-                };
-                let Some((lo, hi)) = addr_range(func, addr, &binding.args, &ivs) else {
-                    continue;
-                };
-                let size = access_size(func, inst.op(), inst.ty());
-                accesses.push(Access {
-                    tile,
-                    inst: iid,
-                    is_store,
-                    lo,
-                    hi: hi + size,
-                });
-            }
-        }
+        let bounded = Footprint::compute(func, &binding.args).bounded;
+        accesses.extend(
+            bounded
+                .into_iter()
+                .filter(|a| {
+                    a.count.is_some_and(|c| c >= 1)
+                        && !matches!(func.inst(a.inst).op(), Opcode::AtomicRmw { .. })
+                })
+                .map(|a| (tile, a)),
+        );
     }
 
     // Report at most one conflict per unordered tile pair to keep the
     // output readable on large systems.
     let mut reported: Vec<(usize, usize)> = Vec::new();
-    for (i, a) in accesses.iter().enumerate() {
-        for b in &accesses[i + 1..] {
-            if a.tile == b.tile
+    for (i, (ta, a)) in accesses.iter().enumerate() {
+        for (tb, b) in &accesses[i + 1..] {
+            if ta == tb
                 || !(a.is_store || b.is_store)
-                || comp[a.tile] == comp[b.tile]
+                || comp[*ta] == comp[*tb]
                 || a.lo >= b.hi
                 || b.lo >= a.hi
             {
                 continue;
             }
-            let pair = (a.tile.min(b.tile), a.tile.max(b.tile));
+            let pair = (*ta.min(tb), *ta.max(tb));
             if reported.contains(&pair) {
                 continue;
             }
             reported.push(pair);
-            let (st, other) = if a.is_store { (a, b) } else { (b, a) };
-            let binding = &tiles[st.tile];
+            let ((st_tile, st), (other_tile, other)) =
+                if a.is_store { ((ta, a), (tb, b)) } else { ((tb, b), (ta, a)) };
+            let binding = &tiles[*st_tile];
             let func = module.function(binding.func);
             report.diagnostics.push(Diagnostic {
                 severity: Severity::Error,
@@ -153,12 +123,12 @@ pub fn run(module: &Module, tiles: &[TileBinding], report: &mut LintReport) {
                      overlaps {} {} on tile {} (bytes [{}, {})) and the tiles \
                      share no channel ordering",
                     st.inst,
-                    st.tile,
+                    st_tile,
                     st.lo,
                     st.hi,
                     if other.is_store { "store" } else { "load" },
                     other.inst,
-                    other.tile,
+                    other_tile,
                     other.lo,
                     other.hi,
                 ),
@@ -172,16 +142,41 @@ mod tests {
     use super::*;
     use mosaic_ir::{Constant, FuncId, FunctionBuilder, Type};
 
-    /// `f(ptr)`: for i in 0..8 { ptr[i] <- i } with an optional channel op.
-    fn writer(m: &mut Module, name: &str, queue: Option<(u32, bool)>) -> FuncId {
-        let f = m.add_function(name, vec![(String::from("p"), Type::Ptr)], Type::Void);
+    /// What each iteration of a [`writer`] loop does to `p[i]`.
+    #[derive(Debug, Clone, Copy)]
+    enum Body {
+        Store,
+        /// `if i < k { p[i] <- i }`: a block that runs conditionally.
+        GuardedStore,
+        Atomic,
+    }
+
+    /// `f(ptr p, i64 k)`: for i in 0..8 { `body` } with an optional
+    /// channel op.
+    fn writer(m: &mut Module, name: &str, queue: Option<(u32, bool)>, body: Body) -> FuncId {
+        let params = vec![(String::from("p"), Type::Ptr), (String::from("k"), Type::I64)];
+        let f = m.add_function(name, params, Type::Void);
         let mut b = FunctionBuilder::new(m.function_mut(f));
         let e = b.create_block("entry");
         b.switch_to(e);
-        let p = b.param(0);
+        let (p, k) = (b.param(0), b.param(1));
         b.emit_counted_loop("l", Constant::i64(0).into(), Constant::i64(8).into(), |b, iv| {
             let addr = b.gep(p, iv, 8);
-            b.store(addr, iv);
+            match body {
+                Body::Store => b.store(addr, iv),
+                Body::GuardedStore => {
+                    let (then, join) = (b.create_block("then"), b.create_block("join"));
+                    let c = b.icmp(mosaic_ir::IntPredicate::Slt, iv, k);
+                    b.cond_br(c, then, join);
+                    b.switch_to(then);
+                    b.store(addr, iv);
+                    b.br(join);
+                    b.switch_to(join);
+                }
+                Body::Atomic => {
+                    b.atomic_rmw(mosaic_ir::AtomicOp::Add, addr, iv);
+                }
+            }
         });
         match queue {
             Some((q, true)) => b.send(q, Constant::i64(1).into()),
@@ -197,8 +192,8 @@ mod tests {
     #[test]
     fn overlapping_stores_without_channels_race() {
         let mut m = Module::new("race");
-        let f = writer(&mut m, "w0", None);
-        let g = writer(&mut m, "w1", None);
+        let f = writer(&mut m, "w0", None, Body::Store);
+        let g = writer(&mut m, "w1", None, Body::Store);
         // Both tiles write bytes [1000, 1064).
         let tiles = vec![
             TileBinding::new(f, 0, vec![Some(1000)]),
@@ -210,11 +205,30 @@ mod tests {
         assert!(report.diagnostics[0].message.contains("data race"));
     }
 
+    /// The two filters the pass applies to each tile's footprint: a store
+    /// that may not run, or an atomic, proves no race against another
+    /// tile's plain store to the same bytes.
+    #[test]
+    fn conditional_and_atomic_accesses_do_not_race() {
+        for (body, races) in [(Body::Store, 1), (Body::GuardedStore, 0), (Body::Atomic, 0)] {
+            let mut m = Module::new("filters");
+            let f = writer(&mut m, "w0", None, body);
+            let g = writer(&mut m, "w1", None, Body::Store);
+            let tiles = vec![
+                TileBinding::new(f, 0, vec![Some(1000), Some(4)]),
+                TileBinding::new(g, 0, vec![Some(1000), Some(4)]),
+            ];
+            let mut report = LintReport::default();
+            run(&m, &tiles, &mut report);
+            assert_eq!(report.error_count(), races, "{body:?}: {report}");
+        }
+    }
+
     #[test]
     fn disjoint_regions_do_not_race() {
         let mut m = Module::new("disjoint");
-        let f = writer(&mut m, "w0", None);
-        let g = writer(&mut m, "w1", None);
+        let f = writer(&mut m, "w0", None, Body::Store);
+        let g = writer(&mut m, "w1", None, Body::Store);
         let tiles = vec![
             TileBinding::new(f, 0, vec![Some(0)]),
             TileBinding::new(g, 0, vec![Some(4096)]),
@@ -227,8 +241,8 @@ mod tests {
     #[test]
     fn channel_ordering_suppresses_the_finding() {
         let mut m = Module::new("sync");
-        let f = writer(&mut m, "w0", Some((0, true)));
-        let g = writer(&mut m, "w1", Some((0, false)));
+        let f = writer(&mut m, "w0", Some((0, true)), Body::Store);
+        let g = writer(&mut m, "w1", Some((0, false)), Body::Store);
         let tiles = vec![
             TileBinding::new(f, 0, vec![Some(1000)]),
             TileBinding::new(g, 0, vec![Some(1000)]),
@@ -241,8 +255,8 @@ mod tests {
     #[test]
     fn unknown_pointer_bindings_are_skipped() {
         let mut m = Module::new("unknown");
-        let f = writer(&mut m, "w0", None);
-        let g = writer(&mut m, "w1", None);
+        let f = writer(&mut m, "w0", None, Body::Store);
+        let g = writer(&mut m, "w1", None, Body::Store);
         let tiles = vec![
             TileBinding::new(f, 0, vec![None]),
             TileBinding::new(g, 0, vec![None]),

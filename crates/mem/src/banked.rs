@@ -228,14 +228,6 @@ impl BankedDram {
         (!self.is_idle()).then(|| self.next_due.max(now))
     }
 
-    /// Zeroes the row-buffer/request counters, keeping queued requests.
-    pub fn reset_stats(&mut self) {
-        self.row_hits = 0;
-        self.row_misses = 0;
-        self.row_conflicts = 0;
-        self.total_requests = 0;
-    }
-
     /// The model's `mem.dram.*` counters.
     pub(crate) fn register_into(&self, reg: &mut StatsRegistry) {
         reg.set_counter("mem.dram.requests", self.total_requests);

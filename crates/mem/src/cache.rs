@@ -364,15 +364,6 @@ impl Cache {
         }
     }
 
-    /// Zeroes the hit/miss/access counters, keeping cache contents.
-    /// Used between sweep rows that reuse a hierarchy so one row's
-    /// traffic never leaks into the next row's report.
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-        self.accesses = 0;
-    }
-
     /// The valid ways in index order (`set * ways + way`), each with its
     /// key, age and dirty bit.
     fn valid_ways(&self) -> impl Iterator<Item = (usize, u64, u64, bool)> + '_ {

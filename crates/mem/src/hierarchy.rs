@@ -232,10 +232,6 @@ impl Dram {
         on_model!(self, d => d.is_idle())
     }
 
-    fn reset_stats(&mut self) {
-        on_model!(self, d => d.reset_stats())
-    }
-
     /// The model's `mem.dram.*` counters.
     fn register_into(&self, reg: &mut StatsRegistry) {
         on_model!(self, d => d.register_into(reg))
@@ -441,22 +437,6 @@ impl MemoryHierarchy {
             t.thread_name(1, self.tile_count() as u32, "dram");
         }
         t
-    }
-
-    /// Zeroes every statistic — the aggregate [`MemStats`], each
-    /// cache's hit/miss counters, MSHR coalesce/full counters, DRAM
-    /// counters, and occupancy histograms — while keeping cache and
-    /// queue contents. Sweep rows that reuse a hierarchy call this so
-    /// one row's hit/miss counts never leak into the next.
-    pub fn reset_stats(&mut self) {
-        self.stats = MemStats::default();
-        for lv in &mut self.levels {
-            lv.caches.iter_mut().for_each(Cache::reset_stats);
-            lv.mshrs.iter_mut().for_each(Mshr::reset_counters);
-            lv.occupancy.reset();
-        }
-        self.dram.reset_stats();
-        self.timeline = Timeline::new();
     }
 
     /// Registers every counter of the hierarchy into `reg` under
@@ -1319,50 +1299,6 @@ mod tests {
             t += 1;
             assert!(t < 100_000);
         }
-    }
-
-    #[test]
-    fn reset_stats_zeroes_every_counter_between_rows() {
-        let mut h = hier(2);
-        for (i, addr) in [0x1000u64, 0x1000, 0x2000, 0x9000].iter().enumerate() {
-            let t = run_one(
-                &mut h,
-                MemReq {
-                    tile: i % 2,
-                    addr: *addr,
-                    size: 8,
-                    kind: AccessKind::Read,
-                },
-                (i as u64) * 500,
-            );
-            assert!(t > 0);
-        }
-        assert!(h.stats().l1_misses > 0);
-        let mut reg = StatsRegistry::new();
-        h.register_into(&mut reg);
-        assert!(reg.counter("mem.l1.misses") > 0);
-        assert!(reg.counter("mem.dram.requests") > 0);
-
-        h.reset_stats();
-        assert_eq!(h.stats(), MemStats::default());
-        let mut reg2 = StatsRegistry::new();
-        h.register_into(&mut reg2);
-        for (path, _) in reg2.iter() {
-            assert_eq!(reg2.counter(path), 0, "{path} survived reset");
-        }
-        // Cache contents survive: the warmed line still hits.
-        let t = run_one(
-            &mut h,
-            MemReq {
-                tile: 0,
-                addr: 0x1000,
-                size: 8,
-                kind: AccessKind::Read,
-            },
-            10_000,
-        ) - 10_000;
-        assert_eq!(t, 1, "reset must keep cache contents, only zero counters");
-        assert_eq!(h.stats().l1_hits, 1);
     }
 
     #[test]

@@ -126,12 +126,6 @@ impl Mshr {
     pub fn full_stall_count(&self) -> u64 {
         self.full_stalls
     }
-
-    /// Zeroes the coalesce/full-stall counters, keeping live entries.
-    pub fn reset_counters(&mut self) {
-        self.coalesced = 0;
-        self.full_stalls = 0;
-    }
 }
 
 snap_fields!(Mshr: coalesced, full_stalls);

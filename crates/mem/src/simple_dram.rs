@@ -176,12 +176,6 @@ impl SimpleDram {
         self.throttled_cycles
     }
 
-    /// Zeroes the request/throttle counters, keeping queued requests.
-    pub fn reset_stats(&mut self) {
-        self.total_requests = 0;
-        self.throttled_cycles = 0;
-    }
-
     /// The model's `mem.dram.*` counters.
     pub(crate) fn register_into(&self, reg: &mut StatsRegistry) {
         reg.set_counter("mem.dram.requests", self.total_requests);

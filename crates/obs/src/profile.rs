@@ -329,6 +329,51 @@ impl ProfileTable {
     }
 }
 
+impl IrProfile {
+    /// Serializes the profile into a checkpoint section, entries in key
+    /// order (the map is a `BTreeMap`, so the byte stream is
+    /// deterministic).
+    pub fn encode_into(&self, e: &mut mosaic_ckpt::Enc) {
+        e.u64(self.map.len() as u64);
+        for (&(func, inst), p) in &self.map {
+            e.u32(func);
+            e.u32(inst);
+            e.u64(p.retired);
+            for k in 0..STALL_KINDS {
+                e.u64(p.stalls[k]);
+            }
+            p.mem_lat.encode_into(e);
+        }
+    }
+
+    /// Decodes a profile written by [`IrProfile::encode_into`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`mosaic_ckpt::CkptError`] on truncated or malformed
+    /// data.
+    pub fn decode_from(
+        d: &mut mosaic_ckpt::Dec<'_>,
+    ) -> Result<Self, mosaic_ckpt::CkptError> {
+        let n = d.u64("profile entry count")?;
+        let mut p = IrProfile::new();
+        for _ in 0..n {
+            let func = d.u32("profile func id")?;
+            let inst = d.u32("profile inst id")?;
+            let mut e = InstProfile {
+                retired: d.u64("profile retired")?,
+                ..InstProfile::default()
+            };
+            for k in 0..STALL_KINDS {
+                e.stalls[k] = d.u64("profile stall counter")?;
+            }
+            e.mem_lat = Log2Histogram::decode_from(d)?;
+            p.map.insert((func, inst), e);
+        }
+        Ok(p)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,51 +421,6 @@ mod tests {
         assert_eq!(e.mem_lat.sum(), 40);
         assert_eq!(e.mem_lat.min(), 8);
         assert_eq!(e.mem_lat.max(), 32);
-    }
-}
-
-impl IrProfile {
-    /// Serializes the profile into a checkpoint section, entries in key
-    /// order (the map is a `BTreeMap`, so the byte stream is
-    /// deterministic).
-    pub fn encode_into(&self, e: &mut mosaic_ckpt::Enc) {
-        e.u64(self.map.len() as u64);
-        for (&(func, inst), p) in &self.map {
-            e.u32(func);
-            e.u32(inst);
-            e.u64(p.retired);
-            for k in 0..STALL_KINDS {
-                e.u64(p.stalls[k]);
-            }
-            p.mem_lat.encode_into(e);
-        }
-    }
-
-    /// Decodes a profile written by [`IrProfile::encode_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`mosaic_ckpt::CkptError`] on truncated or malformed
-    /// data.
-    pub fn decode_from(
-        d: &mut mosaic_ckpt::Dec<'_>,
-    ) -> Result<Self, mosaic_ckpt::CkptError> {
-        let n = d.u64("profile entry count")?;
-        let mut p = IrProfile::new();
-        for _ in 0..n {
-            let func = d.u32("profile func id")?;
-            let inst = d.u32("profile inst id")?;
-            let mut e = InstProfile {
-                retired: d.u64("profile retired")?,
-                ..InstProfile::default()
-            };
-            for k in 0..STALL_KINDS {
-                e.stalls[k] = d.u64("profile stall counter")?;
-            }
-            e.mem_lat = Log2Histogram::decode_from(d)?;
-            p.map.insert((func, inst), e);
-        }
-        Ok(p)
     }
 }
 

@@ -124,11 +124,6 @@ impl Log2Histogram {
             .map(|(i, &c)| (i, c))
     }
 
-    /// Clears all samples.
-    pub fn reset(&mut self) {
-        *self = Log2Histogram::new();
-    }
-
     /// Merges another histogram into this one exactly: bucket counts
     /// add and the tracked moments (count/sum/min/max) combine.
     pub fn merge_from(&mut self, other: &Log2Histogram) {

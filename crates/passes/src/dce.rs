@@ -6,7 +6,7 @@
 //! core actually performs.
 
 use mosaic_ir::analysis::demanded_values;
-use mosaic_ir::{FuncId, InstId, Module, Operand};
+use mosaic_ir::{FuncId, InstId, Module};
 
 /// Removes instructions whose results are unused and that have no side
 /// effects. Returns the number of instructions removed.
@@ -24,7 +24,7 @@ pub fn eliminate_dead_code(module: &mut Module, func: FuncId) -> usize {
     let dead: Vec<InstId> = f
         .blocks()
         .flat_map(|b| b.insts().iter().copied())
-        .filter(|iid| !live.contains(iid.index()))
+        .filter(|iid| !live[iid.index()])
         .collect();
     let removed = dead.len();
     let f = module.function_mut(func);
@@ -32,23 +32,6 @@ pub fn eliminate_dead_code(module: &mut Module, func: FuncId) -> usize {
         f.remove_from_block(iid);
     }
     removed
-}
-
-/// Returns whether `func` still references `inst` from any live position
-/// (used by tests and pass validation).
-pub fn is_referenced(module: &Module, func: FuncId, inst: InstId) -> bool {
-    let f = module.function(func);
-    let mut found = false;
-    for block in f.blocks() {
-        for &iid in block.insts() {
-            f.inst(iid).op().for_each_operand(|o| {
-                if o == Operand::Inst(inst) {
-                    found = true;
-                }
-            });
-        }
-    }
-    found
 }
 
 /// Counts the executable (in-block) instructions of a function.

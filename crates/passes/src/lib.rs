@@ -24,7 +24,7 @@ mod dae;
 mod dce;
 
 pub use dae::{slice_dae, DaeError, DaeQueues, DaeSlices};
-pub use dce::{eliminate_dead_code, is_referenced, is_scheduled, live_inst_count};
+pub use dce::{eliminate_dead_code, is_scheduled, live_inst_count};
 
 #[cfg(test)]
 mod semantics_tests {
