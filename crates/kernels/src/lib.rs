@@ -167,6 +167,24 @@ pub fn build_parboil(name: &str, scale: u32) -> Prepared {
     }
 }
 
+/// Every kernel the repository bundles, at a small scale: the Parboil
+/// suite in [`PARBOIL_NAMES`] order, graph projection, the Sinkhorn
+/// kernels (EWSD, SGEMM on the core and on the accelerator, the three
+/// combined mixes) and the accelerated Keras apps. A kernel's IR shape is
+/// scale-independent; only its trip-count constants change.
+pub fn bundled() -> Vec<Prepared> {
+    let mut out: Vec<Prepared> = PARBOIL_NAMES.iter().map(|name| build_parboil(name, 1)).collect();
+    out.push(projection::build(1));
+    out.push(sinkhorn::ewsd(sinkhorn::BASE_NNZ));
+    out.push(sinkhorn::sgemm_micro(1));
+    out.push(sinkhorn::accel_sgemm_micro(sinkhorn::BASE_DIM));
+    for mix in [sinkhorn::Mix::DenseHeavy, sinkhorn::Mix::Equal, sinkhorn::Mix::SparseHeavy] {
+        out.push(sinkhorn::combined(mix, 1, true));
+    }
+    out.extend(keras::all_apps().iter().map(keras::KerasApp::lower_accelerated));
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,18 +7,22 @@
 //! * `FILE.mir` arguments are parsed with span tracking so findings
 //!   point at source lines (`file.mir:12: error[...] ...`), then linted
 //!   as standalone modules.
-//! * `--kernels` lints every bundled paper kernel (Parboil suite,
-//!   sinkhorn/EWSD case studies, graph projection, Keras apps) as a
-//!   configured SPMD system with its real argument bindings.
+//! * `--kernels` lints every bundled paper kernel (`kernels::bundled`:
+//!   Parboil suite, sinkhorn/EWSD case studies, graph projection, Keras
+//!   apps) as a configured SPMD system with its real argument bindings.
 //! * `--json` replaces the human-readable report with one JSON object
 //!   (`{"units":[{"unit":…,"findings":[…]}…],"total_findings":N}`) on
 //!   stdout; exit status is unchanged.
 //! * `--deny` exits non-zero on *any* finding; otherwise only
 //!   error-severity findings fail the run.
 
+#[path = "kernel_flags/args.rs"]
+mod args;
+
 use std::process::ExitCode;
 
-use mosaic_lint::{lint_module, lint_system, LintLevel, LintReport, TileBinding};
+use args::positive;
+use mosaicsim::lint::{lint_module, lint_system, LintLevel, LintReport, TileBinding};
 
 fn usage() -> ExitCode {
     eprintln!("usage: mosaic-lint [--deny] [--json] [--kernels] [--tiles N] [FILE.mir ...]");
@@ -32,15 +36,19 @@ fn main() -> ExitCode {
     let mut tiles = 4usize;
     let mut files: Vec<String> = Vec::new();
 
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut i = 0;
+    while i < args.len() {
+        match args[i].as_str() {
             "--deny" => deny = true,
             "--json" => json = true,
             "--kernels" => kernels = true,
-            "--tiles" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => tiles = n,
-                _ => return usage(),
+            "--tiles" => match positive(&args, &mut i, "--tiles") {
+                Ok(n) => tiles = n,
+                Err(msg) => {
+                    eprintln!("{msg}");
+                    return ExitCode::from(2);
+                }
             },
             "--help" | "-h" => {
                 usage();
@@ -49,6 +57,7 @@ fn main() -> ExitCode {
             f if !f.starts_with('-') => files.push(f.to_string()),
             _ => return usage(),
         }
+        i += 1;
     }
     if !kernels && files.is_empty() {
         return usage();
@@ -70,7 +79,7 @@ fn main() -> ExitCode {
                 continue;
             }
         };
-        let (module, spans) = match mosaic_ir::parse_module_with_spans(&text) {
+        let (module, spans) = match mosaicsim::ir::parse_module_with_spans(&text) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("{path}: {e}");
@@ -91,7 +100,7 @@ fn main() -> ExitCode {
     }
 
     if kernels {
-        for prepared in bundled_kernels() {
+        for prepared in mosaicsim::kernels::bundled() {
             units += 1;
             let bindings: Vec<TileBinding> = prepared
                 .programs(tiles)
@@ -136,30 +145,4 @@ fn report_kernel(name: &str, report: &LintReport) {
             println!("  {d}");
         }
     }
-}
-
-/// Every kernel the repository bundles, at a small scale (the IR shape —
-/// and hence the lint result — is scale-independent; only trip-count
-/// constants change).
-fn bundled_kernels() -> Vec<mosaic_kernels::Prepared> {
-    use mosaic_kernels as k;
-    let mut out: Vec<k::Prepared> = Vec::new();
-    for name in k::PARBOIL_NAMES {
-        out.push(k::build_parboil(name, 1));
-    }
-    out.push(k::projection::build(1));
-    out.push(k::sinkhorn::ewsd(k::sinkhorn::BASE_NNZ));
-    out.push(k::sinkhorn::sgemm_micro(1));
-    out.push(k::sinkhorn::accel_sgemm_micro(k::sinkhorn::BASE_DIM));
-    for mix in [
-        k::sinkhorn::Mix::DenseHeavy,
-        k::sinkhorn::Mix::Equal,
-        k::sinkhorn::Mix::SparseHeavy,
-    ] {
-        out.push(k::sinkhorn::combined(mix, 1, true));
-    }
-    for app in k::keras::all_apps() {
-        out.push(app.lower_accelerated());
-    }
-    out
 }

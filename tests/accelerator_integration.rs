@@ -1,7 +1,5 @@
 //! Integration tests for accelerator-offloaded systems (paper §IV, §VII-B).
 
-mod support;
-
 use mosaicsim::accel::{analytic_estimate, fpga_cycles, rtl_cycles};
 use mosaicsim::ir::AccelOp;
 use mosaicsim::kernels::sinkhorn::{combined, Mix};

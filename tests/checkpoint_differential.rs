@@ -5,8 +5,6 @@
 //! target; a resume into the wrong system and damaged snapshots are typed
 //! errors.
 
-mod support;
-
 use std::sync::Arc;
 
 use mosaicsim::kernels::data::Rng;

@@ -52,8 +52,6 @@
 //!   rows; with a compute interval: `projection/desc` (at `Stats`);
 //!   absent: the `off` rows.
 
-mod support;
-
 use std::fmt::Write as _;
 
 use mosaicsim::ckpt::Checkpoint;

@@ -2,8 +2,6 @@
 //! (paper §VII-A): compiler pass → functional pair execution → timing
 //! simulation with DeSC-extended cores.
 
-mod support;
-
 use std::sync::Arc;
 
 use mosaicsim::kernels::projection;

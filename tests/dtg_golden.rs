@@ -32,8 +32,6 @@
 //! accelerator calls. A change of the packing or the file layout is
 //! recorded only if every column before `v2` stays as it was.
 
-mod support;
-
 use mosaicsim::kernels::data::Rng;
 use mosaicsim::prelude::*;
 use support::{Golden, Hashed, Traced, DTG};
@@ -177,13 +175,13 @@ fn damaged_real_traces_are_typed_errors_or_traces() {
         let longer = [&file[..], &[0]].concat();
         let kind = read(&longer).map(|_| ()).expect_err(name).kind();
         assert_eq!(kind, InvalidData, "{name} with a byte past its end");
-        for _ in 0..64 {
+        for _ in 0..256 {
             let cut = rng.below(file.len() as u64) as usize;
             let kind = read(&file[..cut]).map(|_| ()).expect_err(name).kind();
             assert_eq!(kind, UnexpectedEof, "{name} cut at {cut} of {}", file.len());
         }
         let mut walked = Vec::new();
-        for _ in 0..256 {
+        for _ in 0..1024 {
             let (mut bad, at) = (file.clone(), rng.below(file.len() as u64) as usize);
             bad[at] ^= 1 << rng.below(8);
             match read(&bad) {

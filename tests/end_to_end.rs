@@ -1,8 +1,6 @@
 //! End-to-end integration tests: build → trace → simulate across crates,
 //! exercising the public facade exactly as a downstream user would.
 
-mod support;
-
 use mosaicsim::kernels::{build_parboil, PARBOIL_NAMES};
 use mosaicsim::prelude::*;
 

@@ -4,8 +4,6 @@
 //! (`support::relations`) on the zoo's `MODES` systems: every report
 //! field, registry path and profile row.
 
-mod support;
-
 use support::everything;
 use support::relations::{hold, FF, NAIVE};
 

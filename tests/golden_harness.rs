@@ -1,8 +1,6 @@
 //! The golden-table harness every `*_golden` test goes through, checked
 //! once here on a table in a temporary directory.
 
-mod support;
-
 use support::Golden;
 
 #[test]

@@ -23,8 +23,6 @@
 //! process-wide, and it has a single `#[test]` so no other test thread
 //! allocates while a run is being counted.
 
-mod support;
-
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::mem::size_of;

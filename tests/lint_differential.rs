@@ -13,13 +13,11 @@
 //!   functional execution (and a representative subset completes the
 //!   full timing simulation).
 
-mod support;
-
 use std::sync::Arc;
 
 use mosaicsim::core::{record_trace, Interleaver, MosaicError, SimError, SystemBuilder};
 use mosaicsim::ir::{Constant, FunctionBuilder, MemImage, Module, RtVal, TileProgram, Type};
-use mosaicsim::kernels::{build_parboil, Prepared, PARBOIL_NAMES};
+use mosaicsim::kernels::{build_parboil, bundled, Prepared};
 use mosaicsim::lint::{lint_system, LintReport, Severity, TileBinding};
 use mosaicsim::mem::MemoryHierarchy;
 use mosaicsim::tile::{ChannelConfig, ChannelSet, CoreConfig, CoreTile, NoAccel, Tile};
@@ -215,17 +213,7 @@ fn kernel_bindings(p: &Prepared, tiles: usize) -> Vec<TileBinding> {
 /// deadlock-free and it is.
 #[test]
 fn bundled_kernels_lint_clean_and_terminate_functionally() {
-    let mut kernels: Vec<Prepared> = PARBOIL_NAMES
-        .iter()
-        .map(|n| build_parboil(n, 1))
-        .collect();
-    kernels.push(mosaicsim::kernels::projection::build(1));
-    kernels.push(mosaicsim::kernels::sinkhorn::ewsd(mosaicsim::kernels::sinkhorn::BASE_NNZ));
-    kernels.push(mosaicsim::kernels::sinkhorn::sgemm_micro(1));
-    for app in mosaicsim::kernels::keras::all_apps() {
-        kernels.push(app.lower_accelerated());
-    }
-    for p in kernels {
+    for p in bundled() {
         let report = lint_system(&p.module, &kernel_bindings(&p, 2));
         assert!(report.is_clean(), "{}: {report}", p.name);
         p.trace(2)

@@ -19,8 +19,6 @@
 //! names, as the fast-forwarding Interleaver does; the two must agree on
 //! everything but the snapshot (which records the last stepped cycle).
 
-mod support;
-
 use mosaicsim::ckpt::Enc;
 use mosaicsim::kernels::data::Rng;
 use mosaicsim::mem::{

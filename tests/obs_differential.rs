@@ -2,8 +2,6 @@
 //! computes (DESIGN.md §4.5). Each test holds its lines of the mode
 //! relations (`support::relations`) on the zoo's `MODES` systems.
 
-mod support;
-
 use mosaicsim::obs::json::JsonValue;
 use mosaicsim::prelude::SimReport;
 use support::relations::{hold, FF, FF_STATS, FF_TRACE, NAIVE_STATS};

@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use mosaicsim::core::{record_trace, Interleaver, SimError};
 use mosaicsim::ir::{Constant, FuncId, MemImage, Module, RtVal, TileProgram, Type};
-use mosaicsim::kernels::{build_parboil, projection, sinkhorn, Prepared, PARBOIL_NAMES};
+use mosaicsim::kernels::{build_parboil, bundled, projection};
 use mosaicsim::lint::TileBinding;
 use mosaicsim::part::{partition, InterferenceGraph, LatencyModel, MemGeometry};
 use mosaicsim::prelude::*;
@@ -263,29 +263,8 @@ fn dae_projection_delivery_bounds_are_conservative() {
     assert_edges_conservative(&graph, &model, il, "dae-projection");
 }
 
-/// Every system the repository bundles, at a small scale (the graph
-/// shape is scale-independent; only trip-count weights change).
-fn bundled_kernels() -> Vec<Prepared> {
-    let mut out: Vec<Prepared> = PARBOIL_NAMES.iter().map(|n| build_parboil(n, 1)).collect();
-    out.push(projection::build(1));
-    out.push(sinkhorn::ewsd(sinkhorn::BASE_NNZ));
-    out.push(sinkhorn::sgemm_micro(1));
-    out.push(sinkhorn::accel_sgemm_micro(sinkhorn::BASE_DIM));
-    for mix in [
-        sinkhorn::Mix::DenseHeavy,
-        sinkhorn::Mix::Equal,
-        sinkhorn::Mix::SparseHeavy,
-    ] {
-        out.push(sinkhorn::combined(mix, 1, true));
-    }
-    for app in mosaicsim::kernels::keras::all_apps() {
-        out.push(app.lower_accelerated());
-    }
-    out
-}
-
 /// DESIGN.md §4.7's table: the epoch horizon of the 2-shard cut of each
-/// bundled system at 8 tiles, in `bundled_kernels` order. Thirteen rows
+/// bundled system at 8 tiles, in [`bundled`] order. Thirteen rows
 /// of 0 and four of 2-4 are why no BSP executor was built; `u64::MAX`
 /// (the tiles never interact) is the accelerator-only systems. A kernel
 /// or footprint change that moves a row fails here.
@@ -316,7 +295,7 @@ const EPOCH_HORIZONS: [(&str, u64); 21] = [
 #[test]
 fn bundled_systems_have_the_epoch_horizons_that_ruled_bsp_out() {
     let model = LatencyModel::default();
-    let systems = bundled_kernels();
+    let systems = bundled();
     assert_eq!(systems.len(), EPOCH_HORIZONS.len());
     for (p, (name, horizon)) in systems.iter().zip(EPOCH_HORIZONS) {
         assert_eq!(p.name, name, "bundled systems in table order");

@@ -7,9 +7,10 @@
 //! use: once, however many systems replay it. An entry gives what the DTG
 //! made ([`System::traced`]) and the system to time ([`System::builder`]).
 //! **Adding a system to every table** is one line at the end of [`zoo`]
-//! (`z.spmd(..).tables = ALL;`): at the end, because `ckpt_golden` draws
-//! its pause cycles from one seeded stream in zoo order. Its new rows fail
-//! each table until they are recorded.
+//! (`z.spmd(..).tables = DTG | TILE | CKPT | TIMELINE | MODES;`): at the
+//! end, because `ckpt_golden` draws its pause cycles from one seeded
+//! stream in zoo order. Its new rows fail each table until they are
+//! recorded.
 //!
 //! [`Golden`] holds `tests/<name>_golden.txt` to the rows a test computes
 //! and names every row and column that moved. `GOLDEN_WRITE=1 cargo test
@@ -22,9 +23,6 @@
 //! [`Observed`] and [`drift`] are the one comparison of two runs: the mode
 //! relations ([`relations`]) and the checkpoint suite go through them, and
 //! a drift names the system, the relation and each field.
-//!
-//! Each test crate that says `mod support;` uses part of this.
-#![allow(dead_code)]
 
 pub mod relations;
 
@@ -52,7 +50,6 @@ pub const CKPT: u8 = 4;
 pub const TIMELINE: u8 = 8;
 /// The systems the mode relations ([`relations`]) run on.
 pub const MODES: u8 = 16;
-pub const ALL: u8 = DTG | TILE | CKPT | TIMELINE | MODES;
 
 /// How a kernel's programs sit on the tiles: `n` SPMD tiles, or `n` DAE
 /// pairs of its `slice_dae` slices ([`TileProgram::dae_pairs`]).
@@ -470,7 +467,7 @@ pub struct Golden(pub PathBuf);
 impl Golden {
     /// `tests/<name>_golden.txt`.
     pub fn new(name: &str) -> Self {
-        Golden(format!("{}/tests/{name}_golden.txt", env!("CARGO_MANIFEST_DIR")).into())
+        Golden(format!("{}/../{name}_golden.txt", env!("CARGO_MANIFEST_DIR")).into())
     }
 
     /// Panics unless `rows` are the table; under `GOLDEN_WRITE=1`,

@@ -381,15 +381,7 @@ fn design_md_tables_list_the_forms_and_keys_tested_here() {
 /// the instructions they dropped in their arenas), plus the `examples/mir`
 /// sources.
 fn corpus() -> Vec<(String, String)> {
-    let mut kernels: Vec<k::Prepared> = k::PARBOIL_NAMES.iter().map(|name| k::build_parboil(name, 1)).collect();
-    kernels.push(k::projection::build(1));
-    kernels.push(k::sinkhorn::ewsd(k::sinkhorn::BASE_NNZ));
-    kernels.push(k::sinkhorn::sgemm_micro(1));
-    kernels.push(k::sinkhorn::accel_sgemm_micro(k::sinkhorn::BASE_DIM));
-    for mix in [k::sinkhorn::Mix::DenseHeavy, k::sinkhorn::Mix::Equal, k::sinkhorn::Mix::SparseHeavy] {
-        kernels.push(k::sinkhorn::combined(mix, 1, true));
-    }
-    kernels.extend(k::keras::all_apps().iter().map(|app| app.lower_accelerated()));
+    let mut kernels = k::bundled();
     let mut sliced = k::projection::build(1);
     slice_dae(&mut sliced.module, sliced.func, DaeQueues::default()).unwrap();
     sliced.name += "/dae";
@@ -454,7 +446,7 @@ fn seeded_mutations_of_every_bundled_text_never_panic() {
     let mut rng = Rng::seed_from_u64(0x4d49_5221);
     let (mut parsed, mut refused) = (0u32, 0u32);
     for (_, text) in corpus() {
-        for _ in 0..1000 {
+        for _ in 0..4000 {
             // `outcome` panics on anything but `Ok`, `Parse` and `Verify`.
             match outcome(&mutate(&text, &mut rng)) {
                 Outcome::Ok => parsed += 1,
@@ -468,7 +460,7 @@ fn seeded_mutations_of_every_bundled_text_never_panic() {
     let (mut built, mut refused) = (0u32, 0u32);
     for name in ["ooo_xeon.cfg", "dae_access.cfg"] {
         let text = std::fs::read_to_string(repo_file(&format!("configs/{name}"))).unwrap();
-        for _ in 0..10000 {
+        for _ in 0..40000 {
             match parse_system_config(&mutate(&text, &mut rng)).map(|parsed| build(&system, parsed)) {
                 Ok(Ok(())) => built += 1,
                 Ok(Err(MosaicError::InvalidConfig { .. })) | Err(_) => refused += 1,

@@ -19,8 +19,6 @@
 //! The systems are `support::zoo()`'s `TILE` entries, the ledger's two
 //! eight-tile `manytile_chan` shapes among them.
 
-mod support;
-
 use mosaicsim::ckpt::Enc;
 use mosaicsim::prelude::*;
 use support::{fnv, Golden, TILE};

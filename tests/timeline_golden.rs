@@ -16,8 +16,6 @@
 //! (the ledger's `observed_ckpt` trace point, 65 667 spans), a DeSC
 //! projection pair, and the graphsage accelerator system (`accel` spans).
 
-mod support;
-
 use std::sync::Arc;
 
 use mosaicsim::prelude::*;
