@@ -5,15 +5,15 @@
 //! MosaicSim's tile models are "abstract models based on data dependence
 //! graphs derived from LLVM IR": a node per static instruction, edges for
 //! data and control flow within and across basic blocks. This crate turns a
-//! verified [`mosaic_ir::Function`] into a [`StaticDdg`]:
-//!
-//! * per-instruction [`StaticNode`]s carrying the instruction's resource
-//!   class ([`InstClass`]), its intra-block and cross-block SSA parents,
-//!   and — for phis — the defining instruction per CFG predecessor;
-//! * per-block [`BlockDdg`]s carrying program order, the memory-operation
-//!   order (consumed by the Memory Address Orderer), and the terminator
-//!   node whose completion gates the launch of the next Dynamic Basic
-//!   Block (paper §II-A, Fig. 3).
+//! verified [`mosaic_ir::Function`] into a [`StaticDdg`], laid out the way a
+//! tile replays it: each block's [`PlanInst`]s as one contiguous slice in
+//! program order, each carrying its resource class ([`InstClass`]), its
+//! memory kind and queue, and its SSA parents pre-resolved to [`PlanEdge`]s
+//! — a def earlier in the block, the latest instance of a def elsewhere, or
+//! a phi's def per CFG predecessor. A [`BlockView`] also gives the
+//! memory-operation order (consumed by the Memory Address Orderer) and the
+//! terminator, whose completion gates the launch of the next Dynamic Basic
+//! Block (paper §II-A, Fig. 3).
 //!
 //! The timing simulator (`mosaic-tile`) instantiates one *Dynamic Basic
 //! Block* (DBB) per control-flow-trace entry from these static templates.
@@ -36,15 +36,17 @@
 //! b.ret(None);
 //!
 //! let ddg = StaticDdg::build(m.function(f));
-//! assert_eq!(ddg.block(mosaic_ir::BlockId(0)).mem_order().len(), 2);
-//! assert_eq!(ddg.node(v2.as_inst().unwrap()).class(), InstClass::FpMul);
+//! let entry = ddg.block(mosaic_ir::BlockId(0));
+//! assert_eq!(entry.mem_order().count(), 2);
+//! let fmul = ddg.inst(entry.range.start + 1);
+//! assert_eq!((fmul.inst, fmul.class), (v2.as_inst().unwrap(), InstClass::FpMul));
 //! ```
 
 #![warn(missing_docs)]
 
-use mosaic_ir::{
-    AtomicOp, BinOp, BlockId, FuncId, Function, Inst, InstId, Intrinsic, Opcode, Operand,
-};
+use std::ops::Range;
+
+use mosaic_ir::{AtomicOp, BinOp, BlockId, Function, Inst, InstId, Intrinsic, Opcode, Operand};
 
 /// Resource/latency class of an instruction, used to pick functional
 /// units, latencies, and energy costs (paper §III-A/B).
@@ -153,252 +155,8 @@ impl MemKind {
     }
 }
 
-/// A static DDG node: one IR instruction plus its dependence metadata.
-#[derive(Debug, Clone)]
-pub struct StaticNode {
-    inst: InstId,
-    block: BlockId,
-    class: InstClass,
-    intra_parents: Vec<InstId>,
-    cross_parents: Vec<InstId>,
-    phi_incoming: Vec<(BlockId, Option<InstId>)>,
-    is_terminator: bool,
-    mem_kind: Option<MemKind>,
-    queue: Option<u32>,
-}
-
-impl StaticNode {
-    /// The underlying instruction id.
-    pub fn inst(&self) -> InstId {
-        self.inst
-    }
-
-    /// The block the node belongs to.
-    pub fn block(&self) -> BlockId {
-        self.block
-    }
-
-    /// The resource class.
-    pub fn class(&self) -> InstClass {
-        self.class
-    }
-
-    /// SSA parents defined in the *same* basic block. A dynamic instance
-    /// depends on the instance of the parent in its own DBB.
-    pub fn intra_parents(&self) -> &[InstId] {
-        &self.intra_parents
-    }
-
-    /// SSA parents defined in *other* basic blocks (loop-invariant defs or
-    /// defs on a dominating path). A dynamic instance depends on the most
-    /// recent in-flight instance of the parent, if one exists.
-    pub fn cross_parents(&self) -> &[InstId] {
-        &self.cross_parents
-    }
-
-    /// For phi nodes: the defining instruction per CFG predecessor
-    /// (`None` when the incoming value is a constant or parameter).
-    pub fn phi_incoming(&self) -> &[(BlockId, Option<InstId>)] {
-        &self.phi_incoming
-    }
-
-    /// Whether this node is its block's terminator (paper Fig. 3:
-    /// terminator completion launches the next DBB).
-    pub fn is_terminator(&self) -> bool {
-        self.is_terminator
-    }
-
-    /// Memory kind, if this node accesses memory.
-    pub fn mem_kind(&self) -> Option<MemKind> {
-        self.mem_kind
-    }
-
-    /// Queue id, if this node is a `send`/`recv`.
-    pub fn queue(&self) -> Option<u32> {
-        self.queue
-    }
-}
-
-/// Per-block slice of the static DDG.
-#[derive(Debug, Clone)]
-pub struct BlockDdg {
-    block: BlockId,
-    insts: Vec<InstId>,
-    mem_order: Vec<InstId>,
-    terminator: InstId,
-}
-
-impl BlockDdg {
-    /// The block id.
-    pub fn block(&self) -> BlockId {
-        self.block
-    }
-
-    /// Instructions in program order.
-    pub fn insts(&self) -> &[InstId] {
-        &self.insts
-    }
-
-    /// Memory operations in program order — the order they are inserted
-    /// into the Memory Address Orderer (paper §II-A).
-    pub fn mem_order(&self) -> &[InstId] {
-        &self.mem_order
-    }
-
-    /// The terminator node.
-    pub fn terminator(&self) -> InstId {
-        self.terminator
-    }
-
-    /// Number of instructions.
-    pub fn len(&self) -> usize {
-        self.insts.len()
-    }
-
-    /// Whether the block has no instructions (never true for verified IR).
-    pub fn is_empty(&self) -> bool {
-        self.insts.is_empty()
-    }
-}
-
-/// The static data dependency graph of one function.
-#[derive(Debug, Clone)]
-pub struct StaticDdg {
-    func: FuncId,
-    func_name: String,
-    nodes: Vec<StaticNode>,
-    blocks: Vec<BlockDdg>,
-}
-
-impl StaticDdg {
-    /// Builds the DDG of a (verified) function.
-    ///
-    /// # Panics
-    ///
-    /// May panic on unverified IR (e.g. blocks without terminators); run
-    /// [`mosaic_ir::verify_function`] first.
-    pub fn build(func: &Function) -> StaticDdg {
-        let mut nodes = Vec::with_capacity(func.inst_count());
-        for inst in func.insts() {
-            let mut intra = Vec::new();
-            let mut cross = Vec::new();
-            let mut phi_inc = Vec::new();
-            match inst.op() {
-                Opcode::Phi { incoming } => {
-                    for (pred, v) in incoming {
-                        phi_inc.push((*pred, v.as_inst()));
-                    }
-                }
-                op => {
-                    op.for_each_operand(|o| {
-                        if let Operand::Inst(def) = o {
-                            if func.inst(def).block() == inst.block() {
-                                intra.push(def);
-                            } else {
-                                cross.push(def);
-                            }
-                        }
-                    });
-                }
-            }
-            let mem_kind = match inst.op() {
-                Opcode::Load { .. } => Some(MemKind::Load),
-                Opcode::Store { .. } => Some(MemKind::Store),
-                Opcode::AtomicRmw { op, .. } => Some(MemKind::Atomic(*op)),
-                _ => None,
-            };
-            let queue = match inst.op() {
-                Opcode::Send { queue, .. } | Opcode::Recv { queue } => Some(*queue),
-                _ => None,
-            };
-            let block = func.block(inst.block());
-            nodes.push(StaticNode {
-                inst: inst.id(),
-                block: inst.block(),
-                class: InstClass::of(inst),
-                intra_parents: intra,
-                cross_parents: cross,
-                phi_incoming: phi_inc,
-                is_terminator: block.terminator() == Some(inst.id()),
-                mem_kind,
-                queue,
-            });
-        }
-
-        let blocks = func
-            .blocks()
-            .map(|b| BlockDdg {
-                block: b.id(),
-                insts: b.insts().to_vec(),
-                mem_order: b
-                    .insts()
-                    .iter()
-                    .copied()
-                    .filter(|&i| func.inst(i).op().is_mem())
-                    .collect(),
-                terminator: b.terminator().expect("verified block has terminator"),
-            })
-            .collect();
-
-        StaticDdg {
-            func: func.id(),
-            func_name: func.name().to_string(),
-            nodes,
-            blocks,
-        }
-    }
-
-    /// The function this DDG was built from.
-    pub fn func(&self) -> FuncId {
-        self.func
-    }
-
-    /// The function's name.
-    pub fn func_name(&self) -> &str {
-        &self.func_name
-    }
-
-    /// Node lookup.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inst` is out of range.
-    pub fn node(&self, inst: InstId) -> &StaticNode {
-        &self.nodes[inst.index()]
-    }
-
-    /// Block slice lookup.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block` is out of range.
-    pub fn block(&self, block: BlockId) -> &BlockDdg {
-        &self.blocks[block.index()]
-    }
-
-    /// All nodes in arena order.
-    pub fn nodes(&self) -> impl Iterator<Item = &StaticNode> {
-        self.nodes.iter()
-    }
-
-    /// All block slices.
-    pub fn blocks(&self) -> impl Iterator<Item = &BlockDdg> {
-        self.blocks.iter()
-    }
-
-    /// Number of static instructions.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Number of basic blocks.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-}
-
 /// Where a launching instruction finds the dynamic instance of one SSA
-/// parent (see [`LaunchPlan`]).
+/// parent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanEdge {
     /// Defined earlier in the same block: the instruction at this offset
@@ -417,15 +175,16 @@ pub enum PlanEdge {
     },
 }
 
-/// One instruction of a [`LaunchPlan`]: what a tile needs to launch,
-/// issue and retire a dynamic instance without consulting the IR.
+/// One node of a [`StaticDdg`]: what a tile needs to launch, issue and
+/// retire a dynamic instance without consulting the IR.
 #[derive(Debug, Clone, Copy)]
 pub struct PlanInst {
     /// The static instruction.
     pub inst: InstId,
     /// Its resource class.
     pub class: InstClass,
-    /// Whether it is its block's terminator.
+    /// Whether it is its block's terminator (paper Fig. 3: terminator
+    /// completion launches the next DBB).
     pub is_terminator: bool,
     /// Whether an instance completes the moment its parents have: true
     /// for phis; a tile model sets it for whatever else it treats as a
@@ -438,88 +197,133 @@ pub struct PlanInst {
     edges: (u32, u32),
 }
 
-/// The static DDG compiled for replay: each block's instructions as one
-/// contiguous slice in program order, with parent edges deduplicated and
-/// pre-resolved ([`PlanEdge`]) so launching a DBB walks flat arrays.
-/// Instructions no block schedules (left behind by DCE) are not in it.
+/// One block of a [`StaticDdg`], borrowed.
 #[derive(Debug, Clone)]
-pub struct LaunchPlan {
+pub struct BlockView<'a> {
+    /// The plan indices (for [`StaticDdg::inst`]) of the block's
+    /// instructions, in program order.
+    pub range: Range<usize>,
+    /// The terminator's offset within the block.
+    pub terminator: u32,
+    /// The whole graph's instructions.
+    insts: &'a [PlanInst],
+}
+
+impl<'a> BlockView<'a> {
+    /// Memory operations in program order — the order they are inserted
+    /// into the Memory Address Orderer (paper §II-A).
+    pub fn mem_order(&self) -> impl Iterator<Item = &'a InstId> {
+        let insts: &'a [PlanInst] = self.insts;
+        insts[self.range.clone()]
+            .iter()
+            .filter(|pi| pi.mem_kind.is_some())
+            .map(|pi| &pi.inst)
+    }
+}
+
+/// The static data dependency graph of one function, laid out for replay:
+/// each block's instructions as one contiguous slice in program order,
+/// with parent edges deduplicated and pre-resolved ([`PlanEdge`]) so
+/// launching a DBB walks flat arrays. Instructions no block schedules
+/// (left behind by DCE) are not in it.
+#[derive(Debug, Clone)]
+pub struct StaticDdg {
     insts: Vec<PlanInst>,
     edges: Vec<PlanEdge>,
     /// Per block: its slice of `insts` and its terminator's offset in it.
-    blocks: Vec<(std::ops::Range<usize>, u32)>,
+    blocks: Vec<(Range<usize>, u32)>,
+    node_count: usize,
 }
 
-impl LaunchPlan {
-    /// Compiles `ddg`; O(static instructions).
-    pub fn compile(ddg: &StaticDdg) -> LaunchPlan {
-        let mut offset = vec![u32::MAX; ddg.node_count()];
-        for b in ddg.blocks() {
-            for (pos, iid) in b.insts().iter().enumerate() {
-                offset[iid.index()] = pos as u32;
-            }
-        }
-        let mut plan = LaunchPlan {
-            insts: Vec::with_capacity(ddg.node_count()),
+impl StaticDdg {
+    /// Builds the DDG of a (verified) function; O(static instructions).
+    ///
+    /// # Panics
+    ///
+    /// May panic on unverified IR (e.g. blocks without terminators); run
+    /// [`mosaic_ir::verify_function`] first.
+    pub fn build(func: &Function) -> StaticDdg {
+        let mut ddg = StaticDdg {
+            insts: Vec::with_capacity(func.inst_count()),
             edges: Vec::new(),
-            blocks: Vec::with_capacity(ddg.block_count()),
+            blocks: Vec::with_capacity(func.block_count()),
+            node_count: func.inst_count(),
         };
-        for b in ddg.blocks() {
-            let start = plan.insts.len();
+        // Each instruction's offset in its block, once it is placed.
+        let mut offset = vec![u32::MAX; func.inst_count()];
+        for b in func.blocks() {
+            let start = ddg.insts.len();
             for (pos, &iid) in b.insts().iter().enumerate() {
-                let node = ddg.node(iid);
-                let first = plan.edges.len();
-                let incoming = node.phi_incoming();
-                for (i, &(pred, def)) in incoming.iter().enumerate() {
-                    // A launch selects the first entry for its predecessor.
-                    let shadowed = incoming[..i].iter().any(|(p, _)| *p == pred);
-                    if let (false, Some(def)) = (shadowed, def) {
-                        plan.edges.push(PlanEdge::Phi { pred, def });
+                let inst = func.inst(iid);
+                let op = inst.op();
+                let first = ddg.edges.len();
+                if let Opcode::Phi { incoming } = op {
+                    for (i, &(pred, def)) in incoming.iter().enumerate() {
+                        // A launch selects the first entry for its predecessor.
+                        let shadowed = incoming[..i].iter().any(|(p, _)| *p == pred);
+                        if let (false, Some(def)) = (shadowed, def.as_inst()) {
+                            ddg.edges.push(PlanEdge::Phi { pred, def });
+                        }
+                    }
+                } else {
+                    // Parents in this block first, then the others, each
+                    // in operand order.
+                    for local in [true, false] {
+                        op.for_each_operand(|o| {
+                            let Operand::Inst(def) = o else { return };
+                            if (func.inst(def).block() == b.id()) != local {
+                                return;
+                            }
+                            let edge = match offset[def.index()] {
+                                off if local && (off as usize) < pos => PlanEdge::Local(off),
+                                _ => PlanEdge::Latest(def),
+                            };
+                            // One edge per def: an operand used twice is one parent.
+                            if !ddg.edges[first..].contains(&edge) {
+                                ddg.edges.push(edge);
+                            }
+                        });
                     }
                 }
-                let intra = node.intra_parents().iter().map(|&def| {
-                    match offset[def.index()] {
-                        off if (off as usize) < pos => PlanEdge::Local(off),
-                        _ => PlanEdge::Latest(def),
-                    }
-                });
-                let cross = node.cross_parents().iter().map(|&d| PlanEdge::Latest(d));
-                for edge in intra.chain(cross) {
-                    // One edge per def: an operand used twice is one parent.
-                    if !plan.edges[first..].contains(&edge) {
-                        plan.edges.push(edge);
-                    }
-                }
-                plan.insts.push(PlanInst {
+                offset[iid.index()] = pos as u32;
+                let class = InstClass::of(inst);
+                ddg.insts.push(PlanInst {
                     inst: iid,
-                    class: node.class(),
-                    is_terminator: node.is_terminator(),
-                    zero_cost: node.class() == InstClass::Phi,
-                    mem_kind: node.mem_kind(),
-                    queue: node.queue(),
-                    edges: (first as u32, plan.edges.len() as u32),
+                    class,
+                    is_terminator: b.terminator() == Some(iid),
+                    zero_cost: class == InstClass::Phi,
+                    mem_kind: match op {
+                        Opcode::Load { .. } => Some(MemKind::Load),
+                        Opcode::Store { .. } => Some(MemKind::Store),
+                        Opcode::AtomicRmw { op, .. } => Some(MemKind::Atomic(*op)),
+                        _ => None,
+                    },
+                    queue: match op {
+                        Opcode::Send { queue, .. } | Opcode::Recv { queue } => Some(*queue),
+                        _ => None,
+                    },
+                    edges: (first as u32, ddg.edges.len() as u32),
                 });
             }
-            let term = offset[b.terminator().index()];
-            plan.blocks.push((start..plan.insts.len(), term));
+            let term = b.terminator().expect("verified block has terminator");
+            ddg.blocks
+                .push((start..ddg.insts.len(), offset[term.index()]));
         }
-        plan
+        ddg
     }
 
-    /// The indices (for [`inst`](Self::inst)) of `block`'s instructions,
-    /// in program order.
-    pub fn block(&self, block: BlockId) -> std::ops::Range<usize> {
-        self.blocks[block.index()].0.clone()
-    }
-
-    /// Offset of `block`'s terminator within the block.
-    pub fn terminator_offset(&self, block: BlockId) -> u32 {
-        self.blocks[block.index()].1
-    }
-
-    /// Number of basic blocks.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
+    /// `block`'s instructions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is out of range.
+    pub fn block(&self, block: BlockId) -> BlockView<'_> {
+        let (range, terminator) = self.blocks[block.index()].clone();
+        BlockView {
+            range,
+            terminator,
+            insts: &self.insts,
+        }
     }
 
     /// The instruction at plan index `idx`.
@@ -527,14 +331,19 @@ impl LaunchPlan {
         &self.insts[idx]
     }
 
-    /// Number of planned instructions.
+    /// Number of planned (scheduled) instructions.
     pub fn len(&self) -> usize {
         self.insts.len()
     }
 
-    /// Whether the plan has no instructions.
+    /// Whether no block schedules an instruction.
     pub fn is_empty(&self) -> bool {
         self.insts.is_empty()
+    }
+
+    /// Number of static instructions of the function, scheduled or not.
+    pub fn node_count(&self) -> usize {
+        self.node_count
     }
 
     /// Every planned instruction, mutably — for a tile model to mark its
@@ -552,7 +361,7 @@ impl LaunchPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mosaic_ir::{Constant, FunctionBuilder, IntPredicate, Module, Type};
+    use mosaic_ir::{Constant, FuncId, FunctionBuilder, IntPredicate, Module, Type};
 
     fn loop_func() -> (Module, FuncId, InstId, InstId) {
         let mut m = Module::new("t");
@@ -588,50 +397,51 @@ mod tests {
         (m, f, i_phi, v.as_inst().unwrap())
     }
 
+    /// The node of `inst`.
+    fn node(ddg: &StaticDdg, inst: InstId) -> &PlanInst {
+        let at = (0..ddg.len()).find(|&i| ddg.inst(i).inst == inst);
+        ddg.inst(at.expect("planned"))
+    }
+
     #[test]
     fn phi_incoming_captures_defs() {
         let (m, f, i_phi, _) = loop_func();
         let ddg = StaticDdg::build(m.function(f));
-        let node = ddg.node(i_phi);
-        assert_eq!(node.class(), InstClass::Phi);
-        assert_eq!(node.phi_incoming().len(), 2);
-        // Edge from entry is the constant 0 (no def); edge from body is i2.
-        let from_entry = node
-            .phi_incoming()
-            .iter()
-            .find(|(b, _)| *b == BlockId(0))
-            .unwrap();
-        assert!(from_entry.1.is_none());
-        let from_body = node
-            .phi_incoming()
-            .iter()
-            .find(|(b, _)| *b == BlockId(2))
-            .unwrap();
-        assert!(from_body.1.is_some());
+        let phi = node(&ddg, i_phi);
+        assert_eq!(phi.class, InstClass::Phi);
+        assert!(phi.zero_cost);
+        // The edge from entry is the constant 0 (no def, so no edge); the
+        // edge from body is i2.
+        let [PlanEdge::Phi { pred, def }] = ddg.edges(phi) else {
+            panic!("one phi edge: {:?}", ddg.edges(phi));
+        };
+        assert_eq!(*pred, BlockId(2));
+        assert_eq!(node(&ddg, *def).class, InstClass::IntAlu);
     }
 
     #[test]
     fn cross_block_parents_identified() {
         let (m, f, i_phi, load) = loop_func();
         let ddg = StaticDdg::build(m.function(f));
-        // gep in body uses the phi defined in header: cross-block parent.
-        let load_node = ddg.node(load);
-        assert_eq!(load_node.class(), InstClass::Load);
-        let gep = load_node.intra_parents()[0];
-        let gep_node = ddg.node(gep);
-        assert!(gep_node.cross_parents().contains(&i_phi));
+        // load <- gep: same block, so a block-local offset; gep <- phi:
+        // another block, so the phi's latest instance.
+        let load_node = node(&ddg, load);
+        assert_eq!(load_node.class, InstClass::Load);
+        assert_eq!(ddg.edges(load_node), [PlanEdge::Local(0)]);
+        let gep = ddg.inst(ddg.block(BlockId(2)).range.start);
+        assert!(ddg.edges(gep).contains(&PlanEdge::Latest(i_phi)));
     }
 
     #[test]
     fn mem_order_is_program_order() {
         let (m, f, _, _) = loop_func();
         let ddg = StaticDdg::build(m.function(f));
-        let body = ddg.block(BlockId(2));
-        assert_eq!(body.mem_order().len(), 2);
-        let load = body.mem_order()[0];
-        let store = body.mem_order()[1];
-        assert_eq!(ddg.node(load).mem_kind(), Some(MemKind::Load));
-        assert_eq!(ddg.node(store).mem_kind(), Some(MemKind::Store));
+        let body: Vec<InstId> = ddg.block(BlockId(2)).mem_order().copied().collect();
+        let [load, store] = body[..] else {
+            panic!("two memory operations: {body:?}");
+        };
+        assert_eq!(node(&ddg, load).mem_kind, Some(MemKind::Load));
+        assert_eq!(node(&ddg, store).mem_kind, Some(MemKind::Store));
         assert!(load < store);
     }
 
@@ -639,51 +449,36 @@ mod tests {
     fn terminators_flagged() {
         let (m, f, _, _) = loop_func();
         let ddg = StaticDdg::build(m.function(f));
-        for b in ddg.blocks() {
-            assert!(ddg.node(b.terminator()).is_terminator());
-            let non_term = b.insts().iter().filter(|&&i| i != b.terminator());
-            for &i in non_term {
-                assert!(!ddg.node(i).is_terminator());
-            }
+        for b in m.function(f).blocks() {
+            let block = ddg.block(b.id());
+            let term = ddg.inst(block.range.start + block.terminator as usize);
+            assert!(term.is_terminator && Some(term.inst) == b.terminator());
+            let flagged = block.range.filter(|&i| ddg.inst(i).is_terminator);
+            assert_eq!(flagged.count(), 1);
         }
     }
 
     #[test]
     fn launch_plan_resolves_parents() {
         let (m, f, i_phi, load) = loop_func();
-        let ddg = StaticDdg::build(m.function(f));
-        let plan = LaunchPlan::compile(&ddg);
-        assert_eq!(plan.len(), ddg.blocks().map(BlockDdg::len).sum::<usize>());
-        let find = |inst: InstId| {
-            let at = (0..plan.len()).find(|&i| plan.inst(i).inst == inst);
-            plan.inst(at.expect("planned"))
-        };
-        // Blocks are contiguous, in program order, terminator last.
-        for b in ddg.blocks() {
-            let range = plan.block(b.block());
-            let planned: Vec<InstId> = range.clone().map(|i| plan.inst(i).inst).collect();
+        let func = m.function(f);
+        let ddg = StaticDdg::build(func);
+        assert_eq!(
+            ddg.len(),
+            func.blocks().map(|b| b.insts().len()).sum::<usize>()
+        );
+        // Blocks are contiguous, in program order.
+        for b in func.blocks() {
+            let planned: Vec<InstId> = ddg.block(b.id()).range.map(|i| ddg.inst(i).inst).collect();
             assert_eq!(planned, b.insts());
-            let term = plan.inst(range.start + plan.terminator_offset(b.block()) as usize);
-            assert!(term.is_terminator && term.inst == b.terminator());
         }
-        // The phi takes `i2` only when entered from the body; the constant
-        // incoming from the entry block is no edge at all.
-        let phi = find(i_phi);
-        assert!(phi.zero_cost);
-        let body = BlockId(2);
-        assert!(matches!(
-            plan.edges(phi),
-            [PlanEdge::Phi { pred, .. }] if *pred == body
-        ));
-        // load <- gep: same block, so a block-local offset; gep <- phi:
-        // another block, so the phi's latest instance.
-        let gep = ddg.node(load).intra_parents()[0];
-        assert_eq!(plan.edges(find(load)), [PlanEdge::Local(0)]);
-        assert_eq!(plan.edges(find(gep)), [PlanEdge::Latest(i_phi)]);
+        let gep = ddg.inst(ddg.block(BlockId(2)).range.start);
+        assert_eq!(ddg.edges(node(&ddg, load)), [PlanEdge::Local(0)]);
+        assert_eq!(ddg.edges(gep), [PlanEdge::Latest(i_phi)]);
         // `store a, v2` uses two defs; `add v, 1` one.
-        let store = ddg.block(body).mem_order()[1];
-        assert_eq!(plan.edges(find(store)).len(), 2);
-        assert_eq!(find(store).mem_kind, Some(MemKind::Store));
+        let store = *ddg.block(BlockId(2)).mem_order().nth(1).unwrap();
+        assert_eq!(ddg.edges(node(&ddg, store)).len(), 2);
+        assert_eq!(node(&ddg, store).mem_kind, Some(MemKind::Store));
     }
 
     #[test]
@@ -692,15 +487,104 @@ mod tests {
         let f = m.add_function("k", vec![("p".into(), Type::Ptr)], Type::Void);
         let mut b = FunctionBuilder::new(m.function_mut(f));
         let e = b.create_block("entry");
+        let join = b.create_block("join");
         b.switch_to(e);
         let p = b.param(0);
         let x = b.load(Type::I32, p);
         let sq = b.bin(BinOp::Mul, x, x);
-        b.store(p, sq);
+        b.br(join);
+        // A predecessor listed twice: a launch takes its first entry.
+        b.switch_to(join);
+        let (v, phi) = b.phi_incomplete(Type::I32);
+        b.phi_add_incoming(phi, e, sq);
+        b.phi_add_incoming(phi, e, x);
+        b.store(p, v);
         b.ret(None);
-        let plan = LaunchPlan::compile(&StaticDdg::build(m.function(f)));
-        let sq = plan.inst(plan.block(BlockId(0)).start + 1);
-        assert_eq!(sq.class, InstClass::IntMul);
-        assert_eq!(plan.edges(sq), [PlanEdge::Local(0)]);
+        let ddg = StaticDdg::build(m.function(f));
+        let mul = ddg.inst(ddg.block(e).range.start + 1);
+        assert_eq!(mul.class, InstClass::IntMul);
+        assert_eq!(ddg.edges(mul), [PlanEdge::Local(0)]);
+        let def = sq.as_inst().unwrap();
+        let phi = ddg.inst(ddg.block(join).range.start);
+        assert_eq!(ddg.edges(phi), [PlanEdge::Phi { pred: e, def }]);
+    }
+
+    /// Every function the repository bundles, projection's DAE slices
+    /// included.
+    fn bundled_functions() -> Vec<Module> {
+        let mut modules: Vec<Module> = mosaic_kernels::bundled()
+            .into_iter()
+            .map(|p| p.module)
+            .collect();
+        let mut sliced = mosaic_kernels::projection::build(1);
+        mosaic_passes::slice_dae(&mut sliced.module, sliced.func, Default::default()).unwrap();
+        modules.push(sliced.module);
+        modules
+    }
+
+    /// The layout `CoreTile`'s launch relies on, on real kernels: local
+    /// edges point backwards to an operand, no edge is repeated, each block
+    /// ends in its one flagged terminator, every scheduled instruction is
+    /// placed once, and the memory order is the block's memory operations.
+    #[test]
+    fn bundled_kernels_have_the_layout_a_launch_relies_on() {
+        let mut functions = 0;
+        for m in bundled_functions() {
+            for func in m.functions() {
+                functions += 1;
+                let name = func.name();
+                let ddg = StaticDdg::build(func);
+                assert_eq!(ddg.node_count(), func.inst_count(), "{name}");
+                let mut placed = vec![0u32; func.inst_count()];
+                for i in 0..ddg.len() {
+                    placed[ddg.inst(i).inst.index()] += 1;
+                }
+                let scheduled: usize = func.blocks().map(|b| b.insts().len()).sum();
+                assert_eq!(ddg.len(), scheduled, "{name}");
+                for b in func.blocks() {
+                    let block = ddg.block(b.id());
+                    let term = block.terminator as usize;
+                    assert_eq!(
+                        term + 1,
+                        block.range.len(),
+                        "{name} {}: terminator last",
+                        b.id()
+                    );
+                    for (pos, i) in block.range.clone().enumerate() {
+                        let pi = ddg.inst(i);
+                        assert_eq!(pi.inst, b.insts()[pos], "{name} {}", b.id());
+                        assert_eq!(
+                            placed[pi.inst.index()],
+                            1,
+                            "{name} {}: placed once",
+                            pi.inst
+                        );
+                        assert_eq!(pi.is_terminator, pos == term, "{name} {}", pi.inst);
+                        let edges = ddg.edges(pi);
+                        for (k, edge) in edges.iter().enumerate() {
+                            assert!(
+                                !edges[..k].contains(edge),
+                                "{name} {}: {edge:?} twice",
+                                pi.inst
+                            );
+                            if let PlanEdge::Local(off) = edge {
+                                assert!((*off as usize) < pos, "{name} {}: {edge:?}", pi.inst);
+                                let def = b.insts()[*off as usize];
+                                let mut uses = false;
+                                func.inst(pi.inst).op().for_each_operand(|o| {
+                                    uses |= o.as_inst() == Some(def);
+                                });
+                                assert!(uses, "{name} {}: {edge:?} is no operand", pi.inst);
+                            }
+                        }
+                    }
+                    let is_mem = |i: &&InstId| func.inst(**i).op().is_mem();
+                    let expected: Vec<&InstId> = b.insts().iter().filter(is_mem).collect();
+                    let mem: Vec<&InstId> = block.mem_order().collect();
+                    assert_eq!(mem, expected, "{name} {}", b.id());
+                }
+            }
+        }
+        assert!(functions > 21, "{functions} functions");
     }
 }

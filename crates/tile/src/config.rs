@@ -1,8 +1,6 @@
 //! Core tile configuration: microarchitectural resource limits
 //! (paper §III-A), instruction costs (§III-B), and speculation (§III-C).
 
-use std::collections::HashSet;
-
 use mosaic_ddg::InstClass;
 use mosaic_ir::{Function, Opcode, Operand};
 
@@ -347,53 +345,26 @@ impl CoreConfig {
 }
 
 /// Computes the statically fusible instructions of a function under
-/// `fusion` (see [`FusionConfig`]): fused instructions execute with zero
-/// latency and consume no issue slot, modeling x86 macro-ops.
-#[allow(clippy::collapsible_match)] // per-opcode arms stay scannable
-pub fn fused_insts(func: &Function, fusion: FusionConfig) -> HashSet<mosaic_ir::InstId> {
-    let mut fused = HashSet::new();
-    if !fusion.gep_into_mem && !fusion.cmp_into_branch {
-        return fused;
-    }
-    let scheduled: Vec<mosaic_ir::InstId> = func
-        .blocks()
-        .flat_map(|b| b.insts().iter().copied())
-        .collect();
+/// `fusion` (see [`FusionConfig`]), as flags by `InstId`: fused
+/// instructions execute with zero latency and consume no issue slot,
+/// modeling x86 macro-ops. A fusible def has one use: a `gep` as a memory
+/// address, a compare as a branch condition.
+pub(crate) fn fused_insts(func: &Function, fusion: FusionConfig) -> Vec<bool> {
     let use_count = func.use_counts();
-    let mut used_by_mem_addr: HashSet<mosaic_ir::InstId> = HashSet::new();
-    let mut used_by_branch: HashSet<mosaic_ir::InstId> = HashSet::new();
-    for &iid in &scheduled {
-        match func.inst(iid).op() {
-            Opcode::Load { addr } | Opcode::Store { addr, .. } => {
-                if let Operand::Inst(d) = addr {
-                    used_by_mem_addr.insert(*d);
-                }
-            }
-            Opcode::CondBr { cond, .. } => {
-                if let Operand::Inst(d) = cond {
-                    used_by_branch.insert(*d);
-                }
-            }
-            _ => {}
-        }
-    }
-    for &iid in &scheduled {
-        let inst = func.inst(iid);
-        let id = inst.id();
-        let single_use = use_count[id.index()] == 1;
-        match inst.op() {
-            Opcode::Gep { .. }
-                if fusion.gep_into_mem && single_use && used_by_mem_addr.contains(&id) =>
-            {
-                fused.insert(id);
-            }
-            Opcode::ICmp { .. } | Opcode::FCmp { .. }
-                if fusion.cmp_into_branch && single_use && used_by_branch.contains(&id) =>
-            {
-                fused.insert(id);
-            }
-            _ => {}
-        }
+    let mut fused = vec![false; func.inst_count()];
+    for &user in func.blocks().flat_map(|b| b.insts()) {
+        let (operand, into_mem) = match func.inst(user).op() {
+            Opcode::Load { addr } | Opcode::Store { addr, .. } => (*addr, true),
+            Opcode::CondBr { cond, .. } => (*cond, false),
+            _ => continue,
+        };
+        let Operand::Inst(def) = operand else { continue };
+        let fusible = match func.inst(def).op() {
+            Opcode::Gep { .. } => into_mem && fusion.gep_into_mem,
+            Opcode::ICmp { .. } | Opcode::FCmp { .. } => !into_mem && fusion.cmp_into_branch,
+            _ => false,
+        };
+        fused[def.index()] |= fusible && use_count[def.index()] == 1;
     }
     fused
 }
@@ -456,10 +427,12 @@ mod tests {
         b.ret(None);
         mosaic_ir::verify_module(&m).unwrap();
         let fused = fused_insts(m.function(f), FusionConfig::x86_like());
-        assert!(fused.contains(&g1.as_inst().unwrap()));
-        assert!(!fused.contains(&g2.as_inst().unwrap()));
-        assert!(fused.contains(&c.as_inst().unwrap()));
+        let fused_at = |v: mosaic_ir::Operand| fused[v.as_inst().unwrap().index()];
+        assert!(fused_at(g1));
+        assert!(!fused_at(g2));
+        assert!(fused_at(c));
+        assert_eq!(fused.iter().filter(|&&f| f).count(), 2);
         // With fusion disabled nothing is fused.
-        assert!(fused_insts(m.function(f), FusionConfig::default()).is_empty());
+        assert!(!fused_insts(m.function(f), FusionConfig::default()).contains(&true));
     }
 }

@@ -25,7 +25,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 use mosaic_ckpt::{CkptError, Dec, Enc};
-use mosaic_ddg::{InstClass, LaunchPlan, MemKind, PlanEdge, StaticDdg};
+use mosaic_ddg::{InstClass, MemKind, PlanEdge, StaticDdg};
 use mosaic_ir::{BlockId, FuncId, InstId, Module, Opcode};
 use mosaic_mem::{AccessKind, MemError, MemReq, ReqId};
 use mosaic_obs::{Category, IrProfile, ObsLevel, ProfileTable, SpanName, StallKind, Timeline};
@@ -122,9 +122,9 @@ pub struct CoreTile {
     config: CoreConfig,
     module: Arc<Module>,
     func: FuncId,
-    /// The static DDG compiled for replay, with this configuration's
-    /// zero-cost (fused, hardware-absorbed) instructions marked.
-    plan: LaunchPlan,
+    /// The static DDG, with this configuration's zero-cost (fused,
+    /// hardware-absorbed) instructions marked.
+    plan: StaticDdg,
     /// DeSC role by plan index (all `None` without the DeSC extensions).
     desc: Vec<Option<DescRole>>,
     /// Static prediction by block.
@@ -188,7 +188,7 @@ impl std::fmt::Debug for CoreTile {
 }
 
 /// How a slot names its static instruction, a row of the profile.
-fn sid_of(plan: &LaunchPlan) -> impl Fn(&DynInst) -> u32 + '_ {
+fn sid_of(plan: &StaticDdg) -> impl Fn(&DynInst) -> u32 + '_ {
     |di| plan.inst(di.plan as usize).inst.0
 }
 
@@ -214,18 +214,17 @@ impl CoreTile {
         mem_slot: usize,
     ) -> Self {
         let f = module.function(func);
-        let ddg = StaticDdg::build(f);
         let fused = fused_insts(f, config.fusion);
         let roles = if config.desc_extensions {
             compute_desc_roles(f)
         } else {
             Vec::new()
         };
-        let mut plan = LaunchPlan::compile(&ddg);
+        let mut plan = StaticDdg::build(f);
         let mut desc = Vec::new();
         for pi in plan.insts_mut() {
             let role = roles.get(pi.inst.index()).copied().flatten();
-            pi.zero_cost |= fused.contains(&pi.inst) || role == Some(DescRole::SkipSend);
+            pi.zero_cost |= fused[pi.inst.index()] || role == Some(DescRole::SkipSend);
             desc.push(role);
         }
         CoreTile {
@@ -332,7 +331,7 @@ impl CoreTile {
             .config
             .live_dbb_limit
             .is_none_or(|limit| self.live_dbbs[block.index()] < limit);
-        let block_len = self.plan.block(block).len() as u64;
+        let block_len = self.plan.block(block).range.len() as u64;
         live_ok && self.inflight.live as u64 + block_len <= self.config.max_inflight
     }
 
@@ -362,7 +361,7 @@ impl CoreTile {
         let dbb = self.base_dbb + self.dbbs.len() as u64;
         let prev_block = self.prev_launched_block.replace(block);
         self.live_dbbs[block.index()] += 1;
-        let insts = self.plan.block(block);
+        let insts = self.plan.block(block).range;
         self.dbbs.push_back((insts.len() as u32, block));
         self.stats.dbbs_launched += 1;
         // Instruction `k` of this DBB gets sequence id `dbb_base_seq + k`.
@@ -439,7 +438,7 @@ impl CoreTile {
         }
 
         // Configure the launch gate for the *next* DBB.
-        let term_seq = dbb_base_seq + u64::from(self.plan.terminator_offset(block));
+        let term_seq = dbb_base_seq + u64::from(self.plan.block(block).terminator);
         self.gate = match self.config.branch {
             BranchMode::Perfect => LaunchGate::Free,
             BranchMode::None => LaunchGate::WaitTerminator {

@@ -26,7 +26,7 @@ pub(super) const NIL: u32 = u32::MAX;
 /// through `plan`, never copied.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct DynInst {
-    /// Index into the tile's [`LaunchPlan`].
+    /// Index into the tile's [`StaticDdg`](mosaic_ddg::StaticDdg).
     pub(super) plan: u32,
     pub(super) state: DynState,
     /// Whether the DeSC role exempts it from the instruction window.

@@ -84,16 +84,8 @@ pub(super) fn compute_desc_roles(func: &mosaic_ir::Function) -> Vec<Option<DescR
 /// the block (the loop-continuation edge); if neither or both loop,
 /// fall back to backward-taken / forward-not-taken.
 pub(super) fn compute_static_predictions(func: &mosaic_ir::Function) -> Vec<Option<BlockId>> {
-    // reaches[s] = set of blocks reachable from s.
     let nblocks = func.block_count();
-    let succs: Vec<Vec<BlockId>> = (0..nblocks)
-        .map(|i| {
-            let b = func.block(BlockId(i as u32));
-            b.terminator()
-                .map(|t| func.inst(t).op().successors())
-                .unwrap_or_default()
-        })
-        .collect();
+    let cfg = mosaic_ir::analysis::Cfg::new(func);
     // BFS distance from `start` back to `target` (None if unreachable).
     let cycle_distance = |start: BlockId, target: BlockId| -> Option<u32> {
         let mut dist = vec![None; nblocks];
@@ -105,7 +97,7 @@ pub(super) fn compute_static_predictions(func: &mosaic_ir::Function) -> Vec<Opti
         }
         while let Some(b) = queue.pop_front() {
             let d = dist[b.index()].expect("visited");
-            for &s in &succs[b.index()] {
+            for &s in cfg.succs(b) {
                 if dist[s.index()].is_none() {
                     dist[s.index()] = Some(d + 1);
                     if s == target {

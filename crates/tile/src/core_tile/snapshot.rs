@@ -2,7 +2,7 @@
 //! mosaic-ckpt and DESIGN.md §4.6).
 //!
 //! Only dynamic state is written. Everything derived from the configuration,
-//! module, and trace — the launch plan with its zero-cost marks, static
+//! module, and trace — the static DDG with its zero-cost marks, static
 //! predictions, DeSC roles — is rebuilt by `CoreTile::new` on the resume path
 //! and must therefore be byte-identical by construction, not by
 //! serialization. What the dynamic state determines is not written either:

@@ -26,7 +26,7 @@ mod core_tile;
 mod mao;
 
 pub use channel::{Channel, ChannelConfig, ChannelSet};
-pub use config::{fused_insts, BranchMode, CoreConfig, CostTable, FuLimits, FusionConfig};
+pub use config::{BranchMode, CoreConfig, CostTable, FuLimits, FusionConfig};
 pub use core_tile::CoreTile;
 pub use mao::Mao;
 
