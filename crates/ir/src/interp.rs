@@ -43,6 +43,9 @@ pub trait TraceSink {
     fn on_accel(&mut self, _tile: usize, _inst: InstId, _accel: AccelOp, _args: &[i64]) {}
     /// A tile retired one instruction.
     fn on_retire(&mut self, _tile: usize) {}
+    /// A tile's turn ended, `retired` retires after it began: `on_retire`'s
+    /// count, once a turn. A fault ends the run inside its turn, uncounted.
+    fn on_turn(&mut self, _tile: usize, _retired: u64) {}
 }
 
 /// A sink that discards all events.
@@ -162,6 +165,9 @@ pub struct ExecOutcome {
     pub retired: Vec<u64>,
     /// Total dynamic instructions across tiles.
     pub steps: u64,
+    /// Dispatches made: `steps` less the pairs run fused.
+    #[cfg(test)]
+    pub(crate) dispatches: u64,
 }
 
 /// Steps a tile runs before the next tile's turn.
@@ -201,6 +207,9 @@ pub struct Interpreter<'m, S: TraceSink> {
     phi_vals: Vec<RtVal>,
     /// An accelerator call's evaluated arguments; refilled in place.
     accel_args: Vec<i64>,
+    /// Ops dispatched so far, a phi move counting as one.
+    #[cfg(test)]
+    dispatches: std::cell::Cell<u64>,
 }
 
 impl<'m, S: TraceSink> fmt::Debug for Interpreter<'m, S> {
@@ -426,6 +435,8 @@ impl<'m, S: TraceSink> Interpreter<'m, S> {
             steps: 0,
             phi_vals: Vec::new(),
             accel_args: Vec::new(),
+            #[cfg(test)]
+            dispatches: Default::default(),
         }
     }
 
@@ -441,7 +452,7 @@ impl<'m, S: TraceSink> Interpreter<'m, S> {
         let plan = &self.plans[st.plan];
         let (sink, mem, slots) = (&mut *self.sink, &mut self.mem, &mut st.slots[..]);
         // `steps` counts retires; the tile's own count moves with it.
-        let (mut pc, mut steps, before) = (st.pc, self.steps, self.steps);
+        let (mut pc, mut steps, before, limit) = (st.pc, self.steps, self.steps, self.step_limit);
         let (mut left, mut entering) = (SLICE, st.entering.take());
         while left > 0 && !st.finished {
             if let Some(edge) = entering.take() {
@@ -456,10 +467,15 @@ impl<'m, S: TraceSink> Interpreter<'m, S> {
                         let source = source.unwrap_or_else(|| missing_edge(phi, edge.from));
                         self.phi_vals.push(val(slots, source, tile));
                     }
+                    #[cfg(test)]
+                    self.dispatches.set(self.dispatches.get() + moves.len() as u64);
                     for (&(phi, _), &v) in moves.iter().zip(&self.phi_vals) {
                         slots[phi as usize] = Some(v);
                         sink.on_retire(tile);
                         steps += 1;
+                    }
+                    if steps > limit {
+                        return Err(ExecError::StepLimit(limit));
                     }
                     left -= 1;
                     continue;
@@ -467,7 +483,44 @@ impl<'m, S: TraceSink> Interpreter<'m, S> {
             }
             let op = plan.ops[pc];
             let ([a, b, c], dst) = (op.args, op.inst as usize);
+            #[cfg(test)]
+            self.dispatches.set(self.dispatches.get() + 1);
             let get = |slot| val(slots, slot, tile);
+            // Whether a fused op's second half runs now: if the turn and limit have room.
+            macro_rules! pair {
+                ($fused:expr) => {
+                    $fused && left > 1 && steps + 2 <= limit && {
+                        (pc, steps, left) = (pc + 1, steps + 1, left - 1);
+                        sink.on_retire(tile);
+                        true
+                    }
+                };
+            }
+            macro_rules! load {
+                ($inst:expr, $at:expr, $ty:expr) => {{
+                    let (inst, at) = ($inst, $at);
+                    sink.on_mem(tile, InstId(inst), at, $ty.size_bytes() as u8, false);
+                    slots[inst as usize] = Some(mem.read_typed(at, $ty));
+                }};
+            }
+            // A store of `$ty`: `$write`, the address in `$at`, the value in `$v`.
+            macro_rules! store {
+                ($ty:expr, |$at:ident, $v:ident| $write:expr) => {{
+                    let ($at, $v) = (get(a).as_int() as u64, get(b));
+                    sink.on_mem(tile, InstId(op.inst), $at, $ty.size_bytes() as u8, true);
+                    $write;
+                }};
+            }
+            macro_rules! cmp {
+                ($pred:expr, $fused:expr) => {{
+                    let holds = icmp($pred, get(a), get(b));
+                    slots[dst] = Some(holds);
+                    if pair!($fused) {
+                        let [_, on_true, on_false] = plan.ops[pc].args;
+                        entering = Some(if holds.as_bool() { on_true } else { on_false });
+                    }
+                }};
+            }
             match op.code {
                 Code::Bin(bin) => slots[dst] = Some(binop(bin, get(a), get(b))?),
                 Code::Add => slots[dst] = Some(binop(BinOp::Add, get(a), get(b))?),
@@ -483,35 +536,44 @@ impl<'m, S: TraceSink> Interpreter<'m, S> {
                 Code::FSub => slots[dst] = Some(binop(BinOp::FSub, get(a), get(b))?),
                 Code::FMul => slots[dst] = Some(binop(BinOp::FMul, get(a), get(b))?),
                 Code::FDiv => slots[dst] = Some(binop(BinOp::FDiv, get(a), get(b))?),
-                Code::Eq => slots[dst] = Some(icmp(IntPredicate::Eq, get(a), get(b))),
-                Code::Ne => slots[dst] = Some(icmp(IntPredicate::Ne, get(a), get(b))),
-                Code::Slt => slots[dst] = Some(icmp(IntPredicate::Slt, get(a), get(b))),
-                Code::Sle => slots[dst] = Some(icmp(IntPredicate::Sle, get(a), get(b))),
-                Code::Sgt => slots[dst] = Some(icmp(IntPredicate::Sgt, get(a), get(b))),
-                Code::Sge => slots[dst] = Some(icmp(IntPredicate::Sge, get(a), get(b))),
-                Code::Ult => slots[dst] = Some(icmp(IntPredicate::Ult, get(a), get(b))),
-                Code::Uge => slots[dst] = Some(icmp(IntPredicate::Uge, get(a), get(b))),
+                Code::Eq(fused) => cmp!(IntPredicate::Eq, fused),
+                Code::Ne(fused) => cmp!(IntPredicate::Ne, fused),
+                Code::Slt(fused) => cmp!(IntPredicate::Slt, fused),
+                Code::Sle(fused) => cmp!(IntPredicate::Sle, fused),
+                Code::Sgt(fused) => cmp!(IntPredicate::Sgt, fused),
+                Code::Sge(fused) => cmp!(IntPredicate::Sge, fused),
+                Code::Ult(fused) => cmp!(IntPredicate::Ult, fused),
+                Code::Uge(fused) => cmp!(IntPredicate::Uge, fused),
                 Code::FCmp(pred) => {
                     let holds = fcmp(pred, get(a).as_float(), get(b).as_float());
                     slots[dst] = Some(RtVal::Int(holds as i64));
                 }
                 Code::Select => slots[dst] = Some(get(if get(a).as_bool() { b } else { c })),
                 Code::Cast(kind, to) => slots[dst] = Some(cast(kind, to, get(a))),
-                Code::Gep => {
+                Code::Gep(fused) => {
                     let (base, index) = (get(a).as_int(), get(b).as_int());
                     let at = base.wrapping_add(index.wrapping_mul(c as i64));
                     slots[dst] = Some(RtVal::Int(at));
+                    if pair!(fused) {
+                        let (load, at) = (plan.ops[pc], at as u64);
+                        match load.code {
+                            Code::LoadI32 => load!(load.inst, at, Type::I32),
+                            Code::LoadI64 => load!(load.inst, at, Type::I64),
+                            Code::LoadF32 => load!(load.inst, at, Type::F32),
+                            _ => load!(load.inst, at, Type::F64), // as `Plan::push` fuses
+                        }
+                    }
                 }
-                Code::Load(ty) => {
-                    let addr = get(a).as_int() as u64;
-                    sink.on_mem(tile, InstId(op.inst), addr, ty.size_bytes() as u8, false);
-                    slots[dst] = Some(mem.read_typed(addr, ty));
-                }
-                Code::Store(ty) => {
-                    let (addr, v) = (get(a).as_int() as u64, get(b));
-                    sink.on_mem(tile, InstId(op.inst), addr, ty.size_bytes() as u8, true);
-                    mem.write_typed(addr, ty, v);
-                }
+                Code::LoadI32 => load!(op.inst, get(a).as_int() as u64, Type::I32),
+                Code::LoadI64 => load!(op.inst, get(a).as_int() as u64, Type::I64),
+                Code::LoadF32 => load!(op.inst, get(a).as_int() as u64, Type::F32),
+                Code::LoadF64 => load!(op.inst, get(a).as_int() as u64, Type::F64),
+                Code::Load(ty) => load!(op.inst, get(a).as_int() as u64, ty),
+                Code::StoreI32 => store!(Type::I32, |at, v| mem.write_i32(at, v.as_int() as _)),
+                Code::StoreI64 => store!(Type::I64, |at, v| mem.write_i64(at, v.as_int())),
+                Code::StoreF32 => store!(Type::F32, |at, v| mem.write_f32(at, v.as_float() as _)),
+                Code::StoreF64 => store!(Type::F64, |at, v| mem.write_f64(at, v.as_float())),
+                Code::Store(ty) => store!(ty, |at, v| mem.write_typed(at, ty, v)),
                 Code::Atomic(rmw, ty) => {
                     let addr = get(a).as_int() as u64;
                     sink.on_mem(tile, InstId(op.inst), addr, ty.size_bytes() as u8, true);
@@ -579,14 +641,15 @@ impl<'m, S: TraceSink> Interpreter<'m, S> {
             pc += 1;
             sink.on_retire(tile);
             steps += 1;
-            if steps > self.step_limit {
-                return Err(ExecError::StepLimit(self.step_limit));
+            if steps > limit {
+                return Err(ExecError::StepLimit(limit));
             }
             left -= 1;
         }
         (st.pc, st.entering) = (pc, entering);
         st.retired += steps - before;
         self.steps = steps;
+        sink.on_turn(tile, steps - before);
         Ok(left < SLICE)
     }
 
@@ -627,6 +690,8 @@ impl<'m, S: TraceSink> Interpreter<'m, S> {
             returns: self.tiles.iter().map(|t| t.ret).collect(),
             retired: self.tiles.iter().map(|t| t.retired).collect(),
             steps: self.steps,
+            #[cfg(test)]
+            dispatches: self.dispatches.get(),
         })
     }
 }

@@ -21,6 +21,8 @@
 //! its leading phis make when entered *from this branch's block*. A phi
 //! with no value for the edge keeps a move with no source, so the fault
 //! is reported when the edge is taken, as the tree-walker reported it.
+//! [`Plan::push`] marks a `gep` before a typed load through it, and an int
+//! compare before the `condbr` on it, as a pair that runs as one.
 
 use crate::function::Function;
 use crate::ids::{BlockId, FuncId, InstId};
@@ -39,8 +41,8 @@ pub(super) const NO_SLOT: u32 = u32::MAX;
 pub(super) enum Code {
     /// `a op b` for the ops that trap: division and remainder.
     Bin(BinOp),
-    /// `a op b`, the rest of [`BinOp`] and every [`IntPredicate`], one
-    /// code each so that the interpreter dispatches an op in one jump.
+    /// `a op b`, the rest of [`BinOp`] and every [`IntPredicate`], one code
+    /// each (one jump an op); a `true` compare is fused with its `CondBr`.
     Add,
     Sub,
     Mul,
@@ -54,25 +56,34 @@ pub(super) enum Code {
     FSub,
     FMul,
     FDiv,
-    Eq,
-    Ne,
-    Slt,
-    Sle,
-    Sgt,
-    Sge,
-    Ult,
-    Uge,
+    Eq(bool),
+    Ne(bool),
+    Slt(bool),
+    Sle(bool),
+    Sgt(bool),
+    Sge(bool),
+    Ult(bool),
+    Uge(bool),
     /// `a pred b`.
     FCmp(FloatPredicate),
     /// `a ? b : c`.
     Select,
     /// Cast of `a` to this type.
     Cast(CastKind, Type),
-    /// `a + b * c`, `c` the element size itself.
-    Gep,
-    /// Load of this type from address `a`.
+    /// `a + b * c`, `c` the element size itself; `true`: fused with the
+    /// typed load through it after it.
+    Gep(bool),
+    /// Load from address `a`: a code per common type, `Load` for i1, i8, i16.
+    LoadI32,
+    LoadI64,
+    LoadF32,
+    LoadF64,
     Load(Type),
-    /// Store of `b`, which has this type, to address `a`.
+    /// Store of `b` to address `a`, by `b`'s type, the same way.
+    StoreI32,
+    StoreI64,
+    StoreF32,
+    StoreF64,
     Store(Type),
     /// Read-modify-write of address `a` with `b`; `c` is what a CAS expects.
     Atomic(AtomicOp, Type),
@@ -190,7 +201,7 @@ impl Plan {
                     }
                     Opcode::ICmp { pred, lhs, rhs } => {
                         let code = flat!(pred, IntPredicate: Eq Ne Slt Sle Sgt Sge Ult Uge);
-                        (code, [s(lhs), s(rhs), 0])
+                        (code(false), [s(lhs), s(rhs), 0])
                     }
                     Opcode::FCmp { pred, lhs, rhs } => (Code::FCmp(pred), [s(lhs), s(rhs), 0]),
                     Opcode::Select {
@@ -203,8 +214,17 @@ impl Plan {
                         base,
                         index,
                         elem_size,
-                    } => (Code::Gep, [s(base), s(index), elem_size]),
-                    Opcode::Load { addr } => (Code::Load(inst.ty()), [s(addr), 0, 0]),
+                    } => (Code::Gep(false), [s(base), s(index), elem_size]),
+                    Opcode::Load { addr } => {
+                        let code = match inst.ty() {
+                            Type::I32 => Code::LoadI32,
+                            Type::I64 | Type::Ptr => Code::LoadI64,
+                            Type::F32 => Code::LoadF32,
+                            Type::F64 => Code::LoadF64,
+                            ty => Code::Load(ty),
+                        };
+                        (code, [s(addr), 0, 0])
+                    }
                     Opcode::Store { addr, value } => {
                         // An operand that names nothing faults when it is
                         // read, before the type matters.
@@ -213,8 +233,14 @@ impl Plan {
                             Operand::Param(n) => func.params().get(n as usize).map(|p| p.1),
                             Operand::Inst(v) => func.insts.get(v.index()).map(|i| i.ty()),
                         };
-                        let ty = ty.unwrap_or(Type::Void);
-                        (Code::Store(ty), [s(addr), s(value), 0])
+                        let code = match ty.unwrap_or(Type::Void) {
+                            Type::I32 => Code::StoreI32,
+                            Type::I64 | Type::Ptr => Code::StoreI64,
+                            Type::F32 => Code::StoreF32,
+                            Type::F64 => Code::StoreF64,
+                            ty => Code::Store(ty),
+                        };
+                        (code, [s(addr), s(value), 0])
                     }
                     Opcode::AtomicRmw {
                         op,
@@ -253,8 +279,7 @@ impl Plan {
                     Opcode::Ret { value: Some(v) } => (Code::Ret, [s(v), 0, 0]),
                     Opcode::Ret { value: None } => (Code::RetVoid, [0, 0, 0]),
                 };
-                let inst = id.0;
-                plan.ops.push(Op { code, inst, args });
+                plan.push(code, id.0, args);
             }
             if open(block.insts()) {
                 plan.invalid("block does not end in a terminator");
@@ -269,7 +294,21 @@ impl Plan {
     }
 
     fn invalid(&mut self, why: &'static str) {
-        let (code, inst, args) = (Code::Invalid(why), 0, [0; 3]);
+        self.push(Code::Invalid(why), 0, [0; 3]);
+    }
+
+    /// Appends an op, and sets `fused` on the op before it if they are a pair:
+    /// a `Gep` and a typed load through it, an int compare and its `CondBr`.
+    fn push(&mut self, code: Code, inst: u32, args: [u32; 3]) {
+        use Code::*;
+        if let Some(last) = self.ops.last_mut().filter(|last| args[0] == last.inst) {
+            match (&mut last.code, code) {
+                (Gep(fused), LoadI32 | LoadI64 | LoadF32 | LoadF64) => *fused = true,
+                (Eq(fused) | Ne(fused) | Slt(fused) | Sle(fused), CondBr) => *fused = true,
+                (Sgt(fused) | Sge(fused) | Ult(fused) | Uge(fused), CondBr) => *fused = true,
+                _ => {}
+            }
+        }
         self.ops.push(Op { code, inst, args });
     }
 

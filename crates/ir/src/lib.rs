@@ -698,6 +698,153 @@ mod tests {
         );
     }
 
+    /// `for i in 0..n { p[i] += 1; q[i] = i }` on every tile, over the same
+    /// arrays: a header of one phi and an `icmp` -> `condbr` pair, a body
+    /// with a `gep` -> `load` pair and a `gep` -> `store`, 11 steps an
+    /// iteration. Blocks: entry 0, header 1, body 2, exit 3.
+    fn pairs_loop(n: i64, tiles: usize) -> (Module, Vec<TileProgram>, MemImage) {
+        let mut m = Module::new("t");
+        let params = vec![("p".into(), Type::Ptr), ("q".into(), Type::Ptr)];
+        let f = m.add_function("k", params, Type::Void);
+        let mut b = FunctionBuilder::new(m.function_mut(f));
+        let (p, q) = (b.param(0), b.param(1));
+        let entry = b.create_block("entry");
+        b.switch_to(entry);
+        b.emit_counted_loop("l", Constant::i64(0).into(), Constant::i64(n).into(), |b, i| {
+            let at = b.gep(p, i, 4);
+            let v = b.load(Type::I32, at);
+            let v = b.bin(BinOp::Add, v, Constant::i32(1).into());
+            b.store(at, v);
+            let at = b.gep(q, i, 8);
+            b.store(at, i);
+        });
+        b.ret(None);
+        verify_module(&m).unwrap();
+        let mut mem = MemImage::new();
+        let args = [mem.alloc_i32(n as u64), mem.alloc_i64(n as u64)];
+        let args = args.map(|a| RtVal::Int(a as i64)).to_vec();
+        (m, TileProgram::spmd(f, args, tiles), mem)
+    }
+
+    /// The tokens of `n` iterations of [`pairs_loop`] on `tiles` tiles,
+    /// stopped by a step limit if one is given.
+    fn pairs_events(
+        n: i64,
+        tiles: usize,
+        limit: Option<u64>,
+    ) -> (Events, Result<ExecOutcome, ExecError>) {
+        let (m, progs, mem) = pairs_loop(n, tiles);
+        let mut events = Events::default();
+        let mut interp = interp::Interpreter::new(&m, mem, &progs, &mut events);
+        if let Some(limit) = limit {
+            interp.set_step_limit(limit);
+        }
+        let out = interp.run();
+        (events, out)
+    }
+
+    /// A run stopped by `set_step_limit(n)` ends with the step that retires
+    /// instruction n + 1, half of a fused pair or not — here the (n+1)-th
+    /// `R`, as these loops' phi groups hold one phi each: its events are the
+    /// unlimited run's up to there.
+    #[test]
+    fn the_step_limit_is_exact_at_fused_pairs() {
+        for tiles in [1, 2] {
+            let (all, out) = pairs_events(24, tiles, None);
+            let total = out.unwrap().steps;
+            assert!(total > 250, "{total} steps");
+            let retires = all.0.iter().enumerate().filter(|(_, e)| e.ends_with('R'));
+            let ends: Vec<usize> = retires.map(|(i, _)| i + 1).collect();
+            for limit in 0..total {
+                let (got, out) = pairs_events(24, tiles, Some(limit));
+                assert_eq!(out.unwrap_err(), ExecError::StepLimit(limit));
+                assert_eq!(got.0, all.0[..ends[limit as usize]], "limit {limit}, {tiles} tiles");
+            }
+        }
+    }
+
+    /// Every turn but a tile's last is 4096 steps, here 4096 `R`s, where
+    /// a fused pair straddles its end as well; the pairs fused are every
+    /// pair run but those split at a turn's end.
+    #[test]
+    fn turns_are_4096_steps_across_fused_pairs() {
+        let n = 5000;
+        let (events, out) = pairs_events(n, 3, None);
+        let out = out.unwrap();
+        // Each turn: its tile, its tokens.
+        let mut turns: Vec<(&str, Vec<&str>)> = Vec::new();
+        for e in &events.0 {
+            let (tile, token) = e.split_at(3);
+            match turns.last_mut() {
+                Some((t, tokens)) if *t == tile => tokens.push(token),
+                _ => turns.push((tile, vec![token])),
+            }
+        }
+        let mut split = [0, 0];
+        for (k, (tile, tokens)) in turns.iter().enumerate() {
+            let retires = tokens.iter().filter(|t| **t == "R").count();
+            let last = !turns[k + 1..].iter().any(|(t, _)| t == tile);
+            assert!(last || retires == 4096, "turn {k} of {tile}: {retires} steps");
+            // The second half of a pair split at the last turn's end.
+            match tokens[..] {
+                [load, ..] if load.starts_with('M') && load.ends_with('r') => split[0] += 1,
+                ["R", "B2" | "B3", ..] => split[1] += 1,
+                _ => {}
+            }
+        }
+        assert!(split[0] > 0 && split[1] > 0, "both kinds of pair split: {split:?}");
+        let pairs = 3 * (2 * n as u64 + 1) - split[0] - split[1];
+        assert_eq!(out.steps - out.dispatches, pairs);
+        assert_eq!(out.retired, [11 * n as u64 + 5; 3]);
+    }
+
+    /// One dispatch per op, a phi move counting as one, less one per fused
+    /// pair: `sum_kernel` over two elements fuses its header's compare and
+    /// branch three times and its body's `gep` and load twice.
+    #[test]
+    fn dispatches_are_steps_less_fused_pairs() {
+        let (m, f) = sum_kernel();
+        let mut mem = MemImage::new();
+        let p = mem.alloc_i64(2);
+        let args = vec![RtVal::Int(p as i64), RtVal::Int(2)];
+        let out = run_single(&m, mem, f, args, &mut NullSink).unwrap();
+        assert_eq!((out.steps, out.dispatches), (24, 19));
+        for (n, tiles) in [(0, 1), (7, 1), (7, 2)] {
+            let (m, progs, mem) = pairs_loop(n, tiles);
+            let out = run_tiles(&m, mem, &progs, &mut NullSink).unwrap();
+            let steps = tiles as u64 * (11 * n as u64 + 5);
+            let pairs = tiles as u64 * (2 * n as u64 + 1);
+            assert_eq!((out.steps, out.dispatches), (steps, steps - pairs), "{n} x{tiles}");
+        }
+        // A `gep` before a load through another address, and a compare
+        // before the `condbr` on another: no pair.
+        let mut m = Module::new("t");
+        let params = vec![("p".into(), Type::Ptr), ("q".into(), Type::Ptr)];
+        let f = m.add_function("k", params, Type::I32);
+        let mut b = FunctionBuilder::new(m.function_mut(f));
+        let (p, q) = (b.param(0), b.param(1));
+        let [entry, yes, no] = ["entry", "yes", "no"].map(|name| b.create_block(name));
+        b.switch_to(entry);
+        let at = b.gep(p, Constant::i64(1).into(), 4);
+        let v = b.load(Type::I32, q);
+        let lt = b.icmp(IntPredicate::Slt, v, Constant::i32(5).into());
+        b.icmp(IntPredicate::Eq, v, Constant::i32(5).into());
+        b.cond_br(lt, yes, no);
+        b.switch_to(yes);
+        let w = b.load(Type::I32, at);
+        b.ret(Some(w));
+        b.switch_to(no);
+        b.ret(Some(v));
+        let mut mem = MemImage::new();
+        let (p, q) = (mem.alloc_i32(2), mem.alloc_i32(1));
+        mem.fill_i32(p, &[0, 9]);
+        mem.write_i32(q, 3);
+        let args = vec![RtVal::Int(p as i64), RtVal::Int(q as i64)];
+        let out = run_single(&m, mem, f, args, &mut NullSink).unwrap();
+        assert_eq!(out.returns[0], Some(RtVal::Int(9)));
+        assert_eq!((out.steps, out.dispatches), (7, 7));
+    }
+
     /// A consumer whose block opens with a `recv` (no phis) blocks in the
     /// step that entered the block: `on_block` is emitted once, however
     /// many turns the tile waits.

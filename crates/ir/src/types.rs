@@ -90,6 +90,7 @@ impl Type {
     /// Size of a value of this type in memory, in bytes.
     ///
     /// `Void` has size 0; `I1` occupies one byte.
+    #[inline]
     pub fn size_bytes(self) -> u32 {
         match self {
             Type::Void => 0,

@@ -359,7 +359,7 @@ impl TraceSink for TraceRecorder {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn on_mem(&mut self, tile: usize, inst: InstId, addr: u64, size: u8, write: bool) {
         let stream = self.tiles.get_mut(tile).map(|t| &mut t.mem);
         let stream = stream.and_then(|mem| mem.get_mut(inst.index()));
@@ -375,12 +375,8 @@ impl TraceSink for TraceRecorder {
         calls.push(AccelInvocation { inst, accel, args });
     }
 
-    #[inline]
-    fn on_retire(&mut self, tile: usize) {
-        match self.tiles.get_mut(tile) {
-            Some(t) => t.retired += 1,
-            None => slot_mut(&mut self.tiles, tile).retired += 1,
-        }
+    fn on_turn(&mut self, tile: usize, retired: u64) {
+        slot_mut(&mut self.tiles, tile).retired += retired;
     }
 }
 
@@ -621,10 +617,10 @@ mod tests {
         for i in 0..n {
             rec.on_block(0, FuncId(1), BlockId(i as u32 % 300));
             rec.on_mem(0, InstId(2), addr(i), 8, i == usize::MAX);
-            rec.on_retire(0);
+            rec.on_turn(0, 1);
         }
         // Tile 3 of a recorder made for one: its events, not a panic.
-        rec.on_retire(3);
+        rec.on_turn(3, 1);
         rec.on_mem(3, InstId(0), 0x80, 4, true);
         rec.on_block(3, FuncId(2), BlockId(7));
         let sizes = |chunks: &Chunks<u64>| chunks.iter().map(Vec::len).collect::<Vec<_>>();
