@@ -79,26 +79,6 @@ impl AccelBank {
         AccelBank::default()
     }
 
-    /// A bank with every accelerated function available at the default
-    /// configuration.
-    pub fn with_defaults() -> Self {
-        let mut bank = AccelBank::new();
-        for op in [
-            AccelOp::Sgemm,
-            AccelOp::Histogram,
-            AccelOp::ElementWise,
-            AccelOp::Conv2d,
-            AccelOp::Dense,
-            AccelOp::Relu,
-            AccelOp::Pool2d,
-            AccelOp::BatchNorm,
-            AccelOp::Embedding,
-        ] {
-            bank.configure(op, AccelConfig::default());
-        }
-        bank
-    }
-
     /// Installs (or replaces) the configuration for one accelerator.
     pub fn configure(&mut self, accel: AccelOp, config: AccelConfig) -> &mut Self {
         self.configs.insert(accel, config);
@@ -148,7 +128,7 @@ mod tests {
 
     #[test]
     fn bank_dispatches_and_accounts() {
-        let mut bank = AccelBank::with_defaults();
+        let mut bank = AccelBank::new();
         let r1 = bank.invoke(AccelOp::Sgemm, &[0, 0, 0, 64, 64, 64]).unwrap();
         let r2 = bank.invoke(AccelOp::ElementWise, &[0, 0, 0, 4096]).unwrap();
         assert!(r1.cycles > 0 && r2.cycles > 0);

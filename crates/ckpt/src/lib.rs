@@ -573,11 +573,6 @@ pub struct Checkpoint {
     sections: Vec<(String, Vec<u8>)>,
 }
 
-/// Header and section table of a checkpoint file, as returned by
-/// [`Checkpoint::inspect_bytes`]: the snapshot cycle, the tile-name
-/// fingerprint, and one `(section name, byte length)` pair per section.
-pub type InspectSummary = (u64, Vec<String>, Vec<(String, u64)>);
-
 impl Checkpoint {
     /// An empty checkpoint taken at `cycle` from a system whose tiles are
     /// named `fingerprint` (in slot order).
@@ -659,26 +654,6 @@ impl Checkpoint {
     /// Parses a container from `data`; `label` names the source in errors
     /// (a file path, or e.g. `"<memory>"`).
     pub fn from_bytes(data: &[u8], label: &str) -> Result<Self, CkptError> {
-        let (cycle, fingerprint, mut d) = Self::read_header(data, label)?;
-        let mut sections = Vec::new();
-        for _ in 0..d.u32("section count")? {
-            let name = d.str("section name")?;
-            let bytes = d.bytes(&format!("section '{name}'"))?.to_vec();
-            sections.push((name, bytes));
-        }
-        Ok(Checkpoint {
-            cycle,
-            fingerprint,
-            sections,
-        })
-    }
-
-    /// Parses only the header (magic, version, cycle, fingerprint),
-    /// returning a decoder positioned at the section count.
-    fn read_header<'a>(
-        data: &'a [u8],
-        label: &str,
-    ) -> Result<(u64, Vec<String>, Dec<'a>), CkptError> {
         let mut d = Dec::new(data);
         let magic = d.raw(4, "magic")?;
         if magic != MAGIC {
@@ -701,21 +676,17 @@ impl Checkpoint {
         let cycle = d.u64("cycle")?;
         let mut fingerprint = Vec::new();
         d.seq_into::<u32, String>("tile name", &mut fingerprint)?;
-        Ok((cycle, fingerprint, d))
-    }
-
-    /// Reads only the header and section table of `data` — `(cycle,
-    /// fingerprint, [(section name, length)])` — without copying section
-    /// bodies. Backs `mosaic-ckpt inspect`.
-    pub fn inspect_bytes(data: &[u8], label: &str) -> Result<InspectSummary, CkptError> {
-        let (cycle, fingerprint, mut d) = Self::read_header(data, label)?;
-        let mut table = Vec::new();
+        let mut sections = Vec::new();
         for _ in 0..d.u32("section count")? {
             let name = d.str("section name")?;
-            let len = d.bytes(&format!("section '{name}'"))?.len() as u64;
-            table.push((name, len));
+            let bytes = d.bytes(&format!("section '{name}'"))?.to_vec();
+            sections.push((name, bytes));
         }
-        Ok((cycle, fingerprint, table))
+        Ok(Checkpoint {
+            cycle,
+            fingerprint,
+            sections,
+        })
     }
 
     /// Writes the checkpoint to `path` without ever exposing a partial
@@ -804,14 +775,12 @@ mod tests {
     }
 
     #[test]
-    fn inspect_reads_table_without_bodies() {
-        let bytes = sample().to_bytes();
-        let (cycle, fp, table) = Checkpoint::inspect_bytes(&bytes, "<memory>").unwrap();
-        assert_eq!(cycle, 1234);
-        assert_eq!(fp.len(), 2);
+    fn section_table_lists_names_and_lengths_in_file_order() {
+        let back = Checkpoint::from_bytes(&sample().to_bytes(), "<memory>").unwrap();
+        let table: Vec<(&str, usize)> = back.section_table().collect();
         assert_eq!(table.len(), 2);
         assert_eq!(table[0].0, "sched");
-        assert_eq!(table[1], ("mem".to_string(), 11));
+        assert_eq!(table[1], ("mem", 11));
     }
 
     #[test]
@@ -860,7 +829,6 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let errors = [
             Checkpoint::from_bytes(&bytes, "old").unwrap_err(),
-            Checkpoint::inspect_bytes(&bytes, "old").unwrap_err(),
             Checkpoint::load(&path).unwrap_err(),
         ];
         std::fs::remove_file(&path).ok();
@@ -909,7 +877,6 @@ mod tests {
             std::fs::write(&path, &bytes).unwrap();
             let errors = [
                 Checkpoint::from_bytes(&bytes, "crafted").unwrap_err(),
-                Checkpoint::inspect_bytes(&bytes, "crafted").unwrap_err(),
                 Checkpoint::load(&path).unwrap_err(),
             ];
             for err in errors {

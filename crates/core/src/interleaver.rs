@@ -104,13 +104,6 @@ pub enum SimError {
         /// What it tripped over.
         source: TileError,
     },
-    /// A periodic checkpoint could not be written. Carries the rendered
-    /// [`mosaic_ckpt::CkptError`] (the source holds an `std::io::Error`
-    /// and cannot live in this `Clone + Eq` taxonomy directly).
-    Checkpoint {
-        /// What went wrong, including the destination path.
-        message: String,
-    },
 }
 
 impl std::fmt::Display for SimError {
@@ -124,9 +117,6 @@ impl std::fmt::Display for SimError {
                 write!(f, "deadlock: {snapshot}")
             }
             SimError::Tile { source, .. } => write!(f, "{source}"),
-            SimError::Checkpoint { message } => {
-                write!(f, "checkpoint write failed: {message}")
-            }
         }
     }
 }
@@ -177,13 +167,6 @@ pub struct Interleaver {
     /// Loop-carried (not local to `run`) so a paused run resumes with
     /// exactly the survey cadence a straight-through run would have had.
     just_skipped: bool,
-    /// Write a checkpoint roughly every this many cycles (at the first
-    /// stepped cycle at or past each boundary). `None` disables.
-    ckpt_every: Option<u64>,
-    /// Destination for periodic checkpoints.
-    ckpt_path: Option<std::path::PathBuf>,
-    /// Next checkpoint boundary.
-    next_ckpt: u64,
 }
 
 /// Consecutive quiet steps before the naive stepper surveys the system for
@@ -238,9 +221,6 @@ impl Interleaver {
             last_progress_at: None,
             quiet_streak: 0,
             just_skipped: false,
-            ckpt_every: None,
-            ckpt_path: None,
-            next_ckpt: u64::MAX,
         }
     }
 
@@ -538,16 +518,15 @@ impl Interleaver {
 
     fn run_inner(&mut self, until: Option<u64>) -> Result<Option<u64>, SimError> {
         loop {
-            // Pause/checkpoint points sit at the top of the loop, before
-            // the step at `now` executes: the captured state is the state
-            // a straight-through run has at this exact point, which is
-            // what makes resume-from-cycle-N bit-identical.
+            // Pause points sit at the top of the loop, before the step at
+            // `now` executes: the captured state is the state a
+            // straight-through run has at this exact point, which is what
+            // makes resume-from-cycle-N bit-identical.
             if let Some(target) = until {
                 if self.now >= target && self.finished < self.tiles.len() {
                     return Ok(None);
                 }
             }
-            self.maybe_checkpoint()?;
             if self.step()? {
                 break;
             }
@@ -592,38 +571,6 @@ impl Interleaver {
                 .max()
                 .unwrap_or(self.now),
         ))
-    }
-
-    /// Enables periodic checkpointing: a snapshot is written to `path` at
-    /// the first stepped cycle at or past every multiple of `every`
-    /// (fast-forward jumps can land past a boundary; the write then
-    /// happens at the landing cycle). The file is overwritten each time,
-    /// so it always holds the most recent snapshot.
-    pub fn set_checkpoint_policy(&mut self, every: u64, path: impl Into<std::path::PathBuf>) {
-        let every = every.max(1);
-        self.ckpt_every = Some(every);
-        self.ckpt_path = Some(path.into());
-        self.next_ckpt = self.now.div_ceil(every).max(1) * every;
-    }
-
-    fn maybe_checkpoint(&mut self) -> Result<(), SimError> {
-        let Some(every) = self.ckpt_every else {
-            return Ok(());
-        };
-        if self.now < self.next_ckpt {
-            return Ok(());
-        }
-        while self.next_ckpt <= self.now {
-            self.next_ckpt += every;
-        }
-        let Some(path) = &self.ckpt_path else {
-            return Ok(());
-        };
-        self.save_checkpoint()
-            .save(path)
-            .map_err(|e| SimError::Checkpoint {
-                message: e.to_string(),
-            })
     }
 
     /// Snapshots the complete simulator state — every tile's
@@ -703,10 +650,6 @@ impl Interleaver {
             }
         }
         self.finished = self.tiles.iter().filter(|t| t.is_done()).count();
-        // Re-anchor the periodic-checkpoint boundary to the resumed clock.
-        if let Some(every) = self.ckpt_every {
-            self.next_ckpt = self.now.div_ceil(every).max(1) * every;
-        }
         Ok(())
     }
 

@@ -7,6 +7,7 @@
 //! a [`SimReport`].
 
 use std::fmt;
+use std::path::Path;
 use std::sync::Arc;
 
 use mosaic_ir::{FuncId, Module, TileProgram};
@@ -202,11 +203,13 @@ impl SystemBuilder {
         }
     }
 
-    /// Writes a checkpoint roughly every `cycles` cycles (at the first
-    /// stepped cycle at or past each boundary — fast-forward jumps can
-    /// land past one). Requires a destination set with
-    /// [`Self::checkpoint_to`]; the file is overwritten each time so it
-    /// always holds the most recent snapshot.
+    /// Writes a checkpoint roughly every `cycles` cycles during
+    /// [`run()`](Self::run) (at the first stepped cycle at or past each
+    /// boundary — fast-forward jumps can land past one). Requires a
+    /// destination set with [`Self::checkpoint_to`]; the file is
+    /// overwritten each time so it always holds the most recent snapshot.
+    /// An [`Interleaver`] from [`Self::build`] writes none: pause it with
+    /// [`Interleaver::run_until`] and save there.
     pub fn checkpoint_every(mut self, cycles: u64) -> Self {
         self.checkpoint_every = Some(cycles);
         self
@@ -719,8 +722,7 @@ impl SystemBuilder {
         il.set_fast_forward(self.fast_forward);
         il.set_observe(self.observe);
         // Restore after set_observe so recorded profiles/timelines carry
-        // over, and before the checkpoint policy so the next boundary is
-        // anchored to the resumed clock.
+        // over.
         if let Some(source) = self.resume {
             let loaded;
             let ckpt: &mosaic_ckpt::Checkpoint = match &source {
@@ -732,25 +734,27 @@ impl SystemBuilder {
             };
             il.restore_checkpoint(ckpt)?;
         }
-        if let (Some(every), Some(path)) = (self.checkpoint_every, self.checkpoint_path) {
-            il.set_checkpoint_policy(every, path);
-        }
         Ok(il)
     }
 
-    /// Builds and runs to completion.
+    /// Builds and runs to completion, writing the periodic snapshots
+    /// [`Self::checkpoint_every`] asks for.
     ///
     /// # Errors
     ///
     /// Returns [`MosaicError::InvalidConfig`] for a rejected
-    /// configuration and [`MosaicError::Sim`] when the simulation
-    /// deadlocks, exceeds the cycle cap, or a tile faults.
+    /// configuration, [`MosaicError::Sim`] when the simulation
+    /// deadlocks, exceeds the cycle cap, or a tile faults, and
+    /// [`MosaicError::Ckpt`] when a snapshot cannot be written.
     pub fn run(self) -> Result<SimReport, MosaicError> {
         let energy = self.energy;
-        let observe = self.observe;
         let areas: Vec<f64> = self.tiles.iter().map(|t| t.config.area_mm2).collect();
+        let snapshots = self.checkpoint_every.zip(self.checkpoint_path.clone());
         let mut il = self.build()?;
-        let cycles = il.run().map_err(MosaicError::Sim)?;
+        let cycles = match snapshots {
+            Some((every, path)) => run_with_snapshots(&mut il, every, &path)?,
+            None => il.run()?,
+        };
         let (steps_executed, cycles_skipped, skips_taken) = (
             il.steps_executed(),
             il.cycles_skipped(),
@@ -784,17 +788,13 @@ impl SystemBuilder {
         registry.set_counter("sim.ff.skips_taken", skips_taken);
 
         let mut timeline = Timeline::new();
-        if observe.trace_on() {
-            for (slot, tile) in tiles.iter_mut().enumerate() {
-                timeline.merge(tile.take_timeline(slot));
-            }
-            timeline.merge(mem.take_timeline());
+        for (slot, tile) in tiles.iter_mut().enumerate() {
+            timeline.merge(tile.take_timeline(slot));
         }
+        timeline.merge(mem.take_timeline());
         let mut profile = IrProfile::new();
-        if observe.stats_on() {
-            for tile in tiles.iter_mut() {
-                profile.merge(&tile.take_profile());
-            }
+        for tile in tiles.iter_mut() {
+            profile.merge(&tile.take_profile());
         }
 
         Ok(SimReport {
@@ -810,6 +810,24 @@ impl SystemBuilder {
             timeline,
             profile,
         })
+    }
+}
+
+/// Runs `il` to completion, pausing at the first stepped cycle at or past
+/// each multiple of `every` to write a snapshot to `path`. The first
+/// boundary is the first multiple after cycle 0 at or past the (possibly
+/// resumed) clock, so a resume exactly on a boundary snapshots at once
+/// (unless every tile is already done: `run_until` does not pause a
+/// finished system); after each save the next is the first multiple
+/// above the clock.
+fn run_with_snapshots(il: &mut Interleaver, every: u64, path: &Path) -> Result<u64, MosaicError> {
+    let mut boundary = il.now().div_ceil(every).max(1) * every;
+    loop {
+        if let Some(cycles) = il.run_until(boundary)? {
+            return Ok(cycles);
+        }
+        il.save_checkpoint().save(path)?;
+        boundary = (il.now() / every + 1) * every;
     }
 }
 

@@ -307,7 +307,8 @@ impl<'f> FunctionBuilder<'f> {
 
     /// Convenience: emits a canonical counted loop
     /// `for i in start..end { body(i) }` and returns to a freshly created
-    /// continuation block.
+    /// continuation block: [`emit_loop`](Self::emit_loop) with step 1 and
+    /// no carried values.
     ///
     /// `body` receives the builder positioned inside the loop body and the
     /// induction variable (an `i64` operand). After `emit_counted_loop`
@@ -319,6 +320,40 @@ impl<'f> FunctionBuilder<'f> {
         end: Operand,
         body: impl FnOnce(&mut Self, Operand),
     ) {
+        let [] = self.emit_loop(
+            name,
+            start,
+            end,
+            Constant::i64(1).into(),
+            [],
+            |b, iv, []| {
+                body(b, iv);
+                []
+            },
+        );
+    }
+
+    /// Emits `for (i = start; i < end; i += step)` carrying `N` values
+    /// around the back edge, and returns their final values.
+    ///
+    /// The blocks are `{name}.header`, `{name}.body` and `{name}.cont`. The
+    /// header holds the `i64` induction phi, then one phi per entry of
+    /// `carried` (its type and its value on entry) in order, then
+    /// `icmp slt` and `condbr`. `body(builder, i, current)` runs in the
+    /// body block and returns the values for the next iteration; the latch
+    /// is whichever block it ends in. Every phi takes its incomings as
+    /// (pre-header, latch). Afterwards the insertion point is the
+    /// continuation block, where the returned operands (the header's phis)
+    /// hold the values carried out of the last iteration.
+    pub fn emit_loop<const N: usize>(
+        &mut self,
+        name: &str,
+        start: Operand,
+        end: Operand,
+        step: Operand,
+        carried: [(Type, Operand); N],
+        body: impl FnOnce(&mut Self, Operand, [Operand; N]) -> [Operand; N],
+    ) -> [Operand; N] {
         let pre = self.current_block();
         let header = self.create_block(&format!("{name}.header"));
         let body_bb = self.create_block(&format!("{name}.body"));
@@ -327,20 +362,26 @@ impl<'f> FunctionBuilder<'f> {
         self.br(header);
         self.switch_to(header);
         let (iv, iv_phi) = self.phi_incomplete(Type::I64);
+        let phis = carried.map(|(ty, _)| self.phi_incomplete(ty));
         let cond = self.icmp(IntPredicate::Slt, iv, end);
         self.cond_br(cond, body_bb, cont);
 
         self.switch_to(body_bb);
-        body(self, iv);
+        let next_values = body(self, iv, phis.map(|(value, _)| value));
         // `body` may have created nested blocks; the latch is whatever block
         // we are in when it finishes.
-        let next = self.bin(BinOp::Add, iv, Constant::i64(1).into());
+        let next = self.bin(BinOp::Add, iv, step);
         let latch = self.current_block();
         self.br(header);
 
         self.phi_add_incoming(iv_phi, pre, start);
         self.phi_add_incoming(iv_phi, latch, next);
+        for (((_, init), (_, phi)), next) in carried.into_iter().zip(phis).zip(next_values) {
+            self.phi_add_incoming(phi, pre, init);
+            self.phi_add_incoming(phi, latch, next);
+        }
         self.switch_to(cont);
+        phis.map(|(value, _)| value)
     }
 }
 
@@ -372,6 +413,88 @@ mod tests {
         b.ret(None);
         verify_function(m.function(f)).unwrap();
         assert_eq!(m.function(f).block_count(), 4);
+    }
+
+    /// `emit_loop` carrying 0, 1 and 2 values, with a nested loop in the
+    /// body so the latch is not the body block: the header holds the
+    /// induction phi, then one phi per carried value in order, each
+    /// taking (pre-header, latch); the returned operands are those phis.
+    #[test]
+    fn emit_loop_orders_phis_iv_first_with_pre_then_latch_incomings() {
+        fn check<const N: usize>(carried: [(Type, Operand); N]) {
+            let mut m = Module::new("t");
+            let f = m.add_function("k", vec![], Type::Void);
+            let mut b = FunctionBuilder::new(m.function_mut(f));
+            let entry = b.create_block("entry");
+            b.switch_to(entry);
+            let (start, step) = (Constant::i64(2).into(), Constant::i64(3).into());
+            let mut seen = None;
+            let out = b.emit_loop(
+                "l",
+                start,
+                Constant::i64(9).into(),
+                step,
+                carried,
+                |b, iv, acc| {
+                    b.emit_counted_loop("inner", Constant::i64(0).into(), iv, |_, _| {});
+                    let next = std::array::from_fn(|k| match carried[k].0 {
+                        Type::F32 => b.bin(BinOp::FAdd, acc[k], Constant::f32(1.0).into()),
+                        _ => b.bin(BinOp::Add, acc[k], iv),
+                    });
+                    seen = Some((iv, acc, next, b.current_block()));
+                    next
+                },
+            );
+            b.ret(None);
+            let (iv, acc, next, latch) = seen.expect("body ran");
+            assert_eq!(out, acc);
+
+            let func = m.function(f);
+            verify_function(func).unwrap();
+            let header = func.blocks().find(|bb| bb.name() == "l.header").unwrap();
+            assert_eq!(func.block(latch).name(), "inner.cont");
+            let insts = header.insts();
+            assert_eq!(insts.len(), N + 3);
+            let phis = insts[..=N]
+                .iter()
+                .map(|&id| (Operand::Inst(id), func.inst(id)));
+            // The induction variable's latch value is `add iv, step`.
+            let step_add = match func.inst(insts[0]).op() {
+                Opcode::Phi { incoming } => incoming[1].1,
+                other => panic!("header starts with {other:?}"),
+            };
+            let Operand::Inst(add) = step_add else {
+                panic!("latch value {step_add:?}")
+            };
+            match func.inst(add).op() {
+                Opcode::Bin { op, lhs, rhs } => {
+                    assert_eq!((*op, *lhs, *rhs), (BinOp::Add, iv, step))
+                }
+                other => panic!("latch value {other:?}"),
+            }
+            let want = std::iter::once((Type::I64, start, step_add, iv))
+                .chain((0..N).map(|k| (carried[k].0, carried[k].1, next[k], acc[k])));
+            for ((value, inst), (ty, init, next, phi)) in phis.zip(want) {
+                assert_eq!((value, inst.ty()), (phi, ty));
+                match inst.op() {
+                    Opcode::Phi { incoming } => {
+                        assert_eq!(incoming, &vec![(entry, init), (latch, next)]);
+                    }
+                    other => panic!("expected a phi, found {other:?}"),
+                }
+            }
+            assert!(matches!(func.inst(insts[N + 1]).op(), Opcode::ICmp { .. }));
+            assert!(matches!(
+                func.inst(insts[N + 2]).op(),
+                Opcode::CondBr { .. }
+            ));
+        }
+        check([]);
+        check([(Type::F32, Constant::f32(0.5).into())]);
+        check([
+            (Type::I64, Constant::i64(7).into()),
+            (Type::F32, Constant::f32(0.0).into()),
+        ]);
     }
 
     #[test]

@@ -486,31 +486,10 @@ pub fn parse_module_with_spans(text: &str) -> Result<(Module, SpanTable), IrErro
 /// ([`crate::verify::verify_channels`]), reported as a spanned parse
 /// error pointing at the offending `send`/`recv` line.
 fn spanned_channel_check(module: &Module, spans: &SpanTable) -> Result<(), IrError> {
-    // `(is a send, queue, line)` of every endpoint, in program order.
-    let mut ends: Vec<(bool, u32, usize)> = Vec::new();
-    for f in module.functions() {
-        for block in f.blocks() {
-            for &iid in block.insts() {
-                let line = spans.line(f.id(), iid).unwrap_or(0);
-                match f.inst(iid).op() {
-                    Opcode::Send { queue, .. } => ends.push((true, *queue, line)),
-                    Opcode::Recv { queue } => ends.push((false, *queue, line)),
-                    _ => {}
-                }
-            }
-        }
+    match crate::verify::unmatched_channel_endpoint(module) {
+        Some(end) => Err(perr(spans.line(end.func.id(), end.inst).unwrap_or(0), end.message(""))),
+        None => Ok(()),
     }
-    for (sends, this, peer) in [(true, "send", "recv"), (false, "recv", "send")] {
-        for &(_, q, line) in ends.iter().filter(|end| end.0 == sends) {
-            if !ends.iter().any(|&(is_send, pq, _)| is_send != sends && pq == q) {
-                return Err(perr(
-                    line,
-                    format!("{this} on channel q{q} has no matching {peer} anywhere in the module"),
-                ));
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

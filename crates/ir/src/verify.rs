@@ -16,6 +16,7 @@
 use std::collections::HashSet;
 
 use crate::function::{Function, IrError, Module};
+use crate::ids::InstId;
 use crate::inst::{BinOp, Opcode, Operand};
 use crate::types::Type;
 
@@ -139,7 +140,7 @@ pub fn verify_function(func: &Function) -> Result<(), IrError> {
 }
 
 #[allow(clippy::collapsible_match)] // one arm per opcode keeps the checks scannable
-fn verify_inst_types(func: &Function, iid: crate::ids::InstId) -> Result<(), IrError> {
+fn verify_inst_types(func: &Function, iid: InstId) -> Result<(), IrError> {
     let inst = func.inst(iid);
     let mut operand_err = None;
     inst.op().for_each_operand(|o| {
@@ -281,35 +282,53 @@ fn verify_inst_types(func: &Function, iid: crate::ids::InstId) -> Result<(), IrE
 /// Returns [`IrError::Verify`] naming the queue, function, and
 /// instruction of the first unmatched endpoint.
 pub fn verify_channels(module: &Module) -> Result<(), IrError> {
-    // (queue, function name, inst id) of the first endpoint seen per side.
-    let mut sends: Vec<(u32, &str, crate::ids::InstId)> = Vec::new();
-    let mut recvs: Vec<(u32, &str, crate::ids::InstId)> = Vec::new();
-    for f in module.functions() {
-        for block in f.blocks() {
-            for &iid in block.insts() {
-                match f.inst(iid).op() {
-                    Opcode::Send { queue, .. } => sends.push((*queue, f.name(), iid)),
-                    Opcode::Recv { queue } => recvs.push((*queue, f.name(), iid)),
-                    _ => {}
-                }
+    match unmatched_channel_endpoint(module) {
+        Some(end) => Err(IrError::Verify(format!(
+            "in {}: {}",
+            end.func.name(),
+            end.message(&format!(" {}", end.inst))
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// A `send` or `recv` whose queue no endpoint of the other kind uses.
+pub(crate) struct UnmatchedEndpoint<'m> {
+    pub(crate) func: &'m Function,
+    pub(crate) inst: InstId,
+    queue: u32,
+    send: bool,
+}
+
+impl UnmatchedEndpoint<'_> {
+    /// `"send{at} on channel q{queue} has no matching recv anywhere in the
+    /// module"` (or the other way round for a `recv`).
+    pub(crate) fn message(&self, at: &str) -> String {
+        let (this, peer) = if self.send { ("send", "recv") } else { ("recv", "send") };
+        format!("{this}{at} on channel q{} has no matching {peer} anywhere in the module", self.queue)
+    }
+}
+
+/// The first unmatched `send` in program order, else the first unmatched
+/// `recv`: what [`verify_channels`] reports and the parser points at.
+pub(crate) fn unmatched_channel_endpoint(module: &Module) -> Option<UnmatchedEndpoint<'_>> {
+    let mut ends = Vec::new();
+    for func in module.functions() {
+        for block in func.blocks() {
+            for &inst in block.insts() {
+                let (queue, send) = match func.inst(inst).op() {
+                    Opcode::Send { queue, .. } => (*queue, true),
+                    Opcode::Recv { queue } => (*queue, false),
+                    _ => continue,
+                };
+                ends.push(UnmatchedEndpoint { func, inst, queue, send });
             }
         }
     }
-    for &(q, fname, iid) in &sends {
-        if !recvs.iter().any(|&(rq, _, _)| rq == q) {
-            return Err(IrError::Verify(format!(
-                "in {fname}: send {iid} on channel q{q} has no matching recv anywhere in the module"
-            )));
-        }
-    }
-    for &(q, fname, iid) in &recvs {
-        if !sends.iter().any(|&(sq, _, _)| sq == q) {
-            return Err(IrError::Verify(format!(
-                "in {fname}: recv {iid} on channel q{q} has no matching send anywhere in the module"
-            )));
-        }
-    }
-    Ok(())
+    let matched = |e: &UnmatchedEndpoint| ends.iter().any(|p| p.send != e.send && p.queue == e.queue);
+    let first = |send: bool| ends.iter().position(|e| e.send == send && !matched(e));
+    let at = first(true).or_else(|| first(false))?;
+    Some(ends.swap_remove(at))
 }
 
 /// Verifies every function in a module, then the module-level channel

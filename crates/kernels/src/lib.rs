@@ -31,8 +31,7 @@ pub mod projection;
 pub mod sinkhorn;
 
 use mosaic_ir::{
-    BinOp, Constant, ExecOutcome, FuncId, FunctionBuilder, IntPredicate, MemImage, Module,
-    Operand, RtVal, TileProgram, Type,
+    Constant, ExecOutcome, FuncId, FunctionBuilder, MemImage, Module, Operand, RtVal, TileProgram,
 };
 use mosaic_trace::{KernelTrace, TraceRecorder};
 
@@ -73,42 +72,6 @@ impl Prepared {
         )?;
         Ok((rec.finish(), out))
     }
-}
-
-/// Emits `for i in (start + tile_id..end).step_by(num_tiles)`-style SPMD
-/// loops: `start` is offset by `tid`, the stride is `step`.
-///
-/// This is the interleaved work distribution the paper's SPMD kernels use
-/// (§II-B). `body` is invoked with the induction variable; afterwards the
-/// builder is positioned in the continuation block.
-pub fn emit_strided_loop(
-    b: &mut FunctionBuilder<'_>,
-    name: &str,
-    start: Operand,
-    end: Operand,
-    step: Operand,
-    body: impl FnOnce(&mut FunctionBuilder<'_>, Operand),
-) {
-    let pre = b.current_block();
-    let header = b.create_block(&format!("{name}.header"));
-    let body_bb = b.create_block(&format!("{name}.body"));
-    let cont = b.create_block(&format!("{name}.cont"));
-
-    b.br(header);
-    b.switch_to(header);
-    let (iv, iv_phi) = b.phi_incomplete(Type::I64);
-    let cond = b.icmp(IntPredicate::Slt, iv, end);
-    b.cond_br(cond, body_bb, cont);
-
-    b.switch_to(body_bb);
-    body(b, iv);
-    let next = b.bin(BinOp::Add, iv, step);
-    let latch = b.current_block();
-    b.br(header);
-
-    b.phi_add_incoming(iv_phi, pre, start);
-    b.phi_add_incoming(iv_phi, latch, next);
-    b.switch_to(cont);
 }
 
 /// Emits the standard SPMD prologue: returns `(tid, num_tiles)` as `i64`

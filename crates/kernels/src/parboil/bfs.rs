@@ -10,7 +10,7 @@
 use mosaic_ir::{AtomicOp, BinOp, CastKind, IntPredicate, MemImage, Module, RtVal, Type};
 
 use super::emit_if;
-use crate::{c64, data, emit_spmd_ids, emit_strided_loop, Prepared};
+use crate::{c64, data, emit_spmd_ids, Prepared};
 
 /// Vertices at scale 1.
 pub const BASE_NODES: usize = 1200;
@@ -46,9 +46,9 @@ pub fn build_with_nodes(nodes: usize) -> Prepared {
     let entry = b.create_block("entry");
     b.switch_to(entry);
     let (tid, nt) = emit_spmd_ids(&mut b);
-    emit_strided_loop(&mut b, "level", c64(0), levels_op, c64(1), |b, level| {
+    b.emit_loop("level", c64(0), levels_op, c64(1), [], |b, level, []| {
         let level32 = b.cast(CastKind::IntResize, level, Type::I32);
-        emit_strided_loop(b, "node", tid, nodes_op, nt, |b, v| {
+        b.emit_loop("node", tid, nodes_op, nt, [], |b, v, []| {
             let d_addr = b.gep(dist, v, 4);
             let d = b.load(Type::I32, d_addr);
             let on_frontier = b.icmp(IntPredicate::Eq, d, level32);
@@ -61,15 +61,18 @@ pub fn build_with_nodes(nodes: usize) -> Prepared {
                 let start = b.cast(CastKind::IntResize, start32, Type::I64);
                 let end = b.cast(CastKind::IntResize, end32, Type::I64);
                 let next_level = b.bin(BinOp::Add, level32, mosaic_ir::Constant::i32(1).into());
-                emit_strided_loop(b, "edge", start, end, c64(1), |b, e| {
+                b.emit_loop("edge", start, end, c64(1), [], |b, e, []| {
                     let e_addr = b.gep(edges, e, 4);
                     let nbr32 = b.load(Type::I32, e_addr);
                     let nbr = b.cast(CastKind::IntResize, nbr32, Type::I64);
                     let nd_addr = b.gep(dist, nbr, 4);
                     b.atomic_rmw(AtomicOp::Min, nd_addr, next_level);
+                    []
                 });
             });
+            []
         });
+        []
     });
     b.ret(None);
     mosaic_ir::verify_module(&module).expect("bfs verifies");

@@ -3,8 +3,7 @@
 
 use mosaic_ir::{BinOp, CastKind, FloatPredicate, Intrinsic, MemImage, Module, RtVal, Type};
 
-use super::emit_reduce_loop;
-use crate::{c64, cf32, data, emit_spmd_ids, emit_strided_loop, Prepared};
+use crate::{c64, cf32, data, emit_spmd_ids, Prepared};
 
 /// Grid points at scale 1.
 pub const BASE_GRID: usize = 500;
@@ -49,14 +48,14 @@ pub fn build_with(grid: usize, atoms: usize) -> Prepared {
     let entry = b.create_block("entry");
     b.switch_to(entry);
     let (tid, nt) = emit_spmd_ids(&mut b);
-    emit_strided_loop(&mut b, "g", tid, grid_op, nt, |b, g| {
+    b.emit_loop("g", tid, grid_op, nt, [], |b, g, []| {
         // Grid point coordinates derived from the flat index.
         let gf = b.cast(CastKind::IntToFloat, g, Type::F32);
         let inv = b.bin(BinOp::FMul, gf, cf32(0.001));
         let gx = inv;
         let gy = b.bin(BinOp::FMul, inv, cf32(0.5));
         let gz = b.bin(BinOp::FMul, inv, cf32(0.25));
-        let pot = emit_reduce_loop(b, "atom", c64(0), atoms_op, c64(1), cf32(0.0), Type::F32, |b, a, acc| {
+        let [pot] = b.emit_loop("atom", c64(0), atoms_op, c64(1), [(Type::F32, cf32(0.0))], |b, a, [acc]| {
             let ax_addr = b.gep(pax, a, 4);
             let ax = b.load(Type::F32, ax_addr);
             let ay_addr = b.gep(pay, a, 4);
@@ -78,10 +77,11 @@ pub fn build_with(grid: usize, atoms: usize) -> Prepared {
             let rinv = b.call(Intrinsic::Rsqrt, vec![safe], Type::F32);
             let contrib = b.bin(BinOp::FMul, q, rinv);
             let gated = b.select(within, contrib, cf32(0.0));
-            b.bin(BinOp::FAdd, acc, gated)
+            [b.bin(BinOp::FAdd, acc, gated)]
         });
         let p_addr = b.gep(ppot, g, 4);
         b.store(p_addr, pot);
+        []
     });
     b.ret(None);
     mosaic_ir::verify_module(&module).expect("cutcp verifies");

@@ -4,7 +4,7 @@
 
 use mosaic_ir::{BinOp, CastKind, Intrinsic, MemImage, Module, RtVal, Type};
 
-use crate::{data, emit_spmd_ids, emit_strided_loop, Prepared};
+use crate::{data, emit_spmd_ids, Prepared};
 
 /// Input elements at scale 1.
 pub const BASE_INPUT: usize = 16_000;
@@ -36,7 +36,7 @@ pub fn build_with_input(n: usize) -> Prepared {
     let entry = b.create_block("entry");
     b.switch_to(entry);
     let (tid, nt) = emit_spmd_ids(&mut b);
-    emit_strided_loop(&mut b, "i", tid, n_op, nt, |b, i| {
+    b.emit_loop("i", tid, n_op, nt, [], |b, i, []| {
         let in_addr = b.gep(inp, i, 4);
         let v32 = b.load(Type::I32, in_addr);
         let v = b.cast(CastKind::IntResize, v32, Type::I64);
@@ -50,6 +50,7 @@ pub fn build_with_input(n: usize) -> Prepared {
             Type::I32,
         );
         b.store(h_addr, sat);
+        []
     });
     b.ret(None);
     mosaic_ir::verify_module(&module).expect("histo verifies");

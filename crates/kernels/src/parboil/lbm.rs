@@ -3,7 +3,7 @@
 
 use mosaic_ir::{BinOp, MemImage, Module, Operand, RtVal, Type};
 
-use crate::{c64, cf32, data, emit_spmd_ids, emit_strided_loop, Prepared};
+use crate::{c64, cf32, data, emit_spmd_ids, Prepared};
 
 /// Lattice cells at scale 1.
 pub const BASE_CELLS: usize = 1600;
@@ -49,7 +49,7 @@ pub fn build_with_cells(cells: usize) -> Prepared {
     let entry = b.create_block("entry");
     b.switch_to(entry);
     let (tid, nt) = emit_spmd_ids(&mut b);
-    emit_strided_loop(&mut b, "cell", tid, cells_op, nt, |b, i| {
+    b.emit_loop("cell", tid, cells_op, nt, [], |b, i, []| {
         // Load all 9 distributions (plane-major layout: f[q * cells + i]).
         let mut dists: Vec<Operand> = Vec::with_capacity(Q);
         for q in 0..Q {
@@ -74,6 +74,7 @@ pub fn build_with_cells(cells: usize) -> Prepared {
             let addr = b.gep(fout, idx, 4);
             b.store(addr, fnew);
         }
+        []
     });
     b.ret(None);
     mosaic_ir::verify_module(&module).expect("lbm verifies");

@@ -22,49 +22,7 @@ pub mod spmv;
 pub mod stencil;
 pub mod tpacf;
 
-use mosaic_ir::{BinOp, FunctionBuilder, IntPredicate, Operand, Type};
-
-/// Emits a loop with one loop-carried accumulator.
-///
-/// `body(builder, iv, acc)` must return the next accumulator value. After
-/// this returns, the builder is in the continuation block and the returned
-/// operand is the final accumulator value.
-#[allow(clippy::too_many_arguments)] // the loop shape needs them all
-pub(crate) fn emit_reduce_loop(
-    b: &mut FunctionBuilder<'_>,
-    name: &str,
-    start: Operand,
-    end: Operand,
-    step: Operand,
-    init: Operand,
-    acc_ty: Type,
-    body: impl FnOnce(&mut FunctionBuilder<'_>, Operand, Operand) -> Operand,
-) -> Operand {
-    let pre = b.current_block();
-    let header = b.create_block(&format!("{name}.header"));
-    let body_bb = b.create_block(&format!("{name}.body"));
-    let cont = b.create_block(&format!("{name}.cont"));
-
-    b.br(header);
-    b.switch_to(header);
-    let (iv, iv_phi) = b.phi_incomplete(Type::I64);
-    let (acc, acc_phi) = b.phi_incomplete(acc_ty);
-    let cond = b.icmp(IntPredicate::Slt, iv, end);
-    b.cond_br(cond, body_bb, cont);
-
-    b.switch_to(body_bb);
-    let acc_next = body(b, iv, acc);
-    let next = b.bin(BinOp::Add, iv, step);
-    let latch = b.current_block();
-    b.br(header);
-
-    b.phi_add_incoming(iv_phi, pre, start);
-    b.phi_add_incoming(iv_phi, latch, next);
-    b.phi_add_incoming(acc_phi, pre, init);
-    b.phi_add_incoming(acc_phi, latch, acc_next);
-    b.switch_to(cont);
-    acc
-}
+use mosaic_ir::{FunctionBuilder, Operand};
 
 /// Emits an if-then region: `then(builder)` runs when `cond` holds;
 /// control rejoins afterwards.
@@ -87,7 +45,7 @@ pub(crate) fn emit_if(
 mod tests {
     use super::*;
     use crate::c64;
-    use mosaic_ir::{interp::NullSink, run_single, MemImage, Module, RtVal};
+    use mosaic_ir::{interp::NullSink, run_single, BinOp, IntPredicate, MemImage, Module, RtVal, Type};
 
     #[test]
     fn reduce_loop_accumulates() {
@@ -97,8 +55,8 @@ mod tests {
         let n = b.param(0);
         let e = b.create_block("entry");
         b.switch_to(e);
-        let total = emit_reduce_loop(&mut b, "l", c64(0), n, c64(1), c64(0), Type::I64, |b, i, acc| {
-            b.bin(BinOp::Add, acc, i)
+        let [total] = b.emit_loop("l", c64(0), n, c64(1), [(Type::I64, c64(0))], |b, i, [acc]| {
+            [b.bin(BinOp::Add, acc, i)]
         });
         b.ret(Some(total));
         mosaic_ir::verify_module(&m).unwrap();

@@ -3,7 +3,7 @@
 
 use mosaic_ir::{BinOp, CastKind, Intrinsic, MemImage, Module, RtVal, Type};
 
-use crate::{c64, cf32, data, emit_spmd_ids, emit_strided_loop, Prepared};
+use crate::{c64, cf32, data, emit_spmd_ids, Prepared};
 
 /// Samples at scale 1.
 pub const BASE_SAMPLES: usize = 1500;
@@ -47,7 +47,7 @@ pub fn build_with_samples(samples: usize) -> Prepared {
     b.switch_to(entry);
     let (tid, nt) = emit_spmd_ids(&mut b);
     let dim_minus_2 = c64(gd - 2);
-    emit_strided_loop(&mut b, "s", tid, samples_op, nt, |b, s| {
+    b.emit_loop("s", tid, samples_op, nt, [], |b, s, []| {
         let load_coord = |b: &mut mosaic_ir::FunctionBuilder<'_>, ptr| {
             let a = b.gep(ptr, s, 4);
             let c = b.load(Type::F32, a);
@@ -83,6 +83,7 @@ pub fn build_with_samples(samples: usize) -> Prepared {
                 }
             }
         }
+        []
     });
     b.ret(None);
     mosaic_ir::verify_module(&module).expect("mri_gridding verifies");

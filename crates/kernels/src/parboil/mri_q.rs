@@ -1,9 +1,9 @@
 //! MRI-Q: non-Cartesian MRI reconstruction (Q matrix) — trigonometry-
 //! heavy compute over all (voxel, sample) pairs.
 
-use mosaic_ir::{BinOp, BlockId, IntPredicate, Intrinsic, MemImage, Module, Operand, RtVal, Type};
+use mosaic_ir::{BinOp, Intrinsic, MemImage, Module, RtVal, Type};
 
-use crate::{c64, cf32, data, emit_spmd_ids, emit_strided_loop, Prepared};
+use crate::{c64, cf32, data, emit_spmd_ids, Prepared};
 
 /// Voxels at scale 1.
 pub const BASE_VOXELS: usize = 200;
@@ -13,46 +13,6 @@ pub const BASE_SAMPLES: usize = 48;
 /// Builds the MRI-Q kernel at `scale`.
 pub fn build(scale: u32) -> Prepared {
     build_with(BASE_VOXELS * scale as usize, BASE_SAMPLES * scale as usize)
-}
-
-/// Emits a loop carrying two `f32` accumulators; returns their final
-/// values.
-fn emit_two_acc_loop(
-    b: &mut mosaic_ir::FunctionBuilder<'_>,
-    name: &str,
-    end: Operand,
-    body: impl FnOnce(
-        &mut mosaic_ir::FunctionBuilder<'_>,
-        Operand,
-        Operand,
-        Operand,
-    ) -> (Operand, Operand),
-) -> (Operand, Operand) {
-    let pre = b.current_block();
-    let header = b.create_block(&format!("{name}.header"));
-    let body_bb = b.create_block(&format!("{name}.body"));
-    let cont = b.create_block(&format!("{name}.cont"));
-    b.br(header);
-    b.switch_to(header);
-    let (iv, iv_phi) = b.phi_incomplete(Type::I64);
-    let (a0, a0_phi) = b.phi_incomplete(Type::F32);
-    let (a1, a1_phi) = b.phi_incomplete(Type::F32);
-    let cond = b.icmp(IntPredicate::Slt, iv, end);
-    b.cond_br(cond, body_bb, cont);
-    b.switch_to(body_bb);
-    let (n0, n1) = body(b, iv, a0, a1);
-    let next = b.bin(BinOp::Add, iv, c64(1));
-    let latch = b.current_block();
-    b.br(header);
-    b.phi_add_incoming(iv_phi, pre, c64(0));
-    b.phi_add_incoming(iv_phi, latch, next);
-    b.phi_add_incoming(a0_phi, pre, cf32(0.0));
-    b.phi_add_incoming(a0_phi, latch, n0);
-    b.phi_add_incoming(a1_phi, pre, cf32(0.0));
-    b.phi_add_incoming(a1_phi, latch, n1);
-    b.switch_to(cont);
-    let _ = BlockId(0);
-    (a0, a1)
 }
 
 /// Builds MRI-Q with explicit voxel/sample counts.
@@ -87,14 +47,15 @@ pub fn build_with(voxels: usize, samples: usize) -> Prepared {
     let entry = b.create_block("entry");
     b.switch_to(entry);
     let (tid, nt) = emit_spmd_ids(&mut b);
-    emit_strided_loop(&mut b, "v", tid, vox_op, nt, |b, v| {
+    b.emit_loop("v", tid, vox_op, nt, [], |b, v, []| {
         let xa = b.gep(px, v, 4);
         let xv = b.load(Type::F32, xa);
         let ya = b.gep(py, v, 4);
         let yv = b.load(Type::F32, ya);
         let za = b.gep(pz, v, 4);
         let zv = b.load(Type::F32, za);
-        let (qr, qi) = emit_two_acc_loop(b, "s", smp_op, |b, s, qr, qi| {
+        let accs = [(Type::F32, cf32(0.0)); 2];
+        let [qr, qi] = b.emit_loop("s", c64(0), smp_op, c64(1), accs, |b, s, [qr, qi]| {
             let kxa = b.gep(pkx, s, 4);
             let kxv = b.load(Type::F32, kxa);
             let kya = b.gep(pky, s, 4);
@@ -115,12 +76,13 @@ pub fn build_with(voxels: usize, samples: usize) -> Prepared {
             let di = b.bin(BinOp::FMul, pv, sn);
             let qr2 = b.bin(BinOp::FAdd, qr, dr);
             let qi2 = b.bin(BinOp::FAdd, qi, di);
-            (qr2, qi2)
+            [qr2, qi2]
         });
         let qra = b.gep(pqr, v, 4);
         b.store(qra, qr);
         let qia = b.gep(pqi, v, 4);
         b.store(qia, qi);
+        []
     });
     b.ret(None);
     mosaic_ir::verify_module(&module).expect("mri_q verifies");

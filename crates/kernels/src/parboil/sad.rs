@@ -3,8 +3,7 @@
 
 use mosaic_ir::{BinOp, Intrinsic, MemImage, Module, RtVal, Type};
 
-use super::emit_reduce_loop;
-use crate::{c64, data, emit_spmd_ids, emit_strided_loop, Prepared};
+use crate::{c64, data, emit_spmd_ids, Prepared};
 
 /// Block positions at scale 1.
 pub const BASE_BLOCKS: usize = 2500;
@@ -39,29 +38,22 @@ pub fn build_with_blocks(blocks: usize) -> Prepared {
     let entry = b.create_block("entry");
     b.switch_to(entry);
     let (tid, nt) = emit_spmd_ids(&mut b);
-    emit_strided_loop(&mut b, "blk", tid, blocks_op, nt, |b, blk| {
-        let sad = emit_reduce_loop(
-            b,
-            "w",
-            c64(0),
-            c64(WINDOW),
-            c64(1),
-            mosaic_ir::Constant::i32(0).into(),
-            Type::I32,
-            |b, w, acc| {
-                let idx = b.bin(BinOp::Add, blk, w);
-                let ca = b.gep(pc, idx, 4);
-                let cv = b.load(Type::I32, ca);
-                let ra = b.gep(pr, idx, 4);
-                let rv = b.load(Type::I32, ra);
-                let d = b.bin(BinOp::Sub, cv, rv);
-                let nd = b.bin(BinOp::Sub, mosaic_ir::Constant::i32(0).into(), d);
-                let ad = b.call(Intrinsic::SMax, vec![d, nd], Type::I32);
-                b.bin(BinOp::Add, acc, ad)
-            },
-        );
+    b.emit_loop("blk", tid, blocks_op, nt, [], |b, blk, []| {
+        let init = [(Type::I32, mosaic_ir::Constant::i32(0).into())];
+        let [sad] = b.emit_loop("w", c64(0), c64(WINDOW), c64(1), init, |b, w, [acc]| {
+            let idx = b.bin(BinOp::Add, blk, w);
+            let ca = b.gep(pc, idx, 4);
+            let cv = b.load(Type::I32, ca);
+            let ra = b.gep(pr, idx, 4);
+            let rv = b.load(Type::I32, ra);
+            let d = b.bin(BinOp::Sub, cv, rv);
+            let nd = b.bin(BinOp::Sub, mosaic_ir::Constant::i32(0).into(), d);
+            let ad = b.call(Intrinsic::SMax, vec![d, nd], Type::I32);
+            [b.bin(BinOp::Add, acc, ad)]
+        });
         let oa = b.gep(po, blk, 4);
         b.store(oa, sad);
+        []
     });
     b.ret(None);
     mosaic_ir::verify_module(&module).expect("sad verifies");

@@ -5,8 +5,7 @@
 
 use mosaic_ir::{BinOp, MemImage, Module, RtVal, Type};
 
-use super::emit_reduce_loop;
-use crate::{c64, cf32, data, emit_spmd_ids, emit_strided_loop, Prepared};
+use crate::{c64, cf32, data, emit_spmd_ids, Prepared};
 
 /// Default matrix dimension at scale 1.
 pub const BASE_DIM: usize = 40;
@@ -39,10 +38,10 @@ pub fn build_with_dims(m_dim: usize, k_dim: usize, n_dim: usize) -> Prepared {
     let entry = b.create_block("entry");
     b.switch_to(entry);
     let (tid, nt) = emit_spmd_ids(&mut b);
-    emit_strided_loop(&mut b, "i", tid, m, nt, |b, i| {
-        emit_strided_loop(b, "j", c64(0), n, c64(1), |b, j| {
+    b.emit_loop("i", tid, m, nt, [], |b, i, []| {
+        b.emit_loop("j", c64(0), n, c64(1), [], |b, j, []| {
             let row_base = b.bin(BinOp::Mul, i, k);
-            let acc = emit_reduce_loop(b, "p", c64(0), k, c64(1), cf32(0.0), Type::F32, |b, p, acc| {
+            let [acc] = b.emit_loop("p", c64(0), k, c64(1), [(Type::F32, cf32(0.0))], |b, p, [acc]| {
                 let a_idx = b.bin(BinOp::Add, row_base, p);
                 let a_addr = b.gep(pa, a_idx, 4);
                 let av = b.load(Type::F32, a_addr);
@@ -51,13 +50,15 @@ pub fn build_with_dims(m_dim: usize, k_dim: usize, n_dim: usize) -> Prepared {
                 let b_addr = b.gep(pb, b_idx, 4);
                 let bv = b.load(Type::F32, b_addr);
                 let prod = b.bin(BinOp::FMul, av, bv);
-                b.bin(BinOp::FAdd, acc, prod)
+                [b.bin(BinOp::FAdd, acc, prod)]
             });
             let c_row = b.bin(BinOp::Mul, i, n);
             let c_idx = b.bin(BinOp::Add, c_row, j);
             let c_addr = b.gep(pc, c_idx, 4);
             b.store(c_addr, acc);
+            []
         });
+        []
     });
     b.ret(None);
     mosaic_ir::verify_module(&module).expect("sgemm verifies");

@@ -6,8 +6,7 @@
 
 use mosaic_ir::{BinOp, CastKind, MemImage, Module, RtVal, Type};
 
-use super::emit_reduce_loop;
-use crate::{c64, cf32, data, emit_spmd_ids, emit_strided_loop, Prepared};
+use crate::{c64, cf32, data, emit_spmd_ids, Prepared};
 
 /// Rows at scale 1.
 pub const BASE_ROWS: usize = 2000;
@@ -42,7 +41,7 @@ pub fn build_with_rows(rows: usize) -> Prepared {
     let entry = b.create_block("entry");
     b.switch_to(entry);
     let (tid, nt) = emit_spmd_ids(&mut b);
-    emit_strided_loop(&mut b, "row", tid, rows_op, nt, |b, i| {
+    b.emit_loop("row", tid, rows_op, nt, [], |b, i, []| {
         let rp_addr = b.gep(rp, i, 4);
         let start32 = b.load(Type::I32, rp_addr);
         let i1 = b.bin(BinOp::Add, i, c64(1));
@@ -50,7 +49,7 @@ pub fn build_with_rows(rows: usize) -> Prepared {
         let end32 = b.load(Type::I32, rp1_addr);
         let start = b.cast(CastKind::IntResize, start32, Type::I64);
         let end = b.cast(CastKind::IntResize, end32, Type::I64);
-        let acc = emit_reduce_loop(b, "nz", start, end, c64(1), cf32(0.0), Type::F32, |b, j, acc| {
+        let [acc] = b.emit_loop("nz", start, end, c64(1), [(Type::F32, cf32(0.0))], |b, j, [acc]| {
             let col_addr = b.gep(ci, j, 4);
             let col32 = b.load(Type::I32, col_addr);
             let col = b.cast(CastKind::IntResize, col32, Type::I64);
@@ -59,10 +58,11 @@ pub fn build_with_rows(rows: usize) -> Prepared {
             let x_addr = b.gep(x, col, 4);
             let xv = b.load(Type::F32, x_addr);
             let prod = b.bin(BinOp::FMul, v, xv);
-            b.bin(BinOp::FAdd, acc, prod)
+            [b.bin(BinOp::FAdd, acc, prod)]
         });
         let y_addr = b.gep(y, i, 4);
         b.store(y_addr, acc);
+        []
     });
     b.ret(None);
     mosaic_ir::verify_module(&module).expect("spmv verifies");

@@ -3,7 +3,7 @@
 
 use mosaic_ir::{BinOp, MemImage, Module, RtVal, Type};
 
-use crate::{c64, cf32, data, emit_spmd_ids, emit_strided_loop, Prepared};
+use crate::{c64, cf32, data, emit_spmd_ids, Prepared};
 
 /// Grid edge length at scale 1.
 pub const BASE_DIM: usize = 20;
@@ -34,9 +34,9 @@ pub fn build_with_dim(n: usize) -> Prepared {
     let n1 = b.bin(BinOp::Sub, n_op, c64(1));
     let tid1 = b.bin(BinOp::Add, tid, c64(1));
     let n2 = b.bin(BinOp::Mul, n_op, n_op);
-    emit_strided_loop(&mut b, "z", tid1, n1, nt, |b, z| {
-        emit_strided_loop(b, "y", c64(1), n1, c64(1), |b, y| {
-            emit_strided_loop(b, "x", c64(1), n1, c64(1), |b, x| {
+    b.emit_loop("z", tid1, n1, nt, [], |b, z, []| {
+        b.emit_loop("y", c64(1), n1, c64(1), [], |b, y, []| {
+            b.emit_loop("x", c64(1), n1, c64(1), [], |b, x, []| {
                 let zy = b.bin(BinOp::Mul, z, n2);
                 let yy = b.bin(BinOp::Mul, y, n_op);
                 let base = b.bin(BinOp::Add, zy, yy);
@@ -63,8 +63,11 @@ pub fn build_with_dim(n: usize) -> Prepared {
                 let new = b.bin(BinOp::FAdd, center, scaled);
                 let o_addr = b.gep(out, idx, 4);
                 b.store(o_addr, new);
+                []
             });
+            []
         });
+        []
     });
     b.ret(None);
     mosaic_ir::verify_module(&module).expect("stencil verifies");

@@ -3,8 +3,7 @@
 
 use mosaic_ir::{BinOp, CastKind, FloatPredicate, MemImage, Module, RtVal, Type};
 
-use super::emit_reduce_loop;
-use crate::{c64, data, emit_spmd_ids, emit_strided_loop, Prepared};
+use crate::{c64, data, emit_spmd_ids, Prepared};
 
 /// Points at scale 1.
 pub const BASE_POINTS: usize = 100;
@@ -48,7 +47,7 @@ pub fn build_with_points(n: usize) -> Prepared {
     let entry = b.create_block("entry");
     b.switch_to(entry);
     let (tid, nt) = emit_spmd_ids(&mut b);
-    emit_strided_loop(&mut b, "i", tid, n_op, nt, |b, i| {
+    b.emit_loop("i", tid, n_op, nt, [], |b, i, []| {
         let xa = b.gep(px, i, 4);
         let xi = b.load(Type::F32, xa);
         let ya = b.gep(py, i, 4);
@@ -56,7 +55,7 @@ pub fn build_with_points(n: usize) -> Prepared {
         let za = b.gep(pz, i, 4);
         let zi = b.load(Type::F32, za);
         let j0 = b.bin(BinOp::Add, i, c64(1));
-        emit_strided_loop(b, "j", j0, n_op, c64(1), |b, j| {
+        b.emit_loop("j", j0, n_op, c64(1), [], |b, j, []| {
             let xb = b.gep(px, j, 4);
             let xj = b.load(Type::F32, xb);
             let yb = b.gep(py, j, 4);
@@ -69,18 +68,20 @@ pub fn build_with_points(n: usize) -> Prepared {
             let s = b.bin(BinOp::FAdd, t1, t2);
             let dot = b.bin(BinOp::FAdd, s, t3);
             // Branch-free bin search: bin = #edges below dot.
-            let bin = emit_reduce_loop(b, "bin", c64(0), c64(BINS as i64), c64(1), c64(0), Type::I64, |b, e, acc| {
+            let [bin] = b.emit_loop("bin", c64(0), c64(BINS as i64), c64(1), [(Type::I64, c64(0))], |b, e, [acc]| {
                 let ea = b.gep(pe, e, 4);
                 let edge = b.load(Type::F32, ea);
                 let above = b.fcmp(FloatPredicate::Oge, dot, edge);
                 let inc = b.cast(CastKind::IntResize, above, Type::I64);
-                b.bin(BinOp::Add, acc, inc)
+                [b.bin(BinOp::Add, acc, inc)]
             });
             let ha = b.gep(ph, bin, 4);
             let old = b.load(Type::I32, ha);
             let new = b.bin(BinOp::Add, old, mosaic_ir::Constant::i32(1).into());
             b.store(ha, new);
+            []
         });
+        []
     });
     b.ret(None);
     mosaic_ir::verify_module(&module).expect("tpacf verifies");

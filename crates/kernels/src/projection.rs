@@ -11,7 +11,7 @@
 
 use mosaic_ir::{BinOp, CastKind, MemImage, Module, RtVal, Type};
 
-use crate::{c64, data, emit_spmd_ids, emit_strided_loop, Prepared};
+use crate::{c64, data, emit_spmd_ids, Prepared};
 
 /// U-side vertices at scale 1.
 pub const BASE_U: usize = 300;
@@ -50,7 +50,7 @@ pub fn build_with(u_nodes: usize, v_nodes: usize) -> Prepared {
     let entry = b.create_block("entry");
     b.switch_to(entry);
     let (tid, nt) = emit_spmd_ids(&mut b);
-    emit_strided_loop(&mut b, "u", tid, u_op, nt, |b, u| {
+    b.emit_loop("u", tid, u_op, nt, [], |b, u, []| {
         let oa = b.gep(offs, u, 4);
         let start32 = b.load(Type::I32, oa);
         let u1 = b.bin(BinOp::Add, u, c64(1));
@@ -58,12 +58,12 @@ pub fn build_with(u_nodes: usize, v_nodes: usize) -> Prepared {
         let end32 = b.load(Type::I32, oa1);
         let start = b.cast(CastKind::IntResize, start32, Type::I64);
         let end = b.cast(CastKind::IntResize, end32, Type::I64);
-        emit_strided_loop(b, "e1", start, end, c64(1), |b, e1| {
+        b.emit_loop("e1", start, end, c64(1), [], |b, e1, []| {
             let ea1 = b.gep(edges, e1, 4);
             let v1_32 = b.load(Type::I32, ea1);
             let v1 = b.cast(CastKind::IntResize, v1_32, Type::I64);
             let row = b.bin(BinOp::Mul, v1, v_op);
-            emit_strided_loop(b, "e2", start, end, c64(1), |b, e2| {
+            b.emit_loop("e2", start, end, c64(1), [], |b, e2, []| {
                 let ea2 = b.gep(edges, e2, 4);
                 let v2_32 = b.load(Type::I32, ea2);
                 let v2 = b.cast(CastKind::IntResize, v2_32, Type::I64);
@@ -72,8 +72,11 @@ pub fn build_with(u_nodes: usize, v_nodes: usize) -> Prepared {
                 let old = b.load(Type::I32, pa);
                 let new = b.bin(BinOp::Add, old, mosaic_ir::Constant::i32(1).into());
                 b.store(pa, new);
+                []
             });
+            []
         });
+        []
     });
     b.ret(None);
     mosaic_ir::verify_module(&module).expect("projection verifies");

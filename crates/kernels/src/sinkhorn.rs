@@ -12,8 +12,7 @@
 
 use mosaic_ir::{AccelOp, BinOp, CastKind, MemImage, Module, Operand, RtVal, Type};
 
-use crate::parboil::emit_reduce_loop;
-use crate::{c64, cf32, data, emit_spmd_ids, emit_strided_loop, Prepared};
+use crate::{c64, cf32, data, emit_spmd_ids, Prepared};
 
 /// Dense matrix dimension at scale 1.
 pub const BASE_DIM: usize = 32;
@@ -68,7 +67,7 @@ fn emit_ewsd(
     tid: Operand,
     nt: Operand,
 ) {
-    emit_strided_loop(b, "nz", tid, nnz, nt, |b, k| {
+    b.emit_loop("nz", tid, nnz, nt, [], |b, k, []| {
         let ra = b.gep(rows, k, 4);
         let r32 = b.load(Type::I32, ra);
         let r = b.cast(CastKind::IntResize, r32, Type::I64);
@@ -84,6 +83,7 @@ fn emit_ewsd(
         let prod = b.bin(BinOp::FMul, v, d);
         let oa = b.gep(out, k, 4);
         b.store(oa, prod);
+        []
     });
 }
 
@@ -97,10 +97,10 @@ fn emit_sgemm(
     tid: Operand,
     nt: Operand,
 ) {
-    emit_strided_loop(b, "gi", tid, dim, nt, |b, i| {
-        emit_strided_loop(b, "gj", c64(0), dim, c64(1), |b, j| {
+    b.emit_loop("gi", tid, dim, nt, [], |b, i, []| {
+        b.emit_loop("gj", c64(0), dim, c64(1), [], |b, j, []| {
             let row_base = b.bin(BinOp::Mul, i, dim);
-            let acc = emit_reduce_loop(b, "gp", c64(0), dim, c64(1), cf32(0.0), Type::F32, |b, p, acc| {
+            let [acc] = b.emit_loop("gp", c64(0), dim, c64(1), [(Type::F32, cf32(0.0))], |b, p, [acc]| {
                 let ai = b.bin(BinOp::Add, row_base, p);
                 let aa = b.gep(a, ai, 4);
                 let av = b.load(Type::F32, aa);
@@ -109,12 +109,14 @@ fn emit_sgemm(
                 let ba = b.gep(bb, bi, 4);
                 let bv = b.load(Type::F32, ba);
                 let prod = b.bin(BinOp::FMul, av, bv);
-                b.bin(BinOp::FAdd, acc, prod)
+                [b.bin(BinOp::FAdd, acc, prod)]
             });
             let ci = b.bin(BinOp::Add, row_base, j);
             let ca = b.gep(cc, ci, 4);
             b.store(ca, acc);
+            []
         });
+        []
     });
 }
 

@@ -426,8 +426,12 @@ impl MemoryHierarchy {
         self.obs = level;
     }
 
-    /// Takes the recorded timeline (empty below [`ObsLevel::Trace`]).
+    /// Takes the recorded timeline (empty below [`ObsLevel::Trace`], also
+    /// when a snapshot taken at `Trace` restored spans into it).
     pub fn take_timeline(&mut self) -> Timeline {
+        if !self.obs.trace_on() {
+            return Timeline::new();
+        }
         let mut t = std::mem::take(&mut self.timeline);
         if !t.is_empty() {
             t.process_name(1, "memory");
@@ -1298,6 +1302,32 @@ mod tests {
             drain(&mut h);
             t += 1;
             assert!(t < 100_000);
+        }
+    }
+
+    /// Spans restored from a snapshot taken at `Trace` reach only a
+    /// `Trace` timeline, as spans never recorded do.
+    #[test]
+    fn restored_spans_are_taken_only_at_trace() {
+        let mut h = hier(1);
+        h.set_observe(ObsLevel::Trace);
+        let req = MemReq {
+            tile: 0,
+            addr: 0x4000,
+            size: 4,
+            kind: AccessKind::Read,
+        };
+        run_one(&mut h, req, 0);
+        let mut e = mosaic_ckpt::Enc::new();
+        h.save_state(&mut e);
+        let bytes = e.into_bytes();
+        for level in [ObsLevel::Off, ObsLevel::Stats, ObsLevel::Trace] {
+            let mut resumed = hier(1);
+            resumed.set_observe(level);
+            let mut d = mosaic_ckpt::Dec::new(&bytes);
+            resumed.restore_state(&mut d).expect("restore");
+            let spans = resumed.take_timeline().len();
+            assert_eq!(spans > 0, level == ObsLevel::Trace, "{level:?}: {spans} spans");
         }
     }
 

@@ -16,8 +16,8 @@
 //!     bit-identical to a straight-through run.
 //!
 //! mosaic-ckpt inspect ckpt.mckpt
-//!     Prints the header (version, cycle, tile fingerprint) and the
-//!     section table without decoding section bodies.
+//!     Prints the header (cycle, tile fingerprint) and the section
+//!     table (each section's name and length).
 //! ```
 
 mod kernel_flags;
@@ -156,16 +156,16 @@ fn inspect(opts: &Options) -> Result<(), String> {
         .or(opts.from.as_deref())
         .ok_or_else(|| format!("inspect needs a file\n{USAGE}"))?;
     let data = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let (cycle, fingerprint, sections) =
-        Checkpoint::inspect_bytes(&data, path).map_err(|e| e.to_string())?;
-    println!("{path}: checkpoint at cycle {cycle}");
-    println!("tiles ({}):", fingerprint.len());
-    for name in &fingerprint {
+    let ckpt = Checkpoint::from_bytes(&data, path).map_err(|e| e.to_string())?;
+    println!("{path}: checkpoint at cycle {}", ckpt.cycle());
+    println!("tiles ({}):", ckpt.fingerprint().len());
+    for name in ckpt.fingerprint() {
         println!("  {name}");
     }
+    let sections: Vec<(&str, usize)> = ckpt.section_table().collect();
     println!("sections ({}):", sections.len());
     let width = sections.iter().map(|(n, _)| n.len()).max().unwrap_or(4);
-    for (name, len) in &sections {
+    for (name, len) in sections {
         println!("  {name:<width$}  {len:>12} bytes");
     }
     Ok(())

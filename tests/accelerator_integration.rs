@@ -13,8 +13,8 @@ fn simulate(p: &mosaicsim::kernels::Prepared, bank: AccelBank) -> SimReport {
 
 #[test]
 fn accelerator_offload_speeds_up_dense_heavy_kernel() {
-    let cpu = simulate(&combined(Mix::DenseHeavy, 1, false), AccelBank::with_defaults());
-    let acc = simulate(&combined(Mix::DenseHeavy, 1, true), AccelBank::with_defaults());
+    let cpu = simulate(&combined(Mix::DenseHeavy, 1, false), AccelBank::new());
+    let acc = simulate(&combined(Mix::DenseHeavy, 1, true), AccelBank::new());
     let speedup = cpu.cycles as f64 / acc.cycles as f64;
     assert!(
         speedup > 2.0,
@@ -27,8 +27,8 @@ fn accelerator_offload_speeds_up_dense_heavy_kernel() {
 #[test]
 fn accelerator_helps_less_on_sparse_heavy_kernel() {
     let ratio = |mix: Mix| {
-        let cpu = simulate(&combined(mix, 1, false), AccelBank::with_defaults());
-        let acc = simulate(&combined(mix, 1, true), AccelBank::with_defaults());
+        let cpu = simulate(&combined(mix, 1, false), AccelBank::new());
+        let acc = simulate(&combined(mix, 1, true), AccelBank::new());
         cpu.cycles as f64 / acc.cycles as f64
     };
     let dense = ratio(Mix::DenseHeavy);
@@ -79,7 +79,7 @@ fn model_accuracy_bands_hold_across_the_dse_grid() {
 fn keras_apps_lower_and_simulate() {
     for app in mosaicsim::kernels::keras::all_apps() {
         let p = app.lower_accelerated();
-        let report = simulate(&p, AccelBank::with_defaults());
+        let report = simulate(&p, AccelBank::new());
         let invocations: u64 = report.tiles.iter().map(|t| t.accel_invocations).sum();
         assert_eq!(
             invocations as usize,

@@ -77,6 +77,60 @@ fn resume_through_a_file_is_bit_identical() {
     std::fs::remove_file(&repath).ok();
 }
 
+/// `run()` with `checkpoint_every(E)` leaves the snapshot of the last
+/// boundary it crossed, taken at the first stepped cycle at or past it:
+/// the bytes a fresh system paused there with `run_until` saves, under
+/// either scheduler (bfs fast-forwards past four of its five boundaries,
+/// the last by 2 cycles). A run resumed exactly on a multiple of `E`
+/// snapshots at the resume cycle.
+#[test]
+fn periodic_snapshots_are_run_until_pauses_at_each_boundary() {
+    let bfs = at_stats("bfs@1/ooo/1t");
+    let (dir, pid) = (std::env::temp_dir(), std::process::id());
+    for ff in [true, false] {
+        let label = format!("{}/{}", bfs.name, if ff { "ff" } else { "naive" });
+        let builder = || bfs.builder().fast_forward(ff);
+        let straight = builder().run().expect("straight");
+        let paused_at = |cycle: u64| {
+            let mut il = builder().build().expect("build");
+            assert_eq!(il.run_until(cycle).expect("prefix"), None, "{label}");
+            il.save_checkpoint()
+        };
+        let path = dir.join(format!("mosaic_ckpt_periodic_{ff}_{pid}.mckpt"));
+
+        let every = straight.cycles / 5;
+        let run = builder().checkpoint_every(every).checkpoint_to(&path).run();
+        assert_eq!(run.expect("periodic").cycles, straight.cycles, "{label}");
+        let file = std::fs::read(&path).expect("periodic snapshot");
+        std::fs::remove_file(&path).ok();
+        let cycle = mosaicsim::ckpt::Checkpoint::from_bytes(&file, &label).expect("read").cycle();
+        let boundary = cycle / every * every;
+        assert!(
+            boundary >= every && boundary + every >= straight.cycles,
+            "{label}: last snapshot at {cycle}, every {every}, run of {}",
+            straight.cycles
+        );
+        let at_boundary = paused_at(boundary);
+        assert_eq!(at_boundary.cycle(), cycle, "{label}: first pause at or past {boundary}");
+        assert!(at_boundary.to_bytes() == file, "{label}: snapshot at {cycle} is not run_until's");
+
+        // The next boundary lies past the end of the run, so the one
+        // snapshot is the one taken as the run resumes.
+        let start = paused_at(straight.cycles * 3 / 5);
+        let every = start.cycle();
+        assert!(2 * every > straight.cycles, "{label}");
+        let resumed = builder()
+            .resume_from_checkpoint(Arc::new(start.clone()))
+            .checkpoint_every(every)
+            .checkpoint_to(&path)
+            .run();
+        assert_resumes(&format!("{label} from a boundary"), &straight, resumed);
+        let file = std::fs::read(&path).expect("snapshot at the resume cycle");
+        std::fs::remove_file(&path).ok();
+        assert!(file == start.to_bytes(), "{label}: snapshot at the resume cycle {every}");
+    }
+}
+
 /// Resuming into a *different* system is a checkpoint error, not
 /// undefined behavior: the tile fingerprint is verified.
 #[test]

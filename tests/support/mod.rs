@@ -155,7 +155,7 @@ impl System {
             }
         }
         if self.accel {
-            b = b.accelerators(Box::new(AccelBank::with_defaults()));
+            b = b.accelerators(Box::new(AccelBank::new()));
         }
         b
     }
