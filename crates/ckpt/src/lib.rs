@@ -40,10 +40,10 @@ use std::path::{Path, PathBuf};
 pub const MAGIC: &[u8; 4] = b"MCKP";
 
 /// Current checkpoint format version. Version 2 changed the `tile.<slot>`
-/// section layout (dense in-flight ring, request ring); version 3 the
-/// cache records inside `mem` (valid ways only); version 4 dropped the
-/// counters nothing read from `tile.<slot>`, `mem` and `channels`.
-pub const VERSION: u32 = 4;
+/// layout (dense rings), 3 the cache records in `mem` (valid ways only), 4
+/// dropped the counters nothing read, 5 the counts the rest of a snapshot
+/// determines (a tile's busy units and live DBBs, a cache's accesses, …).
+pub const VERSION: u32 = 5;
 
 /// Longest string the decoder will accept (tile names, section names).
 const MAX_STR: u64 = 4096;
@@ -406,8 +406,8 @@ impl<'a> Dec<'a> {
 }
 
 /// A value with one checkpoint encoding: [`Snap::get`] reads back what
-/// [`Snap::put`] wrote. Scalars, `String`, `Option` and small tuples have
-/// theirs here; [`snap_record!`] and [`snap_enum!`] declare a component's
+/// [`Snap::put`] wrote. Scalars, `String`, `Option`, arrays and small
+/// tuples have theirs here; [`snap_record!`] and [`snap_enum!`] declare a component's
 /// own, so that neither direction can be written without the other.
 pub trait Snap: Sized {
     /// Appends the value to `e`.
@@ -474,6 +474,17 @@ macro_rules! snap_tuple {
 }
 snap_tuple!(A 0, B 1);
 snap_tuple!(A 0, B 1, C 2);
+
+/// The elements in order, with no count: the type fixes it.
+impl<T: Snap, const N: usize> Snap for [T; N] {
+    fn put(&self, e: &mut Enc) {
+        self.iter().for_each(|v| v.put(e));
+    }
+    fn get(d: &mut Dec<'_>, what: &str) -> Result<Self, CkptError> {
+        let items = (0..N).map(|_| T::get(d, what)).collect::<Result<Vec<T>, _>>()?;
+        Ok(items.try_into().unwrap_or_else(|_| unreachable!("{N} items")))
+    }
+}
 
 /// A `u32` the format holds in eight bytes (a tile slot; a queue or
 /// block id behind an `Option`): a wider value read back is corrupt.

@@ -13,6 +13,7 @@
 //! the [`ChannelSet`]; accelerator invocations dispatch to the configured
 //! [`AccelSim`] (paper §IV-A).
 
+use mosaic_ckpt::{Checkpoint, CkptError, Dec, Enc};
 use mosaic_mem::{Completion, MemoryHierarchy};
 use mosaic_obs::ObsLevel;
 use mosaic_tile::{AccelSim, ChannelSet, Horizon, Tile, TileCtx, TileError, TileStallInfo};
@@ -146,12 +147,10 @@ pub struct Interleaver {
     /// Reused completion-delivery buffer (avoids a per-cycle allocation).
     completion_buf: Vec<Completion>,
     /// Whether the last `step` did no observable work (no completions
-    /// delivered, no tile counter advanced). Purely a heuristic gate for
+    /// delivered, no tile's step reported work). Purely a heuristic gate for
     /// when to attempt a skip: skipping is identity-preserving whenever
     /// invoked, so a wrong value costs performance, never correctness.
     quiet: bool,
-    /// Cycles actually stepped (diagnostics; compare against `now`).
-    steps_executed: u64,
     /// Cycles jumped over by the fast-forward scheduler (diagnostics).
     cycles_skipped: u64,
     /// Fast-forward jumps taken (diagnostics).
@@ -215,7 +214,6 @@ impl Interleaver {
             finished,
             completion_buf: Vec::new(),
             quiet: false,
-            steps_executed: 0,
             cycles_skipped: 0,
             skips_taken: 0,
             last_progress_at: None,
@@ -224,9 +222,10 @@ impl Interleaver {
         }
     }
 
-    /// Cycles actually stepped so far (fast-forward diagnostics).
+    /// Cycles actually stepped so far (fast-forward diagnostics): every
+    /// cycle not jumped over.
     pub fn steps_executed(&self) -> u64 {
-        self.steps_executed
+        self.now - self.cycles_skipped
     }
 
     /// Cycles jumped over by fast-forwarding so far.
@@ -312,18 +311,16 @@ impl Interleaver {
             if div != 1 && !now.is_multiple_of(div) {
                 continue;
             }
-            let mark = tile.progress_mark();
             let mut ctx = TileCtx {
                 now,
                 mem: &mut self.mem,
                 channels: &mut self.channels,
                 accel: self.accel.as_mut(),
             };
-            tile.step(&mut ctx).map_err(|source| SimError::Tile {
+            progress |= tile.step(&mut ctx).map_err(|source| SimError::Tile {
                 tile: tile.name().to_string(),
                 source,
             })?;
-            progress |= tile.progress_mark() != mark;
             if tile.is_done() {
                 self.finished += 1;
             }
@@ -332,7 +329,6 @@ impl Interleaver {
         if progress {
             self.last_progress_at = Some(now);
         }
-        self.steps_executed += 1;
         self.now += 1;
         Ok(self.finished == self.tiles.len())
     }
@@ -576,28 +572,24 @@ impl Interleaver {
     /// Snapshots the complete simulator state — every tile's
     /// architectural and microarchitectural state, channel queues with
     /// in-flight messages, the full memory hierarchy, and the scheduler's
-    /// own loop-carried state — into a versioned [`mosaic_ckpt::Checkpoint`]
-    /// container. The configuration is *not* captured: a resume rebuilds
-    /// the system from the same configuration and overwrites only
-    /// dynamic state (the tile-name fingerprint guards against resuming
-    /// into a different topology).
-    pub fn save_checkpoint(&self) -> mosaic_ckpt::Checkpoint {
-        let fingerprint: Vec<String> =
-            self.tiles.iter().map(|t| t.name().to_string()).collect();
-        let mut ckpt = mosaic_ckpt::Checkpoint::new(self.now, fingerprint);
-        let mut e = mosaic_ckpt::Enc::new();
-        self.put_fields(&mut e);
-        ckpt.add_section("interleaver", e);
-        let mut e = mosaic_ckpt::Enc::new();
-        self.channels.encode_into(&mut e);
-        ckpt.add_section("channels", e);
-        let mut e = mosaic_ckpt::Enc::new();
-        self.mem.save_state(&mut e);
-        ckpt.add_section("mem", e);
+    /// own loop-carried state — into a versioned [`Checkpoint`] container.
+    /// The configuration is *not* captured: a resume rebuilds the system
+    /// from the same configuration and overwrites only dynamic state (the
+    /// tile-name fingerprint guards against resuming into a different
+    /// topology).
+    pub fn save_checkpoint(&self) -> Checkpoint {
+        let fingerprint = self.tiles.iter().map(|t| t.name().to_string()).collect();
+        let mut ckpt = Checkpoint::new(self.now, fingerprint);
+        let mut add = |name: &str, put: &dyn Fn(&mut Enc)| {
+            let mut e = Enc::new();
+            put(&mut e);
+            ckpt.add_section(name, e);
+        };
+        add("interleaver", &|e| self.put_fields(e));
+        add("channels", &|e| self.channels.encode_into(e));
+        add("mem", &|e| self.mem.save_state(e));
         for (i, tile) in self.tiles.iter().enumerate() {
-            let mut e = mosaic_ckpt::Enc::new();
-            tile.save_state(&mut e);
-            ckpt.add_section(&format!("tile.{i}"), e);
+            add(&format!("tile.{i}"), &|e| tile.save_state(e));
         }
         ckpt
     }
@@ -610,44 +602,32 @@ impl Interleaver {
     ///
     /// # Errors
     ///
-    /// Returns [`mosaic_ckpt::CkptError::Mismatch`] when the tile-name
+    /// Returns [`CkptError::Mismatch`] when the tile-name
     /// fingerprint or a component's rebuilt configuration disagrees with
     /// the checkpoint, and `Truncated`/`Corrupt` for damaged payloads.
-    pub fn restore_checkpoint(
-        &mut self,
-        ckpt: &mosaic_ckpt::Checkpoint,
-    ) -> Result<(), mosaic_ckpt::CkptError> {
+    pub fn restore_checkpoint(&mut self, ckpt: &Checkpoint) -> Result<(), CkptError> {
         let names: Vec<String> = self.tiles.iter().map(|t| t.name().to_string()).collect();
         if ckpt.fingerprint() != names.as_slice() {
-            return Err(mosaic_ckpt::CkptError::mismatch(format!(
+            return Err(CkptError::mismatch(format!(
                 "checkpoint was taken from tiles {:?}, this system has {:?}",
                 ckpt.fingerprint(),
                 names
             )));
         }
-        let mut d = mosaic_ckpt::Dec::new(ckpt.require_section("interleaver")?);
-        self.get_fields(&mut d)?;
-        if self.now != ckpt.cycle() {
-            return Err(mosaic_ckpt::CkptError::corrupt(format!(
-                "interleaver section cycle {} disagrees with header cycle {}",
-                self.now,
-                ckpt.cycle()
-            )));
-        }
-        let mut d = mosaic_ckpt::Dec::new(ckpt.require_section("channels")?);
-        self.channels.restore_from(&mut d)?;
-        let mut d = mosaic_ckpt::Dec::new(ckpt.require_section("mem")?);
-        self.mem.restore_state(&mut d)?;
-        for (i, tile) in self.tiles.iter_mut().enumerate() {
-            let name = format!("tile.{i}");
-            let mut d = mosaic_ckpt::Dec::new(ckpt.require_section(&name)?);
-            tile.restore_state(&mut d)?;
-            if !d.is_exhausted() {
-                return Err(mosaic_ckpt::CkptError::corrupt(format!(
-                    "section {name} has {} bytes of trailing data",
-                    d.remaining()
+        decode_section(ckpt, "interleaver", |d| {
+            self.get_fields(d)?;
+            let (now, skipped, header) = (self.now, self.cycles_skipped, ckpt.cycle());
+            if now != header || skipped > now {
+                return Err(CkptError::corrupt(format!(
+                    "interleaver section at cycle {now} ({skipped} skipped), header at {header}"
                 )));
             }
+            Ok(())
+        })?;
+        decode_section(ckpt, "channels", |d| self.channels.restore_from(d))?;
+        decode_section(ckpt, "mem", |d| self.mem.restore_state(d))?;
+        for (i, tile) in self.tiles.iter_mut().enumerate() {
+            decode_section(ckpt, &format!("tile.{i}"), |d| tile.restore_state(d))?;
         }
         self.finished = self.tiles.iter().filter(|t| t.is_done()).count();
         Ok(())
@@ -660,6 +640,20 @@ impl Interleaver {
     }
 }
 
-// The `interleaver` section: the scheduler's own loop-carried state.
-mosaic_ckpt::snap_fields!(Interleaver: now, quiet, just_skipped, steps_executed, cycles_skipped,
-    skips_taken, last_progress_at, quiet_streak);
+/// Decodes section `name` of `ckpt` with `decode`, which must read all of it.
+fn decode_section(
+    ckpt: &Checkpoint,
+    name: &str,
+    decode: impl FnOnce(&mut Dec<'_>) -> Result<(), CkptError>,
+) -> Result<(), CkptError> {
+    let mut d = Dec::new(ckpt.require_section(name)?);
+    decode(&mut d)?;
+    let left = d.remaining();
+    let trailing = || CkptError::corrupt(format!("section {name}: {left} bytes of trailing data"));
+    (left == 0).then_some(()).ok_or_else(trailing)
+}
+
+// The `interleaver` section: the scheduler's own loop-carried state (the
+// cycles stepped are the cycles not skipped).
+mosaic_ckpt::snap_fields!(Interleaver: now, quiet, just_skipped, cycles_skipped, skips_taken,
+    last_progress_at, quiet_streak);

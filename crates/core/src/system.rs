@@ -788,8 +788,8 @@ impl SystemBuilder {
         registry.set_counter("sim.ff.skips_taken", skips_taken);
 
         let mut timeline = Timeline::new();
-        for (slot, tile) in tiles.iter_mut().enumerate() {
-            timeline.merge(tile.take_timeline(slot));
+        for tile in tiles.iter_mut() {
+            timeline.merge(tile.take_timeline());
         }
         timeline.merge(mem.take_timeline());
         let mut profile = IrProfile::new();

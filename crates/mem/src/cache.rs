@@ -190,7 +190,6 @@ pub struct Cache {
     tick: u64,
     hits: u64,
     misses: u64,
-    accesses: u64,
 }
 
 impl Cache {
@@ -209,7 +208,6 @@ impl Cache {
             tick: 0,
             hits: 0,
             misses: 0,
-            accesses: 0,
             config,
         }
     }
@@ -266,7 +264,6 @@ impl Cache {
             return false;
         };
         self.tick += 1;
-        self.accesses += 1;
         self.hits += 1;
         ages[way] = self.tick;
         if write {
@@ -279,7 +276,6 @@ impl Cache {
     /// absent with [`Cache::touch`].
     pub fn count_miss(&mut self) {
         self.tick += 1;
-        self.accesses += 1;
         self.misses += 1;
     }
 
@@ -352,15 +348,14 @@ impl Cache {
 
     /// Access count (hits + misses).
     pub fn accesses(&self) -> u64 {
-        self.accesses
+        self.hits + self.misses
     }
 
     /// Miss ratio in `[0, 1]` (0 when never accessed).
     pub fn miss_ratio(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
+        match self.accesses() {
+            0 => 0.0,
+            accesses => self.misses as f64 / accesses as f64,
         }
     }
 
@@ -415,7 +410,7 @@ fn set_bits(bitmap: &[u8]) -> impl Iterator<Item = usize> + '_ {
     bytes.flat_map(|(i, &byte)| (0..8).filter(move |k| byte >> k & 1 != 0).map(move |k| i * 8 + k))
 }
 
-mosaic_ckpt::snap_fields!(Cache: tick, hits, misses, accesses);
+mosaic_ckpt::snap_fields!(Cache: tick, hits, misses);
 
 impl Cache {
     /// Serializes the counters and the valid ways: geometry, the number
@@ -729,9 +724,9 @@ mod tests {
         c.fill(0x0000, true);
         c.fill(0x0040, false);
         let good = encoded(&c);
-        // Layout: 4 counters, sets, ways, count at 40, validity bitmap
-        // (8 ways: one byte) at 44, dirty bitmap at 45, records from 46.
-        assert_eq!(good.len(), 46 + 2 * 16);
+        // Layout: 3 counters, sets, ways, count at 32, validity bitmap
+        // (8 ways: one byte) at 36, dirty bitmap at 37, records from 38.
+        assert_eq!(good.len(), 38 + 2 * 16);
         let mut target = tiny();
         restore(&mut target, &good).unwrap();
 
@@ -741,19 +736,19 @@ mod tests {
             bytes
         };
         // A valid bit without a record.
-        let err = restore(&mut target, &with(44, good[44] | 0x80)).unwrap_err();
+        let err = restore(&mut target, &with(36, good[36] | 0x80)).unwrap_err();
         assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
         // A record count that is not the bitmap's population.
-        let err = restore(&mut target, &with(40, 3)).unwrap_err();
+        let err = restore(&mut target, &with(32, 3)).unwrap_err();
         assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
         // More valid ways than the cache has.
-        let err = restore(&mut target, &with(40, 9)).unwrap_err();
+        let err = restore(&mut target, &with(32, 9)).unwrap_err();
         assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
         // A dirty bit for a way past the last valid one.
-        let err = restore(&mut target, &with(45, 0x04)).unwrap_err();
+        let err = restore(&mut target, &with(37, 0x04)).unwrap_err();
         assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
         // Another cache's geometry.
-        let err = restore(&mut target, &with(36, 4)).unwrap_err();
+        let err = restore(&mut target, &with(28, 4)).unwrap_err();
         assert!(matches!(err, CkptError::Mismatch { .. }), "{err}");
         // Cut anywhere, the record is truncated, never a panic.
         for cut in 0..good.len() {
@@ -801,7 +796,7 @@ mod tests {
         tags: Vec<u64>,
         ages: Vec<u64>,
         state: Vec<u8>,
-        counters: [u64; 4],
+        counters: [u64; 3],
     }
 
     impl DenseModel {
@@ -813,7 +808,7 @@ mod tests {
                 tags: vec![0; all],
                 ages: vec![0; all],
                 state: vec![0; all],
-                counters: [0; 4],
+                counters: [0; 3],
             }
         }
 
@@ -821,7 +816,6 @@ mod tests {
         fn count(&mut self, hit: bool) -> u64 {
             self.counters[0] += 1;
             self.counters[if hit { 1 } else { 2 }] += 1;
-            self.counters[3] += 1;
             self.counters[0]
         }
 

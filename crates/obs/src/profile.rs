@@ -339,9 +339,7 @@ impl IrProfile {
             e.u32(func);
             e.u32(inst);
             e.u64(p.retired);
-            for k in 0..STALL_KINDS {
-                e.u64(p.stalls[k]);
-            }
+            mosaic_ckpt::Snap::put(&p.stalls, e);
             p.mem_lat.encode_into(e);
         }
     }
@@ -360,14 +358,11 @@ impl IrProfile {
         for _ in 0..n {
             let func = d.u32("profile func id")?;
             let inst = d.u32("profile inst id")?;
-            let mut e = InstProfile {
+            let e = InstProfile {
                 retired: d.u64("profile retired")?,
-                ..InstProfile::default()
+                stalls: mosaic_ckpt::Snap::get(d, "profile stall counter")?,
+                mem_lat: Log2Histogram::decode_from(d)?,
             };
-            for k in 0..STALL_KINDS {
-                e.stalls[k] = d.u64("profile stall counter")?;
-            }
-            e.mem_lat = Log2Histogram::decode_from(d)?;
             p.map.insert((func, inst), e);
         }
         Ok(p)

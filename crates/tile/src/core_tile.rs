@@ -83,6 +83,21 @@ mosaic_ckpt::snap_record! {
     }
 }
 
+/// Running counts of what the in-flight slots, the DBBs and the requests
+/// hold, kept so that no step need count them; a snapshot does not carry
+/// them, and a restore installs [`CoreTile::recount`].
+#[derive(Debug, Default, PartialEq)]
+struct Counts {
+    /// `Issued` slots by [`InstClass::code`], of the classes with a limit.
+    fu_busy: [u32; InstClass::COUNT],
+    /// DBBs with instructions left, by block.
+    live_dbbs: Vec<u32>,
+    /// Requests whose completion is [`ReqDone::Detached`].
+    detached_outstanding: u32,
+    /// `Issued` atomic slots (an atomic never takes a DeSC role).
+    atomic_outstanding: u32,
+}
+
 /// Why `issue()` would pass over a ready candidate this cycle.
 struct Stall {
     /// The first check that rejects it.
@@ -144,23 +159,18 @@ pub struct CoreTile {
     /// allocates ids monotonically).
     reqs: VecDeque<PendingReq>,
     mao: Mao,
-    /// Busy functional units by [`InstClass::code`].
-    fu_busy: [u32; InstClass::COUNT],
-    /// Live DBBs by block.
-    live_dbbs: Vec<u32>,
-    /// Live DBBs from id `base_dbb` on: (instructions still in flight,
-    /// block). Completed DBBs leave from the front.
+    counts: Counts,
+    /// The youngest DBBs, the last of them number `stats.dbbs_launched - 1`:
+    /// (instructions still in flight, block). Completed DBBs leave from the
+    /// front.
     dbbs: VecDeque<(u32, BlockId)>,
-    base_dbb: u64,
     prev_launched_block: Option<BlockId>,
     /// 2-bit saturating counters by block (see `bimodal_predict`).
     bimodal: Vec<u8>,
     pending_pushes: VecDeque<u32>,
-    detached_outstanding: u32,
-    atomic_outstanding: u32,
     gate: LaunchGate,
     accel_busy_until: Option<u64>,
-    done: bool,
+    /// Its `done_at` says whether the tile has finished.
     stats: TileStats,
     /// The last blocked survey's stalls: while it holds, `step`, `next_event`
     /// and `on_cycles_skipped` answer from it; what changes the tile drops it.
@@ -181,7 +191,7 @@ impl std::fmt::Debug for CoreTile {
         f.debug_struct("CoreTile")
             .field("name", &self.config.name)
             .field("func", &self.module.function(self.func).name())
-            .field("done", &self.done)
+            .field("done_at", &self.stats.done_at)
             .field("retired", &self.stats.retired)
             .finish()
     }
@@ -190,17 +200,6 @@ impl std::fmt::Debug for CoreTile {
 /// How a slot names its static instruction, a row of the profile.
 fn sid_of(plan: &StaticDdg) -> impl Fn(&DynInst) -> u32 + '_ {
     |di| plan.inst(di.plan as usize).inst.0
-}
-
-/// The `TileStats` counter for stalls of `kind`.
-fn stall_counter(stats: &mut TileStats, kind: StallKind) -> &mut u64 {
-    match kind {
-        StallKind::Window => &mut stats.window_stalls,
-        StallKind::Fu => &mut stats.fu_stalls,
-        StallKind::Mem => &mut stats.mem_stalls,
-        StallKind::Send => &mut stats.send_stalls,
-        StallKind::Recv => &mut stats.recv_stalls,
-    }
 }
 
 impl CoreTile {
@@ -238,18 +237,16 @@ impl CoreTile {
             completions: BinaryHeap::new(),
             reqs: VecDeque::new(),
             mao: Mao::new(config.lsq_size, config.alias_speculation),
-            fu_busy: [0; InstClass::COUNT],
-            live_dbbs: vec![0; f.block_count()],
+            counts: Counts {
+                live_dbbs: vec![0; f.block_count()],
+                ..Counts::default()
+            },
             dbbs: VecDeque::new(),
-            base_dbb: 0,
             prev_launched_block: None,
             bimodal: vec![2; f.block_count()],
             pending_pushes: VecDeque::new(),
-            detached_outstanding: 0,
-            atomic_outstanding: 0,
             gate: LaunchGate::Free,
             accel_busy_until: None,
-            done: false,
             stats: TileStats::new(&config.name),
             memo: Default::default(),
             idle: false,
@@ -284,7 +281,7 @@ impl CoreTile {
         self.cursor.path_pos >= self.trace.path().len()
             && self.inflight.live == 0
             && self.accel_busy_until.is_none()
-            && self.detached_outstanding == 0
+            && self.counts.detached_outstanding == 0
             && self.pending_pushes.is_empty()
     }
 
@@ -330,7 +327,7 @@ impl CoreTile {
         let live_ok = self
             .config
             .live_dbb_limit
-            .is_none_or(|limit| self.live_dbbs[block.index()] < limit);
+            .is_none_or(|limit| self.counts.live_dbbs[block.index()] < limit);
         let block_len = self.plan.block(block).range.len() as u64;
         live_ok && self.inflight.live as u64 + block_len <= self.config.max_inflight
     }
@@ -358,9 +355,9 @@ impl CoreTile {
 
     fn launch_one(&mut self, block: BlockId, now: u64) -> Result<(), TileError> {
         self.cursor.path_pos += 1;
-        let dbb = self.base_dbb + self.dbbs.len() as u64;
+        let dbb = self.stats.dbbs_launched;
         let prev_block = self.prev_launched_block.replace(block);
-        self.live_dbbs[block.index()] += 1;
+        self.counts.live_dbbs[block.index()] += 1;
         let insts = self.plan.block(block).range;
         self.dbbs.push_back((insts.len() as u32, block));
         self.stats.dbbs_launched += 1;
@@ -503,11 +500,11 @@ impl CoreTile {
         if di.mem.is_some() {
             self.mao.complete(seq);
             if pi.class == InstClass::Atomic && issued {
-                self.atomic_outstanding = self.atomic_outstanding.saturating_sub(1);
+                self.counts.atomic_outstanding -= 1;
             }
         }
         if issued {
-            let busy = &mut self.fu_busy[pi.class.code()];
+            let busy = &mut self.counts.fu_busy[pi.class.code()];
             *busy = busy.saturating_sub(1);
         }
         // Terminator completion may open the launch gate (paper §II-A
@@ -524,13 +521,13 @@ impl CoreTile {
             }
         }
         // Retire DBB bookkeeping.
-        let (left, block) = &mut self.dbbs[(di.dbb - self.base_dbb) as usize];
+        let oldest = self.stats.dbbs_launched - self.dbbs.len() as u64;
+        let (left, block) = &mut self.dbbs[(di.dbb - oldest) as usize];
         *left -= 1;
         if *left == 0 {
-            self.live_dbbs[block.index()] -= 1;
+            self.counts.live_dbbs[block.index()] -= 1;
             while self.dbbs.front().is_some_and(|d| d.0 == 0) {
                 self.dbbs.pop_front();
-                self.base_dbb += 1;
             }
         }
         // Wake children.
@@ -572,7 +569,8 @@ impl CoreTile {
             self.ready.settle(issued);
         }
         let obs = self.obs.as_deref_mut().map(|o| (o, sid_of(&self.plan)));
-        self.stats.window_stalls += self.ready.end_walk(&self.inflight, limit, obs);
+        let window = self.ready.end_walk(&self.inflight, limit, obs);
+        self.stats.stalls[StallKind::Window as usize] += window;
         Ok(())
     }
 
@@ -599,7 +597,7 @@ impl CoreTile {
                 untouched,
                 ..
             }) => {
-                *stall_counter(&mut self.stats, kind) += 1;
+                self.stats.stalls[kind as usize] += 1;
                 // A deadlock snapshot lists every channel a tile touched,
                 // the ones it only ever waited on included.
                 if untouched {
@@ -621,7 +619,7 @@ impl CoreTile {
         self.stats.issued += 1;
         self.stats.energy_pj += self.config.costs.energy_pj(class);
         if fu_limit != u32::MAX {
-            self.fu_busy[class.code()] += 1;
+            self.counts.fu_busy[class.code()] += 1;
         }
 
         match class {
@@ -638,7 +636,7 @@ impl CoreTile {
                     _ => {
                         self.mao.mark_issued(seq);
                         if class == InstClass::Atomic {
-                            self.atomic_outstanding += 1;
+                            self.counts.atomic_outstanding += 1;
                         }
                         ReqDone::Retire(seq)
                     }
@@ -665,7 +663,7 @@ impl CoreTile {
                     _ => self.reqs.push_back(pending),
                 }
                 if let ReqDone::Detached(_) = on_done {
-                    self.detached_outstanding += 1;
+                    self.counts.detached_outstanding += 1;
                     self.complete_inst(seq, now);
                 }
             }
@@ -717,17 +715,17 @@ impl CoreTile {
         let class = self.plan.inst(di.plan as usize).class;
         let stall = |kind| Verdict::Stall(Stall::of(kind));
         let fu_limit = self.config.fu.limit(class);
-        if fu_limit != u32::MAX && self.fu_busy[class.code()] >= fu_limit {
+        if fu_limit != u32::MAX && self.counts.fu_busy[class.code()] >= fu_limit {
             return stall(StallKind::Fu);
         }
         match class {
             // Atomic read-modify-writes serialize per tile, like x86
             // locked operations draining the store buffer — the paper's
             // BFS mis-scaling stems from exactly this cost (§VI-A).
-            InstClass::Atomic if self.atomic_outstanding > 0 => stall(StallKind::Mem),
+            InstClass::Atomic if self.counts.atomic_outstanding > 0 => stall(StallKind::Mem),
             InstClass::Load | InstClass::Store | InstClass::Atomic => {
                 if self.desc[di.plan as usize].is_some_and(DescRole::detached) {
-                    if self.detached_outstanding >= self.config.desc_buffer {
+                    if self.counts.detached_outstanding >= self.config.desc_buffer {
                         return stall(StallKind::Mem);
                     }
                 } else if !self.mao.can_issue(seq) {
@@ -766,10 +764,6 @@ impl CoreTile {
 }
 
 impl Tile for CoreTile {
-    fn name(&self) -> &str {
-        &self.config.name
-    }
-
     fn clock_divisor(&self) -> u64 {
         self.config.clock_divisor
     }
@@ -791,23 +785,23 @@ impl Tile for CoreTile {
         }
         match req.on_done {
             ReqDone::Detached(push) => {
-                self.detached_outstanding -= 1;
+                self.counts.detached_outstanding -= 1;
                 self.pending_pushes.extend(push);
             }
             ReqDone::Retire(seq) => self.completions.push(Reverse((now, seq))),
         }
     }
 
-    fn step(&mut self, ctx: &mut TileCtx<'_>) -> Result<(), TileError> {
-        if self.done {
-            return Ok(());
+    fn step(&mut self, ctx: &mut TileCtx<'_>) -> Result<bool, TileError> {
+        if self.is_done() {
+            return Ok(false);
         }
         let now = ctx.now;
         self.stats.cycles = self.stats.cycles.max(now);
         if (self.idle || !self.memo.get_mut().span.is_empty()) && self.step_blocked(ctx) {
-            return Ok(());
+            return Ok(false);
         }
-        let progress_before = self.progress_mark();
+        let progress_before = self.stats.progress_mark();
 
         // Clear a finished accelerator invocation.
         if let Some(t) = self.accel_busy_until {
@@ -842,11 +836,10 @@ impl Tile for CoreTile {
         self.issue(ctx)?;
 
         if self.drained() {
-            self.done = true;
             self.stats.done_at = Some(now);
         }
-        self.idle = self.progress_mark() == progress_before;
-        let (tid, finished, stalled) = (self.mem_slot as u32, self.done, self.idle);
+        self.idle = self.stats.progress_mark() == progress_before;
+        let (tid, finished, stalled) = (self.mem_slot as u32, self.is_done(), self.idle);
         if let Some(o) = self.obs.as_mut() {
             o.first_step.get_or_insert(now);
             o.last_seen = o.last_seen.max(now);
@@ -854,11 +847,7 @@ impl Tile for CoreTile {
                 o.note_cycle(tid, now, stalled);
             }
         }
-        Ok(())
-    }
-
-    fn is_done(&self) -> bool {
-        self.done
+        Ok(!stalled)
     }
 
     fn stats(&self) -> &TileStats {
@@ -898,7 +887,7 @@ impl Tile for CoreTile {
         profile
     }
 
-    fn take_timeline(&mut self, slot: usize) -> Timeline {
+    fn take_timeline(&mut self) -> Timeline {
         let tid = self.mem_slot as u32;
         let done_at = self.stats.done_at;
         let Some(o) = self.obs.as_mut() else {
@@ -922,12 +911,12 @@ impl Tile for CoreTile {
         );
         o.timeline.process_name(0, "tiles");
         o.timeline
-            .thread_name(0, tid, format!("tile.{slot} {}", self.config.name));
+            .thread_name(0, tid, format!("tile.{tid} {}", self.config.name));
         std::mem::take(&mut o.timeline)
     }
 
     fn next_event(&self, now: u64, channels: &ChannelSet) -> Horizon {
-        if self.done {
+        if self.is_done() {
             return Horizon::Blocked;
         }
         let holds = self.memo.borrow().holds(now, channels);
@@ -941,7 +930,7 @@ impl Tile for CoreTile {
     }
 
     fn on_cycles_skipped(&mut self, now: u64, aligned_cycles: u64, channels: &ChannelSet) {
-        if self.done || aligned_cycles == 0 {
+        if self.is_done() || aligned_cycles == 0 {
             return;
         }
         // The memo `next_event` just answered from, or filled, holds still.
@@ -951,15 +940,6 @@ impl Tile for CoreTile {
         }
         // (`stats.cycles` is the last cycle stepped: the wake step sets it.)
         self.credit(now, aligned_cycles);
-    }
-
-    fn progress_mark(&self) -> u64 {
-        // Any observable work moves one of these monotone counters;
-        // pure-stall cycles move none of them.
-        self.stats.retired
-            + self.stats.issued
-            + self.stats.dbbs_launched
-            + self.stats.accel_invocations
     }
 
     fn stall_info(&self, now: u64, channels: &ChannelSet) -> TileStallInfo {

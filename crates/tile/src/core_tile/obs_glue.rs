@@ -5,7 +5,7 @@ use mosaic_obs::{Category, ObsLevel, ProfileTable, StallKind, Timeline};
 
 use super::inflight::DynState;
 use super::{CoreTile, LaunchGate, Stall, Verdict};
-use crate::{ChannelSet, StallReason, TileStallInfo};
+use crate::{ChannelSet, StallReason, Tile, TileStallInfo};
 
 /// Hot-path observability state, allocated only when
 /// [`Tile::set_observe`] raises the level above [`ObsLevel::Off`] — at
@@ -114,10 +114,10 @@ impl CoreTile {
                 consider(StallReason::ChannelPush { queue }, None);
             }
         }
-        if !self.done && (!self.reqs.is_empty() || self.atomic_outstanding > 0) {
+        if !self.is_done() && (!self.reqs.is_empty() || self.counts.atomic_outstanding > 0) {
             consider(StallReason::Memory, None);
         }
-        if !self.done
+        if !self.is_done()
             && self.peek_path(0).is_some()
             && matches!(
                 self.gate,

@@ -7,19 +7,23 @@
 //! and must therefore be byte-identical by construction, not by
 //! serialization. What the dynamic state determines is not written either:
 //! the ready set (the `Ready` slots, candidates or parked by the window), the
-//! window head and the live count. Every structure is indexed by a dense id,
-//! so writing it in index order gives the same bytes for the same state.
+//! window head, the live count, the path position and the first live DBB's
+//! id (from `stats.dbbs_launched`), whether the tile is done (`done_at`), the
+//! MAO's occupancy, and the running [`Counts`] ([`CoreTile::recount`]). Every
+//! structure is indexed by a dense id, so writing it in index order gives
+//! the same bytes for the same state.
 
 use std::cmp::Reverse;
 
 use mosaic_ckpt::{snap_fields, CkptError, Dec, Enc, Snap, Wide};
+use mosaic_ddg::InstClass;
 use mosaic_ir::BlockId;
 use mosaic_obs::{IrProfile, Timeline};
 
 use super::inflight::{DynInst, DynState, InFlight, NIL};
 use super::ready_set::ReadySet;
 use super::roles::DescRole;
-use super::{CoreTile, LaunchGate, PendingReq, ReqDone};
+use super::{CoreTile, Counts, LaunchGate, PendingReq, ReqDone};
 
 impl Snap for LaunchGate {
     fn put(&self, e: &mut Enc) {
@@ -58,11 +62,33 @@ impl Snap for ReqDone {
     }
 }
 
-snap_fields!(CoreTile: detached_outstanding, atomic_outstanding, gate, accel_busy_until, done);
+snap_fields!(CoreTile: gate, accel_busy_until);
 
 impl CoreTile {
+    /// The running counts as the slots, DBBs and requests determine them:
+    /// what a restore installs, and what stepping keeps.
+    pub(super) fn recount(&self) -> Counts {
+        let mut counts = Counts {
+            live_dbbs: vec![0; self.counts.live_dbbs.len()],
+            ..Counts::default()
+        };
+        let slots = self.inflight.slots.iter();
+        for di in slots.filter(|di| di.state == DynState::Issued) {
+            let class = self.plan.inst(di.plan as usize).class;
+            if self.config.fu.limit(class) != u32::MAX {
+                counts.fu_busy[class.code()] += 1;
+            }
+            counts.atomic_outstanding += u32::from(class == InstClass::Atomic);
+        }
+        for &(_, block) in self.dbbs.iter().filter(|dbb| dbb.0 > 0) {
+            counts.live_dbbs[block.index()] += 1;
+        }
+        let detached = |r: &&PendingReq| matches!(r.on_done, ReqDone::Detached(_));
+        counts.detached_outstanding = self.reqs.iter().filter(detached).count() as u32;
+        counts
+    }
+
     pub(super) fn encode_state(&self, e: &mut Enc) {
-        e.usize(self.cursor.path_pos);
         e.seq::<u64, u32>(&self.cursor.stream_pos);
 
         e.u64(self.inflight.base_seq);
@@ -85,11 +111,6 @@ impl CoreTile {
         e.seq::<u64, PendingReq>(&self.reqs);
 
         self.mao.encode_into(e);
-        for &n in &self.fu_busy {
-            e.u32(n);
-        }
-        e.seq::<u64, u32>(&self.live_dbbs);
-        e.u64(self.base_dbb);
         e.seq::<u64, (u32, u32)>(self.dbbs.iter().map(|&(left, block)| (left, block.0)));
         self.prev_launched_block.map(|b| Wide(b.0)).put(e);
         e.seq::<u64, u8>(&self.bimodal);
@@ -110,14 +131,6 @@ impl CoreTile {
         let name = self.config.name.clone();
         let corrupt = |what: String| CkptError::corrupt(format!("tile {name}: {what}"));
 
-        let path_pos = d.usize("tile path position")?;
-        if path_pos > self.trace.path().len() {
-            return Err(CkptError::mismatch(format!(
-                "tile {name}: path position {path_pos} exceeds trace length {}",
-                self.trace.path().len()
-            )));
-        }
-        self.cursor.path_pos = path_pos;
         d.table::<u64, u32>("tile trace streams", &mut self.cursor.stream_pos)?;
 
         let mut inflight = InFlight::new();
@@ -185,26 +198,14 @@ impl CoreTile {
         })?;
 
         self.mao.restore_from(d)?;
-        for n in &mut self.fu_busy {
-            *n = d.u32("tile fu-busy")?;
-        }
-        d.table::<u64, u32>("tile live-dbb table", &mut self.live_dbbs)?;
-        self.base_dbb = d.u64("tile base_dbb")?;
         self.dbbs.clear();
         d.seq::<u64, (u32, u32)>("tile dbbs", |(left, block)| {
-            if block as usize >= self.live_dbbs.len() {
+            if block as usize >= self.counts.live_dbbs.len() {
                 return Err(corrupt(format!("dbb of block {block}")));
             }
             self.dbbs.push_back((left, BlockId(block)));
             Ok(())
         })?;
-        let dbbs = self.base_dbb..self.base_dbb.saturating_add(self.dbbs.len() as u64);
-        if let Some(di) = self.inflight.slots.iter().find(|di| {
-            di.state != DynState::Done
-                && !(dbbs.contains(&di.dbb) && self.dbbs[(di.dbb - dbbs.start) as usize].0 > 0)
-        }) {
-            return Err(corrupt(format!("in-flight inst of dead dbb {}", di.dbb)));
-        }
         let prev_block: Option<Wide> = Snap::get(d, "tile prev block")?;
         self.prev_launched_block = prev_block.map(|b| BlockId(b.0));
         d.table::<u64, u8>("tile bimodal table", &mut self.bimodal)?;
@@ -213,6 +214,28 @@ impl CoreTile {
         d.seq_into::<u64, u32>("tile pending pushes", &mut self.pending_pushes)?;
         self.get_fields(d)?;
         self.stats.get_fields(d)?;
+
+        let launched = self.stats.dbbs_launched;
+        if launched > self.trace.path().len() as u64 {
+            return Err(CkptError::mismatch(format!(
+                "tile {name}: path position {launched} exceeds trace length {}",
+                self.trace.path().len()
+            )));
+        }
+        self.cursor.path_pos = launched as usize;
+        let live = self.dbbs.len() as u64;
+        let Some(oldest) = launched.checked_sub(live) else {
+            return Err(corrupt(format!("{live} live dbbs of {launched} launched")));
+        };
+        let dead = |di: &&DynInst| {
+            let at = di.dbb.checked_sub(oldest);
+            let dbb = at.and_then(|at| self.dbbs.get(at as usize));
+            di.state != DynState::Done && dbb.is_none_or(|dbb| dbb.0 == 0)
+        };
+        if let Some(di) = self.inflight.slots.iter().find(dead) {
+            return Err(corrupt(format!("in-flight inst of dead dbb {}", di.dbb)));
+        }
+        self.counts = self.recount();
 
         // The obs payload is always present in the byte stream when the
         // writer had observability on; decode it unconditionally and

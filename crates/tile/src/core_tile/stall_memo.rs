@@ -4,7 +4,7 @@ use std::cmp::Reverse;
 
 use mosaic_obs::{StallKind, STALL_KINDS};
 
-use super::{sid_of, stall_counter, CoreTile, LaunchGate, Stall, Verdict};
+use super::{sid_of, CoreTile, LaunchGate, Stall, Verdict};
 use crate::{ChannelSet, TileCtx};
 
 /// The stall memo (DESIGN.md §4.2.1): the per-cycle stall profile of a fully
@@ -172,8 +172,8 @@ impl CoreTile {
     /// that many times — exactly what stepping through them would record.
     pub(super) fn credit(&mut self, now: u64, cycles: u64) {
         let memo = self.memo.get_mut();
-        for (kind, n) in StallKind::all().into_iter().zip(memo.by_kind) {
-            *stall_counter(&mut self.stats, kind) += n * cycles;
+        for (stalls, n) in self.stats.stalls.iter_mut().zip(memo.by_kind) {
+            *stalls += n * cycles;
         }
         if let Some(o) = self.obs.as_mut() {
             for &(inst, kind) in &memo.per_inst {

@@ -630,6 +630,9 @@ impl Rig {
         delivered
     }
 
+    /// Steps `tile` at `now`; its flag must say whether `progress_mark`
+    /// moved, and its running counts must be what a restore would rebuild
+    /// from its state (`save_state` leaves them out).
     fn step_tile(&mut self, tile: usize, now: u64) {
         if self.walk_only {
             // Neither a memo to answer from nor a reason to take one.
@@ -642,7 +645,15 @@ impl Rig {
             channels: &mut self.channels,
             accel: &mut NoAccel,
         };
-        self.tiles[tile].step(&mut ctx).expect("step");
+        let (t, at) = (&mut self.tiles[tile], format!("tile {tile}, cycle {now}"));
+        let mark = t.progress_mark();
+        let worked = t.step(&mut ctx).expect("step");
+        assert_eq!(worked, t.progress_mark() != mark, "{at}: step's flag");
+        assert_eq!(t.counts, t.recount(), "{at}: running counts");
+        let (mut mao, mut enc) = (t.mao.clone(), Enc::new());
+        t.mao.encode_into(&mut enc);
+        mao.restore_from(&mut Dec::new(&enc.into_bytes())).expect("MAO round trip");
+        assert_eq!(mao.occupancy(), t.mao.occupancy(), "{at}: LSQ occupancy");
     }
 
     fn epoch(&self) -> u64 {
@@ -901,8 +912,8 @@ fn blocked_row_writes(backlog: usize, walk_only: bool) -> u64 {
     }
     let tile = &rig.tiles[0];
     assert!(tile.ready.parked >= backlog as u64 && tile.stats.issued == 0);
-    assert_eq!(tile.stats.window_stalls, 1001 * tile.ready.parked);
-    assert_eq!(tile.stats.recv_stalls, 1001);
+    assert_eq!(tile.stats.stalls[StallKind::Window as usize], 1001 * tile.ready.parked);
+    assert_eq!(tile.stats.stalls[StallKind::Recv as usize], 1001);
     // The walk visits its one candidate every cycle; the memo takes a walk
     // that changes nothing and one survey, which stands for the rest.
     let visits = tile.verdicts.get() - verdicts;

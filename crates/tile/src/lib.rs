@@ -32,7 +32,7 @@ pub use mao::Mao;
 
 use mosaic_ir::AccelOp;
 use mosaic_mem::{MemError, MemoryHierarchy, ReqId};
-use mosaic_obs::{IrProfile, ObsLevel, StatsRegistry, Timeline};
+use mosaic_obs::{IrProfile, ObsLevel, StallKind, StatsRegistry, Timeline, STALL_KINDS};
 
 /// Errors a tile step can surface for malformed inputs: trace/kernel
 /// mismatches, missing accelerator models, or rejected memory requests.
@@ -269,16 +269,9 @@ pub struct TileStats {
     pub dbbs_launched: u64,
     /// Static-prediction misses (paper §III-C).
     pub mispredicts: u64,
-    /// Issue attempts blocked by the instruction window.
-    pub window_stalls: u64,
-    /// Issue attempts blocked by functional-unit limits.
-    pub fu_stalls: u64,
-    /// Issue attempts blocked by the MAO/LSQ.
-    pub mem_stalls: u64,
-    /// Issue attempts blocked by a full outgoing channel.
-    pub send_stalls: u64,
-    /// Issue attempts blocked by an empty incoming channel.
-    pub recv_stalls: u64,
+    /// Issue attempts blocked, by [`StallKind`] index: by the window, FU
+    /// limits, the MAO/LSQ, a full outgoing or an empty incoming channel.
+    pub stalls: [u64; STALL_KINDS],
     /// Accelerator invocations made.
     pub accel_invocations: u64,
     /// Cycles spent inside accelerator invocations.
@@ -302,6 +295,12 @@ impl TileStats {
         }
     }
 
+    /// Moves whenever a step does observable work (issue, retire, launch,
+    /// accelerator call); a pure-stall step moves none of its terms.
+    pub fn progress_mark(&self) -> u64 {
+        self.retired + self.issued + self.dbbs_launched + self.accel_invocations
+    }
+
     /// Registers every field into `reg` under `tile.<slot>.*` paths
     /// (`tile.3.stall.mem`, `tile.0.retired`, …). `TileStats` remains
     /// the hot-path accumulator; the registry is a read-time view of
@@ -316,11 +315,9 @@ impl TileStats {
         }
         reg.set_counter(&p("dbbs_launched"), self.dbbs_launched);
         reg.set_counter(&p("mispredicts"), self.mispredicts);
-        reg.set_counter(&p("stall.window"), self.window_stalls);
-        reg.set_counter(&p("stall.fu"), self.fu_stalls);
-        reg.set_counter(&p("stall.mem"), self.mem_stalls);
-        reg.set_counter(&p("stall.send"), self.send_stalls);
-        reg.set_counter(&p("stall.recv"), self.recv_stalls);
+        for kind in StallKind::all() {
+            reg.set_counter(&p(&format!("stall.{}", kind.label())), self.stalls[kind as usize]);
+        }
         reg.set_counter(&p("accel.invocations"), self.accel_invocations);
         reg.set_counter(&p("accel.cycles"), self.accel_cycles);
         reg.set_gauge(&p("energy_pj"), self.energy_pj);
@@ -330,8 +327,7 @@ impl TileStats {
 
 // Every counter, checkpointed; the `name` comes from the configuration.
 mosaic_ckpt::snap_fields!(TileStats: retired, issued, cycles, done_at, energy_pj, dbbs_launched,
-    mispredicts, window_stalls, fu_stalls, mem_stalls, send_stalls, recv_stalls,
-    accel_invocations, accel_cycles);
+    mispredicts, stalls, accel_invocations, accel_cycles);
 
 /// A tile's report of when it can next make architectural progress,
 /// used by the Interleaver's event-horizon fast-forward scheduler.
@@ -360,7 +356,9 @@ pub enum Horizon {
 /// Interleaver to take a single-cycle step").
 pub trait Tile {
     /// Display name.
-    fn name(&self) -> &str;
+    fn name(&self) -> &str {
+        &self.stats().name
+    }
 
     /// Clock divisor relative to the global clock: the Interleaver steps
     /// this tile only on cycles divisible by the divisor (paper §II:
@@ -370,7 +368,9 @@ pub trait Tile {
     /// A memory request issued by this tile completed.
     fn on_mem_completion(&mut self, id: ReqId, now: u64);
 
-    /// Advances one cycle.
+    /// Advances one cycle. Returns whether the step did observable work
+    /// (moved [`Tile::progress_mark`]): the Interleaver decides from it when
+    /// to attempt a skip, and dates a deadlock by the last step that did.
     ///
     /// # Errors
     ///
@@ -378,10 +378,12 @@ pub trait Tile {
     /// condition (trace/kernel mismatch, missing accelerator model,
     /// rejected memory request). The tile's state is unspecified after an
     /// error; the Interleaver aborts the run with it.
-    fn step(&mut self, ctx: &mut TileCtx<'_>) -> Result<(), TileError>;
+    fn step(&mut self, ctx: &mut TileCtx<'_>) -> Result<bool, TileError>;
 
     /// Whether the tile has drained all work.
-    fn is_done(&self) -> bool;
+    fn is_done(&self) -> bool {
+        self.stats().done_at.is_some()
+    }
 
     /// Statistics so far.
     fn stats(&self) -> &TileStats;
@@ -400,11 +402,10 @@ pub trait Tile {
     /// as it was when [`Tile::next_event`] reported the block.
     fn on_cycles_skipped(&mut self, now: u64, aligned_cycles: u64, channels: &ChannelSet);
 
-    /// A counter that changes whenever a step does observable work
-    /// (issue, retire, launch, …). The fast-forward scheduler compares it
-    /// across a step as a *heuristic* to decide whether attempting a skip
-    /// is worthwhile — correctness never depends on it.
-    fn progress_mark(&self) -> u64;
+    /// [`TileStats::progress_mark`], whose move [`Tile::step`] reports.
+    fn progress_mark(&self) -> u64 {
+        self.stats().progress_mark()
+    }
 
     /// A frozen description of why this tile cannot advance, taken when
     /// the Interleaver diagnoses a deadlock or watchdog timeout.
@@ -418,9 +419,9 @@ pub trait Tile {
     /// Sets the observability level before the run starts.
     fn set_observe(&mut self, level: ObsLevel);
 
-    /// Takes the tile's recorded timeline spans, keyed to tile slot
-    /// `slot` (pid 0 tracks).
-    fn take_timeline(&mut self, slot: usize) -> Timeline;
+    /// Takes the tile's recorded timeline spans, keyed to its memory slot
+    /// (pid 0 tracks), which is its place among the Interleaver's tiles.
+    fn take_timeline(&mut self) -> Timeline;
 
     /// Takes the tile's IR-level profile (per-static-instruction
     /// retire/stall/latency attribution).

@@ -21,7 +21,7 @@
 
 use std::collections::VecDeque;
 
-use mosaic_ckpt::{snap_fields, snap_record, CkptError, Dec, Enc};
+use mosaic_ckpt::{snap_record, CkptError, Dec, Enc};
 
 /// Word granularity used for address matching (8-byte words).
 const WORD_SHIFT: u32 = 3;
@@ -69,6 +69,7 @@ pub struct Mao {
     /// none) instead of every older entry.
     stores: VecDeque<u64>,
     lsq_size: u32,
+    /// Issued, incomplete entries (LSQ occupancy), counted in [`Mao::push`].
     issued_incomplete: u32,
     alias_speculation: bool,
 }
@@ -121,6 +122,7 @@ impl Mao {
         }
         if !entry.complete {
             self.incomplete += 1;
+            self.issued_incomplete += u32::from(entry.issued);
             if entry.is_store {
                 self.stores.push_back(number);
             }
@@ -236,13 +238,12 @@ impl Mao {
         self.entries.len()
     }
 
-    /// Serializes the tracked entries and LSQ occupancy into a
-    /// checkpoint section. The configuration (`lsq_size`,
-    /// `alias_speculation`) is not written — a restore keeps the values
-    /// the MAO was rebuilt with.
+    /// Serializes the tracked entries into a checkpoint section. The
+    /// configuration (`lsq_size`, `alias_speculation`) is not written — a
+    /// restore keeps the values the MAO was rebuilt with — and neither is
+    /// what the entries determine (the LSQ occupancy, the index).
     pub fn encode_into(&self, e: &mut Enc) {
         e.seq::<u64, MaoEntry>(&self.entries);
-        self.put_fields(e);
     }
 
     /// Restores the state written by [`Mao::encode_into`].
@@ -253,7 +254,7 @@ impl Mao {
     /// out of program order.
     pub fn restore_from(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
         self.entries.clear();
-        self.incomplete = 0;
+        (self.incomplete, self.issued_incomplete) = (0, 0);
         self.stores.clear();
         d.seq::<u64, MaoEntry>("mao entries", |entry| {
             let oldest = self.entries.front().map_or(entry.seq, |e| e.seq);
@@ -268,12 +269,9 @@ impl Mao {
             }
             self.push(entry);
             Ok(())
-        })?;
-        self.get_fields(d)
+        })
     }
 }
-
-snap_fields!(Mao: issued_incomplete);
 
 #[cfg(test)]
 mod tests {

@@ -209,12 +209,13 @@ fn resume_is_bit_identical_whatever_the_caches_and_the_target_held() {
 
 /// Whole-checkpoint damage: every section of two mid-run snapshots — two
 /// bfs tiles at `Trace`, and a DeSC pair — is cut short at every offset
-/// (512 seeded ones where a section is over 4 KiB) and has seeded bytes
-/// flipped, 2000 in all. Restoring into a fresh system must refuse every
-/// cut with a typed error and survive every flip: a flipped byte may still
-/// be a state some run could reach, so `Ok` is allowed — a panic, an
-/// arithmetic overflow (CI runs this with overflow checks on) or an
-/// allocation sized from a flipped count is not.
+/// (512 seeded ones where a section is over 4 KiB), has a byte appended,
+/// and has seeded bytes flipped, 2000 in all. Restoring into a fresh
+/// system must refuse every cut and every appended byte with a typed error
+/// and survive every flip: a flipped byte may still be a state some run
+/// could reach, so `Ok` is allowed — a panic, an arithmetic overflow (CI
+/// runs this with overflow checks on) or an allocation sized from a
+/// flipped count is not.
 #[test]
 fn damaged_checkpoints_are_typed_errors() {
     use mosaicsim::ckpt::{Checkpoint, CkptError, Enc};
@@ -241,6 +242,13 @@ fn damaged_checkpoints_are_typed_errors() {
             make().build().expect("build").restore_checkpoint(&damaged)
         };
         restore("mem", good.section("mem").expect("mem")).expect("the undamaged snapshot");
+        // A section with a byte left over is refused, whichever it is.
+        for (name, bytes) in &sections {
+            match restore(name, &[bytes.as_slice(), &[0]].concat()) {
+                Err(CkptError::Corrupt { .. }) => {}
+                other => panic!("{label}: {name} with a trailing byte: {other:?}"),
+            }
+        }
 
         for (name, bytes) in &sections {
             let cuts: Vec<usize> = if bytes.len() > 4096 {

@@ -15,8 +15,8 @@
 //! mid-flight in the pipeline, the MAO, the MSHRs and the DRAM queues —
 //! once fast-forwarded and once stepped cycle by cycle to the cycle the
 //! fast-forwarded run paused at. The two hold the same machine but not
-//! the same bytes — `interleaver` has the scheduler's own step and skip
-//! counters, `mem` and a tile's `stats.cycles` the last cycle each was
+//! the same bytes — `interleaver` has the scheduler's own skip counters,
+//! `mem` and a tile's `stats.cycles` the last cycle each was
 //! stepped at — so a section the two wrote differently is in the row
 //! twice, `ff|naive`, and which sections those are is pinned with it.
 //!

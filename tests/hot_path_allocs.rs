@@ -239,7 +239,7 @@ fn run_loop_allocations_per_instruction_stay_under_their_ceilings() {
     assert!(size_of::<Span>() <= 32, "a span is {} bytes", size_of::<Span>());
     let (traced, retired, sim) = count_allocs("bfs", ooo(), xeon_memory(), ObsLevel::Trace);
     let (mut tiles, mut mem, _) = sim.into_parts();
-    let (tile, mem) = (tiles[0].take_timeline(0), mem.take_timeline());
+    let (tile, mem) = (tiles[0].take_timeline(), mem.take_timeline());
     let spans = tile.len() + mem.len();
     let per_span = (traced as f64 - stats * retired as f64) / spans as f64;
     println!("bfs at Trace: {spans} spans, {per_span:.4} allocations each over Stats");

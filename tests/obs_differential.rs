@@ -38,10 +38,7 @@ fn by_profile(r: &SimReport) -> Fields {
 }
 
 fn by_tile(r: &SimReport) -> Fields {
-    let mut stalls = 0;
-    for t in &r.tiles {
-        stalls += t.window_stalls + t.fu_stalls + t.mem_stalls + t.send_stalls + t.recv_stalls;
-    }
+    let stalls = r.tiles.iter().flat_map(|t| t.stalls).sum();
     sums(r.tiles.iter().map(|t| t.retired).sum(), stalls)
 }
 

@@ -45,17 +45,11 @@ fn run_rows(
             tile.take_profile().encode_into(&mut enc);
             let profile = fnv(&enc.into_bytes());
             let s = tile.stats();
+            let [window, fu, mem, send, recv] = s.stalls;
             format!(
-                "{label} tile{slot} cycles={} issued={} retired={} window={} fu={} mem={} \
-                 send={} recv={} profile={profile:016x}",
-                s.cycles,
-                s.issued,
-                s.retired,
-                s.window_stalls,
-                s.fu_stalls,
-                s.mem_stalls,
-                s.send_stalls,
-                s.recv_stalls,
+                "{label} tile{slot} cycles={} issued={} retired={} window={window} fu={fu} \
+                 mem={mem} send={send} recv={recv} profile={profile:016x}",
+                s.cycles, s.issued, s.retired,
             )
         })
         .collect()
