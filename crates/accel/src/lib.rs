@@ -40,6 +40,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod analytic;
 mod config;

@@ -27,6 +27,7 @@
 //! runs, and the parallel (and warm-started) sweep.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};

@@ -2,6 +2,8 @@
 //! paper's evaluation as Markdown, or all of them with no names. Stdout is
 //! the same on every run; sweep throughput goes to stderr.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use mosaic_bench::{render, FIGURES};

@@ -43,6 +43,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod config;
 mod config_file;

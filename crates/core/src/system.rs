@@ -207,7 +207,8 @@ impl SystemBuilder {
     /// [`run()`](Self::run) (at the first stepped cycle at or past each
     /// boundary — fast-forward jumps can land past one). Requires a
     /// destination set with [`Self::checkpoint_to`]; the file is
-    /// overwritten each time so it always holds the most recent snapshot.
+    /// replaced atomically each time so it always holds the most recent
+    /// snapshot.
     /// An [`Interleaver`] from [`Self::build`] writes none: pause it with
     /// [`Interleaver::run_until`] and save there.
     pub fn checkpoint_every(mut self, cycles: u64) -> Self {

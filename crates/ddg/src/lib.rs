@@ -43,6 +43,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::ops::Range;
 

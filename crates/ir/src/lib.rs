@@ -56,6 +56,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod builder;
 mod function;

@@ -23,6 +23,7 @@
 //! function, arguments, and the filled memory image — ready for tracing.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod data;
 pub mod keras;

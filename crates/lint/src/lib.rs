@@ -54,6 +54,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod channel;
 pub mod dataflow_lints;

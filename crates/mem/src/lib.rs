@@ -35,6 +35,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod banked;
 mod cache;

@@ -36,6 +36,7 @@
 //! external dependencies.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod json;
 mod profile;

@@ -65,6 +65,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod graph;
 pub mod horizon;

@@ -19,6 +19,7 @@
 //! mirroring the paper's accelerator API lowering.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod dae;
 mod dce;

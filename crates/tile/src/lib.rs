@@ -19,6 +19,7 @@
 //! `mosaic-core`; see that crate for runnable examples.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod channel;
 mod config;

@@ -44,6 +44,7 @@
 //! trace storage, paper §VI-B's cost, is what [`TraceSizeReport`] counts.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod file;
 

@@ -20,6 +20,8 @@
 //!     table (each section's name and length).
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod kernel_flags;
 
 use std::path::Path;

@@ -16,6 +16,8 @@
 //! * `--deny` exits non-zero on *any* finding; otherwise only
 //!   error-severity findings fail the run.
 
+#![forbid(unsafe_code)]
+
 #[path = "kernel_flags/args.rs"]
 mod args;
 

@@ -18,6 +18,8 @@
 //!     least one complete ("X") span per tile track (used by CI).
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod kernel_flags;
 
 use std::io::{BufWriter, Write as _};

@@ -54,6 +54,7 @@
 //! for the harnesses that regenerate every table and figure of the paper.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use mosaic_accel as accel;
 pub use mosaic_ckpt as ckpt;

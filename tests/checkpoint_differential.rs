@@ -103,6 +103,8 @@ fn periodic_snapshots_are_run_until_pauses_at_each_boundary() {
         assert_eq!(run.expect("periodic").cycles, straight.cycles, "{label}");
         let file = std::fs::read(&path).expect("periodic snapshot");
         std::fs::remove_file(&path).ok();
+        let tmp = std::path::PathBuf::from(format!("{}.tmp", path.display()));
+        assert!(!tmp.exists(), "{label}: periodic saves left {} behind", tmp.display());
         let cycle = mosaicsim::ckpt::Checkpoint::from_bytes(&file, &label).expect("read").cycle();
         let boundary = cycle / every * every;
         assert!(

@@ -24,6 +24,8 @@
 //! relations ([`relations`]) and the checkpoint suite go through them, and
 //! a drift names the system, the relation and each field.
 
+#![forbid(unsafe_code)]
+
 pub mod relations;
 
 use std::cell::{LazyCell, RefCell};
