@@ -27,7 +27,7 @@ use crate::workload::{compute_ops_per_cycle, workload_of, workload_with_plm, Wor
 /// One internal loop of a process: back-annotated per-iteration latency ×
 /// a configuration-dependent iteration count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LoopSpec {
+pub(crate) struct LoopSpec {
     /// Cycles per iteration (from RTL instrumentation, paper §IV-B
     /// "Accelerator Instrumentation").
     pub latency_per_iter: u64,
@@ -37,21 +37,21 @@ pub struct LoopSpec {
 
 impl LoopSpec {
     /// Total cycles of this loop.
-    pub fn cycles(&self) -> u64 {
+    pub(crate) fn cycles(&self) -> u64 {
         self.latency_per_iter * self.iterations
     }
 }
 
 /// One concurrent module (process) of the accelerator.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ProcessSpec {
+pub(crate) struct ProcessSpec {
     /// The internal loops executed by this process per chunk.
     pub loops: Vec<LoopSpec>,
 }
 
 impl ProcessSpec {
     /// A process with one loop.
-    pub fn single(latency_per_iter: u64, iterations: u64) -> Self {
+    pub(crate) fn single(latency_per_iter: u64, iterations: u64) -> Self {
         ProcessSpec {
             loops: vec![LoopSpec {
                 latency_per_iter,
@@ -61,14 +61,14 @@ impl ProcessSpec {
     }
 
     /// Total per-chunk cycles of the process.
-    pub fn cycles(&self) -> u64 {
+    pub(crate) fn cycles(&self) -> u64 {
         self.loops.iter().map(LoopSpec::cycles).sum()
     }
 }
 
 /// The four §IV-B arguments, fully instantiated for one invocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PipelineSpec {
+pub(crate) struct PipelineSpec {
     /// Concurrent processes (load / compute(s) / store).
     pub processes: Vec<ProcessSpec>,
     /// Number of chunk repetitions the pipeline runs.
@@ -77,7 +77,7 @@ pub struct PipelineSpec {
 
 impl PipelineSpec {
     /// Closed-form pipeline cycles.
-    pub fn cycles(&self) -> u64 {
+    pub(crate) fn cycles(&self) -> u64 {
         if self.processes.is_empty() || self.chunks == 0 {
             return 0;
         }
@@ -102,7 +102,7 @@ pub struct AnalyticOutcome {
 /// Builds the [`PipelineSpec`] for invoking `accel` with `args` under
 /// `config` — the instantiation step that maps invocation parameters to
 /// loop iteration counts.
-pub fn pipeline_spec(accel: AccelOp, args: &[i64], config: &AccelConfig) -> PipelineSpec {
+pub(crate) fn pipeline_spec(accel: AccelOp, args: &[i64], config: &AccelConfig) -> PipelineSpec {
     let mut w = workload_with_plm(accel, args, config.chunk_bytes());
     let inst = config.instances.max(1) as u64;
     w = Workload {

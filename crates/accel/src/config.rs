@@ -59,7 +59,8 @@ impl AccelConfig {
     }
 
     /// Sets the instance count (builder-style).
-    pub fn with_instances(mut self, n: u32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_instances(mut self, n: u32) -> Self {
         assert!(n > 0, "at least one instance");
         self.instances = n;
         self
@@ -67,7 +68,7 @@ impl AccelConfig {
 
     /// Effective per-instance DMA bandwidth after sharing the memory
     /// interface among instances.
-    pub fn effective_dma_bw(&self) -> f64 {
+    pub(crate) fn effective_dma_bw(&self) -> f64 {
         let total = self.dma_bytes_per_cycle * self.instances as f64;
         if total > self.max_memory_bw {
             self.max_memory_bw / self.instances as f64
@@ -78,7 +79,7 @@ impl AccelConfig {
 
     /// Double-buffered chunk size: half the PLM holds the working set
     /// while the other half streams (paper Fig. 4).
-    pub fn chunk_bytes(&self) -> u64 {
+    pub(crate) fn chunk_bytes(&self) -> u64 {
         (self.plm_bytes / 2).max(64)
     }
 

@@ -40,6 +40,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 mod analytic;
@@ -48,11 +49,11 @@ mod fpga;
 mod rtl;
 mod workload;
 
-pub use analytic::{analytic_estimate, pipeline_spec, AnalyticOutcome, LoopSpec, PipelineSpec, ProcessSpec};
+pub use analytic::{analytic_estimate, AnalyticOutcome};
 pub use config::AccelConfig;
 pub use fpga::{fpga_cycles, FpgaOutcome};
 pub use rtl::{rtl_cycles, RtlOutcome};
-pub use workload::{compute_ops_per_cycle, workload_of, Workload};
+pub use workload::Workload;
 
 use std::collections::HashMap;
 
@@ -69,7 +70,6 @@ use mosaic_tile::{AccelResult, AccelSim, TileError};
 pub struct AccelBank {
     configs: HashMap<AccelOp, AccelConfig>,
     invocations: u64,
-    total_cycles: u64,
     total_bytes: u64,
 }
 
@@ -87,18 +87,13 @@ impl AccelBank {
     }
 
     /// The configuration used for `accel`.
-    pub fn config(&self, accel: AccelOp) -> AccelConfig {
+    pub(crate) fn config(&self, accel: AccelOp) -> AccelConfig {
         self.configs.get(&accel).copied().unwrap_or_default()
     }
 
     /// Total invocations served.
     pub fn invocations(&self) -> u64 {
         self.invocations
-    }
-
-    /// Total accelerator-busy cycles across invocations.
-    pub fn total_cycles(&self) -> u64 {
-        self.total_cycles
     }
 
     /// Total bytes moved by accelerators.
@@ -113,7 +108,6 @@ impl AccelSim for AccelBank {
         let est = analytic_estimate(accel, args, &config);
         let cycles = est.cycles + config.invocation_overhead;
         self.invocations += 1;
-        self.total_cycles += cycles;
         self.total_bytes += est.bytes;
         Ok(AccelResult {
             cycles,
@@ -134,7 +128,6 @@ mod tests {
         let r2 = bank.invoke(AccelOp::ElementWise, &[0, 0, 0, 4096]).unwrap();
         assert!(r1.cycles > 0 && r2.cycles > 0);
         assert_eq!(bank.invocations(), 2);
-        assert_eq!(bank.total_cycles(), r1.cycles + r2.cycles);
         assert_eq!(bank.total_bytes(), r1.bytes + r2.bytes);
     }
 

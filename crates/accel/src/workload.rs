@@ -23,7 +23,7 @@ pub struct Workload {
 
 impl Workload {
     /// Total bytes moved.
-    pub fn total_bytes(&self) -> u64 {
+    pub(crate) fn total_bytes(&self) -> u64 {
         self.input_bytes + self.output_bytes
     }
 }
@@ -35,7 +35,7 @@ impl Workload {
 /// # Panics
 ///
 /// Panics if `args` is shorter than the accelerator's arity.
-pub fn workload_of(accel: AccelOp, args: &[i64]) -> Workload {
+pub(crate) fn workload_of(accel: AccelOp, args: &[i64]) -> Workload {
     assert!(
         args.len() >= accel.arity(),
         "{} expects {} args, got {}",
@@ -136,7 +136,7 @@ pub fn workload_of(accel: AccelOp, args: &[i64]) -> Workload {
 /// memory traffic — the core trade-off of the paper's Fig. 10 design-space
 /// exploration. Streaming kernels (histogram, element-wise, ...) have no
 /// reuse and are returned unchanged.
-pub fn workload_with_plm(accel: AccelOp, args: &[i64], chunk_bytes: u64) -> Workload {
+pub(crate) fn workload_with_plm(accel: AccelOp, args: &[i64], chunk_bytes: u64) -> Workload {
     let base = workload_of(accel, args);
     match accel {
         AccelOp::Sgemm => {
@@ -175,7 +175,7 @@ pub fn workload_with_plm(accel: AccelOp, args: &[i64], chunk_bytes: u64) -> Work
 /// Peak compute throughput (operations per cycle) of the fixed-function
 /// datapath generated for `accel` — the paper's HLS-generated accelerators
 /// have wide, deeply pipelined compute processes.
-pub fn compute_ops_per_cycle(accel: AccelOp) -> u64 {
+pub(crate) fn compute_ops_per_cycle(accel: AccelOp) -> u64 {
     match accel {
         AccelOp::Sgemm => 16, // 4x4 MAC array
         // The ESP-style layer accelerators of the Keras flow (§VII-C) use

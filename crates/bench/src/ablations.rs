@@ -60,7 +60,7 @@ fn knob<K: Sync + std::fmt::Debug>(
 }
 
 /// The ablation tables, in DESIGN.md §4.10's order.
-pub fn ablations() -> Vec<Table> {
+pub(crate) fn ablations() -> Vec<Table> {
     let (ooo, xeon) = (CoreConfig::out_of_order, xeon_memory);
     let (mut prefetcher, sweep) = off_on(
         "Ablation 1 — stream prefetcher (paper §V-A): streaming kernels benefit",

@@ -15,7 +15,7 @@ use crate::{run_dae_pairs, run_spmd, run_with_accel, Cell, Table};
 
 /// Table II: the DAE case-study parameters, as the paper lists them and
 /// as the Fig. 11–13 harnesses instantiate them.
-pub fn table2_dae_params() -> Vec<Table> {
+pub(crate) fn table2_dae_params() -> Vec<Table> {
     let print = print_table2();
     let mut rows = paper_rows(&print);
     let heads = rows.next().expect("heads");
@@ -67,7 +67,7 @@ fn accelerated(p: &Prepared) -> u64 {
 /// 1 OoO, 2 InO vs 1 DAE pair, and the OoO-area-equivalent 8 InO vs 4 DAE
 /// pairs (Table II: 8 × 1.01 mm² ≈ 8.44 mm²). The paper: "DAE
 /// heterogeneity outperforms OoO by nearly 2×".
-pub fn fig11_dae() -> Vec<Table> {
+pub(crate) fn fig11_dae() -> Vec<Table> {
     let p = projection::build(1);
     let base = spmd(&p, 1, CoreConfig::in_order()) as f64;
     let mut t = Table::new(
@@ -93,7 +93,7 @@ pub fn fig11_dae() -> Vec<Table> {
 /// (§VII-B). EWSD is memory-bound and gains most from DAE latency
 /// tolerance (paper ≈ 6×); SGEMM is compute-bound and gains most from the
 /// fixed-function accelerator (paper ≈ 45×).
-pub fn fig12_microbench() -> Vec<Table> {
+pub(crate) fn fig12_microbench() -> Vec<Table> {
     let (ino, ooo) = (CoreConfig::in_order, CoreConfig::out_of_order);
     let [ewsd, sgemm] = [sinkhorn::ewsd(sinkhorn::BASE_NNZ), sinkhorn::sgemm_micro(1)].map(|p| {
         let base = spmd(&p, 1, ino()) as f64;
@@ -147,7 +147,7 @@ impl Phases {
 /// suits it (the accelerator for SGEMM, DAE pairs for EWSD). The paper:
 /// without the accelerator, sparse-heavy favours DAE and dense-heavy the
 /// OoO core; with it, DAE + accel wins every mix.
-pub fn fig13_combined() -> Vec<Table> {
+pub(crate) fn fig13_combined() -> Vec<Table> {
     let mixes = [Mix::DenseHeavy, Mix::Equal, Mix::SparseHeavy];
     let mut heads = vec![("system", 0)];
     heads.extend(mixes.map(|m| (m.label(), 2)));
@@ -205,7 +205,7 @@ fn soc_cycles(app: &KerasApp, per_op: f64, bw: f64) -> (f64, f64) {
 /// memory-bound phases are costed by DRAM bandwidth; the SoC pays the
 /// analytic accelerator model's cycles plus the CPU cost of the layers no
 /// accelerator covers.
-pub fn fig14_keras_edp() -> Vec<Table> {
+pub(crate) fn fig14_keras_edp() -> Vec<Table> {
     let energy = EnergyModel::default();
     let mac = sgemm::build_with_dims(48, 48, 48);
     let mac_cycles = run_spmd(&mac, 1, CoreConfig::out_of_order(), xeon_memory()).cycles;

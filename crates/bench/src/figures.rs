@@ -30,7 +30,7 @@ const TRENDS: [(u32, [f64; 5]); 11] = [
 ];
 
 /// Fig. 1: 42 years of microprocessor trend data (intro figure).
-pub fn fig01_trends() -> Vec<Table> {
+pub(crate) fn fig01_trends() -> Vec<Table> {
     let mut t = Table::new(
         "Fig. 1 — microprocessor trend data (decade samples of the public dataset)",
         &[("year", 0), ("transistors_k", 0), ("freq_MHz", 0), ("power_W", 0)],
@@ -56,7 +56,7 @@ pub(crate) fn paper_rows(print: &str) -> impl Iterator<Item = Vec<String>> + '_ 
 /// Table I: the evaluation system, as the paper lists it and as
 /// `mosaic_core::xeon_memory()` — the Fig. 5–9 harnesses' memory —
 /// instantiates it.
-pub fn table1_system() -> Vec<Table> {
+pub(crate) fn table1_system() -> Vec<Table> {
     let mut paper = Table::new(
         "Table I — evaluation system details (Intel Xeon E5-2667 v3)",
         &[("parameter", 0), ("value", 0)],
@@ -106,7 +106,7 @@ fn reports(sweep: &Sweep) -> impl Iterator<Item = (&str, &SimReport)> {
 /// engine with x86-like macro-op fusion, a dynamic-predictor-class branch
 /// model and Haswell-class window/LSQ sizes (DESIGN.md §1) — so the gap
 /// arises from the mechanism the paper describes.
-pub fn fig05_accuracy() -> Vec<Table> {
+pub(crate) fn fig05_accuracy() -> Vec<Table> {
     let mut t = Table::new(
         "Fig. 5 — runtime accuracy factor (MosaicSim cycles / reference cycles)",
         &[("benchmark", 0), ("mosaic", 0), ("reference", 0), ("factor", 3)],
@@ -124,7 +124,7 @@ pub fn fig05_accuracy() -> Vec<Table> {
 /// Fig. 6: IPC characterization, ascending. "A lower IPC indicates that a
 /// kernel is memory-bound while a higher IPC indicates being
 /// compute-bound."
-pub fn fig06_ipc() -> Vec<Table> {
+pub(crate) fn fig06_ipc() -> Vec<Table> {
     let mut rows: Vec<(&str, f64)> = reports(parboil_ooo()).map(|(n, r)| (n, r.ipc())).collect();
     rows.sort_by(|a, b| a.1.total_cmp(&b.1));
     let mut t = Table::new(
@@ -141,7 +141,7 @@ pub fn fig06_ipc() -> Vec<Table> {
 /// §II), every number read from the run's stats registry by dotted path
 /// (DESIGN.md §4.5). `mosaic-report --kernel K --core ooo --stats F`
 /// writes one such registry whole.
-pub fn characterize() -> Vec<Table> {
+pub(crate) fn characterize() -> Vec<Table> {
     let mut t = Table::new(
         "Characterization — every Parboil kernel on one OoO tile, Table-I memory",
         &[("kernel", 0), ("cycles", 0), ("retired", 0), ("ipc", 3), ("l1_miss_pct", 1)],
@@ -176,7 +176,7 @@ pub fn characterize() -> Vec<Table> {
 /// Figs. 7–9: multicore scaling of BFS (latency-bound), SGEMM
 /// (compute-bound) and SPMV (bandwidth-bound), for MosaicSim's default
 /// model and the reference model standing in for the paper's x86 runs.
-pub fn fig07_09_scaling() -> Vec<Table> {
+pub(crate) fn fig07_09_scaling() -> Vec<Table> {
     let threads = [1usize, 2, 4, 8];
     let figs = [
         ("Fig. 7", "bfs", 2u32, "BFS scales worst: its atomic read-modify-writes serialize"),
@@ -237,7 +237,7 @@ fn workload(accel: AccelOp, bytes: u64) -> Vec<i64> {
 /// back-annotated analytic model's average accuracy against RTL-level
 /// simulation (paper: 97–100 %) and FPGA emulation (paper: 89–93 %). Then
 /// the SGEMM accelerator in a full system, one simulation per PLM size.
-pub fn fig10_accel_dse() -> Vec<Table> {
+pub(crate) fn fig10_accel_dse() -> Vec<Table> {
     let plms = [4u64 << 10, 16 << 10, 64 << 10, 256 << 10];
     let sizes = [(256u64 << 10, "256KB"), (1 << 20, "1MB"), (4 << 20, "4MB"), (16 << 20, "16MB")];
     let mut heads = vec![("PLM", 0), ("area (um^2)", 0)];
@@ -310,7 +310,7 @@ fn extrapolation_factor(name: &str) -> f64 {
 /// component and per traced instruction, and a linear extrapolation to
 /// Parboil's default datasets, which leaves out the byte a larger dataset
 /// would widen some streams by.
-pub fn storage_report() -> Vec<Table> {
+pub(crate) fn storage_report() -> Vec<Table> {
     let mut t = Table::new(
         "§VI-B — trace storage requirements",
         &[("kernel", 0), ("ctrl-flow (KB)", 1), ("memory (KB)", 1), ("mem %", 0)],

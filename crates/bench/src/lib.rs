@@ -27,6 +27,7 @@
 //! runs, and the parallel (and warm-started) sweep.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -45,10 +46,11 @@ mod case_study;
 mod figures;
 mod table;
 
-pub use {ablations::*, case_study::*, figures::*, table::*};
+pub use table::*;
+use {ablations::*, case_study::*, figures::*};
 
 /// A figure or table: the function that simulates it and returns its data.
-pub type Figure = fn() -> Vec<Table>;
+type Figure = fn() -> Vec<Table>;
 
 /// Every figure and table the binary prints, by name, in paper order.
 pub const FIGURES: [(&str, Figure); 14] = [
@@ -73,7 +75,7 @@ pub const FIGURES: [(&str, Figure); 14] = [
 /// # Panics
 ///
 /// Panics on trace or simulation failure (harness code).
-pub fn run_spmd(
+pub(crate) fn run_spmd(
     prepared: &Prepared,
     tiles: usize,
     core: CoreConfig,
@@ -94,7 +96,7 @@ pub fn run_spmd(
 /// # Panics
 ///
 /// Panics on trace or simulation failure (harness code).
-pub fn run_with_accel(
+pub(crate) fn run_with_accel(
     prepared: &Prepared,
     core: CoreConfig,
     memory: HierarchyConfig,
@@ -158,7 +160,7 @@ impl SweepPoint {
     /// Panics with the rendered failure (snapshot included for
     /// deadlocks) when the point failed — for figures whose
     /// configurations are known-good.
-    pub fn report(&self) -> &SimReport {
+    pub(crate) fn report(&self) -> &SimReport {
         match &self.result {
             Ok(r) => r,
             Err(e) => panic!("sweep point {} failed: {e}", self.label),
@@ -181,7 +183,7 @@ pub struct Sweep {
 impl Sweep {
     /// Aggregate simulated cycles per wall-clock second across the sweep
     /// (successful points only).
-    pub fn sim_cycles_per_sec(&self) -> f64 {
+    fn sim_cycles_per_sec(&self) -> f64 {
         self.points
             .iter()
             .filter_map(|p| p.result.as_ref().ok())
@@ -192,7 +194,7 @@ impl Sweep {
 
     /// Aggregate retired instructions per wall-clock second (successful
     /// points only).
-    pub fn instrs_per_sec(&self) -> f64 {
+    fn instrs_per_sec(&self) -> f64 {
         self.points
             .iter()
             .filter_map(|p| p.result.as_ref().ok())
@@ -202,13 +204,13 @@ impl Sweep {
     }
 
     /// Points that failed (deadlocks, invalid configs, caught panics).
-    pub fn failed(&self) -> impl Iterator<Item = &SweepPoint> {
+    pub(crate) fn failed(&self) -> impl Iterator<Item = &SweepPoint> {
         self.points.iter().filter(|p| p.result.is_err())
     }
 
     /// One-line throughput summary, which the figures print to stderr;
     /// names the number of failed points when there are any.
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         let failures = self.failed().count();
         let failure_note = if failures > 0 {
             format!(", {failures} FAILED")
@@ -406,7 +408,7 @@ where
 }
 
 /// Geometric mean of a set of positive factors.
-pub fn geomean(xs: &[f64]) -> f64 {
+pub(crate) fn geomean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
@@ -414,7 +416,7 @@ pub fn geomean(xs: &[f64]) -> f64 {
 }
 
 /// Energy-delay product of a report under the default energy model, J·s.
-pub fn edp(report: &SimReport) -> f64 {
+pub(crate) fn edp(report: &SimReport) -> f64 {
     report.edp_js(&EnergyModel::default())
 }
 

@@ -3,6 +3,7 @@
 //! the same on every run; sweep throughput goes to stderr.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 use std::process::ExitCode;
 

@@ -64,7 +64,7 @@ impl Table {
     }
 
     /// The table with `note` as its note line.
-    pub fn with_note(mut self, note: impl Into<String>) -> Self {
+    pub(crate) fn with_note(mut self, note: impl Into<String>) -> Self {
         self.note = note.into();
         self
     }

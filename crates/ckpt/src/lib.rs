@@ -13,7 +13,7 @@
 //! (`sched`, `mem`, `channels`, `tile.0`, …) — so readers can skip
 //! sections they do not understand (the forward-compatibility policy:
 //! unknown sections are ignored; incompatible changes to a known
-//! section's layout bump [`VERSION`], and a reader accepts exactly its
+//! section's layout bump `VERSION`, and a reader accepts exactly its
 //! own version — an older file's sections would be mis-decoded).
 //!
 //! The contract the simulator builds on top (see `DESIGN.md` §4.6):
@@ -29,6 +29,7 @@
 //! it too, and writes and reads its `MSTR` files with [`Enc`]/[`Dec`].
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(unsafe_code)]
 
 use std::borrow::Borrow;
@@ -38,13 +39,13 @@ use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes identifying a MosaicSim checkpoint file.
-pub const MAGIC: &[u8; 4] = b"MCKP";
+pub(crate) const MAGIC: &[u8; 4] = b"MCKP";
 
 /// Current checkpoint format version. Version 2 changed the `tile.<slot>`
 /// layout (dense rings), 3 the cache records in `mem` (valid ways only), 4
 /// dropped the counters nothing read, 5 the counts the rest of a snapshot
 /// determines (a tile's busy units and live DBBs, a cache's accesses, …).
-pub const VERSION: u32 = 5;
+pub(crate) const VERSION: u32 = 5;
 
 /// Longest string the decoder will accept (tile names, section names).
 const MAX_STR: u64 = 4096;
@@ -175,13 +176,9 @@ impl Enc {
     }
 
     /// Bytes written so far.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Writes one byte.
@@ -210,12 +207,12 @@ impl Enc {
     }
 
     /// Writes an `i64`, little-endian two's complement.
-    pub fn i64(&mut self, v: i64) {
+    pub(crate) fn i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes an `f64` as its IEEE-754 bit pattern (exact round-trip).
-    pub fn f64(&mut self, v: f64) {
+    pub(crate) fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
 
@@ -320,19 +317,19 @@ impl<'a> Dec<'a> {
     }
 
     /// Reads a `u64` and converts to `usize`.
-    pub fn usize(&mut self, what: &str) -> Result<usize, CkptError> {
+    pub(crate) fn usize(&mut self, what: &str) -> Result<usize, CkptError> {
         let v = self.u64(what)?;
         usize::try_from(v).map_err(|_| CkptError::corrupt(format!("{what}: {v} overflows usize")))
     }
 
     /// Reads a little-endian `i64`.
-    pub fn i64(&mut self, what: &str) -> Result<i64, CkptError> {
+    pub(crate) fn i64(&mut self, what: &str) -> Result<i64, CkptError> {
         let b = self.raw(8, what)?;
         Ok(i64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
     /// Reads an `f64` from its IEEE-754 bit pattern.
-    pub fn f64(&mut self, what: &str) -> Result<f64, CkptError> {
+    pub(crate) fn f64(&mut self, what: &str) -> Result<f64, CkptError> {
         Ok(f64::from_bits(self.u64(what)?))
     }
 

@@ -43,7 +43,7 @@ impl Default for EnergyModel {
 
 impl EnergyModel {
     /// Memory-hierarchy dynamic energy for the given access counts, pJ.
-    pub fn memory_energy_pj(&self, stats: &MemStats) -> f64 {
+    pub(crate) fn memory_energy_pj(&self, stats: &MemStats) -> f64 {
         let l1 = (stats.l1_hits + stats.l1_misses) as f64 * self.l1_access_pj;
         let l2 = (stats.l2_hits + stats.l2_misses) as f64 * self.l2_access_pj;
         let llc = (stats.llc_hits + stats.llc_misses) as f64 * self.llc_access_pj;
@@ -59,7 +59,7 @@ impl EnergyModel {
     }
 
     /// Converts cycles to seconds at the model frequency.
-    pub fn seconds(&self, cycles: u64) -> f64 {
+    pub(crate) fn seconds(&self, cycles: u64) -> f64 {
         cycles as f64 / (self.freq_ghz * 1e9)
     }
 

@@ -239,14 +239,14 @@ impl Interleaver {
     }
 
     /// Sets the runaway-protection cycle cap.
-    pub fn set_cycle_limit(&mut self, limit: u64) {
+    pub(crate) fn set_cycle_limit(&mut self, limit: u64) {
         self.cycle_limit = limit;
     }
 
     /// Sets the observability level on every tile and the memory
     /// hierarchy. At [`ObsLevel::Off`] (the default) the hot path pays
     /// nothing; see `DESIGN.md` §4.5 for the overhead contract.
-    pub fn set_observe(&mut self, level: ObsLevel) {
+    pub(crate) fn set_observe(&mut self, level: ObsLevel) {
         for tile in &mut self.tiles {
             tile.set_observe(level);
         }
@@ -262,11 +262,6 @@ impl Interleaver {
         self.fast_forward = enabled;
     }
 
-    /// Whether event-horizon fast-forwarding is enabled.
-    pub fn fast_forward(&self) -> bool {
-        self.fast_forward
-    }
-
     /// The current global cycle.
     pub fn now(&self) -> u64 {
         self.now
@@ -275,11 +270,6 @@ impl Interleaver {
     /// The tiles (for stats inspection).
     pub fn tiles(&self) -> &[Box<dyn Tile>] {
         &self.tiles
-    }
-
-    /// The memory hierarchy (for stats inspection).
-    pub fn memory(&self) -> &MemoryHierarchy {
-        &self.mem
     }
 
     /// The channel set (for stats inspection).

@@ -43,6 +43,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 mod config;

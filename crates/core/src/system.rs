@@ -164,7 +164,6 @@ pub struct SystemBuilder {
     memory: HierarchyConfig,
     channel: ChannelConfig,
     accel: Option<Box<dyn AccelSim>>,
-    energy: EnergyModel,
     cycle_limit: u64,
     fast_forward: bool,
     lint: LintLevel,
@@ -192,7 +191,6 @@ impl SystemBuilder {
             memory: HierarchyConfig::default(),
             channel: ChannelConfig::default(),
             accel: None,
-            energy: EnergyModel::default(),
             cycle_limit: 2_000_000_000,
             fast_forward: true,
             lint: LintLevel::default(),
@@ -287,12 +285,6 @@ impl SystemBuilder {
     /// Installs the accelerator models (paper §IV-A).
     pub fn accelerators(mut self, accel: Box<dyn AccelSim>) -> Self {
         self.accel = Some(accel);
-        self
-    }
-
-    /// Overrides the energy model.
-    pub fn energy(mut self, model: EnergyModel) -> Self {
-        self.energy = model;
         self
     }
 
@@ -748,7 +740,7 @@ impl SystemBuilder {
     /// deadlocks, exceeds the cycle cap, or a tile faults, and
     /// [`MosaicError::Ckpt`] when a snapshot cannot be written.
     pub fn run(self) -> Result<SimReport, MosaicError> {
-        let energy = self.energy;
+        let energy = EnergyModel::default();
         let areas: Vec<f64> = self.tiles.iter().map(|t| t.config.area_mm2).collect();
         let snapshots = self.checkpoint_every.zip(self.checkpoint_path.clone());
         let mut il = self.build()?;

@@ -43,6 +43,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 use std::ops::Range;
@@ -96,13 +97,8 @@ impl InstClass {
         self as usize
     }
 
-    /// Whether the class accesses the memory hierarchy.
-    pub fn is_mem(self) -> bool {
-        matches!(self, InstClass::Load | InstClass::Store | InstClass::Atomic)
-    }
-
     /// Classifies an instruction.
-    pub fn of(inst: &Inst) -> InstClass {
+    pub(crate) fn of(inst: &Inst) -> InstClass {
         match inst.op() {
             Opcode::Bin { op, .. } => match op {
                 BinOp::Mul => InstClass::IntMul,
@@ -147,13 +143,6 @@ pub enum MemKind {
     /// Atomic read-modify-write (treated as a write that also returns a
     /// value; the `op` is kept for energy modeling).
     Atomic(AtomicOp),
-}
-
-impl MemKind {
-    /// Whether the operation writes memory.
-    pub fn writes(self) -> bool {
-        !matches!(self, MemKind::Load)
-    }
 }
 
 /// Where a launching instruction finds the dynamic instance of one SSA

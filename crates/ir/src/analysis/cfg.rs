@@ -101,7 +101,7 @@ impl Cfg {
     }
 
     /// Blocks whose terminator is `ret` (function exits).
-    pub fn exits(&self) -> &[BlockId] {
+    pub(crate) fn exits(&self) -> &[BlockId] {
         &self.exits
     }
 

@@ -80,11 +80,6 @@ impl<'f> FunctionBuilder<'f> {
         }
     }
 
-    /// The function being built.
-    pub fn func(&self) -> &Function {
-        self.func
-    }
-
     /// The `n`-th function parameter as an operand.
     ///
     /// # Panics
@@ -113,7 +108,7 @@ impl<'f> FunctionBuilder<'f> {
     /// # Panics
     ///
     /// Panics if no block has been selected yet.
-    pub fn current_block(&self) -> BlockId {
+    fn current_block(&self) -> BlockId {
         self.current.expect("no insertion block selected")
     }
 
@@ -202,7 +197,8 @@ impl<'f> FunctionBuilder<'f> {
     }
 
     /// Emits an atomic compare-and-swap returning the old value.
-    pub fn atomic_cas(&mut self, addr: Operand, expected: Operand, new: Operand) -> Operand {
+    #[cfg(test)]
+    pub(crate) fn atomic_cas(&mut self, addr: Operand, expected: Operand, new: Operand) -> Operand {
         let ty = self.operand_ty(new);
         Operand::Inst(self.emit(
             Opcode::AtomicRmw {
@@ -216,7 +212,8 @@ impl<'f> FunctionBuilder<'f> {
     }
 
     /// Emits a complete phi with all incoming edges known up front.
-    pub fn phi(&mut self, ty: Type, incoming: Vec<(BlockId, Operand)>) -> Operand {
+    #[cfg(test)]
+    pub(crate) fn phi(&mut self, ty: Type, incoming: Vec<(BlockId, Operand)>) -> Operand {
         Operand::Inst(self.emit(Opcode::Phi { incoming }, ty))
     }
 

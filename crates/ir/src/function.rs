@@ -79,7 +79,7 @@ impl Function {
     }
 
     /// The return type.
-    pub fn ret_ty(&self) -> Type {
+    pub(crate) fn ret_ty(&self) -> Type {
         self.ret_ty
     }
 
@@ -88,7 +88,7 @@ impl Function {
     /// # Panics
     ///
     /// Panics if the function has no blocks yet.
-    pub fn entry(&self) -> BlockId {
+    pub(crate) fn entry(&self) -> BlockId {
         assert!(!self.blocks.is_empty(), "function has no blocks");
         BlockId(0)
     }
@@ -131,7 +131,7 @@ impl Function {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn inst_mut(&mut self, id: InstId) -> &mut Inst {
+    pub(crate) fn inst_mut(&mut self, id: InstId) -> &mut Inst {
         &mut self.insts[id.index()]
     }
 
@@ -141,14 +141,15 @@ impl Function {
     }
 
     /// Finds a block by name.
-    pub fn block_by_name(&self, name: &str) -> Option<BlockId> {
+    #[cfg(test)]
+    pub(crate) fn block_by_name(&self, name: &str) -> Option<BlockId> {
         self.blocks.iter().find(|b| b.name == name).map(|b| b.id)
     }
 
     /// Predecessor map of the CFG: for each block, the blocks that branch
     /// to it. Ordered, so that building and dropping it touches the heap
     /// in the same order on every run (see DESIGN.md §4.2.2).
-    pub fn predecessors(&self) -> BTreeMap<BlockId, Vec<BlockId>> {
+    pub(crate) fn predecessors(&self) -> BTreeMap<BlockId, Vec<BlockId>> {
         let mut preds: BTreeMap<BlockId, Vec<BlockId>> = BTreeMap::new();
         for b in &self.blocks {
             if let Some(t) = b.terminator() {

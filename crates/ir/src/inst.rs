@@ -32,7 +32,7 @@ impl Operand {
     }
 
     /// The constant value, if this operand is a constant.
-    pub fn as_const(self) -> Option<Constant> {
+    pub(crate) fn as_const(self) -> Option<Constant> {
         match self {
             Operand::Const(c) => Some(c),
             _ => None,
@@ -99,7 +99,7 @@ named_enum! {
 
 impl BinOp {
     /// Whether this is one of the floating-point operations.
-    pub fn is_float(self) -> bool {
+    pub(crate) fn is_float(self) -> bool {
         matches!(self, BinOp::FAdd | BinOp::FSub | BinOp::FMul | BinOp::FDiv)
     }
 }
@@ -244,7 +244,7 @@ named_enum! {
 
 impl Intrinsic {
     /// Number of arguments the intrinsic takes.
-    pub fn arity(self) -> usize {
+    pub(crate) fn arity(self) -> usize {
         match self {
             Intrinsic::TileId | Intrinsic::NumTiles => 0,
             Intrinsic::Sqrt
@@ -445,7 +445,7 @@ pub enum Opcode {
 
 impl Opcode {
     /// Whether this opcode ends a basic block.
-    pub fn is_terminator(&self) -> bool {
+    pub(crate) fn is_terminator(&self) -> bool {
         matches!(self, Opcode::Br { .. } | Opcode::CondBr { .. } | Opcode::Ret { .. })
     }
 
@@ -536,7 +536,7 @@ impl Opcode {
     }
 
     /// Successor blocks if this is a terminator.
-    pub fn successors(&self) -> Vec<BlockId> {
+    pub(crate) fn successors(&self) -> Vec<BlockId> {
         match self {
             Opcode::Br { target } => vec![*target],
             Opcode::CondBr {
@@ -574,7 +574,7 @@ impl Inst {
     }
 
     /// Mutable access to the opcode (used by passes).
-    pub fn op_mut(&mut self) -> &mut Opcode {
+    pub(crate) fn op_mut(&mut self) -> &mut Opcode {
         &mut self.op
     }
 

@@ -193,7 +193,7 @@ struct TileState {
 /// The functional executor.
 ///
 /// Use [`run_tiles`] / [`run_single`] unless you need stepwise control.
-pub struct Interpreter<'m, S: TraceSink> {
+pub(crate) struct Interpreter<'m, S: TraceSink> {
     /// One plan per distinct kernel function among the programs.
     plans: Vec<Plan>,
     mem: MemImage,
@@ -387,7 +387,7 @@ impl<'m, S: TraceSink> Interpreter<'m, S> {
     /// # Panics
     ///
     /// Panics if a program's argument count does not match its function.
-    pub fn new(
+    pub(crate) fn new(
         module: &'m Module,
         mem: MemImage,
         programs: &[TileProgram],
@@ -441,7 +441,8 @@ impl<'m, S: TraceSink> Interpreter<'m, S> {
     }
 
     /// Overrides the global dynamic-instruction limit.
-    pub fn set_step_limit(&mut self, limit: u64) {
+    #[cfg(test)]
+    pub(crate) fn set_step_limit(&mut self, limit: u64) {
         self.step_limit = limit;
     }
 
@@ -660,7 +661,7 @@ impl<'m, S: TraceSink> Interpreter<'m, S> {
     /// Returns [`ExecError::Deadlock`] if all unfinished tiles block on
     /// empty queues, [`ExecError::StepLimit`] past the instruction budget,
     /// or [`ExecError::Trap`] on a runtime fault.
-    pub fn run(mut self) -> Result<ExecOutcome, ExecError> {
+    pub(crate) fn run(mut self) -> Result<ExecOutcome, ExecError> {
         loop {
             let mut any_progress = false;
             let mut all_done = true;
@@ -700,7 +701,7 @@ impl<'m, S: TraceSink> Interpreter<'m, S> {
 ///
 /// # Errors
 ///
-/// See [`Interpreter::run`].
+/// See `Interpreter::run`.
 ///
 /// # Examples
 ///
@@ -734,7 +735,7 @@ pub fn run_tiles<S: TraceSink>(
 ///
 /// # Errors
 ///
-/// See [`Interpreter::run`].
+/// See `Interpreter::run`.
 pub fn run_single<S: TraceSink>(
     module: &Module,
     mem: MemImage,

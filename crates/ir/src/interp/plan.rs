@@ -128,6 +128,9 @@ pub(super) struct Op {
     pub args: [u32; 3],
 }
 
+// DESIGN.md §4.1: a smaller `Op` moved the set-up's peak resident memory.
+const _: () = assert!(size_of::<Op>() == 40);
+
 /// A control-flow edge, resolved when the plan is built.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct Edge {

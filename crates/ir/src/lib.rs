@@ -56,6 +56,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 mod builder;
@@ -81,9 +82,9 @@ pub use inst::{
 pub use interp::{run_single, run_tiles, ExecError, ExecOutcome, TileProgram, TraceSink};
 pub use mem_image::{MemImage, RtVal};
 pub use parser::{parse_module, parse_module_with_spans, SpanTable};
-pub use printer::{print_function, print_inst, print_module};
+pub use printer::{print_inst, print_module};
 pub use types::{Constant, Type};
-pub use verify::{verify_channels, verify_function, verify_module};
+pub use verify::{verify_function, verify_module};
 
 #[cfg(test)]
 mod tests {

@@ -191,13 +191,13 @@ impl MemImage {
 
     /// Reads an `i16`.
     #[inline]
-    pub fn read_i16(&self, addr: u64) -> i16 {
+    fn read_i16(&self, addr: u64) -> i16 {
         i16::from_le_bytes(self.load(addr))
     }
 
     /// Reads an `i32`.
     #[inline]
-    pub fn read_i32(&self, addr: u64) -> i32 {
+    pub(crate) fn read_i32(&self, addr: u64) -> i32 {
         i32::from_le_bytes(self.load(addr))
     }
 
@@ -215,25 +215,25 @@ impl MemImage {
 
     /// Reads an `f64`.
     #[inline]
-    pub fn read_f64(&self, addr: u64) -> f64 {
+    fn read_f64(&self, addr: u64) -> f64 {
         f64::from_le_bytes(self.load(addr))
     }
 
     /// Writes an `i8`.
     #[inline]
-    pub fn write_i8(&mut self, addr: u64, v: i8) {
+    fn write_i8(&mut self, addr: u64, v: i8) {
         self.store(addr, v.to_le_bytes());
     }
 
     /// Writes an `i16`.
     #[inline]
-    pub fn write_i16(&mut self, addr: u64, v: i16) {
+    fn write_i16(&mut self, addr: u64, v: i16) {
         self.store(addr, v.to_le_bytes());
     }
 
     /// Writes an `i32`.
     #[inline]
-    pub fn write_i32(&mut self, addr: u64, v: i32) {
+    pub(crate) fn write_i32(&mut self, addr: u64, v: i32) {
         self.store(addr, v.to_le_bytes());
     }
 
@@ -251,7 +251,7 @@ impl MemImage {
 
     /// Writes an `f64`.
     #[inline]
-    pub fn write_f64(&mut self, addr: u64, v: f64) {
+    pub(crate) fn write_f64(&mut self, addr: u64, v: f64) {
         self.store(addr, v.to_le_bytes());
     }
 
@@ -361,7 +361,7 @@ impl RtVal {
     ///
     /// Panics if the value is an integer.
     #[inline]
-    pub fn as_float(self) -> f64 {
+    pub(crate) fn as_float(self) -> f64 {
         match self {
             RtVal::Float(v) => v,
             RtVal::Int(v) => panic!("expected float, found int {v}"),
@@ -370,7 +370,7 @@ impl RtVal {
 
     /// The value as a boolean (nonzero integer).
     #[inline]
-    pub fn as_bool(self) -> bool {
+    pub(crate) fn as_bool(self) -> bool {
         self.as_int() != 0
     }
 }

@@ -1,6 +1,6 @@
 //! Textual form of the IR (LLVM-flavoured).
 //!
-//! [`print_function`] / [`print_module`] produce a stable textual format
+//! `print_function` / [`print_module`] produce a stable textual format
 //! that [`crate::parser::parse_module`] can read back; the round trip is
 //! exercised by property tests.
 
@@ -99,7 +99,7 @@ fn render_inst(func: &Function, id: InstId, num: &dyn Fn(InstId) -> u32) -> Stri
 /// drops instructions, such as `slice_dae`, leaves in the arena), so the
 /// parser reads back every id it is given; a function with no such gaps
 /// prints its arena ids.
-pub fn print_function(func: &Function) -> String {
+pub(crate) fn print_function(func: &Function) -> String {
     let mut held = vec![false; func.inst_count()];
     for block in func.blocks() {
         block.insts().iter().for_each(|i| held[i.index()] = true);

@@ -102,7 +102,7 @@ impl Type {
     }
 
     /// Whether this is one of the integer types (including `I1`).
-    pub fn is_int(self) -> bool {
+    pub(crate) fn is_int(self) -> bool {
         matches!(self, Type::I1 | Type::I8 | Type::I16 | Type::I32 | Type::I64)
     }
 
@@ -117,7 +117,7 @@ impl Type {
     }
 
     /// Whether a value of this type exists at all.
-    pub fn is_value(self) -> bool {
+    pub(crate) fn is_value(self) -> bool {
         self != Type::Void
     }
 }
@@ -139,7 +139,8 @@ pub enum Constant {
 
 impl Constant {
     /// A boolean (`i1`) constant.
-    pub fn bool(v: bool) -> Constant {
+    #[cfg(test)]
+    pub(crate) fn bool(v: bool) -> Constant {
         Constant::Int(v as i64, Type::I1)
     }
 
@@ -159,7 +160,8 @@ impl Constant {
     }
 
     /// An `f64` constant.
-    pub fn f64(v: f64) -> Constant {
+    #[cfg(test)]
+    pub(crate) fn f64(v: f64) -> Constant {
         Constant::Float(v, Type::F64)
     }
 

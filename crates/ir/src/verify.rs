@@ -281,7 +281,7 @@ fn verify_inst_types(func: &Function, iid: InstId) -> Result<(), IrError> {
 ///
 /// Returns [`IrError::Verify`] naming the queue, function, and
 /// instruction of the first unmatched endpoint.
-pub fn verify_channels(module: &Module) -> Result<(), IrError> {
+pub(crate) fn verify_channels(module: &Module) -> Result<(), IrError> {
     match unmatched_channel_endpoint(module) {
         Some(end) => Err(IrError::Verify(format!(
             "in {}: {}",
@@ -332,7 +332,7 @@ pub(crate) fn unmatched_channel_endpoint(module: &Module) -> Option<UnmatchedEnd
 }
 
 /// Verifies every function in a module, then the module-level channel
-/// endpoint invariant ([`verify_channels`]).
+/// endpoint invariant (`verify_channels`).
 ///
 /// # Errors
 ///

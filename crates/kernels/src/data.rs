@@ -6,7 +6,7 @@
 //! SplitMix64 PRNG so the crate builds with no external dependencies.
 
 /// The fixed seed used by every generator (deterministic reproduction).
-pub const SEED: u64 = 0x4d6f_7361_6963; // "Mosaic"
+const SEED: u64 = 0x4d6f_7361_6963; // "Mosaic"
 
 /// A small deterministic PRNG (SplitMix64, Steele et al. 2014).
 ///
@@ -25,7 +25,7 @@ impl Rng {
     }
 
     /// The next raw 64-bit output.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -47,41 +47,35 @@ impl Rng {
     }
 
     /// A uniform integer in `[lo, hi]` (inclusive).
-    pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
+    fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
         debug_assert!(lo <= hi);
         lo + self.below(hi - lo + 1)
     }
 }
 
-/// A seeded RNG for workload generation.
-pub fn rng() -> Rng {
-    Rng::seed_from_u64(SEED)
-}
-
 /// A seeded RNG with a caller-provided stream id (distinct sequences for
 /// distinct inputs of one kernel).
-pub fn rng_stream(stream: u64) -> Rng {
+fn rng_stream(stream: u64) -> Rng {
     Rng::seed_from_u64(SEED ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
 /// `n` uniform floats in `[0, 1)`.
-pub fn f32_vec(n: usize, stream: u64) -> Vec<f32> {
+pub(crate) fn f32_vec(n: usize, stream: u64) -> Vec<f32> {
     let mut r = rng_stream(stream);
     (0..n).map(|_| r.next_f32()).collect()
 }
 
 /// `n` uniform ints in `[0, bound)`.
-pub fn i32_vec(n: usize, bound: i32, stream: u64) -> Vec<i32> {
+pub(crate) fn i32_vec(n: usize, bound: i32, stream: u64) -> Vec<i32> {
     let mut r = rng_stream(stream);
     (0..n).map(|_| r.below(bound as u64) as i32).collect()
 }
 
 /// A sparse matrix in compressed-sparse-row form.
 #[derive(Debug, Clone)]
-pub struct Csr {
-    /// Number of rows.
-    pub rows: usize,
+pub(crate) struct Csr {
     /// Number of columns.
+    #[cfg(test)]
     pub cols: usize,
     /// Row pointers (`rows + 1` entries).
     pub row_ptr: Vec<i32>,
@@ -93,13 +87,13 @@ pub struct Csr {
 
 impl Csr {
     /// Number of stored non-zeros.
-    pub fn nnz(&self) -> usize {
+    pub(crate) fn nnz(&self) -> usize {
         self.values.len()
     }
 }
 
 /// A random CSR matrix with ~`nnz_per_row` non-zeros per row.
-pub fn random_csr(rows: usize, cols: usize, nnz_per_row: usize, stream: u64) -> Csr {
+pub(crate) fn random_csr(rows: usize, cols: usize, nnz_per_row: usize, stream: u64) -> Csr {
     let mut r = rng_stream(stream);
     let mut row_ptr = Vec::with_capacity(rows + 1);
     let mut col_idx = Vec::new();
@@ -117,7 +111,7 @@ pub fn random_csr(rows: usize, cols: usize, nnz_per_row: usize, stream: u64) -> 
         row_ptr.push(col_idx.len() as i32);
     }
     Csr {
-        rows,
+        #[cfg(test)]
         cols,
         row_ptr,
         col_idx,
@@ -127,8 +121,9 @@ pub fn random_csr(rows: usize, cols: usize, nnz_per_row: usize, stream: u64) -> 
 
 /// A directed graph in CSR adjacency form.
 #[derive(Debug, Clone)]
-pub struct Graph {
+pub(crate) struct Graph {
     /// Number of vertices.
+    #[cfg(test)]
     pub nodes: usize,
     /// Offsets into `edges` (`nodes + 1` entries).
     pub offsets: Vec<i32>,
@@ -138,13 +133,13 @@ pub struct Graph {
 
 impl Graph {
     /// Number of edges.
-    pub fn edge_count(&self) -> usize {
+    pub(crate) fn edge_count(&self) -> usize {
         self.edges.len()
     }
 }
 
 /// A uniform random graph with average degree `avg_degree`.
-pub fn random_graph(nodes: usize, avg_degree: usize, stream: u64) -> Graph {
+pub(crate) fn random_graph(nodes: usize, avg_degree: usize, stream: u64) -> Graph {
     let mut r = rng_stream(stream);
     let mut offsets = Vec::with_capacity(nodes + 1);
     let mut edges = Vec::new();
@@ -157,6 +152,7 @@ pub fn random_graph(nodes: usize, avg_degree: usize, stream: u64) -> Graph {
         offsets.push(edges.len() as i32);
     }
     Graph {
+        #[cfg(test)]
         nodes,
         offsets,
         edges,
@@ -166,10 +162,9 @@ pub fn random_graph(nodes: usize, avg_degree: usize, stream: u64) -> Graph {
 /// A bipartite graph U → V in CSR form (used by the graph-projection
 /// kernel, paper §VII-A: recommendation systems, disease association).
 #[derive(Debug, Clone)]
-pub struct Bipartite {
-    /// Vertices on the U side.
-    pub u_nodes: usize,
+pub(crate) struct Bipartite {
     /// Vertices on the V side.
+    #[cfg(test)]
     pub v_nodes: usize,
     /// Offsets into `edges` per U vertex.
     pub offsets: Vec<i32>,
@@ -178,7 +173,7 @@ pub struct Bipartite {
 }
 
 /// A random bipartite graph with average U-degree `avg_degree`.
-pub fn random_bipartite(u_nodes: usize, v_nodes: usize, avg_degree: usize, stream: u64) -> Bipartite {
+pub(crate) fn random_bipartite(u_nodes: usize, v_nodes: usize, avg_degree: usize, stream: u64) -> Bipartite {
     let mut r = rng_stream(stream);
     let mut offsets = Vec::with_capacity(u_nodes + 1);
     let mut edges = Vec::new();
@@ -191,7 +186,7 @@ pub fn random_bipartite(u_nodes: usize, v_nodes: usize, avg_degree: usize, strea
         offsets.push(edges.len() as i32);
     }
     Bipartite {
-        u_nodes,
+        #[cfg(test)]
         v_nodes,
         offsets,
         edges,
@@ -199,7 +194,7 @@ pub fn random_bipartite(u_nodes: usize, v_nodes: usize, avg_degree: usize, strea
 }
 
 /// Random 3-D points in the unit cube, as three coordinate arrays.
-pub fn point_cloud(n: usize, stream: u64) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+pub(crate) fn point_cloud(n: usize, stream: u64) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
     let mut r = rng_stream(stream);
     let mut xs = Vec::with_capacity(n);
     let mut ys = Vec::with_capacity(n);

@@ -8,13 +8,13 @@
 //! covers, and can lower the accelerated portion to an IR kernel of
 //! accelerator invocations for simulation.
 //!
-//! * [`convnet`] — a residual CNN: conv/BN/ReLU stem, three residual
+//! * `convnet` — a residual CNN: conv/BN/ReLU stem, three residual
 //!   blocks, pooling, and a dense classifier. Training is modeled as
 //!   forward + backward; conv *backward* has no accelerator, so the
 //!   speedup is modest (paper: 7.22× EDP).
 //! * [`graphsage`] — random-walk sampling + CBOW-style embedding + dense
 //!   layers. The walk/embedding stays on the CPU (paper: 38× EDP).
-//! * [`recsys`] — two dense+ReLU+BN blocks and a final dense layer,
+//! * `recsys` — two dense+ReLU+BN blocks and a final dense layer,
 //!   entirely accelerable (paper: 282.24× EDP).
 
 use mosaic_ir::{AccelOp, MemImage, Module, RtVal, Type};
@@ -126,7 +126,7 @@ impl KerasApp {
     }
 
     /// Operations in accelerable layers.
-    pub fn accelerable_ops(&self) -> u64 {
+    fn accelerable_ops(&self) -> u64 {
         self.layers
             .iter()
             .filter(|l| l.is_accelerable())
@@ -170,12 +170,12 @@ impl KerasApp {
 }
 
 /// Batch size used by all three applications.
-pub const BATCH: i64 = 32;
+const BATCH: i64 = 32;
 
 /// The residual CNN of §VII-C. Forward convolutions are accelerated;
 /// their backward passes are not ("we do not have accelerators for
 /// backpropagation of convolutional layers").
-pub fn convnet() -> KerasApp {
+fn convnet() -> KerasApp {
     let (h, w) = (32, 32);
     let mut layers = vec![
         Layer::conv("stem.conv", 3 * BATCH, 16, h, w, 3, true),
@@ -260,7 +260,7 @@ pub fn graphsage() -> KerasApp {
 
 /// RecSys (paper §VII-C): "entirely handled by accelerators", hence the
 /// largest EDP improvement.
-pub fn recsys() -> KerasApp {
+fn recsys() -> KerasApp {
     let items = 2048i64;
     let hidden = 512i64;
     let layers = vec![

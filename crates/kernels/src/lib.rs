@@ -23,6 +23,7 @@
 //! function, arguments, and the filled memory image — ready for tracing.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod data;
@@ -77,19 +78,19 @@ impl Prepared {
 
 /// Emits the standard SPMD prologue: returns `(tid, num_tiles)` as `i64`
 /// operands.
-pub fn emit_spmd_ids(b: &mut FunctionBuilder<'_>) -> (Operand, Operand) {
+pub(crate) fn emit_spmd_ids(b: &mut FunctionBuilder<'_>) -> (Operand, Operand) {
     let tid = b.tile_id();
     let nt = b.num_tiles();
     (tid, nt)
 }
 
 /// Shorthand for an `i64` constant operand.
-pub fn c64(v: i64) -> Operand {
+pub(crate) fn c64(v: i64) -> Operand {
     Constant::i64(v).into()
 }
 
 /// Shorthand for an `f32` constant operand.
-pub fn cf32(v: f32) -> Operand {
+pub(crate) fn cf32(v: f32) -> Operand {
     Constant::f32(v).into()
 }
 

@@ -13,14 +13,14 @@ use super::emit_if;
 use crate::{c64, data, emit_spmd_ids, Prepared};
 
 /// Vertices at scale 1.
-pub const BASE_NODES: usize = 1200;
+const BASE_NODES: usize = 1200;
 /// Average out-degree.
-pub const AVG_DEGREE: usize = 6;
+pub(crate) const AVG_DEGREE: usize = 6;
 /// Frontier sweeps (levels) executed.
-pub const LEVELS: i64 = 6;
+const LEVELS: i64 = 6;
 
 /// Builds the BFS kernel at `scale`.
-pub fn build(scale: u32) -> Prepared {
+pub(crate) fn build(scale: u32) -> Prepared {
     build_with_nodes(BASE_NODES * scale as usize)
 }
 

@@ -6,14 +6,14 @@ use mosaic_ir::{BinOp, CastKind, FloatPredicate, Intrinsic, MemImage, Module, Rt
 use crate::{c64, cf32, data, emit_spmd_ids, Prepared};
 
 /// Grid points at scale 1.
-pub const BASE_GRID: usize = 500;
+const BASE_GRID: usize = 500;
 /// Atoms at scale 1.
-pub const BASE_ATOMS: usize = 60;
+const BASE_ATOMS: usize = 60;
 /// Squared cutoff radius.
-pub const CUTOFF2: f32 = 0.25;
+const CUTOFF2: f32 = 0.25;
 
 /// Builds the CUTCP kernel at `scale`.
-pub fn build(scale: u32) -> Prepared {
+pub(crate) fn build(scale: u32) -> Prepared {
     build_with(BASE_GRID * scale as usize, BASE_ATOMS * scale as usize)
 }
 

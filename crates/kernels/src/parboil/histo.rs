@@ -7,17 +7,17 @@ use mosaic_ir::{BinOp, CastKind, Intrinsic, MemImage, Module, RtVal, Type};
 use crate::{data, emit_spmd_ids, Prepared};
 
 /// Input elements at scale 1.
-pub const BASE_INPUT: usize = 16_000;
+const BASE_INPUT: usize = 16_000;
 /// Histogram bins.
-pub const BINS: i32 = 256;
+pub(crate) const BINS: i32 = 256;
 
 /// Builds the HISTO kernel at `scale`.
-pub fn build(scale: u32) -> Prepared {
+pub(crate) fn build(scale: u32) -> Prepared {
     build_with_input(BASE_INPUT * scale as usize)
 }
 
 /// Builds HISTO over `n` random inputs.
-pub fn build_with_input(n: usize) -> Prepared {
+fn build_with_input(n: usize) -> Prepared {
     let input = data::i32_vec(n, BINS, 30);
 
     let mut module = Module::new("histo");

@@ -6,12 +6,12 @@ use mosaic_ir::{BinOp, MemImage, Module, Operand, RtVal, Type};
 use crate::{c64, cf32, data, emit_spmd_ids, Prepared};
 
 /// Lattice cells at scale 1.
-pub const BASE_CELLS: usize = 1600;
+const BASE_CELLS: usize = 1600;
 /// Distribution directions (D2Q9).
-pub const Q: usize = 9;
+pub(crate) const Q: usize = 9;
 
 /// D2Q9 lattice weights.
-pub const WEIGHTS: [f32; 9] = [
+const WEIGHTS: [f32; 9] = [
     4.0 / 9.0,
     1.0 / 9.0,
     1.0 / 9.0,
@@ -24,10 +24,10 @@ pub const WEIGHTS: [f32; 9] = [
 ];
 
 /// Relaxation parameter.
-pub const OMEGA: f32 = 0.8;
+const OMEGA: f32 = 0.8;
 
 /// Builds the LBM kernel at `scale`.
-pub fn build(scale: u32) -> Prepared {
+pub(crate) fn build(scale: u32) -> Prepared {
     build_with_cells(BASE_CELLS * scale as usize)
 }
 

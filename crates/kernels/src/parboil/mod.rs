@@ -12,15 +12,15 @@
 
 pub mod bfs;
 pub mod cutcp;
-pub mod histo;
+pub(crate) mod histo;
 pub mod lbm;
 pub mod mri_gridding;
-pub mod mri_q;
-pub mod sad;
+pub(crate) mod mri_q;
+pub(crate) mod sad;
 pub mod sgemm;
 pub mod spmv;
-pub mod stencil;
-pub mod tpacf;
+pub(crate) mod stencil;
+pub(crate) mod tpacf;
 
 use mosaic_ir::{FunctionBuilder, Operand};
 

@@ -6,12 +6,12 @@ use mosaic_ir::{BinOp, CastKind, Intrinsic, MemImage, Module, RtVal, Type};
 use crate::{c64, cf32, data, emit_spmd_ids, Prepared};
 
 /// Samples at scale 1.
-pub const BASE_SAMPLES: usize = 1500;
+pub(crate) const BASE_SAMPLES: usize = 1500;
 /// Grid edge length.
-pub const GRID_DIM: usize = 16;
+const GRID_DIM: usize = 16;
 
 /// Builds the MRI-GRIDDING kernel at `scale`.
-pub fn build(scale: u32) -> Prepared {
+pub(crate) fn build(scale: u32) -> Prepared {
     build_with_samples(BASE_SAMPLES * scale as usize)
 }
 

@@ -6,17 +6,17 @@ use mosaic_ir::{BinOp, Intrinsic, MemImage, Module, RtVal, Type};
 use crate::{c64, cf32, data, emit_spmd_ids, Prepared};
 
 /// Voxels at scale 1.
-pub const BASE_VOXELS: usize = 200;
+const BASE_VOXELS: usize = 200;
 /// K-space samples at scale 1.
-pub const BASE_SAMPLES: usize = 48;
+pub(crate) const BASE_SAMPLES: usize = 48;
 
 /// Builds the MRI-Q kernel at `scale`.
-pub fn build(scale: u32) -> Prepared {
+pub(crate) fn build(scale: u32) -> Prepared {
     build_with(BASE_VOXELS * scale as usize, BASE_SAMPLES * scale as usize)
 }
 
 /// Builds MRI-Q with explicit voxel/sample counts.
-pub fn build_with(voxels: usize, samples: usize) -> Prepared {
+pub(crate) fn build_with(voxels: usize, samples: usize) -> Prepared {
     let (x, y, z) = data::point_cloud(voxels, 60);
     let (kx, ky, kz) = data::point_cloud(samples, 61);
     let phi = data::f32_vec(samples, 62);

@@ -6,17 +6,17 @@ use mosaic_ir::{BinOp, Intrinsic, MemImage, Module, RtVal, Type};
 use crate::{c64, data, emit_spmd_ids, Prepared};
 
 /// Block positions at scale 1.
-pub const BASE_BLOCKS: usize = 2500;
+const BASE_BLOCKS: usize = 2500;
 /// Window elements per SAD.
-pub const WINDOW: i64 = 16;
+const WINDOW: i64 = 16;
 
 /// Builds the SAD kernel at `scale`.
-pub fn build(scale: u32) -> Prepared {
+pub(crate) fn build(scale: u32) -> Prepared {
     build_with_blocks(BASE_BLOCKS * scale as usize)
 }
 
 /// Builds SAD over `blocks` window positions.
-pub fn build_with_blocks(blocks: usize) -> Prepared {
+fn build_with_blocks(blocks: usize) -> Prepared {
     let n = blocks + WINDOW as usize;
     let cur = data::i32_vec(n, 256, 70);
     let refr = data::i32_vec(n, 256, 71);

@@ -8,11 +8,11 @@ use mosaic_ir::{BinOp, MemImage, Module, RtVal, Type};
 use crate::{c64, cf32, data, emit_spmd_ids, Prepared};
 
 /// Default matrix dimension at scale 1.
-pub const BASE_DIM: usize = 40;
+pub(crate) const BASE_DIM: usize = 40;
 
 /// Builds the SGEMM kernel at `scale` (matrices are `BASE_DIM * scale`
 /// square).
-pub fn build(scale: u32) -> Prepared {
+pub(crate) fn build(scale: u32) -> Prepared {
     let dim = BASE_DIM * scale as usize;
     build_with_dims(dim, dim, dim)
 }

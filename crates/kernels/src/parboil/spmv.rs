@@ -9,9 +9,9 @@ use mosaic_ir::{BinOp, CastKind, MemImage, Module, RtVal, Type};
 use crate::{c64, cf32, data, emit_spmd_ids, Prepared};
 
 /// Rows at scale 1.
-pub const BASE_ROWS: usize = 2000;
+const BASE_ROWS: usize = 2000;
 /// Average non-zeros per row.
-pub const NNZ_PER_ROW: usize = 8;
+const NNZ_PER_ROW: usize = 8;
 
 /// Builds the SPMV kernel at `scale`.
 pub fn build(scale: u32) -> Prepared {

@@ -6,15 +6,15 @@ use mosaic_ir::{BinOp, MemImage, Module, RtVal, Type};
 use crate::{c64, cf32, data, emit_spmd_ids, Prepared};
 
 /// Grid edge length at scale 1.
-pub const BASE_DIM: usize = 20;
+pub(crate) const BASE_DIM: usize = 20;
 
 /// Builds the STENCIL kernel at `scale` (grid edge = `BASE_DIM * scale`).
-pub fn build(scale: u32) -> Prepared {
+pub(crate) fn build(scale: u32) -> Prepared {
     build_with_dim(BASE_DIM * scale as usize)
 }
 
 /// Builds the stencil over an `n³` grid.
-pub fn build_with_dim(n: usize) -> Prepared {
+fn build_with_dim(n: usize) -> Prepared {
     let mut module = Module::new("stencil");
     let f = module.add_function(
         "stencil",

@@ -6,20 +6,20 @@ use mosaic_ir::{BinOp, CastKind, FloatPredicate, MemImage, Module, RtVal, Type};
 use crate::{c64, data, emit_spmd_ids, Prepared};
 
 /// Points at scale 1.
-pub const BASE_POINTS: usize = 100;
+const BASE_POINTS: usize = 100;
 /// Histogram bins (angular separation thresholds).
-pub const BINS: usize = 8;
+pub(crate) const BINS: usize = 8;
 
 /// Bin edges on the dot-product value (cosine of angular separation).
-pub const EDGES: [f32; BINS] = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8];
+const EDGES: [f32; BINS] = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8];
 
 /// Builds the TPACF kernel at `scale`.
-pub fn build(scale: u32) -> Prepared {
+pub(crate) fn build(scale: u32) -> Prepared {
     build_with_points(BASE_POINTS * scale as usize)
 }
 
 /// Builds TPACF over `n` unit-cube points.
-pub fn build_with_points(n: usize) -> Prepared {
+fn build_with_points(n: usize) -> Prepared {
     let (xs, ys, zs) = data::point_cloud(n, 100);
 
     let mut module = Module::new("tpacf");

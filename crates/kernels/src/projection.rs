@@ -14,14 +14,14 @@ use mosaic_ir::{BinOp, CastKind, MemImage, Module, RtVal, Type};
 use crate::{c64, data, emit_spmd_ids, Prepared};
 
 /// U-side vertices at scale 1.
-pub const BASE_U: usize = 300;
+const BASE_U: usize = 300;
 /// V-side vertices at scale 1: sized so the projection matrix
 /// (V² × 4 B = 4 MB) exceeds the 2 MB shared L2 of the DAE case-study
 /// memory system — the kernel must be memory-latency-bound for the
 /// paper's Fig. 11 story to hold.
-pub const BASE_V: usize = 1024;
+const BASE_V: usize = 1024;
 /// Average U-side degree.
-pub const AVG_DEGREE: usize = 4;
+pub(crate) const AVG_DEGREE: usize = 4;
 
 /// Builds the projection kernel at `scale`.
 pub fn build(scale: u32) -> Prepared {

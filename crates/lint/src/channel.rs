@@ -44,7 +44,7 @@ struct Endpoint {
 }
 
 /// Runs the channel-protocol pass over one configured system.
-pub fn run(module: &Module, tiles: &[TileBinding], report: &mut LintReport) {
+pub(crate) fn run(module: &Module, tiles: &[TileBinding], report: &mut LintReport) {
     let mut sends: Vec<Endpoint> = Vec::new();
     let mut recvs: Vec<Endpoint> = Vec::new();
     // Per send endpoint: the set of system channels qa such that a recv

@@ -11,7 +11,7 @@ use crate::{Diagnostic, LintReport, Severity};
 const PASS: &str = "dataflow";
 
 /// Runs every per-function dataflow lint over every function.
-pub fn run(module: &Module, report: &mut LintReport) {
+pub(crate) fn run(module: &Module, report: &mut LintReport) {
     for func in module.functions() {
         if func.block_count() == 0 {
             continue;

@@ -8,13 +8,13 @@
 //!
 //! Passes (see `DESIGN.md` §4.4 for the catalog with example output):
 //!
-//! * **channel-protocol** ([`channel`]) — per-channel send/recv effect
+//! * **channel-protocol** (`channel`) — per-channel send/recv effect
 //!   counting with loop-trip-count bounds, unmatched-endpoint detection
 //!   under per-tile queue offsets, and provable self-wait cycles.
-//! * **race** ([`race`]) — each tile's statically bounded
+//! * **race** (`race`) — each tile's statically bounded
 //!   [`mosaic_ir::analysis::Footprint`], flagging conflicting load/store
 //!   regions on tiles with no channel-ordered happens-before edge.
-//! * **dataflow lints** ([`dataflow_lints`]) — use-before-initialize
+//! * **dataflow lints** (`dataflow_lints`) — use-before-initialize
 //!   (SSA dominance), dead stores, dead values, unreachable blocks, dead
 //!   phi inputs.
 //!
@@ -54,11 +54,12 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
-pub mod channel;
-pub mod dataflow_lints;
-pub mod race;
+pub(crate) mod channel;
+mod dataflow_lints;
+pub(crate) mod race;
 
 use std::fmt;
 
@@ -128,7 +129,7 @@ impl Diagnostic {
     /// Serializes the diagnostic as one compact JSON object (for the
     /// CLI's `--json` mode and downstream tooling). Optional fields
     /// render as `null`.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let opt = |v: Option<u64>| v.map(|n| n.to_string()).unwrap_or_else(|| "null".into());
         format!(
             "{{\"severity\":\"{}\",\"pass\":\"{}\",\"func\":\"{}\",\"func_id\":{},\

@@ -69,7 +69,7 @@ fn connected_components(module: &Module, tiles: &[TileBinding]) -> Vec<usize> {
 }
 
 /// Runs the race pass over one configured system.
-pub fn run(module: &Module, tiles: &[TileBinding], report: &mut LintReport) {
+pub(crate) fn run(module: &Module, tiles: &[TileBinding], report: &mut LintReport) {
     let comp = connected_components(module, tiles);
     // Each tile's bounded accesses that provably execute (conditionally
     // run blocks, e.g. guarded by a tile-id branch, cannot prove a race),

@@ -67,7 +67,7 @@ struct Bank {
 
 /// The banked DRAM model.
 #[derive(Debug, Clone)]
-pub struct BankedDram {
+pub(crate) struct BankedDram {
     config: BankedDramConfig,
     /// log2 of the line size requests are interleaved at.
     line_shift: u32,
@@ -89,7 +89,7 @@ pub struct BankedDram {
 impl BankedDram {
     /// Creates the model for `line_bytes`-byte lines (a power of two):
     /// consecutive lines go to consecutive channels, then banks.
-    pub fn new(config: BankedDramConfig, line_bytes: u32) -> Self {
+    pub(crate) fn new(config: BankedDramConfig, line_bytes: u32) -> Self {
         assert!(
             line_bytes.is_power_of_two(),
             "line size must be a power of two"
@@ -116,11 +116,6 @@ impl BankedDram {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &BankedDramConfig {
-        &self.config
-    }
-
     fn map(&self, addr: u64) -> (usize, usize, u64) {
         // Line-interleave across channels, then banks; row = higher bits.
         let line = addr >> self.line_shift;
@@ -135,7 +130,7 @@ impl BankedDram {
     /// Attempts to enqueue a line request; returns `false` when the target
     /// bank queue is full (caller retries next cycle). The arrival cycle
     /// plays no part: a bank schedules by open row and queue order.
-    pub fn try_enqueue(&mut self, id: ReqId, addr: u64, _now: u64) -> bool {
+    pub(crate) fn try_enqueue(&mut self, id: ReqId, addr: u64, _now: u64) -> bool {
         let (_, bank, row) = self.map(addr);
         let b = &mut self.banks[bank];
         if b.queue.len() >= self.config.queue_depth {
@@ -149,7 +144,7 @@ impl BankedDram {
 
     /// Advances to cycle `now`, appending completed requests to `done`.
     #[inline]
-    pub fn step(&mut self, now: u64, done: &mut Vec<ReqId>) {
+    pub(crate) fn step(&mut self, now: u64, done: &mut Vec<ReqId>) {
         if now >= self.next_due {
             self.step_due(now, done);
         }
@@ -217,14 +212,14 @@ impl BankedDram {
     }
 
     /// Whether the model has no outstanding work.
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.next_due == u64::MAX
     }
 
     /// Earliest cycle `>= now` at which a step could make progress (a
     /// bank that is already free schedules on the very next step); steps
     /// before it do nothing. `None` when fully idle.
-    pub fn next_event_cycle(&self, now: u64) -> Option<u64> {
+    pub(crate) fn next_event_cycle(&self, now: u64) -> Option<u64> {
         (!self.is_idle()).then(|| self.next_due.max(now))
     }
 

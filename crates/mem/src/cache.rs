@@ -61,7 +61,7 @@ impl CacheConfig {
     }
 
     /// The cache's name (for stats reports).
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -93,7 +93,7 @@ impl CacheConfig {
 
 /// Result of installing a line.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FillOutcome {
+pub(crate) struct FillOutcome {
     /// Evicted line address (line-aligned), if a valid line was displaced.
     pub evicted: Option<u64>,
     /// Whether the evicted line was dirty (needs write-back, paper §V-A).
@@ -165,7 +165,7 @@ impl Block {
 
 /// A tag-only set-associative cache with LRU replacement.
 #[derive(Debug, Clone)]
-pub struct Cache {
+pub(crate) struct Cache {
     config: CacheConfig,
     /// Geometry, resolved once: a lookup shifts and masks where the
     /// configuration would have it divide.
@@ -194,7 +194,7 @@ pub struct Cache {
 
 impl Cache {
     /// Creates a cache from its configuration.
-    pub fn new(config: CacheConfig) -> Self {
+    pub(crate) fn new(config: CacheConfig) -> Self {
         let (sets, ways) = (config.sets(), config.ways() as usize);
         // The largest power of two of sets that fits a block.
         let block_shift = (BLOCK_WAYS / ways).max(1).ilog2();
@@ -212,13 +212,8 @@ impl Cache {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
-    }
-
     /// Line-aligns an address.
-    pub fn line_of(&self, addr: u64) -> u64 {
+    pub(crate) fn line_of(&self, addr: u64) -> u64 {
         addr >> self.line_shift << self.line_shift
     }
 
@@ -253,7 +248,7 @@ impl Cache {
     /// hit, updates LRU and (for writes) the dirty bit and returns `true`;
     /// when it is absent changes nothing — the caller decides whether the
     /// miss counts ([`Cache::count_miss`]) or the access is retried.
-    pub fn touch(&mut self, addr: u64, write: bool) -> bool {
+    pub(crate) fn touch(&mut self, addr: u64, write: bool) -> bool {
         let (set, tag) = self.set_and_tag(addr);
         let (block, s) = self.block_of(set);
         let Some(block) = self.lines[block].as_mut() else {
@@ -274,13 +269,13 @@ impl Cache {
 
     /// Counts an access as a miss, for a caller that has found the line
     /// absent with [`Cache::touch`].
-    pub fn count_miss(&mut self) {
+    pub(crate) fn count_miss(&mut self) {
         self.tick += 1;
         self.misses += 1;
     }
 
     /// Checks for presence without perturbing LRU or counters.
-    pub fn probe(&self, addr: u64) -> bool {
+    pub(crate) fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.set_and_tag(addr);
         let (block, s) = self.block_of(set);
         let block = self.lines[block].as_ref();
@@ -289,7 +284,7 @@ impl Cache {
 
     /// Installs the line containing `addr`, evicting the LRU way if
     /// needed. `dirty` marks the installed line (write-allocate stores).
-    pub fn fill(&mut self, addr: u64, dirty: bool) -> FillOutcome {
+    pub(crate) fn fill(&mut self, addr: u64, dirty: bool) -> FillOutcome {
         self.tick += 1;
         let (tick, ways) = (self.tick, self.ways);
         let (set, tag) = self.set_and_tag(addr);
@@ -322,7 +317,7 @@ impl Cache {
 
     /// Invalidates the line containing `addr` (back-invalidation keeps the
     /// hierarchy inclusive). Returns whether the line was present & dirty.
-    pub fn invalidate(&mut self, addr: u64) -> bool {
+    pub(crate) fn invalidate(&mut self, addr: u64) -> bool {
         let (set, tag) = self.set_and_tag(addr);
         let (block, s) = self.block_of(set);
         let Some(block) = self.lines[block].as_mut() else {
@@ -337,22 +332,23 @@ impl Cache {
     }
 
     /// Hit count.
-    pub fn hits(&self) -> u64 {
+    pub(crate) fn hits(&self) -> u64 {
         self.hits
     }
 
     /// Miss count.
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.misses
     }
 
     /// Access count (hits + misses).
-    pub fn accesses(&self) -> u64 {
+    pub(crate) fn accesses(&self) -> u64 {
         self.hits + self.misses
     }
 
     /// Miss ratio in `[0, 1]` (0 when never accessed).
-    pub fn miss_ratio(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn miss_ratio(&self) -> f64 {
         match self.accesses() {
             0 => 0.0,
             accesses => self.misses as f64 / accesses as f64,

@@ -81,7 +81,7 @@ impl NocConfig {
     }
 
     /// One-way latency from `tile` to the shared level.
-    pub fn latency(&self, tile: usize) -> u64 {
+    pub(crate) fn latency(&self, tile: usize) -> u64 {
         self.hops(tile) * self.hop_latency
     }
 }
@@ -484,13 +484,8 @@ impl MemoryHierarchy {
         self.dram.register_into(reg);
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &HierarchyConfig {
-        &self.config
-    }
-
     /// Number of tiles served.
-    pub fn tile_count(&self) -> usize {
+    pub(crate) fn tile_count(&self) -> usize {
         self.levels[Level::L1 as usize].caches.len()
     }
 
@@ -872,11 +867,6 @@ impl MemoryHierarchy {
     /// (0 for the banked model).
     pub fn dram_throttled_cycles(&self) -> u64 {
         self.dram.throttled_cycles()
-    }
-
-    /// Per-tile L1 miss ratio (for characterization reports).
-    pub fn l1_miss_ratio(&self, tile: usize) -> f64 {
-        self.levels[Level::L1 as usize].caches[tile].miss_ratio()
     }
 }
 

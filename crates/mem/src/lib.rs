@@ -4,8 +4,9 @@
 //! and shared set-associative caches (write-back, write-allocate, fully
 //! inclusive), per-cache MSHRs for request coalescing, a configurable
 //! stream prefetcher, and two DRAM timing models — [`SimpleDram`]
-//! (minimum latency + epoch bandwidth cap, the default) and [`BankedDram`]
-//! (a row-buffer/bank-conflict model standing in for DRAMSim2).
+//! (minimum latency + epoch bandwidth cap, the default) and `BankedDram`
+//! (a row-buffer/bank-conflict model standing in for DRAMSim2, set up by
+//! [`BankedDramConfig`]).
 //!
 //! [`MemoryHierarchy`] composes them behind a cycle-driven request →
 //! completion interface that the tile models use for every load, store,
@@ -35,6 +36,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 mod banked;
@@ -47,10 +49,9 @@ mod ring;
 mod simple_dram;
 mod wheel;
 
-pub use banked::{BankedDram, BankedDramConfig};
-pub use cache::{Cache, CacheConfig, FillOutcome};
+pub use banked::BankedDramConfig;
+pub use cache::CacheConfig;
 pub use hierarchy::{DramKind, HierarchyConfig, MemError, MemStats, MemoryHierarchy, NocConfig};
-pub use mshr::{Mshr, MshrOutcome};
 pub use prefetch::{PrefetchConfig, StreamPrefetcher};
 pub use req::{AccessKind, Completion, MemReq, ReqId};
 pub use simple_dram::{SimpleDram, SimpleDramConfig};
@@ -61,7 +62,7 @@ mod test_rng {
     pub(crate) struct TestRng(pub u64);
 
     impl TestRng {
-        pub fn next(&mut self) -> u64 {
+        pub(crate) fn next(&mut self) -> u64 {
             self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
             let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -69,7 +70,7 @@ mod test_rng {
             z ^ (z >> 31)
         }
 
-        pub fn below(&mut self, bound: u64) -> u64 {
+        pub(crate) fn below(&mut self, bound: u64) -> u64 {
             ((u128::from(self.next()) * u128::from(bound)) >> 64) as u64
         }
     }
@@ -81,6 +82,7 @@ mod invariant_tests {
     //! rewritten against a fixed-seed generator so the crate has no
     //! external dev-dependencies).
     use super::test_rng::TestRng;
+    use crate::cache::Cache;
     use super::*;
 
     fn addr_vec(r: &mut TestRng, max_len: usize, bound: u64) -> Vec<u64> {

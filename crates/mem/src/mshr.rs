@@ -12,7 +12,7 @@ use crate::req::ReqId;
 
 /// Result of attempting to track a miss in the MSHR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MshrOutcome {
+pub(crate) enum MshrOutcome {
     /// A new entry was allocated: the caller must forward the miss to the
     /// next level.
     Allocated,
@@ -31,7 +31,7 @@ pub enum MshrOutcome {
 /// line that takes the slot — tracking and completing allocate nothing
 /// once the lists have grown to what the run needs.
 #[derive(Debug, Clone)]
-pub struct Mshr {
+pub(crate) struct Mshr {
     capacity: usize,
     /// Pending lines, in no particular order.
     lines: Vec<u64>,
@@ -48,7 +48,7 @@ impl Mshr {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "MSHR capacity must be positive");
         Mshr {
             capacity,
@@ -59,13 +59,8 @@ impl Mshr {
         }
     }
 
-    /// Capacity in entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Outstanding distinct lines.
-    pub fn occupancy(&self) -> usize {
+    pub(crate) fn occupancy(&self) -> usize {
         self.lines.len()
     }
 
@@ -74,7 +69,7 @@ impl Mshr {
     }
 
     /// Tracks a miss for `line` by request `id`.
-    pub fn track(&mut self, line: u64, id: ReqId) -> MshrOutcome {
+    pub(crate) fn track(&mut self, line: u64, id: ReqId) -> MshrOutcome {
         if let Some(slot) = self.slot_of(line) {
             self.waiters[slot].push(id);
             self.coalesced += 1;
@@ -105,7 +100,7 @@ impl Mshr {
 
     /// Completes `line`, appending every waiting request to `out` in the
     /// order they were tracked.
-    pub fn complete(&mut self, line: u64, out: &mut Vec<ReqId>) {
+    pub(crate) fn complete(&mut self, line: u64, out: &mut Vec<ReqId>) {
         let Some(slot) = self.slot_of(line) else {
             return;
         };
@@ -118,12 +113,12 @@ impl Mshr {
     }
 
     /// Requests that were coalesced onto existing entries.
-    pub fn coalesced_count(&self) -> u64 {
+    pub(crate) fn coalesced_count(&self) -> u64 {
         self.coalesced
     }
 
     /// Times a request found the file full.
-    pub fn full_stall_count(&self) -> u64 {
+    pub(crate) fn full_stall_count(&self) -> u64 {
         self.full_stalls
     }
 }

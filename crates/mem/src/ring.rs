@@ -19,7 +19,7 @@ pub(crate) struct IdRing<T> {
 }
 
 impl<T> IdRing<T> {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         IdRing {
             base: 0,
             slots: VecDeque::new(),
@@ -29,7 +29,7 @@ impl<T> IdRing<T> {
 
     /// Adds `id`, which must be above every id added before. Ids skipped
     /// (a restore lists live requests only) become dead slots.
-    pub fn insert(&mut self, id: u64, value: T) {
+    pub(crate) fn insert(&mut self, id: u64, value: T) {
         if self.slots.is_empty() {
             self.base = id;
         }
@@ -42,18 +42,18 @@ impl<T> IdRing<T> {
         self.live += 1;
     }
 
-    pub fn get(&self, id: u64) -> Option<&T> {
+    pub(crate) fn get(&self, id: u64) -> Option<&T> {
         let at = id.checked_sub(self.base)?;
         self.slots.get(at as usize)?.as_ref()
     }
 
-    pub fn get_mut(&mut self, id: u64) -> Option<&mut T> {
+    pub(crate) fn get_mut(&mut self, id: u64) -> Option<&mut T> {
         let at = id.checked_sub(self.base)?;
         self.slots.get_mut(at as usize)?.as_mut()
     }
 
     /// Takes `id` out; dead slots at the front leave with it.
-    pub fn remove(&mut self, id: u64) -> Option<T> {
+    pub(crate) fn remove(&mut self, id: u64) -> Option<T> {
         let at = id.checked_sub(self.base)?;
         let value = self.slots.get_mut(at as usize)?.take()?;
         self.live -= 1;
@@ -65,21 +65,21 @@ impl<T> IdRing<T> {
     }
 
     /// Live entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.live
     }
 
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.live == 0
     }
 
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.slots.clear();
         self.live = 0;
     }
 
     /// Live entries in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
         let ids = self.base..;
         ids.zip(&self.slots)
             .filter_map(|(id, slot)| Some((id, slot.as_ref()?)))

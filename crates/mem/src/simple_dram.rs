@@ -88,11 +88,6 @@ impl SimpleDram {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &SimpleDramConfig {
-        &self.config
-    }
-
     /// Enqueues a line request at `now` (no earlier than any `now` before
     /// it); it can complete no earlier than `now + min_latency`. The queue
     /// is unbounded and no line is slower than another, so this always
@@ -166,7 +161,7 @@ impl SimpleDram {
     }
 
     /// Whether any requests are outstanding.
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.queue.is_empty()
     }
 

@@ -60,7 +60,7 @@ pub(crate) struct Wheel<T> {
 
 impl<T: Copy> Wheel<T> {
     /// A wheel whose window covers delays up to `max_delay` cycles.
-    pub fn new(max_delay: u64) -> Self {
+    pub(crate) fn new(max_delay: u64) -> Self {
         let span = (max_delay.saturating_add(1))
             .clamp(MIN_SPAN, MAX_SPAN)
             .next_power_of_two();
@@ -80,7 +80,7 @@ impl<T: Copy> Wheel<T> {
 
     /// Schedules `event` for `cycle`, at time `now` (`cycle >= now` except
     /// for zero-delay events raised after `now` was stepped).
-    pub fn schedule(&mut self, now: u64, cycle: u64, event: T) {
+    pub(crate) fn schedule(&mut self, now: u64, cycle: u64, event: T) {
         if self.in_wheel == 0 {
             // Nothing pins the window: bring it to the present, so the
             // first event after an idle stretch lands in a bucket.
@@ -91,7 +91,7 @@ impl<T: Copy> Wheel<T> {
     }
 
     /// Queues an event under a `seq` it already has (restore).
-    pub fn insert(&mut self, cycle: u64, seq: u64, event: T) {
+    pub(crate) fn insert(&mut self, cycle: u64, seq: u64, event: T) {
         if cycle.wrapping_sub(self.base) <= self.mask {
             let slot = (cycle & self.mask) as usize;
             self.buckets[slot].push_back((seq, event));
@@ -110,12 +110,12 @@ impl<T: Copy> Wheel<T> {
 
     /// Cycle of the earliest queued event, `u64::MAX` when empty. A drain
     /// at any earlier cycle pops nothing.
-    pub fn due(&self) -> u64 {
+    pub(crate) fn due(&self) -> u64 {
         self.due
     }
 
     /// Removes the next event due at or before `now`.
-    pub fn pop_due(&mut self, now: u64) -> Option<T> {
+    pub(crate) fn pop_due(&mut self, now: u64) -> Option<T> {
         if self.due > now {
             return None;
         }
@@ -143,7 +143,7 @@ impl<T: Copy> Wheel<T> {
 
     /// Moves the window up to `now` once [`Self::pop_due`] has returned
     /// `None` for it (so every bucketed event lies after `now`).
-    pub fn advance(&mut self, now: u64) {
+    pub(crate) fn advance(&mut self, now: u64) {
         debug_assert!(self.wheel_next > now, "advance past a due event");
         self.base = self.base.max(now);
     }
@@ -168,13 +168,13 @@ impl<T: Copy> Wheel<T> {
     }
 
     /// Queued events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.in_wheel + self.spill.len()
     }
 
     /// Drops every event and returns the window to cycle 0; the sequence
     /// counter is left alone.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.buckets.iter_mut().for_each(VecDeque::clear);
         self.occupied.fill(0);
         self.spill.clear();
@@ -184,7 +184,7 @@ impl<T: Copy> Wheel<T> {
 
     /// Calls `f(cycle, seq, event)` for every queued event in the order
     /// they would be popped.
-    pub fn for_each(&self, mut f: impl FnMut(u64, u64, &T)) {
+    pub(crate) fn for_each(&self, mut f: impl FnMut(u64, u64, &T)) {
         let mut spill = self.spill.iter().peekable();
         let (mut cycle, mut left) = (self.wheel_next, self.in_wheel);
         while left > 0 {

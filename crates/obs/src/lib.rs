@@ -36,6 +36,7 @@
 //! external dependencies.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod json;
@@ -43,7 +44,7 @@ mod profile;
 mod registry;
 mod timeline;
 
-pub use profile::{InstKey, InstProfile, IrProfile, ProfileTable, StallKind, STALL_KINDS};
+pub use profile::{InstProfile, IrProfile, ProfileTable, StallKind, STALL_KINDS};
 pub use registry::{Log2Histogram, StatValue, StatsRegistry};
 pub use timeline::{Category, Span, SpanName, Timeline};
 

@@ -54,7 +54,7 @@ impl StallKind {
 ///
 /// Raw `u32`s rather than IR types keep this crate dependency-free;
 /// `mosaic-report` maps keys back to printed IR using the module.
-pub type InstKey = (u32, u32);
+pub(crate) type InstKey = (u32, u32);
 
 /// Dynamic cost attributed to one static instruction.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -102,22 +102,26 @@ impl IrProfile {
     }
 
     /// Credits `n` retirements to `key`.
-    pub fn retire(&mut self, key: InstKey, n: u64) {
+    #[cfg(test)]
+    pub(crate) fn retire(&mut self, key: InstKey, n: u64) {
         self.map.entry(key).or_default().retired += n;
     }
 
     /// Charges `cycles` stall cycles of `kind` to `key`.
-    pub fn stall(&mut self, key: InstKey, kind: StallKind, cycles: u64) {
+    #[cfg(test)]
+    pub(crate) fn stall(&mut self, key: InstKey, kind: StallKind, cycles: u64) {
         self.map.entry(key).or_default().stalls[kind as usize] += cycles;
     }
 
     /// Records one observed memory latency for `key`.
-    pub fn mem_latency(&mut self, key: InstKey, latency: u64) {
+    #[cfg(test)]
+    pub(crate) fn mem_latency(&mut self, key: InstKey, latency: u64) {
         self.map.entry(key).or_default().mem_lat.record(latency);
     }
 
     /// The profile for `key`, if any cost was attributed.
-    pub fn get(&self, key: InstKey) -> Option<&InstProfile> {
+    #[cfg(test)]
+    pub(crate) fn get(&self, key: InstKey) -> Option<&InstProfile> {
         self.map.get(&key)
     }
 

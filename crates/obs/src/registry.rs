@@ -39,7 +39,7 @@ impl Log2Histogram {
     }
 
     /// The bucket index a value falls into.
-    pub fn bucket_of(value: u64) -> usize {
+    fn bucket_of(value: u64) -> usize {
         if value == 0 {
             0
         } else {
@@ -71,12 +71,13 @@ impl Log2Histogram {
     }
 
     /// Sum of all samples (saturating).
-    pub fn sum(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn sum(&self) -> u64 {
         self.sum
     }
 
     /// Smallest sample, or 0 when empty.
-    pub fn min(&self) -> u64 {
+    pub(crate) fn min(&self) -> u64 {
         if self.count == 0 {
             0
         } else {
@@ -85,12 +86,13 @@ impl Log2Histogram {
     }
 
     /// Largest sample.
-    pub fn max(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn max(&self) -> u64 {
         self.max
     }
 
     /// Mean sample value, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -137,7 +139,7 @@ impl Log2Histogram {
     }
 
     /// One-line human summary: `n=.. mean=.. p50=.. p99=.. max=..`.
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         format!(
             "n={} mean={:.1} p50={} p99={} max={}",
             self.count,
@@ -230,7 +232,7 @@ impl StatValue {
     }
 
     /// A short human rendering (used by the table dump).
-    pub fn display(&self) -> String {
+    pub(crate) fn display(&self) -> String {
         match self {
             StatValue::Counter(c) => c.to_string(),
             StatValue::Gauge(g) => format!("{g:.3}"),

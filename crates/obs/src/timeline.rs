@@ -38,7 +38,7 @@ impl Category {
     const ALL: [Category; 5] = [Self::Tile, Self::Stall, Self::Mem, Self::Dram, Self::Accel];
 
     /// The category as Chrome's `cat` field and a checkpoint spell it.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         ["tile", "stall", "mem", "dram", "accel"][self as usize]
     }
 }
@@ -96,6 +96,9 @@ pub struct Span {
     pub cat: Category,
     tag: u8,
 }
+
+// DESIGN.md §4.5 quotes the size.
+const _: () = assert!(size_of::<Span>() == 32);
 
 /// A sink of [`Span`]s plus track-naming metadata, exportable as
 /// Chrome `trace_event` JSON (the format `chrome://tracing` and

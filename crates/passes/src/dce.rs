@@ -18,7 +18,7 @@ use mosaic_ir::{FuncId, InstId, Module};
 /// ([`mosaic_ir::analysis::demanded_values`]), so what `mosaic-lint`
 /// reports as dead is exactly what this pass deletes — and side-effecting
 /// instructions, being roots, can never be deleted.
-pub fn eliminate_dead_code(module: &mut Module, func: FuncId) -> usize {
+pub(crate) fn eliminate_dead_code(module: &mut Module, func: FuncId) -> usize {
     let f = module.function(func);
     let live = demanded_values(f);
     let dead: Vec<InstId> = f
@@ -35,7 +35,8 @@ pub fn eliminate_dead_code(module: &mut Module, func: FuncId) -> usize {
 }
 
 /// Counts the executable (in-block) instructions of a function.
-pub fn live_inst_count(module: &Module, func: FuncId) -> usize {
+#[cfg(test)]
+pub(crate) fn live_inst_count(module: &Module, func: FuncId) -> usize {
     module
         .function(func)
         .blocks()
@@ -44,7 +45,8 @@ pub fn live_inst_count(module: &Module, func: FuncId) -> usize {
 }
 
 /// Convenience: whether the instruction is still scheduled in a block.
-pub fn is_scheduled(module: &Module, func: FuncId, inst: InstId) -> bool {
+#[cfg(test)]
+fn is_scheduled(module: &Module, func: FuncId, inst: InstId) -> bool {
     module
         .function(func)
         .blocks()

@@ -6,7 +6,7 @@
 //! * [`slice_dae`] — Decoupled Access/Execute slicing (the DeSC pass of
 //!   paper §VII-A): splits a kernel into an access slice and an execute
 //!   slice communicating through load-value and store-value queues.
-//! * [`eliminate_dead_code`] — classic DCE, used to strip each slice down
+//! * `eliminate_dead_code` — classic DCE, used to strip each slice down
 //!   to its own work.
 //!
 //! Both passes preserve IR verification; slicing preserves functional
@@ -19,18 +19,19 @@
 //! mirroring the paper's accelerator API lowering.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 mod dae;
 mod dce;
 
 pub use dae::{slice_dae, DaeError, DaeQueues, DaeSlices};
-pub use dce::{eliminate_dead_code, is_scheduled, live_inst_count};
 
 #[cfg(test)]
 mod semantics_tests {
     //! Deterministic pass-semantics sweeps (formerly proptest).
     use super::*;
+    use crate::dce::eliminate_dead_code;
     use mosaic_ir::{
         run_single, run_tiles, BinOp, Constant, FunctionBuilder, MemImage, Module, RtVal,
         TileProgram, Type,

@@ -44,7 +44,7 @@ pub struct Channel {
 
 impl Channel {
     /// Creates a channel.
-    pub fn new(config: ChannelConfig) -> Self {
+    pub(crate) fn new(config: ChannelConfig) -> Self {
         Channel {
             config,
             queue: VecDeque::new(),
@@ -59,13 +59,13 @@ impl Channel {
     }
 
     /// Whether a send would currently succeed (no side effects).
-    pub fn has_space(&self) -> bool {
+    fn has_space(&self) -> bool {
         self.queue.len() < self.config.capacity
     }
 
     /// Whether a receive at `now` would currently succeed (no side
     /// effects).
-    pub fn can_recv(&self, now: u64) -> bool {
+    pub(crate) fn can_recv(&self, now: u64) -> bool {
         matches!(self.queue.front(), Some(&ready) if ready <= now)
     }
 
@@ -94,7 +94,7 @@ impl Channel {
     /// Maturity cycle of the head message, if any (the earliest cycle at
     /// which a receive can succeed). Used by the fast-forward scheduler
     /// to wake a receiver exactly when its head matures.
-    pub fn next_recv_ready(&self) -> Option<u64> {
+    pub(crate) fn next_recv_ready(&self) -> Option<u64> {
         self.queue.front().copied()
     }
 
@@ -104,7 +104,7 @@ impl Channel {
     }
 
     /// Whether the channel is drained.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.queue.is_empty()
     }
 
@@ -143,11 +143,6 @@ impl ChannelSet {
         self.channels.binary_search_by_key(&queue, |&(q, _)| q)
     }
 
-    /// Pre-creates a channel with a specific configuration.
-    pub fn configure(&mut self, queue: u32, config: ChannelConfig) {
-        *self.channel_mut(queue) = Channel::new(config);
-    }
-
     /// The channel for `queue`, created on demand.
     pub fn channel_mut(&mut self, queue: u32) -> &mut Channel {
         let at = self.find(queue).unwrap_or_else(|at| {
@@ -169,16 +164,11 @@ impl ChannelSet {
         self.channel(queue).map_or(0, |c| 1 + c.sends + c.recvs)
     }
 
-    /// The configuration lazily-created channels will receive.
-    pub fn default_config(&self) -> ChannelConfig {
-        self.default_config
-    }
-
     /// Whether a send to `queue` would currently succeed, counting
     /// channels not yet created (which are empty and accept sends iff the
     /// default capacity is nonzero). Read-only mirror of
     /// `channel_mut(queue).has_space()`.
-    pub fn would_have_space(&self, queue: u32) -> bool {
+    pub(crate) fn would_have_space(&self, queue: u32) -> bool {
         match self.channel(queue) {
             Some(c) => c.has_space(),
             None => self.default_config.capacity > 0,

@@ -70,12 +70,12 @@ impl CostTable {
     }
 
     /// Energy in pJ charged when an instruction of `class` issues.
-    pub fn energy_pj(&self, class: InstClass) -> f64 {
+    pub(crate) fn energy_pj(&self, class: InstClass) -> f64 {
         self.costs[class.code()].1
     }
 
     /// Overrides one class's `(latency, energy_pj)` entry.
-    pub fn set(&mut self, class: InstClass, latency: u64, energy_pj: f64) {
+    pub(crate) fn set(&mut self, class: InstClass, latency: u64, energy_pj: f64) {
         self.costs[class.code()] = (latency, energy_pj);
     }
 }
@@ -112,7 +112,7 @@ impl FuLimits {
     }
 
     /// The limit for `class` (`u32::MAX` when unconstrained).
-    pub fn limit(&self, class: InstClass) -> u32 {
+    pub(crate) fn limit(&self, class: InstClass) -> u32 {
         self.limits[class.code()]
     }
 
@@ -139,7 +139,7 @@ pub struct FusionConfig {
 
 impl FusionConfig {
     /// The x86-like tuning used by the reference model.
-    pub fn x86_like() -> Self {
+    pub(crate) fn x86_like() -> Self {
         FusionConfig {
             gep_into_mem: true,
             cmp_into_branch: true,

@@ -261,11 +261,6 @@ impl CoreTile {
         }
     }
 
-    /// The tile's configuration.
-    pub fn config(&self) -> &CoreConfig {
-        &self.config
-    }
-
     fn peek_path(&self, k: usize) -> Option<BlockId> {
         self.cursor.peek_block_at(&self.trace, k)
     }

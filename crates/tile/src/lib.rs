@@ -19,6 +19,7 @@
 //! `mosaic-core`; see that crate for runnable examples.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 mod channel;
@@ -281,7 +282,7 @@ pub struct TileStats {
 
 impl TileStats {
     /// Fresh statistics for a tile called `name`.
-    pub fn new(name: &str) -> Self {
+    pub(crate) fn new(name: &str) -> Self {
         TileStats {
             name: name.to_string(),
             ..TileStats::default()
@@ -298,7 +299,7 @@ impl TileStats {
 
     /// Moves whenever a step does observable work (issue, retire, launch,
     /// accelerator call); a pure-stall step moves none of its terms.
-    pub fn progress_mark(&self) -> u64 {
+    pub(crate) fn progress_mark(&self) -> u64 {
         self.retired + self.issued + self.dbbs_launched + self.accel_invocations
     }
 
@@ -403,7 +404,7 @@ pub trait Tile {
     /// as it was when [`Tile::next_event`] reported the block.
     fn on_cycles_skipped(&mut self, now: u64, aligned_cycles: u64, channels: &ChannelSet);
 
-    /// [`TileStats::progress_mark`], whose move [`Tile::step`] reports.
+    /// `TileStats::progress_mark`, whose move [`Tile::step`] reports.
     fn progress_mark(&self) -> u64 {
         self.stats().progress_mark()
     }

@@ -229,7 +229,8 @@ impl Mao {
     }
 
     /// Issued-but-incomplete operations (current LSQ occupancy).
-    pub fn occupancy(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn occupancy(&self) -> u32 {
         self.issued_incomplete
     }
 
@@ -242,7 +243,7 @@ impl Mao {
     /// configuration (`lsq_size`, `alias_speculation`) is not written — a
     /// restore keeps the values the MAO was rebuilt with — and neither is
     /// what the entries determine (the LSQ occupancy, the index).
-    pub fn encode_into(&self, e: &mut Enc) {
+    pub(crate) fn encode_into(&self, e: &mut Enc) {
         e.seq::<u64, MaoEntry>(&self.entries);
     }
 
@@ -252,7 +253,7 @@ impl Mao {
     ///
     /// Returns a [`mosaic_ckpt::CkptError`] on truncated data, or entries
     /// out of program order.
-    pub fn restore_from(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
+    pub(crate) fn restore_from(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
         self.entries.clear();
         (self.incomplete, self.issued_incomplete) = (0, 0);
         self.stores.clear();

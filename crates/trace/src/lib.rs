@@ -44,6 +44,7 @@
 //! trace storage, paper §VI-B's cost, is what [`TraceSizeReport`] counts.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 mod file;
@@ -413,7 +414,7 @@ impl CursorPos {
 
     /// Consumes and returns the next block on the path.
     #[inline]
-    pub fn next_block(&mut self, trace: &TileTrace) -> Option<BlockId> {
+    pub(crate) fn next_block(&mut self, trace: &TileTrace) -> Option<BlockId> {
         let b = self.peek_block_at(trace, 0);
         self.path_pos += usize::from(b.is_some());
         b

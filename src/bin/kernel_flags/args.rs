@@ -3,7 +3,7 @@
 //! includes this file alone.
 
 /// The value of `flag`, the argument after `args[*i]`.
-pub fn value(args: &[String], i: &mut usize, flag: &str) -> Result<String, String> {
+pub(crate) fn value(args: &[String], i: &mut usize, flag: &str) -> Result<String, String> {
     *i += 1;
     args.get(*i)
         .cloned()
@@ -11,7 +11,7 @@ pub fn value(args: &[String], i: &mut usize, flag: &str) -> Result<String, Strin
 }
 
 /// The value of `flag` as a number.
-pub fn number<T>(args: &[String], i: &mut usize, flag: &str) -> Result<T, String>
+pub(crate) fn number<T>(args: &[String], i: &mut usize, flag: &str) -> Result<T, String>
 where
     T: std::str::FromStr,
     T::Err: std::fmt::Display,
@@ -22,7 +22,7 @@ where
 
 /// The value of a flag that counts from 1: a kernel built at scale 0 has
 /// no data to index and a system of 0 tiles simulates nothing.
-pub fn positive<T>(args: &[String], i: &mut usize, flag: &str) -> Result<T, String>
+pub(super) fn positive<T>(args: &[String], i: &mut usize, flag: &str) -> Result<T, String>
 where
     T: std::str::FromStr + Default + PartialEq,
     T::Err: std::fmt::Display,

@@ -7,10 +7,10 @@ mod args;
 use std::sync::Arc;
 
 use args::positive;
-pub use args::{number, value};
+pub(crate) use args::{number, value};
 use mosaicsim::prelude::*;
 
-pub struct KernelFlags {
+pub(crate) struct KernelFlags {
     pub kernel: Option<String>,
     pub scale: u32,
     pub tiles: usize,
@@ -18,7 +18,7 @@ pub struct KernelFlags {
 }
 
 impl KernelFlags {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         KernelFlags {
             kernel: None,
             scale: 1,
@@ -29,7 +29,7 @@ impl KernelFlags {
 
     /// Takes `args[*i]` and its value if it is one of the shared flags;
     /// `Ok(false)` leaves it to the caller.
-    pub fn take(&mut self, args: &[String], i: &mut usize) -> Result<bool, String> {
+    pub(crate) fn take(&mut self, args: &[String], i: &mut usize) -> Result<bool, String> {
         match args[*i].as_str() {
             "--kernel" => self.kernel = Some(value(args, i, "--kernel")?),
             "--scale" => self.scale = positive(args, i, "--scale")?,
@@ -49,7 +49,7 @@ impl KernelFlags {
     /// The system the flags describe — the kernel `name` traced on
     /// `tiles` tiles of the chosen core, named `<name>#<t>`, over
     /// [`xeon_memory`] — and the kernel's module.
-    pub fn system(&self, name: &str) -> Result<(SystemBuilder, Arc<Module>), String> {
+    pub(crate) fn system(&self, name: &str) -> Result<(SystemBuilder, Arc<Module>), String> {
         if !mosaicsim::kernels::PARBOIL_NAMES.contains(&name) {
             return Err(format!(
                 "unknown kernel {name:?}; available: {}",

@@ -17,6 +17,7 @@
 //!   error-severity findings fail the run.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 #[path = "kernel_flags/args.rs"]
 mod args;

@@ -19,6 +19,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod kernel_flags;
 

@@ -55,6 +55,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub use mosaic_accel as accel;
 pub use mosaic_ckpt as ckpt;
