@@ -64,13 +64,11 @@ use mosaic_tile::{AccelResult, AccelSim, TileError};
 ///
 /// When a core tile issues an accelerator invocation, the Interleaver
 /// queries this bank (paper §IV-A); the bank dispatches to the analytic
-/// performance model for the invoked function and returns cycles, energy,
-/// and bytes moved.
+/// performance model for the invoked function and returns its cycles and
+/// energy.
 #[derive(Debug, Clone, Default)]
 pub struct AccelBank {
     configs: HashMap<AccelOp, AccelConfig>,
-    invocations: u64,
-    total_bytes: u64,
 }
 
 impl AccelBank {
@@ -90,29 +88,15 @@ impl AccelBank {
     pub(crate) fn config(&self, accel: AccelOp) -> AccelConfig {
         self.configs.get(&accel).copied().unwrap_or_default()
     }
-
-    /// Total invocations served.
-    pub fn invocations(&self) -> u64 {
-        self.invocations
-    }
-
-    /// Total bytes moved by accelerators.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
-    }
 }
 
 impl AccelSim for AccelBank {
     fn invoke(&mut self, accel: AccelOp, args: &[i64]) -> Result<AccelResult, TileError> {
         let config = self.config(accel);
         let est = analytic_estimate(accel, args, &config);
-        let cycles = est.cycles + config.invocation_overhead;
-        self.invocations += 1;
-        self.total_bytes += est.bytes;
         Ok(AccelResult {
-            cycles,
+            cycles: est.cycles + config.invocation_overhead,
             energy_pj: est.energy_pj,
-            bytes: est.bytes,
         })
     }
 }
@@ -127,8 +111,6 @@ mod tests {
         let r1 = bank.invoke(AccelOp::Sgemm, &[0, 0, 0, 64, 64, 64]).unwrap();
         let r2 = bank.invoke(AccelOp::ElementWise, &[0, 0, 0, 4096]).unwrap();
         assert!(r1.cycles > 0 && r2.cycles > 0);
-        assert_eq!(bank.invocations(), 2);
-        assert_eq!(bank.total_bytes(), r1.bytes + r2.bytes);
     }
 
     #[test]

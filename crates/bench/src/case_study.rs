@@ -2,7 +2,8 @@
 //! decoupled access/execute pairs, accelerators, and both combined.
 
 use mosaic_accel::{analytic_estimate, AccelBank, AccelConfig};
-use mosaic_core::{dae_channel, dae_memory, print_table2, xeon_memory, EnergyModel};
+use mosaic_core::energy::{edp, static_energy_pj, DRAM_LINE_PJ};
+use mosaic_core::{dae_channel, dae_memory, print_table2, xeon_memory};
 use mosaic_ir::AccelOp;
 use mosaic_kernels::keras::{all_apps, KerasApp};
 use mosaic_kernels::sinkhorn::{self, Mix};
@@ -206,7 +207,6 @@ fn soc_cycles(app: &KerasApp, per_op: f64, bw: f64) -> (f64, f64) {
 /// analytic accelerator model's cycles plus the CPU cost of the layers no
 /// accelerator covers.
 pub(crate) fn fig14_keras_edp() -> Vec<Table> {
-    let energy = EnergyModel::default();
     let mac = sgemm::build_with_dims(48, 48, 48);
     let mac_cycles = run_spmd(&mac, 1, CoreConfig::out_of_order(), xeon_memory()).cycles;
     let per_op = mac_cycles as f64 / (48u64 * 48 * 48) as f64;
@@ -225,16 +225,16 @@ pub(crate) fn fig14_keras_edp() -> Vec<Table> {
         let cpu_cyc: f64 = app.layers.iter().map(|l| cpu_layer(l.ops, l.bytes, per_op, bw)).sum();
         let (soc_cyc, accel_pj) = soc_cycles(&app, per_op, bw);
         // Both systems move the same data through DRAM.
-        let dram_pj = app.layers.iter().map(|l| l.bytes).sum::<u64>() as f64 / 64.0 * 2600.0;
+        let dram_pj = app.layers.iter().map(|l| l.bytes).sum::<u64>() as f64 / 64.0 * DRAM_LINE_PJ;
         let cpu_energy = app.total_ops() as f64 * cpu_pj_per_op
             + dram_pj
-            + energy.static_energy_pj(ooo_area, cpu_cyc as u64);
+            + static_energy_pj(ooo_area, cpu_cyc as u64);
         let left: u64 = app.layers.iter().filter(|l| !l.is_accelerable()).map(|l| l.ops).sum();
         let soc_energy = accel_pj
             + dram_pj
             + left as f64 * cpu_pj_per_op
-            + energy.static_energy_pj(ooo_area, soc_cyc as u64);
-        let gain = energy.edp(cpu_energy, cpu_cyc as u64) / energy.edp(soc_energy, soc_cyc as u64);
+            + static_energy_pj(ooo_area, soc_cyc as u64);
+        let gain = edp(cpu_energy, cpu_cyc as u64) / edp(soc_energy, soc_cyc as u64);
         let cells = [app.accel_coverage() * 100.0, cpu_cyc, soc_cyc, gain].map(Cell::from);
         t.row(app.name, cells);
     }

@@ -9,7 +9,7 @@ use mosaic_ir::AccelOp;
 use mosaic_kernels::{build_parboil, sinkhorn, PARBOIL_NAMES};
 use mosaic_tile::CoreConfig;
 
-use crate::{edp, geomean, run_spmd, run_sweep, run_with_accel, Cell, Sweep, Table};
+use crate::{geomean, run_spmd, run_sweep, run_with_accel, Cell, Sweep, Table};
 
 /// `(year, [transistors_thousands, frequency_mhz, typical_power_w,
 /// logical_cores, single_thread_perf])`: decade samples of the public
@@ -167,7 +167,8 @@ pub(crate) fn characterize() -> Vec<Table> {
         let counts = ["sim.cycles", "sim.retired"].map(counter);
         let rates = [ipc, miss_pct("l1"), miss_pct("llc")].map(Cell::from);
         let events = ["mem.dram.reads", "mem.atomics", "tile.0.mispredicts"].map(counter);
-        let energy = [r.core_energy_pj / 1e3, r.mem_energy_pj / 1e3, edp(r) * 1e12].map(Cell::from);
+        let energy = [r.core_energy_pj / 1e3, r.mem_energy_pj / 1e3, r.edp_js() * 1e12];
+        let energy = energy.map(Cell::from);
         t.row(name, [&counts[..], &rates, &events, &energy, &[bound.into()]].concat());
     }
     vec![t.with_note("(bound: IPC < 1.5 memory, < 3 mixed, else compute)")]

@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use mosaic_core::{record_trace, EnergyModel, MosaicError, SimError, SimReport, SystemBuilder};
+use mosaic_core::{record_trace, MosaicError, SimError, SimReport, SystemBuilder};
 use mosaic_ir::TileProgram;
 use mosaic_kernels::Prepared;
 use mosaic_mem::HierarchyConfig;
@@ -358,9 +358,10 @@ pub struct WarmStart {
 ///
 /// Builds `builder`, runs it to `prefix_cycles`, and captures a
 /// checkpoint for [`run_sweep_warm`] to fork every sweep row from. The
-/// rows must rebuild the *same* system (tile names and memory geometry
-/// are verified on resume); run-control knobs — fast-forwarding,
-/// observability level, cycle limit — may differ per row.
+/// rows must rebuild the *same* system (each tile's, the memory's and the
+/// channels' configuration fingerprint is verified on resume);
+/// run-control knobs — fast-forwarding, observability level, cycle limit —
+/// may differ per row.
 ///
 /// # Errors
 ///
@@ -413,11 +414,6 @@ pub(crate) fn geomean(xs: &[f64]) -> f64 {
         return 0.0;
     }
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
-/// Energy-delay product of a report under the default energy model, J·s.
-pub(crate) fn edp(report: &SimReport) -> f64 {
-    report.edp_js(&EnergyModel::default())
 }
 
 #[cfg(test)]

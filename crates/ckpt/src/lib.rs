@@ -44,8 +44,9 @@ pub(crate) const MAGIC: &[u8; 4] = b"MCKP";
 /// Current checkpoint format version. Version 2 changed the `tile.<slot>`
 /// layout (dense rings), 3 the cache records in `mem` (valid ways only), 4
 /// dropped the counters nothing read, 5 the counts the rest of a snapshot
-/// determines (a tile's busy units and live DBBs, a cache's accesses, …).
-pub(crate) const VERSION: u32 = 5;
+/// determines (a tile's busy units and live DBBs, a cache's accesses, …),
+/// 6 the configuration echoes the header's per-part fingerprints replace.
+pub(crate) const VERSION: u32 = 6;
 
 /// Longest string the decoder will accept (tile names, section names).
 const MAX_STR: u64 = 4096;
@@ -82,8 +83,8 @@ pub enum CkptError {
         /// What was wrong.
         context: String,
     },
-    /// The checkpoint does not match the system being restored into
-    /// (different tile count, names, or missing section).
+    /// The checkpoint does not match the system being restored into (a
+    /// part's fingerprint differs, or a section is missing).
     Mismatch {
         /// What did not line up.
         context: String,
@@ -381,21 +382,18 @@ impl<'a> Dec<'a> {
         })
     }
 
-    /// Reads a `W` count and checks it against `want`, the length of a
-    /// table the restored component sized from its own configuration.
-    pub fn expect_len<W: Prefix>(&mut self, what: &str, want: usize) -> Result<(), CkptError> {
-        let found: u64 = W::get(self, what)?.into();
-        let mismatch = || CkptError::mismatch(format!("{what}: {found}, the system has {want}"));
-        (found == want as u64).then_some(()).ok_or_else(mismatch)
-    }
-
-    /// Reads a sequence into `slots`, whose length it must have.
+    /// Reads a sequence into `slots`, a table the restored component sized
+    /// from its own configuration, whose length it must have.
     pub fn table<W: Prefix, T: Snap>(
         &mut self,
         what: &str,
         slots: &mut [T],
     ) -> Result<(), CkptError> {
-        self.expect_len::<W>(what, slots.len())?;
+        let (found, want): (u64, _) = (W::get(self, what)?.into(), slots.len());
+        if found != want as u64 {
+            let context = format!("{what}: {found}, the system has {want}");
+            return Err(CkptError::Mismatch { context });
+        }
         for slot in slots {
             *slot = T::get(self, what)?;
         }
@@ -484,22 +482,6 @@ impl<T: Snap, const N: usize> Snap for [T; N] {
     }
 }
 
-/// A `u32` the format holds in eight bytes (a tile slot; a queue or
-/// block id behind an `Option`): a wider value read back is corrupt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Wide(pub u32);
-
-impl Snap for Wide {
-    fn put(&self, e: &mut Enc) {
-        e.u64(self.0.into());
-    }
-    fn get(d: &mut Dec<'_>, what: &str) -> Result<Self, CkptError> {
-        let v = d.u64(what)?;
-        let narrow = u32::try_from(v).map(Wide);
-        narrow.map_err(|_| CkptError::corrupt(format!("{what}: {v}")))
-    }
-}
-
 /// Declares a record — a struct whose every field is a [`Snap`] — and its
 /// codec from one field list: fields are written in the order listed, and
 /// one added to the list is in both directions or in neither.
@@ -567,9 +549,9 @@ macro_rules! snap_fields {
     };
 }
 
-/// A complete simulator snapshot: the global cycle it was taken at, a
-/// fingerprint of the system it came from (the ordered tile names), and
-/// one named byte section per component.
+/// A complete simulator snapshot: the global cycle it was taken at, the
+/// parts of the system it came from, each named with a fingerprint of its
+/// configuration, and one named byte section per component.
 ///
 /// Sections are opaque to the container; each simulation crate encodes
 /// its own state with [`Enc`] and decodes it with [`Dec`]. Restoring
@@ -578,17 +560,17 @@ macro_rules! snap_fields {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     cycle: u64,
-    fingerprint: Vec<String>,
+    parts: Vec<(String, u64)>,
     sections: Vec<(String, Vec<u8>)>,
 }
 
 impl Checkpoint {
-    /// An empty checkpoint taken at `cycle` from a system whose tiles are
-    /// named `fingerprint` (in slot order).
-    pub fn new(cycle: u64, fingerprint: Vec<String>) -> Self {
+    /// An empty checkpoint taken at `cycle` from a system made of `parts`:
+    /// each part's name and the fingerprint of its configuration.
+    pub fn new(cycle: u64, parts: Vec<(String, u64)>) -> Self {
         Checkpoint {
             cycle,
-            fingerprint,
+            parts,
             sections: Vec::new(),
         }
     }
@@ -598,9 +580,10 @@ impl Checkpoint {
         self.cycle
     }
 
-    /// The ordered tile names of the originating system.
-    pub fn fingerprint(&self) -> &[String] {
-        &self.fingerprint
+    /// The originating system's parts, in order: each one's name and
+    /// configuration fingerprint.
+    pub fn parts(&self) -> &[(String, u64)] {
+        &self.parts
     }
 
     /// Adds (or replaces) the section called `name`.
@@ -633,8 +616,8 @@ impl Checkpoint {
         self.sections.iter().map(|(n, b)| (n.as_str(), b.len()))
     }
 
-    /// Serializes the container: magic, version, cycle, fingerprint,
-    /// section count, then each section as (name, `u64` length, bytes).
+    /// Serializes the container: magic, version, cycle, parts, section
+    /// count, then each section as (name, `u64` length, bytes).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.write_to(&mut out).expect("writing to a Vec cannot fail");
@@ -648,7 +631,7 @@ impl Checkpoint {
         e.raw(MAGIC);
         e.u32(VERSION);
         e.u64(self.cycle);
-        e.seq::<u32, String>(&self.fingerprint);
+        e.seq::<u32, (String, u64)>(&self.parts);
         e.u32(self.sections.len() as u32);
         for (name, bytes) in &self.sections {
             e.str(name);
@@ -683,8 +666,8 @@ impl Checkpoint {
             });
         }
         let cycle = d.u64("cycle")?;
-        let mut fingerprint = Vec::new();
-        d.seq_into::<u32, String>("tile name", &mut fingerprint)?;
+        let mut parts = Vec::new();
+        d.seq_into::<u32, (String, u64)>("part", &mut parts)?;
         let mut sections = Vec::new();
         for _ in 0..d.u32("section count")? {
             let name = d.str("section name")?;
@@ -693,7 +676,7 @@ impl Checkpoint {
         }
         Ok(Checkpoint {
             cycle,
-            fingerprint,
+            parts,
             sections,
         })
     }
@@ -803,7 +786,7 @@ mod tests {
     use super::*;
 
     fn sample() -> Checkpoint {
-        let mut c = Checkpoint::new(1234, vec!["core0".into(), "core1".into()]);
+        let mut c = Checkpoint::new(1234, vec![("core0".into(), 7), ("memory".into(), u64::MAX)]);
         let mut e = Enc::new();
         e.u64(42);
         e.str("hello");
@@ -825,7 +808,7 @@ mod tests {
         let back = Checkpoint::from_bytes(&bytes, "<memory>").unwrap();
         assert_eq!(c, back);
         assert_eq!(back.cycle(), 1234);
-        assert_eq!(back.fingerprint(), &["core0", "core1"]);
+        assert_eq!(back.parts(), &[("core0".into(), 7), ("memory".into(), u64::MAX)]);
         let mut d = Dec::new(back.require_section("sched").unwrap());
         assert_eq!(d.u64("a").unwrap(), 42);
         assert_eq!(d.str("b").unwrap(), "hello");
@@ -862,6 +845,12 @@ mod tests {
             }
             other => panic!("wrong error: {other}"),
         }
+    }
+
+    /// DESIGN.md §4.6 and the CI comments quote the version by number.
+    #[test]
+    fn the_format_is_version_6() {
+        assert_eq!(VERSION, 6);
     }
 
     #[test]
@@ -1153,8 +1142,7 @@ mod tests {
     }
 
     /// Errors name the declared field, and a byte that is no variant's
-    /// code, a presence byte that is no bool and a `Wide` past `u32` are
-    /// corrupt, not a panic.
+    /// code and a presence byte that is no bool are corrupt, not a panic.
     #[test]
     fn declared_codecs_reject_damage_by_name() {
         let mut e = Enc::new();
@@ -1171,16 +1159,6 @@ mod tests {
         bad[8..10].copy_from_slice(&[0, 5]);
         let err = Entry::get(&mut Dec::new(&bad), "entry").unwrap_err();
         assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
-
-        let mut e = Enc::new();
-        e.u64(u64::from(u32::MAX));
-        e.u64(u64::from(u32::MAX) + 1);
-        let mut d = Dec::new(&e.buf);
-        assert_eq!(Wide::get(&mut d, "w").unwrap(), Wide(u32::MAX));
-        assert!(matches!(
-            Wide::get(&mut d, "w"),
-            Err(CkptError::Corrupt { .. })
-        ));
     }
 
     /// Sequences carry a `u32` or a `u64` count, whatever iterator wrote

@@ -134,6 +134,9 @@ impl std::error::Error for SimError {
 /// The cycle-driven scheduler composing tiles, memory, channels, and
 /// accelerators into whole-system estimates.
 pub struct Interleaver {
+    /// The system's parts and their configuration fingerprints, as a
+    /// checkpoint's header names them.
+    parts: Vec<(String, u64)>,
     tiles: Vec<Box<dyn Tile>>,
     mem: MemoryHierarchy,
     channels: ChannelSet,
@@ -195,7 +198,9 @@ impl std::fmt::Debug for Interleaver {
 
 impl Interleaver {
     /// Assembles an interleaver. Tile order must match the memory
-    /// hierarchy's private-cache slots (tile `i` uses slot `i`).
+    /// hierarchy's private-cache slots (tile `i` uses slot `i`). Its
+    /// checkpoints name the tiles alone, with fingerprint 0: only
+    /// [`crate::SystemBuilder::build`] knows the configurations.
     pub fn new(
         tiles: Vec<Box<dyn Tile>>,
         mem: MemoryHierarchy,
@@ -204,6 +209,7 @@ impl Interleaver {
     ) -> Self {
         let finished = tiles.iter().filter(|t| t.is_done()).count();
         Interleaver {
+            parts: tiles.iter().map(|t| (t.name().to_string(), 0)).collect(),
             tiles,
             mem,
             channels,
@@ -236,6 +242,12 @@ impl Interleaver {
     /// Fast-forward jumps taken so far.
     pub fn skips_taken(&self) -> u64 {
         self.skips_taken
+    }
+
+    /// Sets the parts and fingerprints checkpoints are taken and checked
+    /// under.
+    pub(crate) fn set_parts(&mut self, parts: Vec<(String, u64)>) {
+        self.parts = parts;
     }
 
     /// Sets the runaway-protection cycle cap.
@@ -564,12 +576,11 @@ impl Interleaver {
     /// in-flight messages, the full memory hierarchy, and the scheduler's
     /// own loop-carried state — into a versioned [`Checkpoint`] container.
     /// The configuration is *not* captured: a resume rebuilds the system
-    /// from the same configuration and overwrites only dynamic state (the
-    /// tile-name fingerprint guards against resuming into a different
-    /// topology).
+    /// from the same configuration and overwrites only dynamic state; the
+    /// header's per-part fingerprints guard against resuming into another
+    /// system.
     pub fn save_checkpoint(&self) -> Checkpoint {
-        let fingerprint = self.tiles.iter().map(|t| t.name().to_string()).collect();
-        let mut ckpt = Checkpoint::new(self.now, fingerprint);
+        let mut ckpt = Checkpoint::new(self.now, self.parts.clone());
         let mut add = |name: &str, put: &dyn Fn(&mut Enc)| {
             let mut e = Enc::new();
             put(&mut e);
@@ -592,16 +603,21 @@ impl Interleaver {
     ///
     /// # Errors
     ///
-    /// Returns [`CkptError::Mismatch`] when the tile-name
-    /// fingerprint or a component's rebuilt configuration disagrees with
-    /// the checkpoint, and `Truncated`/`Corrupt` for damaged payloads.
+    /// Returns [`CkptError::Mismatch`] naming the first part whose name or
+    /// fingerprint differs from the checkpoint's, before any section is
+    /// read (or when a section is missing), and `Truncated`/`Corrupt` for
+    /// damaged payloads.
     pub fn restore_checkpoint(&mut self, ckpt: &Checkpoint) -> Result<(), CkptError> {
-        let names: Vec<String> = self.tiles.iter().map(|t| t.name().to_string()).collect();
-        if ckpt.fingerprint() != names.as_slice() {
+        let (theirs, ours) = (ckpt.parts(), self.parts.as_slice());
+        let differs = |&i: &usize| theirs.get(i) != ours.get(i);
+        if let Some(at) = (0..theirs.len().max(ours.len())).find(differs) {
+            let show = |part: Option<&(String, u64)>| {
+                part.map_or("nothing".to_string(), |(name, hash)| format!("'{name}' ({hash:016x})"))
+            };
             return Err(CkptError::mismatch(format!(
-                "checkpoint was taken from tiles {:?}, this system has {:?}",
-                ckpt.fingerprint(),
-                names
+                "part {at} is {} in the checkpoint, {} in this system",
+                show(theirs.get(at)),
+                show(ours.get(at))
             )));
         }
         decode_section(ckpt, "interleaver", |d| {

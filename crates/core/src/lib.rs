@@ -48,7 +48,7 @@
 
 mod config;
 mod config_file;
-mod energy;
+pub mod energy;
 mod error;
 mod interleaver;
 mod runner;
@@ -56,7 +56,6 @@ mod system;
 
 pub use config::{dae_channel, dae_memory, print_table1, print_table2, small_memory, xeon_memory};
 pub use config_file::{load_system_config, parse_system_config, ConfigError};
-pub use energy::EnergyModel;
 pub use error::MosaicError;
 pub use interleaver::{ChannelSnapshot, Interleaver, SimError, StallSnapshot};
 pub use mosaic_lint::{LintLevel, LintReport};
@@ -159,7 +158,7 @@ mod tests {
         assert!(report.core_energy_pj > 0.0);
         assert!(report.mem_energy_pj > 0.0);
         assert!(report.static_energy_pj > 0.0);
-        assert!(report.edp_js(&EnergyModel::default()) > 0.0);
+        assert!(report.edp_js() > 0.0);
         let txt = report.to_string();
         assert!(txt.contains("cycles:"));
         assert!(txt.contains("IPC"));

@@ -20,7 +20,7 @@ use mosaic_tile::{
 };
 use mosaic_trace::KernelTrace;
 
-use crate::energy::EnergyModel;
+use crate::energy;
 use crate::error::MosaicError;
 use crate::interleaver::Interleaver;
 
@@ -74,9 +74,9 @@ impl SimReport {
         self.core_energy_pj + self.mem_energy_pj + self.static_energy_pj
     }
 
-    /// Energy-delay product in J·s under `model`.
-    pub fn edp_js(&self, model: &EnergyModel) -> f64 {
-        model.edp(self.total_energy_pj(), self.cycles)
+    /// Energy-delay product in J·s.
+    pub fn edp_js(&self) -> f64 {
+        energy::edp(self.total_energy_pj(), self.cycles)
     }
 }
 
@@ -125,16 +125,6 @@ struct TileSpec {
     trace_tile: usize,
 }
 
-/// Where a resumed run gets its snapshot from.
-enum ResumeSource {
-    /// A checkpoint file written by [`Interleaver::save_checkpoint`] (via
-    /// [`mosaic_ckpt::Checkpoint::save`]) or the periodic policy.
-    Path(std::path::PathBuf),
-    /// An in-memory snapshot, shared between sweep rows forking off one
-    /// warmed prefix (see `mosaic-bench`'s `run_sweep_warm`).
-    InMemory(Arc<mosaic_ckpt::Checkpoint>),
-}
-
 /// Builder for a tiled system (paper Fig. 2's tile map).
 ///
 /// # Examples
@@ -170,7 +160,7 @@ pub struct SystemBuilder {
     observe: ObsLevel,
     checkpoint_every: Option<u64>,
     checkpoint_path: Option<std::path::PathBuf>,
-    resume: Option<ResumeSource>,
+    resume: Option<Arc<mosaic_ckpt::Checkpoint>>,
 }
 
 impl fmt::Debug for SystemBuilder {
@@ -221,24 +211,21 @@ impl SystemBuilder {
         self
     }
 
-    /// Resumes from a checkpoint file instead of starting at cycle 0. The
-    /// builder must describe the *same* system the checkpoint was taken
-    /// from — same tiles in the same order, same memory hierarchy, same
-    /// kernel trace; static state is rebuilt from this configuration and
-    /// only dynamic state is loaded. Parameters that do not feed the
-    /// snapshot (cycle limit, fast-forward mode, observability level,
-    /// lint level) may differ freely.
-    pub fn resume_from(mut self, path: impl Into<std::path::PathBuf>) -> Self {
-        self.resume = Some(ResumeSource::Path(path.into()));
-        self
-    }
-
-    /// Resumes from an in-memory snapshot taken with
-    /// [`Interleaver::save_checkpoint`]. The `Arc` makes forking cheap:
-    /// many sweep rows can share one warmed prefix without re-reading or
-    /// copying it. Same compatibility contract as [`Self::resume_from`].
+    /// Resumes from a snapshot taken with [`Interleaver::save_checkpoint`]
+    /// (a file is read with [`mosaic_ckpt::Checkpoint::load`]) instead of
+    /// starting at cycle 0. The builder must describe the *same* system the snapshot
+    /// was taken from: static state is rebuilt from this configuration
+    /// and only dynamic state is loaded. [`Self::build`] checks that each
+    /// part — every tile's core configuration, function and trace tile,
+    /// the memory hierarchy and the channels — has the fingerprint the
+    /// snapshot's header names, and refuses the first that does not.
+    /// Run-control knobs (cycle limit, fast-forward mode, observability
+    /// level, lint level, checkpoint policy) may differ freely; the
+    /// accelerator models and the module and trace are not fingerprinted,
+    /// and must match by the caller's care. The `Arc` makes forking cheap:
+    /// many sweep rows can share one warmed prefix without copying it.
     pub fn resume_from_checkpoint(mut self, ckpt: Arc<mosaic_ckpt::Checkpoint>) -> Self {
-        self.resume = Some(ResumeSource::InMemory(ckpt));
+        self.resume = Some(ckpt);
         self
     }
 
@@ -691,6 +678,7 @@ impl SystemBuilder {
     pub fn build(self) -> Result<Interleaver, MosaicError> {
         self.validate()?;
         self.lint_gate()?;
+        let parts = self.parts();
         let ntiles = self.tiles.len();
         let mem = MemoryHierarchy::new(self.memory, ntiles.max(1));
         let channels = ChannelSet::new(self.channel);
@@ -711,23 +699,30 @@ impl SystemBuilder {
             })
             .collect();
         let mut il = Interleaver::new(tiles, mem, channels, accel);
+        il.set_parts(parts);
         il.set_cycle_limit(self.cycle_limit);
         il.set_fast_forward(self.fast_forward);
         il.set_observe(self.observe);
         // Restore after set_observe so recorded profiles/timelines carry
         // over.
-        if let Some(source) = self.resume {
-            let loaded;
-            let ckpt: &mosaic_ckpt::Checkpoint = match &source {
-                ResumeSource::Path(path) => {
-                    loaded = mosaic_ckpt::Checkpoint::load(path)?;
-                    &loaded
-                }
-                ResumeSource::InMemory(c) => c,
-            };
-            il.restore_checkpoint(ckpt)?;
+        if let Some(ckpt) = self.resume {
+            il.restore_checkpoint(&ckpt)?;
         }
         Ok(il)
+    }
+
+    /// The system's parts as a checkpoint's header names them: each tile
+    /// with an FNV-1a hash of its core configuration, function and trace
+    /// tile, then `memory` and `channels` with a hash of theirs. A hash is
+    /// of the `Debug` rendering, which names every field.
+    fn parts(&self) -> Vec<(String, u64)> {
+        let tiles = self.tiles.iter().map(|t| {
+            let part = (&t.config, t.func, t.trace_tile);
+            (t.config.name.clone(), fnv1a(&format!("{part:?}")))
+        });
+        let memory = ("memory".to_string(), fnv1a(&format!("{:?}", self.memory)));
+        let channels = ("channels".to_string(), fnv1a(&format!("{:?}", self.channel)));
+        tiles.chain([memory, channels]).collect()
     }
 
     /// Builds and runs to completion, writing the periodic snapshots
@@ -740,7 +735,6 @@ impl SystemBuilder {
     /// deadlocks, exceeds the cycle cap, or a tile faults, and
     /// [`MosaicError::Ckpt`] when a snapshot cannot be written.
     pub fn run(self) -> Result<SimReport, MosaicError> {
-        let energy = EnergyModel::default();
         let areas: Vec<f64> = self.tiles.iter().map(|t| t.config.area_mm2).collect();
         let snapshots = self.checkpoint_every.zip(self.checkpoint_path.clone());
         let mut il = self.build()?;
@@ -797,13 +791,19 @@ impl SystemBuilder {
             mem: mem_stats,
             dram_throttled: mem.dram_throttled_cycles(),
             core_energy_pj: core_energy,
-            mem_energy_pj: energy.memory_energy_pj(&mem_stats),
-            static_energy_pj: energy.static_energy_pj(total_area, cycles),
+            mem_energy_pj: energy::memory_energy_pj(&mem_stats),
+            static_energy_pj: energy::static_energy_pj(total_area, cycles),
             registry,
             timeline,
             profile,
         })
     }
+}
+
+/// The 64-bit FNV-1a hash of `text`.
+fn fnv1a(text: &str) -> u64 {
+    let step = |hash: u64, &byte: &u8| (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+    text.as_bytes().iter().fold(0xcbf2_9ce4_8422_2325, step)
 }
 
 /// Runs `il` to completion, pausing at the first stepped cycle at or past

@@ -240,13 +240,9 @@ impl BankedDram {
 snap_fields!(BankedDram: row_hits, row_misses, row_conflicts, total_requests);
 
 impl BankedDram {
-    /// The model's tag in a hierarchy snapshot.
-    pub(crate) const TAG: u8 = 1;
-
     /// Serializes bank queues in bank order and in-flight transfers in
     /// insertion order (retire order depends on it), plus counters.
     pub(crate) fn encode_into(&self, e: &mut Enc) {
-        e.u32(self.banks.len() as u32);
         for bank in &self.banks {
             bank.open_row.put(e);
             e.u64(bank.busy_until);
@@ -258,7 +254,6 @@ impl BankedDram {
     }
 
     pub(crate) fn restore_from(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
-        d.expect_len::<u32>("banked DRAM banks", self.banks.len())?;
         for bank in &mut self.banks {
             bank.open_row = Snap::get(d, "bank open row")?;
             bank.busy_until = d.u64("bank busy_until")?;

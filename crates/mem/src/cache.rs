@@ -409,18 +409,16 @@ fn set_bits(bitmap: &[u8]) -> impl Iterator<Item = usize> + '_ {
 mosaic_ckpt::snap_fields!(Cache: tick, hits, misses);
 
 impl Cache {
-    /// Serializes the counters and the valid ways: geometry, the number
-    /// of valid ways, a validity bitmap over all ways, a dirty bitmap
-    /// over the valid ones, then `(tag, last_use)` per valid way in index
-    /// order. An untouched cache costs a bit per way and a full one two
-    /// bits and 16 bytes, so the record tracks what a run touched, not
-    /// what was configured. The configuration is not written — a restored
-    /// cache keeps the geometry it was rebuilt with, and
-    /// [`Cache::restore_from`] verifies it matches.
+    /// Serializes the counters and the valid ways: the number of valid
+    /// ways, a validity bitmap over all ways, a dirty bitmap over the
+    /// valid ones, then `(tag, last_use)` per valid way in index order. An
+    /// untouched cache costs a bit per way and a full one two bits and 16
+    /// bytes, so the record tracks what a run touched, not what was
+    /// configured. The configuration is not written: a restored cache
+    /// keeps the geometry it was rebuilt with, which the checkpoint's
+    /// header fingerprints.
     pub(crate) fn encode_into(&self, e: &mut mosaic_ckpt::Enc) {
         self.put_fields(e);
-        e.u32(self.config.sets() as u32);
-        e.u32(self.config.ways());
         let mut valid = vec![0u8; (self.sets as usize * self.ways).div_ceil(8)];
         let mut dirty = Vec::new();
         for (k, (w, .., is_dirty)) in self.valid_ways().enumerate() {
@@ -445,16 +443,6 @@ impl Cache {
         d: &mut mosaic_ckpt::Dec<'_>,
     ) -> Result<(), mosaic_ckpt::CkptError> {
         self.get_fields(d)?;
-        let sets = u64::from(d.u32("cache set count")?);
-        let ways = d.u32("cache way count")?;
-        if sets != self.config.sets() || ways != self.config.ways() {
-            return Err(mosaic_ckpt::CkptError::mismatch(format!(
-                "cache {}: checkpoint geometry {sets}x{ways} differs from configured {}x{}",
-                self.config.name(),
-                self.config.sets(),
-                self.config.ways(),
-            )));
-        }
         let count = d.u32("cache valid-way count")? as usize;
         let valid = decode_bits(d, self.sets as usize * self.ways, "cache validity bitmap")?;
         let marked: usize = valid.iter().map(|b| b.count_ones() as usize).sum();
@@ -720,9 +708,9 @@ mod tests {
         c.fill(0x0000, true);
         c.fill(0x0040, false);
         let good = encoded(&c);
-        // Layout: 3 counters, sets, ways, count at 32, validity bitmap
-        // (8 ways: one byte) at 36, dirty bitmap at 37, records from 38.
-        assert_eq!(good.len(), 38 + 2 * 16);
+        // Layout: 3 counters, count at 24, validity bitmap (8 ways: one
+        // byte) at 28, dirty bitmap at 29, records from 30.
+        assert_eq!(good.len(), 30 + 2 * 16);
         let mut target = tiny();
         restore(&mut target, &good).unwrap();
 
@@ -732,20 +720,23 @@ mod tests {
             bytes
         };
         // A valid bit without a record.
-        let err = restore(&mut target, &with(36, good[36] | 0x80)).unwrap_err();
+        let err = restore(&mut target, &with(28, good[28] | 0x80)).unwrap_err();
         assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
         // A record count that is not the bitmap's population.
-        let err = restore(&mut target, &with(32, 3)).unwrap_err();
+        let err = restore(&mut target, &with(24, 3)).unwrap_err();
         assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
         // More valid ways than the cache has.
-        let err = restore(&mut target, &with(32, 9)).unwrap_err();
+        let err = restore(&mut target, &with(24, 9)).unwrap_err();
         assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
         // A dirty bit for a way past the last valid one.
-        let err = restore(&mut target, &with(37, 0x04)).unwrap_err();
+        let err = restore(&mut target, &with(29, 0x04)).unwrap_err();
         assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
-        // Another cache's geometry.
-        let err = restore(&mut target, &with(28, 4)).unwrap_err();
-        assert!(matches!(err, CkptError::Mismatch { .. }), "{err}");
+        // Another cache's geometry (twice the sets) reads a bitmap that no
+        // longer lines up: a typed error, never a panic. That it is another
+        // system is the checkpoint header's verdict, not the record's.
+        let mut other = Cache::new(CacheConfig::new("t", 1024).with_ways(2));
+        let err = restore(&mut other, &good).unwrap_err();
+        assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
         // Cut anywhere, the record is truncated, never a panic.
         for cut in 0..good.len() {
             let err = target
@@ -872,8 +863,6 @@ mod tests {
         fn encoded(&self) -> Vec<u8> {
             let mut e = mosaic_ckpt::Enc::new();
             self.counters.iter().for_each(|&counter| e.u64(counter));
-            e.u32(self.sets as u32);
-            e.u32(self.ways as u32);
             let valid = pack_bits(self.state.iter().map(|st| st & VALID != 0));
             e.u32(valid.iter().map(|byte| byte.count_ones()).sum());
             e.raw(&valid);

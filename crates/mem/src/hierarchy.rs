@@ -19,7 +19,7 @@
 //! scratch buffers the hierarchy refills — so a request hashes nothing,
 //! sifts no heap and, once the buffers have grown, allocates nothing.
 
-use mosaic_ckpt::{snap_enum, snap_record, CkptError, Dec, Enc, Snap, Wide};
+use mosaic_ckpt::{snap_enum, snap_record, CkptError, Dec, Enc, Snap};
 use mosaic_obs::{Category, Log2Histogram, ObsLevel, SpanName, StatsRegistry, Timeline};
 
 use crate::banked::{BankedDram, BankedDramConfig};
@@ -241,35 +241,13 @@ impl Dram {
         on_model!(self, d => d.throttled_cycles())
     }
 
-    /// The model's tag in a snapshot.
-    fn tag(&self) -> u8 {
-        match self {
-            Dram::Simple(_) => SimpleDram::TAG,
-            Dram::Banked(_) => BankedDram::TAG,
-        }
-    }
-
-    fn encode_into(&self, e: &mut Enc) {
-        e.u8(self.tag());
-        on_model!(self, d => d.encode_into(e))
-    }
-
-    fn restore_from(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
-        let tag = d.u8("hierarchy DRAM model tag")?;
-        if tag != self.tag() {
-            return Err(CkptError::mismatch(format!(
-                "hierarchy: checkpoint DRAM model tag {tag} does not match the configured model"
-            )));
-        }
-        on_model!(self, m => m.restore_from(d))
-    }
 }
 
 snap_record! {
     #[derive(Debug, Clone, Copy)]
     struct ReqState {
-        /// The issuing tile: four bytes here, eight in the file.
-        tile: Wide,
+        /// The issuing tile.
+        tile: u32,
         line: u64,
         kind: AccessKind,
         writeback: bool,
@@ -523,7 +501,7 @@ impl MemoryHierarchy {
     /// prefetcher's re-entry point (prefetches inherit a known-good tile).
     fn request_valid(&mut self, req: MemReq, now: u64) -> ReqId {
         let id = self.admit(ReqState {
-            tile: Wide(req.tile as u32),
+            tile: req.tile as u32,
             line: self.levels[Level::L1 as usize].caches[req.tile].line_of(req.addr),
             kind: req.kind,
             writeback: false,
@@ -578,7 +556,7 @@ impl MemoryHierarchy {
                 if self.obs.trace_on() {
                     self.timeline.span(
                         1,
-                        st.tile.0,
+                        st.tile,
                         Category::Mem,
                         SpanName::MemLine {
                             kind: kind_label(st.kind),
@@ -590,7 +568,7 @@ impl MemoryHierarchy {
                 }
                 self.completions.push(Completion {
                     id,
-                    tile: st.tile.0 as usize,
+                    tile: st.tile as usize,
                     at_cycle: now,
                 });
             }
@@ -641,7 +619,7 @@ impl MemoryHierarchy {
     fn writeback_to_dram(&mut self, line: u64, now: u64) {
         self.stats.dram_writebacks += 1;
         let id = self.admit(ReqState {
-            tile: Wide(0),
+            tile: 0,
             line,
             kind: AccessKind::Write,
             writeback: true,
@@ -661,7 +639,7 @@ impl MemoryHierarchy {
         let Some(st) = self.reqs.get(id.0).copied() else {
             return;
         };
-        let (tile, write) = (st.tile.0 as usize, st.kind.is_write());
+        let (tile, write) = (st.tile as usize, st.kind.is_write());
         let lv = &mut self.levels[level as usize];
         let at = if level.shared() { 0 } else { tile };
         if self.obs.stats_on() {
@@ -777,7 +755,7 @@ impl MemoryHierarchy {
             let Some(wst) = self.reqs.get(w.0).copied() else {
                 continue;
             };
-            let tile = wst.tile.0 as usize;
+            let tile = wst.tile as usize;
             let back = now + self.noc_delay(tile);
             if wst.kind != AccessKind::Atomic {
                 self.fill_upward_and_complete(st.line, tile, wst.kind.is_write(), Level::Llc, back);
@@ -876,14 +854,11 @@ impl MemoryHierarchy {
     /// request states, undelivered completions, counters, and
     /// observability artifacts. The configuration and observability
     /// level are not written; a restored hierarchy keeps whatever it was
-    /// rebuilt with (mismatched geometry is detected on restore).
+    /// rebuilt with (the checkpoint's header fingerprints it).
     pub fn save_state(&self, e: &mut Enc) {
-        // Caches level by level, the private ones counted; then MSHRs.
-        for (level, lv) in Level::ALL.into_iter().zip(&self.levels) {
-            if !level.shared() {
-                e.u32(lv.caches.len() as u32);
-            }
-            lv.caches.iter().for_each(|c| c.encode_into(e));
+        // Caches level by level, then MSHRs.
+        for c in self.levels.iter().flat_map(|lv| &lv.caches) {
+            c.encode_into(e);
         }
         for m in self.levels.iter().flat_map(|lv| &lv.mshrs) {
             m.encode_into(e);
@@ -891,7 +866,7 @@ impl MemoryHierarchy {
         for p in &self.prefetchers {
             p.encode_into(e);
         }
-        self.dram.encode_into(e);
+        on_model!(&self.dram, dram => dram.encode_into(e));
 
         // Events in firing order and requests in id order: the order the
         // wheel and the ring hold them in.
@@ -917,19 +892,13 @@ impl MemoryHierarchy {
     /// # Errors
     ///
     /// Returns a [`mosaic_ckpt::CkptError`] when the data is truncated or
-    /// corrupt, or when the rebuilt configuration (tile count, cache
-    /// geometry, DRAM model) disagrees with what the checkpoint was taken
-    /// from.
+    /// corrupt. A hierarchy of another configuration reads the record as
+    /// one of its own, and fails only where it does not fit: the header's
+    /// fingerprint, checked before any section, is what refuses it.
     pub fn restore_state(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
         let tiles = self.tile_count();
-        for (level, lv) in Level::ALL.into_iter().zip(&mut self.levels) {
-            if !level.shared() {
-                let what = format!("hierarchy {} caches", level.name());
-                d.expect_len::<u32>(&what, lv.caches.len())?;
-            }
-            for c in &mut lv.caches {
-                c.restore_from(d)?;
-            }
+        for c in self.levels.iter_mut().flat_map(|lv| &mut lv.caches) {
+            c.restore_from(d)?;
         }
         for m in self.levels.iter_mut().flat_map(|lv| &mut lv.mshrs) {
             m.restore_from(d)?;
@@ -937,7 +906,7 @@ impl MemoryHierarchy {
         for p in &mut self.prefetchers {
             p.restore_from(d)?;
         }
-        self.dram.restore_from(d)?;
+        on_model!(&mut self.dram, dram => dram.restore_from(d))?;
 
         self.events.clear();
         d.seq::<u64, (u64, u64, Event)>("hierarchy events", |(cycle, seq, ev)| {
@@ -961,10 +930,10 @@ impl MemoryHierarchy {
                     self.next_id
                 )));
             }
-            if state.tile.0 as usize >= tiles {
+            if state.tile as usize >= tiles {
                 return Err(CkptError::corrupt(format!(
                     "in-flight request {id} names tile {} of {tiles}",
-                    state.tile.0
+                    state.tile
                 )));
             }
             self.reqs.insert(id, state);
@@ -1563,10 +1532,20 @@ mod snapshot_tests {
         let mut e = mosaic_ckpt::Enc::new();
         h.save_state(&mut e);
         let bytes = e.into_bytes();
+        // The record no longer says how many private caches it holds, so a
+        // hierarchy of four tiles reads it as its own and runs out of
+        // data: a typed error, never a panic. That it is another system is
+        // the checkpoint header's verdict (`checkpoint_differential`).
         let mut other = MemoryHierarchy::new(cfg(), 4);
         let err = other
             .restore_state(&mut mosaic_ckpt::Dec::new(&bytes))
             .expect_err("tile count differs");
-        assert!(matches!(err, mosaic_ckpt::CkptError::Mismatch { .. }));
+        assert!(
+            matches!(
+                err,
+                mosaic_ckpt::CkptError::Truncated { .. } | mosaic_ckpt::CkptError::Corrupt { .. }
+            ),
+            "{err}"
+        );
     }
 }

@@ -182,9 +182,6 @@ snap_fields!(SimpleDram: epoch_start, returned_this_epoch, total_requests, throt
     last_step);
 
 impl SimpleDram {
-    /// The model's tag in a hierarchy snapshot.
-    pub(crate) const TAG: u8 = 0;
-
     /// Serializes the pending queue (in queue order: ready cycles ascend,
     /// equal ones in arrival order) and epoch/counter state.
     pub(crate) fn encode_into(&self, e: &mut Enc) {

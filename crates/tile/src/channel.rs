@@ -11,17 +11,15 @@
 
 use std::collections::VecDeque;
 
-use mosaic_ckpt::{snap_fields, snap_record, CkptError, Dec, Enc, Snap};
+use mosaic_ckpt::{snap_fields, CkptError, Dec, Enc};
 
-snap_record! {
-    /// Configuration of one channel.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct ChannelConfig {
-        /// Buffer capacity in messages (Table II: 512).
-        pub capacity: usize,
-        /// Cycles between a send issuing and the message becoming receivable.
-        pub latency: u64,
-    }
+/// Configuration of one channel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChannelConfig {
+    /// Buffer capacity in messages (Table II: 512).
+    pub capacity: usize,
+    /// Cycles between a send issuing and the message becoming receivable.
+    pub latency: u64,
 }
 
 impl Default for ChannelConfig {
@@ -185,22 +183,21 @@ impl ChannelSet {
         self.channels.iter().map(|(q, c)| (*q, c))
     }
 
-    /// Serializes every channel — configuration, buffered message
-    /// maturity cycles, and counters — in ascending queue order (the
-    /// set's own), so the byte stream is deterministic.
+    /// Serializes every channel — buffered message maturity cycles and
+    /// counters — in ascending queue order (the set's own), so the byte
+    /// stream is deterministic. The configuration is not written.
     pub fn encode_into(&self, e: &mut Enc) {
         e.u32(self.channels.len() as u32);
         for (q, c) in &self.channels {
             e.u32(*q);
-            c.config.put(e);
             e.seq::<u64, u64>(&c.queue);
             c.put_fields(e);
         }
     }
 
     /// Restores the channels written by [`ChannelSet::encode_into`],
-    /// replacing any existing channels (the default configuration for
-    /// channels created later is kept).
+    /// replacing any existing channels; each takes the set's own
+    /// configuration.
     ///
     /// # Errors
     ///
@@ -210,7 +207,7 @@ impl ChannelSet {
         self.channels.clear();
         for _ in 0..d.u32("channel count")? {
             let q = d.u32("channel queue id")?;
-            let mut c = Channel::new(Snap::get(d, "channel config")?);
+            let mut c = Channel::new(self.default_config);
             d.seq_into::<u64, u64>("channel messages", &mut c.queue)?;
             c.get_fields(d)?;
             let ascends = self.channels.last().is_none_or(|&(last, _)| last < q);
@@ -296,7 +293,6 @@ mod tests {
             e.u32(queues.len() as u32);
             for &(q, messages) in queues {
                 e.u32(q);
-                config.put(&mut e);
                 e.seq::<u64, u64>(0..messages);
                 e.raw(&[0; 16]);
             }

@@ -15,7 +15,7 @@
 
 use std::cmp::Reverse;
 
-use mosaic_ckpt::{snap_fields, CkptError, Dec, Enc, Snap, Wide};
+use mosaic_ckpt::{snap_fields, CkptError, Dec, Enc, Snap};
 use mosaic_ddg::InstClass;
 use mosaic_ir::BlockId;
 use mosaic_obs::{IrProfile, Timeline};
@@ -45,18 +45,17 @@ impl Snap for LaunchGate {
     }
 }
 
-/// The queue of a detached load's push is eight bytes wide in the file.
 impl Snap for ReqDone {
     fn put(&self, e: &mut Enc) {
         match *self {
             ReqDone::Retire(seq) => (0u8, seq).put(e),
-            ReqDone::Detached(push) => (1u8, push.map(Wide)).put(e),
+            ReqDone::Detached(push) => (1u8, push).put(e),
         }
     }
     fn get(d: &mut Dec<'_>, what: &str) -> Result<Self, CkptError> {
         match d.u8(what)? {
             0 => Snap::get(d, what).map(ReqDone::Retire),
-            1 => Snap::get(d, what).map(|push: Option<Wide>| ReqDone::Detached(push.map(|q| q.0))),
+            1 => Snap::get(d, what).map(ReqDone::Detached),
             v => Err(CkptError::corrupt(format!("{what}: request tag {v}"))),
         }
     }
@@ -112,7 +111,7 @@ impl CoreTile {
 
         self.mao.encode_into(e);
         e.seq::<u64, (u32, u32)>(self.dbbs.iter().map(|&(left, block)| (left, block.0)));
-        self.prev_launched_block.map(|b| Wide(b.0)).put(e);
+        self.prev_launched_block.map(|b| b.0).put(e);
         e.seq::<u64, u8>(&self.bimodal);
 
         e.seq::<u64, u32>(&self.pending_pushes);
@@ -206,8 +205,8 @@ impl CoreTile {
             self.dbbs.push_back((left, BlockId(block)));
             Ok(())
         })?;
-        let prev_block: Option<Wide> = Snap::get(d, "tile prev block")?;
-        self.prev_launched_block = prev_block.map(|b| BlockId(b.0));
+        let prev_block: Option<u32> = Snap::get(d, "tile prev block")?;
+        self.prev_launched_block = prev_block.map(BlockId);
         d.table::<u64, u8>("tile bimodal table", &mut self.bimodal)?;
 
         self.pending_pushes.clear();

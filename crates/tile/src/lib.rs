@@ -200,8 +200,6 @@ pub struct AccelResult {
     pub cycles: u64,
     /// Energy consumed, in picojoules.
     pub energy_pj: f64,
-    /// Bytes moved to/from memory.
-    pub bytes: u64,
 }
 
 /// An accelerator performance model callable by tiles (implemented by
@@ -793,7 +791,6 @@ mod tests {
                 Ok(AccelResult {
                     cycles: 500,
                     energy_pj: 1000.0,
-                    bytes: 64,
                 })
             }
         }

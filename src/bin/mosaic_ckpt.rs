@@ -11,13 +11,14 @@
 //! mosaic-ckpt resume --kernel <name> --from ckpt.mckpt
 //!                    [--scale N] [--tiles N] [--core ino|ooo] [--naive]
 //!     Rebuilds the *same* system (the kernel flags must match the save
-//!     invocation — the tile fingerprint is verified), loads the
-//!     snapshot, and runs to completion. The final report is
+//!     invocation — each part's configuration fingerprint is verified),
+//!     loads the snapshot, and runs to completion. The final report is
 //!     bit-identical to a straight-through run.
 //!
 //! mosaic-ckpt inspect ckpt.mckpt
-//!     Prints the header (cycle, tile fingerprint) and the section
-//!     table (each section's name and length).
+//!     Prints the header (cycle; each part and its configuration
+//!     fingerprint) and the section table (each section's name and
+//!     length).
 //! ```
 
 #![forbid(unsafe_code)]
@@ -27,6 +28,7 @@ mod kernel_flags;
 
 use std::path::Path;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use kernel_flags::{number, value, KernelFlags};
 use mosaicsim::ckpt::Checkpoint;
@@ -134,7 +136,7 @@ fn save(opts: &Options) -> Result<(), String> {
         "checkpoint at cycle {} ({} sections, {} tiles) written to {out}",
         ckpt.cycle(),
         ckpt.section_table().count(),
-        ckpt.fingerprint().len()
+        il.tiles().len()
     );
     Ok(())
 }
@@ -144,8 +146,9 @@ fn resume(opts: &Options) -> Result<(), String> {
         .from
         .as_deref()
         .ok_or_else(|| format!("--from is required\n{USAGE}"))?;
+    let ckpt = Checkpoint::load(Path::new(from)).map_err(|e| e.to_string())?;
     let report = builder_for(opts)?
-        .resume_from(from)
+        .resume_from_checkpoint(Arc::new(ckpt))
         .run()
         .map_err(|e| e.to_string())?;
     println!("{report}");
@@ -158,12 +161,12 @@ fn inspect(opts: &Options) -> Result<(), String> {
         .as_deref()
         .or(opts.from.as_deref())
         .ok_or_else(|| format!("inspect needs a file\n{USAGE}"))?;
-    let data = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let ckpt = Checkpoint::from_bytes(&data, path).map_err(|e| e.to_string())?;
+    let ckpt = Checkpoint::load(Path::new(path)).map_err(|e| e.to_string())?;
     println!("{path}: checkpoint at cycle {}", ckpt.cycle());
-    println!("tiles ({}):", ckpt.fingerprint().len());
-    for name in ckpt.fingerprint() {
-        println!("  {name}");
+    println!("parts ({}):", ckpt.parts().len());
+    let width = ckpt.parts().iter().map(|(n, _)| n.len()).max().unwrap_or(4);
+    for (name, fingerprint) in ckpt.parts() {
+        println!("  {name:<width$}  {fingerprint:016x}");
     }
     let sections: Vec<(&str, usize)> = ckpt.section_table().collect();
     println!("sections ({}):", sections.len());

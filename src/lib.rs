@@ -76,7 +76,7 @@ pub mod prelude {
     pub use mosaic_accel::{AccelBank, AccelConfig};
     pub use mosaic_core::{
         dae_channel, dae_memory, load_system_config, parse_system_config, record_trace,
-        simulate_single, simulate_spmd, small_memory, xeon_memory, EnergyModel, LintLevel,
+        simulate_single, simulate_spmd, small_memory, xeon_memory, LintLevel,
         MosaicError, SimError, SimReport, StallSnapshot, SystemBuilder,
     };
     pub use mosaic_ir::{

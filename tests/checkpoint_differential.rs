@@ -44,9 +44,10 @@ fn resume_is_bit_identical_to_straight_run() {
     ]);
 }
 
-/// Resumed ≡ straight through the file format: save the snapshot to disk
-/// and resume with [`SystemBuilder::resume_from`]. Also checks that a
-/// resumed run can itself checkpoint periodically.
+/// Resumed ≡ straight through the file format: save the snapshot to disk,
+/// load it with `Checkpoint::load` and resume with
+/// [`SystemBuilder::resume_from_checkpoint`]. Also checks that a resumed
+/// run can itself checkpoint periodically.
 #[test]
 fn resume_through_a_file_is_bit_identical() {
     let sgemm = at_stats("sgemm@1/ooo/1t");
@@ -61,9 +62,10 @@ fn resume_through_a_file_is_bit_identical() {
     il.save_checkpoint().save(&path).expect("save checkpoint");
 
     let repath = dir.join(format!("mosaic_ckpt_differential_re_{pid}.mckpt"));
+    let loaded = mosaicsim::ckpt::Checkpoint::load(&path).expect("load checkpoint");
     let resumed = sgemm
         .builder()
-        .resume_from(&path)
+        .resume_from_checkpoint(Arc::new(loaded))
         .checkpoint_every(straight.cycles / 4)
         .checkpoint_to(&repath)
         .run();
@@ -134,7 +136,7 @@ fn periodic_snapshots_are_run_until_pauses_at_each_boundary() {
 }
 
 /// Resuming into a *different* system is a checkpoint error, not
-/// undefined behavior: the tile fingerprint is verified.
+/// undefined behavior: each part's name and fingerprint is verified.
 #[test]
 fn resume_rejects_a_mismatched_system() {
     let histo = at_stats("histo@1/ino/1t");
@@ -156,6 +158,57 @@ fn resume_rejects_a_mismatched_system() {
             assert!(message.contains("other"), "unhelpful mismatch message: {message}");
         }
         other => panic!("expected a checkpoint error, got {other}"),
+    }
+}
+
+/// A system that differs from the snapshot's in one part's configuration
+/// alone — a latency, a window, the DRAM model, a tile more, a channel's
+/// capacity — is refused before any section is read, naming that part:
+/// each of these resumes would otherwise run to a cycle count neither
+/// configuration has.
+#[test]
+fn resume_rejects_a_system_of_another_configuration() {
+    let paused = |system: &System| {
+        let mut il = system.builder().build().expect("build");
+        let straight = system.builder().run().expect("straight");
+        assert_eq!(il.run_until(straight.cycles / 2).expect("prefix"), None);
+        Arc::new(il.save_checkpoint())
+    };
+    let bfs = support::system("bfs@1/ooo/2t");
+    let desc = support::system("projection/desc");
+    let (bfs_ckpt, desc_ckpt) = (paused(&bfs), paused(&desc));
+
+    let mut slow_llc = bfs.clone();
+    let llc = &slow_llc.memory.llc;
+    slow_llc.memory.llc = llc.clone().with_latency(4 * llc.latency());
+    let mut narrow = bfs.clone();
+    if let support::Cores::Tiles(cores) = &mut narrow.cores {
+        cores.iter_mut().for_each(|core| core.window_size = 16);
+    }
+    let mut banked = bfs.clone();
+    banked.memory = support::banked(banked.memory);
+    let mut wide_channels = desc.clone();
+    wide_channels.channel.capacity = 2;
+    let third = bfs.builder().core(
+        CoreConfig::out_of_order().with_name("c2"),
+        bfs.traced().programs[1].func,
+        1,
+    );
+    let cases = [
+        ("a 4x LLC latency", slow_llc.builder(), &bfs_ckpt, "'memory'"),
+        ("a 16-entry window", narrow.builder(), &bfs_ckpt, "'c0'"),
+        ("banked DRAM", banked.builder(), &bfs_ckpt, "'memory'"),
+        ("a third tile", third, &bfs_ckpt, "'c2'"),
+        ("channel capacity 2", wide_channels.builder(), &desc_ckpt, "'channels'"),
+    ];
+    for (label, builder, ckpt, part) in cases {
+        match builder.resume_from_checkpoint(ckpt.clone()).run() {
+            Err(MosaicError::Ckpt { message }) => {
+                assert!(message.contains(part), "{label}: {message} does not name {part}");
+            }
+            Ok(report) => panic!("{label}: resumed, ending at cycle {}", report.cycles),
+            Err(other) => panic!("{label}: expected a checkpoint error, got {other}"),
+        }
     }
 }
 

@@ -7,7 +7,10 @@
 //! it writes. This test pins the bytes: per row, the name, length and
 //! FNV-1a hash of every section of `Interleaver::save_checkpoint()`,
 //! against a table recorded before the per-component encode/decode pairs
-//! were rewritten onto one declaration each (`tests/ckpt_golden.txt`). A
+//! were rewritten onto one declaration each (`tests/ckpt_golden.txt`; last
+//! re-recorded when format version 6 dropped the configuration echoes, a
+//! rewrite that moved each section by exactly the bytes of the fields it
+//! dropped). A
 //! field written in another order, width or place moves the hash of the
 //! one section that holds it, in the rows whose systems use it.
 //!
@@ -35,8 +38,7 @@
 //!   slot inside the ring): every out-of-order row.
 //! * `Event::Lookup` at `Level::L1`: 25 grid rows, `L2`: 10 (four-tile
 //!   ones), `Llc`: 30; `Event::DramEnqueue` (a bank refused the enqueue):
-//!   `lbm/cramped`. The DRAM model tag: the `simple`/`banked` halves; a
-//!   bank's open row `None`: four `banked` rows, `Some`: all of them;
+//!   `lbm/cramped`. A bank's open row `None`: four `banked` rows, `Some`: all of them;
 //!   transfers in flight: nine.
 //! * `LaunchGate::WaitTerminator`: 48 grid rows (the presets predict
 //!   statically, and mispredict); `Free`: 24; `WaitUntil` (inside a
