@@ -45,11 +45,12 @@ pub(crate) const MAGIC: &[u8; 4] = b"MCKP";
 /// layout (dense rings), 3 the cache records in `mem` (valid ways only), 4
 /// dropped the counters nothing read, 5 the counts the rest of a snapshot
 /// determines (a tile's busy units and live DBBs, a cache's accesses, …),
-/// 6 the configuration echoes the header's per-part fingerprints replace.
-pub(crate) const VERSION: u32 = 6;
+/// 6 the configuration echoes the header's per-part fingerprints replace,
+/// 7 wrote every count and string length as a `u32`.
+pub(crate) const VERSION: u32 = 7;
 
 /// Longest string the decoder will accept (tile names, section names).
-const MAX_STR: u64 = 4096;
+const MAX_STR: u32 = 4096;
 
 /// Errors from encoding, decoding, or file I/O of checkpoints.
 #[derive(Debug)]
@@ -157,9 +158,10 @@ impl CkptError {
     }
 }
 
-/// Little-endian byte encoder. All integers are fixed-width LE; strings
-/// and byte blobs are `u64` length-prefixed; `f64` is written as its IEEE
-/// bit pattern so round-trips are exact.
+/// Little-endian byte encoder. All integers are fixed-width LE; every
+/// count of items and every string length is a `u32` ([`Enc::seq`],
+/// [`Enc::str`]); `f64` is written as its IEEE bit pattern so round-trips
+/// are exact.
 #[derive(Debug, Default)]
 pub struct Enc {
     buf: Vec<u8>,
@@ -203,7 +205,7 @@ impl Enc {
     }
 
     /// Writes a `usize` as a `u64`.
-    pub fn usize(&mut self, v: usize) {
+    pub(crate) fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
 
@@ -217,16 +219,11 @@ impl Enc {
         self.u64(v.to_bits());
     }
 
-    /// Writes a `u64`-length-prefixed UTF-8 string.
+    /// Writes a UTF-8 string behind its `u32` length ([`Dec::str`] reads
+    /// it back).
     pub fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
+        self.u32(u32::try_from(s.len()).expect("a string's length fits a u32"));
         self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Writes a `u64`-length-prefixed byte blob.
-    pub fn bytes(&mut self, b: &[u8]) {
-        self.u64(b.len() as u64);
-        self.buf.extend_from_slice(b);
     }
 
     /// Writes `b` as it is (a fixed-size field whose length the reader
@@ -236,21 +233,17 @@ impl Enc {
         self.buf.extend_from_slice(b);
     }
 
-    /// Writes `items` behind their count, a `W` ([`Dec::seq`] reads them
+    /// Writes `items` behind their `u32` count ([`Dec::seq`] reads them
     /// back). The count goes in once they are written: any iterator will do.
-    pub fn seq<W: Prefix, T: Snap>(&mut self, items: impl IntoIterator<Item = impl Borrow<T>>) {
+    pub fn seq<T: Snap>(&mut self, items: impl IntoIterator<Item = impl Borrow<T>>) {
         let at = self.buf.len();
-        self.buf.resize(at + std::mem::size_of::<W>(), 0);
-        let mut count = 0;
+        self.u32(0);
+        let mut count = 0u32;
         for item in items {
             item.borrow().put(self);
-            count += 1;
+            count = count.checked_add(1).expect("a sequence's count fits a u32");
         }
-        let end = self.buf.len();
-        let count = W::try_from(count).ok();
-        count.expect("a sequence's count fits its prefix").put(self);
-        self.buf.copy_within(end.., at);
-        self.buf.truncate(end);
+        self.buf[at..at + 4].copy_from_slice(&count.to_le_bytes());
     }
 }
 
@@ -334,9 +327,9 @@ impl<'a> Dec<'a> {
         Ok(f64::from_bits(self.u64(what)?))
     }
 
-    /// Reads a `u64`-length-prefixed UTF-8 string.
+    /// Reads a string written by [`Enc::str`].
     pub fn str(&mut self, what: &str) -> Result<String, CkptError> {
-        let len = self.u64(what)?;
+        let len = self.u32(what)?;
         if len > MAX_STR {
             return Err(CkptError::corrupt(format!(
                 "{what}: string length {len} implausibly long"
@@ -347,64 +340,39 @@ impl<'a> Dec<'a> {
             .map_err(|_| CkptError::corrupt(format!("{what}: invalid UTF-8")))
     }
 
-    /// Reads a `u64`-length-prefixed byte blob.
-    pub fn bytes(&mut self, what: &str) -> Result<&'a [u8], CkptError> {
-        let len = self.u64(what)?;
-        let len = usize::try_from(len)
-            .map_err(|_| CkptError::corrupt(format!("{what}: blob length {len} overflows")))?;
-        self.raw(len, what)
-    }
-
     /// Reads a sequence written by [`Enc::seq`], handing each item to
     /// `each` as it is decoded: nothing is sized from the count, so a
     /// crafted one costs nothing before the data runs out, and `each` can
     /// check an item against those before it while it can still name it.
-    pub fn seq<W: Prefix, T: Snap>(
+    pub fn seq<T: Snap>(
         &mut self,
         what: &str,
         mut each: impl FnMut(T) -> Result<(), CkptError>,
     ) -> Result<(), CkptError> {
-        for _ in 0..W::get(self, what)?.into() {
+        for _ in 0..self.u32(what)? {
             each(T::get(self, what)?)?;
         }
         Ok(())
     }
 
     /// Reads a sequence written by [`Enc::seq`] onto the end of `into`.
-    pub fn seq_into<W: Prefix, T: Snap>(
+    pub fn seq_into<T: Snap>(
         &mut self,
         what: &str,
         into: &mut impl Extend<T>,
     ) -> Result<(), CkptError> {
-        self.seq::<W, T>(what, |item| {
+        self.seq::<T>(what, |item| {
             into.extend([item]);
             Ok(())
         })
     }
-
-    /// Reads a sequence into `slots`, a table the restored component sized
-    /// from its own configuration, whose length it must have.
-    pub fn table<W: Prefix, T: Snap>(
-        &mut self,
-        what: &str,
-        slots: &mut [T],
-    ) -> Result<(), CkptError> {
-        let (found, want): (u64, _) = (W::get(self, what)?.into(), slots.len());
-        if found != want as u64 {
-            let context = format!("{what}: {found}, the system has {want}");
-            return Err(CkptError::Mismatch { context });
-        }
-        for slot in slots {
-            *slot = T::get(self, what)?;
-        }
-        Ok(())
-    }
 }
 
 /// A value with one checkpoint encoding: [`Snap::get`] reads back what
-/// [`Snap::put`] wrote. Scalars, `String`, `Option`, arrays and small
-/// tuples have theirs here; [`snap_record!`] and [`snap_enum!`] declare a component's
-/// own, so that neither direction can be written without the other.
+/// [`Snap::put`] wrote. Scalars, `String`, `Option`, `Vec`, arrays and
+/// small tuples have theirs here; [`snap_record!`] and [`snap_enum!`]
+/// declare a component's own, so that neither direction can be written
+/// without the other.
 pub trait Snap: Sized {
     /// Appends the value to `e`.
     fn put(&self, e: &mut Enc);
@@ -413,12 +381,6 @@ pub trait Snap: Sized {
     /// short or wrong, and is only formatted then.
     fn get(d: &mut Dec<'_>, what: &str) -> Result<Self, CkptError>;
 }
-
-/// The width of a sequence's count: the format has `u32` counts where a
-/// component counted a table of its own and `u64` where a `usize` was written.
-pub trait Prefix: Snap + TryFrom<usize> + Into<u64> {}
-impl Prefix for u32 {}
-impl Prefix for u64 {}
 
 macro_rules! snap_scalar {
     ($($t:ident),*) => {$(
@@ -453,6 +415,18 @@ impl<T: Snap> Snap for Option<T> {
     }
     fn get(d: &mut Dec<'_>, what: &str) -> Result<Self, CkptError> {
         d.bool(what)?.then(|| T::get(d, what)).transpose()
+    }
+}
+
+/// A sequence: its `u32` count, then the items.
+impl<T: Snap> Snap for Vec<T> {
+    fn put(&self, e: &mut Enc) {
+        e.seq::<T>(self);
+    }
+    fn get(d: &mut Dec<'_>, what: &str) -> Result<Self, CkptError> {
+        let mut items = Vec::new();
+        d.seq_into(what, &mut items)?;
+        Ok(items)
     }
 }
 
@@ -617,7 +591,7 @@ impl Checkpoint {
     }
 
     /// Serializes the container: magic, version, cycle, parts, section
-    /// count, then each section as (name, `u64` length, bytes).
+    /// count, then each section as (name, `u64` byte length, bytes).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.write_to(&mut out).expect("writing to a Vec cannot fail");
@@ -631,7 +605,7 @@ impl Checkpoint {
         e.raw(MAGIC);
         e.u32(VERSION);
         e.u64(self.cycle);
-        e.seq::<u32, (String, u64)>(&self.parts);
+        e.seq::<(String, u64)>(&self.parts);
         e.u32(self.sections.len() as u32);
         for (name, bytes) in &self.sections {
             e.str(name);
@@ -667,12 +641,15 @@ impl Checkpoint {
         }
         let cycle = d.u64("cycle")?;
         let mut parts = Vec::new();
-        d.seq_into::<u32, (String, u64)>("part", &mut parts)?;
+        d.seq_into::<(String, u64)>("part", &mut parts)?;
         let mut sections = Vec::new();
         for _ in 0..d.u32("section count")? {
             let name = d.str("section name")?;
-            let bytes = d.bytes(&format!("section '{name}'"))?.to_vec();
-            sections.push((name, bytes));
+            let what = format!("section '{name}'");
+            let len = d.u64(&what)?;
+            let len = usize::try_from(len)
+                .map_err(|_| CkptError::corrupt(format!("{what}: length {len} overflows")))?;
+            sections.push((name, d.raw(len, &what)?.to_vec()));
         }
         Ok(Checkpoint {
             cycle,
@@ -796,7 +773,7 @@ mod tests {
         None::<u64>.put(&mut e);
         c.add_section("sched", e);
         let mut e2 = Enc::new();
-        e2.bytes(&[1, 2, 3]);
+        e2.seq::<u8>([1u8, 2, 3]);
         c.add_section("mem", e2);
         c
     }
@@ -825,7 +802,7 @@ mod tests {
         let table: Vec<(&str, usize)> = back.section_table().collect();
         assert_eq!(table.len(), 2);
         assert_eq!(table[0].0, "sched");
-        assert_eq!(table[1], ("mem", 11));
+        assert_eq!(table[1], ("mem", 7));
     }
 
     #[test]
@@ -849,8 +826,8 @@ mod tests {
 
     /// DESIGN.md §4.6 and the CI comments quote the version by number.
     #[test]
-    fn the_format_is_version_6() {
-        assert_eq!(VERSION, 6);
+    fn the_format_is_version_7() {
+        assert_eq!(VERSION, 7);
     }
 
     #[test]
@@ -1161,29 +1138,23 @@ mod tests {
         assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
     }
 
-    /// Sequences carry a `u32` or a `u64` count, whatever iterator wrote
-    /// them; a reader hands items over one by one, stops at the first its
-    /// closure refuses, and finds a crafted count truncated.
+    /// Sequences carry a `u32` count, whatever iterator wrote them; a
+    /// reader hands items over one by one, stops at the first its closure
+    /// refuses, and finds a crafted count truncated.
     #[test]
     fn sequences_in_both_widths() {
         let mut e = Enc::new();
-        e.seq::<u32, Entry>(&entries());
-        e.seq::<u64, u64>((0..5u64).filter(|v| v % 2 == 0));
+        e.seq::<Entry>(&entries());
+        e.seq::<u64>((0..5u64).filter(|v| v % 2 == 0));
         assert_eq!(e.buf[..4], 2u32.to_le_bytes());
         let mut d = Dec::new(&e.buf);
         let mut back = Vec::new();
-        d.seq_into::<u32, Entry>("entries", &mut back).unwrap();
+        d.seq_into::<Entry>("entries", &mut back).unwrap();
         assert_eq!(back, entries());
         let rest = &e.buf[e.buf.len() - d.remaining()..];
-        let mut evens = [0u64; 3];
-        Dec::new(rest)
-            .table::<u64, u64>("evens", &mut evens)
-            .unwrap();
-        assert_eq!(evens, [0, 2, 4]);
-        let err = Dec::new(rest).table::<u64, u64>("evens", &mut [0; 4]);
-        assert!(matches!(err, Err(CkptError::Mismatch { .. })), "{err:?}");
+        assert_eq!(Vec::<u64>::get(&mut Dec::new(rest), "evens").unwrap(), [0, 2, 4]);
         let mut seen = 0;
-        let err = d.seq::<u64, u64>("evens", |v| {
+        let err = d.seq::<u64>("evens", |v| {
             seen += 1;
             if v == 2 {
                 return Err(CkptError::corrupt("no twos"));
@@ -1194,11 +1165,11 @@ mod tests {
         assert_eq!(seen, 2);
 
         let mut crafted = Enc::new();
-        crafted.u64(u64::MAX);
+        crafted.u32(u32::MAX);
         crafted.u64(1);
         let mut items = Vec::new();
         let err = Dec::new(&crafted.buf)
-            .seq_into::<u64, u64>("crafted", &mut items)
+            .seq_into::<u64>("crafted", &mut items)
             .unwrap_err();
         assert!(matches!(err, CkptError::Truncated { .. }), "{err}");
         assert_eq!(items, [1]);

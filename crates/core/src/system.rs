@@ -18,7 +18,7 @@ use mosaic_part::{partition, InterferenceGraph, LatencyModel, MemGeometry, Parti
 use mosaic_tile::{
     AccelSim, ChannelConfig, ChannelSet, CoreConfig, CoreTile, NoAccel, Tile, TileStats,
 };
-use mosaic_trace::KernelTrace;
+use mosaic_trace::{CursorPos, KernelTrace};
 
 use crate::energy;
 use crate::error::MosaicError;
@@ -713,11 +713,16 @@ impl SystemBuilder {
 
     /// The system's parts as a checkpoint's header names them: each tile
     /// with an FNV-1a hash of its core configuration, function and trace
-    /// tile, then `memory` and `channels` with a hash of theirs. A hash is
-    /// of the `Debug` rendering, which names every field.
+    /// tile and of the sizes its tables take from them (the function's
+    /// instructions and blocks, the trace tile's streams), then `memory`
+    /// and `channels` with a hash of theirs. A hash is of the `Debug`
+    /// rendering, which names every field.
     fn parts(&self) -> Vec<(String, u64)> {
         let tiles = self.tiles.iter().map(|t| {
-            let part = (&t.config, t.func, t.trace_tile);
+            let f = self.module.function(t.func);
+            let streams = CursorPos::new(self.trace.tile(t.trace_tile)).stream_pos.len();
+            let sizes = (f.inst_count(), f.block_count(), streams);
+            let part = (&t.config, t.func, t.trace_tile, sizes);
             (t.config.name.clone(), fnv1a(&format!("{part:?}")))
         });
         let memory = ("memory".to_string(), fnv1a(&format!("{:?}", self.memory)));

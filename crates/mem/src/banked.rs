@@ -246,10 +246,10 @@ impl BankedDram {
         for bank in &self.banks {
             bank.open_row.put(e);
             e.u64(bank.busy_until);
-            e.seq::<u32, BankReq>(&bank.queue);
+            e.seq::<BankReq>(&bank.queue);
         }
-        e.seq::<u32, u64>(&self.channel_bus_free);
-        e.seq::<u32, (u64, ReqId)>(&self.in_flight);
+        self.channel_bus_free.iter().for_each(|free| free.put(e));
+        e.seq::<(u64, ReqId)>(&self.in_flight);
         self.put_fields(e);
     }
 
@@ -258,11 +258,13 @@ impl BankedDram {
             bank.open_row = Snap::get(d, "bank open row")?;
             bank.busy_until = d.u64("bank busy_until")?;
             bank.queue.clear();
-            d.seq_into::<u32, BankReq>("bank queue", &mut bank.queue)?;
+            d.seq_into::<BankReq>("bank queue", &mut bank.queue)?;
         }
-        d.table::<u32, u64>("banked DRAM channels", &mut self.channel_bus_free)?;
+        for free in &mut self.channel_bus_free {
+            *free = d.u64("banked DRAM channel")?;
+        }
         self.in_flight.clear();
-        d.seq_into::<u32, (u64, ReqId)>("banked DRAM transfers", &mut self.in_flight)?;
+        d.seq_into::<(u64, ReqId)>("banked DRAM transfers", &mut self.in_flight)?;
         self.get_fields(d)?;
         self.next_due = self.earliest_work();
         Ok(())

@@ -870,19 +870,19 @@ impl MemoryHierarchy {
 
         // Events in firing order and requests in id order: the order the
         // wheel and the ring hold them in.
-        e.u64(self.events.len() as u64);
-        self.events
-            .for_each(|cycle, seq, ev| (cycle, seq, *ev).put(e));
+        let mut events = Vec::with_capacity(self.events.len());
+        self.events.for_each(|cycle, seq, ev| events.push((cycle, seq, *ev)));
+        e.seq::<(u64, u64, Event)>(&events);
         e.u64(self.events.seq);
         e.u64(self.next_id);
-        e.seq::<u64, (u64, ReqState)>(self.reqs.iter().map(|(id, st)| (id, *st)));
-        e.seq::<u64, Completion>(&self.completions);
+        e.seq::<(u64, ReqState)>(self.reqs.iter().map(|(id, st)| (id, *st)));
+        e.seq::<Completion>(&self.completions);
         self.stats.put(e);
         e.u64(self.atomic_free_at);
 
-        self.timeline.encode_into(e);
+        self.timeline.put(e);
         for lv in &self.levels {
-            lv.occupancy.encode_into(e);
+            lv.occupancy.put(e);
         }
     }
 
@@ -909,7 +909,7 @@ impl MemoryHierarchy {
         on_model!(&mut self.dram, dram => dram.restore_from(d))?;
 
         self.events.clear();
-        d.seq::<u64, (u64, u64, Event)>("hierarchy events", |(cycle, seq, ev)| {
+        d.seq::<(u64, u64, Event)>("hierarchy events", |(cycle, seq, ev)| {
             self.events.insert(cycle, seq, ev);
             Ok(())
         })?;
@@ -918,7 +918,7 @@ impl MemoryHierarchy {
 
         self.reqs.clear();
         let mut live_ids: Option<(u64, u64)> = None;
-        d.seq::<u64, (u64, ReqState)>("in-flight requests", |(id, state)| {
+        d.seq::<(u64, ReqState)>("in-flight requests", |(id, state)| {
             // Live ids ascend below `next_id`, and sit within a ring's
             // reach of the oldest: the slots between them are allocated.
             let first = live_ids.map_or(id, |(first, _)| first);
@@ -948,13 +948,13 @@ impl MemoryHierarchy {
         }
 
         self.completions.clear();
-        d.seq_into::<u64, Completion>("undelivered completions", &mut self.completions)?;
+        d.seq_into::<Completion>("undelivered completions", &mut self.completions)?;
         self.stats = Snap::get(d, "hierarchy stats")?;
         self.atomic_free_at = d.u64("hierarchy atomic_free_at")?;
 
-        self.timeline = Timeline::decode_from(d)?;
+        self.timeline = Snap::get(d, "hierarchy timeline")?;
         for lv in &mut self.levels {
-            lv.occupancy = Log2Histogram::decode_from(d)?;
+            lv.occupancy = Snap::get(d, "level occupancy")?;
         }
         Ok(())
     }

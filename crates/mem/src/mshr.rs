@@ -131,27 +131,24 @@ impl Mshr {
     pub(crate) fn encode_into(&self, e: &mut Enc) {
         let mut slots: Vec<usize> = (0..self.lines.len()).collect();
         slots.sort_unstable_by_key(|&slot| self.lines[slot]);
-        e.u32(slots.len() as u32);
-        for slot in slots {
-            e.u64(self.lines[slot]);
-            e.seq::<u32, ReqId>(&self.waiters[slot]);
-        }
+        let entries = slots.into_iter().map(|slot| (self.lines[slot], self.waiters[slot].clone()));
+        e.seq::<(u64, Vec<ReqId>)>(entries);
         self.put_fields(e);
     }
 
     pub(crate) fn restore_from(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
         self.lines.clear();
         self.waiters.iter_mut().for_each(Vec::clear);
-        for _ in 0..d.u32("mshr entry count")? {
-            let line = d.u64("mshr line")?;
+        d.seq::<(u64, Vec<ReqId>)>("mshr entry", |(line, waiters)| {
             if self.lines.len() >= self.capacity || self.is_pending(line) {
                 return Err(CkptError::corrupt(format!(
                     "mshr entry for line {line:#x} is a duplicate or exceeds the {} configured",
                     self.capacity
                 )));
             }
-            d.seq_into::<u32, ReqId>("mshr waiters", self.allocate(line))?;
-        }
+            self.allocate(line).extend(waiters);
+            Ok(())
+        })?;
         self.get_fields(d)
     }
 }

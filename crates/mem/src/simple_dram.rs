@@ -185,7 +185,7 @@ impl SimpleDram {
     /// Serializes the pending queue (in queue order: ready cycles ascend,
     /// equal ones in arrival order) and epoch/counter state.
     pub(crate) fn encode_into(&self, e: &mut Enc) {
-        e.seq::<u32, (u64, ReqId)>(&self.queue);
+        e.seq::<(u64, ReqId)>(&self.queue);
         self.put_fields(e);
     }
 
@@ -193,7 +193,7 @@ impl SimpleDram {
     /// queue keeps the record's order.
     pub(crate) fn restore_from(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
         self.queue.clear();
-        d.seq::<u32, (u64, ReqId)>("dram queue", |(ready, id)| {
+        d.seq::<(u64, ReqId)>("dram queue", |(ready, id)| {
             let last = self.queue.back().map_or(0, |&(last, _)| last);
             if last > ready {
                 return Err(CkptError::corrupt(format!(
@@ -277,7 +277,7 @@ mod tests {
     /// A record with `(ready, id)` entries and a fresh model's fields.
     fn record(queue: &[(u64, ReqId)]) -> Vec<u8> {
         let mut e = Enc::new();
-        e.seq::<u32, (u64, ReqId)>(queue);
+        e.seq::<(u64, ReqId)>(queue);
         dram(10, 64, 8).put_fields(&mut e);
         e.into_bytes()
     }

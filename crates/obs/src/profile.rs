@@ -2,6 +2,8 @@
 
 use std::collections::BTreeMap;
 
+use mosaic_ckpt::Snap;
+
 use crate::registry::Log2Histogram;
 
 /// Number of [`StallKind`] variants (array dimension of per-kind
@@ -333,42 +335,24 @@ impl ProfileTable {
     }
 }
 
-impl IrProfile {
-    /// Serializes the profile into a checkpoint section, entries in key
-    /// order (the map is a `BTreeMap`, so the byte stream is
-    /// deterministic).
-    pub fn encode_into(&self, e: &mut mosaic_ckpt::Enc) {
-        e.u64(self.map.len() as u64);
-        for (&(func, inst), p) in &self.map {
-            e.u32(func);
-            e.u32(inst);
-            e.u64(p.retired);
-            mosaic_ckpt::Snap::put(&p.stalls, e);
-            p.mem_lat.encode_into(e);
-        }
+/// A profile row as a checkpoint holds it: its key, retired count, stall
+/// counters and latency histogram.
+type Row = (InstKey, (u64, [u64; STALL_KINDS], Log2Histogram));
+
+/// The rows in key order (the map is a `BTreeMap`, so the byte stream is
+/// deterministic).
+impl Snap for IrProfile {
+    fn put(&self, e: &mut mosaic_ckpt::Enc) {
+        let rows = self.map.iter();
+        e.seq::<Row>(rows.map(|(&key, p)| (key, (p.retired, p.stalls, p.mem_lat.clone()))));
     }
 
-    /// Decodes a profile written by [`IrProfile::encode_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`mosaic_ckpt::CkptError`] on truncated or malformed
-    /// data.
-    pub fn decode_from(
-        d: &mut mosaic_ckpt::Dec<'_>,
-    ) -> Result<Self, mosaic_ckpt::CkptError> {
-        let n = d.u64("profile entry count")?;
+    fn get(d: &mut mosaic_ckpt::Dec<'_>, _: &str) -> Result<Self, mosaic_ckpt::CkptError> {
         let mut p = IrProfile::new();
-        for _ in 0..n {
-            let func = d.u32("profile func id")?;
-            let inst = d.u32("profile inst id")?;
-            let e = InstProfile {
-                retired: d.u64("profile retired")?,
-                stalls: mosaic_ckpt::Snap::get(d, "profile stall counter")?,
-                mem_lat: Log2Histogram::decode_from(d)?,
-            };
-            p.map.insert((func, inst), e);
-        }
+        d.seq::<Row>("profile row", |(key, (retired, stalls, mem_lat))| {
+            p.map.insert(key, InstProfile { retired, stalls, mem_lat });
+            Ok(())
+        })?;
         Ok(p)
     }
 }
@@ -498,9 +482,10 @@ mod table_tests {
             // Encode, decode into a table that already holds other rows,
             // and carry on: the same as never having stopped.
             let mut e = mosaic_ckpt::Enc::new();
-            table.to_profile().encode_into(&mut e);
+            table.to_profile().put(&mut e);
             let bytes = e.into_bytes();
-            let decoded = IrProfile::decode_from(&mut mosaic_ckpt::Dec::new(&bytes)).unwrap();
+            let decoded: IrProfile =
+                Snap::get(&mut mosaic_ckpt::Dec::new(&bytes), "profile").unwrap();
             other.load(&decoded).unwrap();
             assert_eq!(other.to_profile(), model, "seed {seed}: reload");
             let mut rng_a = Rng(seed ^ 0xabcd);
@@ -595,10 +580,10 @@ mod snapshot_tests {
         p.mem_latency((2, 7), 123);
         p.mem_latency((0, 1), 0);
         let mut e = mosaic_ckpt::Enc::new();
-        p.encode_into(&mut e);
+        p.put(&mut e);
         let bytes = e.into_bytes();
         let mut d = mosaic_ckpt::Dec::new(&bytes);
-        let back = IrProfile::decode_from(&mut d).unwrap();
+        let back: IrProfile = Snap::get(&mut d, "profile").unwrap();
         assert!(d.is_exhausted());
         assert_eq!(p, back);
     }
@@ -607,9 +592,9 @@ mod snapshot_tests {
     fn empty_histogram_round_trips_min_sentinel() {
         let h = Log2Histogram::new();
         let mut e = mosaic_ckpt::Enc::new();
-        h.encode_into(&mut e);
+        h.put(&mut e);
         let bytes = e.into_bytes();
-        let back = Log2Histogram::decode_from(&mut mosaic_ckpt::Dec::new(&bytes)).unwrap();
+        let back = Log2Histogram::get(&mut mosaic_ckpt::Dec::new(&bytes), "histogram").unwrap();
         assert_eq!(h, back);
         assert_eq!(back.min(), 0);
     }

@@ -408,28 +408,20 @@ impl StatsRegistry {
 
 mosaic_ckpt::snap_fields!(Log2Histogram: count, sum, min, max);
 
-impl Log2Histogram {
-    /// Serializes the histogram into a checkpoint section: exact
-    /// `count`/`sum` and the raw `min`/`max` fields (so an empty
-    /// histogram round-trips its `u64::MAX` min sentinel), then the
-    /// nonzero buckets as sparse `(index, count)` pairs.
-    pub fn encode_into(&self, e: &mut mosaic_ckpt::Enc) {
+/// Exact `count`/`sum` and the raw `min`/`max` fields (so an empty
+/// histogram round-trips its `u64::MAX` min sentinel), then the nonzero
+/// buckets as sparse `(index, count)` pairs; a bucket index outside `0..65`
+/// is corrupt.
+impl mosaic_ckpt::Snap for Log2Histogram {
+    fn put(&self, e: &mut mosaic_ckpt::Enc) {
         self.put_fields(e);
-        e.seq::<u32, (u8, u64)>(self.nonzero_buckets().map(|(i, n)| (i as u8, n)));
+        e.seq::<(u8, u64)>(self.nonzero_buckets().map(|(i, n)| (i as u8, n)));
     }
 
-    /// Decodes a histogram written by [`Log2Histogram::encode_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`mosaic_ckpt::CkptError`] on truncated data or a
-    /// bucket index outside `0..65`.
-    pub fn decode_from(
-        d: &mut mosaic_ckpt::Dec<'_>,
-    ) -> Result<Self, mosaic_ckpt::CkptError> {
+    fn get(d: &mut mosaic_ckpt::Dec<'_>, _: &str) -> Result<Self, mosaic_ckpt::CkptError> {
         let mut h = Log2Histogram::new();
         h.get_fields(d)?;
-        d.seq::<u32, (u8, u64)>("histogram buckets", |(i, n)| {
+        d.seq::<(u8, u64)>("histogram buckets", |(i, n)| {
             let bucket = h.buckets.get_mut(usize::from(i)).ok_or_else(|| {
                 mosaic_ckpt::CkptError::corrupt(format!("histogram bucket index {i} out of range"))
             })?;

@@ -19,25 +19,25 @@ const CHUNK: usize = 2048;
 /// Digits by value, lower case.
 const HEX: &[u8; 16] = b"0123456789abcdef";
 
-/// What a span shows: the five kinds of interval the simulator records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Category {
-    /// A tile's compute interval, or its whole active lifetime.
-    Tile,
-    /// A tile's stall interval.
-    Stall,
-    /// A memory request's lifetime.
-    Mem,
-    /// A DRAM service interval.
-    Dram,
-    /// An accelerator invocation.
-    Accel,
+mosaic_ckpt::snap_enum! {
+    /// What a span shows: the five kinds of interval the simulator records.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Category {
+        /// A tile's compute interval, or its whole active lifetime.
+        Tile = 0,
+        /// A tile's stall interval.
+        Stall = 1,
+        /// A memory request's lifetime.
+        Mem = 2,
+        /// A DRAM service interval.
+        Dram = 3,
+        /// An accelerator invocation.
+        Accel = 4,
+    }
 }
 
 impl Category {
-    const ALL: [Category; 5] = [Self::Tile, Self::Stall, Self::Mem, Self::Dram, Self::Accel];
-
-    /// The category as Chrome's `cat` field and a checkpoint spell it.
+    /// The category as Chrome's `cat` field spells it.
     pub(crate) fn as_str(self) -> &'static str {
         ["tile", "stall", "mem", "dram", "accel"][self as usize]
     }
@@ -310,54 +310,45 @@ impl Timeline {
         w.write_all(&out)
     }
 
-    /// Serializes spans and track metadata into a checkpoint section: per
-    /// span its track, its category and its name as text.
-    pub fn encode_into(&self, e: &mut Enc) {
+    /// A span's name as text.
+    fn name(&self, span: &Span) -> String {
         let mut name = Vec::new();
-        e.u64(self.len() as u64);
-        for span in self.spans() {
-            (u32::from(span.pid), span.tid).put(e);
-            e.str(span.cat.as_str());
-            name.clear();
-            self.push_name(span, &mut name, |out, s| {
-                out.extend_from_slice(s.as_bytes())
-            });
-            e.bytes(&name);
-            (span.start, span.end).put(e);
-        }
-        e.seq::<u32, (u32, String)>(&self.processes);
-        e.seq::<u32, (u32, u32, String)>(&self.threads);
+        self.push_name(span, &mut name, |out, s| {
+            out.extend_from_slice(s.as_bytes())
+        });
+        String::from_utf8(name).expect("names are UTF-8")
+    }
+}
+
+/// A span as a checkpoint holds it: its track `((pid, tid), category)`,
+/// its name as text and its cycles.
+type SpanRecord = (((u32, u32), Category), String, (u64, u64));
+
+/// Spans and track metadata, each name as text: a decoded timeline owns
+/// every name. A process id past `u16` is corrupt.
+impl Snap for Timeline {
+    fn put(&self, e: &mut Enc) {
+        e.seq::<SpanRecord>(self.spans().map(|span| {
+            let track = ((u32::from(span.pid), span.tid), span.cat);
+            (track, self.name(span), (span.start, span.end))
+        }));
+        e.seq::<(u32, String)>(&self.processes);
+        e.seq::<(u32, u32, String)>(&self.threads);
     }
 
-    /// Decodes a timeline written by [`Timeline::encode_into`], each name
-    /// as owned text. A category other than the five, or a process id past
-    /// `u16`, is corrupt.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`mosaic_ckpt::CkptError`] on truncated or malformed
-    /// data.
-    pub fn decode_from(d: &mut Dec<'_>) -> Result<Self, CkptError> {
-        let what = "timeline span";
-        let corrupt = |detail: String| CkptError::corrupt(format!("{what}: {detail}"));
+    fn get(d: &mut Dec<'_>, _: &str) -> Result<Self, CkptError> {
         let mut t = Timeline::new();
-        for _ in 0..d.u64(what)? {
-            let (pid, tid): (u32, u32) = Snap::get(d, what)?;
-            let pid = u16::try_from(pid).map_err(|_| corrupt(format!("process id {pid}")))?;
-            let cat = d.bytes(what)?;
-            let Some(cat) = Category::ALL
-                .into_iter()
-                .find(|c| c.as_str().as_bytes() == cat)
-            else {
-                let cat = String::from_utf8_lossy(cat);
-                return Err(corrupt(format!("unknown category '{cat}'")));
-            };
-            let name = SpanName::Owned(d.str(what)?);
-            let (start, end) = Snap::get(d, what)?;
-            t.span(pid, tid, cat, name, start, end);
-        }
-        d.seq_into::<u32, (u32, String)>("timeline process", &mut t.processes)?;
-        d.seq_into::<u32, (u32, u32, String)>("timeline thread", &mut t.threads)?;
+        d.seq::<SpanRecord>(
+            "timeline span",
+            |(((pid, tid), cat), name, (start, end))| {
+                let pid = u16::try_from(pid)
+                    .map_err(|_| CkptError::corrupt(format!("timeline span: process id {pid}")))?;
+                t.span(pid, tid, cat, SpanName::Owned(name), start, end);
+                Ok(())
+            },
+        )?;
+        d.seq_into::<(u32, String)>("timeline process", &mut t.processes)?;
+        d.seq_into::<(u32, u32, String)>("timeline thread", &mut t.threads)?;
         Ok(t)
     }
 }
@@ -369,7 +360,7 @@ impl PartialEq for Timeline {
     fn eq(&self, other: &Self) -> bool {
         let encoded = |t: &Timeline| {
             let mut e = Enc::new();
-            t.encode_into(&mut e);
+            t.put(&mut e);
             e.into_bytes()
         };
         encoded(self) == encoded(other)
@@ -403,7 +394,7 @@ mod tests {
 
     fn encoded(t: &Timeline) -> Vec<u8> {
         let mut e = Enc::new();
-        t.encode_into(&mut e);
+        t.put(&mut e);
         e.into_bytes()
     }
 
@@ -519,7 +510,7 @@ mod tests {
         t.span(1, 0, Category::Mem, mem_line("atomic", 0x80), 1, 7);
         let bytes = encoded(&t);
         let mut d = Dec::new(&bytes);
-        let back = Timeline::decode_from(&mut d).unwrap();
+        let back = Timeline::get(&mut d, "timeline").unwrap();
         assert!(d.is_exhausted());
         assert_eq!(back.owned, ["stall", "line 0x1c0", "atomic line 0x80"]);
         assert_eq!(t, back);
@@ -534,24 +525,30 @@ mod tests {
     /// by the decoder.
     #[test]
     fn unknown_category_or_wide_pid_is_corrupt() {
-        for cat in Category::ALL {
+        for cat in [
+            Category::Tile,
+            Category::Stall,
+            Category::Mem,
+            Category::Dram,
+            Category::Accel,
+        ] {
             let mut t = Timeline::new();
             t.span(0, 0, cat, "x", 1, 2);
-            let back = Timeline::decode_from(&mut Dec::new(&encoded(&t))).unwrap();
+            let back = Timeline::get(&mut Dec::new(&encoded(&t)), "timeline").unwrap();
             assert_eq!(back.spans().next().unwrap().cat, cat);
         }
         let mut t = Timeline::new();
         t.span(7, 0, Category::Mem, "x", 1, 2);
         let good = encoded(&t);
-        let at = good.windows(3).position(|w| w == b"mem").unwrap();
+        assert_eq!(good[12], Category::Mem as u8);
         let mut gpu = good.clone();
-        gpu[at..at + 3].copy_from_slice(b"gpu");
-        let err = Timeline::decode_from(&mut Dec::new(&gpu)).unwrap_err();
+        gpu[12] = 5;
+        let err = Timeline::get(&mut Dec::new(&gpu), "timeline").unwrap_err();
         assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
-        assert!(err.to_string().contains("gpu"), "{err}");
+        assert!(err.to_string().contains("Category code 5"), "{err}");
         let mut wide = good;
-        wide[8..12].copy_from_slice(&0x1_0007u32.to_le_bytes());
-        let err = Timeline::decode_from(&mut Dec::new(&wide)).unwrap_err();
+        wide[4..8].copy_from_slice(&0x1_0007u32.to_le_bytes());
+        let err = Timeline::get(&mut Dec::new(&wide), "timeline").unwrap_err();
         assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
     }
 }

@@ -11,7 +11,7 @@
 
 use std::collections::VecDeque;
 
-use mosaic_ckpt::{snap_fields, CkptError, Dec, Enc};
+use mosaic_ckpt::{CkptError, Dec, Enc};
 
 /// Configuration of one channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -187,12 +187,9 @@ impl ChannelSet {
     /// counters — in ascending queue order (the set's own), so the byte
     /// stream is deterministic. The configuration is not written.
     pub fn encode_into(&self, e: &mut Enc) {
-        e.u32(self.channels.len() as u32);
-        for (q, c) in &self.channels {
-            e.u32(*q);
-            e.seq::<u64, u64>(&c.queue);
-            c.put_fields(e);
-        }
+        e.seq::<ChannelRecord>(self.channels.iter().map(|(q, c)| {
+            (*q, c.queue.iter().copied().collect(), (c.sends, c.recvs))
+        }));
     }
 
     /// Restores the channels written by [`ChannelSet::encode_into`],
@@ -205,11 +202,9 @@ impl ChannelSet {
     /// that do not ascend, or a channel holding more than its capacity.
     pub fn restore_from(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
         self.channels.clear();
-        for _ in 0..d.u32("channel count")? {
-            let q = d.u32("channel queue id")?;
+        d.seq::<ChannelRecord>("channel", |(q, queue, (sends, recvs))| {
             let mut c = Channel::new(self.default_config);
-            d.seq_into::<u64, u64>("channel messages", &mut c.queue)?;
-            c.get_fields(d)?;
+            (c.queue, c.sends, c.recvs) = (queue.into(), sends, recvs);
             let ascends = self.channels.last().is_none_or(|&(last, _)| last < q);
             if !ascends || c.queue.len() > c.config.capacity {
                 return Err(CkptError::corrupt(format!(
@@ -219,12 +214,14 @@ impl ChannelSet {
                 )));
             }
             self.channels.push((q, c));
-        }
-        Ok(())
+            Ok(())
+        })
     }
 }
 
-snap_fields!(Channel: sends, recvs);
+/// A channel as a checkpoint holds it: its queue id, its buffered messages'
+/// maturity cycles, and its send and receive counts.
+type ChannelRecord = (u32, Vec<u64>, (u64, u64));
 
 #[cfg(test)]
 mod tests {
@@ -293,7 +290,7 @@ mod tests {
             e.u32(queues.len() as u32);
             for &(q, messages) in queues {
                 e.u32(q);
-                e.seq::<u64, u64>(0..messages);
+                e.seq::<u64>(0..messages);
                 e.raw(&[0; 16]);
             }
             e.into_bytes()

@@ -18,6 +18,7 @@ use std::cmp::Reverse;
 use mosaic_ckpt::{snap_fields, CkptError, Dec, Enc, Snap};
 use mosaic_ddg::InstClass;
 use mosaic_ir::BlockId;
+use mosaic_mem::AccessKind;
 use mosaic_obs::{IrProfile, Timeline};
 
 use super::inflight::{DynInst, DynState, InFlight, NIL};
@@ -61,6 +62,37 @@ impl Snap for ReqDone {
     }
 }
 
+/// An in-flight slot as a checkpoint holds it: its state and, unless it is
+/// done, the rest of it.
+struct Slot {
+    state: DynState,
+    live: Option<LiveSlot>,
+}
+
+/// A live slot's plan index, parent count and DBB, its children, and its
+/// access and accelerator index.
+type LiveSlot = (
+    (u32, u32, u64),
+    Vec<u64>,
+    (Option<(u64, u8, AccessKind)>, u32),
+);
+
+impl Snap for Slot {
+    fn put(&self, e: &mut Enc) {
+        self.state.put(e);
+        if let Some(live) = &self.live {
+            live.put(e);
+        }
+    }
+    fn get(d: &mut Dec<'_>, what: &str) -> Result<Self, CkptError> {
+        let state = DynState::get(d, what)?;
+        let live = (state != DynState::Done)
+            .then(|| Snap::get(d, what))
+            .transpose()?;
+        Ok(Slot { state, live })
+    }
+}
+
 snap_fields!(CoreTile: gate, accel_busy_until);
 
 impl CoreTile {
@@ -88,40 +120,41 @@ impl CoreTile {
     }
 
     pub(super) fn encode_state(&self, e: &mut Enc) {
-        e.seq::<u64, u32>(&self.cursor.stream_pos);
+        self.cursor.stream_pos.iter().for_each(|pos| pos.put(e));
 
         e.u64(self.inflight.base_seq);
-        e.usize(self.inflight.slots.len());
-        for di in &self.inflight.slots {
-            di.state.put(e);
-            if di.state == DynState::Done {
-                continue;
-            }
-            (di.plan, di.remaining_parents, di.dbb).put(e);
-            e.seq::<u64, u64>(self.inflight.children(di));
-            (di.mem, di.accel_at).put(e);
-        }
-        e.seq::<u64, Option<u64>>(&self.latest);
+        e.seq::<Slot>(self.inflight.slots.iter().map(|di| Slot {
+            state: di.state,
+            live: (di.state != DynState::Done).then(|| {
+                let children = self.inflight.children(di).collect();
+                (
+                    (di.plan, di.remaining_parents, di.dbb),
+                    children,
+                    (di.mem, di.accel_at),
+                )
+            }),
+        }));
+        self.latest.iter().for_each(|def| def.put(e));
 
         let mut completions: Vec<(u64, u64)> =
             self.completions.iter().map(|Reverse(p)| *p).collect();
         completions.sort_unstable();
-        e.seq::<u64, (u64, u64)>(&completions);
-        e.seq::<u64, PendingReq>(&self.reqs);
+        e.seq::<(u64, u64)>(&completions);
+        e.seq::<PendingReq>(&self.reqs);
 
         self.mao.encode_into(e);
-        e.seq::<u64, (u32, u32)>(self.dbbs.iter().map(|&(left, block)| (left, block.0)));
+        e.seq::<(u32, u32)>(self.dbbs.iter().map(|&(left, block)| (left, block.0)));
         self.prev_launched_block.map(|b| b.0).put(e);
-        e.seq::<u64, u8>(&self.bimodal);
+        self.bimodal.iter().for_each(|counter| counter.put(e));
 
-        e.seq::<u64, u32>(&self.pending_pushes);
+        e.seq::<u32>(&self.pending_pushes);
         self.put_fields(e);
         self.stats.put_fields(e);
 
         e.bool(self.obs.is_some());
         if let Some(o) = &self.obs {
-            o.profile.to_profile().encode_into(e);
-            o.timeline.encode_into(e);
+            o.profile.to_profile().put(e);
+            o.timeline.put(e);
             (o.interval, o.first_step, o.last_seen).put(e);
         }
     }
@@ -130,16 +163,18 @@ impl CoreTile {
         let name = self.config.name.clone();
         let corrupt = |what: String| CkptError::corrupt(format!("tile {name}: {what}"));
 
-        d.table::<u64, u32>("tile trace streams", &mut self.cursor.stream_pos)?;
+        for pos in &mut self.cursor.stream_pos {
+            *pos = d.u32("tile trace stream")?;
+        }
 
         let mut inflight = InFlight::new();
         inflight.base_seq = d.u64("tile base_seq")?;
         inflight.head = inflight.base_seq;
-        let nslots = d.u64("tile in-flight span")?;
-        let next_seq = inflight.base_seq.saturating_add(nslots);
         let mut children = Vec::new();
-        for seq in inflight.base_seq..next_seq {
-            let state = Snap::get(d, "inst state")?;
+        d.seq::<Slot>("tile in-flight slot", |Slot { state, live }| {
+            let seq = inflight
+                .base_seq
+                .saturating_add(inflight.slots.len() as u64);
             let mut di = DynInst {
                 plan: 0,
                 state,
@@ -151,28 +186,28 @@ impl CoreTile {
                 mem: None,
                 accel_at: 0,
             };
-            if state != DynState::Done {
-                (di.plan, di.remaining_parents, di.dbb) = Snap::get(d, "inst plan, parents, dbb")?;
-                if di.plan as usize >= self.plan.len() {
-                    return Err(corrupt(format!("plan index {} out of range", di.plan)));
+            if let Some(((plan, parents, dbb), kids, (mem, accel_at))) = live {
+                if plan as usize >= self.plan.len() {
+                    return Err(corrupt(format!("plan index {plan} out of range")));
                 }
-                di.window_exempt = self.desc[di.plan as usize].is_some_and(DescRole::window_exempt);
-                d.seq::<u64, u64>("inst children", |child| {
-                    if child <= seq || child >= next_seq {
-                        return Err(corrupt(format!("inst {seq} has child {child}")));
-                    }
-                    children.push((seq, child));
-                    Ok(())
-                })?;
-                (di.mem, di.accel_at) = Snap::get(d, "inst access, accel index")?;
-                if di.mem.is_some() != self.plan.inst(di.plan as usize).mem_kind.is_some() {
+                if let Some(&child) = kids.iter().find(|&&child| child <= seq) {
+                    return Err(corrupt(format!("inst {seq} has child {child}")));
+                }
+                children.extend(kids.into_iter().map(|child| (seq, child)));
+                if mem.is_some() != self.plan.inst(plan as usize).mem_kind.is_some() {
                     return Err(corrupt(format!("inst {seq}: memory access mismatch")));
                 }
+                (di.plan, di.remaining_parents, di.dbb, di.mem, di.accel_at) =
+                    (plan, parents, dbb, mem, accel_at);
+                di.window_exempt = self.desc[plan as usize].is_some_and(DescRole::window_exempt);
                 inflight.live += 1;
             }
             inflight.slots.push_back(di);
-        }
+            Ok(())
+        })?;
         inflight.advance_head();
+        // `add_child` refuses a dead parent, and `get` a dead child or one
+        // past the last slot.
         for (parent, child) in children {
             if !inflight.add_child(parent, child) || inflight.get(child).is_none() {
                 return Err(corrupt(format!("dependence {parent} -> {child} is dead")));
@@ -180,15 +215,17 @@ impl CoreTile {
         }
         self.inflight = inflight;
         self.ready = ReadySet::rebuild(&self.inflight, self.window_limit());
-        d.table::<u64, Option<u64>>("tile latest-def table", &mut self.latest)?;
+        for def in &mut self.latest {
+            *def = Snap::get(d, "tile latest def")?;
+        }
 
         self.completions.clear();
-        d.seq::<u64, (u64, u64)>("tile completions", |completion| {
+        d.seq::<(u64, u64)>("tile completions", |completion| {
             self.completions.push(Reverse(completion));
             Ok(())
         })?;
         self.reqs.clear();
-        d.seq::<u64, PendingReq>("tile requests", |req| {
+        d.seq::<PendingReq>("tile requests", |req| {
             if self.reqs.back().is_some_and(|last| last.id >= req.id) {
                 return Err(corrupt(format!("request {} out of order", req.id.0)));
             }
@@ -198,7 +235,7 @@ impl CoreTile {
 
         self.mao.restore_from(d)?;
         self.dbbs.clear();
-        d.seq::<u64, (u32, u32)>("tile dbbs", |(left, block)| {
+        d.seq::<(u32, u32)>("tile dbbs", |(left, block)| {
             if block as usize >= self.counts.live_dbbs.len() {
                 return Err(corrupt(format!("dbb of block {block}")));
             }
@@ -207,10 +244,12 @@ impl CoreTile {
         })?;
         let prev_block: Option<u32> = Snap::get(d, "tile prev block")?;
         self.prev_launched_block = prev_block.map(BlockId);
-        d.table::<u64, u8>("tile bimodal table", &mut self.bimodal)?;
+        for counter in &mut self.bimodal {
+            *counter = d.u8("tile bimodal counter")?;
+        }
 
         self.pending_pushes.clear();
-        d.seq_into::<u64, u32>("tile pending pushes", &mut self.pending_pushes)?;
+        d.seq_into::<u32>("tile pending pushes", &mut self.pending_pushes)?;
         self.get_fields(d)?;
         self.stats.get_fields(d)?;
 
@@ -242,9 +281,8 @@ impl CoreTile {
         // at a different level is allowed — it just changes what is
         // recorded from here on, like sampled simulation).
         if d.bool("tile obs flag")? {
-            let profile = IrProfile::decode_from(d)?;
-            let timeline = Timeline::decode_from(d)?;
-            let (interval, first_step, last_seen) = Snap::get(d, "tile obs interval, steps")?;
+            let (profile, timeline, (interval, first_step, last_seen)): (IrProfile, Timeline, _) =
+                Snap::get(d, "tile obs payload")?;
             if let Some(o) = self.obs.as_mut() {
                 o.profile.load(&profile)?;
                 o.timeline = timeline;

@@ -2,6 +2,7 @@
 
 use super::ready_set::insert_sorted;
 use super::*;
+use mosaic_ckpt::Snap;
 use mosaic_obs::STALL_KINDS;
 use std::collections::BTreeMap;
 
@@ -833,7 +834,7 @@ fn memo_matches_the_walk() {
             assert_eq!(memo.tiles[t].stats().retired, trace.retired());
             let profiles = [&mut memo, &mut model].map(|rig| {
                 let mut enc = Enc::new();
-                rig.tiles[t].take_profile().encode_into(&mut enc);
+                rig.tiles[t].take_profile().put(&mut enc);
                 enc.into_bytes()
             });
             assert!(profiles[0] == profiles[1], "case {case}: tile {t} profile");

@@ -519,23 +519,37 @@ mod tests {
         done
     }
 
-    /// Runs one tile to completion, returning its completion cycle.
-    fn run_tile(tile: &mut CoreTile, mem: &mut MemoryHierarchy) -> u64 {
-        let mut channels = ChannelSet::new(ChannelConfig::default());
-        let mut accel = NoAccel;
-        let mut now = 0u64;
-        while !tile.is_done() {
-            mem.step(now);
-            for c in drain(mem) {
-                tile.on_mem_completion(c.id, now);
-            }
+    /// Steps cycle `now` of `tiles`, each at its memory slot: the memory,
+    /// then each completion handed to the tile that asked for it, then
+    /// every tile in slot order.
+    fn step_tiles(
+        now: u64,
+        tiles: &mut [&mut CoreTile],
+        mem: &mut MemoryHierarchy,
+        channels: &mut ChannelSet,
+        accel: &mut dyn AccelSim,
+    ) {
+        mem.step(now);
+        for c in drain(mem) {
+            tiles[c.tile].on_mem_completion(c.id, now);
+        }
+        for tile in tiles {
             let mut ctx = TileCtx {
                 now,
-                mem,
-                channels: &mut channels,
-                accel: &mut accel,
+                mem: &mut *mem,
+                channels: &mut *channels,
+                accel: &mut *accel,
             };
             tile.step(&mut ctx).expect("step");
+        }
+    }
+
+    /// Runs one tile to completion, returning its completion cycle.
+    pub(crate) fn run_tile(tile: &mut CoreTile, mem: &mut MemoryHierarchy) -> u64 {
+        let mut channels = ChannelSet::new(ChannelConfig::default());
+        let mut now = 0u64;
+        while !tile.is_done() {
+            step_tiles(now, &mut [&mut *tile], mem, &mut channels, &mut NoAccel);
             now += 1;
             assert!(now < 10_000_000, "tile did not finish");
         }
@@ -703,28 +717,7 @@ mod tests {
         );
         let mut now = 0u64;
         while !(t0.is_done() && t1.is_done()) {
-            mem.step(now);
-            for c in drain(&mut mem) {
-                if c.tile == 0 {
-                    t0.on_mem_completion(c.id, now);
-                } else {
-                    t1.on_mem_completion(c.id, now);
-                }
-            }
-            let mut ctx = TileCtx {
-                now,
-                mem: &mut mem,
-                channels: &mut channels,
-                accel: &mut accel,
-            };
-            t0.step(&mut ctx).expect("step");
-            let mut ctx = TileCtx {
-                now,
-                mem: &mut mem,
-                channels: &mut channels,
-                accel: &mut accel,
-            };
-            t1.step(&mut ctx).expect("step");
+            step_tiles(now, &mut [&mut t0, &mut t1], &mut mem, &mut channels, &mut accel);
             now += 1;
             assert!(now < 1_000_000, "send/recv tiles deadlocked");
         }
@@ -806,17 +799,7 @@ mod tests {
         );
         let mut now = 0;
         while !tile.is_done() {
-            mem.step(now);
-            for c in drain(&mut mem) {
-                tile.on_mem_completion(c.id, now);
-            }
-            let mut ctx = TileCtx {
-                now,
-                mem: &mut mem,
-                channels: &mut channels,
-                accel: &mut accel,
-            };
-            tile.step(&mut ctx).expect("step");
+            step_tiles(now, &mut [&mut tile], &mut mem, &mut channels, &mut accel);
             now += 1;
             assert!(now < 100_000);
         }
@@ -874,17 +857,7 @@ mod tests {
         struct Rig(CoreTile, MemoryHierarchy, ChannelSet);
         let step = |rig: &mut Rig, now: u64| {
             let Rig(tile, mem, channels) = rig;
-            mem.step(now);
-            for c in drain(mem) {
-                tile.on_mem_completion(c.id, now);
-            }
-            let mut ctx = TileCtx {
-                now,
-                mem,
-                channels,
-                accel: &mut NoAccel,
-            };
-            tile.step(&mut ctx).expect("step");
+            step_tiles(now, &mut [tile], mem, channels, &mut NoAccel);
         };
         let channels = || ChannelSet::new(ChannelConfig::default());
         let mut a = Rig(tile(), small_mem(1), channels());
@@ -993,24 +966,7 @@ mod bimodal_tests {
             1,
         );
         let mut tile = CoreTile::new(cfg, m.clone(), f, tr.clone(), 0);
-        let mut channels = ChannelSet::new(ChannelConfig::default());
-        let mut accel = NoAccel;
-        let mut now = 0;
-        while !tile.is_done() {
-            mem.step(now);
-            for c in crate::tests::drain(&mut mem) {
-                tile.on_mem_completion(c.id, now);
-            }
-            let mut ctx = TileCtx {
-                now,
-                mem: &mut mem,
-                channels: &mut channels,
-                accel: &mut accel,
-            };
-            tile.step(&mut ctx).expect("step");
-            now += 1;
-            assert!(now < 10_000_000);
-        }
+        crate::tests::run_tile(&mut tile, &mut mem);
         tile.stats().clone()
     }
 

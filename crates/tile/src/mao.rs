@@ -244,7 +244,7 @@ impl Mao {
     /// restore keeps the values the MAO was rebuilt with — and neither is
     /// what the entries determine (the LSQ occupancy, the index).
     pub(crate) fn encode_into(&self, e: &mut Enc) {
-        e.seq::<u64, MaoEntry>(&self.entries);
+        e.seq::<MaoEntry>(&self.entries);
     }
 
     /// Restores the state written by [`Mao::encode_into`].
@@ -257,7 +257,7 @@ impl Mao {
         self.entries.clear();
         (self.incomplete, self.issued_incomplete) = (0, 0);
         self.stores.clear();
-        d.seq::<u64, MaoEntry>("mao entries", |entry| {
+        d.seq::<MaoEntry>("mao entries", |entry| {
             let oldest = self.entries.front().map_or(entry.seq, |e| e.seq);
             let last = self.entries.back();
             if last.is_some_and(|last| last.seq >= entry.seq)

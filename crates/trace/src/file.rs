@@ -36,13 +36,8 @@ pub(crate) fn encode(tiles: Vec<Recording>) -> Vec<u8> {
             (inst as u32, (size, write, base)).put(&mut e);
             put_column(&mut e, addrs, base, width);
         }
-        e.u32(t.calls.len() as u32);
-        for call in &t.calls {
-            let name = call.accel.name();
-            (call.inst.0, name.len() as u32).put(&mut e);
-            e.raw(name.as_bytes());
-            e.seq::<u32, i64>(&call.args);
-        }
+        let calls = t.calls.iter();
+        e.seq::<Call>(calls.map(|c| (c.inst.0, c.accel.name().to_string(), c.args.clone())));
         e.u64(t.retired);
     }
     let mut bytes = e.into_bytes();
@@ -85,10 +80,13 @@ fn column(d: &mut Dec, end: usize, max: u64, w: RangeInclusive<u8>) -> Result<Co
     Ok(Column { width, len, start })
 }
 
-/// Reads a static instruction id, refusing one no real function reaches:
+/// An accelerator call as the file holds it: its instruction, the
+/// accelerator's name and the arguments.
+type Call = (u32, String, Vec<i64>);
+
+/// A static instruction id, refused where no real function reaches it:
 /// streams are stored in tables indexed by it.
-fn inst(d: &mut Dec) -> Result<InstId, CkptError> {
-    let id = d.u32("instruction id")?;
+fn inst(id: u32) -> Result<InstId, CkptError> {
     ensure(id < 1 << 20, || format!("instruction id {id} too large")).map(|()| InstId(id))
 }
 
@@ -120,7 +118,7 @@ impl KernelTrace {
             t.path = column(&mut d, end, u64::MAX, 1..=4)?;
             size.control_flow_bytes += read_since_last(&d);
             for _ in 0..d.u32("stream count")? {
-                let s = slot_mut(&mut t.mem, inst(&mut d)?.index());
+                let s = slot_mut(&mut t.mem, inst(d.u32("instruction id")?)?.index());
                 (s.size, s.write, s.base) = Snap::get(&mut d, "stream")?;
                 // A `CursorPos` counts the entries it consumed in a `u32`.
                 s.offsets = column(&mut d, end, u32::MAX.into(), 0..=8)?;
@@ -128,19 +126,16 @@ impl KernelTrace {
                 ensure(!wraps, || format!("stream base {:#x} overflows", s.base))?;
             }
             size.memory_bytes += read_since_last(&d);
-            for _ in 0..d.u32("call count")? {
-                let inst = inst(&mut d)?;
-                let name = d.u32("accelerator name")?;
-                let name = d.raw(name as usize, "accelerator name")?;
-                let accel = std::str::from_utf8(name).ok().and_then(AccelOp::from_name);
-                let unknown = || format!("unknown accelerator `{}`", name.escape_ascii());
-                let accel = accel.ok_or_else(|| CkptError::corrupt(unknown()))?;
-                let mut args = Vec::new();
-                d.seq_into::<u32, i64>("accelerator arguments", &mut args)?;
+            d.seq::<Call>("accelerator call", |(inst_id, name, args)| {
+                let inst = inst(inst_id)?;
+                let accel = AccelOp::from_name(&name);
+                let accel = accel
+                    .ok_or_else(|| CkptError::corrupt(format!("unknown accelerator `{name}`")))?;
                 let call = AccelInvocation { inst, accel, args };
                 slot_mut(&mut t.accel, inst.index()).push(call.clone());
                 t.accel_order.push(call);
-            }
+                Ok(())
+            })?;
             size.accel_bytes += read_since_last(&d);
             (t.bytes, t.retired) = (Arc::clone(&bytes), d.u64("retired")?);
             tiles.push(Arc::new(t));

@@ -163,7 +163,8 @@ fn resume_rejects_a_mismatched_system() {
 
 /// A system that differs from the snapshot's in one part's configuration
 /// alone — a latency, a window, the DRAM model, a tile more, a channel's
-/// capacity — is refused before any section is read, naming that part:
+/// capacity, a kernel whose tables have other sizes — is refused before any
+/// section is read, naming that part:
 /// each of these resumes would otherwise run to a cycle count neither
 /// configuration has.
 #[test]
@@ -194,12 +195,16 @@ fn resume_rejects_a_system_of_another_configuration() {
         bfs.traced().programs[1].func,
         1,
     );
+    // The same cores, function ids and trace tiles: only the sizes of the
+    // tables the kernel gives each tile differ, and the header refuses them.
+    let sgemm = support::system("sgemm@1/ooo/2t");
     let cases = [
         ("a 4x LLC latency", slow_llc.builder(), &bfs_ckpt, "'memory'"),
         ("a 16-entry window", narrow.builder(), &bfs_ckpt, "'c0'"),
         ("banked DRAM", banked.builder(), &bfs_ckpt, "'memory'"),
         ("a third tile", third, &bfs_ckpt, "'c2'"),
         ("channel capacity 2", wide_channels.builder(), &desc_ckpt, "'channels'"),
+        ("another kernel", sgemm.builder(), &bfs_ckpt, "part 0 is 'c0'"),
     ];
     for (label, builder, ckpt, part) in cases {
         match builder.resume_from_checkpoint(ckpt.clone()).run() {

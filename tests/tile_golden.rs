@@ -19,7 +19,7 @@
 //! The systems are `support::zoo()`'s `TILE` entries, the ledger's two
 //! eight-tile `manytile_chan` shapes among them.
 
-use mosaicsim::ckpt::Enc;
+use mosaicsim::ckpt::{Enc, Snap};
 use mosaicsim::prelude::*;
 use support::{fnv, Golden, TILE};
 
@@ -42,7 +42,7 @@ fn run_rows(
         .enumerate()
         .map(|(slot, tile)| {
             let mut enc = Enc::new();
-            tile.take_profile().encode_into(&mut enc);
+            tile.take_profile().put(&mut enc);
             let profile = fnv(&enc.into_bytes());
             let s = tile.stats();
             let [window, fu, mem, send, recv] = s.stalls;
