@@ -46,8 +46,9 @@ pub(crate) const MAGIC: &[u8; 4] = b"MCKP";
 /// dropped the counters nothing read, 5 the counts the rest of a snapshot
 /// determines (a tile's busy units and live DBBs, a cache's accesses, …),
 /// 6 the configuration echoes the header's per-part fingerprints replace,
-/// 7 wrote every count and string length as a `u32`.
-pub(crate) const VERSION: u32 = 7;
+/// 7 wrote every count and string length as a `u32`, 8 dropped a cache's
+/// valid-way count, which its validity bitmap gives.
+pub(crate) const VERSION: u32 = 8;
 
 /// Longest string the decoder will accept (tile names, section names).
 const MAX_STR: u32 = 4096;
@@ -826,8 +827,8 @@ mod tests {
 
     /// DESIGN.md §4.6 and the CI comments quote the version by number.
     #[test]
-    fn the_format_is_version_7() {
-        assert_eq!(VERSION, 7);
+    fn the_format_is_version_8() {
+        assert_eq!(VERSION, 8);
     }
 
     #[test]

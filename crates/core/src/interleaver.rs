@@ -201,12 +201,19 @@ impl Interleaver {
     /// hierarchy's private-cache slots (tile `i` uses slot `i`). Its
     /// checkpoints name the tiles alone, with fingerprint 0: only
     /// [`crate::SystemBuilder::build`] knows the configurations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a tile's [`Tile::clock_divisor`] is 0.
     pub fn new(
         tiles: Vec<Box<dyn Tile>>,
         mem: MemoryHierarchy,
         channels: ChannelSet,
         accel: Box<dyn AccelSim>,
     ) -> Self {
+        for t in &tiles {
+            assert!(t.clock_divisor() >= 1, "tile {}: clock divisor must be at least 1", t.name());
+        }
         let finished = tiles.iter().filter(|t| t.is_done()).count();
         Interleaver {
             parts: tiles.iter().map(|t| (t.name().to_string(), 0)).collect(),
@@ -398,7 +405,7 @@ impl Interleaver {
             if tile.is_done() {
                 continue;
             }
-            let div = tile.clock_divisor().max(1);
+            let div = tile.clock_divisor();
             let wake = match tile.next_event(now, &self.channels) {
                 Horizon::Ready => align_up(now, div),
                 Horizon::At(c) => align_up(c.max(now), div),
@@ -448,7 +455,7 @@ impl Interleaver {
             if tile.is_done() {
                 continue;
             }
-            let div = tile.clock_divisor().max(1);
+            let div = tile.clock_divisor();
             let skipped = if div == 1 {
                 target - now
             } else {

@@ -409,9 +409,9 @@ fn set_bits(bitmap: &[u8]) -> impl Iterator<Item = usize> + '_ {
 mosaic_ckpt::snap_fields!(Cache: tick, hits, misses);
 
 impl Cache {
-    /// Serializes the counters and the valid ways: the number of valid
-    /// ways, a validity bitmap over all ways, a dirty bitmap over the
-    /// valid ones, then `(tag, last_use)` per valid way in index order. An
+    /// Serializes the counters and the valid ways: a validity bitmap over
+    /// all ways, a dirty bitmap over the valid ones (as many as the first
+    /// marks), then `(tag, last_use)` per valid way in index order. An
     /// untouched cache costs a bit per way and a full one two bits and 16
     /// bytes, so the record tracks what a run touched, not what was
     /// configured. The configuration is not written: a restored cache
@@ -426,7 +426,6 @@ impl Cache {
             dirty.resize(k / 8 + 1, 0);
             dirty[k / 8] |= u8::from(is_dirty) << (k % 8);
         }
-        e.u32(valid.iter().map(|byte| byte.count_ones()).sum());
         e.raw(&valid);
         e.raw(&dirty);
         for (_, key, age, _) in self.valid_ways() {
@@ -443,15 +442,8 @@ impl Cache {
         d: &mut mosaic_ckpt::Dec<'_>,
     ) -> Result<(), mosaic_ckpt::CkptError> {
         self.get_fields(d)?;
-        let count = d.u32("cache valid-way count")? as usize;
         let valid = decode_bits(d, self.sets as usize * self.ways, "cache validity bitmap")?;
-        let marked: usize = valid.iter().map(|b| b.count_ones() as usize).sum();
-        if marked != count {
-            return Err(mosaic_ckpt::CkptError::corrupt(format!(
-                "cache {}: validity bitmap marks {marked} ways, record holds {count}",
-                self.config.name()
-            )));
-        }
+        let count = valid.iter().map(|b| b.count_ones() as usize).sum();
         let dirty = decode_bits(d, count, "cache dirty bitmap")?;
         // Whatever the cache held becomes invalid: no key, no age, clean.
         self.lines.iter_mut().flatten().for_each(|block| block.words.fill(0));
@@ -708,9 +700,9 @@ mod tests {
         c.fill(0x0000, true);
         c.fill(0x0040, false);
         let good = encoded(&c);
-        // Layout: 3 counters, count at 24, validity bitmap (8 ways: one
-        // byte) at 28, dirty bitmap at 29, records from 30.
-        assert_eq!(good.len(), 30 + 2 * 16);
+        // Layout: 3 counters, validity bitmap (8 ways: one byte) at 24,
+        // dirty bitmap at 25, records from 26.
+        assert_eq!(good.len(), 26 + 2 * 16);
         let mut target = tiny();
         restore(&mut target, &good).unwrap();
 
@@ -719,24 +711,18 @@ mod tests {
             bytes[at] = byte;
             bytes
         };
-        // A valid bit without a record.
-        let err = restore(&mut target, &with(28, good[28] | 0x80)).unwrap_err();
-        assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
-        // A record count that is not the bitmap's population.
-        let err = restore(&mut target, &with(24, 3)).unwrap_err();
-        assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
-        // More valid ways than the cache has.
-        let err = restore(&mut target, &with(24, 9)).unwrap_err();
-        assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
+        // A valid bit without a record: the records run short.
+        let err = restore(&mut target, &with(24, good[24] | 0x80)).unwrap_err();
+        assert!(matches!(err, CkptError::Truncated { .. }), "{err}");
         // A dirty bit for a way past the last valid one.
-        let err = restore(&mut target, &with(29, 0x04)).unwrap_err();
+        let err = restore(&mut target, &with(25, 0x04)).unwrap_err();
         assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
         // Another cache's geometry (twice the sets) reads a bitmap that no
         // longer lines up: a typed error, never a panic. That it is another
         // system is the checkpoint header's verdict, not the record's.
         let mut other = Cache::new(CacheConfig::new("t", 1024).with_ways(2));
         let err = restore(&mut other, &good).unwrap_err();
-        assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
+        assert!(matches!(err, CkptError::Truncated { .. }), "{err}");
         // Cut anywhere, the record is truncated, never a panic.
         for cut in 0..good.len() {
             let err = target
@@ -864,7 +850,6 @@ mod tests {
             let mut e = mosaic_ckpt::Enc::new();
             self.counters.iter().for_each(|&counter| e.u64(counter));
             let valid = pack_bits(self.state.iter().map(|st| st & VALID != 0));
-            e.u32(valid.iter().map(|byte| byte.count_ones()).sum());
             e.raw(&valid);
             e.raw(&pack_bits(set_bits(&valid).map(|w| self.state[w] & DIRTY != 0)));
             for w in set_bits(&valid) {

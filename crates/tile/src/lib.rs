@@ -354,15 +354,22 @@ pub enum Horizon {
 /// A hardware tile the Interleaver advances cycle by cycle (paper §II:
 /// "tiles operate alongside each other, each being called upon by the
 /// Interleaver to take a single-cycle step").
+///
+/// Four methods are required: [`Tile::clock_divisor`],
+/// [`Tile::on_mem_completion`], [`Tile::step`] and [`Tile::stats`]. The
+/// rest have defaults that are correct but slow (DESIGN.md §4.2): such a
+/// tile is never skipped, so a deadlock among such tiles shows only at
+/// the cycle limit; it records no profile or timeline; and a checkpoint
+/// of it is refused, naming it.
 pub trait Tile {
     /// Display name.
     fn name(&self) -> &str {
         &self.stats().name
     }
 
-    /// Clock divisor relative to the global clock: the Interleaver steps
-    /// this tile only on cycles divisible by the divisor (paper §II:
-    /// "tiles may run at different clock speeds").
+    /// Clock divisor relative to the global clock, at least 1: the
+    /// Interleaver steps this tile only on cycles divisible by the divisor
+    /// (paper §II: "tiles may run at different clock speeds").
     fn clock_divisor(&self) -> u64;
 
     /// A memory request issued by this tile completed.
@@ -390,8 +397,11 @@ pub trait Tile {
 
     /// Earliest cycle `>= now` at which stepping this tile could change
     /// architectural state (see [`Horizon`] for the contract). `now` is
-    /// the next cycle the Interleaver would execute.
-    fn next_event(&self, now: u64, channels: &ChannelSet) -> Horizon;
+    /// the next cycle the Interleaver would execute. By default
+    /// [`Horizon::Ready`]: the tile is stepped every cycle of its clock.
+    fn next_event(&self, _now: u64, _channels: &ChannelSet) -> Horizon {
+        Horizon::Ready
+    }
 
     /// Credits the stall counters this tile would have accumulated over
     /// `aligned_cycles` skipped tile-clock cycles in which it was blocked.
@@ -399,8 +409,9 @@ pub trait Tile {
     /// the per-cycle stall profile) is constant over the whole skipped
     /// span, so the tile may evaluate it once at `now` and multiply.
     /// Called by the fast-forward scheduler with the channel state frozen
-    /// as it was when [`Tile::next_event`] reported the block.
-    fn on_cycles_skipped(&mut self, now: u64, aligned_cycles: u64, channels: &ChannelSet);
+    /// as it was when [`Tile::next_event`] reported the block — never for
+    /// a tile whose `next_event` is the default.
+    fn on_cycles_skipped(&mut self, _now: u64, _aligned_cycles: u64, _channels: &ChannelSet) {}
 
     /// `TileStats::progress_mark`, whose move [`Tile::step`] reports.
     fn progress_mark(&self) -> u64 {
@@ -413,25 +424,42 @@ pub trait Tile {
     /// Implementations must derive it from architectural state only —
     /// never from cumulative stall counters — so the snapshot is
     /// bit-identical whether the deadlock was found by the fast-forward
-    /// scheduler or by the naive watchdog.
-    fn stall_info(&self, now: u64, channels: &ChannelSet) -> TileStallInfo;
+    /// scheduler or by the naive watchdog. By default the tile names
+    /// itself, [`StallReason::Idle`], and what it has retired.
+    fn stall_info(&self, _now: u64, _channels: &ChannelSet) -> TileStallInfo {
+        TileStallInfo {
+            tile: self.name().to_string(),
+            reason: StallReason::Idle,
+            inst: None,
+            pc: 0,
+            retired: self.stats().retired,
+            mem_in_flight: 0,
+        }
+    }
 
-    /// Sets the observability level before the run starts.
-    fn set_observe(&mut self, level: ObsLevel);
+    /// Sets the observability level before the run starts (by default,
+    /// ignored).
+    fn set_observe(&mut self, _level: ObsLevel) {}
 
     /// Takes the tile's recorded timeline spans, keyed to its memory slot
     /// (pid 0 tracks), which is its place among the Interleaver's tiles.
-    fn take_timeline(&mut self) -> Timeline;
+    /// Empty by default.
+    fn take_timeline(&mut self) -> Timeline {
+        Timeline::new()
+    }
 
     /// Takes the tile's IR-level profile (per-static-instruction
-    /// retire/stall/latency attribution).
-    fn take_profile(&mut self) -> IrProfile;
+    /// retire/stall/latency attribution). Empty by default.
+    fn take_profile(&mut self) -> IrProfile {
+        IrProfile::new()
+    }
 
     /// Serializes this tile's dynamic state into a checkpoint section
     /// (see `mosaic-ckpt`). Static state — the module, trace, DDG, and
     /// configuration — is *not* written; a restore rebuilds it from the
-    /// same configuration and only overwrites dynamic state.
-    fn save_state(&self, enc: &mut mosaic_ckpt::Enc);
+    /// same configuration and only overwrites dynamic state. By default
+    /// nothing is written, and [`Tile::restore_state`] refuses it.
+    fn save_state(&self, _enc: &mut mosaic_ckpt::Enc) {}
 
     /// Restores the dynamic state written by [`Tile::save_state`] into a
     /// freshly built tile of the same configuration.
@@ -440,10 +468,17 @@ pub trait Tile {
     ///
     /// Returns a [`mosaic_ckpt::CkptError`] when the section is
     /// truncated, corrupt, or was written by a differently shaped tile.
+    /// By default always [`mosaic_ckpt::CkptError::Mismatch`], naming the
+    /// tile: it saved no state to resume from.
     fn restore_state(
         &mut self,
-        dec: &mut mosaic_ckpt::Dec<'_>,
-    ) -> Result<(), mosaic_ckpt::CkptError>;
+        _dec: &mut mosaic_ckpt::Dec<'_>,
+    ) -> Result<(), mosaic_ckpt::CkptError> {
+        Err(mosaic_ckpt::CkptError::mismatch(format!(
+            "tile '{}' does not checkpoint its state",
+            self.name()
+        )))
+    }
 }
 
 #[cfg(test)]

@@ -26,6 +26,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod reference;
 pub mod relations;
 
 use std::cell::{LazyCell, RefCell};
